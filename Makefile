@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: check build vet test test-race test-crashmatrix test-delivery test-elasticity test-audit test-parallel test-transport test-planner soak-flake soak soak-net bench bench-smoke bench-trajectory fuzz fuzz-smoke
+.PHONY: check build vet test test-race test-crashmatrix test-delivery test-elasticity test-audit test-parallel test-transport test-planner test-benchmark soak-flake soak soak-net bench bench-smoke bench-trajectory fuzz fuzz-smoke
 
 # check is the CI gate: formatting, static analysis, the full test suite
 # under the race detector (test-delivery's and test-elasticity's cases
 # run within it, and are also kept as named targets for the quick loop),
-# the batched/parallel hot-path equivalence suite, and short fuzz smoke
-# runs of the durability codecs.
-check: fmt-check vet test-race test-delivery test-elasticity test-audit test-parallel test-transport test-planner fuzz-smoke
+# the apply loop's equivalence suite, the nested benchmark module's own
+# vet + tests, and short fuzz smoke runs of the durability codecs.
+check: fmt-check vet test-race test-delivery test-elasticity test-audit test-parallel test-transport test-planner test-benchmark fuzz-smoke
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
@@ -52,14 +52,15 @@ test-audit:
 	$(GO) test -race -run 'TestComposePathsFingerprintEqual' ./internal/partition
 	$(GO) test -race -run 'TestFlakeHuntScaleOutKillOriginal|TestMirrorOnlySurvivor' ./internal/cluster
 
-# test-parallel runs the batched/parallel detection hot path's suite
-# under the race detector: sequential-equivalence properties (delivered
-# multiset + state fingerprints across batch sizes, worker counts, and
-# GOMAXPROCS), the checkpoint-clock clamp, engine batch equivalence, and
-# the allocation-budget gates — the quick loop for hot-path work.
+# test-parallel runs the replica apply loop's suite under the race
+# detector: the cluster-free oracle, batching-independence properties
+# (delivered multiset + state fingerprints across batch sizes, worker
+# counts, and GOMAXPROCS), the checkpoint-clock clamp, engine batch
+# equivalence, and the allocation-budget gates — the quick loop for
+# hot-path work.
 test-parallel:
-	$(GO) test -race -run 'TestParallelApply|TestCkptClock|TestCheckpointClockOutlier|TestApplyBatch|TestLatencyMetricSplit' ./internal/cluster ./internal/core
-	$(GO) test -run 'ZeroAlloc|TestApplyBatchAllocBudget' ./internal/graph ./internal/core
+	$(GO) test -race -run 'TestApplyLoop|TestParallelApply|TestCkptClock|TestCheckpointClockOutlier|TestDetectBatch|TestLatencyMetricSplit' ./internal/cluster ./internal/core
+	$(GO) test -run 'ZeroAlloc|TestDetectBatchAllocBudget' ./internal/graph ./internal/core
 
 # test-transport runs the networked tier under the race detector: the
 # wire codec and fault tests in internal/transport, plus the loopback
@@ -81,7 +82,14 @@ test-transport:
 test-planner:
 	$(GO) test -race ./internal/motifdsl ./internal/motif
 	$(GO) test -race -run 'TestEngineShared|TestEngineFeedsLiveDegrees|TestMultiQuery' ./internal/core ./internal/cluster
-	$(GO) test -run 'TestApplyBatchAllocBudgetMultiMotif' ./internal/core
+	$(GO) test -run 'TestDetectBatchAllocBudgetMultiMotif' ./internal/core
+
+# test-benchmark vets and tests the nested motifstream/benchmark module
+# (its own go.mod, so ./... above does not reach it): an API deletion
+# that breaks the benchmark driver's build fails here, in the repo's own
+# gate.
+test-benchmark:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # soak-flake is the nightly soak of the once-flaky scale-out scenario
 # (the zombie-cut bug): 200 consecutive runs, any recurrence fails.
@@ -104,7 +112,7 @@ bench:
 # run.
 bench-smoke:
 	@set -e; for pkg in $$($(GO) list ./...); do \
-		$(GO) test -run=NONE -bench 'Checkpoint|Recovery|Snapshot|Reprovision|E2EDetectionLatency|ApplyBatch' -benchtime=1x -count=1 $$pkg; \
+		$(GO) test -run=NONE -bench 'Checkpoint|Recovery|Snapshot|Reprovision|E2EDetectionLatency|DetectBatch' -benchtime=1x -count=1 $$pkg; \
 	done
 
 # bench-trajectory is the measurement run: the pinned trajectory workload

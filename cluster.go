@@ -31,17 +31,13 @@ type ClusterOptions struct {
 	// MaxFanout caps the recent actors considered per event, bounding
 	// work on viral items. Zero selects 256; negative means unlimited.
 	MaxFanout int
-	// ExtraDSL holds additional motif declarations compiled and run on
-	// every partition alongside the primary diamond. RegisterMotifs is the
-	// programmatic way to build up the same set incrementally.
-	ExtraDSL string
 	// DisableSharing turns off the per-replica engines' shared-prefix
 	// execution trie, running every planned motif's probes independently.
 	// Detection output is identical either way; this is a benchmark and
 	// differential-testing lever, not a correctness switch.
 	DisableSharing bool
 	// motifSources holds DSL sources added via RegisterMotifs; each is
-	// compiled per replica alongside ExtraDSL.
+	// compiled per replica alongside the primary diamond.
 	motifSources []string
 	// QueueDelayMedian and QueueDelayP99 shape the simulated end-to-end
 	// message-queue propagation delay (the paper's dominant latency:
@@ -101,17 +97,16 @@ type ClusterOptions struct {
 	// dead longer than this is automatically re-provisioned onto a fresh
 	// node (ReprovisionReplica). Zero disables. Requires CheckpointDir.
 	HealAfter time.Duration
-	// ApplyBatch, when > 1, turns on the batched detection hot path: each
-	// replica drains its firehose subscription into batches of up to this
-	// many envelopes, amortizing lock acquisition and metric updates, and
-	// publishes candidates / cuts checkpoints through an ordered-commit
-	// stage that preserves exact sequential semantics (see
-	// docs/DURABILITY.md, "Ordering invariants under batched apply").
-	// Zero or one keeps per-envelope apply.
+	// ApplyBatch bounds how many envelopes each replica drains from its
+	// firehose subscription into one batch, amortizing scratch and metric
+	// updates; candidates are published and checkpoints cut through an
+	// ordered-commit stage whose results do not depend on the bound (see
+	// docs/DURABILITY.md, "Ordering invariants of the apply loop"). Zero
+	// or one applies one envelope at a time.
 	ApplyBatch int
 	// ApplyWorkers fans candidate generation for a batch across this many
-	// goroutines, sharded by target vertex. Zero or one keeps detection
-	// on the consumer goroutine. Ignored unless ApplyBatch > 1.
+	// goroutines, sharded by target vertex. Zero or one — or a batch of
+	// one — keeps detection on the consumer goroutine.
 	ApplyWorkers int
 	// Listen, when non-empty, runs this deployment as a networked hub: it
 	// binds a TCP listener on the address (":0" picks a free port; see
@@ -208,12 +203,6 @@ func NewCluster(staticEdges []Edge, opts ClusterOptions) (*Cluster, error) {
 				MaxFanout: opts.MaxFanout,
 			}),
 		}
-		if opts.ExtraDSL != "" {
-			extra, err := CompileMotif(opts.ExtraDSL)
-			if err == nil {
-				progs = append(progs, extra...)
-			}
-		}
 		for _, src := range opts.motifSources {
 			extra, err := CompileMotif(src)
 			if err == nil {
@@ -221,13 +210,6 @@ func NewCluster(staticEdges []Edge, opts ClusterOptions) (*Cluster, error) {
 			}
 		}
 		return progs
-	}
-	if opts.ExtraDSL != "" {
-		// Validate once up front so a bad declaration fails construction
-		// rather than being silently dropped per replica.
-		if _, err := CompileMotif(opts.ExtraDSL); err != nil {
-			return nil, err
-		}
 	}
 	for _, src := range opts.motifSources {
 		// RegisterMotifs validated already; revalidate in case the options
@@ -399,11 +381,11 @@ type ClusterStats struct {
 	// that installed one, keeping a (user, item) pair pushed before the
 	// restart suppressed after it.
 	DeliveryStateCuts, DeliveryStateRestores uint64
-	// ApplyBatches counts batches applied through the batched detection
-	// hot path; ApplyBatchMean and ApplyBatchP99 summarize how many
-	// envelopes each batch actually carried (bounded by
-	// ClusterOptions.ApplyBatch; small values mean the consumer is
-	// keeping up and draining shallow). All zero without ApplyBatch > 1.
+	// ApplyBatches counts batches applied by the replica apply loops;
+	// ApplyBatchMean and ApplyBatchP99 summarize how many envelopes each
+	// batch actually carried (bounded by ClusterOptions.ApplyBatch; small
+	// values mean the consumer is keeping up and draining shallow). With
+	// ApplyBatch <= 1 every envelope is its own batch.
 	ApplyBatches                  uint64
 	ApplyBatchMean, ApplyBatchP99 float64
 	// AuditRecords counts state fingerprints recorded by the audit layer;

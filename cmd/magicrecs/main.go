@@ -71,7 +71,7 @@ func run(args []string, errOut io.Writer) int {
 		scaleN     = fs.Int("scale-events", 0, "perform N live scale events mid-stream, alternating AddReplica and DecommissionReplica on every partition (requires -checkpointdir)")
 		healAfter  = fs.Duration("healafter", 0, "auto-reprovision replicas dead longer than this (auto-healer; 0 disables)")
 		auditOn    = fs.Bool("audit", false, "record a CRC32C state fingerprint at every checkpoint cut and cross-verify replicas after the run (requires -checkpointdir)")
-		batchN     = fs.Int("applybatch", 0, "batched detection hot path: drain up to N envelopes per apply batch (0/1 = per-envelope apply)")
+		batchN     = fs.Int("applybatch", 0, "replica apply loop batch bound: drain up to N envelopes per apply batch (0/1 = one envelope per batch)")
 		workersN   = fs.Int("applyworkers", 0, "worker goroutines for candidate generation per batch, sharded by target (0/1 = consumer goroutine; needs -applybatch > 1)")
 
 		listen      = fs.String("listen", "", "run as a networked hub: bind this TCP address, own the durable log and delivery tier, and serve every replica slot to worker processes (requires -logdir and -checkpointdir)")
@@ -107,7 +107,7 @@ func run(args []string, errOut io.Writer) int {
 		}
 	})
 	if workersSet && *batchN <= 1 {
-		return fail("-applyworkers requires -applybatch > 1 (parallel candidate generation only exists on the batched hot path)")
+		return fail("-applyworkers requires -applybatch > 1 (a batch of one envelope has nothing to fan out)")
 	}
 
 	networked := *listen != "" || *join != ""
@@ -360,7 +360,7 @@ func run(args []string, errOut io.Writer) int {
 		fmt.Printf("placement:   %d reprovisions (%d auto-healed), %d base mirrors, %d pool restores, %d scale-outs, %d scale-ins, %d fsyncs saved\n",
 			s.Reprovisions, s.Healed, s.BaseMirrors, s.BasePoolRestores, s.ScaleOuts, s.ScaleIns, s.FsyncsSaved)
 	}
-	if s.ApplyBatches > 0 {
+	if *batchN > 1 {
 		fmt.Printf("batching:    %d apply batches (mean %.1f / p99 %.0f envelopes per batch, bound %d, %d workers)\n",
 			s.ApplyBatches, s.ApplyBatchMean, s.ApplyBatchP99, *batchN, *workersN)
 	}

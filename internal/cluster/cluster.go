@@ -101,6 +101,7 @@ import (
 	"motifstream/internal/partition"
 	"motifstream/internal/placement"
 	"motifstream/internal/queue"
+	"motifstream/internal/statstore"
 	"motifstream/internal/transport"
 )
 
@@ -135,23 +136,21 @@ type Config struct {
 	Delivery delivery.Options
 	// Buffer sizes the queue channels; 0 selects 4096.
 	Buffer int
-	// ApplyBatch, when > 1, switches each replica consumer to the batched
-	// hot path: it drains its subscription into bounded batches of up to
-	// this many envelopes, runs candidate generation for the whole batch
-	// (fanned across ApplyWorkers), then republishes candidates and cuts
-	// checkpoints in offset order through an ordered commit stage. Batch
-	// boundaries are forced wherever the sequential path would sweep D or
-	// cut a checkpoint, so recoverable state and delivered notifications
-	// are byte-identical to ApplyBatch == 1 (see docs/DURABILITY.md,
-	// "Ordering invariants under batched apply"). 0 or 1 selects the
-	// envelope-at-a-time path.
+	// ApplyBatch bounds how many envelopes a replica consumer drains from
+	// its subscription into one batch: it runs candidate generation for
+	// the whole batch (fanned across ApplyWorkers), then republishes
+	// candidates and cuts checkpoints in offset order through an ordered
+	// commit stage. A batch ends early wherever a D sweep or a checkpoint
+	// cut is due, so recoverable state and delivered notifications do not
+	// depend on the bound (see docs/DURABILITY.md, "Ordering invariants of
+	// the apply loop"). 0 or 1 applies one envelope at a time.
 	ApplyBatch int
 	// ApplyWorkers bounds the per-replica worker pool for in-batch
 	// candidate generation. Envelopes are sharded by edge target — same
-	// target, same worker, offset order within a worker — which preserves
-	// exact sequential semantics because motif programs only read D at the
+	// target, same worker, offset order within a worker — which keeps
+	// detection exact because motif programs only read D at the
 	// triggering edge's target. 0 or 1 runs detection inline on the
-	// consumer goroutine. Ignored unless ApplyBatch > 1.
+	// consumer goroutine, as does a batch of one.
 	ApplyWorkers int
 	// Seed seeds the delay samplers.
 	Seed int64
@@ -671,7 +670,7 @@ func New(cfg Config) (c *Cluster, err error) {
 				tombstones = append(tombstones, [2]int{pid, r})
 				continue
 			}
-			p, err := c.buildPartition(pid)
+			p, err := c.buildPartition(pid, nil)
 			if err != nil {
 				return nil, fmt.Errorf("cluster: partition %d replica %d: %w", pid, r, err)
 			}
@@ -829,10 +828,14 @@ func unmarshalEdge(b []byte) (graph.Edge, error) {
 }
 
 // buildPartition constructs one replica's partition from configuration.
-func (c *Cluster) buildPartition(pid int) (*partition.Partition, error) {
+// A non-nil snap is served as S directly (a replacement or scale-out
+// replica booting from the newest offline build); nil builds S from
+// Config.StaticEdges.
+func (c *Cluster) buildPartition(pid int, snap *statstore.Snapshot) (*partition.Partition, error) {
 	return partition.New(partition.Config{
 		ID:             pid,
 		StaticEdges:    c.cfg.StaticEdges,
+		StaticSnapshot: snap,
 		Partitioner:    c.part,
 		MaxInfluencers: c.cfg.MaxInfluencers,
 		Dynamic:        c.cfg.Dynamic,
@@ -942,97 +945,13 @@ func (c *Cluster) Start() {
 	})
 }
 
-// runReplica consumes the replica's subscription — live from Start, or
-// replay-then-live from RestoreReplica — until the topic closes or
-// KillReplica pulls the plug. With Config.ApplyBatch > 1 it runs the
-// batched hot path (parallel.go) instead of envelope-at-a-time.
+// runReplica runs the replica's consumer (consumeBatched, parallel.go) —
+// live from Start, or replay-then-live from a restore — until the topic
+// closes or KillReplica pulls the plug.
 func (c *Cluster) runReplica(slot *replicaSlot) {
 	defer c.wg.Done()
 	defer close(slot.stopped)
-	if c.cfg.ApplyBatch > 1 {
-		c.consumeBatched(slot)
-		return
-	}
-	for {
-		select {
-		case <-slot.quit:
-			return
-		case env, ok := <-slot.sub:
-			if !ok {
-				return
-			}
-			if !c.applyEnvelope(slot, env) {
-				return
-			}
-		}
-	}
-}
-
-// applyEnvelope runs one firehose envelope through the replica: detection,
-// candidate forwarding, the checkpoint cut, and the replaying→live
-// transition. Every alive replica forwards its batches; the delivery
-// consumer's per-group offset filter collapses the redundancy to exactly
-// one batch per event. Returns false only when the candidates topic has
-// closed (shutdown race).
-func (c *Cluster) applyEnvelope(slot *replicaSlot, env queue.Envelope[graph.Edge]) bool {
-	cands := slot.p.Load().Apply(env.Msg)
-
-	// One state load gates BOTH the candidate publish and the checkpoint
-	// cut below. KillReplica stores replicaDead before closing quit, but
-	// the consumer's select may still drain buffered envelopes first —
-	// a "zombie" span. Suppressing only the publish while still cutting
-	// would let a durable cut claim offsets whose candidates were never
-	// handed to the delivery tier; the restored replica would resume past
-	// the suppressed offset, and its first accepted emission would jump
-	// the group's high-water filter over the lost batch. Publish and cut
-	// must therefore share one fate per envelope.
-	state := slot.state.Load()
-
-	// Candidates are published before any checkpoint cut covering this
-	// offset: a cut at Offset+1 must never claim durability for an event
-	// whose candidates were not yet handed to the delivery tier, or a
-	// restore from that cut would skip re-emitting them. Publishing to a
-	// closed candidates topic only happens during shutdown races; drop
-	// silently then.
-	if len(cands) > 0 && state != replicaDead {
-		msg := candidateMsg{pid: slot.pid, offset: env.Offset, pubNS: env.PubUnixNS, cands: cands}
-		// On a networked worker the message is counted against the
-		// checkpoint ack gate BEFORE the publish, so a drained gate is an
-		// upper bound on what was ever handed to the forwarder.
-		if c.worker != nil {
-			c.worker.fw.NoteEnqueued()
-		}
-		if c.candidates.Publish(msg, env.VirtualDelay) != nil {
-			if c.worker != nil {
-				c.worker.fw.NoteAbandoned()
-			}
-			return false
-		}
-	}
-
-	if c.worker != nil {
-		slot.applied.Store(env.Offset + 1)
-	}
-
-	if c.ckptEveryMS > 0 && state != replicaDead {
-		if slot.clock.tick(env.Msg.TS, c.ckptEveryMS) {
-			c.cutCheckpoint(slot, env.Offset+1)
-		}
-	}
-
-	if slot.state.Load() == replicaReplaying && env.Offset+1 >= slot.target {
-		// Caught up with the head observed at restore time: from here the
-		// replica is as fresh as any live one (behind by at most its
-		// subscription buffer), so the broker may serve reads from it.
-		// CAS, not Store: a concurrent KillReplica may have already moved
-		// the state to dead, and resurrecting it would mark a reset
-		// replica broker-healthy.
-		if slot.state.CompareAndSwap(replicaReplaying, replicaLive) {
-			c.markLive(slot)
-			close(slot.live)
-		}
-	}
-	return true
+	c.consumeBatched(slot)
 }
 
 // cutCheckpoint is the synchronous half of an incremental checkpoint: it
@@ -1363,9 +1282,9 @@ type Stats struct {
 	// LogTruncatedBelow is the firehose log's compaction horizon: every
 	// retained offset is at or above it. Zero until the first truncation.
 	LogTruncatedBelow uint64
-	// ApplyBatches counts batches applied by the batched replica hot path
-	// (zero with ApplyBatch <= 1); ApplyBatchSize is the distribution of
-	// their envelope counts (stored unitless in the histogram).
+	// ApplyBatches counts batches applied by the replica apply loops (one
+	// per envelope with ApplyBatch <= 1); ApplyBatchSize is the
+	// distribution of envelopes per batch (unitless counts).
 	ApplyBatches   uint64
 	ApplyBatchSize metrics.Snapshot
 	// CutPause is the distribution of apply-loop pauses taken by

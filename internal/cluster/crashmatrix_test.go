@@ -679,9 +679,9 @@ func TestCrashMatrix(t *testing.T) {
 			}
 			oracle.Stop()
 
-			// Fault run — on the batched worker-pool hot path, so every
-			// matrix scenario doubles as a batched-vs-sequential
-			// equivalence check (the oracle stays envelope-at-a-time).
+			// Fault run — at the deployed 16x2 batch bound, so every
+			// matrix scenario doubles as a batching-independence check
+			// (the oracle stays at a batch bound of one).
 			faultCfg := newCfg()
 			faultCfg.ApplyBatch = 16
 			faultCfg.ApplyWorkers = 2

@@ -40,7 +40,6 @@ import (
 	"motifstream/internal/partition"
 	"motifstream/internal/placement"
 	"motifstream/internal/queue"
-	"motifstream/internal/statstore"
 )
 
 // tombstone stands in for a decommissioned placement in the broker's
@@ -353,35 +352,6 @@ func (c *Cluster) seedChain(dir string, data []byte, offset uint64, old manifest
 	return man, nil
 }
 
-// buildFreshPartition constructs a replacement (or scale-out) replica's
-// partition: S comes from the newest offline build in StaticSnapshotDir
-// when one exists for the partition — a replacement machine boots the
-// latest published S, it does not recompute history — else fresh from
-// Config.StaticEdges.
-func (c *Cluster) buildFreshPartition(pid int) (*partition.Partition, error) {
-	var snap *statstore.Snapshot
-	if dir := c.cfg.StaticSnapshotDir; dir != "" {
-		s, err := statstore.LoadSnapshotFile(staticSnapshotPath(dir, pid))
-		switch {
-		case err == nil:
-			snap = s
-			c.staticReloads.Inc()
-		case !os.IsNotExist(err):
-			c.ckptErrors.Inc()
-		}
-	}
-	return partition.New(partition.Config{
-		ID:             pid,
-		StaticEdges:    c.cfg.StaticEdges,
-		StaticSnapshot: snap,
-		Partitioner:    c.part,
-		MaxInfluencers: c.cfg.MaxInfluencers,
-		Dynamic:        c.cfg.Dynamic,
-		Programs:       c.cfg.NewPrograms(),
-		Metrics:        c.reg,
-	})
-}
-
 // startPlacement brings a freshly provisioned placement — empty state,
 // empty directory — to live: recover the newest usable base from the
 // partition's base pool, seed the new chain with it, replay the log from
@@ -430,35 +400,7 @@ func (c *Cluster) startPlacement(slot *replicaSlot) error {
 		return fmt.Errorf("cluster: replica %d/%d: no usable base in partition pool and log compacted below %d: %w",
 			slot.pid, slot.idx, start, queue.ErrTruncated)
 	}
-	// Publish the floor and subscribe as one atomic step against the
-	// writers' floor-scan-plus-truncate, exactly like RestoreReplica.
-	c.truncMu.Lock()
-	slot.floor.Store(man.floorOffset())
-	target := c.firehose.Published()
-	sub, err := c.firehose.SubscribeFrom(offset)
-	c.truncMu.Unlock()
-	if err != nil {
-		return fmt.Errorf("cluster: replay from %d: %w", offset, err)
-	}
-	slot.sub = sub
-	slot.quit = make(chan struct{})
-	slot.stopped = make(chan struct{})
-	slot.clock = ckptClock{}
-	if c.ckptEveryMS > 0 {
-		slot.writer = c.startWriter(slot, man)
-	}
-	if offset >= target {
-		slot.state.Store(replicaLive)
-		c.broker.MarkUp(slot.pid, slot.idx)
-		close(slot.live)
-	} else {
-		slot.target = target
-		slot.state.Store(replicaReplaying)
-	}
-	c.restores.Inc()
-	c.wg.Add(1)
-	go c.runReplica(slot)
-	return nil
+	return c.launchReplica(slot, man, offset, man.floorOffset())
 }
 
 // ReprovisionReplica replaces a replica's node: the old placement — its
@@ -512,7 +454,7 @@ func (c *Cluster) ReprovisionReplica(pid, r int) error {
 	// The generation bump persists before anything touches disk, so even
 	// a crash mid-provision leaves a restart opening the right (empty)
 	// directory rather than the dead node's.
-	p, err := c.buildFreshPartition(pid)
+	p, err := c.buildPartition(pid, c.loadStaticSnapshot(pid))
 	if err != nil {
 		return fmt.Errorf("cluster: reprovision %d/%d: %w", pid, r, err)
 	}
@@ -583,7 +525,7 @@ func (c *Cluster) AddReplica(pid int) (int, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, fmt.Errorf("cluster: add replica %d/%d: %w", pid, idx, err)
 	}
-	p, err := c.buildFreshPartition(pid)
+	p, err := c.buildPartition(pid, c.loadStaticSnapshot(pid))
 	if err != nil {
 		return 0, fmt.Errorf("cluster: add replica %d/%d: %w", pid, idx, err)
 	}

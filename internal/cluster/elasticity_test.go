@@ -653,6 +653,48 @@ func TestReprovisionBuildsFreshSFromSnapshotDir(t *testing.T) {
 	}
 }
 
+// TestReprovisionKeepsDisableSharing is the regression for the replacement
+// node's partition constructor dropping Config.DisableSharing: on a
+// DisableSharing cluster a reprovisioned or scaled-out replica must run
+// every planned motif independently, like the replicas New built.
+func TestReprovisionKeepsDisableSharing(t *testing.T) {
+	cfg := recoveryConfig(t, fanStatic(40))
+	cfg.NewPrograms = multiQueryPrograms(t, 1)
+	cfg.DisableSharing = true
+
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Stop()
+	for _, e := range multiTypeWorkload(65, 40, 50) {
+		c.Publish(e)
+	}
+	if err := c.KillReplica(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ReprovisionReplica(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	added, err := c.AddReplica(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, slot := range [][2]int{{0, 0}, {0, 1}, {1, added}} {
+		if err := c.AwaitReplicaLive(slot[0], slot[1], 30*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		p, err := c.Replica(slot[0], slot[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sh := p.Engine().Sharing(); sh.Groups != 0 {
+			t.Errorf("replica %d/%d on a DisableSharing cluster runs %d share groups: %+v", slot[0], slot[1], sh.Groups, sh)
+		}
+	}
+}
+
 // TestHealerReprovisionsOnRealCluster wires the placement auto-healer to
 // a live cluster: a killed replica is re-provisioned and returns to live
 // without any operator call.

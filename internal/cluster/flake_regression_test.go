@@ -3,14 +3,14 @@ package cluster
 // Regression test for the scale-out-then-kill-original divergence (ROADMAP
 // "Flake to investigate", fixed in PR 6). The root cause was a zombie cut:
 // KillReplica stores replicaDead before closing quit, but the consumer's
-// select could still drain buffered envelopes. applyEnvelope suppressed the
+// select could still drain buffered envelopes. The apply loop suppressed the
 // candidate publish for those envelopes yet still ran the checkpoint cut,
 // so a durable cut could claim offsets whose candidates were never handed
 // to delivery. The restored replica resumed past the suppressed offset,
 // and its first accepted emission jumped the group's high-water filter
 // over the lost batch (~1-7% reproduction per run under load).
 //
-// applyEnvelope now gates the publish AND the cut on one state load, and
+// The apply loop now gates the publish AND the cut on one state load, and
 // the fingerprint audit layer asserts every replica's state agrees at
 // every recorded offset. This scenario doubles as the nightly soak target
 // (make soak-flake, -count=200).

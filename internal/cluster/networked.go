@@ -210,6 +210,16 @@ func (c *Cluster) ListenAddr() string {
 	return c.hub.server.Addr()
 }
 
+// AttachedConnections returns how many worker connections (replica feeds
+// plus candidate streams) are attached to this hub right now; 0 on
+// non-hubs. Also exported as the transport.attached_connections gauge.
+func (c *Cluster) AttachedConnections() int {
+	if c.hub == nil || c.hub.server == nil {
+		return 0
+	}
+	return c.hub.server.Connections()
+}
+
 // DropConnections severs every attached worker connection without
 // closing the listener — a network-blip injection for fault harnesses.
 // Workers observe a drop, retry-with-backoff, and resume from their

@@ -73,6 +73,22 @@ func awaitAllLive(t testing.TB, hub *Cluster) {
 	}
 }
 
+// awaitAttached waits for the hub to hold at least want worker
+// connections.
+func awaitAttached(t testing.TB, hub *Cluster, want int) {
+	t.Helper()
+	deadline := time.After(15 * time.Second)
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for hub.AttachedConnections() < want {
+		select {
+		case <-tick.C:
+		case <-deadline:
+			t.Fatalf("hub holds %d worker connections, want %d", hub.AttachedConnections(), want)
+		}
+	}
+}
+
 // oracleNotes runs the same workload on a single-process durable cluster
 // and returns its delivered set — the equivalence baseline.
 func oracleNotes(t testing.TB, partitions, replicas int, edges []graph.Edge) map[noteKey]int {
@@ -325,13 +341,18 @@ func TestNetworkedConnectionDrops(t *testing.T) {
 	wk, joinWorker := startWorker(t, wcfg)
 	awaitAllLive(t, hub)
 
+	// The worker holds one feed per owned slot plus its candidate stream.
+	// Each blip waits for all of them to be back: a drop injected while the
+	// worker is still in its reconnect backoff would sever nothing.
+	workerConns := len(wcfg.OwnedReplicas) + 1
 	for i, e := range edges {
 		if err := hub.Publish(e); err != nil {
 			t.Fatal(err)
 		}
 		if i%60 == 59 {
-			if n := hub.DropConnections(); n == 0 {
-				t.Fatalf("drop %d severed no connections", i)
+			awaitAttached(t, hub, workerConns)
+			if n := hub.DropConnections(); n != workerConns {
+				t.Fatalf("drop %d severed %d connections, want %d", i, n, workerConns)
 			}
 		}
 	}

@@ -10,30 +10,31 @@ import (
 	"motifstream/internal/queue"
 )
 
-// This file implements the batched, parallel replica hot path selected by
-// Config.ApplyBatch. The consumer drains its subscription into a bounded
-// batch, fans candidate generation across a bounded worker pool sharded by
-// edge target, then runs an ordered commit stage that replays the batch in
-// offset order: candidate-log commit, candidate publish, sweep, checkpoint
-// clock tick and cut — exactly the per-envelope sequence of applyEnvelope.
+// This file is the replica apply loop — the only one. A consumer blocks for
+// one envelope, drains whatever else is already buffered on its
+// subscription up to the Config.ApplyBatch bound, fans candidate generation
+// across a bounded worker pool sharded by edge target, then commits the
+// batch in offset order: candidate-log commit, candidate publish, sweep,
+// checkpoint clock tick and cut, catch-up transition. A bound of one is the
+// degenerate case — the assembler never drains, detection runs inline —
+// and is per-envelope apply.
 //
-// Equivalence to the sequential path rests on three facts, stated as the
-// invariants they preserve (docs/DURABILITY.md expands on each):
+// Three invariants make the result independent of how the stream is
+// chopped into batches (docs/DURABILITY.md expands on each):
 //
-//  1. Motif programs read D only at the triggering edge's target
-//     (motif.Program's locality contract), and the worker sharding sends
-//     every envelope of one target to the same worker in offset order — so
-//     each detection sees exactly the D prefix it would have seen
-//     sequentially, regardless of how the stream was chopped into batches.
-//  2. D sweeps and checkpoint cuts mutate or capture state across ALL
-//     targets, so the batch assembler force-ends a batch at the first
-//     envelope whose timestamp makes either due (simulated read-only on
-//     copies of the clocks); the ordered commit stage then performs them
-//     at that envelope, after all of the batch's publishes — publish
-//     before cut, at the same stream position as sequential apply.
-//  3. One state load per envelope gates both its candidate publish and
-//     (for the batch-final envelope) the checkpoint cut, preserving the
-//     one-fate-per-envelope rule that keeps a zombie span from cutting a
+//  1. D-locality. Motif programs read D only at the triggering edge's
+//     target (motif.Program's locality contract), and the worker sharding
+//     sends every envelope of one target to the same worker in offset order
+//     — so each detection sees exactly the D prefix the stream defines.
+//  2. Sweeps and cuts end batches. D sweeps and checkpoint cuts mutate or
+//     capture state across ALL targets, so the assembler ends a batch at
+//     the first envelope whose timestamp makes either due (probed
+//     read-only on copies of the clocks); the commit stage then performs
+//     them at that envelope, after all of the batch's publishes — publish
+//     before cut, at a stream position fixed by timestamps alone.
+//  3. One fate per envelope. One state load gates both an envelope's
+//     candidate publish and its checkpoint cut, which keeps a zombie span
+//     (a killed consumer still draining its buffer) from cutting a
 //     checkpoint whose candidates were never handed to delivery.
 
 // ckptClock is a replica's checkpoint stream clock with a bounded forward
@@ -105,6 +106,9 @@ type replicaBatch struct {
 type candList = []motif.Candidate
 
 func newReplicaBatch(max, workers int) *replicaBatch {
+	if max < 1 {
+		max = 1
+	}
 	if workers < 1 {
 		workers = 1
 	}
@@ -115,8 +119,8 @@ func newReplicaBatch(max, workers int) *replicaBatch {
 	return b
 }
 
-// consumeBatched is the batched replica consumer loop: block for one
-// envelope, drain up to the batch bound, apply, repeat.
+// consumeBatched is the replica consumer loop: block for one envelope,
+// drain up to the batch bound, apply, repeat.
 func (c *Cluster) consumeBatched(slot *replicaSlot) {
 	b := newReplicaBatch(c.cfg.ApplyBatch, c.cfg.ApplyWorkers)
 	for {
@@ -140,18 +144,15 @@ func (c *Cluster) consumeBatched(slot *replicaSlot) {
 
 // assembleBatch collects first plus whatever is already buffered on the
 // subscription, up to the batch bound, ending the batch early at the first
-// envelope where the sequential path would sweep D or cut a checkpoint.
-// The probes are read-only: the sweep clock cannot advance during assembly
-// (only this consumer sweeps this engine) and the checkpoint clock is
-// simulated on a copy.
+// envelope where a D sweep or a checkpoint cut is due. The probes are
+// read-only: the sweep clock cannot advance during assembly (only this
+// consumer sweeps this engine) and the checkpoint clock is simulated on a
+// copy.
 func (c *Cluster) assembleBatch(slot *replicaSlot, b *replicaBatch, first queue.Envelope[graph.Edge]) {
 	b.envs = append(b.envs[:0], first)
 	p := slot.p.Load()
 	sim := slot.clock
-	if c.batchBoundary(p, &sim, first.Msg.TS) {
-		return
-	}
-	for len(b.envs) < b.max {
+	for len(b.envs) < b.max && !c.batchBoundary(p, &sim, b.envs[len(b.envs)-1].Msg.TS) {
 		select {
 		case env, ok := <-slot.sub:
 			if !ok {
@@ -159,9 +160,6 @@ func (c *Cluster) assembleBatch(slot *replicaSlot, b *replicaBatch, first queue.
 				return
 			}
 			b.envs = append(b.envs, env)
-			if c.batchBoundary(p, &sim, env.Msg.TS) {
-				return
-			}
 		default:
 			return
 		}
@@ -169,9 +167,9 @@ func (c *Cluster) assembleBatch(slot *replicaSlot, b *replicaBatch, first queue.
 }
 
 // batchBoundary reports whether an envelope with timestamp ts must be the
-// last of its batch: the sequential path would sweep D or cut a checkpoint
-// at it, and both act across all edge targets, so no later envelope may be
-// detected before they run.
+// last of its batch: a D sweep or a checkpoint cut is due at it, and both
+// act across all edge targets, so no later envelope may be detected before
+// they run.
 func (c *Cluster) batchBoundary(p *partition.Partition, sim *ckptClock, ts int64) bool {
 	if p.SweepDue(ts) {
 		return true
@@ -180,8 +178,10 @@ func (c *Cluster) batchBoundary(p *partition.Partition, sim *ckptClock, ts int64
 }
 
 // applyBatch runs detection for the whole batch across the worker pool,
-// then commits in offset order. Returns false only when the candidates
-// topic has closed (shutdown race), mirroring applyEnvelope.
+// then commits in offset order. Every alive replica forwards its
+// candidates; the delivery consumer's per-group offset filter collapses the
+// redundancy to exactly one batch per event. Returns false only when the
+// candidates topic has closed (shutdown race).
 func (c *Cluster) applyBatch(slot *replicaSlot, b *replicaBatch) bool {
 	p := slot.p.Load()
 	n := len(b.envs)
@@ -204,8 +204,8 @@ func (c *Cluster) applyBatch(slot *replicaSlot, b *replicaBatch) bool {
 		p.DetectBatch(b.edges[0], cands)
 	} else {
 		// Shard by edge target: same target, same worker, offset order
-		// within the worker — the arrangement that makes concurrent
-		// detection exactly sequential-equivalent.
+		// within the worker — the arrangement under which concurrent
+		// detection sees exactly the stream-order D prefix per target.
 		for i := 0; i < w; i++ {
 			b.edges[i] = b.edges[i][:0]
 			b.pos[i] = b.pos[i][:0]
@@ -249,22 +249,31 @@ func (c *Cluster) applyBatch(slot *replicaSlot, b *replicaBatch) bool {
 	// read as counts, not durations.
 	c.batchSize.Observe(time.Duration(n))
 
-	// Ordered commit: replay the batch in offset order through exactly the
-	// per-envelope sequence of applyEnvelope — log commit, state-gated
-	// publish, sweep, clock tick, state-gated cut, catch-up transition.
+	// Ordered commit, one envelope at a time in offset order.
 	for i, env := range b.envs {
 		ev := cands[i]
 		cands[i] = nil // the slice is handed off; drop the batch's reference
 		p.Commit(ev)
 
-		// One state load gates BOTH this envelope's publish and its cut,
-		// preserving the one-fate rule (see applyEnvelope).
+		// One state load gates BOTH this envelope's publish and its cut.
+		// KillReplica stores replicaDead before closing quit, but the
+		// consumer's select may still drain buffered envelopes first — a
+		// "zombie" span. Suppressing only the publish while still cutting
+		// would let a durable cut claim offsets whose candidates were never
+		// handed to the delivery tier; the restored replica would resume
+		// past the suppressed offset, and its first accepted emission would
+		// jump the group's high-water filter over the lost batch.
 		state := slot.state.Load()
 
+		// Candidates are published before any checkpoint cut covering this
+		// offset: a cut at Offset+1 must never claim durability for an
+		// event whose candidates were not yet handed to the delivery tier,
+		// or a restore from that cut would skip re-emitting them.
 		if len(ev) > 0 && state != replicaDead {
 			msg := candidateMsg{pid: slot.pid, offset: env.Offset, pubNS: env.PubUnixNS, cands: ev}
-			// Count against a networked worker's checkpoint ack gate
-			// before publishing (see applyEnvelope).
+			// On a networked worker the message is counted against the
+			// checkpoint ack gate BEFORE the publish, so a drained gate is
+			// an upper bound on what was ever handed to the forwarder.
 			if c.worker != nil {
 				c.worker.fw.NoteEnqueued()
 			}
@@ -280,9 +289,8 @@ func (c *Cluster) applyBatch(slot *replicaSlot, b *replicaBatch) bool {
 			slot.applied.Store(env.Offset + 1)
 		}
 
-		// Sweep before any cut at this envelope, as the sequential path
-		// does (engine.Apply sweeps inside, before the cut in
-		// applyEnvelope). By construction only the batch-final envelope can
+		// Sweep before any cut at this envelope, so the cut captures the
+		// pruned state. By construction only the batch-final envelope can
 		// be due; for the rest this is one atomic load.
 		p.MaybeSweep(env.Msg.TS)
 
@@ -293,6 +301,12 @@ func (c *Cluster) applyBatch(slot *replicaSlot, b *replicaBatch) bool {
 		}
 
 		if slot.state.Load() == replicaReplaying && env.Offset+1 >= slot.target {
+			// Caught up with the head observed at restore time: from here
+			// the replica is as fresh as any live one (behind by at most its
+			// subscription buffer), so the broker may serve reads from it.
+			// CAS, not Store: a concurrent KillReplica may have already
+			// moved the state to dead, and resurrecting it would mark a
+			// reset replica broker-healthy.
 			if slot.state.CompareAndSwap(replicaReplaying, replicaLive) {
 				c.markLive(slot)
 				close(slot.live)

@@ -128,11 +128,12 @@ func TestCheckpointClockOutlierIntegration(t *testing.T) {
 	}
 }
 
-// TestParallelApplyEquivalence is the batched-path property test: across
-// seeds, batch sizes, worker counts, and GOMAXPROCS values, the batched
-// cluster delivers exactly the sequential cluster's notification multiset
-// and converges to bit-identical recoverable state (CRC32C state
-// fingerprints compared per replica).
+// TestParallelApplyEquivalence is the apply loop's batching-independence
+// property test: across seeds, batch sizes, worker counts, and GOMAXPROCS
+// values, the batched cluster delivers exactly the notification multiset
+// of a batch-of-one cluster (ApplyBatch unset) and converges to
+// bit-identical recoverable state (CRC32C state fingerprints compared per
+// replica).
 func TestParallelApplyEquivalence(t *testing.T) {
 	const users = 40
 	static := ringStatic(users)
@@ -149,7 +150,7 @@ func TestParallelApplyEquivalence(t *testing.T) {
 
 	for _, seed := range []int64{3, 11} {
 		stream := motifWorkload(seed, users, 300)
-		// Sequential reference run for this seed.
+		// Batch-of-one reference run for this seed.
 		seqCfg := recoveryConfig(t, static)
 		seqCfg.Dynamic = dynstore.Options{Retention: time.Minute} // sweeps prune mid-stream
 		seqNotes := collectNotes(&seqCfg)
@@ -225,7 +226,7 @@ func TestParallelApplyEquivalence(t *testing.T) {
 
 // TestParallelApplyKillRestore reruns the fault-equivalence oracle with
 // the worker pool on: kill/restore mid-stream under batched apply must
-// still deliver the sequential no-fault set exactly.
+// still deliver the batch-of-one no-fault set exactly.
 func TestParallelApplyKillRestore(t *testing.T) {
 	static := ringStatic(50)
 	stream := motifWorkload(91, 50, 400)

@@ -968,29 +968,33 @@ func (c *Cluster) maybeTruncateLog() {
 	}
 }
 
-// reloadStatic picks up a newer offline S build for the replica, if the
-// configured snapshot directory holds one for its partition — the
-// production behavior of a rejoining detection server loading the latest
-// published S rather than keeping the build it crashed with. Absent files
-// are fine (no newer build); unreadable ones are counted and the current
-// S kept.
-func (c *Cluster) reloadStatic(slot *replicaSlot) {
+// loadStaticSnapshot returns partition pid's newest offline S build from
+// Config.StaticSnapshotDir, or nil when there is none to load: a rejoining
+// or replacement detection server serves the latest published S rather than
+// the build it crashed with or a recomputation of history. An absent file
+// is fine (no newer build); an unreadable one is counted.
+func (c *Cluster) loadStaticSnapshot(pid int) *statstore.Snapshot {
 	dir := c.cfg.StaticSnapshotDir
 	if dir == "" {
-		return
+		return nil
 	}
-	f, err := os.Open(staticSnapshotPath(dir, slot.pid))
+	snap, err := statstore.LoadSnapshotFile(staticSnapshotPath(dir, pid))
 	if err != nil {
-		return
+		if !os.IsNotExist(err) {
+			c.ckptErrors.Inc()
+		}
+		return nil
 	}
-	defer f.Close()
-	snap, err := statstore.ReadSnapshot(f)
-	if err != nil {
-		c.ckptErrors.Inc()
-		return
-	}
-	slot.p.Load().Engine().ReloadStatic(snap)
 	c.staticReloads.Inc()
+	return snap
+}
+
+// reloadStatic swaps the newest offline S build, if there is one, into a
+// replica about to rejoin.
+func (c *Cluster) reloadStatic(slot *replicaSlot) {
+	if snap := c.loadStaticSnapshot(slot.pid); snap != nil {
+		slot.p.Load().Engine().ReloadStatic(snap)
+	}
 }
 
 // KillReplica crashes a replica for real: it stops consuming the firehose
@@ -1171,17 +1175,26 @@ func (c *Cluster) RestoreReplica(pid, r int) error {
 		slot.p.Load().LoadState(st)
 	}
 	c.reloadStatic(slot)
-	// Publish the restore floor and subscribe as one atomic step against
-	// the writers' floor-scan-plus-truncate: a stale floor from this
-	// replica's previous incarnation could otherwise let a concurrent peer
-	// compaction truncate the log out from under the replay we are about
-	// to start. The floor is derived from the chain prefix actually
-	// installed — not the manifest, which can retain extra segments when a
-	// fallback trim failed — so a scratch restore always advertises zero.
+	// The floor is derived from the chain prefix actually installed — not
+	// the manifest, which can retain extra segments when a fallback trim
+	// failed — so a scratch restore always advertises zero.
 	floor := uint64(0)
 	if used > 0 && man.segs[0].kind == segKindBase {
 		floor = man.segs[0].offset
 	}
+	return c.launchReplica(slot, man, offset, floor)
+}
+
+// launchReplica is the common tail of every mid-run replica (re)start —
+// RestoreReplica's rejoin and startPlacement's fresh node: state is already
+// installed on the slot, man is its durable chain, and the consumer
+// replays the log from offset through the replaying → live machine. The
+// caller holds ctl.
+func (c *Cluster) launchReplica(slot *replicaSlot, man manifest, offset, floor uint64) error {
+	// Publish the restore floor and subscribe as one atomic step against
+	// the writers' floor-scan-plus-truncate: a stale floor from the slot's
+	// previous incarnation could otherwise let a concurrent peer compaction
+	// truncate the log out from under the replay we are about to start.
 	c.truncMu.Lock()
 	slot.floor.Store(floor)
 	target := c.firehose.Published()
@@ -1198,9 +1211,9 @@ func (c *Cluster) RestoreReplica(pid, r int) error {
 	slot.clock = ckptClock{}
 	slot.writer = c.startWriter(slot, man)
 	if offset >= target {
-		// Nothing to replay: the checkpoint is already at the head.
+		// Nothing to replay: the restore point is already at the head.
 		slot.state.Store(replicaLive)
-		c.broker.MarkUp(pid, r)
+		c.broker.MarkUp(slot.pid, slot.idx)
 		close(slot.live)
 	} else {
 		slot.target = target

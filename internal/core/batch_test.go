@@ -30,12 +30,33 @@ func batchWorkload(seed int64, n int) []graph.Edge {
 	return out
 }
 
-// TestApplyBatchEquivalence: chunked ApplyBatch produces the same
-// per-event candidates, counters, D state, and sweep clock as per-event
-// Apply, for every chunking.
-func TestApplyBatchEquivalence(t *testing.T) {
+// replicaApply runs edges through e the way a replica's apply loop does
+// (internal/cluster/parallel.go) with a batch bound of max: a batch ends
+// early at the first edge where a sweep is due, DetectBatch runs over the
+// batch, then MaybeSweep is offered every edge in order. out[i] receives
+// edge i's candidates.
+func replicaApply(e *Engine, max int, edges []graph.Edge, out [][]motif.Candidate) {
+	for lo := 0; lo < len(edges); {
+		hi := lo + 1
+		for hi < len(edges) && hi-lo < max && !e.SweepDue(edges[hi-1].TS) {
+			hi++
+		}
+		e.DetectBatch(edges[lo:hi], out[lo:hi])
+		for _, edge := range edges[lo:hi] {
+			e.MaybeSweep(edge.TS)
+		}
+		lo = hi
+	}
+}
+
+// TestDetectBatchEquivalence: the apply loop's DetectBatch + MaybeSweep
+// sequence produces the same per-event candidates, counters, D state, and
+// sweep clock as per-event Apply, for every batch bound. Bound 0 stands for
+// Engine.ApplyBatch over the whole stream (the benchmark module's entry
+// point to the same sequence).
+func TestDetectBatchEquivalence(t *testing.T) {
 	stream := batchWorkload(5, 400)
-	for _, batch := range []int{1, 3, 16, 400} {
+	for _, batch := range []int{0, 1, 3, 16, 400} {
 		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
 			seq := testEngine(t, fig1Static(), nil)
 			var seqCands [][]motif.Candidate
@@ -45,12 +66,10 @@ func TestApplyBatchEquivalence(t *testing.T) {
 
 			bat := testEngine(t, fig1Static(), nil)
 			got := make([][]motif.Candidate, len(stream))
-			for lo := 0; lo < len(stream); lo += batch {
-				hi := lo + batch
-				if hi > len(stream) {
-					hi = len(stream)
-				}
-				bat.ApplyBatch(stream[lo:hi], got[lo:hi])
+			if batch == 0 {
+				bat.ApplyBatch(stream, got)
+			} else {
+				replicaApply(bat, batch, stream, got)
 			}
 
 			for i := range stream {
@@ -118,13 +137,16 @@ func newAllocEngine(tb testing.TB) *Engine {
 	return e
 }
 
-// TestApplyBatchAllocBudget is the allocation-regression gate of the
-// candidate-generation path: once warm, the no-candidate batched hot path
-// must average under one heap allocation per event. The previous
-// per-event path allocated the recent-actor slice, the list headers, and
-// the intersection output on every edge (~5+ allocs/event); the budget
-// pins the >=90%% reduction.
-func TestApplyBatchAllocBudget(t *testing.T) {
+// TestDetectBatchAllocBudget is the allocation-regression gate of the
+// candidate-generation path: once warm, the no-candidate hot path — the
+// DetectBatch + MaybeSweep sequence replicas run — must average under one
+// heap allocation per event. The previous per-event path allocated the
+// recent-actor slice, the list headers, and the intersection output on
+// every edge (~5+ allocs/event); the budget pins the >=90%% reduction.
+func TestDetectBatchAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate: race instrumentation allocates; the non-race run enforces the budget")
+	}
 	e := newAllocEngine(t)
 	const batch = 64
 	edges := make([]graph.Edge, batch)
@@ -144,19 +166,19 @@ func TestApplyBatchAllocBudget(t *testing.T) {
 	// Warm up: grow D lists, scratch buffers, and pools to steady state.
 	for i := 0; i < 20; i++ {
 		fill()
-		e.ApplyBatch(edges, out)
+		replicaApply(e, batch, edges, out)
 	}
 	perBatch := testing.AllocsPerRun(20, func() {
 		fill()
-		e.ApplyBatch(edges, out)
+		replicaApply(e, batch, edges, out)
 	})
 	if perEvent := perBatch / batch; perEvent > 1.0 {
 		t.Fatalf("batched no-candidate path allocates %.2f/event (%.1f/batch); budget is 1/event", perEvent, perBatch)
 	}
 }
 
-// BenchmarkEngineApply measures the per-event sequential path; its alloc
-// report is the baseline the batched benchmark is compared against.
+// BenchmarkEngineApply measures per-event Apply; its alloc report is the
+// baseline the batched benchmark is compared against.
 func BenchmarkEngineApply(b *testing.B) {
 	e := newAllocEngine(b)
 	b.ReportAllocs()
@@ -168,10 +190,10 @@ func BenchmarkEngineApply(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineApplyBatch measures the batched hot path: lock
-// acquisition, scratch, and counter updates amortized over the batch.
-// Run in bench-smoke; allocs/op is the number to watch.
-func BenchmarkEngineApplyBatch(b *testing.B) {
+// BenchmarkEngineDetectBatch measures the replicas' hot path: scratch
+// acquisition and counter updates amortized over the batch, sweeps
+// sequenced after it. Run in bench-smoke; allocs/op is the number to watch.
+func BenchmarkEngineDetectBatch(b *testing.B) {
 	e := newAllocEngine(b)
 	const batch = 64
 	edges := make([]graph.Edge, batch)
@@ -184,6 +206,6 @@ func BenchmarkEngineApplyBatch(b *testing.B) {
 			ts += 20
 			edges[j] = graph.Edge{Src: graph.VertexID(1 + j%8), Dst: graph.VertexID(50 + j%4), Type: graph.Follow, TS: ts}
 		}
-		e.ApplyBatch(edges, out)
+		replicaApply(e, batch, edges, out)
 	}
 }

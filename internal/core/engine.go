@@ -265,30 +265,28 @@ func (e *Engine) DetectBatch(edges []graph.Edge, out [][]motif.Candidate) {
 	e.candidates.Add(uint64(total))
 }
 
-// ApplyBatch is the batched equivalent of calling Apply on each edge in
-// order: identical detection results and identical sweep points, with
-// scratch acquisition and counter updates paid once per batch instead of
-// once per edge. out must have len(edges) slots; out[i] receives edge i's
-// candidates.
+// ApplyBatch runs edges through the sequence a replica's apply loop runs
+// — DetectBatch over each run of edges up to the first one where a sweep is
+// due, then the sweep — with out[i] receiving edge i's candidates (out must
+// have len(edges) slots). Results equal calling Apply on each edge in
+// order. Nothing in this module calls it: it is kept for the layer replay
+// in benchmark/ (a nested module this tree must keep building), which
+// times one engine against partition.Apply on the same chunk.
 func (e *Engine) ApplyBatch(edges []graph.Edge, out [][]motif.Candidate) {
-	if len(edges) == 0 {
-		return
+	for lo := 0; lo < len(edges); {
+		hi := lo + 1
+		for hi < len(edges) && !e.SweepDue(edges[hi-1].TS) {
+			hi++
+		}
+		e.DetectBatch(edges[lo:hi], out[lo:hi])
+		e.maybeSweep(edges[hi-1].TS)
+		lo = hi
 	}
-	s := motif.GetScratch()
-	total := 0
-	for i, edge := range edges {
-		out[i] = e.applyOne(edge, s)
-		total += len(out[i])
-		e.maybeSweep(edge.TS)
-	}
-	motif.PutScratch(s)
-	e.events.Add(uint64(len(edges)))
-	e.candidates.Add(uint64(total))
 }
 
 // SweepDue reports whether a D prune would trigger at stream time nowMS,
-// without performing one. The cluster's batched path uses it to force a
-// batch boundary exactly where the sequential path would sweep.
+// without performing one. The cluster's apply loop uses it to end a batch
+// at the first edge where a sweep is due.
 func (e *Engine) SweepDue(nowMS int64) bool {
 	return nowMS-e.lastSweep.Load() >= e.sweepEvery
 }

@@ -67,13 +67,14 @@ type Server struct {
 
 	mu         sync.Mutex
 	conns      map[*conn]struct{}
-	candConns  int
 	lastChange time.Time // last conn-set mutation, for drain quiescence
 	tracked    bool      // any connection ever tracked
 	closed     bool
 
 	feedM *connMetrics
 	candM *connMetrics
+	// attached mirrors len(conns) into the registry; nil without Metrics.
+	attached *metrics.Gauge
 
 	wg sync.WaitGroup
 }
@@ -103,6 +104,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		feedM: newConnMetrics(cfg.Metrics, "feed", ""),
 		candM: newConnMetrics(cfg.Metrics, "cands", ""),
 	}
+	if cfg.Metrics != nil {
+		s.attached = cfg.Metrics.Gauge("transport.attached_connections")
+	}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -125,29 +129,42 @@ func (s *Server) acceptLoop() {
 
 // track registers a live connection; returns false when the server is
 // already closing (the conn must be dropped).
-func (s *Server) track(c *conn, cand bool) bool {
+func (s *Server) track(c *conn) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return false
 	}
 	s.conns[c] = struct{}{}
-	s.lastChange = time.Now()
 	s.tracked = true
-	if cand {
-		s.candConns++
-	}
+	s.connsChangedLocked()
 	return true
 }
 
-func (s *Server) untrack(c *conn, cand bool) {
+// untrack forgets a connection; a no-op when DropConnections already did.
+func (s *Server) untrack(c *conn) {
 	s.mu.Lock()
-	delete(s.conns, c)
-	s.lastChange = time.Now()
-	if cand {
-		s.candConns--
+	defer s.mu.Unlock()
+	if _, ok := s.conns[c]; !ok {
+		return
 	}
-	s.mu.Unlock()
+	delete(s.conns, c)
+	s.connsChangedLocked()
+}
+
+func (s *Server) connsChangedLocked() {
+	s.lastChange = time.Now()
+	if s.attached != nil {
+		s.attached.Set(int64(len(s.conns)))
+	}
+}
+
+// Connections returns the number of attached worker connections (feeds
+// plus candidate streams) — what the next DropConnections would sever.
+func (s *Server) Connections() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.conns)
 }
 
 func (s *Server) handle(nc net.Conn) {
@@ -202,7 +219,7 @@ func (s *Server) handleFeed(c *conn, body []byte) {
 		c.close()
 		return
 	}
-	if !s.track(c, false) {
+	if !s.track(c) {
 		b.Unsubscribe(sub)
 		b.ReplicaDetached(h.pid, h.r)
 		c.close()
@@ -211,7 +228,7 @@ func (s *Server) handleFeed(c *conn, body []byte) {
 	c.m = s.feedM
 	logID, head, start := b.LogMeta()
 	if err := c.writeMsg(appendLogMeta([]byte{msgFeedAck}, logMeta{logID, head, start})); err != nil {
-		s.untrack(c, false)
+		s.untrack(c)
 		b.Unsubscribe(sub)
 		b.ReplicaDetached(h.pid, h.r)
 		c.close()
@@ -285,7 +302,7 @@ loop:
 	} else {
 		b.Unsubscribe(sub)
 	}
-	s.untrack(c, false)
+	s.untrack(c)
 	c.close()
 	<-done // reader exited: no more live/floor callbacks can race the detach
 	b.ReplicaDetached(h.pid, h.r)
@@ -309,13 +326,13 @@ func (s *Server) handleCands(c *conn, body []byte) {
 		c.close()
 		return
 	}
-	if !s.track(c, true) {
+	if !s.track(c) {
 		c.close()
 		return
 	}
 	c.m = s.candM
 	defer func() {
-		s.untrack(c, true)
+		s.untrack(c)
 		c.close()
 	}()
 	if err := c.writeMsg(typeU1(msgCandAck, 0)); err != nil {
@@ -383,13 +400,17 @@ func (s *Server) DrainWorkers(timeout time.Duration) bool {
 
 // DropConnections severs every currently-tracked connection without
 // closing the listener — a network blip, as the fault-injection harnesses
-// see it. Workers reconnect with backoff and resume idempotently.
+// see it. Workers reconnect with backoff and resume idempotently. The
+// severed connections leave the tracked set here, not when their handlers
+// notice, so Connections counts only connections attached since.
 func (s *Server) DropConnections() int {
 	s.mu.Lock()
 	conns := make([]*conn, 0, len(s.conns))
 	for c := range s.conns {
 		conns = append(conns, c)
 	}
+	clear(s.conns)
+	s.connsChangedLocked()
 	s.mu.Unlock()
 	for _, c := range conns {
 		c.close()

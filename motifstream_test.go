@@ -266,12 +266,17 @@ motif "rt" {
 }
 
 func TestClusterFacadeValidatesDSL(t *testing.T) {
-	_, err := motifstream.NewCluster(fig1(), motifstream.ClusterOptions{
-		ExtraDSL: "motif bogus",
-	})
-	if err == nil {
-		t.Fatal("bad ExtraDSL accepted")
+	opts := motifstream.ClusterOptions{Partitions: 2, K: 2}
+	if err := opts.RegisterMotifs("motif bogus"); err == nil {
+		t.Fatal("bad motif source accepted")
 	}
+	// The rejected source must not linger in the set: construction
+	// revalidates every registered source and would fail on it.
+	clu, err := motifstream.NewCluster(fig1(), opts)
+	if err != nil {
+		t.Fatalf("rejected source poisoned the options: %v", err)
+	}
+	clu.Stop()
 }
 
 func TestWorkloadReexports(t *testing.T) {
