@@ -27,10 +27,11 @@ test-race:
 
 # test-crashmatrix runs just the fault-injection matrix (kill / restore /
 # whole-cluster restart at every pipeline stage, oracle-asserted, plus
-# the restart delivery-state scenarios) under the race detector — the
-# quick loop while working on the durability subsystem.
+# the restart delivery-state scenarios) plus the restore planner's table
+# and purity tests under the race detector — the quick loop while working
+# on the durability subsystem.
 test-crashmatrix:
-	$(GO) test -race -run 'TestCrashMatrix|TestReopen|TestRestart' ./internal/cluster
+	$(GO) test -race -run 'TestCrashMatrix|TestReopen|TestRestart|TestPlanRestore' ./internal/cluster
 
 # test-delivery runs the push-pipeline suite — funnel policies, the
 # dedup LRU, and the durable state codec — under the race detector: the
@@ -39,17 +40,19 @@ test-delivery:
 	$(GO) test -race ./internal/delivery
 
 # test-elasticity runs the elastic placement suite (node replacement,
-# base replication, live scale-out/in, auto-healer, placement table)
-# under the race detector — the quick loop for the placement subsystem.
+# base replication, live scale-out/in, auto-healer, placement table, and
+# the restore planner every placement goes live through) under the race
+# detector — the quick loop for the placement subsystem.
 test-elasticity:
-	$(GO) test -race -run 'TestElastic|TestAddReplica|TestReprovision|TestHealer|TestReopenRebuilds|TestReopenAllBases|TestReopenRecoversDespite|TestCrashMatrix/(reprovision|scale)' ./internal/cluster ./internal/placement
+	$(GO) test -race -run 'TestElastic|TestAddReplica|TestReprovision|TestHealer|TestReopenRebuilds|TestReopenAllBases|TestReopenRecoversDespite|TestPlanRestore|TestCrashMatrix/(reprovision|scale)' ./internal/cluster ./internal/placement
 
 # test-audit runs the state-determinism layer under the race detector:
-# the audit log codec and verifier, the compose-path fingerprint
-# property, and the former scale-out flake as an always-on regression.
+# the audit log codec and verifier, the fingerprint's two properties
+# (different states differ; every compose path agrees), and the former
+# scale-out flake as an always-on regression.
 test-audit:
 	$(GO) test -race ./internal/audit
-	$(GO) test -race -run 'TestComposePathsFingerprintEqual' ./internal/partition
+	$(GO) test -race -run 'TestFingerprintDistinguishesStates|TestComposePathsFingerprintEqual' ./internal/partition
 	$(GO) test -race -run 'TestFlakeHuntScaleOutKillOriginal|TestMirrorOnlySurvivor' ./internal/cluster
 
 # test-parallel runs the replica apply loop's suite under the race
@@ -148,11 +151,12 @@ fuzz:
 	$(GO) test -run=NONE -fuzz FuzzBenchReport -fuzztime 30s ./internal/benchfmt
 	$(GO) test -run=NONE -fuzz FuzzTransportFrame -fuzztime 30s ./internal/transport
 	$(GO) test -run=NONE -fuzz FuzzCompile -fuzztime 30s ./internal/motifdsl
+	$(GO) test -run=NONE -fuzz FuzzPlanRestore -fuzztime 30s ./internal/cluster
 
 # fuzz-smoke is the CI-budget version: 10s per target keeps the decoders,
 # the WAL record framing, the delivery-state codec, the transport wire
-# protocol, and the motif DSL compiler continuously fuzzed without
-# stalling checks.
+# protocol, the motif DSL compiler, and the restore planner continuously
+# fuzzed without stalling checks.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz FuzzSnapshotDecode -fuzztime 10s ./internal/dynstore
 	$(GO) test -run=NONE -fuzz FuzzWALReadRecord -fuzztime 10s ./internal/queue
@@ -161,3 +165,4 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz FuzzBenchReport -fuzztime 10s ./internal/benchfmt
 	$(GO) test -run=NONE -fuzz FuzzTransportFrame -fuzztime 10s ./internal/transport
 	$(GO) test -run=NONE -fuzz FuzzCompile -fuzztime 10s ./internal/motifdsl
+	$(GO) test -run=NONE -fuzz FuzzPlanRestore -fuzztime 10s ./internal/cluster

@@ -1,8 +1,8 @@
 package cluster
 
 // Cluster-level surface of the fingerprint audit (internal/audit): the
-// cross-replica verification method, the on-demand live fingerprint, and
-// the recorded-fingerprint lookup the recovery paths gate on. All of it
+// cross-replica verification method and the recorded-fingerprint lookup
+// restore plans are checked against. All of it
 // reads the per-replica audit logs the checkpoint writers append —
 // concurrent reads are safe because records land in single appends and a
 // torn tail decodes to nothing.
@@ -60,30 +60,14 @@ func (c *Cluster) VerifyFingerprints(pid int) (audit.Report, error) {
 	return audit.Verify(bySource), nil
 }
 
-// ReplicaFingerprint computes the replica's state fingerprint on demand.
-// Meaningful for cross-replica comparison only when the stream is
-// quiescent (replicas at different stream positions legitimately differ);
-// the recorded per-offset fingerprints are the running-cluster instrument.
-func (c *Cluster) ReplicaFingerprint(pid, r int) (uint32, error) {
-	if !c.audit {
-		return 0, ErrAuditDisabled
-	}
-	p, err := c.Replica(pid, r)
-	if err != nil {
-		return 0, err
-	}
-	return p.Fingerprint()
-}
-
-// recordedFingerprint looks up the fingerprint any of partition pid's
-// replicas recorded at the given cut offset. found is false when no audit
-// log mentions the offset. When several records exist (peers, compaction
-// re-derivations) the newest read wins — if they disagree with each other
-// that surfaces through VerifyFingerprints; the caller's comparison
-// catches disagreement with the composed state either way.
-func (c *Cluster) recordedFingerprint(pid int, offset uint64) (uint32, bool) {
-	var sum uint32
-	found := false
+// recordedFingerprints collects the fingerprint partition pid's replicas
+// recorded at each cut offset — the audit input of a restore plan. When
+// several records share an offset (peers, compaction re-derivations) the
+// newest read wins — if they disagree with each other that surfaces
+// through VerifyFingerprints; the plan's comparison catches disagreement
+// with the composed state either way.
+func (c *Cluster) recordedFingerprints(pid int) map[uint64]uint32 {
+	out := make(map[uint64]uint32)
 	for _, path := range c.auditSources(pid) {
 		recs, err := audit.Read(path, c.runID)
 		if err != nil {
@@ -91,36 +75,8 @@ func (c *Cluster) recordedFingerprint(pid int, offset uint64) (uint32, bool) {
 			continue
 		}
 		for _, rec := range recs {
-			if rec.Offset == offset {
-				sum, found = rec.Sum, true
-			}
+			out[rec.Offset] = rec.Sum
 		}
 	}
-	return sum, found
-}
-
-// verifyComposedState cross-checks a restore composition against the
-// audit record: the state a chain (or pool base) composes to at offset
-// must fingerprint-equal what a replica recorded when it held that state
-// live. Used by the chain-restore paths, where a mismatch is counted and
-// surfaced through stats rather than failing the restore — the delivery
-// tier's offset filter keeps the group exactly-once regardless, and a
-// bricked restore helps nobody; the elastic go-live gate is the strict
-// variant. No-op when auditing is off or nothing recorded the offset.
-func (c *Cluster) verifyComposedState(pid int, st interface{ Fingerprint() (uint32, error) }, offset uint64) {
-	if !c.audit || offset == 0 {
-		return
-	}
-	want, found := c.recordedFingerprint(pid, offset)
-	if !found {
-		return
-	}
-	got, err := st.Fingerprint()
-	if err != nil {
-		c.ckptErrors.Inc()
-		return
-	}
-	if got != want {
-		c.auditMismatches.Inc()
-	}
+	return out
 }

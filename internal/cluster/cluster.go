@@ -15,23 +15,19 @@
 // stops consuming the firehose and its entire recoverable state (the D
 // store, sweep clock, candidate log, item counters) is dropped.
 //
-// A killed replica rejoins through RestoreReplica, which runs the
-// catch-up state machine restoring → replaying → live: it composes the
-// newest durable checkpoint chain (a compacted base plus incremental
-// delta segments, written per replica when Config.CheckpointDir is set),
-// then replays the retained firehose log from the chain's offset via
-// SubscribeFrom until it reaches the offset that was the head when
-// recovery began. Until then the broker keeps the replica marked down, so
-// a stale replica never serves reads.
-//
-// With Config.LogDir the firehose log itself is durable (a segmented
-// on-disk WAL), and the failure model extends from replicas to the whole
-// process: Shutdown drains, cuts a final checkpoint per replica, and
-// fsyncs the log; Reopen constructs a brand-new Cluster over the same
-// directories, restoring every replica from its chain — gated by the
-// log's persistent identity and the segments' checksums rather than a
-// per-process run id — and replaying the durable log from each floor
-// offset.
+// A killed replica rejoins through RestoreReplica: it installs the newest
+// durable restore point (its checkpoint chain — a compacted base plus
+// incremental delta segments, written per replica when Config.CheckpointDir
+// is set — or a base from the partition's pool), then replays the retained
+// firehose log from that point until it reaches the offset that was the
+// head when recovery began. Until then the broker keeps the replica marked
+// down, so a stale replica never serves reads. With Config.LogDir the
+// firehose log itself is durable (a segmented on-disk WAL) and the failure
+// model extends to the whole process: Shutdown drains, cuts a final
+// checkpoint per replica, and fsyncs the log; Reopen builds a brand-new
+// Cluster over the same directories, every replica restoring the same way.
+// restore.go holds the one plan → execute → launch sequence all of these
+// share.
 //
 // # Incremental checkpoint pipeline
 //
@@ -134,8 +130,6 @@ type Config struct {
 	DeliveryDelay queue.DelayModel
 	// Delivery configures the push pipeline.
 	Delivery delivery.Options
-	// Buffer sizes the queue channels; 0 selects 4096.
-	Buffer int
 	// ApplyBatch bounds how many envelopes a replica consumer drains from
 	// its subscription into one batch: it runs candidate generation for
 	// the whole batch (fanned across ApplyWorkers), then republishes
@@ -230,19 +224,14 @@ type Config struct {
 	// OwnedReplicas lists the (partition, replica) slots a worker process
 	// owns. Required with Join, forbidden otherwise.
 	OwnedReplicas [][2]int
-	// ReadListen is a worker's read-RPC bind address; empty picks an
-	// ephemeral loopback port (advertised to the hub on attach).
-	ReadListen string
-	// NetTimeout bounds each dial/hello attempt and read RPC (default 5s).
-	NetTimeout time.Duration
-	// NetRetryFor bounds a worker's initial handshake retries (default
-	// 10s); reconnects after a successful attach retry forever.
-	NetRetryFor time.Duration
 	// NetDrainTimeout bounds shutdown flushes: the hub's wait for worker
 	// candidate FINs and a worker's wait for candidate acks before a
 	// final checkpoint cut (default 30s).
 	NetDrainTimeout time.Duration
 }
+
+// queueBuffer sizes the firehose and candidate queue channels.
+const queueBuffer = 4096
 
 // Replica catch-up states. A replica is born live; KillReplica moves it to
 // dead; RestoreReplica moves it to replaying (or straight to live when
@@ -258,7 +247,7 @@ const (
 
 // replicaSlot is the cluster-side handle for one running replica: the
 // partition state plus the consumer goroutine's lifecycle and catch-up
-// bookkeeping. quit/stopped/sub are replaced on restore; they are only
+// bookkeeping. quit/stopped/sub are replaced on every launch; they are only
 // written while no consumer goroutine is running.
 type replicaSlot struct {
 	pid, idx int
@@ -275,9 +264,9 @@ type replicaSlot struct {
 
 	state atomic.Int32
 
-	quit    chan struct{} // closed by KillReplica to stop the consumer
+	quit    chan struct{} // closed by teardownLocked to stop the consumer
 	stopped chan struct{} // closed by the consumer on exit
-	live    chan struct{} // closed when the replica (re)enters live
+	live    chan struct{} // closed when a launch reaches live
 	sub     <-chan queue.Envelope[graph.Edge]
 
 	// target is the firehose offset the replica must reach to leave
@@ -293,12 +282,13 @@ type replicaSlot struct {
 	// the consume goroutine reads it, and it is only rewritten while no
 	// consumer is running.
 	writer *ckptWriter
-	// restoreMan and restoreOffset are the startup-restore plan of a
-	// durable-log cluster, computed by New (chain composed and installed)
-	// and consumed by Start (subscribe at the offset, continue the
-	// manifest). Unused without Config.LogDir.
-	restoreMan    manifest
-	restoreOffset uint64
+	// boot is where New's startup restore left the slot (chain composed and
+	// installed), consumed by Start's launch. Zero — empty chain, offset
+	// zero — on clusters whose chains do not outlive the process.
+	boot restorePoint
+	// feed is the slot's subscription on a networked worker (nil
+	// elsewhere): live reports travel over it.
+	feed *transport.FeedSub
 	// floor is the offset of the replica's oldest durable restore point
 	// (its base segment's cut offset; zero until the first compaction).
 	// The firehose log is only ever truncated below the minimum floor
@@ -436,10 +426,9 @@ type candidateMsg struct {
 // New validates cfg and builds all partitions and replicas. The cluster is
 // idle until Start. With Config.LogDir the construction is also the
 // recovery path: an existing durable log is reopened (its identity gates
-// the checkpoints), every replica's chain is composed — checksums
-// verified, corrupt tails trimmed — and installed, and Start replays the
-// log from each replica's restore point. A fresh LogDir degenerates to a
-// normal cold start.
+// the checkpoints), every replica's restore is planned and executed
+// (restoreSlot), and Start replays the log from each replica's restore
+// point. A fresh LogDir degenerates to a normal cold start.
 func New(cfg Config) (c *Cluster, err error) {
 	if cfg.Partitions < 1 {
 		return nil, fmt.Errorf("cluster: need at least one partition")
@@ -449,9 +438,6 @@ func New(cfg Config) (c *Cluster, err error) {
 	}
 	if cfg.NewPrograms == nil {
 		return nil, fmt.Errorf("cluster: NewPrograms is required")
-	}
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = 4096
 	}
 	if err := validateNetworked(cfg); err != nil {
 		return nil, err
@@ -517,7 +503,7 @@ func New(cfg Config) (c *Cluster, err error) {
 		firehoseOpts := queue.Options{
 			Name:   "firehose",
 			Delay:  cfg.IngestDelay,
-			Buffer: cfg.Buffer,
+			Buffer: queueBuffer,
 			Seed:   cfg.Seed,
 			Retain: recovery,
 			// The delivery tier sequences on firehose offsets, so offset
@@ -541,7 +527,7 @@ func New(cfg Config) (c *Cluster, err error) {
 		candidates: queue.NewTopic[candidateMsg](queue.Options{
 			Name:   "candidates",
 			Delay:  cfg.DeliveryDelay,
-			Buffer: cfg.Buffer,
+			Buffer: queueBuffer,
 			Seed:   cfg.Seed + 1,
 		}),
 		pipeline:              delivery.NewPipeline(cfg.Delivery),
@@ -663,7 +649,7 @@ func New(cfg Config) (c *Cluster, err error) {
 				if err := os.MkdirAll(slot.dir, 0o755); err != nil {
 					return nil, fmt.Errorf("cluster: checkpoint dir: %w", err)
 				}
-				rr := transport.NewRemoteReplica(pid, r, cfg.netTimeout(), reg)
+				rr := transport.NewRemoteReplica(pid, r, 0, reg)
 				c.hub.remotes[[2]int{pid, r}] = rr
 				slots[pid] = append(slots[pid], slot)
 				replicaGroups[pid] = append(replicaGroups[pid], rr)
@@ -675,7 +661,6 @@ func New(cfg Config) (c *Cluster, err error) {
 				return nil, fmt.Errorf("cluster: partition %d replica %d: %w", pid, r, err)
 			}
 			slot.p.Store(p)
-			close(slot.live) // replicas are born live
 			if recovery {
 				slot.dir = placement.Dir(cfg.CheckpointDir, pid, r, pl.Gen)
 				if !c.chains {
@@ -715,27 +700,25 @@ func New(cfg Config) (c *Cluster, err error) {
 		}
 	}
 	if c.chains && !hubMode {
-		// Compose and install every replica's durable chain now, so Start
-		// only has to subscribe at the planned offsets. The hub skips
-		// this: its slots are remote, and the worker that owns each chain
-		// composes it. A worker runs it against the shared CheckpointDir
-		// with offsets indexing the hub's log.
+		// Restore every replica now, so Start only has to launch at the
+		// planned offsets. The hub skips this: its slots are remote, and
+		// the worker that owns each chain restores it — against the shared
+		// CheckpointDir, with offsets indexing the hub's log.
 		for _, group := range c.slots {
 			for _, slot := range group {
 				if slot.state.Load() == replicaRemoved {
 					continue
 				}
-				if err := c.planStartupRestore(slot); err != nil {
+				if slot.boot, err = c.restoreSlot(slot); err != nil {
 					return nil, err
 				}
 			}
 		}
 	}
 	if durable {
-		// Seed the delivery tier's exactly-once filter from the persisted
-		// high-water offsets: the replicas are about to replay their tail
-		// spans, and those batches were already pushed by a previous run.
-		// Seed the delivery tier's exactly-once filter AND the pipeline's
+		// The replicas are about to replay their tail spans, and those
+		// batches were already pushed by a previous run: seed the delivery
+		// tier's exactly-once filter AND the pipeline's
 		// suppression state (dedup LRU + fatigue budgets) from
 		// delivery.state, which bundles both as one atomic snapshot: a
 		// (user, item) pair pushed before the shutdown stays suppressed
@@ -846,103 +829,52 @@ func (c *Cluster) buildPartition(pid int, snap *statstore.Snapshot) (*partition.
 }
 
 // Start launches one consumer goroutine per replica plus the delivery
-// consumer. It may be called once; later calls are no-ops. On a
-// durable-log cluster each replica subscribes at its startup-restore
-// offset (computed by New) and runs the replaying→live catch-up state
-// machine exactly as a RestoreReplica rejoin would: broker-down until it
-// has applied every offset that was durable when the cluster opened.
+// consumer. It may be called once; later calls are no-ops. Each replica
+// launches from the restore point New left it at (launchReplica): on a
+// cluster whose chains outlived the previous process it replays the log
+// through the replaying→live catch-up machine exactly as a RestoreReplica
+// rejoin would; on a cold start it is live at once.
 func (c *Cluster) Start() {
 	c.startOnce.Do(func() {
-		head := c.firehose.Published()
-		// Two phases: wire every slot's subscription first, launch the
-		// consumers after — a networked worker's subs map must be complete
-		// (and thereafter read-only) before any consumer can report live
-		// through it.
-		var ready []*replicaSlot
+		// Delivery subscribes first: the candidate queue retains nothing, so
+		// a batch a replaying replica publishes before then would be lost.
+		c.startDelivery()
+		c.ctl.Lock()
 		for _, group := range c.slots {
 			for _, slot := range group {
-				if slot.state.Load() == replicaRemoved {
+				// Hub slots are remote: a worker process runs the consumer;
+				// the hub only serves its feed and brokers its reads.
+				if c.hub != nil || slot.state.Load() == replicaRemoved {
 					continue
 				}
-				if c.hub != nil {
-					// Remote slot: a worker process runs the consumer; the
-					// hub only serves its feed and brokers its reads.
-					continue
-				}
-				slot.quit = make(chan struct{})
-				slot.stopped = make(chan struct{})
-				if c.worker != nil {
-					ws, err := c.worker.feed.SubscribeReplica(slot.pid, slot.idx, slot.gen, slot.restoreOffset, c.worker.rs.Addr())
-					if err != nil {
-						c.ckptErrors.Inc()
-						slot.state.Store(replicaDead)
-						slot.live = make(chan struct{})
-						close(slot.stopped)
-						continue
-					}
-					c.worker.subs[[2]int{slot.pid, slot.idx}] = ws
-					slot.sub = ws.C()
-					slot.applied.Store(slot.restoreOffset)
-					if slot.restoreOffset < head {
-						slot.target = head
-						slot.state.Store(replicaReplaying)
-						slot.live = make(chan struct{})
-					} else {
-						// Already at the head observed in the handshake:
-						// announce live now (sticky; re-sent on reconnects)
-						// — the catch-up CAS below will never fire.
-						ws.NotifyLive()
-					}
-					if slot.restoreOffset > 0 || head > 0 {
-						c.restores.Inc()
-					}
-					c.worker.rs.Register(slot.pid, slot.idx, slot.p.Load())
-				} else if c.durable {
-					sub, err := c.firehose.SubscribeFrom(slot.restoreOffset)
-					if err != nil {
-						// Unreachable: New validated the restore point
-						// against the log's bounds and nothing can publish
-						// or truncate before Start. Leave the replica dead
-						// rather than crash.
-						c.ckptErrors.Inc()
-						slot.state.Store(replicaDead)
-						slot.live = make(chan struct{})
-						c.broker.MarkDown(slot.pid, slot.idx)
-						close(slot.stopped)
-						continue
-					}
-					slot.sub = sub
-					if slot.restoreOffset < head {
-						slot.target = head
-						slot.state.Store(replicaReplaying)
-						slot.live = make(chan struct{})
+				if err := c.launchReplica(slot, slot.boot); err != nil {
+					// Unreachable in process: New validated the restore
+					// point against the log's bounds and nothing can publish
+					// or truncate before Start. Leave the replica dead
+					// rather than crash.
+					c.ckptErrors.Inc()
+					slot.state.Store(replicaDead)
+					if c.broker != nil {
 						c.broker.MarkDown(slot.pid, slot.idx)
 					}
-					if slot.restoreOffset > 0 || head > 0 {
-						c.restores.Inc()
-					}
-				} else {
-					slot.sub = c.firehose.Subscribe()
 				}
-				if c.ckptEveryMS > 0 {
-					slot.writer = c.startWriter(slot, slot.restoreMan)
-				}
-				ready = append(ready, slot)
 			}
 		}
-		for _, slot := range ready {
-			c.wg.Add(1)
-			go c.runReplica(slot)
-		}
-		deliverSub := c.candidates.Subscribe()
-		c.deliverWG.Add(1)
-		if c.worker != nil {
-			go c.runForwarder(deliverSub)
-		} else {
-			go c.runDelivery(deliverSub)
-		}
+		c.ctl.Unlock()
 		c.started.Store(true)
 	})
+}
+
+// startDelivery launches the candidate queue's consumer: the delivery
+// pipeline, or on a worker the forwarder that ships candidates to the hub.
+func (c *Cluster) startDelivery() {
+	sub := c.candidates.Subscribe()
+	c.deliverWG.Add(1)
+	if c.worker != nil {
+		go c.runForwarder(sub)
+	} else {
+		go c.runDelivery(sub)
+	}
 }
 
 // runReplica runs the replica's consumer (consumeBatched, parallel.go) —

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"motifstream/internal/audit"
 	"motifstream/internal/graph"
 	"motifstream/internal/queue"
 )
@@ -276,6 +277,7 @@ func (h *crashHarness) assertFingerprints() {
 		return
 	}
 	total := 0
+	distinct := make(map[uint32]struct{})
 	for pid := 0; pid < h.cfg.Partitions; pid++ {
 		rep, err := h.c.VerifyFingerprints(pid)
 		if err != nil {
@@ -285,9 +287,21 @@ func (h *crashHarness) assertFingerprints() {
 			h.t.Fatalf("partition %d: state fingerprint mismatches: %+v", pid, rep.Mismatches)
 		}
 		total += rep.Records
+		for _, path := range h.c.auditSources(pid) {
+			recs, _ := audit.Read(path, h.c.runID)
+			for _, rec := range recs {
+				distinct[rec.Sum] = struct{}{}
+			}
+		}
 	}
 	if total == 0 {
 		h.t.Fatal("vacuous: audit enabled but no fingerprints recorded")
+	}
+	// Equality across replicas only means something when the fingerprint
+	// varies with state: a matrix run cuts at many offsets over a moving
+	// stream, so its audit logs must hold more than one distinct value.
+	if len(distinct) < 2 {
+		h.t.Fatalf("vacuous: %d audit records carry %d distinct fingerprint value(s)", total, len(distinct))
 	}
 	if n := h.c.Stats().AuditMismatches; n != 0 {
 		h.t.Fatalf("pipeline detected %d fingerprint mismatches", n)

@@ -1,21 +1,10 @@
 package cluster
 
-// Elastic placement: the mechanisms behind internal/placement's model of
-// replicas as placements on virtual nodes.
-//
-//   - ReprovisionReplica is node *replacement*: the old slot — its
-//     in-memory state and its on-disk directory — is discarded entirely,
-//     and a fresh replica is built on a new generation directory with a
-//     fresh S, its state recovered from the partition's base pool plus
-//     durable-log replay.
-//   - mirrorBase is base *replication*: every base the compactor
-//     publishes is copied (CRC-verified) into up to Config.MirrorBases
-//     peer replica directories, so the partition keeps restore points
-//     even when a machine or a base is lost.
-//   - AddReplica / DecommissionReplica are live scale-out and scale-in:
-//     membership changes under a flowing stream, with the new replica
-//     catching up from the base pool and the delivery tier's per-group
-//     offset filter keeping exactly-once across the transition.
+// Elastic placement — the mechanisms behind internal/placement's model of
+// replicas as placements on virtual nodes: node replacement
+// (ReprovisionReplica), base replication (mirrorBase), and live scale-out
+// and scale-in (AddReplica / DecommissionReplica). The package doc states
+// what each guarantees.
 //
 // The base pool is the partition-wide set of potential restore points:
 // every non-removed replica directory's own compacted base plus the
@@ -26,6 +15,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -39,7 +29,6 @@ import (
 	"motifstream/internal/motif"
 	"motifstream/internal/partition"
 	"motifstream/internal/placement"
-	"motifstream/internal/queue"
 )
 
 // tombstone stands in for a decommissioned placement in the broker's
@@ -101,16 +90,25 @@ func parseMirrorName(name string) (srcIdx int, offset uint64, ok bool) {
 	return idx, off, true
 }
 
+// baseFingerprint returns a base file's state fingerprint: its CRC32C
+// trailer — the checksum of the payload before it, which is by definition
+// the fingerprint of the state the file encodes (partition/fingerprint.go).
+// ok is false when the trailer does not verify against the payload.
+func baseFingerprint(data []byte) (fp uint32, ok bool) {
+	if len(data) < 4 {
+		return 0, false
+	}
+	payload, trailer := data[:len(data)-4], data[len(data)-4:]
+	fp = binary.LittleEndian.Uint32(trailer)
+	return fp, codecutil.CRC32C(payload) == fp
+}
+
 // checksumOK verifies a base file's CRC32C trailer over its payload — the
 // cheap byte-level gate mirror writes use; compose-time reads do the full
 // structural decode.
 func checksumOK(data []byte) bool {
-	if len(data) < 4 {
-		return false
-	}
-	payload, trailer := data[:len(data)-4], data[len(data)-4:]
-	want := uint32(trailer[0]) | uint32(trailer[1])<<8 | uint32(trailer[2])<<16 | uint32(trailer[3])<<24
-	return codecutil.CRC32C(payload) == want
+	_, ok := baseFingerprint(data)
+	return ok
 }
 
 // mirrorBase replicates a freshly compacted base to up to
@@ -130,20 +128,11 @@ func (c *Cluster) mirrorBase(slot *replicaSlot, srcPath string, offset uint64) {
 		c.ckptErrors.Inc()
 		return
 	}
-	// Snapshot peer directories under the topology lock; the writes
-	// happen outside it. A peer decommissioned or reprovisioned between
-	// the snapshot and the push at worst leaves garbage in a directory
-	// about to be (or already) deleted — generation directories are never
-	// reused, so nothing can ever resurrect it.
-	c.topoMu.RLock()
-	var peerDirs []string
-	for _, s := range c.slots[slot.pid] {
-		if s != slot && s.state.Load() != replicaRemoved && s.dir != "" {
-			peerDirs = append(peerDirs, s.dir)
-		}
-	}
-	c.topoMu.RUnlock()
-	for _, peerDir := range peerDirs {
+	// The writes happen outside the topology lock. A peer decommissioned or
+	// reprovisioned between the snapshot and the push at worst leaves
+	// garbage in a directory about to be (or already) deleted — generation
+	// directories are never reused, so nothing can ever resurrect it.
+	for _, peerDir := range c.replicaDirs(slot.pid, slot) {
 		if budget == 0 {
 			break
 		}
@@ -242,15 +231,7 @@ func mirrorOffsets(dir string) []uint64 {
 // counting mirror offsets an orphaned mirror would pin the firehose log
 // forever.
 func (c *Cluster) removeSourceMirrors(pid, srcIdx int) {
-	c.topoMu.RLock()
-	var dirs []string
-	for _, s := range c.slots[pid] {
-		if s.state.Load() != replicaRemoved && s.dir != "" {
-			dirs = append(dirs, s.dir)
-		}
-	}
-	c.topoMu.RUnlock()
-	for _, dir := range dirs {
+	for _, dir := range c.replicaDirs(pid, nil) {
 		mdir := filepath.Join(dir, mirrorSubdir)
 		entries, err := os.ReadDir(mdir)
 		if err != nil {
@@ -262,6 +243,21 @@ func (c *Cluster) removeSourceMirrors(pid, srcIdx int) {
 			}
 		}
 	}
+}
+
+// replicaDirs snapshots partition pid's non-removed replica directories
+// (except's excluded) under the topology lock, for scans that then run
+// outside it.
+func (c *Cluster) replicaDirs(pid int, except *replicaSlot) []string {
+	c.topoMu.RLock()
+	defer c.topoMu.RUnlock()
+	var dirs []string
+	for _, s := range c.slots[pid] {
+		if s != except && s.state.Load() != replicaRemoved && s.dir != "" {
+			dirs = append(dirs, s.dir)
+		}
+	}
+	return dirs
 }
 
 // baseSource is one candidate restore point in a partition's base pool.
@@ -276,18 +272,9 @@ type baseSource struct {
 // fully CRC-verified at compose time, so concurrent compaction retiring a
 // file, a torn mirror push, or plain corruption just moves composition to
 // the next candidate.
-func (c *Cluster) basePool(pid int, exclude *replicaSlot) []baseSource {
-	c.topoMu.RLock()
-	var dirs []string
-	for _, s := range c.slots[pid] {
-		if s == exclude || s.state.Load() == replicaRemoved || s.dir == "" {
-			continue
-		}
-		dirs = append(dirs, s.dir)
-	}
-	c.topoMu.RUnlock()
+func (c *Cluster) basePool(pid int) []baseSource {
 	var out []baseSource
-	for _, dir := range dirs {
+	for _, dir := range c.replicaDirs(pid, nil) {
 		if man, err := loadManifest(manifestPath(dir), c.runID); err == nil &&
 			len(man.segs) > 0 && man.segs[0].kind == segKindBase {
 			out = append(out, baseSource{path: segmentPath(dir, man.segs[0]), offset: man.segs[0].offset})
@@ -352,55 +339,30 @@ func (c *Cluster) seedChain(dir string, data []byte, offset uint64, old manifest
 	return man, nil
 }
 
-// startPlacement brings a freshly provisioned placement — empty state,
-// empty directory — to live: recover the newest usable base from the
-// partition's base pool, seed the new chain with it, replay the log from
-// its offset, and run the standard replaying → live machine. With no
-// usable base the placement rebuilds from the log's start — sound only
-// when that is offset zero; otherwise the gap is unrecoverable history
-// and the documented ErrTruncated surfaces. The caller holds ctl and has
-// already installed the fresh partition and directory on the slot.
-func (c *Cluster) startPlacement(slot *replicaSlot) error {
-	var (
-		man    manifest
-		offset uint64
-	)
-	start := c.firehose.LogStart()
-	head := c.firehose.Published()
-	st, data, off, ok := composeFromPool(c.basePool(slot.pid, slot), start, head)
-	if ok {
-		// Go-live fingerprint gate: a base's file CRC32C is by construction
-		// the fingerprint of the state it encodes, so it must equal the
-		// fingerprint the source replica recorded when it held that state
-		// live. A mismatch means the pool would seed this placement with
-		// state no replica ever held — refuse to go live rather than let a
-		// diverged newcomer advance the group's delivery high-water. The
-		// slot stays dead with its floor pinning the log; the operator can
-		// retry once the pool heals.
-		if c.audit {
-			if want, found := c.recordedFingerprint(slot.pid, off); found && want != codecutil.CRC32C(data) {
-				c.auditMismatches.Inc()
-				return fmt.Errorf("cluster: replica %d/%d: pool base at offset %d has fingerprint %08x, source recorded %08x; refusing go-live",
-					slot.pid, slot.idx, off, codecutil.CRC32C(data), want)
-			}
-		}
-		man2, err := c.seedChain(slot.dir, data, off, manifest{})
-		if err != nil {
-			// Without a durable seed base the chain would silently
-			// compose a hole (deltas cut after the install describe only
-			// post-install changes); refuse rather than diverge.
-			c.ckptErrors.Inc()
-			return fmt.Errorf("cluster: replica %d/%d: seeding chain from base pool: %w", slot.pid, slot.idx, err)
-		}
-		man = man2
-		offset = off
-		slot.p.Load().LoadState(st)
-		c.poolRestores.Inc()
-	} else if start > 0 {
-		return fmt.Errorf("cluster: replica %d/%d: no usable base in partition pool and log compacted below %d: %w",
-			slot.pid, slot.idx, start, queue.ErrTruncated)
+// launchPlacement brings a freshly provisioned placement — empty state and
+// directory, S built from the newest offline build — to live. Its plan
+// finds no chain, so it seeds from the pool's newest usable base (or
+// rebuilds from a log retained from zero). The caller holds ctl.
+func (c *Cluster) launchPlacement(slot *replicaSlot) error {
+	plan, err := c.planSlot(slot)
+	if err != nil {
+		return err
 	}
-	return c.launchReplica(slot, man, offset, man.floorOffset())
+	// Go-live fingerprint gate: the pool would seed this placement with
+	// state no replica ever held — refuse rather than let a diverged
+	// newcomer advance the group's delivery high-water. The slot stays dead
+	// with its floor pinning the log; the operator can retry once the pool
+	// heals.
+	if plan.seed != nil && plan.diverged() {
+		c.auditMismatches.Inc()
+		return fmt.Errorf("cluster: replica %d/%d: pool base at offset %d has fingerprint %08x, source recorded %08x; refusing go-live",
+			slot.pid, slot.idx, plan.offset, plan.got, plan.want)
+	}
+	at, err := c.executeRestore(slot, plan)
+	if err != nil {
+		return err
+	}
+	return c.launchReplica(slot, at)
 }
 
 // ReprovisionReplica replaces a replica's node: the old placement — its
@@ -413,42 +375,29 @@ func (c *Cluster) startPlacement(slot *replicaSlot) error {
 // a live one is first torn down like KillReplica, guarding the group's
 // last alive copy. Must not be called concurrently with Stop.
 func (c *Cluster) ReprovisionReplica(pid, r int) error {
-	if c.cfg.CheckpointDir == "" {
-		return ErrRecoveryDisabled
-	}
-	if c.networked() {
-		return ErrNotLocal
-	}
-	slot, err := c.slot(pid, r)
+	slot, err := c.localSlot(pid, r)
 	if err != nil {
 		return err
 	}
 	c.ctl.Lock()
 	defer c.ctl.Unlock()
+	if !c.started.Load() {
+		return fmt.Errorf("cluster: replica %d/%d cannot be reprovisioned before Start", pid, r)
+	}
 	switch slot.state.Load() {
 	case replicaRemoved:
 		return fmt.Errorf("cluster: replica %d/%d is decommissioned", pid, r)
 	case replicaDead:
 		// The node is already gone; replace it in place.
 	default:
-		if slot.quit == nil {
-			return fmt.Errorf("cluster: replica %d/%d cannot be reprovisioned before Start", pid, r)
-		}
-		// Planned replacement of a running node: tear the consumer down
-		// exactly like KillReplica, with the same last-alive guard.
+		// Planned replacement of a running node: KillReplica's teardown,
+		// with the same last-alive guard.
 		if c.aliveLocked(pid, slot) < 1 {
 			return fmt.Errorf("cluster: cannot reprovision last alive replica of partition %d", pid)
 		}
-		slot.state.Store(replicaDead)
-		close(slot.quit)
-		c.firehose.Unsubscribe(slot.sub)
-		<-slot.stopped
-		stopWriterLocked(slot)
-		c.broker.MarkDown(pid, r)
-		slot.live = make(chan struct{})
-	}
-	if !c.started.Load() {
-		return fmt.Errorf("cluster: replica %d/%d cannot be reprovisioned before Start", pid, r)
+		if err := c.teardownLocked(slot); err != nil {
+			return err
+		}
 	}
 	// The replacement machine: fresh partition, new generation directory.
 	// The generation bump persists before anything touches disk, so even
@@ -485,7 +434,7 @@ func (c *Cluster) ReprovisionReplica(pid, r int) error {
 		return err
 	}
 	c.reprovisions.Inc()
-	return c.startPlacement(slot)
+	return c.launchPlacement(slot)
 }
 
 // AddReplica grows partition pid by one replica while the stream is
@@ -539,7 +488,7 @@ func (c *Cluster) AddReplica(pid int) (int, error) {
 	slot.state.Store(replicaDead) // until catch-up wiring below
 	// Membership first, with a floor of zero: from this instant the
 	// truncation scan counts the newcomer, so the log cannot be compacted
-	// out from under the catch-up startPlacement is about to begin.
+	// out from under the catch-up launchPlacement is about to begin.
 	c.topoMu.Lock()
 	c.slots[pid] = append(c.slots[pid], slot)
 	c.topoMu.Unlock()
@@ -547,12 +496,9 @@ func (c *Cluster) AddReplica(pid int) (int, error) {
 		return 0, err
 	}
 	c.scaleOuts.Inc()
-	if err := c.startPlacement(slot); err != nil {
-		// The slot stays dead (and its floor pins the log); the operator
-		// can retry via RestoreReplica or ReprovisionReplica.
-		return idx, err
-	}
-	return idx, nil
+	// On error the slot stays dead (and its floor pins the log); the
+	// operator can retry via RestoreReplica or ReprovisionReplica.
+	return idx, c.launchPlacement(slot)
 }
 
 // DecommissionReplica removes a replica from service permanently — live
@@ -562,13 +508,7 @@ func (c *Cluster) AddReplica(pid int) (int, error) {
 // not rebuild it. The group's last alive replica cannot be removed. Must
 // not be called concurrently with Stop.
 func (c *Cluster) DecommissionReplica(pid, r int) error {
-	if c.cfg.CheckpointDir == "" {
-		return ErrRecoveryDisabled
-	}
-	if c.networked() {
-		return ErrNotLocal
-	}
-	slot, err := c.slot(pid, r)
+	slot, err := c.localSlot(pid, r)
 	if err != nil {
 		return err
 	}
@@ -592,17 +532,14 @@ func (c *Cluster) DecommissionReplica(pid, r int) error {
 		return fmt.Errorf("cluster: decommission %d/%d: placement table: %w", pid, r, err)
 	}
 	if state != replicaDead {
-		close(slot.quit)
-		c.firehose.Unsubscribe(slot.sub)
-		<-slot.stopped
-		stopWriterLocked(slot)
+		if err := c.teardownLocked(slot); err != nil {
+			return err
+		}
 	}
-	c.broker.MarkDown(pid, r)
 	slot.state.Store(replicaRemoved)
 	if p := slot.p.Load(); p != nil {
 		p.Reset() // release the replica's memory; the slot object stays
 	}
-	slot.live = make(chan struct{})
 	if slot.dir != "" {
 		os.RemoveAll(slot.dir)
 	}

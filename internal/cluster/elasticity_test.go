@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"motifstream/internal/audit"
 	"motifstream/internal/codecutil"
 	"motifstream/internal/graph"
 	"motifstream/internal/partition"
@@ -150,6 +151,80 @@ func TestAddReplicaCatchesUpAndServes(t *testing.T) {
 	}
 	if st := c.Stats(); st.ScaleOuts != 1 {
 		t.Fatalf("ScaleOuts = %d", st.ScaleOuts)
+	}
+}
+
+// TestAddReplicaRefusesDivergedPoolBase pins the go-live fingerprint gate
+// with fingerprints that actually distinguish states: the pool's newest
+// restore point is a base whose checksum trailer holds — so the byte-level
+// CRC gate passes it — but which encodes a state the audit log says no
+// replica held at that offset (one flipped bit between the recorded
+// fingerprint and the base's own). The newcomer must refuse to go live,
+// count the mismatch, stay dead, and install nothing.
+func TestAddReplicaRefusesDivergedPoolBase(t *testing.T) {
+	cfg := recoveryConfig(t, ringStatic(40))
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Stop()
+	for _, e := range motifWorkload(66, 40, 100) {
+		c.Publish(e)
+	}
+	// Killing the replica quiesces its directory (consumer and writer are
+	// stopped), so the plant below races nothing; the stream is idle, so
+	// the head — the newest offset a pool base may claim — stays put.
+	if err := c.KillReplica(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	head := c.firehose.Published()
+	dir := c.slots[0][1].dir
+	planted := writeMirror(t, dir, head, false)
+	data, err := os.ReadFile(planted.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, ok := baseFingerprint(data)
+	if !ok {
+		t.Fatal("planted base fails its own checksum")
+	}
+	alog, err := audit.Open(auditLogPath(dir), c.runID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := alog.Append(audit.Record{Offset: head, Sum: fp ^ 1}); err != nil {
+		t.Fatal(err)
+	}
+	alog.Close()
+
+	idx, err := c.AddReplica(0)
+	if err == nil || !strings.Contains(err.Error(), "refusing go-live") {
+		t.Fatalf("AddReplica over a diverged pool base = %v, want a go-live refusal", err)
+	}
+	if state, _ := c.ReplicaState(0, idx); state != "dead" {
+		t.Fatalf("refused newcomer is %q, want dead", state)
+	}
+	st := c.Stats()
+	if st.AuditMismatches != 1 || st.BasePoolRestores != 0 {
+		t.Fatalf("mismatches=%d pool restores=%d, want 1 and 0", st.AuditMismatches, st.BasePoolRestores)
+	}
+	if man, err := loadManifest(manifestPath(c.slots[0][idx].dir), c.runID); err != nil || len(man.segs) != 0 {
+		t.Fatalf("refused newcomer's chain was seeded anyway: %v (err %v)", man.segs, err)
+	}
+	// Once the pool heals (the diverged base is gone) the operator's retry
+	// goes through, from a restore point the audit agrees with.
+	if err := os.Remove(planted.path); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ReprovisionReplica(0, idx); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AwaitReplicaLive(0, idx, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.Stats().AuditMismatches; n != 1 {
+		t.Fatalf("healed retry counted %d mismatches, want still 1", n)
 	}
 }
 

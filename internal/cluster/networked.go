@@ -71,12 +71,9 @@ type hubState struct {
 
 // workerState is the worker role's transport wiring.
 type workerState struct {
-	feed *transport.FeedClient
-	fw   *transport.CandForwarder
-	rs   *transport.ReplicaServer
-	// subs maps owned slots to their feed subscriptions. Written during
-	// Start before any consumer goroutine launches, read-only after.
-	subs         map[[2]int]*transport.FeedSub
+	feed         *transport.FeedClient
+	fw           *transport.CandForwarder
+	rs           *transport.ReplicaServer
 	owned        map[[2]int]bool
 	drainTimeout time.Duration
 }
@@ -121,13 +118,6 @@ func validateNetworked(cfg Config) error {
 	return nil
 }
 
-func (cfg *Config) netTimeout() time.Duration {
-	if cfg.NetTimeout > 0 {
-		return cfg.NetTimeout
-	}
-	return 5 * time.Second
-}
-
 func (cfg *Config) netDrainTimeout() time.Duration {
 	if cfg.NetDrainTimeout > 0 {
 		return cfg.NetDrainTimeout
@@ -139,16 +129,15 @@ func (cfg *Config) netDrainTimeout() time.Duration {
 // (which yields the hub log's identity — the worker's runID), the
 // candidate forwarder, and the read-RPC listener.
 func newWorkerState(cfg Config, reg *metrics.Registry) (*workerState, error) {
-	opts := transport.ClientOptions{
-		DialTimeout: cfg.netTimeout(),
-		RetryFor:    cfg.NetRetryFor,
-		Metrics:     reg,
-	}
+	// Dial/hello attempts and the handshake retry window take the
+	// transport's defaults (5s and 10s); the read listener binds an
+	// ephemeral loopback port, advertised to the hub on attach.
+	opts := transport.ClientOptions{Metrics: reg}
 	feed, err := transport.DialFeed(cfg.Join, opts)
 	if err != nil {
 		return nil, err
 	}
-	rs, err := transport.NewReplicaServer(cfg.ReadListen, reg)
+	rs, err := transport.NewReplicaServer("", reg)
 	if err != nil {
 		feed.Close()
 		return nil, err
@@ -157,7 +146,6 @@ func newWorkerState(cfg Config, reg *metrics.Registry) (*workerState, error) {
 		feed:         feed,
 		fw:           transport.NewCandForwarder(cfg.Join, feed.LogID(), opts),
 		rs:           rs,
-		subs:         make(map[[2]int]*transport.FeedSub),
 		owned:        make(map[[2]int]bool, len(cfg.OwnedReplicas)),
 		drainTimeout: cfg.netDrainTimeout(),
 	}
@@ -188,11 +176,10 @@ func (c *Cluster) startHubServer(cfg Config) error {
 		batch = 64
 	}
 	srv, err := transport.NewServer(transport.ServerConfig{
-		Listen:       cfg.Listen,
-		Backend:      hubBackend{c},
-		BatchMax:     batch,
-		HelloTimeout: cfg.netTimeout(),
-		Metrics:      c.reg,
+		Listen:   cfg.Listen,
+		Backend:  hubBackend{c},
+		BatchMax: batch,
+		Metrics:  c.reg,
 	})
 	if err != nil {
 		return err
@@ -339,9 +326,7 @@ func (h hubBackend) DeliverCandidates(msgs []transport.CandMsg) error {
 // live report to the hub (re-sent automatically after reconnects).
 func (c *Cluster) markLive(slot *replicaSlot) {
 	if c.worker != nil {
-		if ws := c.worker.subs[[2]int{slot.pid, slot.idx}]; ws != nil {
-			ws.NotifyLive()
-		}
+		slot.feed.NotifyLive()
 		return
 	}
 	c.broker.MarkUp(slot.pid, slot.idx)

@@ -12,8 +12,6 @@ import (
 	"motifstream/internal/audit"
 	"motifstream/internal/codecutil"
 	"motifstream/internal/partition"
-	"motifstream/internal/placement"
-	"motifstream/internal/queue"
 	"motifstream/internal/statstore"
 )
 
@@ -51,13 +49,11 @@ var ErrRecoveryDisabled = errors.New("cluster: recovery requires Config.Checkpoi
 // Reopen constructs and starts a brand-new Cluster over an existing
 // durable deployment — the whole-cluster restart path. cfg must name the
 // same LogDir and CheckpointDir a previous cluster ran with (and a
-// workload-compatible configuration); every replica is restored from its
-// durable checkpoint chain and replays the durable log from its floor
-// offset, with the delivery tier's exactly-once filter seeded from the
-// persisted high-water offsets so nothing already pushed repeats, and the
-// delivery pipeline's suppression state (dedup LRU + fatigue budgets)
-// restored from delivery.state so a (user, item) pair pushed before the
-// restart stays suppressed and daily budgets are not reset. After a
+// workload-compatible configuration); every replica restores through the
+// common plan (restore.go) and replays the durable log from its restore
+// point, with the delivery tier's exactly-once filter and suppression
+// state (dedup LRU + fatigue budgets) seeded from delivery.state so
+// nothing already pushed repeats and daily budgets are not reset. After a
 // clean Shutdown the reopened cluster delivers exactly the notification
 // set an uninterrupted run would have; after a hard crash, at most the
 // un-fsynced log tail (bounded by Config.LogSyncEvery) and the last
@@ -155,14 +151,6 @@ func (m *manifest) deltaCount() int {
 	return n
 }
 
-// replicaCkptDir names a generation-0 replica checkpoint directory — the
-// placement a cluster is constructed with. Re-provisioned replicas live
-// in later-generation directories (placement.Dir); running code always
-// uses slot.dir, which tracks the current generation.
-func replicaCkptDir(dir string, pid, r int) string {
-	return placement.Dir(dir, pid, r, 0)
-}
-
 func manifestPath(dir string) string { return filepath.Join(dir, "MANIFEST") }
 
 func segmentPath(dir string, ref segmentRef) string {
@@ -190,20 +178,10 @@ func syncDir(dir string) {
 	}
 }
 
-// atomicWriteFile writes via a temp file, fsyncs, and renames into place
-// so readers only ever observe complete content.
-func atomicWriteFile(path string, write func(io.Writer) error) error {
-	return atomicWrite(path, write, true)
-}
-
-// atomicReplaceFile is atomicWriteFile without the fsyncs: readers still
-// only ever observe complete content (the rename is atomic), but an OS
-// crash may lose the newest version. For advisory data written on a hot
-// path, skipping the two fsyncs is the point.
-func atomicReplaceFile(path string, write func(io.Writer) error) error {
-	return atomicWrite(path, write, false)
-}
-
+// atomicWrite writes via a temp file and renames into place, so readers
+// only ever observe complete content. durable adds the fsyncs (file, then
+// directory); without them an OS crash may lose the newest version — for
+// advisory data written on a hot path, skipping the two fsyncs is the point.
 func atomicWrite(path string, write func(io.Writer) error, durable bool) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -261,7 +239,7 @@ func writeFileSync(path string, write func(io.Writer) error) error {
 
 // writeManifest durably replaces the manifest file.
 func (m *manifest) write(path string, runID uint64) error {
-	return atomicWriteFile(path, func(w io.Writer) error {
+	return atomicWrite(path, func(w io.Writer) error {
 		enc := &codecutil.Writer{BW: bufio.NewWriter(w)}
 		enc.PutBytes(manifestMagic[:])
 		enc.PutU(manifestVersion)
@@ -274,7 +252,7 @@ func (m *manifest) write(path string, runID uint64) error {
 			enc.PutU(s.offset)
 		}
 		return enc.Flush()
-	})
+	}, true)
 }
 
 // loadManifest reads a manifest, returning an empty one when the file is
@@ -380,7 +358,6 @@ func (c *Cluster) startWriter(slot *replicaSlot, man manifest) *ckptWriter {
 		man:  man,
 	}
 	w.deltas = man.deltaCount()
-	slot.floor.Store(man.floorOffset())
 	if c.audit {
 		alog, err := audit.Open(auditLogPath(w.dir), c.runID)
 		if err != nil {
@@ -653,11 +630,7 @@ func (c *Cluster) truncateManifest(dir string, man *manifest, keep int) bool {
 // filter seeds from it), so it must survive a power loss after a clean
 // Shutdown just like the WAL and the checkpoint manifests do.
 func (c *Cluster) persistDeliveryOffsets(next []uint64, durable bool) {
-	write := atomicReplaceFile
-	if durable {
-		write = atomicWriteFile
-	}
-	err := write(deliveryOffsetsPath(c.cfg.CheckpointDir), func(w io.Writer) error {
+	err := atomicWrite(deliveryOffsetsPath(c.cfg.CheckpointDir), func(w io.Writer) error {
 		enc := &codecutil.Writer{BW: bufio.NewWriter(w)}
 		enc.PutBytes(deliveryMagic[:])
 		enc.PutU(deliveryVersion)
@@ -667,7 +640,7 @@ func (c *Cluster) persistDeliveryOffsets(next []uint64, durable bool) {
 			enc.PutU(off)
 		}
 		return enc.Flush()
-	})
+	}, durable)
 	if err != nil {
 		c.ckptErrors.Inc()
 	}
@@ -692,7 +665,7 @@ func (c *Cluster) persistDeliveryOffsets(next []uint64, durable bool) {
 // runs off the delivery goroutine (the periodic async cut) or at drain
 // (the final exact cut), so the fsync stalls nobody.
 func (c *Cluster) persistDeliveryState(next []uint64) error {
-	err := atomicWriteFile(deliveryStatePath(c.cfg.CheckpointDir), func(w io.Writer) error {
+	err := atomicWrite(deliveryStatePath(c.cfg.CheckpointDir), func(w io.Writer) error {
 		hw := &codecutil.HashWriter{W: w}
 		enc := &codecutil.Writer{BW: bufio.NewWriter(hw)}
 		enc.PutBytes(deliveryStateMagic[:])
@@ -710,7 +683,7 @@ func (c *Cluster) persistDeliveryState(next []uint64) error {
 		}
 		_, err := c.pipeline.WriteTo(w)
 		return err
-	})
+	}, true)
 	if err != nil {
 		c.ckptErrors.Inc()
 		return err
@@ -832,77 +805,6 @@ func (c *Cluster) loadDeliveryOffset(pid int) (uint64, bool) {
 	return off, true
 }
 
-// planStartupRestore is New's half of a durable-log restart for one
-// replica: load the chain manifest (gated by the log's identity), trim
-// any segments the durable log cannot back — a cut past the log head
-// means a torn tail lost the suffix the chain claims, so fall back to the
-// newest segment at or below it — compose the chain with every segment's
-// checksum verified (corrupt tails trimmed, a corrupt base treated like a
-// corrupt delta: the chain falls all the way back to scratch), and
-// install the result. Start subscribes at the computed offset. The one
-// unrecoverable case is a restore point below the log's truncation
-// horizon — scratch recovery above a compacted log — which surfaces as
-// the documented ErrTruncated error instead of composing garbage.
-func (c *Cluster) planStartupRestore(slot *replicaSlot) error {
-	dir := slot.dir
-	man, err := loadManifest(manifestPath(dir), c.runID)
-	if err != nil {
-		// Unreadable manifest: recover from scratch; replaying the full
-		// log rebuilds identical state, just more slowly.
-		c.ckptErrors.Inc()
-		man = manifest{}
-	}
-	head := c.firehose.Published()
-	if keep := clampChainPrefix(man.segs, head); keep < len(man.segs) {
-		c.ckptErrors.Inc()
-		if !c.truncateManifest(dir, &man, keep) {
-			return fmt.Errorf("cluster: replica %d/%d: cannot trim chain past durable log head %d", slot.pid, slot.idx, head)
-		}
-	}
-	st, used, offset := composeChain(dir, man.segs)
-	if used < len(man.segs) {
-		c.ckptErrors.Inc()
-		if !c.truncateManifest(dir, &man, used) {
-			return fmt.Errorf("cluster: replica %d/%d: cannot trim corrupt chain tail", slot.pid, slot.idx)
-		}
-	}
-	if used == 0 {
-		offset = 0
-	}
-	if start := c.firehose.LogStart(); offset < start {
-		// Scratch recovery above a compacted log — the historically
-		// unrecoverable corner. With base replication the partition's
-		// base pool (a mirror pushed into this directory, or a peer's own
-		// compacted base) can still provide a restore point the log
-		// extends; only when the pool too is empty does the documented
-		// ErrTruncated surface.
-		st2, data, off2, ok := composeFromPool(c.basePool(slot.pid, nil), start, head)
-		if !ok {
-			return fmt.Errorf("cluster: replica %d/%d: restore point %d below durable log start %d (chain lost above a compacted log): %w",
-				slot.pid, slot.idx, offset, start, queue.ErrTruncated)
-		}
-		man2, err := c.seedChain(dir, data, off2, man)
-		if err != nil {
-			c.ckptErrors.Inc()
-			return fmt.Errorf("cluster: replica %d/%d: seeding chain from base pool: %w",
-				slot.pid, slot.idx, queue.ErrTruncated)
-		}
-		st, used, offset, man = st2, 1, off2, man2
-		c.poolRestores.Inc()
-	}
-	if used > 0 {
-		// Audit cross-check: the composed restart state must fingerprint-
-		// equal what a replica recorded when it held that state live.
-		c.verifyComposedState(slot.pid, st, offset)
-		slot.p.Load().LoadState(st)
-	}
-	c.reloadStatic(slot)
-	slot.restoreMan = man
-	slot.restoreOffset = offset
-	slot.floor.Store(man.floorOffset())
-	return nil
-}
-
 // loadDeliveryOffsets reads every group's persisted delivery high-water
 // offset, zero-filled when the file is absent, unreadable, or gated away.
 func (c *Cluster) loadDeliveryOffsets() []uint64 {
@@ -1005,13 +907,7 @@ func (c *Cluster) reloadStatic(slot *replicaSlot) {
 // motifs for the whole partition, which the architecture (like the
 // paper's) does not survive.
 func (c *Cluster) KillReplica(pid, r int) error {
-	if c.cfg.CheckpointDir == "" {
-		return ErrRecoveryDisabled
-	}
-	if c.networked() {
-		return ErrNotLocal
-	}
-	slot, err := c.slot(pid, r)
+	slot, err := c.localSlot(pid, r)
 	if err != nil {
 		return err
 	}
@@ -1029,29 +925,23 @@ func (c *Cluster) KillReplica(pid, r int) error {
 	if c.aliveLocked(pid, slot) < 1 {
 		return fmt.Errorf("cluster: cannot kill last alive replica of partition %d", pid)
 	}
-	slot.state.Store(replicaDead)
-	// Tear the consumer down: stop the goroutine, detach the subscription
-	// (releasing any publisher blocked on its buffer — buffered envelopes
-	// are lost, as with a dead process), then drop the state. The broker
-	// MarkDown happens only after the goroutine has stopped: a consumer
-	// mid-way through its replaying→live transition may still issue a
-	// MarkUp, and ordering ours after <-slot.stopped guarantees the dead
-	// replica ends broker-down. The async writer stops after the consumer
-	// (its only sender): pending segments drain to disk first, like a
-	// kernel flushing a dying process's page cache — the durable chain
-	// stays valid for the future restore.
-	close(slot.quit)
-	c.firehose.Unsubscribe(slot.sub)
-	<-slot.stopped
-	stopWriterLocked(slot)
-	if err := c.broker.MarkDown(pid, r); err != nil {
+	if err := c.teardownLocked(slot); err != nil {
 		return err
 	}
 	slot.p.Load().Reset()
-	// Fresh, open live channel: closed again when a future restore
-	// finishes catch-up.
-	slot.live = make(chan struct{})
 	return nil
+}
+
+// localSlot is the replica lifecycle calls' shared preamble: recovery must
+// be enabled, the replica in this process, and the indices valid.
+func (c *Cluster) localSlot(pid, r int) (*replicaSlot, error) {
+	if c.cfg.CheckpointDir == "" {
+		return nil, ErrRecoveryDisabled
+	}
+	if c.networked() {
+		return nil, ErrNotLocal
+	}
+	return c.slot(pid, r)
 }
 
 // aliveLocked counts partition pid's live-or-replaying replicas,
@@ -1072,27 +962,17 @@ func (c *Cluster) aliveLocked(pid int, except *replicaSlot) int {
 	return alive
 }
 
-// RestoreReplica rejoins a killed replica through the catch-up state
-// machine: compose the durable chain (base plus delta segments, falling
-// back a segment at a time on corruption), install the result, then
-// replay the retained firehose log from the chain's offset. When the
-// replica would rejoin as its group's only coverage and the persisted
-// delivery high-water lags the chain head, the chain is clamped back to
-// the delivered offset so the replayed span re-emits the candidates the
-// group may never have delivered (the promoted-replica gap). The replica
-// stays broker-down while replaying, and the delivery tier's offset
-// filter absorbs its replayed candidate batches; it turns live once it
-// has applied every offset that existed when recovery began. A restore
-// also picks up a newer offline S build when Config.StaticSnapshotDir
-// provides one. Must not be called concurrently with Stop.
+// RestoreReplica rejoins a killed replica: plan and execute its restore
+// (planRestore: own chain, base pool, or scratch — including the
+// sole-coverage clamp that closes the promoted-replica gap), pick up a
+// newer offline S build when Config.StaticSnapshotDir provides one, then
+// replay the retained firehose log from the restore point. The replica
+// stays broker-down while replaying, and the delivery tier's offset filter
+// absorbs its replayed candidate batches; it turns live once it has applied
+// every offset that existed when recovery began. Must not be called
+// concurrently with Stop.
 func (c *Cluster) RestoreReplica(pid, r int) error {
-	if c.cfg.CheckpointDir == "" {
-		return ErrRecoveryDisabled
-	}
-	if c.networked() {
-		return ErrNotLocal
-	}
-	slot, err := c.slot(pid, r)
+	slot, err := c.localSlot(pid, r)
 	if err != nil {
 		return err
 	}
@@ -1105,124 +985,11 @@ func (c *Cluster) RestoreReplica(pid, r int) error {
 	default:
 		return fmt.Errorf("cluster: replica %d/%d is not dead; only killed replicas restore", pid, r)
 	}
-	dir := slot.dir
-	man, err := loadManifest(manifestPath(dir), c.runID)
+	at, err := c.restoreSlot(slot)
 	if err != nil {
-		// Unreadable manifest: recover from scratch; replaying the full
-		// log rebuilds identical state, just more slowly.
-		c.ckptErrors.Inc()
-		man = manifest{}
+		return err
 	}
-	st, used, offset := composeChain(dir, man.segs)
-	if used < len(man.segs) {
-		c.ckptErrors.Inc()
-		c.truncateManifest(dir, &man, used)
-	}
-	// The promoted-replica clamp (defense-in-depth: the last-alive guard
-	// makes sole-coverage rejoins unreachable through the public API):
-	// rejoining as sole coverage with a chain cut ahead of what the group
-	// has delivered would skip the span between them, so fall the chain
-	// back to the delivered offset. Two safety bounds: never fall below
-	// the durable floor (the log may already be truncated up to it — the
-	// residual span is the documented truncation-vs-gap tradeoff), and
-	// never destroy segments unless the clamped replay point is actually
-	// still retained.
-	if used > 0 {
-		alivePeer := c.aliveLocked(pid, slot) > 0
-		if !alivePeer {
-			if y, ok := c.loadDeliveryOffset(pid); ok && y < offset {
-				keep := clampChainPrefix(man.segs, y)
-				if man.segs[0].kind == segKindBase && keep < 1 {
-					keep = 1
-				}
-				replayFrom := uint64(0)
-				if keep > 0 {
-					replayFrom = man.segs[keep-1].offset
-				}
-				if keep < used && replayFrom >= c.firehose.LogStart() {
-					c.truncateManifest(dir, &man, keep)
-					st, used, offset = composeChain(dir, man.segs)
-				}
-			}
-		}
-	}
-	if used == 0 {
-		offset = 0
-	}
-	if start := c.firehose.LogStart(); offset < start {
-		// Scratch recovery above a compacted log (corrupt base, or a
-		// chain lost entirely): the partition's base pool — mirrors
-		// pushed into this directory by peers, or a peer's own compacted
-		// base — can still provide a restore point the log extends. Only
-		// when it cannot does SubscribeFrom below surface the documented
-		// ErrTruncated.
-		head := c.firehose.Published()
-		if st2, data, off2, ok := composeFromPool(c.basePool(pid, nil), start, head); ok {
-			if man2, serr := c.seedChain(dir, data, off2, man); serr == nil {
-				st, used, offset, man = st2, 1, off2, man2
-				c.poolRestores.Inc()
-			} else {
-				c.ckptErrors.Inc()
-			}
-		}
-	}
-	if used == 0 {
-		slot.p.Load().Reset()
-	} else {
-		// Audit cross-check: the composed rejoin state must fingerprint-
-		// equal what a replica recorded when it held that state live.
-		c.verifyComposedState(pid, st, offset)
-		slot.p.Load().LoadState(st)
-	}
-	c.reloadStatic(slot)
-	// The floor is derived from the chain prefix actually installed — not
-	// the manifest, which can retain extra segments when a fallback trim
-	// failed — so a scratch restore always advertises zero.
-	floor := uint64(0)
-	if used > 0 && man.segs[0].kind == segKindBase {
-		floor = man.segs[0].offset
-	}
-	return c.launchReplica(slot, man, offset, floor)
-}
-
-// launchReplica is the common tail of every mid-run replica (re)start —
-// RestoreReplica's rejoin and startPlacement's fresh node: state is already
-// installed on the slot, man is its durable chain, and the consumer
-// replays the log from offset through the replaying → live machine. The
-// caller holds ctl.
-func (c *Cluster) launchReplica(slot *replicaSlot, man manifest, offset, floor uint64) error {
-	// Publish the restore floor and subscribe as one atomic step against
-	// the writers' floor-scan-plus-truncate: a stale floor from the slot's
-	// previous incarnation could otherwise let a concurrent peer compaction
-	// truncate the log out from under the replay we are about to start.
-	c.truncMu.Lock()
-	slot.floor.Store(floor)
-	target := c.firehose.Published()
-	sub, err := c.firehose.SubscribeFrom(offset)
-	c.truncMu.Unlock()
-	if err != nil {
-		// Only reachable when the chain was lost (corrupt base) after the
-		// log below it was truncated; surface rather than silently diverge.
-		return fmt.Errorf("cluster: replay from %d: %w", offset, err)
-	}
-	slot.sub = sub
-	slot.quit = make(chan struct{})
-	slot.stopped = make(chan struct{})
-	slot.clock = ckptClock{}
-	slot.writer = c.startWriter(slot, man)
-	if offset >= target {
-		// Nothing to replay: the restore point is already at the head.
-		slot.state.Store(replicaLive)
-		c.broker.MarkUp(slot.pid, slot.idx)
-		close(slot.live)
-	} else {
-		slot.target = target
-		slot.state.Store(replicaReplaying)
-	}
-	c.restores.Inc()
-	c.wg.Add(1)
-	go c.runReplica(slot)
-	return nil
+	return c.launchReplica(slot, at)
 }
 
 // ReplicaState reports a replica's position in the catch-up state machine:

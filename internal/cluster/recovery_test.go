@@ -12,7 +12,15 @@ import (
 	"motifstream/internal/delivery"
 	"motifstream/internal/dynstore"
 	"motifstream/internal/graph"
+	"motifstream/internal/placement"
 )
+
+// replicaCkptDir names a generation-0 replica checkpoint directory — the
+// placement a cluster is constructed with. Re-provisioned replicas live in
+// later-generation directories; tests that follow one use slot.dir.
+func replicaCkptDir(dir string, pid, r int) string {
+	return placement.Dir(dir, pid, r, 0)
+}
 
 // recoveryConfig is a 2-partition, 2-replica cluster with durable
 // checkpoints and a deterministic, suppression-free delivery pipeline.

@@ -189,6 +189,13 @@ func readUserItemSections(r *codecutil.Reader) (map[graph.VertexID][]motif.Candi
 // WriteBaseTo serializes the state as a base checkpoint, implementing the
 // same byte format Partition.WriteTo produces.
 func (st *CheckpointState) WriteBaseTo(w io.Writer) (int64, error) {
+	n, _, err := st.writeBase(w)
+	return n, err
+}
+
+// writeBase is WriteBaseTo that also returns the payload CRC32C it wrote
+// as the file's trailer — the state fingerprint (fingerprint.go).
+func (st *CheckpointState) writeBase(w io.Writer) (int64, uint32, error) {
 	cw := &codecutil.CountingWriter{W: w}
 	hw := &codecutil.HashWriter{W: cw}
 	cp := &codecutil.Writer{BW: bufio.NewWriter(hw)}
@@ -197,16 +204,17 @@ func (st *CheckpointState) WriteBaseTo(w io.Writer) (int64, error) {
 	writeUsersSection(cp, st.Users)
 	writeItemsSection(cp, st.Items)
 	if err := cp.Flush(); err != nil {
-		return cw.N, err
+		return cw.N, 0, err
 	}
 	// Engine section last: its D snapshot dominates the payload and the
 	// embedded codec leaves the stream positioned exactly past itself.
 	if _, err := core.EncodeEngineState(hw, st.SweepClock, st.Targets); err != nil {
-		return cw.N, err
+		return cw.N, 0, err
 	}
 	// File-level CRC32C trailer over everything above, written outside the
 	// hash so the trailer verifies the payload, not itself.
-	return cw.N, codecutil.WriteChecksum(cw, hw.Sum())
+	sum := hw.Sum()
+	return cw.N, sum, codecutil.WriteChecksum(cw, sum)
 }
 
 // ReadBaseFrom replaces the state with a base checkpoint written by
@@ -295,6 +303,13 @@ func (p *Partition) LoadState(st *CheckpointState) {
 // a full copy of the partition (CaptureState is the copying path). The
 // caller must not run Apply concurrently; concurrent reads are fine.
 func (p *Partition) WriteTo(w io.Writer) (int64, error) {
+	n, _, err := p.writeBase(w)
+	return n, err
+}
+
+// writeBase is WriteTo that also returns the payload CRC32C it wrote as
+// the trailer — the state fingerprint (fingerprint.go).
+func (p *Partition) writeBase(w io.Writer) (int64, uint32, error) {
 	cw := &codecutil.CountingWriter{W: w}
 	hw := &codecutil.HashWriter{W: cw}
 	cp := &codecutil.Writer{BW: bufio.NewWriter(hw)}
@@ -307,14 +322,15 @@ func (p *Partition) WriteTo(w io.Writer) (int64, error) {
 	writeItemsSection(cp, p.items.counts)
 	p.items.mu.RUnlock()
 	if err := cp.Flush(); err != nil {
-		return cw.N, err
+		return cw.N, 0, err
 	}
 	// Engine section last: its D snapshot dominates the payload and the
 	// embedded codec leaves the stream positioned exactly past itself.
 	if _, err := p.engine.WriteTo(hw); err != nil {
-		return cw.N, err
+		return cw.N, 0, err
 	}
-	return cw.N, codecutil.WriteChecksum(cw, hw.Sum())
+	sum := hw.Sum()
+	return cw.N, sum, codecutil.WriteChecksum(cw, sum)
 }
 
 // ReadFrom restores state written by WriteTo, implementing io.ReaderFrom.

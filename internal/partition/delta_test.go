@@ -2,6 +2,7 @@ package partition
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -112,6 +113,72 @@ func TestDeltaComposeMatchesFullState(t *testing.T) {
 	}
 }
 
+// TestFingerprintDistinguishesStates pins the half of the equality-witness
+// claim that an all-states-equal fingerprint would still pass: states that
+// differ by a single D edge, a single logged candidate, or a single item
+// counter fingerprint differently — in the composed (CheckpointState) form
+// and streamed from a live Partition alike. (Hashing the base encoding
+// together with its own CRC trailer made every state fingerprint to the
+// CRC residue constant; this is the test that fails there.)
+func TestFingerprintDistinguishesStates(t *testing.T) {
+	t0 := int64(10_000_000)
+	build := func() *Partition {
+		p := deltaWorkloadPartition(t)
+		applyDiamonds(p, t0, 0, 20)
+		return p
+	}
+	base := build().CaptureState()
+	// An item and a user that applyDiamonds(0, 20) certainly touched.
+	item := graph.VertexID(10_000)
+	var user graph.VertexID
+	for a := range base.Users {
+		user = a
+		break
+	}
+	if len(base.Targets[item]) == 0 || len(base.Users[user]) == 0 || base.Items[item] == 0 {
+		t.Fatalf("workload did not populate D (%d), the candidate log (%d) and item counters (%d)",
+			len(base.Targets[item]), len(base.Users[user]), base.Items[item])
+	}
+	variants := map[string]func(st *CheckpointState){
+		"identical": func(*CheckpointState) {},
+		"one D edge": func(st *CheckpointState) {
+			st.Targets[item] = st.Targets[item][:len(st.Targets[item])-1]
+		},
+		"one candidate": func(st *CheckpointState) {
+			st.Users[user] = st.Users[user][:len(st.Users[user])-1]
+		},
+		"one item counter": func(st *CheckpointState) { st.Items[item]++ },
+		"sweep clock":      func(st *CheckpointState) { st.SweepClock++ },
+	}
+	seen := map[uint32]string{}
+	for name, mutate := range variants {
+		st := build().CaptureState()
+		mutate(st)
+		fp, err := st.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The live form must agree with the composed form for the same
+		// state, and so distinguish exactly the same variants.
+		live := deltaWorkloadPartition(t)
+		live.LoadState(st)
+		if liveFP, err := live.Fingerprint(); err != nil || liveFP != fp {
+			t.Fatalf("%s: live fingerprint %08x (err %v) != composed %08x", name, liveFP, err, fp)
+		}
+		if other, dup := seen[fp]; dup {
+			t.Fatalf("states %q and %q share fingerprint %08x", name, other, fp)
+		}
+		seen[fp] = name
+	}
+	want, err := base.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen[want] != "identical" {
+		t.Fatalf("rebuilding the same state fingerprints to %q's value, not its own", seen[want])
+	}
+}
+
 // TestComposePathsFingerprintEqual is the determinism property the audit
 // layer rests on: for a randomized workload with interleaved sweeps and
 // cut points, every way the cluster can arrive at a replica's state —
@@ -119,10 +186,10 @@ func TestDeltaComposeMatchesFullState(t *testing.T) {
 // (the full state round-tripped through the base codec, i.e. what a
 // mirror push ships), or deterministically replaying the edges from
 // scratch — yields a state that is statesEqual to the live capture AND
-// has the identical CRC32C fingerprint. It also pins the file-CRC law:
-// the fingerprint of a state equals codecutil.CRC32C over its full base
-// encoding, which is what lets the elastic go-live gate audit a pool
-// base without decoding it.
+// has the identical CRC32C fingerprint. It also pins the file-trailer
+// law: the fingerprint of a state equals the CRC32C trailer closing its
+// base encoding (the checksum of the payload before it), which is what
+// lets the elastic go-live gate audit a pool base without decoding it.
 func TestComposePathsFingerprintEqual(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1337} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -195,14 +262,17 @@ func TestComposePathsFingerprintEqual(t *testing.T) {
 			}
 
 			// Path 2: the pool base — the state round-tripped through the
-			// base codec, as a mirror push ships it. The file-CRC law: the
-			// raw file bytes' CRC32C IS the fingerprint.
+			// base codec, as a mirror push ships it. The file-trailer law:
+			// the file's last four bytes — the CRC32C of the payload
+			// before them — ARE the fingerprint.
 			var file bytes.Buffer
 			if _, err := want.WriteBaseTo(&file); err != nil {
 				t.Fatal(err)
 			}
-			if crc := codecutil.CRC32C(file.Bytes()); crc != wantFP {
-				t.Fatalf("file CRC %08x != state fingerprint %08x", crc, wantFP)
+			payload, trailer := file.Bytes()[:file.Len()-4], file.Bytes()[file.Len()-4:]
+			if crc := codecutil.CRC32C(payload); crc != wantFP || binary.LittleEndian.Uint32(trailer) != wantFP {
+				t.Fatalf("payload CRC %08x / trailer %08x != state fingerprint %08x",
+					crc, binary.LittleEndian.Uint32(trailer), wantFP)
 			}
 			pool := NewCheckpointState()
 			if _, err := pool.ReadBaseFrom(bytes.NewReader(file.Bytes())); err != nil {

@@ -1,23 +1,22 @@
 package partition
 
-import (
-	"io"
+import "io"
 
-	"motifstream/internal/codecutil"
-)
-
-// A state fingerprint is the CRC32C of the full base-checkpoint encoding
-// of a partition's recoverable state — payload and file-level checksum
-// trailer included. Because the base format is canonical (every section
-// writes its keys in sorted order, and every field is stream-derived, so
-// two replicas that applied the same firehose prefix hold byte-identical
-// encodings), the fingerprint is a cheap equality witness:
+// A state fingerprint is the CRC32C of the base-checkpoint *payload* of a
+// partition's recoverable state — everything the base encoding writes
+// before its file-level checksum trailer, which is to say the fingerprint
+// IS the trailer value. (Hashing payload‖trailer instead would yield the
+// CRC residue, the same constant for every state.) Because the base
+// format is canonical (every section writes its keys in sorted order, and
+// every field is stream-derived, so two replicas that applied the same
+// firehose prefix hold byte-identical encodings), the fingerprint is a
+// cheap equality witness:
 //
 //   - two replicas of a group agree at offset N iff their fingerprints at
 //     N are equal;
-//   - a base segment file on disk encodes state st iff
-//     codecutil.CRC32C(fileBytes) == st.Fingerprint(), which is what lets
-//     the scale-out go-live gate verify a pool-composed base against the
+//   - a base segment file on disk encodes state st iff its CRC-verified
+//     last four bytes equal st.Fingerprint(), which is what lets the
+//     scale-out go-live gate verify a pool-composed base against the
 //     source replica's recorded cut without decoding anything.
 //
 // Computing one streams the encoder into a hash and discards the bytes —
@@ -25,20 +24,14 @@ import (
 
 // Fingerprint returns the state's CRC32C fingerprint.
 func (st *CheckpointState) Fingerprint() (uint32, error) {
-	hw := &codecutil.HashWriter{W: io.Discard}
-	if _, err := st.WriteBaseTo(hw); err != nil {
-		return 0, err
-	}
-	return hw.Sum(), nil
+	_, sum, err := st.writeBase(io.Discard)
+	return sum, err
 }
 
 // Fingerprint returns the live partition's CRC32C fingerprint, streamed
 // from the live structures under their read locks (no state copy). The
 // caller must not run Apply concurrently — same contract as WriteTo.
 func (p *Partition) Fingerprint() (uint32, error) {
-	hw := &codecutil.HashWriter{W: io.Discard}
-	if _, err := p.WriteTo(hw); err != nil {
-		return 0, err
-	}
-	return hw.Sum(), nil
+	_, sum, err := p.writeBase(io.Discard)
+	return sum, err
 }
