@@ -1,13 +1,14 @@
 GO ?= go
 
-.PHONY: check build vet test test-race test-crashmatrix test-delivery test-elasticity test-audit test-parallel test-transport test-planner test-benchmark soak-flake soak soak-net bench bench-smoke bench-trajectory fuzz fuzz-smoke
+.PHONY: check build vet test test-race test-crashmatrix test-delivery test-elasticity test-audit test-parallel test-transport test-planner test-codec test-benchmark soak-flake soak soak-net bench bench-smoke bench-trajectory fuzz fuzz-smoke
 
 # check is the CI gate: formatting, static analysis, the full test suite
 # under the race detector (test-delivery's and test-elasticity's cases
 # run within it, and are also kept as named targets for the quick loop),
-# the apply loop's equivalence suite, the nested benchmark module's own
-# vet + tests, and short fuzz smoke runs of the durability codecs.
-check: fmt-check vet test-race test-delivery test-elasticity test-audit test-parallel test-transport test-planner test-benchmark fuzz-smoke
+# the apply loop's equivalence suite, the codec's allocation and format
+# gates, the nested benchmark module's own vet + tests, and short fuzz
+# smoke runs of the durability codecs.
+check: fmt-check vet test-race test-delivery test-elasticity test-audit test-parallel test-transport test-planner test-codec test-benchmark fuzz-smoke
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
@@ -87,6 +88,17 @@ test-planner:
 	$(GO) test -race -run 'TestEngineShared|TestEngineFeedsLiveDegrees|TestMultiQuery' ./internal/core ./internal/cluster
 	$(GO) test -run 'TestDetectBatchAllocBudgetMultiMotif' ./internal/core
 
+# test-codec runs the checkpoint codec's gates: the allocation budgets of
+# segment decode and delta capture (without race, like test-planner's:
+# instrumentation changes allocation counts), the parent-written golden
+# files with the exhaustive prefix / bit-flip properties beside each fuzz
+# target, the cursor's own tests, and one iteration of the compactor's
+# fold (base + 8 deltas from disk) — the quick loop for codec work.
+test-codec:
+	$(GO) test -run 'AllocBudget' ./internal/partition ./internal/dynstore
+	$(GO) test -run 'Golden|PrefixesAndBitFlips|Cursor|Arena' ./internal/codecutil ./internal/partition ./internal/dynstore ./internal/delivery ./internal/placement ./internal/transport ./internal/cluster
+	$(GO) test -run=NONE -bench BenchmarkCheckpointCompose -benchtime=1x -count=1 ./internal/partition
+
 # test-benchmark vets and tests the nested motifstream/benchmark module
 # (its own go.mod, so ./... above does not reach it): an API deletion
 # that breaks the benchmark driver's build fails here, in the repo's own
@@ -156,8 +168,11 @@ fuzz:
 # fuzz-smoke is the CI-budget version: 10s per target keeps the decoders,
 # the WAL record framing, the delivery-state codec, the transport wire
 # protocol, the motif DSL compiler, and the restore planner continuously
-# fuzzed without stalling checks.
+# fuzzed without stalling checks. The exhaustive prefix / bit-flip
+# properties run first: what the fuzzers sample, they enumerate for one
+# valid input per format.
 fuzz-smoke:
+	$(GO) test -run 'PrefixesAndBitFlips' ./internal/partition ./internal/dynstore ./internal/delivery ./internal/transport
 	$(GO) test -run=NONE -fuzz FuzzSnapshotDecode -fuzztime 10s ./internal/dynstore
 	$(GO) test -run=NONE -fuzz FuzzWALReadRecord -fuzztime 10s ./internal/queue
 	$(GO) test -run=NONE -fuzz FuzzDeliveryStateReadFrom -fuzztime 10s ./internal/delivery

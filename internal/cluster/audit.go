@@ -9,6 +9,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"motifstream/internal/audit"
 )
@@ -61,22 +62,38 @@ func (c *Cluster) VerifyFingerprints(pid int) (audit.Report, error) {
 }
 
 // recordedFingerprints collects the fingerprint partition pid's replicas
-// recorded at each cut offset — the audit input of a restore plan. When
-// several records share an offset (peers, compaction re-derivations) the
-// newest read wins — if they disagree with each other that surfaces
-// through VerifyFingerprints; the plan's comparison catches disagreement
-// with the composed state either way.
+// recorded at each cut offset — the audit input of a restore plan. Sources
+// are read in label order, so the result does not depend on map iteration.
+// Records that agree (peers, compaction re-derivations) collapse into one;
+// an offset at which two records disagree is counted as one audit mismatch
+// and left out: a disputed record is not evidence to judge a composed
+// state against, and which side happened to be read last must not decide a
+// restore verdict.
 func (c *Cluster) recordedFingerprints(pid int) map[uint64]uint32 {
+	sources := c.auditSources(pid)
+	labels := make([]string, 0, len(sources))
+	for label := range sources {
+		labels = append(labels, label)
+	}
+	slices.Sort(labels)
 	out := make(map[uint64]uint32)
-	for _, path := range c.auditSources(pid) {
-		recs, err := audit.Read(path, c.runID)
+	disputed := make(map[uint64]bool)
+	for _, label := range labels {
+		recs, err := audit.Read(sources[label], c.runID)
 		if err != nil {
 			c.ckptErrors.Inc()
 			continue
 		}
 		for _, rec := range recs {
+			if sum, seen := out[rec.Offset]; seen && sum != rec.Sum && !disputed[rec.Offset] {
+				disputed[rec.Offset] = true
+				c.auditMismatches.Inc()
+			}
 			out[rec.Offset] = rec.Sum
 		}
+	}
+	for off := range disputed {
+		delete(out, off)
 	}
 	return out
 }

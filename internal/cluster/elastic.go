@@ -14,8 +14,6 @@ package cluster
 // (base offset within [log start, head]).
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -95,12 +93,9 @@ func parseMirrorName(name string) (srcIdx int, offset uint64, ok bool) {
 // the fingerprint of the state the file encodes (partition/fingerprint.go).
 // ok is false when the trailer does not verify against the payload.
 func baseFingerprint(data []byte) (fp uint32, ok bool) {
-	if len(data) < 4 {
-		return 0, false
-	}
-	payload, trailer := data[:len(data)-4], data[len(data)-4:]
-	fp = binary.LittleEndian.Uint32(trailer)
-	return fp, codecutil.CRC32C(payload) == fp
+	c := codecutil.NewCursor(data, "base")
+	fp = c.Checked()
+	return fp, c.Err == nil
 }
 
 // checksumOK verifies a base file's CRC32C trailer over its payload — the
@@ -307,8 +302,8 @@ func composeFromPool(pool []baseSource, start, head uint64) (*partition.Checkpoi
 		if err != nil {
 			continue
 		}
-		st := partition.NewCheckpointState()
-		if _, err := st.ReadBaseFrom(bytes.NewReader(data)); err != nil {
+		st, err := partition.DecodeBase(data)
+		if err != nil {
 			continue
 		}
 		return st, data, src.offset, true

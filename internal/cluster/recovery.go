@@ -91,9 +91,6 @@ const (
 	segKindBase  = 0
 	segKindDelta = 1
 
-	// maxManifestSegs bounds manifest decoding against corruption.
-	maxManifestSegs = 1 << 20
-
 	// ckptQueueDepth is the async writer's job buffer: cuts beyond it
 	// block the apply loop (backpressure) until the writer drains.
 	ckptQueueDepth = 2
@@ -259,37 +256,26 @@ func (m *manifest) write(path string, runID uint64) error {
 // absent or belongs to a different cluster run (recover from scratch in
 // both cases). Malformed content returns an error.
 func loadManifest(path string, runID uint64) (manifest, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return manifest{}, nil
 		}
 		return manifest{}, err
 	}
-	defer f.Close()
-	br := &codecutil.CountingReader{R: bufio.NewReader(f)}
-	r := &codecutil.Reader{BR: br, Prefix: "manifest"}
-	if err := codecutil.ExpectMagic(br, manifestMagic[:], "manifest"); err != nil {
-		return manifest{}, err
-	}
-	if v := r.U("version"); r.Err == nil && v != manifestVersion {
-		return manifest{}, fmt.Errorf("unsupported manifest version %d", v)
-	}
-	fileRun := r.U("run id")
-	nextSeq := r.U("next seq")
-	count := r.U("segment count")
-	if r.Err == nil && count > maxManifestSegs {
-		return manifest{}, fmt.Errorf("implausible segment count %d", count)
-	}
-	m := manifest{nextSeq: nextSeq}
-	for i := uint64(0); i < count && r.Err == nil; i++ {
-		kind := r.U("segment kind")
-		seq := r.U("segment seq")
-		off := r.U("segment offset")
+	c := codecutil.NewCursor(data, "manifest")
+	c.Header(manifestMagic, manifestVersion)
+	fileRun := c.U("run id")
+	m := manifest{nextSeq: c.U("next seq")}
+	count := c.Count("segment count", 3)
+	for i := 0; i < count && c.Err == nil; i++ {
+		kind := c.U("segment kind")
+		seq := c.U("segment seq")
+		off := c.U("segment offset")
 		m.segs = append(m.segs, segmentRef{kind: uint8(kind), seq: seq, offset: off})
 	}
-	if r.Err != nil {
-		return manifest{}, r.Err
+	if c.Err != nil {
+		return manifest{}, c.Err
 	}
 	if fileRun != runID {
 		// A previous run's chain: its offsets index a firehose log that
@@ -557,23 +543,21 @@ func composeChain(dir string, segs []segmentRef) (*partition.CheckpointState, in
 	offset := uint64(0)
 	used := 0
 	for _, ref := range segs {
-		f, err := os.Open(segmentPath(dir, ref))
+		// One segment is read whole and decoded from memory: that buffer,
+		// plus the state composed so far, bounds the fold's footprint.
+		data, err := os.ReadFile(segmentPath(dir, ref))
 		if err != nil {
 			break
 		}
-		br := bufio.NewReader(f)
 		if ref.kind == segKindBase {
-			fresh := partition.NewCheckpointState()
-			if _, err := fresh.ReadBaseFrom(br); err != nil {
-				f.Close()
+			fresh, err := partition.DecodeBase(data)
+			if err != nil {
 				break
 			}
 			st = fresh
-		} else if _, err := st.ApplyDeltaFrom(br); err != nil {
-			f.Close()
+		} else if st.ApplyDelta(data) != nil {
 			break
 		}
-		f.Close()
 		offset = ref.offset
 		used++
 	}
@@ -718,52 +702,27 @@ func (c *Cluster) cutDeliveryStateAsync(next []uint64) {
 // item) pair may be re-pushed once), never a failed reopen. Only
 // corruption and shape mismatches are counted as errors.
 func (c *Cluster) loadDeliveryState() ([]uint64, bool) {
-	f, err := os.Open(deliveryStatePath(c.cfg.CheckpointDir))
+	data, err := os.ReadFile(deliveryStatePath(c.cfg.CheckpointDir))
 	if err != nil {
 		return nil, false
 	}
-	defer f.Close()
-	hr := &codecutil.HashReader{R: bufio.NewReader(f)}
-	br := &codecutil.CountingReader{R: hr}
-	r := &codecutil.Reader{BR: br, Prefix: "delivery state header"}
-	if err := codecutil.ExpectMagic(br, deliveryStateMagic[:], "delivery state header"); err != nil {
-		c.ckptErrors.Inc()
-		return nil, false
-	}
-	if v := r.U("version"); r.Err != nil || v != deliveryStateVersion {
-		c.ckptErrors.Inc()
-		return nil, false
-	}
-	if run := r.U("run id"); r.Err != nil || run != c.runID {
+	cur := codecutil.NewCursor(data, "delivery state header")
+	cur.Header(deliveryStateMagic, deliveryStateVersion)
+	if run := cur.U("run id"); cur.Err == nil && run != c.runID {
 		// A foreign run's pipeline state indexes a stream this log never
 		// carried; ignoring it is the correct degrade, not an error.
 		return nil, false
 	}
-	n := r.U("group count")
-	if r.Err != nil || n > maxManifestSegs {
-		c.ckptErrors.Inc()
-		return nil, false
+	offsets := make([]uint64, cur.Count("group count", 1))
+	for i := range offsets {
+		offsets[i] = cur.U("group offset")
 	}
-	offsets := make([]uint64, 0, codecutil.PreallocHint(n))
-	for i := uint64(0); i < n && r.Err == nil; i++ {
-		offsets = append(offsets, r.U("group offset"))
-	}
-	if r.Err != nil {
-		c.ckptErrors.Inc()
-		return nil, false
-	}
-	sum := hr.Sum()
-	if err := codecutil.VerifyChecksum(br, sum, "delivery state header"); err != nil {
-		c.ckptErrors.Inc()
-		return nil, false
-	}
-	if len(offsets) != c.cfg.Partitions {
-		// A different deployment shape under the same log identity; the
-		// offsets cannot seed this filter, so reject the pair whole.
-		c.ckptErrors.Inc()
-		return nil, false
-	}
-	if _, err := c.pipeline.ReadFrom(br); err != nil {
+	// The header's trailer sits mid-file, so it is checked after the parse
+	// that finds it; the pipeline section after it verifies CRC-first.
+	cur.Trailer()
+	// A different deployment shape under the same log identity cannot seed
+	// this filter, so the pair is rejected whole.
+	if cur.Err != nil || len(offsets) != c.cfg.Partitions || c.pipeline.Restore(cur) != nil {
 		c.ckptErrors.Inc()
 		return nil, false
 	}
@@ -775,34 +734,23 @@ func (c *Cluster) loadDeliveryState() ([]uint64, bool) {
 // group. ok is false when the file is absent, unreadable, foreign-run, or
 // does not cover pid.
 func (c *Cluster) loadDeliveryOffset(pid int) (uint64, bool) {
-	f, err := os.Open(deliveryOffsetsPath(c.cfg.CheckpointDir))
+	data, err := os.ReadFile(deliveryOffsetsPath(c.cfg.CheckpointDir))
 	if err != nil {
 		return 0, false
 	}
-	defer f.Close()
-	br := &codecutil.CountingReader{R: bufio.NewReader(f)}
-	r := &codecutil.Reader{BR: br, Prefix: "delivery offsets"}
-	if codecutil.ExpectMagic(br, deliveryMagic[:], "delivery offsets") != nil {
+	cur := codecutil.NewCursor(data, "delivery offsets")
+	cur.Header(deliveryMagic, deliveryVersion)
+	if run := cur.U("run id"); run != c.runID {
 		return 0, false
 	}
-	if v := r.U("version"); r.Err != nil || v != deliveryVersion {
-		return 0, false
-	}
-	if run := r.U("run id"); r.Err != nil || run != c.runID {
-		return 0, false
-	}
-	n := r.U("group count")
-	if r.Err != nil || uint64(pid) >= n || n > maxManifestSegs {
+	if n := cur.Count("group count", 1); pid >= n {
 		return 0, false
 	}
 	var off uint64
-	for i := uint64(0); i <= uint64(pid); i++ {
-		off = r.U("group offset")
+	for i := 0; i <= pid; i++ {
+		off = cur.U("group offset")
 	}
-	if r.Err != nil {
-		return 0, false
-	}
-	return off, true
+	return off, cur.Err == nil
 }
 
 // loadDeliveryOffsets reads every group's persisted delivery high-water

@@ -10,8 +10,10 @@ import (
 	"path/filepath"
 	"testing"
 
+	"motifstream/internal/audit"
 	"motifstream/internal/dynstore"
 	"motifstream/internal/graph"
+	"motifstream/internal/metrics"
 	"motifstream/internal/motif"
 	"motifstream/internal/partition"
 	"motifstream/internal/queue"
@@ -411,4 +413,60 @@ func FuzzPlanRestore(f *testing.F) {
 			t.Fatalf("chain plan replays from %d, kept prefix ends at %d", plan.offset, plan.man.segs[plan.keep-1].offset)
 		}
 	})
+}
+
+// TestRecordedFingerprintsDisputeIsDeterministic plants two replica audit
+// logs that disagree at the cut offset a restore lands on. Which log a map
+// iteration reads last must not decide the verdict: the disputed offset is
+// counted as one audit mismatch per collection and withheld from the plan,
+// so every run plans the same (unaudited) restore; the offset both logs
+// agree on stays evidence.
+func TestRecordedFingerprintsDisputeIsDeterministic(t *testing.T) {
+	_, dir, peer := planDirs(t)
+	writeChain(t, dir, cleanChain)
+	right, err := stateAt(10, 20, 30).Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d, at30 := range map[string]uint32{dir: right, peer: right ^ 1} {
+		alog, err := audit.Open(auditLogPath(d), planRunID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range []audit.Record{{Offset: 20, Sum: 0xabcd}, {Offset: 30, Sum: at30}} {
+			if err := alog.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := alog.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := metrics.NewRegistry()
+	c := &Cluster{
+		runID:           planRunID,
+		slots:           [][]*replicaSlot{{{idx: 0, dir: dir}, {idx: 1, dir: peer}}},
+		ckptErrors:      reg.Counter("ckpt_errors"),
+		auditMismatches: reg.Counter("audit_mismatches"),
+	}
+	for run := uint64(1); run <= 50; run++ {
+		recorded := c.recordedFingerprints(0)
+		if got := c.auditMismatches.Value(); got != run {
+			t.Fatalf("run %d: %d mismatches counted, want one per collection", run, got)
+		}
+		if _, ok := recorded[30]; ok || recorded[20] != 0xabcd || len(recorded) != 1 {
+			t.Fatalf("run %d: recorded = %v, want only the agreed offset 20", run, recorded)
+		}
+		plan, err := planRestore(restoreInputs{dir: dir, runID: planRunID, head: 100, alive: true, recorded: recorded})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.offset != 30 || plan.audited || plan.diverged() {
+			t.Fatalf("run %d: plan offset %d audited %v diverged %v, want an unaudited restore at 30",
+				run, plan.offset, plan.audited, plan.diverged())
+		}
+	}
+	if got := c.ckptErrors.Value(); got != 0 {
+		t.Fatalf("%d checkpoint errors reading the planted logs", got)
+	}
 }

@@ -1,14 +1,12 @@
-// Package codecutil holds the small helpers shared by the binary
-// checkpoint codecs (dynstore, core, partition): byte-exact read/write
-// counting so nested io.WriterTo/io.ReaderFrom sections compose, and
-// capped preallocation for lengths decoded from untrusted input.
+// Package codecutil holds the small helpers shared by the binary codecs
+// (checkpoint segments, state files, WAL records, wire frames): streaming
+// writers that count and hash so nested io.WriterTo sections compose, and
+// one slice cursor (cursor.go) that every decoder reads through.
 package codecutil
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 	"io"
 )
@@ -40,108 +38,12 @@ func (h *HashWriter) Write(p []byte) (int, error) {
 // Sum returns the CRC32C of everything written so far.
 func (h *HashWriter) Sum() uint32 { return h.crc }
 
-// HashReader forwards reads from R while folding every byte into a
-// CRC32C — the decode-side mirror of HashWriter. It preserves the
-// ByteReader contract so varint decoding stays read-ahead free.
-type HashReader struct {
-	R   ByteReader
-	crc uint32
-}
-
-// ReadByte implements io.ByteReader.
-func (h *HashReader) ReadByte() (byte, error) {
-	b, err := h.R.ReadByte()
-	if err == nil {
-		h.crc = crc32.Update(h.crc, castagnoli, []byte{b})
-	}
-	return b, err
-}
-
-// Read implements io.Reader.
-func (h *HashReader) Read(p []byte) (int, error) {
-	n, err := h.R.Read(p)
-	h.crc = crc32.Update(h.crc, castagnoli, p[:n])
-	return n, err
-}
-
-// Sum returns the CRC32C of everything read so far.
-func (h *HashReader) Sum() uint32 { return h.crc }
-
 // WriteChecksum appends sum as the 4-byte little-endian frame trailer.
 func WriteChecksum(w io.Writer, sum uint32) error {
 	var buf [4]byte
 	binary.LittleEndian.PutUint32(buf[:], sum)
 	_, err := w.Write(buf[:])
 	return err
-}
-
-// VerifyChecksum reads a 4-byte trailer from r and compares it with want
-// (the hash of the payload just consumed). Context names the frame in the
-// error.
-func VerifyChecksum(r io.Reader, want uint32, context string) error {
-	var buf [4]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return fmt.Errorf("%s: reading checksum trailer: %w", context, err)
-	}
-	if got := binary.LittleEndian.Uint32(buf[:]); got != want {
-		return fmt.Errorf("%s: checksum mismatch: stored %08x, computed %08x", context, got, want)
-	}
-	return nil
-}
-
-// ExpectMagic reads len(want) bytes from r and fails unless they match.
-// Context names the file kind in the error. (Newer codecs open their
-// files with it; several older codecs still hand-roll the same check.)
-func ExpectMagic(r io.Reader, want []byte, context string) error {
-	got := make([]byte, len(want))
-	if _, err := io.ReadFull(r, got); err != nil {
-		return fmt.Errorf("%s magic: %w", context, err)
-	}
-	if !bytes.Equal(got, want) {
-		return fmt.Errorf("%s: bad magic %q", context, got)
-	}
-	return nil
-}
-
-// ByteReader is the reader contract varint decoding needs; *bufio.Reader
-// satisfies it.
-type ByteReader interface {
-	io.Reader
-	io.ByteReader
-}
-
-// AsByteReader adapts r without double-buffering when it already buffers.
-// Wrapping a raw reader in bufio means read-ahead, so framed container
-// formats must pass a ByteReader down to embedded sections.
-func AsByteReader(r io.Reader) ByteReader {
-	if br, ok := r.(ByteReader); ok {
-		return br
-	}
-	return bufio.NewReader(r)
-}
-
-// CountingReader counts consumed bytes without read-ahead, so a section
-// embedded in a larger stream leaves the reader positioned exactly past
-// its own payload and the reported total is exact.
-type CountingReader struct {
-	R ByteReader
-	N int64
-}
-
-// ReadByte implements io.ByteReader.
-func (c *CountingReader) ReadByte() (byte, error) {
-	b, err := c.R.ReadByte()
-	if err == nil {
-		c.N++
-	}
-	return b, err
-}
-
-// Read implements io.Reader.
-func (c *CountingReader) Read(p []byte) (int, error) {
-	n, err := c.R.Read(p)
-	c.N += int64(n)
-	return n, err
 }
 
 // CountingWriter counts bytes written for the io.WriterTo contract.
@@ -194,7 +96,9 @@ func (w *Writer) PutBytes(b []byte) {
 // PutString writes a length-prefixed string.
 func (w *Writer) PutString(s string) {
 	w.PutU(uint64(len(s)))
-	w.PutBytes([]byte(s))
+	if w.Err == nil {
+		_, w.Err = w.BW.WriteString(s)
+	}
 }
 
 // Flush latches any flush error and returns the first error seen.
@@ -203,75 +107,4 @@ func (w *Writer) Flush() error {
 		w.Err = w.BW.Flush()
 	}
 	return w.Err
-}
-
-// Reader is an error-latching varint reader: after the first failure
-// every get returns zero values and the error is reported once via Err.
-// Prefix names the decoding layer in error messages.
-type Reader struct {
-	BR     *CountingReader
-	Prefix string
-	Err    error
-}
-
-// Fail latches err with the given field context.
-func (r *Reader) Fail(context string, err error) {
-	if r.Err == nil {
-		r.Err = fmt.Errorf("%s: %s: %w", r.Prefix, context, err)
-	}
-}
-
-// U reads a uvarint.
-func (r *Reader) U(context string) uint64 {
-	if r.Err != nil {
-		return 0
-	}
-	v, err := binary.ReadUvarint(r.BR)
-	if err != nil {
-		r.Fail(context, err)
-	}
-	return v
-}
-
-// I reads a zigzag varint.
-func (r *Reader) I(context string) int64 {
-	if r.Err != nil {
-		return 0
-	}
-	v, err := binary.ReadVarint(r.BR)
-	if err != nil {
-		r.Fail(context, err)
-	}
-	return v
-}
-
-// String reads a length-prefixed string, rejecting lengths above max.
-func (r *Reader) String(context string, max uint64) string {
-	n := r.U(context)
-	if r.Err != nil {
-		return ""
-	}
-	if n > max {
-		r.Fail(context, fmt.Errorf("implausible length %d", n))
-		return ""
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r.BR, b); err != nil {
-		r.Fail(context, err)
-		return ""
-	}
-	return string(b)
-}
-
-// maxPreallocHint caps capacity hints taken from untrusted length fields:
-// a corrupt length under a format's plausibility bound must fail with a
-// decode error when the data runs out, not allocate gigabytes up front.
-const maxPreallocHint = 4096
-
-// PreallocHint returns n clamped to the preallocation cap.
-func PreallocHint(n uint64) int {
-	if n > maxPreallocHint {
-		return maxPreallocHint
-	}
-	return int(n)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
 	"io"
 
 	"motifstream/internal/codecutil"
@@ -34,24 +33,6 @@ func writeEngineHeader(w io.Writer, sweepClock int64) (int64, error) {
 	return int64(m), err
 }
 
-// readEngineHeader parses the magic, version, and sweep clock, leaving br
-// positioned at the embedded dynstore snapshot.
-func readEngineHeader(br *codecutil.CountingReader) (int64, error) {
-	dec := &codecutil.Reader{BR: br, Prefix: "core"}
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return 0, fmt.Errorf("core: reading engine checkpoint magic: %w", err)
-	}
-	if magic != engineMagic {
-		return 0, fmt.Errorf("core: bad engine checkpoint magic %q", magic[:])
-	}
-	if v := dec.U("engine checkpoint version"); dec.Err == nil && v != engineSnapVersion {
-		return 0, fmt.Errorf("core: unsupported engine checkpoint version %d", v)
-	}
-	sweepClock := dec.I("sweep clock")
-	return sweepClock, dec.Err
-}
-
 // EncodeEngineState serializes a captured engine state — sweep clock plus
 // target map — in the engine checkpoint format. This is the compactor's
 // path for writing a composed base without touching a live Engine; the
@@ -65,18 +46,14 @@ func EncodeEngineState(w io.Writer, sweepClock int64, targets map[graph.VertexID
 	return cw.N, err
 }
 
-// DecodeEngineState parses an engine checkpoint section into its neutral
-// representation (sweep clock + target map) without touching any Engine,
-// so delta segments can be composed on top before installation. When r is
-// an io.ByteReader no read-ahead happens past the section.
-func DecodeEngineState(r io.Reader) (sweepClock int64, targets map[graph.VertexID][]dynstore.InEdge, n int64, err error) {
-	br := &codecutil.CountingReader{R: codecutil.AsByteReader(r)}
-	sweepClock, err = readEngineHeader(br)
-	if err != nil {
-		return 0, nil, br.N, err
-	}
-	targets, _, err = dynstore.DecodeSnapshot(br)
-	return sweepClock, targets, br.N, err
+// DecodeEngineStateAt parses the engine checkpoint section that is the
+// rest of c into its neutral representation (sweep clock + target map)
+// without touching any Engine, so delta segments can be composed on top
+// before installation. The error, if any, is latched on c.
+func DecodeEngineStateAt(c *codecutil.Cursor) (sweepClock int64, targets map[graph.VertexID][]dynstore.InEdge) {
+	c.Header(engineMagic, engineSnapVersion)
+	sweepClock = c.I("sweep clock")
+	return sweepClock, dynstore.DecodeSnapshotAt(c)
 }
 
 // WriteTo serializes the engine's recoverable state — the sweep clock and
@@ -92,20 +69,21 @@ func (e *Engine) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadFrom restores engine state written by WriteTo, implementing
-// io.ReaderFrom: the sweep clock and the D store are replaced. Malformed
-// input returns an error, never panics.
+// io.ReaderFrom: it reads r to its end, and the sweep clock and the D store
+// are replaced. Malformed input returns an error, never panics, and
+// leaves the engine as it was.
 func (e *Engine) ReadFrom(r io.Reader) (int64, error) {
-	br := &codecutil.CountingReader{R: codecutil.AsByteReader(r)}
-	lastSweep, err := readEngineHeader(br)
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return br.N, err
+		return int64(len(data)), err
 	}
-	// The store reads through br, so its bytes are already counted.
-	if _, err := e.dynamic.ReadFrom(br); err != nil {
-		return br.N, err
+	c := codecutil.NewCursor(data, "core")
+	sweepClock, targets := DecodeEngineStateAt(c)
+	if err := c.Done(); err != nil {
+		return int64(len(data)), err
 	}
-	e.lastSweep.Store(lastSweep)
-	return br.N, nil
+	e.LoadState(sweepClock, targets)
+	return int64(len(data)), nil
 }
 
 // SweepClock returns the stream time of the last D prune — the engine
@@ -113,7 +91,7 @@ func (e *Engine) ReadFrom(r io.Reader) (int64, error) {
 func (e *Engine) SweepClock() int64 { return e.lastSweep.Load() }
 
 // LoadState installs a composed checkpoint state: the sweep clock and the
-// D contents are replaced, taking ownership of targets. The recovery path
+// D contents are replaced by copies of targets' lists. The recovery path
 // composes base + delta segments into the map first and installs once.
 func (e *Engine) LoadState(sweepClock int64, targets map[graph.VertexID][]dynstore.InEdge) {
 	e.dynamic.LoadSnapshot(targets)

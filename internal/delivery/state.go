@@ -15,7 +15,6 @@ package delivery
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"sort"
 
@@ -26,14 +25,7 @@ import (
 // stateMagic identifies the pipeline state snapshot format, version 1.
 var stateMagic = [8]byte{'M', 'S', 'D', 'L', 'V', 'S', 0, 1}
 
-const (
-	stateVersion = 1
-
-	// maxStateEntries bounds decoded entry counts against corruption: a
-	// flipped length byte must fail when the data runs out, not allocate
-	// gigabytes up front. Far above any real DedupCapacity.
-	maxStateEntries = 1 << 26
-)
+const stateVersion = 1
 
 // dedupSnap is one dedup LRU entry in a captured snapshot.
 type dedupSnap struct {
@@ -99,58 +91,48 @@ func (p *Pipeline) WriteTo(w io.Writer) (int64, error) {
 	return cw.N, codecutil.WriteChecksum(cw, hw.Sum())
 }
 
-// ReadFrom restores a snapshot written by WriteTo, replacing the
-// pipeline's dedup LRU and fatigue budgets wholesale. The frame is
-// decoded and checksum-verified in full before anything is installed, so
-// corrupt or truncated input returns an error and leaves the pipeline
-// exactly as it was. When the snapshot holds more dedup entries than the
-// pipeline's capacity (a config shrink across a restart), the newest
-// entries win. Funnel counters are untouched.
-func (p *Pipeline) ReadFrom(r io.Reader) (int64, error) {
-	hr := &codecutil.HashReader{R: codecutil.AsByteReader(r)}
-	br := &codecutil.CountingReader{R: hr}
-	if err := codecutil.ExpectMagic(br, stateMagic[:], "delivery state"); err != nil {
-		return br.N, err
-	}
-	dec := &codecutil.Reader{BR: br, Prefix: "delivery state"}
-	if v := dec.U("version"); dec.Err == nil && v != stateVersion {
-		return br.N, fmt.Errorf("delivery state: unsupported version %d", v)
-	}
-	nDedup := dec.U("dedup count")
-	if dec.Err == nil && nDedup > maxStateEntries {
-		return br.N, fmt.Errorf("delivery state: implausible dedup count %d", nDedup)
-	}
-	dedup := make([]dedupSnap, 0, codecutil.PreallocHint(nDedup))
-	for i := uint64(0); i < nDedup && dec.Err == nil; i++ {
-		e := dedupSnap{
-			user:  graph.VertexID(dec.U("dedup user")),
-			item:  graph.VertexID(dec.U("dedup item")),
-			expMS: dec.I("dedup expiry"),
+// Restore installs the snapshot section that is the rest of c, replacing
+// the pipeline's dedup LRU and fatigue budgets wholesale. The section's
+// checksum is verified before it is parsed and it is decoded in full before
+// anything is installed, so corrupt or truncated input returns an error
+// and leaves the pipeline exactly as it was. When the snapshot holds more
+// dedup entries than the pipeline's capacity (a config shrink across a
+// restart), the newest entries win. Funnel counters are untouched.
+func (p *Pipeline) Restore(c *codecutil.Cursor) error {
+	c.Checked()
+	c.Header(stateMagic, stateVersion)
+	dedup := make([]dedupSnap, c.Count("dedup count", 3))
+	for i := range dedup {
+		dedup[i] = dedupSnap{
+			user:  graph.VertexID(c.U("dedup user")),
+			item:  graph.VertexID(c.U("dedup item")),
+			expMS: c.I("dedup expiry"),
 		}
-		dedup = append(dedup, e)
 	}
-	nFatigue := dec.U("fatigue count")
-	if dec.Err == nil && nFatigue > maxStateEntries {
-		return br.N, fmt.Errorf("delivery state: implausible fatigue count %d", nFatigue)
-	}
-	fatigue := make([]budgetSnap, 0, codecutil.PreallocHint(nFatigue))
-	for i := uint64(0); i < nFatigue && dec.Err == nil; i++ {
-		b := budgetSnap{
-			user:  graph.VertexID(dec.U("fatigue user")),
-			day:   dec.I("fatigue day"),
-			spent: int(dec.U("fatigue spent")),
+	fatigue := make([]budgetSnap, c.Count("fatigue count", 3))
+	for i := range fatigue {
+		fatigue[i] = budgetSnap{
+			user:  graph.VertexID(c.U("fatigue user")),
+			day:   c.I("fatigue day"),
+			spent: int(c.U("fatigue spent")),
 		}
-		fatigue = append(fatigue, b)
 	}
-	if dec.Err != nil {
-		return br.N, dec.Err
-	}
-	sum := hr.Sum()
-	if err := codecutil.VerifyChecksum(br, sum, "delivery state"); err != nil {
-		return br.N, err
+	if err := c.Done(); err != nil {
+		return err
 	}
 	p.install(dedup, fatigue)
-	return br.N, nil
+	return nil
+}
+
+// ReadFrom is Restore for callers with a stream, implementing
+// io.ReaderFrom: it reads r to its end, which must be one snapshot written
+// by WriteTo.
+func (p *Pipeline) ReadFrom(r io.Reader) (int64, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return int64(len(data)), err
+	}
+	return int64(len(data)), p.Restore(codecutil.NewCursor(data, "delivery state"))
 }
 
 // install swaps a fully decoded snapshot in under the mutex.

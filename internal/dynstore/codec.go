@@ -4,7 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"motifstream/internal/codecutil"
 	"motifstream/internal/graph"
@@ -29,12 +29,6 @@ import (
 var snapMagic = [8]byte{'M', 'S', 'D', 'S', 'N', 'P', 0, 1}
 
 const snapVersion = 2
-
-// Plausibility bounds for decoding; inputs beyond them are corrupt.
-const (
-	maxSnapTargets = 1 << 30
-	maxSnapList    = 1 << 28
-)
 
 // encodeFrames writes the shared container: magic, version, target count,
 // then one frame per id in the given order, closed by a CRC32C trailer
@@ -64,66 +58,37 @@ func encodeFrames(w io.Writer, magic [8]byte, ids []graph.VertexID, get func(gra
 	return cw.N, codecutil.WriteChecksum(cw, hw.Sum())
 }
 
-// decodeFrames parses the shared container written by encodeFrames into a
-// fresh map and verifies the CRC32C trailer. Malformed or corrupted input
-// returns an error, never panics.
-func decodeFrames(rd io.Reader, magic [8]byte, name string) (map[graph.VertexID][]InEdge, int64, error) {
-	hr := &codecutil.HashReader{R: codecutil.AsByteReader(rd)}
-	br := &codecutil.CountingReader{R: hr}
-	r := &codecutil.Reader{BR: br, Prefix: name}
-	var got [8]byte
-	if _, err := io.ReadFull(br, got[:]); err != nil {
-		return nil, br.N, fmt.Errorf("%s: reading magic: %w", name, err)
-	}
-	if got != magic {
-		return nil, br.N, fmt.Errorf("%s: bad magic %q", name, got[:])
-	}
-	if v := r.U("version"); r.Err == nil && v != snapVersion {
-		return nil, br.N, fmt.Errorf("%s: unsupported version %d", name, v)
-	}
-	count := r.U("target count")
-	if r.Err == nil && count > maxSnapTargets {
-		return nil, br.N, fmt.Errorf("%s: implausible target count %d", name, count)
-	}
-	out := make(map[graph.VertexID][]InEdge, codecutil.PreallocHint(count))
-	for i := uint64(0); i < count && r.Err == nil; i++ {
-		c := r.U("target id")
-		n := r.U("target length")
-		if r.Err != nil {
-			break
-		}
-		if n > maxSnapList {
-			return nil, br.N, fmt.Errorf("%s: implausible list length %d", name, n)
-		}
-		var list []InEdge
-		if n > 0 {
-			list = make([]InEdge, 0, codecutil.PreallocHint(n))
-		}
+// decodeFrames parses the container written by encodeFrames, which must be
+// the rest of c (every file that embeds one puts it last): the CRC32C
+// trailer is verified over the whole section before a frame is parsed. All
+// lists share one arena, so the map is for composing and re-encoding;
+// whoever keeps a list long-term copies it out (LoadSnapshot does).
+// Malformed input latches an error on c, never panics.
+func decodeFrames(c *codecutil.Cursor, magic [8]byte) map[graph.VertexID][]InEdge {
+	c.Checked()
+	c.Header(magic, snapVersion)
+	// A frame is at least two bytes, and so is an entry.
+	count := c.Count("target count", 2)
+	out := make(map[graph.VertexID][]InEdge, count)
+	arena := codecutil.SectionArena[InEdge](c, 2)
+	var last graph.VertexID
+	for i := 0; i < count && c.Err == nil; i++ {
+		cid := graph.VertexID(c.U("target id"))
+		list := arena.Take(c.Count("target length", 2))
 		prev := int64(0)
-		for j := uint64(0); j < n && r.Err == nil; j++ {
-			b := r.U("entry source")
-			prev += r.I("entry timestamp")
-			list = append(list, InEdge{B: graph.VertexID(b), TS: prev})
+		for j := range list {
+			list[j].B = graph.VertexID(c.U("entry source"))
+			prev += c.I("entry timestamp")
+			list[j].TS = prev
 		}
-		if r.Err != nil {
-			break
+		// Encoders write targets ascending, which makes a repeated target
+		// visible without a lookup.
+		if i > 0 && cid <= last {
+			c.Fail("target id", fmt.Errorf("target %d after %d: not ascending", cid, last))
 		}
-		cid := graph.VertexID(c)
-		if _, dup := out[cid]; dup {
-			return nil, br.N, fmt.Errorf("%s: duplicate target %d", name, cid)
-		}
-		out[cid] = list
+		out[cid], last = list, cid
 	}
-	if r.Err != nil {
-		return nil, br.N, r.Err
-	}
-	// The payload hash must be captured before the trailer bytes pass
-	// through the hashing reader.
-	sum := hr.Sum()
-	if err := codecutil.VerifyChecksum(br, sum, name); err != nil {
-		return nil, br.N, err
-	}
-	return out, br.N, nil
+	return out
 }
 
 // sortedIDs returns the map's keys in ascending order for deterministic
@@ -133,7 +98,7 @@ func sortedIDs(targets map[graph.VertexID][]InEdge) []graph.VertexID {
 	for c := range targets {
 		ids = append(ids, c)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -146,13 +111,12 @@ func EncodeSnapshot(w io.Writer, targets map[graph.VertexID][]InEdge) (int64, er
 	})
 }
 
-// DecodeSnapshot parses a snapshot into a target map without touching any
-// Store — the restore path decodes into a neutral representation first so
-// delta segments can be composed on top before installation. When r is an
-// io.ByteReader no read-ahead happens, so framed container formats can
-// embed snapshots.
-func DecodeSnapshot(r io.Reader) (map[graph.VertexID][]InEdge, int64, error) {
-	return decodeFrames(r, snapMagic, "dynstore")
+// DecodeSnapshotAt parses the snapshot section that is the rest of c into
+// a target map without touching any Store — the restore path decodes into
+// a neutral representation first so delta segments can be composed on top
+// before installation. The error, if any, is latched on c.
+func DecodeSnapshotAt(c *codecutil.Cursor) map[graph.VertexID][]InEdge {
+	return decodeFrames(c, snapMagic)
 }
 
 // WriteTo serializes the store's full contents in the versioned binary
@@ -177,7 +141,7 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	var list []InEdge
 	return encodeFrames(w, snapMagic, ids, func(c graph.VertexID) []InEdge {
 		sh := s.shardFor(c)
@@ -189,26 +153,33 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadFrom replaces the store's contents with a snapshot previously
-// produced by WriteTo, implementing io.ReaderFrom. The store's own options
-// (retention, caps, shard count) are kept; only the data is restored.
-// Malformed or truncated input returns an error and leaves the store
-// emptied, never panics. When r is an io.ByteReader (e.g. *bufio.Reader)
-// no read-ahead happens, so framed container formats can embed snapshots.
+// produced by WriteTo, implementing io.ReaderFrom. It reads r to its end:
+// the snapshot must be all of it. The store's own options (retention,
+// caps, shard count) are kept; only the data is restored. Malformed or
+// truncated input returns an error and leaves the store emptied, never
+// panics.
 func (s *Store) ReadFrom(r io.Reader) (int64, error) {
-	targets, n, err := DecodeSnapshot(r)
-	if err != nil {
-		// Honor the contract: a failed restore leaves the store emptied,
-		// not half-populated.
-		s.Reset()
-		return n, err
+	data, err := io.ReadAll(r)
+	if err == nil {
+		c := codecutil.NewCursor(data, "dynstore")
+		targets := DecodeSnapshotAt(c)
+		if err = c.Done(); err == nil {
+			s.LoadSnapshot(targets)
+			return int64(len(data)), nil
+		}
 	}
-	s.LoadSnapshot(targets)
-	return n, nil
+	// Honor the contract: a failed restore leaves the store emptied, not
+	// half-populated.
+	s.Reset()
+	return int64(len(data)), err
 }
 
-// LoadSnapshot replaces the store's contents with the given target map,
-// taking ownership of it and its lists. The dirty sets are cleared: the
-// loaded state is by definition what the checkpoint chain already
+// LoadSnapshot replaces the store's contents with a copy of the given
+// target map. Each list is copied into an array of its own: decoded lists
+// share one arena per segment, and an installed list lives until its
+// target is swept, so keeping the caller's slice would pin a whole
+// segment's arena for one surviving target. The dirty sets are cleared:
+// the loaded state is by definition what the checkpoint chain already
 // contains, so the next delta cut captures only changes applied after it.
 func (s *Store) LoadSnapshot(targets map[graph.VertexID][]InEdge) {
 	s.Reset()
@@ -218,7 +189,7 @@ func (s *Store) LoadSnapshot(targets map[graph.VertexID][]InEdge) {
 		}
 		sh := s.shardFor(c)
 		sh.mu.Lock()
-		sh.targets[c] = list
+		sh.targets[c] = slices.Clone(list)
 		sh.edges += int64(len(list))
 		sh.mu.Unlock()
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"motifstream/internal/codecutil"
 	"motifstream/internal/graph"
 )
 
@@ -190,31 +191,36 @@ func TestSnapshotDecodeRejectsDuplicateTarget(t *testing.T) {
 	}
 }
 
-func TestSnapshotEmbeddedInLargerStream(t *testing.T) {
-	// A snapshot followed by trailing bytes: ReadFrom must stop exactly at
-	// the snapshot boundary, leaving the trailer for the caller — the
-	// contract the engine and partition checkpoint containers rely on.
+func TestSnapshotEmbeddedAtCursorPosition(t *testing.T) {
+	// Containers (the engine and partition checkpoints) put a snapshot last
+	// in their payload and hand the decoder their cursor: it starts where
+	// the cursor stands, verifies its own trailer over its own range, and
+	// leaves the cursor exhausted. Bytes after a snapshot are corruption,
+	// not a second section.
 	s := New(Options{})
 	s.Insert(graph.Edge{Src: 1, Dst: 2, TS: 5})
 	var buf bytes.Buffer
+	buf.WriteString("HEADER")
 	if _, err := s.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	snapLen := buf.Len()
-	buf.WriteString("TRAILER")
 
-	br := bytes.NewReader(buf.Bytes())
-	restored := New(Options{})
-	n, err := restored.ReadFrom(br)
-	if err != nil {
+	c := codecutil.NewCursor(buf.Bytes(), "container")
+	for range "HEADER" {
+		c.Byte("header")
+	}
+	targets := DecodeSnapshotAt(c)
+	if err := c.Done(); err != nil {
 		t.Fatal(err)
 	}
-	if n != int64(snapLen) {
-		t.Fatalf("consumed %d bytes, snapshot is %d", n, snapLen)
+	if want := storeContents(s); !reflect.DeepEqual(targets, want) {
+		t.Fatalf("embedded snapshot decoded to %v, want %v", targets, want)
 	}
-	rest := make([]byte, 7)
-	if _, err := br.Read(rest); err != nil || string(rest) != "TRAILER" {
-		t.Fatalf("trailer = %q, %v", rest, err)
+
+	buf.WriteString("TRAILER")
+	restored := New(Options{})
+	if _, err := restored.ReadFrom(bytes.NewReader(buf.Bytes()[len("HEADER"):])); err == nil {
+		t.Fatal("snapshot with trailing bytes decoded without error")
 	}
 }
 
@@ -231,6 +237,43 @@ func TestResetDropsEverything(t *testing.T) {
 	s.Insert(graph.Edge{Src: 1, Dst: 2, TS: 100})
 	if s.CountRecent(2, 0) != 1 {
 		t.Fatal("store unusable after Reset")
+	}
+}
+
+// TestSnapshotPrefixesAndBitFlipsRejected is the exhaustive companion of
+// FuzzSnapshotDecode: no strict prefix and no single-bit flip of a valid
+// snapshot decodes, and each failure leaves the store emptied. The CRC32C
+// is checked over the whole buffer before a frame is parsed and detects
+// every single-bit error, so the bit-flip half is exact.
+func TestSnapshotPrefixesAndBitFlipsRejected(t *testing.T) {
+	src := randomStore(rand.New(rand.NewSource(5)), Options{Retention: time.Hour}, 60)
+	var buf bytes.Buffer
+	if _, err := src.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	s := New(Options{})
+	rejected := func(what string, n int, input []byte) {
+		t.Helper()
+		s.Insert(graph.Edge{Src: 1, Dst: 2, TS: 5})
+		if _, err := s.ReadFrom(bytes.NewReader(input)); err == nil {
+			t.Fatalf("%s %d of a %d-byte snapshot decoded", what, n, len(data))
+		}
+		if st := s.Stats(); st.Edges != 0 {
+			t.Fatalf("%s %d: failed restore left %+v", what, n, st)
+		}
+	}
+	for cut := 0; cut < len(data); cut++ {
+		rejected("prefix", cut, data[:cut])
+	}
+	mut := bytes.Clone(data)
+	for bit := 0; bit < 8*len(data); bit++ {
+		mut[bit/8] ^= 1 << (bit % 8)
+		rejected("bit flip", bit, mut)
+		mut[bit/8] ^= 1 << (bit % 8)
+	}
+	if _, err := s.ReadFrom(bytes.NewReader(data)); err != nil {
+		t.Fatalf("pristine snapshot rejected: %v", err)
 	}
 }
 

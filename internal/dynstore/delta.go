@@ -3,6 +3,7 @@ package dynstore
 import (
 	"io"
 
+	"motifstream/internal/codecutil"
 	"motifstream/internal/graph"
 )
 
@@ -31,18 +32,28 @@ func (d Delta) Len() int { return len(d.Targets) }
 // dirty sets — the synchronous part of an incremental checkpoint cut. Its
 // cost is proportional to the number of targets touched since the last
 // cut, not to the store size, which is what keeps the apply-loop pause
-// bounded. The caller must quiesce writers for a consistent cut (the
-// replica checkpoint pipeline serializes cuts with Apply).
+// bounded, and the copies share one array sized in a first pass, so a cut
+// allocates a handful of times however many targets it carries. The caller
+// must quiesce writers for a consistent cut (the replica checkpoint
+// pipeline serializes cuts with Apply).
 func (s *Store) CaptureDelta() Delta {
-	out := make(map[graph.VertexID][]InEdge)
+	targets, edges := 0, 0
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		targets += len(sh.dirty)
+		for c := range sh.dirty {
+			edges += len(sh.targets[c])
+		}
+		sh.mu.RUnlock()
+	}
+	out := make(map[graph.VertexID][]InEdge, targets)
+	arena := codecutil.Arena[InEdge]{Chunk: edges}
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for c := range sh.dirty {
-			list := sh.targets[c] // absent => deletion, encoded as empty
-			cp := make([]InEdge, len(list))
-			copy(cp, list)
-			out[c] = cp
+			out[c] = arena.Copy(sh.targets[c]) // absent => deletion, encoded as empty
 		}
 		if len(sh.dirty) > 0 {
 			sh.dirty = make(map[graph.VertexID]struct{})
@@ -60,15 +71,25 @@ func (d Delta) WriteTo(w io.Writer) (int64, error) {
 	})
 }
 
-// DecodeDelta parses a delta segment written by WriteTo. When r is an
-// io.ByteReader no read-ahead happens, so container formats can embed
-// delta sections.
+// DecodeDeltaAt parses the delta section that is the rest of c. The error,
+// if any, is latched on c.
+func DecodeDeltaAt(c *codecutil.Cursor) Delta {
+	return Delta{Targets: decodeFrames(c, deltaMagic)}
+}
+
+// DecodeDelta parses a delta segment written by WriteTo, reading r to its
+// end: the segment must be all of it.
 func DecodeDelta(r io.Reader) (Delta, int64, error) {
-	targets, n, err := decodeFrames(r, deltaMagic, "dynstore delta")
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return Delta{}, n, err
+		return Delta{}, int64(len(data)), err
 	}
-	return Delta{Targets: targets}, n, nil
+	c := codecutil.NewCursor(data, "dynstore delta")
+	d := DecodeDeltaAt(c)
+	if err := c.Done(); err != nil {
+		return Delta{}, int64(len(data)), err
+	}
+	return d, int64(len(data)), nil
 }
 
 // ApplyTo folds the delta into a composed target map (base-plus-chain

@@ -3,6 +3,7 @@ package dynstore
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -138,5 +139,28 @@ func TestDeltaComposeEqualsFullSnapshot(t *testing.T) {
 	}
 	if gotSt, wantSt := restored.Stats(), s.Stats(); gotSt != wantSt {
 		t.Fatalf("restored stats %+v != original %+v", gotSt, wantSt)
+	}
+}
+
+// TestCaptureDeltaAllocBudget gates the cut's allocation count: the map,
+// one array shared by every copied list and a fresh dirty set per shard,
+// whether the cut carries two hundred targets or two thousand. One
+// allocation per dirty target (the copy this replaced) fails it.
+func TestCaptureDeltaAllocBudget(t *testing.T) {
+	for _, targets := range []int{200, 2000} {
+		s := deltaTestStore()
+		for i := 0; i < 3*targets; i++ {
+			s.Insert(graph.Edge{Src: graph.VertexID(i), Dst: graph.VertexID(i % targets), TS: int64(1_000_000 + i)})
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d := s.CaptureDelta()
+		runtime.ReadMemStats(&after)
+		if d.Len() != targets {
+			t.Fatalf("cut carries %d targets, want %d", d.Len(), targets)
+		}
+		if got := after.Mallocs - before.Mallocs; got > 24 {
+			t.Errorf("CaptureDelta of %d targets allocates %d times, budget 24", targets, got)
+		}
 	}
 }

@@ -1,0 +1,68 @@
+package partition
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"motifstream/internal/graph"
+)
+
+// BenchmarkCheckpointCompose is the compactor's fold as the cluster runs
+// it: a base and eight delta segments read from disk, composed, and
+// written back as one base.
+func BenchmarkCheckpointCompose(b *testing.B) {
+	dir := b.TempDir()
+	var paths []string
+	var total int64
+	for i := 0; i < 9; i++ {
+		st := benchSegment(2000, 3, 500)
+		// Deltas overlap the base on every other target, as successive cuts do.
+		for c, list := range st.Targets {
+			if i > 0 && int(c)%2 == 0 {
+				delete(st.Targets, c)
+				st.Targets[c+graph.VertexID(2000*i)] = list
+			}
+		}
+		var buf bytes.Buffer
+		var err error
+		if i == 0 {
+			_, err = st.WriteBaseTo(&buf)
+		} else {
+			_, err = st.asDelta().WriteTo(&buf)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		paths = append(paths, filepath.Join(dir, string(rune('a'+i))))
+		if err := os.WriteFile(paths[i], buf.Bytes(), 0o644); err != nil {
+			b.Fatal(err)
+		}
+		total += int64(buf.Len())
+	}
+	b.SetBytes(total)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var st *CheckpointState
+		for j, p := range paths {
+			data, err := os.ReadFile(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if j == 0 {
+				st, err = DecodeBase(data)
+			} else {
+				err = st.ApplyDelta(data)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		var out bytes.Buffer
+		if _, err := st.WriteBaseTo(&out); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -2,10 +2,9 @@ package partition
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 
 	"motifstream/internal/codecutil"
 	"motifstream/internal/core"
@@ -37,14 +36,8 @@ var partMagic = [8]byte{'M', 'S', 'P', 'A', 'R', 'T', 0, 1}
 
 const partSnapVersion = 2
 
-// Plausibility bounds for decoding.
-const (
-	maxSnapUsers   = 1 << 30
-	maxSnapPerUser = 1 << 20
-	maxSnapVia     = 1 << 16
-	maxSnapProgram = 1 << 12
-	maxSnapItems   = 1 << 30
-)
+// maxSnapProgram bounds a decoded program name.
+const maxSnapProgram = 1 << 12
 
 // CheckpointState is the neutral, fully-decoded form of a partition
 // checkpoint: plain maps, no locks, no live structures. It is what the
@@ -87,32 +80,24 @@ func putCandidate(w *codecutil.Writer, c motif.Candidate) {
 	w.PutU(math.Float64bits(c.Score))
 }
 
-func getCandidate(r *codecutil.Reader) motif.Candidate {
-	var c motif.Candidate
-	c.User = graph.VertexID(r.U("candidate user"))
-	c.Item = graph.VertexID(r.U("candidate item"))
-	nVia := r.U("candidate via count")
-	if r.Err != nil {
-		return c
+// getCandidate decodes one candidate, taking its Via from the segment's
+// arena.
+func getCandidate(c *codecutil.Cursor, vias *codecutil.Arena[graph.VertexID]) motif.Candidate {
+	var cand motif.Candidate
+	cand.User = graph.VertexID(c.U("candidate user"))
+	cand.Item = graph.VertexID(c.U("candidate item"))
+	cand.Via = vias.Take(c.Count("candidate via count", 1))
+	for i := range cand.Via {
+		cand.Via[i] = graph.VertexID(c.U("candidate via"))
 	}
-	if nVia > maxSnapVia {
-		r.Fail("candidate via count", fmt.Errorf("implausible count %d", nVia))
-		return c
-	}
-	if nVia > 0 {
-		c.Via = make([]graph.VertexID, 0, codecutil.PreallocHint(nVia))
-		for i := uint64(0); i < nVia; i++ {
-			c.Via = append(c.Via, graph.VertexID(r.U("candidate via")))
-		}
-	}
-	c.Trigger.Src = graph.VertexID(r.U("trigger src"))
-	c.Trigger.Dst = graph.VertexID(r.U("trigger dst"))
-	c.Trigger.Type = graph.EdgeType(r.U("trigger type"))
-	c.Trigger.TS = r.I("trigger ts")
-	c.DetectedAtMS = r.I("candidate detected-at")
-	c.Program = r.String("candidate program", maxSnapProgram)
-	c.Score = math.Float64frombits(r.U("candidate score"))
-	return c
+	cand.Trigger.Src = graph.VertexID(c.U("trigger src"))
+	cand.Trigger.Dst = graph.VertexID(c.U("trigger dst"))
+	cand.Trigger.Type = graph.EdgeType(c.U("trigger type"))
+	cand.Trigger.TS = c.I("trigger ts")
+	cand.DetectedAtMS = c.I("candidate detected-at")
+	cand.Program = c.String("candidate program", maxSnapProgram)
+	cand.Score = math.Float64frombits(c.U("candidate score"))
+	return cand
 }
 
 // sortedVertexKeys returns m's keys ascending for deterministic encoding.
@@ -121,7 +106,7 @@ func sortedVertexKeys[V any](m map[graph.VertexID]V) []graph.VertexID {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys
 }
 
@@ -149,41 +134,32 @@ func writeItemsSection(cp *codecutil.Writer, items map[graph.VertexID]uint64) {
 	}
 }
 
+// minCandidateBytes is the shortest candidate encoding: ten fields of one
+// byte each.
+const minCandidateBytes = 10
+
 // readUserItemSections decodes the candidate-log and item-counter halves.
-func readUserItemSections(r *codecutil.Reader) (map[graph.VertexID][]motif.Candidate, map[graph.VertexID]uint64, error) {
-	nUsers := r.U("user count")
-	if r.Err == nil && nUsers > maxSnapUsers {
-		return nil, nil, fmt.Errorf("partition: implausible user count %d", nUsers)
-	}
-	byA := make(map[graph.VertexID][]motif.Candidate, codecutil.PreallocHint(nUsers))
-	for i := uint64(0); i < nUsers && r.Err == nil; i++ {
-		a := graph.VertexID(r.U("log user"))
-		n := r.U("log length")
-		if r.Err != nil {
-			break
-		}
-		if n > maxSnapPerUser {
-			return nil, nil, fmt.Errorf("partition: implausible log length %d for user %d", n, a)
-		}
-		list := make([]motif.Candidate, 0, codecutil.PreallocHint(n))
-		for j := uint64(0); j < n && r.Err == nil; j++ {
-			list = append(list, getCandidate(r))
+// The segment's Via slices share one arena; the error, if any, is latched
+// on c.
+func readUserItemSections(c *codecutil.Cursor) (map[graph.VertexID][]motif.Candidate, map[graph.VertexID]uint64) {
+	nUsers := c.Count("user count", 2)
+	byA := make(map[graph.VertexID][]motif.Candidate, nUsers)
+	vias := codecutil.SectionArena[graph.VertexID](c, 1)
+	for i := 0; i < nUsers && c.Err == nil; i++ {
+		a := graph.VertexID(c.U("log user"))
+		list := make([]motif.Candidate, c.Count("log length", minCandidateBytes))
+		for j := range list {
+			list[j] = getCandidate(c, &vias)
 		}
 		byA[a] = list
 	}
-	nItems := r.U("item count")
-	if r.Err == nil && nItems > maxSnapItems {
-		return nil, nil, fmt.Errorf("partition: implausible item count %d", nItems)
+	nItems := c.Count("item count", 2)
+	counts := make(map[graph.VertexID]uint64, nItems)
+	for i := 0; i < nItems && c.Err == nil; i++ {
+		it := graph.VertexID(c.U("item id"))
+		counts[it] = c.U("item counter")
 	}
-	counts := make(map[graph.VertexID]uint64, codecutil.PreallocHint(nItems))
-	for i := uint64(0); i < nItems && r.Err == nil; i++ {
-		it := graph.VertexID(r.U("item id"))
-		counts[it] = r.U("item counter")
-	}
-	if r.Err != nil {
-		return nil, nil, r.Err
-	}
-	return byA, counts, nil
+	return byA, counts
 }
 
 // WriteBaseTo serializes the state as a base checkpoint, implementing the
@@ -217,40 +193,39 @@ func (st *CheckpointState) writeBase(w io.Writer) (int64, uint32, error) {
 	return cw.N, sum, codecutil.WriteChecksum(cw, sum)
 }
 
-// ReadBaseFrom replaces the state with a base checkpoint written by
-// WriteBaseTo (or Partition.WriteTo). Malformed input returns an error,
-// never panics; the state is unspecified after an error.
-func (st *CheckpointState) ReadBaseFrom(rd io.Reader) (int64, error) {
-	hr := &codecutil.HashReader{R: codecutil.AsByteReader(rd)}
-	br := &codecutil.CountingReader{R: hr}
-	r := &codecutil.Reader{BR: br, Prefix: "partition"}
+// DecodeBase parses a whole base checkpoint file written by WriteBaseTo (or
+// Partition.WriteTo). The file's CRC32C trailer is verified over the whole
+// buffer before anything is parsed, then the embedded D snapshot's over its
+// own range. The state's D lists and Via slices share per-segment arenas:
+// it is for composing, fingerprinting and re-encoding, and LoadState copies
+// out what it installs. Malformed input returns an error, never panics.
+func DecodeBase(data []byte) (*CheckpointState, error) {
+	c := codecutil.NewCursor(data, "partition checkpoint")
+	c.Checked()
+	c.Header(partMagic, partSnapVersion)
+	st := &CheckpointState{}
+	st.Users, st.Items = readUserItemSections(c)
+	st.SweepClock, st.Targets = core.DecodeEngineStateAt(c)
+	if err := c.Done(); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
 
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return br.N, fmt.Errorf("partition: reading checkpoint magic: %w", err)
-	}
-	if magic != partMagic {
-		return br.N, fmt.Errorf("partition: bad checkpoint magic %q", magic[:])
-	}
-	if v := r.U("checkpoint version"); r.Err == nil && v != partSnapVersion {
-		return br.N, fmt.Errorf("partition: unsupported checkpoint version %d", v)
-	}
-	users, items, err := readUserItemSections(r)
+// ReadBaseFrom replaces the state with the base checkpoint that r holds up
+// to its end — DecodeBase for callers with a stream. The state is
+// untouched after an error.
+func (st *CheckpointState) ReadBaseFrom(rd io.Reader) (int64, error) {
+	data, err := io.ReadAll(rd)
 	if err != nil {
-		return br.N, err
+		return int64(len(data)), err
 	}
-	sweep, targets, _, err := core.DecodeEngineState(br)
+	fresh, err := DecodeBase(data)
 	if err != nil {
-		return br.N, err
+		return int64(len(data)), err
 	}
-	// Payload hash captured before the trailer bytes pass through the
-	// hashing reader.
-	sum := hr.Sum()
-	if err := codecutil.VerifyChecksum(br, sum, "partition checkpoint"); err != nil {
-		return br.N, err
-	}
-	st.SweepClock, st.Users, st.Items, st.Targets = sweep, users, items, targets
-	return br.N, nil
+	*st = *fresh
+	return int64(len(data)), nil
 }
 
 // CaptureState copies the partition's complete recoverable state — the
@@ -281,11 +256,18 @@ func (p *Partition) CaptureState() *CheckpointState {
 }
 
 // LoadState installs a composed checkpoint state, replacing all
-// recoverable state and taking ownership of the maps. Dirty sets clear:
+// recoverable state and taking ownership of the Users and Items maps. What
+// a decoded state keeps in per-segment arenas — D lists and Via slices — is
+// copied, so nothing installed pins a segment's arena. Dirty sets clear:
 // the installed state is what the durable chain already contains, so the
 // next delta cut captures only changes applied after it.
 func (p *Partition) LoadState(st *CheckpointState) {
 	p.engine.LoadState(st.SweepClock, st.Targets)
+	for _, list := range st.Users {
+		for i := range list {
+			list[i].Via = slices.Clone(list[i].Via)
+		}
+	}
 	p.log.mu.Lock()
 	p.log.byA = st.Users
 	p.log.dirty = make(map[graph.VertexID]struct{})

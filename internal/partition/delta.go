@@ -2,7 +2,6 @@ package partition
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 
 	"motifstream/internal/codecutil"
@@ -57,11 +56,13 @@ func (p *Partition) CaptureDelta() *Delta {
 
 	p.log.mu.Lock()
 	d.Users = make(map[graph.VertexID][]motif.Candidate, len(p.log.dirty))
+	logged := 0
 	for a := range p.log.dirty {
-		list := p.log.byA[a] // absent => deletion, encoded as empty
-		cp := make([]motif.Candidate, len(list))
-		copy(cp, list)
-		d.Users[a] = cp
+		logged += len(p.log.byA[a])
+	}
+	lists := codecutil.Arena[motif.Candidate]{Chunk: logged}
+	for a := range p.log.dirty {
+		d.Users[a] = lists.Copy(p.log.byA[a]) // absent => deletion, encoded as empty
 	}
 	if len(p.log.dirty) > 0 {
 		p.log.dirty = make(map[graph.VertexID]struct{})
@@ -127,49 +128,39 @@ func (d *Delta) WriteTo(w io.Writer) (int64, error) {
 	return cw.N, codecutil.WriteChecksum(cw, hw.Sum())
 }
 
-// DecodeDelta parses a delta segment written by WriteTo. When rd is an
-// io.ByteReader no read-ahead happens past the segment.
-func DecodeDelta(rd io.Reader) (*Delta, int64, error) {
-	hr := &codecutil.HashReader{R: codecutil.AsByteReader(rd)}
-	br := &codecutil.CountingReader{R: hr}
-	r := &codecutil.Reader{BR: br, Prefix: "partition delta"}
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, br.N, fmt.Errorf("partition: reading delta magic: %w", err)
+// ParseDelta parses a whole delta segment file written by WriteTo, CRC32C
+// first like DecodeBase, into an arena-backed Delta.
+func ParseDelta(data []byte) (*Delta, error) {
+	c := codecutil.NewCursor(data, "partition delta")
+	c.Checked()
+	c.Header(deltaMagic, deltaVersion)
+	d := &Delta{SweepClock: c.I("delta sweep clock")}
+	d.Users, d.Items = readUserItemSections(c)
+	d.Dynamic = dynstore.DecodeDeltaAt(c)
+	if err := c.Done(); err != nil {
+		return nil, err
 	}
-	if magic != deltaMagic {
-		return nil, br.N, fmt.Errorf("partition: bad delta magic %q", magic[:])
-	}
-	if v := r.U("delta version"); r.Err == nil && v != deltaVersion {
-		return nil, br.N, fmt.Errorf("partition: unsupported delta version %d", v)
-	}
-	sweep := r.I("delta sweep clock")
-	if r.Err != nil {
-		return nil, br.N, r.Err
-	}
-	users, items, err := readUserItemSections(r)
-	if err != nil {
-		return nil, br.N, err
-	}
-	dyn, _, err := dynstore.DecodeDelta(br)
-	if err != nil {
-		return nil, br.N, err
-	}
-	sum := hr.Sum()
-	if err := codecutil.VerifyChecksum(br, sum, "partition delta"); err != nil {
-		return nil, br.N, err
-	}
-	return &Delta{SweepClock: sweep, Users: users, Items: items, Dynamic: dyn}, br.N, nil
+	return d, nil
 }
 
-// ApplyDeltaFrom decodes one delta segment and folds it into the state —
-// the restore path's chain composition step. The segment is fully decoded
+// DecodeDelta parses the delta segment that rd holds up to its end.
+func DecodeDelta(rd io.Reader) (*Delta, int64, error) {
+	data, err := io.ReadAll(rd)
+	if err != nil {
+		return nil, int64(len(data)), err
+	}
+	d, err := ParseDelta(data)
+	return d, int64(len(data)), err
+}
+
+// ApplyDelta decodes one delta segment and folds it into the state — the
+// restore path's chain composition step. The segment is fully decoded
 // before any mutation, so a corrupt segment returns an error and leaves
 // the state exactly as it was (enabling segment-at-a-time fallback).
-func (st *CheckpointState) ApplyDeltaFrom(rd io.Reader) (int64, error) {
-	d, n, err := DecodeDelta(rd)
+func (st *CheckpointState) ApplyDelta(data []byte) error {
+	d, err := ParseDelta(data)
 	if err != nil {
-		return n, err
+		return err
 	}
 	st.SweepClock = d.SweepClock
 	for a, list := range d.Users {
@@ -183,5 +174,15 @@ func (st *CheckpointState) ApplyDeltaFrom(rd io.Reader) (int64, error) {
 		st.Items[it] = count
 	}
 	d.Dynamic.ApplyTo(st.Targets)
-	return n, nil
+	return nil
+}
+
+// ApplyDeltaFrom is ApplyDelta for callers with a stream: it reads rd to
+// its end.
+func (st *CheckpointState) ApplyDeltaFrom(rd io.Reader) (int64, error) {
+	data, err := io.ReadAll(rd)
+	if err != nil {
+		return int64(len(data)), err
+	}
+	return int64(len(data)), st.ApplyDelta(data)
 }

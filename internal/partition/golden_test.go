@@ -1,0 +1,163 @@
+package partition
+
+import (
+	"bytes"
+	"encoding/binary"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"motifstream/internal/dynstore"
+	"motifstream/internal/graph"
+	"motifstream/internal/motif"
+)
+
+// testdata/base.seg and testdata/delta.seg were written by the encoders of
+// PR 14 (commit 0f8c592, the last one with the stream-reader decode stack)
+// from goldenBase and goldenDelta below. They pin the byte format across
+// codec rewrites: a decoder that reads them to the expected state and an
+// encoder that reproduces them byte for byte have not changed the format.
+
+func goldenCand(user, item graph.VertexID, via []graph.VertexID, ts int64, prog string, score float64) motif.Candidate {
+	return motif.Candidate{
+		User: user, Item: item, Via: via,
+		Trigger:      graph.Edge{Src: via[len(via)-1], Dst: item, Type: graph.Retweet, TS: ts},
+		DetectedAtMS: ts + 3, Program: prog, Score: score,
+	}
+}
+
+func goldenBase() *CheckpointState {
+	return &CheckpointState{
+		SweepClock: 1_700_000_000_123,
+		Users: map[graph.VertexID][]motif.Candidate{
+			7: {
+				goldenCand(7, 900, []graph.VertexID{11, 12, 13}, 1_700_000_000_500, "diamond", 3),
+				goldenCand(7, 901, []graph.VertexID{12, 1 << 40}, 1_700_000_000_900, "triangle-closure", 2.5),
+			},
+			300_000: {goldenCand(300_000, 900, []graph.VertexID{11}, 1_700_000_001_000, "diamond", 1)},
+		},
+		Items: map[graph.VertexID]uint64{900: 2, 901: 1, 1 << 50: 1 << 33},
+		Targets: map[graph.VertexID][]dynstore.InEdge{
+			900:     {{B: 11, TS: 1_700_000_000_100}, {B: 12, TS: 1_700_000_000_050}, {B: 13, TS: 1_700_000_000_500}},
+			901:     {{B: 12, TS: 1_700_000_000_700}, {B: 1 << 40, TS: 1_700_000_000_900}},
+			1 << 50: {{B: 1, TS: -5}},
+		},
+	}
+}
+
+func goldenDelta() *Delta {
+	return &Delta{
+		SweepClock: 1_700_000_060_000,
+		Users: map[graph.VertexID][]motif.Candidate{
+			7:  nil, // swept
+			42: {goldenCand(42, 902, []graph.VertexID{13, 14}, 1_700_000_050_000, "fresh-follow", 2)},
+		},
+		Items: map[graph.VertexID]uint64{900: 3, 902: 1},
+		Dynamic: dynstore.Delta{Targets: map[graph.VertexID][]dynstore.InEdge{
+			900: nil, // pruned empty
+			902: {{B: 13, TS: 1_700_000_049_000}, {B: 14, TS: 1_700_000_050_000}},
+		}},
+	}
+}
+
+// goldenComposed is goldenBase with goldenDelta applied, written out by hand.
+func goldenComposed() *CheckpointState {
+	st := goldenBase()
+	st.SweepClock = 1_700_000_060_000
+	delete(st.Users, 7)
+	st.Users[42] = goldenDelta().Users[42]
+	st.Items[900], st.Items[902] = 3, 1
+	delete(st.Targets, 900)
+	st.Targets[902] = goldenDelta().Dynamic.Targets[902]
+	return st
+}
+
+func readGolden(t *testing.T, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+func TestGoldenSegmentsDecodeAndReencode(t *testing.T) {
+	base, delta := readGolden(t, "base.seg"), readGolden(t, "delta.seg")
+
+	st := NewCheckpointState()
+	if n, err := st.ReadBaseFrom(bytes.NewReader(base)); err != nil || n != int64(len(base)) {
+		t.Fatalf("ReadBaseFrom = %d, %v; file is %d bytes", n, err, len(base))
+	}
+	if !statesEqual(st, goldenBase()) {
+		t.Fatalf("base.seg decoded to %+v", st)
+	}
+	var out bytes.Buffer
+	if _, err := st.WriteBaseTo(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), base) {
+		t.Fatal("re-encoded base differs from base.seg")
+	}
+	fp, err := st.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if trailer := binary.LittleEndian.Uint32(base[len(base)-4:]); fp != trailer {
+		t.Fatalf("Fingerprint %08x, file trailer %08x", fp, trailer)
+	}
+
+	d, n, err := DecodeDelta(bytes.NewReader(delta))
+	if err != nil || n != int64(len(delta)) {
+		t.Fatalf("DecodeDelta = %d, %v; file is %d bytes", n, err, len(delta))
+	}
+	out.Reset()
+	if _, err := d.WriteTo(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), delta) {
+		t.Fatal("re-encoded delta differs from delta.seg")
+	}
+	if _, err := st.ApplyDeltaFrom(bytes.NewReader(delta)); err != nil {
+		t.Fatal(err)
+	}
+	if !statesEqual(st, goldenComposed()) {
+		t.Fatalf("base.seg + delta.seg composed to %+v", st)
+	}
+}
+
+// TestSegmentPrefixesAndBitFlipsRejected is the exhaustive companion of the
+// fuzz targets: no strict prefix and no single-bit flip of a valid segment
+// decodes. The file-level CRC32C is checked over the whole buffer before
+// anything is parsed and CRC32C detects every single-bit error, so the
+// bit-flip half is exact rather than probabilistic.
+func TestSegmentPrefixesAndBitFlipsRejected(t *testing.T) {
+	decoders := map[string]func([]byte) error{
+		"base.seg": func(b []byte) error {
+			_, err := NewCheckpointState().ReadBaseFrom(bytes.NewReader(b))
+			return err
+		},
+		"delta.seg": func(b []byte) error {
+			_, _, err := DecodeDelta(bytes.NewReader(b))
+			return err
+		},
+	}
+	for name, decode := range decoders {
+		data := readGolden(t, name)
+		if err := decode(data); err != nil {
+			t.Fatalf("%s: pristine file rejected: %v", name, err)
+		}
+		for cut := 0; cut < len(data); cut++ {
+			if decode(data[:cut]) == nil {
+				t.Fatalf("%s: %d-byte prefix of %d decoded", name, cut, len(data))
+			}
+		}
+		mut := append([]byte(nil), data...)
+		for bit := 0; bit < 8*len(data); bit++ {
+			mut[bit/8] ^= 1 << (bit % 8)
+			if decode(mut) == nil {
+				t.Fatalf("%s: flip of bit %d decoded", name, bit)
+			}
+			mut[bit/8] ^= 1 << (bit % 8)
+		}
+	}
+}

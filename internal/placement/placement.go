@@ -26,7 +26,6 @@ package placement
 import (
 	"bufio"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -38,12 +37,7 @@ import (
 // tableMagic identifies the placement table format, version 1.
 var tableMagic = [8]byte{'M', 'S', 'P', 'L', 'A', 'C', 0, 1}
 
-const (
-	tableVersion = 1
-
-	// maxTableEntries bounds decoding against corruption.
-	maxTableEntries = 1 << 20
-)
+const tableVersion = 1
 
 // Placement is one replica assignment: partition and replica index plus
 // the two lifecycle facts the static topology cannot express.
@@ -101,41 +95,27 @@ func NewTable(path string, runID uint64) *Table {
 // caller may still use after counting the damage.
 func Load(path string, runID uint64) (*Table, error) {
 	t := NewTable(path, runID)
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return t, nil
 		}
 		return t, err
 	}
-	defer f.Close()
-	br := &codecutil.CountingReader{R: bufio.NewReader(f)}
-	r := &codecutil.Reader{BR: br, Prefix: "placement table"}
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return t, fmt.Errorf("placement: table magic: %w", err)
-	}
-	if magic != tableMagic {
-		return t, fmt.Errorf("placement: bad table magic %q", magic[:])
-	}
-	if v := r.U("version"); r.Err == nil && v != tableVersion {
-		return t, fmt.Errorf("placement: unsupported table version %d", v)
-	}
-	fileRun := r.U("run id")
-	count := r.U("entry count")
-	if r.Err == nil && count > maxTableEntries {
-		return t, fmt.Errorf("placement: implausible entry count %d", count)
-	}
-	entries := make(map[tableKey]Placement, codecutil.PreallocHint(count))
-	for i := uint64(0); i < count && r.Err == nil; i++ {
-		pid := int(r.U("partition"))
-		idx := int(r.U("replica"))
-		gen := int(r.U("generation"))
-		removed := r.U("removed") != 0
+	c := codecutil.NewCursor(data, "placement table")
+	c.Header(tableMagic, tableVersion)
+	fileRun := c.U("run id")
+	count := c.Count("entry count", 4)
+	entries := make(map[tableKey]Placement, count)
+	for i := 0; i < count && c.Err == nil; i++ {
+		pid := int(c.U("partition"))
+		idx := int(c.U("replica"))
+		gen := int(c.U("generation"))
+		removed := c.U("removed") != 0
 		entries[tableKey{pid, idx}] = Placement{Partition: pid, Replica: idx, Gen: gen, Removed: removed}
 	}
-	if r.Err != nil {
-		return t, r.Err
+	if c.Err != nil {
+		return t, c.Err
 	}
 	if fileRun != runID {
 		// A previous run's topology: its directories index a log that died

@@ -118,7 +118,8 @@ type WAL[T any] struct {
 	segs     []*walSegment
 	active   *os.File // newest segment, open for append + pread
 	bw       *bufio.Writer
-	unsynced int // records appended since the last fsync signal
+	frame    []byte // Append's scratch: one record's header + payload
+	unsynced int    // records appended since the last fsync signal
 	closed   bool
 	syncErr  error // latched background fsync failure
 
@@ -359,9 +360,6 @@ func (w *WAL[T]) Append(rec Record[T]) error {
 	if err != nil {
 		return fmt.Errorf("queue: wal marshal: %w", err)
 	}
-	payload := make([]byte, 8+len(msg))
-	binary.LittleEndian.PutUint64(payload[:8], uint64(rec.Carried))
-	copy(payload[8:], msg)
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -372,11 +370,19 @@ func (w *WAL[T]) Append(rec Record[T]) error {
 		return fmt.Errorf("queue: wal background sync: %w", w.syncErr)
 	}
 	tail := w.segs[len(w.segs)-1]
-	if err := codecutil.WriteFrame(w.bw, payload); err != nil {
+	// Frame header, carried prefix and message are assembled in the WAL's
+	// own buffer (mu guards it) and handed to the writer in one call, so a
+	// record costs no allocation here beyond Marshal's.
+	w.frame = append(w.frame[:0], make([]byte, walRecHeader+8)...)
+	w.frame = append(w.frame, msg...)
+	payload := w.frame[walRecHeader:]
+	binary.LittleEndian.PutUint64(payload[:8], uint64(rec.Carried))
+	codecutil.EncodeFrameHeader(w.frame, payload)
+	if _, err := w.bw.Write(w.frame); err != nil {
 		return err
 	}
 	tail.index = append(tail.index, tail.size)
-	tail.size += walRecHeader + int64(len(payload))
+	tail.size += int64(len(w.frame))
 	w.unsynced++
 	if w.unsynced >= w.opts.SyncEvery {
 		// Batch boundary: hand the bytes to the OS here, fsync on the

@@ -238,8 +238,8 @@ func (f *CandForwarder) manage() {
 		}
 		attempt = 0
 		giveUp = time.Now().Add(f.opts.RetryFor)
-		wr := &wireReader{b: ack}
-		if len(ack) == 0 || wr.byte("cand ack type") != msgCandAck {
+		wr := wireCursor(ack)
+		if len(ack) == 0 || wr.Byte("cand ack type") != msgCandAck {
 			c.close()
 			continue
 		}
@@ -344,9 +344,9 @@ func (f *CandForwarder) readAcks(c *conn) {
 		if len(payload) == 0 || payload[0] != msgCandAck {
 			return
 		}
-		wr := &wireReader{b: payload[1:]}
-		seq := wr.u("ack seq")
-		if wr.err != nil {
+		wr := wireCursor(payload[1:])
+		seq := wr.U("ack seq")
+		if wr.Err != nil {
 			return
 		}
 		now := time.Now().UnixNano()

@@ -156,8 +156,8 @@ func dialConn(addr string, hello []byte, timeout time.Duration, wrap DialWrapper
 		return nil, nil, fmt.Errorf("transport: hello response: %w", err)
 	}
 	if len(resp) > 0 && resp[0] == msgHelloErr {
-		wr := &wireReader{b: resp[1:]}
-		msg := wr.str("hello error", 1024)
+		wr := wireCursor(resp[1:])
+		msg := wr.String("hello error", 1024)
 		c.close()
 		return nil, nil, errHelloRejected{msg}
 	}

@@ -79,13 +79,13 @@ func DialFeed(addr string, opts ClientOptions) (*FeedClient, error) {
 		c, resp, err := dialConn(addr, []byte{msgHelloMeta}, opts.DialTimeout, opts.WrapWriter, nil)
 		if err == nil {
 			c.close()
-			wr := &wireReader{b: resp}
-			if len(resp) == 0 || wr.byte("meta type") != msgMetaResp {
+			wr := wireCursor(resp)
+			if len(resp) == 0 || wr.Byte("meta type") != msgMetaResp {
 				return nil, errors.New("transport: unexpected meta response")
 			}
 			meta := decodeLogMeta(wr)
-			if wr.err != nil {
-				return nil, wr.err
+			if wr.Err != nil {
+				return nil, wr.Err
 			}
 			f.logID = meta.logID
 			f.head.Store(meta.head)
@@ -330,15 +330,15 @@ func (s *FeedSub) run() {
 			continue
 		}
 		attempt = 0
-		wr := &wireReader{b: ack}
-		if len(ack) == 0 || wr.byte("feed ack type") != msgFeedAck {
+		wr := wireCursor(ack)
+		if len(ack) == 0 || wr.Byte("feed ack type") != msgFeedAck {
 			c.close()
 			continue
 		}
 		meta := decodeLogMeta(wr)
-		if wr.err != nil || meta.logID != s.f.logID {
+		if wr.Err != nil || meta.logID != s.f.logID {
 			c.close()
-			if meta.logID != s.f.logID && wr.err == nil {
+			if meta.logID != s.f.logID && wr.Err == nil {
 				s.fail(fmt.Errorf("transport: hub log changed identity (%d -> %d)", s.f.logID, meta.logID))
 				return
 			}
@@ -391,7 +391,7 @@ func (s *FeedSub) stream(c *conn, envBuf *[]queue.Envelope[graph.Edge]) bool {
 		}
 		switch payload[0] {
 		case msgEnvBatch:
-			wr := &wireReader{b: payload[1:]}
+			wr := wireCursor(payload[1:])
 			meta, envs, err := decodeEnvBatch(wr, (*envBuf)[:0])
 			*envBuf = envs[:0]
 			if err != nil {

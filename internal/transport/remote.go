@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"motifstream/internal/codecutil"
 	"motifstream/internal/graph"
 	"motifstream/internal/metrics"
 	"motifstream/internal/motif"
@@ -88,7 +89,7 @@ func (rr *RemoteReplica) connLocked() (*conn, error) {
 // are serialized per member; the broker fans out across members for
 // parallelism). Any failure drops the connection for a fresh dial next
 // time.
-func (rr *RemoteReplica) rpc(encode func(id uint64) []byte, wantType byte) (*wireReader, error) {
+func (rr *RemoteReplica) rpc(encode func(id uint64) []byte, wantType byte) (*codecutil.Cursor, error) {
 	rr.mu.Lock()
 	defer rr.mu.Unlock()
 	c, err := rr.connLocked()
@@ -114,10 +115,10 @@ func (rr *RemoteReplica) rpc(encode func(id uint64) []byte, wantType byte) (*wir
 			err = errors.New("transport: unexpected read response")
 			break
 		}
-		wr := &wireReader{b: payload[1:]}
-		respID := wr.u("resp id")
-		if wr.err != nil {
-			err = wr.err
+		wr := wireCursor(payload[1:])
+		respID := wr.U("resp id")
+		if wr.Err != nil {
+			err = wr.Err
 			break
 		}
 		if respID != id {
@@ -146,15 +147,12 @@ func (rr *RemoteReplica) RecommendationsFor(a graph.VertexID) []motif.Candidate 
 	if err != nil {
 		return nil
 	}
-	n := wr.u("recs count")
-	if wr.err != nil || n > maxFrame {
-		return nil
-	}
+	n := wr.Count("recs count", 10)
 	var out []motif.Candidate
-	for i := uint64(0); i < n && wr.err == nil; i++ {
+	for i := 0; i < n && wr.Err == nil; i++ {
 		out = append(out, decodeCandidate(wr))
 	}
-	if wr.err != nil {
+	if wr.Err != nil {
 		return nil
 	}
 	return out
@@ -168,18 +166,15 @@ func (rr *RemoteReplica) TopItems(n int) []partition.ItemCount {
 	if err != nil {
 		return nil
 	}
-	cnt := wr.u("top count")
-	if wr.err != nil || cnt > maxFrame {
-		return nil
-	}
+	cnt := wr.Count("top count", 2)
 	var out []partition.ItemCount
-	for i := uint64(0); i < cnt && wr.err == nil; i++ {
+	for i := 0; i < cnt && wr.Err == nil; i++ {
 		var it partition.ItemCount
-		it.Item = graph.VertexID(wr.u("top item"))
-		it.Count = wr.u("top item count")
+		it.Item = graph.VertexID(wr.U("top item"))
+		it.Count = wr.U("top item count")
 		out = append(out, it)
 	}
-	if wr.err != nil {
+	if wr.Err != nil {
 		return nil
 	}
 	return out

@@ -88,10 +88,10 @@ func (s *ReplicaServer) handle(nc net.Conn) {
 		c.writeMsg(encodeHelloErr("expected read hello"))
 		return
 	}
-	wr := &wireReader{b: hello[1:]}
-	pid := int(wr.u("read pid"))
-	r := int(wr.u("read replica"))
-	if wr.err != nil {
+	wr := wireCursor(hello[1:])
+	pid := int(wr.U("read pid"))
+	r := int(wr.U("read replica"))
+	if wr.Err != nil {
 		return
 	}
 	s.mu.Lock()
@@ -120,30 +120,30 @@ func (s *ReplicaServer) handle(nc net.Conn) {
 		if err != nil || len(payload) == 0 {
 			return
 		}
-		wr := &wireReader{b: payload[1:]}
+		wr := wireCursor(payload[1:])
 		switch payload[0] {
 		case msgRecsReq:
-			id := wr.u("recs id")
-			user := graph.VertexID(wr.u("recs user"))
-			if wr.err != nil {
+			id := wr.U("recs id")
+			user := graph.VertexID(wr.U("recs user"))
+			if wr.Err != nil {
 				return
 			}
 			if c.writeMsg(encodeRecsResp(id, q.RecommendationsFor(user))) != nil {
 				return
 			}
 		case msgTopReq:
-			id := wr.u("top id")
-			n := int(wr.u("top n"))
-			if wr.err != nil {
+			id := wr.U("top id")
+			n := int(wr.U("top n"))
+			if wr.Err != nil {
 				return
 			}
 			if c.writeMsg(encodeTopResp(id, q.TopItems(n))) != nil {
 				return
 			}
 		case msgPing:
-			id := wr.u("ping id")
-			sentNS := wr.i("ping sent")
-			if wr.err != nil {
+			id := wr.U("ping id")
+			sentNS := wr.I("ping sent")
+			if wr.Err != nil {
 				return
 			}
 			b := typeU1(msgPong, id)

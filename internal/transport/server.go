@@ -200,9 +200,9 @@ func (s *Server) handleMeta(c *conn) {
 // handleFeed serves one replica's firehose subscription: replay-then-live
 // envelope batches downstream, floor/live reports upstream.
 func (s *Server) handleFeed(c *conn, body []byte) {
-	wr := &wireReader{b: body}
+	wr := wireCursor(body)
 	h := decodeHelloFeed(wr)
-	if wr.err != nil {
+	if wr.Err != nil {
 		c.close()
 		return
 	}
@@ -245,11 +245,11 @@ func (s *Server) handleFeed(c *conn, body []byte) {
 			if err != nil {
 				return
 			}
-			wr := &wireReader{b: payload[1:]}
+			wr := wireCursor(payload[1:])
 			switch payload[0] {
 			case msgFloorReport:
-				floor := wr.u("floor")
-				if wr.err == nil {
+				floor := wr.U("floor")
+				if wr.Err == nil {
 					b.ReplicaFloor(h.pid, h.r, floor)
 				}
 			case msgLive:
@@ -313,9 +313,9 @@ loop:
 // ack is only written after every message in the batch is durably handed
 // to the backend, preserving at-least-once across hub or worker crashes.
 func (s *Server) handleCands(c *conn, body []byte) {
-	wr := &wireReader{b: body}
-	logID := wr.u("cands log id")
-	if wr.err != nil {
+	wr := wireCursor(body)
+	logID := wr.U("cands log id")
+	if wr.Err != nil {
 		c.close()
 		return
 	}
@@ -344,7 +344,7 @@ func (s *Server) handleCands(c *conn, body []byte) {
 		if err != nil {
 			return
 		}
-		wr := &wireReader{b: payload[1:]}
+		wr := wireCursor(payload[1:])
 		switch payload[0] {
 		case msgCandBatch:
 			seq, msgs, err := decodeCandBatch(wr)

@@ -378,6 +378,46 @@ func TestFrameOversized(t *testing.T) {
 	}
 }
 
+// TestFramePrefixesAndBitFlipsRejected is the exhaustive companion of
+// FuzzTransportFrame for one candidate batch: no strict prefix of the frame
+// and no single-bit flip of it reads back as an intact frame, and no strict
+// prefix of the payload decodes as a message.
+func TestFramePrefixesAndBitFlipsRejected(t *testing.T) {
+	payload := encodeCandBatch(3, []CandMsg{{Pid: 1, Offset: 2, PubNS: 3, Delay: time.Millisecond, Cands: []motif.Candidate{
+		{User: 5, Item: 6, Via: []graph.VertexID{7, 8}, Program: "diamond", Score: 1.5},
+		{User: 5, Item: 9, Via: []graph.VertexID{7}, Program: "diamond", Score: 1},
+	}}})
+	var fb bytes.Buffer
+	if err := codecutil.WriteFrame(&fb, payload); err != nil {
+		t.Fatal(err)
+	}
+	frame := fb.Bytes()
+	if got, err := codecutil.ReadFrame(bytes.NewReader(frame), nil, maxFrame); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("pristine frame: %v", err)
+	}
+	for cut := 0; cut < len(frame); cut++ {
+		if _, err := codecutil.ReadFrame(bytes.NewReader(frame[:cut]), nil, maxFrame); err == nil {
+			t.Fatalf("%d-byte prefix of a %d-byte frame read as intact", cut, len(frame))
+		}
+	}
+	mut := bytes.Clone(frame)
+	for bit := 0; bit < 8*len(frame); bit++ {
+		mut[bit/8] ^= 1 << (bit % 8)
+		if _, err := codecutil.ReadFrame(bytes.NewReader(mut), nil, maxFrame); err == nil {
+			t.Fatalf("frame with bit %d flipped read as intact", bit)
+		}
+		mut[bit/8] ^= 1 << (bit % 8)
+	}
+	if _, msgs, err := decodeCandBatch(wireCursor(payload[1:])); err != nil || len(msgs) != 1 || len(msgs[0].Cands) != 2 {
+		t.Fatalf("pristine payload: %v, %+v", err, msgs)
+	}
+	for cut := 1; cut < len(payload); cut++ {
+		if _, _, err := decodeCandBatch(wireCursor(payload[1:cut])); err == nil {
+			t.Fatalf("%d-byte prefix of a %d-byte candidate batch decoded", cut, len(payload))
+		}
+	}
+}
+
 // FuzzTransportFrame exercises the full wire surface with hostile bytes:
 // framing (truncated, bit-flipped, oversized) and every message decoder.
 // Nothing may panic; valid frames must round-trip intact.
@@ -409,13 +449,13 @@ func FuzzTransportFrame(f *testing.F) {
 		}
 
 		// Raw bytes as each message payload: decoders must never panic.
-		decodeHelloFeed(&wireReader{b: data})
-		decodeLogMeta(&wireReader{b: data})
-		decodeEnvBatch(&wireReader{b: data}, nil)
-		decodeCandBatch(&wireReader{b: data})
-		decodeRecsResp(&wireReader{b: data})
-		decodeTopResp(&wireReader{b: data})
-		(&wireReader{b: data}).str("fuzz", 1<<16)
+		decodeHelloFeed(wireCursor(data))
+		decodeLogMeta(wireCursor(data))
+		decodeEnvBatch(wireCursor(data), nil)
+		decodeCandBatch(wireCursor(data))
+		decodeRecsResp(wireCursor(data))
+		decodeTopResp(wireCursor(data))
+		wireCursor(data).String("fuzz", 1<<16)
 
 		// A well-formed frame around the bytes must round-trip (zero-length
 		// payloads are rejected by design); the same frame with a flipped

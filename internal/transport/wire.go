@@ -26,10 +26,10 @@ package transport
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"time"
 
+	"motifstream/internal/codecutil"
 	"motifstream/internal/graph"
 	"motifstream/internal/motif"
 	"motifstream/internal/partition"
@@ -78,74 +78,19 @@ func appendEdge(b []byte, e graph.Edge) []byte {
 	return b
 }
 
-// wireReader is a cursor over one frame payload with error latching.
-type wireReader struct {
-	b   []byte
-	err error
+// wireCursor opens a frame payload for decoding — with the repository's one
+// cursor, the same that decodes checkpoint files.
+func wireCursor(payload []byte) *codecutil.Cursor {
+	return codecutil.NewCursor(payload, "transport")
 }
 
-func (r *wireReader) fail(context string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("transport: %s: short or malformed frame", context)
-	}
-}
-
-func (r *wireReader) u(context string) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail(context)
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *wireReader) i(context string) int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.fail(context)
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *wireReader) byte(context string) byte {
-	if r.err != nil || len(r.b) < 1 {
-		r.fail(context)
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *wireReader) str(context string, max uint64) string {
-	n := r.u(context)
-	if r.err != nil {
-		return ""
-	}
-	if n > max || uint64(len(r.b)) < n {
-		r.fail(context)
-		return ""
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
-}
-
-func (r *wireReader) edge(context string) graph.Edge {
+// decodeEdge reads an edge as appendEdge wrote it.
+func decodeEdge(r *codecutil.Cursor, context string) graph.Edge {
 	var e graph.Edge
-	e.Src = graph.VertexID(r.u(context))
-	e.Dst = graph.VertexID(r.u(context))
-	e.Type = graph.EdgeType(r.byte(context))
-	e.TS = r.i(context)
+	e.Src = graph.VertexID(r.U(context))
+	e.Dst = graph.VertexID(r.U(context))
+	e.Type = graph.EdgeType(r.Byte(context))
+	e.TS = r.I(context)
 	return e
 }
 
@@ -171,13 +116,13 @@ func encodeHelloFeed(h helloFeed) []byte {
 	return b
 }
 
-func decodeHelloFeed(r *wireReader) helloFeed {
+func decodeHelloFeed(r *codecutil.Cursor) helloFeed {
 	var h helloFeed
-	h.pid = int(r.u("hello pid"))
-	h.r = int(r.u("hello replica"))
-	h.gen = int(r.u("hello gen"))
-	h.resume = r.u("hello resume")
-	h.readAddr = r.str("hello read addr", 256)
+	h.pid = int(r.U("hello pid"))
+	h.r = int(r.U("hello replica"))
+	h.gen = int(r.U("hello gen"))
+	h.resume = r.U("hello resume")
+	h.readAddr = r.String("hello read addr", 256)
 	return h
 }
 
@@ -193,11 +138,11 @@ func appendLogMeta(b []byte, m logMeta) []byte {
 	return b
 }
 
-func decodeLogMeta(r *wireReader) logMeta {
+func decodeLogMeta(r *codecutil.Cursor) logMeta {
 	var m logMeta
-	m.logID = r.u("log id")
-	m.head = r.u("log head")
-	m.start = r.u("log start")
+	m.logID = r.U("log id")
+	m.head = r.U("log head")
+	m.start = r.U("log start")
 	return m
 }
 
@@ -218,21 +163,18 @@ func encodeEnvBatch(meta logMeta, envs []queue.Envelope[graph.Edge]) []byte {
 	return b
 }
 
-func decodeEnvBatch(r *wireReader, dst []queue.Envelope[graph.Edge]) (logMeta, []queue.Envelope[graph.Edge], error) {
+func decodeEnvBatch(r *codecutil.Cursor, dst []queue.Envelope[graph.Edge]) (logMeta, []queue.Envelope[graph.Edge], error) {
 	meta := decodeLogMeta(r)
-	n := r.u("env count")
-	if r.err == nil && n > maxFrame {
-		r.fail("env count")
-	}
-	for i := uint64(0); i < n && r.err == nil; i++ {
+	n := r.Count("env count", 7)
+	for i := 0; i < n && r.Err == nil; i++ {
 		var env queue.Envelope[graph.Edge]
-		env.Offset = r.u("env offset")
-		env.VirtualDelay = time.Duration(r.u("env delay"))
-		env.PubUnixNS = r.i("env pub ns")
-		env.Msg = r.edge("env edge")
+		env.Offset = r.U("env offset")
+		env.VirtualDelay = time.Duration(r.U("env delay"))
+		env.PubUnixNS = r.I("env pub ns")
+		env.Msg = decodeEdge(r, "env edge")
 		dst = append(dst, env)
 	}
-	return meta, dst, r.err
+	return meta, dst, r.Err
 }
 
 // candMsg is one event's candidate batch from one replica, the wire twin
@@ -259,21 +201,18 @@ func appendCandidate(b []byte, c motif.Candidate) []byte {
 	return b
 }
 
-func decodeCandidate(r *wireReader) motif.Candidate {
+func decodeCandidate(r *codecutil.Cursor) motif.Candidate {
 	var c motif.Candidate
-	c.User = graph.VertexID(r.u("cand user"))
-	c.Item = graph.VertexID(r.u("cand item"))
-	nv := r.u("cand via count")
-	if r.err == nil && nv > maxFrame {
-		r.fail("cand via count")
+	c.User = graph.VertexID(r.U("cand user"))
+	c.Item = graph.VertexID(r.U("cand item"))
+	nv := r.Count("cand via count", 1)
+	for i := 0; i < nv && r.Err == nil; i++ {
+		c.Via = append(c.Via, graph.VertexID(r.U("cand via")))
 	}
-	for i := uint64(0); i < nv && r.err == nil; i++ {
-		c.Via = append(c.Via, graph.VertexID(r.u("cand via")))
-	}
-	c.Trigger = r.edge("cand trigger")
-	c.DetectedAtMS = r.i("cand detected")
-	c.Program = r.str("cand program", 4096)
-	c.Score = math.Float64frombits(r.u("cand score"))
+	c.Trigger = decodeEdge(r, "cand trigger")
+	c.DetectedAtMS = r.I("cand detected")
+	c.Program = r.String("cand program", 4096)
+	c.Score = math.Float64frombits(r.U("cand score"))
 	return c
 }
 
@@ -295,28 +234,22 @@ func encodeCandBatch(seq uint64, msgs []CandMsg) []byte {
 	return b
 }
 
-func decodeCandBatch(r *wireReader) (seq uint64, msgs []CandMsg, err error) {
-	seq = r.u("cand seq")
-	n := r.u("cand msg count")
-	if r.err == nil && n > maxFrame {
-		r.fail("cand msg count")
-	}
-	for i := uint64(0); i < n && r.err == nil; i++ {
+func decodeCandBatch(r *codecutil.Cursor) (seq uint64, msgs []CandMsg, err error) {
+	seq = r.U("cand seq")
+	n := r.Count("cand msg count", 5)
+	for i := 0; i < n && r.Err == nil; i++ {
 		var m CandMsg
-		m.Pid = int(r.u("cand pid"))
-		m.Offset = r.u("cand offset")
-		m.PubNS = r.i("cand pub ns")
-		m.Delay = time.Duration(r.u("cand delay"))
-		nc := r.u("cand count")
-		if r.err == nil && nc > maxFrame {
-			r.fail("cand count")
-		}
-		for j := uint64(0); j < nc && r.err == nil; j++ {
+		m.Pid = int(r.U("cand pid"))
+		m.Offset = r.U("cand offset")
+		m.PubNS = r.I("cand pub ns")
+		m.Delay = time.Duration(r.U("cand delay"))
+		nc := r.Count("cand count", 10)
+		for j := 0; j < nc && r.Err == nil; j++ {
 			m.Cands = append(m.Cands, decodeCandidate(r))
 		}
 		msgs = append(msgs, m)
 	}
-	return seq, msgs, r.err
+	return seq, msgs, r.Err
 }
 
 func encodeRecsResp(id uint64, cands []motif.Candidate) []byte {
@@ -329,17 +262,14 @@ func encodeRecsResp(id uint64, cands []motif.Candidate) []byte {
 	return b
 }
 
-func decodeRecsResp(r *wireReader) (uint64, []motif.Candidate, error) {
-	id := r.u("recs id")
-	n := r.u("recs count")
-	if r.err == nil && n > maxFrame {
-		r.fail("recs count")
-	}
+func decodeRecsResp(r *codecutil.Cursor) (uint64, []motif.Candidate, error) {
+	id := r.U("recs id")
+	n := r.Count("recs count", 10)
 	var out []motif.Candidate
-	for i := uint64(0); i < n && r.err == nil; i++ {
+	for i := 0; i < n && r.Err == nil; i++ {
 		out = append(out, decodeCandidate(r))
 	}
-	return id, out, r.err
+	return id, out, r.Err
 }
 
 func encodeTopResp(id uint64, items []partition.ItemCount) []byte {
@@ -353,20 +283,17 @@ func encodeTopResp(id uint64, items []partition.ItemCount) []byte {
 	return b
 }
 
-func decodeTopResp(r *wireReader) (uint64, []partition.ItemCount, error) {
-	id := r.u("top id")
-	n := r.u("top count")
-	if r.err == nil && n > maxFrame {
-		r.fail("top count")
-	}
+func decodeTopResp(r *codecutil.Cursor) (uint64, []partition.ItemCount, error) {
+	id := r.U("top id")
+	n := r.Count("top count", 2)
 	var out []partition.ItemCount
-	for i := uint64(0); i < n && r.err == nil; i++ {
+	for i := 0; i < n && r.Err == nil; i++ {
 		var it partition.ItemCount
-		it.Item = graph.VertexID(r.u("top item"))
-		it.Count = r.u("top item count")
+		it.Item = graph.VertexID(r.U("top item"))
+		it.Count = r.U("top item count")
 		out = append(out, it)
 	}
-	return id, out, r.err
+	return id, out, r.Err
 }
 
 // typeU1 encodes a message of one uvarint field (acks, floors, ids).
