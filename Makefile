@@ -27,10 +27,11 @@ test-race:
 	$(GO) test -race ./...
 
 # test-crashmatrix runs just the fault-injection matrix (kill / restore /
-# whole-cluster restart at every pipeline stage, oracle-asserted, plus
-# the restart delivery-state scenarios) plus the restore planner's table
-# and purity tests under the race detector — the quick loop while working
-# on the durability subsystem.
+# whole-cluster restart at every pipeline stage, oracle-asserted, once per
+# transport: in process and over loopback TCP; plus the restart
+# delivery-state scenarios) plus the restore planner's table and purity
+# tests under the race detector — the quick loop while working on the
+# durability subsystem.
 test-crashmatrix:
 	$(GO) test -race -run 'TestCrashMatrix|TestReopen|TestRestart|TestPlanRestore' ./internal/cluster
 
@@ -69,11 +70,12 @@ test-parallel:
 # test-transport runs the networked tier under the race detector: the
 # wire codec and fault tests in internal/transport, plus the loopback
 # multi-process cluster suite (hub + socket-attached workers, connection
-# drops, worker crash/restart, full restart) — the quick loop for
-# transport work.
+# drops, worker crash/restart, full restart), the replica-host contract
+# tests over the fake link, and the crash matrix's TCP legs — the quick loop
+# for transport work.
 test-transport:
 	$(GO) test -race ./internal/transport
-	$(GO) test -race -run 'TestNetworked' ./internal/cluster
+	$(GO) test -race -run 'TestNetworked|TestReplicaHost|TestCrashMatrix/.*/tcp' ./internal/cluster
 
 # test-planner runs the motif planner and shared-execution suite under
 # the race detector: the DSL (lexer/parser/plan IR/EXPLAIN goldens), the

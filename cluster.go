@@ -128,7 +128,7 @@ type ClusterOptions struct {
 	OwnedReplicas [][2]int
 	// NetDrainTimeout bounds networked shutdown flushes (the hub's wait
 	// for worker reconnects to quiesce, a worker's candidate-ack wait);
-	// zero selects 10s. Ignored without Listen/Join.
+	// zero selects 30s. Ignored without Listen/Join.
 	NetDrainTimeout time.Duration
 	// Audit enables the detection-state fingerprint audit: every
 	// checkpoint cut records a CRC32C fingerprint of the replica's full

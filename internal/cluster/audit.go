@@ -18,17 +18,12 @@ import (
 // built without Config.Audit.
 var ErrAuditDisabled = fmt.Errorf("cluster: audit requires Config.Audit (and Config.CheckpointDir)")
 
-// auditSources snapshots partition pid's non-removed replica audit-log
-// paths, keyed by a stable replica label.
-func (c *Cluster) auditSources(pid int) map[string]string {
-	c.topoMu.RLock()
-	defer c.topoMu.RUnlock()
+// auditSources names the audit logs of a partition's placements, keyed by
+// a stable replica label.
+func auditSources(placements []placed) map[string]string {
 	out := make(map[string]string)
-	for _, s := range c.slots[pid] {
-		if s.state.Load() == replicaRemoved || s.dir == "" {
-			continue
-		}
-		out[fmt.Sprintf("r%02d-g%d", s.idx, s.gen)] = auditLogPath(s.dir)
+	for _, pl := range placements {
+		out[fmt.Sprintf("r%02d-g%d", pl.idx, pl.gen)] = auditLogPath(pl.dir)
 	}
 	return out
 }
@@ -45,11 +40,15 @@ func (c *Cluster) VerifyFingerprints(pid int) (audit.Report, error) {
 	if !c.audit {
 		return audit.Report{}, ErrAuditDisabled
 	}
-	if pid < 0 || pid >= len(c.slots) {
+	h, err := c.hubTier()
+	if err != nil {
+		return audit.Report{}, err
+	}
+	if pid < 0 || pid >= len(h.slots) {
 		return audit.Report{}, fmt.Errorf("cluster: partition %d out of range", pid)
 	}
 	bySource := make(map[string][]audit.Record)
-	for label, path := range c.auditSources(pid) {
+	for label, path := range auditSources(h.placed(pid)) {
 		recs, err := audit.Read(path, c.runID)
 		if err != nil {
 			return audit.Report{}, fmt.Errorf("cluster: partition %d: %w", pid, err)
@@ -61,16 +60,16 @@ func (c *Cluster) VerifyFingerprints(pid int) (audit.Report, error) {
 	return audit.Verify(bySource), nil
 }
 
-// recordedFingerprints collects the fingerprint partition pid's replicas
-// recorded at each cut offset — the audit input of a restore plan. Sources
+// recordedFingerprints collects the fingerprint a partition's replicas
+// (sources: their audit logs) recorded at each cut offset — the audit input
+// of a restore plan. Sources
 // are read in label order, so the result does not depend on map iteration.
 // Records that agree (peers, compaction re-derivations) collapse into one;
 // an offset at which two records disagree is counted as one audit mismatch
 // and left out: a disputed record is not evidence to judge a composed
 // state against, and which side happened to be read last must not decide a
 // restore verdict.
-func (c *Cluster) recordedFingerprints(pid int) map[uint64]uint32 {
-	sources := c.auditSources(pid)
+func (s *shared) recordedFingerprints(sources map[string]string) map[uint64]uint32 {
 	labels := make([]string, 0, len(sources))
 	for label := range sources {
 		labels = append(labels, label)
@@ -79,15 +78,15 @@ func (c *Cluster) recordedFingerprints(pid int) map[uint64]uint32 {
 	out := make(map[uint64]uint32)
 	disputed := make(map[uint64]bool)
 	for _, label := range labels {
-		recs, err := audit.Read(sources[label], c.runID)
+		recs, err := audit.Read(sources[label], s.runID)
 		if err != nil {
-			c.ckptErrors.Inc()
+			s.ckptErrors.Inc()
 			continue
 		}
 		for _, rec := range recs {
 			if sum, seen := out[rec.Offset]; seen && sum != rec.Sum && !disputed[rec.Offset] {
 				disputed[rec.Offset] = true
-				c.auditMismatches.Inc()
+				s.auditMismatches.Inc()
 			}
 			out[rec.Offset] = rec.Sum
 		}

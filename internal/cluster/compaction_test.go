@@ -134,7 +134,7 @@ func TestLogTruncationBoundedByDurableFloor(t *testing.T) {
 		t.Fatal("vacuous: log never truncated")
 	}
 	// The truncation horizon never exceeds any replica's floor.
-	for _, group := range c.slots {
+	for _, group := range c.hub.slots {
 		for _, s := range group {
 			if f := s.floor.Load(); f < st.LogTruncatedBelow {
 				t.Fatalf("log truncated below %d but replica %d/%d floor is %d",
@@ -159,12 +159,13 @@ func TestFailedSegmentWriteCarriesDirtForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slot := c.slots[0][0]
 	goodDir := replicaCkptDir(cfg.CheckpointDir, 0, 0)
+	rep := c.host.replica(0, 0)
+	rep.att = &fakeAttachment{} // never launched: nobody to report floors to
 	w := &ckptWriter{
-		c:    c,
-		slot: slot,
-		dir:  filepath.Join(cfg.CheckpointDir, "no-such-parent", "dir"),
+		h:   c.host,
+		rep: rep,
+		dir: filepath.Join(cfg.CheckpointDir, "no-such-parent", "dir"),
 	}
 	mkDelta := func(sweep int64, target graph.VertexID) *partition.Delta {
 		return &partition.Delta{

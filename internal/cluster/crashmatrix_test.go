@@ -9,6 +9,8 @@ import (
 
 	"motifstream/internal/audit"
 	"motifstream/internal/graph"
+	"motifstream/internal/metrics"
+	"motifstream/internal/partition"
 	"motifstream/internal/queue"
 )
 
@@ -33,23 +35,65 @@ func durableConfig(t testing.TB, static []graph.Edge) Config {
 }
 
 // crashHarness drives one fault-injected run: it owns the stream cursor
-// and the current Cluster value, which a restart replaces wholesale.
+// and the current Cluster value, which a restart replaces wholesale. The
+// fault operations come per transport. In process (cfg.Listen empty) c runs
+// every replica and the faults are its lifecycle API. Over TCP c is a hub
+// and replica index idx of every partition runs in worker idx, a separate
+// Cluster joined over loopback: killing index idx aborts that worker,
+// restoring it starts a fresh worker over the same OwnedReplicas, and a
+// restart takes the hub and every worker down and reopens all of them.
 type crashHarness struct {
 	t      *testing.T
 	cfg    Config
 	c      *Cluster
 	stream []graph.Edge
 	pos    int
+	// workers[idx] is the TCP leg's worker for replica index idx (nil while
+	// crashed) and joins[idx] waits for its main loop to exit.
+	workers []*Cluster
+	joins   []func()
 }
 
 func newCrashHarness(t *testing.T, cfg Config, stream []graph.Edge) *crashHarness {
 	t.Helper()
-	c, err := New(cfg)
+	h := &crashHarness{t: t, cfg: cfg, stream: stream}
+	if h.tcp() {
+		h.workers = make([]*Cluster, cfg.Replicas)
+		h.joins = make([]func(), cfg.Replicas)
+	}
+	h.open()
+	return h
+}
+
+func (h *crashHarness) tcp() bool { return h.cfg.Listen != "" }
+
+// open constructs and starts the deployment over cfg's directories: the
+// cluster (or hub), then over TCP one worker per replica index.
+func (h *crashHarness) open() {
+	h.t.Helper()
+	c, err := New(h.cfg)
 	if err != nil {
-		t.Fatal(err)
+		h.t.Fatalf("opening the deployment: %v", err)
 	}
 	c.Start()
-	return &crashHarness{t: t, cfg: cfg, c: c, stream: stream}
+	h.c = c
+	for idx := range h.workers {
+		h.startWorker(idx)
+	}
+}
+
+// startWorker starts the worker owning replica idx of every partition. It
+// shares the hub's registry, so Stats on the hub counts the workers'
+// checkpoints, restores and audit verdicts as an in-process cluster's would.
+func (h *crashHarness) startWorker(idx int) {
+	h.t.Helper()
+	var owned [][2]int
+	for pid := 0; pid < h.cfg.Partitions; pid++ {
+		owned = append(owned, [2]int{pid, idx})
+	}
+	wcfg := workerConfig(h.t, h.cfg, h.c.ListenAddr(), owned)
+	wcfg.Metrics = h.cfg.Metrics
+	h.workers[idx], h.joins[idx] = startWorker(h.t, wcfg)
 }
 
 // publishTo publishes stream events up to the given fraction of the run.
@@ -66,6 +110,12 @@ func (h *crashHarness) publishTo(frac float64) {
 // killAll kills replica idx of every partition.
 func (h *crashHarness) killAll(idx int) {
 	h.t.Helper()
+	if h.tcp() {
+		h.workers[idx].Abort()
+		h.joins[idx]()
+		h.workers[idx] = nil
+		return
+	}
 	for pid := 0; pid < h.cfg.Partitions; pid++ {
 		if err := h.c.KillReplica(pid, idx); err != nil {
 			h.t.Fatal(err)
@@ -76,6 +126,10 @@ func (h *crashHarness) killAll(idx int) {
 // restoreAll restores replica idx of every partition.
 func (h *crashHarness) restoreAll(idx int) {
 	h.t.Helper()
+	if h.tcp() {
+		h.startWorker(idx)
+		return
+	}
 	for pid := 0; pid < h.cfg.Partitions; pid++ {
 		if err := h.c.RestoreReplica(pid, idx); err != nil {
 			h.t.Fatal(err)
@@ -165,13 +219,13 @@ func (h *crashHarness) waitForTruncation() {
 	for h.c.Stats().LogTruncatedBelow == 0 {
 		if time.Now().After(deadline) {
 			var floors []uint64
-			for _, group := range h.c.slots {
+			for _, group := range h.c.hub.slots {
 				for _, s := range group {
 					floors = append(floors, s.floor.Load())
 				}
 			}
 			h.t.Fatalf("firehose log never truncated (floors %v, published %d)",
-				floors, h.c.firehose.Published())
+				floors, h.c.hub.firehose.Published())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -231,12 +285,19 @@ func (h *crashHarness) restart() {
 	if h.cfg.LogDir == "" {
 		h.t.Fatal("restart needs a durable-log config")
 	}
+	h.shutdown()
+	h.open()
+}
+
+// shutdown stops the deployment gracefully: the cluster (or hub), then over
+// TCP every worker still running, whose main loops end with the hub's EOS.
+func (h *crashHarness) shutdown() {
 	h.c.Shutdown()
-	c, err := Reopen(h.cfg)
-	if err != nil {
-		h.t.Fatalf("Reopen: %v", err)
+	for idx, w := range h.workers {
+		if w != nil {
+			h.joins[idx]()
+		}
 	}
-	h.c = c
 }
 
 // finish publishes the remainder of the stream, restores any replica the
@@ -246,24 +307,54 @@ func (h *crashHarness) restart() {
 func (h *crashHarness) finish() {
 	h.t.Helper()
 	h.publishTo(1.0)
-	for pid := 0; pid < h.cfg.Partitions; pid++ {
-		for r := 0; r < h.c.Replicas(pid); r++ {
-			if state, _ := h.c.ReplicaState(pid, r); state == "dead" {
-				if err := h.c.RestoreReplica(pid, r); err != nil {
-					h.t.Fatal(err)
+	if h.tcp() {
+		h.finishWorkers()
+	} else {
+		for pid := 0; pid < h.cfg.Partitions; pid++ {
+			for r := 0; r < h.c.Replicas(pid); r++ {
+				if state, _ := h.c.ReplicaState(pid, r); state == "dead" {
+					if err := h.c.RestoreReplica(pid, r); err != nil {
+						h.t.Fatal(err)
+					}
+				}
+			}
+		}
+		h.c.Shutdown()
+		for pid := 0; pid < h.cfg.Partitions; pid++ {
+			for r := 0; r < h.c.Replicas(pid); r++ {
+				if state, _ := h.c.ReplicaState(pid, r); state != "live" && state != "removed" {
+					h.t.Fatalf("replica %d/%d state %q after drain, want live", pid, r, state)
 				}
 			}
 		}
 	}
-	h.c.Shutdown()
-	for pid := 0; pid < h.cfg.Partitions; pid++ {
-		for r := 0; r < h.c.Replicas(pid); r++ {
-			if state, _ := h.c.ReplicaState(pid, r); state != "live" && state != "removed" {
-				h.t.Fatalf("replica %d/%d state %q after drain, want live", pid, r, state)
+	h.assertFingerprints()
+}
+
+// finishWorkers is finish's restore-and-drain over TCP. A clean end of
+// stream detaches every slot, so the all-live invariant is checked going
+// into the drain rather than after it; and a floor report that trails the
+// end of stream is dropped with its connection, so the workers first apply
+// everything published while the hub still listens — as an in-process
+// drain has the consumers do before the hub tier closes.
+func (h *crashHarness) finishWorkers() {
+	h.t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for idx, w := range h.workers {
+		if w == nil {
+			h.startWorker(idx)
+		}
+		h.awaitAll(idx)
+		for _, rep := range h.workers[idx].host.reps {
+			for rep.applied.Load() < uint64(len(h.stream)) {
+				if time.Now().After(deadline) {
+					h.t.Fatalf("replica %d/%d applied %d of %d offsets", rep.pid, rep.idx, rep.applied.Load(), len(h.stream))
+				}
+				time.Sleep(time.Millisecond)
 			}
 		}
 	}
-	h.assertFingerprints()
+	h.shutdown()
 }
 
 // assertFingerprints cross-checks every recorded state fingerprint across
@@ -287,7 +378,7 @@ func (h *crashHarness) assertFingerprints() {
 			h.t.Fatalf("partition %d: state fingerprint mismatches: %+v", pid, rep.Mismatches)
 		}
 		total += rep.Records
-		for _, path := range h.c.auditSources(pid) {
+		for _, path := range auditSources(h.c.hub.placed(pid)) {
 			recs, _ := audit.Read(path, h.c.runID)
 			for _, rec := range recs {
 				distinct[rec.Sum] = struct{}{}
@@ -327,11 +418,27 @@ func assertSameNotes(t *testing.T, want, got map[noteKey]int) {
 	}
 }
 
+// partitionOf returns the fault run's replica r of partition pid, wherever
+// the transport put it.
+func (h *crashHarness) partitionOf(pid, r int) (*partition.Partition, error) {
+	if h.tcp() {
+		return h.workers[r].host.replica(pid, r).p, nil
+	}
+	return h.c.Replica(pid, r)
+}
+
 // assertConverged compares every (non-decommissioned) replica's D store
 // against the oracle's. Oracle replicas are deterministic clones, so
 // replica 0 stands for the whole group — which also covers fault-side
 // replicas added by scale-out, which have no oracle counterpart by index.
 func assertConverged(t *testing.T, fault, oracle *Cluster, cfg Config) {
+	t.Helper()
+	assertConvergedFrom(t, fault, fault.Replica, oracle, cfg)
+}
+
+// assertConvergedFrom is assertConverged with the fault side's partitions
+// fetched through replica: fault itself only supplies the topology.
+func assertConvergedFrom(t *testing.T, fault *Cluster, replica func(pid, r int) (*partition.Partition, error), oracle *Cluster, cfg Config) {
 	t.Helper()
 	for pid := 0; pid < cfg.Partitions; pid++ {
 		want, err := oracle.Replica(pid, 0)
@@ -343,7 +450,7 @@ func assertConverged(t *testing.T, fault, oracle *Cluster, cfg Config) {
 			if state, _ := fault.ReplicaState(pid, r); state == "removed" {
 				continue
 			}
-			got, err := fault.Replica(pid, r)
+			got, err := replica(pid, r)
 			if err != nil {
 				t.Fatalf("replica %d/%d: %v", pid, r, err)
 			}
@@ -371,6 +478,12 @@ func TestCrashMatrix(t *testing.T) {
 		// verify runs extra non-vacuousness assertions on the drained
 		// fault cluster.
 		verify func(t *testing.T, h *crashHarness)
+		// inProcessOnly, when set, says why the row has no TCP leg. Rows
+		// built from killAll / restoreAll / restart (plus publishTo and the
+		// wait and corrupt helpers) run once per transport; the elastic
+		// calls are ErrNotLocal on a networked hub — there, replacing or
+		// adding a replica is starting a process, not an API call.
+		inProcessOnly string
 	}{
 		{
 			// Dense cuts: the async writers are persisting segments at the
@@ -528,8 +641,9 @@ func TestCrashMatrix(t *testing.T) {
 			// fresh S, state rebuilt from the partition's base pool plus
 			// log replay — while the survivors keep compacting and
 			// truncating underneath.
-			name:    "reprovision-mid-stream",
-			durable: true,
+			name:          "reprovision-mid-stream",
+			durable:       true,
+			inProcessOnly: "elastic lifecycle calls return ErrNotLocal on a networked hub",
 			tune: func(cfg *Config) {
 				cfg.CheckpointInterval = time.Second
 				cfg.CompactEvery = 2
@@ -566,8 +680,9 @@ func TestCrashMatrix(t *testing.T) {
 			// its floor, so neither its chain nor a scratch replay can
 			// restore it. ReprovisionReplica must still bring it back via
 			// the peers' base pool, oracle-equivalent.
-			name:    "reprovision-all-local-bases-corrupt",
-			durable: true,
+			name:          "reprovision-all-local-bases-corrupt",
+			durable:       true,
+			inProcessOnly: "elastic lifecycle calls return ErrNotLocal on a networked hub",
 			tune: func(cfg *Config) {
 				cfg.CheckpointInterval = time.Second
 				cfg.CompactEvery = 2
@@ -605,8 +720,9 @@ func TestCrashMatrix(t *testing.T) {
 			// scaled-out replica carries the group (the kill guard counts
 			// it), and the dead originals restore as usual. Exactly-once
 			// must hold across the membership change.
-			name:    "scale-out-then-kill-original",
-			durable: true,
+			name:          "scale-out-then-kill-original",
+			durable:       true,
+			inProcessOnly: "elastic lifecycle calls return ErrNotLocal on a networked hub",
 			tune: func(cfg *Config) {
 				cfg.CheckpointInterval = time.Second
 				cfg.MirrorBases = 1
@@ -636,8 +752,9 @@ func TestCrashMatrix(t *testing.T) {
 			// original is decommissioned for good — no dupes, no losses,
 			// and the tombstone never comes back (finish() asserts the
 			// drain invariant around it).
-			name:    "scale-out-scale-in",
-			durable: true,
+			name:          "scale-out-scale-in",
+			durable:       true,
+			inProcessOnly: "elastic lifecycle calls return ErrNotLocal on a networked hub",
 			tune: func(cfg *Config) {
 				cfg.CheckpointInterval = time.Second
 				cfg.MirrorBases = 1
@@ -664,9 +781,9 @@ func TestCrashMatrix(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			stream := motifWorkload(900+int64(i), users, 500)
 
-			newCfg := func() Config {
+			newCfg := func(durable bool) Config {
 				var cfg Config
-				if tc.durable {
+				if durable {
 					cfg = durableConfig(t, static)
 				} else {
 					cfg = recoveryConfig(t, static)
@@ -679,7 +796,7 @@ func TestCrashMatrix(t *testing.T) {
 
 			// Oracle: the identical configuration, fresh directories, no
 			// faults.
-			oracleCfg := newCfg()
+			oracleCfg := newCfg(tc.durable)
 			oracleNotes := collectNotes(&oracleCfg)
 			oracle, err := New(oracleCfg)
 			if err != nil {
@@ -693,21 +810,35 @@ func TestCrashMatrix(t *testing.T) {
 			}
 			oracle.Stop()
 
-			// Fault run — at the deployed 16x2 batch bound, so every
-			// matrix scenario doubles as a batching-independence check
-			// (the oracle stays at a batch bound of one).
-			faultCfg := newCfg()
-			faultCfg.ApplyBatch = 16
-			faultCfg.ApplyWorkers = 2
-			faultNotes := collectNotes(&faultCfg)
-			h := newCrashHarness(t, faultCfg, stream)
-			tc.fault(h)
-			h.finish()
+			// Fault run, once per transport — at the deployed 16x2 batch
+			// bound, so every matrix scenario doubles as a
+			// batching-independence check (the oracle stays at a batch
+			// bound of one).
+			for _, leg := range []string{"inproc", "tcp"} {
+				t.Run(leg, func(t *testing.T) {
+					faultCfg := newCfg(tc.durable || leg == "tcp")
+					if leg == "tcp" {
+						if tc.inProcessOnly != "" {
+							t.Skip(tc.inProcessOnly)
+						}
+						// A hub needs the durable log either way.
+						faultCfg.Listen = "127.0.0.1:0"
+						faultCfg.NetDrainTimeout = 20 * time.Second
+						faultCfg.Metrics = metrics.NewRegistry()
+					}
+					faultCfg.ApplyBatch = 16
+					faultCfg.ApplyWorkers = 2
+					faultNotes := collectNotes(&faultCfg)
+					h := newCrashHarness(t, faultCfg, stream)
+					tc.fault(h)
+					h.finish()
 
-			assertSameNotes(t, oracleNotes(), faultNotes())
-			assertConverged(t, h.c, oracle, faultCfg)
-			if tc.verify != nil {
-				tc.verify(t, h)
+					assertSameNotes(t, oracleNotes(), faultNotes())
+					assertConvergedFrom(t, h.c, h.partitionOf, oracle, faultCfg)
+					if tc.verify != nil {
+						tc.verify(t, h)
+					}
+				})
 			}
 		})
 	}
@@ -1036,7 +1167,7 @@ func TestReopenSeedsDeliveryFilter(t *testing.T) {
 	}
 	defer c2.Stop()
 	seeded := false
-	for _, off := range c2.initialDelivery {
+	for _, off := range c2.hub.initialDelivery {
 		if off > 0 {
 			seeded = true
 		}

@@ -18,38 +18,30 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
 	"motifstream/internal/codecutil"
-	"motifstream/internal/graph"
-	"motifstream/internal/motif"
 	"motifstream/internal/partition"
-	"motifstream/internal/placement"
 )
 
-// tombstone stands in for a decommissioned placement in the broker's
-// replica groups, keeping member indices aligned with slot indices; it is
-// permanently marked down and never serves.
-type tombstone struct{ pid int }
-
-func (t tombstone) RecommendationsFor(graph.VertexID) []motif.Candidate { return nil }
-func (t tombstone) ID() int                                             { return t.pid }
-
 // Partitions returns the number of partitions (placement.Elastic).
-func (c *Cluster) Partitions() int { return len(c.slots) }
+func (c *Cluster) Partitions() int { return c.cfg.Partitions }
 
 // Replicas returns partition pid's current replica count, decommissioned
 // tombstones included — indices stay stable, so this is also the bound
-// for ReplicaState scans (placement.Elastic).
+// for ReplicaState scans (placement.Elastic). Zero on a worker, which
+// keeps no slot table.
 func (c *Cluster) Replicas(pid int) int {
-	c.topoMu.RLock()
-	defer c.topoMu.RUnlock()
-	if pid < 0 || pid >= len(c.slots) {
+	h, err := c.hubTier()
+	if err != nil || pid < 0 || pid >= len(h.slots) {
 		return 0
 	}
-	return len(c.slots[pid])
+	h.topoMu.RLock()
+	defer h.topoMu.RUnlock()
+	return len(h.slots[pid])
 }
 
 // mirrorSubdir is the subdirectory of a replica directory holding base
@@ -113,35 +105,38 @@ func checksumOK(data []byte) bool {
 // push, each push is independent, and a failed one is counted and left
 // where it tore (a crashed pusher would too — readers CRC-gate every
 // mirror, so torn files are inert).
-func (c *Cluster) mirrorBase(slot *replicaSlot, srcPath string, offset uint64) {
-	budget := c.mirrorBases
+func (h *replicaHost) mirrorBase(rep *replica, srcPath string, offset uint64) {
+	budget := h.mirrorBases
 	if budget <= 0 {
 		return
 	}
 	data, err := os.ReadFile(srcPath)
 	if err != nil || !checksumOK(data) {
-		c.ckptErrors.Inc()
+		h.ckptErrors.Inc()
 		return
 	}
 	// The writes happen outside the topology lock. A peer decommissioned or
 	// reprovisioned between the snapshot and the push at worst leaves
 	// garbage in a directory about to be (or already) deleted — generation
 	// directories are never reused, so nothing can ever resurrect it.
-	for _, peerDir := range c.replicaDirs(slot.pid, slot) {
+	for _, peer := range h.placed(rep.pid) {
 		if budget == 0 {
 			break
 		}
-		dir := filepath.Join(peerDir, mirrorSubdir)
+		if peer.idx == rep.idx {
+			continue
+		}
+		dir := filepath.Join(peer.dir, mirrorSubdir)
 		if err := os.MkdirAll(dir, 0o755); err != nil {
-			c.ckptErrors.Inc()
+			h.ckptErrors.Inc()
 			continue
 		}
-		if err := writeMirrorFile(filepath.Join(dir, mirrorName(slot.idx, offset)), data); err != nil {
-			c.ckptErrors.Inc()
+		if err := writeMirrorFile(filepath.Join(dir, mirrorName(rep.idx, offset)), data); err != nil {
+			h.ckptErrors.Inc()
 			continue
 		}
-		removeOlderMirrors(dir, slot.idx, offset)
-		c.mirrorsOut.Inc()
+		removeOlderMirrors(dir, rep.idx, offset)
+		h.mirrorsOut.Inc()
 		budget--
 	}
 }
@@ -225,9 +220,9 @@ func mirrorOffsets(dir string) []uint64 {
 // source's own newer pushes retire them), and with the truncation floor
 // counting mirror offsets an orphaned mirror would pin the firehose log
 // forever.
-func (c *Cluster) removeSourceMirrors(pid, srcIdx int) {
-	for _, dir := range c.replicaDirs(pid, nil) {
-		mdir := filepath.Join(dir, mirrorSubdir)
+func (h *replicaHost) removeSourceMirrors(pid, srcIdx int) {
+	for _, peer := range h.placed(pid) {
+		mdir := filepath.Join(peer.dir, mirrorSubdir)
 		entries, err := os.ReadDir(mdir)
 		if err != nil {
 			continue
@@ -240,37 +235,23 @@ func (c *Cluster) removeSourceMirrors(pid, srcIdx int) {
 	}
 }
 
-// replicaDirs snapshots partition pid's non-removed replica directories
-// (except's excluded) under the topology lock, for scans that then run
-// outside it.
-func (c *Cluster) replicaDirs(pid int, except *replicaSlot) []string {
-	c.topoMu.RLock()
-	defer c.topoMu.RUnlock()
-	var dirs []string
-	for _, s := range c.slots[pid] {
-		if s != except && s.state.Load() != replicaRemoved && s.dir != "" {
-			dirs = append(dirs, s.dir)
-		}
-	}
-	return dirs
-}
-
 // baseSource is one candidate restore point in a partition's base pool.
 type baseSource struct {
 	path   string
 	offset uint64
 }
 
-// basePool lists every potential restore base for partition pid — each
-// non-removed replica directory's own manifest base plus the mirrors
-// pushed into it — newest offset first. Purely advisory: candidates are
-// fully CRC-verified at compose time, so concurrent compaction retiring a
-// file, a torn mirror push, or plain corruption just moves composition to
-// the next candidate.
-func (c *Cluster) basePool(pid int) []baseSource {
+// basePool lists every potential restore base among a partition's
+// placements — each directory's own manifest base plus the mirrors pushed
+// into it — newest offset first. Purely advisory: candidates are fully
+// CRC-verified at compose time, so concurrent compaction retiring a file, a
+// torn mirror push, or plain corruption just moves composition to the next
+// candidate.
+func basePool(placements []placed, runID uint64) []baseSource {
 	var out []baseSource
-	for _, dir := range c.replicaDirs(pid, nil) {
-		if man, err := loadManifest(manifestPath(dir), c.runID); err == nil &&
+	for _, pl := range placements {
+		dir := pl.dir
+		if man, err := loadManifest(manifestPath(dir), runID); err == nil &&
 			len(man.segs) > 0 && man.segs[0].kind == segKindBase {
 			out = append(out, baseSource{path: segmentPath(dir, man.segs[0]), offset: man.segs[0].offset})
 		}
@@ -315,7 +296,7 @@ func composeFromPool(pool []baseSource, start, head uint64) (*partition.Checkpoi
 // durable chain: segment file first, then the manifest naming it — the
 // writer's crash-safe order — continuing old's sequence numbers so file
 // names never collide, and retiring old's now-unreferenced segments.
-func (c *Cluster) seedChain(dir string, data []byte, offset uint64, old manifest) (manifest, error) {
+func (h *replicaHost) seedChain(dir string, data []byte, offset uint64, old manifest) (manifest, error) {
 	ref := segmentRef{kind: segKindBase, seq: old.nextSeq, offset: offset}
 	if err := writeFileSync(segmentPath(dir, ref), func(w io.Writer) error {
 		_, err := w.Write(data)
@@ -324,7 +305,7 @@ func (c *Cluster) seedChain(dir string, data []byte, offset uint64, old manifest
 		return manifest{}, err
 	}
 	man := manifest{segs: []segmentRef{ref}, nextSeq: old.nextSeq + 1}
-	if err := man.write(manifestPath(dir), c.runID); err != nil {
+	if err := man.write(manifestPath(dir), h.runID); err != nil {
 		os.Remove(segmentPath(dir, ref))
 		return manifest{}, err
 	}
@@ -338,8 +319,8 @@ func (c *Cluster) seedChain(dir string, data []byte, offset uint64, old manifest
 // directory, S built from the newest offline build — to live. Its plan
 // finds no chain, so it seeds from the pool's newest usable base (or
 // rebuilds from a log retained from zero). The caller holds ctl.
-func (c *Cluster) launchPlacement(slot *replicaSlot) error {
-	plan, err := c.planSlot(slot)
+func (h *replicaHost) launchPlacement(rep *replica, alive bool) error {
+	plan, err := h.planSlot(rep, alive)
 	if err != nil {
 		return err
 	}
@@ -349,15 +330,15 @@ func (c *Cluster) launchPlacement(slot *replicaSlot) error {
 	// with its floor pinning the log; the operator can retry once the pool
 	// heals.
 	if plan.seed != nil && plan.diverged() {
-		c.auditMismatches.Inc()
+		h.auditMismatches.Inc()
 		return fmt.Errorf("cluster: replica %d/%d: pool base at offset %d has fingerprint %08x, source recorded %08x; refusing go-live",
-			slot.pid, slot.idx, plan.offset, plan.got, plan.want)
+			rep.pid, rep.idx, plan.offset, plan.got, plan.want)
 	}
-	at, err := c.executeRestore(slot, plan)
+	at, err := h.executeRestore(rep, plan)
 	if err != nil {
 		return err
 	}
-	return c.launchReplica(slot, at)
+	return h.launchReplica(rep, at)
 }
 
 // ReprovisionReplica replaces a replica's node: the old placement — its
@@ -370,66 +351,46 @@ func (c *Cluster) launchPlacement(slot *replicaSlot) error {
 // a live one is first torn down like KillReplica, guarding the group's
 // last alive copy. Must not be called concurrently with Stop.
 func (c *Cluster) ReprovisionReplica(pid, r int) error {
-	slot, err := c.localSlot(pid, r)
+	slot, rep, err := c.localSlot(pid, r)
 	if err != nil {
 		return err
 	}
-	c.ctl.Lock()
-	defer c.ctl.Unlock()
-	if !c.started.Load() {
-		return fmt.Errorf("cluster: replica %d/%d cannot be reprovisioned before Start", pid, r)
-	}
-	switch slot.state.Load() {
-	case replicaRemoved:
-		return fmt.Errorf("cluster: replica %d/%d is decommissioned", pid, r)
-	case replicaDead:
-		// The node is already gone; replace it in place.
-	default:
+	defer c.host.ctl.Unlock()
+	if slot.state.Load() != replicaDead {
 		// Planned replacement of a running node: KillReplica's teardown,
-		// with the same last-alive guard.
-		if c.aliveLocked(pid, slot) < 1 {
+		// with the same last-alive guard. (A dead node is already gone and
+		// is replaced in place.)
+		if c.hub.alive(pid, slot) < 1 {
 			return fmt.Errorf("cluster: cannot reprovision last alive replica of partition %d", pid)
 		}
-		if err := c.teardownLocked(slot); err != nil {
-			return err
-		}
+		c.host.teardown(rep)
 	}
 	// The replacement machine: fresh partition, new generation directory.
 	// The generation bump persists before anything touches disk, so even
 	// a crash mid-provision leaves a restart opening the right (empty)
 	// directory rather than the dead node's.
-	p, err := c.buildPartition(pid, c.loadStaticSnapshot(pid))
-	if err != nil {
-		return fmt.Errorf("cluster: reprovision %d/%d: %w", pid, r, err)
-	}
 	pl, err := c.table.Bump(pid, r)
 	if err != nil {
 		c.ckptErrors.Inc()
 		return fmt.Errorf("cluster: reprovision %d/%d: placement table: %w", pid, r, err)
 	}
-	oldDir := slot.dir
-	newDir := placement.Dir(c.cfg.CheckpointDir, pid, r, pl.Gen)
-	if err := os.RemoveAll(newDir); err != nil {
+	fresh, err := c.host.place(pid, r, pl.Gen, c.host.loadStaticSnapshot(pid), true)
+	if err != nil {
 		return fmt.Errorf("cluster: reprovision %d/%d: %w", pid, r, err)
 	}
-	if err := os.MkdirAll(newDir, 0o755); err != nil {
-		return fmt.Errorf("cluster: reprovision %d/%d: %w", pid, r, err)
-	}
-	c.topoMu.Lock()
-	slot.gen = pl.Gen
-	slot.dir = newDir
-	slot.p.Store(p)
-	c.topoMu.Unlock()
+	c.hub.topoMu.Lock()
+	slot.gen, slot.dir = fresh.gen, fresh.dir
+	c.hub.topoMu.Unlock()
+	c.host.mu.Lock()
+	c.host.reps[slices.Index(c.host.reps, rep)] = fresh
+	c.host.mu.Unlock()
 	// The old machine's disk dies with the machine — including the
 	// mirrors peers pushed onto it.
-	if oldDir != "" {
-		os.RemoveAll(oldDir)
-	}
-	if err := c.broker.ReplaceReplica(pid, r, p); err != nil {
-		return err
+	if rep.dir != "" {
+		os.RemoveAll(rep.dir)
 	}
 	c.reprovisions.Inc()
-	return c.launchPlacement(slot)
+	return c.host.launchPlacement(fresh, c.hub.alive(pid, nil) > 0)
 }
 
 // AddReplica grows partition pid by one replica while the stream is
@@ -441,59 +402,47 @@ func (c *Cluster) ReprovisionReplica(pid, r int) error {
 // batches exactly-once by construction. Returns the new replica's index.
 // Requires a started cluster; must not be called concurrently with Stop.
 func (c *Cluster) AddReplica(pid int) (int, error) {
-	if c.cfg.CheckpointDir == "" {
-		return 0, ErrRecoveryDisabled
+	if err := c.lifecycle(); err != nil {
+		return 0, err
 	}
-	if c.networked() {
-		return 0, ErrNotLocal
-	}
-	if pid < 0 || pid >= len(c.slots) {
+	if pid < 0 || pid >= c.cfg.Partitions {
 		return 0, fmt.Errorf("cluster: partition %d out of range", pid)
 	}
-	c.ctl.Lock()
-	defer c.ctl.Unlock()
-	if !c.started.Load() {
-		return 0, fmt.Errorf("cluster: AddReplica requires a started cluster")
-	}
-	idx := len(c.slots[pid]) // stable: all topology mutations hold ctl
+	c.host.ctl.Lock()
+	defer c.host.ctl.Unlock()
+	idx := len(c.hub.slots[pid]) // stable: all topology mutations hold ctl
 	// Fallible provisioning first, the table persist last: a failure here
 	// leaves nothing recorded (an orphan directory at worst, wiped by the
 	// next attempt), so a transient error never wedges the index; a crash
 	// between the persist and the in-memory append restarts into a
 	// replica with an empty directory — a scratch catch-up, the intended
 	// end state.
-	dir := placement.Dir(c.cfg.CheckpointDir, pid, idx, 0)
-	if err := os.RemoveAll(dir); err != nil {
-		return 0, fmt.Errorf("cluster: add replica %d/%d: %w", pid, idx, err)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return 0, fmt.Errorf("cluster: add replica %d/%d: %w", pid, idx, err)
-	}
-	p, err := c.buildPartition(pid, c.loadStaticSnapshot(pid))
+	rep, err := c.host.place(pid, idx, 0, c.host.loadStaticSnapshot(pid), true)
 	if err != nil {
 		return 0, fmt.Errorf("cluster: add replica %d/%d: %w", pid, idx, err)
 	}
-	pl, err := c.table.Add(pid, idx)
-	if err != nil {
-		os.RemoveAll(dir)
+	if _, err := c.table.Add(pid, idx); err != nil {
+		os.RemoveAll(rep.dir)
 		return 0, fmt.Errorf("cluster: add replica %d/%d: placement table: %w", pid, idx, err)
 	}
-	slot := &replicaSlot{pid: pid, idx: idx, gen: pl.Gen, dir: dir, live: make(chan struct{})}
-	slot.p.Store(p)
-	slot.state.Store(replicaDead) // until catch-up wiring below
+	slot := &replicaSlot{pid: pid, idx: idx, dir: rep.dir, live: make(chan struct{})}
+	slot.state.Store(replicaDead) // until the launch below attaches
 	// Membership first, with a floor of zero: from this instant the
 	// truncation scan counts the newcomer, so the log cannot be compacted
 	// out from under the catch-up launchPlacement is about to begin.
-	c.topoMu.Lock()
-	c.slots[pid] = append(c.slots[pid], slot)
-	c.topoMu.Unlock()
-	if _, err := c.broker.AddReplica(pid, p); err != nil {
+	c.hub.topoMu.Lock()
+	c.hub.slots[pid] = append(c.hub.slots[pid], slot)
+	c.hub.topoMu.Unlock()
+	c.host.mu.Lock()
+	c.host.reps = append(c.host.reps, rep)
+	c.host.mu.Unlock()
+	if _, err := c.hub.broker.AddReplica(pid, vacant{pid: pid}); err != nil {
 		return 0, err
 	}
 	c.scaleOuts.Inc()
 	// On error the slot stays dead (and its floor pins the log); the
 	// operator can retry via RestoreReplica or ReprovisionReplica.
-	return idx, c.launchPlacement(slot)
+	return idx, c.host.launchPlacement(rep, c.hub.alive(pid, nil) > 0)
 }
 
 // DecommissionReplica removes a replica from service permanently — live
@@ -503,20 +452,12 @@ func (c *Cluster) AddReplica(pid int) (int, error) {
 // not rebuild it. The group's last alive replica cannot be removed. Must
 // not be called concurrently with Stop.
 func (c *Cluster) DecommissionReplica(pid, r int) error {
-	slot, err := c.localSlot(pid, r)
+	slot, rep, err := c.localSlot(pid, r)
 	if err != nil {
 		return err
 	}
-	c.ctl.Lock()
-	defer c.ctl.Unlock()
-	state := slot.state.Load()
-	if state == replicaRemoved {
-		return fmt.Errorf("cluster: replica %d/%d is already decommissioned", pid, r)
-	}
-	if state != replicaDead && slot.quit == nil {
-		return fmt.Errorf("cluster: replica %d/%d cannot be decommissioned before Start", pid, r)
-	}
-	if c.aliveLocked(pid, slot) < 1 {
+	defer c.host.ctl.Unlock()
+	if c.hub.alive(pid, slot) < 1 {
 		return fmt.Errorf("cluster: cannot decommission last alive replica of partition %d", pid)
 	}
 	// Persist the tombstone while the replica still runs: a crash after
@@ -526,21 +467,20 @@ func (c *Cluster) DecommissionReplica(pid, r int) error {
 		c.ckptErrors.Inc()
 		return fmt.Errorf("cluster: decommission %d/%d: placement table: %w", pid, r, err)
 	}
-	if state != replicaDead {
-		if err := c.teardownLocked(slot); err != nil {
-			return err
-		}
+	if slot.state.Load() != replicaDead {
+		c.host.teardown(rep)
 	}
 	slot.state.Store(replicaRemoved)
-	if p := slot.p.Load(); p != nil {
-		p.Reset() // release the replica's memory; the slot object stays
-	}
+	rep.p.Reset() // release the replica's memory
+	c.host.mu.Lock()
+	c.host.reps = slices.DeleteFunc(c.host.reps, func(o *replica) bool { return o == rep })
+	c.host.mu.Unlock()
 	if slot.dir != "" {
 		os.RemoveAll(slot.dir)
 	}
 	// Retire the mirrors this replica pushed to its peers: no source will
 	// ever supersede them, and the truncation floor counts hosted mirrors.
-	c.removeSourceMirrors(pid, r)
+	c.host.removeSourceMirrors(pid, r)
 	c.scaleIns.Inc()
 	return nil
 }

@@ -178,8 +178,8 @@ func TestAddReplicaRefusesDivergedPoolBase(t *testing.T) {
 	if err := c.KillReplica(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	head := c.firehose.Published()
-	dir := c.slots[0][1].dir
+	head := c.hub.firehose.Published()
+	dir := c.hub.slots[0][1].dir
 	planted := writeMirror(t, dir, head, false)
 	data, err := os.ReadFile(planted.path)
 	if err != nil {
@@ -209,7 +209,7 @@ func TestAddReplicaRefusesDivergedPoolBase(t *testing.T) {
 	if st.AuditMismatches != 1 || st.BasePoolRestores != 0 {
 		t.Fatalf("mismatches=%d pool restores=%d, want 1 and 0", st.AuditMismatches, st.BasePoolRestores)
 	}
-	if man, err := loadManifest(manifestPath(c.slots[0][idx].dir), c.runID); err != nil || len(man.segs) != 0 {
+	if man, err := loadManifest(manifestPath(c.hub.slots[0][idx].dir), c.runID); err != nil || len(man.segs) != 0 {
 		t.Fatalf("refused newcomer's chain was seeded anyway: %v (err %v)", man.segs, err)
 	}
 	// Once the pool heals (the diverged base is gone) the operator's retry
@@ -264,7 +264,7 @@ func TestReopenRebuildsElasticTopology(t *testing.T) {
 	if err := c.AwaitReplicaLive(1, 1, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	reprovHead := c.firehose.Published()
+	reprovHead := c.hub.firehose.Published()
 	threeQ := 3 * len(stream) / 4
 	for _, e := range stream[half:threeQ] {
 		c.Publish(e)

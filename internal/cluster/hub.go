@@ -1,0 +1,551 @@
+package cluster
+
+import (
+	"crypto/rand"
+	"encoding/binary"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"motifstream/internal/broker"
+	"motifstream/internal/delivery"
+	"motifstream/internal/graph"
+	"motifstream/internal/motif"
+	"motifstream/internal/placement"
+	"motifstream/internal/queue"
+	"motifstream/internal/transport"
+)
+
+// Slot states — the catch-up machine every replica goes through, whichever
+// process runs it. A slot is born dead; an attach moves it to replaying
+// (broker-down), the attachment's live report to live (broker-up), its
+// detach back to dead. DecommissionReplica moves any state to removed — a
+// terminal tombstone that keeps the group's indices stable.
+const (
+	replicaLive int32 = iota
+	replicaReplaying
+	replicaDead
+	replicaRemoved
+)
+
+// replicaSlot is the hub tier's record of one placement: where its chain
+// lives, where it stands in the catch-up machine, and which attachment — a
+// replica host's claim on it, from this process or a socket — owns it.
+type replicaSlot struct {
+	pid, idx int
+	// gen is the placement generation (bumped by ReprovisionReplica) and
+	// dir the generation's checkpoint directory ("" without recovery).
+	// Both are rewritten only under ctl+topoMu; read them under either.
+	gen int
+	dir string
+
+	state atomic.Int32
+	// floor is the offset of the replica's oldest durable restore point
+	// (its base segment's cut offset; zero until the first compaction).
+	// The firehose log is only ever truncated below the minimum floor
+	// across replicas.
+	floor atomic.Uint64
+
+	// att is the slot's newest attachment (nil while nobody is attached)
+	// and live closes when it reports live; both guarded by hubTier.slotMu.
+	att  *attachment
+	live chan struct{}
+}
+
+// hubTier is everything that exists once per deployment: the firehose log,
+// the candidate queue and delivery pipeline, the broker, and the slot
+// records with their state machine. Replica hosts reach it only through its
+// handler set: it is the in-process hubLink, and hubListener (networked.go)
+// relays the same calls for socket-attached workers.
+type hubTier struct {
+	*shared
+
+	firehose *queue.Topic[graph.Edge]
+	// wal is the durable firehose log backend when Config.LogDir is set;
+	// the tier owns it and closes it after the last drain in shutdown.
+	wal        *queue.WAL[graph.Edge]
+	candidates *queue.Topic[transport.CandMsg]
+	broker     *broker.Broker
+	slots      [][]*replicaSlot
+	present    [][2]int // the placements in service at construction
+	// listener serves socket-attached workers; nil without Config.Listen.
+	listener *hubListener
+
+	// initialDelivery seeds runDelivery's per-group high-water offsets on
+	// a durable-log restart, so replicas replaying their tail spans do
+	// not re-deliver batches the previous run already pushed.
+	initialDelivery []uint64
+	// stateWG tracks in-flight async delivery-state cuts; stateBusy keeps
+	// at most one in flight (a busy tick is skipped, the next one captures
+	// a strictly newer state). Cuts are only spawned by the delivery
+	// goroutine, which waits for the last one before its final exact cut.
+	stateWG   sync.WaitGroup
+	stateBusy atomic.Bool
+	deliverWG sync.WaitGroup
+
+	// truncMu makes maybeTruncateLog's floor scan plus truncate atomic
+	// against an attach's floor publication plus subscribe (see attach).
+	truncMu sync.Mutex
+	// slotMu serializes the slot state machine's transitions.
+	slotMu sync.Mutex
+	// topoMu guards the topology itself — the per-partition slot slices,
+	// which grow on AddReplica, and each slot's dir/gen, which node
+	// replacement rewrites. Mutations additionally hold the host's ctl;
+	// lock order is ctl → truncMu → slotMu → topoMu (always innermost), so
+	// readers on any path can take the read lock without ordering worries.
+	topoMu sync.RWMutex
+}
+
+// newHubTier opens the firehose log — durable over Config.LogDir, retained
+// in memory with recovery, a plain topic otherwise — adopts its identity,
+// and builds one slot record per placement, each born dead behind a
+// placeholder broker member: a replica host's attach brings it to life.
+func newHubTier(sh *shared) (h *hubTier, err error) {
+	cfg := sh.cfg
+	h = &hubTier{shared: sh}
+	opts := queue.Options{
+		Name:   "firehose",
+		Delay:  cfg.IngestDelay,
+		Buffer: queueBuffer,
+		Seed:   cfg.Seed,
+		Retain: cfg.CheckpointDir != "",
+		// The delivery tier sequences on firehose offsets, so offset
+		// order must equal every replica's delivery order even when
+		// Publish is called from multiple goroutines.
+		Ordered: true,
+	}
+	var logID uint64 // see shared.runID
+	var backend queue.LogBackend[graph.Edge]
+	if cfg.LogDir != "" {
+		h.wal, err = queue.OpenWAL(queue.WALOptions[graph.Edge]{
+			Dir:          cfg.LogDir,
+			Marshal:      marshalEdge,
+			Unmarshal:    unmarshalEdge,
+			SyncEvery:    cfg.LogSyncEvery,
+			SegmentBytes: cfg.LogSegmentBytes,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("cluster: durable log: %w", err)
+		}
+		defer func() {
+			if err != nil {
+				h.wal.Close()
+			}
+		}()
+		backend, logID = h.wal, h.wal.ID()
+	} else if cfg.CheckpointDir != "" {
+		var id [8]byte
+		if _, err := rand.Read(id[:]); err != nil {
+			return nil, fmt.Errorf("cluster: run id: %w", err)
+		}
+		logID = binary.LittleEndian.Uint64(id[:])
+	}
+	h.firehose = queue.NewTopicWithLog[graph.Edge](opts, backend)
+	h.candidates = queue.NewTopic[transport.CandMsg](queue.Options{
+		Name:   "candidates",
+		Delay:  cfg.DeliveryDelay,
+		Buffer: queueBuffer,
+		Seed:   cfg.Seed + 1,
+	})
+	sh.adoptLog(logID)
+
+	h.slots = make([][]*replicaSlot, cfg.Partitions)
+	groups := make([][]broker.Replica, cfg.Partitions)
+	for pid := range h.slots {
+		for r, pl := range sh.placements(pid) {
+			slot := &replicaSlot{pid: pid, idx: r, gen: pl.Gen, live: make(chan struct{})}
+			slot.state.Store(replicaDead)
+			if pl.Removed {
+				slot.state.Store(replicaRemoved)
+			} else {
+				h.present = append(h.present, [2]int{pid, r})
+				if cfg.CheckpointDir != "" {
+					slot.dir = placement.Dir(cfg.CheckpointDir, pid, r, pl.Gen)
+				}
+			}
+			h.slots[pid] = append(h.slots[pid], slot)
+			groups[pid] = append(groups[pid], vacant{pid: pid})
+		}
+	}
+	if h.broker, err = broker.New(sh.part, groups); err != nil {
+		return nil, err
+	}
+	for pid, group := range h.slots {
+		for r := range group {
+			h.broker.MarkDown(pid, r)
+		}
+	}
+	if h.wal != nil {
+		h.seedDelivery()
+	}
+	if cfg.Listen != "" {
+		// Bound last: accepting starts immediately, so the topology must be
+		// in place first.
+		err = h.listen()
+	}
+	return h, err
+}
+
+// vacant stands in the broker's replica groups for a slot no replica has
+// attached to yet (a decommissioned one never will), keeping member indices
+// aligned with slot indices; it is marked down and never serves.
+type vacant struct{ pid int }
+
+func (v vacant) RecommendationsFor(graph.VertexID) []motif.Candidate { return nil }
+func (v vacant) ID() int                                             { return v.pid }
+
+// seedDelivery runs on a durable-log restart. The replicas are about to
+// replay their tail spans, and those batches were already pushed by a
+// previous run: seed the delivery tier's exactly-once filter AND the
+// pipeline's suppression state (dedup LRU + fatigue budgets) from
+// delivery.state, which bundles both as one atomic snapshot: a (user, item)
+// pair pushed before the shutdown stays suppressed across the restart,
+// daily budgets are not silently reset, and the filter can never run ahead
+// of the dedup state because they were captured together. A missing,
+// foreign, or corrupt delivery.state degrades to the fresher-but-unpaired
+// delivery.off seeds with a fresh pipeline — the documented
+// pre-durable-state tolerance (a repeated pair may be re-pushed once),
+// never a failed reopen.
+func (h *hubTier) seedDelivery() {
+	if offs, ok := h.loadDeliveryState(); ok {
+		h.initialDelivery = offs
+	} else {
+		h.initialDelivery = h.loadDeliveryOffsets()
+	}
+	// Clamp the seeds to the recovered log head: after a torn-tail crash
+	// the log may have lost a suffix whose offsets the delivery filter
+	// already covered — those offsets are about to be REUSED by brand-new
+	// events, and a seed beyond the head would drop their notifications
+	// forever. Clamping down only risks re-delivering the lost span's
+	// pushes, the documented duplicate tolerance; never loss (and dedup
+	// entries covering the lost span only suppress re-pushes of pairs the
+	// previous run demonstrably delivered).
+	head := h.firehose.Published()
+	for i, off := range h.initialDelivery {
+		if off > head {
+			h.initialDelivery[i] = head
+		}
+	}
+}
+
+// runDelivery consumes candidate batches and runs the push pipeline.
+// nextOffset[g] is group g's exactly-once high-water mark: a batch is
+// processed only when its firehose offset has not been covered yet, so
+// the replicas' redundant emissions — including a recovering replica's
+// replay — produce exactly one delivery attempt per candidate.
+func (h *hubTier) runDelivery(sub <-chan queue.Envelope[transport.CandMsg]) {
+	defer h.deliverWG.Done()
+	nextOffset := make([]uint64, h.cfg.Partitions)
+	// A durable-log restart seeds the filter from the persisted offsets:
+	// every replica is about to replay its tail span, and the previous
+	// run already delivered those batches.
+	copy(nextOffset, h.initialDelivery)
+	persist := h.cfg.CheckpointDir != ""
+	batches := 0
+	for env := range sub {
+		if env.Msg.Offset < nextOffset[env.Msg.Pid] {
+			continue // another replica's copy already covered this event
+		}
+		nextOffset[env.Msg.Pid] = env.Msg.Offset + 1
+		// Wall-clock detection latency, measured once per accepted batch:
+		// first publish of the triggering event to the moment its candidates
+		// reach the delivery tier. Replayed events carry pubNS zero and are
+		// excluded — recovery lag is the replay-rate metric's job, not this
+		// one's.
+		if env.Msg.PubNS > 0 {
+			if d := time.Duration(time.Now().UnixNano() - env.Msg.PubNS); d >= 0 {
+				h.detectLatency.Observe(d)
+			}
+		}
+		for _, cand := range env.Msg.Cands {
+			decision, note := h.pipeline.Offer(cand, env.VirtualDelay)
+			if decision != delivery.Delivered {
+				continue
+			}
+			h.delivered.Inc()
+			h.e2eLatency.Observe(note.Latency)
+			if h.cfg.OnNotify != nil {
+				h.cfg.OnNotify(*note)
+			}
+		}
+		if persist {
+			// Periodically persist the per-group high-water offsets next
+			// to the checkpoints: RestoreReplica reads them to clamp a
+			// sole-coverage rejoin back to the delivered point.
+			if batches++; batches%deliveryPersistEvery == 0 {
+				h.persistDeliveryOffsets(nextOffset, false)
+			}
+			// And, on a coarser cadence, cut the delivery restart state —
+			// the pipeline's suppression state (dedup LRU + fatigue
+			// budgets) bundled with the filter offsets captured right now
+			// — written asynchronously so the encode and fsync never
+			// stall the delivery tier.
+			if batches%deliveryStatePersistEvery == 0 {
+				h.cutDeliveryStateAsync(append([]uint64(nil), nextOffset...))
+			}
+		}
+	}
+	if persist && batches > 0 {
+		// Final exact persists at the drained point: wait out any async
+		// state cut, then write the state+offsets snapshot (one atomic
+		// file — a restart seeded from it can never run its filter ahead
+		// of the dedup state restored with it; docs/DURABILITY.md,
+		// "Durable delivery-pipeline state") and the standalone offsets
+		// file, which remains the mid-run clamp source and the restart
+		// fallback when the snapshot is missing or corrupt.
+		h.stateWG.Wait()
+		h.persistDeliveryState(nextOffset)
+		h.persistDeliveryOffsets(nextOffset, true)
+	}
+}
+
+// close ends the tier after its log closed and every in-process consumer
+// drained. The topic close ended every worker feed with EOS; wait
+// for the workers' candidate FIN exchanges — including workers that were
+// mid-reconnect when the stream closed and still need to replay the tail —
+// so everything they flushed lands in the delivery queue before it closes.
+func (h *hubTier) close() {
+	if h.listener != nil && !h.listener.server.DrainWorkers(h.cfg.netDrainTimeout()) {
+		h.ckptErrors.Inc()
+	}
+	h.candidates.Close()
+	h.deliverWG.Wait()
+	if h.listener != nil {
+		h.listener.close()
+	}
+	if h.wal != nil {
+		// Consumers and replayers have drained; everything appended is
+		// fsynced by the close, so the checkpoints written before it never
+		// claim offsets the log could lose.
+		if err := h.wal.Close(); err != nil {
+			h.ckptErrors.Inc()
+		}
+	}
+}
+
+// slot validates indices and returns the slot. The topology read lock
+// covers the group slice, which AddReplica grows mid-run.
+func (h *hubTier) slot(pid, r int) (*replicaSlot, error) {
+	h.topoMu.RLock()
+	defer h.topoMu.RUnlock()
+	if pid < 0 || pid >= len(h.slots) {
+		return nil, fmt.Errorf("cluster: partition %d out of range", pid)
+	}
+	if r < 0 || r >= len(h.slots[pid]) {
+		return nil, fmt.Errorf("cluster: replica %d out of range for partition %d", r, pid)
+	}
+	return h.slots[pid][r], nil
+}
+
+// alive counts partition pid's live-or-replaying slots, excluding the given
+// one. The caller holds ctl (so membership is stable for the guard's
+// purposes).
+func (h *hubTier) alive(pid int, except *replicaSlot) int {
+	h.topoMu.RLock()
+	defer h.topoMu.RUnlock()
+	alive := 0
+	for _, s := range h.slots[pid] {
+		if s == except {
+			continue
+		}
+		if st := s.state.Load(); st != replicaDead && st != replicaRemoved {
+			alive++
+		}
+	}
+	return alive
+}
+
+// placed snapshots partition pid's non-removed placement directories under
+// the topology lock, for scans that then run outside it.
+func (h *hubTier) placed(pid int) []placed {
+	h.topoMu.RLock()
+	defer h.topoMu.RUnlock()
+	var out []placed
+	for _, s := range h.slots[pid] {
+		if s.state.Load() != replicaRemoved && s.dir != "" {
+			out = append(out, placed{idx: s.idx, gen: s.gen, dir: s.dir})
+		}
+	}
+	return out
+}
+
+func (h *hubTier) logMeta() (id, head, start uint64) {
+	return h.runID, h.firehose.Published(), h.firehose.LogStart()
+}
+
+// open launches the candidate queue's consumer, the delivery pipeline.
+func (h *hubTier) open() {
+	sub := h.candidates.Subscribe()
+	h.deliverWG.Add(1)
+	go h.runDelivery(sub)
+}
+
+// attachment is one replica host's claim on a slot: the subscription it
+// reads and the handle its reports arrive through. The slot points back at
+// its newest attachment only: a superseded one (a half-open connection whose
+// worker already reconnected) reports, and at last detaches, to no effect.
+type attachment struct {
+	h    *hubTier
+	slot *replicaSlot
+	sub  <-chan queue.Envelope[graph.Edge]
+}
+
+// attach is a replica host taking ownership of slot (pid, r) at generation
+// gen, with its state restored to resume and floor its oldest durable
+// restore point; reads is where the broker reaches the replica. Publishing
+// the floor and subscribing are one atomic step, under truncMu, against
+// maybeTruncateLog's scan-plus-truncate: a stale floor from the slot's
+// previous incarnation (which restored higher than this one, say, whose
+// chain was lost) could otherwise let a concurrent peer compaction truncate
+// the log out from under the replay about to start. The slot turns
+// replaying — broker-down until the attachment reports live. On error it is
+// untouched.
+func (h *hubTier) attach(pid, r, gen int, floor, resume uint64, reads reader) (transport.Attachment, <-chan queue.Envelope[graph.Edge], error) {
+	slot, err := h.slot(pid, r)
+	if err != nil {
+		return nil, nil, err
+	}
+	h.truncMu.Lock()
+	defer h.truncMu.Unlock()
+	h.slotMu.Lock()
+	defer h.slotMu.Unlock()
+	if slot.state.Load() == replicaRemoved {
+		return nil, nil, fmt.Errorf("cluster: replica %d/%d is decommissioned", pid, r)
+	}
+	if gen != slot.gen {
+		return nil, nil, fmt.Errorf("cluster: replica %d/%d generation %d is stale (placement table says %d)", pid, r, gen, slot.gen)
+	}
+	a := &attachment{h: h, slot: slot}
+	if h.cfg.CheckpointDir == "" {
+		// No recovery: the topic retains nothing to replay from.
+		a.sub = h.firehose.Subscribe()
+	} else if a.sub, err = h.firehose.SubscribeFrom(resume); err != nil {
+		// Only reachable when the chain was lost (corrupt base) after the
+		// log below it was truncated; surface rather than silently diverge.
+		return nil, nil, fmt.Errorf("cluster: replay from %d: %w", resume, err)
+	}
+	if err := h.broker.ReplaceReplica(pid, r, reads); err != nil {
+		h.firehose.Unsubscribe(a.sub)
+		return nil, nil, err
+	}
+	if slot.att != nil {
+		h.firehose.Unsubscribe(slot.att.sub)
+	}
+	slot.att = a
+	slot.floor.Store(floor)
+	h.down(slot)
+	slot.state.Store(replicaReplaying)
+	return a, a.sub, nil
+}
+
+// down takes a slot out of read service ahead of a state change, re-arming
+// the live channel if a previous go-live closed it. The caller holds slotMu.
+func (h *hubTier) down(slot *replicaSlot) {
+	if slot.state.Load() == replicaLive {
+		slot.live = make(chan struct{})
+	}
+	h.broker.MarkDown(slot.pid, slot.idx)
+}
+
+// NotifyLive: the replica applied every offset that existed when it
+// attached — it is as fresh as any live one, and the broker may serve it.
+func (a *attachment) NotifyLive() {
+	h, slot := a.h, a.slot
+	h.slotMu.Lock()
+	defer h.slotMu.Unlock()
+	if slot.att != a || !slot.state.CompareAndSwap(replicaReplaying, replicaLive) {
+		return
+	}
+	h.broker.MarkUp(slot.pid, slot.idx)
+	close(slot.live)
+}
+
+// ReportFloor: durable progress on the replica's chain — its restore floor,
+// and with it possibly the log's truncation horizon.
+func (a *attachment) ReportFloor(offset uint64) {
+	a.h.slotMu.Lock()
+	if a.slot.att == a && offset > a.slot.floor.Load() {
+		a.slot.floor.Store(offset)
+	}
+	a.h.slotMu.Unlock()
+	a.h.maybeTruncateLog()
+}
+
+// Close ends the attachment — a kill, a dropped connection, a worker gone.
+// Releasing its subscription frees any publisher blocked on its buffer
+// (buffered envelopes are lost, as with a dead process); the slot is dead
+// and broker-down until the next attach.
+func (a *attachment) Close() {
+	h, slot := a.h, a.slot
+	h.slotMu.Lock()
+	defer h.slotMu.Unlock()
+	if slot.att != a {
+		return
+	}
+	h.firehose.Unsubscribe(a.sub)
+	slot.att = nil
+	h.down(slot)
+	slot.state.Store(replicaDead)
+}
+
+// offer hands one event's candidates to the delivery tier, whose per-group
+// offset filter collapses the replicas' identical offers to one per event.
+func (h *hubTier) offer(msg transport.CandMsg) error {
+	return h.candidates.Publish(msg, msg.Delay)
+}
+
+// acked: in process an offer returns once the candidate queue has the batch.
+func (h *hubTier) acked() bool { return true }
+
+func (h *hubTier) closeFeed() { h.firehose.Close() }
+
+// maybeTruncateLog compacts the retained firehose log below the minimum
+// restore floor across all replicas: every offset below it is covered by
+// a durable restore point, so no restore — including segment-at-a-time
+// corruption fallback — can ever need to replay it. The floor counts two
+// kinds of restore point: every non-removed replica's own chain floor,
+// and each source's newest intact mirror base in the partition pools (a
+// mirror's offset is its replay point, and composeFromPool refuses one below the log start
+// — so truncating past one would silently disarm the base pool exactly
+// when it is needed, e.g. a mirror-only survivor whose own base later
+// corrupts). Mirror offsets normally trail their source's chain floor by
+// nothing — compact pushes them at the floor offset — but a mirror
+// outlives its source (kill, decommission), and then it is the pool's
+// only claim on that span. Called on every floor report, i.e. after a
+// replica's durable progress.
+func (h *hubTier) maybeTruncateLog() {
+	h.truncMu.Lock()
+	defer h.truncMu.Unlock()
+	h.topoMu.RLock()
+	floor := ^uint64(0)
+	var dirs []string
+	for _, group := range h.slots {
+		for _, s := range group {
+			if s.state.Load() == replicaRemoved {
+				// A tombstone never restores; its floor is irrelevant.
+				continue
+			}
+			if f := s.floor.Load(); f < floor {
+				floor = f
+			}
+			if s.dir != "" {
+				dirs = append(dirs, s.dir)
+			}
+		}
+	}
+	h.topoMu.RUnlock()
+	for _, dir := range dirs {
+		for _, off := range mirrorOffsets(dir) {
+			if off < floor {
+				floor = off
+			}
+		}
+	}
+	if floor == 0 || floor == ^uint64(0) {
+		return
+	}
+	if n := h.firehose.TruncateBelow(floor); n > 0 {
+		h.truncated.Add(uint64(n))
+	}
+}

@@ -1,85 +1,29 @@
 package cluster
 
-// Networked deployment tier: the same Cluster type can run as one of two
-// out-of-process roles connected by internal/transport instead of
-// in-process function calls.
-//
-//   - Hub (Config.Listen): owns the durable firehose WAL, the delivery
-//     pipeline, the placement table, and the broker read tier. It runs no
-//     replica consumers; every replica slot is remote, represented by a
-//     dial-based broker member (transport.RemoteReplica) that a worker
-//     process animates by attaching over TCP.
-//   - Worker (Config.Join): owns replica detection state for an explicit
-//     set of slots (Config.OwnedReplicas). Its firehose is a TCP feed
-//     client against the hub's log; its candidates flow back over a
-//     sequenced, cumulative-ack stream; its durable checkpoint chains
-//     live in the shared CheckpointDir exactly where an in-process
-//     replica's would.
-//
-// Topology is driven by the durable placement table: both roles load the
-// same table from the shared CheckpointDir (gated by the hub log's
-// identity), so generations and decommission tombstones agree, and a
-// worker's chain directory is placement.Dir of its slot — the hub can
-// audit fingerprints and scan mirror floors over the shared filesystem
-// without owning the partitions.
-//
-// Exactly-once across the sockets needs no new machinery: envelope
-// redelivery after a reconnect is dropped by the worker's next-offset
-// filter, and re-sent candidate batches are collapsed by the delivery
-// tier's per-group monotonic offset filter — the same filter that absorbs
-// replica replays in process. The one genuinely new invariant is the
-// checkpoint ack gate: a worker counts every candidate message before
-// publishing it locally and refuses to cut a checkpoint until the hub has
-// acked everything counted, so a durable cut can never cover an offset
-// whose candidates existed only in a process that then died.
+// The TCP transport of the replica-host ↔ hub contract: tcpLink is the
+// hubLink a worker process (Config.Join) reaches the hub through, and
+// hubListener is how a hub (Config.Listen) exposes its handler set to those
+// workers. docs/OPERATIONS.md, "Multi-process deployment", has the roles,
+// the topology, the contract and the reconnect semantics.
 
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"motifstream/internal/graph"
-	"motifstream/internal/metrics"
 	"motifstream/internal/queue"
 	"motifstream/internal/transport"
 )
 
-// ErrNotLocal is returned by the replica lifecycle and elasticity calls
-// in networked mode: replicas live in worker processes, so kills and
-// restores are process starts and stops, not API calls on the hub.
+// ErrNotLocal is returned by calls a process's role cannot serve: replica
+// lifecycle and elasticity in networked mode (there, kills and restores are
+// process starts and stops), and ingest, reads and slot states on a worker.
 var ErrNotLocal = errors.New("cluster: replica lifecycle is process-level in networked mode")
 
-// edgeFeed is the cluster's view of the firehose: satisfied by the
-// in-process queue.Topic and, on a worker, by transport.FeedClient.
-type edgeFeed interface {
-	Publish(e graph.Edge, carried time.Duration) error
-	Subscribe() <-chan queue.Envelope[graph.Edge]
-	SubscribeFrom(offset uint64) (<-chan queue.Envelope[graph.Edge], error)
-	Unsubscribe(ch <-chan queue.Envelope[graph.Edge])
-	Close()
-	Published() uint64
-	LogStart() uint64
-	TruncateBelow(offset uint64) int
-}
-
-// hubState is the hub role's transport wiring.
-type hubState struct {
-	server       *transport.Server
-	remotes      map[[2]int]*transport.RemoteReplica
-	drainTimeout time.Duration
-}
-
-// workerState is the worker role's transport wiring.
-type workerState struct {
-	feed         *transport.FeedClient
-	fw           *transport.CandForwarder
-	rs           *transport.ReplicaServer
-	owned        map[[2]int]bool
-	drainTimeout time.Duration
-}
-
 // networked reports whether this cluster is a hub or worker process.
-func (c *Cluster) networked() bool { return c.hub != nil || c.worker != nil }
+func (c *Cluster) networked() bool { return c.cfg.Listen != "" || c.cfg.Join != "" }
 
 // validateNetworked checks the Listen/Join configuration surface.
 func validateNetworked(cfg Config) error {
@@ -125,86 +69,235 @@ func (cfg *Config) netDrainTimeout() time.Duration {
 	return 30 * time.Second
 }
 
-// newWorkerState builds the worker transport stack: the meta handshake
-// (which yields the hub log's identity — the worker's runID), the
-// candidate forwarder, and the read-RPC listener.
-func newWorkerState(cfg Config, reg *metrics.Registry) (*workerState, error) {
-	// Dial/hello attempts and the handshake retry window take the
-	// transport's defaults (5s and 10s); the read listener binds an
-	// ephemeral loopback port, advertised to the hub on attach.
-	opts := transport.ClientOptions{Metrics: reg}
-	feed, err := transport.DialFeed(cfg.Join, opts)
+// tcpLink joins a worker's replica host to the hub over internal/transport:
+// one feed connection per attached slot, one sequenced, cumulatively acked
+// candidate stream, and a read listener the hub's broker dials. Exactly-once
+// across the sockets needs one law of its own, the checkpoint ack gate
+// (offer, acked): envelope redelivery after a reconnect is dropped by the
+// feed's next-offset filter, re-sent candidate batches by the delivery
+// tier's per-group offset filter.
+type tcpLink struct {
+	*shared
+	feed *transport.FeedClient
+	fw   *transport.CandForwarder
+	rs   *transport.ReplicaServer
+	// local queues offers for runForwarder to ship to the hub in batches.
+	local     *queue.Topic[transport.CandMsg]
+	forwarded sync.WaitGroup
+}
+
+// dialHub builds the worker's transport stack — the meta handshake (with
+// retry, so workers can start first), which yields the hub log's identity,
+// adopted as this process's runID; the candidate forwarder; and the
+// read-RPC listener, on an ephemeral loopback port advertised to the hub on
+// attach. Dial/hello attempts and the retry window take the transport's
+// defaults (5s and 10s).
+func dialHub(sh *shared) (*tcpLink, error) {
+	opts := transport.ClientOptions{Metrics: sh.reg}
+	feed, err := transport.DialFeed(sh.cfg.Join, opts)
 	if err != nil {
 		return nil, err
 	}
-	rs, err := transport.NewReplicaServer("", reg)
+	rs, err := transport.NewReplicaServer("", sh.reg)
 	if err != nil {
 		feed.Close()
 		return nil, err
 	}
-	w := &workerState{
-		feed:         feed,
-		fw:           transport.NewCandForwarder(cfg.Join, feed.LogID(), opts),
-		rs:           rs,
-		owned:        make(map[[2]int]bool, len(cfg.OwnedReplicas)),
-		drainTimeout: cfg.netDrainTimeout(),
-	}
-	for _, or := range cfg.OwnedReplicas {
-		w.owned[or] = true
-	}
-	return w, nil
+	logID, _, _ := feed.LogMeta()
+	sh.adoptLog(logID)
+	return &tcpLink{
+		shared: sh,
+		feed:   feed,
+		fw:     transport.NewCandForwarder(sh.cfg.Join, logID, opts),
+		rs:     rs,
+		local: queue.NewTopic[transport.CandMsg](queue.Options{
+			Name:   "candidates",
+			Delay:  sh.cfg.DeliveryDelay,
+			Buffer: queueBuffer,
+			Seed:   sh.cfg.Seed + 1,
+		}),
+	}, nil
 }
 
-func (w *workerState) close() {
-	if w.fw != nil {
-		w.fw.Close()
+func (l *tcpLink) logMeta() (id, head, start uint64) { return l.feed.LogMeta() }
+
+func (l *tcpLink) open() {
+	sub := l.local.Subscribe()
+	l.forwarded.Add(1)
+	go l.runForwarder(sub)
+}
+
+// attach opens the slot's feed connection, which also carries its live and
+// floor reports; the subscription re-announces both after every reconnect.
+func (l *tcpLink) attach(pid, r, gen int, floor, resume uint64, reads reader) (transport.Attachment, <-chan queue.Envelope[graph.Edge], error) {
+	l.rs.Register(pid, r, reads)
+	sub, err := l.feed.SubscribeReplica(pid, r, gen, floor, resume, l.rs.Addr())
+	if err != nil {
+		return nil, nil, err
 	}
-	if w.feed != nil {
-		w.feed.Close()
+	return sub, sub.C(), nil
+}
+
+// offer counts the message against the checkpoint ack gate BEFORE queueing
+// it for the forwarder, so an open gate is an upper bound on what was ever
+// handed toward the hub.
+func (l *tcpLink) offer(msg transport.CandMsg) error {
+	l.fw.NoteEnqueued()
+	if err := l.local.Publish(msg, msg.Delay); err != nil {
+		l.fw.NoteAbandoned()
+		return err
 	}
-	if w.rs != nil {
-		w.rs.Close()
+	return nil
+}
+
+// acked waits for the hub to ack every candidate message offered so far.
+func (l *tcpLink) acked() bool { return l.fw.WaitDrained(l.cfg.netDrainTimeout()) }
+
+func (l *tcpLink) closeFeed() { l.feed.Close() }
+
+// close flushes the candidate stream — runForwarder FINs once the local
+// queue drains — and tears the sockets down.
+func (l *tcpLink) close() {
+	l.local.Close()
+	l.forwarded.Wait()
+	l.fw.Close()
+	l.feed.Close()
+	l.rs.Close()
+}
+
+// runForwarder drains the local candidate queue, coalesces
+// immediately-available messages into batches, and ships them through the
+// sequenced/acked forwarder. On a clean shutdown (queue closed) it flushes
+// and FINs so the hub's candidate drain completes; if the forwarder was
+// aborted it keeps draining the queue so blocked offers can return.
+func (l *tcpLink) runForwarder(sub <-chan queue.Envelope[transport.CandMsg]) {
+	defer l.forwarded.Done()
+	batch := make([]transport.CandMsg, 0, max(l.cfg.ApplyBatch, 16))
+	sending := true
+	for env := range sub {
+		batch = append(batch[:0], wireCand(env))
+	coalesce:
+		for len(batch) < cap(batch) {
+			select {
+			case next, ok := <-sub:
+				if !ok {
+					break coalesce
+				}
+				batch = append(batch, wireCand(next))
+			default:
+				break coalesce
+			}
+		}
+		if sending && l.fw.Send(batch) != nil {
+			sending = false
+		}
+	}
+	if sending && !l.fw.Finish(l.cfg.netDrainTimeout()) {
+		l.ckptErrors.Inc()
 	}
 }
 
-// startHubServer binds the hub listener and wires the backend. Called
-// last in New: accepting starts immediately, so the topology must be in
-// place first.
-func (c *Cluster) startHubServer(cfg Config) error {
-	batch := cfg.ApplyBatch
+// wireCand is a queued candidate message as it goes on the wire: carrying
+// the delay its hop through the local queue added.
+func wireCand(env queue.Envelope[transport.CandMsg]) transport.CandMsg {
+	env.Msg.Delay = env.VirtualDelay
+	return env.Msg
+}
+
+// hubListener is a hub's server side of the TCP transport: the listener
+// workers dial, relaying their calls to the hub tier's handler set (it is the
+// transport.HubBackend), and the dial-based broker members they are read
+// through.
+type hubListener struct {
+	h      *hubTier
+	server *transport.Server
+
+	mu      sync.Mutex
+	remotes map[[2]int]*transport.RemoteReplica
+}
+
+// listen binds the hub listener. The listener state is installed before the
+// server exists, so backend callbacks (accepting starts immediately) never
+// observe a half-built hub.
+func (h *hubTier) listen() (err error) {
+	h.listener = &hubListener{h: h, remotes: make(map[[2]int]*transport.RemoteReplica)}
+	batch := h.cfg.ApplyBatch
 	if batch < 1 {
 		batch = 64
 	}
-	srv, err := transport.NewServer(transport.ServerConfig{
-		Listen:   cfg.Listen,
-		Backend:  hubBackend{c},
+	h.listener.server, err = transport.NewServer(transport.ServerConfig{
+		Listen:   h.cfg.Listen,
+		Backend:  h.listener,
 		BatchMax: batch,
-		Metrics:  c.reg,
+		Metrics:  h.reg,
 	})
-	if err != nil {
-		return err
+	return err
+}
+
+func (l *hubListener) close() {
+	l.server.Close()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, rr := range l.remotes {
+		rr.Close()
 	}
-	c.hub.server = srv
+}
+
+func (l *hubListener) LogMeta() (uint64, uint64, uint64) { return l.h.logMeta() }
+
+// ReplicaAttached attaches like any replica host, with a dial-based stand-in
+// pointed at the worker's read listener as the slot's broker member; the
+// stand-in it supersedes (or, on a refused attach, the new one) is closed.
+func (l *hubListener) ReplicaAttached(pid, r, gen int, floor, resume uint64, readAddr string) (transport.Attachment, <-chan queue.Envelope[graph.Edge], error) {
+	rr := transport.NewRemoteReplica(pid, r, 0, l.h.reg)
+	rr.SetAddr(readAddr)
+	att, sub, err := l.h.attach(pid, r, gen, floor, resume, rr)
+	if err == nil {
+		l.mu.Lock()
+		rr, l.remotes[[2]int{pid, r}] = l.remotes[[2]int{pid, r}], rr
+		l.mu.Unlock()
+	}
+	if rr != nil {
+		rr.Close()
+	}
+	return att, sub, err
+}
+
+func (l *hubListener) DeliverCandidates(msgs []transport.CandMsg) error {
+	for _, m := range msgs {
+		if err := l.h.offer(m); err != nil {
+			return err
+		}
+	}
 	return nil
+}
+
+// server returns the hub's transport server, nil on a process that is not
+// a listening hub.
+func (c *Cluster) server() *transport.Server {
+	if c.hub == nil || c.hub.listener == nil {
+		return nil
+	}
+	return c.hub.listener.server
 }
 
 // ListenAddr returns the hub's bound listen address ("" on non-hubs) —
 // needed when Listen was ":0".
 func (c *Cluster) ListenAddr() string {
-	if c.hub == nil || c.hub.server == nil {
-		return ""
+	if s := c.server(); s != nil {
+		return s.Addr()
 	}
-	return c.hub.server.Addr()
+	return ""
 }
 
 // AttachedConnections returns how many worker connections (replica feeds
 // plus candidate streams) are attached to this hub right now; 0 on
 // non-hubs. Also exported as the transport.attached_connections gauge.
 func (c *Cluster) AttachedConnections() int {
-	if c.hub == nil || c.hub.server == nil {
-		return 0
+	if s := c.server(); s != nil {
+		return s.Connections()
 	}
-	return c.hub.server.Connections()
+	return 0
 }
 
 // DropConnections severs every attached worker connection without
@@ -214,177 +307,10 @@ func (c *Cluster) AttachedConnections() int {
 // absorbed by the offset filters. Returns the number of connections
 // severed; 0 on non-hubs.
 func (c *Cluster) DropConnections() int {
-	if c.hub == nil || c.hub.server == nil {
-		return 0
+	if s := c.server(); s != nil {
+		return s.DropConnections()
 	}
-	return c.hub.server.DropConnections()
-}
-
-// hubBackend adapts the Cluster to the transport server's callback
-// surface. All methods run on per-connection handler goroutines.
-type hubBackend struct{ c *Cluster }
-
-func (h hubBackend) LogMeta() (uint64, uint64, uint64) {
-	return h.c.runID, h.c.firehose.Published(), h.c.firehose.LogStart()
-}
-
-func (h hubBackend) SubscribeFrom(offset uint64) (<-chan queue.Envelope[graph.Edge], error) {
-	return h.c.firehose.SubscribeFrom(offset)
-}
-
-func (h hubBackend) Unsubscribe(ch <-chan queue.Envelope[graph.Edge]) {
-	h.c.firehose.Unsubscribe(ch)
-}
-
-func (h hubBackend) ReplicaAttached(pid, r, gen int, readAddr string) error {
-	c := h.c
-	slot, err := c.slot(pid, r)
-	if err != nil {
-		return err
-	}
-	c.ctl.Lock()
-	defer c.ctl.Unlock()
-	if slot.state.Load() == replicaRemoved {
-		return fmt.Errorf("cluster: replica %d/%d is decommissioned", pid, r)
-	}
-	if gen != slot.gen {
-		return fmt.Errorf("cluster: replica %d/%d generation %d is stale (placement table says %d)", pid, r, gen, slot.gen)
-	}
-	if rr := c.hub.remotes[[2]int{pid, r}]; rr != nil && readAddr != "" {
-		rr.SetAddr(readAddr)
-	}
-	if slot.state.Load() == replicaDead {
-		// Attached but not yet caught up: same broker-down catch-up state
-		// the in-process restore machine uses.
-		slot.state.Store(replicaReplaying)
-	}
-	return nil
-}
-
-func (h hubBackend) ReplicaLive(pid, r int) {
-	c := h.c
-	slot, err := c.slot(pid, r)
-	if err != nil {
-		return
-	}
-	c.ctl.Lock()
-	defer c.ctl.Unlock()
-	switch slot.state.Load() {
-	case replicaReplaying, replicaDead:
-		slot.state.Store(replicaLive)
-		c.broker.MarkUp(pid, r)
-		close(slot.live)
-	}
-}
-
-func (h hubBackend) ReplicaFloor(pid, r int, floor uint64) {
-	c := h.c
-	slot, err := c.slot(pid, r)
-	if err != nil {
-		return
-	}
-	for {
-		cur := slot.floor.Load()
-		if floor <= cur || slot.floor.CompareAndSwap(cur, floor) {
-			break
-		}
-	}
-	c.maybeTruncateLog()
-}
-
-func (h hubBackend) ReplicaDetached(pid, r int) {
-	c := h.c
-	slot, err := c.slot(pid, r)
-	if err != nil {
-		return
-	}
-	c.ctl.Lock()
-	defer c.ctl.Unlock()
-	switch st := slot.state.Load(); st {
-	case replicaLive, replicaReplaying:
-		slot.state.Store(replicaDead)
-		c.broker.MarkDown(pid, r)
-		if st == replicaLive {
-			// Fresh, open live channel for the next attach cycle.
-			slot.live = make(chan struct{})
-		}
-	}
-}
-
-func (h hubBackend) DeliverCandidates(msgs []transport.CandMsg) error {
-	for _, m := range msgs {
-		cm := candidateMsg{pid: m.Pid, offset: m.Offset, pubNS: m.PubNS, cands: m.Cands}
-		if err := h.c.candidates.Publish(cm, m.Delay); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// markLive flips a slot's read availability on the replaying→live
-// transition: in-process that is a broker MarkUp; on a worker it is a
-// live report to the hub (re-sent automatically after reconnects).
-func (c *Cluster) markLive(slot *replicaSlot) {
-	if c.worker != nil {
-		slot.feed.NotifyLive()
-		return
-	}
-	c.broker.MarkUp(slot.pid, slot.idx)
-}
-
-// wireCand converts one local candidate envelope to its wire twin.
-func wireCand(env queue.Envelope[candidateMsg]) transport.CandMsg {
-	return transport.CandMsg{
-		Pid:    env.Msg.pid,
-		Offset: env.Msg.offset,
-		PubNS:  env.Msg.pubNS,
-		Delay:  env.VirtualDelay,
-		Cands:  env.Msg.cands,
-	}
-}
-
-// runForwarder is the worker-side replacement for runDelivery: it drains
-// the local candidates topic, coalesces immediately-available messages
-// into batches, and ships them through the sequenced/acked forwarder.
-// On a clean shutdown (topic closed) it flushes and FINs so the hub's
-// candidate drain completes; if the forwarder was aborted it keeps
-// draining the topic so blocked publishers can exit.
-func (c *Cluster) runForwarder(sub <-chan queue.Envelope[candidateMsg]) {
-	defer c.deliverWG.Done()
-	fw := c.worker.fw
-	max := c.cfg.ApplyBatch
-	if max < 16 {
-		max = 16
-	}
-	batch := make([]transport.CandMsg, 0, max)
-	sending := true
-	closed := false
-	for !closed {
-		env, ok := <-sub
-		if !ok {
-			break
-		}
-		batch = append(batch[:0], wireCand(env))
-		for len(batch) < cap(batch) {
-			select {
-			case env2, ok2 := <-sub:
-				if !ok2 {
-					closed = true
-				} else {
-					batch = append(batch, wireCand(env2))
-					continue
-				}
-			default:
-			}
-			break
-		}
-		if sending && fw.Send(batch) != nil {
-			sending = false
-		}
-	}
-	if sending && !fw.Finish(c.worker.drainTimeout) {
-		c.ckptErrors.Inc()
-	}
+	return 0
 }
 
 // Wait blocks until the hub ends the stream (EOS on every feed), then
@@ -392,10 +318,10 @@ func (c *Cluster) runForwarder(sub <-chan queue.Envelope[candidateMsg]) {
 // acks, forwarder flush + FIN, listener teardown. This is a worker
 // process's main loop — start, Wait, exit.
 func (c *Cluster) Wait() error {
-	if c.worker == nil {
+	if c.cfg.Join == "" {
 		return fmt.Errorf("cluster: Wait is the worker-mode main loop")
 	}
-	c.wg.Wait()
+	c.host.wg.Wait()
 	c.stop(true)
 	return nil
 }
@@ -404,24 +330,14 @@ func (c *Cluster) Wait() error {
 // connections drop (no FIN, no flush), consumers stop, NO final
 // checkpoint cut. Pending already-gated cuts still drain to disk — like a
 // kernel flushing a dying process's page cache. The crash-matrix harness
-// uses this where the OS-process tests use SIGKILL.
+// uses this where the OS-process tests use SIGKILL. No-op on non-workers.
 func (c *Cluster) Abort() {
-	if c.worker == nil {
+	l, ok := c.host.link.(*tcpLink)
+	if !ok {
 		return
 	}
 	c.stopOnce.Do(func() {
-		c.worker.fw.Abort()
-		c.worker.feed.Close()
-		c.wg.Wait()
-		c.ctl.Lock()
-		for _, group := range c.slots {
-			for _, slot := range group {
-				stopWriterLocked(slot)
-			}
-		}
-		c.ctl.Unlock()
-		c.candidates.Close()
-		c.deliverWG.Wait()
-		c.worker.rs.Close()
+		l.fw.Abort()
+		c.host.stop(false)
 	})
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -61,9 +62,9 @@ func startWorker(t testing.TB, cfg Config) (*Cluster, func()) {
 // awaitAllLive waits for every non-removed hub slot to report live.
 func awaitAllLive(t testing.TB, hub *Cluster) {
 	t.Helper()
-	for pid := range hub.slots {
-		for r := range hub.slots[pid] {
-			if hub.slots[pid][r].state.Load() == replicaRemoved {
+	for pid := range hub.hub.slots {
+		for r := range hub.hub.slots[pid] {
+			if hub.hub.slots[pid][r].state.Load() == replicaRemoved {
 				continue
 			}
 			if err := hub.AwaitReplicaLive(pid, r, 15*time.Second); err != nil {
@@ -132,7 +133,7 @@ func diffNotes(t testing.TB, want, got map[noteKey]int, label string) {
 
 func verifyAllFingerprints(t testing.TB, hub *Cluster) {
 	t.Helper()
-	for pid := range hub.slots {
+	for pid := range hub.hub.slots {
 		rep, err := hub.VerifyFingerprints(pid)
 		if err != nil {
 			t.Fatalf("VerifyFingerprints(%d): %v", pid, err)
@@ -496,4 +497,126 @@ func TestNetworkedFullRestart(t *testing.T) {
 	}
 	mu.Unlock()
 	diffNotes(t, want, got, "full-restart")
+}
+
+// TestNetworkedStaleDetachIgnored pins that lifecycle events are scoped to
+// the attachment they belong to. A worker whose connection went half-open
+// reconnects: the new attachment owns the slot, and when the hub finally
+// notices the old connection gone, that detach — like anything else the old
+// attachment still reports — must not take the slot away from its successor.
+func TestNetworkedStaleDetachIgnored(t *testing.T) {
+	hcfg := hubConfig(t, 1, 1, t.TempDir(), t.TempDir())
+	hub, err := New(hcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub.Start()
+	defer hub.Stop()
+
+	backend := hub.hub.listener // what the transport server calls for a feed hello
+	attA, _, err := backend.ReplicaAttached(0, 0, 0, 0, 0, "127.0.0.1:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	attA.NotifyLive()
+	attB, _, err := backend.ReplicaAttached(0, 0, 0, 0, 0, "127.0.0.1:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := hub.ReplicaState(0, 0); st != "replaying" {
+		t.Fatalf("state after the re-attach = %q, want replaying", st)
+	}
+	attA.NotifyLive() // the superseded attachment vouches for nothing
+	if st, _ := hub.ReplicaState(0, 0); st != "replaying" {
+		t.Fatalf("state after a superseded live report = %q, want replaying", st)
+	}
+	attB.NotifyLive()
+	if err := hub.AwaitReplicaLive(0, 0, time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	attA.Close() // the old connection's handler exits at last
+	if st, _ := hub.ReplicaState(0, 0); st != "live" {
+		t.Fatalf("state after the stale detach = %q, want live", st)
+	}
+	if !hub.Broker().ReplicaHealthy(0, 0) {
+		t.Fatal("stale detach took the broker member down")
+	}
+
+	attB.Close()
+	if st, _ := hub.ReplicaState(0, 0); st != "dead" {
+		t.Fatalf("state after the owning attachment's detach = %q, want dead", st)
+	}
+	if hub.Broker().ReplicaHealthy(0, 0) {
+		t.Fatal("detached slot's broker member still up")
+	}
+}
+
+// TestNetworkedReattachPublishesRestoreFloor pins the floor-at-attach rule
+// over TCP. A worker compacts and reports floor F, crashes, and loses its
+// chain; its successor restores from scratch — below F — while the log still
+// retains the span. The hub must pin its truncation to the restore floor the
+// new attach carries, not keep the predecessor's F: under F, a peer's
+// compaction could truncate the log out from under the replay.
+func TestNetworkedReattachPublishesRestoreFloor(t *testing.T) {
+	edges := motifWorkload(41, 8, 200)
+	// Slot 0/1 is never attached, so its zero floor keeps the whole log
+	// retained and a scratch restore possible.
+	hcfg := hubConfig(t, 1, 2, t.TempDir(), t.TempDir())
+	hcfg.CheckpointInterval = time.Second
+	hcfg.CompactEvery = 2
+	hub, err := New(hcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub.Start()
+	wcfg := workerConfig(t, hcfg, hub.ListenAddr(), [][2]int{{0, 0}})
+	wk, joinWorker := startWorker(t, wcfg)
+	if err := hub.AwaitReplicaLive(0, 0, 15*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range edges {
+		if err := hub.Publish(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slot := hub.hub.slots[0][0]
+	deadline := time.Now().Add(15 * time.Second)
+	for slot.floor.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("worker never reported a floor")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	wk.Abort()
+	joinWorker()
+	for {
+		if st, _ := hub.ReplicaState(0, 0); st == "dead" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("hub never noticed the crashed worker")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	reported := slot.floor.Load()
+	if err := os.RemoveAll(slot.dir); err != nil {
+		t.Fatal(err)
+	}
+
+	// The successor cuts nothing, so the floor it attached with is the only
+	// floor it ever publishes.
+	wcfg.CheckpointInterval = 1000 * time.Hour
+	_, joinWorker = startWorker(t, wcfg)
+	if err := hub.AwaitReplicaLive(0, 0, 15*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := slot.floor.Load(); got != 0 {
+		t.Fatalf("slot floor after a scratch re-attach = %d (predecessor reported %d), want the restore floor 0", got, reported)
+	}
+	if st := hub.Stats(); st.LogTruncatedBelow != 0 {
+		t.Fatalf("log truncated below %d under a replay from 0", st.LogTruncatedBelow)
+	}
+	hub.Shutdown()
+	joinWorker()
 }

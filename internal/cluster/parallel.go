@@ -8,6 +8,7 @@ import (
 	"motifstream/internal/motif"
 	"motifstream/internal/partition"
 	"motifstream/internal/queue"
+	"motifstream/internal/transport"
 )
 
 // This file is the replica apply loop — the only one. A consumer blocks for
@@ -32,10 +33,8 @@ import (
 //     read-only on copies of the clocks); the commit stage then performs
 //     them at that envelope, after all of the batch's publishes — publish
 //     before cut, at a stream position fixed by timestamps alone.
-//  3. One fate per envelope. One state load gates both an envelope's
-//     candidate publish and its checkpoint cut, which keeps a zombie span
-//     (a killed consumer still draining its buffer) from cutting a
-//     checkpoint whose candidates were never handed to delivery.
+//  3. One fate per envelope. One load gates both an envelope's candidate
+//     offer and its checkpoint cut (see applyBatch).
 
 // ckptClock is a replica's checkpoint stream clock with a bounded forward
 // jump. The naive clock (`lastTS = env.TS` on every cut) lets one
@@ -121,18 +120,18 @@ func newReplicaBatch(max, workers int) *replicaBatch {
 
 // consumeBatched is the replica consumer loop: block for one envelope,
 // drain up to the batch bound, apply, repeat.
-func (c *Cluster) consumeBatched(slot *replicaSlot) {
-	b := newReplicaBatch(c.cfg.ApplyBatch, c.cfg.ApplyWorkers)
+func (h *replicaHost) consumeBatched(rep *replica) {
+	b := newReplicaBatch(h.cfg.ApplyBatch, h.cfg.ApplyWorkers)
 	for {
 		select {
-		case <-slot.quit:
+		case <-rep.quit:
 			return
-		case env, ok := <-slot.sub:
+		case env, ok := <-rep.sub:
 			if !ok {
 				return
 			}
-			c.assembleBatch(slot, b, env)
-			if !c.applyBatch(slot, b) {
+			h.assembleBatch(rep, b, env)
+			if !h.applyBatch(rep, b) {
 				return
 			}
 			if b.closed {
@@ -148,13 +147,13 @@ func (c *Cluster) consumeBatched(slot *replicaSlot) {
 // read-only: the sweep clock cannot advance during assembly (only this
 // consumer sweeps this engine) and the checkpoint clock is simulated on a
 // copy.
-func (c *Cluster) assembleBatch(slot *replicaSlot, b *replicaBatch, first queue.Envelope[graph.Edge]) {
+func (h *replicaHost) assembleBatch(rep *replica, b *replicaBatch, first queue.Envelope[graph.Edge]) {
 	b.envs = append(b.envs[:0], first)
-	p := slot.p.Load()
-	sim := slot.clock
-	for len(b.envs) < b.max && !c.batchBoundary(p, &sim, b.envs[len(b.envs)-1].Msg.TS) {
+	p := rep.p
+	sim := rep.clock
+	for len(b.envs) < b.max && !h.batchBoundary(p, &sim, b.envs[len(b.envs)-1].Msg.TS) {
 		select {
-		case env, ok := <-slot.sub:
+		case env, ok := <-rep.sub:
 			if !ok {
 				b.closed = true
 				return
@@ -170,20 +169,20 @@ func (c *Cluster) assembleBatch(slot *replicaSlot, b *replicaBatch, first queue.
 // last of its batch: a D sweep or a checkpoint cut is due at it, and both
 // act across all edge targets, so no later envelope may be detected before
 // they run.
-func (c *Cluster) batchBoundary(p *partition.Partition, sim *ckptClock, ts int64) bool {
+func (h *replicaHost) batchBoundary(p *partition.Partition, sim *ckptClock, ts int64) bool {
 	if p.SweepDue(ts) {
 		return true
 	}
-	return c.ckptEveryMS > 0 && sim.tick(ts, c.ckptEveryMS)
+	return h.ckptEveryMS > 0 && sim.tick(ts, h.ckptEveryMS)
 }
 
 // applyBatch runs detection for the whole batch across the worker pool,
-// then commits in offset order. Every alive replica forwards its
-// candidates; the delivery consumer's per-group offset filter collapses the
-// redundancy to exactly one batch per event. Returns false only when the
-// candidates topic has closed (shutdown race).
-func (c *Cluster) applyBatch(slot *replicaSlot, b *replicaBatch) bool {
-	p := slot.p.Load()
+// then commits in offset order. Every alive replica offers its candidates;
+// the delivery consumer's per-group offset filter collapses the redundancy
+// to exactly one batch per event. Returns false only when an offer fails
+// (the candidate path shut down), abandoning the batch with no cut over it.
+func (h *replicaHost) applyBatch(rep *replica, b *replicaBatch) bool {
+	p := rep.p
 	n := len(b.envs)
 	if cap(b.cands) < n {
 		b.cands = make([]candList, n)
@@ -244,10 +243,10 @@ func (c *Cluster) applyBatch(slot *replicaSlot, b *replicaBatch) bool {
 		}
 	}
 
-	c.applyBatches.Inc()
+	h.applyBatches.Inc()
 	// The histogram stores unitless envelope counts; snapshot quantiles
 	// read as counts, not durations.
-	c.batchSize.Observe(time.Duration(n))
+	h.batchSize.Observe(time.Duration(n))
 
 	// Ordered commit, one envelope at a time in offset order.
 	for i, env := range b.envs {
@@ -255,62 +254,45 @@ func (c *Cluster) applyBatch(slot *replicaSlot, b *replicaBatch) bool {
 		cands[i] = nil // the slice is handed off; drop the batch's reference
 		p.Commit(ev)
 
-		// One state load gates BOTH this envelope's publish and its cut.
-		// KillReplica stores replicaDead before closing quit, but the
-		// consumer's select may still drain buffered envelopes first — a
-		// "zombie" span. Suppressing only the publish while still cutting
-		// would let a durable cut claim offsets whose candidates were never
-		// handed to the delivery tier; the restored replica would resume
-		// past the suppressed offset, and its first accepted emission would
-		// jump the group's high-water filter over the lost batch.
-		state := slot.state.Load()
+		// One load gates BOTH this envelope's offer and its cut. A teardown
+		// marks the replica dead before closing quit, but the consumer's
+		// select may still drain buffered envelopes first — a "zombie" span.
+		// Suppressing only the offer while still cutting would let a durable
+		// cut claim offsets whose candidates were never handed to the
+		// delivery tier; the restored replica would resume past the
+		// suppressed offset, and its first accepted emission would jump the
+		// group's high-water filter over the lost batch.
+		dead := rep.dead.Load()
 
-		// Candidates are published before any checkpoint cut covering this
+		// Candidates are offered before any checkpoint cut covering this
 		// offset: a cut at Offset+1 must never claim durability for an
 		// event whose candidates were not yet handed to the delivery tier,
 		// or a restore from that cut would skip re-emitting them.
-		if len(ev) > 0 && state != replicaDead {
-			msg := candidateMsg{pid: slot.pid, offset: env.Offset, pubNS: env.PubUnixNS, cands: ev}
-			// On a networked worker the message is counted against the
-			// checkpoint ack gate BEFORE the publish, so a drained gate is
-			// an upper bound on what was ever handed to the forwarder.
-			if c.worker != nil {
-				c.worker.fw.NoteEnqueued()
-			}
-			if c.candidates.Publish(msg, env.VirtualDelay) != nil {
-				if c.worker != nil {
-					c.worker.fw.NoteAbandoned()
-				}
+		if len(ev) > 0 && !dead {
+			msg := transport.CandMsg{Pid: rep.pid, Offset: env.Offset, PubNS: env.PubUnixNS, Delay: env.VirtualDelay, Cands: ev}
+			if h.link.offer(msg) != nil {
 				return false
 			}
 		}
-
-		if c.worker != nil {
-			slot.applied.Store(env.Offset + 1)
-		}
+		rep.applied.Store(env.Offset + 1)
 
 		// Sweep before any cut at this envelope, so the cut captures the
 		// pruned state. By construction only the batch-final envelope can
 		// be due; for the rest this is one atomic load.
 		p.MaybeSweep(env.Msg.TS)
 
-		if c.ckptEveryMS > 0 && state != replicaDead {
-			if slot.clock.tick(env.Msg.TS, c.ckptEveryMS) {
-				c.cutCheckpoint(slot, env.Offset+1)
+		if h.ckptEveryMS > 0 && !dead {
+			if rep.clock.tick(env.Msg.TS, h.ckptEveryMS) {
+				h.cutCheckpoint(rep, env.Offset+1)
 			}
 		}
 
-		if slot.state.Load() == replicaReplaying && env.Offset+1 >= slot.target {
-			// Caught up with the head observed at restore time: from here
-			// the replica is as fresh as any live one (behind by at most its
-			// subscription buffer), so the broker may serve reads from it.
-			// CAS, not Store: a concurrent KillReplica may have already
-			// moved the state to dead, and resurrecting it would mark a
-			// reset replica broker-healthy.
-			if slot.state.CompareAndSwap(replicaReplaying, replicaLive) {
-				c.markLive(slot)
-				close(slot.live)
-			}
+		if rep.replaying && !dead && env.Offset+1 >= rep.target {
+			// Caught up with the head observed at launch. A teardown racing
+			// this report has already ended the attachment, so the hub
+			// ignores it rather than resurrect a reset replica.
+			rep.replaying = false
+			rep.att.NotifyLive()
 		}
 	}
 	return true

@@ -303,8 +303,8 @@ type ckptJob struct {
 // the consume loop is the only sender and lifecycle transitions
 // (kill/restore/stop) close jobs only after the consumer has exited.
 type ckptWriter struct {
-	c      *Cluster
-	slot   *replicaSlot
+	h      *replicaHost
+	rep    *replica
 	dir    string
 	jobs   chan ckptJob
 	done   chan struct{}
@@ -330,27 +330,27 @@ type ckptWriter struct {
 // auditLogPath names a replica directory's fingerprint audit log.
 func auditLogPath(dir string) string { return filepath.Join(dir, "audit.log") }
 
-// startWriter launches the async persistence goroutine for slot,
+// startWriter launches the async persistence goroutine for rep,
 // continuing the given manifest chain.
-func (c *Cluster) startWriter(slot *replicaSlot, man manifest) *ckptWriter {
+func (h *replicaHost) startWriter(rep *replica, man manifest) *ckptWriter {
 	w := &ckptWriter{
-		c:    c,
-		slot: slot,
-		// The slot's current generation directory — NOT the generation-0
+		h:   h,
+		rep: rep,
+		// The replica's current generation directory — NOT the generation-0
 		// name: a reprovisioned replica's chain lives in its new dir.
-		dir:  slot.dir,
+		dir:  rep.dir,
 		jobs: make(chan ckptJob, ckptQueueDepth),
 		done: make(chan struct{}),
 		man:  man,
 	}
 	w.deltas = man.deltaCount()
-	if c.audit {
-		alog, err := audit.Open(auditLogPath(w.dir), c.runID)
+	if h.audit {
+		alog, err := audit.Open(auditLogPath(w.dir), h.runID)
 		if err != nil {
 			// Advisory subsystem: a replica that cannot audit still
 			// checkpoints; the gap is visible as a missing source in
 			// VerifyFingerprints.
-			c.ckptErrors.Inc()
+			h.ckptErrors.Inc()
 		} else {
 			w.alog = alog
 		}
@@ -390,7 +390,7 @@ func (w *ckptWriter) run() {
 				job = next
 				// The elided segment would have cost two fsyncs: its own
 				// file and the manifest replacing it.
-				w.c.fsyncsSaved.Add(2)
+				w.h.fsyncsSaved.Add(2)
 			default:
 				break drain
 			}
@@ -399,16 +399,65 @@ func (w *ckptWriter) run() {
 	}
 }
 
-// stopWriterLocked drains and stops a slot's writer. The caller holds ctl
+// stopWriter drains and stops a replica's writer. The caller holds ctl
 // and has already observed the consumer goroutine stopped, so no further
 // jobs can arrive.
-func stopWriterLocked(slot *replicaSlot) {
-	if slot.writer == nil {
+func stopWriter(rep *replica) {
+	if rep.writer == nil {
 		return
 	}
-	close(slot.writer.jobs)
-	<-slot.writer.done
-	slot.writer = nil
+	close(rep.writer.jobs)
+	<-rep.writer.done
+	rep.writer = nil
+}
+
+// cutCheckpoint is the synchronous half of an incremental checkpoint: it
+// captures the state dirtied since the last cut — cost proportional to
+// recent write activity, not store size — and hands it to the replica's
+// async writer for encoding, fsync, and manifest publication. The send
+// blocks when the writer's small queue is full, back-pressuring the apply
+// loop instead of letting pending checkpoint memory grow without bound.
+func (h *replicaHost) cutCheckpoint(rep *replica, nextOffset uint64) {
+	w := rep.writer
+	if w == nil {
+		return
+	}
+	if !h.link.acked() {
+		// The hub tier does not yet hold every candidate message offered
+		// below this offset: a cut now could durably cover offsets whose
+		// candidates exist only in this process. Skip the cut entirely —
+		// the dirty keys stay captured by the next one. (Checked before
+		// CaptureDelta: a post-capture skip would drop the delta.)
+		h.ckptErrors.Inc()
+		return
+	}
+	start := time.Now()
+	delta := rep.p.CaptureDelta()
+	job := ckptJob{delta: delta, offset: nextOffset}
+	h.stampFingerprint(rep, &job)
+	w.jobs <- job
+	// Observed after the send so the metric is the apply loop's whole
+	// checkpoint stall: capture plus any backpressure wait on a slow
+	// writer — the honest number an operator watches to confirm
+	// checkpointing is not pausing ingest.
+	h.cutPause.Observe(time.Since(start))
+}
+
+// stampFingerprint attaches the replica's current state fingerprint to a
+// checkpoint job when auditing is on. Called on the apply loop (or at
+// drained shutdown) — the only places Apply is quiescent, which the
+// fingerprint's streaming encode requires. A failed encode is counted and
+// the cut proceeds unaudited: the audit is advisory, the cut is not.
+func (h *replicaHost) stampFingerprint(rep *replica, job *ckptJob) {
+	if !h.audit {
+		return
+	}
+	fp, err := rep.p.Fingerprint()
+	if err != nil {
+		h.ckptErrors.Inc()
+		return
+	}
+	job.fp, job.hasFP = fp, true
 }
 
 // appendSegment encodes one cut as a delta segment, fsyncs it, and
@@ -428,31 +477,33 @@ func (w *ckptWriter) appendSegment(job ckptJob) {
 		return err
 	}); err != nil {
 		w.pending = job.delta
-		w.c.ckptErrors.Inc()
+		w.h.ckptErrors.Inc()
 		return
 	}
 	w.man.segs = append(w.man.segs, ref)
 	w.man.nextSeq++
-	if err := w.man.write(manifestPath(w.dir), w.c.runID); err != nil {
+	if err := w.man.write(manifestPath(w.dir), w.h.runID); err != nil {
 		// The manifest on disk still describes the old chain; keep the
 		// in-memory view consistent with it.
 		w.man.segs = w.man.segs[:len(w.man.segs)-1]
 		w.man.nextSeq--
 		os.Remove(path)
 		w.pending = job.delta
-		w.c.ckptErrors.Inc()
+		w.h.ckptErrors.Inc()
 		return
 	}
-	w.c.checkpoints.Inc()
+	w.h.checkpoints.Inc()
 	if job.hasFP {
 		w.recordFingerprint(audit.Record{Offset: job.offset, Sum: job.fp})
 		w.lastFP, w.lastFPOffset, w.hasLastFP = job.fp, job.offset, true
 	}
 	w.deltas++
-	if w.deltas >= w.c.compactEvery {
+	if w.deltas >= w.h.compactEvery {
 		w.compact()
 	}
-	w.c.maybeTruncateLog()
+	// Durable progress: tell the hub where the chain's floor stands, so
+	// it can move the log's truncation horizon.
+	w.rep.att.ReportFloor(w.man.floorOffset())
 }
 
 // recordFingerprint appends one record to the replica's audit log.
@@ -461,16 +512,17 @@ func (w *ckptWriter) recordFingerprint(rec audit.Record) {
 		return
 	}
 	if err := w.alog.Append(rec); err != nil {
-		w.c.ckptErrors.Inc()
+		w.h.ckptErrors.Inc()
 		return
 	}
-	w.c.auditRecords.Inc()
+	w.h.auditRecords.Inc()
 }
 
 // compact folds the whole chain into a single fresh base whose offset is
 // the newest segment's, then drops the old files. Compaction is what
-// advances the replica's restore floor — and with it the cluster-wide
-// firehose truncation horizon — and what bounds restore composition time.
+// advances the replica's restore floor — reported to the hub by
+// appendSegment, and with it the cluster-wide firehose truncation horizon —
+// and what bounds restore composition time.
 func (w *ckptWriter) compact() {
 	if len(w.man.segs) < 2 {
 		return
@@ -479,10 +531,10 @@ func (w *ckptWriter) compact() {
 	if used < len(w.man.segs) {
 		// A corrupt segment mid-chain: leave it for restore-time fallback
 		// rather than compacting a prefix and silently losing the rest.
-		w.c.ckptErrors.Inc()
+		w.h.ckptErrors.Inc()
 		return
 	}
-	if w.c.audit {
+	if w.h.audit {
 		// Compaction self-check: the composed chain re-derives a state the
 		// replica also held live (the newest cut), so their fingerprints
 		// must match bit-for-bit. A mismatch here is the divergence class
@@ -495,11 +547,11 @@ func (w *ckptWriter) compact() {
 		// would only hide the divergence behind a longer chain.
 		if fp, err := st.Fingerprint(); err == nil {
 			if w.hasLastFP && w.lastFPOffset == offset && w.lastFP != fp {
-				w.c.auditMismatches.Inc()
+				w.h.auditMismatches.Inc()
 			}
 			w.recordFingerprint(audit.Record{Offset: offset, Sum: fp})
 		} else {
-			w.c.ckptErrors.Inc()
+			w.h.ckptErrors.Inc()
 		}
 	}
 	ref := segmentRef{kind: segKindBase, seq: w.man.nextSeq, offset: offset}
@@ -508,29 +560,28 @@ func (w *ckptWriter) compact() {
 		_, err := st.WriteBaseTo(f)
 		return err
 	}); err != nil {
-		w.c.ckptErrors.Inc()
+		w.h.ckptErrors.Inc()
 		return
 	}
 	old := w.man.segs
 	w.man.segs = []segmentRef{ref}
 	w.man.nextSeq++
-	if err := w.man.write(manifestPath(w.dir), w.c.runID); err != nil {
+	if err := w.man.write(manifestPath(w.dir), w.h.runID); err != nil {
 		w.man.segs = old
 		w.man.nextSeq--
 		os.Remove(path)
-		w.c.ckptErrors.Inc()
+		w.h.ckptErrors.Inc()
 		return
 	}
 	for _, s := range old {
 		os.Remove(segmentPath(w.dir, s))
 	}
 	w.deltas = 0
-	w.slot.floor.Store(offset)
-	w.c.compactions.Inc()
+	w.h.compactions.Inc()
 	// Base replication: push the fresh base to peer replica directories
 	// so the partition keeps restore points even when this machine — or
 	// this base — is lost.
-	w.c.mirrorBase(w.slot, path, offset)
+	w.h.mirrorBase(w.rep, path, offset)
 }
 
 // composeChain reads segments in order into a neutral checkpoint state,
@@ -584,7 +635,7 @@ func clampChainPrefix(segs []segmentRef, limit uint64) int {
 // failed rewrite is counted and the trim abandoned — in-memory chain and
 // files stay exactly as the on-disk manifest describes them, so nothing
 // leaks unreferenced and a later restore retries the same fallback.
-func (c *Cluster) truncateManifest(dir string, man *manifest, keep int) bool {
+func (h *replicaHost) truncateManifest(dir string, man *manifest, keep int) bool {
 	if keep >= len(man.segs) {
 		return true
 	}
@@ -592,9 +643,9 @@ func (c *Cluster) truncateManifest(dir string, man *manifest, keep int) bool {
 	trimmed := man.segs[:keep:keep]
 	old := man.segs
 	man.segs = trimmed
-	if err := man.write(manifestPath(dir), c.runID); err != nil {
+	if err := man.write(manifestPath(dir), h.runID); err != nil {
 		man.segs = old
-		c.ckptErrors.Inc()
+		h.ckptErrors.Inc()
 		return false
 	}
 	for _, s := range dropped {
@@ -613,12 +664,12 @@ func (c *Cluster) truncateManifest(dir string, man *manifest, keep int) bool {
 // that file is load-bearing for the restart contract (the reopened
 // filter seeds from it), so it must survive a power loss after a clean
 // Shutdown just like the WAL and the checkpoint manifests do.
-func (c *Cluster) persistDeliveryOffsets(next []uint64, durable bool) {
-	err := atomicWrite(deliveryOffsetsPath(c.cfg.CheckpointDir), func(w io.Writer) error {
+func (s *shared) persistDeliveryOffsets(next []uint64, durable bool) {
+	err := atomicWrite(deliveryOffsetsPath(s.cfg.CheckpointDir), func(w io.Writer) error {
 		enc := &codecutil.Writer{BW: bufio.NewWriter(w)}
 		enc.PutBytes(deliveryMagic[:])
 		enc.PutU(deliveryVersion)
-		enc.PutU(c.runID)
+		enc.PutU(s.runID)
 		enc.PutU(uint64(len(next)))
 		for _, off := range next {
 			enc.PutU(off)
@@ -626,7 +677,7 @@ func (c *Cluster) persistDeliveryOffsets(next []uint64, durable bool) {
 		return enc.Flush()
 	}, durable)
 	if err != nil {
-		c.ckptErrors.Inc()
+		s.ckptErrors.Inc()
 	}
 }
 
@@ -648,13 +699,13 @@ func (c *Cluster) persistDeliveryOffsets(next []uint64, durable bool) {
 // file is missing or corrupt. Always durable (tmp+rename+fsync): it
 // runs off the delivery goroutine (the periodic async cut) or at drain
 // (the final exact cut), so the fsync stalls nobody.
-func (c *Cluster) persistDeliveryState(next []uint64) error {
-	err := atomicWrite(deliveryStatePath(c.cfg.CheckpointDir), func(w io.Writer) error {
+func (h *hubTier) persistDeliveryState(next []uint64) error {
+	err := atomicWrite(deliveryStatePath(h.cfg.CheckpointDir), func(w io.Writer) error {
 		hw := &codecutil.HashWriter{W: w}
 		enc := &codecutil.Writer{BW: bufio.NewWriter(hw)}
 		enc.PutBytes(deliveryStateMagic[:])
 		enc.PutU(deliveryStateVersion)
-		enc.PutU(c.runID)
+		enc.PutU(h.runID)
 		enc.PutU(uint64(len(next)))
 		for _, off := range next {
 			enc.PutU(off)
@@ -665,14 +716,14 @@ func (c *Cluster) persistDeliveryState(next []uint64) error {
 		if err := codecutil.WriteChecksum(w, hw.Sum()); err != nil {
 			return err
 		}
-		_, err := c.pipeline.WriteTo(w)
+		_, err := h.pipeline.WriteTo(w)
 		return err
 	}, true)
 	if err != nil {
-		c.ckptErrors.Inc()
+		h.ckptErrors.Inc()
 		return err
 	}
-	c.deliveryStateCuts.Inc()
+	h.deliveryStateCuts.Inc()
 	return nil
 }
 
@@ -681,15 +732,15 @@ func (c *Cluster) persistDeliveryState(next []uint64) error {
 // point. At most one cut is in flight: if the previous one is still
 // writing, this tick is skipped — the next cadence point captures a
 // strictly newer state anyway (latest wins).
-func (c *Cluster) cutDeliveryStateAsync(next []uint64) {
-	if !c.stateBusy.CompareAndSwap(false, true) {
+func (h *hubTier) cutDeliveryStateAsync(next []uint64) {
+	if !h.stateBusy.CompareAndSwap(false, true) {
 		return
 	}
-	c.stateWG.Add(1)
+	h.stateWG.Add(1)
 	go func() {
-		defer c.stateWG.Done()
-		defer c.stateBusy.Store(false)
-		c.persistDeliveryState(next)
+		defer h.stateWG.Done()
+		defer h.stateBusy.Store(false)
+		h.persistDeliveryState(next)
 	}()
 }
 
@@ -701,14 +752,14 @@ func (c *Cluster) cutDeliveryStateAsync(next []uint64) {
 // fresh pipeline, the pre-durable-state tolerance (a repeated (user,
 // item) pair may be re-pushed once), never a failed reopen. Only
 // corruption and shape mismatches are counted as errors.
-func (c *Cluster) loadDeliveryState() ([]uint64, bool) {
-	data, err := os.ReadFile(deliveryStatePath(c.cfg.CheckpointDir))
+func (h *hubTier) loadDeliveryState() ([]uint64, bool) {
+	data, err := os.ReadFile(deliveryStatePath(h.cfg.CheckpointDir))
 	if err != nil {
 		return nil, false
 	}
 	cur := codecutil.NewCursor(data, "delivery state header")
 	cur.Header(deliveryStateMagic, deliveryStateVersion)
-	if run := cur.U("run id"); cur.Err == nil && run != c.runID {
+	if run := cur.U("run id"); cur.Err == nil && run != h.runID {
 		// A foreign run's pipeline state indexes a stream this log never
 		// carried; ignoring it is the correct degrade, not an error.
 		return nil, false
@@ -722,25 +773,25 @@ func (c *Cluster) loadDeliveryState() ([]uint64, bool) {
 	cur.Trailer()
 	// A different deployment shape under the same log identity cannot seed
 	// this filter, so the pair is rejected whole.
-	if cur.Err != nil || len(offsets) != c.cfg.Partitions || c.pipeline.Restore(cur) != nil {
-		c.ckptErrors.Inc()
+	if cur.Err != nil || len(offsets) != h.cfg.Partitions || h.pipeline.Restore(cur) != nil {
+		h.ckptErrors.Inc()
 		return nil, false
 	}
-	c.deliveryStateRestores.Inc()
+	h.deliveryStateRestores.Inc()
 	return offsets, true
 }
 
 // loadDeliveryOffset reads the persisted delivery high-water offset for a
 // group. ok is false when the file is absent, unreadable, foreign-run, or
 // does not cover pid.
-func (c *Cluster) loadDeliveryOffset(pid int) (uint64, bool) {
-	data, err := os.ReadFile(deliveryOffsetsPath(c.cfg.CheckpointDir))
+func (s *shared) loadDeliveryOffset(pid int) (uint64, bool) {
+	data, err := os.ReadFile(deliveryOffsetsPath(s.cfg.CheckpointDir))
 	if err != nil {
 		return 0, false
 	}
 	cur := codecutil.NewCursor(data, "delivery offsets")
 	cur.Header(deliveryMagic, deliveryVersion)
-	if run := cur.U("run id"); run != c.runID {
+	if run := cur.U("run id"); run != s.runID {
 		return 0, false
 	}
 	if n := cur.Count("group count", 1); pid >= n {
@@ -755,67 +806,14 @@ func (c *Cluster) loadDeliveryOffset(pid int) (uint64, bool) {
 
 // loadDeliveryOffsets reads every group's persisted delivery high-water
 // offset, zero-filled when the file is absent, unreadable, or gated away.
-func (c *Cluster) loadDeliveryOffsets() []uint64 {
-	out := make([]uint64, c.cfg.Partitions)
+func (s *shared) loadDeliveryOffsets() []uint64 {
+	out := make([]uint64, s.cfg.Partitions)
 	for pid := range out {
-		if off, ok := c.loadDeliveryOffset(pid); ok {
+		if off, ok := s.loadDeliveryOffset(pid); ok {
 			out[pid] = off
 		}
 	}
 	return out
-}
-
-// maybeTruncateLog compacts the retained firehose log below the minimum
-// restore floor across all replicas: every offset below it is covered by
-// a durable restore point, so no restore — including segment-at-a-time
-// corruption fallback — can ever need to replay it. The floor counts two
-// kinds of restore point: every non-removed replica's own chain floor,
-// and each source's newest intact mirror base in the partition pools (a
-// mirror's offset is its replay point, and composeFromPool refuses one below the log start
-// — so truncating past one would silently disarm the base pool exactly
-// when it is needed, e.g. a mirror-only survivor whose own base later
-// corrupts). Mirror offsets normally trail their source's chain floor by
-// nothing — compact pushes them at the floor offset — but a mirror
-// outlives its source (kill, decommission), and then it is the pool's
-// only claim on that span. Called from writer goroutines after durable
-// progress. The scan and the truncation are one atomic step under truncMu
-// so a restore lowering a replica's floor (corrupt chain → scratch)
-// cannot interleave between them and have its just-started replay
-// truncated out from under it.
-func (c *Cluster) maybeTruncateLog() {
-	c.truncMu.Lock()
-	defer c.truncMu.Unlock()
-	c.topoMu.RLock()
-	floor := ^uint64(0)
-	var dirs []string
-	for _, group := range c.slots {
-		for _, s := range group {
-			if s.state.Load() == replicaRemoved {
-				// A tombstone never restores; its floor is irrelevant.
-				continue
-			}
-			if f := s.floor.Load(); f < floor {
-				floor = f
-			}
-			if s.dir != "" {
-				dirs = append(dirs, s.dir)
-			}
-		}
-	}
-	c.topoMu.RUnlock()
-	for _, dir := range dirs {
-		for _, off := range mirrorOffsets(dir) {
-			if off < floor {
-				floor = off
-			}
-		}
-	}
-	if floor == 0 || floor == ^uint64(0) {
-		return
-	}
-	if n := c.firehose.TruncateBelow(floor); n > 0 {
-		c.truncated.Add(uint64(n))
-	}
 }
 
 // loadStaticSnapshot returns partition pid's newest offline S build from
@@ -823,27 +821,27 @@ func (c *Cluster) maybeTruncateLog() {
 // or replacement detection server serves the latest published S rather than
 // the build it crashed with or a recomputation of history. An absent file
 // is fine (no newer build); an unreadable one is counted.
-func (c *Cluster) loadStaticSnapshot(pid int) *statstore.Snapshot {
-	dir := c.cfg.StaticSnapshotDir
+func (h *replicaHost) loadStaticSnapshot(pid int) *statstore.Snapshot {
+	dir := h.cfg.StaticSnapshotDir
 	if dir == "" {
 		return nil
 	}
 	snap, err := statstore.LoadSnapshotFile(staticSnapshotPath(dir, pid))
 	if err != nil {
 		if !os.IsNotExist(err) {
-			c.ckptErrors.Inc()
+			h.ckptErrors.Inc()
 		}
 		return nil
 	}
-	c.staticReloads.Inc()
+	h.staticReloads.Inc()
 	return snap
 }
 
 // reloadStatic swaps the newest offline S build, if there is one, into a
 // replica about to rejoin.
-func (c *Cluster) reloadStatic(slot *replicaSlot) {
-	if snap := c.loadStaticSnapshot(slot.pid); snap != nil {
-		slot.p.Load().Engine().ReloadStatic(snap)
+func (h *replicaHost) reloadStatic(rep *replica) {
+	if snap := h.loadStaticSnapshot(rep.pid); snap != nil {
+		rep.p.Engine().ReloadStatic(snap)
 	}
 }
 
@@ -855,59 +853,54 @@ func (c *Cluster) reloadStatic(slot *replicaSlot) {
 // motifs for the whole partition, which the architecture (like the
 // paper's) does not survive.
 func (c *Cluster) KillReplica(pid, r int) error {
-	slot, err := c.localSlot(pid, r)
+	slot, rep, err := c.localSlot(pid, r)
 	if err != nil {
 		return err
 	}
-	c.ctl.Lock()
-	defer c.ctl.Unlock()
-	if slot.quit == nil {
-		return fmt.Errorf("cluster: replica %d/%d cannot be killed before Start", pid, r)
-	}
-	switch slot.state.Load() {
-	case replicaDead:
+	defer c.host.ctl.Unlock()
+	if slot.state.Load() == replicaDead {
 		return fmt.Errorf("cluster: replica %d/%d is already dead", pid, r)
-	case replicaRemoved:
-		return fmt.Errorf("cluster: replica %d/%d is decommissioned", pid, r)
 	}
-	if c.aliveLocked(pid, slot) < 1 {
+	if c.hub.alive(pid, slot) < 1 {
 		return fmt.Errorf("cluster: cannot kill last alive replica of partition %d", pid)
 	}
-	if err := c.teardownLocked(slot); err != nil {
-		return err
-	}
-	slot.p.Load().Reset()
+	c.host.teardown(rep)
+	rep.p.Reset()
 	return nil
 }
 
-// localSlot is the replica lifecycle calls' shared preamble: recovery must
-// be enabled, the replica in this process, and the indices valid.
-func (c *Cluster) localSlot(pid, r int) (*replicaSlot, error) {
-	if c.cfg.CheckpointDir == "" {
-		return nil, ErrRecoveryDisabled
+// lifecycle is the replica lifecycle calls' shared preamble: recovery must
+// be enabled, slots and replicas both in this process, and the cluster
+// started (slots come to life through Start).
+func (c *Cluster) lifecycle() error {
+	switch {
+	case c.cfg.CheckpointDir == "":
+		return ErrRecoveryDisabled
+	case c.networked():
+		return ErrNotLocal
+	case !c.host.started.Load():
+		return fmt.Errorf("cluster: replica lifecycle calls require a started cluster")
 	}
-	if c.networked() {
-		return nil, ErrNotLocal
-	}
-	return c.slot(pid, r)
+	return nil
 }
 
-// aliveLocked counts partition pid's live-or-replaying replicas,
-// excluding the given slot. Caller holds ctl (so membership and states
-// are stable for the guard's purposes).
-func (c *Cluster) aliveLocked(pid int, except *replicaSlot) int {
-	c.topoMu.RLock()
-	defer c.topoMu.RUnlock()
-	alive := 0
-	for _, s := range c.slots[pid] {
-		if s == except {
-			continue
-		}
-		if st := s.state.Load(); st != replicaDead && st != replicaRemoved {
-			alive++
-		}
+// localSlot is lifecycle plus the lookup of a slot still in service and the
+// replica that runs it. On success it returns with ctl held, which the
+// caller releases.
+func (c *Cluster) localSlot(pid, r int) (*replicaSlot, *replica, error) {
+	if err := c.lifecycle(); err != nil {
+		return nil, nil, err
 	}
-	return alive
+	slot, err := c.hub.slot(pid, r)
+	if err != nil {
+		return nil, nil, err
+	}
+	c.host.ctl.Lock()
+	if slot.state.Load() == replicaRemoved {
+		c.host.ctl.Unlock()
+		return nil, nil, fmt.Errorf("cluster: replica %d/%d is decommissioned", pid, r)
+	}
+	return slot, c.host.replica(pid, r), nil
 }
 
 // RestoreReplica rejoins a killed replica: plan and execute its restore
@@ -920,24 +913,20 @@ func (c *Cluster) aliveLocked(pid int, except *replicaSlot) int {
 // every offset that existed when recovery began. Must not be called
 // concurrently with Stop.
 func (c *Cluster) RestoreReplica(pid, r int) error {
-	slot, err := c.localSlot(pid, r)
+	slot, rep, err := c.localSlot(pid, r)
 	if err != nil {
 		return err
 	}
-	c.ctl.Lock()
-	defer c.ctl.Unlock()
-	switch slot.state.Load() {
-	case replicaDead:
-	case replicaRemoved:
-		return fmt.Errorf("cluster: replica %d/%d is decommissioned; use AddReplica for new capacity", pid, r)
-	default:
+	defer c.host.ctl.Unlock()
+	if slot.state.Load() != replicaDead {
 		return fmt.Errorf("cluster: replica %d/%d is not dead; only killed replicas restore", pid, r)
 	}
-	at, err := c.restoreSlot(slot)
+	// The slot itself is dead, so only its peers count as coverage.
+	at, err := c.host.restoreSlot(rep, c.hub.alive(pid, nil) > 0)
 	if err != nil {
 		return err
 	}
-	return c.launchReplica(slot, at)
+	return c.host.launchReplica(rep, at)
 }
 
 // ReplicaState reports a replica's position in the catch-up state machine:
@@ -969,9 +958,9 @@ func (c *Cluster) AwaitReplicaLive(pid, r int, timeout time.Duration) error {
 	if err != nil {
 		return err
 	}
-	c.ctl.Lock()
+	c.hub.slotMu.Lock()
 	live := slot.live
-	c.ctl.Unlock()
+	c.hub.slotMu.Unlock()
 	if slot.state.Load() == replicaLive {
 		return nil
 	}

@@ -12,8 +12,8 @@ import (
 // decision over the same observations: which durable restore point to
 // install, and where in the firehose log to replay from. planRestore makes
 // it and only reads; executeRestore performs the plan's writes and installs
-// its state; launchReplica subscribes at the plan's offset and enters the
-// replaying → live machine (docs/DURABILITY.md, "Restore planning").
+// its state; launchReplica attaches at the plan's offset and floor
+// (docs/DURABILITY.md, "Restore planning").
 
 // restoreInputs is everything a restore decision may observe.
 type restoreInputs struct {
@@ -165,29 +165,28 @@ type restorePoint struct {
 	offset, floor uint64
 }
 
-// planSlot gathers slot's restore inputs from the running cluster and
-// plans its restore. The caller holds ctl (or is New).
-func (c *Cluster) planSlot(slot *replicaSlot) (restorePlan, error) {
+// planSlot gathers rep's restore inputs and plans its restore. alive
+// reports whether some replica of the group covers the stream meanwhile.
+// The caller holds ctl (or is construction).
+func (h *replicaHost) planSlot(rep *replica, alive bool) (restorePlan, error) {
+	_, head, start := h.link.logMeta()
 	in := restoreInputs{
-		dir:      slot.dir,
-		runID:    c.runID,
-		logStart: c.firehose.LogStart(),
-		head:     c.firehose.Published(),
-		pool:     c.basePool(slot.pid),
-		// The slot itself counts: replicas are born live, so at start-up
-		// every group has coverage; a killed or freshly placed slot is
-		// dead, and only its peers count.
-		alive: c.aliveLocked(slot.pid, nil) > 0,
+		dir:      rep.dir,
+		runID:    h.runID,
+		logStart: start,
+		head:     head,
+		pool:     basePool(h.placed(rep.pid), h.runID),
+		alive:    alive,
 	}
 	if !in.alive {
-		in.delivered, in.hasDelivered = c.loadDeliveryOffset(slot.pid)
+		in.delivered, in.hasDelivered = h.loadDeliveryOffset(rep.pid)
 	}
-	if c.audit {
-		in.recorded = c.recordedFingerprints(slot.pid)
+	if h.audit {
+		in.recorded = h.recordedFingerprints(auditSources(h.placed(rep.pid)))
 	}
 	plan, err := planRestore(in)
 	if err != nil {
-		return plan, fmt.Errorf("cluster: replica %d/%d: %w", slot.pid, slot.idx, err)
+		return plan, fmt.Errorf("cluster: replica %d/%d: %w", rep.pid, rep.idx, err)
 	}
 	return plan, nil
 }
@@ -197,125 +196,95 @@ func (c *Cluster) planSlot(slot *replicaSlot) (restorePlan, error) {
 // state install. A diverged plan is counted and still executed — the
 // delivery tier's offset filter keeps the group exactly-once regardless,
 // and a bricked restore helps nobody; launchPlacement is stricter.
-func (c *Cluster) executeRestore(slot *replicaSlot, plan restorePlan) (restorePoint, error) {
-	c.ckptErrors.Add(plan.faults)
+func (h *replicaHost) executeRestore(rep *replica, plan restorePlan) (restorePoint, error) {
+	h.ckptErrors.Add(plan.faults)
 	man := plan.man
 	if plan.seed != nil {
-		seeded, err := c.seedChain(slot.dir, plan.seed, plan.offset, man)
+		seeded, err := h.seedChain(rep.dir, plan.seed, plan.offset, man)
 		if err != nil {
 			// Without a durable seed base the chain would silently compose
 			// a hole (deltas cut after the install describe only
 			// post-install changes); refuse rather than diverge.
-			c.ckptErrors.Inc()
-			return restorePoint{}, fmt.Errorf("cluster: replica %d/%d: seeding chain from base pool: %w", slot.pid, slot.idx, err)
+			h.ckptErrors.Inc()
+			return restorePoint{}, fmt.Errorf("cluster: replica %d/%d: seeding chain from base pool: %w", rep.pid, rep.idx, err)
 		}
 		man = seeded
-		c.poolRestores.Inc()
-	} else if !c.truncateManifest(slot.dir, &man, plan.keep) && plan.mustTrim {
-		return restorePoint{}, fmt.Errorf("cluster: replica %d/%d: cannot trim chain to its restore point %d", slot.pid, slot.idx, plan.offset)
+		h.poolRestores.Inc()
+	} else if !h.truncateManifest(rep.dir, &man, plan.keep) && plan.mustTrim {
+		return restorePoint{}, fmt.Errorf("cluster: replica %d/%d: cannot trim chain to its restore point %d", rep.pid, rep.idx, plan.offset)
 	}
 	if plan.diverged() {
-		c.auditMismatches.Inc()
+		h.auditMismatches.Inc()
 	}
 	if plan.state == nil {
-		slot.p.Load().Reset()
+		rep.p.Reset()
 	} else {
-		slot.p.Load().LoadState(plan.state)
+		rep.p.LoadState(plan.state)
 	}
 	return restorePoint{man: man, offset: plan.offset, floor: plan.floor}, nil
 }
 
-// restoreSlot plans and executes the restore of a slot whose partition was
-// built from configuration (New) or survived a kill (RestoreReplica),
-// swapping in the newest offline S build on the way.
-func (c *Cluster) restoreSlot(slot *replicaSlot) (restorePoint, error) {
-	plan, err := c.planSlot(slot)
+// restoreSlot plans and executes the restore of a replica whose partition
+// was built from configuration (construction) or survived a kill
+// (RestoreReplica), swapping in the newest offline S build on the way.
+func (h *replicaHost) restoreSlot(rep *replica, alive bool) (restorePoint, error) {
+	plan, err := h.planSlot(rep, alive)
 	if err != nil {
 		return restorePoint{}, err
 	}
-	c.reloadStatic(slot)
-	return c.executeRestore(slot, plan)
+	h.reloadStatic(rep)
+	return h.executeRestore(rep, plan)
 }
 
-// launchReplica is the one place a replica's consumer starts — at cluster
-// Start, on a rejoin, for a fresh placement; in process or, on a networked
-// worker, over the hub's feed. State is already installed on the slot; the
-// consumer replays the log from at.offset through the replaying → live
-// machine. The caller holds ctl. On error the slot is untouched.
-func (c *Cluster) launchReplica(slot *replicaSlot, at restorePoint) error {
-	// Publish the restore floor and subscribe as one atomic step against
-	// the writers' floor-scan-plus-truncate: a stale floor from the slot's
-	// previous incarnation could otherwise let a concurrent peer compaction
-	// truncate the log out from under the replay we are about to start.
-	c.truncMu.Lock()
-	slot.floor.Store(at.floor)
-	target := c.firehose.Published()
-	var err error
-	switch {
-	case c.worker != nil:
-		slot.feed, err = c.worker.feed.SubscribeReplica(slot.pid, slot.idx, slot.gen, at.offset, c.worker.rs.Addr())
-		if err == nil {
-			slot.sub = slot.feed.C()
-			slot.applied.Store(at.offset)
-			c.worker.rs.Register(slot.pid, slot.idx, slot.p.Load())
-		}
-	case c.cfg.CheckpointDir == "":
-		// No recovery: the topic retains nothing to replay from.
-		slot.sub = c.firehose.Subscribe()
-	default:
-		slot.sub, err = c.firehose.SubscribeFrom(at.offset)
-	}
-	c.truncMu.Unlock()
+// launchReplica is the one place a replica's consumer starts — at Start, on
+// a rejoin, for a fresh placement; whatever the link. State is already
+// installed on the partition; the attach publishes the restore floor and
+// opens the stream at at.offset, and the hub keeps the slot out of read
+// service until the live report, due once every offset that existed at
+// launch is applied — at once when there is nothing to replay. The caller
+// holds ctl. On error the replica is untouched.
+func (h *replicaHost) launchReplica(rep *replica, at restorePoint) error {
+	_, target, _ := h.link.logMeta()
+	att, sub, err := h.link.attach(rep.pid, rep.idx, rep.gen, at.floor, at.offset, rep.p)
 	if err != nil {
-		// Only reachable when the chain was lost (corrupt base) after the
-		// log below it was truncated; surface rather than silently diverge.
-		return fmt.Errorf("cluster: replay from %d: %w", at.offset, err)
+		return err
 	}
-	slot.quit = make(chan struct{})
-	slot.stopped = make(chan struct{})
-	slot.clock = ckptClock{}
-	if c.ckptEveryMS > 0 {
-		slot.writer = c.startWriter(slot, at.man)
+	rep.att, rep.sub = att, sub
+	rep.quit = make(chan struct{})
+	rep.stopped = make(chan struct{})
+	rep.clock = ckptClock{}
+	rep.applied.Store(at.offset)
+	rep.dead.Store(false)
+	if h.ckptEveryMS > 0 {
+		rep.writer = h.startWriter(rep, at.man)
 	}
-	if at.offset >= target {
-		// Nothing to replay: the restore point is already at the head.
-		slot.state.Store(replicaLive)
-		c.markLive(slot)
-		close(slot.live)
-	} else {
-		// Broker-down until every offset that existed at launch is applied.
-		slot.target = target
-		slot.state.Store(replicaReplaying)
-		if c.broker != nil {
-			c.broker.MarkDown(slot.pid, slot.idx)
-		}
+	rep.target, rep.replaying = target, at.offset < target
+	if !rep.replaying {
+		att.NotifyLive()
 	}
 	if at.offset > 0 || target > 0 {
-		c.restores.Inc()
+		h.restores.Inc()
 	}
-	c.wg.Add(1)
-	go c.runReplica(slot)
+	h.wg.Add(1)
+	go func() {
+		defer h.wg.Done()
+		defer close(rep.stopped)
+		h.consumeBatched(rep)
+	}()
 	return nil
 }
 
-// teardownLocked stops a running replica's consumer and leaves the slot
-// dead: stop the goroutine, detach the subscription (releasing any
-// publisher blocked on its buffer — buffered envelopes are lost, as with a
-// dead process), then mark the broker member down. The broker MarkDown
-// happens only after the goroutine has stopped: a consumer mid-way through
-// its replaying→live transition may still issue a MarkUp, and ordering ours
-// after <-slot.stopped guarantees the dead replica ends broker-down. The
-// async writer stops after the consumer (its only sender): pending segments
-// drain to disk first, like a kernel flushing a dying process's page cache
-// — the durable chain stays valid for a future restore. The caller holds
-// ctl.
-func (c *Cluster) teardownLocked(slot *replicaSlot) error {
-	slot.state.Store(replicaDead)
-	close(slot.quit)
-	c.firehose.Unsubscribe(slot.sub)
-	<-slot.stopped
-	stopWriterLocked(slot)
-	// Fresh, open live channel: closed again when a future launch goes live.
-	slot.live = make(chan struct{})
-	return c.broker.MarkDown(slot.pid, slot.idx)
+// teardown stops a running replica's consumer and leaves its slot dead:
+// mark it (see applyBatch), stop the goroutine, detach — a live report the
+// consumer still issues mid-way through its replaying → live transition
+// arrives after the attachment ended and is ignored. The async writer stops
+// after the consumer (its only sender): pending segments drain to disk
+// first, like a kernel flushing a dying process's page cache — the durable
+// chain stays valid for a future restore. The caller holds ctl.
+func (h *replicaHost) teardown(rep *replica) {
+	rep.dead.Store(true)
+	close(rep.quit)
+	rep.att.Close()
+	<-rep.stopped
+	stopWriter(rep)
 }

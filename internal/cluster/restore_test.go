@@ -443,14 +443,14 @@ func TestRecordedFingerprintsDisputeIsDeterministic(t *testing.T) {
 		}
 	}
 	reg := metrics.NewRegistry()
-	c := &Cluster{
+	c := &shared{
 		runID:           planRunID,
-		slots:           [][]*replicaSlot{{{idx: 0, dir: dir}, {idx: 1, dir: peer}}},
 		ckptErrors:      reg.Counter("ckpt_errors"),
 		auditMismatches: reg.Counter("audit_mismatches"),
 	}
+	sources := auditSources([]placed{{idx: 0, dir: dir}, {idx: 1, dir: peer}})
 	for run := uint64(1); run <= 50; run++ {
-		recorded := c.recordedFingerprints(0)
+		recorded := c.recordedFingerprints(sources)
 		if got := c.auditMismatches.Value(); got != run {
 			t.Fatalf("run %d: %d mismatches counted, want one per collection", run, got)
 		}

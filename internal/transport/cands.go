@@ -19,10 +19,9 @@ const forwarderRing = 256
 // offset filter collapses to exactly-once delivery.
 //
 // It also owns the worker's checkpoint gate: the cluster notes every
-// candidate message BEFORE publishing it locally (NoteEnqueued), and a
-// durable checkpoint cut waits (WaitDrained) until the hub has acked
-// everything noted so far — so a cut never covers an offset whose
-// candidates only exist in a dead process's memory.
+// candidate message before queueing it (NoteEnqueued), and a durable
+// checkpoint cut waits (WaitDrained) until the hub has acked everything
+// noted so far.
 type CandForwarder struct {
 	addr  string
 	logID uint64
@@ -72,10 +71,7 @@ func NewCandForwarder(addr string, logID uint64, opts ClientOptions) *CandForwar
 	return f
 }
 
-// NoteEnqueued counts one candidate message about to be published to the
-// worker's local candidates topic. Counting before the publish makes the
-// WaitDrained snapshot an upper bound on messages actually sent, which is
-// what makes the checkpoint gate sound.
+// NoteEnqueued counts one candidate message about to be queued for Send.
 func (f *CandForwarder) NoteEnqueued() {
 	f.mu.Lock()
 	f.enq++

@@ -38,10 +38,10 @@ func (o *ClientOptions) defaults() {
 	}
 }
 
-// FeedClient is a worker's view of the hub's firehose log. It satisfies
-// the cluster's edge-feed surface: cached head/start bounds (refreshed by
-// every envelope batch) plus per-replica subscriptions that replay from a
-// resume offset and survive connection drops by redialing idempotently.
+// FeedClient is a worker's view of the hub's firehose log: the log's
+// identity, cached head/start bounds (refreshed by every envelope batch),
+// and per-replica attachments that replay from a resume offset and survive
+// connection drops by redialing idempotently.
 type FeedClient struct {
 	addr string
 	opts ClientOptions
@@ -50,8 +50,7 @@ type FeedClient struct {
 	head, start atomic.Uint64
 
 	mu     sync.Mutex
-	subs   map[<-chan queue.Envelope[graph.Edge]]*FeedSub
-	floor  uint64
+	subs   map[*FeedSub]struct{}
 	closed bool
 
 	m          *connMetrics
@@ -67,7 +66,7 @@ func DialFeed(addr string, opts ClientOptions) (*FeedClient, error) {
 	f := &FeedClient{
 		addr: addr,
 		opts: opts,
-		subs: make(map[<-chan queue.Envelope[graph.Edge]]*FeedSub),
+		subs: make(map[*FeedSub]struct{}),
 		m:    newConnMetrics(opts.Metrics, "feed", ""),
 	}
 	if opts.Metrics != nil {
@@ -100,59 +99,19 @@ func DialFeed(addr string, opts ClientOptions) (*FeedClient, error) {
 	}
 }
 
-// LogID returns the hub log's identity (the worker's runID).
-func (f *FeedClient) LogID() uint64 { return f.logID }
-
-// Published returns the hub log head as of the latest batch or handshake.
-func (f *FeedClient) Published() uint64 { return f.head.Load() }
-
-// LogStart returns the hub log's truncation point, equally cached.
-func (f *FeedClient) LogStart() uint64 { return f.start.Load() }
-
-// Publish is not available on workers: only the hub ingests edges.
-func (f *FeedClient) Publish(graph.Edge, time.Duration) error {
-	return errors.New("transport: workers cannot publish to the firehose")
+// LogMeta returns the hub log's identity (the worker's runID) and its head
+// and truncation point as of the latest batch or handshake.
+func (f *FeedClient) LogMeta() (logID, head, start uint64) {
+	return f.logID, f.head.Load(), f.start.Load()
 }
 
-// Subscribe is not available on workers; replica subscriptions carry an
-// identity and resume offset — use SubscribeReplica.
-func (f *FeedClient) Subscribe() <-chan queue.Envelope[graph.Edge] {
-	ch := make(chan queue.Envelope[graph.Edge])
-	close(ch)
-	return ch
-}
-
-// SubscribeFrom without an identity is likewise unavailable.
-func (f *FeedClient) SubscribeFrom(uint64) (<-chan queue.Envelope[graph.Edge], error) {
-	return nil, errors.New("transport: replica subscriptions require an identity; use SubscribeReplica")
-}
-
-// TruncateBelow reports the worker's merged durable floor to the hub
-// (broadcast on every replica connection); the hub owns the log and does
-// the actual truncation once all floors allow it.
-func (f *FeedClient) TruncateBelow(offset uint64) int {
-	f.mu.Lock()
-	if offset > f.floor {
-		f.floor = offset
-	}
-	subs := make([]*FeedSub, 0, len(f.subs))
-	for _, s := range f.subs {
-		subs = append(subs, s)
-	}
-	floor := f.floor
-	f.mu.Unlock()
-	for _, s := range subs {
-		s.reportFloor(floor)
-	}
-	return 0
-}
-
-// SubscribeReplica opens the feed for slot (pid, r) at generation gen,
-// resuming from offset. readAddr is the worker's read-RPC listener, which
-// the hub's broker dials for fan-out queries. The returned subscription's
-// channel closes on clean end-of-stream (hub shutdown) or Unsubscribe;
-// connection drops reconnect transparently with idempotent redelivery.
-func (f *FeedClient) SubscribeReplica(pid, r, gen int, offset uint64, readAddr string) (*FeedSub, error) {
+// SubscribeReplica attaches slot (pid, r) at generation gen: floor is the
+// replica's durable restore floor (the hub pins its log truncation to it
+// from the attach on), offset where the stream resumes, readAddr the
+// worker's read-RPC listener, which the hub's broker dials. The returned
+// subscription's channel closes on clean end-of-stream (hub shutdown) or
+// Close; connection drops reconnect with idempotent redelivery.
+func (f *FeedClient) SubscribeReplica(pid, r, gen int, floor, offset uint64, readAddr string) (*FeedSub, error) {
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
@@ -164,26 +123,16 @@ func (f *FeedClient) SubscribeReplica(pid, r, gen int, offset uint64, readAddr s
 		r:        r,
 		gen:      gen,
 		readAddr: readAddr,
+		floor:    floor,
 		next:     offset,
 		ch:       make(chan queue.Envelope[graph.Edge], 256),
 		done:     make(chan struct{}),
 	}
-	f.subs[s.ch] = s
+	f.subs[s] = struct{}{}
 	f.mu.Unlock()
 	f.wg.Add(1)
 	go s.run()
 	return s, nil
-}
-
-// Unsubscribe detaches the subscription owning ch (edge-feed surface).
-func (f *FeedClient) Unsubscribe(ch <-chan queue.Envelope[graph.Edge]) {
-	f.mu.Lock()
-	s := f.subs[ch]
-	delete(f.subs, ch)
-	f.mu.Unlock()
-	if s != nil {
-		s.stop()
-	}
 }
 
 // Close severs every subscription and waits for their goroutines. Each
@@ -191,24 +140,19 @@ func (f *FeedClient) Unsubscribe(ch <-chan queue.Envelope[graph.Edge]) {
 // as they do when an in-process topic closes.
 func (f *FeedClient) Close() {
 	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		f.wg.Wait()
-		return
-	}
 	f.closed = true
 	subs := make([]*FeedSub, 0, len(f.subs))
-	for _, s := range f.subs {
+	for s := range f.subs {
 		subs = append(subs, s)
 	}
 	f.mu.Unlock()
 	for _, s := range subs {
-		s.stop()
+		s.Close()
 	}
 	f.wg.Wait()
 }
 
-// FeedSub is one replica's firehose subscription over the wire.
+// FeedSub is one replica's attachment to the hub's firehose over the wire.
 type FeedSub struct {
 	f           *FeedClient
 	pid, r, gen int
@@ -221,7 +165,7 @@ type FeedSub struct {
 	mu       sync.Mutex
 	c        *conn
 	live     bool   // live announced; re-sent after reconnect
-	floor    uint64 // last reported floor; re-sent after reconnect
+	floor    uint64 // durable floor; carried by every (re)attach hello
 	err      error  // terminal error (hello rejection)
 	stopOnce sync.Once
 }
@@ -249,7 +193,9 @@ func (s *FeedSub) NotifyLive() {
 	}
 }
 
-func (s *FeedSub) reportFloor(floor uint64) {
+// ReportFloor tells the hub — which owns the log and truncates once every
+// floor allows it — that the replica's durable restore floor advanced.
+func (s *FeedSub) ReportFloor(floor uint64) {
 	s.mu.Lock()
 	if floor <= s.floor {
 		s.mu.Unlock()
@@ -263,7 +209,12 @@ func (s *FeedSub) reportFloor(floor uint64) {
 	}
 }
 
-func (s *FeedSub) stop() {
+// Close detaches the subscription: the connection drops (the hub marks the
+// slot down) and the envelope channel closes.
+func (s *FeedSub) Close() {
+	s.f.mu.Lock()
+	delete(s.f.subs, s)
+	s.f.mu.Unlock()
 	s.stopOnce.Do(func() {
 		close(s.done)
 		s.mu.Lock()
@@ -301,7 +252,10 @@ func (s *FeedSub) run() {
 	giveUp := time.Now().Add(s.f.opts.RetryFor)
 	envBuf := make([]queue.Envelope[graph.Edge], 0, 128)
 	for !s.stopped() {
-		hello := encodeHelloFeed(helloFeed{pid: s.pid, r: s.r, gen: s.gen, resume: s.next, readAddr: s.readAddr})
+		s.mu.Lock()
+		floor := s.floor
+		s.mu.Unlock()
+		hello := encodeHelloFeed(helloFeed{pid: s.pid, r: s.r, gen: s.gen, floor: floor, resume: s.next, readAddr: s.readAddr})
 		c, ack, err := dialConn(s.f.addr, hello, s.f.opts.DialTimeout, s.f.opts.WrapWriter, s.f.m)
 		if err != nil {
 			var rej errHelloRejected
@@ -348,17 +302,19 @@ func (s *FeedSub) run() {
 		s.f.start.Store(meta.start)
 		giveUp = time.Now().Add(s.f.opts.RetryFor)
 
-		// Re-announce desired state on the fresh connection.
+		// Re-announce desired state on the fresh connection: the hello
+		// carried the floor as of the dial; a report that raced it, and the
+		// live announcement, follow.
 		s.mu.Lock()
 		s.c = c
-		floor, live := s.floor, s.live
+		raised, live := s.floor, s.live
 		s.mu.Unlock()
 		if s.stopped() {
 			c.close()
 			return
 		}
-		if floor > 0 {
-			c.writeMsg(typeU1(msgFloorReport, floor))
+		if raised > floor {
+			c.writeMsg(typeU1(msgFloorReport, raised))
 		}
 		if live {
 			c.writeMsg([]byte{msgLive})

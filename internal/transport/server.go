@@ -12,26 +12,32 @@ import (
 	"motifstream/internal/queue"
 )
 
-// HubBackend is the cluster-side surface the hub server drives. All
-// methods must be safe for concurrent use; they are called from
-// per-connection handler goroutines.
+// Attachment is one replica host's claim on a slot, from attach to detach.
+// A worker holds a *FeedSub; the server relays its reports to the
+// Attachment the hub tier returned for the same hello.
+type Attachment interface {
+	// NotifyLive: the replica caught up with the log head it attached at.
+	NotifyLive()
+	// ReportFloor: the replica's durable restore floor advanced.
+	ReportFloor(floor uint64)
+	// Close detaches: the slot is down until the next attach.
+	Close()
+}
+
+// HubBackend is the hub tier's side of the replica-host contract, as the
+// server drives it for socket-attached workers (docs/OPERATIONS.md,
+// "Replica host ↔ hub contract"). All methods must be safe for concurrent
+// use; they are called from per-connection handler goroutines.
 type HubBackend interface {
 	// LogMeta reports the firehose log's identity and current bounds.
 	LogMeta() (logID, head, start uint64)
-	// SubscribeFrom opens a firehose subscription at the given offset
-	// (replay-then-live, exactly the in-process semantics).
-	SubscribeFrom(offset uint64) (<-chan queue.Envelope[graph.Edge], error)
-	// Unsubscribe detaches a subscription obtained from SubscribeFrom.
-	Unsubscribe(ch <-chan queue.Envelope[graph.Edge])
 	// ReplicaAttached validates and records a worker taking ownership of
-	// slot (pid, r) at generation gen, reachable for reads at readAddr.
-	ReplicaAttached(pid, r, gen int, readAddr string) error
-	// ReplicaLive marks the slot caught-up (broker MarkUp).
-	ReplicaLive(pid, r int)
-	// ReplicaFloor records the slot's durable restore floor.
-	ReplicaFloor(pid, r int, floor uint64)
-	// ReplicaDetached marks the slot down after its feed drops.
-	ReplicaDetached(pid, r int)
+	// slot (pid, r) at generation gen, reachable for reads at readAddr,
+	// publishing its restore floor and opening the firehose subscription
+	// at resume (replay-then-live) as one step. The newest attachment owns
+	// the slot; what a superseded one reports, its Close included, is
+	// ignored.
+	ReplicaAttached(pid, r, gen int, floor, resume uint64, readAddr string) (Attachment, <-chan queue.Envelope[graph.Edge], error)
 	// DeliverCandidates publishes decoded candidate messages into the
 	// hub's delivery topic, in slice order. Idempotent under redelivery:
 	// the delivery tier's per-group monotonic offset filter drops
@@ -207,21 +213,14 @@ func (s *Server) handleFeed(c *conn, body []byte) {
 		return
 	}
 	b := s.cfg.Backend
-	if err := b.ReplicaAttached(h.pid, h.r, h.gen, h.readAddr); err != nil {
-		c.writeMsg(encodeHelloErr(err.Error()))
-		c.close()
-		return
-	}
-	sub, err := b.SubscribeFrom(h.resume)
+	att, sub, err := b.ReplicaAttached(h.pid, h.r, h.gen, h.floor, h.resume, h.readAddr)
 	if err != nil {
-		b.ReplicaDetached(h.pid, h.r)
 		c.writeMsg(encodeHelloErr(err.Error()))
 		c.close()
 		return
 	}
+	defer att.Close()
 	if !s.track(c) {
-		b.Unsubscribe(sub)
-		b.ReplicaDetached(h.pid, h.r)
 		c.close()
 		return
 	}
@@ -229,8 +228,6 @@ func (s *Server) handleFeed(c *conn, body []byte) {
 	logID, head, start := b.LogMeta()
 	if err := c.writeMsg(appendLogMeta([]byte{msgFeedAck}, logMeta{logID, head, start})); err != nil {
 		s.untrack(c)
-		b.Unsubscribe(sub)
-		b.ReplicaDetached(h.pid, h.r)
 		c.close()
 		return
 	}
@@ -250,10 +247,10 @@ func (s *Server) handleFeed(c *conn, body []byte) {
 			case msgFloorReport:
 				floor := wr.U("floor")
 				if wr.Err == nil {
-					b.ReplicaFloor(h.pid, h.r, floor)
+					att.ReportFloor(floor)
 				}
 			case msgLive:
-				b.ReplicaLive(h.pid, h.r)
+				att.NotifyLive()
 			default:
 				return
 			}
@@ -299,13 +296,10 @@ loop:
 	}
 	if eos {
 		c.writeMsg([]byte{msgEOS})
-	} else {
-		b.Unsubscribe(sub)
 	}
 	s.untrack(c)
 	c.close()
-	<-done // reader exited: no more live/floor callbacks can race the detach
-	b.ReplicaDetached(h.pid, h.r)
+	<-done // reader exited: the attachment reports nothing after its Close
 }
 
 // handleCands serves one worker's candidate stream: batches are published

@@ -2,6 +2,8 @@ package transport
 
 import (
 	"bytes"
+	"net"
+	"slices"
 	"sync"
 	"testing"
 	"testing/iotest"
@@ -29,9 +31,11 @@ type fakeHub struct {
 	rawCands int
 	floor2   map[int]uint64 // pid -> highest delivered offset
 	attached map[[2]int]int // (pid,r) -> attach count
+	hellos   []uint64       // restore floor of every attach, in order
 	lives    int
 	floors   []uint64
 	detached int
+	closedBy []int // which accepted hello (0-based, in attach order) each detach ended
 }
 
 func newFakeHub(logID uint64) *fakeHub {
@@ -49,30 +53,29 @@ func (f *fakeHub) LogMeta() (uint64, uint64, uint64) {
 	return f.logID, uint64(len(f.envs)), 0
 }
 
-func (f *fakeHub) SubscribeFrom(offset uint64) (<-chan queue.Envelope[graph.Edge], error) {
+// ReplicaAttached opens a subscription at resume: replay, then live.
+func (f *fakeHub) ReplicaAttached(pid, r, gen int, floor, resume uint64, readAddr string) (Attachment, <-chan queue.Envelope[graph.Edge], error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.attached[[2]int{pid, r}]++
+	f.hellos = append(f.hellos, floor)
 	ch := make(chan queue.Envelope[graph.Edge], len(f.envs)+1024)
-	for _, env := range f.envs[min(offset, uint64(len(f.envs))):] {
+	for _, env := range f.envs[min(resume, uint64(len(f.envs))):] {
 		ch <- env
 	}
 	if f.closed {
 		close(ch)
-		return ch, nil
+	} else {
+		f.subs[ch] = uint64(len(f.envs))
 	}
-	f.subs[ch] = uint64(len(f.envs))
-	return ch, nil
+	return fakeAttachment{f, ch, len(f.hellos) - 1}, ch, nil
 }
 
-func (f *fakeHub) Unsubscribe(ch <-chan queue.Envelope[graph.Edge]) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for c := range f.subs {
-		if c == ch {
-			delete(f.subs, c)
-			return
-		}
-	}
+// fakeAttachment records what one accepted hello's worker reports.
+type fakeAttachment struct {
+	f  *fakeHub
+	ch chan queue.Envelope[graph.Edge]
+	n  int // position among the accepted hellos
 }
 
 func (f *fakeHub) publish(e graph.Edge) {
@@ -95,29 +98,24 @@ func (f *fakeHub) closeTopic() {
 	}
 }
 
-func (f *fakeHub) ReplicaAttached(pid, r, gen int, readAddr string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.attached[[2]int{pid, r}]++
-	return nil
+func (a fakeAttachment) NotifyLive() {
+	a.f.mu.Lock()
+	defer a.f.mu.Unlock()
+	a.f.lives++
 }
 
-func (f *fakeHub) ReplicaLive(pid, r int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.lives++
+func (a fakeAttachment) ReportFloor(floor uint64) {
+	a.f.mu.Lock()
+	defer a.f.mu.Unlock()
+	a.f.floors = append(a.f.floors, floor)
 }
 
-func (f *fakeHub) ReplicaFloor(pid, r int, floor uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.floors = append(f.floors, floor)
-}
-
-func (f *fakeHub) ReplicaDetached(pid, r int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.detached++
+func (a fakeAttachment) Close() {
+	a.f.mu.Lock()
+	defer a.f.mu.Unlock()
+	a.f.detached++
+	a.f.closedBy = append(a.f.closedBy, a.n)
+	delete(a.f.subs, a.ch)
 }
 
 // DeliverCandidates mirrors the hub's contract: idempotent under
@@ -161,10 +159,10 @@ func TestFeedResumeAcrossDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fc.Close()
-	if fc.LogID() != 77 {
-		t.Fatalf("log id = %d", fc.LogID())
+	if id, _, _ := fc.LogMeta(); id != 77 {
+		t.Fatalf("log id = %d", id)
 	}
-	sub, err := fc.SubscribeReplica(0, 0, 1, 0, "")
+	sub, err := fc.SubscribeReplica(0, 0, 1, 5, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,6 +219,93 @@ func TestFeedResumeAcrossDrops(t *testing.T) {
 	}
 	if fake.lives < 1 {
 		t.Errorf("live reports = %d, want >= 1 (sticky re-announce)", fake.lives)
+	}
+}
+
+// TestFeedHelloCarriesFloorAndDetachIsScoped pins the two things a feed
+// hello's attachment is for. The hello carries the replica's restore floor —
+// on a reconnect, the floor as raised by reports since — so the hub can pin
+// its truncation at the attach itself. And a connection's end closes exactly
+// the attachment its own hello opened: when a second connection has attached
+// the same slot meanwhile, the first one's detach must not name it.
+func TestFeedHelloCarriesFloorAndDetachIsScoped(t *testing.T) {
+	fake := newFakeHub(5)
+	srv := testServer(t, fake)
+	dial := func() (*FeedClient, *FeedSub) {
+		fc, err := DialFeed(srv.Addr(), ClientOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub, err := fc.SubscribeReplica(0, 0, 0, 40, 50, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fc, sub
+	}
+	await := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			fake.mu.Lock()
+			ok := cond()
+			fake.mu.Unlock()
+			if ok {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatal(what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	fcA, subA := dial()
+	defer fcA.Close()
+	await("first hello never arrived", func() bool { return len(fake.hellos) == 1 })
+	subA.ReportFloor(70)
+	await("floor report never arrived", func() bool { return len(fake.floors) == 1 })
+	srv.DropConnections()
+	await("no re-attach after the drop", func() bool { return len(fake.hellos) == 2 && fake.detached == 1 })
+
+	fcB, _ := dial()
+	defer fcB.Close()
+	await("second worker's hello never arrived", func() bool { return len(fake.hellos) == 3 })
+	fcA.Close()
+	await("first worker's detach never arrived", func() bool { return fake.detached == 2 })
+
+	fake.mu.Lock()
+	defer fake.mu.Unlock()
+	if want := []uint64{40, 70, 40}; !slices.Equal(fake.hellos, want) {
+		t.Errorf("hello floors = %v, want %v (restore floor, raised floor on reconnect, restore floor)", fake.hellos, want)
+	}
+	if want := []int{0, 1}; !slices.Equal(fake.closedBy, want) {
+		t.Errorf("detaches ended hellos %v, want %v: each connection closes the attachment it opened", fake.closedBy, want)
+	}
+}
+
+// TestOldProtocolVersionRefused: a version-1 peer (whose feed hello has no
+// floor field) fails the preamble check and gets no reply — refused, not
+// misparsed.
+func TestOldProtocolVersionRefused(t *testing.T) {
+	fake := newFakeHub(5)
+	srv := testServer(t, fake)
+	nc, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	v1 := connMagic
+	v1[7] = 1
+	nc.Write(v1[:])
+	codecutil.WriteFrame(nc, encodeHelloFeed(helloFeed{resume: 9}))
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := nc.Read(make([]byte, 16)); err == nil {
+		t.Fatalf("server answered a version-1 preamble with %d bytes", n)
+	}
+	fake.mu.Lock()
+	defer fake.mu.Unlock()
+	if len(fake.hellos) != 0 {
+		t.Fatal("a version-1 hello reached the backend")
 	}
 }
 
@@ -416,6 +501,22 @@ func TestFramePrefixesAndBitFlipsRejected(t *testing.T) {
 			t.Fatalf("%d-byte prefix of a %d-byte candidate batch decoded", cut, len(payload))
 		}
 	}
+
+	// The version-2 feed hello: every field survives the round trip — the
+	// restore floor distinct from the resume offset — and no strict prefix
+	// decodes.
+	want := helloFeed{pid: 1, r: 2, gen: 3, floor: 300, resume: 4000, readAddr: "127.0.0.1:99"}
+	hello := encodeHelloFeed(want)
+	wr := wireCursor(hello[1:])
+	if got := decodeHelloFeed(wr); wr.Err != nil || got != want {
+		t.Fatalf("hello round trip: %+v, %v", got, wr.Err)
+	}
+	for cut := 1; cut < len(hello); cut++ {
+		wr := wireCursor(hello[1:cut])
+		if decodeHelloFeed(wr); wr.Err == nil {
+			t.Fatalf("%d-byte prefix of a %d-byte feed hello decoded", cut, len(hello))
+		}
+	}
 }
 
 // FuzzTransportFrame exercises the full wire surface with hostile bytes:
@@ -424,7 +525,7 @@ func TestFramePrefixesAndBitFlipsRejected(t *testing.T) {
 func FuzzTransportFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{msgEOS})
-	f.Add(encodeHelloFeed(helloFeed{pid: 1, r: 2, gen: 3, resume: 4, readAddr: "127.0.0.1:99"}))
+	f.Add(encodeHelloFeed(helloFeed{pid: 1, r: 2, gen: 3, floor: 300, resume: 4000, readAddr: "127.0.0.1:99"}))
 	f.Add(encodeEnvBatch(logMeta{7, 100, 5}, []queue.Envelope[graph.Edge]{
 		{Offset: 9, VirtualDelay: time.Second, PubUnixNS: 123, Msg: graph.Edge{Src: 1, Dst: 2, Type: graph.Follow, TS: 42}},
 	}))

@@ -8,12 +8,14 @@
 // in the log are the same bytes-level artifact. Three connection kinds
 // exist, all dialed worker→hub except reads:
 //
-//   - feed: one per replica. The worker subscribes to the hub's firehose
-//     from a resume offset; the hub streams envelope batches (coalesced up
-//     to the configured batch bound per frame) and the worker reports
-//     restore floors and go-live transitions upstream on the same socket.
-//     Reconnects resume idempotently: the worker re-hellos with its next
-//     expected offset and drops anything below it.
+//   - feed: one per replica. The worker attaches to its slot with its
+//     restore floor and a resume offset; the hub streams envelope batches
+//     (coalesced up to the configured batch bound per frame) and the worker
+//     reports floor advances and its go-live transition upstream on the
+//     same socket. Reconnects resume idempotently: the worker re-hellos
+//     with its current floor and next expected offset and drops anything
+//     below it. Each accepted hello is one attachment, to which the hub
+//     scopes the reports and the detach that follow it.
 //   - cands: one per worker. Candidate batches flow up with sequence
 //     numbers and cumulative acks flow down; unacked batches are resent in
 //     order after a reconnect. The hub's per-group monotonic offset filter
@@ -36,8 +38,10 @@ import (
 	"motifstream/internal/queue"
 )
 
-// connMagic opens every transport connection, format version 1.
-var connMagic = [8]byte{'M', 'S', 'T', 'P', 'T', 0, 0, 1}
+// connMagic opens every transport connection, format version 2 (the feed
+// hello carries the restore floor); a version-1 peer fails the preamble
+// check, so a mixed deployment is refused, not misparsed.
+var connMagic = [8]byte{'M', 'S', 'T', 'P', 'T', 0, 0, 2}
 
 // maxFrame bounds any accepted wire frame: larger claims are corruption
 // or a hostile peer, rejected before allocation.
@@ -47,7 +51,7 @@ const maxFrame = 1 << 24
 const (
 	msgHelloMeta   = 1  // worker→hub: request log identity/bounds
 	msgMetaResp    = 2  // hub→worker: logID, head, logStart
-	msgHelloFeed   = 3  // worker→hub: subscribe replica (pid, r, gen, resume, readAddr)
+	msgHelloFeed   = 3  // worker→hub: attach replica (pid, r, gen, floor, resume, readAddr)
 	msgFeedAck     = 4  // hub→worker: accepted; logID, head, logStart
 	msgEnvBatch    = 5  // hub→worker: coalesced envelope batch
 	msgEOS         = 6  // hub→worker: clean end of stream (cluster shutdown)
@@ -99,11 +103,12 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// helloFeed is the feed subscription request.
+// helloFeed is the feed attach request: the slot and its generation, the
+// replica's restore floor, the offset to stream from, and its read address.
 type helloFeed struct {
-	pid, r, gen int
-	resume      uint64
-	readAddr    string
+	pid, r, gen   int
+	floor, resume uint64
+	readAddr      string
 }
 
 func encodeHelloFeed(h helloFeed) []byte {
@@ -111,6 +116,7 @@ func encodeHelloFeed(h helloFeed) []byte {
 	b = binary.AppendUvarint(b, uint64(h.pid))
 	b = binary.AppendUvarint(b, uint64(h.r))
 	b = binary.AppendUvarint(b, uint64(h.gen))
+	b = binary.AppendUvarint(b, h.floor)
 	b = binary.AppendUvarint(b, h.resume)
 	b = appendString(b, h.readAddr)
 	return b
@@ -121,6 +127,7 @@ func decodeHelloFeed(r *codecutil.Cursor) helloFeed {
 	h.pid = int(r.U("hello pid"))
 	h.r = int(r.U("hello replica"))
 	h.gen = int(r.U("hello gen"))
+	h.floor = r.U("hello floor")
 	h.resume = r.U("hello resume")
 	h.readAddr = r.String("hello read addr", 256)
 	return h
@@ -177,8 +184,13 @@ func decodeEnvBatch(r *codecutil.Cursor, dst []queue.Envelope[graph.Edge]) (logM
 	return meta, dst, r.Err
 }
 
-// candMsg is one event's candidate batch from one replica, the wire twin
-// of the cluster's internal candidateMsg.
+// CandMsg is one event's worth of candidates from one replica: the group
+// it came from and the firehose offset of the triggering event, so the
+// delivery consumer can collapse the replicas' redundant emissions to
+// exactly one batch per event per group. PubNS carries the triggering
+// event's wall-clock publish time (zero for replayed events), letting the
+// delivery tier measure real end-to-end detection latency alongside the
+// virtual-delay model, whose delay accumulated so far is Delay.
 type CandMsg struct {
 	Pid    int
 	Offset uint64
