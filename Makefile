@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test test-race test-crashmatrix test-delivery test-elasticity test-audit test-parallel test-transport test-planner test-codec test-benchmark soak-flake soak soak-net bench bench-smoke bench-trajectory fuzz fuzz-smoke
+.PHONY: check build vet test test-race test-crashmatrix test-delivery test-elasticity test-audit test-parallel test-transport test-planner test-codec test-benchmark loc soak-flake soak soak-net bench bench-smoke bench-trajectory fuzz fuzz-smoke
 
 # check is the CI gate: formatting, static analysis, the full test suite
 # under the race detector (test-delivery's and test-elasticity's cases
@@ -94,11 +94,14 @@ test-planner:
 # segment decode and delta capture (without race, like test-planner's:
 # instrumentation changes allocation counts), the parent-written golden
 # files with the exhaustive prefix / bit-flip properties beside each fuzz
-# target, the cursor's own tests, and one iteration of the compactor's
-# fold (base + 8 deltas from disk) — the quick loop for codec work.
+# target, the cursor's own tests, the segment merge law (its table, the
+# differential fuzz target's seeds, the rejection of keys out of order) and
+# one iteration of the compactor's fold (base + 8 deltas from disk) — the
+# quick loop for codec work.
 test-codec:
 	$(GO) test -run 'AllocBudget' ./internal/partition ./internal/dynstore
-	$(GO) test -run 'Golden|PrefixesAndBitFlips|Cursor|Arena' ./internal/codecutil ./internal/partition ./internal/dynstore ./internal/delivery ./internal/placement ./internal/transport ./internal/cluster
+	$(GO) test -run 'Golden|PrefixesAndBitFlips|Cursor|Arena|TestRun' ./internal/codecutil ./internal/partition ./internal/dynstore ./internal/delivery ./internal/placement ./internal/transport ./internal/cluster
+	$(GO) test -run 'SegmentMerge|KeysOutOfOrder|DuplicateTarget' ./internal/partition ./internal/dynstore
 	$(GO) test -run=NONE -bench BenchmarkCheckpointCompose -benchtime=1x -count=1 ./internal/partition
 
 # test-benchmark vets and tests the nested motifstream/benchmark module
@@ -107,6 +110,15 @@ test-codec:
 # gate.
 test-benchmark:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# loc prints, per internal/* package, its non-test Go lines and how many of
+# them are code (not blank, not a // comment) — the yardstick the
+# simplification items on the ROADMAP are held to.
+loc:
+	@for d in internal/*/; do \
+		find $$d -name '*.go' ! -name '*_test.go' | xargs cat | awk -v pkg=$$d \
+			'{ sub(/^[ \t]+/, "") } !/^$$/ && !/^\/\// { code++ } END { printf "%-22s %6d lines %6d code\n", pkg, NR, code }'; \
+	done
 
 # soak-flake is the nightly soak of the once-flaky scale-out scenario
 # (the zombie-cut bug): 200 consecutive runs, any recurrence fails.
@@ -166,11 +178,12 @@ fuzz:
 	$(GO) test -run=NONE -fuzz FuzzTransportFrame -fuzztime 30s ./internal/transport
 	$(GO) test -run=NONE -fuzz FuzzCompile -fuzztime 30s ./internal/motifdsl
 	$(GO) test -run=NONE -fuzz FuzzPlanRestore -fuzztime 30s ./internal/cluster
+	$(GO) test -run=NONE -fuzz FuzzSegmentMerge -fuzztime 30s ./internal/partition
 
 # fuzz-smoke is the CI-budget version: 10s per target keeps the decoders,
 # the WAL record framing, the delivery-state codec, the transport wire
-# protocol, the motif DSL compiler, and the restore planner continuously
-# fuzzed without stalling checks. The exhaustive prefix / bit-flip
+# protocol, the motif DSL compiler, the restore planner, and the segment
+# merge continuously fuzzed without stalling checks. The exhaustive prefix / bit-flip
 # properties run first: what the fuzzers sample, they enumerate for one
 # valid input per format.
 fuzz-smoke:
@@ -183,3 +196,4 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz FuzzTransportFrame -fuzztime 10s ./internal/transport
 	$(GO) test -run=NONE -fuzz FuzzCompile -fuzztime 10s ./internal/motifdsl
 	$(GO) test -run=NONE -fuzz FuzzPlanRestore -fuzztime 10s ./internal/cluster
+	$(GO) test -run=NONE -fuzz FuzzSegmentMerge -fuzztime 10s ./internal/partition

@@ -8,7 +8,6 @@ import (
 
 	"motifstream/internal/dynstore"
 	"motifstream/internal/graph"
-	"motifstream/internal/motif"
 	"motifstream/internal/partition"
 	"motifstream/internal/statstore"
 )
@@ -167,14 +166,10 @@ func TestFailedSegmentWriteCarriesDirtForward(t *testing.T) {
 		rep: rep,
 		dir: filepath.Join(cfg.CheckpointDir, "no-such-parent", "dir"),
 	}
-	mkDelta := func(sweep int64, target graph.VertexID) *partition.Delta {
-		return &partition.Delta{
+	mkDelta := func(sweep int64, target graph.VertexID) *partition.Segment {
+		return &partition.Segment{
 			SweepClock: sweep,
-			Users:      map[graph.VertexID][]motif.Candidate{},
-			Items:      map[graph.VertexID]uint64{},
-			Dynamic: dynstore.Delta{Targets: map[graph.VertexID][]dynstore.InEdge{
-				target: {{B: 1, TS: 100 + sweep}},
-			}},
+			Targets:    dynstore.Targets{targetEntry(target, dynstore.InEdge{B: 1, TS: 100 + sweep})},
 		}
 	}
 	// First cut fails to persist (unwritable directory): the dirt parks.
@@ -198,11 +193,101 @@ func TestFailedSegmentWriteCarriesDirtForward(t *testing.T) {
 	if used != 1 || offset != 20 {
 		t.Fatalf("composeChain = used %d offset %d", used, offset)
 	}
-	if _, ok := st.Targets[7]; !ok {
+	if _, ok := findTarget(st, 7); !ok {
 		t.Fatal("failed cut's target 7 missing from the chain (hole)")
 	}
-	if _, ok := st.Targets[9]; !ok {
+	if _, ok := findTarget(st, 9); !ok {
 		t.Fatal("second cut's target 9 missing from the chain")
+	}
+}
+
+// findTarget looks c up in a segment's D section.
+func findTarget(st *partition.Segment, c graph.VertexID) ([]dynstore.InEdge, bool) {
+	for _, e := range st.Targets {
+		if e.Key == c {
+			return e.Val, true
+		}
+	}
+	return nil, false
+}
+
+// TestWriterCarriesTombstones takes a deletion through the writer's two
+// carry paths. Target 7 is inserted in a cut that lands, then swept in a
+// cut that does not land on its own — its write fails and it rides in
+// pending, or it is coalesced with the cut queued behind it. Either way the
+// tombstone must survive the merge of deltas (an older segment still holds
+// 7) and die only in the compactor's fold: the composed base does not hold
+// 7 and fingerprints equal to the live partition.
+func TestWriterCarriesTombstones(t *testing.T) {
+	for _, leg := range []string{"failed write", "coalesced"} {
+		t.Run(leg, func(t *testing.T) {
+			cfg := recoveryConfig(t, fig1Static())
+			cfg.CompactEvery = 1 << 20 // the test compacts by hand
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := replicaCkptDir(cfg.CheckpointDir, 0, 0)
+			rep := c.host.replica(0, 0)
+			rep.att = &fakeAttachment{} // never launched: nobody to report floors to
+			w := &ckptWriter{h: c.host, rep: rep, dir: dir, jobs: make(chan ckptJob, 2), done: make(chan struct{})}
+			p, t0 := rep.p, int64(10_000_000)
+			cut := func(offset uint64) ckptJob { return ckptJob{delta: p.CaptureDelta(), offset: offset} }
+
+			p.Apply(graph.Edge{Src: 1, Dst: 7, Type: graph.Follow, TS: t0})
+			w.appendSegment(cut(10))
+			// Ninety minutes on, past the hour's retention, 7 is swept.
+			later := t0 + 90*time.Minute.Milliseconds()
+			p.Apply(graph.Edge{Src: 2, Dst: 9, Type: graph.Follow, TS: later})
+			p.Engine().Dynamic().Sweep(later)
+			swept := cut(20)
+			if list, ok := findTarget(swept.delta, 7); !ok || len(list) != 0 {
+				t.Fatalf("vacuous: the second cut carries no tombstone for 7 (%v, %v)", list, ok)
+			}
+			p.Apply(graph.Edge{Src: 3, Dst: 11, Type: graph.Follow, TS: later + 1})
+			last := cut(30)
+
+			if leg == "failed write" {
+				w.dir = filepath.Join(cfg.CheckpointDir, "no-such-parent", "dir")
+				w.appendSegment(swept)
+				if w.pending == nil {
+					t.Fatal("failed cut not parked in pending")
+				}
+				w.dir = dir
+				w.appendSegment(last)
+			} else {
+				w.jobs <- swept
+				w.jobs <- last
+				close(w.jobs)
+				w.run()
+			}
+			if len(w.man.segs) != 2 || w.man.segs[1].offset != 30 {
+				t.Fatalf("chain is %v, want cut 10 and one carried segment at 30", w.man.segs)
+			}
+			w.compact()
+			if len(w.man.segs) != 1 || w.man.segs[0].kind != segKindBase {
+				t.Fatalf("chain did not compact: %v", w.man.segs)
+			}
+			st, used, offset := composeChain(dir, w.man.segs)
+			if used != 1 || offset != 30 {
+				t.Fatalf("composeChain = used %d offset %d", used, offset)
+			}
+			if list, ok := findTarget(st, 7); ok {
+				t.Fatalf("swept target 7 is back in the composed chain: %v", list)
+			}
+			for _, kept := range []graph.VertexID{9, 11} {
+				if _, ok := findTarget(st, kept); !ok {
+					t.Fatalf("target %d missing from the composed chain", kept)
+				}
+			}
+			got, err := st.Fingerprint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, err := p.Fingerprint(); err != nil || got != want {
+				t.Fatalf("composed fingerprint %08x, live partition %08x (err %v)", got, want, err)
+			}
+		})
 	}
 }
 

@@ -274,7 +274,7 @@ func basePool(placements []placed, runID uint64) []baseSource {
 // first fully CRC-valid base whose offset the durable log extends
 // (start ≤ offset ≤ head): the decoded state, the raw bytes (for
 // re-seeding a chain), and the offset.
-func composeFromPool(pool []baseSource, start, head uint64) (*partition.CheckpointState, []byte, uint64, bool) {
+func composeFromPool(pool []baseSource, start, head uint64) (*partition.Segment, []byte, uint64, bool) {
 	for _, src := range pool {
 		if src.offset < start || src.offset > head {
 			continue

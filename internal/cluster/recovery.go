@@ -290,7 +290,7 @@ func loadManifest(path string, runID uint64) (manifest, error) {
 // on, fp carries the CRC32C fingerprint of the replica's full state at
 // the cut (hasFP false when auditing is off or the encode failed).
 type ckptJob struct {
-	delta  *partition.Delta
+	delta  *partition.Segment
 	offset uint64
 	fp     uint32
 	hasFP  bool
@@ -316,7 +316,7 @@ type ckptWriter struct {
 	// the chain would silently compose a hole. A writer stopped with
 	// pending set is still consistent: the chain simply ends at the last
 	// durable segment's offset and replay rebuilds the lost window.
-	pending *partition.Delta
+	pending *partition.Segment
 	// alog is the replica's append-only fingerprint audit log (nil when
 	// auditing is off or the log failed to open — the audit is advisory).
 	// lastFP is the newest recorded live-cut fingerprint; compact
@@ -375,8 +375,8 @@ func (w *ckptWriter) run() {
 		// Coalesce: fold everything already queued into this cut before
 		// touching the disk, so a backlogged writer pays one segment
 		// fsync and one manifest publication per drain instead of per
-		// cut. Sound because deltas compose with last-write-wins per key
-		// (MergeOlder): the merged delta at the newest cut's offset is
+		// cut. Sound because deltas compose newer-wins per key
+		// (partition.Merge): the merged delta at the newest cut's offset is
 		// byte-equivalent to the chain of individual segments.
 	drain:
 		for {
@@ -386,7 +386,7 @@ func (w *ckptWriter) run() {
 					closed = true
 					break drain
 				}
-				next.delta.MergeOlder(job.delta)
+				next.delta = partition.Merge(false, job.delta, next.delta)
 				job = next
 				// The elided segment would have cost two fsyncs: its own
 				// file and the manifest replacing it.
@@ -467,7 +467,7 @@ func (h *replicaHost) stampFingerprint(rep *replica, job *ckptJob) {
 // replica with a stale chain just replays more.
 func (w *ckptWriter) appendSegment(job ckptJob) {
 	if w.pending != nil {
-		job.delta.MergeOlder(w.pending)
+		job.delta = partition.Merge(false, w.pending, job.delta)
 		w.pending = nil
 	}
 	ref := segmentRef{kind: segKindDelta, seq: w.man.nextSeq, offset: job.offset}
@@ -584,35 +584,35 @@ func (w *ckptWriter) compact() {
 	w.h.mirrorBase(w.rep, path, offset)
 }
 
-// composeChain reads segments in order into a neutral checkpoint state,
-// stopping at the first unreadable or corrupt segment — the
-// segment-at-a-time fallback. Returns the composed state, how many
-// segments were used, and the offset of the last used segment (zero when
-// none were).
-func composeChain(dir string, segs []segmentRef) (*partition.CheckpointState, int, uint64) {
-	st := partition.NewCheckpointState()
-	offset := uint64(0)
-	used := 0
+// composeChain decodes segments in order, stopping at the first unreadable
+// or corrupt one — the segment-at-a-time fallback — and merges those into
+// one base segment. Returns the composed state, how many segments were
+// used, and the offset of the last used segment (zero when none were).
+func composeChain(dir string, segs []segmentRef) (st *partition.Segment, used int, offset uint64) {
+	var chain []*partition.Segment
 	for _, ref := range segs {
-		// One segment is read whole and decoded from memory: that buffer,
-		// plus the state composed so far, bounds the fold's footprint.
+		// Each segment is read whole and decoded, CRC first, before any is
+		// merged: a corrupt one leaves the chain before it as it was. The
+		// decoded chain, not the files, bounds the fold's footprint.
 		data, err := os.ReadFile(segmentPath(dir, ref))
 		if err != nil {
 			break
 		}
+		decode := partition.ParseDelta
 		if ref.kind == segKindBase {
-			fresh, err := partition.DecodeBase(data)
-			if err != nil {
-				break
-			}
-			st = fresh
-		} else if st.ApplyDelta(data) != nil {
+			decode = partition.DecodeBase
+		}
+		seg, err := decode(data)
+		if err != nil {
 			break
 		}
-		offset = ref.offset
-		used++
+		if ref.kind == segKindBase {
+			chain = chain[:0] // a base supersedes everything older
+		}
+		chain = append(chain, seg)
+		used, offset = used+1, ref.offset
 	}
-	return st, used, offset
+	return partition.Merge(true, chain...), used, offset
 }
 
 // clampChainPrefix returns how many leading segments have cut offsets at

@@ -48,7 +48,7 @@ type restorePlan struct {
 	mustTrim bool
 	// state is the composed state to install (nil: scratch). seed, when
 	// non-nil, is the raw pool base state decodes; it replaces the chain.
-	state *partition.CheckpointState
+	state *partition.Segment
 	seed  []byte
 	// offset is the replay point — every envelope below it is folded into
 	// state — and floor the offset of the base actually installed (zero

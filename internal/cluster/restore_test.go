@@ -11,10 +11,10 @@ import (
 	"testing"
 
 	"motifstream/internal/audit"
+	"motifstream/internal/codecutil"
 	"motifstream/internal/dynstore"
 	"motifstream/internal/graph"
 	"motifstream/internal/metrics"
-	"motifstream/internal/motif"
 	"motifstream/internal/partition"
 	"motifstream/internal/queue"
 )
@@ -35,14 +35,20 @@ type chainSeg struct {
 }
 
 // stateAt is the canonical state a fixture chain holds after folding in
-// the cuts at the given offsets.
-func stateAt(offsets ...uint64) *partition.CheckpointState {
-	st := partition.NewCheckpointState()
+// the cuts at the given (distinct) offsets: as a delta, stateAt(off) is the
+// cut at off.
+func stateAt(offsets ...uint64) *partition.Segment {
+	st := &partition.Segment{}
 	for _, off := range offsets {
 		st.SweepClock = int64(off)
-		st.Targets[graph.VertexID(off)] = []dynstore.InEdge{{B: 1, TS: int64(off)}}
+		st.Targets = append(st.Targets, targetEntry(graph.VertexID(off), dynstore.InEdge{B: 1, TS: int64(off)}))
 	}
 	return st
+}
+
+// targetEntry is one D target of a fixture segment; no edges is a tombstone.
+func targetEntry(c graph.VertexID, list ...dynstore.InEdge) codecutil.Entry[graph.VertexID, []dynstore.InEdge] {
+	return codecutil.Entry[graph.VertexID, []dynstore.InEdge]{Key: c, Val: list}
 }
 
 // writeChain materializes a chain in dir — segment files, then the manifest
@@ -59,14 +65,7 @@ func writeChain(t testing.TB, dir string, segs []chainSeg) manifest {
 			ref.kind = segKindBase
 			body = writerToFunc(stateAt(folded...).WriteBaseTo)
 		} else {
-			body = &partition.Delta{
-				SweepClock: int64(seg.offset),
-				Users:      map[graph.VertexID][]motif.Candidate{},
-				Items:      map[graph.VertexID]uint64{},
-				Dynamic: dynstore.Delta{Targets: map[graph.VertexID][]dynstore.InEdge{
-					graph.VertexID(seg.offset): {{B: 1, TS: int64(seg.offset)}},
-				}},
-			}
+			body = stateAt(seg.offset)
 		}
 		var buf bytes.Buffer
 		if _, err := body.WriteTo(&buf); err != nil {

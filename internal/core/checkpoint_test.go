@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"motifstream/internal/codecutil"
 	"motifstream/internal/dynstore"
 	"motifstream/internal/graph"
 	"motifstream/internal/motif"
@@ -25,6 +26,19 @@ func newCheckpointEngine(t *testing.T) *Engine {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// restore replaces e's recoverable state with the engine checkpoint in
+// data, the way the restore path does: decode whole, then install. A failed
+// decode leaves the engine as it was.
+func restore(e *Engine, data []byte) error {
+	c := codecutil.NewCursor(data, "core")
+	sweepClock, targets := DecodeEngineStateAt(c)
+	if err := c.Done(); err != nil {
+		return err
+	}
+	e.LoadState(sweepClock, targets)
+	return nil
 }
 
 func TestEngineCheckpointRoundTrip(t *testing.T) {
@@ -48,12 +62,8 @@ func TestEngineCheckpointRoundTrip(t *testing.T) {
 	}
 
 	restored := newCheckpointEngine(t)
-	m, err := restored.ReadFrom(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	if err := restore(restored, buf.Bytes()); err != nil {
 		t.Fatal(err)
-	}
-	if m != n {
-		t.Fatalf("ReadFrom consumed %d bytes, checkpoint is %d", m, n)
 	}
 	if got, want := restored.Dynamic().Stats(), orig.Dynamic().Stats(); got != want {
 		t.Fatalf("restored D stats %+v != %+v", got, want)
@@ -94,7 +104,7 @@ func TestEngineCheckpointSweepEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	resumed := newCheckpointEngine(t)
-	if _, err := resumed.ReadFrom(&buf); err != nil {
+	if err := restore(resumed, buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range stream[cut:] {
@@ -121,7 +131,7 @@ func TestEngineCheckpointRejectsCorruptInput(t *testing.T) {
 		good[:len(good)-3],
 	} {
 		fresh := newCheckpointEngine(t)
-		if _, err := fresh.ReadFrom(bytes.NewReader(bad)); err == nil {
+		if err := restore(fresh, bad); err == nil {
 			t.Fatalf("corrupt input of len %d decoded without error", len(bad))
 		}
 	}

@@ -106,7 +106,7 @@ func BenchmarkSnapshotDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		restored := New(Options{Retention: time.Hour, MaxPerTarget: 1024})
-		if _, err := restored.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
+		if err := restore(restored, buf.Bytes()); err != nil {
 			b.Fatal(err)
 		}
 	}

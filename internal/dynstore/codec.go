@@ -2,7 +2,6 @@ package dynstore
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"slices"
 
@@ -30,19 +29,32 @@ var snapMagic = [8]byte{'M', 'S', 'D', 'S', 'N', 'P', 0, 1}
 
 const snapVersion = 2
 
+// Targets is the D section of a checkpoint segment in memory: a sorted run
+// of target → in-edge list in arrival order. In a delta's run an empty list
+// records the target's deletion; a base's run holds none.
+type Targets = codecutil.Run[graph.VertexID, []InEdge]
+
+// frameMagic returns the magic of the snapshot or the delta container.
+func frameMagic(delta bool) [8]byte {
+	if delta {
+		return deltaMagic
+	}
+	return snapMagic
+}
+
 // encodeFrames writes the shared container: magic, version, target count,
-// then one frame per id in the given order, closed by a CRC32C trailer
-// over everything before it. get returns the list for an id; it may lock
-// per call, so peak extra memory stays at one list.
-func encodeFrames(w io.Writer, magic [8]byte, ids []graph.VertexID, get func(graph.VertexID) []InEdge) (int64, error) {
+// then one frame per target, closed by a CRC32C trailer over everything
+// before it. at returns the i-th target, ascending, and its list; it may
+// lock per call, so peak extra memory stays at one list.
+func encodeFrames(w io.Writer, magic [8]byte, n int, at func(i int) (graph.VertexID, []InEdge)) (int64, error) {
 	cw := &codecutil.CountingWriter{W: w}
 	hw := &codecutil.HashWriter{W: cw}
 	enc := &codecutil.Writer{BW: bufio.NewWriter(hw)}
 	enc.PutBytes(magic[:])
 	enc.PutU(snapVersion)
-	enc.PutU(uint64(len(ids)))
-	for _, c := range ids {
-		list := get(c)
+	enc.PutU(uint64(n))
+	for i := 0; i < n; i++ {
+		c, list := at(i)
 		enc.PutU(uint64(c))
 		enc.PutU(uint64(len(list)))
 		prev := int64(0)
@@ -58,20 +70,31 @@ func encodeFrames(w io.Writer, magic [8]byte, ids []graph.VertexID, get func(gra
 	return cw.N, codecutil.WriteChecksum(cw, hw.Sum())
 }
 
-// decodeFrames parses the container written by encodeFrames, which must be
-// the rest of c (every file that embeds one puts it last): the CRC32C
-// trailer is verified over the whole section before a frame is parsed. All
-// lists share one arena, so the map is for composing and re-encoding;
-// whoever keeps a list long-term copies it out (LoadSnapshot does).
-// Malformed input latches an error on c, never panics.
-func decodeFrames(c *codecutil.Cursor, magic [8]byte) map[graph.VertexID][]InEdge {
+// EncodeTargets serializes a sealed run as a snapshot section or, with
+// delta set, a delta section — how a segment is written without
+// instantiating a Store. The bytes are those Store.WriteTo produces for a
+// store holding the run.
+func EncodeTargets(w io.Writer, t Targets, delta bool) (int64, error) {
+	return encodeFrames(w, frameMagic(delta), len(t), func(i int) (graph.VertexID, []InEdge) {
+		return t[i].Key, t[i].Val
+	})
+}
+
+// DecodeTargetsAt parses the snapshot (or delta) section written by
+// encodeFrames, which must be the rest of c (every file that embeds one
+// puts it last): the CRC32C trailer is verified over the whole section
+// before a frame is parsed. No Store is touched — the restore path decodes
+// into runs first so delta segments can be merged on top before
+// installation. All lists share one arena, so the run is for merging and
+// re-encoding; whoever keeps a list long-term copies it out (LoadSnapshot
+// does). Malformed input latches an error on c, never panics.
+func DecodeTargetsAt(c *codecutil.Cursor, delta bool) Targets {
 	c.Checked()
-	c.Header(magic, snapVersion)
+	c.Header(frameMagic(delta), snapVersion)
 	// A frame is at least two bytes, and so is an entry.
 	count := c.Count("target count", 2)
-	out := make(map[graph.VertexID][]InEdge, count)
+	out := make(Targets, 0, count)
 	arena := codecutil.SectionArena[InEdge](c, 2)
-	var last graph.VertexID
 	for i := 0; i < count && c.Err == nil; i++ {
 		cid := graph.VertexID(c.U("target id"))
 		list := arena.Take(c.Count("target length", 2))
@@ -81,42 +104,9 @@ func decodeFrames(c *codecutil.Cursor, magic [8]byte) map[graph.VertexID][]InEdg
 			prev += c.I("entry timestamp")
 			list[j].TS = prev
 		}
-		// Encoders write targets ascending, which makes a repeated target
-		// visible without a lookup.
-		if i > 0 && cid <= last {
-			c.Fail("target id", fmt.Errorf("target %d after %d: not ascending", cid, last))
-		}
-		out[cid], last = list, cid
+		out = codecutil.AppendAscending(c, "target id", out, cid, list)
 	}
 	return out
-}
-
-// sortedIDs returns the map's keys in ascending order for deterministic
-// output.
-func sortedIDs(targets map[graph.VertexID][]InEdge) []graph.VertexID {
-	ids := make([]graph.VertexID, 0, len(targets))
-	for c := range targets {
-		ids = append(ids, c)
-	}
-	slices.Sort(ids)
-	return ids
-}
-
-// EncodeSnapshot serializes a captured target map in the snapshot format —
-// the checkpoint compactor's path for writing a composed base without
-// instantiating a Store.
-func EncodeSnapshot(w io.Writer, targets map[graph.VertexID][]InEdge) (int64, error) {
-	return encodeFrames(w, snapMagic, sortedIDs(targets), func(c graph.VertexID) []InEdge {
-		return targets[c]
-	})
-}
-
-// DecodeSnapshotAt parses the snapshot section that is the rest of c into
-// a target map without touching any Store — the restore path decodes into
-// a neutral representation first so delta segments can be composed on top
-// before installation. The error, if any, is latched on c.
-func DecodeSnapshotAt(c *codecutil.Cursor) map[graph.VertexID][]InEdge {
-	return decodeFrames(c, snapMagic)
 }
 
 // WriteTo serializes the store's full contents in the versioned binary
@@ -143,75 +133,35 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 	}
 	slices.Sort(ids)
 	var list []InEdge
-	return encodeFrames(w, snapMagic, ids, func(c graph.VertexID) []InEdge {
-		sh := s.shardFor(c)
+	return encodeFrames(w, snapMagic, len(ids), func(i int) (graph.VertexID, []InEdge) {
+		sh := s.shardFor(ids[i])
 		sh.mu.RLock()
-		list = append(list[:0], sh.targets[c]...)
+		list = append(list[:0], sh.targets[ids[i]]...)
 		sh.mu.RUnlock()
-		return list
+		return ids[i], list
 	})
 }
 
-// ReadFrom replaces the store's contents with a snapshot previously
-// produced by WriteTo, implementing io.ReaderFrom. It reads r to its end:
-// the snapshot must be all of it. The store's own options (retention,
-// caps, shard count) are kept; only the data is restored. Malformed or
-// truncated input returns an error and leaves the store emptied, never
-// panics.
-func (s *Store) ReadFrom(r io.Reader) (int64, error) {
-	data, err := io.ReadAll(r)
-	if err == nil {
-		c := codecutil.NewCursor(data, "dynstore")
-		targets := DecodeSnapshotAt(c)
-		if err = c.Done(); err == nil {
-			s.LoadSnapshot(targets)
-			return int64(len(data)), nil
-		}
-	}
-	// Honor the contract: a failed restore leaves the store emptied, not
-	// half-populated.
+// LoadSnapshot replaces the store's contents with a copy of the given run
+// (an empty list, a delta's tombstone, installs nothing). Each list is
+// copied into an array of its own: decoded lists share one arena per
+// segment, and an installed list lives until its target is swept, so
+// keeping the caller's slice would pin a whole segment's arena for one
+// surviving target. The dirty sets are cleared: the loaded state is by
+// definition what the checkpoint chain already contains, so the next delta
+// cut captures only changes applied after it.
+func (s *Store) LoadSnapshot(targets Targets) {
 	s.Reset()
-	return int64(len(data)), err
-}
-
-// LoadSnapshot replaces the store's contents with a copy of the given
-// target map. Each list is copied into an array of its own: decoded lists
-// share one arena per segment, and an installed list lives until its
-// target is swept, so keeping the caller's slice would pin a whole
-// segment's arena for one surviving target. The dirty sets are cleared:
-// the loaded state is by definition what the checkpoint chain already
-// contains, so the next delta cut captures only changes applied after it.
-func (s *Store) LoadSnapshot(targets map[graph.VertexID][]InEdge) {
-	s.Reset()
-	for c, list := range targets {
-		if len(list) == 0 {
+	for _, e := range targets {
+		if len(e.Val) == 0 {
 			continue
 		}
-		sh := s.shardFor(c)
+		sh := s.shardFor(e.Key)
 		sh.mu.Lock()
-		sh.targets[c] = slices.Clone(list)
-		sh.edges += int64(len(list))
+		sh.targets[e.Key] = slices.Clone(e.Val)
+		sh.edges += int64(len(e.Val))
 		sh.mu.Unlock()
 	}
-}
-
-// CaptureSnapshot copies the store's full contents into a fresh target
-// map — the "full cut" baseline that delta checkpoints replace. Unlike
-// CaptureDelta it does not drain the dirty sets, so it never perturbs an
-// ongoing incremental chain.
-func (s *Store) CaptureSnapshot() map[graph.VertexID][]InEdge {
-	out := make(map[graph.VertexID][]InEdge)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for c, list := range sh.targets {
-			cp := make([]InEdge, len(list))
-			copy(cp, list)
-			out[c] = cp
-		}
-		sh.mu.RUnlock()
-	}
-	return out
 }
 
 // Reset drops every retained edge, modeling the state loss of a crashed

@@ -29,6 +29,34 @@ func randomStore(r *rand.Rand, opts Options, events int) *Store {
 	return s
 }
 
+// decodeSnapshot parses a whole snapshot the way the restore path does:
+// into a run, no store touched.
+func decodeSnapshot(data []byte) (Targets, error) {
+	c := codecutil.NewCursor(data, "dynstore")
+	targets := DecodeTargetsAt(c, false)
+	return targets, c.Done()
+}
+
+// restore replaces s's contents with the snapshot in data: decode whole,
+// then install. A snapshot that fails to decode installs nothing.
+func restore(s *Store, data []byte) error {
+	targets, err := decodeSnapshot(data)
+	if err != nil {
+		return err
+	}
+	s.LoadSnapshot(targets)
+	return nil
+}
+
+// mapOf returns a run as a map; the lists are shared.
+func mapOf(t Targets) map[graph.VertexID][]InEdge {
+	out := make(map[graph.VertexID][]InEdge, len(t))
+	for _, e := range t {
+		out[e.Key] = e.Val
+	}
+	return out
+}
+
 // storeContents extracts every retained target list for deep comparison.
 func storeContents(s *Store) map[graph.VertexID][]InEdge {
 	out := map[graph.VertexID][]InEdge{}
@@ -71,12 +99,8 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 			MaxPerTarget: opts.MaxPerTarget,
 			Shards:       16,
 		})
-		m, err := restored.ReadFrom(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("trial %d: ReadFrom: %v", trial, err)
-		}
-		if m != n {
-			t.Fatalf("trial %d: ReadFrom consumed %d bytes, snapshot is %d", trial, m, n)
+		if err := restore(restored, buf.Bytes()); err != nil {
+			t.Fatalf("trial %d: restore: %v", trial, err)
 		}
 
 		// Stats deep-equal.
@@ -106,7 +130,7 @@ func TestSnapshotRoundTripEmptyStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := New(Options{})
-	if _, err := restored.ReadFrom(&buf); err != nil {
+	if err := restore(restored, buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if st := restored.Stats(); st.Edges != 0 || st.Targets != 0 {
@@ -123,7 +147,7 @@ func TestSnapshotReadFromReplacesContents(t *testing.T) {
 	}
 	b := New(Options{})
 	b.Insert(graph.Edge{Src: 9, Dst: 9, TS: 99}) // pre-existing junk
-	if _, err := b.ReadFrom(&buf); err != nil {
+	if err := restore(b, buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if got := b.Recent(9, 0); got != nil {
@@ -161,11 +185,11 @@ func TestSnapshotDecodeRejectsCorruptInput(t *testing.T) {
 		cases["truncated"] = good[:cut]
 		for name, in := range cases {
 			fresh := New(Options{})
-			if _, err := fresh.ReadFrom(bytes.NewReader(in)); err == nil {
+			if err := restore(fresh, in); err == nil {
 				t.Fatalf("%s input (len %d) decoded without error", name, len(in))
 			}
-			// The contract: a failed restore leaves the store emptied,
-			// never half-populated.
+			// The contract: a failed decode installs nothing, so the store
+			// is never half-populated.
 			if st := fresh.Stats(); st.Edges != 0 || st.Targets != 0 {
 				t.Fatalf("%s input left partial contents: %+v", name, st)
 			}
@@ -185,8 +209,7 @@ func TestSnapshotDecodeRejectsDuplicateTarget(t *testing.T) {
 		buf.WriteByte(3) // B=3
 		buf.WriteByte(2) // TS delta zigzag(1)
 	}
-	s := New(Options{})
-	if _, err := s.ReadFrom(bytes.NewReader(buf.Bytes())); err == nil {
+	if _, err := decodeSnapshot(buf.Bytes()); err == nil {
 		t.Fatal("duplicate target decoded without error")
 	}
 }
@@ -209,17 +232,16 @@ func TestSnapshotEmbeddedAtCursorPosition(t *testing.T) {
 	for range "HEADER" {
 		c.Byte("header")
 	}
-	targets := DecodeSnapshotAt(c)
+	targets := DecodeTargetsAt(c, false)
 	if err := c.Done(); err != nil {
 		t.Fatal(err)
 	}
-	if want := storeContents(s); !reflect.DeepEqual(targets, want) {
+	if want := storeContents(s); !reflect.DeepEqual(mapOf(targets), want) {
 		t.Fatalf("embedded snapshot decoded to %v, want %v", targets, want)
 	}
 
 	buf.WriteString("TRAILER")
-	restored := New(Options{})
-	if _, err := restored.ReadFrom(bytes.NewReader(buf.Bytes()[len("HEADER"):])); err == nil {
+	if _, err := decodeSnapshot(buf.Bytes()[len("HEADER"):]); err == nil {
 		t.Fatal("snapshot with trailing bytes decoded without error")
 	}
 }
@@ -242,7 +264,7 @@ func TestResetDropsEverything(t *testing.T) {
 
 // TestSnapshotPrefixesAndBitFlipsRejected is the exhaustive companion of
 // FuzzSnapshotDecode: no strict prefix and no single-bit flip of a valid
-// snapshot decodes, and each failure leaves the store emptied. The CRC32C
+// snapshot decodes, and a failed decode installs nothing. The CRC32C
 // is checked over the whole buffer before a frame is parsed and detects
 // every single-bit error, so the bit-flip half is exact.
 func TestSnapshotPrefixesAndBitFlipsRejected(t *testing.T) {
@@ -255,8 +277,7 @@ func TestSnapshotPrefixesAndBitFlipsRejected(t *testing.T) {
 	s := New(Options{})
 	rejected := func(what string, n int, input []byte) {
 		t.Helper()
-		s.Insert(graph.Edge{Src: 1, Dst: 2, TS: 5})
-		if _, err := s.ReadFrom(bytes.NewReader(input)); err == nil {
+		if err := restore(s, input); err == nil {
 			t.Fatalf("%s %d of a %d-byte snapshot decoded", what, n, len(data))
 		}
 		if st := s.Stats(); st.Edges != 0 {
@@ -272,7 +293,7 @@ func TestSnapshotPrefixesAndBitFlipsRejected(t *testing.T) {
 		rejected("bit flip", bit, mut)
 		mut[bit/8] ^= 1 << (bit % 8)
 	}
-	if _, err := s.ReadFrom(bytes.NewReader(data)); err != nil {
+	if err := restore(s, data); err != nil {
 		t.Fatalf("pristine snapshot rejected: %v", err)
 	}
 }
@@ -301,7 +322,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := New(Options{})
-		if _, err := s.ReadFrom(bytes.NewReader(data)); err != nil {
+		if restore(s, data) != nil {
 			return
 		}
 		// Decoded successfully: encoding the result must round-trip.
@@ -310,7 +331,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 			t.Fatalf("re-encode of decoded store failed: %v", err)
 		}
 		again := New(Options{})
-		if _, err := again.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
+		if err := restore(again, buf.Bytes()); err != nil {
 			t.Fatalf("decode of re-encoded store failed: %v", err)
 		}
 		if again.Stats() != s.Stats() {

@@ -7,12 +7,37 @@ import (
 	"testing"
 	"time"
 
+	"motifstream/internal/codecutil"
 	"motifstream/internal/graph"
 )
 
 func deltaTestStore() *Store {
 	return New(Options{Retention: time.Hour, Shards: 4})
 }
+
+// decodeDelta parses a whole delta section into a run.
+func decodeDelta(data []byte) (Targets, error) {
+	c := codecutil.NewCursor(data, "dynstore delta")
+	d := DecodeTargetsAt(c, true)
+	return d, c.Done()
+}
+
+// capture returns the store's full contents through the one encoder and the
+// one decoder: the live streaming WriteTo, then a snapshot decode.
+func capture(t *testing.T, s *Store) Targets {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := s.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	targets, err := decodeSnapshot(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return targets
+}
+
+func noEdges(list []InEdge) bool { return len(list) == 0 }
 
 func TestCaptureDeltaTracksOnlyDirtiedTargets(t *testing.T) {
 	s := deltaTestStore()
@@ -21,21 +46,21 @@ func TestCaptureDeltaTracksOnlyDirtiedTargets(t *testing.T) {
 		s.Insert(graph.Edge{Src: graph.VertexID(i), Dst: graph.VertexID(i % 10), TS: t0 + int64(i)})
 	}
 	first := s.CaptureDelta()
-	if first.Len() != 10 {
-		t.Fatalf("first delta carries %d targets, want 10", first.Len())
+	if len(first) != 10 {
+		t.Fatalf("first delta carries %d targets, want 10", len(first))
 	}
 	// Nothing dirtied since: the next delta is empty.
-	if d := s.CaptureDelta(); d.Len() != 0 {
-		t.Fatalf("idle delta carries %d targets", d.Len())
+	if d := s.CaptureDelta(); len(d) != 0 {
+		t.Fatalf("idle delta carries %d targets", len(d))
 	}
 	// One more insert dirties exactly one target.
 	s.Insert(graph.Edge{Src: 999, Dst: 3, TS: t0 + 200})
 	d := s.CaptureDelta()
-	if d.Len() != 1 {
-		t.Fatalf("delta after one insert carries %d targets", d.Len())
+	if len(d) != 1 {
+		t.Fatalf("delta after one insert carries %d targets", len(d))
 	}
-	if _, ok := d.Targets[3]; !ok {
-		t.Fatalf("delta missing dirtied target 3: %v", d.Targets)
+	if _, ok := mapOf(d)[3]; !ok {
+		t.Fatalf("delta missing dirtied target 3: %v", d)
 	}
 }
 
@@ -48,9 +73,9 @@ func TestCaptureDeltaRecordsSweepDeletions(t *testing.T) {
 	// next delta as an empty list.
 	s.Sweep(t0 + 2*time.Hour.Milliseconds())
 	d := s.CaptureDelta()
-	list, ok := d.Targets[7]
+	list, ok := mapOf(d)[7]
 	if !ok {
-		t.Fatalf("sweep deletion not dirtied: %v", d.Targets)
+		t.Fatalf("sweep deletion not dirtied: %v", d)
 	}
 	if len(list) != 0 {
 		t.Fatalf("deleted target carries %d entries", len(list))
@@ -64,23 +89,21 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 		s.Insert(graph.Edge{Src: graph.VertexID(i), Dst: graph.VertexID(i % 5), TS: t0 + int64(i)})
 	}
 	d := s.CaptureDelta()
+	d.Seal()
 	var buf bytes.Buffer
-	n, err := d.WriteTo(&buf)
+	n, err := EncodeTargets(&buf, d, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != int64(buf.Len()) {
-		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
+		t.Fatalf("EncodeTargets reported %d bytes, wrote %d", n, buf.Len())
 	}
-	got, m, err := DecodeDelta(bytes.NewReader(buf.Bytes()))
+	got, err := decodeDelta(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m != n {
-		t.Fatalf("DecodeDelta consumed %d bytes, want %d", m, n)
-	}
-	if !reflect.DeepEqual(got.Targets, d.Targets) {
-		t.Fatalf("round trip diverged:\n got %v\nwant %v", got.Targets, d.Targets)
+	if !reflect.DeepEqual(got, d) {
+		t.Fatalf("round trip diverged:\n got %v\nwant %v", got, d)
 	}
 }
 
@@ -90,22 +113,25 @@ func TestDeltaDecodeRejectsCorruptInput(t *testing.T) {
 		s.Insert(graph.Edge{Src: graph.VertexID(i), Dst: 1, TS: int64(1_000_000 + i)})
 	}
 	var buf bytes.Buffer
-	if _, err := s.CaptureDelta().WriteTo(&buf); err != nil {
+	if _, err := EncodeTargets(&buf, s.CaptureDelta(), true); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	if _, _, err := DecodeDelta(bytes.NewReader(data[:len(data)/2])); err == nil {
+	if _, err := decodeDelta(data); err != nil {
+		t.Fatalf("pristine delta rejected: %v", err)
+	}
+	if _, err := decodeDelta(data[:len(data)/2]); err == nil {
 		t.Fatal("truncated delta accepted")
 	}
 	bad := append([]byte{}, data...)
 	bad[0] ^= 0xff
-	if _, _, err := DecodeDelta(bytes.NewReader(bad)); err == nil {
+	if _, err := decodeDelta(bad); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }
 
 // TestDeltaComposeEqualsFullSnapshot pins the composition law the restore
-// path depends on: base-capture + applied deltas == later full capture.
+// path depends on: base-capture + merged deltas == later full capture.
 func TestDeltaComposeEqualsFullSnapshot(t *testing.T) {
 	s := deltaTestStore()
 	t0 := int64(1_000_000)
@@ -115,7 +141,7 @@ func TestDeltaComposeEqualsFullSnapshot(t *testing.T) {
 		}
 	}
 	apply(0, 200)
-	base := s.CaptureSnapshot()
+	base := capture(t, s)
 	s.CaptureDelta() // start the chain at the base
 	apply(200, 300)
 	d1 := s.CaptureDelta()
@@ -124,17 +150,18 @@ func TestDeltaComposeEqualsFullSnapshot(t *testing.T) {
 	s.Sweep(t0 + 400*1000 + time.Hour.Milliseconds()/2)
 	d2 := s.CaptureDelta()
 
-	d1.ApplyTo(base)
-	d2.ApplyTo(base)
-	want := s.CaptureSnapshot()
+	d1.Seal()
+	d2.Seal()
+	base = codecutil.MergeRuns(noEdges, base, d1, d2)
+	want := capture(t, s)
 	if !reflect.DeepEqual(base, want) {
 		t.Fatalf("composed base+deltas diverged from full snapshot:\n got %d targets\nwant %d targets", len(base), len(want))
 	}
 
-	// And the composed map loads into a store that captures identically.
+	// And the composed run loads into a store that captures identically.
 	restored := deltaTestStore()
 	restored.LoadSnapshot(base)
-	if got := restored.CaptureSnapshot(); !reflect.DeepEqual(got, want) {
+	if got := capture(t, restored); !reflect.DeepEqual(got, want) {
 		t.Fatal("LoadSnapshot of composed state diverged from original store")
 	}
 	if gotSt, wantSt := restored.Stats(), s.Stats(); gotSt != wantSt {
@@ -142,7 +169,7 @@ func TestDeltaComposeEqualsFullSnapshot(t *testing.T) {
 	}
 }
 
-// TestCaptureDeltaAllocBudget gates the cut's allocation count: the map,
+// TestCaptureDeltaAllocBudget gates the cut's allocation count: the run,
 // one array shared by every copied list and a fresh dirty set per shard,
 // whether the cut carries two hundred targets or two thousand. One
 // allocation per dirty target (the copy this replaced) fails it.
@@ -156,11 +183,11 @@ func TestCaptureDeltaAllocBudget(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		d := s.CaptureDelta()
 		runtime.ReadMemStats(&after)
-		if d.Len() != targets {
-			t.Fatalf("cut carries %d targets, want %d", d.Len(), targets)
+		if len(d) != targets {
+			t.Fatalf("cut carries %d targets, want %d", len(d), targets)
 		}
-		if got := after.Mallocs - before.Mallocs; got > 24 {
-			t.Errorf("CaptureDelta of %d targets allocates %d times, budget 24", targets, got)
+		if got := after.Mallocs - before.Mallocs; got > 8 {
+			t.Errorf("CaptureDelta of %d targets allocates %d times, budget 8", targets, got)
 		}
 	}
 }

@@ -12,12 +12,12 @@ import (
 
 // benchSegment builds a cut the size the benchmark deployment writes:
 // targets dirty D targets of perTarget entries each, and cands candidates
-// from three programs spread over cands/2 users. As a base it carries the
-// same maps.
-func benchSegment(targets, perTarget, cands int) *CheckpointState {
+// from three programs spread over cands/2 users. It encodes as a delta or
+// as a base alike.
+func benchSegment(targets, perTarget, cands int) *mapState {
 	r := rand.New(rand.NewSource(15))
 	programs := []string{"diamond", "triangle-closure", "m017-content-coaction"}
-	st := NewCheckpointState()
+	st := newMapState()
 	st.SweepClock = 1_700_000_000_000
 	for i := 0; i < targets; i++ {
 		list := make([]dynstore.InEdge, perTarget)
@@ -39,15 +39,12 @@ func benchSegment(targets, perTarget, cands int) *CheckpointState {
 	return st
 }
 
-func (st *CheckpointState) asDelta() *Delta {
-	return &Delta{SweepClock: st.SweepClock, Users: st.Users, Items: st.Items, Dynamic: dynstore.Delta{Targets: st.Targets}}
-}
-
 // TestDecodeAllocBudget gates what the compactor pays to decode a segment:
-// a constant (cursor, maps, arenas, the three interned program names, the
-// read-all buffer's doublings) plus one candidate list per logged user —
-// never a term in the segment's bytes, its D entries or its candidates.
-// The stream-reader stack this replaced allocated once per decoded byte.
+// a constant — cursor, segment, three runs, the three interned program
+// names — plus one array per arena chunk (4096 D entries or Via elements,
+// 512 candidates), never a term in the segment's bytes, its keys or its
+// users. The stream-reader stack this replaced allocated once per decoded
+// byte; the map-of-lists state after it, once per logged user.
 func TestDecodeAllocBudget(t *testing.T) {
 	for _, shape := range []struct {
 		name                      string
@@ -57,30 +54,28 @@ func TestDecodeAllocBudget(t *testing.T) {
 		{"same keys, four times the entries", 2000, 12, 500},
 		{"same targets, four times the candidates", 2000, 3, 2000},
 	} {
-		st := benchSegment(shape.targets, shape.perTarget, shape.cands)
+		st := benchSegment(shape.targets, shape.perTarget, shape.cands).segment()
 		var base, delta bytes.Buffer
 		if _, err := st.WriteBaseTo(&base); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := st.asDelta().WriteTo(&delta); err != nil {
+		if _, err := st.WriteTo(&delta); err != nil {
 			t.Fatal(err)
 		}
-		budget := float64(64 + len(st.Users))
+		const budget = 24
 		if got := testing.AllocsPerRun(5, func() {
-			if _, _, err := DecodeDelta(bytes.NewReader(delta.Bytes())); err != nil {
+			if _, err := ParseDelta(delta.Bytes()); err != nil {
 				t.Fatal(err)
 			}
 		}); got > budget {
-			t.Errorf("%s: DecodeDelta of %d bytes allocates %.0f times, budget %.0f (64 + %d users)",
-				shape.name, delta.Len(), got, budget, len(st.Users))
+			t.Errorf("%s: ParseDelta of %d bytes allocates %.0f times, budget %d", shape.name, delta.Len(), got, budget)
 		}
 		if got := testing.AllocsPerRun(5, func() {
-			if _, err := NewCheckpointState().ReadBaseFrom(bytes.NewReader(base.Bytes())); err != nil {
+			if _, err := DecodeBase(base.Bytes()); err != nil {
 				t.Fatal(err)
 			}
 		}); got > budget {
-			t.Errorf("%s: ReadBaseFrom of %d bytes allocates %.0f times, budget %.0f (64 + %d users)",
-				shape.name, base.Len(), got, budget, len(st.Users))
+			t.Errorf("%s: DecodeBase of %d bytes allocates %.0f times, budget %d", shape.name, base.Len(), got, budget)
 		}
 	}
 }

@@ -28,9 +28,9 @@ func BenchmarkCheckpointCompose(b *testing.B) {
 		var buf bytes.Buffer
 		var err error
 		if i == 0 {
-			_, err = st.WriteBaseTo(&buf)
+			_, err = st.segment().WriteBaseTo(&buf)
 		} else {
-			_, err = st.asDelta().WriteTo(&buf)
+			_, err = st.segment().WriteTo(&buf)
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -45,21 +45,21 @@ func BenchmarkCheckpointCompose(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var st *CheckpointState
+		chain := make([]*Segment, len(paths))
 		for j, p := range paths {
 			data, err := os.ReadFile(p)
 			if err != nil {
 				b.Fatal(err)
 			}
+			decode := ParseDelta
 			if j == 0 {
-				st, err = DecodeBase(data)
-			} else {
-				err = st.ApplyDelta(data)
+				decode = DecodeBase
 			}
-			if err != nil {
+			if chain[j], err = decode(data); err != nil {
 				b.Fatal(err)
 			}
 		}
+		st := Merge(true, chain...)
 		var out bytes.Buffer
 		if _, err := st.WriteBaseTo(&out); err != nil {
 			b.Fatal(err)

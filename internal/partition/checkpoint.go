@@ -21,10 +21,10 @@ import (
 // from a newer offline build) on restore, exactly as a production replica
 // reloads the latest S snapshot on boot.
 //
-// Checkpoints are decoded into a CheckpointState — a neutral map
-// representation — rather than straight into a live Partition, so the
-// recovery path can compose a base with a chain of delta segments (see
-// delta.go) before installing the result once.
+// Checkpoints are decoded into a Segment — sorted runs, no locks, no live
+// structures — rather than straight into a live Partition, so the recovery
+// path can merge a base with a chain of delta segments (see delta.go)
+// before installing the result once.
 
 // partMagic identifies the partition checkpoint format. Version 2 closes
 // every base segment with a CRC32C trailer over the whole file (magic
@@ -39,29 +39,36 @@ const partSnapVersion = 2
 // maxSnapProgram bounds a decoded program name.
 const maxSnapProgram = 1 << 12
 
-// CheckpointState is the neutral, fully-decoded form of a partition
-// checkpoint: plain maps, no locks, no live structures. It is what the
-// recovery path composes (base plus delta segments, last write wins per
-// key) and what the background compactor folds chains into.
-type CheckpointState struct {
+// Segment is the one in-memory form of a checkpoint segment, base or
+// delta: per section, a sorted run of key → full replacement value. A base
+// holds a partition's whole recoverable state and no empty list; a delta
+// holds what one cut dirtied, and an empty user or target list in it is a
+// tombstone — the key was deleted (swept) since the previous cut. It is
+// what CaptureDelta returns, what both decoders produce, what Merge
+// composes and the background compactor folds chains into, and what
+// LoadState installs.
+type Segment struct {
 	// SweepClock is the engine's last D-prune stream time at the cut.
 	SweepClock int64
 	// Users is the per-user candidate log.
-	Users map[graph.VertexID][]motif.Candidate
+	Users codecutil.Run[graph.VertexID, []motif.Candidate]
 	// Items is the per-item recommendation counter set.
-	Items map[graph.VertexID]uint64
+	Items codecutil.Run[graph.VertexID, uint64]
 	// Targets is the D store's contents.
-	Targets map[graph.VertexID][]dynstore.InEdge
+	Targets dynstore.Targets
 }
 
-// NewCheckpointState returns an empty state — the implicit base a delta
-// chain with no compacted base yet composes on top of.
-func NewCheckpointState() *CheckpointState {
-	return &CheckpointState{
-		Users:   make(map[graph.VertexID][]motif.Candidate),
-		Items:   make(map[graph.VertexID]uint64),
-		Targets: make(map[graph.VertexID][]dynstore.InEdge),
-	}
+// Len returns the number of keys across all sections — for a captured
+// delta, the dirtied keys the cut pause is proportional to.
+func (s *Segment) Len() int { return len(s.Users) + len(s.Items) + len(s.Targets) }
+
+// seal sorts the runs a capture appended in dirty-set order. Every encode
+// and merge starts with it, so the sort runs wherever the segment is first
+// consumed — the checkpoint writer's goroutine — never on the apply loop.
+func (s *Segment) seal() {
+	s.Users.Seal()
+	s.Items.Seal()
+	s.Targets.Seal()
 }
 
 func putCandidate(w *codecutil.Writer, c motif.Candidate) {
@@ -100,37 +107,33 @@ func getCandidate(c *codecutil.Cursor, vias *codecutil.Arena[graph.VertexID]) mo
 	return cand
 }
 
-// sortedVertexKeys returns m's keys ascending for deterministic encoding.
-func sortedVertexKeys[V any](m map[graph.VertexID]V) []graph.VertexID {
-	keys := make([]graph.VertexID, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// liveRun views a live map as a sealed run, so the live partition streams
+// through the same section writer as a segment. The values are the map's
+// own, not copies: the caller holds the map's lock while the run is in use.
+func liveRun[V any](m map[graph.VertexID]V) codecutil.Run[graph.VertexID, V] {
+	r := make(codecutil.Run[graph.VertexID, V], 0, len(m))
+	for k, v := range m {
+		r = append(r, codecutil.Entry[graph.VertexID, V]{Key: k, Val: v})
 	}
-	slices.Sort(keys)
-	return keys
+	r.Seal()
+	return r
 }
 
-// writeUsersSection and writeItemsSection encode the candidate-log and
-// item-counter halves shared by the base and delta formats. They are
-// separate so Partition.WriteTo can stream each directly from the live
-// map under its own lock.
-func writeUsersSection(cp *codecutil.Writer, users map[graph.VertexID][]motif.Candidate) {
-	cp.PutU(uint64(len(users)))
-	for _, a := range sortedVertexKeys(users) {
-		list := users[a]
-		cp.PutU(uint64(a))
-		cp.PutU(uint64(len(list)))
-		for _, c := range list {
-			putCandidate(cp, c)
-		}
+// writeRun encodes the candidate-log or the item-counter section shared by
+// the base and delta formats: the key count, then per key, ascending so
+// equal states serialize identically, the key and whatever put writes.
+func writeRun[V any](cp *codecutil.Writer, r codecutil.Run[graph.VertexID, V], put func(*codecutil.Writer, V)) {
+	cp.PutU(uint64(len(r)))
+	for _, e := range r {
+		cp.PutU(uint64(e.Key))
+		put(cp, e.Val)
 	}
 }
 
-func writeItemsSection(cp *codecutil.Writer, items map[graph.VertexID]uint64) {
-	cp.PutU(uint64(len(items)))
-	for _, it := range sortedVertexKeys(items) {
-		cp.PutU(uint64(it))
-		cp.PutU(items[it])
+func putCandidates(cp *codecutil.Writer, list []motif.Candidate) {
+	cp.PutU(uint64(len(list)))
+	for _, c := range list {
+		putCandidate(cp, c)
 	}
 }
 
@@ -138,53 +141,54 @@ func writeItemsSection(cp *codecutil.Writer, items map[graph.VertexID]uint64) {
 // byte each.
 const minCandidateBytes = 10
 
-// readUserItemSections decodes the candidate-log and item-counter halves.
-// The segment's Via slices share one arena; the error, if any, is latched
-// on c.
-func readUserItemSections(c *codecutil.Cursor) (map[graph.VertexID][]motif.Candidate, map[graph.VertexID]uint64) {
+// candidateChunk caps one array of the decoder's candidate arena: at ~100
+// bytes a candidate it is about the size of a D-entry chunk.
+const candidateChunk = 512
+
+// readUserItemSections decodes the candidate-log and item-counter sections
+// into runs, rejecting keys that do not ascend. The segment's candidate
+// lists share one arena and its Via slices another; the error, if any, is
+// latched on c.
+func readUserItemSections(c *codecutil.Cursor, s *Segment) {
 	nUsers := c.Count("user count", 2)
-	byA := make(map[graph.VertexID][]motif.Candidate, nUsers)
+	s.Users = make(codecutil.Run[graph.VertexID, []motif.Candidate], 0, nUsers)
+	lists := codecutil.Arena[motif.Candidate]{Chunk: min(c.Len()/minCandidateBytes, candidateChunk)}
 	vias := codecutil.SectionArena[graph.VertexID](c, 1)
 	for i := 0; i < nUsers && c.Err == nil; i++ {
 		a := graph.VertexID(c.U("log user"))
-		list := make([]motif.Candidate, c.Count("log length", minCandidateBytes))
+		list := lists.Take(c.Count("log length", minCandidateBytes))
 		for j := range list {
 			list[j] = getCandidate(c, &vias)
 		}
-		byA[a] = list
+		s.Users = codecutil.AppendAscending(c, "log user", s.Users, a, list)
 	}
 	nItems := c.Count("item count", 2)
-	counts := make(map[graph.VertexID]uint64, nItems)
+	s.Items = make(codecutil.Run[graph.VertexID, uint64], 0, nItems)
 	for i := 0; i < nItems && c.Err == nil; i++ {
 		it := graph.VertexID(c.U("item id"))
-		counts[it] = c.U("item counter")
+		s.Items = codecutil.AppendAscending(c, "item id", s.Items, it, c.U("item counter"))
 	}
-	return byA, counts
 }
 
-// WriteBaseTo serializes the state as a base checkpoint, implementing the
-// same byte format Partition.WriteTo produces.
-func (st *CheckpointState) WriteBaseTo(w io.Writer) (int64, error) {
-	n, _, err := st.writeBase(w)
-	return n, err
-}
-
-// writeBase is WriteBaseTo that also returns the payload CRC32C it wrote
-// as the file's trailer — the state fingerprint (fingerprint.go).
-func (st *CheckpointState) writeBase(w io.Writer) (int64, uint32, error) {
+// writeFile emits the container the base and delta formats share: magic
+// and version, whatever head writes (the delta's sweep clock, the two
+// sections above), then the embedded D section through tail, closed by the
+// CRC32C of everything before it. It returns the bytes written and that
+// CRC. The segment's and the live partition's encodes differ only in where
+// their runs come from, so equal states cannot serialize differently.
+func writeFile(w io.Writer, magic [8]byte, version uint64, head func(*codecutil.Writer), tail func(io.Writer) (int64, error)) (int64, uint32, error) {
 	cw := &codecutil.CountingWriter{W: w}
 	hw := &codecutil.HashWriter{W: cw}
 	cp := &codecutil.Writer{BW: bufio.NewWriter(hw)}
-	cp.PutBytes(partMagic[:])
-	cp.PutU(partSnapVersion)
-	writeUsersSection(cp, st.Users)
-	writeItemsSection(cp, st.Items)
+	cp.PutBytes(magic[:])
+	cp.PutU(version)
+	head(cp)
 	if err := cp.Flush(); err != nil {
 		return cw.N, 0, err
 	}
-	// Engine section last: its D snapshot dominates the payload and the
-	// embedded codec leaves the stream positioned exactly past itself.
-	if _, err := core.EncodeEngineState(hw, st.SweepClock, st.Targets); err != nil {
+	// D section last: it dominates the payload and the embedded codec
+	// leaves the stream positioned exactly past itself.
+	if _, err := tail(hw); err != nil {
 		return cw.N, 0, err
 	}
 	// File-level CRC32C trailer over everything above, written outside the
@@ -193,87 +197,79 @@ func (st *CheckpointState) writeBase(w io.Writer) (int64, uint32, error) {
 	return cw.N, sum, codecutil.WriteChecksum(cw, sum)
 }
 
+// writeUserItems encodes the segment's candidate-log and item-counter
+// sections.
+func (s *Segment) writeUserItems(cp *codecutil.Writer) {
+	writeRun(cp, s.Users, putCandidates)
+	writeRun(cp, s.Items, (*codecutil.Writer).PutU)
+}
+
+// WriteBaseTo serializes the segment as a base checkpoint, implementing the
+// same byte format Partition.WriteTo produces.
+func (s *Segment) WriteBaseTo(w io.Writer) (int64, error) {
+	n, _, err := s.writeBase(w)
+	return n, err
+}
+
+// writeBase is WriteBaseTo that also returns the payload CRC32C it wrote
+// as the file's trailer — the state fingerprint (fingerprint.go).
+func (s *Segment) writeBase(w io.Writer) (int64, uint32, error) {
+	s.seal()
+	return writeFile(w, partMagic, partSnapVersion, s.writeUserItems, func(w io.Writer) (int64, error) {
+		return core.WriteEngineState(w, s.SweepClock, s.Targets)
+	})
+}
+
 // DecodeBase parses a whole base checkpoint file written by WriteBaseTo (or
 // Partition.WriteTo). The file's CRC32C trailer is verified over the whole
 // buffer before anything is parsed, then the embedded D snapshot's over its
-// own range. The state's D lists and Via slices share per-segment arenas:
-// it is for composing, fingerprinting and re-encoding, and LoadState copies
+// own range. The segment's lists and Via slices share per-section arenas:
+// it is for merging, fingerprinting and re-encoding, and LoadState copies
 // out what it installs. Malformed input returns an error, never panics.
-func DecodeBase(data []byte) (*CheckpointState, error) {
+func DecodeBase(data []byte) (*Segment, error) {
 	c := codecutil.NewCursor(data, "partition checkpoint")
 	c.Checked()
 	c.Header(partMagic, partSnapVersion)
-	st := &CheckpointState{}
-	st.Users, st.Items = readUserItemSections(c)
-	st.SweepClock, st.Targets = core.DecodeEngineStateAt(c)
+	s := &Segment{}
+	readUserItemSections(c, s)
+	s.SweepClock, s.Targets = core.DecodeEngineStateAt(c)
 	if err := c.Done(); err != nil {
 		return nil, err
 	}
-	return st, nil
+	return s, nil
 }
 
-// ReadBaseFrom replaces the state with the base checkpoint that r holds up
-// to its end — DecodeBase for callers with a stream. The state is
-// untouched after an error.
-func (st *CheckpointState) ReadBaseFrom(rd io.Reader) (int64, error) {
-	data, err := io.ReadAll(rd)
-	if err != nil {
-		return int64(len(data)), err
-	}
-	fresh, err := DecodeBase(data)
-	if err != nil {
-		return int64(len(data)), err
-	}
-	*st = *fresh
-	return int64(len(data)), nil
-}
-
-// CaptureState copies the partition's complete recoverable state — the
-// full-snapshot cut that the delta pipeline replaces, kept as the
-// compaction seed and as the measured baseline for the checkpoint-pause
-// benchmarks. The caller must not run Apply concurrently.
-func (p *Partition) CaptureState() *CheckpointState {
-	st := &CheckpointState{SweepClock: p.engine.SweepClock()}
-
-	p.log.mu.RLock()
-	st.Users = make(map[graph.VertexID][]motif.Candidate, len(p.log.byA))
-	for a, list := range p.log.byA {
-		cp := make([]motif.Candidate, len(list))
-		copy(cp, list)
-		st.Users[a] = cp
-	}
-	p.log.mu.RUnlock()
-
-	p.items.mu.RLock()
-	st.Items = make(map[graph.VertexID]uint64, len(p.items.counts))
-	for it, n := range p.items.counts {
-		st.Items[it] = n
-	}
-	p.items.mu.RUnlock()
-
-	st.Targets = p.engine.Dynamic().CaptureSnapshot()
-	return st
-}
-
-// LoadState installs a composed checkpoint state, replacing all
-// recoverable state and taking ownership of the Users and Items maps. What
-// a decoded state keeps in per-segment arenas — D lists and Via slices — is
-// copied, so nothing installed pins a segment's arena. Dirty sets clear:
-// the installed state is what the durable chain already contains, so the
-// next delta cut captures only changes applied after it.
-func (p *Partition) LoadState(st *CheckpointState) {
-	p.engine.LoadState(st.SweepClock, st.Targets)
-	for _, list := range st.Users {
+// LoadState installs a composed segment, replacing all recoverable state (an
+// empty list, a delta's tombstone, installs nothing, here as in the store).
+// Everything installed is copied — candidate lists and their Via slices
+// here, D lists in the store — because a decoded segment keeps them in
+// per-section arenas, and one installed list would pin its whole arena for
+// as long as that user or target lives. Dirty sets clear: the installed
+// state is what the durable chain already contains, so the next delta cut
+// captures only changes applied after it.
+func (p *Partition) LoadState(s *Segment) {
+	p.engine.LoadState(s.SweepClock, s.Targets)
+	byA := make(map[graph.VertexID][]motif.Candidate, len(s.Users))
+	for _, e := range s.Users {
+		if len(e.Val) == 0 {
+			continue
+		}
+		list := slices.Clone(e.Val)
 		for i := range list {
 			list[i].Via = slices.Clone(list[i].Via)
 		}
+		byA[e.Key] = list
+	}
+	counts := make(map[graph.VertexID]uint64, len(s.Items))
+	for _, e := range s.Items {
+		counts[e.Key] = e.Val
 	}
 	p.log.mu.Lock()
-	p.log.byA = st.Users
+	p.log.byA = byA
 	p.log.dirty = make(map[graph.VertexID]struct{})
 	p.log.mu.Unlock()
 	p.items.mu.Lock()
-	p.items.counts = st.Items
+	p.items.counts = counts
 	p.items.dirty = make(map[graph.VertexID]struct{})
 	p.items.mu.Unlock()
 }
@@ -282,8 +278,8 @@ func (p *Partition) LoadState(st *CheckpointState) {
 // io.WriterTo. Sections stream directly from the live structures — the
 // candidate log and item counters under their read locks, the engine's D
 // store one target list at a time — so peak extra memory stays far below
-// a full copy of the partition (CaptureState is the copying path). The
-// caller must not run Apply concurrently; concurrent reads are fine.
+// a full copy of the partition. The caller must not run Apply
+// concurrently; concurrent reads are fine.
 func (p *Partition) WriteTo(w io.Writer) (int64, error) {
 	n, _, err := p.writeBase(w)
 	return n, err
@@ -292,42 +288,14 @@ func (p *Partition) WriteTo(w io.Writer) (int64, error) {
 // writeBase is WriteTo that also returns the payload CRC32C it wrote as
 // the trailer — the state fingerprint (fingerprint.go).
 func (p *Partition) writeBase(w io.Writer) (int64, uint32, error) {
-	cw := &codecutil.CountingWriter{W: w}
-	hw := &codecutil.HashWriter{W: cw}
-	cp := &codecutil.Writer{BW: bufio.NewWriter(hw)}
-	cp.PutBytes(partMagic[:])
-	cp.PutU(partSnapVersion)
-	p.log.mu.RLock()
-	writeUsersSection(cp, p.log.byA)
-	p.log.mu.RUnlock()
-	p.items.mu.RLock()
-	writeItemsSection(cp, p.items.counts)
-	p.items.mu.RUnlock()
-	if err := cp.Flush(); err != nil {
-		return cw.N, 0, err
-	}
-	// Engine section last: its D snapshot dominates the payload and the
-	// embedded codec leaves the stream positioned exactly past itself.
-	if _, err := p.engine.WriteTo(hw); err != nil {
-		return cw.N, 0, err
-	}
-	sum := hw.Sum()
-	return cw.N, sum, codecutil.WriteChecksum(cw, sum)
-}
-
-// ReadFrom restores state written by WriteTo, implementing io.ReaderFrom.
-// Existing recoverable state is dropped first, so a failed restore leaves
-// the partition empty (crash-fresh) rather than half-merged. Malformed
-// input returns an error, never panics.
-func (p *Partition) ReadFrom(rd io.Reader) (int64, error) {
-	p.Reset()
-	st := NewCheckpointState()
-	n, err := st.ReadBaseFrom(rd)
-	if err != nil {
-		return n, err
-	}
-	p.LoadState(st)
-	return n, nil
+	return writeFile(w, partMagic, partSnapVersion, func(cp *codecutil.Writer) {
+		p.log.mu.RLock()
+		writeRun(cp, liveRun(p.log.byA), putCandidates)
+		p.log.mu.RUnlock()
+		p.items.mu.RLock()
+		writeRun(cp, liveRun(p.items.counts), (*codecutil.Writer).PutU)
+		p.items.mu.RUnlock()
+	}, p.engine.WriteTo)
 }
 
 // Reset drops all recoverable state — D contents, the sweep clock, the

@@ -33,6 +33,18 @@ func checkpointTestPartition(t *testing.T) *Partition {
 	return p
 }
 
+// restore replaces p's recoverable state with the base checkpoint in data,
+// the way the restore path does: decode whole, then install. A failed
+// decode installs nothing.
+func restore(p *Partition, data []byte) error {
+	s, err := DecodeBase(data)
+	if err != nil {
+		return err
+	}
+	p.LoadState(s)
+	return nil
+}
+
 func TestPartitionCheckpointRoundTrip(t *testing.T) {
 	orig := checkpointTestPartition(t)
 	t0 := int64(10_000_000)
@@ -55,12 +67,8 @@ func TestPartitionCheckpointRoundTrip(t *testing.T) {
 	}
 
 	restored := checkpointTestPartition(t)
-	m, err := restored.ReadFrom(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	if err := restore(restored, buf.Bytes()); err != nil {
 		t.Fatal(err)
-	}
-	if m != n {
-		t.Fatalf("ReadFrom consumed %d bytes, checkpoint is %d", m, n)
 	}
 
 	// Read path state survives: candidate log...
@@ -99,12 +107,12 @@ func TestPartitionCheckpointRejectsCorruptInput(t *testing.T) {
 	good := buf.Bytes()
 	for cut := 0; cut < len(good); cut += 1 + len(good)/23 {
 		fresh := checkpointTestPartition(t)
-		if _, err := fresh.ReadFrom(bytes.NewReader(good[:cut])); err == nil {
+		if err := restore(fresh, good[:cut]); err == nil {
 			t.Fatalf("truncation at %d decoded without error", cut)
 		}
 	}
 	fresh := checkpointTestPartition(t)
-	if _, err := fresh.ReadFrom(bytes.NewReader([]byte("BOGUSMAGIC+++"))); err == nil {
+	if err := restore(fresh, []byte("BOGUSMAGIC+++")); err == nil {
 		t.Fatal("bogus magic decoded without error")
 	}
 }
@@ -138,14 +146,14 @@ func TestCheckpointChecksumDetectsEveryBitFlip(t *testing.T) {
 		mut := append([]byte(nil), base.Bytes()...)
 		mut[pos] ^= 0x40
 		fresh := checkpointTestPartition(t)
-		if _, err := fresh.ReadFrom(bytes.NewReader(mut)); err == nil {
+		if err := restore(fresh, mut); err == nil {
 			t.Fatalf("base byte flip at %d/%d decoded without error", pos, base.Len())
 		}
 	}
 	for pos := 0; pos < dbuf.Len(); pos++ {
 		mut := append([]byte(nil), dbuf.Bytes()...)
 		mut[pos] ^= 0x40
-		if _, _, err := DecodeDelta(bytes.NewReader(mut)); err == nil {
+		if _, err := ParseDelta(mut); err == nil {
 			t.Fatalf("delta byte flip at %d/%d decoded without error", pos, dbuf.Len())
 		}
 	}
@@ -153,10 +161,10 @@ func TestCheckpointChecksumDetectsEveryBitFlip(t *testing.T) {
 	// The pristine bytes still round-trip (the trailer is not rejecting
 	// everything).
 	fresh := checkpointTestPartition(t)
-	if _, err := fresh.ReadFrom(bytes.NewReader(base.Bytes())); err != nil {
+	if err := restore(fresh, base.Bytes()); err != nil {
 		t.Fatalf("pristine base rejected: %v", err)
 	}
-	if _, _, err := DecodeDelta(bytes.NewReader(dbuf.Bytes())); err != nil {
+	if _, err := ParseDelta(dbuf.Bytes()); err != nil {
 		t.Fatalf("pristine delta rejected: %v", err)
 	}
 }

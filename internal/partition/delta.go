@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"bufio"
 	"io"
 
 	"motifstream/internal/codecutil"
@@ -14,7 +13,7 @@ import (
 // previous cut: the sweep clock (absolute, tiny), the changed candidate-log
 // users and item counters as full replacements, and the embedded dynstore
 // delta. Full replacement per key makes segments idempotent and
-// composable: applying a chain in cut order, last write wins per key,
+// composable: merging a chain in cut order, newer wins per key,
 // reconstructs the base-format state exactly. An empty user list records a
 // deletion (SweepBefore dropped the user).
 
@@ -26,43 +25,27 @@ var deltaMagic = [8]byte{'M', 'S', 'P', 'D', 'L', 'T', 0, 1}
 
 const deltaVersion = 2
 
-// Delta is one cut's worth of dirtied partition state, captured cheaply
-// on the apply loop and encoded off it by the async checkpoint writer.
-type Delta struct {
-	// SweepClock is the engine's last D-prune stream time at the cut.
-	SweepClock int64
-	// Users holds full replacement lists for dirtied users; empty = delete.
-	Users map[graph.VertexID][]motif.Candidate
-	// Items holds current counts for dirtied items.
-	Items map[graph.VertexID]uint64
-	// Dynamic is the D store's dirtied-target delta.
-	Dynamic dynstore.Delta
-}
-
-// Len returns the number of dirtied keys across all sections — the size
-// the cut pause is proportional to.
-func (d *Delta) Len() int {
-	return len(d.Users) + len(d.Items) + d.Dynamic.Len()
-}
-
 // CaptureDelta copies every dirtied entry's current value and resets the
-// dirty sets — the synchronous part of an incremental checkpoint cut. Its
-// cost is proportional to what changed since the last cut, not to the
-// partition's total state, which is what keeps the apply-loop pause
-// bounded. The caller must not run Apply concurrently (the replica
-// consume loop serializes them).
-func (p *Partition) CaptureDelta() *Delta {
-	d := &Delta{SweepClock: p.engine.SweepClock()}
+// dirty sets — the synchronous part of an incremental checkpoint cut,
+// captured cheaply on the apply loop and encoded off it by the async
+// checkpoint writer. Its cost is proportional to what changed since the
+// last cut, not to the partition's total state, which is what keeps the
+// apply-loop pause bounded; the runs come back in dirty-set order, unsealed.
+// The caller must not run Apply concurrently (the replica consume loop
+// serializes them).
+func (p *Partition) CaptureDelta() *Segment {
+	d := &Segment{SweepClock: p.engine.SweepClock()}
 
 	p.log.mu.Lock()
-	d.Users = make(map[graph.VertexID][]motif.Candidate, len(p.log.dirty))
 	logged := 0
 	for a := range p.log.dirty {
 		logged += len(p.log.byA[a])
 	}
 	lists := codecutil.Arena[motif.Candidate]{Chunk: logged}
+	d.Users = make(codecutil.Run[graph.VertexID, []motif.Candidate], 0, len(p.log.dirty))
 	for a := range p.log.dirty {
-		d.Users[a] = lists.Copy(p.log.byA[a]) // absent => deletion, encoded as empty
+		// absent => deletion, encoded as empty
+		d.Users = append(d.Users, codecutil.Entry[graph.VertexID, []motif.Candidate]{Key: a, Val: lists.Copy(p.log.byA[a])})
 	}
 	if len(p.log.dirty) > 0 {
 		p.log.dirty = make(map[graph.VertexID]struct{})
@@ -70,119 +53,87 @@ func (p *Partition) CaptureDelta() *Delta {
 	p.log.mu.Unlock()
 
 	p.items.mu.Lock()
-	d.Items = make(map[graph.VertexID]uint64, len(p.items.dirty))
+	d.Items = make(codecutil.Run[graph.VertexID, uint64], 0, len(p.items.dirty))
 	for it := range p.items.dirty {
-		d.Items[it] = p.items.counts[it]
+		d.Items = append(d.Items, codecutil.Entry[graph.VertexID, uint64]{Key: it, Val: p.items.counts[it]})
 	}
 	if len(p.items.dirty) > 0 {
 		p.items.dirty = make(map[graph.VertexID]struct{})
 	}
 	p.items.mu.Unlock()
 
-	d.Dynamic = p.engine.Dynamic().CaptureDelta()
+	d.Targets = p.engine.Dynamic().CaptureDelta()
 	return d
 }
 
-// MergeOlder folds a previously captured but never persisted delta into
-// d. CaptureDelta drains the dirty sets, so a cut whose persistence
-// failed must be carried into the next segment or its keys would be
-// silently missing from the chain. Newer wins per key: a key present in
-// both was re-dirtied after the old capture and d already holds its
-// current value; a key only in old was untouched since, so its old value
-// is still current.
-func (d *Delta) MergeOlder(old *Delta) {
-	for a, list := range old.Users {
-		if _, ok := d.Users[a]; !ok {
-			d.Users[a] = list
-		}
+// empty reports a tombstone: the empty list a delta carries for a deleted
+// key.
+func empty[T any](list []T) bool { return len(list) == 0 }
+
+// Merge composes segments given in cut order, oldest first, into one —
+// every composition of segments there is. Newer wins per key: a key in
+// several was re-dirtied after the older cuts and the newest holds its
+// current value; a key only in an older one was untouched since, so its old
+// value is still current; the sweep clock is the newest's.
+//
+// With asBase false the chain is deltas and the result is the delta
+// equivalent to writing them one after another: tombstones stay, because a
+// segment older still may hold the key. That is how the checkpoint writer
+// coalesces queued cuts, and how it carries a cut whose persistence failed
+// into the next one — CaptureDelta drained the dirty sets, so the failed
+// cut's keys exist nowhere else and dropping it would leave the chain a
+// silent hole. With asBase true the chain starts at a base (or at the
+// beginning of the stream, whose base is empty) and the result is a base:
+// tombstones have nothing left to delete and are dropped.
+func Merge(asBase bool, chain ...*Segment) *Segment {
+	users := make([]codecutil.Run[graph.VertexID, []motif.Candidate], len(chain))
+	items := make([]codecutil.Run[graph.VertexID, uint64], len(chain))
+	targets := make([]dynstore.Targets, len(chain))
+	out := &Segment{}
+	for i, s := range chain {
+		s.seal()
+		users[i], items[i], targets[i] = s.Users, s.Items, s.Targets
+		out.SweepClock = s.SweepClock // ends as the newest's
 	}
-	for it, count := range old.Items {
-		if _, ok := d.Items[it]; !ok {
-			d.Items[it] = count
-		}
+	var noCandidates func([]motif.Candidate) bool
+	var noEdges func([]dynstore.InEdge) bool
+	if asBase {
+		noCandidates, noEdges = empty[motif.Candidate], empty[dynstore.InEdge]
 	}
-	for c, list := range old.Dynamic.Targets {
-		if _, ok := d.Dynamic.Targets[c]; !ok {
-			d.Dynamic.Targets[c] = list
-		}
-	}
+	out.Users = codecutil.MergeRuns(noCandidates, users...)
+	out.Items = codecutil.MergeRuns(nil, items...)
+	out.Targets = codecutil.MergeRuns(noEdges, targets...)
+	return out
 }
 
-// WriteTo serializes the delta segment, implementing io.WriterTo. Keys are
-// written in ascending order so equal deltas serialize identically.
-func (d *Delta) WriteTo(w io.Writer) (int64, error) {
-	cw := &codecutil.CountingWriter{W: w}
-	hw := &codecutil.HashWriter{W: cw}
-	cp := &codecutil.Writer{BW: bufio.NewWriter(hw)}
-	cp.PutBytes(deltaMagic[:])
-	cp.PutU(deltaVersion)
-	cp.PutI(d.SweepClock)
-	writeUsersSection(cp, d.Users)
-	writeItemsSection(cp, d.Items)
-	if err := cp.Flush(); err != nil {
-		return cw.N, err
-	}
-	if _, err := d.Dynamic.WriteTo(hw); err != nil {
-		return cw.N, err
-	}
-	return cw.N, codecutil.WriteChecksum(cw, hw.Sum())
+// WriteTo serializes the segment as a delta segment, implementing
+// io.WriterTo. Keys are written in ascending order so equal deltas
+// serialize identically.
+func (s *Segment) WriteTo(w io.Writer) (int64, error) {
+	s.seal()
+	n, _, err := writeFile(w, deltaMagic, deltaVersion, func(cp *codecutil.Writer) {
+		cp.PutI(s.SweepClock)
+		s.writeUserItems(cp)
+	}, func(w io.Writer) (int64, error) {
+		return dynstore.EncodeTargets(w, s.Targets, true)
+	})
+	return n, err
 }
 
 // ParseDelta parses a whole delta segment file written by WriteTo, CRC32C
-// first like DecodeBase, into an arena-backed Delta.
-func ParseDelta(data []byte) (*Delta, error) {
+// first like DecodeBase, into an arena-backed Segment. The segment is fully
+// decoded before anyone merges it, so a corrupt one returns an error and
+// leaves whatever it would have been merged into exactly as it was
+// (enabling segment-at-a-time fallback).
+func ParseDelta(data []byte) (*Segment, error) {
 	c := codecutil.NewCursor(data, "partition delta")
 	c.Checked()
 	c.Header(deltaMagic, deltaVersion)
-	d := &Delta{SweepClock: c.I("delta sweep clock")}
-	d.Users, d.Items = readUserItemSections(c)
-	d.Dynamic = dynstore.DecodeDeltaAt(c)
+	s := &Segment{SweepClock: c.I("delta sweep clock")}
+	readUserItemSections(c, s)
+	s.Targets = dynstore.DecodeTargetsAt(c, true)
 	if err := c.Done(); err != nil {
 		return nil, err
 	}
-	return d, nil
-}
-
-// DecodeDelta parses the delta segment that rd holds up to its end.
-func DecodeDelta(rd io.Reader) (*Delta, int64, error) {
-	data, err := io.ReadAll(rd)
-	if err != nil {
-		return nil, int64(len(data)), err
-	}
-	d, err := ParseDelta(data)
-	return d, int64(len(data)), err
-}
-
-// ApplyDelta decodes one delta segment and folds it into the state — the
-// restore path's chain composition step. The segment is fully decoded
-// before any mutation, so a corrupt segment returns an error and leaves
-// the state exactly as it was (enabling segment-at-a-time fallback).
-func (st *CheckpointState) ApplyDelta(data []byte) error {
-	d, err := ParseDelta(data)
-	if err != nil {
-		return err
-	}
-	st.SweepClock = d.SweepClock
-	for a, list := range d.Users {
-		if len(list) == 0 {
-			delete(st.Users, a)
-		} else {
-			st.Users[a] = list
-		}
-	}
-	for it, count := range d.Items {
-		st.Items[it] = count
-	}
-	d.Dynamic.ApplyTo(st.Targets)
-	return nil
-}
-
-// ApplyDeltaFrom is ApplyDelta for callers with a stream: it reads rd to
-// its end.
-func (st *CheckpointState) ApplyDeltaFrom(rd io.Reader) (int64, error) {
-	data, err := io.ReadAll(rd)
-	if err != nil {
-		return int64(len(data)), err
-	}
-	return int64(len(data)), st.ApplyDelta(data)
+	return s, nil
 }

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math/rand"
-	"reflect"
 	"testing"
 	"time"
 
@@ -48,11 +48,15 @@ func applyDiamonds(p *Partition, t0 int64, from, to int) {
 	}
 }
 
-func statesEqual(a, b *CheckpointState) bool {
-	return a.SweepClock == b.SweepClock &&
-		reflect.DeepEqual(a.Users, b.Users) &&
-		reflect.DeepEqual(a.Items, b.Items) &&
-		reflect.DeepEqual(a.Targets, b.Targets)
+// applyDelta decodes one delta segment file and folds it onto base — the
+// restore path's composition step. A segment that does not decode folds
+// nothing: base comes back as it was.
+func applyDelta(base *Segment, data []byte) (*Segment, error) {
+	d, err := ParseDelta(data)
+	if err != nil {
+		return base, err
+	}
+	return Merge(true, base, d), nil
 }
 
 // TestDeltaComposeMatchesFullState pins the composition law the whole
@@ -63,7 +67,7 @@ func TestDeltaComposeMatchesFullState(t *testing.T) {
 	t0 := int64(10_000_000)
 
 	applyDiamonds(p, t0, 0, 30)
-	base := p.CaptureState()
+	base := snapshot(t, p)
 	p.CaptureDelta() // align the chain start with the base
 
 	var segments [][]byte
@@ -87,28 +91,25 @@ func TestDeltaComposeMatchesFullState(t *testing.T) {
 	cut()
 
 	for _, seg := range segments {
-		if _, err := base.ApplyDeltaFrom(bytes.NewReader(seg)); err != nil {
+		var err error
+		if base, err = applyDelta(base, seg); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want := p.CaptureState()
+	want := snapshot(t, p)
 	if !statesEqual(base, want) {
 		t.Fatal("composed base+deltas diverged from full capture")
 	}
 
 	// The composed state round-trips through the base codec and installs
 	// into a fresh partition that captures identically.
-	var buf bytes.Buffer
-	if _, err := base.WriteBaseTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	decoded := NewCheckpointState()
-	if _, err := decoded.ReadBaseFrom(bytes.NewReader(buf.Bytes())); err != nil {
+	decoded, err := DecodeBase(baseBytes(t, base))
+	if err != nil {
 		t.Fatal(err)
 	}
 	restored := deltaWorkloadPartition(t)
 	restored.LoadState(decoded)
-	if got := restored.CaptureState(); !statesEqual(got, want) {
+	if got := snapshot(t, restored); !statesEqual(got, want) {
 		t.Fatal("restored partition diverged from original")
 	}
 }
@@ -116,7 +117,7 @@ func TestDeltaComposeMatchesFullState(t *testing.T) {
 // TestFingerprintDistinguishesStates pins the half of the equality-witness
 // claim that an all-states-equal fingerprint would still pass: states that
 // differ by a single D edge, a single logged candidate, or a single item
-// counter fingerprint differently — in the composed (CheckpointState) form
+// counter fingerprint differently — in the composed (Segment) form
 // and streamed from a live Partition alike. (Hashing the base encoding
 // together with its own CRC trailer made every state fingerprint to the
 // CRC residue constant; this is the test that fails there.)
@@ -127,32 +128,30 @@ func TestFingerprintDistinguishesStates(t *testing.T) {
 		applyDiamonds(p, t0, 0, 20)
 		return p
 	}
-	base := build().CaptureState()
+	base := snapshot(t, build())
 	// An item and a user that applyDiamonds(0, 20) certainly touched.
 	item := graph.VertexID(10_000)
-	var user graph.VertexID
-	for a := range base.Users {
-		user = a
-		break
+	if len(base.Users) == 0 || find(base.Targets, item) == nil || find(base.Items, item) == nil {
+		t.Fatalf("workload did not populate D (%d targets), the candidate log (%d users) and item counters (%d)",
+			len(base.Targets), len(base.Users), len(base.Items))
 	}
-	if len(base.Targets[item]) == 0 || len(base.Users[user]) == 0 || base.Items[item] == 0 {
-		t.Fatalf("workload did not populate D (%d), the candidate log (%d) and item counters (%d)",
-			len(base.Targets[item]), len(base.Users[user]), base.Items[item])
-	}
-	variants := map[string]func(st *CheckpointState){
-		"identical": func(*CheckpointState) {},
-		"one D edge": func(st *CheckpointState) {
-			st.Targets[item] = st.Targets[item][:len(st.Targets[item])-1]
+	user := base.Users[0].Key
+	variants := map[string]func(st *Segment){
+		"identical": func(*Segment) {},
+		"one D edge": func(st *Segment) {
+			list := find(st.Targets, item)
+			*list = (*list)[:len(*list)-1]
 		},
-		"one candidate": func(st *CheckpointState) {
-			st.Users[user] = st.Users[user][:len(st.Users[user])-1]
+		"one candidate": func(st *Segment) {
+			list := find(st.Users, user)
+			*list = (*list)[:len(*list)-1]
 		},
-		"one item counter": func(st *CheckpointState) { st.Items[item]++ },
-		"sweep clock":      func(st *CheckpointState) { st.SweepClock++ },
+		"one item counter": func(st *Segment) { *find(st.Items, item)++ },
+		"sweep clock":      func(st *Segment) { st.SweepClock++ },
 	}
 	seen := map[uint32]string{}
 	for name, mutate := range variants {
-		st := build().CaptureState()
+		st := snapshot(t, build())
 		mutate(st)
 		fp, err := st.Fingerprint()
 		if err != nil {
@@ -220,7 +219,7 @@ func TestComposePathsFingerprintEqual(t *testing.T) {
 			// Live run: capture a base, then cut one delta per step.
 			live := deltaWorkloadPartition(t)
 			applyDiamonds(live, t0, 0, 20)
-			base := live.CaptureState()
+			base := snapshot(t, live)
 			live.CaptureDelta() // align the chain start with the base
 			var segs [][]byte
 			for _, s := range steps {
@@ -234,7 +233,7 @@ func TestComposePathsFingerprintEqual(t *testing.T) {
 				}
 				segs = append(segs, buf.Bytes())
 			}
-			want := live.CaptureState()
+			want := snapshot(t, live)
 			wantFP, err := want.Fingerprint()
 			if err != nil {
 				t.Fatal(err)
@@ -250,7 +249,7 @@ func TestComposePathsFingerprintEqual(t *testing.T) {
 			// Path 1: compose the replica's own chain.
 			chain := base
 			for _, seg := range segs {
-				if _, err := chain.ApplyDeltaFrom(bytes.NewReader(seg)); err != nil {
+				if chain, err = applyDelta(chain, seg); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -274,8 +273,8 @@ func TestComposePathsFingerprintEqual(t *testing.T) {
 				t.Fatalf("payload CRC %08x / trailer %08x != state fingerprint %08x",
 					crc, binary.LittleEndian.Uint32(trailer), wantFP)
 			}
-			pool := NewCheckpointState()
-			if _, err := pool.ReadBaseFrom(bytes.NewReader(file.Bytes())); err != nil {
+			pool, err := DecodeBase(file.Bytes())
+			if err != nil {
 				t.Fatal(err)
 			}
 			if !statesEqual(pool, want) {
@@ -297,7 +296,7 @@ func TestComposePathsFingerprintEqual(t *testing.T) {
 				}
 				replay.CaptureDelta()
 			}
-			got := replay.CaptureState()
+			got := snapshot(t, replay)
 			if !statesEqual(got, want) {
 				t.Fatal("deterministic replay diverged from live capture")
 			}
@@ -315,7 +314,7 @@ func TestDeltaCorruptSegmentLeavesStateUntouched(t *testing.T) {
 	p := deltaWorkloadPartition(t)
 	t0 := int64(10_000_000)
 	applyDiamonds(p, t0, 0, 20)
-	st := p.CaptureState()
+	st := snapshot(t, p)
 	p.CaptureDelta()
 	applyDiamonds(p, t0, 20, 40)
 	var buf bytes.Buffer
@@ -324,65 +323,25 @@ func TestDeltaCorruptSegmentLeavesStateUntouched(t *testing.T) {
 	}
 	truncated := buf.Bytes()[:buf.Len()/2]
 
-	before := NewCheckpointState()
-	beforeBuf := &bytes.Buffer{}
-	if _, err := st.WriteBaseTo(beforeBuf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := before.ReadBaseFrom(bytes.NewReader(beforeBuf.Bytes())); err != nil {
+	before, err := DecodeBase(baseBytes(t, st))
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	if _, err := st.ApplyDeltaFrom(bytes.NewReader(truncated)); err == nil {
+	got, err := applyDelta(st, truncated)
+	if err == nil {
 		t.Fatal("corrupt segment accepted")
 	}
-	if !statesEqual(st, before) {
+	if got != st || !statesEqual(st, before) {
 		t.Fatal("corrupt segment mutated the composed state")
-	}
-}
-
-// TestDeltaMergeOlderNewerWins pins the carry-forward semantics the
-// async writer uses when a cut's persistence fails: keys present in both
-// take the newer value, keys only in the older (untouched since its
-// capture, so still current) survive.
-func TestDeltaMergeOlderNewerWins(t *testing.T) {
-	old := &Delta{
-		SweepClock: 1,
-		Users:      map[graph.VertexID][]motif.Candidate{1: {{User: 1, Item: 10}}, 2: {{User: 2, Item: 20}}},
-		Items:      map[graph.VertexID]uint64{10: 1, 20: 1},
-		Dynamic:    dynstore.Delta{Targets: map[graph.VertexID][]dynstore.InEdge{5: {{B: 1, TS: 100}}}},
-	}
-	newer := &Delta{
-		SweepClock: 2,
-		Users:      map[graph.VertexID][]motif.Candidate{2: {{User: 2, Item: 21}}},
-		Items:      map[graph.VertexID]uint64{20: 2},
-		Dynamic:    dynstore.Delta{Targets: map[graph.VertexID][]dynstore.InEdge{6: {{B: 2, TS: 200}}}},
-	}
-	newer.MergeOlder(old)
-	if newer.SweepClock != 2 {
-		t.Fatalf("SweepClock = %d, want newer's 2", newer.SweepClock)
-	}
-	if got := newer.Users[2][0].Item; got != 21 {
-		t.Fatalf("user 2 item = %d, want newer's 21", got)
-	}
-	if _, ok := newer.Users[1]; !ok {
-		t.Fatal("older-only user 1 dropped")
-	}
-	if newer.Items[20] != 2 || newer.Items[10] != 1 {
-		t.Fatalf("items merged wrong: %v", newer.Items)
-	}
-	if _, ok := newer.Dynamic.Targets[5]; !ok {
-		t.Fatal("older-only target 5 dropped")
-	}
-	if _, ok := newer.Dynamic.Targets[6]; !ok {
-		t.Fatal("newer target 6 dropped")
 	}
 }
 
 // TestDeltaCutPauseBounded is the acceptance check for the incremental
 // pipeline: with a large store and a small dirty set, a delta cut must be
-// at least 5x cheaper than a full-snapshot cut (in practice it is orders
-// of magnitude cheaper; 5x keeps the test robust on loaded CI machines).
+// at least 5x cheaper than what a full cut would cost now — the live full
+// encode (in practice it is orders of magnitude cheaper; 5x keeps the test
+// robust on loaded CI machines).
 func TestDeltaCutPauseBounded(t *testing.T) {
 	p := deltaWorkloadPartition(t)
 	t0 := int64(10_000_000)
@@ -402,7 +361,11 @@ func TestDeltaCutPauseBounded(t *testing.T) {
 		return best
 	}
 
-	full := minOver(5, func() { p.CaptureState() })
+	full := minOver(5, func() {
+		if _, err := p.WriteTo(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
 
 	// Dirty a handful of targets before each run and time only the cut.
 	dirt := 25_000

@@ -22,9 +22,10 @@ import "io"
 // Computing one streams the encoder into a hash and discards the bytes —
 // no allocation proportional to state size beyond the encoder's buffers.
 
-// Fingerprint returns the state's CRC32C fingerprint.
-func (st *CheckpointState) Fingerprint() (uint32, error) {
-	_, sum, err := st.writeBase(io.Discard)
+// Fingerprint returns the CRC32C fingerprint of the state a base segment
+// holds.
+func (s *Segment) Fingerprint() (uint32, error) {
+	_, sum, err := s.writeBase(io.Discard)
 	return sum, err
 }
 

@@ -26,8 +26,8 @@ func goldenCand(user, item graph.VertexID, via []graph.VertexID, ts int64, prog 
 	}
 }
 
-func goldenBase() *CheckpointState {
-	return &CheckpointState{
+func goldenBase() *mapState {
+	return &mapState{
 		SweepClock: 1_700_000_000_123,
 		Users: map[graph.VertexID][]motif.Candidate{
 			7: {
@@ -45,30 +45,30 @@ func goldenBase() *CheckpointState {
 	}
 }
 
-func goldenDelta() *Delta {
-	return &Delta{
+func goldenDelta() *mapState {
+	return &mapState{
 		SweepClock: 1_700_000_060_000,
 		Users: map[graph.VertexID][]motif.Candidate{
 			7:  nil, // swept
 			42: {goldenCand(42, 902, []graph.VertexID{13, 14}, 1_700_000_050_000, "fresh-follow", 2)},
 		},
 		Items: map[graph.VertexID]uint64{900: 3, 902: 1},
-		Dynamic: dynstore.Delta{Targets: map[graph.VertexID][]dynstore.InEdge{
+		Targets: map[graph.VertexID][]dynstore.InEdge{
 			900: nil, // pruned empty
 			902: {{B: 13, TS: 1_700_000_049_000}, {B: 14, TS: 1_700_000_050_000}},
-		}},
+		},
 	}
 }
 
 // goldenComposed is goldenBase with goldenDelta applied, written out by hand.
-func goldenComposed() *CheckpointState {
+func goldenComposed() *mapState {
 	st := goldenBase()
 	st.SweepClock = 1_700_000_060_000
 	delete(st.Users, 7)
 	st.Users[42] = goldenDelta().Users[42]
 	st.Items[900], st.Items[902] = 3, 1
 	delete(st.Targets, 900)
-	st.Targets[902] = goldenDelta().Dynamic.Targets[902]
+	st.Targets[902] = goldenDelta().Targets[902]
 	return st
 }
 
@@ -84,11 +84,11 @@ func readGolden(t *testing.T, name string) []byte {
 func TestGoldenSegmentsDecodeAndReencode(t *testing.T) {
 	base, delta := readGolden(t, "base.seg"), readGolden(t, "delta.seg")
 
-	st := NewCheckpointState()
-	if n, err := st.ReadBaseFrom(bytes.NewReader(base)); err != nil || n != int64(len(base)) {
-		t.Fatalf("ReadBaseFrom = %d, %v; file is %d bytes", n, err, len(base))
+	st, err := DecodeBase(base)
+	if err != nil {
+		t.Fatalf("DecodeBase: %v", err)
 	}
-	if !statesEqual(st, goldenBase()) {
+	if !statesEqual(st, goldenBase().segment()) {
 		t.Fatalf("base.seg decoded to %+v", st)
 	}
 	var out bytes.Buffer
@@ -106,9 +106,12 @@ func TestGoldenSegmentsDecodeAndReencode(t *testing.T) {
 		t.Fatalf("Fingerprint %08x, file trailer %08x", fp, trailer)
 	}
 
-	d, n, err := DecodeDelta(bytes.NewReader(delta))
-	if err != nil || n != int64(len(delta)) {
-		t.Fatalf("DecodeDelta = %d, %v; file is %d bytes", n, err, len(delta))
+	d, err := ParseDelta(delta)
+	if err != nil {
+		t.Fatalf("ParseDelta: %v", err)
+	}
+	if !statesEqual(d, goldenDelta().segment()) {
+		t.Fatalf("delta.seg decoded to %+v", d)
 	}
 	out.Reset()
 	if _, err := d.WriteTo(&out); err != nil {
@@ -117,10 +120,7 @@ func TestGoldenSegmentsDecodeAndReencode(t *testing.T) {
 	if !bytes.Equal(out.Bytes(), delta) {
 		t.Fatal("re-encoded delta differs from delta.seg")
 	}
-	if _, err := st.ApplyDeltaFrom(bytes.NewReader(delta)); err != nil {
-		t.Fatal(err)
-	}
-	if !statesEqual(st, goldenComposed()) {
+	if st = Merge(true, st, d); !statesEqual(st, goldenComposed().segment()) {
 		t.Fatalf("base.seg + delta.seg composed to %+v", st)
 	}
 }
@@ -133,11 +133,11 @@ func TestGoldenSegmentsDecodeAndReencode(t *testing.T) {
 func TestSegmentPrefixesAndBitFlipsRejected(t *testing.T) {
 	decoders := map[string]func([]byte) error{
 		"base.seg": func(b []byte) error {
-			_, err := NewCheckpointState().ReadBaseFrom(bytes.NewReader(b))
+			_, err := DecodeBase(b)
 			return err
 		},
 		"delta.seg": func(b []byte) error {
-			_, _, err := DecodeDelta(bytes.NewReader(b))
+			_, err := ParseDelta(b)
 			return err
 		},
 	}
