@@ -79,7 +79,9 @@ test-transport:
 
 # test-planner runs the motif planner and shared-execution suite under
 # the race detector: the DSL (lexer/parser/plan IR/EXPLAIN goldens), the
-# interpreted planned programs against the hand-written oracles, the
+# plan executor against its test-only references (the hand-written
+# diamond and fresh-follow it replaced, an op-list interpreter, the
+# brute-force oracle) with the differential fuzz target's seeds, the
 # engine's shared-trie differential and live-degree feed, and the
 # cluster-level multi-query differential (shared vs independent multiset
 # + fingerprint equality, multi-motif kill/restore) — the quick loop for
@@ -179,11 +181,13 @@ fuzz:
 	$(GO) test -run=NONE -fuzz FuzzCompile -fuzztime 30s ./internal/motifdsl
 	$(GO) test -run=NONE -fuzz FuzzPlanRestore -fuzztime 30s ./internal/cluster
 	$(GO) test -run=NONE -fuzz FuzzSegmentMerge -fuzztime 30s ./internal/partition
+	$(GO) test -run=NONE -fuzz FuzzPlanMatchesReference -fuzztime 30s ./internal/motif
 
 # fuzz-smoke is the CI-budget version: 10s per target keeps the decoders,
 # the WAL record framing, the delivery-state codec, the transport wire
-# protocol, the motif DSL compiler, the restore planner, and the segment
-# merge continuously fuzzed without stalling checks. The exhaustive prefix / bit-flip
+# protocol, the motif DSL compiler, the restore planner, the segment
+# merge, and the plan executor (against its references) continuously
+# fuzzed without stalling checks. The exhaustive prefix / bit-flip
 # properties run first: what the fuzzers sample, they enumerate for one
 # valid input per format.
 fuzz-smoke:
@@ -197,3 +201,4 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz FuzzCompile -fuzztime 10s ./internal/motifdsl
 	$(GO) test -run=NONE -fuzz FuzzPlanRestore -fuzztime 10s ./internal/cluster
 	$(GO) test -run=NONE -fuzz FuzzSegmentMerge -fuzztime 10s ./internal/partition
+	$(GO) test -run=NONE -fuzz FuzzPlanMatchesReference -fuzztime 10s ./internal/motif

@@ -278,44 +278,6 @@ func BenchmarkE9BrokerReads(b *testing.B) {
 	}
 }
 
-// BenchmarkE10DSLOverhead compares the DSL-compiled diamond with the
-// hand-coded one on identical streams; E10's claim is zero meaningful
-// overhead.
-func BenchmarkE10DSLOverhead(b *testing.B) {
-	static, stream := benchWorkload(b)
-	run := func(b *testing.B, prog motif.Program) {
-		builder := &statstore.Builder{MaxInfluencers: 200}
-		s := statstore.New(builder.Build(static))
-		d := dynstore.New(dynstore.Options{Retention: 10 * time.Minute, MaxPerTarget: 1024})
-		ctx := &motif.Context{S: s, D: d}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e := stream[i%len(stream)]
-			d.Insert(e)
-			prog.OnEdge(ctx, e)
-		}
-	}
-	b.Run("handcoded", func(b *testing.B) {
-		run(b, motif.NewDiamond(motif.DiamondConfig{
-			K: 3, Window: 10 * time.Minute, MaxFanout: 64,
-		}))
-	})
-	b.Run("dsl", func(b *testing.B) {
-		progs, err := motifstream.CompileMotif(`
-motif "dsl-diamond" {
-    match A -> B;
-    match B =[follow]=> C within 10m;
-    where count(B) >= 3;
-    emit C to A via B;
-    limit fanout 64;
-}`)
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(b, progs[0])
-	})
-}
-
 // BenchmarkE11RecoveryReplay measures the cost of replica crash recovery:
 // a replica of a 2-partition, 2-replica cluster is killed after ingesting
 // the stream, then restored from its durable checkpoint and caught up by

@@ -36,8 +36,8 @@ type ClusterOptions struct {
 	// Detection output is identical either way; this is a benchmark and
 	// differential-testing lever, not a correctness switch.
 	DisableSharing bool
-	// motifSources holds DSL sources added via RegisterMotifs; each is
-	// compiled per replica alongside the primary diamond.
+	// motifSources holds DSL sources added via RegisterMotifs; NewCluster
+	// compiles them once, after the primary diamond.
 	motifSources []string
 	// QueueDelayMedian and QueueDelayP99 shape the simulated end-to-end
 	// message-queue propagation delay (the paper's dominant latency:
@@ -173,16 +173,15 @@ func NewCluster(staticEdges []Edge, opts ClusterOptions) (*Cluster, error) {
 	if opts.Partitions == 0 {
 		opts.Partitions = 20
 	}
-	if opts.K == 0 {
-		opts.K = 3
+	primary, window, err := primaryDiamond(opts.K, opts.Window, opts.EdgeTypes, opts.MaxFanout)
+	if err != nil {
+		return nil, err
 	}
-	if opts.Window <= 0 {
-		opts.Window = 10 * time.Minute
-	}
-	if opts.MaxFanout == 0 {
-		opts.MaxFanout = 256
-	} else if opts.MaxFanout < 0 {
-		opts.MaxFanout = 0 // DiamondConfig's "unlimited"
+	// Plans are immutable and safe for concurrent OnEdge calls, so the motif
+	// set is compiled once and every replica runs the same programs.
+	programs, err := appendMotifs([]motif.Program{primary}, opts.motifSources)
+	if err != nil {
+		return nil, err
 	}
 
 	var ingestDelay, deliverDelay queue.DelayModel
@@ -192,31 +191,6 @@ func NewCluster(staticEdges []Edge, opts ClusterOptions) (*Cluster, error) {
 		// iid lognormals keep roughly the same tail ratio.
 		half := queue.LognormalFromQuantiles(opts.QueueDelayMedian/2, opts.QueueDelayP99/2)
 		ingestDelay, deliverDelay = half, half
-	}
-
-	newPrograms := func() []motif.Program {
-		progs := []motif.Program{
-			motif.NewDiamond(motif.DiamondConfig{
-				K:         opts.K,
-				Window:    opts.Window,
-				EdgeTypes: opts.EdgeTypes,
-				MaxFanout: opts.MaxFanout,
-			}),
-		}
-		for _, src := range opts.motifSources {
-			extra, err := CompileMotif(src)
-			if err == nil {
-				progs = append(progs, extra...)
-			}
-		}
-		return progs
-	}
-	for _, src := range opts.motifSources {
-		// RegisterMotifs validated already; revalidate in case the options
-		// struct was assembled by hand across goroutines or copied stale.
-		if _, err := CompileMotif(src); err != nil {
-			return nil, err
-		}
 	}
 
 	dopts := delivery.Options{
@@ -238,8 +212,8 @@ func NewCluster(staticEdges []Edge, opts ClusterOptions) (*Cluster, error) {
 		Replicas:           opts.Replicas,
 		StaticEdges:        staticEdges,
 		MaxInfluencers:     opts.MaxInfluencers,
-		Dynamic:            dynstore.Options{Retention: opts.Window, MaxPerTarget: 1024},
-		NewPrograms:        newPrograms,
+		Dynamic:            dynstore.Options{Retention: window, MaxPerTarget: 1024},
+		NewPrograms:        func() []motif.Program { return programs },
 		DisableSharing:     opts.DisableSharing,
 		IngestDelay:        ingestDelay,
 		DeliveryDelay:      deliverDelay,

@@ -30,7 +30,7 @@ func runE3(c runConfig) []benchfmt.Metric {
 	ctx := &motif.Context{S: s, D: d}
 	progs := []motif.Program{
 		motif.NewDiamond(motif.DiamondConfig{K: 2, Window: 10 * time.Minute, MaxFanout: 64}),
-		&motif.FreshFollow{MaxCandidates: 64},
+		motif.NewFreshFollow(64),
 	}
 	pipe := delivery.NewPipeline(delivery.Options{})
 

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"sort"
 	"sync"
 	"time"
 
@@ -13,8 +12,6 @@ import (
 	"motifstream/internal/dynstore"
 	"motifstream/internal/graph"
 	"motifstream/internal/motif"
-	"motifstream/internal/motifdsl"
-	"motifstream/internal/statstore"
 )
 
 // runE9 measures the replication claim: "we can replicate the partitions
@@ -146,84 +143,6 @@ func runE9(c runConfig) []benchfmt.Metric {
 	fmt.Println("  expected shape: read throughput grows with replica count; single-replica")
 	fmt.Println("  failure is invisible to clients.")
 	return out
-}
-
-// runE10 verifies the declarative path of §3: a DSL-compiled diamond must
-// produce byte-for-byte the same candidates as the hand-coded program, at
-// negligible runtime overhead (compilation happens once, off the hot
-// path).
-func runE10(c runConfig) []benchfmt.Metric {
-	users, avgFollows, events := workloadSizes(c.quick)
-	static := cachedGraph(users, avgFollows)
-	stream := cachedStream(users, events)
-	builder := &statstore.Builder{MaxInfluencers: 200}
-	s := statstore.New(builder.Build(static))
-
-	const src = `
-motif "dsl-diamond" {
-    match A -> B;
-    match B =[follow]=> C within 10m;
-    where count(B) >= 3;
-    emit C to A via B;
-    limit fanout 64;
-}`
-	prog, err := motifdsl.CompileOne(src)
-	if err != nil {
-		log.Fatal(err)
-	}
-	hand := motif.NewDiamond(motif.DiamondConfig{
-		K: 3, Window: 10 * time.Minute, MaxFanout: 64,
-	})
-
-	run := func(p motif.Program) (keys []string, elapsed time.Duration) {
-		d := dynstore.New(dynstore.Options{Retention: 10 * time.Minute})
-		ctx := &motif.Context{S: s, D: d}
-		start := time.Now()
-		for _, e := range stream {
-			d.Insert(e)
-			for _, cand := range p.OnEdge(ctx, e) {
-				keys = append(keys, fmt.Sprintf("%d>%d@%d", cand.User, cand.Item, cand.Trigger.TS))
-			}
-		}
-		elapsed = time.Since(start)
-		sort.Strings(keys)
-		return keys, elapsed
-	}
-
-	// Alternate runs and keep each program's best time: on a small
-	// machine, run order (cache warmth, GC debt) would otherwise bias the
-	// comparison.
-	handKeys, handTime := run(hand)
-	dslKeys, dslTime := run(prog)
-	if _, t2 := run(hand); t2 < handTime {
-		handTime = t2
-	}
-	if _, t2 := run(prog); t2 < dslTime {
-		dslTime = t2
-	}
-
-	same := len(handKeys) == len(dslKeys)
-	if same {
-		for i := range handKeys {
-			if handKeys[i] != dslKeys[i] {
-				same = false
-				break
-			}
-		}
-	}
-	tb := newTable("program", "candidates", "run time", "identical output")
-	tb.addf("hand-coded diamond|%d|%v|-", len(handKeys), handTime.Round(time.Millisecond))
-	tb.addf("DSL-compiled|%d|%v|%v", len(dslKeys), dslTime.Round(time.Millisecond), same)
-	tb.print()
-	if !same {
-		log.Fatal("E10 FAILED: DSL and hand-coded candidates differ")
-	}
-	overhead := 100 * (dslTime.Seconds() - handTime.Seconds()) / handTime.Seconds()
-	fmt.Printf("  runtime overhead of the declarative path: %+.1f%% (compile-once, same engine)\n", overhead)
-	fmt.Println("  expected shape: identical candidates; overhead within noise.")
-	return []benchfmt.Metric{
-		{Name: "e10.dsl_overhead_pct", Value: overhead, Unit: "%"},
-	}
 }
 
 // capacityReplica wraps a replica with a per-server capacity model: one

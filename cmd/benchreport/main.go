@@ -1,5 +1,5 @@
 // Command benchreport regenerates every experiment in the reproduction's
-// experiment index (DESIGN.md §4): the Figure 1 walkthrough and the ten
+// experiment index (DESIGN.md §4): the Figure 1 walkthrough and the nine
 // quantitative claims of the paper's §2, printing paper-vs-measured tables.
 // The trajectory experiments (T1..T5) additionally measure the pinned
 // benchmark-trajectory point (docs/BENCHMARKS.md) and every experiment
@@ -55,7 +55,7 @@ func main() {
 	log.SetPrefix("benchreport: ")
 
 	var (
-		expFlag    = flag.String("exp", "all", "comma-separated experiment IDs (F1,E1..E10,T1..T5) or 'all'")
+		expFlag    = flag.String("exp", "all", "comma-separated experiment IDs (F1,E1..E9,T1..T5) or 'all'")
 		quick      = flag.Bool("quick", false, "use smaller workloads")
 		trajectory = flag.Bool("trajectory", false, "run only the trajectory experiments (T1..T5)")
 		jsonOut    = flag.String("json", "", "write a benchfmt artifact (BENCH_<date>.json) to this path")
@@ -75,7 +75,6 @@ func main() {
 		{"E7", "S memory and recall vs influencer cap", runE7},
 		{"E8", "intersection kernel ablation", runE8},
 		{"E9", "read throughput and failover vs replica count", runE9},
-		{"E10", "DSL-compiled vs hand-coded diamond", runE10},
 		{"T1", "trajectory: pinned ingest throughput + wall-clock detection latency", runT1},
 		{"T2", "trajectory: recovery replay rate (kill/restore/catch-up)", runT2},
 		{"T3", "trajectory: reprovision latency (node replacement)", runT3},

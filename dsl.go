@@ -18,6 +18,19 @@ func CompileMotif(src string) ([]Program, error) {
 	return motifdsl.Compile(src)
 }
 
+// appendMotifs compiles each registered source and appends its programs to
+// progs, the tail of the program set both facades build.
+func appendMotifs(progs []Program, sources []string) ([]Program, error) {
+	for _, src := range sources {
+		extra, err := CompileMotif(src)
+		if err != nil {
+			return nil, err
+		}
+		progs = append(progs, extra...)
+	}
+	return progs, nil
+}
+
 // ExplainMotif returns the human-readable query plan for each declaration
 // in src — the paper's "optimized query plan against an online graph
 // database", in EXPLAIN form.

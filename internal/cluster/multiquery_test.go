@@ -65,8 +65,9 @@ motif "broadcast-%d" {
 }
 
 // multiQueryPrograms returns a NewPrograms constructor for the seeded
-// motif set, with a hand-written Diamond leading the registration order so
-// grouped and ungrouped programs interleave.
+// motif set, with a TriangleClosure (no plan, so outside the trie) leading
+// the registration order so grouped and directly invoked programs
+// interleave.
 func multiQueryPrograms(t testing.TB, seed int64) func() []motif.Program {
 	t.Helper()
 	src := multiQueryDSL(seed)
@@ -79,9 +80,7 @@ func multiQueryPrograms(t testing.TB, seed int64) func() []motif.Program {
 			panic(err)
 		}
 		out := make([]motif.Program, 0, len(progs)+1)
-		out = append(out, motif.NewDiamond(motif.DiamondConfig{
-			Name: "oracle", K: 2, Window: 10 * time.Minute, MaxFanout: 64,
-		}))
+		out = append(out, motif.NewTriangleClosure(10*time.Minute))
 		return append(out, progs...)
 	}
 }

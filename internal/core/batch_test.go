@@ -138,9 +138,10 @@ func newAllocEngine(tb testing.TB) *Engine {
 }
 
 // TestDetectBatchAllocBudget is the allocation-regression gate of the
-// candidate-generation path: once warm, the no-candidate hot path — the
-// DetectBatch + MaybeSweep sequence replicas run — must average under one
-// heap allocation per event. The previous per-event path allocated the
+// candidate-generation path, and since NewDiamond returns a plan the <=1
+// alloc/event gate of the plan executor (a group of one): once warm, the
+// no-candidate hot path — the DetectBatch + MaybeSweep sequence replicas
+// run — must average under one heap allocation per event. The previous per-event path allocated the
 // recent-actor slice, the list headers, and the intersection output on
 // every edge (~5+ allocs/event); the budget pins the >=90%% reduction.
 func TestDetectBatchAllocBudget(t *testing.T) {

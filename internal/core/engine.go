@@ -37,31 +37,33 @@ type Config struct {
 	// SweepInterval is the stream-time interval between background D
 	// prunes; zero selects one minute.
 	SweepInterval time.Duration
-	// DisableSharing runs every planned program as an independent per-event
-	// scan instead of grouping common probe prefixes. The shared and
-	// independent paths produce identical candidates; the knob exists for
-	// differential tests and for measuring the sharing win.
+	// DisableSharing makes every planned program its own group of one — an
+	// independent per-event scan — instead of grouping common probe
+	// prefixes. Both arrangements produce identical candidates; the knob
+	// exists for differential tests and for measuring the sharing win.
 	DisableSharing bool
 }
 
-// Engine applies dynamic edges to D and runs motif programs. Safe for
+// Engine applies dynamic edges to D and runs motif programs: plans through
+// the motif package's group executor, anything else by calling it. Safe for
 // concurrent Apply calls.
 type Engine struct {
 	static  *statstore.Store
 	dynamic *dynstore.Store
 	ctx     *motif.Context
-	progs   []progEntry
+	// direct holds, in registration order, the programs the engine invokes
+	// itself: everything that is not a plan (TriangleClosure, a caller's own
+	// Program). A plan's entry is nil; its candidates come from a group.
+	direct []motif.ScratchProgram
 
-	// Shared execution trie: planned programs with a common probe prefix
-	// (equal ShareKey) run the per-event D/S work once. groupSlots[i]
-	// holds the registration index of each member of groups[i], so group
-	// results land in their registration-order slots.
+	// Shared execution trie: every plan runs in a group, plans with a common
+	// probe prefix (equal ShareKey) in the same one, so the per-event D/S
+	// work runs once per key. groupSlots[i] holds the registration index of
+	// each member of groups[i], so group results land in their
+	// registration-order slots.
 	groups     []*motif.PlannedGroup
 	groupSlots [][]int
-	// scansSavedPerEvent is the number of per-event program invocations
-	// sharing avoids versus independent execution: sum over groups of
-	// (members - 1).
-	scansSavedPerEvent int
+	sharing    SharingStats
 
 	stats *graph.LiveDegreeStats
 
@@ -75,14 +77,12 @@ type Engine struct {
 	lastSweep  atomic.Int64
 }
 
-// progEntry caches the ScratchProgram assertion per program so the hot
-// path does not repeat the interface check on every edge.
-type progEntry struct {
-	p  motif.Program
-	sp motif.ScratchProgram // non-nil when p implements the scratch path
-	// grouped marks programs executed by a shared group; their candidates
-	// are picked up from the result slot instead of a direct invocation.
-	grouped bool
+// plainProgram runs a Program that has no scratch path through the engine's
+// one invocation form.
+type plainProgram struct{ motif.Program }
+
+func (p plainProgram) OnEdgeScratch(ctx *motif.Context, e graph.Edge, _ *motif.Scratch) []motif.Candidate {
+	return p.OnEdge(ctx, e)
 }
 
 // NewEngine validates cfg and constructs an Engine.
@@ -122,58 +122,55 @@ func NewEngine(cfg Config) (*Engine, error) {
 		ingestLatency: reg.Histogram("engine.ingest_latency"),
 		sweepEvery:    sweep.Milliseconds(),
 	}
-	for _, p := range cfg.Programs {
-		ent := progEntry{p: p}
-		ent.sp, _ = p.(motif.ScratchProgram)
-		e.progs = append(e.progs, ent)
-	}
-	if !cfg.DisableSharing {
-		if err := e.buildGroups(); err != nil {
-			return nil, err
-		}
+	if err := e.buildGroups(cfg.Programs, !cfg.DisableSharing); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
 
-// buildGroups partitions the planned programs by ShareKey and forms a
-// shared group for every key with at least two members (a singleton gains
-// nothing from the group machinery). Group members keep their
-// registration indices so candidate assembly stays in registration order.
-func (e *Engine) buildGroups() error {
-	byKey := map[string][]int{}
-	var keys []string
-	for i := range e.progs {
-		pp, ok := e.progs[i].p.(*motif.PlannedProgram)
-		if !ok {
-			continue
+// buildGroups sorts the programs into the two ways the engine runs them:
+// plans into groups — one per ShareKey in first-registration order, or one
+// per plan when share is false — and everything else into direct. Group
+// members keep their registration indices so candidate assembly stays in
+// registration order. Only groups of two or more count as sharing.
+func (e *Engine) buildGroups(progs []motif.Program, share bool) error {
+	e.direct = make([]motif.ScratchProgram, len(progs))
+	e.sharing.Programs = len(progs)
+	groupOf := map[string]int{}
+	var members [][]*motif.PlannedProgram
+	for i, p := range progs {
+		switch p := p.(type) {
+		case *motif.PlannedProgram:
+			gi, ok := groupOf[p.ShareKey()]
+			if !ok || !share {
+				gi = len(members)
+				groupOf[p.ShareKey()] = gi
+				members = append(members, nil)
+				e.groupSlots = append(e.groupSlots, nil)
+			}
+			members[gi] = append(members[gi], p)
+			e.groupSlots[gi] = append(e.groupSlots[gi], i)
+		case motif.ScratchProgram:
+			e.direct[i] = p
+		default:
+			e.direct[i] = plainProgram{p}
 		}
-		k := pp.ShareKey()
-		if len(byKey[k]) == 0 {
-			keys = append(keys, k)
-		}
-		byKey[k] = append(byKey[k], i)
 	}
-	for _, k := range keys {
-		idxs := byKey[k]
-		if len(idxs) < 2 {
-			continue
-		}
-		members := make([]*motif.PlannedProgram, len(idxs))
-		for j, i := range idxs {
-			members[j] = e.progs[i].p.(*motif.PlannedProgram)
-			e.progs[i].grouped = true
-		}
-		g, err := motif.NewPlannedGroup(members)
+	for _, ms := range members {
+		g, err := motif.NewPlannedGroup(ms)
 		if err != nil {
 			return fmt.Errorf("core: grouping programs: %w", err)
 		}
 		e.groups = append(e.groups, g)
-		e.groupSlots = append(e.groupSlots, idxs)
-		e.scansSavedPerEvent += len(idxs) - 1
+		if len(ms) >= 2 {
+			e.sharing.Groups++
+			e.sharing.GroupedPrograms += len(ms)
+			e.sharing.ScansSavedPerEvent += len(ms) - 1
+		}
 	}
-	if len(e.groups) > 0 {
-		e.reg.Counter("engine.shared_groups").Add(uint64(len(e.groups)))
-		e.reg.Counter("engine.shared_group_members").Add(uint64(len(e.groups) + e.scansSavedPerEvent))
+	if e.sharing.Groups > 0 {
+		e.reg.Counter("engine.shared_groups").Add(uint64(e.sharing.Groups))
+		e.reg.Counter("engine.shared_group_members").Add(uint64(e.sharing.GroupedPrograms))
 	}
 	return nil
 }
@@ -202,29 +199,20 @@ func (e *Engine) applyOne(edge graph.Edge, s *motif.Scratch) []motif.Candidate {
 	e.dynamic.Insert(edge)
 	detect := time.Now()
 	var out []motif.Candidate
-	var res [][]motif.Candidate
-	if len(e.groups) > 0 {
-		// Shared prefixes first: each group runs its trigger filter and
-		// D/S probes once, parking member results in their registration
-		// slots. Programs are read-only past the D insert above, so
-		// running groups ahead of ungrouped programs cannot change any
-		// result — only the assembly below determines candidate order.
-		res = s.ResultSlots(len(e.progs))
-		for gi, g := range e.groups {
-			g.DetectInto(e.ctx, edge, s, res, e.groupSlots[gi])
-		}
+	// Groups first: each runs its trigger filter and D/S probes once,
+	// parking member results in their registration slots. Programs are
+	// read-only past the D insert above, so running groups ahead of direct
+	// programs cannot change any result — only the assembly below determines
+	// candidate order.
+	res := s.ResultSlots(len(e.direct))
+	for gi, g := range e.groups {
+		g.DetectInto(e.ctx, edge, s, res, e.groupSlots[gi])
 	}
-	for i := range e.progs {
-		ent := &e.progs[i]
-		var cands []motif.Candidate
-		switch {
-		case ent.grouped:
-			cands = res[i]
-			res[i] = nil
-		case ent.sp != nil:
-			cands = ent.sp.OnEdgeScratch(e.ctx, edge, s)
-		default:
-			cands = ent.p.OnEdge(e.ctx, edge)
+	for i, sp := range e.direct {
+		cands := res[i]
+		res[i] = nil
+		if sp != nil {
+			cands = sp.OnEdgeScratch(e.ctx, edge, s)
 		}
 		if len(cands) > 0 {
 			if out == nil {
@@ -334,7 +322,8 @@ type SharingStats struct {
 	Programs int
 	// Groups is the number of shared-prefix groups (>= 2 members each).
 	Groups int
-	// GroupedPrograms is the number of programs executed through a group.
+	// GroupedPrograms is the number of programs executed through such a
+	// group (a plan alone in its group is not counted).
 	GroupedPrograms int
 	// ScansSavedPerEvent is the per-event program invocations avoided by
 	// sharing: sum over groups of (members - 1).
@@ -351,20 +340,7 @@ func (s SharingStats) SharedFraction() float64 {
 }
 
 // Sharing reports how the registered programs were grouped.
-func (e *Engine) Sharing() SharingStats {
-	grouped := 0
-	for i := range e.progs {
-		if e.progs[i].grouped {
-			grouped++
-		}
-	}
-	return SharingStats{
-		Programs:           len(e.progs),
-		Groups:             len(e.groups),
-		GroupedPrograms:    grouped,
-		ScansSavedPerEvent: e.scansSavedPerEvent,
-	}
-}
+func (e *Engine) Sharing() SharingStats { return e.sharing }
 
 // Stats summarizes engine activity.
 type Stats struct {

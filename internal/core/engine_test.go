@@ -43,7 +43,7 @@ func TestNewEngineValidation(t *testing.T) {
 	b := &statstore.Builder{}
 	s := statstore.New(b.Build(nil))
 	d := dynstore.New(dynstore.Options{})
-	progs := []motif.Program{&motif.FreshFollow{}}
+	progs := []motif.Program{motif.NewFreshFollow(0)}
 	if _, err := NewEngine(Config{Dynamic: d, Programs: progs}); err == nil {
 		t.Fatal("missing Static accepted")
 	}
@@ -82,13 +82,34 @@ func TestEngineInsertsEachEdgeOnce(t *testing.T) {
 	// Two programs must not double-insert: D should hold exactly the
 	// applied edges.
 	e := testEngine(t, fig1Static(), func(c *Config) {
-		c.Programs = append(c.Programs, &motif.FreshFollow{})
+		c.Programs = append(c.Programs, motif.NewFreshFollow(0))
 	})
 	for i := 0; i < 5; i++ {
 		e.Apply(graph.Edge{Src: 10, Dst: graph.VertexID(50 + i), Type: graph.Follow, TS: int64(i)})
 	}
 	if st := e.Stats(); st.Dynamic.Edges != 5 {
 		t.Fatalf("D edges = %d, want 5", st.Dynamic.Edges)
+	}
+}
+
+// echoProgram is a caller's own motif that implements only the bare Program
+// interface.
+type echoProgram struct{}
+
+func (echoProgram) Name() string { return "echo" }
+func (echoProgram) OnEdge(_ *motif.Context, e graph.Edge) []motif.Candidate {
+	return []motif.Candidate{{User: e.Src, Item: e.Dst, Program: "echo"}}
+}
+
+// TestEngineRunsPlainProgram checks that a program with no scratch path is
+// invoked and its candidates assembled in registration order between plans.
+func TestEngineRunsPlainProgram(t *testing.T) {
+	e := testEngine(t, fig1Static(), func(c *Config) {
+		c.Programs = []motif.Program{motif.NewFreshFollow(1), echoProgram{}, motif.NewFreshFollow(1)}
+	})
+	got := e.Apply(graph.Edge{Src: 10, Dst: 99, Type: graph.Follow, TS: 1})
+	if len(got) != 3 || got[0].Program != "fresh-follow" || got[1].Program != "echo" || got[2].Program != "fresh-follow" {
+		t.Fatalf("candidates = %+v, want fresh-follow, echo, fresh-follow", got)
 	}
 }
 

@@ -16,7 +16,8 @@ import (
 
 // sharedMotifSet compiles a mixed standing-query set: three share groups
 // (follow diamonds, content co-action with per-type windows, k=1
-// broadcasts) plus a hand-written Diamond that stays outside the trie.
+// broadcasts) plus a TriangleClosure, which is no plan and stays outside
+// the trie.
 func sharedMotifSet(t testing.TB) []motif.Program {
 	t.Helper()
 	src := ""
@@ -67,15 +68,13 @@ motif "broadcast2" {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A hand-written detector in the middle of the registration order
-	// exercises mixed grouped/ungrouped assembly.
-	withOracle := make([]motif.Program, 0, len(progs)+1)
-	withOracle = append(withOracle, progs[:3]...)
-	withOracle = append(withOracle, motif.NewDiamond(motif.DiamondConfig{
-		Name: "oracle", K: 2, Window: 10 * time.Minute, MaxFanout: 64,
-	}))
-	withOracle = append(withOracle, progs[3:]...)
-	return withOracle
+	// A directly invoked program in the middle of the registration order
+	// exercises mixed grouped/direct assembly.
+	mixed := make([]motif.Program, 0, len(progs)+1)
+	mixed = append(mixed, progs[:3]...)
+	mixed = append(mixed, motif.NewTriangleClosure(10*time.Minute))
+	mixed = append(mixed, progs[3:]...)
+	return mixed
 }
 
 func sharedTestEngine(t testing.TB, disable bool) *Engine {
@@ -118,6 +117,11 @@ func TestEngineSharedMatchesIndependent(t *testing.T) {
 	}
 	if is := indep.Sharing(); is.Groups != 0 || is.ScansSavedPerEvent != 0 {
 		t.Fatalf("DisableSharing engine still grouped: %+v", is)
+	}
+	// Every plan runs in a group either way: one per key (three shared plus
+	// the singleton) against one per plan.
+	if len(shared.groups) != 4 || len(indep.groups) != 8 {
+		t.Fatalf("groups: shared %d, independent %d; want 4 and 8", len(shared.groups), len(indep.groups))
 	}
 
 	r := rand.New(rand.NewSource(99))
@@ -171,18 +175,23 @@ func TestEngineFeedsLiveDegrees(t *testing.T) {
 	}
 }
 
-// TestDetectBatchAllocBudgetMultiMotif extends the alloc gate to the shared
-// executor: five planned motifs in one share group plus the hand-written
-// baseline must still average <= 1 alloc/event warm on the no-candidate
+// idleProgram is a caller's own motif with no scratch path that never
+// fires: a program outside the trie that costs the alloc gate nothing.
+type idleProgram struct{}
+
+func (idleProgram) Name() string                                        { return "idle" }
+func (idleProgram) OnEdge(*motif.Context, graph.Edge) []motif.Candidate { return nil }
+
+// TestDetectBatchAllocBudgetMultiMotif extends the alloc gate to a shared
+// group: five planned motifs in one share group plus a directly invoked
+// program must still average <= 1 alloc/event warm on the no-candidate
 // path.
 func TestDetectBatchAllocBudgetMultiMotif(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gate: race instrumentation allocates; the non-race run enforces the budget")
 	}
 	b := &statstore.Builder{}
-	progs := []motif.Program{
-		motif.NewDiamond(motif.DiamondConfig{K: 3, Window: 30 * time.Second, MaxFanout: 64}),
-	}
+	progs := []motif.Program{idleProgram{}}
 	for _, k := range []int{2, 3, 3, 4, 5} {
 		src := fmt.Sprintf(`
 motif "g%d" {
@@ -234,5 +243,54 @@ motif "g%d" {
 	})
 	if perEvent := perBatch / batch; perEvent > 1.0 {
 		t.Fatalf("multi-motif no-candidate path allocates %.2f/event (%.1f/batch); budget is 1/event", perEvent, perBatch)
+	}
+}
+
+// TestPrimaryDiamondJoinsTrie pins what NewDiamond returning a plan buys:
+// its ops and share key equal those of the DSL declaration of the same
+// shape, so the facade's primary diamond and registered motifs of that key
+// form one group and probe D and S once per event between them.
+func TestPrimaryDiamondJoinsTrie(t *testing.T) {
+	primary := motif.NewDiamond(motif.DiamondConfig{K: 3, Window: 10 * time.Minute, MaxFanout: 256})
+	const decl = `
+motif "%s" {
+    match A -> B;
+    match B =[follow]=> C within 10m;
+    where count(B) >= %d;
+    emit C to A via B;
+    limit fanout 256;
+}`
+	same, err := motifdsl.CompileOne(fmt.Sprintf(decl, "diamond", 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled := same.(*motif.PlannedProgram)
+	if !reflect.DeepEqual(primary.Ops(), compiled.Ops()) {
+		t.Fatalf("ops differ:\nNewDiamond: %+v\nDSL:        %+v", primary.Ops(), compiled.Ops())
+	}
+	if primary.ShareKey() != compiled.ShareKey() {
+		t.Fatalf("share keys differ: %q vs %q", primary.ShareKey(), compiled.ShareKey())
+	}
+
+	progs := []motif.Program{primary}
+	for _, k := range []int{2, 3, 4, 5} {
+		p, err := motifdsl.CompileOne(fmt.Sprintf(decl, fmt.Sprintf("registered-k%d", k), k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, p)
+	}
+	b := &statstore.Builder{}
+	e, err := NewEngine(Config{
+		Static:   statstore.New(b.Build(nil)),
+		Dynamic:  dynstore.New(dynstore.Options{Retention: time.Hour}),
+		Programs: progs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := SharingStats{Programs: 5, Groups: 1, GroupedPrograms: 5, ScansSavedPerEvent: 4}
+	if got := e.Sharing(); got != want || len(e.groups) != 1 {
+		t.Fatalf("sharing = %+v over %d groups, want %+v over 1", got, len(e.groups), want)
 	}
 }

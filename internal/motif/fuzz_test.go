@@ -1,0 +1,106 @@
+package motif
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"motifstream/internal/graph"
+)
+
+// FuzzPlanMatchesReference draws a random world and a share group of plans —
+// threshold, window, trigger types, fanout cap, candidate cap, chain depth
+// and group size all from the fuzzer — and requires the executor's output,
+// per member and per event, to equal the test-only references exactly
+// (order, Via, Score, Program): the op-list interpreter for every member,
+// run in the group and alone, plus the hand-written diamond or fresh-follow
+// for the shapes they cover. The seeds are the rows of the three
+// differential tests in planned_test.go (each emits candidates on this
+// smaller world too: 17 to 4695 of them).
+func FuzzPlanMatchesReference(f *testing.F) {
+	const follow, retweet, favorite = 1 << graph.Follow, 1 << graph.Retweet, 1 << graph.Favorite
+	// world seed, k, window seconds, trigger-type mask, fanout, candidate
+	// cap, chain depth, group size
+	f.Add(int64(1), uint8(2), uint16(300), uint8(follow), uint8(0), uint8(0), uint8(1), uint8(0))
+	f.Add(int64(2), uint8(3), uint16(600), uint8(follow), uint8(64), uint8(100), uint8(1), uint8(0))
+	f.Add(int64(3), uint8(2), uint16(120), uint8(retweet|favorite), uint8(8), uint8(3), uint8(1), uint8(0))
+	f.Add(int64(4), uint8(4), uint16(1800), uint8(follow|retweet), uint8(16), uint8(0), uint8(1), uint8(0))
+	f.Add(int64(7), uint8(1), uint16(600), uint8(follow), uint8(0), uint8(5), uint8(1), uint8(0))
+	f.Add(int64(11), uint8(3), uint16(600), uint8(follow|retweet), uint8(32), uint8(0), uint8(1), uint8(4))
+	f.Add(int64(12), uint8(1), uint16(60), uint8(follow|favorite), uint8(0), uint8(9), uint8(3), uint8(2))
+
+	f.Fuzz(func(t *testing.T, seed int64, k uint8, windowSec uint16, typeMask, fanout, maxCands, depth, size uint8) {
+		window := time.Duration(max(windowSec, 1)) * time.Second
+		if typeMask &= follow | retweet | favorite; typeMask == 0 {
+			typeMask = follow
+		}
+		var types []graph.EdgeType
+		for et := graph.EdgeType(0); et < NumEdgeTypes; et++ {
+			if typeMask&(1<<et) != 0 {
+				types = append(types, et)
+			}
+		}
+		win, fan := windowsOf(window, types...), int(fanout)%65
+		k %= 5 // 0 and 1 are the trigger-only shape, 2..4 a threshold
+
+		// Members share the prefix (windows, fanout, probe kind) and differ
+		// in everything past it, as a share key allows: member i moves on
+		// from the drawn threshold, depth and candidate cap.
+		plans := make([]*PlannedProgram, 1+int(size)%5)
+		// hands[i] is the hand-written detector of member i's shape, where
+		// there is one: not for chains, nor for k=1 over more than follows.
+		hands := make([]interface {
+			OnEdge(*Context, graph.Edge) []Candidate
+		}, len(plans))
+		for i := range plans {
+			mk, mdepth, mcands := 1, 1+(int(depth)+2+i)%3, (int(maxCands)+3*i)%101
+			if k >= 2 {
+				mk = 2 + (int(k)-2+i)%4
+			}
+			expandCaps := make([]int, mdepth-1)
+			for j := range expandCaps {
+				expandCaps[j] = mcands % 7 // 0 expands every survivor
+			}
+			name := fmt.Sprintf("m%d", i)
+			plan, err := NewPlannedProgram(name, PlanOps(win, mk, fan, expandCaps, mcands))
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case mdepth > 1:
+			case mk > 1:
+				hands[i] = newHandDiamond(DiamondConfig{
+					Name: name, K: mk, Window: window, EdgeTypes: types, MaxFanout: fan, MaxCandidates: mcands,
+				})
+			case typeMask == follow:
+				plan, hands[i] = NewFreshFollow(mcands), handFreshFollow{maxCandidates: mcands}
+			}
+			plans[i] = plan
+		}
+		group, err := NewPlannedGroup(plans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots := make([]int, len(plans))
+		for i := range slots {
+			slots[i] = i
+		}
+
+		ctx, stream := randomWorld(seed, 30, 260, 400)
+		s := GetScratch()
+		defer PutScratch(s)
+		for i, e := range stream {
+			ctx.D.Insert(e)
+			res := make([][]Candidate, len(plans))
+			group.DetectInto(ctx, e, s, res, slots)
+			for j, plan := range plans {
+				want := interpretOps(ctx, plan.Name(), plan.Ops(), e)
+				sameCandidates(t, i, want, res[j])
+				sameCandidates(t, i, want, plan.OnEdge(ctx, e))
+				if hands[j] != nil {
+					sameCandidates(t, i, hands[j].OnEdge(ctx, e), res[j])
+				}
+			}
+		}
+	})
+}

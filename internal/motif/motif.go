@@ -1,13 +1,16 @@
 // Package motif implements online motif detection over the S and D stores.
 // A motif program is invoked once per incoming dynamic edge and emits
 // recommendation candidates the moment the motif completes — the paper's
-// novel "twist" over batch motif detection. The diamond program implements
-// the production algorithm of §2; the package also provides the content
-// co-action variant and a k=1 fresh-follow program, and the motifdsl
-// package compiles declarative specifications down to this interface.
+// novel "twist" over batch motif detection. Diamond-family motifs (the
+// production algorithm of §2, its content co-action and k=1 fresh-follow
+// variants, static chains up to three hops) are plans: an op sequence built
+// by NewDiamond, NewFreshFollow or the motifdsl planner and run by the one
+// executor in planned.go. TriangleClosure, whose recipients come from D, is
+// the one hand-written program.
 package motif
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -115,8 +118,8 @@ func PutScratch(s *Scratch) {
 
 // ScratchProgram is the allocation-free variant of Program. OnEdgeScratch
 // behaves exactly like OnEdge but takes caller-owned scratch for its
-// intermediates. The engine's hot path uses it when implemented; OnEdge
-// remains the compatibility entry point.
+// intermediates. The engine's hot path uses it for every program it invokes
+// itself; OnEdge remains the compatibility entry point.
 type ScratchProgram interface {
 	Program
 	// OnEdgeScratch reports the candidates whose motif e completes, using
@@ -125,7 +128,7 @@ type ScratchProgram interface {
 	OnEdgeScratch(ctx *Context, e graph.Edge, s *Scratch) []Candidate
 }
 
-// DiamondConfig parametrizes the diamond motif detector.
+// DiamondConfig parametrizes the diamond plan NewDiamond builds.
 type DiamondConfig struct {
 	// Name overrides the program name; empty selects "diamond".
 	Name string
@@ -144,183 +147,53 @@ type DiamondConfig struct {
 	MaxCandidates int
 }
 
-// Diamond is the production algorithm of §2: on edge B→C, fetch the other
-// recent B's pointing at C from D; if at least K, look up each B's
-// followers in S and emit the K-threshold intersection.
-type Diamond struct {
-	cfg   DiamondConfig
-	types map[graph.EdgeType]bool
-}
-
-// NewDiamond validates cfg and returns the program. K < 2 or Window <= 0
-// are programmer errors and panic.
-func NewDiamond(cfg DiamondConfig) *Diamond {
+// NewDiamond returns the plan of the production algorithm of §2: on edge
+// B→C, fetch the other recent B's pointing at C from D; if at least K, look
+// up each B's followers in S and emit the K-threshold intersection. The
+// result is an ordinary planned program — the same ops, share key and
+// executor a DSL declaration of the shape compiles to. K < 2, a window under
+// a millisecond (stream time is in milliseconds) and a trigger type outside
+// the edge-type table are programmer errors and panic.
+func NewDiamond(cfg DiamondConfig) *PlannedProgram {
 	if cfg.K < 2 {
 		panic("motif: diamond requires K >= 2 (use NewFreshFollow for K=1)")
 	}
-	if cfg.Window <= 0 {
+	if cfg.Window < time.Millisecond {
 		panic("motif: diamond requires a positive window")
 	}
 	if cfg.Name == "" {
 		cfg.Name = "diamond"
 	}
-	types := map[graph.EdgeType]bool{}
 	if len(cfg.EdgeTypes) == 0 {
-		types[graph.Follow] = true
+		cfg.EdgeTypes = []graph.EdgeType{graph.Follow}
 	}
+	var windowMS [NumEdgeTypes]int64
 	for _, t := range cfg.EdgeTypes {
-		types[t] = true
+		if int(t) >= NumEdgeTypes {
+			panic(fmt.Sprintf("motif: diamond trigger type %d is not an edge type", t))
+		}
+		windowMS[t] = cfg.Window.Milliseconds()
 	}
-	return &Diamond{cfg: cfg, types: types}
+	return mustPlan(cfg.Name, PlanOps(windowMS, cfg.K, cfg.MaxFanout, nil, cfg.MaxCandidates))
 }
 
-// Name implements Program.
-func (d *Diamond) Name() string { return d.cfg.Name }
-
-// Config returns the program's configuration.
-func (d *Diamond) Config() DiamondConfig { return d.cfg }
-
-// OnEdge implements Program. It is the allocation-friendly wrapper around
-// OnEdgeScratch using pooled scratch.
-func (d *Diamond) OnEdge(ctx *Context, e graph.Edge) []Candidate {
-	s := GetScratch()
-	out := d.OnEdgeScratch(ctx, e, s)
-	PutScratch(s)
-	return out
+// NewFreshFollow returns the plan of the degenerate k=1 motif: every new
+// B→C follow is broadcast to B's followers, at most maxCandidates of them
+// per event (0 means unlimited). It exists to drive the delivery funnel
+// experiment (E3) with realistic raw-candidate volume; production uses k≥2
+// precisely because k=1 floods.
+func NewFreshFollow(maxCandidates int) *PlannedProgram {
+	// Any positive window accepts the type; a k=1 plan never reads it.
+	windowMS := [NumEdgeTypes]int64{graph.Follow: 1}
+	return mustPlan("fresh-follow", PlanOps(windowMS, 1, 0, nil, maxCandidates))
 }
 
-// OnEdgeScratch implements ScratchProgram: the §2 diamond detection with
-// every intermediate drawn from s. The only heap allocation on a warmed-up
-// scratch is the emitted candidate slice itself.
-func (d *Diamond) OnEdgeScratch(ctx *Context, e graph.Edge, s *Scratch) []Candidate {
-	if !d.types[e.Type] {
-		return nil
+// mustPlan wraps NewPlannedProgram for the constructors above, whose op
+// sequences are legal by construction.
+func mustPlan(name string, ops []Op) *PlannedProgram {
+	p, err := NewPlannedProgram(name, ops)
+	if err != nil {
+		panic(err)
 	}
-	since := e.TS - d.cfg.Window.Milliseconds()
-	// The fanout cap is pushed into the store query so a viral target with
-	// thousands of in-window actors costs O(MaxFanout), not O(window); the
-	// store returns the freshest distinct actors.
-	recent := ctx.D.RecentLimitInto(s.recent[:0], e.Dst, since, d.cfg.MaxFanout)
-	s.recent = recent
-	if len(recent) < d.cfg.K {
-		return nil
-	}
-	bs := s.bs[:0]
-	lists := s.lists[:0]
-	for _, in := range recent {
-		l := ctx.S.Followers(in.B)
-		if len(l) == 0 {
-			continue
-		}
-		bs = append(bs, in.B)
-		lists = append(lists, l)
-	}
-	s.bs, s.lists = bs, lists
-	if len(lists) < d.cfg.K {
-		return nil
-	}
-	as := graph.ThresholdIntersectInto(s.as[:0], lists, d.cfg.K, &s.g)
-	s.as = as
-	if len(as) == 0 {
-		return nil
-	}
-	out := make([]Candidate, 0, len(as))
-	for _, a := range as {
-		if a == e.Dst {
-			continue // never recommend someone to themselves
-		}
-		if ctx.Follows != nil && ctx.Follows(a, e.Dst) {
-			continue // a already follows/acted on the item
-		}
-		via := supportersOf(a, bs, lists)
-		out = append(out, Candidate{
-			User:         a,
-			Item:         e.Dst,
-			Via:          via,
-			Trigger:      e,
-			DetectedAtMS: e.TS,
-			Program:      d.cfg.Name,
-			Score:        float64(len(via)),
-		})
-		if d.cfg.MaxCandidates > 0 && len(out) >= d.cfg.MaxCandidates {
-			break
-		}
-	}
-	return out
-}
-
-// supportersOf returns the B's whose follower lists contain a. Survivor
-// sets are small, so a binary-search pass per survivor is cheap.
-func supportersOf(a graph.VertexID, bs []graph.VertexID, lists []graph.AdjList) []graph.VertexID {
-	via := make([]graph.VertexID, 0, len(bs))
-	for i, l := range lists {
-		if l.Contains(a) {
-			via = append(via, bs[i])
-		}
-	}
-	return via
-}
-
-// NewContentCoAction returns a diamond program over retweet and favorite
-// edges: "recommend tweet C to A when at least k of A's followings engaged
-// with it within τ" — the content-recommendation application of §1.
-func NewContentCoAction(k int, window time.Duration) *Diamond {
-	return NewDiamond(DiamondConfig{
-		Name:      "content-coaction",
-		K:         k,
-		Window:    window,
-		EdgeTypes: []graph.EdgeType{graph.Retweet, graph.Favorite},
-	})
-}
-
-// FreshFollow is the degenerate k=1 motif: every new B→C follow is
-// broadcast to all of B's followers. It exists to drive the delivery
-// funnel experiment (E3) with realistic raw-candidate volume; production
-// uses k≥2 precisely because k=1 floods.
-type FreshFollow struct {
-	// MaxCandidates caps emissions per event; 0 means unlimited.
-	MaxCandidates int
-}
-
-// Name implements Program.
-func (f *FreshFollow) Name() string { return "fresh-follow" }
-
-// OnEdgeScratch implements ScratchProgram. FreshFollow has no
-// intermediates — the only allocations are the emitted candidates — so the
-// scratch is unused and the call simply delegates.
-func (f *FreshFollow) OnEdgeScratch(ctx *Context, e graph.Edge, _ *Scratch) []Candidate {
-	return f.OnEdge(ctx, e)
-}
-
-// OnEdge implements Program.
-func (f *FreshFollow) OnEdge(ctx *Context, e graph.Edge) []Candidate {
-	if e.Type != graph.Follow {
-		return nil
-	}
-	followers := ctx.S.Followers(e.Src)
-	if len(followers) == 0 {
-		return nil
-	}
-	out := make([]Candidate, 0, len(followers))
-	for _, a := range followers {
-		if a == e.Dst {
-			continue
-		}
-		if ctx.Follows != nil && ctx.Follows(a, e.Dst) {
-			continue
-		}
-		out = append(out, Candidate{
-			User:         a,
-			Item:         e.Dst,
-			Via:          []graph.VertexID{e.Src},
-			Trigger:      e,
-			DetectedAtMS: e.TS,
-			Program:      f.Name(),
-			Score:        1,
-		})
-		if f.MaxCandidates > 0 && len(out) >= f.MaxCandidates {
-			break
-		}
-	}
-	return out
+	return p
 }

@@ -168,7 +168,10 @@ func TestDiamondEdgeTypeFilter(t *testing.T) {
 
 	// A content program sees them. Note D now already has both retweets.
 	ctx2 := newCtx(t, static, false, time.Hour)
-	pc := NewContentCoAction(2, time.Hour)
+	pc := NewDiamond(DiamondConfig{
+		Name: "content-coaction", K: 2, Window: time.Hour,
+		EdgeTypes: []graph.EdgeType{graph.Retweet, graph.Favorite},
+	})
 	apply(ctx2, pc, graph.Edge{Src: 10, Dst: 99, Type: graph.Retweet, TS: t0})
 	got = apply(ctx2, pc, graph.Edge{Src: 11, Dst: 99, Type: graph.Favorite, TS: t0 + 1})
 	if len(got) != 1 {
@@ -256,12 +259,16 @@ func TestDiamondDuplicateBCountsOnce(t *testing.T) {
 func TestNewDiamondValidation(t *testing.T) {
 	assertPanics(t, func() { NewDiamond(DiamondConfig{K: 1, Window: time.Minute}) })
 	assertPanics(t, func() { NewDiamond(DiamondConfig{K: 2}) })
+	// A plan's window table is a fixed array: a type outside it is refused.
+	assertPanics(t, func() {
+		NewDiamond(DiamondConfig{K: 2, Window: time.Minute, EdgeTypes: []graph.EdgeType{7}})
+	})
 	p := NewDiamond(DiamondConfig{K: 2, Window: time.Minute, Name: "custom"})
 	if p.Name() != "custom" {
 		t.Fatalf("custom name lost: %q", p.Name())
 	}
-	if p.Config().K != 2 {
-		t.Fatal("Config() does not round-trip")
+	if p.K() != 2 {
+		t.Fatal("K() does not round-trip")
 	}
 }
 
@@ -270,7 +277,7 @@ func TestFreshFollow(t *testing.T) {
 		{Src: 1, Dst: 10}, {Src: 2, Dst: 10}, {Src: 10, Dst: 20},
 	}
 	ctx := newCtx(t, static, false, time.Hour)
-	p := &FreshFollow{}
+	p := NewFreshFollow(0)
 	got := apply(ctx, p, graph.Edge{Src: 10, Dst: 99, Type: graph.Follow, TS: 1})
 	if len(got) != 2 {
 		t.Fatalf("fresh-follow should broadcast to both followers: %v", got)
@@ -285,7 +292,7 @@ func TestFreshFollow(t *testing.T) {
 		t.Fatal("fresh-follow should ignore retweets")
 	}
 	// Candidate cap.
-	capped := &FreshFollow{MaxCandidates: 1}
+	capped := NewFreshFollow(1)
 	if got := apply(ctx, capped, graph.Edge{Src: 10, Dst: 97, Type: graph.Follow, TS: 3}); len(got) != 1 {
 		t.Fatalf("MaxCandidates not honored: %v", got)
 	}
@@ -297,7 +304,7 @@ func TestFreshFollowSelfAndKnownSuppression(t *testing.T) {
 		{Src: 1, Dst: 10}, {Src: 1, Dst: 99}, // user 1 already follows 99
 	}
 	ctx := newCtx(t, static, true, time.Hour)
-	p := &FreshFollow{}
+	p := NewFreshFollow(0)
 	got := apply(ctx, p, graph.Edge{Src: 10, Dst: 99, Type: graph.Follow, TS: 1})
 	if len(got) != 0 {
 		t.Fatalf("self/known suppression failed: %v", got)

@@ -3,6 +3,7 @@ package motif
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -12,14 +13,18 @@ import (
 	"motifstream/internal/statstore"
 )
 
-// refDetector is a brute-force diamond oracle: it keeps the entire
-// dynamic history and, per event, recomputes from first principles the
-// set of (user, item) pairs whose motif the event completes. It shares no
-// code with the production path (no AdjList, no D store, no
-// intersections), so agreement is meaningful.
+// refDetector is a brute-force oracle for the diamond and its chains: it
+// keeps the entire dynamic history and, per event, recomputes from first
+// principles the set of (user, item) pairs whose motif the event completes.
+// It shares no code with the production path (no AdjList, no D store, no
+// intersections, no plan), so agreement is meaningful.
 type refDetector struct {
 	k        int
 	windowMS int64
+	// hops is the static chain length from user to support: 1 (or 0) is the
+	// diamond, and each further hop hands the motif on to everyone who
+	// follows a user the shorter chain reaches.
+	hops int
 	// follows[a] is the set of B's that a follows.
 	follows map[graph.VertexID]map[graph.VertexID]bool
 	history []graph.Edge
@@ -54,23 +59,31 @@ func (r *refDetector) onEdge(e graph.Edge) []string {
 	if len(actors) < r.k {
 		return nil
 	}
-	var out []string
-	for a, bs := range r.follows {
-		if a == e.Dst {
-			continue
-		}
-		if bs[e.Dst] {
-			continue // already follows the item
-		}
-		n := 0
-		for b := range actors {
-			if bs[b] {
-				n++
+	// reached holds the users at the current chain length: first those who
+	// follow at least k actors, then, hop by hop, those who follow any of
+	// them. Intermediate users are not suppressed, only recipients are.
+	reached, need := actors, r.k
+	for hop := 0; hop < max(r.hops, 1); hop++ {
+		next := map[graph.VertexID]bool{}
+		for a, bs := range r.follows {
+			n := 0
+			for b := range reached {
+				if bs[b] {
+					n++
+				}
+			}
+			if n >= need {
+				next[a] = true
 			}
 		}
-		if n >= r.k {
-			out = append(out, fmt.Sprintf("%d>%d", a, e.Dst))
+		reached, need = next, 1
+	}
+	var out []string
+	for a := range reached {
+		if a == e.Dst || r.follows[a][e.Dst] {
+			continue // the item itself, or a user who already follows it
 		}
+		out = append(out, fmt.Sprintf("%d>%d", a, e.Dst))
 	}
 	sort.Strings(out)
 	return out
@@ -149,5 +162,68 @@ func TestDiamondAgainstOracle(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestChainAgainstOracle is TestDiamondAgainstOracle for the expand path:
+// depth-2 and depth-3 chain plans, with no fanout or expansion cap, against
+// the brute-force oracle's hop-by-hop closure over random worlds.
+func TestChainAgainstOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(20140902))
+	emitted := 0
+	for trial := 0; trial < 30; trial++ {
+		users := 5 + r.Intn(20)
+		k := 2 + r.Intn(2)
+		hops := 2 + trial%2
+		window := time.Duration(1+r.Intn(10)) * time.Minute
+
+		var static []graph.Edge
+		for a := 0; a < users; a++ {
+			for j := r.Intn(6); j > 0; j-- {
+				if b := r.Intn(users); b != a {
+					static = append(static, graph.Edge{Src: graph.VertexID(a), Dst: graph.VertexID(b)})
+				}
+			}
+		}
+		oracle := newRefDetector(k, window, static)
+		oracle.hops = hops
+		b := &statstore.Builder{}
+		ctx := &Context{
+			S:       statstore.New(b.Build(static)),
+			D:       dynstore.New(dynstore.Options{Retention: window}),
+			Follows: func(a, c graph.VertexID) bool { return oracle.follows[a][c] },
+		}
+		prog, err := NewPlannedProgram("chain", PlanOps(windowsOf(window), k, 0, make([]int, hops-1), 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		now := int64(1_000_000)
+		for i := 0; i < 300; i++ {
+			now += int64(r.Intn(60_000))
+			e := graph.Edge{
+				Src:  graph.VertexID(r.Intn(users)),
+				Dst:  graph.VertexID(r.Intn(users/2 + 1)), // concentrated, so motifs form
+				Type: graph.Follow,
+				TS:   now,
+			}
+			if e.Src == e.Dst {
+				continue
+			}
+			ctx.D.Insert(e)
+			var got []string
+			for _, c := range prog.OnEdge(ctx, e) {
+				got = append(got, fmt.Sprintf("%d>%d", c.User, c.Item))
+			}
+			sort.Strings(got)
+			if want := oracle.onEdge(e); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d event %d (%v, k=%d hops=%d w=%v):\n got %v\nwant %v",
+					trial, i, e, k, hops, window, got, want)
+			}
+			emitted += len(got)
+		}
+	}
+	if emitted == 0 {
+		t.Fatal("vacuous run: no chain completed")
 	}
 }

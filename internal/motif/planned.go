@@ -7,15 +7,16 @@ import (
 	"motifstream/internal/graph"
 )
 
-// This file implements the planned-motif runtime: a small probe-op IR
-// produced by the motifdsl planner, an interpreter (PlannedProgram) that
-// executes an op sequence under the Program/ScratchProgram contracts, and a
-// shared-execution node (PlannedGroup) that runs the common probe prefix of
-// several plans once per event and fans out only where the plans diverge.
+// This file is the package's one detection executor: a small probe-op IR
+// (written by PlanOps for NewDiamond, NewFreshFollow and the motifdsl
+// planner), the program a validated op sequence becomes (PlannedProgram),
+// and the shared-execution node that runs it (PlannedGroup): the common
+// probe prefix of its members once per event, fanning out only where the
+// plans diverge. A program on its own runs as a group of one, so there is no
+// second per-event path; the op list itself is kept for Ops and EXPLAIN.
 //
-// The IR generalizes the hand-written Diamond/FreshFollow detectors (which
-// remain as oracles for the differential tests) to longer static chains,
-// k-of-n thresholds, and per-trigger-type freshness windows.
+// The IR covers the paper's two-hop diamond, longer static chains, k-of-n
+// thresholds, and per-trigger-type freshness windows.
 
 // NumEdgeTypes is the number of edge types the planned runtime indexes
 // per-type windows by. Filter ops reject any trigger type outside this
@@ -89,14 +90,34 @@ type Op struct {
 	Limit int
 }
 
-// PlannedProgram interprets a validated op sequence as a motif program. It
-// satisfies the same contracts as the hand-written detectors: safe for
-// concurrent OnEdge calls, D reads confined to e.Dst's in-edge list (k=1
-// plans read no dynamic state at all), and zero heap allocation per
-// non-emitting event on a warmed-up Scratch.
+// PlanOps spells the op sequence of a plan shape — the one place it is
+// written, for the constructors here and the motifdsl planner alike: the
+// trigger filter; for k = 1 the trigger bound as sole support, otherwise
+// the dynamic probe (fanout-capped), the static probe and the k threshold;
+// one expansion per entry of expandCaps; emit, capped at maxCands.
+func PlanOps(windowMS [NumEdgeTypes]int64, k, fanout int, expandCaps []int, maxCands int) []Op {
+	ops := []Op{{Kind: OpFilterTrigger, WindowMS: windowMS}}
+	if k == 1 {
+		ops = append(ops, Op{Kind: OpBindTrigger})
+	} else {
+		ops = append(ops,
+			Op{Kind: OpProbeDynamic, K: k, Limit: fanout},
+			Op{Kind: OpProbeStatic},
+			Op{Kind: OpThreshold, K: k})
+	}
+	for _, c := range expandCaps {
+		ops = append(ops, Op{Kind: OpExpand, Limit: c})
+	}
+	return append(ops, Op{Kind: OpEmit, Limit: maxCands})
+}
+
+// PlannedProgram is a validated op sequence as a motif program. It is
+// immutable, safe for concurrent OnEdge calls, confines its D reads to
+// e.Dst's in-edge list (k=1 plans read no dynamic state at all), and costs
+// zero heap allocation per non-emitting event on a warmed-up Scratch.
 type PlannedProgram struct {
 	name string
-	ops  []Op
+	ops  []Op // as given; execution reads the decoded summary below
 
 	// Decoded summary of the op sequence, fixed at construction.
 	windowMS    [NumEdgeTypes]int64
@@ -107,6 +128,9 @@ type PlannedProgram struct {
 	expandCaps  [2]int
 	triggerOnly bool
 	shareKey    string
+
+	// solo is the group of one OnEdgeScratch runs the program through.
+	solo *PlannedGroup
 }
 
 // NewPlannedProgram validates ops as one of the two legal shapes —
@@ -114,9 +138,9 @@ type PlannedProgram struct {
 //	filter-trigger, probe-dynamic, probe-static, threshold, expand*, emit
 //	filter-trigger, bind-trigger, expand*, emit            (k = 1)
 //
-// — and returns the interpreter. The op order is the planner's output;
-// the runtime trusts its dataflow but re-checks the shape so a hand-built
-// sequence cannot crash the interpreter.
+// — and returns the program. The op order is the planner's output; the
+// runtime trusts its dataflow but re-checks the shape, since what executes
+// is the summary decoded here, not the list.
 func NewPlannedProgram(name string, ops []Op) (*PlannedProgram, error) {
 	if name == "" {
 		return nil, fmt.Errorf("motif: planned program needs a name")
@@ -194,6 +218,7 @@ func NewPlannedProgram(name string, ops []Op) (*PlannedProgram, error) {
 		return nil, fmt.Errorf("motif: plan %q has ops after emit", name)
 	}
 	p.shareKey = shareKeyOf(p.triggerOnly, p.windowMS, p.fanout)
+	p.solo = groupOf([]*PlannedProgram{p})
 	return p, nil
 }
 
@@ -266,68 +291,17 @@ func (p *PlannedProgram) OnEdge(ctx *Context, e graph.Edge) []Candidate {
 	return out
 }
 
-// OnEdgeScratch interprets the op sequence. Register state (the bound
-// supports, their follower lists, and the survivor frontier) lives in s;
-// the only heap allocation on a warmed-up scratch is the emitted
-// candidates.
+// OnEdgeScratch implements ScratchProgram: the program as a group of one,
+// through the same prefix and suffix code a shared group runs. The only
+// heap allocation on a warmed-up scratch is the emitted candidates.
 func (p *PlannedProgram) OnEdgeScratch(ctx *Context, e graph.Edge, s *Scratch) []Candidate {
-	var (
-		win      int64
-		bs       []graph.VertexID
-		lists    []graph.AdjList
-		cur      graph.AdjList
-		expanded int
-	)
-	for _, op := range p.ops {
-		switch op.Kind {
-		case OpFilterTrigger:
-			if int(e.Type) >= NumEdgeTypes {
-				return nil
-			}
-			win = op.WindowMS[e.Type]
-			if win <= 0 {
-				return nil
-			}
-		case OpBindTrigger:
-			bs, lists, cur = bindTrigger(ctx, e, s)
-			if cur == nil {
-				return nil
-			}
-		case OpProbeDynamic:
-			recent := ctx.D.RecentLimitInto(s.recent[:0], e.Dst, e.TS-win, op.Limit)
-			s.recent = recent
-			if ctx.Stats != nil {
-				ctx.Stats.DynIn.Observe(len(recent))
-			}
-			if len(recent) < op.K {
-				return nil
-			}
-		case OpProbeStatic:
-			bs, lists = probeStatic(ctx, s)
-			if len(lists) == 0 {
-				return nil
-			}
-		case OpThreshold:
-			if len(lists) < op.K {
-				return nil
-			}
-			cur = graph.ThresholdIntersectInto(s.as[:0], lists, op.K, &s.g)
-			s.as = cur
-			if len(cur) == 0 {
-				return nil
-			}
-		case OpExpand:
-			expanded++
-			cur = expandFrontier(ctx, s, cur, op.Limit, expanded)
-			if len(cur) == 0 {
-				return nil
-			}
-		case OpEmit:
-			return emitFrontier(ctx, e, s, p.name, bs, lists, cur, expanded, op.Limit)
-		}
-	}
-	return nil
+	var res [1][]Candidate
+	p.solo.DetectInto(ctx, e, s, res[:], soloSlots)
+	return res[0]
 }
+
+// soloSlots maps a group of one's only member to result slot 0.
+var soloSlots = []int{0}
 
 // bindTrigger is the k=1 shape: the trigger actor is the sole support and
 // its follower list is the initial frontier.
@@ -405,9 +379,8 @@ func expandFrontier(ctx *Context, s *Scratch, cur graph.AdjList, limit, round in
 	return out
 }
 
-// emitFrontier turns the final frontier into candidates with the same
-// suppression rules as the hand-written detectors: never recommend a user
-// to themselves, skip users already following the item. Via attribution
+// emitFrontier turns the final frontier into candidates: never recommend a
+// user to themselves, skip users already following the item. Via attribution
 // depends on how far the frontier was expanded: unexpanded survivors carry
 // their full support set; one expansion carries the connector's support
 // set; deeper expansions carry just the immediate connector (exact
@@ -462,6 +435,18 @@ func emitFrontier(ctx *Context, e graph.Edge, s *Scratch, name string,
 	return out
 }
 
+// supportersOf returns the B's whose follower lists contain a. Survivor
+// sets are small, so a binary-search pass per survivor is cheap.
+func supportersOf(a graph.VertexID, bs []graph.VertexID, lists []graph.AdjList) []graph.VertexID {
+	via := make([]graph.VertexID, 0, len(bs))
+	for i, l := range lists {
+		if l.Contains(a) {
+			via = append(via, bs[i])
+		}
+	}
+	return via
+}
+
 // connectorOf finds the first source of the last expansion round whose
 // follower list contains a.
 func connectorOf(a graph.VertexID, s *Scratch) (graph.VertexID, bool) {
@@ -497,15 +482,10 @@ func (s *Scratch) ResultSlots(n int) [][]Candidate {
 // threshold k intersects once (members are ordered by ascending k so equal
 // thresholds reuse the survivor set and the first failing k short-circuits
 // the rest), and expansions/emissions run per member with per-program
-// candidate attribution intact.
+// candidate attribution intact. A group of one is how a plan runs alone.
 type PlannedGroup struct {
 	members []*PlannedProgram
 	byK     []int // member indices ordered by ascending k (stable)
-	minK    int
-
-	windowMS    [NumEdgeTypes]int64
-	fanout      int
-	triggerOnly bool
 }
 
 // NewPlannedGroup groups members sharing one ShareKey. At least one member
@@ -514,23 +494,17 @@ func NewPlannedGroup(members []*PlannedProgram) (*PlannedGroup, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("motif: a planned group needs at least one member")
 	}
-	g := &PlannedGroup{
-		members:     members,
-		windowMS:    members[0].windowMS,
-		fanout:      members[0].fanout,
-		triggerOnly: members[0].triggerOnly,
-		minK:        members[0].k,
-	}
-	key := members[0].shareKey
-	for _, m := range members {
-		if m.shareKey != key {
+	for _, m := range members[1:] {
+		if key := members[0].shareKey; m.shareKey != key {
 			return nil, fmt.Errorf("motif: planned group mixes share keys %q and %q", key, m.shareKey)
 		}
-		if m.k < g.minK {
-			g.minK = m.k
-		}
 	}
-	g.byK = make([]int, len(members))
+	return groupOf(members), nil
+}
+
+// groupOf builds the group of a non-empty member list with one share key.
+func groupOf(members []*PlannedProgram) *PlannedGroup {
+	g := &PlannedGroup{members: members, byK: make([]int, len(members))}
 	for i := range g.byK {
 		g.byK[i] = i
 	}
@@ -540,27 +514,22 @@ func NewPlannedGroup(members []*PlannedProgram) (*PlannedGroup, error) {
 			g.byK[j], g.byK[j-1] = g.byK[j-1], g.byK[j]
 		}
 	}
-	return g, nil
+	return g
 }
 
-// Members returns the group's programs in the order given at construction;
-// DetectInto's slots align with this order.
-func (g *PlannedGroup) Members() []*PlannedProgram { return g.members }
-
-// DetectInto runs the group against one edge, storing member i's
-// candidates into res[slots[i]]. Slots not written remain untouched, so
+// DetectInto runs the group against one edge, storing the candidates of
+// member i (in the order given at construction) into res[slots[i]]. Slots not written remain untouched, so
 // callers must pre-clear. The shared prefix honors the same D-locality
 // contract as every member would individually: dynamic reads confined to
 // e.Dst's in-edge list.
 func (g *PlannedGroup) DetectInto(ctx *Context, e graph.Edge, s *Scratch, res [][]Candidate, slots []int) {
-	if int(e.Type) >= NumEdgeTypes {
-		return
-	}
-	win := g.windowMS[e.Type]
+	// The prefix parameters are the share key's, equal across members.
+	prefix := g.members[0]
+	win := prefix.WindowFor(e.Type)
 	if win <= 0 {
 		return
 	}
-	if g.triggerOnly {
+	if prefix.triggerOnly {
 		bs, lists, cur := bindTrigger(ctx, e, s)
 		if cur == nil {
 			return
@@ -570,12 +539,15 @@ func (g *PlannedGroup) DetectInto(ctx *Context, e graph.Edge, s *Scratch, res []
 		}
 		return
 	}
-	recent := ctx.D.RecentLimitInto(s.recent[:0], e.Dst, e.TS-win, g.fanout)
+	// The fanout cap is pushed into the store query so a viral target with
+	// thousands of in-window actors costs O(fanout), not O(window); the
+	// store returns the freshest distinct actors.
+	recent := ctx.D.RecentLimitInto(s.recent[:0], e.Dst, e.TS-win, prefix.fanout)
 	s.recent = recent
 	if ctx.Stats != nil {
 		ctx.Stats.DynIn.Observe(len(recent))
 	}
-	if len(recent) < g.minK {
+	if len(recent) < g.members[g.byK[0]].k {
 		return
 	}
 	bs, lists := probeStatic(ctx, s)

@@ -11,9 +11,9 @@ import (
 	"motifstream/internal/statstore"
 )
 
-// opsForDiamond builds the op sequence the planner emits for a k>=2
-// diamond: filter, dynamic probe, static probe, threshold, emit.
-func opsForDiamond(k int, window time.Duration, types []graph.EdgeType, fanout, maxCands int) []Op {
+// windowsOf is the per-type window table of a diamond over types (empty
+// means follows only), for the tests that spell a shape through PlanOps.
+func windowsOf(window time.Duration, types ...graph.EdgeType) [NumEdgeTypes]int64 {
 	var win [NumEdgeTypes]int64
 	if len(types) == 0 {
 		types = []graph.EdgeType{graph.Follow}
@@ -21,32 +21,8 @@ func opsForDiamond(k int, window time.Duration, types []graph.EdgeType, fanout, 
 	for _, t := range types {
 		win[t] = window.Milliseconds()
 	}
-	return []Op{
-		{Kind: OpFilterTrigger, WindowMS: win},
-		{Kind: OpProbeDynamic, K: k, Limit: fanout},
-		{Kind: OpProbeStatic},
-		{Kind: OpThreshold, K: k},
-		{Kind: OpEmit, Limit: maxCands},
-	}
+	return win
 }
-
-// opsForTriggerOnly builds the pruned k=1 sequence.
-func opsForTriggerOnly(types []graph.EdgeType, maxCands int) []Op {
-	var win [NumEdgeTypes]int64
-	if len(types) == 0 {
-		types = []graph.EdgeType{graph.Follow}
-	}
-	for _, t := range types {
-		win[t] = defaultTriggerWindowMS
-	}
-	return []Op{
-		{Kind: OpFilterTrigger, WindowMS: win},
-		{Kind: OpBindTrigger},
-		{Kind: OpEmit, Limit: maxCands},
-	}
-}
-
-const defaultTriggerWindowMS = int64(600_000)
 
 // randomWorld builds a seeded random static graph, follows index, and
 // dynamic stream for differential runs.
@@ -100,8 +76,8 @@ func sameCandidates(t *testing.T, i int, want, got []Candidate) {
 	}
 }
 
-// TestPlannedMatchesDiamondOracle drives the interpreted plan and the
-// hand-written Diamond over identical random worlds and demands exact
+// TestPlannedMatchesDiamondOracle drives the plan NewDiamond builds and the
+// hand-written diamond over identical random worlds and demands exact
 // per-event candidate equality (order, via, scores, labels).
 func TestPlannedMatchesDiamondOracle(t *testing.T) {
 	cases := []struct {
@@ -118,14 +94,12 @@ func TestPlannedMatchesDiamondOracle(t *testing.T) {
 		{4, 4, 30 * time.Minute, []graph.EdgeType{graph.Follow, graph.Retweet}, 16, 0},
 	}
 	for _, c := range cases {
-		oracle := NewDiamond(DiamondConfig{
+		cfg := DiamondConfig{
 			Name: "m", K: c.k, Window: c.window, EdgeTypes: c.types,
 			MaxFanout: c.fanout, MaxCandidates: c.maxCand,
-		})
-		planned, err := NewPlannedProgram("m", opsForDiamond(c.k, c.window, c.types, c.fanout, c.maxCand))
-		if err != nil {
-			t.Fatal(err)
 		}
+		oracle := newHandDiamond(cfg)
+		planned := NewDiamond(cfg)
 		ctx, stream := randomWorld(c.seed, 50, 400, 3000)
 		emitted := 0
 		for i, e := range stream {
@@ -142,13 +116,10 @@ func TestPlannedMatchesDiamondOracle(t *testing.T) {
 }
 
 // TestPlannedTriggerOnlyMatchesFreshFollow checks the pruned k=1 plan
-// against the FreshFollow oracle on follow-only triggers.
+// against the hand-written fresh-follow on follow-only triggers.
 func TestPlannedTriggerOnlyMatchesFreshFollow(t *testing.T) {
-	oracle := &FreshFollow{MaxCandidates: 5}
-	planned, err := NewPlannedProgram("fresh-follow", opsForTriggerOnly(nil, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
+	oracle := handFreshFollow{maxCandidates: 5}
+	planned := NewFreshFollow(5)
 	ctx, stream := randomWorld(7, 40, 300, 2000)
 	emitted := 0
 	for i, e := range stream {
@@ -164,27 +135,22 @@ func TestPlannedTriggerOnlyMatchesFreshFollow(t *testing.T) {
 }
 
 // TestPlannedGroupMatchesIndependent proves the shared-prefix executor is
-// candidate-for-candidate identical to running each member independently,
+// candidate-for-candidate identical to running each member independently —
+// its op list interpreted op by op, and the member alone as a group of one —
 // across thresholds, emission caps, and chain depths.
 func TestPlannedGroupMatchesIndependent(t *testing.T) {
 	window := 10 * time.Minute
 	types := []graph.EdgeType{graph.Follow, graph.Retweet}
-	mk := func(name string, ops []Op) *PlannedProgram {
-		p, err := NewPlannedProgram(name, ops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
+	mk := func(name string, k, maxCands int) *PlannedProgram {
+		return NewDiamond(DiamondConfig{
+			Name: name, K: k, Window: window, EdgeTypes: types, MaxFanout: 32, MaxCandidates: maxCands,
+		})
 	}
-	chainOps := opsForDiamond(2, window, types, 32, 0)
-	chainOps = append(chainOps[:4:4], Op{Kind: OpExpand, Limit: 64}, chainOps[4])
-	members := []*PlannedProgram{
-		mk("k3", opsForDiamond(3, window, types, 32, 0)),
-		mk("k2", opsForDiamond(2, window, types, 32, 10)),
-		mk("k2b", opsForDiamond(2, window, types, 32, 0)),
-		mk("k4", opsForDiamond(4, window, types, 32, 2)),
-		mk("deep", chainOps),
+	deep, err := NewPlannedProgram("deep", PlanOps(windowsOf(window, types...), 2, 32, []int{64}, 0))
+	if err != nil {
+		t.Fatal(err)
 	}
+	members := []*PlannedProgram{mk("k3", 3, 0), mk("k2", 2, 10), mk("k2b", 2, 0), mk("k4", 4, 2), deep}
 	g, err := NewPlannedGroup(members)
 	if err != nil {
 		t.Fatal(err)
@@ -202,11 +168,9 @@ func TestPlannedGroupMatchesIndependent(t *testing.T) {
 		}
 		g.DetectInto(ctx, e, s, res, slots)
 		for j, m := range members {
-			want := m.OnEdge(ctx, e)
-			if len(want) == 0 && len(res[j]) == 0 {
-				continue
-			}
+			want := interpretOps(ctx, m.Name(), m.Ops(), e)
 			sameCandidates(t, i, want, res[j])
+			sameCandidates(t, i, want, m.OnEdge(ctx, e))
 			emitted += len(want)
 		}
 	}
@@ -217,8 +181,8 @@ func TestPlannedGroupMatchesIndependent(t *testing.T) {
 
 // TestPlannedGroupRejectsMixedKeys pins the grouping precondition.
 func TestPlannedGroupRejectsMixedKeys(t *testing.T) {
-	a, _ := NewPlannedProgram("a", opsForDiamond(2, time.Minute, nil, 8, 0))
-	b, _ := NewPlannedProgram("b", opsForDiamond(2, 2*time.Minute, nil, 8, 0))
+	a := NewDiamond(DiamondConfig{Name: "a", K: 2, Window: time.Minute, MaxFanout: 8})
+	b := NewDiamond(DiamondConfig{Name: "b", K: 2, Window: 2 * time.Minute, MaxFanout: 8})
 	if _, err := NewPlannedGroup([]*PlannedProgram{a, b}); err == nil {
 		t.Fatal("mixed windows must not group")
 	}
@@ -226,7 +190,7 @@ func TestPlannedGroupRejectsMixedKeys(t *testing.T) {
 
 // TestPlannedProgramValidation exercises NewPlannedProgram's shape checks.
 func TestPlannedProgramValidation(t *testing.T) {
-	valid := opsForDiamond(2, time.Minute, nil, 0, 0)
+	valid := PlanOps(windowsOf(time.Minute), 2, 0, nil, 0)
 	if _, err := NewPlannedProgram("", valid); err == nil {
 		t.Fatal("empty name accepted")
 	}

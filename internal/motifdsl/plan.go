@@ -203,7 +203,7 @@ func PlanSpecLive(spec *Spec, live *graph.LiveDegreeStats) (*Plan, error) {
 // clause without 'within' gets the default window. Note the window gates
 // the *probe* at the trigger's type: the in-window actor scan counts every
 // recent actor on the target regardless of which action they took, exactly
-// like the hand-written detectors.
+// like the plan NewDiamond builds.
 func typeWindowsOf(name string, dynamics []*MatchClause) ([motif.NumEdgeTypes]int64, error) {
 	var windowMS [motif.NumEdgeTypes]int64
 	for _, d := range dynamics {
@@ -290,7 +290,8 @@ func (p *Plan) estimate(live *graph.LiveDegreeStats) {
 	}
 }
 
-// build emits the op sequence using the greedy ordering rule: among the
+// build emits the op sequence (spelled by motif.PlanOps, the one place a
+// shape's ops are written) using the greedy ordering rule: among the
 // dataflow-valid probe orders, take the probe with the smallest expected
 // output first and place the threshold at the narrowest point. With one
 // dynamic and one static probe family there are two valid pipelines —
@@ -298,41 +299,34 @@ func (p *Plan) estimate(live *graph.LiveDegreeStats) {
 // no window probe at all — and the estimates decide the text of the
 // rationale while the k=1 prune decides the shape.
 func (p *Plan) build(k int, windowMS [motif.NumEdgeTypes]int64, fanout, maxCands int) {
-	filter := motif.Op{Kind: motif.OpFilterTrigger, WindowMS: windowMS}
 	expandCap := fanout
 	if expandCap <= 0 {
 		expandCap = defaultExpandCap
 	}
+	expandCaps := make([]int, p.depth-1)
+	for i := range expandCaps {
+		expandCaps[i] = expandCap
+	}
+	p.Ops = motif.PlanOps(windowMS, k, fanout, expandCaps, maxCands)
 	if k == 1 {
 		// The trigger edge is itself the single in-window support: the
 		// dynamic-window probe and the threshold-intersect are pruned, the
 		// window constraint is vacuously satisfied, and the plan reads no
 		// dynamic state at all.
-		p.Ops = append(p.Ops, filter, motif.Op{Kind: motif.OpBindTrigger})
 		p.note("k=1 prune: the trigger edge is always its own in-window support — dynamic-window probe and threshold-intersect eliminated ('within' is vacuously satisfied)")
 	} else {
 		effDyn := p.estDyn
 		if fanout > 0 && fanout < effDyn {
 			effDyn = fanout
 		}
-		p.Ops = append(p.Ops,
-			filter,
-			motif.Op{Kind: motif.OpProbeDynamic, K: k, Limit: fanout},
-			motif.Op{Kind: motif.OpProbeStatic},
-			motif.Op{Kind: motif.OpThreshold, K: k},
-		)
 		p.note("dynamic-window probe ordered first: expected %d in-window actors/event (%s) vs %d followers per static list (%s) — the window filter is the most selective probe and early-exits below k=%d",
 			effDyn, p.estSource("p90 in-degree"), p.estStatic, p.estSource("p50 list length"), k)
 		p.note("threshold-intersect k=%d placed at the narrowest point, before any chain expansion", k)
-	}
-	for i := 1; i < p.depth; i++ {
-		p.Ops = append(p.Ops, motif.Op{Kind: motif.OpExpand, Limit: expandCap})
 	}
 	if p.depth > 1 {
 		p.note("chain depth %d: %d expansion hop(s) after the threshold, survivors capped at %d per hop",
 			p.depth, p.depth-1, expandCap)
 	}
-	p.Ops = append(p.Ops, motif.Op{Kind: motif.OpEmit, Limit: maxCands})
 }
 
 func (p *Plan) note(format string, args ...interface{}) {
@@ -367,7 +361,7 @@ func edgeTypesOf(m *MatchClause) ([]graph.EdgeType, error) {
 	return out, nil
 }
 
-// Program returns the runnable interpreted program for the plan.
+// Program returns the runnable program for the plan.
 func (p *Plan) Program() motif.Program { return p.prog }
 
 // Planned returns the typed planned program (the same object Program

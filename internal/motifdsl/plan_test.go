@@ -322,8 +322,7 @@ motif "b" {
 }
 
 // TestCompiledProgramDetects is the end-to-end DSL test: the compiled
-// diamond detects the paper's Figure 1 motif exactly like the hand-coded
-// one (the E10 equivalence property, in miniature).
+// diamond detects the paper's Figure 1 motif.
 func TestCompiledProgramDetects(t *testing.T) {
 	prog, err := CompileOne(`
 motif "fig1" {

@@ -14,8 +14,8 @@
 //	}
 //
 // Compile lexes, parses, semantically checks, and plans the spec into a
-// motif.Program backed by the same S/D machinery as the hand-written
-// detector; experiment E10 verifies equivalence and measures overhead.
+// motif.PlannedProgram: the same op sequence, share key and executor
+// motif.NewDiamond builds for the shape directly.
 package motifdsl
 
 import "fmt"

@@ -69,6 +69,31 @@ func TestSystemValidation(t *testing.T) {
 	}
 }
 
+// TestPrimaryDiamondValidation holds both facades to one set of rules for
+// the primary diamond: a K under 2 and an edge type outside the plan's
+// window table are errors, never a panic out of a replica.
+func TestPrimaryDiamondValidation(t *testing.T) {
+	bad := []struct {
+		name  string
+		k     int
+		types []motifstream.EdgeType
+	}{
+		{"K=1", 1, nil},
+		{"K=-1", -1, nil},
+		{"edge type 7", 2, []motifstream.EdgeType{7}},
+	}
+	for _, c := range bad {
+		if _, err := motifstream.New(nil, motifstream.Options{K: c.k, EdgeTypes: c.types}); err == nil {
+			t.Errorf("New accepted %s", c.name)
+		}
+		clu, err := motifstream.NewCluster(fig1(), motifstream.ClusterOptions{Partitions: 2, K: c.k, EdgeTypes: c.types})
+		if err == nil {
+			clu.Stop()
+			t.Errorf("NewCluster accepted %s", c.name)
+		}
+	}
+}
+
 func TestSystemSuppressKnown(t *testing.T) {
 	static := append(fig1(), motifstream.Edge{Src: 2, Dst: 99, Type: motifstream.Follow})
 	sys, err := motifstream.New(static, motifstream.Options{
@@ -270,8 +295,8 @@ func TestClusterFacadeValidatesDSL(t *testing.T) {
 	if err := opts.RegisterMotifs("motif bogus"); err == nil {
 		t.Fatal("bad motif source accepted")
 	}
-	// The rejected source must not linger in the set: construction
-	// revalidates every registered source and would fail on it.
+	// The rejected source must not linger in the set: construction compiles
+	// every registered source and would fail on it.
 	clu, err := motifstream.NewCluster(fig1(), opts)
 	if err != nil {
 		t.Fatalf("rejected source poisoned the options: %v", err)

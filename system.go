@@ -66,25 +66,15 @@ type System struct {
 
 // New builds a System from the static A→B follow edges.
 func New(staticEdges []Edge, opts Options) (*System, error) {
-	if opts.K == 0 {
-		opts.K = 3
-	}
-	if opts.K < 2 {
-		return nil, fmt.Errorf("motifstream: K must be >= 2, got %d", opts.K)
-	}
-	if opts.Window <= 0 {
-		opts.Window = 10 * time.Minute
+	primary, window, err := primaryDiamond(opts.K, opts.Window, opts.EdgeTypes, opts.MaxFanout)
+	if err != nil {
+		return nil, err
 	}
 	if opts.Retention <= 0 {
-		opts.Retention = opts.Window
+		opts.Retention = window
 	}
-	if opts.Retention < opts.Window {
-		return nil, fmt.Errorf("motifstream: Retention %s shorter than Window %s", opts.Retention, opts.Window)
-	}
-	if opts.MaxFanout == 0 {
-		opts.MaxFanout = 256
-	} else if opts.MaxFanout < 0 {
-		opts.MaxFanout = 0 // DiamondConfig's "unlimited"
+	if opts.Retention < window {
+		return nil, fmt.Errorf("motifstream: Retention %s shorter than Window %s", opts.Retention, window)
 	}
 
 	builder := &statstore.Builder{MaxInfluencers: opts.MaxInfluencers}
@@ -96,21 +86,9 @@ func New(staticEdges []Edge, opts Options) (*System, error) {
 		follows = func(a, c VertexID) bool { return idx[a].Contains(c) }
 	}
 
-	programs := []motif.Program{
-		motif.NewDiamond(motif.DiamondConfig{
-			K:         opts.K,
-			Window:    opts.Window,
-			EdgeTypes: opts.EdgeTypes,
-			MaxFanout: opts.MaxFanout,
-		}),
-	}
-	programs = append(programs, opts.ExtraPrograms...)
-	for _, src := range opts.motifSources {
-		extra, err := CompileMotif(src)
-		if err != nil {
-			return nil, err
-		}
-		programs = append(programs, extra...)
+	programs, err := appendMotifs(append([]motif.Program{primary}, opts.ExtraPrograms...), opts.motifSources)
+	if err != nil {
+		return nil, err
 	}
 
 	eng, err := core.NewEngine(core.Config{
@@ -125,6 +103,39 @@ func New(staticEdges []Edge, opts Options) (*System, error) {
 		return nil, err
 	}
 	return &System{engine: eng, opts: opts}, nil
+}
+
+// primaryDiamond builds the plan both facades run first, applying their
+// shared defaults — K 0 selects 3, a Window <= 0 ten minutes, MaxFanout 0
+// selects 256 and negative means unlimited — and refusing what no plan can
+// express. It also returns the window it settled on, which sizes D's
+// retention.
+func primaryDiamond(k int, window time.Duration, edgeTypes []EdgeType, maxFanout int) (motif.Program, time.Duration, error) {
+	if k == 0 {
+		k = 3
+	}
+	if k < 2 {
+		return nil, 0, fmt.Errorf("motifstream: K must be >= 2, got %d", k)
+	}
+	if window <= 0 {
+		window = 10 * time.Minute
+	}
+	if window < time.Millisecond {
+		return nil, 0, fmt.Errorf("motifstream: Window %s is under a millisecond, the resolution of stream time", window)
+	}
+	for _, t := range edgeTypes {
+		if int(t) >= motif.NumEdgeTypes {
+			return nil, 0, fmt.Errorf("motifstream: EdgeTypes holds %d, which is not an edge type", t)
+		}
+	}
+	if maxFanout == 0 {
+		maxFanout = 256
+	} else if maxFanout < 0 {
+		maxFanout = 0 // DiamondConfig's "unlimited"
+	}
+	return motif.NewDiamond(motif.DiamondConfig{
+		K: k, Window: window, EdgeTypes: edgeTypes, MaxFanout: maxFanout,
+	}), window, nil
 }
 
 func buildForwardIndex(edges []Edge) map[VertexID]graph.AdjList {
