@@ -85,12 +85,13 @@ test-transport:
 # engine's shared-trie differential and live-degree feed, and the
 # cluster-level multi-query differential (shared vs independent multiset
 # + fingerprint equality, multi-motif kill/restore) — the quick loop for
-# planner and multi-query work. The multi-motif allocation gate runs
-# without race (instrumentation changes allocation counts).
+# planner and multi-query work. The multi-motif allocation gates (the
+# no-candidate path and the emit path's u+2) run without race
+# (instrumentation changes allocation counts).
 test-planner:
 	$(GO) test -race ./internal/motifdsl ./internal/motif
 	$(GO) test -race -run 'TestEngineShared|TestEngineFeedsLiveDegrees|TestMultiQuery' ./internal/core ./internal/cluster
-	$(GO) test -run 'TestDetectBatchAllocBudgetMultiMotif' ./internal/core
+	$(GO) test -run 'TestDetectBatchAllocBudgetMultiMotif|TestDetectBatchAllocBudgetEmitting' ./internal/core
 
 # test-codec runs the checkpoint codec's gates: the allocation budgets of
 # segment decode and delta capture (without race, like test-planner's:
@@ -137,13 +138,13 @@ bench:
 		$(GO) test -run=NONE -bench . -benchtime=1x -count=1 $$pkg; \
 	done
 
-# bench-smoke runs the durability benchmarks plus the wall-clock E2E
-# detection-latency probe once each, so the perf paths the trajectory
-# measures keep compiling and running in CI without a full measurement
-# run.
+# bench-smoke runs the durability benchmarks, the wall-clock E2E
+# detection-latency probe and the threshold kernel's strategy table once
+# each, so the perf paths the trajectory measures keep compiling and
+# running in CI without a full measurement run.
 bench-smoke:
 	@set -e; for pkg in $$($(GO) list ./...); do \
-		$(GO) test -run=NONE -bench 'Checkpoint|Recovery|Snapshot|Reprovision|E2EDetectionLatency|DetectBatch' -benchtime=1x -count=1 $$pkg; \
+		$(GO) test -run=NONE -bench 'Checkpoint|Recovery|Snapshot|Reprovision|E2EDetectionLatency|DetectBatch|ThresholdIntersect' -benchtime=1x -count=1 $$pkg; \
 	done
 
 # bench-trajectory is the measurement run: the pinned trajectory workload
@@ -182,12 +183,13 @@ fuzz:
 	$(GO) test -run=NONE -fuzz FuzzPlanRestore -fuzztime 30s ./internal/cluster
 	$(GO) test -run=NONE -fuzz FuzzSegmentMerge -fuzztime 30s ./internal/partition
 	$(GO) test -run=NONE -fuzz FuzzPlanMatchesReference -fuzztime 30s ./internal/motif
+	$(GO) test -run=NONE -fuzz FuzzThresholdIntersect -fuzztime 30s ./internal/graph
 
 # fuzz-smoke is the CI-budget version: 10s per target keeps the decoders,
 # the WAL record framing, the delivery-state codec, the transport wire
 # protocol, the motif DSL compiler, the restore planner, the segment
-# merge, and the plan executor (against its references) continuously
-# fuzzed without stalling checks. The exhaustive prefix / bit-flip
+# merge, the plan executor and the threshold kernel's strategies (each
+# against its references) continuously fuzzed without stalling checks. The exhaustive prefix / bit-flip
 # properties run first: what the fuzzers sample, they enumerate for one
 # valid input per format.
 fuzz-smoke:
@@ -202,3 +204,4 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz FuzzPlanRestore -fuzztime 10s ./internal/cluster
 	$(GO) test -run=NONE -fuzz FuzzSegmentMerge -fuzztime 10s ./internal/partition
 	$(GO) test -run=NONE -fuzz FuzzPlanMatchesReference -fuzztime 10s ./internal/motif
+	$(GO) test -run=NONE -fuzz FuzzThresholdIntersect -fuzztime 10s ./internal/graph

@@ -237,7 +237,7 @@ func BenchmarkE8Intersect(b *testing.B) {
 	for i := range lists {
 		lists[i] = graph.NewAdjList(seq(i, 2_000, 11))
 	}
-	b.Run("threshold/heap", func(b *testing.B) {
+	b.Run("threshold/kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			graph.ThresholdIntersect(lists, 3)
 		}

@@ -19,7 +19,8 @@ type Cursor struct {
 
 	b      []byte // Checked trims verified trailers off the end
 	pos    int
-	intern map[string]string
+	last   string            // the previous String result
+	intern map[string]string // every String result, once there are two
 }
 
 // NewCursor returns a cursor at the start of b. The cursor aliases b; only
@@ -121,22 +122,33 @@ func (c *Cursor) Count(context string, minBytes int) int {
 }
 
 // String reads a length-prefixed string of at most max bytes. Equal
-// strings read through one cursor share one copy: a segment names each of
-// its few motif programs once per candidate.
+// strings read through one cursor share one copy: a segment or a candidate
+// batch names each of its few motif programs once per candidate. A repeat of
+// the previous string — all a single-program deployment ever reads — costs
+// a comparison; the table is built when a second distinct string turns up.
 func (c *Cursor) String(context string, max int) string {
 	n := c.U(context)
 	if c.Err == nil && n > uint64(max) {
 		c.Fail(context, fmt.Errorf("implausible length %d", n))
 	}
 	b := c.take(context, int(n))
-	if s, ok := c.intern[string(b)]; ok || len(b) == 0 {
-		return s
+	if len(b) == 0 {
+		return ""
 	}
-	if c.intern == nil {
-		c.intern = make(map[string]string)
+	if string(b) == c.last {
+		return c.last
 	}
-	s := string(b)
-	c.intern[s] = s
+	s, ok := c.intern[string(b)]
+	if !ok {
+		s = string(b)
+		if c.last != "" {
+			if c.intern == nil {
+				c.intern = map[string]string{c.last: c.last}
+			}
+			c.intern[s] = s
+		}
+	}
+	c.last = s
 	return s
 }
 

@@ -10,6 +10,52 @@ import (
 	"unsafe"
 )
 
+// Equal strings read through one cursor share one copy in whatever order
+// they come — a run of one name (no table at all), names interleaved, an
+// empty string between them — and a run costs no allocation past its first.
+func TestCursorStringInterns(t *testing.T) {
+	var buf bytes.Buffer
+	w := &Writer{BW: bufio.NewWriter(&buf)}
+	seq := []string{"a1", "a1", "b2", "a1", "", "b2", "c3", "", "a1", "c3", "c3"}
+	for _, s := range seq {
+		w.PutString(s)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	c := NewCursor(buf.Bytes(), "test")
+	first := map[string]*byte{}
+	for i, want := range seq {
+		got := c.String("s", 16)
+		if got != want {
+			t.Fatalf("string %d = %q, want %q", i, got, want)
+		}
+		if p, ok := first[got]; ok && p != unsafe.StringData(got) {
+			t.Fatalf("string %d (%q) is a second copy", i, got)
+		}
+		first[got] = unsafe.StringData(got)
+	}
+	if err := c.Done(); err != nil {
+		t.Fatal(err)
+	}
+
+	buf.Reset()
+	for i := 0; i < 100; i++ {
+		w.PutString("diamond")
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		c := Cursor{b: buf.Bytes()}
+		for i := 0; i < 100; i++ {
+			c.String("s", 16)
+		}
+	}); allocs > 1 {
+		t.Fatalf("a run of one name cost %v allocations, want 1", allocs)
+	}
+}
+
 func TestCursorReadsWhatWriterWrote(t *testing.T) {
 	var buf bytes.Buffer
 	hw := &HashWriter{W: &buf}

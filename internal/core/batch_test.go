@@ -178,6 +178,86 @@ func TestDetectBatchAllocBudget(t *testing.T) {
 	}
 }
 
+// TestDetectBatchAllocBudgetEmitting is the allocation gate of the emit
+// path: a share group of twenty thresholds (k = 2..21) on events where
+// several of them emit. An emitting event may cost the group one Via per
+// distinct user (shared by every member recommending that user), one array
+// for all its candidates, and the engine one array to assemble them in
+// registration order: u + 2 for u users, however many candidates (here 28
+// for 7 users, from 7 members).
+func TestDetectBatchAllocBudgetEmitting(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate: race instrumentation allocates; the non-race run enforces the budget")
+	}
+	// Users 102..108: user 100+j follows B's 1..j, so once all eight B's have
+	// acted on a target user 100+j has j supports.
+	var static []graph.Edge
+	for j := 2; j <= 8; j++ {
+		for b := 1; b <= j; b++ {
+			static = append(static, graph.Edge{Src: graph.VertexID(100 + j), Dst: graph.VertexID(b)})
+		}
+	}
+	var progs []motif.Program
+	for k := 2; k <= 21; k++ {
+		progs = append(progs, motif.NewDiamond(motif.DiamondConfig{
+			Name: fmt.Sprintf("k%d", k), K: k, Window: 30 * time.Second, MaxFanout: 64,
+		}))
+	}
+	b := &statstore.Builder{}
+	e, err := NewEngine(Config{
+		Static:   statstore.New(b.Build(static)),
+		Dynamic:  dynstore.New(dynstore.Options{Retention: time.Minute, MaxPerTarget: 64}),
+		Programs: progs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := e.Sharing(); s.Groups != 1 || s.GroupedPrograms != 20 {
+		t.Fatalf("expected one 20-member group: %+v", s)
+	}
+	const batch = 64
+	edges := make([]graph.Edge, batch)
+	out := make([][]motif.Candidate, batch)
+	ts := int64(1_000_000)
+	fill := func() {
+		for i := range edges {
+			ts += 20
+			edges[i] = graph.Edge{
+				Src:  graph.VertexID(1 + (i % 8)),
+				Dst:  graph.VertexID(50 + (i/8)%4), // every B acts on every target
+				Type: graph.Follow,
+				TS:   ts,
+			}
+		}
+	}
+	for i := 0; i < 20; i++ {
+		fill()
+		replicaApply(e, batch, edges, out)
+	}
+	budget, cands := 0, 0
+	for _, evCands := range out {
+		users := map[graph.VertexID]bool{}
+		for _, c := range evCands {
+			users[c.User] = true
+		}
+		if len(evCands) > 0 {
+			budget += len(users) + 2
+			cands += len(evCands)
+		}
+	}
+	if cands != batch*28 {
+		t.Fatalf("warm batch emitted %d candidates, want 28 per event", cands)
+	}
+	perBatch := testing.AllocsPerRun(20, func() {
+		fill()
+		replicaApply(e, batch, edges, out)
+	})
+	if perBatch > float64(budget) {
+		t.Fatalf("emitting path allocates %.1f/batch for %d candidates; budget is %d (u+2 per emitting event)",
+			perBatch, cands, budget)
+	}
+}
+
 // BenchmarkEngineApply measures per-event Apply; its alloc report is the
 // baseline the batched benchmark is compared against.
 func BenchmarkEngineApply(b *testing.B) {

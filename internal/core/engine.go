@@ -198,9 +198,8 @@ func (e *Engine) applyOne(edge graph.Edge, s *motif.Scratch) []motif.Candidate {
 	start := time.Now()
 	e.dynamic.Insert(edge)
 	detect := time.Now()
-	var out []motif.Candidate
-	// Groups first: each runs its trigger filter and D/S probes once,
-	// parking member results in their registration slots. Programs are
+	// Groups first: each runs its trigger filter, D/S probes and threshold
+	// once, parking member results in their registration slots. Programs are
 	// read-only past the D insert above, so running groups ahead of direct
 	// programs cannot change any result — only the assembly below determines
 	// candidate order.
@@ -208,20 +207,27 @@ func (e *Engine) applyOne(edge graph.Edge, s *motif.Scratch) []motif.Candidate {
 	for gi, g := range e.groups {
 		g.DetectInto(e.ctx, edge, s, res, e.groupSlots[gi])
 	}
+	total, emitters := 0, 0
+	var out []motif.Candidate
 	for i, sp := range e.direct {
-		cands := res[i]
-		res[i] = nil
 		if sp != nil {
-			cands = sp.OnEdgeScratch(e.ctx, edge, s)
+			res[i] = sp.OnEdgeScratch(e.ctx, edge, s)
 		}
-		if len(cands) > 0 {
-			if out == nil {
-				out = cands
-			} else {
-				out = append(out, cands...)
-			}
+		if len(res[i]) > 0 {
+			total += len(res[i])
+			emitters++
+			out = res[i]
 		}
 	}
+	// One emitter's slice is the output as it stands; several are copied, in
+	// registration order, into one array of the exact size.
+	if emitters > 1 {
+		out = make([]motif.Candidate, 0, total)
+		for _, cands := range res {
+			out = append(out, cands...)
+		}
+	}
+	clear(res)
 	end := time.Now()
 	e.queryLatency.Observe(end.Sub(detect))
 	e.ingestLatency.Observe(end.Sub(start))

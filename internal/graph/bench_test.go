@@ -40,14 +40,74 @@ func BenchmarkIntersectAutoSkewed(b *testing.B) {
 	}
 }
 
+// thresholdShapes are the list shapes the threshold chooser is justified on
+// (scanCountMaxElems cites these rows): the deployed one (what benchmark/'s
+// trace records per call on steady: 26 lists of mean 15 elements over a
+// partition's 5 000 users), long balanced lists, one celebrity list among
+// short ones, and the union expandFrontier takes over a few survivors'
+// follower lists.
+var thresholdShapes = []struct {
+	name  string
+	k     int
+	lists func() []AdjList
+}{
+	{"deployed", 3, func() []AdjList {
+		r := rand.New(rand.NewSource(1))
+		lists := make([]AdjList, 26)
+		for i := range lists {
+			lists[i] = benchList(int64(i), 5+r.Intn(21), 5_000)
+		}
+		return lists
+	}},
+	{"balanced-long", 3, func() []AdjList {
+		lists := make([]AdjList, 16)
+		for i := range lists {
+			lists[i] = benchList(int64(i), 2_000, 100_000)
+		}
+		return lists
+	}},
+	{"skewed-long", 3, func() []AdjList {
+		lists := make([]AdjList, 16)
+		lists[0] = benchList(0, 50_000, 1_000_000)
+		for i := 1; i < len(lists); i++ {
+			lists[i] = benchList(int64(i), 15, 1_000_000)
+		}
+		return lists
+	}},
+	{"union", 1, func() []AdjList {
+		lists := make([]AdjList, 8)
+		for i := range lists {
+			lists[i] = benchList(int64(i), 30, 5_000)
+		}
+		return lists
+	}},
+}
+
+// BenchmarkThresholdIntersect times each strategy forced, the interface-heap
+// kernel they replaced, and the chooser, on every shape.
 func BenchmarkThresholdIntersect(b *testing.B) {
-	lists := make([]AdjList, 16)
-	for i := range lists {
-		lists[i] = benchList(int64(i), 2_000, 100_000)
+	kernels := []struct {
+		name string
+		fn   func(AdjList, []int, []AdjList, int, *Scratch) (AdjList, []int)
+	}{
+		{"scancount", scanCountInto},
+		{"merge", mergeCountInto},
+		{"ifaceheap", ifaceHeapCountInto},
+		{"chooser", ThresholdCountsInto},
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ThresholdIntersect(lists, 3)
+	for _, shape := range thresholdShapes {
+		lists := shape.lists()
+		for _, kn := range kernels {
+			b.Run(shape.name+"/"+kn.name, func(b *testing.B) {
+				var s Scratch
+				var dst AdjList
+				var cnt []int
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					dst, cnt = kn.fn(dst[:0], cnt[:0], lists, shape.k, &s)
+				}
+			})
+		}
 	}
 }
 

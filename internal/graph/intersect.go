@@ -1,7 +1,8 @@
 package graph
 
 import (
-	"container/heap"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -11,9 +12,14 @@ import (
 // recently pointed at C; with the production setting k=3 out of n≥3 recent
 // B's, the required operation is the k-of-n threshold intersection: every A
 // appearing in at least k of the lists. Exact intersection (k == n) gets
-// the classic two-pointer and galloping kernels; threshold intersection
-// gets a heap-based multi-way merge and a counting fallback. Benchmark E8
-// compares them.
+// the classic two-pointer and galloping kernels. Threshold intersection is
+// one kernel, ThresholdCountsInto, that returns the survivors of a minimum
+// k with the number of lists holding each — so one pass answers every
+// larger k — and picks per call, from the shape of the lists, between
+// ScanCount over a reusable counter table (many short lists, the deployed
+// shape) and a typed heap merge (unions and lists too long for the table).
+// BenchmarkThresholdIntersect times each strategy forced on each shape;
+// benchreport's E8 compares the chooser with a Go-map baseline.
 //
 // Semantics: all kernels treat their inputs as *sets* presented in sorted
 // order. AdjList's invariant is sorted-and-distinct, but the kernels must
@@ -30,10 +36,17 @@ import (
 // Scratch is single-goroutine; use GetScratch/PutScratch to recycle them
 // across calls without allocation.
 type Scratch struct {
-	heap cursorHeap
 	tmpA AdjList
 	tmpB AdjList
 	ord  []AdjList
+
+	// Threshold kernel state: the merge's cursor heap, the ScanCount table
+	// with the epoch its live slots carry, and the counts a caller of
+	// ThresholdIntersectInto does not ask for.
+	heap  []listCursor
+	tab   []countSlot
+	epoch uint32
+	cnt   []int
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(Scratch) }}
@@ -206,33 +219,10 @@ func intersectAllInto(dst AdjList, lists []AdjList, s *Scratch) AdjList {
 	return append(dst, acc...)
 }
 
-// listCursor tracks a position within one input list for the heap merge.
-type listCursor struct {
-	list AdjList
-	pos  int
-}
-
-type cursorHeap []listCursor
-
-func (h cursorHeap) Len() int { return len(h) }
-func (h cursorHeap) Less(i, j int) bool {
-	return h[i].list[h[i].pos] < h[j].list[h[j].pos]
-}
-func (h cursorHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *cursorHeap) Push(x interface{}) { *h = append(*h, x.(listCursor)) }
-func (h *cursorHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
 // ThresholdIntersect returns, in sorted order, every vertex that appears in
 // at least k *distinct* lists. A vertex occurring multiple times within one
 // list counts that list once — lists are sets, duplicates carry no weight.
-// k == len(lists) degenerates to IntersectAll; k == 1 is a sorted union. It
-// uses a k-way heap merge, so cost is O(total · log n) independent of k.
+// k == len(lists) degenerates to IntersectAll; k == 1 is a sorted union.
 func ThresholdIntersect(lists []AdjList, k int) AdjList {
 	if k <= 0 || len(lists) < k {
 		return nil
@@ -244,65 +234,219 @@ func ThresholdIntersect(lists []AdjList, k int) AdjList {
 }
 
 // ThresholdIntersectInto appends the k-of-n threshold intersection to dst
-// and returns the extended slice. s provides the heap and intermediate
-// buffers; a warmed-up (Scratch, dst) pair makes the call allocation-free.
+// and returns the extended slice. s provides the kernel's intermediates; a
+// warmed-up (Scratch, dst) pair makes the call allocation-free.
 func ThresholdIntersectInto(dst AdjList, lists []AdjList, k int, s *Scratch) AdjList {
+	dst, s.cnt = ThresholdCountsInto(dst, s.cnt[:0], lists, k, s)
+	return dst
+}
+
+// ThresholdCountsInto is the threshold kernel's one pass: it appends to dst,
+// in sorted order, every vertex held by at least k distinct lists, and to
+// counts — index-aligned with the vertices appended — how many lists hold
+// each. One call at the smallest k of interest answers every larger k by
+// filtering counts[i] >= k'. k <= 0 or len(lists) < k appends nothing.
+//
+// The strategy is a function of (len(lists), Σ len(list), k) alone:
+//
+//   - k == len(lists): the exact intersection, shortest list first;
+//   - k >= 2 and at most scanCountMaxElems elements in all (the deployed
+//     shape: a few dozen short follower lists): ScanCount into the scratch's
+//     epoch-stamped counter table;
+//   - otherwise — a union, or lists too long for the table — a typed heap
+//     merge over list cursors.
+func ThresholdCountsInto(dst AdjList, counts []int, lists []AdjList, k int, s *Scratch) (AdjList, []int) {
 	if k <= 0 || len(lists) < k {
-		return dst
+		return dst, counts
 	}
 	if k == len(lists) {
-		return intersectAllInto(dst, lists, s)
+		base := len(dst)
+		dst = intersectAllInto(dst, lists, s)
+		for range dst[base:] {
+			counts = append(counts, k)
+		}
+		return dst, counts
 	}
-	// Work through &s.heap rather than a local slice: passing a local's
-	// address into container/heap's interface would force the slice header
-	// to escape, costing one allocation per call. s is already on the heap.
-	h := &s.heap
-	*h = (*h)[:0]
+	if k >= 2 && totalLen(lists) <= scanCountMaxElems {
+		return scanCountInto(dst, counts, lists, k, s)
+	}
+	return mergeCountInto(dst, counts, lists, k, s)
+}
+
+// scanCountMaxElems bounds the ScanCount table at 2^16 slots, 1 MiB of a
+// pooled Scratch. On BenchmarkThresholdIntersect's balanced rows ScanCount
+// beats the merge at every size (about 5x on deployed, 3.5-4x on
+// balanced-long's 31 700 elements, which is why the bound sits above that
+// row), so the bound is a memory bound, not a crossover; the merge wins where
+// one list dwarfs the rest (skewed-long, 50 000 elements, 1.3-1.5x) and on a
+// union (k = 1, 1.4x: every element survives, and sorting them all costs
+// more than merging them).
+const scanCountMaxElems = 1 << 15
+
+func totalLen(lists []AdjList) int {
+	total := 0
 	for _, l := range lists {
-		if len(l) > 0 {
-			*h = append(*h, listCursor{list: l})
+		total += len(l)
+	}
+	return total
+}
+
+// countSlot is one entry of the ScanCount table. A slot belongs to the
+// current call only when its epoch matches the scratch's, so the table is
+// never cleared between calls.
+type countSlot struct {
+	key   VertexID
+	epoch uint32
+	count uint32
+}
+
+// countTable returns a table of at least two slots per element for one
+// ScanCount call — a power-of-two prefix of s.tab, so a small call after a
+// large one stays cache-resident — with the hash shift that indexes it and
+// s.epoch advanced to the call's stamp.
+func (s *Scratch) countTable(total int) ([]countSlot, uint) {
+	logSlots := bits.Len(uint(2*total - 1))
+	if logSlots < 4 {
+		logSlots = 4
+	}
+	if len(s.tab) < 1<<logSlots {
+		s.tab = make([]countSlot, 1<<logSlots)
+	}
+	s.epoch++
+	if s.epoch == 0 {
+		// Wrapped: a stamp left 2^32 calls ago would read as current (and a
+		// never-used slot as occupied at epoch 0). Start over.
+		clear(s.tab)
+		s.epoch = 1
+	}
+	return s.tab[:1<<logSlots], uint(64 - logSlots)
+}
+
+// scanCountInto is the ScanCount strategy: one pass over every element
+// bumping a per-vertex counter in an open-addressing table, a vertex joining
+// the output the moment its count reaches k; then a sort of the survivors
+// (few, at k >= 2) and one more probe each for the final counts. Sorted
+// input makes a within-list duplicate adjacent, so skipping it is one
+// comparison.
+func scanCountInto(dst AdjList, counts []int, lists []AdjList, k int, s *Scratch) (AdjList, []int) {
+	total := totalLen(lists)
+	if total == 0 {
+		return dst, counts
+	}
+	tab, shift := s.countTable(total)
+	mask, epoch := len(tab)-1, s.epoch
+	base := len(dst)
+	for _, l := range lists {
+		for i, v := range l {
+			if i > 0 && v == l[i-1] {
+				continue
+			}
+			for h := int(uint64(v) * fibHash >> shift); ; h = (h + 1) & mask {
+				sl := &tab[h]
+				if sl.epoch != epoch {
+					*sl = countSlot{key: v, epoch: epoch, count: 1}
+				} else if sl.key == v {
+					sl.count++
+				} else {
+					continue
+				}
+				if sl.count == uint32(k) {
+					dst = append(dst, v)
+				}
+				break
+			}
 		}
 	}
-	if len(*h) < k {
-		return dst
+	out := dst[base:]
+	slices.Sort(out)
+	for _, v := range out {
+		h := int(uint64(v) * fibHash >> shift)
+		for tab[h].key != v || tab[h].epoch != epoch {
+			h = (h + 1) & mask
+		}
+		counts = append(counts, int(tab[h].count))
 	}
-	heap.Init(h)
-	for len(*h) > 0 {
-		cur := (*h)[0].list[(*h)[0].pos]
-		count := 0
-		for len(*h) > 0 && (*h)[0].list[(*h)[0].pos] == cur {
+	return dst, counts
+}
+
+// fibHash is 2^64 / φ: multiplying by it and keeping the top bits spreads
+// the dense, sequential vertex IDs of a follower list over the table.
+const fibHash = 0x9E3779B97F4A7C15
+
+// listCursor is one list's position in the heap merge: its current element,
+// held beside the heap's comparisons, and the elements after it.
+type listCursor struct {
+	head VertexID
+	rest AdjList
+}
+
+// siftDown restores the min-heap order of h below index i.
+func siftDown(h []listCursor, i int) {
+	c := h[i]
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			break
+		}
+		if r := l + 1; r < len(h) && h[r].head < h[l].head {
+			l = r
+		}
+		if h[l].head >= c.head {
+			break
+		}
+		h[i] = h[l]
+		i = l
+	}
+	h[i] = c
+}
+
+// mergeCountInto is the merge strategy: a binary min-heap of list cursors
+// pops the lists' elements in ascending order, so the cursors sharing the
+// smallest head are exactly the lists that hold it. Cost is O(total · log n)
+// whatever k is, with no table to size, and it stops as soon as fewer than k
+// lists have elements left.
+func mergeCountInto(dst AdjList, counts []int, lists []AdjList, k int, s *Scratch) (AdjList, []int) {
+	h := s.heap[:0]
+	for _, l := range lists {
+		if len(l) > 0 {
+			h = append(h, listCursor{head: l[0], rest: l[1:]})
+		}
+	}
+	s.heap = h[:0] // keep the grown buffer
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for len(h) >= k {
+		cur, count := h[0].head, 0
+		for len(h) > 0 && h[0].head == cur {
 			count++
-			c := (*h)[0]
-			c.pos++
 			// Skip duplicates of cur within this list: one list contributes
 			// at most one count per vertex.
-			for c.pos < len(c.list) && c.list[c.pos] == cur {
-				c.pos++
+			rest := h[0].rest
+			for len(rest) > 0 && rest[0] == cur {
+				rest = rest[1:]
 			}
-			if c.pos < len(c.list) {
-				(*h)[0] = c
-				heap.Fix(h, 0)
+			if len(rest) > 0 {
+				h[0] = listCursor{head: rest[0], rest: rest[1:]}
 			} else {
-				// Drop the exhausted cursor without heap.Pop: Pop returns an
-				// interface{} and would box the cursor (one alloc per list).
-				n := len(*h) - 1
-				(*h)[0] = (*h)[n]
-				*h = (*h)[:n]
-				if n > 1 {
-					heap.Fix(h, 0)
-				}
+				h[0] = h[len(h)-1]
+				h = h[:len(h)-1]
+			}
+			if len(h) > 1 {
+				siftDown(h, 0)
 			}
 		}
 		if count >= k {
 			dst = append(dst, cur)
+			counts = append(counts, count)
 		}
 	}
-	return dst
+	return dst, counts
 }
 
-// ThresholdIntersectCount is the counting-map fallback used as the E8
-// baseline: no sortedness assumed, output sorted at the end. Like the heap
-// kernel, it counts distinct lists per vertex, not occurrences.
+// ThresholdIntersectCount is the Go-map counting baseline of E8: no
+// sortedness assumed, output sorted at the end. Like the kernel, it counts
+// distinct lists per vertex, not occurrences.
 func ThresholdIntersectCount(lists []AdjList, k int) AdjList {
 	if k <= 0 || len(lists) < k {
 		return nil

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -191,8 +192,8 @@ func TestThresholdIntersectEmptyLists(t *testing.T) {
 	}
 }
 
-// Property: the heap-based threshold intersection agrees with the counting
-// reference for random inputs and all k.
+// Property: the threshold kernel agrees with the counting reference for
+// random inputs and all k.
 func TestThresholdIntersectAgreesWithReference(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
@@ -382,33 +383,90 @@ func TestThresholdIntersectIntoAgrees(t *testing.T) {
 }
 
 // The whole point of the Into variants: zero heap allocations per call once
-// the scratch and destination buffers are warm. This is the kernel-level
-// half of the per-event alloc budget; engine/cluster tests gate the rest.
+// the scratch and destination buffers are warm, whichever strategy the
+// chooser picks. This is the kernel-level half of the per-event alloc
+// budget; engine/cluster tests gate the rest.
 func TestThresholdIntersectIntoZeroAlloc(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	lists := make([]AdjList, 6)
 	for i := range lists {
 		lists[i] = randList(r, 200, 300)
 	}
-	s := GetScratch()
-	defer PutScratch(s)
-	dst := make(AdjList, 0, 512)
-	dst = ThresholdIntersectInto(dst[:0], lists, 3, s) // warm buffers
-	if allocs := testing.AllocsPerRun(100, func() {
-		dst = ThresholdIntersectInto(dst[:0], lists, 3, s)
-	}); allocs != 0 {
-		t.Fatalf("heap path: %v allocs/op, want 0", allocs)
+	long := make([]AdjList, 3) // past scanCountMaxElems: the merge at k >= 2
+	for i := range long {
+		long[i] = randList(r, scanCountMaxElems, 4*scanCountMaxElems)
 	}
-	dst = ThresholdIntersectInto(dst[:0], lists, len(lists), s)
-	if allocs := testing.AllocsPerRun(100, func() {
-		dst = ThresholdIntersectInto(dst[:0], lists, len(lists), s)
-	}); allocs != 0 {
-		t.Fatalf("k==n path: %v allocs/op, want 0", allocs)
+	s := new(Scratch)
+	dst := make(AdjList, 0, 512)
+	var cnt []int
+	for _, tc := range []struct {
+		name  string
+		lists []AdjList
+		k     int
+	}{
+		{"scancount", lists, 3},
+		{"merge (union)", lists, 1},
+		{"merge (long lists)", long, 2},
+		{"k==n", lists, len(lists)},
+	} {
+		dst = ThresholdIntersectInto(dst[:0], tc.lists, tc.k, s) // warm buffers
+		if allocs := testing.AllocsPerRun(20, func() {
+			dst = ThresholdIntersectInto(dst[:0], tc.lists, tc.k, s)
+		}); allocs != 0 {
+			t.Errorf("%s: ThresholdIntersectInto %v allocs/op, want 0", tc.name, allocs)
+		}
+		dst, cnt = ThresholdCountsInto(dst[:0], cnt[:0], tc.lists, tc.k, s)
+		if allocs := testing.AllocsPerRun(20, func() {
+			dst, cnt = ThresholdCountsInto(dst[:0], cnt[:0], tc.lists, tc.k, s)
+		}); allocs != 0 {
+			t.Errorf("%s: ThresholdCountsInto %v allocs/op, want 0", tc.name, allocs)
+		}
+		if len(cnt) != len(dst) {
+			t.Errorf("%s: %d counts for %d survivors", tc.name, len(cnt), len(dst))
+		}
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		dst = IntersectInto(dst[:0], lists[0], lists[1])
 	}); allocs != 0 {
 		t.Fatalf("IntersectInto: %v allocs/op, want 0", allocs)
+	}
+}
+
+// The chooser is a function of the lists' shape. These are the rows of
+// BenchmarkThresholdIntersect, whose timings the chooser's constant cites,
+// and of benchreport's E8(b), which prints the kernel each row runs: a change
+// to the chooser that moves one fails here.
+func TestThresholdChooserPicks(t *testing.T) {
+	type row struct {
+		name  string
+		k     int
+		lists []AdjList
+		want  string
+	}
+	var rows []row
+	for _, shape := range thresholdShapes {
+		rows = append(rows, row{shape.name, shape.k, shape.lists(), map[string]string{
+			"deployed": "scancount", "balanced-long": "scancount", "skewed-long": "merge", "union": "merge",
+		}[shape.name]})
+	}
+	for n, want := range map[int]string{4: "scancount", 8: "scancount", 16: "scancount", 32: "merge"} {
+		lists := make([]AdjList, n)
+		for i := range lists {
+			lists[i] = benchList(int64(i), 2_000, 100_000)
+		}
+		rows = append(rows, row{fmt.Sprintf("E8 %d long lists", n), 3, lists, want})
+	}
+	for _, r := range rows {
+		s := new(Scratch)
+		ThresholdIntersectInto(nil, r.lists, r.k, s)
+		got := "merge"
+		if s.epoch > 0 {
+			got = "scancount" // only ScanCount stamps an epoch
+		}
+		if got != r.want {
+			t.Errorf("%s (%d lists, %d elements, k=%d): chooser ran %s, want %s",
+				r.name, len(r.lists), totalLen(r.lists), r.k, got, r.want)
+		}
 	}
 }
 

@@ -14,9 +14,11 @@ import (
 // per member and per event, to equal the test-only references exactly
 // (order, Via, Score, Program): the op-list interpreter for every member,
 // run in the group and alone, plus the hand-written diamond or fresh-follow
-// for the shapes they cover. The seeds are the rows of the three
-// differential tests in planned_test.go (each emits candidates on this
-// smaller world too: 17 to 4695 of them).
+// for the shapes they cover. What the executor's emit path shares it must
+// share by the ownership rule on Candidate.Via, and keep none of in the
+// scratch. The seeds are the rows of the three differential tests in
+// planned_test.go (each emits candidates on this smaller world too: 17 to
+// 4695 of them).
 func FuzzPlanMatchesReference(f *testing.F) {
 	const follow, retweet, favorite = 1 << graph.Follow, 1 << graph.Retweet, 1 << graph.Favorite
 	// world seed, k, window seconds, trigger-type mask, fanout, candidate
@@ -89,13 +91,16 @@ func FuzzPlanMatchesReference(f *testing.F) {
 		ctx, stream := randomWorld(seed, 30, 260, 400)
 		s := GetScratch()
 		defer PutScratch(s)
+		owners := map[*graph.VertexID]Candidate{}
 		for i, e := range stream {
 			ctx.D.Insert(e)
 			res := make([][]Candidate, len(plans))
 			group.DetectInto(ctx, e, s, res, slots)
+			scratchHoldsNothing(t, s)
 			for j, plan := range plans {
 				want := interpretOps(ctx, plan.Name(), plan.Ops(), e)
 				sameCandidates(t, i, want, res[j])
+				viaOwnership(t, owners, res[j])
 				sameCandidates(t, i, want, plan.OnEdge(ctx, e))
 				if hands[j] != nil {
 					sameCandidates(t, i, hands[j].OnEdge(ctx, e), res[j])
@@ -103,4 +108,49 @@ func FuzzPlanMatchesReference(f *testing.F) {
 			}
 		}
 	})
+}
+
+// viaOwnership holds cands to the ownership rule on Candidate.Via: no spare
+// capacity, and an array shared only by candidates for the same user from the
+// same trigger. owners remembers every array seen in the run by its first
+// element (which also keeps the arrays alive, so an address is never reused).
+// It returns how many of cands share an array seen before.
+func viaOwnership(t *testing.T, owners map[*graph.VertexID]Candidate, cands []Candidate) (shared int) {
+	t.Helper()
+	for _, c := range cands {
+		if len(c.Via) != cap(c.Via) {
+			t.Fatalf("candidate %v: Via has len %d, cap %d", c, len(c.Via), cap(c.Via))
+		}
+		if len(c.Via) == 0 {
+			continue
+		}
+		o, seen := owners[&c.Via[0]]
+		if seen && (o.User != c.User || o.Trigger != c.Trigger) {
+			t.Fatalf("Via array shared across owners: %v and %v", o, c)
+		}
+		if seen {
+			shared++
+		}
+		owners[&c.Via[0]] = c
+	}
+	return shared
+}
+
+// scratchHoldsNothing checks the hygiene DetectInto promises a pooled
+// scratch: no Candidate and no Via left behind, used capacity included.
+func scratchHoldsNothing(t *testing.T, s *Scratch) {
+	t.Helper()
+	for _, c := range s.stage[:cap(s.stage)] {
+		if c.Via != nil || c.Program != "" {
+			t.Fatalf("scratch retains candidate %v", c)
+		}
+	}
+	for i, via := range s.vias[:cap(s.vias)] {
+		if via != nil {
+			t.Fatalf("scratch retains the Via of survivor %d", i)
+		}
+	}
+	if len(s.stage) != 0 || len(s.viaSet) != 0 {
+		t.Fatalf("scratch staging not reset: %d staged, %d vias set", len(s.stage), len(s.viaSet))
+	}
 }

@@ -29,7 +29,12 @@ type Candidate struct {
 	// tweet for content motifs).
 	Item graph.VertexID
 	// Via lists the supporting B's: followings of User that acted on Item
-	// within the window.
+	// within the window. It is immutable once emitted, has no spare capacity,
+	// and its array may be shared — only with candidates for the same User
+	// from the same Trigger (several motifs of one share group recommending
+	// the one completion), which enter and leave that user's candidate log
+	// together; an array shared across users would be pinned whole by
+	// whichever candidate outlived the rest. Clone it before changing it.
 	Via []graph.VertexID
 	// Trigger is the edge whose arrival completed the motif.
 	Trigger graph.Edge
@@ -81,22 +86,44 @@ type Program interface {
 // Scratch holds the reusable per-invocation buffers of the detection hot
 // path. A Scratch is single-goroutine; recycle via GetScratch/PutScratch
 // (or hold one per worker) so a warmed-up caller pays zero heap
-// allocation per event that emits no candidates. Emitted candidates and
-// their Via lists are always freshly allocated — they outlive the call.
+// allocation per event that emits no candidates. What an emitting event
+// allocates outlives the call and is never scratch memory: one exact-size
+// candidate array per group-event and the Via arrays (see Candidate.Via);
+// between DetectInto calls a Scratch holds no Candidate and no Via.
 type Scratch struct {
 	recent []dynstore.InEdge
 	bs     []graph.VertexID
 	lists  []graph.AdjList
-	as     graph.AdjList
 	g      graph.Scratch
 
-	// Expansion buffers for planned chain programs: sources and follower
-	// lists of the current expansion round, plus ping-pong frontiers so an
-	// expansion never clobbers the shared threshold result in as.
+	// as holds the group-event's shared threshold survivors and cnt, index
+	// for index, how many support lists hold each. passes counts the kernel
+	// passes that produced them: one per (group, event) that reaches the
+	// threshold, however many distinct k the members ask for.
+	as     graph.AdjList
+	cnt    []int
+	passes uint64
+
+	// Expansion buffers for planned chain programs: an expanding member's
+	// own frontier (the survivors counted at least its k), the sources and
+	// follower lists of the current expansion round, plus ping-pong frontiers
+	// so an expansion never clobbers the shared survivors in as.
+	front  graph.AdjList
 	bs2    []graph.VertexID
 	lists2 []graph.AdjList
 	ex1    graph.AdjList
 	ex2    graph.AdjList
+
+	// Emit staging of one group-event: the members' candidates back to back
+	// (ends[i] closing the i-th member's run), copied out once at the exact
+	// size; vias[i] the Via of survivor i once some member has emitted it,
+	// viaSet the indices to nil again; viaBuf the supports of a connector on
+	// their way to an exact-size copy.
+	stage  []Candidate
+	ends   []int
+	vias   [][]graph.VertexID
+	viaSet []int
+	viaBuf []graph.VertexID
 
 	// res holds per-program candidate slots for the engine's shared
 	// executor; entries are nilled after each event so pooled scratches

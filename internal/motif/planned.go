@@ -2,6 +2,7 @@ package motif
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"motifstream/internal/graph"
@@ -303,26 +304,26 @@ func (p *PlannedProgram) OnEdgeScratch(ctx *Context, e graph.Edge, s *Scratch) [
 // soloSlots maps a group of one's only member to result slot 0.
 var soloSlots = []int{0}
 
-// bindTrigger is the k=1 shape: the trigger actor is the sole support and
-// its follower list is the initial frontier.
-func bindTrigger(ctx *Context, e graph.Edge, s *Scratch) ([]graph.VertexID, []graph.AdjList, graph.AdjList) {
+// bindTrigger is the k=1 shape: the trigger actor is the sole support (left
+// in s.bs/s.lists) and its follower list is the initial frontier.
+func bindTrigger(ctx *Context, e graph.Edge, s *Scratch) graph.AdjList {
 	l := ctx.S.Followers(e.Src)
 	if ctx.Stats != nil {
 		ctx.Stats.Static.Observe(len(l))
 	}
 	if len(l) == 0 {
-		return nil, nil, nil
+		return nil
 	}
 	s.bs = append(s.bs[:0], e.Src)
 	s.lists = append(s.lists[:0], l)
-	return s.bs, s.lists, l
+	return l
 }
 
 // probeStatic resolves the follower list of every recent actor in
-// s.recent, dropping actors nobody follows. The first list length is
-// sampled into the live degree view (one atomic add per event, not per
-// list).
-func probeStatic(ctx *Context, s *Scratch) ([]graph.VertexID, []graph.AdjList) {
+// s.recent into s.bs/s.lists, dropping actors nobody follows. The first list
+// length is sampled into the live degree view (one atomic add per event, not
+// per list).
+func probeStatic(ctx *Context, s *Scratch) []graph.AdjList {
 	bs := s.bs[:0]
 	lists := s.lists[:0]
 	for _, in := range s.recent {
@@ -337,17 +338,16 @@ func probeStatic(ctx *Context, s *Scratch) ([]graph.VertexID, []graph.AdjList) {
 		lists = append(lists, l)
 	}
 	s.bs, s.lists = bs, lists
-	return bs, lists
+	return lists
 }
 
 // expandFrontier replaces the survivor frontier with the union of its
 // members' follower lists — one more static hop toward the user. The
 // sources and their lists are kept in s.bs2/s.lists2 for via attribution;
 // the result ping-pongs between s.ex1 and s.ex2 so consecutive expansions
-// (and the group executor's shared threshold buffer) never alias. A
-// positive limit caps the survivors expanded, bounding the frontier at
-// limit × max-follower-list; survivors are sorted, so the cap is
-// deterministic.
+// (and the group's shared survivors in s.as) never alias. A positive limit
+// caps the survivors expanded, bounding the frontier at limit ×
+// max-follower-list; survivors are sorted, so the cap is deterministic.
 func expandFrontier(ctx *Context, s *Scratch, cur graph.AdjList, limit, round int) graph.AdjList {
 	if limit > 0 && len(cur) > limit {
 		cur = cur[:limit]
@@ -379,16 +379,21 @@ func expandFrontier(ctx *Context, s *Scratch, cur graph.AdjList, limit, round in
 	return out
 }
 
-// emitFrontier turns the final frontier into candidates: never recommend a
-// user to themselves, skip users already following the item. Via attribution
-// depends on how far the frontier was expanded: unexpanded survivors carry
-// their full support set; one expansion carries the connector's support
-// set; deeper expansions carry just the immediate connector (exact
-// attribution is not tracked through two unions).
-func emitFrontier(ctx *Context, e graph.Edge, s *Scratch, name string,
-	bs []graph.VertexID, lists []graph.AdjList, cur graph.AdjList, expanded, limit int) []Candidate {
-	var out []Candidate
-	for _, a := range cur {
+// emit stages the member's candidates from its final frontier in s.stage:
+// never recommend a user to themselves, skip users already following the
+// item. cnt, when non-nil, is the kernel's per-survivor support count and cur
+// the group's shared survivors, of which the member's frontier is those with
+// cnt[i] >= k. Via attribution depends on how far the frontier was expanded:
+// unexpanded survivors carry their full support set, one array per survivor
+// shared by every member that emits the user; one expansion carries the
+// connector's support set; deeper expansions carry just the immediate
+// connector (exact attribution is not tracked through two unions).
+func (p *PlannedProgram) emit(ctx *Context, e graph.Edge, s *Scratch, cur graph.AdjList, cnt []int) {
+	start := len(s.stage)
+	for i, a := range cur {
+		if cnt != nil && cnt[i] < p.k {
+			continue
+		}
 		if a == e.Dst {
 			continue
 		}
@@ -396,54 +401,68 @@ func emitFrontier(ctx *Context, e graph.Edge, s *Scratch, name string,
 			continue
 		}
 		var via []graph.VertexID
-		switch expanded {
-		case 0:
-			via = supportersOf(a, bs, lists)
-		case 1:
+		if p.expands == 0 {
+			n := 1 // a bound trigger is the one support of each of its followers
+			if cnt != nil {
+				n = cnt[i]
+			}
+			via = s.sharedVia(i, a, n)
+		} else {
 			conn, ok := connectorOf(a, s)
 			if !ok {
 				continue
 			}
-			via = supportersOf(conn, bs, lists)
-		default:
-			conn, ok := connectorOf(a, s)
-			if !ok {
-				continue
+			if p.expands == 1 {
+				s.viaBuf = supportersOf(s.viaBuf[:0], conn, s.bs, s.lists)
+				via = make([]graph.VertexID, len(s.viaBuf))
+				copy(via, s.viaBuf)
+			} else {
+				via = []graph.VertexID{conn}
 			}
-			via = []graph.VertexID{conn}
 		}
-		if out == nil {
-			hint := len(cur)
-			if limit > 0 && limit < hint {
-				hint = limit
-			}
-			out = make([]Candidate, 0, hint)
-		}
-		out = append(out, Candidate{
+		s.stage = append(s.stage, Candidate{
 			User:         a,
 			Item:         e.Dst,
 			Via:          via,
 			Trigger:      e,
 			DetectedAtMS: e.TS,
-			Program:      name,
+			Program:      p.name,
 			Score:        float64(len(via)),
 		})
-		if limit > 0 && len(out) >= limit {
+		if p.maxCands > 0 && len(s.stage)-start >= p.maxCands {
 			break
 		}
 	}
-	return out
 }
 
-// supportersOf returns the B's whose follower lists contain a. Survivor
-// sets are small, so a binary-search pass per survivor is cheap.
-func supportersOf(a graph.VertexID, bs []graph.VertexID, lists []graph.AdjList) []graph.VertexID {
-	via := make([]graph.VertexID, 0, len(bs))
+// supportersOf appends to via the B's whose follower lists contain a, in the
+// order of bs. Survivor sets are small, so a binary-search pass per survivor
+// is cheap.
+func supportersOf(via []graph.VertexID, a graph.VertexID, bs []graph.VertexID, lists []graph.AdjList) []graph.VertexID {
 	for i, l := range lists {
 		if l.Contains(a) {
 			via = append(via, bs[i])
 		}
 	}
+	return via
+}
+
+// sharedVia returns the Via of the group-event's survivor i — user a, held
+// by n of the support lists — computing it on first use into an array of
+// exactly n entries. Every member that emits a shares the one array: the
+// sharers are candidates for the same user from the same trigger, which is
+// as far as the ownership rule on Candidate.Via lets an array be shared.
+// s.vias grows to the furthest survivor emitted, not to the frontier.
+func (s *Scratch) sharedVia(i int, a graph.VertexID, n int) []graph.VertexID {
+	if i >= len(s.vias) {
+		s.vias = append(s.vias, make([][]graph.VertexID, i+1-len(s.vias))...)
+	}
+	if via := s.vias[i]; via != nil {
+		return via
+	}
+	via := supportersOf(make([]graph.VertexID, 0, n), a, s.bs, s.lists)
+	s.vias[i] = via
+	s.viaSet = append(s.viaSet, i)
 	return via
 }
 
@@ -478,11 +497,13 @@ func (s *Scratch) ResultSlots(n int) [][]Candidate {
 // members share an identical probe prefix (same trigger filter and
 // windows, same probe kind, same fanout cap — see ShareKey), so the
 // per-event D lookup, window scan, and S expansion run once for the whole
-// group. Execution fans out where the plans diverge: each distinct
-// threshold k intersects once (members are ordered by ascending k so equal
-// thresholds reuse the survivor set and the first failing k short-circuits
-// the rest), and expansions/emissions run per member with per-program
-// candidate attribution intact. A group of one is how a plan runs alone.
+// group — and so does the threshold: one kernel pass at the group's smallest
+// k returns every survivor with its support count, and a member's frontier
+// is the survivors counted at least its k. Members are ordered by ascending
+// k so the first k no survivor reaches short-circuits the rest. Expansions
+// and emissions run per member with per-program candidate attribution
+// intact; one more motif of a known key costs a filter and an emit. A group
+// of one is how a plan runs alone.
 type PlannedGroup struct {
 	members []*PlannedProgram
 	byK     []int // member indices ordered by ascending k (stable)
@@ -518,10 +539,12 @@ func groupOf(members []*PlannedProgram) *PlannedGroup {
 }
 
 // DetectInto runs the group against one edge, storing the candidates of
-// member i (in the order given at construction) into res[slots[i]]. Slots not written remain untouched, so
-// callers must pre-clear. The shared prefix honors the same D-locality
-// contract as every member would individually: dynamic reads confined to
-// e.Dst's in-edge list.
+// member i (in the order given at construction) into res[slots[i]]. Slots not
+// written remain untouched, so callers must pre-clear. The candidates of one
+// call share one exact-size array (each slot a capacity-limited window of
+// it), safe to retain; s holds none of them, nor any Via, on return. The
+// shared prefix honors the same D-locality contract as every member would
+// individually: dynamic reads confined to e.Dst's in-edge list.
 func (g *PlannedGroup) DetectInto(ctx *Context, e graph.Edge, s *Scratch, res [][]Candidate, slots []int) {
 	// The prefix parameters are the share key's, equal across members.
 	prefix := g.members[0]
@@ -529,60 +552,95 @@ func (g *PlannedGroup) DetectInto(ctx *Context, e graph.Edge, s *Scratch, res []
 	if win <= 0 {
 		return
 	}
+	// The shared survivors with, past a threshold, the support count of each
+	// (nil for a bound trigger: it is every survivor's one support), and the
+	// largest count: the largest k any member can still meet.
+	var surv graph.AdjList
+	var cnt []int
+	maxCnt := 1
 	if prefix.triggerOnly {
-		bs, lists, cur := bindTrigger(ctx, e, s)
-		if cur == nil {
+		if surv = bindTrigger(ctx, e, s); surv == nil {
 			return
 		}
-		for i, m := range g.members {
-			res[slots[i]] = m.runSuffix(ctx, e, s, bs, lists, cur)
+	} else {
+		// The fanout cap is pushed into the store query so a viral target with
+		// thousands of in-window actors costs O(fanout), not O(window); the
+		// store returns the freshest distinct actors.
+		recent := ctx.D.RecentLimitInto(s.recent[:0], e.Dst, e.TS-win, prefix.fanout)
+		s.recent = recent
+		if ctx.Stats != nil {
+			ctx.Stats.DynIn.Observe(len(recent))
 		}
-		return
+		minK := g.members[g.byK[0]].k
+		if len(recent) < minK {
+			return
+		}
+		lists := probeStatic(ctx, s)
+		if len(lists) < minK {
+			return
+		}
+		s.as, s.cnt = graph.ThresholdCountsInto(s.as[:0], s.cnt[:0], lists, minK, &s.g)
+		s.passes++
+		if len(s.as) == 0 {
+			return
+		}
+		surv, cnt, maxCnt = s.as, s.cnt, slices.Max(s.cnt)
 	}
-	// The fanout cap is pushed into the store query so a viral target with
-	// thousands of in-window actors costs O(fanout), not O(window); the
-	// store returns the freshest distinct actors.
-	recent := ctx.D.RecentLimitInto(s.recent[:0], e.Dst, e.TS-win, prefix.fanout)
-	s.recent = recent
-	if ctx.Stats != nil {
-		ctx.Stats.DynIn.Observe(len(recent))
-	}
-	if len(recent) < g.members[g.byK[0]].k {
-		return
-	}
-	bs, lists := probeStatic(ctx, s)
-	if len(lists) == 0 {
-		return
-	}
-	curK := -1
-	var cur graph.AdjList
+	ends := s.ends[:0]
 	for _, idx := range g.byK {
 		m := g.members[idx]
-		if len(lists) < m.k {
-			break // ascending k: every later member fails too
+		if m.k > maxCnt {
+			break // ascending k: no survivor reaches a later member's either
 		}
-		if m.k != curK {
-			cur = graph.ThresholdIntersectInto(s.as[:0], lists, m.k, &s.g)
-			s.as = cur
-			curK = m.k
-		}
-		if len(cur) == 0 {
-			break // larger k can only shrink the survivor set further
-		}
-		res[slots[idx]] = m.runSuffix(ctx, e, s, bs, lists, cur)
+		m.runSuffix(ctx, e, s, surv, cnt)
+		ends = append(ends, len(s.stage))
 	}
+	s.ends = ends
+	if len(s.stage) == 0 {
+		return
+	}
+	// Hand over: one array of the exact size, a window of it per emitting
+	// member, and nothing the event emitted left in the scratch.
+	out := make([]Candidate, len(s.stage))
+	copy(out, s.stage)
+	lo := 0
+	for i, hi := range ends {
+		if hi > lo {
+			res[slots[g.byK[i]]] = out[lo:hi:hi]
+		}
+		lo = hi
+	}
+	clear(s.stage)
+	s.stage = s.stage[:0]
+	for _, i := range s.viaSet {
+		s.vias[i] = nil
+	}
+	s.viaSet = s.viaSet[:0]
 }
 
-// runSuffix executes the member's post-prefix ops (expansions and emit)
-// from the shared register state. It must not touch s.recent, s.bs,
-// s.lists, or s.as — those belong to the group prefix and later members.
-func (p *PlannedProgram) runSuffix(ctx *Context, e graph.Edge, s *Scratch,
-	bs []graph.VertexID, lists []graph.AdjList, cur graph.AdjList) []Candidate {
+// runSuffix executes the member's post-prefix ops (expansions and emit) from
+// the group's shared survivors. It must not touch s.recent, s.bs, s.lists,
+// s.as or s.cnt — those belong to the group prefix and later members.
+func (p *PlannedProgram) runSuffix(ctx *Context, e graph.Edge, s *Scratch, surv graph.AdjList, cnt []int) {
+	if p.expands == 0 {
+		p.emit(ctx, e, s, surv, cnt)
+		return
+	}
+	cur := surv
+	if cnt != nil {
+		cur = s.front[:0]
+		for i, a := range surv {
+			if cnt[i] >= p.k {
+				cur = append(cur, a)
+			}
+		}
+		s.front = cur
+	}
 	for round := 1; round <= p.expands; round++ {
 		cur = expandFrontier(ctx, s, cur, p.expandCaps[round-1], round)
 		if len(cur) == 0 {
-			return nil
+			return
 		}
 	}
-	return emitFrontier(ctx, e, s, p.name, bs, lists, cur, p.expands, p.maxCands)
+	p.emit(ctx, e, s, cur, nil)
 }

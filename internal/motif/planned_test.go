@@ -1,6 +1,7 @@
 package motif
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -176,6 +177,52 @@ func TestPlannedGroupMatchesIndependent(t *testing.T) {
 	}
 	if emitted == 0 {
 		t.Fatal("vacuous run")
+	}
+}
+
+// TestPlannedGroupOneKernelPass pins where sharing runs through the
+// threshold: a group of twenty thresholds k = 2..21 makes one kernel pass per
+// event that reaches the threshold — the pass at k = 2 carries the counts
+// every larger k filters on — not one per distinct k, and the members that
+// emit one user from that pass share the one Via.
+func TestPlannedGroupOneKernelPass(t *testing.T) {
+	var members []*PlannedProgram
+	var slots []int
+	for k := 2; k <= 21; k++ {
+		members = append(members, NewDiamond(DiamondConfig{
+			Name: fmt.Sprintf("k%d", k), K: k, Window: 10 * time.Minute, MaxFanout: 64,
+		}))
+		slots = append(slots, k-2)
+	}
+	g, err := NewPlannedGroup(members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, stream := randomWorld(11, 40, 500, 3000)
+	solo := members[0] // k = 2: reaches the threshold exactly when the group does
+	s, soloScratch := new(Scratch), new(Scratch)
+	res := make([][]Candidate, len(members))
+	events, shared := uint64(0), 0
+	owners := map[*graph.VertexID]Candidate{}
+	for _, e := range stream {
+		ctx.D.Insert(e)
+		clear(res)
+		before := s.passes
+		g.DetectInto(ctx, e, s, res, slots)
+		if s.passes-before > 1 {
+			t.Fatalf("event %v: %d kernel passes", e, s.passes-before)
+		}
+		events += s.passes - before
+		solo.OnEdgeScratch(ctx, e, soloScratch)
+		for _, cands := range res {
+			shared += viaOwnership(t, owners, cands)
+		}
+	}
+	if s.passes != soloScratch.passes || events == 0 {
+		t.Fatalf("group of 20 made %d kernel passes, its k=2 member alone %d", s.passes, soloScratch.passes)
+	}
+	if shared == 0 {
+		t.Fatal("vacuous run: no two thresholds emitted the same user")
 	}
 }
 

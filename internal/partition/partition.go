@@ -248,12 +248,19 @@ func (l *candidateLog) addAll(cands []motif.Candidate) {
 	}
 }
 
+// addLocked appends c to its user's list, a full list sliding down in place
+// over its oldest entry: re-slicing forward instead would leave the evicted
+// candidates (and their Via arrays) reachable ahead of the slice and regrow
+// the array to twice the depth every depth adds. Readers copy under the lock
+// (get, CaptureDelta, writeBase), so nothing aliases the array.
 func (l *candidateLog) addLocked(c motif.Candidate) {
-	list := append(l.byA[c.User], c)
-	if len(list) > l.depth {
-		list = list[len(list)-l.depth:]
+	list := l.byA[c.User]
+	if drop := len(list) + 1 - l.depth; drop > 0 {
+		n := copy(list, list[drop:])
+		clear(list[n:])
+		list = list[:n]
 	}
-	l.byA[c.User] = list
+	l.byA[c.User] = append(list, c)
 	l.dirty[c.User] = struct{}{}
 }
 
@@ -282,6 +289,7 @@ func (p *Partition) SweepBefore(cutoffMS int64) {
 			}
 		}
 		if len(keep) < len(list) {
+			clear(list[len(keep):]) // the dropped candidates' Via arrays go with them
 			p.log.dirty[a] = struct{}{}
 		}
 		if len(keep) == 0 {

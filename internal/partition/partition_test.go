@@ -204,6 +204,51 @@ func TestRecommendationsForForeignUser(t *testing.T) {
 	}
 }
 
+// The log keeps exactly the last depth candidates of a user reachable: a full
+// list slides in place, so the array neither regrows to twice the depth nor
+// holds evicted candidates (and the Via arrays they point to) outside the
+// list.
+func TestCandidateLogSlidesInPlace(t *testing.T) {
+	for _, depth := range []int{1, 2, 5, 16, 17} {
+		l := newCandidateLog(depth)
+		var full *motif.Candidate // the array's first slot once the list is full
+		for i := 1; i <= 10*depth; i++ {
+			l.add(motif.Candidate{User: 7, Item: graph.VertexID(i), Via: []graph.VertexID{1, 2, 3}})
+			list := l.byA[7]
+			if cap(list) >= 2*depth && depth > 1 {
+				t.Fatalf("depth %d: array of %d slots after %d adds", depth, cap(list), i)
+			}
+			if i == depth {
+				full = &list[0]
+			} else if i > depth && &list[0] != full {
+				t.Fatalf("depth %d: add %d moved the list instead of sliding it", depth, i)
+			}
+		}
+		list := l.byA[7]
+		got := l.get(7)
+		if len(got) != depth {
+			t.Fatalf("depth %d: get returned %d candidates", depth, len(got))
+		}
+		for i, c := range got {
+			if want := graph.VertexID(9*depth + i + 1); c.Item != want {
+				t.Errorf("depth %d: entry %d is item %d, want %d", depth, i, c.Item, want)
+			}
+		}
+		for i, c := range list[len(list):cap(list)] {
+			if c.Via != nil || c.Item != 0 {
+				t.Errorf("depth %d: evicted candidate %d still held at slot %d", depth, c.Item, len(list)+i)
+			}
+		}
+	}
+	// A restored list longer than the depth is cut to it by the next add.
+	l := newCandidateLog(2)
+	l.byA[7] = []motif.Candidate{{User: 7, Item: 1}, {User: 7, Item: 2}, {User: 7, Item: 3}, {User: 7, Item: 4}}
+	l.add(motif.Candidate{User: 7, Item: 5})
+	if got := l.get(7); len(got) != 2 || got[0].Item != 4 || got[1].Item != 5 {
+		t.Errorf("over-long list after an add: %v", got)
+	}
+}
+
 func TestCandidateLogDepthAndSweep(t *testing.T) {
 	p, err := New(Config{
 		ID: 0, StaticEdges: fig1Edges(), Partitioner: singlePartitioner{},

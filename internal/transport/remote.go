@@ -147,11 +147,7 @@ func (rr *RemoteReplica) RecommendationsFor(a graph.VertexID) []motif.Candidate 
 	if err != nil {
 		return nil
 	}
-	n := wr.Count("recs count", 10)
-	var out []motif.Candidate
-	for i := 0; i < n && wr.Err == nil; i++ {
-		out = append(out, decodeCandidate(wr))
-	}
+	out := decodeCandidates(wr, "recs count")
 	if wr.Err != nil {
 		return nil
 	}

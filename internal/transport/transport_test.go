@@ -519,6 +519,25 @@ func TestFramePrefixesAndBitFlipsRejected(t *testing.T) {
 	}
 }
 
+// TestDecodeCandBatchAllocBudget pins what the hub pays to decode the
+// candidate batch of the test above: the cursor, the message list, the
+// candidate list, one Via per candidate and the program's name once — not a
+// growth step per appended element nor a string per candidate.
+func TestDecodeCandBatchAllocBudget(t *testing.T) {
+	payload := encodeCandBatch(3, []CandMsg{{Pid: 1, Offset: 2, PubNS: 3, Delay: time.Millisecond, Cands: []motif.Candidate{
+		{User: 5, Item: 6, Via: []graph.VertexID{7, 8}, Program: "diamond", Score: 1.5},
+		{User: 5, Item: 9, Via: []graph.VertexID{7}, Program: "diamond", Score: 1},
+	}}})
+	const budget = 1 + 1 + 1 + 2 + 1
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, msgs, err := decodeCandBatch(wireCursor(payload[1:])); err != nil || len(msgs[0].Cands) != 2 {
+			t.Fatal(err)
+		}
+	}); allocs > budget {
+		t.Fatalf("decoding a 2-candidate batch cost %v allocations, budget %d", allocs, budget)
+	}
+}
+
 // FuzzTransportFrame exercises the full wire surface with hostile bytes:
 // framing (truncated, bit-flipped, oversized) and every message decoder.
 // Nothing may panic; valid frames must round-trip intact.

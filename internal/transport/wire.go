@@ -217,15 +217,32 @@ func decodeCandidate(r *codecutil.Cursor) motif.Candidate {
 	var c motif.Candidate
 	c.User = graph.VertexID(r.U("cand user"))
 	c.Item = graph.VertexID(r.U("cand item"))
-	nv := r.Count("cand via count", 1)
-	for i := 0; i < nv && r.Err == nil; i++ {
-		c.Via = append(c.Via, graph.VertexID(r.U("cand via")))
+	// Count has bounded the length against the bytes left, so Via is sized
+	// once, as are the candidate and message lists below.
+	if nv := r.Count("cand via count", 1); nv > 0 {
+		c.Via = make([]graph.VertexID, nv)
+		for i := range c.Via {
+			c.Via[i] = graph.VertexID(r.U("cand via"))
+		}
 	}
 	c.Trigger = decodeEdge(r, "cand trigger")
 	c.DetectedAtMS = r.I("cand detected")
 	c.Program = r.String("cand program", 4096)
 	c.Score = math.Float64frombits(r.U("cand score"))
 	return c
+}
+
+// decodeCandidates reads a counted candidate list, nil when empty.
+func decodeCandidates(r *codecutil.Cursor, context string) []motif.Candidate {
+	n := r.Count(context, 10)
+	if n == 0 {
+		return nil
+	}
+	out := make([]motif.Candidate, 0, n)
+	for i := 0; i < n && r.Err == nil; i++ {
+		out = append(out, decodeCandidate(r))
+	}
+	return out
 }
 
 func encodeCandBatch(seq uint64, msgs []CandMsg) []byte {
@@ -249,16 +266,16 @@ func encodeCandBatch(seq uint64, msgs []CandMsg) []byte {
 func decodeCandBatch(r *codecutil.Cursor) (seq uint64, msgs []CandMsg, err error) {
 	seq = r.U("cand seq")
 	n := r.Count("cand msg count", 5)
+	if n > 0 {
+		msgs = make([]CandMsg, 0, n)
+	}
 	for i := 0; i < n && r.Err == nil; i++ {
 		var m CandMsg
 		m.Pid = int(r.U("cand pid"))
 		m.Offset = r.U("cand offset")
 		m.PubNS = r.I("cand pub ns")
 		m.Delay = time.Duration(r.U("cand delay"))
-		nc := r.Count("cand count", 10)
-		for j := 0; j < nc && r.Err == nil; j++ {
-			m.Cands = append(m.Cands, decodeCandidate(r))
-		}
+		m.Cands = decodeCandidates(r, "cand count")
 		msgs = append(msgs, m)
 	}
 	return seq, msgs, r.Err
@@ -276,11 +293,7 @@ func encodeRecsResp(id uint64, cands []motif.Candidate) []byte {
 
 func decodeRecsResp(r *codecutil.Cursor) (uint64, []motif.Candidate, error) {
 	id := r.U("recs id")
-	n := r.Count("recs count", 10)
-	var out []motif.Candidate
-	for i := 0; i < n && r.Err == nil; i++ {
-		out = append(out, decodeCandidate(r))
-	}
+	out := decodeCandidates(r, "recs count")
 	return id, out, r.Err
 }
 
