@@ -86,15 +86,16 @@ test-transport:
 # cluster-level multi-query differential (shared vs independent multiset
 # + fingerprint equality, multi-motif kill/restore) — the quick loop for
 # planner and multi-query work. The multi-motif allocation gates (the
-# no-candidate path and the emit path's u+2) run without race
-# (instrumentation changes allocation counts).
+# no-candidate path and the emit path's 3 per emitting event) run without
+# race (instrumentation changes allocation counts).
 test-planner:
 	$(GO) test -race ./internal/motifdsl ./internal/motif
 	$(GO) test -race -run 'TestEngineShared|TestEngineFeedsLiveDegrees|TestMultiQuery' ./internal/core ./internal/cluster
 	$(GO) test -run 'TestDetectBatchAllocBudgetMultiMotif|TestDetectBatchAllocBudgetEmitting' ./internal/core
 
 # test-codec runs the checkpoint codec's gates: the allocation budgets of
-# segment decode and delta capture (without race, like test-planner's:
+# segment decode, delta capture and the candidate log (commit, read) with the
+# log's bytes-per-candidate footprint (without race, like test-planner's:
 # instrumentation changes allocation counts), the parent-written golden
 # files with the exhaustive prefix / bit-flip properties beside each fuzz
 # target, the cursor's own tests, the segment merge law (its table, the
@@ -102,7 +103,7 @@ test-planner:
 # one iteration of the compactor's fold (base + 8 deltas from disk) — the
 # quick loop for codec work.
 test-codec:
-	$(GO) test -run 'AllocBudget' ./internal/partition ./internal/dynstore
+	$(GO) test -run 'AllocBudget|Footprint' ./internal/partition ./internal/dynstore
 	$(GO) test -run 'Golden|PrefixesAndBitFlips|Cursor|Arena|TestRun' ./internal/codecutil ./internal/partition ./internal/dynstore ./internal/delivery ./internal/placement ./internal/transport ./internal/cluster
 	$(GO) test -run 'SegmentMerge|KeysOutOfOrder|DuplicateTarget' ./internal/partition ./internal/dynstore
 	$(GO) test -run=NONE -bench BenchmarkCheckpointCompose -benchtime=1x -count=1 ./internal/partition
@@ -139,12 +140,12 @@ bench:
 	done
 
 # bench-smoke runs the durability benchmarks, the wall-clock E2E
-# detection-latency probe and the threshold kernel's strategy table once
-# each, so the perf paths the trajectory measures keep compiling and
-# running in CI without a full measurement run.
+# detection-latency probe, the threshold kernel's strategy table and the
+# candidate log's commit path once each, so the perf paths the trajectory
+# measures keep compiling and running in CI without a full measurement run.
 bench-smoke:
 	@set -e; for pkg in $$($(GO) list ./...); do \
-		$(GO) test -run=NONE -bench 'Checkpoint|Recovery|Snapshot|Reprovision|E2EDetectionLatency|DetectBatch|ThresholdIntersect' -benchtime=1x -count=1 $$pkg; \
+		$(GO) test -run=NONE -bench 'Checkpoint|Recovery|Snapshot|Reprovision|E2EDetectionLatency|DetectBatch|ThresholdIntersect|Commit' -benchtime=1x -count=1 $$pkg; \
 	done
 
 # bench-trajectory is the measurement run: the pinned trajectory workload
@@ -182,14 +183,16 @@ fuzz:
 	$(GO) test -run=NONE -fuzz FuzzCompile -fuzztime 30s ./internal/motifdsl
 	$(GO) test -run=NONE -fuzz FuzzPlanRestore -fuzztime 30s ./internal/cluster
 	$(GO) test -run=NONE -fuzz FuzzSegmentMerge -fuzztime 30s ./internal/partition
+	$(GO) test -run=NONE -fuzz FuzzCandidateLog -fuzztime 30s ./internal/partition
 	$(GO) test -run=NONE -fuzz FuzzPlanMatchesReference -fuzztime 30s ./internal/motif
 	$(GO) test -run=NONE -fuzz FuzzThresholdIntersect -fuzztime 30s ./internal/graph
 
 # fuzz-smoke is the CI-budget version: 10s per target keeps the decoders,
 # the WAL record framing, the delivery-state codec, the transport wire
 # protocol, the motif DSL compiler, the restore planner, the segment
-# merge, the plan executor and the threshold kernel's strategies (each
-# against its references) continuously fuzzed without stalling checks. The exhaustive prefix / bit-flip
+# merge, the candidate log, the plan executor and the threshold kernel's
+# strategies (each against its references) continuously fuzzed without
+# stalling checks. The exhaustive prefix / bit-flip
 # properties run first: what the fuzzers sample, they enumerate for one
 # valid input per format.
 fuzz-smoke:
@@ -203,5 +206,6 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz FuzzCompile -fuzztime 10s ./internal/motifdsl
 	$(GO) test -run=NONE -fuzz FuzzPlanRestore -fuzztime 10s ./internal/cluster
 	$(GO) test -run=NONE -fuzz FuzzSegmentMerge -fuzztime 10s ./internal/partition
+	$(GO) test -run=NONE -fuzz FuzzCandidateLog -fuzztime 10s ./internal/partition
 	$(GO) test -run=NONE -fuzz FuzzPlanMatchesReference -fuzztime 10s ./internal/motif
 	$(GO) test -run=NONE -fuzz FuzzThresholdIntersect -fuzztime 10s ./internal/graph

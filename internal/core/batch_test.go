@@ -180,11 +180,11 @@ func TestDetectBatchAllocBudget(t *testing.T) {
 
 // TestDetectBatchAllocBudgetEmitting is the allocation gate of the emit
 // path: a share group of twenty thresholds (k = 2..21) on events where
-// several of them emit. An emitting event may cost the group one Via per
-// distinct user (shared by every member recommending that user), one array
-// for all its candidates, and the engine one array to assemble them in
-// registration order: u + 2 for u users, however many candidates (here 28
-// for 7 users, from 7 members).
+// several of them emit. An emitting event may cost the group one array for
+// all its candidates and one for all their Vias (a window per candidate, the
+// members recommending one user sharing theirs), and the engine one array to
+// assemble the candidates in registration order: 3, however many candidates
+// and users (here 28 for 7 users, from 7 members).
 func TestDetectBatchAllocBudgetEmitting(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gate: race instrumentation allocates; the non-race run enforces the budget")
@@ -236,12 +236,8 @@ func TestDetectBatchAllocBudgetEmitting(t *testing.T) {
 	}
 	budget, cands := 0, 0
 	for _, evCands := range out {
-		users := map[graph.VertexID]bool{}
-		for _, c := range evCands {
-			users[c.User] = true
-		}
 		if len(evCands) > 0 {
-			budget += len(users) + 2
+			budget += 3
 			cands += len(evCands)
 		}
 	}
@@ -253,7 +249,7 @@ func TestDetectBatchAllocBudgetEmitting(t *testing.T) {
 		replicaApply(e, batch, edges, out)
 	})
 	if perBatch > float64(budget) {
-		t.Fatalf("emitting path allocates %.1f/batch for %d candidates; budget is %d (u+2 per emitting event)",
+		t.Fatalf("emitting path allocates %.1f/batch for %d candidates; budget is %d (3 per emitting event)",
 			perBatch, cands, budget)
 	}
 }

@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // AdjList is a sorted, duplicate-free list of vertex IDs. The S data
 // structure keeps follower lists in this form so that intersections can be
@@ -17,7 +20,7 @@ func NewAdjList(ids []VertexID) AdjList {
 	}
 	out := make(AdjList, len(ids))
 	copy(out, ids)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out.dedupInPlace()
 }
 

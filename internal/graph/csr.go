@@ -2,7 +2,7 @@ package graph
 
 import (
 	"errors"
-	"sort"
+	"slices"
 )
 
 // CSR is a compressed-sparse-row immutable directed graph. The offline
@@ -56,7 +56,7 @@ func BuildCSR(edges []Edge) *CSR {
 	newOffsets := make([]uint64, len(offsets))
 	for v := uint64(0); v < n; v++ {
 		row := targets[offsets[v]:offsets[v+1]]
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+		slices.Sort(row)
 		newOffsets[v] = w
 		for i := range row {
 			if i > 0 && row[i] == row[i-1] {

@@ -2,6 +2,7 @@ package motif
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -110,34 +111,46 @@ func FuzzPlanMatchesReference(f *testing.F) {
 	})
 }
 
-// viaOwnership holds cands to the ownership rule on Candidate.Via: no spare
-// capacity, and an array shared only by candidates for the same user from the
-// same trigger. owners remembers every array seen in the run by its first
-// element (which also keeps the arrays alive, so an address is never reused).
-// It returns how many of cands share an array seen before.
+// viaOwnership holds cands — one member's candidates for one event — to the
+// ownership rule on Candidate.Via: no spare capacity, no element of an array
+// shared with a candidate of another trigger, and an append to one candidate's
+// Via changing no other's. owners remembers every Via element seen in the run
+// by its address (which also keeps the arrays alive, so an address is never
+// reused). It returns how many of cands have the Via of a candidate seen
+// before: a window shared by the members that emit one user.
 func viaOwnership(t *testing.T, owners map[*graph.VertexID]Candidate, cands []Candidate) (shared int) {
 	t.Helper()
+	var before [][]graph.VertexID
 	for _, c := range cands {
 		if len(c.Via) != cap(c.Via) {
 			t.Fatalf("candidate %v: Via has len %d, cap %d", c, len(c.Via), cap(c.Via))
 		}
-		if len(c.Via) == 0 {
-			continue
+		before = append(before, append([]graph.VertexID(nil), c.Via...))
+		for j := range c.Via {
+			o, seen := owners[&c.Via[j]]
+			if seen && o.Trigger != c.Trigger {
+				t.Fatalf("Via array shared across triggers: %v and %v", o, c)
+			}
+			if seen && j == 0 {
+				shared++
+			}
+			owners[&c.Via[j]] = c
 		}
-		o, seen := owners[&c.Via[0]]
-		if seen && (o.User != c.User || o.Trigger != c.Trigger) {
-			t.Fatalf("Via array shared across owners: %v and %v", o, c)
+	}
+	for _, c := range cands {
+		_ = append(c.Via, ^graph.VertexID(0))
+	}
+	for i, c := range cands {
+		if !slices.Equal(c.Via, before[i]) {
+			t.Fatalf("candidate %v: Via was %v before another candidate's was appended to", c, before[i])
 		}
-		if seen {
-			shared++
-		}
-		owners[&c.Via[0]] = c
 	}
 	return shared
 }
 
 // scratchHoldsNothing checks the hygiene DetectInto promises a pooled
-// scratch: no Candidate and no Via left behind, used capacity included.
+// scratch: no Candidate left behind, used capacity included, and the Via
+// staging reset.
 func scratchHoldsNothing(t *testing.T, s *Scratch) {
 	t.Helper()
 	for _, c := range s.stage[:cap(s.stage)] {
@@ -145,12 +158,13 @@ func scratchHoldsNothing(t *testing.T, s *Scratch) {
 			t.Fatalf("scratch retains candidate %v", c)
 		}
 	}
-	for i, via := range s.vias[:cap(s.vias)] {
-		if via != nil {
-			t.Fatalf("scratch retains the Via of survivor %d", i)
+	for i, ref := range s.memo[:cap(s.memo)] {
+		if ref != (viaRef{}) {
+			t.Fatalf("scratch remembers the Via of survivor %d", i)
 		}
 	}
-	if len(s.stage) != 0 || len(s.viaSet) != 0 {
-		t.Fatalf("scratch staging not reset: %d staged, %d vias set", len(s.stage), len(s.viaSet))
+	if len(s.stage) != 0 || len(s.refs) != 0 || len(s.viaElems) != 0 || len(s.viaSet) != 0 {
+		t.Fatalf("scratch staging not reset: %d staged, %d refs, %d Via elements, %d survivors set",
+			len(s.stage), len(s.refs), len(s.viaElems), len(s.viaSet))
 	}
 }

@@ -29,12 +29,15 @@ type Candidate struct {
 	// tweet for content motifs).
 	Item graph.VertexID
 	// Via lists the supporting B's: followings of User that acted on Item
-	// within the window. It is immutable once emitted, has no spare capacity,
-	// and its array may be shared — only with candidates for the same User
-	// from the same Trigger (several motifs of one share group recommending
-	// the one completion), which enter and leave that user's candidate log
-	// together; an array shared across users would be pinned whole by
-	// whichever candidate outlived the rest. Clone it before changing it.
+	// within the window. It is immutable once emitted and has no spare
+	// capacity (len == cap: an append copies, it never writes into a
+	// neighbour), and its backing array may be shared with the other
+	// candidates of the same group-event — one share group's candidates for
+	// one trigger, whoever their users are — and with nothing else. The
+	// array lives as long as any of them does, so whoever keeps a candidate
+	// beyond delivery copies its Via, as the partition's candidate log does;
+	// clone it before changing it. Programs outside the planned executor
+	// (TriangleClosure, a caller's own) allocate one per candidate.
 	Via []graph.VertexID
 	// Trigger is the edge whose arrival completed the motif.
 	Trigger graph.Edge
@@ -88,8 +91,9 @@ type Program interface {
 // (or hold one per worker) so a warmed-up caller pays zero heap
 // allocation per event that emits no candidates. What an emitting event
 // allocates outlives the call and is never scratch memory: one exact-size
-// candidate array per group-event and the Via arrays (see Candidate.Via);
-// between DetectInto calls a Scratch holds no Candidate and no Via.
+// candidate array and one exact-size Via array per group-event (see
+// Candidate.Via); between DetectInto calls a Scratch holds no Candidate and
+// no array a Candidate points into.
 type Scratch struct {
 	recent []dynstore.InEdge
 	bs     []graph.VertexID
@@ -115,15 +119,16 @@ type Scratch struct {
 	ex2    graph.AdjList
 
 	// Emit staging of one group-event: the members' candidates back to back
-	// (ends[i] closing the i-th member's run), copied out once at the exact
-	// size; vias[i] the Via of survivor i once some member has emitted it,
-	// viaSet the indices to nil again; viaBuf the supports of a connector on
-	// their way to an exact-size copy.
-	stage  []Candidate
-	ends   []int
-	vias   [][]graph.VertexID
-	viaSet []int
-	viaBuf []graph.VertexID
+	// (ends[i] closing the i-th member's run), their Via elements in viaElems
+	// with refs[j] placing stage[j]'s, both copied out once at the exact size;
+	// memo[i] the place of survivor i's Via once some member has emitted it,
+	// viaSet the indices to reset.
+	stage    []Candidate
+	refs     []viaRef
+	ends     []int
+	viaElems []graph.VertexID
+	memo     []viaRef
+	viaSet   []int
 
 	// res holds per-program candidate slots for the engine's shared
 	// executor; entries are nilled after each event so pooled scratches

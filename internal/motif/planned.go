@@ -383,11 +383,14 @@ func expandFrontier(ctx *Context, s *Scratch, cur graph.AdjList, limit, round in
 // never recommend a user to themselves, skip users already following the
 // item. cnt, when non-nil, is the kernel's per-survivor support count and cur
 // the group's shared survivors, of which the member's frontier is those with
-// cnt[i] >= k. Via attribution depends on how far the frontier was expanded:
-// unexpanded survivors carry their full support set, one array per survivor
-// shared by every member that emits the user; one expansion carries the
-// connector's support set; deeper expansions carry just the immediate
-// connector (exact attribution is not tracked through two unions).
+// cnt[i] >= k. A staged candidate has no Via yet: its elements are staged in
+// s.viaElems and s.refs says where, until DetectInto's hand-over gives the
+// whole group-event one array. Via attribution depends on how far the
+// frontier was expanded: unexpanded survivors carry their full support set,
+// staged once per survivor and shared by every member that emits the user;
+// one expansion carries the connector's support set; deeper expansions carry
+// just the immediate connector (exact attribution is not tracked through two
+// unions).
 func (p *PlannedProgram) emit(ctx *Context, e graph.Edge, s *Scratch, cur graph.AdjList, cnt []int) {
 	start := len(s.stage)
 	for i, a := range cur {
@@ -400,34 +403,30 @@ func (p *PlannedProgram) emit(ctx *Context, e graph.Edge, s *Scratch, cur graph.
 		if ctx.Follows != nil && ctx.Follows(a, e.Dst) {
 			continue
 		}
-		var via []graph.VertexID
+		var via viaRef
 		if p.expands == 0 {
-			n := 1 // a bound trigger is the one support of each of its followers
-			if cnt != nil {
-				n = cnt[i]
-			}
-			via = s.sharedVia(i, a, n)
+			via = s.sharedVia(i, a)
 		} else {
 			conn, ok := connectorOf(a, s)
 			if !ok {
 				continue
 			}
+			via.off = len(s.viaElems)
 			if p.expands == 1 {
-				s.viaBuf = supportersOf(s.viaBuf[:0], conn, s.bs, s.lists)
-				via = make([]graph.VertexID, len(s.viaBuf))
-				copy(via, s.viaBuf)
+				s.viaElems = supportersOf(s.viaElems, conn, s.bs, s.lists)
 			} else {
-				via = []graph.VertexID{conn}
+				s.viaElems = append(s.viaElems, conn)
 			}
+			via.n = len(s.viaElems) - via.off
 		}
+		s.refs = append(s.refs, via)
 		s.stage = append(s.stage, Candidate{
 			User:         a,
 			Item:         e.Dst,
-			Via:          via,
 			Trigger:      e,
 			DetectedAtMS: e.TS,
 			Program:      p.name,
-			Score:        float64(len(via)),
+			Score:        float64(via.n),
 		})
 		if p.maxCands > 0 && len(s.stage)-start >= p.maxCands {
 			break
@@ -447,23 +446,25 @@ func supportersOf(via []graph.VertexID, a graph.VertexID, bs []graph.VertexID, l
 	return via
 }
 
-// sharedVia returns the Via of the group-event's survivor i — user a, held
-// by n of the support lists — computing it on first use into an array of
-// exactly n entries. Every member that emits a shares the one array: the
-// sharers are candidates for the same user from the same trigger, which is
-// as far as the ownership rule on Candidate.Via lets an array be shared.
-// s.vias grows to the furthest survivor emitted, not to the frontier.
-func (s *Scratch) sharedVia(i int, a graph.VertexID, n int) []graph.VertexID {
-	if i >= len(s.vias) {
-		s.vias = append(s.vias, make([][]graph.VertexID, i+1-len(s.vias))...)
+// viaRef places a Via among the Via elements a group-event has staged.
+type viaRef struct{ off, n int }
+
+// sharedVia returns where the Via of the group-event's survivor i — user a —
+// is staged, staging it on first use: the supports holding a, in the order of
+// s.bs. Every member that emits a gets the one range. s.memo grows to the
+// furthest survivor emitted, not to the frontier; n == 0 marks a survivor not
+// staged yet (a survivor has at least one support).
+func (s *Scratch) sharedVia(i int, a graph.VertexID) viaRef {
+	for i >= len(s.memo) {
+		s.memo = append(s.memo, viaRef{})
 	}
-	if via := s.vias[i]; via != nil {
-		return via
+	if s.memo[i].n == 0 {
+		off := len(s.viaElems)
+		s.viaElems = supportersOf(s.viaElems, a, s.bs, s.lists)
+		s.memo[i] = viaRef{off, len(s.viaElems) - off}
+		s.viaSet = append(s.viaSet, i)
 	}
-	via := supportersOf(make([]graph.VertexID, 0, n), a, s.bs, s.lists)
-	s.vias[i] = via
-	s.viaSet = append(s.viaSet, i)
-	return via
+	return s.memo[i]
 }
 
 // connectorOf finds the first source of the last expansion round whose
@@ -542,7 +543,8 @@ func groupOf(members []*PlannedProgram) *PlannedGroup {
 // member i (in the order given at construction) into res[slots[i]]. Slots not
 // written remain untouched, so callers must pre-clear. The candidates of one
 // call share one exact-size array (each slot a capacity-limited window of
-// it), safe to retain; s holds none of them, nor any Via, on return. The
+// it) and their Vias another (see Candidate.Via), both freshly allocated; s
+// holds neither on return. The
 // shared prefix honors the same D-locality contract as every member would
 // individually: dynamic reads confined to e.Dst's in-edge list.
 func (g *PlannedGroup) DetectInto(ctx *Context, e graph.Edge, s *Scratch, res [][]Candidate, slots []int) {
@@ -599,10 +601,17 @@ func (g *PlannedGroup) DetectInto(ctx *Context, e graph.Edge, s *Scratch, res []
 	if len(s.stage) == 0 {
 		return
 	}
-	// Hand over: one array of the exact size, a window of it per emitting
-	// member, and nothing the event emitted left in the scratch.
+	// Hand over: one candidate array of the exact size, a window of it per
+	// emitting member; one Via array of the exact size, a capacity-limited
+	// window of it per candidate; and nothing the event emitted left in the
+	// scratch.
 	out := make([]Candidate, len(s.stage))
 	copy(out, s.stage)
+	vias := make([]graph.VertexID, len(s.viaElems))
+	copy(vias, s.viaElems)
+	for i, r := range s.refs {
+		out[i].Via = vias[r.off : r.off+r.n : r.off+r.n]
+	}
 	lo := 0
 	for i, hi := range ends {
 		if hi > lo {
@@ -611,9 +620,9 @@ func (g *PlannedGroup) DetectInto(ctx *Context, e graph.Edge, s *Scratch, res []
 		lo = hi
 	}
 	clear(s.stage)
-	s.stage = s.stage[:0]
+	s.stage, s.refs, s.viaElems = s.stage[:0], s.refs[:0], s.viaElems[:0]
 	for _, i := range s.viaSet {
-		s.vias[i] = nil
+		s.memo[i] = viaRef{}
 	}
 	s.viaSet = s.viaSet[:0]
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"io"
 	"math"
-	"slices"
 
 	"motifstream/internal/codecutil"
 	"motifstream/internal/core"
@@ -56,16 +55,25 @@ type Segment struct {
 	Items codecutil.Run[graph.VertexID, uint64]
 	// Targets is the D store's contents.
 	Targets dynstore.Targets
+
+	// packed holds a captured segment's users until seal puts them in Users.
+	packed packedUsers
 }
 
 // Len returns the number of keys across all sections — for a captured
 // delta, the dirtied keys the cut pause is proportional to.
-func (s *Segment) Len() int { return len(s.Users) + len(s.Items) + len(s.Targets) }
+func (s *Segment) Len() int {
+	return len(s.Users) + len(s.packed.users) + len(s.Items) + len(s.Targets)
+}
 
-// seal sorts the runs a capture appended in dirty-set order. Every encode
-// and merge starts with it, so the sort runs wherever the segment is first
-// consumed — the checkpoint writer's goroutine — never on the apply loop.
+// seal expands the users a capture took in the log's compact form and sorts
+// the runs it appended in dirty-set order. Every encode, merge and install
+// starts with it, so both run wherever the segment is first consumed — the
+// checkpoint writer's goroutine — never on the apply loop.
 func (s *Segment) seal() {
+	if s.packed.users != nil {
+		s.Users, s.packed = s.packed.expand(), packedUsers{}
+	}
 	s.Users.Seal()
 	s.Items.Seal()
 	s.Targets.Seal()
@@ -241,33 +249,20 @@ func DecodeBase(data []byte) (*Segment, error) {
 
 // LoadState installs a composed segment, replacing all recoverable state (an
 // empty list, a delta's tombstone, installs nothing, here as in the store).
-// Everything installed is copied — candidate lists and their Via slices
-// here, D lists in the store — because a decoded segment keeps them in
-// per-section arenas, and one installed list would pin its whole arena for
-// as long as that user or target lives. Dirty sets clear: the installed
-// state is what the durable chain already contains, so the next delta cut
-// captures only changes applied after it.
+// Everything installed is copied — candidates and their Via elements into
+// the log's own arrays, D lists in the store — because a decoded segment
+// keeps them in per-section arenas, and one installed list would pin its
+// whole arena for as long as that user or target lives. Dirty sets clear:
+// the installed state is what the durable chain already contains, so the
+// next delta cut captures only changes applied after it.
 func (p *Partition) LoadState(s *Segment) {
+	s.seal()
 	p.engine.LoadState(s.SweepClock, s.Targets)
-	byA := make(map[graph.VertexID][]motif.Candidate, len(s.Users))
-	for _, e := range s.Users {
-		if len(e.Val) == 0 {
-			continue
-		}
-		list := slices.Clone(e.Val)
-		for i := range list {
-			list[i].Via = slices.Clone(list[i].Via)
-		}
-		byA[e.Key] = list
-	}
+	p.log.install(s.Users)
 	counts := make(map[graph.VertexID]uint64, len(s.Items))
 	for _, e := range s.Items {
 		counts[e.Key] = e.Val
 	}
-	p.log.mu.Lock()
-	p.log.byA = byA
-	p.log.dirty = make(map[graph.VertexID]struct{})
-	p.log.mu.Unlock()
 	p.items.mu.Lock()
 	p.items.counts = counts
 	p.items.dirty = make(map[graph.VertexID]struct{})
@@ -276,9 +271,9 @@ func (p *Partition) LoadState(s *Segment) {
 
 // WriteTo serializes the partition's recoverable state, implementing
 // io.WriterTo. Sections stream directly from the live structures — the
-// candidate log and item counters under their read locks, the engine's D
-// store one target list at a time — so peak extra memory stays far below
-// a full copy of the partition. The caller must not run Apply
+// candidate log's runs and the item counters under their read locks, the
+// engine's D store one target list at a time — so peak extra memory stays
+// far below a full copy of the partition. The caller must not run Apply
 // concurrently; concurrent reads are fine.
 func (p *Partition) WriteTo(w io.Writer) (int64, error) {
 	n, _, err := p.writeBase(w)
@@ -289,9 +284,7 @@ func (p *Partition) WriteTo(w io.Writer) (int64, error) {
 // the trailer — the state fingerprint (fingerprint.go).
 func (p *Partition) writeBase(w io.Writer) (int64, uint32, error) {
 	return writeFile(w, partMagic, partSnapVersion, func(cp *codecutil.Writer) {
-		p.log.mu.RLock()
-		writeRun(cp, liveRun(p.log.byA), putCandidates)
-		p.log.mu.RUnlock()
+		p.log.writeTo(cp)
 		p.items.mu.RLock()
 		writeRun(cp, liveRun(p.items.counts), (*codecutil.Writer).PutU)
 		p.items.mu.RUnlock()
@@ -304,10 +297,7 @@ func (p *Partition) writeBase(w io.Writer) (int64, uint32, error) {
 // configuration, not from the stream.
 func (p *Partition) Reset() {
 	p.engine.Reset()
-	p.log.mu.Lock()
-	p.log.byA = make(map[graph.VertexID][]motif.Candidate)
-	p.log.dirty = make(map[graph.VertexID]struct{})
-	p.log.mu.Unlock()
+	p.log.install(nil)
 	p.items.mu.Lock()
 	p.items.counts = make(map[graph.VertexID]uint64)
 	p.items.dirty = make(map[graph.VertexID]struct{})

@@ -30,27 +30,13 @@ const deltaVersion = 2
 // captured cheaply on the apply loop and encoded off it by the async
 // checkpoint writer. Its cost is proportional to what changed since the
 // last cut, not to the partition's total state, which is what keeps the
-// apply-loop pause bounded; the runs come back in dirty-set order, unsealed.
+// apply-loop pause bounded; the runs come back in dirty-set order, unsealed,
+// the dirty users still in the log's compact form (Users fills when the
+// segment is first encoded, merged or installed).
 // The caller must not run Apply concurrently (the replica consume loop
 // serializes them).
 func (p *Partition) CaptureDelta() *Segment {
-	d := &Segment{SweepClock: p.engine.SweepClock()}
-
-	p.log.mu.Lock()
-	logged := 0
-	for a := range p.log.dirty {
-		logged += len(p.log.byA[a])
-	}
-	lists := codecutil.Arena[motif.Candidate]{Chunk: logged}
-	d.Users = make(codecutil.Run[graph.VertexID, []motif.Candidate], 0, len(p.log.dirty))
-	for a := range p.log.dirty {
-		// absent => deletion, encoded as empty
-		d.Users = append(d.Users, codecutil.Entry[graph.VertexID, []motif.Candidate]{Key: a, Val: lists.Copy(p.log.byA[a])})
-	}
-	if len(p.log.dirty) > 0 {
-		p.log.dirty = make(map[graph.VertexID]struct{})
-	}
-	p.log.mu.Unlock()
+	d := &Segment{SweepClock: p.engine.SweepClock(), packed: p.log.capture()}
 
 	p.items.mu.Lock()
 	d.Items = make(codecutil.Run[graph.VertexID, uint64], 0, len(p.items.dirty))

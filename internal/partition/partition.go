@@ -9,7 +9,6 @@ package partition
 
 import (
 	"fmt"
-	"sync"
 
 	"motifstream/internal/core"
 	"motifstream/internal/dynstore"
@@ -187,9 +186,7 @@ func (p *Partition) Commit(cands []motif.Candidate) {
 		return
 	}
 	p.log.addAll(cands)
-	for _, c := range cands {
-		p.items.add(c.Item)
-	}
+	p.items.addAll(cands)
 }
 
 // SweepDue reports whether the engine would prune D at stream time nowMS.
@@ -214,88 +211,8 @@ func (p *Partition) Owns(a graph.VertexID) bool {
 	return p.part.PartitionOf(a) == p.id
 }
 
-// candidateLog retains the last depth candidates per user, serving the
-// broker read path. dirty tracks users whose lists changed since the last
-// delta checkpoint cut.
-type candidateLog struct {
-	depth int
-	mu    sync.RWMutex
-	byA   map[graph.VertexID][]motif.Candidate
-	dirty map[graph.VertexID]struct{}
-}
-
-func newCandidateLog(depth int) *candidateLog {
-	return &candidateLog{
-		depth: depth,
-		byA:   make(map[graph.VertexID][]motif.Candidate),
-		dirty: make(map[graph.VertexID]struct{}),
-	}
-}
-
-func (l *candidateLog) add(c motif.Candidate) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.addLocked(c)
-}
-
-// addAll appends a batch under one lock acquisition — the batched apply
-// path commits a whole batch's candidates at once.
-func (l *candidateLog) addAll(cands []motif.Candidate) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, c := range cands {
-		l.addLocked(c)
-	}
-}
-
-// addLocked appends c to its user's list, a full list sliding down in place
-// over its oldest entry: re-slicing forward instead would leave the evicted
-// candidates (and their Via arrays) reachable ahead of the slice and regrow
-// the array to twice the depth every depth adds. Readers copy under the lock
-// (get, CaptureDelta, writeBase), so nothing aliases the array.
-func (l *candidateLog) addLocked(c motif.Candidate) {
-	list := l.byA[c.User]
-	if drop := len(list) + 1 - l.depth; drop > 0 {
-		n := copy(list, list[drop:])
-		clear(list[n:])
-		list = list[:n]
-	}
-	l.byA[c.User] = append(list, c)
-	l.dirty[c.User] = struct{}{}
-}
-
-func (l *candidateLog) get(a graph.VertexID) []motif.Candidate {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	list := l.byA[a]
-	if len(list) == 0 {
-		return nil
-	}
-	out := make([]motif.Candidate, len(list))
-	copy(out, list)
-	return out
-}
-
-// SweepBefore drops logged candidates older than cutoff stream time; used
-// by long-running deployments to bound memory.
-func (p *Partition) SweepBefore(cutoffMS int64) {
-	p.log.mu.Lock()
-	defer p.log.mu.Unlock()
-	for a, list := range p.log.byA {
-		keep := list[:0]
-		for _, c := range list {
-			if c.DetectedAtMS >= cutoffMS {
-				keep = append(keep, c)
-			}
-		}
-		if len(keep) < len(list) {
-			clear(list[len(keep):]) // the dropped candidates' Via arrays go with them
-			p.log.dirty[a] = struct{}{}
-		}
-		if len(keep) == 0 {
-			delete(p.log.byA, a)
-		} else {
-			p.log.byA[a] = keep
-		}
-	}
-}
+// SweepBefore drops logged candidates detected before cutoff stream time.
+// It is an embedder's API: nothing in this module's cluster or commands
+// calls it, so a deployment's log holds up to RecentPerUser candidates for
+// every user that ever received one — users-ever-seen × depth, not a window.
+func (p *Partition) SweepBefore(cutoffMS int64) { p.log.sweepBefore(cutoffMS) }

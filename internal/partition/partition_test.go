@@ -1,9 +1,13 @@
 package partition
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"motifstream/internal/codecutil"
 	"motifstream/internal/dynstore"
 	"motifstream/internal/graph"
 	"motifstream/internal/motif"
@@ -204,46 +208,76 @@ func TestRecommendationsForForeignUser(t *testing.T) {
 	}
 }
 
-// The log keeps exactly the last depth candidates of a user reachable: a full
-// list slides in place, so the array neither regrows to twice the depth nor
-// holds evicted candidates (and the Via arrays they point to) outside the
-// list.
+// The log keeps exactly the last depth candidates of a user: a full user's
+// arrays slide in place, so once one has held the most runs its stream's
+// shape puts in a list (one more completion after filling up) none of them
+// regrows or moves however many adds follow, and what slid out pins nothing — no element of a user's arrays holds
+// a pointer, so nothing evicted is reachable from what lies past their lengths.
 func TestCandidateLogSlidesInPlace(t *testing.T) {
-	for _, depth := range []int{1, 2, 5, 16, 17} {
-		l := newCandidateLog(depth)
-		var full *motif.Candidate // the array's first slot once the list is full
-		for i := 1; i <= 10*depth; i++ {
-			l.add(motif.Candidate{User: 7, Item: graph.VertexID(i), Via: []graph.VertexID{1, 2, 3}})
-			list := l.byA[7]
-			if cap(list) >= 2*depth && depth > 1 {
-				t.Fatalf("depth %d: array of %d slots after %d adds", depth, cap(list), i)
-			}
-			if i == depth {
-				full = &list[0]
-			} else if i > depth && &list[0] != full {
-				t.Fatalf("depth %d: add %d moved the list instead of sliding it", depth, i)
+	for _, typ := range []reflect.Type{reflect.TypeOf(logRun{}), reflect.TypeOf(userLog{}.progs).Elem(), reflect.TypeOf(userLog{}.vias).Elem()} {
+		fields := []reflect.Type{typ}
+		if typ.Kind() == reflect.Struct {
+			fields = fields[:0]
+			for i := 0; i < typ.NumField(); i++ {
+				fields = append(fields, typ.Field(i).Type)
 			}
 		}
-		list := l.byA[7]
-		got := l.get(7)
-		if len(got) != depth {
-			t.Fatalf("depth %d: get returned %d candidates", depth, len(got))
-		}
-		for i, c := range got {
-			if want := graph.VertexID(9*depth + i + 1); c.Item != want {
-				t.Errorf("depth %d: entry %d is item %d, want %d", depth, i, c.Item, want)
+		for _, f := range fields {
+			if k := f.Kind(); k < reflect.Int || k > reflect.Uint64 {
+				t.Fatalf("%v holds a %v: a user's arrays must be pointer-free", typ, f)
 			}
 		}
-		for i, c := range list[len(list):cap(list)] {
-			if c.Via != nil || c.Item != 0 {
-				t.Errorf("depth %d: evicted candidate %d still held at slot %d", depth, c.Item, len(list)+i)
+	}
+	for _, runLen := range []int{1, 3} { // one program a completion, or three
+		for _, depth := range []int{1, 2, 5, 16, 17} {
+			l := newCandidateLog(depth)
+			full := depth + runLen - 1
+			var runs *logRun // the arrays' first slots from then on
+			var progs *uint32
+			var vias *graph.VertexID
+			for i := 1; i <= 10*depth; i++ {
+				completion := graph.VertexID((i + runLen - 1) / runLen)
+				l.addAll([]motif.Candidate{{
+					User: 7, Item: completion, Via: []graph.VertexID{1, 2, completion},
+					Program: fmt.Sprintf("p%d", i%runLen),
+				}})
+				u := l.users[7]
+				if depth > 1 && (cap(u.runs) >= 2*depth || cap(u.progs) >= 2*depth || cap(u.vias) >= 2*3*depth) {
+					t.Fatalf("depth %d: arrays of %d runs, %d programs, %d Via elements after %d adds",
+						depth, cap(u.runs), cap(u.progs), cap(u.vias), i)
+				}
+				if len(u.progs) != min(i, depth) || len(u.vias) != 3*len(u.runs) {
+					t.Fatalf("depth %d: %d candidates in %d runs with %d Via elements after %d adds",
+						depth, len(u.progs), len(u.runs), len(u.vias), i)
+				}
+				if i == full {
+					runs, progs, vias = &u.runs[0], &u.progs[0], &u.vias[0]
+				} else if i > full && (&u.runs[0] != runs || &u.progs[0] != progs || &u.vias[0] != vias) {
+					t.Fatalf("depth %d: add %d moved an array of a full user instead of sliding it", depth, i)
+				}
+			}
+			got := l.get(7)
+			if len(got) != depth {
+				t.Fatalf("depth %d: get returned %d candidates", depth, len(got))
+			}
+			for i, c := range got {
+				n := 9*depth + i + 1
+				want := graph.VertexID((n + runLen - 1) / runLen)
+				if c.Item != want || c.Program != fmt.Sprintf("p%d", n%runLen) || !slices.Equal(c.Via, []graph.VertexID{1, 2, want}) {
+					t.Errorf("depth %d: entry %d is %+v, want item %d", depth, i, c, want)
+				}
 			}
 		}
 	}
 	// A restored list longer than the depth is cut to it by the next add.
 	l := newCandidateLog(2)
-	l.byA[7] = []motif.Candidate{{User: 7, Item: 1}, {User: 7, Item: 2}, {User: 7, Item: 3}, {User: 7, Item: 4}}
-	l.add(motif.Candidate{User: 7, Item: 5})
+	l.install(codecutil.Run[graph.VertexID, []motif.Candidate]{{Key: 7, Val: []motif.Candidate{
+		{User: 7, Item: 1}, {User: 7, Item: 2}, {User: 7, Item: 3}, {User: 7, Item: 4},
+	}}})
+	if got := l.get(7); len(got) != 4 {
+		t.Errorf("over-long list as restored: %v", got)
+	}
+	l.addAll([]motif.Candidate{{User: 7, Item: 5}})
 	if got := l.get(7); len(got) != 2 || got[0].Item != 4 || got[1].Item != 5 {
 		t.Errorf("over-long list after an add: %v", got)
 	}

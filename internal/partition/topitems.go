@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"motifstream/internal/graph"
+	"motifstream/internal/motif"
 )
 
 // ItemCount pairs a recommended item with how many times this partition
@@ -31,11 +32,21 @@ func newItemCounter() *itemCounter {
 	}
 }
 
-func (c *itemCounter) add(item graph.VertexID) {
+// addAll counts every candidate's item under one lock acquisition, a run of
+// consecutive candidates for one item — an event's are all for its target —
+// as one increment.
+func (c *itemCounter) addAll(cands []motif.Candidate) {
 	c.mu.Lock()
-	c.counts[item]++
-	c.dirty[item] = struct{}{}
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	for lo := 0; lo < len(cands); {
+		item, hi := cands[lo].Item, lo+1
+		for hi < len(cands) && cands[hi].Item == item {
+			hi++
+		}
+		c.counts[item] += uint64(hi - lo)
+		c.dirty[item] = struct{}{}
+		lo = hi
+	}
 }
 
 // top returns the n highest-count items, descending by count with item ID
