@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test test-race test-crashmatrix test-delivery test-elasticity test-audit test-parallel test-transport test-planner test-codec test-benchmark loc soak-flake soak soak-net bench bench-smoke bench-trajectory fuzz fuzz-smoke
+.PHONY: check build vet test test-race test-crashmatrix test-delivery test-elasticity test-audit test-parallel test-transport test-planner test-codec test-benchmark loc soak-flake soak soak-net bench bench-smoke fuzz fuzz-smoke
 
 # check is the CI gate: formatting, static analysis, the full test suite
 # under the race detector (test-delivery's and test-elasticity's cases
@@ -82,15 +82,15 @@ test-transport:
 # plan executor against its test-only references (the hand-written
 # diamond and fresh-follow it replaced, an op-list interpreter, the
 # brute-force oracle) with the differential fuzz target's seeds, the
-# engine's shared-trie differential and live-degree feed, and the
-# cluster-level multi-query differential (shared vs independent multiset
+# engine's shared-trie differential, and the cluster-level multi-query
+# differential (shared vs independent multiset
 # + fingerprint equality, multi-motif kill/restore) — the quick loop for
 # planner and multi-query work. The multi-motif allocation gates (the
 # no-candidate path and the emit path's 3 per emitting event) run without
 # race (instrumentation changes allocation counts).
 test-planner:
 	$(GO) test -race ./internal/motifdsl ./internal/motif
-	$(GO) test -race -run 'TestEngineShared|TestEngineFeedsLiveDegrees|TestMultiQuery' ./internal/core ./internal/cluster
+	$(GO) test -race -run 'TestEngineShared|TestMultiQuery' ./internal/core ./internal/cluster
 	$(GO) test -run 'TestDetectBatchAllocBudgetMultiMotif|TestDetectBatchAllocBudgetEmitting' ./internal/core
 
 # test-codec runs the checkpoint codec's gates: the allocation budgets of
@@ -141,22 +141,12 @@ bench:
 
 # bench-smoke runs the durability benchmarks, the wall-clock E2E
 # detection-latency probe, the threshold kernel's strategy table and the
-# candidate log's commit path once each, so the perf paths the trajectory
+# candidate log's commit path once each, so the perf paths benchmark/
 # measures keep compiling and running in CI without a full measurement run.
 bench-smoke:
 	@set -e; for pkg in $$($(GO) list ./...); do \
 		$(GO) test -run=NONE -bench 'Checkpoint|Recovery|Snapshot|Reprovision|E2EDetectionLatency|DetectBatch|ThresholdIntersect|Commit' -benchtime=1x -count=1 $$pkg; \
 	done
-
-# bench-trajectory is the measurement run: the pinned trajectory workload
-# (T1 ingest+latency, T2 recovery replay, T3 reprovision, T4 networked
-# tier, T5 shared multi-query) emits a dated
-# BENCH_<date>.json artifact and gates against the newest committed one —
-# nonzero exit on any metric regressing beyond its tolerance. Commit the
-# artifact to extend the trajectory. See docs/BENCHMARKS.md.
-bench-trajectory:
-	@mkdir -p bench
-	$(GO) run ./cmd/benchreport -trajectory -json bench/BENCH_$$(date +%F).json -baseline bench -tol 0.5
 
 # soak drives the long-haul churn harness (cmd/soak): sustained ingest
 # under kills/restores, reprovisions, scale-out/in, and whole-process
@@ -178,7 +168,6 @@ fuzz:
 	$(GO) test -run=NONE -fuzz FuzzWALReadRecord -fuzztime 30s ./internal/queue
 	$(GO) test -run=NONE -fuzz FuzzDeliveryStateReadFrom -fuzztime 30s ./internal/delivery
 	$(GO) test -run=NONE -fuzz FuzzAuditRecords -fuzztime 30s ./internal/audit
-	$(GO) test -run=NONE -fuzz FuzzBenchReport -fuzztime 30s ./internal/benchfmt
 	$(GO) test -run=NONE -fuzz FuzzTransportFrame -fuzztime 30s ./internal/transport
 	$(GO) test -run=NONE -fuzz FuzzCompile -fuzztime 30s ./internal/motifdsl
 	$(GO) test -run=NONE -fuzz FuzzPlanRestore -fuzztime 30s ./internal/cluster
@@ -201,7 +190,6 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz FuzzWALReadRecord -fuzztime 10s ./internal/queue
 	$(GO) test -run=NONE -fuzz FuzzDeliveryStateReadFrom -fuzztime 10s ./internal/delivery
 	$(GO) test -run=NONE -fuzz FuzzAuditRecords -fuzztime 10s ./internal/audit
-	$(GO) test -run=NONE -fuzz FuzzBenchReport -fuzztime 10s ./internal/benchfmt
 	$(GO) test -run=NONE -fuzz FuzzTransportFrame -fuzztime 10s ./internal/transport
 	$(GO) test -run=NONE -fuzz FuzzCompile -fuzztime 10s ./internal/motifdsl
 	$(GO) test -run=NONE -fuzz FuzzPlanRestore -fuzztime 10s ./internal/cluster

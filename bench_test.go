@@ -1,8 +1,9 @@
-// Benchmarks regenerating the reproduction's experiment index (DESIGN.md
-// §4). Each BenchmarkE* target corresponds to one quantitative claim in
-// the paper's §2; cmd/benchreport runs the richer table-producing
-// versions, while these integrate with `go test -bench` for regression
-// tracking.
+// Benchmarks regenerating the reproduction's experiment index (the table
+// in cmd/benchreport/main.go). Each BenchmarkE* target corresponds to one
+// quantitative claim in the paper's §2; cmd/benchreport runs the richer
+// table-producing versions, while these integrate with `go test -bench` as
+// a smoke run. Performance claims go through benchmark/
+// (docs/BENCHMARKS.md).
 package motifstream_test
 
 import (
@@ -321,9 +322,9 @@ func BenchmarkE11RecoveryReplay(b *testing.B) {
 // BenchmarkE2EDetectionLatency measures real wall-clock detection latency
 // through the full cluster: event publish → candidate batch reaching the
 // delivery tier, with no simulated queue delay. This is the process's own
-// queueing and scheduling cost — the number the trajectory harness tracks
-// as trajectory.detect_latency_p50/p99 — and complements E2, which
-// measures only the graph-query half.
+// queueing and scheduling cost — what benchmark/ reports, at a stated
+// offered load, as cluster.detect_latency_p50_ms — and complements E2,
+// which measures only the graph-query half.
 func BenchmarkE2EDetectionLatency(b *testing.B) {
 	static, stream := benchWorkload(b)
 	clu, err := motifstream.NewCluster(static, motifstream.ClusterOptions{

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"motifstream/internal/baseline"
-	"motifstream/internal/benchfmt"
 	"motifstream/internal/delivery"
 	"motifstream/internal/dynstore"
 	"motifstream/internal/motif"
@@ -19,7 +18,7 @@ import (
 // for fatigue, etc.)" — a roughly 1000:1 reduction. The raw volume comes
 // from running a permissive k=2 diamond plus the k=1 fresh-follow
 // broadcast, mirroring how many raw candidates upstream stages see.
-func runE3(c runConfig) []benchfmt.Metric {
+func runE3(c runConfig) {
 	users, avgFollows, events := workloadSizes(c.quick)
 	static := cachedGraph(users, avgFollows)
 	stream := cachedStream(users, events)
@@ -61,18 +60,13 @@ func runE3(c runConfig) []benchfmt.Metric {
 		safeDiv(float64(st.Raw), float64(st.Delivered)))
 	fmt.Println("  expected shape: raw candidates exceed pushes by orders of magnitude;")
 	fmt.Println("  duplicates dominate the drops (hot items re-trigger constantly).")
-	return []benchfmt.Metric{
-		{Name: "e3.raw_candidates", Value: float64(st.Raw), Unit: "count"},
-		{Name: "e3.delivered", Value: float64(st.Delivered), Unit: "count"},
-		{Name: "e3.reduction_factor", Value: safeDiv(float64(st.Raw), float64(st.Delivered)), Unit: "x"},
-	}
 }
 
 // runE4 measures the two rejected baselines. Polling: detection latency is
 // ~Period/2 versus effectively instant for streaming. Two-hop: memory is
 // quadratic in degree versus linear for S+D; measured at laptop scale and
 // modeled at Twitter scale.
-func runE4(c runConfig) []benchfmt.Metric {
+func runE4(c runConfig) {
 	users, avgFollows, events := workloadSizes(c.quick)
 	if !c.quick {
 		users, events = 8_000, 60_000 // polling is O(users × followings) per tick
@@ -153,16 +147,12 @@ func runE4(c runConfig) []benchfmt.Metric {
 	tb3.print()
 	fmt.Println("  expected shape: doubling mean degree doubles S but ~quadruples two-hop;")
 	fmt.Println("  the paper's \"rough calculation shows this is impractical\" holds at scale.")
-	return []benchfmt.Metric{
-		{Name: "e4.twohop_over_streaming_mem_ratio",
-			Value: safeDiv(float64(twoHop.MemoryBytes()), float64(snap.MemoryBytes()+ds.Bytes)), Unit: "x"},
-	}
 }
 
 // runE5 measures D-store resident memory and detection recall across
 // retention windows: "memory pressure can be alleviated by pruning the D
 // data structure to only retain the most recent edges."
-func runE5(c runConfig) []benchfmt.Metric {
+func runE5(c runConfig) {
 	users, avgFollows, events := workloadSizes(c.quick)
 	static := cachedGraph(users, avgFollows)
 	// Retention only bites when the stream outlives it: ~2h of stream
@@ -219,16 +209,6 @@ func runE5(c runConfig) []benchfmt.Metric {
 	tb.print()
 	fmt.Println("  expected shape: memory grows with retention and saturates once retention")
 	fmt.Println("  exceeds the stream span; recall saturates once retention >= the 10m window.")
-	var out []benchfmt.Metric
-	for _, r := range rows {
-		if r.retention == 10*time.Minute {
-			out = append(out, benchfmt.Metric{
-				Name: "e5.peak_d_bytes_10m", Value: float64(r.bytes), Unit: "bytes",
-				Better: benchfmt.LowerIsBetter,
-			})
-		}
-	}
-	return out
 }
 
 func safeDiv(a, b float64) float64 {

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"motifstream/internal/benchfmt"
 	"motifstream/internal/dynstore"
 	"motifstream/internal/graph"
 	"motifstream/internal/motif"
@@ -16,7 +15,7 @@ import (
 // account C within a time period τ ... (where k and τ are tunable
 // parameters)" with production k=3. Candidate volume should fall sharply
 // as k rises or τ shrinks.
-func runE6(c runConfig) []benchfmt.Metric {
+func runE6(c runConfig) {
 	users, avgFollows, events := workloadSizes(c.quick)
 	static := cachedGraph(users, avgFollows)
 	// τ only matters when the stream spans several windows: ~1h of
@@ -25,7 +24,6 @@ func runE6(c runConfig) []benchfmt.Metric {
 	builder := &statstore.Builder{MaxInfluencers: 200}
 	s := statstore.New(builder.Build(static))
 
-	var out []benchfmt.Metric
 	tb := newTable("k", "window", "candidates", "distinct users", "per-event work (ns)")
 	for _, k := range []int{2, 3, 4} {
 		for _, window := range []time.Duration{5 * time.Minute, 10 * time.Minute} {
@@ -44,25 +42,18 @@ func runE6(c runConfig) []benchfmt.Metric {
 			}
 			perEvent := time.Since(start).Nanoseconds() / int64(len(stream))
 			tb.addf("%d|%v|%d|%d|%d", k, window, cands, len(seenUsers), perEvent)
-			if k == 3 && window == 10*time.Minute {
-				out = append(out,
-					benchfmt.Metric{Name: "e6.candidates_k3_w10m", Value: float64(cands), Unit: "count"},
-					benchfmt.Metric{Name: "e6.per_event_ns_k3_w10m", Value: float64(perEvent), Unit: "ns",
-						Better: benchfmt.LowerIsBetter, Tolerance: latencyTol})
-			}
 		}
 	}
 	tb.print()
 	fmt.Println("  expected shape: volume drops sharply with rising k and shrinking window;")
 	fmt.Println("  production chose k=3 to trade reach for precision.")
-	return out
 }
 
 // runE7 sweeps the influencer cap: "we have found it more effective to
 // limit the number of 'influencers' (e.g., B's) each user can have. This
 // has the additional benefit of limiting the size of the S data
 // structures held in memory."
-func runE7(c runConfig) []benchfmt.Metric {
+func runE7(c runConfig) {
 	users, avgFollows, events := workloadSizes(c.quick)
 	static := cachedGraph(users, avgFollows)
 	stream := cachedStream(users, events)
@@ -106,16 +97,6 @@ func runE7(c runConfig) []benchfmt.Metric {
 	fmt.Println("  expected shape: S memory grows with the cap and saturates at the true")
 	fmt.Println("  degree distribution; recall is already high at moderate caps because")
 	fmt.Println("  the cap keeps each user's strongest (most recent) followings.")
-	var out []benchfmt.Metric
-	for _, r := range rows {
-		if r.cap == 50 {
-			out = append(out, benchfmt.Metric{
-				Name: "e7.s_bytes_cap50", Value: float64(r.sBytes), Unit: "bytes",
-				Better: benchfmt.LowerIsBetter,
-			})
-		}
-	}
-	return out
 }
 
 // runE8 is the intersection-kernel ablation behind "intersections can be
@@ -124,7 +105,7 @@ func runE7(c runConfig) []benchfmt.Metric {
 // long lists either side of its strategy bound — vs a Go-map count. The
 // "kernel runs" column is internal/graph's chooser on that row's shape, held
 // to these rows by TestThresholdChooserPicks there.
-func runE8(c runConfig) []benchfmt.Metric {
+func runE8(c runConfig) {
 	r := rand.New(rand.NewSource(1))
 	genList := func(n int, space int64) graph.AdjList {
 		ids := make([]graph.VertexID, n)
@@ -138,7 +119,6 @@ func runE8(c runConfig) []benchfmt.Metric {
 		iters = 400
 	}
 
-	var out []benchfmt.Metric
 	fmt.Println("  (a) exact two-list intersection, 1M ID space")
 	tb := newTable("|a|", "|b|", "merge", "gallop", "winner")
 	for _, shape := range []struct{ a, b int }{
@@ -153,10 +133,6 @@ func runE8(c runConfig) []benchfmt.Metric {
 		}
 		tb.addf("%d|%d|%v|%v|%s", shape.a, shape.b,
 			time.Duration(mergeNS), time.Duration(gallopNS), winner)
-		if shape.a == 100 && shape.b == 100_000 {
-			out = append(out, benchfmt.Metric{Name: "e8.gallop_skewed_ns", Value: float64(gallopNS),
-				Unit: "ns", Better: benchfmt.LowerIsBetter, Tolerance: latencyTol})
-		}
 	}
 	tb.print()
 
@@ -197,7 +173,6 @@ func runE8(c runConfig) []benchfmt.Metric {
 	fmt.Println("  by 10x or more where it counts into its own reused table (ScanCount — the")
 	fmt.Println("  deployed shape, and long lists up to the table's bound of 32 768 elements),")
 	fmt.Println("  by about 2x past the bound, where it falls back to the typed heap merge.")
-	return out
 }
 
 // timeOp returns mean ns/op over iters calls.

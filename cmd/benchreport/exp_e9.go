@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"motifstream/internal/benchfmt"
 	"motifstream/internal/broker"
 	"motifstream/internal/cluster"
 	"motifstream/internal/dynstore"
@@ -18,7 +17,7 @@ import (
 // for both fault tolerance and increased query throughput." Read
 // throughput should scale with replicas, and killing a replica must not
 // interrupt service.
-func runE9(c runConfig) []benchfmt.Metric {
+func runE9(c runConfig) {
 	users, avgFollows, events := workloadSizes(c.quick)
 	if !c.quick {
 		events = 60_000
@@ -57,7 +56,6 @@ func runE9(c runConfig) []benchfmt.Metric {
 	// servers with finite capacity). capacityReplica models that: one
 	// request at a time per replica, with a fixed per-read service time.
 	fmt.Println("  (a) broker read throughput vs replicas (32 readers, 500µs service time/replica)")
-	var out []benchfmt.Metric
 	tb := newTable("replicas", "reads/s", "scaling vs 1 replica")
 	var base float64
 	for _, replicas := range []int{1, 2, 3} {
@@ -102,10 +100,6 @@ func runE9(c runConfig) []benchfmt.Metric {
 			base = rate
 		}
 		tb.addf("%d|%.0f|%.2fx", replicas, rate, rate/base)
-		if replicas == 3 {
-			out = append(out, benchfmt.Metric{Name: "e9.read_scaling_r3", Value: rate / base,
-				Unit: "x", Better: benchfmt.HigherIsBetter})
-		}
 	}
 	tb.print()
 
@@ -142,7 +136,6 @@ func runE9(c runConfig) []benchfmt.Metric {
 	fmt.Println("  both replicas failed: reads error out as expected ✔")
 	fmt.Println("  expected shape: read throughput grows with replica count; single-replica")
 	fmt.Println("  failure is invisible to clients.")
-	return out
 }
 
 // capacityReplica wraps a replica with a per-server capacity model: one

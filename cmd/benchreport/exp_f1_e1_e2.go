@@ -5,7 +5,6 @@ import (
 	"log"
 	"time"
 
-	"motifstream/internal/benchfmt"
 	"motifstream/internal/cluster"
 	"motifstream/internal/dynstore"
 	"motifstream/internal/graph"
@@ -17,7 +16,7 @@ import (
 
 // runF1 replays the paper's Figure 1 walkthrough: with k=2, creating edge
 // B2→C2 must recommend C2 to exactly A2.
-func runF1(runConfig) []benchfmt.Metric {
+func runF1(runConfig) {
 	const (
 		a1 = graph.VertexID(iota + 1)
 		a2
@@ -57,14 +56,13 @@ func runF1(runConfig) []benchfmt.Metric {
 		log.Fatalf("F1 FAILED: first=%v second=%v", first, second)
 	}
 	fmt.Println("  shape holds: the closing edge recommends C2 to exactly A2 ✔")
-	return nil
 }
 
 // runE1 measures sustained ingestion throughput as partitions scale. The
 // paper's design target is 10^4 edge insertions per second; every
 // partition consumes the full stream, so added partitions add detection
 // parallelism at the cost of fan-out work.
-func runE1(c runConfig) []benchfmt.Metric {
+func runE1(c runConfig) {
 	users, avgFollows, events := workloadSizes(c.quick)
 	static := cachedGraph(users, avgFollows)
 	stream := cachedStream(users, events)
@@ -73,7 +71,6 @@ func runE1(c runConfig) []benchfmt.Metric {
 		parts = []int{1, 4, 16}
 	}
 
-	var out []benchfmt.Metric
 	tb := newTable("partitions", "events/s", "vs target 10^4/s", "wall")
 	for _, p := range parts {
 		clu, err := cluster.New(cluster.Config{
@@ -101,21 +98,16 @@ func runE1(c runConfig) []benchfmt.Metric {
 		})
 		eps := float64(len(stream)) / wall.Seconds()
 		tb.addf("%d|%.0f|%.1fx|%v", p, eps, eps/1e4, wall.Round(time.Millisecond))
-		out = append(out, benchfmt.Metric{
-			Name:  fmt.Sprintf("e1.ingest_events_per_sec.p%d", p),
-			Value: eps, Unit: "events/s", Better: benchfmt.HigherIsBetter,
-		})
 	}
 	tb.print()
 	fmt.Println("  expected shape: comfortably above 10^4/s; throughput degrades gently")
 	fmt.Println("  with partition count because each partition ingests the full stream.")
-	return out
 }
 
 // runE2 reproduces the latency split: "median 7s, p99 15s ... nearly all
 // the latency comes from event propagation delays in various message
 // queues; the actual graph queries take only a few milliseconds."
-func runE2(c runConfig) []benchfmt.Metric {
+func runE2(c runConfig) {
 	users, avgFollows, events := workloadSizes(c.quick)
 	if !c.quick {
 		events = 100_000 // latency shape converges quickly
@@ -163,10 +155,4 @@ func runE2(c runConfig) []benchfmt.Metric {
 	frac := 1 - query.P50.Seconds()/e2e.P50.Seconds()
 	fmt.Printf("  queue propagation accounts for %.3f%% of median end-to-end latency\n", 100*frac)
 	fmt.Println("  expected shape: seconds-scale e2e dominated by queue hops; graph work stays sub-ms..ms.")
-	return []benchfmt.Metric{
-		{Name: "e2.e2e_latency_p50_ns", Value: float64(e2e.P50), Unit: "ns", Better: benchfmt.LowerIsBetter},
-		{Name: "e2.e2e_latency_p99_ns", Value: float64(e2e.P99), Unit: "ns", Better: benchfmt.LowerIsBetter},
-		{Name: "e2.query_latency_p50_ns", Value: float64(query.P50), Unit: "ns", Better: benchfmt.LowerIsBetter, Tolerance: latencyTol},
-		{Name: "e2.query_latency_p99_ns", Value: float64(query.P99), Unit: "ns", Better: benchfmt.LowerIsBetter, Tolerance: latencyTol},
-	}
 }

@@ -3,11 +3,8 @@ package main
 import (
 	"bytes"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"motifstream/internal/benchfmt"
 )
 
 // captureStdout redirects os.Stdout around fn.
@@ -111,71 +108,33 @@ func TestSafeDiv(t *testing.T) {
 	}
 }
 
-func TestBuildReport(t *testing.T) {
-	metrics := []benchfmt.Metric{{Name: "m", Value: 1, Unit: "x"}}
-	full := buildReport(runConfig{}, metrics)
-	quick := buildReport(runConfig{quick: true}, metrics)
-	if full.Workload.Name == quick.Workload.Name {
-		t.Fatal("quick and full runs must pin differently-named workloads")
+// TestRunSelectsExperiments drives the selection main uses: a known ID
+// runs its experiment and prints its table; an ID the index does not hold
+// (the retired T1 among them) runs nothing and is a usage error.
+func TestRunSelectsExperiments(t *testing.T) {
+	var stderr bytes.Buffer
+	var code int
+	out := captureStdout(t, func() { code = run([]string{"-exp", "F1"}, &stderr) })
+	if code != 0 || stderr.Len() != 0 {
+		t.Fatalf("-exp F1: exit %d, stderr %q", code, stderr.String())
 	}
-	if full.Workload.Partitions != trajectoryPartitions || full.Workload.Replicas != trajectoryReplicas {
-		t.Fatalf("workload shape = %+v", full.Workload)
+	for _, want := range []string{"===== F1:", "B2→C2 arrives", "push C2 to A2 (via 2 supporting B's)", "1 experiment(s)"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("-exp F1 output lacks %q:\n%s", want, out)
+		}
 	}
-	if full.Date == "" || full.Host == "" || full.GoVersion == "" {
-		t.Fatalf("missing run metadata: %+v", full)
+	for _, id := range []string{"T1", "nope"} {
+		stderr.Reset()
+		out := captureStdout(t, func() { code = run([]string{"-exp", id}, &stderr) })
+		if code != 2 || !strings.Contains(stderr.String(), "unknown experiment IDs: "+strings.ToUpper(id)) {
+			t.Errorf("-exp %s: exit %d, stderr %q", id, code, stderr.String())
+		}
+		if strings.Contains(out, "=====") {
+			t.Errorf("-exp %s ran an experiment:\n%s", id, out)
+		}
 	}
-	if len(full.Metrics) != 1 || full.Metrics[0].Name != "m" {
-		t.Fatalf("metrics not carried: %+v", full.Metrics)
-	}
-	// The report must survive the artifact round trip.
-	var buf bytes.Buffer
-	if err := full.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := benchfmt.Decode(&buf); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLoadBaseline(t *testing.T) {
-	dir := t.TempDir()
-	// Missing path: first run, no prior, no error.
-	if rep, err := loadBaseline(filepath.Join(dir, "nope")); err != nil || rep != nil {
-		t.Fatalf("missing: (%v, %v)", rep, err)
-	}
-	// Empty directory: same.
-	if rep, err := loadBaseline(dir); err != nil || rep != nil {
-		t.Fatalf("empty dir: (%v, %v)", rep, err)
-	}
-	// Directory with artifacts: the newest is used.
-	old := buildReport(runConfig{}, nil)
-	old.Date = "2026-01-01"
-	if err := old.WriteFile(filepath.Join(dir, benchfmt.ArtifactName("2026-01-01"))); err != nil {
-		t.Fatal(err)
-	}
-	newer := buildReport(runConfig{}, nil)
-	newer.Date = "2026-02-02"
-	if err := newer.WriteFile(filepath.Join(dir, benchfmt.ArtifactName("2026-02-02"))); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := loadBaseline(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Date != "2026-02-02" {
-		t.Fatalf("loaded %s, want the newest artifact", rep.Date)
-	}
-	// A direct file path works too.
-	rep, err = loadBaseline(filepath.Join(dir, benchfmt.ArtifactName("2026-01-01")))
-	if err != nil || rep.Date != "2026-01-01" {
-		t.Fatalf("file path: (%+v, %v)", rep, err)
-	}
-	// A present-but-corrupt artifact must error, not silently skip the gate.
-	bad := filepath.Join(dir, "BENCH_2026-03-03.json")
-	if err := os.WriteFile(bad, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadBaseline(dir); err == nil {
-		t.Fatal("corrupt baseline must fail the gate loudly")
+	stderr.Reset()
+	if code := run([]string{"-trajectory"}, &stderr); code != 2 {
+		t.Errorf("-trajectory: exit %d, want 2 (unknown flag)", code)
 	}
 }

@@ -166,45 +166,6 @@ func staticSnapshotPath(dir string, pid int) string {
 	return filepath.Join(dir, fmt.Sprintf("s-p%03d.snap", pid))
 }
 
-// syncDir best-effort fsyncs a directory so a rename within it is
-// durable before we rely on it.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-}
-
-// atomicWrite writes via a temp file and renames into place, so readers
-// only ever observe complete content. durable adds the fsyncs (file, then
-// directory); without them an OS crash may lose the newest version — for
-// advisory data written on a hot path, skipping the two fsyncs is the point.
-func atomicWrite(path string, write func(io.Writer) error, durable bool) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	err = write(f)
-	if err == nil && durable {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if durable {
-		syncDir(filepath.Dir(path))
-	}
-	return nil
-}
-
 // openSegFile opens the file every checkpoint segment and base mirror is
 // written through. It is a variable so fault-injection tests (errfs-lite,
 // codecutil.FailNth) can fail an individual Write or Sync call inside the
@@ -236,7 +197,7 @@ func writeFileSync(path string, write func(io.Writer) error) error {
 
 // writeManifest durably replaces the manifest file.
 func (m *manifest) write(path string, runID uint64) error {
-	return atomicWrite(path, func(w io.Writer) error {
+	return codecutil.ReplaceFile(path, func(w io.Writer) error {
 		enc := &codecutil.Writer{BW: bufio.NewWriter(w)}
 		enc.PutBytes(manifestMagic[:])
 		enc.PutU(manifestVersion)
@@ -665,7 +626,7 @@ func (h *replicaHost) truncateManifest(dir string, man *manifest, keep int) bool
 // filter seeds from it), so it must survive a power loss after a clean
 // Shutdown just like the WAL and the checkpoint manifests do.
 func (s *shared) persistDeliveryOffsets(next []uint64, durable bool) {
-	err := atomicWrite(deliveryOffsetsPath(s.cfg.CheckpointDir), func(w io.Writer) error {
+	err := codecutil.ReplaceFile(deliveryOffsetsPath(s.cfg.CheckpointDir), func(w io.Writer) error {
 		enc := &codecutil.Writer{BW: bufio.NewWriter(w)}
 		enc.PutBytes(deliveryMagic[:])
 		enc.PutU(deliveryVersion)
@@ -700,7 +661,7 @@ func (s *shared) persistDeliveryOffsets(next []uint64, durable bool) {
 // runs off the delivery goroutine (the periodic async cut) or at drain
 // (the final exact cut), so the fsync stalls nobody.
 func (h *hubTier) persistDeliveryState(next []uint64) error {
-	err := atomicWrite(deliveryStatePath(h.cfg.CheckpointDir), func(w io.Writer) error {
+	err := codecutil.ReplaceFile(deliveryStatePath(h.cfg.CheckpointDir), func(w io.Writer) error {
 		hw := &codecutil.HashWriter{W: w}
 		enc := &codecutil.Writer{BW: bufio.NewWriter(hw)}
 		enc.PutBytes(deliveryStateMagic[:])

@@ -65,8 +65,6 @@ type Engine struct {
 	groupSlots [][]int
 	sharing    SharingStats
 
-	stats *graph.LiveDegreeStats
-
 	reg           *metrics.Registry
 	events        *metrics.Counter
 	candidates    *metrics.Counter
@@ -104,16 +102,13 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if sweep <= 0 {
 		sweep = time.Minute
 	}
-	stats := &graph.LiveDegreeStats{}
 	e := &Engine{
 		static:  cfg.Static,
 		dynamic: cfg.Dynamic,
-		stats:   stats,
 		ctx: &motif.Context{
 			S:       cfg.Static,
 			D:       cfg.Dynamic,
 			Follows: cfg.Follows,
-			Stats:   stats,
 		},
 		reg:           reg,
 		events:        reg.Counter("engine.events"),
@@ -316,11 +311,6 @@ func (e *Engine) Dynamic() *dynstore.Store { return e.dynamic }
 
 // Metrics returns the engine's registry.
 func (e *Engine) Metrics() *metrics.Registry { return e.reg }
-
-// LiveDegrees returns the incrementally maintained degree views fed by the
-// detection hot path. Compile motifs with motifdsl.CompileLive against
-// this view to let the planner order probes from live quantiles.
-func (e *Engine) LiveDegrees() *graph.LiveDegreeStats { return e.stats }
 
 // SharingStats describes the engine's shared execution trie.
 type SharingStats struct {

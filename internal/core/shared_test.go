@@ -155,26 +155,6 @@ func TestEngineSharedMatchesIndependent(t *testing.T) {
 	}
 }
 
-// TestEngineFeedsLiveDegrees checks the statistics-free feedback loop: a
-// planned program's probes populate the engine's live degree view, and a
-// recompile against that view cites live quantiles in EXPLAIN.
-func TestEngineFeedsLiveDegrees(t *testing.T) {
-	e := sharedTestEngine(t, false)
-	r := rand.New(rand.NewSource(7))
-	ts := int64(1_000_000)
-	for i := 0; i < 500; i++ {
-		ts += 1000
-		e.Apply(graph.Edge{
-			Src: graph.VertexID(1 + r.Intn(40)), Dst: graph.VertexID(1 + r.Intn(40)),
-			Type: graph.Follow, TS: ts,
-		})
-	}
-	live := e.LiveDegrees()
-	if live.DynIn.N() == 0 || live.Static.N() == 0 {
-		t.Fatalf("live views not fed: dyn=%d static=%d", live.DynIn.N(), live.Static.N())
-	}
-}
-
 // idleProgram is a caller's own motif with no scratch path that never
 // fires: a program outside the trie that costs the alloc gate nothing.
 type idleProgram struct{}

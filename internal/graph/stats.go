@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"sort"
-	"sync/atomic"
-)
+import "sort"
 
 // DegreeStats summarizes a degree distribution; the workload generator uses
 // it to verify the synthetic graph reproduces the heavy-tailed in-degree
@@ -104,137 +101,4 @@ func quantileInt(sorted []int, q float64) int {
 	}
 	i := int(q * float64(len(sorted)-1))
 	return sorted[i]
-}
-
-// liveBuckets is the number of log2 buckets in a LiveDegrees histogram.
-// Bucket 0 holds degree 0; bucket i (i >= 1) holds degrees in
-// [2^(i-1), 2^i). 33 buckets cover every degree a uint32-sized graph can
-// produce.
-const liveBuckets = 33
-
-// LiveDegrees is an incrementally maintained degree-distribution view: a
-// lock-free log2-bucket histogram. The detection hot path calls Observe
-// with degrees it sees anyway (in-window actor counts, follower-list
-// lengths) — one atomic add each — and the motif planner reads Quantile to
-// order probes without a statistics catalog. Quantiles are approximate
-// (bucket-midpoint resolution, i.e. within 2x), which is all greedy
-// ordering needs.
-//
-// The zero value is ready to use. All methods are safe for concurrent use.
-type LiveDegrees struct {
-	buckets [liveBuckets]atomic.Uint64
-	n       atomic.Uint64
-	sum     atomic.Uint64
-}
-
-// liveBucketOf maps a degree to its histogram bucket.
-func liveBucketOf(d int) int {
-	if d <= 0 {
-		return 0
-	}
-	b := 1
-	for v := uint64(d); v > 1; v >>= 1 {
-		b++
-	}
-	if b >= liveBuckets {
-		b = liveBuckets - 1
-	}
-	return b
-}
-
-// liveBucketMid returns the representative degree of a bucket: the midpoint
-// of [2^(i-1), 2^i) for i >= 1, and 0 for the zero bucket.
-func liveBucketMid(i int) int {
-	if i <= 0 {
-		return 0
-	}
-	lo := 1 << (i - 1)
-	hi := 1<<i - 1
-	return (lo + hi) / 2
-}
-
-// Observe records one degree sample.
-func (l *LiveDegrees) Observe(d int) {
-	if d < 0 {
-		d = 0
-	}
-	l.buckets[liveBucketOf(d)].Add(1)
-	l.n.Add(1)
-	l.sum.Add(uint64(d))
-}
-
-// N returns the number of samples observed so far.
-func (l *LiveDegrees) N() uint64 { return l.n.Load() }
-
-// Quantile returns the approximate q-quantile (0 <= q <= 1) of the observed
-// degrees: the midpoint of the bucket containing that rank. Returns 0 when
-// nothing has been observed.
-func (l *LiveDegrees) Quantile(q float64) int {
-	n := l.n.Load()
-	if n == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(q * float64(n-1))
-	var cum uint64
-	for i := 0; i < liveBuckets; i++ {
-		cum += l.buckets[i].Load()
-		if cum > rank {
-			return liveBucketMid(i)
-		}
-	}
-	return liveBucketMid(liveBuckets - 1)
-}
-
-// Snapshot summarizes the histogram as a DegreeStats. Min/Max and the
-// quantiles are bucket-resolution approximations; Gini is not computable
-// from the histogram and is left 0. Unlike ComputeDegreeStats, zero-degree
-// samples count toward N and the mean (the view reflects what the hot path
-// actually saw).
-func (l *LiveDegrees) Snapshot() DegreeStats {
-	n := l.n.Load()
-	if n == 0 {
-		return DegreeStats{}
-	}
-	s := DegreeStats{
-		N:    int(n),
-		Mean: float64(l.sum.Load()) / float64(n),
-		P50:  l.Quantile(0.50),
-		P90:  l.Quantile(0.90),
-		P99:  l.Quantile(0.99),
-	}
-	lo, hi := -1, 0
-	for i := 0; i < liveBuckets; i++ {
-		if l.buckets[i].Load() > 0 {
-			if lo < 0 {
-				lo = i
-			}
-			hi = i
-		}
-	}
-	if lo >= 0 {
-		s.Min = liveBucketMid(lo)
-		s.Max = liveBucketMid(hi)
-	}
-	return s
-}
-
-// LiveDegreeStats bundles the two degree views the statistics-free motif
-// planner consults: the distribution of distinct in-window actors per
-// probed target (how wide a dynamic-window probe fans out) and the
-// distribution of follower-list lengths per S lookup (how wide a static-hop
-// probe fans out). The engine feeds both incrementally from lookups the
-// detection path performs anyway; there is no offline statistics catalog.
-type LiveDegreeStats struct {
-	// DynIn samples len(recent) per dynamic-window probe.
-	DynIn LiveDegrees
-	// Static samples follower-list lengths per static-hop probe. To keep
-	// the hot-path cost at one atomic add per event, callers sample the
-	// first list of each probe rather than every list.
-	Static LiveDegrees
 }

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestComputeDegreeStats(t *testing.T) {
 	s := ComputeDegreeStats([]int{0, 1, 2, 3, 4, 5, 0})
@@ -18,83 +15,5 @@ func TestComputeDegreeStats(t *testing.T) {
 	}
 	if s.P50 != 3 {
 		t.Fatalf("P50 = %d, want 3", s.P50)
-	}
-}
-
-func TestLiveDegreesQuantiles(t *testing.T) {
-	var l LiveDegrees
-	if got := l.Quantile(0.5); got != 0 {
-		t.Fatalf("empty quantile = %d, want 0", got)
-	}
-	// 90 small degrees and 10 large ones: p50 should land in the small
-	// bucket, p99 in the large one. Buckets are log2 so we assert within-2x.
-	for i := 0; i < 90; i++ {
-		l.Observe(4)
-	}
-	for i := 0; i < 10; i++ {
-		l.Observe(1000)
-	}
-	if got := l.Quantile(0.5); got < 4 || got > 7 {
-		t.Fatalf("p50 = %d, want within the [4,8) bucket", got)
-	}
-	if got := l.Quantile(0.99); got < 512 || got > 1023 {
-		t.Fatalf("p99 = %d, want within the [512,1024) bucket", got)
-	}
-	if n := l.N(); n != 100 {
-		t.Fatalf("N = %d, want 100", n)
-	}
-	s := l.Snapshot()
-	if s.N != 100 {
-		t.Fatalf("snapshot N = %d, want 100", s.N)
-	}
-	wantMean := (90*4 + 10*1000) / 100.0
-	if s.Mean != wantMean {
-		t.Fatalf("snapshot mean = %v, want %v", s.Mean, wantMean)
-	}
-	if s.Min > 7 || s.Max < 512 {
-		t.Fatalf("snapshot min/max = %d/%d, want ~4 and ~768", s.Min, s.Max)
-	}
-}
-
-func TestLiveDegreesZeroAndNegative(t *testing.T) {
-	var l LiveDegrees
-	l.Observe(0)
-	l.Observe(-5)
-	l.Observe(1)
-	if got := l.Quantile(0); got != 0 {
-		t.Fatalf("q0 = %d, want 0", got)
-	}
-	if got := l.Quantile(1); got != 1 {
-		t.Fatalf("q1 = %d, want 1", got)
-	}
-}
-
-func TestLiveDegreesConcurrent(t *testing.T) {
-	var l LiveDegrees
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				l.Observe(w*10 + i%7)
-				_ = l.Quantile(0.9)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if n := l.N(); n != 8000 {
-		t.Fatalf("N = %d, want 8000", n)
-	}
-}
-
-func TestLiveBucketOf(t *testing.T) {
-	cases := []struct{ d, want int }{
-		{0, 0}, {1, 1}, {2, 2}, {3, 2}, {4, 3}, {7, 3}, {8, 4}, {1 << 40, liveBuckets - 1},
-	}
-	for _, c := range cases {
-		if got := liveBucketOf(c.d); got != c.want {
-			t.Errorf("liveBucketOf(%d) = %d, want %d", c.d, got, c.want)
-		}
 	}
 }

@@ -61,11 +61,6 @@ type Context struct {
 	// Follows reports whether a already follows c, used to suppress
 	// redundant follow recommendations. Nil disables the check.
 	Follows func(a, c graph.VertexID) bool
-	// Stats, when non-nil, receives degree observations from planned
-	// programs (in-window actor counts per dynamic probe, follower-list
-	// lengths per static probe). The statistics-free planner reads these
-	// live quantiles to order probes; there is no offline catalog.
-	Stats *graph.LiveDegreeStats
 }
 
 // Program detects one motif shape. OnEdge is called after e has been

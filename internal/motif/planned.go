@@ -308,9 +308,6 @@ var soloSlots = []int{0}
 // in s.bs/s.lists) and its follower list is the initial frontier.
 func bindTrigger(ctx *Context, e graph.Edge, s *Scratch) graph.AdjList {
 	l := ctx.S.Followers(e.Src)
-	if ctx.Stats != nil {
-		ctx.Stats.Static.Observe(len(l))
-	}
 	if len(l) == 0 {
 		return nil
 	}
@@ -320,9 +317,7 @@ func bindTrigger(ctx *Context, e graph.Edge, s *Scratch) graph.AdjList {
 }
 
 // probeStatic resolves the follower list of every recent actor in
-// s.recent into s.bs/s.lists, dropping actors nobody follows. The first list
-// length is sampled into the live degree view (one atomic add per event, not
-// per list).
+// s.recent into s.bs/s.lists, dropping actors nobody follows.
 func probeStatic(ctx *Context, s *Scratch) []graph.AdjList {
 	bs := s.bs[:0]
 	lists := s.lists[:0]
@@ -330,9 +325,6 @@ func probeStatic(ctx *Context, s *Scratch) []graph.AdjList {
 		l := ctx.S.Followers(in.B)
 		if len(l) == 0 {
 			continue
-		}
-		if ctx.Stats != nil && len(lists) == 0 {
-			ctx.Stats.Static.Observe(len(l))
 		}
 		bs = append(bs, in.B)
 		lists = append(lists, l)
@@ -570,9 +562,6 @@ func (g *PlannedGroup) DetectInto(ctx *Context, e graph.Edge, s *Scratch, res []
 		// store returns the freshest distinct actors.
 		recent := ctx.D.RecentLimitInto(s.recent[:0], e.Dst, e.TS-win, prefix.fanout)
 		s.recent = recent
-		if ctx.Stats != nil {
-			ctx.Stats.DynIn.Observe(len(recent))
-		}
 		minK := g.members[g.byK[0]].k
 		if len(recent) < minK {
 			return

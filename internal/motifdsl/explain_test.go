@@ -3,10 +3,7 @@ package motifdsl
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
-
-	"motifstream/internal/graph"
 )
 
 // TestExplainGolden pins the EXPLAIN output for one plan of each shape.
@@ -71,37 +68,5 @@ motif "deep" {
 				t.Fatalf("EXPLAIN drifted from golden %s:\n--- got ---\n%s--- want ---\n%s", c.file, got, want)
 			}
 		})
-	}
-}
-
-// TestExplainLiveStats checks that a warmed live view switches the
-// estimate provenance from cold-start defaults to live quantiles.
-func TestExplainLiveStats(t *testing.T) {
-	spec, err := ParseOne(validDiamond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var live graph.LiveDegreeStats
-	for i := 0; i < 200; i++ {
-		live.DynIn.Observe(40)
-		live.Static.Observe(100)
-	}
-	plan, err := PlanSpecLive(spec, &live)
-	if err != nil {
-		t.Fatal(err)
-	}
-	desc := plan.Describe()
-	if !strings.Contains(desc, "live p90 in-degree") || !strings.Contains(desc, "live p50 list length") {
-		t.Fatalf("EXPLAIN does not cite live stats:\n%s", desc)
-	}
-	// Under-sampled views keep the cold-start annotation.
-	var cold graph.LiveDegreeStats
-	cold.DynIn.Observe(1)
-	plan2, err := PlanSpecLive(spec, &cold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan2.Describe(), "cold-start default") {
-		t.Fatalf("EXPLAIN should fall back to cold-start defaults:\n%s", plan2.Describe())
 	}
 }

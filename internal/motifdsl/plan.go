@@ -10,18 +10,15 @@ import (
 )
 
 // Plan is a validated, executable form of a Spec: a sequence of probe ops
-// (motif.Op) ordered by a statistics-free greedy rule, plus the rationale
-// behind the ordering for EXPLAIN. The planner generalizes the paper's
-// two-hop diamond to static chains up to three hops deep, k-of-n support
-// thresholds, and per-trigger-type freshness windows.
+// (motif.Op) plus the rationale behind it for EXPLAIN. The planner
+// generalizes the paper's two-hop diamond to static chains up to three hops
+// deep, k-of-n support thresholds, and per-trigger-type freshness windows.
 //
-// There is no statistics catalog. When a live degree view is supplied
-// (PlanSpecLive), probe-cost estimates come from quantiles the engine
-// maintains incrementally on its own hot path; otherwise fixed cold-start
-// defaults apply. Planning is a single pass over the spec — microseconds
-// per motif, following the "When Greedy Beats Optimal" observation that
-// greedy orderings from live degree stats beat catalog-driven optimizers
-// at a tiny fraction of the planning cost.
+// There is no statistics catalog and nothing to search: with one dynamic
+// and one static probe family a shape has one dataflow-valid op order, and
+// the only choice is the k=1 prune (Plan.build). The degree figures EXPLAIN
+// prints are fixed estimates. Planning is a single pass over the spec —
+// microseconds per motif.
 type Plan struct {
 	Spec *Spec
 	// Ops is the probe-op program in execution order.
@@ -34,25 +31,17 @@ type Plan struct {
 	prog  *motif.PlannedProgram
 	depth int      // static hops between user and support
 	notes []string // greedy rationale, one line each
-	// estimates rendered into EXPLAIN
-	estDyn, estStatic int
-	estLive           bool
 }
 
 // Compile parses src and plans every declaration into runnable programs.
 func Compile(src string) ([]motif.Program, error) {
-	return CompileLive(src, nil)
-}
-
-// CompileLive is Compile with a live degree view guiding probe ordering.
-func CompileLive(src string, live *graph.LiveDegreeStats) ([]motif.Program, error) {
 	specs, err := Parse(src)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]motif.Program, 0, len(specs))
 	for _, s := range specs {
-		p, err := PlanSpecLive(s, live)
+		p, err := PlanSpec(s)
 		if err != nil {
 			return nil, err
 		}
@@ -77,14 +66,13 @@ func CompileOne(src string) (motif.Program, error) {
 // defaultWindow applies when a dynamic hop omits 'within'.
 const defaultWindow = 10 * time.Minute
 
-// Cold-start estimates used before the live view has enough samples: the
-// p90 count of distinct in-window actors per target and the p50
-// follower-list length. They only influence EXPLAIN text and probe
-// ordering, never results.
+// The planner's fixed estimates: the p90 count of distinct in-window actors
+// per target and the p50 follower-list length. They only appear in EXPLAIN
+// text, never in the ops or the results.
 const (
-	coldDynIn     = 8
-	coldStatic    = 16
-	liveMinSample = 64
+	coldDynIn  = 8
+	coldStatic = 16
+	estSource  = "cold-start default"
 )
 
 // defaultExpandCap bounds the survivors carried into a chain expansion
@@ -95,13 +83,8 @@ const defaultExpandCap = 256
 // maxChainDepth caps the static chain length (expansions are depth-1).
 const maxChainDepth = 3
 
-// PlanSpec semantically checks spec and produces a Plan using cold-start
-// cost estimates.
-func PlanSpec(spec *Spec) (*Plan, error) { return PlanSpecLive(spec, nil) }
-
-// PlanSpecLive plans spec, ordering probes with quantiles from the live
-// degree view when it has seen enough samples.
-func PlanSpecLive(spec *Spec, live *graph.LiveDegreeStats) (*Plan, error) {
+// PlanSpec semantically checks spec and produces a Plan.
+func PlanSpec(spec *Spec) (*Plan, error) {
 	var statics []*MatchClause
 	var dynamics []*MatchClause
 	for i := range spec.Matches {
@@ -186,7 +169,6 @@ func PlanSpecLive(spec *Spec, live *graph.LiveDegreeStats) (*Plan, error) {
 	}
 
 	p := &Plan{Spec: spec, depth: depth}
-	p.estimate(live)
 	p.build(k, windowMS, fanout, maxCands)
 
 	prog, err := motif.NewPlannedProgram(spec.Name, p.Ops)
@@ -279,25 +261,14 @@ func chainOf(spec *Spec, statics []*MatchClause, support string) (string, int, e
 	return start, len(statics), nil
 }
 
-// estimate pulls probe-cost estimates from the live degree view, falling
-// back to cold-start defaults below the sample floor.
-func (p *Plan) estimate(live *graph.LiveDegreeStats) {
-	p.estDyn, p.estStatic = coldDynIn, coldStatic
-	if live != nil && live.DynIn.N() >= liveMinSample && live.Static.N() >= liveMinSample {
-		p.estDyn = live.DynIn.Quantile(0.90)
-		p.estStatic = live.Static.Quantile(0.50)
-		p.estLive = true
-	}
-}
-
 // build emits the op sequence (spelled by motif.PlanOps, the one place a
 // shape's ops are written) using the greedy ordering rule: among the
 // dataflow-valid probe orders, take the probe with the smallest expected
 // output first and place the threshold at the narrowest point. With one
 // dynamic and one static probe family there are two valid pipelines —
 // window-probe-first, or (when the trigger alone satisfies the threshold)
-// no window probe at all — and the estimates decide the text of the
-// rationale while the k=1 prune decides the shape.
+// no window probe at all — and the fixed estimates appear only in the text
+// of the rationale while the k=1 prune decides the shape.
 func (p *Plan) build(k int, windowMS [motif.NumEdgeTypes]int64, fanout, maxCands int) {
 	expandCap := fanout
 	if expandCap <= 0 {
@@ -315,12 +286,12 @@ func (p *Plan) build(k int, windowMS [motif.NumEdgeTypes]int64, fanout, maxCands
 		// dynamic state at all.
 		p.note("k=1 prune: the trigger edge is always its own in-window support — dynamic-window probe and threshold-intersect eliminated ('within' is vacuously satisfied)")
 	} else {
-		effDyn := p.estDyn
+		effDyn := coldDynIn
 		if fanout > 0 && fanout < effDyn {
 			effDyn = fanout
 		}
 		p.note("dynamic-window probe ordered first: expected %d in-window actors/event (%s) vs %d followers per static list (%s) — the window filter is the most selective probe and early-exits below k=%d",
-			effDyn, p.estSource("p90 in-degree"), p.estStatic, p.estSource("p50 list length"), k)
+			effDyn, estSource, coldStatic, estSource, k)
 		p.note("threshold-intersect k=%d placed at the narrowest point, before any chain expansion", k)
 	}
 	if p.depth > 1 {
@@ -331,13 +302,6 @@ func (p *Plan) build(k int, windowMS [motif.NumEdgeTypes]int64, fanout, maxCands
 
 func (p *Plan) note(format string, args ...interface{}) {
 	p.notes = append(p.notes, fmt.Sprintf(format, args...))
-}
-
-func (p *Plan) estSource(what string) string {
-	if p.estLive {
-		return "live " + what
-	}
-	return "cold-start default"
 }
 
 // edgeTypesOf resolves the dynamic hop's type names.
@@ -363,10 +327,6 @@ func edgeTypesOf(m *MatchClause) ([]graph.EdgeType, error) {
 
 // Program returns the runnable program for the plan.
 func (p *Plan) Program() motif.Program { return p.prog }
-
-// Planned returns the typed planned program (the same object Program
-// returns).
-func (p *Plan) Planned() *motif.PlannedProgram { return p.prog }
 
 // Describe renders the plan as a multi-line EXPLAIN: the probe order with
 // cost estimates, the sharing group, and the greedy rationale.
@@ -408,14 +368,14 @@ func (p *Plan) describeOp(op motif.Op) string {
 		return "bind-trigger: the acting B is the single support; S.followers(B) is the frontier"
 	case motif.OpProbeDynamic:
 		s := fmt.Sprintf("probe-dynamic D.recent(item): est ~%d in-window actors (%s), early-exit < %d",
-			p.estDyn, p.estSource("p90 in-degree"), op.K)
+			coldDynIn, estSource, op.K)
 		if op.Limit > 0 {
 			s += fmt.Sprintf(", fanout cap %d", op.Limit)
 		}
 		return s
 	case motif.OpProbeStatic:
 		return fmt.Sprintf("probe-static S.followers(B) per actor: est ~%d followers/list (%s)",
-			p.estStatic, p.estSource("p50 list length"))
+			coldStatic, estSource)
 	case motif.OpThreshold:
 		return fmt.Sprintf("threshold-intersect k=%d over the follower lists", op.K)
 	case motif.OpExpand:

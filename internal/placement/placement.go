@@ -26,6 +26,7 @@ package placement
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -128,12 +129,12 @@ func Load(path string, runID uint64) (*Table, error) {
 
 // save writes the table atomically (tmp + fsync + rename). Caller holds mu.
 func (t *Table) save() error {
-	tmp := t.path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	enc := &codecutil.Writer{BW: bufio.NewWriter(f)}
+	return codecutil.ReplaceFile(t.path, t.encode, true)
+}
+
+// encode writes the table's file format to w.
+func (t *Table) encode(w io.Writer) error {
+	enc := &codecutil.Writer{BW: bufio.NewWriter(w)}
 	enc.PutBytes(tableMagic[:])
 	enc.PutU(tableVersion)
 	enc.PutU(t.runID)
@@ -159,25 +160,7 @@ func (t *Table) save() error {
 		}
 		enc.PutU(removed)
 	}
-	err = enc.Flush()
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, t.path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if d, derr := os.Open(filepath.Dir(t.path)); derr == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
+	return enc.Flush()
 }
 
 // Get returns the placement for (pid, idx); absent entries are the

@@ -176,19 +176,6 @@ func (rr *RemoteReplica) TopItems(n int) []partition.ItemCount {
 	return out
 }
 
-// Ping measures one read-path round trip (benchmark probe).
-func (rr *RemoteReplica) Ping() (time.Duration, error) {
-	start := time.Now()
-	_, err := rr.rpc(func(id uint64) []byte {
-		b := typeU1(msgPing, id)
-		return appendI(b, start.UnixNano())
-	}, msgPong)
-	if err != nil {
-		return 0, err
-	}
-	return time.Since(start), nil
-}
-
 // Close drops the member's connection permanently.
 func (rr *RemoteReplica) Close() {
 	rr.mu.Lock()

@@ -140,17 +140,6 @@ func (s *ReplicaServer) handle(nc net.Conn) {
 			if c.writeMsg(encodeTopResp(id, q.TopItems(n))) != nil {
 				return
 			}
-		case msgPing:
-			id := wr.U("ping id")
-			sentNS := wr.I("ping sent")
-			if wr.Err != nil {
-				return
-			}
-			b := typeU1(msgPong, id)
-			b = appendI(b, sentNS)
-			if c.writeMsg(b) != nil {
-				return
-			}
 		default:
 			return
 		}

@@ -67,9 +67,9 @@ const (
 	msgRecsResp    = 16
 	msgTopReq      = 17 // read: TopItems
 	msgTopResp     = 18
-	msgPing        = 19
-	msgPong        = 20
-	msgHelloErr    = 21 // either side: hello rejected, message string
+	// 19 and 20 are retired (a read-path probe); not to be reused within
+	// format version 2.
+	msgHelloErr = 21 // either side: hello rejected, message string
 )
 
 // appendEdge encodes an edge with the same varint field layout as the
@@ -332,11 +332,6 @@ func typeU2(typ byte, v1, v2 uint64) []byte {
 	b := []byte{typ}
 	b = binary.AppendUvarint(b, v1)
 	return binary.AppendUvarint(b, v2)
-}
-
-// appendI appends one signed varint field.
-func appendI(b []byte, v int64) []byte {
-	return binary.AppendVarint(b, v)
 }
 
 func encodeHelloErr(msg string) []byte {

@@ -1,8 +1,8 @@
 // Package workload generates the synthetic inputs that substitute for
-// Twitter's production data (see DESIGN.md §2): a follow graph with the
-// heavy-tailed in-degree distribution of the real one (Myers et al., WWW
-// 2014 — paper ref [7]) and a temporally-correlated dynamic edge stream
-// whose bursts toward "hot" targets are what form diamond motifs.
+// Twitter's production data: a follow graph with the heavy-tailed
+// in-degree distribution of the real one (Myers et al., WWW 2014 — paper
+// ref [7]) and a temporally-correlated dynamic edge stream whose bursts
+// toward "hot" targets are what form diamond motifs.
 package workload
 
 import (

@@ -13,8 +13,9 @@
 //   - CompileMotif: the declarative motif language of the paper's §3,
 //     compiled to runnable detection programs.
 //
-// See the examples directory for runnable entry points, DESIGN.md for the
-// system inventory, and EXPERIMENTS.md for the reproduction results.
+// See the examples directory for runnable entry points, README.md for the
+// system inventory, docs/ for durability, operations, queries and
+// benchmarks, and cmd/benchreport for the paper's experiment tables.
 package motifstream
 
 import (

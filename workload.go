@@ -3,7 +3,7 @@ package motifstream
 import "motifstream/internal/workload"
 
 // GraphConfig parametrizes the synthetic follow-graph generator that
-// substitutes for the Twitter follow graph (see DESIGN.md §2).
+// substitutes for the Twitter follow graph (see package internal/workload).
 type GraphConfig = workload.GraphConfig
 
 // StreamConfig parametrizes the synthetic bursty event-stream generator
