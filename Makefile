@@ -1,14 +1,17 @@
 GO ?= go
 
-.PHONY: check build vet test test-race test-crashmatrix test-delivery test-elasticity test-audit test-parallel test-transport test-planner test-codec test-benchmark loc soak-flake soak soak-net bench bench-smoke fuzz fuzz-smoke
+.PHONY: check build vet test test-race test-allocs test-crashmatrix test-delivery test-elasticity test-audit test-parallel test-transport test-planner test-codec test-benchmark loc soak-flake soak soak-net bench bench-smoke fuzz fuzz-smoke
 
 # check is the CI gate: formatting, static analysis, the full test suite
-# under the race detector (test-delivery's and test-elasticity's cases
-# run within it, and are also kept as named targets for the quick loop),
-# the apply loop's equivalence suite, the codec's allocation and format
-# gates, the nested benchmark module's own vet + tests, and short fuzz
-# smoke runs of the durability codecs.
-check: fmt-check vet test-race test-delivery test-elasticity test-audit test-parallel test-transport test-planner test-codec test-benchmark fuzz-smoke
+# under the race detector — once — and only what that run does not cover:
+# the allocation gates (they skip under -race), the codec's allocation and
+# format gates, the nested benchmark module's own vet + tests, and short fuzz
+# smoke runs of the durability codecs. test-crashmatrix, test-delivery,
+# test-elasticity, test-audit, test-transport and the -race halves of
+# test-parallel and test-planner are -run subsets of test-race, kept as named
+# targets for the quick loop and deliberately not prerequisites here:
+# internal/cluster under the race detector is the long pole.
+check: fmt-check vet test-race test-allocs test-codec test-benchmark fuzz-smoke
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
@@ -25,6 +28,13 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# test-allocs runs the hot path's allocation gates — the kernel's and the
+# engine's no-candidate, multi-motif and emitting budgets — without the race
+# detector: instrumentation changes allocation counts, so under -race they
+# skip.
+test-allocs:
+	$(GO) test -run 'ZeroAlloc|TestDetectBatchAllocBudget' ./internal/graph ./internal/core
 
 # test-crashmatrix runs just the fault-injection matrix (kill / restore /
 # whole-cluster restart at every pipeline stage, oracle-asserted, once per
@@ -61,11 +71,10 @@ test-audit:
 # detector: the cluster-free oracle, batching-independence properties
 # (delivered multiset + state fingerprints across batch sizes, worker
 # counts, and GOMAXPROCS), the checkpoint-clock clamp, engine batch
-# equivalence, and the allocation-budget gates — the quick loop for
-# hot-path work.
-test-parallel:
+# equivalence, and (test-allocs) the allocation-budget gates — the quick
+# loop for hot-path work.
+test-parallel: test-allocs
 	$(GO) test -race -run 'TestApplyLoop|TestParallelApply|TestCkptClock|TestCheckpointClockOutlier|TestDetectBatch|TestLatencyMetricSplit' ./internal/cluster ./internal/core
-	$(GO) test -run 'ZeroAlloc|TestDetectBatchAllocBudget' ./internal/graph ./internal/core
 
 # test-transport runs the networked tier under the race detector: the
 # wire codec and fault tests in internal/transport, plus the loopback
@@ -86,12 +95,11 @@ test-transport:
 # differential (shared vs independent multiset
 # + fingerprint equality, multi-motif kill/restore) — the quick loop for
 # planner and multi-query work. The multi-motif allocation gates (the
-# no-candidate path and the emit path's 3 per emitting event) run without
-# race (instrumentation changes allocation counts).
-test-planner:
+# no-candidate path and the emit path's 3 per emitting event) are among
+# test-allocs.
+test-planner: test-allocs
 	$(GO) test -race ./internal/motifdsl ./internal/motif
 	$(GO) test -race -run 'TestEngineShared|TestMultiQuery' ./internal/core ./internal/cluster
-	$(GO) test -run 'TestDetectBatchAllocBudgetMultiMotif|TestDetectBatchAllocBudgetEmitting' ./internal/core
 
 # test-codec runs the checkpoint codec's gates: the allocation budgets of
 # segment decode, delta capture and the candidate log (commit, read) with the

@@ -31,11 +31,6 @@ type ClusterOptions struct {
 	// MaxFanout caps the recent actors considered per event, bounding
 	// work on viral items. Zero selects 256; negative means unlimited.
 	MaxFanout int
-	// DisableSharing turns off the per-replica engines' shared-prefix
-	// execution trie, running every planned motif's probes independently.
-	// Detection output is identical either way; this is a benchmark and
-	// differential-testing lever, not a correctness switch.
-	DisableSharing bool
 	// motifSources holds DSL sources added via RegisterMotifs; NewCluster
 	// compiles them once, after the primary diamond.
 	motifSources []string
@@ -214,7 +209,6 @@ func NewCluster(staticEdges []Edge, opts ClusterOptions) (*Cluster, error) {
 		MaxInfluencers:     opts.MaxInfluencers,
 		Dynamic:            dynstore.Options{Retention: window, MaxPerTarget: 1024},
 		NewPrograms:        func() []motif.Program { return programs },
-		DisableSharing:     opts.DisableSharing,
 		IngestDelay:        ingestDelay,
 		DeliveryDelay:      deliverDelay,
 		Delivery:           dopts,

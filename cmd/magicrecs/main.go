@@ -56,7 +56,6 @@ func run(args []string, errOut io.Writer) int {
 		maxInfl    = fs.Int("maxinfluencers", 200, "influencer cap per user (0 = unlimited)")
 		maxFanout  = fs.Int("maxfanout", 64, "recent-actor cap per event (-1 = unlimited)")
 		motifsPath = fs.String("motifs", "", "file of motif DSL declarations run as standing queries on every replica alongside the primary diamond (see docs/QUERIES.md)")
-		noSharing  = fs.Bool("nosharing", false, "disable the shared-prefix execution trie; every motif runs its own probes per event")
 		queueMed   = fs.Duration("queuemedian", 7*time.Second, "simulated queue-delay median (0 disables)")
 		queueP99   = fs.Duration("queuep99", 15*time.Second, "simulated queue-delay p99")
 		progress   = fs.Int("progress", 50_000, "print progress every N events (0 disables)")
@@ -164,7 +163,6 @@ func run(args []string, errOut io.Writer) int {
 		Window:                 *window,
 		MaxInfluencers:         *maxInfl,
 		MaxFanout:              *maxFanout,
-		DisableSharing:         *noSharing,
 		QueueDelayMedian:       *queueMed,
 		QueueDelayP99:          *queueP99,
 		Seed:                   1,
@@ -443,8 +441,7 @@ func splitSlots(partitions, replicas, n int) [][][2]int {
 var workerFlags = map[string]bool{
 	"scenario": true, "static": true, "stream": true,
 	"partitions": true, "replicas": true, "k": true, "window": true,
-	"maxinfluencers": true, "maxfanout": true,
-	"motifs": true, "nosharing": true,
+	"maxinfluencers": true, "maxfanout": true, "motifs": true,
 	"queuemedian": true, "queuep99": true,
 	"checkpointdir": true, "checkpointinterval": true, "compactevery": true,
 	"staticsnapdir": true, "mirrorbases": true,

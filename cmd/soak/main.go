@@ -56,13 +56,7 @@ func main() {
 	flag.Parse()
 
 	log.SetFlags(log.Ltime)
-	var err error
-	if *netMode {
-		err = runNet(*dur, *seed, *users, *wave)
-	} else {
-		err = run(*dur, *seed, *users, *wave)
-	}
-	if err != nil {
+	if err := run(*dur, *seed, *users, *wave, *netMode); err != nil {
 		log.Fatalf("soak: FAIL: %v", err)
 	}
 	fmt.Println("soak: PASS")
@@ -173,8 +167,11 @@ func soakCfg(root string, seed int64, static []graph.Edge) cluster.Config {
 
 const awaitTimeout = 30 * time.Second
 
-// soak owns the cluster under churn. A restart replaces the Cluster
-// value wholesale, so every op goes through s.c.
+// soak is the harness both modes share: it owns the process that holds the
+// firehose log — the whole cluster in local mode, the hub in networked mode —
+// and with it the publish, stats and verify handles, the published stream the
+// oracle replays, and the per-wave resource samples. A whole-process restart
+// replaces the Cluster value wholesale, so every op goes through s.c.
 type soak struct {
 	cfg        cluster.Config
 	c          *cluster.Cluster
@@ -185,11 +182,45 @@ type soak struct {
 	goroutines []int
 	heaps      []uint64
 	waves      int
+	// rng schedules injected faults from its own stream, so the workload is
+	// identical across modes for the same seed; drops counts the
+	// connections those faults severed.
+	rng   *rand.Rand
+	drops int
 }
 
-func (s *soak) publishWave() error {
+// op is one entry of a fault menu. Each leaves the deployment fully live so
+// samples compare like with like.
+type op struct {
+	name string
+	fn   func() error
+}
+
+// faults is what differs between the modes: the menu cycled for the
+// duration budget, how the deployment is brought to its drained rest before
+// the audit, and the mode's own end-of-run evidence — an error when the
+// injection was vacuous, else the summary the audit's log line carries.
+type faults interface {
+	ops() []op
+	drain() error
+	evidence() (string, error)
+}
+
+// publishWave feeds one wave into the firehose; if blips > 0, every worker
+// connection is severed at that many seeded random points mid-wave. A blip
+// that lands while workers are still redialing from the previous one severs
+// nothing — the running drop count, asserted nonzero at the end, keeps the
+// injection honest without making the schedule timing-sensitive.
+func (s *soak) publishWave(blips int) error {
 	w := s.gen.wave(s.waveSteps)
-	for _, e := range w {
+	cut := make(map[int]bool, blips)
+	for i := 0; i < blips; i++ {
+		cut[s.rng.Intn(len(w))] = true
+	}
+	for i, e := range w {
+		if cut[i] {
+			s.drops += s.c.DropConnections()
+		}
 		if err := s.c.Publish(e); err != nil {
 			return fmt.Errorf("publish: %w", err)
 		}
@@ -198,97 +229,29 @@ func (s *soak) publishWave() error {
 	return nil
 }
 
-func (s *soak) killAll(idx int) error {
-	for pid := 0; pid < s.cfg.Partitions; pid++ {
-		if err := s.c.KillReplica(pid, idx); err != nil {
-			return fmt.Errorf("kill %d/%d: %w", pid, idx, err)
-		}
-	}
-	return nil
-}
-
-func (s *soak) restoreAll(idx int) error {
-	for pid := 0; pid < s.cfg.Partitions; pid++ {
-		if err := s.c.RestoreReplica(pid, idx); err != nil {
-			return fmt.Errorf("restore %d/%d: %w", pid, idx, err)
-		}
-	}
-	return nil
-}
-
-func (s *soak) awaitAll(idx int) error {
-	for pid := 0; pid < s.cfg.Partitions; pid++ {
-		if err := s.c.AwaitReplicaLive(pid, idx, awaitTimeout); err != nil {
-			return fmt.Errorf("await %d/%d: %w", pid, idx, err)
-		}
-	}
-	return nil
-}
-
-func (s *soak) reprovisionAll(idx int) error {
-	for pid := 0; pid < s.cfg.Partitions; pid++ {
-		if err := s.c.ReprovisionReplica(pid, idx); err != nil {
-			return fmt.Errorf("reprovision %d/%d: %w", pid, idx, err)
-		}
-	}
-	return nil
-}
-
-// addAll scales every partition out by one replica and returns the (per
-// the placement contract, common) new index.
-func (s *soak) addAll() (int, error) {
-	idx := -1
-	for pid := 0; pid < s.cfg.Partitions; pid++ {
-		got, err := s.c.AddReplica(pid)
-		if err != nil {
-			return -1, fmt.Errorf("add replica to %d: %w", pid, err)
-		}
-		if idx == -1 {
-			idx = got
-		} else if got != idx {
-			return -1, fmt.Errorf("AddReplica index skew: partition %d got %d, earlier got %d", pid, got, idx)
-		}
-	}
-	return idx, nil
-}
-
-func (s *soak) decommissionAll(idx int) error {
-	for pid := 0; pid < s.cfg.Partitions; pid++ {
-		if err := s.c.DecommissionReplica(pid, idx); err != nil {
-			return fmt.Errorf("decommission %d/%d: %w", pid, idx, err)
-		}
-	}
-	return nil
-}
-
-// restart is the cross-process boundary: graceful shutdown, then a
-// brand-new Cluster over the same durable directories.
-func (s *soak) restart() error {
-	s.c.Shutdown()
-	c, err := cluster.Reopen(s.cfg)
-	if err != nil {
-		return fmt.Errorf("reopen: %w", err)
-	}
-	s.c = c
-	return nil
-}
-
-// waitForTruncation keeps publishing until the firehose compaction
-// horizon has advanced past zero — proof disk use stays bounded under
-// churn. The checkpoint writers drive truncation off stream time, so
-// the wait must feed the stream rather than idle.
-func (s *soak) waitForTruncation() error {
+// waitForTruncation keeps publishing until the firehose compaction horizon
+// has advanced past zero — proof disk use stays bounded under churn. The
+// checkpoint writers drive truncation off stream time, so the wait must feed
+// the stream rather than idle. Over sockets floors arrive a full
+// publish→detect→ack→cut→report round-trip later, so that mode paces its
+// waves — a tight loop would bury the run (and every later replay) under
+// hundreds of thousands of events before the first report lands.
+func (s *soak) waitForTruncation(pace time.Duration) error {
 	deadline := time.Now().Add(awaitTimeout)
 	for s.c.Stats().LogTruncatedBelow == 0 {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("firehose log never truncated (published %d events)", len(s.published))
 		}
-		if err := s.publishWave(); err != nil {
+		if err := s.publishWave(0); err != nil {
 			return err
 		}
+		time.Sleep(pace)
 	}
 	return nil
 }
+
+// await waits for slot (pid, r) to replay to live.
+func (s *soak) await(pid, r int) error { return s.c.AwaitReplicaLive(pid, r, awaitTimeout) }
 
 // sample records post-wave steady-state resource usage. Goroutine counts
 // are taken with the topology back at rest (every op awaits live before
@@ -301,107 +264,10 @@ func (s *soak) sample() {
 	s.heaps = append(s.heaps, ms.HeapAlloc)
 }
 
-// checkWave asserts the invariants that must hold mid-run, after every
-// wave: the pipeline's own fingerprint cross-checks found nothing.
-func (s *soak) checkWave() error {
-	if n := s.c.Stats().AuditMismatches; n != 0 {
-		return fmt.Errorf("wave %d: pipeline detected %d fingerprint mismatches", s.waves, n)
-	}
-	return nil
-}
-
-// ops is the churn menu, cycled for the duration budget. Each op leaves
-// the cluster fully live so samples compare like with like.
-func (s *soak) ops() []struct {
-	name string
-	fn   func() error
-} {
-	return []struct {
-		name string
-		fn   func() error
-	}{
-		{"kill r1, ingest while dead, restore", func() error {
-			if err := s.killAll(1); err != nil {
-				return err
-			}
-			if err := s.publishWave(); err != nil {
-				return err
-			}
-			if err := s.restoreAll(1); err != nil {
-				return err
-			}
-			return s.awaitAll(1)
-		}},
-		{"reprovision r1 under ingest", func() error {
-			if err := s.publishWave(); err != nil {
-				return err
-			}
-			if err := s.reprovisionAll(1); err != nil {
-				return err
-			}
-			return s.awaitAll(1)
-		}},
-		{"scale out, ingest, scale back in", func() error {
-			idx, err := s.addAll()
-			if err != nil {
-				return err
-			}
-			if err := s.publishWave(); err != nil {
-				return err
-			}
-			if err := s.awaitAll(idx); err != nil {
-				return err
-			}
-			return s.decommissionAll(idx)
-		}},
-		{"whole-process restart", func() error {
-			if err := s.restart(); err != nil {
-				return err
-			}
-			return s.publishWave()
-		}},
-		{"kill r0 (emitter), ingest, restore", func() error {
-			if err := s.killAll(0); err != nil {
-				return err
-			}
-			if err := s.publishWave(); err != nil {
-				return err
-			}
-			if err := s.restoreAll(0); err != nil {
-				return err
-			}
-			return s.awaitAll(0)
-		}},
-		{"ingest and verify log truncation", func() error {
-			if err := s.publishWave(); err != nil {
-				return err
-			}
-			return s.waitForTruncation()
-		}},
-	}
-}
-
-// finish restores anything left dead, drains the cluster, and runs the
-// full fingerprint audit: every replica of every partition must have
-// recorded bit-identical state at every audited offset.
-func (s *soak) finish() error {
-	for pid := 0; pid < s.cfg.Partitions; pid++ {
-		for r := 0; r < s.c.Replicas(pid); r++ {
-			if state, _ := s.c.ReplicaState(pid, r); state == "dead" {
-				if err := s.c.RestoreReplica(pid, r); err != nil {
-					return fmt.Errorf("final restore %d/%d: %w", pid, r, err)
-				}
-			}
-		}
-	}
-	s.c.Shutdown()
-	for pid := 0; pid < s.cfg.Partitions; pid++ {
-		for r := 0; r < s.c.Replicas(pid); r++ {
-			if state, _ := s.c.ReplicaState(pid, r); state != "live" && state != "removed" {
-				return fmt.Errorf("replica %d/%d state %q after drain, want live", pid, r, state)
-			}
-		}
-	}
+// audit runs the full fingerprint audit over the drained deployment: every
+// replica of every partition must have recorded bit-identical state at every
+// audited offset.
+func (s *soak) audit() error {
 	records := 0
 	for pid := 0; pid < s.cfg.Partitions; pid++ {
 		rep, err := s.c.VerifyFingerprints(pid)
@@ -420,6 +286,287 @@ func (s *soak) finish() error {
 		return fmt.Errorf("pipeline detected %d fingerprint mismatches", n)
 	}
 	return nil
+}
+
+// lifecycle is the local fault menu: one process holds both tiers, and the
+// faults are the cluster's own lifecycle calls — kill/restore, reprovision,
+// scale-out/in — applied to one replica index across every partition, plus
+// whole-process restarts.
+type lifecycle struct{ *soak }
+
+// each applies one lifecycle call to replica idx of every partition.
+func (l lifecycle) each(what string, idx int, call func(pid, r int) error) error {
+	for pid := 0; pid < l.cfg.Partitions; pid++ {
+		if err := call(pid, idx); err != nil {
+			return fmt.Errorf("%s %d/%d: %w", what, pid, idx, err)
+		}
+	}
+	return nil
+}
+
+// killIngestRestore kills replica idx everywhere, ingests a wave while it is
+// dead, and restores it to live.
+func (l lifecycle) killIngestRestore(idx int) error {
+	if err := l.each("kill", idx, func(pid, r int) error { return l.c.KillReplica(pid, r) }); err != nil {
+		return err
+	}
+	if err := l.publishWave(0); err != nil {
+		return err
+	}
+	if err := l.each("restore", idx, func(pid, r int) error { return l.c.RestoreReplica(pid, r) }); err != nil {
+		return err
+	}
+	return l.each("await", idx, l.await)
+}
+
+// addAll scales every partition out by one replica and returns the (per
+// the placement contract, common) new index.
+func (l lifecycle) addAll() (int, error) {
+	idx := -1
+	for pid := 0; pid < l.cfg.Partitions; pid++ {
+		got, err := l.c.AddReplica(pid)
+		if err != nil {
+			return -1, fmt.Errorf("add replica to %d: %w", pid, err)
+		}
+		if idx == -1 {
+			idx = got
+		} else if got != idx {
+			return -1, fmt.Errorf("AddReplica index skew: partition %d got %d, earlier got %d", pid, got, idx)
+		}
+	}
+	return idx, nil
+}
+
+func (l lifecycle) ops() []op {
+	return []op{
+		{"kill r1, ingest while dead, restore", func() error { return l.killIngestRestore(1) }},
+		{"reprovision r1 under ingest", func() error {
+			if err := l.publishWave(0); err != nil {
+				return err
+			}
+			if err := l.each("reprovision", 1, func(pid, r int) error { return l.c.ReprovisionReplica(pid, r) }); err != nil {
+				return err
+			}
+			return l.each("await", 1, l.await)
+		}},
+		{"scale out, ingest, scale back in", func() error {
+			idx, err := l.addAll()
+			if err != nil {
+				return err
+			}
+			if err := l.publishWave(0); err != nil {
+				return err
+			}
+			if err := l.each("await", idx, l.await); err != nil {
+				return err
+			}
+			return l.each("decommission", idx, func(pid, r int) error { return l.c.DecommissionReplica(pid, r) })
+		}},
+		{"whole-process restart", func() error {
+			// The cross-process boundary: graceful shutdown, then a brand-new
+			// Cluster over the same durable directories.
+			l.c.Shutdown()
+			c, err := cluster.Reopen(l.cfg)
+			if err != nil {
+				return fmt.Errorf("reopen: %w", err)
+			}
+			l.c = c
+			return l.publishWave(0)
+		}},
+		{"kill r0 (emitter), ingest, restore", func() error { return l.killIngestRestore(0) }},
+		{"ingest and verify log truncation", func() error {
+			if err := l.publishWave(0); err != nil {
+				return err
+			}
+			return l.waitForTruncation(0)
+		}},
+	}
+}
+
+// drain restores anything left dead and shuts the cluster down; every
+// remaining replica must have drained live.
+func (l lifecycle) drain() error {
+	for pid := 0; pid < l.cfg.Partitions; pid++ {
+		for r := 0; r < l.c.Replicas(pid); r++ {
+			if state, _ := l.c.ReplicaState(pid, r); state == "dead" {
+				if err := l.c.RestoreReplica(pid, r); err != nil {
+					return fmt.Errorf("final restore %d/%d: %w", pid, r, err)
+				}
+			}
+		}
+	}
+	l.c.Shutdown()
+	for pid := 0; pid < l.cfg.Partitions; pid++ {
+		for r := 0; r < l.c.Replicas(pid); r++ {
+			if state, _ := l.c.ReplicaState(pid, r); state != "live" && state != "removed" {
+				return fmt.Errorf("replica %d/%d state %q after drain, want live", pid, r, state)
+			}
+		}
+	}
+	return nil
+}
+
+// evidence: counters reset at each whole-process restart, so the record
+// count covers the final incarnation only; the delivered-set oracle covers
+// the whole run.
+func (l lifecycle) evidence() (string, error) {
+	return fmt.Sprintf(" (%d audit records since last restart)", l.c.Stats().AuditRecords), nil
+}
+
+// netWorker is one in-process stand-in for a worker OS process: its own
+// Cluster joined to the hub over a real loopback socket, with the worker
+// main loop (Wait) on a goroutine whose result lands on done.
+type netWorker struct {
+	cfg  cluster.Config
+	c    *cluster.Cluster
+	done chan error
+}
+
+func startNetWorker(cfg cluster.Config) (*netWorker, error) {
+	c, err := cluster.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	c.Start()
+	w := &netWorker{cfg: cfg, c: c, done: make(chan error, 1)}
+	go func() { w.done <- c.Wait() }()
+	return w, nil
+}
+
+func (w *netWorker) join(timeout time.Duration) error {
+	select {
+	case err := <-w.done:
+		return err
+	case <-time.After(timeout):
+		return fmt.Errorf("worker owning %v did not exit within %v", w.cfg.OwnedReplicas, timeout)
+	}
+}
+
+// network is the networked fault menu: s.c is a hub, every replica index
+// runs in a worker (owning that index across every partition) attached over
+// a real loopback socket, and the faults are connection drops and worker
+// crashes. A worker crash replaces the netWorker value wholesale.
+type network struct {
+	*soak
+	workers []*netWorker
+	// reconnects sums the reconnect counters of workers since crashed
+	// (counters die with the Cluster).
+	reconnects uint64
+}
+
+// startNetwork attaches one worker per replica index to the hub s.c and
+// waits for every slot to go live.
+func startNetwork(s *soak) (*network, error) {
+	n := &network{soak: s}
+	for i := 0; i < s.cfg.Replicas; i++ {
+		wcfg := s.cfg
+		wcfg.Listen = ""
+		wcfg.LogDir = ""
+		wcfg.Join = s.c.ListenAddr()
+		wcfg.OnNotify = nil
+		wcfg.Metrics = nil
+		for pid := 0; pid < s.cfg.Partitions; pid++ {
+			wcfg.OwnedReplicas = append(wcfg.OwnedReplicas, [2]int{pid, i})
+		}
+		w, err := startNetWorker(wcfg)
+		if err != nil {
+			return nil, err
+		}
+		n.workers = append(n.workers, w)
+		for _, or := range wcfg.OwnedReplicas {
+			if err := s.await(or[0], or[1]); err != nil {
+				return nil, fmt.Errorf("worker %d: %w", i, err)
+			}
+		}
+	}
+	log.Printf("networked deployment: hub %s + %d workers", s.c.ListenAddr(), len(n.workers))
+	return n, nil
+}
+
+// crashWorker crashes one worker (Abort: sockets drop, no flush, no
+// final checkpoint cut — the in-process equivalent of SIGKILL), ingests
+// a wave while its slots are dead and the peer covers delivery, then
+// brings a fresh worker up over the same durable chains and waits for it
+// to replay live.
+func (n *network) crashWorker(i int) error {
+	w := n.workers[i]
+	n.reconnects += w.c.Metrics().Counter("transport.reconnects").Value()
+	w.c.Abort()
+	if err := w.join(awaitTimeout); err != nil {
+		return err
+	}
+	// The hub's feed handlers notice the severed sockets asynchronously.
+	for _, or := range w.cfg.OwnedReplicas {
+		deadline := time.Now().Add(awaitTimeout)
+		for {
+			st, err := n.c.ReplicaState(or[0], or[1])
+			if err != nil {
+				return err
+			}
+			if st == "dead" {
+				break
+			}
+			if time.Now().After(deadline) {
+				return fmt.Errorf("crashed worker slot %d/%d state %q, want dead", or[0], or[1], st)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	if err := n.publishWave(0); err != nil {
+		return err
+	}
+	w2, err := startNetWorker(w.cfg)
+	if err != nil {
+		return err
+	}
+	n.workers[i] = w2
+	for _, or := range w.cfg.OwnedReplicas {
+		if err := n.await(or[0], or[1]); err != nil {
+			return fmt.Errorf("restarted worker: %w", err)
+		}
+	}
+	return nil
+}
+
+func (n *network) ops() []op {
+	return []op{
+		{"ingest through one random mid-wave connection drop", func() error { return n.publishWave(1) }},
+		{"crash worker r0 mid-stream, restart over same chains", func() error { return n.crashWorker(0) }},
+		{"ingest through a double blip (drop during replay)", func() error { return n.publishWave(2) }},
+		{"crash worker r1 mid-stream, restart over same chains", func() error { return n.crashWorker(1) }},
+		{"ingest with a drop and verify log truncation", func() error {
+			if err := n.publishWave(1); err != nil {
+				return err
+			}
+			return n.waitForTruncation(25 * time.Millisecond)
+		}},
+	}
+}
+
+// drain: hub EOS, workers flush + FIN and exit.
+func (n *network) drain() error {
+	n.c.Shutdown()
+	for _, w := range n.workers {
+		if err := w.join(time.Minute); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// evidence is the fault injection's vacuousness check: connections were
+// severed, and workers reconnected through it.
+func (n *network) evidence() (string, error) {
+	if n.drops == 0 {
+		return "", fmt.Errorf("vacuous: no connection was ever severed")
+	}
+	for _, w := range n.workers {
+		n.reconnects += w.c.Metrics().Counter("transport.reconnects").Value()
+	}
+	if n.reconnects == 0 {
+		return "", fmt.Errorf("no worker ever reconnected despite %d severed connections", n.drops)
+	}
+	return fmt.Sprintf("; %d reconnects absorbed %d severed connections", n.reconnects, n.drops), nil
 }
 
 // checkGoroutines fails on monotonic growth: once warmed up, the low
@@ -509,7 +656,10 @@ func compareNotes(want, got map[noteKey]int) error {
 	return nil
 }
 
-func run(dur time.Duration, seed int64, users, wave int) error {
+// run drives one soak: the deployment the mode selects under its fault menu
+// for the duration budget, then drain, fingerprint audit, the mode's own
+// evidence, oracle equivalence and the resource trend checks.
+func run(dur time.Duration, seed int64, users, wave int, netMode bool) error {
 	root, err := os.MkdirTemp("", "soak-*")
 	if err != nil {
 		return err
@@ -521,17 +671,25 @@ func run(dur time.Duration, seed int64, users, wave int) error {
 		cfg:       soakCfg(filepath.Join(root, "churn"), seed, static),
 		gen:       newWaveGen(seed, users),
 		waveSteps: wave,
+		rng:       rand.New(rand.NewSource(seed ^ 0x6e6574)),
+	}
+	if netMode {
+		s.cfg.Listen = "127.0.0.1:0"
 	}
 	s.notes = collectNotes(&s.cfg)
-	c, err := cluster.New(s.cfg)
-	if err != nil {
+	if s.c, err = cluster.New(s.cfg); err != nil {
 		return err
 	}
-	c.Start()
-	s.c = c
+	s.c.Start()
+	var f faults = lifecycle{s}
+	if netMode {
+		if f, err = startNetwork(s); err != nil {
+			return err
+		}
+	}
 
 	log.Printf("churn phase: %v budget, %d users, %d completions/wave", dur, users, wave)
-	ops := s.ops()
+	ops := f.ops()
 	deadline := time.Now().Add(dur)
 	for time.Now().Before(deadline) {
 		op := ops[s.waves%len(ops)]
@@ -539,332 +697,9 @@ func run(dur time.Duration, seed int64, users, wave int) error {
 		if err := op.fn(); err != nil {
 			return fmt.Errorf("wave %d (%s): %w", s.waves, op.name, err)
 		}
-		if err := s.checkWave(); err != nil {
-			return err
-		}
-		s.sample()
-		s.waves++
-		log.Printf("wave %3d  %-40s %6s  %d events  %d goroutines",
-			s.waves, op.name, time.Since(start).Round(time.Millisecond), len(s.published),
-			s.goroutines[len(s.goroutines)-1])
-	}
-	if s.waves < len(ops) {
-		return fmt.Errorf("only %d waves in %v: every op must run at least once (raise -dur)", s.waves, dur)
-	}
-
-	log.Printf("verification phase: %d waves, %d events published", s.waves, len(s.published))
-	if err := s.finish(); err != nil {
-		return err
-	}
-	// Counters reset at each whole-process restart, so these cover the
-	// final incarnation only; the delivered-set oracle below covers the
-	// whole run.
-	st := s.c.Stats()
-	log.Printf("fingerprint audit clean (%d audit records since last restart)", st.AuditRecords)
-
-	want, err := oracle(filepath.Join(root, "oracle"), seed, static, s.published)
-	if err != nil {
-		return err
-	}
-	if err := compareNotes(want, s.notes()); err != nil {
-		return err
-	}
-	log.Printf("oracle equivalence: %d distinct notifications match exactly", len(want))
-
-	if err := checkGoroutines(s.goroutines); err != nil {
-		return err
-	}
-	if err := checkHeap(s.heaps); err != nil {
-		return err
-	}
-	log.Printf("resource check: goroutines %v, heap %d -> %d bytes",
-		s.goroutines, s.heaps[0], s.heaps[len(s.heaps)-1])
-	return nil
-}
-
-// netWorker is one in-process stand-in for a worker OS process: its own
-// Cluster joined to the hub over a real loopback socket, with the worker
-// main loop (Wait) on a goroutine whose result lands on done.
-type netWorker struct {
-	cfg  cluster.Config
-	c    *cluster.Cluster
-	done chan error
-}
-
-func startNetWorker(cfg cluster.Config) (*netWorker, error) {
-	c, err := cluster.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	c.Start()
-	w := &netWorker{cfg: cfg, c: c, done: make(chan error, 1)}
-	go func() { w.done <- c.Wait() }()
-	return w, nil
-}
-
-func (w *netWorker) join(timeout time.Duration) error {
-	select {
-	case err := <-w.done:
-		return err
-	case <-time.After(timeout):
-		return fmt.Errorf("worker owning %v did not exit within %v", w.cfg.OwnedReplicas, timeout)
-	}
-}
-
-// netSoak owns the networked deployment under churn: the hub plus one
-// worker per replica index, each owning that index across every
-// partition. A worker crash replaces the netWorker value wholesale.
-type netSoak struct {
-	hubCfg     cluster.Config
-	hub        *cluster.Cluster
-	workers    []*netWorker
-	gen        *waveGen
-	waveSteps  int
-	published  []graph.Edge
-	notes      func() map[noteKey]int
-	rng        *rand.Rand
-	goroutines []int
-	heaps      []uint64
-	waves      int
-	drops      int    // connections severed by injected blips
-	reconnects uint64 // reconnect counters of workers since crashed (counters die with the Cluster)
-}
-
-// publishWave feeds one wave into the hub's firehose; if blips > 0,
-// every worker connection is severed at that many seeded random points
-// mid-wave. A blip that lands while workers are still redialing from the
-// previous one severs nothing — the running drop count, asserted nonzero
-// at the end, keeps the injection honest without making the schedule
-// timing-sensitive.
-func (s *netSoak) publishWave(blips int) error {
-	w := s.gen.wave(s.waveSteps)
-	cut := make(map[int]bool, blips)
-	for i := 0; i < blips; i++ {
-		cut[s.rng.Intn(len(w))] = true
-	}
-	for i, e := range w {
-		if cut[i] {
-			s.drops += s.hub.DropConnections()
-		}
-		if err := s.hub.Publish(e); err != nil {
-			return fmt.Errorf("publish: %w", err)
-		}
-	}
-	s.published = append(s.published, w...)
-	return nil
-}
-
-func (s *netSoak) awaitAllLive() error {
-	for pid := 0; pid < s.hubCfg.Partitions; pid++ {
-		for r := 0; r < s.hubCfg.Replicas; r++ {
-			if err := s.hub.AwaitReplicaLive(pid, r, awaitTimeout); err != nil {
-				return fmt.Errorf("await %d/%d: %w", pid, r, err)
-			}
-		}
-	}
-	return nil
-}
-
-// crashWorker crashes one worker (Abort: sockets drop, no flush, no
-// final checkpoint cut — the in-process equivalent of SIGKILL), ingests
-// a wave while its slots are dead and the peer covers delivery, then
-// brings a fresh worker up over the same durable chains and waits for it
-// to replay live.
-func (s *netSoak) crashWorker(i int) error {
-	w := s.workers[i]
-	s.reconnects += w.c.Metrics().Counter("transport.reconnects").Value()
-	w.c.Abort()
-	if err := w.join(awaitTimeout); err != nil {
-		return err
-	}
-	// The hub's feed handlers notice the severed sockets asynchronously.
-	for _, or := range w.cfg.OwnedReplicas {
-		deadline := time.Now().Add(awaitTimeout)
-		for {
-			st, err := s.hub.ReplicaState(or[0], or[1])
-			if err != nil {
-				return err
-			}
-			if st == "dead" {
-				break
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("crashed worker slot %d/%d state %q, want dead", or[0], or[1], st)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	if err := s.publishWave(0); err != nil {
-		return err
-	}
-	w2, err := startNetWorker(w.cfg)
-	if err != nil {
-		return err
-	}
-	s.workers[i] = w2
-	for _, or := range w.cfg.OwnedReplicas {
-		if err := s.hub.AwaitReplicaLive(or[0], or[1], awaitTimeout); err != nil {
-			return fmt.Errorf("restarted worker %d/%d: %w", or[0], or[1], err)
-		}
-	}
-	return nil
-}
-
-// waitForTruncation proves compaction holds over sockets too: worker
-// checkpoint cuts report floors over the wire, and the hub truncates the
-// shared log off the reported minimum. Unlike the local mode, floors
-// arrive a full publish→detect→ack→cut→report round-trip later, so the
-// loop paces its waves — a tight loop would bury the run (and every
-// later replay) under hundreds of thousands of events before the first
-// report lands.
-func (s *netSoak) waitForTruncation() error {
-	deadline := time.Now().Add(awaitTimeout)
-	for s.hub.Stats().LogTruncatedBelow == 0 {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("firehose log never truncated (published %d events)", len(s.published))
-		}
-		if err := s.publishWave(0); err != nil {
-			return err
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	return nil
-}
-
-func (s *netSoak) sample() {
-	s.goroutines = append(s.goroutines, runtime.NumGoroutine())
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	s.heaps = append(s.heaps, ms.HeapAlloc)
-}
-
-// ops is the network-fault menu, cycled for the duration budget.
-func (s *netSoak) ops() []struct {
-	name string
-	fn   func() error
-} {
-	return []struct {
-		name string
-		fn   func() error
-	}{
-		{"ingest through one random mid-wave connection drop", func() error {
-			return s.publishWave(1)
-		}},
-		{"crash worker r0 mid-stream, restart over same chains", func() error {
-			return s.crashWorker(0)
-		}},
-		{"ingest through a double blip (drop during replay)", func() error {
-			return s.publishWave(2)
-		}},
-		{"crash worker r1 mid-stream, restart over same chains", func() error {
-			return s.crashWorker(1)
-		}},
-		{"ingest with a drop and verify log truncation", func() error {
-			if err := s.publishWave(1); err != nil {
-				return err
-			}
-			return s.waitForTruncation()
-		}},
-	}
-}
-
-// finish drains the deployment — hub EOS, workers flush + FIN and exit —
-// then runs the cross-replica fingerprint audit and the fault-injection
-// vacuousness checks.
-func (s *netSoak) finish() error {
-	s.hub.Shutdown()
-	for _, w := range s.workers {
-		if err := w.join(time.Minute); err != nil {
-			return err
-		}
-	}
-	records := 0
-	for pid := 0; pid < s.hubCfg.Partitions; pid++ {
-		rep, err := s.hub.VerifyFingerprints(pid)
-		if err != nil {
-			return fmt.Errorf("VerifyFingerprints(%d): %w", pid, err)
-		}
-		if len(rep.Mismatches) > 0 {
-			return fmt.Errorf("partition %d: state fingerprint mismatches: %+v", pid, rep.Mismatches)
-		}
-		records += rep.Records
-	}
-	if records == 0 {
-		return fmt.Errorf("vacuous: audit enabled but no fingerprints recorded")
-	}
-	if n := s.hub.Stats().AuditMismatches; n != 0 {
-		return fmt.Errorf("pipeline detected %d fingerprint mismatches", n)
-	}
-	if s.drops == 0 {
-		return fmt.Errorf("vacuous: no connection was ever severed")
-	}
-	for _, w := range s.workers {
-		s.reconnects += w.c.Metrics().Counter("transport.reconnects").Value()
-	}
-	if s.reconnects == 0 {
-		return fmt.Errorf("no worker ever reconnected despite %d severed connections", s.drops)
-	}
-	return nil
-}
-
-// runNet is the networked counterpart of run: same workload and
-// invariants, but the cluster under churn is a hub plus socket-attached
-// workers and the faults are network blips and worker crashes.
-func runNet(dur time.Duration, seed int64, users, wave int) error {
-	root, err := os.MkdirTemp("", "soak-net-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(root)
-
-	static := ringStatic(users)
-	s := &netSoak{
-		hubCfg:    soakCfg(filepath.Join(root, "churn"), seed, static),
-		gen:       newWaveGen(seed, users),
-		waveSteps: wave,
-		// The fault schedule draws from its own stream so the workload
-		// stays identical to the local mode's for the same seed.
-		rng: rand.New(rand.NewSource(seed ^ 0x6e6574)),
-	}
-	s.hubCfg.Listen = "127.0.0.1:0"
-	s.notes = collectNotes(&s.hubCfg)
-	hub, err := cluster.New(s.hubCfg)
-	if err != nil {
-		return err
-	}
-	hub.Start()
-	s.hub = hub
-
-	for i := 0; i < s.hubCfg.Replicas; i++ {
-		wcfg := s.hubCfg
-		wcfg.Listen = ""
-		wcfg.LogDir = ""
-		wcfg.Join = hub.ListenAddr()
-		wcfg.OwnedReplicas = [][2]int{{0, i}, {1, i}}
-		wcfg.OnNotify = nil
-		wcfg.Metrics = nil
-		w, err := startNetWorker(wcfg)
-		if err != nil {
-			return err
-		}
-		s.workers = append(s.workers, w)
-	}
-	if err := s.awaitAllLive(); err != nil {
-		return err
-	}
-
-	log.Printf("networked churn phase: %v budget, %d users, %d completions/wave, hub %s + %d workers",
-		dur, users, wave, hub.ListenAddr(), len(s.workers))
-	ops := s.ops()
-	deadline := time.Now().Add(dur)
-	for time.Now().Before(deadline) {
-		op := ops[s.waves%len(ops)]
-		start := time.Now()
-		if err := op.fn(); err != nil {
-			return fmt.Errorf("wave %d (%s): %w", s.waves, op.name, err)
-		}
-		if n := s.hub.Stats().AuditMismatches; n != 0 {
+		// Mid-run invariant: the pipeline's own fingerprint cross-checks
+		// found nothing.
+		if n := s.c.Stats().AuditMismatches; n != 0 {
 			return fmt.Errorf("wave %d: pipeline detected %d fingerprint mismatches", s.waves, n)
 		}
 		s.sample()
@@ -878,10 +713,17 @@ func runNet(dur time.Duration, seed int64, users, wave int) error {
 	}
 
 	log.Printf("verification phase: %d waves, %d events published, %d connections severed", s.waves, len(s.published), s.drops)
-	if err := s.finish(); err != nil {
+	if err := f.drain(); err != nil {
 		return err
 	}
-	log.Printf("fingerprint audit clean; %d reconnects absorbed %d severed connections", s.reconnects, s.drops)
+	if err := s.audit(); err != nil {
+		return err
+	}
+	summary, err := f.evidence()
+	if err != nil {
+		return err
+	}
+	log.Printf("fingerprint audit clean%s", summary)
 
 	want, err := oracle(filepath.Join(root, "oracle"), seed, static, s.published)
 	if err != nil {

@@ -119,11 +119,6 @@ type Config struct {
 	// own instances mirrors a real deployment and keeps the option open.
 	// Required.
 	NewPrograms func() []motif.Program
-	// DisableSharing turns off each replica engine's shared-prefix
-	// execution trie, running every planned motif's probes independently
-	// per event. Detection output is identical either way; this exists for
-	// differential tests and the multi-query benchmark's baseline mode.
-	DisableSharing bool
 	// IngestDelay models the firehose→partition queue hop; nil = NoDelay.
 	IngestDelay queue.DelayModel
 	// DeliveryDelay models the partition→push-gateway hop; nil = NoDelay.
@@ -476,8 +471,8 @@ func unmarshalEdge(b []byte) (graph.Edge, error) {
 	return e, nil
 }
 
-// Start opens the candidate path, then launches one consumer goroutine per
-// hosted replica (replicaHost.start). Calls after the first are no-ops.
+// Start launches one consumer goroutine per hosted replica
+// (replicaHost.start). Calls after the first are no-ops.
 func (c *Cluster) Start() { c.startOnce.Do(c.host.start) }
 
 // Publish feeds one edge into the firehose. It blocks when consumers lag
@@ -705,29 +700,4 @@ func (c *Cluster) TopItems(n int) ([]partition.ItemCount, error) {
 		return nil, err
 	}
 	return partition.MergeItemCounts(lists, n), nil
-}
-
-// Run ingests every edge from the slice, then stops the cluster and
-// returns final stats — the one-call path used by examples and benches.
-func Run(cfg Config, edges []graph.Edge) (Stats, error) {
-	c, err := New(cfg)
-	if err != nil {
-		return Stats{}, err
-	}
-	c.Start()
-	for _, e := range edges {
-		if err := c.Publish(e); err != nil {
-			return Stats{}, err
-		}
-	}
-	c.Stop()
-	return c.Stats(), nil
-}
-
-// Elapsed measures the wall-clock cost of fn; a convenience for throughput
-// reporting in cmd/benchreport.
-func Elapsed(fn func()) time.Duration {
-	start := time.Now()
-	fn()
-	return time.Since(start)
 }

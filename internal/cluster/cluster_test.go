@@ -128,27 +128,54 @@ func TestReplicasDoNotDuplicateDeliveries(t *testing.T) {
 	}
 }
 
+// TestQueueDelayFeedsLatency: an event crosses two simulated queue hops —
+// firehose to partition, partition to push gateway — whichever side of a
+// socket its replica runs on, so the same stream reports the same end-to-end
+// latency in process and through a loopback hub + worker.
 func TestQueueDelayFeedsLatency(t *testing.T) {
-	cfg := testConfig(1, 1)
-	cfg.IngestDelay = queue.Fixed{D: 3 * time.Second}
-	cfg.DeliveryDelay = queue.Fixed{D: 4 * time.Second}
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	base := testConfig(1, 1)
+	base.IngestDelay = queue.Fixed{D: 3 * time.Second}
+	base.DeliveryDelay = queue.Fixed{D: 4 * time.Second}
+	deployments := map[string]func(t *testing.T) (hub *Cluster, join func()){
+		"inproc": func(t *testing.T) (*Cluster, func()) {
+			c, err := New(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Start()
+			return c, func() {}
+		},
+		"tcp": func(t *testing.T) (*Cluster, func()) {
+			hcfg := base
+			hcfg.Listen, hcfg.LogDir, hcfg.CheckpointDir = "127.0.0.1:0", t.TempDir(), t.TempDir()
+			hub, err := New(hcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hub.Start()
+			_, join := startWorker(t, workerConfig(t, hcfg, hub.ListenAddr(), [][2]int{{0, 0}}))
+			awaitAllLive(t, hub)
+			return hub, join
+		},
 	}
-	c.Start()
-	t0 := int64(1_000_000)
-	c.Publish(graph.Edge{Src: 10, Dst: 99, Type: graph.Follow, TS: t0})
-	c.Publish(graph.Edge{Src: 11, Dst: 99, Type: graph.Follow, TS: t0 + 1})
-	c.Stop()
-	st := c.Stats()
-	if st.Delivered != 1 {
-		t.Fatalf("Delivered = %d", st.Delivered)
-	}
-	// End-to-end latency = 3s ingest hop + 4s delivery hop = 7s; the
-	// histogram reports bucket upper bounds, so allow the bucket width.
-	if st.E2ELatency.P50 < 7*time.Second || st.E2ELatency.P50 > 9*time.Second {
-		t.Fatalf("latency p50 = %v, want ~7s", st.E2ELatency.P50)
+	for name, deploy := range deployments {
+		t.Run(name, func(t *testing.T) {
+			c, join := deploy(t)
+			t0 := int64(1_000_000)
+			c.Publish(graph.Edge{Src: 10, Dst: 99, Type: graph.Follow, TS: t0})
+			c.Publish(graph.Edge{Src: 11, Dst: 99, Type: graph.Follow, TS: t0 + 1})
+			c.Shutdown()
+			join()
+			st := c.Stats()
+			if st.Delivered != 1 {
+				t.Fatalf("Delivered = %d", st.Delivered)
+			}
+			// End-to-end latency = 3s ingest hop + 4s delivery hop = 7s; the
+			// histogram reports bucket upper bounds, so allow the bucket width.
+			if st.E2ELatency.P50 < 7*time.Second || st.E2ELatency.P50 > 9*time.Second {
+				t.Fatalf("latency p50 = %v, want ~7s", st.E2ELatency.P50)
+			}
+		})
 	}
 }
 
@@ -216,20 +243,6 @@ func TestReplicaAccessor(t *testing.T) {
 	}
 	if _, err := c.Replica(0, 9); err == nil {
 		t.Fatal("out-of-range replica accepted")
-	}
-}
-
-func TestRunConvenience(t *testing.T) {
-	t0 := int64(1_000_000)
-	st, err := Run(testConfig(2, 1), []graph.Edge{
-		{Src: 10, Dst: 99, Type: graph.Follow, TS: t0},
-		{Src: 11, Dst: 99, Type: graph.Follow, TS: t0 + 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Events != 2 || st.Delivered != 1 {
-		t.Fatalf("stats = %+v", st)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"motifstream/internal/audit"
 	"motifstream/internal/codecutil"
+	"motifstream/internal/core"
 	"motifstream/internal/graph"
 	"motifstream/internal/partition"
 	"motifstream/internal/placement"
@@ -728,14 +729,13 @@ func TestReprovisionBuildsFreshSFromSnapshotDir(t *testing.T) {
 	}
 }
 
-// TestReprovisionKeepsDisableSharing is the regression for the replacement
-// node's partition constructor dropping Config.DisableSharing: on a
-// DisableSharing cluster a reprovisioned or scaled-out replica must run
-// every planned motif independently, like the replicas New built.
-func TestReprovisionKeepsDisableSharing(t *testing.T) {
+// TestReprovisionKeepsSharing is the regression for the replacement node's
+// partition constructor building its engine from less than the replicas New
+// built were given: a reprovisioned or scaled-out replica must run the same
+// share groups as its peers.
+func TestReprovisionKeepsSharing(t *testing.T) {
 	cfg := recoveryConfig(t, fanStatic(40))
 	cfg.NewPrograms = multiQueryPrograms(t, 1)
-	cfg.DisableSharing = true
 
 	c, err := New(cfg)
 	if err != nil {
@@ -756,7 +756,8 @@ func TestReprovisionKeepsDisableSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, slot := range [][2]int{{0, 0}, {0, 1}, {1, added}} {
+	var peer core.SharingStats
+	for i, slot := range [][2]int{{0, 0}, {0, 1}, {1, added}} {
 		if err := c.AwaitReplicaLive(slot[0], slot[1], 30*time.Second); err != nil {
 			t.Fatal(err)
 		}
@@ -764,8 +765,13 @@ func TestReprovisionKeepsDisableSharing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sh := p.Engine().Sharing(); sh.Groups != 0 {
-			t.Errorf("replica %d/%d on a DisableSharing cluster runs %d share groups: %+v", slot[0], slot[1], sh.Groups, sh)
+		sh := p.Engine().Sharing()
+		if i == 0 {
+			if peer = sh; peer.Groups == 0 {
+				t.Fatalf("vacuous: the untouched replica shares nothing: %+v", peer)
+			}
+		} else if sh != peer {
+			t.Errorf("replica %d/%d runs %+v, its untouched peer %+v", slot[0], slot[1], sh, peer)
 		}
 	}
 }

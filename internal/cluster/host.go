@@ -22,10 +22,6 @@ import (
 type hubLink interface {
 	// logMeta reports the firehose log's identity and current bounds.
 	logMeta() (id, head, start uint64)
-	// open readies the candidate path. Called once, before the first
-	// attach: the candidate queue retains nothing, so a batch a replaying
-	// replica offers before its consumer subscribed would be lost.
-	open()
 	// attach claims slot (pid, r) at generation gen for a replica restored
 	// to resume whose oldest durable restore point is floor, and returns
 	// the firehose from resume plus the handle for the slot's live, floor
@@ -169,7 +165,6 @@ func (h *replicaHost) place(pid, idx, gen int, snap *statstore.Snapshot, wipe bo
 		MaxInfluencers: h.cfg.MaxInfluencers,
 		Dynamic:        h.cfg.Dynamic,
 		Programs:       h.cfg.NewPrograms(),
-		DisableSharing: h.cfg.DisableSharing,
 		Metrics:        h.reg,
 	})
 	if err != nil {
@@ -218,13 +213,11 @@ func (h *replicaHost) placed(pid int) []placed {
 	return out
 }
 
-// start opens the candidate path, then launches every hosted replica from
-// the restore point construction left it at: where chains outlived the
-// previous process it replays the log through the replaying → live machine
-// exactly as a RestoreReplica rejoin would; on a cold start it is live at
-// once.
+// start launches every hosted replica from the restore point construction
+// left it at: where chains outlived the previous process it replays the log
+// through the replaying → live machine exactly as a RestoreReplica rejoin
+// would; on a cold start it is live at once.
 func (h *replicaHost) start() {
-	h.link.open()
 	h.ctl.Lock()
 	for _, rep := range h.reps {
 		if err := h.launchReplica(rep, rep.boot); err != nil {

@@ -53,8 +53,6 @@ func newFakeLink(stream []graph.Edge) *fakeLink {
 
 func (l *fakeLink) logMeta() (id, head, start uint64) { return 7, 0, 0 }
 
-func (l *fakeLink) open() {}
-
 func (l *fakeLink) attach(pid, r, gen int, floor, resume uint64, reads reader) (transport.Attachment, <-chan queue.Envelope[graph.Edge], error) {
 	return &l.att, l.feed, nil
 }

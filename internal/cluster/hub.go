@@ -179,10 +179,18 @@ func newHubTier(sh *shared) (h *hubTier, err error) {
 	if h.wal != nil {
 		h.seedDelivery()
 	}
+	// The candidate queue retains nothing, so its consumer — the delivery
+	// pipeline, seeded above — subscribes before anything can offer: ahead
+	// of the listener, and of the host whose replicas replay at Start.
+	h.deliverWG.Add(1)
+	go h.runDelivery(h.candidates.Subscribe())
 	if cfg.Listen != "" {
 		// Bound last: accepting starts immediately, so the topology must be
 		// in place first.
-		err = h.listen()
+		if err = h.listen(); err != nil {
+			h.candidates.Close()
+			h.deliverWG.Wait()
+		}
 	}
 	return h, err
 }
@@ -372,13 +380,6 @@ func (h *hubTier) placed(pid int) []placed {
 
 func (h *hubTier) logMeta() (id, head, start uint64) {
 	return h.runID, h.firehose.Published(), h.firehose.LogStart()
-}
-
-// open launches the candidate queue's consumer, the delivery pipeline.
-func (h *hubTier) open() {
-	sub := h.candidates.Subscribe()
-	h.deliverWG.Add(1)
-	go h.runDelivery(sub)
 }
 
 // attachment is one replica host's claim on a slot: the subscription it

@@ -85,6 +85,17 @@ func multiQueryPrograms(t testing.TB, seed int64) func() []motif.Program {
 	}
 }
 
+// independent hides each program's concrete type from the replica engines,
+// which then invoke every plan themselves — a group of one — instead of
+// sharing its probes: the differential's reference arrangement.
+func independent(progs []motif.Program) []motif.Program {
+	out := make([]motif.Program, len(progs))
+	for i, p := range progs {
+		out[i] = struct{ motif.ScratchProgram }{p.(motif.ScratchProgram)}
+	}
+	return out
+}
+
 // fanStatic wires users 0..n-1 so each follows the next three, letting
 // thresholds up to k=3 complete.
 func fanStatic(n int) []graph.Edge {
@@ -124,8 +135,9 @@ func multiTypeWorkload(seed int64, users, steps int) []graph.Edge {
 // TestMultiQuerySharedMatchesIndependent is the cluster-level multi-query
 // differential: across randomized motif sets, seeds, and batch/worker
 // configurations, a shared-trie cluster must deliver exactly the
-// DisableSharing cluster's notification multiset and converge to
-// bit-identical recoverable state (per-replica CRC32C fingerprints).
+// notification multiset of a cluster running every motif independently and
+// converge to bit-identical recoverable state (per-replica CRC32C
+// fingerprints).
 func TestMultiQuerySharedMatchesIndependent(t *testing.T) {
 	const users = 40
 	static := fanStatic(users)
@@ -142,8 +154,7 @@ func TestMultiQuerySharedMatchesIndependent(t *testing.T) {
 		newProgs := multiQueryPrograms(t, seed)
 
 		refCfg := recoveryConfig(t, static)
-		refCfg.NewPrograms = newProgs
-		refCfg.DisableSharing = true
+		refCfg.NewPrograms = func() []motif.Program { return independent(newProgs()) }
 		refNotes := collectNotes(&refCfg)
 		ref, err := New(refCfg)
 		if err != nil {

@@ -71,19 +71,17 @@ func (cfg *Config) netDrainTimeout() time.Duration {
 
 // tcpLink joins a worker's replica host to the hub over internal/transport:
 // one feed connection per attached slot, one sequenced, cumulatively acked
-// candidate stream, and a read listener the hub's broker dials. Exactly-once
-// across the sockets needs one law of its own, the checkpoint ack gate
-// (offer, acked): envelope redelivery after a reconnect is dropped by the
-// feed's next-offset filter, re-sent candidate batches by the delivery
-// tier's per-group offset filter.
+// candidate stream (the forwarder, which is the worker's whole candidate
+// queue), and a read listener the hub's broker dials. Exactly-once across the
+// sockets needs one law of its own, the checkpoint ack gate (offer, acked):
+// envelope redelivery after a reconnect is dropped by the feed's next-offset
+// filter, re-sent candidate frames by the delivery tier's per-group offset
+// filter.
 type tcpLink struct {
 	*shared
 	feed *transport.FeedClient
 	fw   *transport.CandForwarder
 	rs   *transport.ReplicaServer
-	// local queues offers for runForwarder to ship to the hub in batches.
-	local     *queue.Topic[transport.CandMsg]
-	forwarded sync.WaitGroup
 }
 
 // dialHub builds the worker's transport stack — the meta handshake (with
@@ -110,22 +108,10 @@ func dialHub(sh *shared) (*tcpLink, error) {
 		feed:   feed,
 		fw:     transport.NewCandForwarder(sh.cfg.Join, logID, opts),
 		rs:     rs,
-		local: queue.NewTopic[transport.CandMsg](queue.Options{
-			Name:   "candidates",
-			Delay:  sh.cfg.DeliveryDelay,
-			Buffer: queueBuffer,
-			Seed:   sh.cfg.Seed + 1,
-		}),
 	}, nil
 }
 
 func (l *tcpLink) logMeta() (id, head, start uint64) { return l.feed.LogMeta() }
-
-func (l *tcpLink) open() {
-	sub := l.local.Subscribe()
-	l.forwarded.Add(1)
-	go l.runForwarder(sub)
-}
 
 // attach opens the slot's feed connection, which also carries its live and
 // floor reports; the subscription re-announces both after every reconnect.
@@ -138,70 +124,24 @@ func (l *tcpLink) attach(pid, r, gen int, floor, resume uint64, reads reader) (t
 	return sub, sub.C(), nil
 }
 
-// offer counts the message against the checkpoint ack gate BEFORE queueing
-// it for the forwarder, so an open gate is an upper bound on what was ever
-// handed toward the hub.
-func (l *tcpLink) offer(msg transport.CandMsg) error {
-	l.fw.NoteEnqueued()
-	if err := l.local.Publish(msg, msg.Delay); err != nil {
-		l.fw.NoteAbandoned()
-		return err
-	}
-	return nil
-}
+// offer hands the message to the forwarder, which counts it against the
+// checkpoint ack gate from this call on.
+func (l *tcpLink) offer(msg transport.CandMsg) error { return l.fw.Offer(msg) }
 
 // acked waits for the hub to ack every candidate message offered so far.
 func (l *tcpLink) acked() bool { return l.fw.WaitDrained(l.cfg.netDrainTimeout()) }
 
 func (l *tcpLink) closeFeed() { l.feed.Close() }
 
-// close flushes the candidate stream — runForwarder FINs once the local
-// queue drains — and tears the sockets down.
+// close flushes the candidate stream — everything offered acked, then the FIN
+// exchange the hub's candidate drain waits for — and tears the sockets down.
 func (l *tcpLink) close() {
-	l.local.Close()
-	l.forwarded.Wait()
+	if !l.fw.Finish(l.cfg.netDrainTimeout()) {
+		l.ckptErrors.Inc()
+	}
 	l.fw.Close()
 	l.feed.Close()
 	l.rs.Close()
-}
-
-// runForwarder drains the local candidate queue, coalesces
-// immediately-available messages into batches, and ships them through the
-// sequenced/acked forwarder. On a clean shutdown (queue closed) it flushes
-// and FINs so the hub's candidate drain completes; if the forwarder was
-// aborted it keeps draining the queue so blocked offers can return.
-func (l *tcpLink) runForwarder(sub <-chan queue.Envelope[transport.CandMsg]) {
-	defer l.forwarded.Done()
-	batch := make([]transport.CandMsg, 0, max(l.cfg.ApplyBatch, 16))
-	sending := true
-	for env := range sub {
-		batch = append(batch[:0], wireCand(env))
-	coalesce:
-		for len(batch) < cap(batch) {
-			select {
-			case next, ok := <-sub:
-				if !ok {
-					break coalesce
-				}
-				batch = append(batch, wireCand(next))
-			default:
-				break coalesce
-			}
-		}
-		if sending && l.fw.Send(batch) != nil {
-			sending = false
-		}
-	}
-	if sending && !l.fw.Finish(l.cfg.netDrainTimeout()) {
-		l.ckptErrors.Inc()
-	}
-}
-
-// wireCand is a queued candidate message as it goes on the wire: carrying
-// the delay its hop through the local queue added.
-func wireCand(env queue.Envelope[transport.CandMsg]) transport.CandMsg {
-	env.Msg.Delay = env.VirtualDelay
-	return env.Msg
 }
 
 // hubListener is a hub's server side of the TCP transport: the listener

@@ -37,11 +37,6 @@ type Config struct {
 	// SweepInterval is the stream-time interval between background D
 	// prunes; zero selects one minute.
 	SweepInterval time.Duration
-	// DisableSharing makes every planned program its own group of one — an
-	// independent per-event scan — instead of grouping common probe
-	// prefixes. Both arrangements produce identical candidates; the knob
-	// exists for differential tests and for measuring the sharing win.
-	DisableSharing bool
 }
 
 // Engine applies dynamic edges to D and runs motif programs: plans through
@@ -117,18 +112,18 @@ func NewEngine(cfg Config) (*Engine, error) {
 		ingestLatency: reg.Histogram("engine.ingest_latency"),
 		sweepEvery:    sweep.Milliseconds(),
 	}
-	if err := e.buildGroups(cfg.Programs, !cfg.DisableSharing); err != nil {
+	if err := e.buildGroups(cfg.Programs); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
 
 // buildGroups sorts the programs into the two ways the engine runs them:
-// plans into groups — one per ShareKey in first-registration order, or one
-// per plan when share is false — and everything else into direct. Group
-// members keep their registration indices so candidate assembly stays in
-// registration order. Only groups of two or more count as sharing.
-func (e *Engine) buildGroups(progs []motif.Program, share bool) error {
+// plans into groups — one per ShareKey in first-registration order — and
+// everything else into direct. Group members keep their registration indices
+// so candidate assembly stays in registration order. Only groups of two or
+// more count as sharing.
+func (e *Engine) buildGroups(progs []motif.Program) error {
 	e.direct = make([]motif.ScratchProgram, len(progs))
 	e.sharing.Programs = len(progs)
 	groupOf := map[string]int{}
@@ -137,7 +132,7 @@ func (e *Engine) buildGroups(progs []motif.Program, share bool) error {
 		switch p := p.(type) {
 		case *motif.PlannedProgram:
 			gi, ok := groupOf[p.ShareKey()]
-			if !ok || !share {
+			if !ok {
 				gi = len(members)
 				groupOf[p.ShareKey()] = gi
 				members = append(members, nil)

@@ -77,7 +77,18 @@ motif "broadcast2" {
 	return mixed
 }
 
-func sharedTestEngine(t testing.TB, disable bool) *Engine {
+// independent hides each program's concrete type from the engine, which then
+// invokes every plan itself — a group of one — instead of sharing its probes.
+func independent(progs []motif.Program) []motif.Program {
+	out := make([]motif.Program, len(progs))
+	for i, p := range progs {
+		out[i] = struct{ motif.ScratchProgram }{p.(motif.ScratchProgram)}
+	}
+	return out
+}
+
+// sharedTestEngine runs progs over a seeded random S.
+func sharedTestEngine(t testing.TB, progs []motif.Program) *Engine {
 	t.Helper()
 	r := rand.New(rand.NewSource(42))
 	var sEdges []graph.Edge
@@ -90,10 +101,9 @@ func sharedTestEngine(t testing.TB, disable bool) *Engine {
 	}
 	b := &statstore.Builder{}
 	e, err := NewEngine(Config{
-		Static:         statstore.New(b.Build(sEdges)),
-		Dynamic:        dynstore.New(dynstore.Options{Retention: time.Hour, MaxPerTarget: 256}),
-		Programs:       sharedMotifSet(t),
-		DisableSharing: disable,
+		Static:   statstore.New(b.Build(sEdges)),
+		Dynamic:  dynstore.New(dynstore.Options{Retention: time.Hour, MaxPerTarget: 256}),
+		Programs: progs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -102,12 +112,12 @@ func sharedTestEngine(t testing.TB, disable bool) *Engine {
 }
 
 // TestEngineSharedMatchesIndependent is the engine-level differential: a
-// shared-trie engine and a DisableSharing engine must produce identical
-// per-event candidate slices (same order, same attribution) over a random
+// shared-trie engine and one running every program independently must produce
+// identical per-event candidate slices (same order, same attribution) over a random
 // multi-type stream.
 func TestEngineSharedMatchesIndependent(t *testing.T) {
-	shared := sharedTestEngine(t, false)
-	indep := sharedTestEngine(t, true)
+	shared := sharedTestEngine(t, sharedMotifSet(t))
+	indep := sharedTestEngine(t, independent(sharedMotifSet(t)))
 
 	// Expected trie: {follow-k2,k3,k4}, {content-k2,k3}, and the two
 	// follow broadcasts; broadcast-rt (retweet trigger) stays a singleton.
@@ -116,12 +126,12 @@ func TestEngineSharedMatchesIndependent(t *testing.T) {
 		t.Fatalf("sharing did not engage as expected: %+v", ss)
 	}
 	if is := indep.Sharing(); is.Groups != 0 || is.ScansSavedPerEvent != 0 {
-		t.Fatalf("DisableSharing engine still grouped: %+v", is)
+		t.Fatalf("independent engine still grouped: %+v", is)
 	}
-	// Every plan runs in a group either way: one per key (three shared plus
-	// the singleton) against one per plan.
-	if len(shared.groups) != 4 || len(indep.groups) != 8 {
-		t.Fatalf("groups: shared %d, independent %d; want 4 and 8", len(shared.groups), len(indep.groups))
+	// One group per key (three shared plus the singleton) against none: the
+	// independent engine invokes all eight plans itself.
+	if len(shared.groups) != 4 || len(indep.groups) != 0 {
+		t.Fatalf("groups: shared %d, independent %d; want 4 and 0", len(shared.groups), len(indep.groups))
 	}
 
 	r := rand.New(rand.NewSource(99))

@@ -257,7 +257,7 @@ func TestResetDropsEverything(t *testing.T) {
 	}
 	// The store stays usable.
 	s.Insert(graph.Edge{Src: 1, Dst: 2, TS: 100})
-	if s.CountRecent(2, 0) != 1 {
+	if len(s.Recent(2, 0)) != 1 {
 		t.Fatal("store unusable after Reset")
 	}
 }

@@ -199,12 +199,6 @@ func (s *Store) RecentLimitInto(dst []InEdge, c graph.VertexID, sinceMS int64, l
 	return out
 }
 
-// CountRecent returns the number of distinct B's pointing at c since
-// sinceMS.
-func (s *Store) CountRecent(c graph.VertexID, sinceMS int64) int {
-	return len(s.Recent(c, sinceMS))
-}
-
 // Sweep prunes every target against the given current time and drops empty
 // targets. It is called periodically by the partition's background pruner;
 // Insert also prunes lazily per target. Returns edges removed.

@@ -194,16 +194,6 @@ func TestShardRounding(t *testing.T) {
 	}
 }
 
-func TestCountRecent(t *testing.T) {
-	s := New(Options{})
-	s.Insert(edge(1, 100, 1_000))
-	s.Insert(edge(1, 100, 2_000)) // same B twice
-	s.Insert(edge(2, 100, 3_000))
-	if got := s.CountRecent(100, 0); got != 2 {
-		t.Fatalf("CountRecent = %d, want 2 distinct B's", got)
-	}
-}
-
 // Property: for random insert sequences, Recent agrees with a brute-force
 // reference on the set of distinct in-window B's and their latest
 // timestamps.

@@ -45,19 +45,6 @@ func (l AdjList) Contains(id VertexID) bool {
 	return i < len(l) && l[i] == id
 }
 
-// Insert returns a list with id added, preserving order. It is O(n); the
-// static store only uses it at build time.
-func (l AdjList) Insert(id VertexID) AdjList {
-	i := sort.Search(len(l), func(i int) bool { return l[i] >= id })
-	if i < len(l) && l[i] == id {
-		return l
-	}
-	l = append(l, 0)
-	copy(l[i+1:], l[i:])
-	l[i] = id
-	return l
-}
-
 // IsSorted reports whether the list satisfies the AdjList invariant
 // (strictly increasing). Used by tests and validation paths.
 func (l AdjList) IsSorted() bool {

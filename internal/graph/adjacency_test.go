@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -58,33 +57,6 @@ func TestAdjListContains(t *testing.T) {
 	var empty AdjList
 	if empty.Contains(1) {
 		t.Error("empty list Contains(1) = true")
-	}
-}
-
-func TestAdjListInsert(t *testing.T) {
-	var l AdjList
-	for _, v := range []VertexID{5, 1, 3, 1, 5, 2, 4} {
-		l = l.Insert(v)
-	}
-	want := AdjList{1, 2, 3, 4, 5}
-	if len(l) != len(want) {
-		t.Fatalf("after inserts: %v, want %v", l, want)
-	}
-	for i := range l {
-		if l[i] != want[i] {
-			t.Fatalf("after inserts: %v, want %v", l, want)
-		}
-	}
-	if !l.IsSorted() {
-		t.Error("list not sorted after inserts")
-	}
-}
-
-func TestAdjListInsertIdempotent(t *testing.T) {
-	l := NewAdjList([]VertexID{1, 2, 3})
-	l2 := l.Insert(2)
-	if len(l2) != 3 {
-		t.Fatalf("inserting existing element changed length: %v", l2)
 	}
 }
 
@@ -147,34 +119,5 @@ func TestNewAdjListProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: Insert maintains the sorted/dedup invariant from any valid
-// starting list.
-func TestInsertProperty(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
-		base := make([]VertexID, r.Intn(50))
-		for i := range base {
-			base[i] = VertexID(r.Intn(100))
-		}
-		l := NewAdjList(base)
-		v := VertexID(r.Intn(100))
-		had := l.Contains(v)
-		l = l.Insert(v)
-		if !l.IsSorted() {
-			t.Fatalf("trial %d: not sorted after Insert(%d): %v", trial, v, l)
-		}
-		if !l.Contains(v) {
-			t.Fatalf("trial %d: Insert(%d) not visible", trial, v)
-		}
-		wantLen := len(NewAdjList(base))
-		if !had {
-			wantLen++
-		}
-		if len(l) != wantLen {
-			t.Fatalf("trial %d: length %d, want %d", trial, len(l), wantLen)
-		}
 	}
 }

@@ -123,19 +123,6 @@ func BenchmarkBuildCSR(b *testing.B) {
 	}
 }
 
-func BenchmarkCSRInvert(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	edges := make([]Edge, 200_000)
-	for i := range edges {
-		edges[i] = Edge{Src: VertexID(r.Intn(10_000)), Dst: VertexID(r.Intn(10_000))}
-	}
-	c := BuildCSR(edges)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Invert()
-	}
-}
-
 func BenchmarkAdjListContains(b *testing.B) {
 	l := benchList(1, 10_000, 1_000_000)
 	b.ResetTimer()

@@ -98,33 +98,6 @@ func (c *CSR) Neighbors(v VertexID) AdjList {
 // OutDegree returns the out-degree of v.
 func (c *CSR) OutDegree(v VertexID) int { return len(c.Neighbors(v)) }
 
-// HasEdge reports whether the edge v→w exists.
-func (c *CSR) HasEdge(v, w VertexID) bool { return c.Neighbors(v).Contains(w) }
-
-// Invert produces the reverse CSR (w→v for every v→w). Inverting the A→B
-// follow CSR yields exactly the S layout: for each B, the sorted A's.
-func (c *CSR) Invert() *CSR {
-	n := uint64(c.NumVertices())
-	counts := make([]uint64, n+1)
-	for _, w := range c.targets {
-		counts[uint64(w)+1]++
-	}
-	for i := 1; i < len(counts); i++ {
-		counts[i] += counts[i-1]
-	}
-	targets := make([]VertexID, len(c.targets))
-	fill := make([]uint64, n)
-	for v := uint64(0); v < n; v++ {
-		for _, w := range c.targets[c.offsets[v]:c.offsets[v+1]] {
-			targets[counts[w]+fill[w]] = VertexID(v)
-			fill[w]++
-		}
-	}
-	// Rows of an inversion built in increasing source order are already
-	// sorted, because sources are visited in order.
-	return &CSR{offsets: counts, targets: targets, edges: uint64(len(targets))}
-}
-
 // MemoryBytes returns the approximate resident size of the CSR.
 func (c *CSR) MemoryBytes() uint64 {
 	return uint64(len(c.offsets))*8 + uint64(len(c.targets))*8

@@ -74,27 +74,6 @@ func InDegrees(edges []Edge) []int {
 	return deg
 }
 
-// OutDegrees computes the out-degree of every vertex in the edge set.
-func OutDegrees(edges []Edge) []int {
-	var maxV VertexID
-	for _, e := range edges {
-		if e.Dst > maxV {
-			maxV = e.Dst
-		}
-		if e.Src > maxV {
-			maxV = e.Src
-		}
-	}
-	if len(edges) == 0 {
-		return nil
-	}
-	deg := make([]int, uint64(maxV)+1)
-	for _, e := range edges {
-		deg[e.Src]++
-	}
-	return deg
-}
-
 func quantileInt(sorted []int, q float64) int {
 	if len(sorted) == 0 {
 		return 0

@@ -70,10 +70,6 @@ type Config struct {
 	Dynamic dynstore.Options
 	// Programs are the motif programs to run. Required.
 	Programs []motif.Program
-	// DisableSharing turns off the engine's shared-prefix execution trie:
-	// every planned program runs its own probes per event. Used by
-	// differential tests and the multi-query benchmark's baseline mode.
-	DisableSharing bool
 	// Metrics is the shared registry; nil creates a private one.
 	Metrics *metrics.Registry
 	// RecentPerUser is the per-user candidate log depth for serving read
@@ -119,8 +115,7 @@ func New(cfg Config) (*Partition, error) {
 		Follows: func(a, c graph.VertexID) bool {
 			return follows[a].Contains(c)
 		},
-		Metrics:        cfg.Metrics,
-		DisableSharing: cfg.DisableSharing,
+		Metrics: cfg.Metrics,
 	})
 	if err != nil {
 		return nil, err

@@ -8,20 +8,30 @@ import (
 	"motifstream/internal/metrics"
 )
 
-// forwarderRing bounds unacked candidate batches buffered in the
-// forwarder. When full, Send blocks — backpressure propagates to the
-// replica consume loops exactly as a full in-process topic buffer would.
-const forwarderRing = 256
+const (
+	// forwarderWindow bounds the candidate messages a forwarder holds between
+	// Offer and the hub's ack, framed or not. At the bound Offer blocks —
+	// backpressure reaches the replica apply loops exactly as a full
+	// in-process candidate topic's would (same depth as its buffer).
+	forwarderWindow = 4096
+	// candFrameMax bounds the messages coalesced into one frame: the hub acks
+	// a frame only after delivering all of it, so this is also the coarsest
+	// step the checkpoint gate advances in.
+	candFrameMax = 64
+)
 
-// CandForwarder ships a worker's candidate stream to the hub with
-// sequence numbers and cumulative acks. Unacked batches are retained and
-// resent in order after a reconnect, which the hub's per-group monotonic
-// offset filter collapses to exactly-once delivery.
+var errForwarderClosed = errors.New("transport: candidate forwarder closed")
+
+// CandForwarder is a worker's one candidate queue: everything between a
+// replica's Offer and the hub's cumulative ack. Offered messages wait unframed
+// until the connection's writer is ready for them; it then coalesces up to
+// candFrameMax into a frame and gives the frame its sequence number. Unacked
+// frames are retained and resent verbatim, in order, after a reconnect, which
+// the hub's per-group monotonic offset filter collapses to exactly-once
+// delivery.
 //
-// It also owns the worker's checkpoint gate: the cluster notes every
-// candidate message before queueing it (NoteEnqueued), and a durable
-// checkpoint cut waits (WaitDrained) until the hub has acked everything
-// noted so far.
+// It also owns the worker's checkpoint gate: a durable checkpoint cut waits
+// (WaitDrained) until the hub has acked everything offered so far.
 type CandForwarder struct {
 	addr  string
 	logID uint64
@@ -29,13 +39,14 @@ type CandForwarder struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	ring     []candEntry // unacked batches, ascending seq, contiguous
-	nextSeq  uint64      // seq assigned to the next batch (first is 1)
-	nextSend uint64      // seq of the next batch to write on the live conn
-	enq      int64       // messages noted for the checkpoint gate
+	pending  []CandMsg   // offered, not yet framed, oldest first
+	ring     []candEntry // unacked frames, ascending seq, contiguous
+	nextSeq  uint64      // seq of the next frame formed (first is 1)
+	unsent   int         // frames at the ring's tail not yet written on the live conn
+	offered  int64       // messages accepted by Offer
 	acked    int64       // messages covered by cumulative acks
 	c        *conn
-	finReq   bool // Finish called: writer sends FIN once ring drains
+	finReq   bool // Finish called: writer sends FIN once everything is acked
 	finSent  bool
 	finished bool // hub acked everything and the FIN exchange completed
 	closed   bool
@@ -59,7 +70,7 @@ type candEntry struct {
 // candidate streams for a different log.
 func NewCandForwarder(addr string, logID uint64, opts ClientOptions) *CandForwarder {
 	opts.defaults()
-	f := &CandForwarder{addr: addr, logID: logID, opts: opts, nextSeq: 1, nextSend: 1}
+	f := &CandForwarder{addr: addr, logID: logID, opts: opts, nextSeq: 1}
 	f.cond = sync.NewCond(&f.mu)
 	f.m = newConnMetrics(opts.Metrics, "cands", "")
 	if opts.Metrics != nil {
@@ -71,54 +82,38 @@ func NewCandForwarder(addr string, logID uint64, opts ClientOptions) *CandForwar
 	return f
 }
 
-// NoteEnqueued counts one candidate message about to be queued for Send.
-func (f *CandForwarder) NoteEnqueued() {
-	f.mu.Lock()
-	f.enq++
-	f.mu.Unlock()
-}
-
-// NoteAbandoned undoes a NoteEnqueued whose publish failed.
-func (f *CandForwarder) NoteAbandoned() {
-	f.mu.Lock()
-	f.enq--
-	f.cond.Broadcast()
-	f.mu.Unlock()
-}
-
-// Send enqueues one batch for transmission, blocking while the unacked
-// ring is full. Safe for a single producer (the forwarder consume loop).
-func (f *CandForwarder) Send(msgs []CandMsg) error {
-	if len(msgs) == 0 {
-		return nil
-	}
+// Offer queues one message for the hub, blocking while forwarderWindow
+// messages are unacked. Safe for concurrent use (a worker's several apply
+// loops); messages of one caller reach the hub in the order offered. Fails
+// once the forwarder is aborted, closed or finishing — a caller blocked at the
+// bound included.
+func (f *CandForwarder) Offer(msg CandMsg) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for len(f.ring) >= forwarderRing && !f.aborted && !f.closed {
+	for f.offered-f.acked >= forwarderWindow && !f.aborted && !f.closed {
 		f.cond.Wait()
 	}
-	if f.aborted || f.closed {
-		return errors.New("transport: candidate forwarder closed")
+	if f.aborted || f.closed || f.finReq {
+		return errForwarderClosed
 	}
-	seq := f.nextSeq
-	f.nextSeq++
-	f.ring = append(f.ring, candEntry{seq: seq, nmsgs: len(msgs), frame: encodeCandBatch(seq, msgs)})
+	f.offered++
+	f.pending = append(f.pending, msg)
 	f.cond.Broadcast() // wake the writer
 	return nil
 }
 
-// WaitDrained blocks until the hub has acked every message noted as of
+// WaitDrained blocks until the hub has acked every message offered as of
 // entry, or the timeout elapses. The target is a snapshot — concurrent
-// publishes by other replicas on the same worker keep growing enq, and
-// chasing the moving total could starve a cut forever; the caller's own
-// notes all happened-before its call, which is the soundness the
-// checkpoint gate needs. Returns false on timeout or abort — the caller
-// must then skip its checkpoint cut.
+// offers by other replicas on the same worker keep growing the total, and
+// chasing it could starve a cut forever; the caller's own offers all
+// happened-before its call, which is the soundness the checkpoint gate
+// needs. Returns false on timeout or abort — the caller must then skip its
+// checkpoint cut.
 func (f *CandForwarder) WaitDrained(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	target := f.enq
+	target := f.offered
 	for f.acked < target && !f.aborted {
 		if !f.waitUntilLocked(deadline) {
 			return false
@@ -144,44 +139,35 @@ func (f *CandForwarder) waitUntilLocked(deadline time.Time) bool {
 	return time.Now().Before(deadline)
 }
 
-// Finish flushes: after the producer has stopped sending, waits for all
-// outstanding batches to be acked, sends FIN, and waits for the final
-// exchange. Returns false on timeout.
+// Finish flushes: after the last Offer, waits for everything offered to be
+// acked, sends FIN, and waits for the final exchange. Returns false on
+// timeout or abort.
 func (f *CandForwarder) Finish(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	f.finReq = true
 	f.cond.Broadcast()
 	for !f.finished && !f.aborted {
 		if !f.waitUntilLocked(deadline) {
-			f.mu.Unlock()
 			return false
 		}
 	}
-	ok := f.finished
-	f.mu.Unlock()
-	return ok
+	return f.finished
 }
 
 // Abort severs the stream without flushing — the crash path. Unacked
-// batches are dropped; a successor worker re-emits them from its
-// checkpoint (cuts never covered unacked offsets).
-func (f *CandForwarder) Abort() {
-	f.mu.Lock()
-	f.aborted = true
-	c := f.c
-	f.cond.Broadcast()
-	f.mu.Unlock()
-	if c != nil {
-		c.close()
-	}
-	f.wg.Wait()
-}
+// messages are dropped and blocked Offers fail; a successor worker re-emits
+// them from its checkpoint (cuts never covered unacked offsets).
+func (f *CandForwarder) Abort() { f.stop(&f.aborted) }
 
 // Close tears the forwarder down (after Finish on the clean path).
-func (f *CandForwarder) Close() {
+func (f *CandForwarder) Close() { f.stop(&f.closed) }
+
+// stop raises flag, severs the live connection and waits for manage to exit.
+func (f *CandForwarder) stop(flag *bool) {
 	f.mu.Lock()
-	f.closed = true
+	*flag = true
 	c := f.c
 	f.cond.Broadcast()
 	f.mu.Unlock()
@@ -197,49 +183,17 @@ func (f *CandForwarder) done() bool {
 	return f.closed || f.aborted || f.finished
 }
 
-// manage is the connection loop: dial, resend unacked, then stream new
-// batches (writer goroutine) while reading cumulative acks.
+// manage is the connection loop (redial): on each accepted connection,
+// resend what is unacked, then frame and stream what is offered (writer
+// goroutine) while reading cumulative acks. A terminal redial error — the hub
+// rejected the stream or stayed unreachable for a whole outage budget — aborts
+// the forwarder: blocked Offers fail and the worker's stop path completes
+// (with a checkpoint-gate error). What was unacked is exactly what the
+// ack-gated cuts never covered, so a successor re-emits it.
 func (f *CandForwarder) manage() {
 	defer f.wg.Done()
-	attempt := 0
-	giveUp := time.Now().Add(f.opts.RetryFor)
-	for !f.done() {
-		c, ack, err := dialConn(f.addr, typeU1(msgHelloCands, f.logID), f.opts.DialTimeout, f.opts.WrapWriter, f.m)
-		if err != nil {
-			var rej errHelloRejected
-			abort := errors.As(err, &rej) ||
-				// The hub stayed unreachable for a whole outage budget:
-				// treat it like a rejection rather than redialing forever —
-				// blocked Send callers unblock and the worker's stop path
-				// completes (with a checkpoint-gate error). Unacked batches
-				// are exactly what the ack-gated cuts never covered, so a
-				// successor re-emits them. The budget resets per connection.
-				time.Now().After(giveUp)
-			if abort {
-				f.mu.Lock()
-				f.aborted = true
-				f.cond.Broadcast()
-				f.mu.Unlock()
-				return
-			}
-			if f.done() {
-				return
-			}
-			time.Sleep(backoff(attempt))
-			attempt++
-			if f.reconnects != nil {
-				f.reconnects.Inc()
-			}
-			continue
-		}
-		attempt = 0
-		giveUp = time.Now().Add(f.opts.RetryFor)
-		wr := wireCursor(ack)
-		if len(ack) == 0 || wr.Byte("cand ack type") != msgCandAck {
-			c.close()
-			continue
-		}
-
+	hello := func() []byte { return typeU1(msgHelloCands, f.logID) }
+	err := redial(f.addr, f.opts, f.m, f.reconnects, f.done, hello, msgCandAck, func(c *conn, _ []byte) (bool, error) {
 		f.mu.Lock()
 		if f.closed || f.aborted {
 			// Close/Abort raced the redial: it found f.c nil and had
@@ -247,16 +201,10 @@ func (f *CandForwarder) manage() {
 			// readAcks on a healthy socket forever. The flag and f.c are
 			// set under one lock, so exactly one side closes the conn.
 			f.mu.Unlock()
-			c.close()
-			return
+			return true, nil
 		}
 		f.c = c
-		// Resend everything unacked, in order, from the ring head.
-		if len(f.ring) > 0 {
-			f.nextSend = f.ring[0].seq
-		} else {
-			f.nextSend = f.nextSeq
-		}
+		f.unsent = len(f.ring) // resend everything unacked, in order
 		f.finSent = false
 		f.cond.Broadcast()
 		f.mu.Unlock()
@@ -271,14 +219,20 @@ func (f *CandForwarder) manage() {
 		f.mu.Unlock()
 		c.close()
 		<-writerDone
-		if !f.done() && f.reconnects != nil {
-			f.reconnects.Inc()
-		}
+		return false, nil
+	})
+	if err != nil {
+		f.mu.Lock()
+		f.aborted = true
+		f.cond.Broadcast()
+		f.mu.Unlock()
 	}
 }
 
-// writeLoop streams ring entries from nextSend upward on one connection,
-// then FIN once the producer is finished and the ring is fully written.
+// writeLoop streams frames on one connection — the ring's unsent tail first
+// (a reconnect's resends), then a fresh frame of whatever is pending each
+// time the socket is free — and FIN once Finish was called and everything is
+// acked.
 func (f *CandForwarder) writeLoop(c *conn, done chan<- struct{}) {
 	defer close(done)
 	for {
@@ -288,9 +242,9 @@ func (f *CandForwarder) writeLoop(c *conn, done chan<- struct{}) {
 				f.mu.Unlock()
 				return
 			}
-			if idx := f.entryIndexLocked(f.nextSend); idx >= 0 {
-				e := &f.ring[idx]
-				f.nextSend++
+			if f.unsent > 0 {
+				e := &f.ring[len(f.ring)-f.unsent]
+				f.unsent--
 				e.sentNS = time.Now().UnixNano()
 				frame := e.frame
 				f.mu.Unlock()
@@ -302,6 +256,10 @@ func (f *CandForwarder) writeLoop(c *conn, done chan<- struct{}) {
 					return
 				}
 				break
+			}
+			if len(f.pending) > 0 {
+				f.framePendingLocked()
+				continue
 			}
 			if f.finReq && len(f.ring) == 0 && !f.finSent {
 				f.finSent = true
@@ -316,21 +274,21 @@ func (f *CandForwarder) writeLoop(c *conn, done chan<- struct{}) {
 	}
 }
 
-// entryIndexLocked locates the ring entry with the given seq (-1 when
-// seq is beyond the last enqueued batch).
-func (f *CandForwarder) entryIndexLocked(seq uint64) int {
-	if len(f.ring) == 0 {
-		return -1
-	}
-	idx := int(seq - f.ring[0].seq)
-	if idx < 0 || idx >= len(f.ring) {
-		return -1
-	}
-	return idx
+// framePendingLocked moves up to candFrameMax pending messages into one new
+// frame at the ring's tail.
+func (f *CandForwarder) framePendingLocked() {
+	n := min(len(f.pending), candFrameMax)
+	f.ring = append(f.ring, candEntry{seq: f.nextSeq, nmsgs: n, frame: encodeCandBatch(f.nextSeq, f.pending[:n])})
+	f.nextSeq++
+	f.unsent++
+	rest := copy(f.pending, f.pending[n:])
+	clear(f.pending[rest:]) // the frame owns the bytes; drop the candidate lists
+	f.pending = f.pending[:rest]
 }
 
 // readAcks consumes cumulative acks until the connection drops or the
-// final FIN ack arrives.
+// final FIN ack arrives. An ack covers only frames written on this
+// connection: one naming a frame still unsent is not the hub's to give.
 func (f *CandForwarder) readAcks(c *conn) {
 	for {
 		payload, err := c.readMsg()
@@ -348,7 +306,7 @@ func (f *CandForwarder) readAcks(c *conn) {
 		now := time.Now().UnixNano()
 		f.mu.Lock()
 		popped := 0
-		for popped < len(f.ring) && f.ring[popped].seq <= seq {
+		for popped < len(f.ring)-f.unsent && f.ring[popped].seq <= seq {
 			e := f.ring[popped]
 			f.acked += int64(e.nmsgs)
 			if f.rtt != nil && e.sentNS > 0 {

@@ -191,6 +191,63 @@ func acceptConn(nc net.Conn, timeout time.Duration) (*conn, []byte, error) {
 	return c, out, nil
 }
 
+// redial is the one reconnect policy of a worker's dialed streams. It
+// dials addr and sends hello() — built per attempt, so it can carry state that
+// moved since the last one — until stopped() or until serve, which gets each
+// accepted connection with the body of the hub's ackType reply, reports the
+// stream finished. A failed dial is retried with backoff; a connection serve
+// returns from unfinished is redialed at once; both count as reconnects. Two
+// outcomes are terminal and returned as errors: the hub rejected the hello (a
+// configuration error, not a transient fault), or it stayed unreachable for
+// the whole RetryFor outage budget — gone, not blinking; the budget resets on
+// every accepted hello. redial closes the connection after serve returns, and
+// re-checks stopped() only between connections: a caller whose stop can race a
+// dial must check again in serve, under the lock that publishes the connection.
+func redial(addr string, opts ClientOptions, m *connMetrics, reconnects *metrics.Counter, stopped func() bool,
+	hello func() []byte, ackType byte, serve func(c *conn, ack []byte) (finished bool, err error)) error {
+	count := func() {
+		if reconnects != nil {
+			reconnects.Inc()
+		}
+	}
+	attempt := 0
+	giveUp := time.Now().Add(opts.RetryFor)
+	for !stopped() {
+		c, ack, err := dialConn(addr, hello(), opts.DialTimeout, opts.WrapWriter, m)
+		if err != nil {
+			var rej errHelloRejected
+			if errors.As(err, &rej) {
+				return err
+			}
+			if stopped() {
+				return nil
+			}
+			if time.Now().After(giveUp) {
+				return fmt.Errorf("transport: %s unreachable for %v: %w", addr, opts.RetryFor, err)
+			}
+			count()
+			time.Sleep(backoff(attempt))
+			attempt++
+			continue
+		}
+		attempt = 0
+		giveUp = time.Now().Add(opts.RetryFor)
+		if len(ack) == 0 || ack[0] != ackType {
+			c.close()
+			continue
+		}
+		finished, err := serve(c, ack[1:])
+		c.close()
+		if finished || err != nil {
+			return err
+		}
+		if !stopped() {
+			count()
+		}
+	}
+	return nil
+}
+
 // backoff returns the reconnect delay for the given consecutive-failure
 // attempt: 50ms doubling to a 1s ceiling.
 func backoff(attempt int) time.Duration {

@@ -241,66 +241,35 @@ func (s *FeedSub) fail(err error) {
 	s.mu.Unlock()
 }
 
-// run is the subscription's connection loop: dial, hello with the resume
-// offset, stream envelope batches into ch, reconnect with backoff on any
-// drop. Exits (closing ch) on EOS, stop, client close, or a hello
-// rejection — rejections are configuration errors, not transient faults.
+// run is the subscription's connection loop (redial): each hello carries the
+// floor and resume offset as of its dial, each accepted connection streams
+// envelope batches into ch. Exits (closing ch) on EOS, stop, client close, or
+// a terminal redial error. A worker cannot tell a dead hub from one that shut
+// down cleanly while it was between connections (the EOS went to nobody), so
+// an exhausted outage budget ends the consumer and the worker's main loop
+// rather than redialing forever.
 func (s *FeedSub) run() {
 	defer s.f.wg.Done()
 	defer close(s.ch)
-	attempt := 0
-	giveUp := time.Now().Add(s.f.opts.RetryFor)
 	envBuf := make([]queue.Envelope[graph.Edge], 0, 128)
-	for !s.stopped() {
+	var floor uint64 // as the latest hello carried it
+	hello := func() []byte {
 		s.mu.Lock()
-		floor := s.floor
+		floor = s.floor
 		s.mu.Unlock()
-		hello := encodeHelloFeed(helloFeed{pid: s.pid, r: s.r, gen: s.gen, floor: floor, resume: s.next, readAddr: s.readAddr})
-		c, ack, err := dialConn(s.f.addr, hello, s.f.opts.DialTimeout, s.f.opts.WrapWriter, s.f.m)
-		if err != nil {
-			var rej errHelloRejected
-			if errors.As(err, &rej) {
-				s.fail(err)
-				return
-			}
-			if s.stopped() {
-				return
-			}
-			if time.Now().After(giveUp) {
-				// The hub has been unreachable for the whole outage budget —
-				// gone, not blinking. A worker can't tell a dead hub from one
-				// that shut down cleanly while we were between connections
-				// (the EOS went to nobody), so fail terminally: the consumer
-				// and the worker's main loop exit instead of redialing
-				// forever. The budget resets on every successful attach.
-				s.fail(fmt.Errorf("transport: feed subscription %d/%d: %w", s.pid, s.r, err))
-				return
-			}
-			if s.f.reconnects != nil {
-				s.f.reconnects.Inc()
-			}
-			time.Sleep(backoff(attempt))
-			attempt++
-			continue
-		}
-		attempt = 0
+		return encodeHelloFeed(helloFeed{pid: s.pid, r: s.r, gen: s.gen, floor: floor, resume: s.next, readAddr: s.readAddr})
+	}
+	err := redial(s.f.addr, s.f.opts, s.f.m, s.f.reconnects, s.stopped, hello, msgFeedAck, func(c *conn, ack []byte) (bool, error) {
 		wr := wireCursor(ack)
-		if len(ack) == 0 || wr.Byte("feed ack type") != msgFeedAck {
-			c.close()
-			continue
-		}
 		meta := decodeLogMeta(wr)
-		if wr.Err != nil || meta.logID != s.f.logID {
-			c.close()
-			if meta.logID != s.f.logID && wr.Err == nil {
-				s.fail(fmt.Errorf("transport: hub log changed identity (%d -> %d)", s.f.logID, meta.logID))
-				return
-			}
-			continue
+		if wr.Err != nil {
+			return false, nil
+		}
+		if meta.logID != s.f.logID {
+			return false, fmt.Errorf("hub log changed identity (%d -> %d)", s.f.logID, meta.logID)
 		}
 		s.f.head.Store(meta.head)
 		s.f.start.Store(meta.start)
-		giveUp = time.Now().Add(s.f.opts.RetryFor)
 
 		// Re-announce desired state on the fresh connection: the hello
 		// carried the floor as of the dial; a report that raced it, and the
@@ -309,9 +278,13 @@ func (s *FeedSub) run() {
 		s.c = c
 		raised, live := s.floor, s.live
 		s.mu.Unlock()
+		defer func() {
+			s.mu.Lock()
+			s.c = nil
+			s.mu.Unlock()
+		}()
 		if s.stopped() {
-			c.close()
-			return
+			return true, nil
 		}
 		if raised > floor {
 			c.writeMsg(typeU1(msgFloorReport, raised))
@@ -319,18 +292,10 @@ func (s *FeedSub) run() {
 		if live {
 			c.writeMsg([]byte{msgLive})
 		}
-
-		eos := s.stream(c, &envBuf)
-		s.mu.Lock()
-		s.c = nil
-		s.mu.Unlock()
-		c.close()
-		if eos {
-			return
-		}
-		if !s.stopped() && s.f.reconnects != nil {
-			s.f.reconnects.Inc()
-		}
+		return s.stream(c, &envBuf), nil
+	})
+	if err != nil {
+		s.fail(fmt.Errorf("transport: feed subscription %d/%d: %w", s.pid, s.r, err))
 	}
 }
 

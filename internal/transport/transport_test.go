@@ -5,6 +5,7 @@ import (
 	"net"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/iotest"
 	"time"
@@ -36,6 +37,9 @@ type fakeHub struct {
 	floors   []uint64
 	detached int
 	closedBy []int // which accepted hello (0-based, in attach order) each detach ended
+	// hold, when non-nil, parks every DeliverCandidates until it closes: a
+	// hub that takes frames and acks none.
+	hold chan struct{}
 }
 
 func newFakeHub(logID uint64) *fakeHub {
@@ -121,6 +125,9 @@ func (a fakeAttachment) Close() {
 // DeliverCandidates mirrors the hub's contract: idempotent under
 // redelivery via a per-group monotonic offset filter.
 func (f *fakeHub) DeliverCandidates(msgs []CandMsg) error {
+	if f.hold != nil {
+		<-f.hold
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, m := range msgs {
@@ -132,6 +139,24 @@ func (f *fakeHub) DeliverCandidates(msgs []CandMsg) error {
 		f.cands = append(f.cands, m)
 	}
 	return nil
+}
+
+// await polls cond, evaluated under the hub's lock, until it holds.
+func (f *fakeHub) await(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		f.mu.Lock()
+		ok := cond()
+		f.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal(what)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func testServer(t *testing.T, backend HubBackend) *Server {
@@ -181,19 +206,7 @@ func TestFeedResumeAcrossDrops(t *testing.T) {
 			// wait for the server to process the post-reconnect re-announce
 			// while the connection is still open, then publish the tail and
 			// end the stream.
-			deadline := time.Now().Add(5 * time.Second)
-			for {
-				fake.mu.Lock()
-				lives := fake.lives
-				fake.mu.Unlock()
-				if lives >= 1 {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatal("sticky live announcement never re-sent after reconnect")
-				}
-				time.Sleep(time.Millisecond)
-			}
+			fake.await(t, "sticky live announcement never re-sent after reconnect", func() bool { return fake.lives >= 1 })
 			for i := 40; i < 60; i++ {
 				fake.publish(graph.Edge{Src: graph.VertexID(i), Dst: graph.VertexID(i + 1), TS: int64(i)})
 			}
@@ -242,36 +255,20 @@ func TestFeedHelloCarriesFloorAndDetachIsScoped(t *testing.T) {
 		}
 		return fc, sub
 	}
-	await := func(what string, cond func() bool) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			fake.mu.Lock()
-			ok := cond()
-			fake.mu.Unlock()
-			if ok {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatal(what)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
 
 	fcA, subA := dial()
 	defer fcA.Close()
-	await("first hello never arrived", func() bool { return len(fake.hellos) == 1 })
+	fake.await(t, "first hello never arrived", func() bool { return len(fake.hellos) == 1 })
 	subA.ReportFloor(70)
-	await("floor report never arrived", func() bool { return len(fake.floors) == 1 })
+	fake.await(t, "floor report never arrived", func() bool { return len(fake.floors) == 1 })
 	srv.DropConnections()
-	await("no re-attach after the drop", func() bool { return len(fake.hellos) == 2 && fake.detached == 1 })
+	fake.await(t, "no re-attach after the drop", func() bool { return len(fake.hellos) == 2 && fake.detached == 1 })
 
 	fcB, _ := dial()
 	defer fcB.Close()
-	await("second worker's hello never arrived", func() bool { return len(fake.hellos) == 3 })
+	fake.await(t, "second worker's hello never arrived", func() bool { return len(fake.hellos) == 3 })
 	fcA.Close()
-	await("first worker's detach never arrived", func() bool { return fake.detached == 2 })
+	fake.await(t, "first worker's detach never arrived", func() bool { return fake.detached == 2 })
 
 	fake.mu.Lock()
 	defer fake.mu.Unlock()
@@ -312,7 +309,7 @@ func TestOldProtocolVersionRefused(t *testing.T) {
 // TestCandForwarderTornWrite arms a codecutil.FailNth on the forwarder's
 // first connection so a frame tears mid-write on the socket — the wire
 // twin of a machine dying mid-push. The server must never see a corrupt
-// batch (CRC), and the reconnect must resend unacked batches so every
+// batch (CRC), and the reconnect must resend unacked frames so every
 // message still arrives, in order, exactly once.
 func TestCandForwarderTornWrite(t *testing.T) {
 	fake := newFakeHub(9)
@@ -341,8 +338,14 @@ func TestCandForwarderTornWrite(t *testing.T) {
 		msg := CandMsg{Pid: 0, Offset: uint64(i), PubNS: int64(i), Cands: []motif.Candidate{{
 			User: graph.VertexID(i), Item: graph.VertexID(1000 + i), Program: "diamond",
 		}}}
-		if err := fw.Send([]CandMsg{msg}); err != nil {
+		if err := fw.Offer(msg); err != nil {
 			t.Fatal(err)
+		}
+		if i == 0 {
+			// The first message lands as a frame of its own, so the torn
+			// write is a candidate frame and not the FIN of a stream the
+			// writer coalesced whole.
+			fake.await(t, "first frame never delivered", func() bool { return fake.rawCands == 1 })
 		}
 	}
 	if !fw.Finish(10 * time.Second) {
@@ -370,6 +373,156 @@ func TestCandForwarderTornWrite(t *testing.T) {
 	}
 }
 
+// TestCandForwarderConcurrentOffer is the forwarder as a worker uses it:
+// several apply loops offering at once, at the window bound most of the time,
+// through a connection drop. Every message must reach the backend exactly
+// once in per-producer order, and the checkpoint gate must be a snapshot: a
+// WaitDrained taken mid-stream returns once everything offered before it is
+// acked, while the producers — which never pause — keep the total moving. (A
+// gate that chased the total could not return before they ran dry: at the
+// bound, something is unacked at every instant.)
+func TestCandForwarderConcurrentOffer(t *testing.T) {
+	fake := newFakeHub(4)
+	srv := testServer(t, fake)
+	reg := metrics.NewRegistry()
+	fw := NewCandForwarder(srv.Addr(), 4, ClientOptions{Metrics: reg})
+	defer fw.Close()
+
+	const producers, perProducer = 4, 50_000
+	var sent [producers]atomic.Int64
+	total := func() (n int64) {
+		for p := range sent {
+			n += sent[p].Load()
+		}
+		return n
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < perProducer; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := fw.Offer(CandMsg{Pid: p, Offset: uint64(i)}); err != nil {
+					t.Errorf("producer %d offer %d: %v", p, i, err)
+					return
+				}
+				sent[p].Add(1)
+			}
+		}(p)
+	}
+	fake.await(t, "stream never got going", func() bool { return fake.rawCands >= forwarderWindow })
+	if srv.DropConnections() == 0 {
+		t.Fatal("nothing to drop")
+	}
+	for deadline := time.Now().Add(10 * time.Second); total() < 2*forwarderWindow; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("producers stalled at %d offers", total())
+		}
+	}
+	var before [producers]int64
+	for p := range sent {
+		before[p] = sent[p].Load()
+	}
+	if !fw.WaitDrained(10 * time.Second) {
+		t.Fatal("gate never opened under concurrent offers")
+	}
+	if total() == producers*perProducer {
+		t.Error("gate opened only once the producers had run dry: it chased the total")
+	}
+	fake.mu.Lock()
+	for p, n := range before {
+		if got, ok := fake.floor2[p]; n > 0 && (!ok || got+1 < uint64(n)) {
+			t.Errorf("gate opened with producer %d delivered below %d of the %d offered before it", p, got+1, n)
+		}
+	}
+	fake.mu.Unlock()
+
+	close(stop)
+	wg.Wait()
+	if !fw.Finish(10 * time.Second) {
+		t.Fatal("forwarder did not finish")
+	}
+	fake.mu.Lock()
+	defer fake.mu.Unlock()
+	var next [producers]uint64
+	for _, m := range fake.cands {
+		if m.Offset != next[m.Pid] {
+			t.Fatalf("producer %d: offset %d delivered where %d was due (lost or reordered)", m.Pid, m.Offset, next[m.Pid])
+		}
+		next[m.Pid]++
+	}
+	for p := range sent {
+		if next[p] != uint64(sent[p].Load()) {
+			t.Errorf("producer %d: %d of %d offers delivered", p, next[p], sent[p].Load())
+		}
+	}
+	if reg.Counter("transport.reconnects").Value() == 0 {
+		t.Error("no reconnect recorded despite the drop")
+	}
+}
+
+// TestCandForwarderAbortReleasesBlockedOffers: against a hub that acks
+// nothing the producers fill the window and block at its bound; Abort must
+// fail every one of them (and every later Offer) rather than strand an apply
+// loop in a call that can never return.
+func TestCandForwarderAbortReleasesBlockedOffers(t *testing.T) {
+	fake := newFakeHub(6)
+	fake.hold = make(chan struct{})
+	srv := testServer(t, fake)
+	t.Cleanup(func() { close(fake.hold) }) // before srv.Close, which waits for the parked handler
+	fw := NewCandForwarder(srv.Addr(), 6, ClientOptions{})
+
+	const producers = 4
+	errs := make(chan error, producers)
+	for p := 0; p < producers; p++ {
+		go func(p int) {
+			for i := 0; ; i++ {
+				if err := fw.Offer(CandMsg{Pid: p, Offset: uint64(i)}); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(p)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		fw.mu.Lock()
+		full := fw.offered-fw.acked == forwarderWindow
+		fw.mu.Unlock()
+		if full {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("window never filled")
+		}
+	}
+	if fw.WaitDrained(20 * time.Millisecond) {
+		t.Fatal("gate open with a full window unacked")
+	}
+	fw.Abort()
+	for p := 0; p < producers; p++ {
+		select {
+		case err := <-errs:
+			if err == nil {
+				t.Fatal("blocked Offer returned without an error")
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d producers still blocked after Abort", producers-p, producers)
+		}
+	}
+	if fw.Offer(CandMsg{}) == nil {
+		t.Error("Offer accepted after Abort")
+	}
+	if fw.WaitDrained(time.Second) {
+		t.Error("gate open after Abort dropped a full window")
+	}
+}
+
 // TestDrainWorkers covers the shutdown drain: it must not conclude while
 // a worker is mid-flush, must wait out the quiet window for stragglers,
 // and must return immediately on a hub that never saw a worker.
@@ -386,24 +539,12 @@ func TestDrainWorkers(t *testing.T) {
 
 	srv := testServer(t, fake)
 	fw := NewCandForwarder(srv.Addr(), 3, ClientOptions{})
-	if err := fw.Send([]CandMsg{{Pid: 1, Offset: 7}}); err != nil {
+	if err := fw.Offer(CandMsg{Pid: 1, Offset: 7}); err != nil {
 		t.Fatal(err)
 	}
-	// Wait until the forwarder's connection exists and the batch landed, so
+	// Wait until the forwarder's connection exists and the message landed, so
 	// the drain below races a *connected* worker, not an un-dialed one.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		fake.mu.Lock()
-		n := len(fake.cands)
-		fake.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("batch never delivered")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	fake.await(t, "message never delivered", func() bool { return len(fake.cands) == 1 })
 	done := make(chan bool, 1)
 	drainStart := time.Now()
 	go func() { done <- srv.DrainWorkers(5 * time.Second) }()
