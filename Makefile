@@ -137,7 +137,7 @@ loc:
 soak-flake:
 	$(GO) test -run 'TestFlakeHuntScaleOutKillOriginal' -count=200 -timeout 60m ./internal/cluster
 
-# bench runs the experiment-index benchmarks briefly (regression smoke,
+# bench runs every per-package micro-benchmark briefly (regression smoke,
 # not a measurement run). -count=1 defeats the test cache (a cached "ok"
 # would mask a freshly introduced benchmark panic), and the per-package
 # loop stops at the first failing package instead of letting one
@@ -147,13 +147,13 @@ bench:
 		$(GO) test -run=NONE -bench . -benchtime=1x -count=1 $$pkg; \
 	done
 
-# bench-smoke runs the durability benchmarks, the wall-clock E2E
-# detection-latency probe, the threshold kernel's strategy table and the
-# candidate log's commit path once each, so the perf paths benchmark/
-# measures keep compiling and running in CI without a full measurement run.
+# bench-smoke runs the durability benchmarks, the threshold kernel's
+# strategy table and the candidate log's commit path once each, so the perf
+# paths benchmark/ measures keep compiling and running in CI without a full
+# measurement run.
 bench-smoke:
 	@set -e; for pkg in $$($(GO) list ./...); do \
-		$(GO) test -run=NONE -bench 'Checkpoint|Recovery|Snapshot|Reprovision|E2EDetectionLatency|DetectBatch|ThresholdIntersect|Commit' -benchtime=1x -count=1 $$pkg; \
+		$(GO) test -run=NONE -bench 'Checkpoint|Recovery|Snapshot|Reprovision|DetectBatch|ThresholdIntersect|Commit' -benchtime=1x -count=1 $$pkg; \
 	done
 
 # soak drives the long-haul churn harness (cmd/soak): sustained ingest
@@ -170,38 +170,29 @@ soak:
 soak-net:
 	$(GO) run ./cmd/soak -net -dur 2m
 
-# fuzz gives each fuzz target a longer budget (manual runs).
-fuzz:
-	$(GO) test -run=NONE -fuzz FuzzSnapshotDecode -fuzztime 30s ./internal/dynstore
-	$(GO) test -run=NONE -fuzz FuzzWALReadRecord -fuzztime 30s ./internal/queue
-	$(GO) test -run=NONE -fuzz FuzzDeliveryStateReadFrom -fuzztime 30s ./internal/delivery
-	$(GO) test -run=NONE -fuzz FuzzAuditRecords -fuzztime 30s ./internal/audit
-	$(GO) test -run=NONE -fuzz FuzzTransportFrame -fuzztime 30s ./internal/transport
-	$(GO) test -run=NONE -fuzz FuzzCompile -fuzztime 30s ./internal/motifdsl
-	$(GO) test -run=NONE -fuzz FuzzPlanRestore -fuzztime 30s ./internal/cluster
-	$(GO) test -run=NONE -fuzz FuzzSegmentMerge -fuzztime 30s ./internal/partition
-	$(GO) test -run=NONE -fuzz FuzzCandidateLog -fuzztime 30s ./internal/partition
-	$(GO) test -run=NONE -fuzz FuzzPlanMatchesReference -fuzztime 30s ./internal/motif
-	$(GO) test -run=NONE -fuzz FuzzThresholdIntersect -fuzztime 30s ./internal/graph
-
-# fuzz-smoke is the CI-budget version: 10s per target keeps the decoders,
-# the WAL record framing, the delivery-state codec, the transport wire
-# protocol, the motif DSL compiler, the restore planner, the segment
-# merge, the candidate log, the plan executor and the threshold kernel's
-# strategies (each against its references) continuously fuzzed without
-# stalling checks. The exhaustive prefix / bit-flip
-# properties run first: what the fuzzers sample, they enumerate for one
-# valid input per format.
+# fuzz-smoke is the one list of fuzz targets, FUZZTIME each. The CI budget
+# of 10s per target keeps the decoders, the WAL record framing, the
+# delivery-state codec, the transport wire protocol, the motif DSL compiler,
+# the restore planner, the segment merge, the candidate log, the plan
+# executor and the threshold kernel's strategies (each against its
+# references) continuously fuzzed without stalling checks. The exhaustive
+# prefix / bit-flip properties run first: what the fuzzers sample, they
+# enumerate for one valid input per format.
+FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run 'PrefixesAndBitFlips' ./internal/partition ./internal/dynstore ./internal/delivery ./internal/transport
-	$(GO) test -run=NONE -fuzz FuzzSnapshotDecode -fuzztime 10s ./internal/dynstore
-	$(GO) test -run=NONE -fuzz FuzzWALReadRecord -fuzztime 10s ./internal/queue
-	$(GO) test -run=NONE -fuzz FuzzDeliveryStateReadFrom -fuzztime 10s ./internal/delivery
-	$(GO) test -run=NONE -fuzz FuzzAuditRecords -fuzztime 10s ./internal/audit
-	$(GO) test -run=NONE -fuzz FuzzTransportFrame -fuzztime 10s ./internal/transport
-	$(GO) test -run=NONE -fuzz FuzzCompile -fuzztime 10s ./internal/motifdsl
-	$(GO) test -run=NONE -fuzz FuzzPlanRestore -fuzztime 10s ./internal/cluster
-	$(GO) test -run=NONE -fuzz FuzzSegmentMerge -fuzztime 10s ./internal/partition
-	$(GO) test -run=NONE -fuzz FuzzCandidateLog -fuzztime 10s ./internal/partition
-	$(GO) test -run=NONE -fuzz FuzzPlanMatchesReference -fuzztime 10s ./internal/motif
-	$(GO) test -run=NONE -fuzz FuzzThresholdIntersect -fuzztime 10s ./internal/graph
+	$(GO) test -run=NONE -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME) ./internal/dynstore
+	$(GO) test -run=NONE -fuzz FuzzWALReadRecord -fuzztime $(FUZZTIME) ./internal/queue
+	$(GO) test -run=NONE -fuzz FuzzDeliveryStateReadFrom -fuzztime $(FUZZTIME) ./internal/delivery
+	$(GO) test -run=NONE -fuzz FuzzAuditRecords -fuzztime $(FUZZTIME) ./internal/audit
+	$(GO) test -run=NONE -fuzz FuzzTransportFrame -fuzztime $(FUZZTIME) ./internal/transport
+	$(GO) test -run=NONE -fuzz FuzzCompile -fuzztime $(FUZZTIME) ./internal/motifdsl
+	$(GO) test -run=NONE -fuzz FuzzPlanRestore -fuzztime $(FUZZTIME) ./internal/cluster
+	$(GO) test -run=NONE -fuzz FuzzSegmentMerge -fuzztime $(FUZZTIME) ./internal/partition
+	$(GO) test -run=NONE -fuzz FuzzCandidateLog -fuzztime $(FUZZTIME) ./internal/partition
+	$(GO) test -run=NONE -fuzz FuzzPlanMatchesReference -fuzztime $(FUZZTIME) ./internal/motif
+	$(GO) test -run=NONE -fuzz FuzzThresholdIntersect -fuzztime $(FUZZTIME) ./internal/graph
+
+# fuzz gives each target of that list a longer budget (manual runs).
+fuzz:
+	$(MAKE) fuzz-smoke FUZZTIME=30s

@@ -101,9 +101,6 @@ func TestPollingDefaults(t *testing.T) {
 	if cfg.Period <= 0 || cfg.K < 2 || cfg.Window <= 0 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
-	if rec.ExpectedDetectionLatency() != cfg.Period/2 {
-		t.Fatal("expected latency should be half the period")
-	}
 }
 
 // TestPollingAgreesWithStreaming is E4's correctness premise: both designs
@@ -166,7 +163,7 @@ func TestTwoHopNoFalseNegatives(t *testing.T) {
 	if th.ContainsExact(1, 98) {
 		t.Fatal("exact set contains non-member")
 	}
-	if th.NumUsers() == 0 || th.Entries() == 0 || th.MemoryBytes() == 0 {
+	if th.NumUsers() == 0 || th.MemoryBytes() == 0 {
 		t.Fatal("accounting empty")
 	}
 }

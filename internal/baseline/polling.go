@@ -206,13 +206,6 @@ func (p *PollingRecommender) Config() PollingConfig { return p.cfg }
 // NumUsers returns the number of users with at least one following.
 func (p *PollingRecommender) NumUsers() int { return len(p.users) }
 
-// ExpectedDetectionLatency returns the analytical mean detection latency of
-// polling with the configured period: Period/2 (motif completion times are
-// uniform within a period).
-func (p *PollingRecommender) ExpectedDetectionLatency() time.Duration {
-	return p.cfg.Period / 2
-}
-
 // StreamingEquivalent runs the same detection with the streaming diamond
 // program over equivalent stores, used by E4 to verify the two designs
 // agree on what they detect. It returns candidates for the given edges

@@ -19,7 +19,6 @@ import (
 type TwoHop struct {
 	filters map[graph.VertexID]*bloom.Filter
 	exact   map[graph.VertexID]map[graph.VertexID]bool // nil unless TrackExact
-	entries uint64
 }
 
 // TwoHopConfig parametrizes materialization.
@@ -73,7 +72,6 @@ func BuildTwoHop(cfg TwoHopConfig, followEdges []graph.Edge) *TwoHop {
 			}
 		}
 		t.filters[av] = f
-		t.entries += f.Count()
 	}
 	return t
 }
@@ -94,9 +92,6 @@ func (t *TwoHop) ContainsExact(a, c graph.VertexID) bool {
 
 // NumUsers returns the number of users with a materialized filter.
 func (t *TwoHop) NumUsers() int { return len(t.filters) }
-
-// Entries returns the total (with multiplicity) two-hop entries inserted.
-func (t *TwoHop) Entries() uint64 { return t.entries }
 
 // MemoryBytes returns the measured resident size of all Bloom filters.
 func (t *TwoHop) MemoryBytes() uint64 {

@@ -97,9 +97,6 @@ func (f *Filter) Contains(x uint64) bool {
 // Count returns the number of Add calls.
 func (f *Filter) Count() uint64 { return f.n }
 
-// Bits returns the filter's bit capacity m.
-func (f *Filter) Bits() uint64 { return f.m }
-
 // MemoryBytes returns the resident size of the bit array.
 func (f *Filter) MemoryBytes() uint64 { return uint64(len(f.bits)) * 8 }
 

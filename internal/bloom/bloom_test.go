@@ -95,7 +95,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestMemoryBytes(t *testing.T) {
 	f := New(1_000, 0.01)
-	want := (f.Bits() + 63) / 64 * 8
+	want := (f.m + 63) / 64 * 8
 	if f.MemoryBytes() != want {
 		t.Fatalf("MemoryBytes = %d, want %d", f.MemoryBytes(), want)
 	}

@@ -119,9 +119,11 @@ type Config struct {
 	// own instances mirrors a real deployment and keeps the option open.
 	// Required.
 	NewPrograms func() []motif.Program
-	// IngestDelay models the firehose→partition queue hop; nil = NoDelay.
+	// IngestDelay models the firehose→partition queue hop; nil = none. The
+	// hub draws one sample per event at publish and the log carries it.
 	IngestDelay queue.DelayModel
-	// DeliveryDelay models the partition→push-gateway hop; nil = NoDelay.
+	// DeliveryDelay models the partition→push-gateway hop; nil = none. The
+	// hub draws one sample per event where candidates enter its queue.
 	DeliveryDelay queue.DelayModel
 	// Delivery configures the push pipeline.
 	Delivery delivery.Options
@@ -141,7 +143,8 @@ type Config struct {
 	// triggering edge's target. 0 or 1 runs detection inline on the
 	// consumer goroutine, as does a batch of one.
 	ApplyWorkers int
-	// Seed seeds the delay samplers.
+	// Seed seeds the delay samples: an event's delay on either hop is a
+	// function of Seed and the event's firehose offset alone.
 	Seed int64
 	// Metrics receives cluster instrumentation; nil creates a private one.
 	Metrics *metrics.Registry
@@ -482,7 +485,7 @@ func (c *Cluster) Publish(e graph.Edge) error {
 	if err != nil {
 		return err
 	}
-	if err := h.firehose.Publish(e, 0); err != nil {
+	if err := h.publish(e); err != nil {
 		return err
 	}
 	c.ingested.Inc()

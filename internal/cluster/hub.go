@@ -84,6 +84,8 @@ type hubTier struct {
 	stateBusy atomic.Bool
 	deliverWG sync.WaitGroup
 
+	// ingestMu is publish's; taken only when Config.IngestDelay is set.
+	ingestMu sync.Mutex
 	// truncMu makes maybeTruncateLog's floor scan plus truncate atomic
 	// against an attach's floor publication plus subscribe (see attach).
 	truncMu sync.Mutex
@@ -106,9 +108,7 @@ func newHubTier(sh *shared) (h *hubTier, err error) {
 	h = &hubTier{shared: sh}
 	opts := queue.Options{
 		Name:   "firehose",
-		Delay:  cfg.IngestDelay,
 		Buffer: queueBuffer,
-		Seed:   cfg.Seed,
 		Retain: cfg.CheckpointDir != "",
 		// The delivery tier sequences on firehose offsets, so offset
 		// order must equal every replica's delivery order even when
@@ -144,9 +144,7 @@ func newHubTier(sh *shared) (h *hubTier, err error) {
 	h.firehose = queue.NewTopicWithLog[graph.Edge](opts, backend)
 	h.candidates = queue.NewTopic[transport.CandMsg](queue.Options{
 		Name:   "candidates",
-		Delay:  cfg.DeliveryDelay,
 		Buffer: queueBuffer,
-		Seed:   cfg.Seed + 1,
 	})
 	sh.adoptLog(logID)
 
@@ -490,9 +488,29 @@ func (a *attachment) Close() {
 	slot.state.Store(replicaDead)
 }
 
+// publish appends one edge to the firehose, carrying its ingest-hop delay if
+// Config.IngestDelay models one: the log stores the sample, so every replica,
+// replay and transport reports the same figure. The sample is keyed by the
+// offset the edge is about to take, hence the lock around reading the head
+// and publishing at it (the topic serializes publishers regardless).
+func (h *hubTier) publish(e graph.Edge) error {
+	m := h.cfg.IngestDelay
+	if m == nil {
+		return h.firehose.Publish(e, 0)
+	}
+	h.ingestMu.Lock()
+	defer h.ingestMu.Unlock()
+	return h.firehose.Publish(e, m.Sample(hopRand(h.cfg.Seed, h.firehose.Published())))
+}
+
 // offer hands one event's candidates to the delivery tier, whose per-group
-// offset filter collapses the replicas' identical offers to one per event.
+// offset filter collapses the replicas' identical offers to one per event —
+// identical in simulated delay too: the delivery-hop sample is added here,
+// at the one candidate queue, keyed by the event's offset.
 func (h *hubTier) offer(msg transport.CandMsg) error {
+	if m := h.cfg.DeliveryDelay; m != nil {
+		msg.Delay += m.Sample(hopRand(h.cfg.Seed+1, msg.Offset))
+	}
 	return h.candidates.Publish(msg, msg.Delay)
 }
 

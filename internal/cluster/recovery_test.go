@@ -13,6 +13,7 @@ import (
 	"motifstream/internal/dynstore"
 	"motifstream/internal/graph"
 	"motifstream/internal/placement"
+	"motifstream/internal/queue"
 )
 
 // replicaCkptDir names a generation-0 replica checkpoint directory — the
@@ -102,6 +103,34 @@ func collectNotes(cfg *Config) func() map[noteKey]int {
 			out[k] = v
 		}
 		return out
+	}
+}
+
+// latencyNote identifies one delivered notification together with the
+// simulated end-to-end latency it reported.
+type latencyNote struct {
+	noteKey
+	latency time.Duration
+}
+
+// collectLatencies chains a recorder of every notification's latency onto
+// cfg.OnNotify.
+func collectLatencies(cfg *Config) func() map[latencyNote]int {
+	var mu sync.Mutex
+	got := map[latencyNote]int{}
+	next := cfg.OnNotify
+	cfg.OnNotify = func(n delivery.Notification) {
+		mu.Lock()
+		got[latencyNote{noteKey{n.Candidate.User, n.Candidate.Item}, n.Latency}]++
+		mu.Unlock()
+		if next != nil {
+			next(n)
+		}
+	}
+	return func() map[latencyNote]int {
+		mu.Lock()
+		defer mu.Unlock()
+		return got
 	}
 }
 
@@ -198,14 +227,27 @@ func TestKillReplicaDropsStateAndStopsConsuming(t *testing.T) {
 // replica is killed mid-stream, restored from its durable checkpoint, and
 // caught up by replaying the firehose. The delivered notification sets
 // must be identical — no lost and no duplicate pushes — and the recovered
-// replica's D store must converge to the no-fault replica's.
+// replica's D store must converge to the no-fault replica's. Both queue hops
+// model a heavy-tailed delay, and every notification must report the same
+// simulated latency in the no-fault run, in the fault run (whichever
+// replica's offer wins, live or replayed) and in a third run that is shut
+// down mid-stream and reopened over its durable log: the delay is a function
+// of seed and stream, not of who delivers the event or when.
 func TestFaultEquivalenceOracle(t *testing.T) {
 	static := ringStatic(60)
 	stream := motifWorkload(42, 60, 600)
+	delayedConfig := func() Config {
+		cfg := recoveryConfig(t, static)
+		cfg.IngestDelay = queue.LognormalFromQuantiles(3*time.Second, 7*time.Second)
+		cfg.DeliveryDelay = queue.LognormalFromQuantiles(4*time.Second, 8*time.Second)
+		cfg.Seed = 7
+		return cfg
+	}
 
 	// Oracle: no faults.
-	oracleCfg := recoveryConfig(t, static)
+	oracleCfg := delayedConfig()
 	oracleNotes := collectNotes(&oracleCfg)
+	oracleLatencies := collectLatencies(&oracleCfg)
 	oracle, err := New(oracleCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -220,8 +262,9 @@ func TestFaultEquivalenceOracle(t *testing.T) {
 
 	// Fault run: kill replica 1 of both partitions a third in, restore
 	// two thirds in, let catch-up finish before the stream ends.
-	faultCfg := recoveryConfig(t, static)
+	faultCfg := delayedConfig()
 	faultNotes := collectNotes(&faultCfg)
+	faultLatencies := collectLatencies(&faultCfg)
 	fault, err := New(faultCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -268,6 +311,43 @@ func TestFaultEquivalenceOracle(t *testing.T) {
 	for k := range got {
 		if _, ok := want[k]; !ok {
 			t.Fatalf("fault run delivered %v, oracle did not", k)
+		}
+	}
+
+	// Restart run: a clean shutdown a third in, the rest after a reopen.
+	reopenCfg := delayedConfig()
+	reopenCfg.LogDir = t.TempDir()
+	reopenLatencies := collectLatencies(&reopenCfg)
+	for _, span := range [][]graph.Edge{stream[:killAt], stream[killAt:]} {
+		c, err := Reopen(reopenCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range span {
+			if err := c.Publish(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Shutdown()
+	}
+
+	// So are the simulated latencies they report.
+	wantLat := oracleLatencies()
+	distinct := map[time.Duration]bool{}
+	for k := range wantLat {
+		distinct[k.latency] = true
+	}
+	if len(distinct) < len(wantLat)/2 {
+		t.Fatalf("vacuous: %d notifications report only %d distinct latencies", len(wantLat), len(distinct))
+	}
+	for name, gotLat := range map[string]map[latencyNote]int{"kill/restore": faultLatencies(), "shutdown/reopen": reopenLatencies()} {
+		if len(gotLat) != len(wantLat) {
+			t.Fatalf("%s run reported %d distinct (notification, latency) pairs, oracle %d", name, len(gotLat), len(wantLat))
+		}
+		for k, n := range wantLat {
+			if gotLat[k] != n {
+				t.Fatalf("%s run: %v with latency %v seen %d times, %d in oracle", name, k.noteKey, k.latency, gotLat[k], n)
+			}
 		}
 	}
 

@@ -17,6 +17,11 @@ import (
 // freshly materialised list — the log neither keeps nor hands out a slice it
 // was given, and nothing in a user's arrays is a pointer. dirty tracks users
 // whose lists changed since the last delta checkpoint cut.
+//
+// The log is a ring per user and nothing else: an add at depth evicts the
+// user's oldest candidate, and nothing removes a user. Its size is therefore
+// bounded by at most depth (RecentPerUser, 16) candidates for each A this
+// partition owns in S — by S's user set, not by how long the stream has run.
 type candidateLog struct {
 	depth int
 	mu    sync.RWMutex
@@ -67,7 +72,10 @@ func newCandidateLog(depth int) *candidateLog {
 
 // install replaces the log's contents with the given lists, as they are: one
 // longer than the depth stays so until its user's next add trims it. An
-// empty list, a delta's tombstone, installs nothing. A candidate is filed
+// empty list installs nothing. No cut writes one — a dirty user always has a
+// list — but a segment already on disk may hold one, a deleted user's
+// tombstone from a log that could be swept, which is why this skip, Merge's
+// noCandidates and the delta decoder go on reading it. A candidate is filed
 // under its list's key, which is its User in every list a log has written.
 func (l *candidateLog) install(lists codecutil.Run[graph.VertexID, []motif.Candidate]) {
 	users := make(map[graph.VertexID]*userLog, len(lists))
@@ -198,35 +206,6 @@ func (l *candidateLog) get(a graph.VertexID) []motif.Candidate {
 	return out
 }
 
-// sweepBefore drops the candidates detected before cutoff; a user left with
-// none is deleted (the next cut carries the tombstone).
-func (l *candidateLog) sweepBefore(cutoffMS int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for a, u := range l.users {
-		runs, progs, vias := u.runs[:0], u.progs[:0], u.vias[:0]
-		i, off := 0, 0
-		for _, r := range u.runs {
-			if r.at >= cutoffMS {
-				runs = append(runs, r)
-				progs = append(progs, u.progs[i:i+int(r.n)]...)
-				vias = append(vias, u.vias[off:off+int(r.via)]...)
-			}
-			i += int(r.n)
-			off += int(r.via)
-		}
-		if len(progs) == len(u.progs) {
-			continue
-		}
-		l.dirty[a] = struct{}{}
-		if len(progs) == 0 {
-			delete(l.users, a)
-			continue
-		}
-		u.runs, u.progs, u.vias = runs, progs, vias
-	}
-}
-
 // writeTo encodes the candidate-log section from the runs, users ascending,
 // byte for byte what writeRun makes of the materialised lists.
 func (l *candidateLog) writeTo(cp *codecutil.Writer) {
@@ -255,7 +234,7 @@ type packedUsers struct {
 	users []packedUser
 }
 
-// packedUser is one captured user; without arrays it is a tombstone.
+// packedUser is one captured user.
 type packedUser struct {
 	key graph.VertexID
 	userLog
@@ -276,12 +255,9 @@ func (l *candidateLog) capture() packedUsers {
 	}
 	var nRuns, nProgs, nVias int
 	for a := range l.dirty {
-		pu := packedUser{key: a} // absent => deletion
-		if u := l.users[a]; u != nil {
-			pu.userLog = *u
-			nRuns, nProgs, nVias = nRuns+len(u.runs), nProgs+len(u.progs), nVias+len(u.vias)
-		}
-		p.users = append(p.users, pu)
+		u := l.users[a]
+		p.users = append(p.users, packedUser{key: a, userLog: *u})
+		nRuns, nProgs, nVias = nRuns+len(u.runs), nProgs+len(u.progs), nVias+len(u.vias)
 	}
 	runs := codecutil.Arena[logRun]{Chunk: nRuns}
 	progs := codecutil.Arena[uint32]{Chunk: nProgs}

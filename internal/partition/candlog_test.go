@@ -50,20 +50,6 @@ func (l *refLog) commit(cands []motif.Candidate) {
 	}
 }
 
-func (l *refLog) sweepBefore(cutoffMS int64) {
-	for a, list := range l.Users {
-		keep := slices.DeleteFunc(slices.Clone(list), func(c motif.Candidate) bool { return c.DetectedAtMS < cutoffMS })
-		if len(keep) < len(list) {
-			l.dirty[a] = struct{}{}
-		}
-		if len(keep) == 0 {
-			delete(l.Users, a)
-		} else {
-			l.Users[a] = keep
-		}
-	}
-}
-
 // captureDelta returns what the reference dirtied since the last call.
 func (l *refLog) captureDelta() *Segment {
 	d := &Segment{}
@@ -175,7 +161,7 @@ func (d *logDiff) check(op string) {
 	}
 }
 
-// run interprets ops, five bytes an add and two a sweep or a restore:
+// run interprets ops, five bytes an add and two a restore:
 //
 //	0..3 user run flags vary  commit a run of 1 + run%6 candidates for user%4
 //	                          that share a completion. flags: bit 0 moves to a
@@ -185,11 +171,10 @@ func (d *logDiff) check(op string) {
 //	                          0 and 1 move Item and DetectedAtMS off their
 //	                          usual values, bits 2–3 pick the trigger type,
 //	                          bit 4 changes the last Via element.
-//	4 cutoff                  SweepBefore
 //	5                         CaptureDelta → WriteTo, both sides, bytes equal
 //	6 depth                   WriteTo → DecodeBase → LoadState into fresh
 //	                          partitions of depth 1, 2 or 16
-//	7                         nothing (check runs after every op)
+//	4, 7                      nothing (check runs after every op)
 func (d *logDiff) run(ops []byte) {
 	next := func() byte {
 		if len(ops) == 0 {
@@ -232,11 +217,6 @@ func (d *logDiff) run(ops []byte) {
 			d.p.Commit(cands)
 			d.ref.commit(cands)
 			d.check("commit")
-		case 4:
-			cutoff := int64(1000 + 10*int(next()))
-			d.p.SweepBefore(cutoff)
-			d.ref.sweepBefore(cutoff)
-			d.check("sweep")
 		case 5:
 			sameCut(d.t, "cut", d.p, d.ref)
 			d.check("capture")
@@ -254,7 +234,7 @@ func (d *logDiff) run(ops []byte) {
 			d.p.LoadState(s)
 			d.ref.load(s)
 			d.check(fmt.Sprintf("restore at depth %d", depth))
-		case 7:
+		case 4, 7:
 		}
 	}
 	// What the last cut left dirty, and an empty cut after it.
@@ -297,11 +277,11 @@ func FuzzCandidateLog(f *testing.F) {
 		0, 0, 1, score(3) | via(2), 0, 0, 0, 1, score(4) | via(2), 0, 0, 0, 1, score(4) | via(2), 0, 5,
 	})
 	// One program twice in a run (a run of two, not a dedup), runs that differ
-	// in one field each, a sweep that empties a user (a tombstone), a restore.
+	// in one field each, a restore.
 	f.Add([]byte{
 		0, 1, 1, newTrigger | sameProgram | via(2), 0, 0, 1, 1, via(2), 1, 0, 1, 1, via(2), 2,
 		0, 1, 1, via(2), 4, 0, 1, 1, via(2), 0, 0, 1, 1, via(2), 16, 0, 2, 2, newTrigger | via(1), 0, 5,
-		4, 2, 5, 6, 2, 0, 2, 0, newTrigger, 0, 4, 255, 5, 7,
+		6, 2, 0, 2, 0, newTrigger, 0, 5, 7,
 	})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		for _, depth := range []int{1, 2, 16} {

@@ -41,8 +41,9 @@ const maxSnapProgram = 1 << 12
 // Segment is the one in-memory form of a checkpoint segment, base or
 // delta: per section, a sorted run of key → full replacement value. A base
 // holds a partition's whole recoverable state and no empty list; a delta
-// holds what one cut dirtied, and an empty user or target list in it is a
-// tombstone — the key was deleted (swept) since the previous cut. It is
+// holds what one cut dirtied, and an empty list in it is a tombstone: the
+// target was swept since the previous cut (or, in a segment an older binary
+// wrote, the user was — candidateLog.install). It is
 // what CaptureDelta returns, what both decoders produce, what Merge
 // composes and the background compactor folds chains into, and what
 // LoadState installs.

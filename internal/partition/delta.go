@@ -15,7 +15,8 @@ import (
 // delta. Full replacement per key makes segments idempotent and
 // composable: merging a chain in cut order, newer wins per key,
 // reconstructs the base-format state exactly. An empty user list records a
-// deletion (SweepBefore dropped the user).
+// deleted user; no cut writes one, segments on disk may hold one
+// (candidateLog.install).
 
 // deltaMagic identifies the partition delta segment format. Version 2
 // closes every delta segment with a CRC32C trailer over the whole file,

@@ -86,8 +86,6 @@ func TestDeltaComposeMatchesFullState(t *testing.T) {
 	applyDiamonds(p, t0, 30, 50)
 	cut()
 	applyDiamonds(p, t0, 50, 70)
-	// Sweep the candidate log so a deletion frame lands in the chain.
-	p.SweepBefore(t0 + 40*10)
 	cut()
 
 	for _, seg := range segments {
@@ -179,8 +177,8 @@ func TestFingerprintDistinguishesStates(t *testing.T) {
 }
 
 // TestComposePathsFingerprintEqual is the determinism property the audit
-// layer rests on: for a randomized workload with interleaved sweeps and
-// cut points, every way the cluster can arrive at a replica's state —
+// layer rests on: for a randomized workload with random cut points, every
+// way the cluster can arrive at a replica's state —
 // composing the replica's own base+delta chain, installing a pool base
 // (the full state round-tripped through the base codec, i.e. what a
 // mirror push ships), or deterministically replaying the edges from
@@ -197,22 +195,13 @@ func TestComposePathsFingerprintEqual(t *testing.T) {
 
 			// Script a random workload up front so the live run and the
 			// replay run execute the exact same operation sequence:
-			// apply-bursts separated by delta cuts, with sweeps thrown in.
-			type step struct {
-				from, to int
-				sweepAt  int64 // 0 = no sweep before the cut
-			}
+			// apply-bursts separated by delta cuts.
+			type step struct{ from, to int }
 			var steps []step
 			pos := 20 // the base capture covers [0, 20)
 			for i := 0; i < 4+rng.Intn(4); i++ {
 				n := 5 + rng.Intn(30)
-				s := step{from: pos, to: pos + n}
-				if rng.Intn(2) == 0 {
-					// Sweep somewhere inside the burst's time range so
-					// deletion frames land in the chain.
-					s.sweepAt = t0 + int64(s.from+rng.Intn(n))*10
-				}
-				steps = append(steps, s)
+				steps = append(steps, step{from: pos, to: pos + n})
 				pos += n
 			}
 
@@ -224,9 +213,6 @@ func TestComposePathsFingerprintEqual(t *testing.T) {
 			var segs [][]byte
 			for _, s := range steps {
 				applyDiamonds(live, t0, s.from, s.to)
-				if s.sweepAt != 0 {
-					live.SweepBefore(s.sweepAt)
-				}
 				var buf bytes.Buffer
 				if _, err := live.CaptureDelta().WriteTo(&buf); err != nil {
 					t.Fatal(err)
@@ -284,16 +270,13 @@ func TestComposePathsFingerprintEqual(t *testing.T) {
 				t.Fatalf("pool-base fingerprint %08x (err %v), want %08x", fp, err, wantFP)
 			}
 
-			// Path 3: deterministic replay from scratch — same edges, same
-			// sweeps, fresh partition.
+			// Path 3: deterministic replay from scratch — same edges, fresh
+			// partition.
 			replay := deltaWorkloadPartition(t)
 			applyDiamonds(replay, t0, 0, 20)
 			replay.CaptureDelta()
 			for _, s := range steps {
 				applyDiamonds(replay, t0, s.from, s.to)
-				if s.sweepAt != 0 {
-					replay.SweepBefore(s.sweepAt)
-				}
 				replay.CaptureDelta()
 			}
 			got := snapshot(t, replay)

@@ -205,9 +205,3 @@ func (p *Partition) RecommendationsFor(a graph.VertexID) []motif.Candidate {
 func (p *Partition) Owns(a graph.VertexID) bool {
 	return p.part.PartitionOf(a) == p.id
 }
-
-// SweepBefore drops logged candidates detected before cutoff stream time.
-// It is an embedder's API: nothing in this module's cluster or commands
-// calls it, so a deployment's log holds up to RecentPerUser candidates for
-// every user that ever received one — users-ever-seen × depth, not a window.
-func (p *Partition) SweepBefore(cutoffMS int64) { p.log.sweepBefore(cutoffMS) }

@@ -308,15 +308,4 @@ func TestCandidateLogDepthAndSweep(t *testing.T) {
 	if recs[0].Item != 91 || recs[1].Item != 92 {
 		t.Fatalf("wrong retained candidates: %v, %v", recs[0].Item, recs[1].Item)
 	}
-	// Sweep drops older candidates.
-	p.SweepBefore(t0 + 15_000)
-	recs = p.RecommendationsFor(2)
-	if len(recs) != 1 || recs[0].Item != 92 {
-		t.Fatalf("after sweep: %v", recs)
-	}
-	// Sweeping everything empties the log.
-	p.SweepBefore(t0 + 100_000)
-	if p.RecommendationsFor(2) != nil {
-		t.Fatal("sweep-all left candidates behind")
-	}
 }

@@ -39,24 +39,25 @@ type HealerOptions struct {
 	// competing for the log and the disk. Dead replicas beyond the cap
 	// simply wait for a slot; their deadline has already expired.
 	MaxConcurrent int
-	// MaxBackoff caps the exponential retry backoff a repeatedly failing
-	// replica accumulates; zero selects 16*After. After each failed
-	// re-provision the replica must wait After*2^failures (capped) on top
-	// of being observed dead for After again, so a placement that cannot
-	// be rebuilt — its partition's base pool gone, say — degrades to a
-	// slow periodic retry instead of hot-looping ReprovisionReplica.
-	MaxBackoff time.Duration
 	// OnHeal, if set, observes every re-provision attempt (err is nil on
 	// success). Called from a healer goroutine.
 	OnHeal func(pid, r int, err error)
 }
+
+// maxBackoffFactor caps the exponential retry backoff a repeatedly failing
+// replica accumulates, as a multiple of HealerOptions.After. After each
+// failed re-provision the replica must wait After*2^failures (capped) on top
+// of being observed dead for After again, so a placement that cannot be
+// rebuilt — its partition's base pool gone, say — degrades to a slow periodic
+// retry instead of hot-looping ReprovisionReplica.
+const maxBackoffFactor = 16
 
 // Healer is the optional self-managing policy loop: it watches replica
 // health and re-provisions placements that stay dead past the deadline —
 // the "node died, schedule a replacement" behavior of a production
 // placement controller, without an operator in the loop. Repeated
 // failures back off exponentially and concurrent re-provisions are
-// capped (HealerOptions.MaxBackoff, MaxConcurrent), so correlated
+// capped (maxBackoffFactor, HealerOptions.MaxConcurrent), so correlated
 // failures degrade to paced retries rather than a rebuild storm. It must
 // be stopped before the cluster it drives is stopped (re-provisioning
 // concurrent with Stop is undefined, like every lifecycle call).
@@ -69,8 +70,7 @@ type Healer struct {
 	once    sync.Once
 	started atomic.Bool
 
-	healed   atomic.Uint64
-	failures atomic.Uint64
+	healed atomic.Uint64
 
 	// mu guards the scheduling state below: the sweep loop reads and
 	// dispatches under it, and heal goroutines record their outcome under
@@ -105,9 +105,6 @@ func NewHealer(c Elastic, opts HealerOptions) *Healer {
 	}
 	if opts.MaxConcurrent <= 0 {
 		opts.MaxConcurrent = 1
-	}
-	if opts.MaxBackoff <= 0 {
-		opts.MaxBackoff = 16 * opts.After
 	}
 	return &Healer{
 		c:         c,
@@ -149,12 +146,6 @@ func (h *Healer) Stop() {
 
 // Healed returns how many replicas the healer has re-provisioned.
 func (h *Healer) Healed() uint64 { return h.healed.Load() }
-
-// Failures returns how many re-provision attempts failed. Each failure
-// doubles the replica's retry backoff (up to MaxBackoff), and the dead
-// entry is cleared, so the full After must elapse again on top of the
-// backoff before the next attempt.
-func (h *Healer) Failures() uint64 { return h.failures.Load() }
 
 func (h *Healer) run() {
 	defer close(h.done)
@@ -234,7 +225,6 @@ func (h *Healer) heal(key [2]int) {
 	delete(h.inFlight, key)
 	if err != nil {
 		h.fails[key]++
-		h.failures.Add(1)
 		h.notBefore[key] = time.Now().Add(h.backoff(h.fails[key]))
 	} else {
 		delete(h.fails, key)
@@ -247,13 +237,14 @@ func (h *Healer) heal(key [2]int) {
 	}
 }
 
-// backoff returns After*2^fails clamped to MaxBackoff.
+// backoff returns After*2^fails clamped to maxBackoffFactor*After.
 func (h *Healer) backoff(fails int) time.Duration {
+	limit := maxBackoffFactor * h.opts.After
 	d := h.opts.After
 	for i := 0; i < fails; i++ {
 		d *= 2
-		if d >= h.opts.MaxBackoff || d <= 0 { // <= 0: overflow guard
-			return h.opts.MaxBackoff
+		if d >= limit || d <= 0 { // <= 0: overflow guard
+			return limit
 		}
 	}
 	return d

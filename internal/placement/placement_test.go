@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -209,9 +210,15 @@ func TestHealerBacksOffAfterFailures(t *testing.T) {
 	fake := newFakeElastic()
 	fake.err = errors.New("node pool exhausted")
 	fake.set(0, 1, "dead")
+	var failed atomic.Uint64
 	h := NewHealer(fake, HealerOptions{
 		After:    10 * time.Millisecond,
 		Interval: 2 * time.Millisecond,
+		OnHeal: func(_, _ int, err error) {
+			if err != nil {
+				failed.Add(1)
+			}
+		},
 	})
 	h.Start()
 	time.Sleep(500 * time.Millisecond)
@@ -219,7 +226,7 @@ func TestHealerBacksOffAfterFailures(t *testing.T) {
 	// A hot loop would retry on every deadline expiry: 500ms / 10ms ≈ 50
 	// attempts. Exponential backoff (20, 40, 80, then the 160ms cap)
 	// spaces them out to a handful.
-	got := h.Failures()
+	got := failed.Load()
 	if got < 2 {
 		t.Fatalf("healer gave up after %d failed attempts; want retries", got)
 	}

@@ -2,6 +2,7 @@ package queue
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -45,7 +46,7 @@ func BenchmarkPublish(b *testing.B) {
 		name string
 		make func(b *testing.B) LogBackend[int]
 	}{
-		{"memory", func(b *testing.B) LogBackend[int] { return NewMemLog[int]() }},
+		{"memory", func(b *testing.B) LogBackend[int] { return &memLog[int]{} }},
 		{"wal", func(b *testing.B) LogBackend[int] { return intWAL(b, b.TempDir(), nil) }},
 	}
 	for _, be := range backends {
@@ -73,9 +74,9 @@ func BenchmarkPublish(b *testing.B) {
 
 func BenchmarkLognormalSample(b *testing.B) {
 	m := LognormalFromQuantiles(7*time.Second, 15*time.Second)
-	lr := newLockedRand(1)
+	r := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		lr.sample(m)
+		m.Sample(r)
 	}
 }

@@ -3,22 +3,17 @@ package queue
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"time"
 )
 
 // DelayModel samples the simulated propagation delay one message incurs
-// crossing a queue hop.
+// crossing a queue hop. A Topic never calls it: whoever owns the model draws
+// one sample per hop per message and passes it to Publish as the carried
+// delay (the cluster's hub tier does).
 type DelayModel interface {
 	// Sample returns one delay draw using r.
 	Sample(r *rand.Rand) time.Duration
 }
-
-// NoDelay is the zero-latency model used by pure-throughput benchmarks.
-type NoDelay struct{}
-
-// Sample returns 0.
-func (NoDelay) Sample(*rand.Rand) time.Duration { return 0 }
 
 // Fixed delays every message by exactly D.
 type Fixed struct {
@@ -27,19 +22,6 @@ type Fixed struct {
 
 // Sample returns D.
 func (f Fixed) Sample(*rand.Rand) time.Duration { return f.D }
-
-// Uniform delays messages uniformly in [Min, Max].
-type Uniform struct {
-	Min, Max time.Duration
-}
-
-// Sample returns a uniform draw.
-func (u Uniform) Sample(r *rand.Rand) time.Duration {
-	if u.Max <= u.Min {
-		return u.Min
-	}
-	return u.Min + time.Duration(r.Int63n(int64(u.Max-u.Min)))
-}
 
 // Lognormal delays messages with a lognormal distribution, the standard
 // heavy-tailed model for queueing/propagation delay. Mu and Sigma are the
@@ -67,20 +49,4 @@ func LognormalFromQuantiles(median, p99 time.Duration) Lognormal {
 	mu := math.Log(median.Seconds())
 	sigma := (math.Log(p99.Seconds()) - mu) / z99
 	return Lognormal{Mu: mu, Sigma: sigma}
-}
-
-// lockedRand wraps a rand.Rand for concurrent samplers.
-type lockedRand struct {
-	mu sync.Mutex
-	r  *rand.Rand
-}
-
-func newLockedRand(seed int64) *lockedRand {
-	return &lockedRand{r: rand.New(rand.NewSource(seed))}
-}
-
-func (l *lockedRand) sample(m DelayModel) time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return m.Sample(l.r)
 }

@@ -1,14 +1,16 @@
 // Package queue provides the in-process message fabric the cluster runs
-// on: fan-out pub/sub Topics with simulated propagation-delay models,
-// per-subscriber backpressure, and — for topics built with Retain — an
-// offset-addressable retained log supporting replay.
+// on: fan-out pub/sub Topics with per-subscriber backpressure, and — for
+// topics built with Retain — an offset-addressable retained log supporting
+// replay.
 //
 // The paper reports that "nearly all the latency comes from event
 // propagation delays in various message queues" (7s median, 15s p99
 // end-to-end) "while the actual graph queries take only a few
-// milliseconds"; modeling queue delay explicitly (see DelayModel) is
-// what lets experiment E2 reproduce that split deterministically and in
-// virtual time.
+// milliseconds". A Topic does not simulate that delay: it carries, unchanged
+// and identically to every subscriber and every replay, whatever simulated
+// delay its publisher hands to Publish. The models experiment E2 draws the
+// delay from (see DelayModel) live here only because every tier imports
+// this package; the cluster's hub tier samples them, once per hop per event.
 //
 // Offsets are the durability currency of the whole system: every
 // published message is stamped with its position in the topic's publish
@@ -28,10 +30,11 @@ import (
 	"time"
 )
 
-// Envelope wraps a message crossing a queue. VirtualDelay accumulates the
-// simulated propagation delay of every hop the message has crossed so far;
-// downstream stages add it to processing time to compute end-to-end latency
-// without sleeping. Offset is the message's position in the topic's publish
+// Envelope wraps a message crossing a queue. VirtualDelay is the simulated
+// propagation delay the publisher attributed to the message — the carried
+// argument of Publish, verbatim, the same on every subscriber's copy and on
+// every replay; downstream stages add it to processing time to compute
+// end-to-end latency without sleeping. Offset is the message's position in the topic's publish
 // sequence; consumers that checkpoint their progress record it so a
 // restarted consumer can resume with SubscribeFrom. PubUnixNS is the
 // wall-clock time (UnixNano) the message was first published; replayed
@@ -65,9 +68,8 @@ type subscriber[T any] struct {
 }
 
 // Record is one retained log entry of a Retain topic. The carried delay is
-// stored so a replayed copy accumulates the same upstream delay as the
-// original; the per-hop delay is re-sampled at replay time, as a real
-// redelivery would incur a fresh propagation delay.
+// stored so a replayed copy reports the same simulated delay as the
+// original.
 type Record[T any] struct {
 	Msg     T
 	Carried time.Duration
@@ -107,10 +109,6 @@ type memLog[T any] struct {
 	log   []Record[T]
 	start uint64
 }
-
-// NewMemLog returns a fresh in-memory log backend — what a Retain topic
-// uses when Options.Log is nil.
-func NewMemLog[T any]() LogBackend[T] { return &memLog[T]{} }
 
 func (m *memLog[T]) Append(rec Record[T]) error {
 	m.mu.Lock()
@@ -174,8 +172,6 @@ func (m *memLog[T]) Close() error { return nil }
 // offset via SubscribeFrom. Safe for concurrent use.
 type Topic[T any] struct {
 	name    string
-	delay   DelayModel
-	rng     *lockedRand
 	buf     int
 	retain  bool
 	ordered bool
@@ -209,16 +205,14 @@ type Topic[T any] struct {
 	published uint64
 }
 
-// Options configures a Topic.
+// Options configures a Topic: its label, its backpressure bound and its
+// ordering and retention guarantees. Nothing here shapes simulated delay —
+// that is the publisher's argument to Publish.
 type Options struct {
 	// Name labels the topic in stats.
 	Name string
-	// Delay is the per-hop propagation delay model; nil means NoDelay.
-	Delay DelayModel
 	// Buffer is each subscriber's channel capacity; 0 selects 1024.
 	Buffer int
-	// Seed seeds the delay sampler for reproducibility.
-	Seed int64
 	// Retain keeps every published message in an in-memory log,
 	// addressable by offset, enabling SubscribeFrom replay. Deployments
 	// that checkpoint consumers bound the log with TruncateBelow once a
@@ -234,11 +228,7 @@ type Options struct {
 // NewTopic creates a Topic. With Retain set the log lives in the built-in
 // in-memory backend; use NewTopicWithLog to supply a durable one.
 func NewTopic[T any](opts Options) *Topic[T] {
-	var backend LogBackend[T]
-	if opts.Retain {
-		backend = NewMemLog[T]()
-	}
-	return NewTopicWithLog[T](opts, backend)
+	return NewTopicWithLog[T](opts, nil)
 }
 
 // NewTopicWithLog creates a Topic whose retained log is stored in the
@@ -248,22 +238,16 @@ func NewTopic[T any](opts Options) *Topic[T] {
 // not take ownership — the caller closes a durable backend itself, after
 // the topic's consumers (including replayers) have drained.
 func NewTopicWithLog[T any](opts Options, backend LogBackend[T]) *Topic[T] {
-	d := opts.Delay
-	if d == nil {
-		d = NoDelay{}
-	}
 	b := opts.Buffer
 	if b <= 0 {
 		b = 1024
 	}
 	retain := opts.Retain || backend != nil
 	if retain && backend == nil {
-		backend = NewMemLog[T]()
+		backend = &memLog[T]{}
 	}
 	t := &Topic[T]{
 		name:    opts.Name,
-		delay:   d,
-		rng:     newLockedRand(opts.Seed),
 		buf:     b,
 		retain:  retain,
 		ordered: opts.Ordered || retain,
@@ -387,7 +371,7 @@ func (t *Topic[T]) replay(sub *subscriber[T], next uint64) {
 		for i, r := range buf[:n] {
 			env := Envelope[T]{
 				Msg:          r.Msg,
-				VirtualDelay: r.Carried + t.rng.sample(t.delay),
+				VirtualDelay: r.Carried,
 				Offset:       next + uint64(i),
 			}
 			select {
@@ -411,8 +395,8 @@ func (t *Topic[T]) unsubscribedLocked(sub *subscriber[T]) bool {
 }
 
 // Publish delivers msg to every subscriber, stamping each copy with the
-// publish offset and an independently sampled hop delay added to carried
-// (the delay already accumulated upstream). Returns ErrClosed after Close,
+// publish offset and with carried — the simulated delay the publisher
+// attributes to the message — as its VirtualDelay. Returns ErrClosed after Close,
 // and surfaces retained-append failures from a durable log backend.
 func (t *Topic[T]) Publish(msg T, carried time.Duration) error {
 	if t.ordered {
@@ -456,18 +440,16 @@ func (t *Topic[T]) Publish(msg T, carried time.Duration) error {
 	return nil
 }
 
-// fanOut sends one envelope per subscriber, each with an independently
-// sampled hop delay; a subscriber mid-Unsubscribe is skipped via done.
-// Every copy is stamped with the same publish wall-clock time, taken once.
+// fanOut sends the same envelope to every subscriber; one mid-Unsubscribe
+// is skipped via done. The publish wall-clock time is taken once.
 func (t *Topic[T]) fanOut(subs []*subscriber[T], msg T, carried time.Duration, off uint64) {
-	now := time.Now().UnixNano()
+	env := Envelope[T]{
+		Msg:          msg,
+		VirtualDelay: carried,
+		Offset:       off,
+		PubUnixNS:    time.Now().UnixNano(),
+	}
 	for _, s := range subs {
-		env := Envelope[T]{
-			Msg:          msg,
-			VirtualDelay: carried + t.rng.sample(t.delay),
-			Offset:       off,
-			PubUnixNS:    now,
-		}
 		select {
 		case s.ch <- env:
 		case <-s.done:

@@ -99,16 +99,23 @@ func TestSubscribeFromOnClosedTopicDrainsThenCloses(t *testing.T) {
 }
 
 func TestSubscribeFromCarriesStoredDelay(t *testing.T) {
-	topic := NewTopic[int](Options{Retain: true, Delay: Fixed{D: time.Second}})
+	topic := NewTopic[int](Options{Retain: true})
+	live := topic.Subscribe()
 	topic.Publish(7, 2*time.Second)
-	sub, err := topic.SubscribeFrom(0)
-	if err != nil {
-		t.Fatal(err)
+	// A replayed copy reports what the live one did — the delay Publish was
+	// given, stored with the record — however often it is replayed.
+	want := (<-live).VirtualDelay
+	if want != 2*time.Second {
+		t.Fatalf("live VirtualDelay = %v, want 2s", want)
 	}
-	env := <-sub
-	// Carried upstream delay is preserved; the hop delay is re-sampled.
-	if env.VirtualDelay != 3*time.Second {
-		t.Fatalf("VirtualDelay = %v, want 3s", env.VirtualDelay)
+	for i := 0; i < 2; i++ {
+		sub, err := topic.SubscribeFrom(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if env := <-sub; env.VirtualDelay != want {
+			t.Fatalf("replay %d: VirtualDelay = %v, live copy had %v", i, env.VirtualDelay, want)
+		}
 	}
 }
 

@@ -358,7 +358,7 @@ func TestTopicWithWALBackendReplaysAcrossReopen(t *testing.T) {
 // used to share the topic mutex with it).
 func TestPublishHoldsNoTopicLockDuringAppend(t *testing.T) {
 	slow := &slowLog[int]{
-		inner:   NewMemLog[int](),
+		inner:   &memLog[int]{},
 		gate:    make(chan struct{}),
 		entered: make(chan struct{}),
 	}
@@ -551,7 +551,7 @@ func TestDiskWALPublishWithin2xOfMemory(t *testing.T) {
 		})
 		return float64(res.NsPerOp())
 	}
-	memBackend := func(tb testing.TB) LogBackend[int] { return NewMemLog[int]() }
+	memBackend := func(tb testing.TB) LogBackend[int] { return &memLog[int]{} }
 	walBackend := func(tb testing.TB) LogBackend[int] {
 		return intWAL(tb, tb.(interface{ TempDir() string }).TempDir(), nil)
 	}

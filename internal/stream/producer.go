@@ -40,14 +40,6 @@ type ProduceStats struct {
 	Elapsed time.Duration
 }
 
-// EventsPerSecond returns the achieved publish rate.
-func (s ProduceStats) EventsPerSecond() float64 {
-	if s.Elapsed <= 0 {
-		return 0
-	}
-	return float64(s.Events) / s.Elapsed.Seconds()
-}
-
 // Run publishes every remaining source edge, sleeping as needed to hold
 // the configured rate. It returns when the source is exhausted or the
 // publisher fails.

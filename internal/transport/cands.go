@@ -69,7 +69,6 @@ type candEntry struct {
 // be the hub log identity from the feed handshake; the hub refuses
 // candidate streams for a different log.
 func NewCandForwarder(addr string, logID uint64, opts ClientOptions) *CandForwarder {
-	opts.defaults()
 	f := &CandForwarder{addr: addr, logID: logID, opts: opts, nextSeq: 1}
 	f.cond = sync.NewCond(&f.mu)
 	f.m = newConnMetrics(opts.Metrics, "cands", "")

@@ -199,7 +199,7 @@ func acceptConn(nc net.Conn, timeout time.Duration) (*conn, []byte, error) {
 // returns from unfinished is redialed at once; both count as reconnects. Two
 // outcomes are terminal and returned as errors: the hub rejected the hello (a
 // configuration error, not a transient fault), or it stayed unreachable for
-// the whole RetryFor outage budget — gone, not blinking; the budget resets on
+// the whole retryFor outage budget — gone, not blinking; the budget resets on
 // every accepted hello. redial closes the connection after serve returns, and
 // re-checks stopped() only between connections: a caller whose stop can race a
 // dial must check again in serve, under the lock that publishes the connection.
@@ -211,9 +211,9 @@ func redial(addr string, opts ClientOptions, m *connMetrics, reconnects *metrics
 		}
 	}
 	attempt := 0
-	giveUp := time.Now().Add(opts.RetryFor)
+	giveUp := time.Now().Add(retryFor)
 	for !stopped() {
-		c, ack, err := dialConn(addr, hello(), opts.DialTimeout, opts.WrapWriter, m)
+		c, ack, err := dialConn(addr, hello(), dialTimeout, opts.WrapWriter, m)
 		if err != nil {
 			var rej errHelloRejected
 			if errors.As(err, &rej) {
@@ -223,7 +223,7 @@ func redial(addr string, opts ClientOptions, m *connMetrics, reconnects *metrics
 				return nil
 			}
 			if time.Now().After(giveUp) {
-				return fmt.Errorf("transport: %s unreachable for %v: %w", addr, opts.RetryFor, err)
+				return fmt.Errorf("transport: %s unreachable for %v: %w", addr, retryFor, err)
 			}
 			count()
 			time.Sleep(backoff(attempt))
@@ -231,7 +231,7 @@ func redial(addr string, opts ClientOptions, m *connMetrics, reconnects *metrics
 			continue
 		}
 		attempt = 0
-		giveUp = time.Now().Add(opts.RetryFor)
+		giveUp = time.Now().Add(retryFor)
 		if len(ack) == 0 || ack[0] != ackType {
 			c.close()
 			continue

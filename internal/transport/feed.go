@@ -12,30 +12,24 @@ import (
 	"motifstream/internal/queue"
 )
 
+const (
+	// dialTimeout bounds each individual dial+hello attempt.
+	dialTimeout = 5 * time.Second
+	// retryFor bounds the time spent redialing across one outage — the
+	// initial handshake or the gap after a connection drop — before the
+	// stream fails terminally. The budget resets on every successful attach,
+	// so a hub that blinks within the window is survivable; one gone longer
+	// than the window is treated as dead.
+	retryFor = 10 * time.Second
+)
+
 // ClientOptions tune a worker's dialed connections.
 type ClientOptions struct {
-	// DialTimeout bounds each individual dial+hello attempt (default 5s).
-	DialTimeout time.Duration
-	// RetryFor bounds the time spent redialing across one outage — the
-	// initial handshake or the gap after a connection drop — before the
-	// stream fails terminally (default 10s). The budget resets on every
-	// successful attach, so a hub that blinks within the window is
-	// survivable; one gone longer than the window is treated as dead.
-	RetryFor time.Duration
 	// Metrics receives transport counters.
 	Metrics *metrics.Registry
 	// WrapWriter optionally wraps each connection's write side
 	// (fault-injection seam for torn-write tests).
 	WrapWriter DialWrapper
-}
-
-func (o *ClientOptions) defaults() {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
-	}
-	if o.RetryFor <= 0 {
-		o.RetryFor = 10 * time.Second
-	}
 }
 
 // FeedClient is a worker's view of the hub's firehose log: the log's
@@ -62,7 +56,6 @@ type FeedClient struct {
 // the worker can start before the hub finishes binding) and returns a
 // client carrying the log's identity and bounds.
 func DialFeed(addr string, opts ClientOptions) (*FeedClient, error) {
-	opts.defaults()
 	f := &FeedClient{
 		addr: addr,
 		opts: opts,
@@ -72,10 +65,10 @@ func DialFeed(addr string, opts ClientOptions) (*FeedClient, error) {
 	if opts.Metrics != nil {
 		f.reconnects = opts.Metrics.Counter("transport.reconnects")
 	}
-	deadline := time.Now().Add(opts.RetryFor)
+	deadline := time.Now().Add(retryFor)
 	attempt := 0
 	for {
-		c, resp, err := dialConn(addr, []byte{msgHelloMeta}, opts.DialTimeout, opts.WrapWriter, nil)
+		c, resp, err := dialConn(addr, []byte{msgHelloMeta}, dialTimeout, opts.WrapWriter, nil)
 		if err == nil {
 			c.close()
 			wr := wireCursor(resp)

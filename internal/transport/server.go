@@ -45,6 +45,9 @@ type HubBackend interface {
 	DeliverCandidates(msgs []CandMsg) error
 }
 
+// helloTimeout bounds the preamble+hello exchange on an accepted connection.
+const helloTimeout = 5 * time.Second
+
 // ServerConfig configures the hub listener.
 type ServerConfig struct {
 	// Listen is the TCP bind address (host:port; port 0 picks a free one).
@@ -53,8 +56,6 @@ type ServerConfig struct {
 	Backend HubBackend
 	// BatchMax bounds envelopes coalesced per feed frame (defaults to 64).
 	BatchMax int
-	// HelloTimeout bounds the preamble+hello exchange (defaults to 5s).
-	HelloTimeout time.Duration
 	// DrainQuiet is how long the connection set must stay empty before a
 	// drain concludes no worker is coming back (defaults to 2s — above the
 	// clients' 1s reconnect-backoff ceiling, so a worker that was between
@@ -92,9 +93,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	if cfg.BatchMax <= 0 {
 		cfg.BatchMax = 64
-	}
-	if cfg.HelloTimeout <= 0 {
-		cfg.HelloTimeout = 5 * time.Second
 	}
 	if cfg.DrainQuiet <= 0 {
 		cfg.DrainQuiet = 2 * time.Second
@@ -175,7 +173,7 @@ func (s *Server) Connections() int {
 
 func (s *Server) handle(nc net.Conn) {
 	defer s.wg.Done()
-	c, hello, err := acceptConn(nc, s.cfg.HelloTimeout)
+	c, hello, err := acceptConn(nc, helloTimeout)
 	if err != nil {
 		nc.Close()
 		return

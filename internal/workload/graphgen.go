@@ -69,19 +69,3 @@ func GenFollowGraph(cfg GraphConfig) []graph.Edge {
 	}
 	return edges
 }
-
-// PopularityOf recovers the generator's popularity ranking helper: it
-// returns a sampler that draws vertex IDs with the same Zipf-by-rank law
-// used by GenFollowGraph for the same config. The stream generator uses it
-// so that stream sources are typical accounts.
-func PopularityOf(cfg GraphConfig, r *rand.Rand) func() graph.VertexID {
-	if cfg.ZipfS <= 1 {
-		cfg.ZipfS = 1.35
-	}
-	permR := rand.New(rand.NewSource(cfg.Seed))
-	perm := permR.Perm(cfg.Users)
-	z := rand.NewZipf(r, cfg.ZipfS, 1, uint64(cfg.Users-1))
-	return func() graph.VertexID {
-		return graph.VertexID(perm[z.Uint64()])
-	}
-}

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -236,29 +235,5 @@ func TestScenarios(t *testing.T) {
 	}
 	if _, ok := ScenarioByName("nope"); ok {
 		t.Fatal("ScenarioByName(nope) should fail")
-	}
-}
-
-func TestPopularityOf(t *testing.T) {
-	cfg := GraphConfig{Users: 1_000, AvgFollows: 10, ZipfS: 1.35, Seed: 1}
-	sample := PopularityOf(cfg, rand.New(rand.NewSource(2)))
-	counts := map[graph.VertexID]int{}
-	for i := 0; i < 10_000; i++ {
-		v := sample()
-		if int(v) >= cfg.Users {
-			t.Fatal("sampled vertex outside ID space")
-		}
-		counts[v]++
-	}
-	// Zipf: the most popular vertex should be sampled far more than the
-	// typical one.
-	max := 0
-	for _, c := range counts {
-		if c > max {
-			max = c
-		}
-	}
-	if max < 500 {
-		t.Fatalf("top popularity count %d too flat for Zipf", max)
 	}
 }
