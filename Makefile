@@ -29,12 +29,14 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# test-allocs runs the hot path's allocation gates — the kernel's and the
-# engine's no-candidate, multi-motif and emitting budgets — without the race
+# test-allocs runs the candidate path's allocation gates — the kernel's; the
+# engine's no-candidate budget and its chunk budgets (multi-motif, emitting);
+# the apply loop's no-candidate batch over two workers (0); the funnel's
+# offer (a live duplicate 0, a delivery its Notification) — without the race
 # detector: instrumentation changes allocation counts, so under -race they
 # skip.
 test-allocs:
-	$(GO) test -run 'ZeroAlloc|TestDetectBatchAllocBudget' ./internal/graph ./internal/core
+	$(GO) test -run 'ZeroAlloc|TestDetectBatchAllocBudget|TestOfferAllocBudget' ./internal/graph ./internal/core ./internal/cluster ./internal/delivery
 
 # test-crashmatrix runs just the fault-injection matrix (kill / restore /
 # whole-cluster restart at every pipeline stage, oracle-asserted, once per
@@ -95,7 +97,7 @@ test-transport:
 # differential (shared vs independent multiset
 # + fingerprint equality, multi-motif kill/restore) — the quick loop for
 # planner and multi-query work. The multi-motif allocation gates (the
-# no-candidate path and the emit path's 3 per emitting event) are among
+# no-candidate path and the emit path's chunk budget) are among
 # test-allocs.
 test-planner: test-allocs
 	$(GO) test -race ./internal/motifdsl ./internal/motif

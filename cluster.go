@@ -46,7 +46,11 @@ type ClusterOptions struct {
 	// DisableSleepHours turns off waking-hours suppression (useful in
 	// latency-focused experiments).
 	DisableSleepHours bool
-	// OnNotify receives each delivered push.
+	// OnNotify receives each delivered push. The notification is the
+	// callback's to read for as long as it likes, but its Candidate.Via is a
+	// window of an array shared with other candidates (see Candidate.Via):
+	// never write through it, and copy it (slices.Clone) to keep it past the
+	// callback — holding the window keeps the whole array reachable.
 	OnNotify func(Notification)
 	// Seed makes delay sampling reproducible.
 	Seed int64

@@ -81,23 +81,33 @@ func (k *ckptClock) tick(ts, everyMS int64) bool {
 	return cut
 }
 
-// replicaBatch holds one consumer's reusable batch buffers; everything is
-// recycled across batches so a warmed-up consumer allocates nothing per
-// drain beyond the candidates the programs emit.
+// replicaBatch holds one consumer's reusable batch buffers and its resident
+// detect workers; everything is sized once and recycled across batches, so a
+// warmed-up consumer allocates nothing per batch beyond the chunks the
+// programs' candidates fill.
 type replicaBatch struct {
 	max     int
 	workers int
 	envs    []queue.Envelope[graph.Edge]
-	// Per-worker shards: the edges routed to worker w and each edge's
-	// position in envs, so results scatter back into offset order.
+	// Per-worker shards: the edges routed to shard w and each edge's
+	// position in envs, so results scatter back into offset order. outs[w]
+	// holds a reference only between a shard's detection and the scatter.
 	edges [][]graph.Edge
 	pos   [][]int
 	outs  [][]candList
-	// cands[i] is envelope i's detection result, in batch order.
+	// cands[i] is envelope i's detection result, in batch order, until the
+	// commit hands it off.
 	cands []candList
 	// closed records that the subscription closed mid-drain; the partial
 	// batch is still applied before the consumer exits.
 	closed bool
+
+	// shards feeds the resident workers the index of a shard to detect.
+	// pending counts the shards of the current batch still with a worker,
+	// exited the workers still running.
+	shards  chan int
+	pending sync.WaitGroup
+	exited  sync.WaitGroup
 }
 
 // candList aliases the candidate slice type to keep the scatter buffers
@@ -108,20 +118,58 @@ func newReplicaBatch(max, workers int) *replicaBatch {
 	if max < 1 {
 		max = 1
 	}
+	// A batch never fans wider than it is long.
+	workers = min(workers, max)
 	if workers < 1 {
 		workers = 1
 	}
 	b := &replicaBatch{max: max, workers: workers}
+	b.envs = make([]queue.Envelope[graph.Edge], 0, max)
+	b.cands = make([]candList, max)
 	b.edges = make([][]graph.Edge, workers)
 	b.pos = make([][]int, workers)
 	b.outs = make([][]candList, workers)
+	for w := range b.edges {
+		b.edges[w] = make([]graph.Edge, 0, max)
+		b.pos[w] = make([]int, 0, max)
+		b.outs[w] = make([]candList, max)
+	}
 	return b
 }
 
+// startWorkers starts the batch's resident detect workers — one fewer than
+// its shards, the consumer detecting shard 0 itself — which run DetectBatch
+// on p over each shard they are sent until stopWorkers. They are started
+// once per consumer, not per batch: a batch costs them a channel send and a
+// WaitGroup count, no goroutine, closure or allocation.
+func (b *replicaBatch) startWorkers(p *partition.Partition) {
+	b.shards = make(chan int)
+	for w := 1; w < b.workers; w++ {
+		b.exited.Add(1)
+		go func() {
+			defer b.exited.Done()
+			for shard := range b.shards {
+				p.DetectBatch(b.edges[shard], b.outs[shard][:len(b.edges[shard])])
+				b.pending.Done()
+			}
+		}()
+	}
+}
+
+// stopWorkers ends the resident workers and returns once they have exited.
+// No batch may be in flight.
+func (b *replicaBatch) stopWorkers() {
+	close(b.shards)
+	b.exited.Wait()
+}
+
 // consumeBatched is the replica consumer loop: block for one envelope,
-// drain up to the batch bound, apply, repeat.
+// drain up to the batch bound, apply, repeat. Its detect workers live
+// exactly as long as it does.
 func (h *replicaHost) consumeBatched(rep *replica) {
 	b := newReplicaBatch(h.cfg.ApplyBatch, h.cfg.ApplyWorkers)
+	b.startWorkers(rep.p)
+	defer b.stopWorkers()
 	for {
 		select {
 		case <-rep.quit:
@@ -184,26 +232,20 @@ func (h *replicaHost) batchBoundary(p *partition.Partition, sim *ckptClock, ts i
 func (h *replicaHost) applyBatch(rep *replica, b *replicaBatch) bool {
 	p := rep.p
 	n := len(b.envs)
-	if cap(b.cands) < n {
-		b.cands = make([]candList, n)
-	}
 	cands := b.cands[:n]
 
-	w := b.workers
-	if w > n {
-		w = n
-	}
+	w := min(b.workers, n)
 	if w <= 1 {
 		// Inline: one DetectBatch over the whole batch — still amortizes
-		// scratch and counters, just without goroutine fan-out.
+		// scratch and counters, just without fan-out.
 		b.edges[0] = b.edges[0][:0]
 		for _, env := range b.envs {
 			b.edges[0] = append(b.edges[0], env.Msg)
 		}
 		p.DetectBatch(b.edges[0], cands)
 	} else {
-		// Shard by edge target: same target, same worker, offset order
-		// within the worker — the arrangement under which concurrent
+		// Shard by edge target: same target, same shard, offset order
+		// within the shard — the arrangement under which concurrent
 		// detection sees exactly the stream-order D prefix per target.
 		for i := 0; i < w; i++ {
 			b.edges[i] = b.edges[i][:0]
@@ -214,31 +256,20 @@ func (h *replicaHost) applyBatch(rep *replica, b *replicaBatch) bool {
 			b.edges[h] = append(b.edges[h], env.Msg)
 			b.pos[h] = append(b.pos[h], i)
 		}
-		var wg sync.WaitGroup
 		for i := 1; i < w; i++ {
-			if len(b.edges[i]) == 0 {
-				continue
+			if len(b.edges[i]) > 0 {
+				b.pending.Add(1)
+				b.shards <- i
 			}
-			if cap(b.outs[i]) < len(b.edges[i]) {
-				b.outs[i] = make([]candList, len(b.edges[i]))
-			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				p.DetectBatch(b.edges[i], b.outs[i][:len(b.edges[i])])
-			}(i)
 		}
-		// Worker 0's shard runs inline on the consumer goroutine.
-		if len(b.edges[0]) > 0 {
-			if cap(b.outs[0]) < len(b.edges[0]) {
-				b.outs[0] = make([]candList, len(b.edges[0]))
-			}
-			p.DetectBatch(b.edges[0], b.outs[0][:len(b.edges[0])])
-		}
-		wg.Wait()
+		// Shard 0 runs inline on the consumer goroutine.
+		p.DetectBatch(b.edges[0], b.outs[0][:len(b.edges[0])])
+		b.pending.Wait()
+		// Move, not copy: a reference left in outs would outlive the batch
+		// and pin the chunk its candidates were issued from.
 		for i := 0; i < w; i++ {
 			for j, at := range b.pos[i] {
-				cands[at] = b.outs[i][j]
+				cands[at], b.outs[i][j] = b.outs[i][j], nil
 			}
 		}
 	}

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"motifstream/internal/dynstore"
+	"motifstream/internal/graph"
+	"motifstream/internal/queue"
 )
 
 // TestCkptClockNormalCadence pins the clock's ordinary behavior: with
@@ -283,5 +285,202 @@ func TestParallelApplyKillRestore(t *testing.T) {
 		if got, want := recovered.Engine().Dynamic().Stats(), reference.Engine().Dynamic().Stats(); got != want {
 			t.Fatalf("partition %d recovered D stats %+v != oracle %+v", pid, got, want)
 		}
+	}
+}
+
+// batchHost is a one-replica host over a fake link, never started: the test
+// plays the consumer, so it can look into the batch between applies. The
+// timestamps the tests below use stay inside one checkpoint interval and one
+// sweep interval, so applyBatch neither cuts nor prunes.
+func batchHost(t *testing.T, max, workers int) (*replicaHost, *fakeLink, *replicaBatch) {
+	t.Helper()
+	link := newFakeLink(nil)
+	h, _ := hostOverFake(t, link, func(cfg *Config) {
+		cfg.Dynamic = dynstore.Options{Retention: time.Minute, MaxPerTarget: 64}
+	})
+	b := newReplicaBatch(max, workers)
+	b.startWorkers(h.reps[0].p)
+	t.Cleanup(b.stopWorkers)
+	return h, link, b
+}
+
+// setBatch makes edges, at offsets from first on, the batch to apply.
+func setBatch(b *replicaBatch, first uint64, edges []graph.Edge) {
+	b.envs = b.envs[:0]
+	for i, e := range edges {
+		b.envs = append(b.envs, queue.Envelope[graph.Edge]{Offset: first + uint64(i), Msg: e})
+	}
+}
+
+// TestApplyBatchReleasesCandidates is the regression for the scatter that
+// copied: cands[i] was dropped on hand-off but outs[w][j] kept pointing at the
+// same slice until a later batch happened to overwrite the entry — up to a
+// batch's worth of stale candidate windows per worker, each pinning the chunk
+// it was issued from. After applyBatch returns, no buffer of the batch may
+// reference a candidate slice, whatever the sizes of the batches before.
+func TestApplyBatchReleasesCandidates(t *testing.T) {
+	h, link, b := batchHost(t, 16, 2)
+	rep := h.reps[0]
+	// Ring members b and b+1 act on one fresh target: user b-1 follows both.
+	var stream []graph.Edge
+	for i := 0; i < 120; i++ {
+		ts := int64(10_000_000 + 2*i)
+		target := graph.VertexID(100_000 + i)
+		stream = append(stream,
+			graph.Edge{Src: graph.VertexID(i % 20), Dst: target, Type: graph.Follow, TS: ts},
+			graph.Edge{Src: graph.VertexID((i + 1) % 20), Dst: target, Type: graph.Follow, TS: ts + 1})
+	}
+	fanned := 0
+	for lo, size := 0, 16; lo < len(stream); size = 3 + (size*7)%14 { // long batches, then short ones
+		hi := min(lo+size, len(stream))
+		setBatch(b, uint64(lo), stream[lo:hi])
+		if !h.applyBatch(rep, b) {
+			t.Fatal("offer refused")
+		}
+		for w, outs := range b.outs {
+			for j, cands := range outs {
+				if cands != nil {
+					t.Fatalf("batch [%d,%d): shard %d still holds the %d candidates of its entry %d", lo, hi, w, len(cands), j)
+				}
+			}
+		}
+		for i, cands := range b.cands {
+			if cands != nil {
+				t.Fatalf("batch [%d,%d): the batch still holds the %d candidates of envelope %d", lo, hi, len(cands), i)
+			}
+		}
+		if len(b.edges[1]) > 0 {
+			fanned++
+		}
+		lo = hi
+	}
+	if len(link.offers) < 100 || fanned < 5 {
+		t.Fatalf("vacuous: %d offers, %d batches fanned out", len(link.offers), fanned)
+	}
+}
+
+// TestApplyBatchNoCandidateZeroAlloc is the apply loop's allocation gate: a
+// warm batch that completes no motif, fanned over two workers, allocates
+// nothing — no goroutine, closure or WaitGroup per batch, on any goroutine
+// (AllocsPerRun counts the process's mallocs, the resident worker's included).
+func TestApplyBatchNoCandidateZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate: race instrumentation allocates; the non-race run enforces the budget")
+	}
+	h, link, b := batchHost(t, 16, 2)
+	rep := h.reps[0]
+	ts, offset := int64(10_000_000), uint64(0)
+	edges := make([]graph.Edge, 16)
+	fanned := 0
+	apply := func() {
+		for i := range edges {
+			ts++
+			// Actors nobody follows, on a fixed set of targets: D lists at
+			// their cap, nothing to recommend.
+			edges[i] = graph.Edge{Src: graph.VertexID(1000 + i%8), Dst: graph.VertexID(50 + i%8), Type: graph.Follow, TS: ts}
+		}
+		setBatch(b, offset, edges)
+		offset += uint64(len(edges))
+		if !h.applyBatch(rep, b) {
+			t.Fatal("offer refused")
+		}
+		if len(b.edges[0]) > 0 && len(b.edges[1]) > 0 {
+			fanned++
+		}
+	}
+	for i := 0; i < 80; i++ {
+		apply()
+	}
+	if perBatch := testing.AllocsPerRun(50, apply); perBatch != 0 {
+		t.Fatalf("a no-candidate batch over two workers allocates %.2f; want 0", perBatch)
+	}
+	if len(link.offers) != 0 || fanned < 130 {
+		t.Fatalf("vacuous: %d offers, %d batches fanned out", len(link.offers), fanned)
+	}
+}
+
+// TestDetectWorkersLifecycle: a consumer's resident detect workers end with
+// it. Kill, reprovision, scale-in and Shutdown each return the process to the
+// goroutine count it had with that many fewer consumers — in the end, the
+// count before the cluster existed — whatever the worker count.
+func TestDetectWorkersLifecycle(t *testing.T) {
+	// settled polls until the goroutine count is at most want: exiting
+	// goroutines (a stopped consumer's, a finished fold's) take a moment.
+	settled := func(want int) int {
+		var n int
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+			if n = runtime.NumGoroutine(); n <= want {
+				break
+			}
+		}
+		return n
+	}
+	// steady polls until the count has not moved for 100 ms and returns it.
+	steady := func() int {
+		n, same := runtime.NumGoroutine(), 0
+		for deadline := time.Now().Add(5 * time.Second); same < 20 && time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+			if now := runtime.NumGoroutine(); now == n {
+				same++
+			} else {
+				n, same = now, 0
+			}
+		}
+		return n
+	}
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			baseline := steady()
+			cfg := recoveryConfig(t, ringStatic(40))
+			cfg.CheckpointInterval = time.Second
+			cfg.ApplyBatch, cfg.ApplyWorkers = 16, workers
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Start()
+			stream := motifWorkload(17, 40, 300)
+			publish := func(edges []graph.Edge) {
+				for _, e := range edges {
+					if err := c.Publish(e); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			publish(stream[:200])
+			running := steady()
+
+			// A killed replica takes its consumer, its writer and its
+			// workers-1 detect goroutines with it; a reprovisioned one
+			// brings as many back.
+			if err := c.KillReplica(0, 1); err != nil {
+				t.Fatal(err)
+			}
+			killed := settled(running - workers - 1)
+			if killed > running-workers-1 {
+				t.Fatalf("after a kill %d goroutines run, %d before: want %d fewer (consumer, writer, %d detect workers)",
+					killed, running, workers+1, workers-1)
+			}
+			if err := c.ReprovisionReplica(0, 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.AwaitReplicaLive(0, 1, 30*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			publish(stream[200:400])
+			if got := settled(running); got > running {
+				t.Fatalf("after a reprovision %d goroutines run, %d before the kill", got, running)
+			}
+			if err := c.DecommissionReplica(1, 1); err != nil {
+				t.Fatal(err)
+			}
+			if got := settled(killed); got > killed {
+				t.Fatalf("after a scale-in %d goroutines run; one replica fewer ran %d", got, killed)
+			}
+			publish(stream[400:])
+			c.Shutdown()
+			if got := settled(baseline); got > baseline {
+				t.Fatalf("after Shutdown %d goroutines run, %d before the cluster existed", got, baseline)
+			}
+		})
 	}
 }

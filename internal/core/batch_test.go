@@ -178,13 +178,22 @@ func TestDetectBatchAllocBudget(t *testing.T) {
 	}
 }
 
+// chunkBudget is what the emit path may allocate for a batch: the chunks its
+// candidates and their Via elements fill (motif's candChunk and viaChunk), and
+// one.
+func chunkBudget(cands, viaElems int) int {
+	const candChunk, viaChunk = 256, 2048
+	return (cands+candChunk-1)/candChunk + (viaElems+viaChunk-1)/viaChunk + 1
+}
+
 // TestDetectBatchAllocBudgetEmitting is the allocation gate of the emit
 // path: a share group of twenty thresholds (k = 2..21) on events where
-// several of them emit. An emitting event may cost the group one array for
-// all its candidates and one for all their Vias (a window per candidate, the
-// members recommending one user sharing theirs), and the engine one array to
-// assemble the candidates in registration order: 3, however many candidates
-// and users (here 28 for 7 users, from 7 members).
+// several of them emit (28 candidates for 7 users, from 7 members, the
+// members recommending one user sharing its Via window: 35 elements an event).
+// Candidates and Vias are windows of the scratch's chunks, assembled in
+// registration order where they are issued, so the batch pays for the chunks
+// it fills — 10 allocations here for 1792 candidates, where an array pair per
+// group-event and an assembly copy per event were 192.
 func TestDetectBatchAllocBudgetEmitting(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gate: race instrumentation allocates; the non-race run enforces the budget")
@@ -234,23 +243,26 @@ func TestDetectBatchAllocBudgetEmitting(t *testing.T) {
 		fill()
 		replicaApply(e, batch, edges, out)
 	}
-	budget, cands := 0, 0
+	cands, viaElems := 0, 0
 	for _, evCands := range out {
-		if len(evCands) > 0 {
-			budget += 3
-			cands += len(evCands)
+		cands += len(evCands)
+		vias := map[*graph.VertexID]bool{}
+		for _, c := range evCands {
+			if !vias[&c.Via[0]] {
+				vias[&c.Via[0]] = true
+				viaElems += len(c.Via)
+			}
 		}
 	}
-	if cands != batch*28 {
-		t.Fatalf("warm batch emitted %d candidates, want 28 per event", cands)
+	if cands != batch*28 || viaElems != batch*35 {
+		t.Fatalf("warm batch emitted %d candidates over %d Via elements, want 28 and 35 per event", cands, viaElems)
 	}
 	perBatch := testing.AllocsPerRun(20, func() {
 		fill()
 		replicaApply(e, batch, edges, out)
 	})
-	if perBatch > float64(budget) {
-		t.Fatalf("emitting path allocates %.1f/batch for %d candidates; budget is %d (3 per emitting event)",
-			perBatch, cands, budget)
+	if budget := chunkBudget(cands, viaElems); perBatch > float64(budget) {
+		t.Fatalf("emitting path allocates %.1f/batch for %d candidates; the chunk budget is %d", perBatch, cands, budget)
 	}
 }
 

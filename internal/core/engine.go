@@ -188,36 +188,27 @@ func (e *Engine) applyOne(edge graph.Edge, s *motif.Scratch) []motif.Candidate {
 	start := time.Now()
 	e.dynamic.Insert(edge)
 	detect := time.Now()
-	// Groups first: each runs its trigger filter, D/S probes and threshold
-	// once, parking member results in their registration slots. Programs are
-	// read-only past the D insert above, so running groups ahead of direct
-	// programs cannot change any result — only the assembly below determines
-	// candidate order.
+	// Direct programs first, while nothing is staged in the scratch they are
+	// handed (a plan invoked directly hands over whatever is). Then each group
+	// runs its trigger filter, D/S probes and threshold once, staging member
+	// results under their registration slots. Programs are read-only past the
+	// D insert above, so the order they run in cannot change any result — the
+	// hand-over alone determines candidate order: one window of the scratch's
+	// chunk, assembled in registration order.
 	res := s.ResultSlots(len(e.direct))
-	for gi, g := range e.groups {
-		g.DetectInto(e.ctx, edge, s, res, e.groupSlots[gi])
-	}
-	total, emitters := 0, 0
-	var out []motif.Candidate
 	for i, sp := range e.direct {
 		if sp != nil {
 			res[i] = sp.OnEdgeScratch(e.ctx, edge, s)
 		}
-		if len(res[i]) > 0 {
-			total += len(res[i])
-			emitters++
-			out = res[i]
-		}
 	}
-	// One emitter's slice is the output as it stands; several are copied, in
-	// registration order, into one array of the exact size.
-	if emitters > 1 {
-		out = make([]motif.Candidate, 0, total)
-		for _, cands := range res {
-			out = append(out, cands...)
-		}
+	for gi, g := range e.groups {
+		g.StageInto(e.ctx, edge, s, e.groupSlots[gi])
+	}
+	for i, cands := range res {
+		s.StageCandidates(i, cands)
 	}
 	clear(res)
+	out := s.HandOver(nil)
 	end := time.Now()
 	e.queryLatency.Observe(end.Sub(detect))
 	e.ingestLatency.Observe(end.Sub(start))

@@ -7,7 +7,6 @@
 package delivery
 
 import (
-	"container/list"
 	"math"
 	"sync"
 	"time"
@@ -90,7 +89,7 @@ type Pipeline struct {
 
 	mu      sync.Mutex
 	dedup   *lruTTL
-	fatigue map[graph.VertexID]*budget
+	fatigue map[graph.VertexID]budget
 
 	stats FunnelStats
 }
@@ -143,7 +142,7 @@ func NewPipeline(opts Options) *Pipeline {
 	return &Pipeline{
 		opts:    opts,
 		dedup:   newLRUTTL(opts.DedupCapacity, opts.DedupTTL),
-		fatigue: make(map[graph.VertexID]*budget),
+		fatigue: make(map[graph.VertexID]budget),
 	}
 }
 
@@ -203,19 +202,15 @@ func (p *Pipeline) isAsleep(u graph.VertexID, nowMS int64) bool {
 // stream-day boundaries.
 func (p *Pipeline) spendBudget(u graph.VertexID, nowMS int64) bool {
 	day := nowMS / (24 * int64(time.Hour/time.Millisecond))
-	b := p.fatigue[u]
-	if b == nil {
-		b = &budget{day: day}
-		p.fatigue[u] = b
-	}
-	if b.day != day {
-		b.day = day
-		b.spent = 0
+	b, ok := p.fatigue[u]
+	if !ok || b.day != day {
+		b = budget{day: day}
 	}
 	if b.spent >= p.opts.MaxPerUserPerDay {
 		return false
 	}
 	b.spent++
+	p.fatigue[u] = b
 	return true
 }
 
@@ -232,12 +227,20 @@ type dedupKey struct {
 }
 
 // lruTTL is a capacity-bounded map with per-entry expiry, used for push
-// dedup. Stream-time based, so replays behave identically.
+// dedup. Stream-time based, so replays behave identically. The entries live
+// in a slab — fixed-size chunks of pointer-free records, allocated as the
+// population grows and never ahead of it — linked into the recency list by
+// index; the map holds indices. An entry costs no allocation of its own, a
+// removed one's slot goes on a free list, and a full LRU allocates nothing.
 type lruTTL struct {
 	cap   int
 	ttlMS int64
-	ll    *list.List // front = most recent
-	items map[dedupKey]*list.Element
+	items map[dedupKey]int32 // slab index of each live entry
+	slab  [][]lruEntry       // chunks of lruChunk entries
+	used  int32              // slab slots ever handed out
+	// head is the most recent entry, tail the least; free heads the list of
+	// vacated slots (linked through next). noEntry ends each.
+	head, tail, free int32
 	// minExpMS is a lower bound on the earliest expiry anywhere in the
 	// list, refreshed by the eviction sweep. Recency order is not expiry
 	// order (a live duplicate refreshes recency but keeps its expiry), so
@@ -248,38 +251,71 @@ type lruTTL struct {
 	minExpMS int64
 }
 
+// lruEntry is one slab record: prev is the next more recent entry, next the
+// next less recent.
 type lruEntry struct {
-	key   dedupKey
-	expMS int64
+	key        dedupKey
+	expMS      int64
+	prev, next int32
 }
+
+const (
+	// lruChunk is how many entries the slab grows by (32 KB).
+	lruChunk = 1024
+	noEntry  = int32(-1)
+)
 
 func newLRUTTL(capacity int, ttl time.Duration) *lruTTL {
 	return &lruTTL{
-		cap:   capacity,
+		cap:   min(capacity, math.MaxInt32), // slab indices are 32-bit
 		ttlMS: ttl.Milliseconds(),
-		ll:    list.New(),
-		items: make(map[dedupKey]*list.Element),
+		items: make(map[dedupKey]int32),
+		head:  noEntry, tail: noEntry, free: noEntry,
 	}
 }
+
+// at returns slab entry i.
+func (l *lruTTL) at(i int32) *lruEntry { return &l.slab[uint32(i)/lruChunk][uint32(i)%lruChunk] }
 
 // add returns true if the key was absent (or expired) and has now been
 // recorded; false if it is a live duplicate.
 func (l *lruTTL) add(k dedupKey, nowMS int64) bool {
-	if el, ok := l.items[k]; ok {
-		ent := el.Value.(*lruEntry)
-		if ent.expMS > nowMS {
-			l.ll.MoveToFront(el)
-			return false
+	if i, ok := l.items[k]; ok {
+		ent := l.at(i)
+		fresh := ent.expMS <= nowMS
+		if fresh {
+			ent.expMS = nowMS + l.ttlMS
 		}
-		ent.expMS = nowMS + l.ttlMS
-		l.ll.MoveToFront(el)
-		return true
+		if l.head != i {
+			l.unlink(i)
+			l.pushFront(i)
+		}
+		return fresh
 	}
-	for l.ll.Len() >= l.cap {
+	for len(l.items) >= l.cap {
 		l.evict(nowMS)
 	}
-	l.items[k] = l.ll.PushFront(&lruEntry{key: k, expMS: nowMS + l.ttlMS})
+	l.insert(k, nowMS+l.ttlMS)
 	return true
+}
+
+// insert records an absent key as the most recent entry, in a vacated slot
+// when there is one.
+func (l *lruTTL) insert(k dedupKey, expMS int64) {
+	i := l.free
+	if i != noEntry {
+		l.free = l.at(i).next
+	} else {
+		if int(l.used) == len(l.slab)*lruChunk {
+			l.slab = append(l.slab, make([]lruEntry, lruChunk))
+		}
+		i = l.used
+		l.used++
+	}
+	ent := l.at(i)
+	ent.key, ent.expMS = k, expMS
+	l.pushFront(i)
+	l.items[k] = i
 }
 
 // evict removes entries to make room for one insertion: dead (expired)
@@ -296,15 +332,16 @@ func (l *lruTTL) evict(nowMS int64) {
 		// before the new minExpMS, disarming itself until then.
 		min := int64(math.MaxInt64)
 		removed := 0
-		for el := l.ll.Back(); el != nil; {
-			prev := el.Prev()
-			if ent := el.Value.(*lruEntry); ent.expMS <= nowMS {
-				l.remove(el)
+		for i := l.tail; i != noEntry; {
+			ent := l.at(i)
+			prev := ent.prev
+			if ent.expMS <= nowMS {
+				l.remove(i)
 				removed++
 			} else if ent.expMS < min {
 				min = ent.expMS
 			}
-			el = prev
+			i = prev
 		}
 		if min == math.MaxInt64 {
 			// The sweep removed every entry: there is no survivor to bound
@@ -319,10 +356,40 @@ func (l *lruTTL) evict(nowMS int64) {
 		}
 	}
 	// Every entry is live: fall back to true LRU.
-	l.remove(l.ll.Back())
+	l.remove(l.tail)
 }
 
-func (l *lruTTL) remove(el *list.Element) {
-	l.ll.Remove(el)
-	delete(l.items, el.Value.(*lruEntry).key)
+// remove drops entry i and puts its slot on the free list.
+func (l *lruTTL) remove(i int32) {
+	l.unlink(i)
+	ent := l.at(i)
+	delete(l.items, ent.key)
+	ent.next, l.free = l.free, i
+}
+
+// unlink takes entry i out of the recency list.
+func (l *lruTTL) unlink(i int32) {
+	ent := l.at(i)
+	if ent.prev != noEntry {
+		l.at(ent.prev).next = ent.next
+	} else {
+		l.head = ent.next
+	}
+	if ent.next != noEntry {
+		l.at(ent.next).prev = ent.prev
+	} else {
+		l.tail = ent.prev
+	}
+}
+
+// pushFront links the unlinked entry i in as the most recent.
+func (l *lruTTL) pushFront(i int32) {
+	ent := l.at(i)
+	ent.prev, ent.next = noEntry, l.head
+	if l.head != noEntry {
+		l.at(l.head).prev = i
+	} else {
+		l.tail = i
+	}
+	l.head = i
 }

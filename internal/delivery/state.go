@@ -48,10 +48,12 @@ type budgetSnap struct {
 func (p *Pipeline) captureState() ([]dedupSnap, []budgetSnap) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	dedup := make([]dedupSnap, 0, p.dedup.ll.Len())
-	for el := p.dedup.ll.Back(); el != nil; el = el.Prev() {
-		ent := el.Value.(*lruEntry)
+	l := p.dedup
+	dedup := make([]dedupSnap, 0, len(l.items))
+	for i := l.tail; i != noEntry; {
+		ent := l.at(i)
 		dedup = append(dedup, dedupSnap{user: ent.key.user, item: ent.key.item, expMS: ent.expMS})
+		i = ent.prev
 	}
 	fatigue := make([]budgetSnap, 0, len(p.fatigue))
 	for u, b := range p.fatigue {
@@ -145,16 +147,16 @@ func (p *Pipeline) install(dedup []dedupSnap, fatigue []budgetSnap) {
 	}
 	for _, e := range dedup {
 		k := dedupKey{user: e.user, item: e.item}
-		if el, ok := l.items[k]; ok {
+		if i, ok := l.items[k]; ok {
 			// Duplicate keys cannot come from WriteTo, but arbitrary input
 			// may carry them; keep the newest and its recency.
-			l.remove(el)
+			l.remove(i)
 		}
-		l.items[k] = l.ll.PushFront(&lruEntry{key: k, expMS: e.expMS})
+		l.insert(k, e.expMS)
 	}
-	m := make(map[graph.VertexID]*budget, len(fatigue))
+	m := make(map[graph.VertexID]budget, len(fatigue))
 	for _, b := range fatigue {
-		m[b.user] = &budget{day: b.day, spent: b.spent}
+		m[b.user] = budget{day: b.day, spent: b.spent}
 	}
 	p.dedup = l
 	p.fatigue = m

@@ -112,9 +112,9 @@ func FuzzPlanMatchesReference(f *testing.F) {
 }
 
 // viaOwnership holds cands — one member's candidates for one event — to the
-// ownership rule on Candidate.Via: no spare capacity, no element of an array
-// shared with a candidate of another trigger, and an append to one candidate's
-// Via changing no other's. owners remembers every Via element seen in the run
+// ownership rule on Candidate.Via: no spare capacity, no element shared with
+// a candidate of another trigger (the chunk is, its windows are not), and an
+// append to one candidate's Via changing no other's. owners remembers every Via element seen in the run
 // by its address (which also keeps the arrays alive, so an address is never
 // reused). It returns how many of cands have the Via of a candidate seen
 // before: a window shared by the members that emit one user.
@@ -129,7 +129,7 @@ func viaOwnership(t *testing.T, owners map[*graph.VertexID]Candidate, cands []Ca
 		for j := range c.Via {
 			o, seen := owners[&c.Via[j]]
 			if seen && o.Trigger != c.Trigger {
-				t.Fatalf("Via array shared across triggers: %v and %v", o, c)
+				t.Fatalf("Via element shared across triggers: %v and %v", o, c)
 			}
 			if seen && j == 0 {
 				shared++
@@ -163,8 +163,15 @@ func scratchHoldsNothing(t *testing.T, s *Scratch) {
 			t.Fatalf("scratch remembers the Via of survivor %d", i)
 		}
 	}
-	if len(s.stage) != 0 || len(s.refs) != 0 || len(s.viaElems) != 0 || len(s.viaSet) != 0 {
-		t.Fatalf("scratch staging not reset: %d staged, %d refs, %d Via elements, %d survivors set",
-			len(s.stage), len(s.refs), len(s.viaElems), len(s.viaSet))
+	if len(s.stage) != 0 || len(s.refs) != 0 || len(s.runs) != 0 || len(s.viaElems) != 0 || len(s.viaSet) != 0 {
+		t.Fatalf("scratch staging not reset: %d staged, %d refs, %d runs, %d Via elements, %d survivors set",
+			len(s.stage), len(s.refs), len(s.runs), len(s.viaElems), len(s.viaSet))
+	}
+	// The unissued tails are all of an issued candidate the scratch may be
+	// next to, and they are blank.
+	for _, c := range s.cands {
+		if c.Via != nil || c.Program != "" {
+			t.Fatalf("scratch's unissued tail holds candidate %v", c)
+		}
 	}
 }

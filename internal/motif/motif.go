@@ -31,13 +31,17 @@ type Candidate struct {
 	// Via lists the supporting B's: followings of User that acted on Item
 	// within the window. It is immutable once emitted and has no spare
 	// capacity (len == cap: an append copies, it never writes into a
-	// neighbour), and its backing array may be shared with the other
-	// candidates of the same group-event — one share group's candidates for
-	// one trigger, whoever their users are — and with nothing else. The
-	// array lives as long as any of them does, so whoever keeps a candidate
+	// neighbour). Its backing array is a chunk (viaChunk elements) shared with
+	// the other candidates issued from that chunk — other users', other
+	// programs', other triggers' — and the members of a share group that
+	// recommend one user for one trigger share the very window. The chunk
+	// lives as long as any window of it does, so whoever keeps a candidate
 	// beyond delivery copies its Via, as the partition's candidate log does;
-	// clone it before changing it. Programs outside the planned executor
-	// (TriangleClosure, a caller's own) allocate one per candidate.
+	// clone it before changing it. The same holds for a candidate slice: it
+	// is a window of a chunk of candChunk candidates. This is what the engine
+	// and PlannedGroup.DetectInto hand over, whichever program emitted; a
+	// program called on its own (TriangleClosure.OnEdge, a caller's own
+	// Program) returns what it allocated.
 	Via []graph.VertexID
 	// Trigger is the edge whose arrival completed the motif.
 	Trigger graph.Edge
@@ -85,10 +89,13 @@ type Program interface {
 // path. A Scratch is single-goroutine; recycle via GetScratch/PutScratch
 // (or hold one per worker) so a warmed-up caller pays zero heap
 // allocation per event that emits no candidates. What an emitting event
-// allocates outlives the call and is never scratch memory: one exact-size
-// candidate array and one exact-size Via array per group-event (see
-// Candidate.Via); between DetectInto calls a Scratch holds no Candidate and
-// no array a Candidate points into.
+// hands over outlives the call and is never rewritten: a capacity-limited
+// window of the scratch's current candidate chunk and one of its Via chunk
+// (see Candidate.Via), bump-allocated — the scratch mallocs only when a
+// chunk runs out, so the chunk, not the event, is the allocation unit. A
+// Scratch owns the unissued tails of its two chunks and nothing issued:
+// between hand-overs it holds no Candidate and no window a Candidate points
+// into, and two scratches share no chunk.
 type Scratch struct {
 	recent []dynstore.InEdge
 	bs     []graph.VertexID
@@ -113,21 +120,26 @@ type Scratch struct {
 	ex1    graph.AdjList
 	ex2    graph.AdjList
 
-	// Emit staging of one group-event: the members' candidates back to back
-	// (ends[i] closing the i-th member's run), their Via elements in viaElems
-	// with refs[j] placing stage[j]'s, both copied out once at the exact size;
-	// memo[i] the place of survivor i's Via once some member has emitted it,
-	// viaSet the indices to reset.
+	// Emit staging of one event: the candidates staged since the last
+	// hand-over back to back, runs[i] saying which result slot stage[lo:hi]
+	// belongs to; their Via elements in viaElems with refs[j] placing
+	// stage[j]'s, all copied out once by HandOver; memo[i] the place of the
+	// current group's survivor i's Via once some member has emitted it, viaSet
+	// the indices to reset.
 	stage    []Candidate
 	refs     []viaRef
-	ends     []int
+	runs     []stageRun
 	viaElems []graph.VertexID
 	memo     []viaRef
 	viaSet   []int
 
-	// res holds per-program candidate slots for the engine's shared
-	// executor; entries are nilled after each event so pooled scratches
-	// never retain candidates.
+	// cands and vias are the unissued tails of the current candidate chunk
+	// and Via chunk; HandOver issues windows off their fronts.
+	cands []Candidate
+	vias  []graph.VertexID
+
+	// res backs ResultSlots; its callers nil the entries they consume so a
+	// pooled scratch never retains candidates.
 	res [][]Candidate
 }
 
@@ -150,8 +162,9 @@ func PutScratch(s *Scratch) {
 type ScratchProgram interface {
 	Program
 	// OnEdgeScratch reports the candidates whose motif e completes, using
-	// s for intermediate buffers. The returned slice (when non-nil) is
-	// freshly allocated and safe to retain; the contents of s are not.
+	// s for intermediate buffers. The returned slice (when non-nil) is the
+	// caller's to keep and never rewritten (a plan's is a window of s's
+	// chunks: see Candidate.Via); the contents of s are not.
 	OnEdgeScratch(ctx *Context, e graph.Edge, s *Scratch) []Candidate
 }
 

@@ -376,8 +376,8 @@ func expandFrontier(ctx *Context, s *Scratch, cur graph.AdjList, limit, round in
 // item. cnt, when non-nil, is the kernel's per-survivor support count and cur
 // the group's shared survivors, of which the member's frontier is those with
 // cnt[i] >= k. A staged candidate has no Via yet: its elements are staged in
-// s.viaElems and s.refs says where, until DetectInto's hand-over gives the
-// whole group-event one array. Via attribution depends on how far the
+// s.viaElems and s.refs says where, until HandOver gives everything staged
+// one window of the Via chunk. Via attribution depends on how far the
 // frontier was expanded: unexpanded survivors carry their full support set,
 // staged once per survivor and shared by every member that emits the user;
 // one expansion carries the connector's support set; deeper expansions carry
@@ -438,8 +438,12 @@ func supportersOf(via []graph.VertexID, a graph.VertexID, bs []graph.VertexID, l
 	return via
 }
 
-// viaRef places a Via among the Via elements a group-event has staged.
+// viaRef places a Via among the staged Via elements.
 type viaRef struct{ off, n int }
+
+// stageRun assigns the staged candidates stage[lo:hi] — one program's, for one
+// event — to a result slot.
+type stageRun struct{ slot, lo, hi int }
 
 // sharedVia returns where the Via of the group-event's survivor i — user a —
 // is staged, staging it on first use: the supports holding a, in the order of
@@ -471,10 +475,10 @@ func connectorOf(a graph.VertexID, s *Scratch) (graph.VertexID, bool) {
 }
 
 // ResultSlots returns a scratch-backed slice of n candidate slots, all
-// nil. The engine's shared executor hands slots to DetectInto and then
-// assembles the combined output in program-registration order, so sharing
-// never perturbs downstream candidate ordering. Callers should nil
-// consumed entries so a pooled Scratch does not retain candidates.
+// nil: one per registered program, for a caller that parks per-program
+// results (DetectInto's res; the engine's direct programs) before reading
+// them in registration order. Callers should nil consumed entries so a
+// pooled Scratch does not retain candidates.
 func (s *Scratch) ResultSlots(n int) [][]Candidate {
 	if cap(s.res) < n {
 		s.res = make([][]Candidate, n)
@@ -531,15 +535,45 @@ func groupOf(members []*PlannedProgram) *PlannedGroup {
 	return g
 }
 
+// Chunk sizes of the emit hand-over: how many candidates, and how many Via
+// elements, one malloc serves. An event needing more gets a chunk of its own.
+const (
+	candChunk = 256
+	viaChunk  = 2048
+)
+
+// issue bump-allocates a window of n elements off the front of *tail, the
+// unissued rest of a chunk, with no spare capacity. When the tail is too short
+// it is abandoned for a new chunk of max(n, chunk) elements; windows issued
+// before are never touched again.
+func issue[T any](tail *[]T, n, chunk int) []T {
+	if len(*tail) < n {
+		*tail = make([]T, max(n, chunk))
+	}
+	w := (*tail)[:n:n]
+	*tail = (*tail)[n:]
+	return w
+}
+
 // DetectInto runs the group against one edge, storing the candidates of
 // member i (in the order given at construction) into res[slots[i]]. Slots not
 // written remain untouched, so callers must pre-clear. The candidates of one
-// call share one exact-size array (each slot a capacity-limited window of
-// it) and their Vias another (see Candidate.Via), both freshly allocated; s
-// holds neither on return. The
-// shared prefix honors the same D-locality contract as every member would
-// individually: dynamic reads confined to e.Dst's in-edge list.
+// call are one window of s's candidate chunk (each slot a capacity-limited
+// window of that) and their Vias one of its Via chunk (see Candidate.Via),
+// never rewritten; s holds neither on return. The shared prefix honors the
+// same D-locality contract as every member would individually: dynamic reads
+// confined to e.Dst's in-edge list.
 func (g *PlannedGroup) DetectInto(ctx *Context, e graph.Edge, s *Scratch, res [][]Candidate, slots []int) {
+	g.StageInto(ctx, e, s, slots)
+	s.HandOver(res)
+}
+
+// StageInto is DetectInto without the hand-over: member i's candidates stay
+// staged in s under slot slots[i] until s.HandOver, so a caller running
+// several groups over one event (the engine) hands them over as one window.
+// Until then s must not be passed to a program: a plan's OnEdgeScratch hands
+// over whatever is staged.
+func (g *PlannedGroup) StageInto(ctx *Context, e graph.Edge, s *Scratch, slots []int) {
 	// The prefix parameters are the share key's, equal across members.
 	prefix := g.members[0]
 	win := prefix.WindowFor(e.Type)
@@ -577,43 +611,72 @@ func (g *PlannedGroup) DetectInto(ctx *Context, e graph.Edge, s *Scratch, res []
 		}
 		surv, cnt, maxCnt = s.as, s.cnt, slices.Max(s.cnt)
 	}
-	ends := s.ends[:0]
 	for _, idx := range g.byK {
 		m := g.members[idx]
 		if m.k > maxCnt {
 			break // ascending k: no survivor reaches a later member's either
 		}
+		lo := len(s.stage)
 		m.runSuffix(ctx, e, s, surv, cnt)
-		ends = append(ends, len(s.stage))
-	}
-	s.ends = ends
-	if len(s.stage) == 0 {
-		return
-	}
-	// Hand over: one candidate array of the exact size, a window of it per
-	// emitting member; one Via array of the exact size, a capacity-limited
-	// window of it per candidate; and nothing the event emitted left in the
-	// scratch.
-	out := make([]Candidate, len(s.stage))
-	copy(out, s.stage)
-	vias := make([]graph.VertexID, len(s.viaElems))
-	copy(vias, s.viaElems)
-	for i, r := range s.refs {
-		out[i].Via = vias[r.off : r.off+r.n : r.off+r.n]
-	}
-	lo := 0
-	for i, hi := range ends {
-		if hi > lo {
-			res[slots[g.byK[i]]] = out[lo:hi:hi]
+		if hi := len(s.stage); hi > lo {
+			s.runs = append(s.runs, stageRun{slots[idx], lo, hi})
 		}
-		lo = hi
 	}
-	clear(s.stage)
-	s.stage, s.refs, s.viaElems = s.stage[:0], s.refs[:0], s.viaElems[:0]
+	// The memo indexes this group's survivors; the next group's are others.
 	for _, i := range s.viaSet {
 		s.memo[i] = viaRef{}
 	}
 	s.viaSet = s.viaSet[:0]
+}
+
+// StageCandidates stages cands — what a program outside the planned executor
+// returned for the event — under slot, Vias included, so the hand-over issues
+// them like a plan's.
+func (s *Scratch) StageCandidates(slot int, cands []Candidate) {
+	if len(cands) == 0 {
+		return
+	}
+	lo := len(s.stage)
+	s.stage = append(s.stage, cands...)
+	for _, c := range cands {
+		s.refs = append(s.refs, viaRef{len(s.viaElems), len(c.Via)})
+		s.viaElems = append(s.viaElems, c.Via...)
+	}
+	s.runs = append(s.runs, stageRun{slot, lo, len(s.stage)})
+}
+
+// HandOver issues everything staged as one window of the candidate chunk —
+// the runs in ascending slot order, which is registration order — with the
+// Vias in one window of the Via chunk, a capacity-limited window of it per
+// candidate, and leaves nothing the event emitted in the scratch. A non-nil
+// res also receives each slot's part of the window. It returns nil when
+// nothing is staged.
+func (s *Scratch) HandOver(res [][]Candidate) []Candidate {
+	if len(s.stage) == 0 {
+		return nil
+	}
+	slices.SortFunc(s.runs, func(a, b stageRun) int { return a.slot - b.slot })
+	out := issue(&s.cands, len(s.stage), candChunk)
+	vias := issue(&s.vias, len(s.viaElems), viaChunk)
+	copy(vias, s.viaElems)
+	at := 0
+	for _, r := range s.runs {
+		n := r.hi - r.lo
+		w := out[at : at+n : at+n]
+		copy(w, s.stage[r.lo:r.hi])
+		for i, ref := range s.refs[r.lo:r.hi] {
+			if ref.n > 0 { // an empty Via stays as its program returned it
+				w[i].Via = vias[ref.off : ref.off+ref.n : ref.off+ref.n]
+			}
+		}
+		if res != nil {
+			res[r.slot] = w
+		}
+		at += n
+	}
+	clear(s.stage)
+	s.stage, s.refs, s.runs, s.viaElems = s.stage[:0], s.refs[:0], s.runs[:0], s.viaElems[:0]
+	return out
 }
 
 // runSuffix executes the member's post-prefix ops (expansions and emit) from
