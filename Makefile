@@ -125,14 +125,19 @@ test-codec:
 test-benchmark:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# loc prints, per internal/* package, its non-test Go lines and how many of
-# them are code (not blank, not a // comment) — the yardstick the
-# simplification items on the ROADMAP are held to.
+# loc prints non-test Go lines and how many of them are code (not blank, not
+# a // comment): one row per internal/* package, one for the root package,
+# one per cmd/*, and a total row over every non-test Go file outside
+# benchmark/ (examples/ included) — the yardstick the simplification items on
+# the ROADMAP are held to.
+LOC_AWK = { sub(/^[ \t]+/, "") } !/^$$/ && !/^\/\// { code++ } END { printf "%-22s %6d lines %6d code\n", pkg, NR, code }
 loc:
-	@for d in internal/*/; do \
-		find $$d -name '*.go' ! -name '*_test.go' | xargs cat | awk -v pkg=$$d \
-			'{ sub(/^[ \t]+/, "") } !/^$$/ && !/^\/\// { code++ } END { printf "%-22s %6d lines %6d code\n", pkg, NR, code }'; \
+	@for d in internal/*/ cmd/*/; do \
+		find $$d -name '*.go' ! -name '*_test.go' | xargs cat | awk -v pkg=$$d '$(LOC_AWK)'; \
 	done
+	@find . -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | awk -v pkg='(root package)' '$(LOC_AWK)'
+	@find . -path ./benchmark -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | \
+		xargs cat | awk -v pkg='total (no benchmark/)' '$(LOC_AWK)'
 
 # soak-flake is the nightly soak of the once-flaky scale-out scenario
 # (the zombie-cut bug): 200 consecutive runs, any recurrence fails.

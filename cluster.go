@@ -68,12 +68,6 @@ type ClusterOptions struct {
 	// bounds restore time and advances the firehose log's truncation
 	// horizon. Ignored without CheckpointDir.
 	CheckpointCompactEvery int
-	// StaticSnapshotDir, when non-empty, is where the offline pipeline
-	// publishes per-partition S builds (statstore snapshot files named
-	// s-p%03d.snap). A replica restored through RestoreReplica reloads
-	// its partition's file if present, serving the newest offline build
-	// instead of the S it was constructed with.
-	StaticSnapshotDir string
 	// LogDir, when non-empty, stores the firehose log as a durable
 	// segmented WAL on disk, making whole-cluster restarts recoverable:
 	// NewCluster (or ReopenCluster) over an existing LogDir plus
@@ -221,7 +215,6 @@ func NewCluster(staticEdges []Edge, opts ClusterOptions) (*Cluster, error) {
 		CheckpointDir:      opts.CheckpointDir,
 		CheckpointInterval: opts.CheckpointInterval,
 		CompactEvery:       opts.CheckpointCompactEvery,
-		StaticSnapshotDir:  opts.StaticSnapshotDir,
 		LogDir:             opts.LogDir,
 		LogSyncEvery:       opts.LogSyncEvery,
 		MirrorBases:        opts.MirrorBases,

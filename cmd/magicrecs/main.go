@@ -62,7 +62,6 @@ func run(args []string, errOut io.Writer) int {
 		ckptDir    = fs.String("checkpointdir", "", "directory for durable replica checkpoints (enables crash recovery; empty disables)")
 		ckptEvery  = fs.Duration("checkpointinterval", time.Minute, "stream-time interval between replica checkpoints")
 		compactN   = fs.Int("compactevery", 8, "delta checkpoint segments per chain before the background compactor folds a new base")
-		staticSnap = fs.String("staticsnapdir", "", "directory of offline-built S snapshots (s-p%03d.snap) reloaded on replica restore")
 		logDir     = fs.String("logdir", "", "directory for the durable firehose log (WAL); with -checkpointdir, whole-cluster restarts recover from disk")
 		restarts   = fs.Int("restarts", 0, "restart the whole cluster N times mid-stream (Shutdown + Reopen over the same dirs; requires -logdir)")
 		mirrorN    = fs.Int("mirrorbases", 0, "replicate each compacted base checkpoint to N peer replica directories (base replication; 0 disables)")
@@ -169,7 +168,6 @@ func run(args []string, errOut io.Writer) int {
 		CheckpointDir:          *ckptDir,
 		CheckpointInterval:     *ckptEvery,
 		CheckpointCompactEvery: *compactN,
-		StaticSnapshotDir:      *staticSnap,
 		LogDir:                 *logDir,
 		MirrorBases:            *mirrorN,
 		HealAfter:              *healAfter,
@@ -444,8 +442,7 @@ var workerFlags = map[string]bool{
 	"maxinfluencers": true, "maxfanout": true, "motifs": true,
 	"queuemedian": true, "queuep99": true,
 	"checkpointdir": true, "checkpointinterval": true, "compactevery": true,
-	"staticsnapdir": true, "mirrorbases": true,
-	"applybatch": true, "applyworkers": true, "audit": true,
+	"mirrorbases": true, "applybatch": true, "applyworkers": true, "audit": true,
 }
 
 // spawnWorker re-execs this binary as a worker owning the given slots.

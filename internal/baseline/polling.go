@@ -214,16 +214,7 @@ func StreamingEquivalent(cfg PollingConfig, followEdges, dynamicEdges []graph.Ed
 	builder := &statstore.Builder{}
 	static := statstore.New(builder.Build(followEdges))
 	d := dynstore.New(dynstore.Options{Retention: cfg.Window})
-	follows := make(map[graph.VertexID]graph.AdjList)
-	{
-		byA := make(map[graph.VertexID][]graph.VertexID)
-		for _, e := range followEdges {
-			byA[e.Src] = append(byA[e.Src], e.Dst)
-		}
-		for a, bs := range byA {
-			follows[a] = graph.NewAdjList(bs)
-		}
-	}
+	follows := builder.BuildFollows(followEdges)
 	ctx := &motif.Context{
 		S: static,
 		D: d,

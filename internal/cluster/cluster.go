@@ -181,13 +181,6 @@ type Config struct {
 	// accumulates before the async writer folds it into a fresh base;
 	// zero selects 8. Ignored without CheckpointDir.
 	CompactEvery int
-	// StaticSnapshotDir, when non-empty, is where the offline pipeline
-	// publishes per-partition S builds (statstore.WriteSnapshot files
-	// named s-p%03d.snap). RestoreReplica reloads the partition's file if
-	// present, so a rejoining replica serves the newest offline build
-	// rather than the S it was constructed with; re-provisioned and
-	// scaled-out replicas build their fresh S straight from it.
-	StaticSnapshotDir string
 	// Audit enables the detection-state fingerprint audit (internal/audit):
 	// every checkpoint cut also records a CRC32C fingerprint of the
 	// replica's full recoverable state to an append-only per-replica
@@ -268,7 +261,6 @@ type shared struct {
 	restores              *metrics.Counter
 	compactions           *metrics.Counter
 	truncated             *metrics.Counter
-	staticReloads         *metrics.Counter
 	reprovisions          *metrics.Counter
 	mirrorsOut            *metrics.Counter
 	poolRestores          *metrics.Counter
@@ -304,7 +296,6 @@ func newShared(cfg Config) *shared {
 		restores:              reg.Counter("cluster.restores"),
 		compactions:           reg.Counter("cluster.compactions"),
 		truncated:             reg.Counter("cluster.log_truncated_events"),
-		staticReloads:         reg.Counter("cluster.static_reloads"),
 		reprovisions:          reg.Counter("cluster.reprovisions"),
 		mirrorsOut:            reg.Counter("cluster.base_mirrors"),
 		poolRestores:          reg.Counter("cluster.base_pool_restores"),

@@ -9,7 +9,6 @@ import (
 	"motifstream/internal/dynstore"
 	"motifstream/internal/graph"
 	"motifstream/internal/partition"
-	"motifstream/internal/statstore"
 )
 
 // TestCompactionUnderLoadChaos is the incremental pipeline's
@@ -346,71 +345,5 @@ func TestDeliveryOffsetsPersistence(t *testing.T) {
 	os.Remove(deliveryOffsetsPath(dir))
 	if _, ok := c.loadDeliveryOffset(0); ok {
 		t.Fatal("absent delivery offsets reported ok")
-	}
-}
-
-// TestRestoreReloadsOfflineStaticBuild is the wiring of
-// statstore.ReadSnapshot into RestoreReplica: a replaying replica picks
-// up the newer offline S build published for its partition instead of
-// keeping the S it was constructed with.
-func TestRestoreReloadsOfflineStaticBuild(t *testing.T) {
-	static := ringStatic(40)
-	cfg := recoveryConfig(t, static)
-	snapDir := t.TempDir()
-	cfg.StaticSnapshotDir = snapDir
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	stream := motifWorkload(61, 40, 200)
-	half := len(stream) / 2
-	for _, e := range stream[:half] {
-		c.Publish(e)
-	}
-
-	// The offline pipeline publishes a richer build for partition 0:
-	// the original edges plus a fresh follower per user, filtered to the
-	// partition exactly as a production S shipment would be.
-	richer := append([]graph.Edge{}, static...)
-	for a := graph.VertexID(0); a < 40; a++ {
-		richer = append(richer, graph.Edge{Src: a, Dst: (a + 3) % 40})
-	}
-	builder := &statstore.Builder{
-		Keep: func(a graph.VertexID) bool { return c.part.PartitionOf(a) == 0 },
-	}
-	offline := builder.Build(richer)
-	f, err := os.Create(staticSnapshotPath(snapDir, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := statstore.WriteSnapshot(f, offline); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	if err := c.KillReplica(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RestoreReplica(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range stream[half:] {
-		c.Publish(e)
-	}
-	c.Stop()
-
-	restored, _ := c.Replica(0, 1)
-	got := restored.Engine().Static().Snapshot()
-	if got.NumEdges() != offline.NumEdges() {
-		t.Fatalf("restored replica serves S with %d edges, offline build has %d", got.NumEdges(), offline.NumEdges())
-	}
-	// Its peer — never restored — still serves the construction-time S.
-	peer, _ := c.Replica(0, 0)
-	if peerSnap := peer.Engine().Static().Snapshot(); peerSnap.NumEdges() == offline.NumEdges() {
-		t.Fatal("vacuous: offline build indistinguishable from construction-time S")
-	}
-	if c.staticReloads.Value() != 1 {
-		t.Fatalf("staticReloads = %d, want 1", c.staticReloads.Value())
 	}
 }

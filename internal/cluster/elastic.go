@@ -344,12 +344,12 @@ func (h *replicaHost) launchPlacement(rep *replica, alive bool) error {
 // ReprovisionReplica replaces a replica's node: the old placement — its
 // in-memory state and its directory, chains, mirrors and all — is
 // discarded, and a fresh replica is built on a new generation directory
-// with a fresh S (from Config.StaticEdges, or the newest
-// StaticSnapshotDir build), its state recovered from the partition's base
-// pool plus durable-log replay through the standard replaying → live
-// machine. A dead replica (the auto-healer's case) is replaced in place;
-// a live one is first torn down like KillReplica, guarding the group's
-// last alive copy. Must not be called concurrently with Stop.
+// with S built from Config.StaticEdges like its peers', its state
+// recovered from the partition's base pool plus durable-log replay through
+// the standard replaying → live machine. A dead replica (the auto-healer's
+// case) is replaced in place; a live one is first torn down like
+// KillReplica, guarding the group's last alive copy. Must not be called
+// concurrently with Stop.
 func (c *Cluster) ReprovisionReplica(pid, r int) error {
 	slot, rep, err := c.localSlot(pid, r)
 	if err != nil {
@@ -374,7 +374,7 @@ func (c *Cluster) ReprovisionReplica(pid, r int) error {
 		c.ckptErrors.Inc()
 		return fmt.Errorf("cluster: reprovision %d/%d: placement table: %w", pid, r, err)
 	}
-	fresh, err := c.host.place(pid, r, pl.Gen, c.host.loadStaticSnapshot(pid), true)
+	fresh, err := c.host.place(pid, r, pl.Gen, true)
 	if err != nil {
 		return fmt.Errorf("cluster: reprovision %d/%d: %w", pid, r, err)
 	}
@@ -417,7 +417,7 @@ func (c *Cluster) AddReplica(pid int) (int, error) {
 	// between the persist and the in-memory append restarts into a
 	// replica with an empty directory — a scratch catch-up, the intended
 	// end state.
-	rep, err := c.host.place(pid, idx, 0, c.host.loadStaticSnapshot(pid), true)
+	rep, err := c.host.place(pid, idx, 0, true)
 	if err != nil {
 		return 0, fmt.Errorf("cluster: add replica %d/%d: %w", pid, idx, err)
 	}

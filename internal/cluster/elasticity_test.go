@@ -3,6 +3,8 @@ package cluster
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,10 +13,7 @@ import (
 	"motifstream/internal/audit"
 	"motifstream/internal/codecutil"
 	"motifstream/internal/core"
-	"motifstream/internal/graph"
-	"motifstream/internal/partition"
 	"motifstream/internal/placement"
-	"motifstream/internal/statstore"
 )
 
 // The elasticity suite covers the placement subsystem's mechanisms
@@ -669,66 +668,6 @@ func TestMirrorOnlySurvivorReplaysAfterTruncation(t *testing.T) {
 	assertConverged(t, h.c, oracle, faultCfg)
 }
 
-// TestReprovisionBuildsFreshSFromSnapshotDir pins the fresh-S build path:
-// a replacement node boots the newest offline S build instead of
-// recomputing from the static edge set.
-func TestReprovisionBuildsFreshSFromSnapshotDir(t *testing.T) {
-	static := ringStatic(40)
-	cfg := recoveryConfig(t, static)
-	cfg.StaticSnapshotDir = t.TempDir()
-
-	// Publish an offline build that differs from the configured edges:
-	// every user follows three successors instead of two.
-	var newer []graph.Edge
-	for a := graph.VertexID(0); a < 40; a++ {
-		for d := graph.VertexID(1); d <= 3; d++ {
-			newer = append(newer, graph.Edge{Src: a, Dst: (a + d) % 40})
-		}
-	}
-	part := partition.NewHashPartitioner(cfg.Partitions)
-	for pid := 0; pid < cfg.Partitions; pid++ {
-		builder := &statstore.Builder{Keep: func(a graph.VertexID) bool { return part.PartitionOf(a) == pid }}
-		snap := builder.Build(newer)
-		f, err := os.Create(staticSnapshotPath(cfg.StaticSnapshotDir, pid))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := statstore.WriteSnapshot(f, snap); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-	}
-
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	defer c.Stop()
-	for _, e := range motifWorkload(65, 40, 100) {
-		c.Publish(e)
-	}
-	before, _ := c.Replica(0, 1)
-	beforeEdges := before.Engine().Static().Snapshot().NumEdges()
-	if err := c.KillReplica(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.ReprovisionReplica(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AwaitReplicaLive(0, 1, 30*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	after, err := c.Replica(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	afterEdges := after.Engine().Static().Snapshot().NumEdges()
-	if afterEdges <= beforeEdges {
-		t.Fatalf("replacement S has %d edges, want more than the configured build's %d", afterEdges, beforeEdges)
-	}
-}
-
 // TestReprovisionKeepsSharing is the regression for the replacement node's
 // partition constructor building its engine from less than the replicas New
 // built were given: a reprovisioned or scaled-out replica must run the same
@@ -756,8 +695,14 @@ func TestReprovisionKeepsSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := c.KillReplica(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RestoreReplica(1, 1); err != nil {
+		t.Fatal(err)
+	}
 	var peer core.SharingStats
-	for i, slot := range [][2]int{{0, 0}, {0, 1}, {1, added}} {
+	for i, slot := range [][2]int{{0, 0}, {0, 1}, {1, 1}, {1, added}} {
 		if err := c.AwaitReplicaLive(slot[0], slot[1], 30*time.Second); err != nil {
 			t.Fatal(err)
 		}
@@ -773,6 +718,43 @@ func TestReprovisionKeepsSharing(t *testing.T) {
 		} else if sh != peer {
 			t.Errorf("replica %d/%d runs %+v, its untouched peer %+v", slot[0], slot[1], sh, peer)
 		}
+	}
+	// S is a function of configuration alone: a reprovisioned, a restored
+	// and a scaled-out replica serve the S and already-follows index their
+	// untouched peer serves.
+	for _, slot := range [][2]int{{0, 1}, {1, 1}, {1, added}} {
+		assertSameStatic(t, c, slot[0], slot[1])
+	}
+}
+
+// assertSameStatic fails unless replica pid/r serves the S and the
+// already-follows index replica pid/0 serves: the same NumEdges, the same
+// follower list for every B of the configured edges, and equal follows
+// indexes.
+func assertSameStatic(t *testing.T, c *Cluster, pid, r int) {
+	t.Helper()
+	peer, err := c.Replica(pid, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := c.Replica(pid, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := peer.Engine().Static().Snapshot(), p.Engine().Static().Snapshot()
+	if want.NumEdges() == 0 || len(peer.FollowsIndex()) == 0 {
+		t.Fatalf("vacuous: replica %d/0 serves an empty S or follows index", pid)
+	}
+	if got.NumEdges() != want.NumEdges() {
+		t.Fatalf("replica %d/%d serves S with %d edges, its peer %d", pid, r, got.NumEdges(), want.NumEdges())
+	}
+	for _, e := range c.cfg.StaticEdges {
+		if b := e.Dst; !slices.Equal(got.Followers(b), want.Followers(b)) {
+			t.Fatalf("replica %d/%d: followers of %d = %v, its peer's %v", pid, r, b, got.Followers(b), want.Followers(b))
+		}
+	}
+	if !reflect.DeepEqual(p.FollowsIndex(), peer.FollowsIndex()) {
+		t.Fatalf("replica %d/%d serves a follows index unlike its peer's", pid, r)
 	}
 }
 

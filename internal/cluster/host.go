@@ -11,7 +11,6 @@ import (
 	"motifstream/internal/partition"
 	"motifstream/internal/placement"
 	"motifstream/internal/queue"
-	"motifstream/internal/statstore"
 	"motifstream/internal/transport"
 )
 
@@ -134,7 +133,7 @@ func newReplicaHost(sh *shared, link hubLink, owned [][2]int, chains bool) (*rep
 		// A chain left by a run whose firehose log is gone is wiped rather
 		// than resurrected. Where the log outlives the process it stays —
 		// the log-identity gate plus segment checksums vouch for it.
-		rep, err := h.place(or[0], or[1], pls[or[1]].Gen, nil, !chains)
+		rep, err := h.place(or[0], or[1], pls[or[1]].Gen, !chains)
 		if err != nil {
 			return nil, err
 		}
@@ -152,15 +151,14 @@ func newReplicaHost(sh *shared, link hubLink, owned [][2]int, chains bool) (*rep
 	return h, nil
 }
 
-// place builds the replica of one placement: its partition — S served from
-// snap when non-nil (a replacement or scale-out replica booting from the
-// newest offline build), else built from Config.StaticEdges — and, with
-// recovery, its generation's checkpoint directory, emptied first when wipe.
-func (h *replicaHost) place(pid, idx, gen int, snap *statstore.Snapshot, wipe bool) (*replica, error) {
+// place builds the replica of one placement: its partition — S and the
+// already-follows index built from Config.StaticEdges, as every replica of
+// the group builds them — and, with recovery, its generation's checkpoint
+// directory, emptied first when wipe.
+func (h *replicaHost) place(pid, idx, gen int, wipe bool) (*replica, error) {
 	p, err := partition.New(partition.Config{
 		ID:             pid,
 		StaticEdges:    h.cfg.StaticEdges,
-		StaticSnapshot: snap,
 		Partitioner:    h.part,
 		MaxInfluencers: h.cfg.MaxInfluencers,
 		Dynamic:        h.cfg.Dynamic,

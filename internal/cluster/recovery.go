@@ -12,7 +12,6 @@ import (
 	"motifstream/internal/audit"
 	"motifstream/internal/codecutil"
 	"motifstream/internal/partition"
-	"motifstream/internal/statstore"
 )
 
 // On-disk layout of the incremental checkpoint pipeline (see
@@ -161,10 +160,6 @@ func segmentPath(dir string, ref segmentRef) string {
 func deliveryOffsetsPath(dir string) string { return filepath.Join(dir, "delivery.off") }
 
 func deliveryStatePath(dir string) string { return filepath.Join(dir, "delivery.state") }
-
-func staticSnapshotPath(dir string, pid int) string {
-	return filepath.Join(dir, fmt.Sprintf("s-p%03d.snap", pid))
-}
 
 // openSegFile opens the file every checkpoint segment and base mirror is
 // written through. It is a variable so fault-injection tests (errfs-lite,
@@ -777,35 +772,6 @@ func (s *shared) loadDeliveryOffsets() []uint64 {
 	return out
 }
 
-// loadStaticSnapshot returns partition pid's newest offline S build from
-// Config.StaticSnapshotDir, or nil when there is none to load: a rejoining
-// or replacement detection server serves the latest published S rather than
-// the build it crashed with or a recomputation of history. An absent file
-// is fine (no newer build); an unreadable one is counted.
-func (h *replicaHost) loadStaticSnapshot(pid int) *statstore.Snapshot {
-	dir := h.cfg.StaticSnapshotDir
-	if dir == "" {
-		return nil
-	}
-	snap, err := statstore.LoadSnapshotFile(staticSnapshotPath(dir, pid))
-	if err != nil {
-		if !os.IsNotExist(err) {
-			h.ckptErrors.Inc()
-		}
-		return nil
-	}
-	h.staticReloads.Inc()
-	return snap
-}
-
-// reloadStatic swaps the newest offline S build, if there is one, into a
-// replica about to rejoin.
-func (h *replicaHost) reloadStatic(rep *replica) {
-	if snap := h.loadStaticSnapshot(rep.pid); snap != nil {
-		rep.p.Engine().ReloadStatic(snap)
-	}
-}
-
 // KillReplica crashes a replica for real: it stops consuming the firehose
 // and its entire recoverable state is dropped, unlike FailReplica's
 // health-flag failure. Reads route around it, and candidate delivery
@@ -866,13 +832,13 @@ func (c *Cluster) localSlot(pid, r int) (*replicaSlot, *replica, error) {
 
 // RestoreReplica rejoins a killed replica: plan and execute its restore
 // (planRestore: own chain, base pool, or scratch — including the
-// sole-coverage clamp that closes the promoted-replica gap), pick up a
-// newer offline S build when Config.StaticSnapshotDir provides one, then
-// replay the retained firehose log from the restore point. The replica
-// stays broker-down while replaying, and the delivery tier's offset filter
-// absorbs its replayed candidate batches; it turns live once it has applied
-// every offset that existed when recovery began. Must not be called
-// concurrently with Stop.
+// sole-coverage clamp that closes the promoted-replica gap), then replay
+// the retained firehose log from the restore point. S is the one the
+// replica was built with, its peers' too. The replica stays broker-down
+// while replaying, and the delivery tier's offset filter absorbs its
+// replayed candidate batches; it turns live once it has applied every
+// offset that existed when recovery began. Must not be called concurrently
+// with Stop.
 func (c *Cluster) RestoreReplica(pid, r int) error {
 	slot, rep, err := c.localSlot(pid, r)
 	if err != nil {

@@ -226,13 +226,12 @@ func (h *replicaHost) executeRestore(rep *replica, plan restorePlan) (restorePoi
 
 // restoreSlot plans and executes the restore of a replica whose partition
 // was built from configuration (construction) or survived a kill
-// (RestoreReplica), swapping in the newest offline S build on the way.
+// (RestoreReplica).
 func (h *replicaHost) restoreSlot(rep *replica, alive bool) (restorePoint, error) {
 	plan, err := h.planSlot(rep, alive)
 	if err != nil {
 		return restorePoint{}, err
 	}
-	h.reloadStatic(rep)
 	return h.executeRestore(rep, plan)
 }
 

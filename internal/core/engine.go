@@ -286,7 +286,8 @@ func (e *Engine) maybeSweep(nowMS int64) {
 }
 
 // ReloadStatic swaps in a freshly built S snapshot, modeling the periodic
-// offline load of the paper.
+// offline load of the paper. The single-node System calls it; a cluster
+// replica never does, so every replica of a group serves one S.
 func (e *Engine) ReloadStatic(s *statstore.Snapshot) { e.static.Reload(s) }
 
 // Static returns the engine's S store.

@@ -2,8 +2,8 @@
 // the A→B edges are computed offline and loaded into the system
 // periodically: this allows us to take advantage of rich features to prune
 // the graph" (§2). The pipeline scores each follow edge from interaction
-// features, prunes weak edges and over-long follow lists, and publishes
-// fresh S snapshots to the online system on a schedule.
+// features, prunes weak edges and over-long follow lists, and builds the
+// pruned edge set the facade's System.PeriodicStaticReload loads on a timer.
 package offline
 
 import (
@@ -77,15 +77,11 @@ type Config struct {
 	MinScore float64
 	// Scorer ranks edges; nil selects DefaultScorer.
 	Scorer Scorer
-	// PartitionKeep optionally restricts the build to one partition's
-	// A's, matching statstore.Builder semantics.
-	PartitionKeep func(a graph.VertexID) bool
 }
 
 // Pipeline scores and prunes follow edges into S snapshots.
 type Pipeline struct {
-	cfg     Config
-	builder *statstore.Builder
+	cfg Config
 }
 
 // NewPipeline validates cfg and returns a Pipeline.
@@ -160,16 +156,12 @@ func (p *Pipeline) Build(follows []graph.Edge, interactions []Interaction, nowMS
 	}
 
 	builder := &statstore.Builder{
-		Keep:           p.cfg.PartitionKeep,
 		MaxInfluencers: p.cfg.MaxInfluencers,
 		Score:          score,
 	}
 	snap := builder.Build(kept)
 	stats.OutputEdges = int(snap.NumEdges())
-	capped := len(kept) - stats.OutputEdges
-	if p.cfg.PartitionKeep == nil && capped > 0 {
-		stats.CappedOut = capped
-	}
+	stats.CappedOut = len(kept) - stats.OutputEdges
 	stats.BuildElapsed = time.Since(start)
 	return snap, kept, stats
 }
@@ -179,67 +171,4 @@ func maxI64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// Reloader periodically rebuilds S and publishes it to a target store,
-// modeling the paper's "loaded into the system periodically". Sources are
-// pulled at each tick so the batch inputs can evolve between builds.
-type Reloader struct {
-	// Pipeline performs the builds. Required.
-	Pipeline *Pipeline
-	// Target receives each new snapshot. Required.
-	Target *statstore.Store
-	// Fetch returns the current batch inputs and build time. Required.
-	Fetch func() (follows []graph.Edge, interactions []Interaction, nowMS int64)
-	// Interval between builds; zero selects one hour.
-	Interval time.Duration
-	// OnBuild, if set, observes each build's stats.
-	OnBuild func(BuildStats)
-
-	stop chan struct{}
-	done chan struct{}
-}
-
-// Start launches the reload loop; the first build runs immediately.
-// It returns an error if required fields are missing.
-func (r *Reloader) Start() error {
-	if r.Pipeline == nil || r.Target == nil || r.Fetch == nil {
-		return fmt.Errorf("offline: Reloader needs Pipeline, Target, and Fetch")
-	}
-	if r.Interval <= 0 {
-		r.Interval = time.Hour
-	}
-	r.stop = make(chan struct{})
-	r.done = make(chan struct{})
-	r.buildOnce()
-	go func() {
-		defer close(r.done)
-		ticker := time.NewTicker(r.Interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				r.buildOnce()
-			case <-r.stop:
-				return
-			}
-		}
-	}()
-	return nil
-}
-
-func (r *Reloader) buildOnce() {
-	follows, interactions, nowMS := r.Fetch()
-	snap, _, stats := r.Pipeline.Build(follows, interactions, nowMS)
-	r.Target.Reload(snap)
-	if r.OnBuild != nil {
-		r.OnBuild(stats)
-	}
-}
-
-// Stop terminates the loop and waits for it to exit. Safe to call once
-// after a successful Start.
-func (r *Reloader) Stop() {
-	close(r.stop)
-	<-r.done
 }

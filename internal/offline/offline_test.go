@@ -1,12 +1,10 @@
 package offline
 
 import (
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"motifstream/internal/graph"
-	"motifstream/internal/statstore"
 )
 
 const dayMS = int64(24 * time.Hour / time.Millisecond)
@@ -110,72 +108,5 @@ func TestBuildReciprocity(t *testing.T) {
 	}
 	if snap.Followers(3) != nil {
 		t.Fatal("one-way edge should be capped away")
-	}
-}
-
-func TestBuildPartitionKeep(t *testing.T) {
-	now := dayMS
-	follows := []graph.Edge{follow(1, 10, now), follow(2, 10, now)}
-	p := NewPipeline(Config{
-		PartitionKeep: func(a graph.VertexID) bool { return a == 1 },
-	})
-	snap, _, _ := p.Build(follows, nil, now)
-	l := snap.Followers(10)
-	if len(l) != 1 || l[0] != 1 {
-		t.Fatalf("Followers(10) = %v", l)
-	}
-}
-
-func TestReloaderPublishes(t *testing.T) {
-	target := statstore.New(nil)
-	var builds atomic.Int32
-	var gen atomic.Int64
-	r := &Reloader{
-		Pipeline: NewPipeline(Config{}),
-		Target:   target,
-		Interval: 5 * time.Millisecond,
-		Fetch: func() ([]graph.Edge, []Interaction, int64) {
-			g := gen.Add(1)
-			// The follow graph evolves between builds.
-			return []graph.Edge{follow(graph.VertexID(g), 10, 0)}, nil, dayMS
-		},
-		OnBuild: func(BuildStats) { builds.Add(1) },
-	}
-	if err := r.Start(); err != nil {
-		t.Fatal(err)
-	}
-	// First build is synchronous.
-	if builds.Load() < 1 {
-		t.Fatal("no initial build")
-	}
-	if target.Followers(10) == nil {
-		t.Fatal("snapshot not published")
-	}
-	deadline := time.After(2 * time.Second)
-	for builds.Load() < 3 {
-		select {
-		case <-deadline:
-			t.Fatal("reloader did not tick")
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-	r.Stop()
-	after := builds.Load()
-	time.Sleep(20 * time.Millisecond)
-	if builds.Load() != after {
-		t.Fatal("reloader kept building after Stop")
-	}
-	// The served snapshot reflects a later generation.
-	snap := target.Snapshot()
-	if snap.NumEdges() != 1 {
-		t.Fatalf("served snapshot edges = %d", snap.NumEdges())
-	}
-}
-
-func TestReloaderValidation(t *testing.T) {
-	r := &Reloader{}
-	if err := r.Start(); err == nil {
-		t.Fatal("empty reloader started")
 	}
 }

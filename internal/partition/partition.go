@@ -61,10 +61,11 @@ type Config struct {
 	// MaxInfluencers caps B's per A in S (0 = unlimited).
 	MaxInfluencers int
 	// StaticSnapshot, when non-nil, is served as S directly instead of
-	// building one from StaticEdges — the node-replacement path hands a
-	// freshly loaded offline build here, exactly as a replacement
-	// detection server boots from the newest published S rather than
-	// recomputing it. StaticEdges is still used for the follows index.
+	// building one from StaticEdges, for a caller that has built this
+	// partition's S itself (benchmark/ does, to time the build alone) and
+	// is expected to equal that build. StaticEdges still feeds the follows
+	// index. The cluster never sets it: its replicas all build S from
+	// configuration.
 	StaticSnapshot *statstore.Snapshot
 	// Dynamic configures this partition's D store.
 	Dynamic dynstore.Options
@@ -81,11 +82,12 @@ type Config struct {
 // the detection engine, and a small per-user candidate log that serves the
 // broker's read path.
 type Partition struct {
-	id     int
-	part   Partitioner
-	engine *core.Engine
-	log    *candidateLog
-	items  *itemCounter
+	id      int
+	part    Partitioner
+	engine  *core.Engine
+	follows map[graph.VertexID]graph.AdjList
+	log     *candidateLog
+	items   *itemCounter
 }
 
 // New builds a partition, including its S snapshot from the global static
@@ -97,17 +99,17 @@ func New(cfg Config) (*Partition, error) {
 	if cfg.ID < 0 || cfg.ID >= cfg.Partitioner.N() {
 		return nil, fmt.Errorf("partition: ID %d out of range [0,%d)", cfg.ID, cfg.Partitioner.N())
 	}
+	builder := &statstore.Builder{
+		Keep:           func(a graph.VertexID) bool { return cfg.Partitioner.PartitionOf(a) == cfg.ID },
+		MaxInfluencers: cfg.MaxInfluencers,
+	}
 	snap := cfg.StaticSnapshot
 	if snap == nil {
-		builder := &statstore.Builder{
-			Keep:           func(a graph.VertexID) bool { return cfg.Partitioner.PartitionOf(a) == cfg.ID },
-			MaxInfluencers: cfg.MaxInfluencers,
-		}
 		snap = builder.Build(cfg.StaticEdges)
 	}
 	static := statstore.New(snap)
 	// Forward index for already-follows suppression, partition-local.
-	follows := buildFollowsIndex(cfg.StaticEdges, cfg.Partitioner, cfg.ID)
+	follows := builder.BuildFollows(cfg.StaticEdges)
 	eng, err := core.NewEngine(core.Config{
 		Static:   static,
 		Dynamic:  dynstore.New(cfg.Dynamic),
@@ -125,27 +127,13 @@ func New(cfg Config) (*Partition, error) {
 		depth = 16
 	}
 	return &Partition{
-		id:     cfg.ID,
-		part:   cfg.Partitioner,
-		engine: eng,
-		log:    newCandidateLog(depth),
-		items:  newItemCounter(),
+		id:      cfg.ID,
+		part:    cfg.Partitioner,
+		engine:  eng,
+		follows: follows,
+		log:     newCandidateLog(depth),
+		items:   newItemCounter(),
 	}, nil
-}
-
-// buildFollowsIndex maps each in-partition A to its sorted followings.
-func buildFollowsIndex(edges []graph.Edge, p Partitioner, id int) map[graph.VertexID]graph.AdjList {
-	byA := make(map[graph.VertexID][]graph.VertexID)
-	for _, e := range edges {
-		if p.PartitionOf(e.Src) == id {
-			byA[e.Src] = append(byA[e.Src], e.Dst)
-		}
-	}
-	out := make(map[graph.VertexID]graph.AdjList, len(byA))
-	for a, bs := range byA {
-		out[a] = graph.NewAdjList(bs)
-	}
-	return out
 }
 
 // ID returns the partition index.
@@ -153,6 +141,11 @@ func (p *Partition) ID() int { return p.id }
 
 // Engine exposes the partition's detection engine.
 func (p *Partition) Engine() *core.Engine { return p.engine }
+
+// FollowsIndex exposes the already-follows index the engine suppresses
+// candidates with: each in-partition A's sorted followings. It is shared
+// and must not be modified.
+func (p *Partition) FollowsIndex() map[graph.VertexID]graph.AdjList { return p.follows }
 
 // Apply ingests one dynamic edge and returns the candidates detected for
 // this partition's A's. Candidates are also appended to the per-user log.

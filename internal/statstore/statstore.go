@@ -1,14 +1,15 @@
 // Package statstore implements the paper's S data structure: the inverted
 // static adjacency list. For each B, S stores the sorted list of A's that
 // follow B, restricted to the A's owned by the local partition. S is
-// immutable once built; the production system recomputes it offline and
-// reloads it periodically (paper §2), which this package models with atomic
-// snapshot swaps.
+// immutable once built. The production system recomputes it offline and
+// reloads it periodically (paper §2); the single-node System models that
+// with Store.Reload's atomic snapshot swap. A cluster replica never swaps:
+// every replica of a group serves the S it was built with from
+// configuration, so replicas stay a pure function of the stream prefix.
 package statstore
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"motifstream/internal/graph"
@@ -40,8 +41,8 @@ func (s *Store) Followers(b graph.VertexID) graph.AdjList {
 // Snapshot returns the currently served snapshot.
 func (s *Store) Snapshot() *Snapshot { return s.snap.Load() }
 
-// Reload atomically swaps in a new snapshot; in production this happens
-// when the offline pipeline publishes a fresh S.
+// Reload atomically swaps in a new snapshot; the single-node System calls
+// it when the offline pipeline publishes a fresh S.
 func (s *Store) Reload(next *Snapshot) {
 	if next == nil {
 		return
@@ -53,7 +54,6 @@ func (s *Store) Reload(next *Snapshot) {
 type Snapshot struct {
 	followers map[graph.VertexID]graph.AdjList
 	numEdges  uint64
-	version   uint64
 }
 
 // Followers returns the sorted follower list for b.
@@ -68,9 +68,6 @@ func (s *Snapshot) NumInfluencers() int { return len(s.followers) }
 // NumEdges returns the total A→B edges retained in this snapshot.
 func (s *Snapshot) NumEdges() uint64 { return s.numEdges }
 
-// Version returns the build version assigned by the Builder.
-func (s *Snapshot) Version() uint64 { return s.version }
-
 // MemoryBytes approximates the resident size: 8 bytes per retained edge
 // plus map overhead per influencer.
 func (s *Snapshot) MemoryBytes() uint64 {
@@ -84,9 +81,6 @@ func (s *Snapshot) MemoryBytes() uint64 {
 // limited to at most MaxInfluencers B's, which both improves quality and
 // bounds S memory (paper §2).
 type Builder struct {
-	mu      sync.Mutex
-	version uint64
-
 	// Keep accepts the A's owned by this partition. Nil keeps everything
 	// (single-node mode).
 	Keep func(a graph.VertexID) bool
@@ -104,11 +98,6 @@ type Builder struct {
 // edge's Src is an A, Dst is a B; the output maps each B to its sorted,
 // partition-local A's.
 func (b *Builder) Build(edges []graph.Edge) *Snapshot {
-	b.mu.Lock()
-	b.version++
-	version := b.version
-	b.mu.Unlock()
-
 	kept := edges
 	if b.Keep != nil {
 		kept = make([]graph.Edge, 0, len(edges))
@@ -133,7 +122,24 @@ func (b *Builder) Build(edges []graph.Edge) *Snapshot {
 		out[bID] = l
 		n += uint64(len(l))
 	}
-	return &Snapshot{followers: out, numEdges: n, version: version}
+	return &Snapshot{followers: out, numEdges: n}
+}
+
+// BuildFollows builds the already-follows index candidate suppression
+// checks: each A Keep accepts, mapped to its sorted followings. The
+// influencer cap does not apply — a follow S drops is still a follow.
+func (b *Builder) BuildFollows(edges []graph.Edge) map[graph.VertexID]graph.AdjList {
+	byA := make(map[graph.VertexID][]graph.VertexID)
+	for _, e := range edges {
+		if b.Keep == nil || b.Keep(e.Src) {
+			byA[e.Src] = append(byA[e.Src], e.Dst)
+		}
+	}
+	out := make(map[graph.VertexID]graph.AdjList, len(byA))
+	for a, bs := range byA {
+		out[a] = graph.NewAdjList(bs)
+	}
+	return out
 }
 
 // capInfluencers keeps at most max B's per A, preferring higher scores.

@@ -62,6 +62,20 @@ func TestBuildPartitionFilter(t *testing.T) {
 	}
 }
 
+func TestBuildFollowsKeepsPartitionIgnoresCap(t *testing.T) {
+	b := &Builder{
+		Keep:           func(a graph.VertexID) bool { return a%2 == 0 },
+		MaxInfluencers: 1,
+	}
+	idx := b.BuildFollows([]graph.Edge{
+		follow(2, 30, 0), follow(2, 10, 0), follow(2, 10, 5), follow(2, 20, 0),
+		follow(3, 10, 0),
+	})
+	if len(idx) != 1 || !sameIDs(idx[2], []graph.VertexID{10, 20, 30}) {
+		t.Fatalf("BuildFollows = %v, want A=2 → [10 20 30] only", idx)
+	}
+}
+
 func TestInfluencerCapKeepsHighestScored(t *testing.T) {
 	// A=1 follows 4 B's with increasing timestamps; cap 2 with the
 	// default recency score keeps B=30,40.
@@ -126,20 +140,18 @@ func TestFollowersSorted(t *testing.T) {
 func TestStoreReloadAtomic(t *testing.T) {
 	b := &Builder{}
 	s1 := b.Build([]graph.Edge{follow(1, 10, 0)})
-	s2 := b.Build([]graph.Edge{follow(2, 10, 0)})
-	if s1.Version() >= s2.Version() {
-		t.Fatalf("versions not increasing: %d then %d", s1.Version(), s2.Version())
-	}
+	s2 := b.Build([]graph.Edge{follow(2, 10, 0), follow(2, 20, 0)})
+	// The two builds are told apart by what they serve.
 	st := New(s1)
-	if !sameIDs(st.Followers(10), []graph.VertexID{1}) {
+	if st.Snapshot() != s1 || !sameIDs(st.Followers(10), []graph.VertexID{1}) || st.Followers(20) != nil {
 		t.Fatal("initial snapshot not served")
 	}
 	st.Reload(s2)
-	if !sameIDs(st.Followers(10), []graph.VertexID{2}) {
+	if st.Snapshot() != s2 || !sameIDs(st.Followers(10), []graph.VertexID{2}) || !sameIDs(st.Followers(20), []graph.VertexID{2}) {
 		t.Fatal("reloaded snapshot not served")
 	}
 	st.Reload(nil) // ignored
-	if !sameIDs(st.Followers(10), []graph.VertexID{2}) {
+	if st.Snapshot() != s2 || !sameIDs(st.Followers(10), []graph.VertexID{2}) {
 		t.Fatal("nil reload should be a no-op")
 	}
 }

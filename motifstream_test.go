@@ -2,6 +2,7 @@ package motifstream_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -124,6 +125,52 @@ func TestSystemReloadStatic(t *testing.T) {
 	if len(got) != 1 || got[0].User != 7 {
 		t.Fatalf("after reload: %v", got)
 	}
+
+	// With SuppressKnown the already-follows index reloads with S: once the
+	// reloaded edges say 7 follows 99, 99 is no longer recommended to 7,
+	// while an item 7 does not follow still is.
+	known, err := motifstream.New(fig1(), motifstream.Options{K: 2, Window: 10 * time.Minute, SuppressKnown: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	known.ReloadStatic([]motifstream.Edge{
+		{Src: 7, Dst: 10, Type: motifstream.Follow},
+		{Src: 7, Dst: 11, Type: motifstream.Follow},
+		{Src: 7, Dst: 99, Type: motifstream.Follow},
+	})
+	known.Apply(motifstream.Edge{Src: 10, Dst: 99, Type: motifstream.Follow, TS: t0})
+	if got := known.Apply(motifstream.Edge{Src: 11, Dst: 99, Type: motifstream.Follow, TS: t0 + 1}); len(got) != 0 {
+		t.Fatalf("recommended 99, which the reloaded edges say 7 follows: %v", got)
+	}
+	known.Apply(motifstream.Edge{Src: 10, Dst: 98, Type: motifstream.Follow, TS: t0 + 2})
+	if got := known.Apply(motifstream.Edge{Src: 11, Dst: 98, Type: motifstream.Follow, TS: t0 + 3}); len(got) != 1 || got[0].User != 7 {
+		t.Fatalf("after reload with SuppressKnown: %v", got)
+	}
+}
+
+// TestSystemReloadStaticDuringApply reloads S and the already-follows index
+// while Apply runs on other goroutines: under -race, the swap must be one
+// every concurrent reader sees whole.
+func TestSystemReloadStaticDuringApply(t *testing.T) {
+	sys, err := motifstream.New(fig1(), motifstream.Options{K: 2, Window: 10 * time.Minute, SuppressKnown: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				ts := int64(1_000_000 + i)
+				sys.Apply(motifstream.Edge{Src: motifstream.VertexID(10 + w), Dst: motifstream.VertexID(1000 + i), Type: motifstream.Follow, TS: ts})
+			}
+		}(w)
+	}
+	for i := 0; i < 50; i++ {
+		sys.ReloadStatic(append(fig1(), motifstream.Edge{Src: 2, Dst: motifstream.VertexID(1000 + i), Type: motifstream.Follow}))
+	}
+	wg.Wait()
 }
 
 func TestSystemExtraProgramsFromDSL(t *testing.T) {

@@ -2,6 +2,7 @@ package motifstream
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"motifstream/internal/core"
@@ -62,6 +63,10 @@ func (o *Options) RegisterMotifs(src string) error {
 type System struct {
 	engine *core.Engine
 	opts   Options
+	// known is the SuppressKnown already-follows index, built from the same
+	// edges as the S the engine serves and swapped with it by ReloadStatic;
+	// nil without SuppressKnown.
+	known atomic.Pointer[map[VertexID]graph.AdjList]
 }
 
 // New builds a System from the static A→B follow edges.
@@ -77,22 +82,18 @@ func New(staticEdges []Edge, opts Options) (*System, error) {
 		return nil, fmt.Errorf("motifstream: Retention %s shorter than Window %s", opts.Retention, window)
 	}
 
-	builder := &statstore.Builder{MaxInfluencers: opts.MaxInfluencers}
-	static := statstore.New(builder.Build(staticEdges))
-
-	var follows func(a, c VertexID) bool
-	if opts.SuppressKnown {
-		idx := buildForwardIndex(staticEdges)
-		follows = func(a, c VertexID) bool { return idx[a].Contains(c) }
-	}
-
 	programs, err := appendMotifs(append([]motif.Program{primary}, opts.ExtraPrograms...), opts.motifSources)
 	if err != nil {
 		return nil, err
 	}
 
-	eng, err := core.NewEngine(core.Config{
-		Static: static,
+	s := &System{opts: opts}
+	var follows func(a, c VertexID) bool
+	if opts.SuppressKnown {
+		follows = func(a, c VertexID) bool { return (*s.known.Load())[a].Contains(c) }
+	}
+	s.engine, err = core.NewEngine(core.Config{
+		Static: statstore.New(s.buildStatic(staticEdges)),
 		// MaxPerTarget bounds per-event work on viral items: only the
 		// most recent in-edges matter for k-threshold detection.
 		Dynamic:  dynstore.New(dynstore.Options{Retention: opts.Retention, MaxPerTarget: 1024}),
@@ -102,7 +103,18 @@ func New(staticEdges []Edge, opts Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &System{engine: eng, opts: opts}, nil
+	return s, nil
+}
+
+// buildStatic builds S from staticEdges and, with SuppressKnown, publishes
+// the already-follows index built from the same edges.
+func (s *System) buildStatic(staticEdges []Edge) *statstore.Snapshot {
+	builder := &statstore.Builder{MaxInfluencers: s.opts.MaxInfluencers}
+	if s.opts.SuppressKnown {
+		known := builder.BuildFollows(staticEdges)
+		s.known.Store(&known)
+	}
+	return builder.Build(staticEdges)
 }
 
 // primaryDiamond builds the plan both facades run first, applying their
@@ -138,30 +150,21 @@ func primaryDiamond(k int, window time.Duration, edgeTypes []EdgeType, maxFanout
 	}), window, nil
 }
 
-func buildForwardIndex(edges []Edge) map[VertexID]graph.AdjList {
-	byA := make(map[VertexID][]VertexID)
-	for _, e := range edges {
-		byA[e.Src] = append(byA[e.Src], e.Dst)
-	}
-	out := make(map[VertexID]graph.AdjList, len(byA))
-	for a, bs := range byA {
-		out[a] = graph.NewAdjList(bs)
-	}
-	return out
-}
-
 // Apply ingests one stream edge and returns the recommendations whose
 // motif it completed.
 func (s *System) Apply(e Edge) []Candidate {
 	return s.engine.Apply(e)
 }
 
-// ReloadStatic swaps in a freshly built static store, modeling the paper's
-// periodic offline S load. Ongoing Apply calls see either the old or the
-// new snapshot, never a mix.
+// ReloadStatic swaps in S and, with SuppressKnown, the already-follows
+// index built from staticEdges, modeling the paper's periodic offline S load.
+// Each is swapped by one atomic pointer store, as Store.Reload does, so a
+// concurrent Apply reads whole builds, never a partly built one. The index
+// goes first, so a candidate drawn from the new S is always checked against
+// the new index; only an Apply straddling the reload can check one drawn
+// from the old S against either.
 func (s *System) ReloadStatic(staticEdges []Edge) {
-	builder := &statstore.Builder{MaxInfluencers: s.opts.MaxInfluencers}
-	s.engine.ReloadStatic(builder.Build(staticEdges))
+	s.engine.ReloadStatic(s.buildStatic(staticEdges))
 }
 
 // Stats summarizes engine activity.
