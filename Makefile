@@ -29,14 +29,14 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# test-allocs runs the candidate path's allocation gates — the kernel's; the
-# engine's no-candidate budget and its chunk budgets (multi-motif, emitting);
-# the apply loop's no-candidate batch over two workers (0); the funnel's
-# offer (a live duplicate 0, a delivery its Notification) — without the race
-# detector: instrumentation changes allocation counts, so under -race they
-# skip.
+# test-allocs runs the candidate path's allocation gates — the kernel's; S's
+# Followers and Follows lookups (0); the engine's no-candidate budget and its
+# chunk budgets (multi-motif, emitting); the apply loop's no-candidate batch
+# over two workers (0); the funnel's offer (a live duplicate 0, a delivery its
+# Notification) — without the race detector: instrumentation changes
+# allocation counts, so under -race they skip.
 test-allocs:
-	$(GO) test -run 'ZeroAlloc|TestDetectBatchAllocBudget|TestOfferAllocBudget' ./internal/graph ./internal/core ./internal/cluster ./internal/delivery
+	$(GO) test -run 'ZeroAlloc|TestDetectBatchAllocBudget|TestOfferAllocBudget' ./internal/graph ./internal/statstore ./internal/core ./internal/cluster ./internal/delivery
 
 # test-crashmatrix runs just the fault-injection matrix (kill / restore /
 # whole-cluster restart at every pipeline stage, oracle-asserted, once per
@@ -181,8 +181,8 @@ soak-net:
 # of 10s per target keeps the decoders, the WAL record framing, the
 # delivery-state codec, the transport wire protocol, the motif DSL compiler,
 # the restore planner, the segment merge, the candidate log, the plan
-# executor and the threshold kernel's strategies (each against its
-# references) continuously fuzzed without stalling checks. The exhaustive
+# executor, the threshold kernel's strategies and the packed S build (each
+# against its references) continuously fuzzed without stalling checks. The exhaustive
 # prefix / bit-flip properties run first: what the fuzzers sample, they
 # enumerate for one valid input per format.
 FUZZTIME ?= 10s
@@ -199,6 +199,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz FuzzCandidateLog -fuzztime $(FUZZTIME) ./internal/partition
 	$(GO) test -run=NONE -fuzz FuzzPlanMatchesReference -fuzztime $(FUZZTIME) ./internal/motif
 	$(GO) test -run=NONE -fuzz FuzzThresholdIntersect -fuzztime $(FUZZTIME) ./internal/graph
+	$(GO) test -run=NONE -fuzz FuzzStaticBuild -fuzztime $(FUZZTIME) ./internal/statstore
 
 # fuzz gives each target of that list a longer budget (manual runs).
 fuzz:

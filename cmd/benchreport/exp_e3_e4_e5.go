@@ -131,7 +131,7 @@ func runE4(c runConfig) {
 
 	// --- Degree sweep: the asymptotics, measured. ---
 	fmt.Println("\n  (c) memory vs mean degree (measured at laptop scale)")
-	tb3 := newTable("mean follows", "S memory (linear)", "two-hop memory (quadratic)", "ratio")
+	tb3 := newTable("mean follows", "S + index memory (linear)", "two-hop memory (quadratic)", "ratio")
 	sweepUsers := 4_000
 	if c.quick {
 		sweepUsers = 2_000

@@ -84,7 +84,7 @@ func runE7(c runConfig) {
 			uncapped = cands
 		}
 	}
-	tb := newTable("influencer cap", "S edges", "S memory", "candidates", "recall vs uncapped")
+	tb := newTable("influencer cap", "S edges", "S + index memory", "candidates", "recall vs uncapped")
 	for _, r := range rows {
 		label := fmt.Sprintf("%d", r.cap)
 		if r.cap == 0 {
@@ -94,8 +94,9 @@ func runE7(c runConfig) {
 			100*safeDiv(float64(r.cands), float64(uncapped)))
 	}
 	tb.print()
-	fmt.Println("  expected shape: S memory grows with the cap and saturates at the true")
-	fmt.Println("  degree distribution; recall is already high at moderate caps because")
+	fmt.Println("  expected shape: S memory grows with the cap (the uncapped already-follows")
+	fmt.Println("  index is a constant part) and saturates at the true degree distribution;")
+	fmt.Println("  recall is already high at moderate caps because")
 	fmt.Println("  the cap keeps each user's strongest (most recent) followings.")
 }
 

@@ -211,17 +211,9 @@ func (p *PollingRecommender) NumUsers() int { return len(p.users) }
 // agree on what they detect. It returns candidates for the given edges
 // applied in order.
 func StreamingEquivalent(cfg PollingConfig, followEdges, dynamicEdges []graph.Edge) []motif.Candidate {
-	builder := &statstore.Builder{}
-	static := statstore.New(builder.Build(followEdges))
+	snap := (&statstore.Builder{}).Build(followEdges)
 	d := dynstore.New(dynstore.Options{Retention: cfg.Window})
-	follows := builder.BuildFollows(followEdges)
-	ctx := &motif.Context{
-		S: static,
-		D: d,
-		Follows: func(a, c graph.VertexID) bool {
-			return follows[a].Contains(c)
-		},
-	}
+	ctx := &motif.Context{S: statstore.New(snap), D: d, Follows: snap.Follows}
 	prog := motif.NewDiamond(motif.DiamondConfig{
 		K:         cfg.K,
 		Window:    cfg.Window,

@@ -37,42 +37,40 @@ func BuildTwoHop(cfg TwoHopConfig, followEdges []graph.Edge) *TwoHop {
 	if cfg.FPRate <= 0 || cfg.FPRate >= 1 {
 		cfg.FPRate = 0.01
 	}
-	forward := graph.BuildCSR(followEdges)
+	pairs := make([]graph.Pair, len(followEdges))
+	for i, e := range followEdges {
+		pairs[i] = graph.Pair{Key: e.Src, Val: e.Dst}
+	}
+	forward := graph.Pack(pairs)
 	t := &TwoHop{filters: make(map[graph.VertexID]*bloom.Filter)}
 	if cfg.TrackExact {
 		t.exact = make(map[graph.VertexID]map[graph.VertexID]bool)
 	}
-	n := forward.NumVertices()
-	for a := 0; a < n; a++ {
-		av := graph.VertexID(a)
-		bs := forward.Neighbors(av)
-		if len(bs) == 0 {
-			continue
-		}
+	forward.Each(func(a graph.VertexID, bs graph.AdjList) {
 		// Expected two-hop size: sum of following out-degrees.
 		var expected uint64
 		for _, b := range bs {
-			expected += uint64(forward.OutDegree(b))
+			expected += uint64(len(forward.Row(b)))
 		}
 		if expected == 0 {
-			continue
+			return
 		}
 		f := bloom.New(expected, cfg.FPRate)
 		var exact map[graph.VertexID]bool
 		if t.exact != nil {
 			exact = make(map[graph.VertexID]bool, expected)
-			t.exact[av] = exact
+			t.exact[a] = exact
 		}
 		for _, b := range bs {
-			for _, c := range forward.Neighbors(b) {
+			for _, c := range forward.Row(b) {
 				f.Add(uint64(c))
 				if exact != nil {
 					exact[c] = true
 				}
 			}
 		}
-		t.filters[av] = f
-	}
+		t.filters[a] = f
+	})
 	return t
 }
 

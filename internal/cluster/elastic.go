@@ -344,7 +344,7 @@ func (h *replicaHost) launchPlacement(rep *replica, alive bool) error {
 // ReprovisionReplica replaces a replica's node: the old placement — its
 // in-memory state and its directory, chains, mirrors and all — is
 // discarded, and a fresh replica is built on a new generation directory
-// with S built from Config.StaticEdges like its peers', its state
+// serving the host's one S of the partition, its peers' too, its state
 // recovered from the partition's base pool plus durable-log replay through
 // the standard replaying → live machine. A dead replica (the auto-healer's
 // case) is replaced in place; a live one is first torn down like

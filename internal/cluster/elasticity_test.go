@@ -3,7 +3,6 @@ package cluster
 import (
 	"os"
 	"path/filepath"
-	"reflect"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -13,7 +12,10 @@ import (
 	"motifstream/internal/audit"
 	"motifstream/internal/codecutil"
 	"motifstream/internal/core"
+	"motifstream/internal/graph"
+	"motifstream/internal/partition"
 	"motifstream/internal/placement"
+	"motifstream/internal/statstore"
 )
 
 // The elasticity suite covers the placement subsystem's mechanisms
@@ -720,17 +722,16 @@ func TestReprovisionKeepsSharing(t *testing.T) {
 		}
 	}
 	// S is a function of configuration alone: a reprovisioned, a restored
-	// and a scaled-out replica serve the S and already-follows index their
-	// untouched peer serves.
+	// and a scaled-out replica serve the very build their untouched peer
+	// serves, one per (host, partition).
 	for _, slot := range [][2]int{{0, 1}, {1, 1}, {1, added}} {
 		assertSameStatic(t, c, slot[0], slot[1])
 	}
 }
 
-// assertSameStatic fails unless replica pid/r serves the S and the
-// already-follows index replica pid/0 serves: the same NumEdges, the same
-// follower list for every B of the configured edges, and equal follows
-// indexes.
+// assertSameStatic fails unless replica pid/r serves the very Snapshot — S
+// and the already-follows index — that replica pid/0 serves, and that
+// Snapshot is partition pid's.
 func assertSameStatic(t *testing.T, c *Cluster, pid, r int) {
 	t.Helper()
 	peer, err := c.Replica(pid, 0)
@@ -741,20 +742,35 @@ func assertSameStatic(t *testing.T, c *Cluster, pid, r int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, got := peer.Engine().Static().Snapshot(), p.Engine().Static().Snapshot()
-	if want.NumEdges() == 0 || len(peer.FollowsIndex()) == 0 {
-		t.Fatalf("vacuous: replica %d/0 serves an empty S or follows index", pid)
+	if got, want := p.Engine().Static().Snapshot(), peer.Engine().Static().Snapshot(); got != want {
+		t.Fatalf("replica %d/%d serves a build of S of its own, not the one replica %d/0 serves", pid, r, pid)
 	}
-	if got.NumEdges() != want.NumEdges() {
-		t.Fatalf("replica %d/%d serves S with %d edges, its peer %d", pid, r, got.NumEdges(), want.NumEdges())
+	assertStaticOf(t, c.cfg, pid, p.Engine().Static().Snapshot())
+}
+
+// assertStaticOf fails unless snap serves what a fresh build of partition
+// pid from cfg serves: the same S, with the same follower list for every B
+// of the configured edges, and the same answer to every configured follow.
+func assertStaticOf(t *testing.T, cfg Config, pid int, snap *statstore.Snapshot) {
+	t.Helper()
+	part := partition.NewHashPartitioner(cfg.Partitions)
+	want := (&statstore.Builder{
+		Keep:           func(a graph.VertexID) bool { return part.PartitionOf(a) == pid },
+		MaxInfluencers: cfg.MaxInfluencers,
+	}).Build(cfg.StaticEdges)
+	if want.NumEdges() == 0 {
+		t.Fatalf("vacuous: partition %d's S is empty", pid)
 	}
-	for _, e := range c.cfg.StaticEdges {
-		if b := e.Dst; !slices.Equal(got.Followers(b), want.Followers(b)) {
-			t.Fatalf("replica %d/%d: followers of %d = %v, its peer's %v", pid, r, b, got.Followers(b), want.Followers(b))
+	if snap.NumEdges() != want.NumEdges() {
+		t.Fatalf("partition %d serves S with %d edges, a fresh build has %d", pid, snap.NumEdges(), want.NumEdges())
+	}
+	for _, e := range cfg.StaticEdges {
+		if b := e.Dst; !slices.Equal(snap.Followers(b), want.Followers(b)) {
+			t.Fatalf("partition %d: followers of %d = %v, a fresh build's %v", pid, b, snap.Followers(b), want.Followers(b))
 		}
-	}
-	if !reflect.DeepEqual(p.FollowsIndex(), peer.FollowsIndex()) {
-		t.Fatalf("replica %d/%d serves a follows index unlike its peer's", pid, r)
+		if got := snap.Follows(e.Src, e.Dst); got != want.Follows(e.Src, e.Dst) {
+			t.Fatalf("partition %d: Follows(%d, %d) = %v, a fresh build says %v", pid, e.Src, e.Dst, got, !got)
+		}
 	}
 }
 

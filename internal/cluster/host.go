@@ -11,6 +11,7 @@ import (
 	"motifstream/internal/partition"
 	"motifstream/internal/placement"
 	"motifstream/internal/queue"
+	"motifstream/internal/statstore"
 	"motifstream/internal/transport"
 )
 
@@ -113,13 +114,19 @@ type replicaHost struct {
 	// started gates the elastic lifecycle calls that must attach to a
 	// running delivery pipeline (AddReplica, ReprovisionReplica).
 	started atomic.Bool
+
+	// statics[pid] is partition pid's S and already-follows index — a
+	// function of Config.StaticEdges and pid alone — built by the first
+	// place of pid and handed read-only to every later one. Only place
+	// touches it, during construction or under ctl.
+	statics []*statstore.Snapshot
 }
 
 // newReplicaHost builds a replica for every owned placement and — where
 // chains outlive the process — restores each from its chain now, so start
 // only has to launch at the planned offsets.
 func newReplicaHost(sh *shared, link hubLink, owned [][2]int, chains bool) (*replicaHost, error) {
-	h := &replicaHost{shared: sh, link: link, chains: chains}
+	h := &replicaHost{shared: sh, link: link, chains: chains, statics: make([]*statstore.Snapshot, sh.cfg.Partitions)}
 	for _, or := range owned {
 		// Geometry plus placement table are the authority: silently running
 		// without a claimed slot would strand its partition.
@@ -151,16 +158,17 @@ func newReplicaHost(sh *shared, link hubLink, owned [][2]int, chains bool) (*rep
 	return h, nil
 }
 
-// place builds the replica of one placement: its partition — S and the
-// already-follows index built from Config.StaticEdges, as every replica of
-// the group builds them — and, with recovery, its generation's checkpoint
-// directory, emptied first when wipe.
+// place builds the replica of one placement: its partition — serving the
+// host's one build of the partition's S and already-follows index, made from
+// Config.StaticEdges on the first place of pid — and, with recovery, its
+// generation's checkpoint directory, emptied first when wipe.
 func (h *replicaHost) place(pid, idx, gen int, wipe bool) (*replica, error) {
 	p, err := partition.New(partition.Config{
 		ID:             pid,
 		StaticEdges:    h.cfg.StaticEdges,
 		Partitioner:    h.part,
 		MaxInfluencers: h.cfg.MaxInfluencers,
+		StaticSnapshot: h.statics[pid],
 		Dynamic:        h.cfg.Dynamic,
 		Programs:       h.cfg.NewPrograms(),
 		Metrics:        h.reg,
@@ -168,6 +176,7 @@ func (h *replicaHost) place(pid, idx, gen int, wipe bool) (*replica, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: partition %d replica %d: %w", pid, idx, err)
 	}
+	h.statics[pid] = p.Engine().Static().Snapshot()
 	rep := &replica{pid: pid, idx: idx, gen: gen, p: p}
 	if h.cfg.CheckpointDir != "" {
 		rep.dir = placement.Dir(h.cfg.CheckpointDir, pid, idx, gen)

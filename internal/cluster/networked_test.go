@@ -221,6 +221,34 @@ func TestNetworkedLifecycleOpsAreGated(t *testing.T) {
 	joinWorker()
 }
 
+// TestNetworkedWorkerStaticPerPartition: a worker builds S once per
+// partition it hosts, so one owning a replica of partitions 0 and 1 serves
+// two Snapshots, each its own partition's — nothing shared across
+// partitions.
+func TestNetworkedWorkerStaticPerPartition(t *testing.T) {
+	hcfg := hubConfig(t, 2, 1, t.TempDir(), t.TempDir())
+	hub, err := New(hcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Stop()
+	hub.Start()
+	wcfg := workerConfig(t, hcfg, hub.ListenAddr(), [][2]int{{0, 0}, {1, 0}})
+	wk, joinWorker := startWorker(t, wcfg)
+	awaitAllLive(t, hub)
+
+	s0 := wk.host.replica(0, 0).p.Engine().Static().Snapshot()
+	s1 := wk.host.replica(1, 0).p.Engine().Static().Snapshot()
+	if s0 == s1 {
+		t.Fatal("the worker's replicas of partitions 0 and 1 serve one Snapshot")
+	}
+	assertStaticOf(t, wcfg, 0, s0)
+	assertStaticOf(t, wcfg, 1, s1)
+
+	hub.Shutdown()
+	joinWorker()
+}
+
 // TestNetworkedEndToEnd is the success bar's happy path: hub + one worker
 // process boundary over real sockets, oracle delivered-set equivalence,
 // fan-out reads through dial-based broker members, clean shutdown with

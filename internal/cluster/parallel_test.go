@@ -9,6 +9,7 @@ import (
 	"motifstream/internal/dynstore"
 	"motifstream/internal/graph"
 	"motifstream/internal/queue"
+	"motifstream/internal/racetest"
 )
 
 // TestCkptClockNormalCadence pins the clock's ordinary behavior: with
@@ -364,7 +365,7 @@ func TestApplyBatchReleasesCandidates(t *testing.T) {
 // nothing — no goroutine, closure or WaitGroup per batch, on any goroutine
 // (AllocsPerRun counts the process's mallocs, the resident worker's included).
 func TestApplyBatchNoCandidateZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if racetest.Enabled {
 		t.Skip("allocation gate: race instrumentation allocates; the non-race run enforces the budget")
 	}
 	h, link, b := batchHost(t, 16, 2)

@@ -10,6 +10,7 @@ import (
 	"motifstream/internal/dynstore"
 	"motifstream/internal/graph"
 	"motifstream/internal/motif"
+	"motifstream/internal/racetest"
 	"motifstream/internal/statstore"
 )
 
@@ -145,7 +146,7 @@ func newAllocEngine(tb testing.TB) *Engine {
 // recent-actor slice, the list headers, and the intersection output on
 // every edge (~5+ allocs/event); the budget pins the >=90%% reduction.
 func TestDetectBatchAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if racetest.Enabled {
 		t.Skip("allocation gate: race instrumentation allocates; the non-race run enforces the budget")
 	}
 	e := newAllocEngine(t)
@@ -195,7 +196,7 @@ func chunkBudget(cands, viaElems int) int {
 // it fills — 10 allocations here for 1792 candidates, where an array pair per
 // group-event and an assembly copy per event were 192.
 func TestDetectBatchAllocBudgetEmitting(t *testing.T) {
-	if raceEnabled {
+	if racetest.Enabled {
 		t.Skip("allocation gate: race instrumentation allocates; the non-race run enforces the budget")
 	}
 	// Users 102..108: user 100+j follows B's 1..j, so once all eight B's have

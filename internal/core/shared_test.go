@@ -11,6 +11,7 @@ import (
 	"motifstream/internal/graph"
 	"motifstream/internal/motif"
 	"motifstream/internal/motifdsl"
+	"motifstream/internal/racetest"
 	"motifstream/internal/statstore"
 )
 
@@ -177,7 +178,7 @@ func (idleProgram) OnEdge(*motif.Context, graph.Edge) []motif.Candidate { return
 // program stay within the chunk budget warm on the no-candidate path — no
 // chunk filled, so one allocation a batch of 64.
 func TestDetectBatchAllocBudgetMultiMotif(t *testing.T) {
-	if raceEnabled {
+	if racetest.Enabled {
 		t.Skip("allocation gate: race instrumentation allocates; the non-race run enforces the budget")
 	}
 	b := &statstore.Builder{}

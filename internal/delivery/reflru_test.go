@@ -11,6 +11,7 @@ import (
 
 	"motifstream/internal/graph"
 	"motifstream/internal/motif"
+	"motifstream/internal/racetest"
 )
 
 // refLRU is the dedup LRU the slab replaced — a container/list of boxed
@@ -209,7 +210,7 @@ func TestSlabLRUMatchesListModel(t *testing.T) {
 // slot at capacity) allocates its Notification and nothing else: no entry, no
 // list element, no budget.
 func TestOfferAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if racetest.Enabled {
 		t.Skip("allocation gate: race instrumentation allocates; the non-race run enforces the budget")
 	}
 	const pairs = 4 * lruChunk

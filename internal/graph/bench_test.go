@@ -111,15 +111,19 @@ func BenchmarkThresholdIntersect(b *testing.B) {
 	}
 }
 
-func BenchmarkBuildCSR(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	edges := make([]Edge, 200_000)
-	for i := range edges {
-		edges[i] = Edge{Src: VertexID(r.Intn(10_000)), Dst: VertexID(r.Intn(10_000))}
+// BenchmarkPackRow times a lookup in a 10 000-key table, a tenth of them
+// misses.
+func BenchmarkPackRow(b *testing.B) {
+	var pairs []Pair
+	for k := VertexID(0); k < 10_000; k++ {
+		for v := VertexID(0); v < 20; v++ {
+			pairs = append(pairs, Pair{Key: k, Val: v})
+		}
 	}
+	p := Pack(pairs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildCSR(edges)
+		p.Row(VertexID(i % 11_000))
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package graph provides the core graph primitives used throughout
-// motifstream: vertex and edge types, sorted adjacency lists, a compact
-// static CSR representation, and the sorted-set intersection algorithms
-// that the paper's detection step is built on.
+// motifstream: vertex and edge types, sorted adjacency lists, a packed
+// immutable map from vertices to such lists, and the sorted-set
+// intersection algorithms that the paper's detection step is built on.
 package graph
 
 import (

@@ -60,12 +60,11 @@ type Config struct {
 	Partitioner Partitioner
 	// MaxInfluencers caps B's per A in S (0 = unlimited).
 	MaxInfluencers int
-	// StaticSnapshot, when non-nil, is served as S directly instead of
-	// building one from StaticEdges, for a caller that has built this
-	// partition's S itself (benchmark/ does, to time the build alone) and
-	// is expected to equal that build. StaticEdges still feeds the follows
-	// index. The cluster never sets it: its replicas all build S from
-	// configuration.
+	// StaticSnapshot, when non-nil, is served as S and the already-follows
+	// index instead of building both from StaticEdges. It must equal that
+	// build: a replica host builds it once per partition and hands it to
+	// every replica of the partition it places, and benchmark/ builds it
+	// itself to time the build alone. The partition never modifies it.
 	StaticSnapshot *statstore.Snapshot
 	// Dynamic configures this partition's D store.
 	Dynamic dynstore.Options
@@ -82,16 +81,16 @@ type Config struct {
 // the detection engine, and a small per-user candidate log that serves the
 // broker's read path.
 type Partition struct {
-	id      int
-	part    Partitioner
-	engine  *core.Engine
-	follows map[graph.VertexID]graph.AdjList
-	log     *candidateLog
-	items   *itemCounter
+	id     int
+	part   Partitioner
+	engine *core.Engine
+	log    *candidateLog
+	items  *itemCounter
 }
 
-// New builds a partition, including its S snapshot from the global static
-// edge set.
+// New builds a partition, including its S snapshot and already-follows
+// index from the global static edge set unless Config.StaticSnapshot
+// supplies them.
 func New(cfg Config) (*Partition, error) {
 	if cfg.Partitioner == nil {
 		return nil, fmt.Errorf("partition: Partitioner is required")
@@ -99,23 +98,21 @@ func New(cfg Config) (*Partition, error) {
 	if cfg.ID < 0 || cfg.ID >= cfg.Partitioner.N() {
 		return nil, fmt.Errorf("partition: ID %d out of range [0,%d)", cfg.ID, cfg.Partitioner.N())
 	}
-	builder := &statstore.Builder{
-		Keep:           func(a graph.VertexID) bool { return cfg.Partitioner.PartitionOf(a) == cfg.ID },
-		MaxInfluencers: cfg.MaxInfluencers,
-	}
 	snap := cfg.StaticSnapshot
 	if snap == nil {
+		builder := &statstore.Builder{
+			Keep:           func(a graph.VertexID) bool { return cfg.Partitioner.PartitionOf(a) == cfg.ID },
+			MaxInfluencers: cfg.MaxInfluencers,
+		}
 		snap = builder.Build(cfg.StaticEdges)
 	}
 	static := statstore.New(snap)
-	// Forward index for already-follows suppression, partition-local.
-	follows := builder.BuildFollows(cfg.StaticEdges)
 	eng, err := core.NewEngine(core.Config{
 		Static:   static,
 		Dynamic:  dynstore.New(cfg.Dynamic),
 		Programs: cfg.Programs,
 		Follows: func(a, c graph.VertexID) bool {
-			return follows[a].Contains(c)
+			return static.Snapshot().Follows(a, c)
 		},
 		Metrics: cfg.Metrics,
 	})
@@ -127,12 +124,11 @@ func New(cfg Config) (*Partition, error) {
 		depth = 16
 	}
 	return &Partition{
-		id:      cfg.ID,
-		part:    cfg.Partitioner,
-		engine:  eng,
-		follows: follows,
-		log:     newCandidateLog(depth),
-		items:   newItemCounter(),
+		id:     cfg.ID,
+		part:   cfg.Partitioner,
+		engine: eng,
+		log:    newCandidateLog(depth),
+		items:  newItemCounter(),
 	}, nil
 }
 
@@ -141,11 +137,6 @@ func (p *Partition) ID() int { return p.id }
 
 // Engine exposes the partition's detection engine.
 func (p *Partition) Engine() *core.Engine { return p.engine }
-
-// FollowsIndex exposes the already-follows index the engine suppresses
-// candidates with: each in-partition A's sorted followings. It is shared
-// and must not be modified.
-func (p *Partition) FollowsIndex() map[graph.VertexID]graph.AdjList { return p.follows }
 
 // Apply ingests one dynamic edge and returns the candidates detected for
 // this partition's A's. Candidates are also appended to the per-user log.

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"motifstream/internal/racetest"
 )
 
 // intWAL opens a WAL of ints (8-byte LE payloads) in dir.
@@ -526,7 +528,7 @@ func TestDiskWALPublishWithin2xOfMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
-	if raceEnabled {
+	if racetest.Enabled {
 		t.Skip("timing test: race instrumentation skews the ratio; the non-race sweep enforces the budget")
 	}
 	measure := func(backend func(tb testing.TB) LogBackend[int]) float64 {

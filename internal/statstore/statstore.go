@@ -1,15 +1,19 @@
 // Package statstore implements the paper's S data structure: the inverted
 // static adjacency list. For each B, S stores the sorted list of A's that
-// follow B, restricted to the A's owned by the local partition. S is
-// immutable once built. The production system recomputes it offline and
-// reloads it periodically (paper §2); the single-node System models that
-// with Store.Reload's atomic snapshot swap. A cluster replica never swaps:
-// every replica of a group serves the S it was built with from
-// configuration, so replicas stay a pure function of the stream prefix.
+// follow B, restricted to the A's owned by the local partition. A Snapshot
+// holds S together with the already-follows index candidate suppression
+// checks, both packed into flat arrays (graph.Packed), so one immutable value
+// is a partition's whole static state. The production system recomputes it
+// offline and reloads it periodically (paper §2); the single-node System
+// models that with Store.Reload's atomic snapshot swap. A cluster replica
+// never swaps: a replica host builds one Snapshot per partition from
+// configuration and every replica of that partition on the host serves it,
+// so replicas stay a pure function of the stream prefix.
 package statstore
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync/atomic"
 
 	"motifstream/internal/graph"
@@ -26,7 +30,7 @@ type Store struct {
 func New(s *Snapshot) *Store {
 	st := &Store{}
 	if s == nil {
-		s = &Snapshot{followers: map[graph.VertexID]graph.AdjList{}}
+		s = (&Builder{}).Build(nil)
 	}
 	st.snap.Store(s)
 	return st
@@ -41,8 +45,9 @@ func (s *Store) Followers(b graph.VertexID) graph.AdjList {
 // Snapshot returns the currently served snapshot.
 func (s *Store) Snapshot() *Snapshot { return s.snap.Load() }
 
-// Reload atomically swaps in a new snapshot; the single-node System calls
-// it when the offline pipeline publishes a fresh S.
+// Reload atomically swaps in a new snapshot — S and the already-follows
+// index together; the single-node System calls it when the offline pipeline
+// publishes a fresh S.
 func (s *Store) Reload(next *Snapshot) {
 	if next == nil {
 		return
@@ -50,29 +55,35 @@ func (s *Store) Reload(next *Snapshot) {
 	s.snap.Store(next)
 }
 
-// Snapshot is one immutable build of S.
+// Snapshot is one immutable build of S and of the already-follows index.
 type Snapshot struct {
-	followers map[graph.VertexID]graph.AdjList
-	numEdges  uint64
+	followers graph.Packed // S: B → the in-partition A's following it, capped
+	follows   graph.Packed // A → every B it follows, uncapped
 }
 
-// Followers returns the sorted follower list for b.
+// Followers returns the sorted follower list for b. The list is shared and
+// capacity-limited, and must not be modified.
 func (s *Snapshot) Followers(b graph.VertexID) graph.AdjList {
-	return s.followers[b]
+	return s.followers.Row(b)
+}
+
+// Follows reports whether a follows c by the static edges, the influencer
+// cap aside: what candidate suppression checks.
+func (s *Snapshot) Follows(a, c graph.VertexID) bool {
+	return s.follows.Row(a).Contains(c)
 }
 
 // NumInfluencers returns the number of distinct B's with at least one
 // in-partition follower.
-func (s *Snapshot) NumInfluencers() int { return len(s.followers) }
+func (s *Snapshot) NumInfluencers() int { return s.followers.Len() }
 
-// NumEdges returns the total A→B edges retained in this snapshot.
-func (s *Snapshot) NumEdges() uint64 { return s.numEdges }
+// NumEdges returns the total A→B edges retained in S.
+func (s *Snapshot) NumEdges() uint64 { return uint64(s.followers.NumValues()) }
 
-// MemoryBytes approximates the resident size: 8 bytes per retained edge
-// plus map overhead per influencer.
+// MemoryBytes returns the resident size of S and the already-follows index:
+// their arrays' lengths.
 func (s *Snapshot) MemoryBytes() uint64 {
-	const mapEntryOverhead = 48
-	return s.numEdges*8 + uint64(len(s.followers))*mapEntryOverhead
+	return s.followers.MemoryBytes() + s.follows.MemoryBytes()
 }
 
 // Builder constructs a Snapshot from A→B follow edges, applying the two
@@ -85,79 +96,107 @@ type Builder struct {
 	// (single-node mode).
 	Keep func(a graph.VertexID) bool
 
-	// MaxInfluencers caps the number of B's retained per A; 0 means
-	// unlimited. When the cap binds, the highest-scored B's win.
+	// MaxInfluencers caps the number of B's retained per A in S; 0 means
+	// unlimited. When the cap binds, the highest-scored B's win, ties going
+	// to the lower B.
 	MaxInfluencers int
 
-	// Score ranks an A→B edge for influencer capping; higher is better.
-	// Nil scores by recency (edge timestamp).
+	// Score ranks an A→B edge for influencer capping; higher is better. An
+	// edge given more than once is ranked by its best copy. Nil scores by
+	// recency (edge timestamp).
 	Score func(e graph.Edge) float64
 }
 
 // Build constructs a snapshot from the A→B edge list. In paper terms: each
-// edge's Src is an A, Dst is a B; the output maps each B to its sorted,
-// partition-local A's.
+// edge's Src is an A, Dst is a B; the already-follows index maps each
+// partition-local A to its sorted B's, and S each B to its sorted,
+// partition-local A's. Both depend on the edge set alone, not on its order
+// or its duplicates.
 func (b *Builder) Build(edges []graph.Edge) *Snapshot {
-	kept := edges
+	n := len(edges)
 	if b.Keep != nil {
-		kept = make([]graph.Edge, 0, len(edges))
+		n = 0
 		for _, e := range edges {
 			if b.Keep(e.Src) {
-				kept = append(kept, e)
+				n++
 			}
 		}
 	}
-	if b.MaxInfluencers > 0 {
-		kept = capInfluencers(kept, b.MaxInfluencers, b.Score)
-	}
-
-	followers := make(map[graph.VertexID][]graph.VertexID)
-	for _, e := range kept {
-		followers[e.Dst] = append(followers[e.Dst], e.Src)
-	}
-	out := make(map[graph.VertexID]graph.AdjList, len(followers))
-	var n uint64
-	for bID, as := range followers {
-		l := graph.NewAdjList(as)
-		out[bID] = l
-		n += uint64(len(l))
-	}
-	return &Snapshot{followers: out, numEdges: n}
-}
-
-// BuildFollows builds the already-follows index candidate suppression
-// checks: each A Keep accepts, mapped to its sorted followings. The
-// influencer cap does not apply — a follow S drops is still a follow.
-func (b *Builder) BuildFollows(edges []graph.Edge) map[graph.VertexID]graph.AdjList {
-	byA := make(map[graph.VertexID][]graph.VertexID)
+	pairs := make([]graph.Pair, 0, n)
 	for _, e := range edges {
 		if b.Keep == nil || b.Keep(e.Src) {
-			byA[e.Src] = append(byA[e.Src], e.Dst)
+			pairs = append(pairs, graph.Pair{Key: e.Src, Val: e.Dst})
 		}
 	}
-	out := make(map[graph.VertexID]graph.AdjList, len(byA))
-	for a, bs := range byA {
-		out[a] = graph.NewAdjList(bs)
+	s := &Snapshot{follows: graph.Pack(pairs)}
+	// S inverts the index; an A over the cap keeps its best B's only.
+	pairs, over := pairs[:0], false
+	s.follows.Each(func(a graph.VertexID, bs graph.AdjList) {
+		if b.MaxInfluencers > 0 && len(bs) > b.MaxInfluencers {
+			over = true
+			return
+		}
+		for _, bID := range bs {
+			pairs = append(pairs, graph.Pair{Key: bID, Val: a})
+		}
+	})
+	if over {
+		pairs = b.appendCapped(pairs, edges, &s.follows)
 	}
-	return out
+	s.followers = graph.Pack(pairs)
+	return s
 }
 
-// capInfluencers keeps at most max B's per A, preferring higher scores.
-func capInfluencers(edges []graph.Edge, max int, score func(graph.Edge) float64) []graph.Edge {
+// appendCapped appends a (B, A) pair for each of the MaxInfluencers best B's
+// of every A the cap binds on — an A with more B's in follows.
+func (b *Builder) appendCapped(dst []graph.Pair, edges []graph.Edge, follows *graph.Packed) []graph.Pair {
+	var over []graph.Edge
+	for _, e := range edges {
+		if len(follows.Row(e.Src)) > b.MaxInfluencers {
+			over = append(over, e)
+		}
+	}
+	slices.SortFunc(over, func(x, y graph.Edge) int {
+		return cmp.Or(cmp.Compare(x.Src, y.Src), cmp.Compare(x.Dst, y.Dst))
+	})
+	var ranked []rankedB
+	for i := 0; i < len(over); {
+		a, j := over[i].Src, i+1
+		for j < len(over) && over[j].Src == a {
+			j++
+		}
+		ranked = b.rank(ranked[:0], over[i:j])
+		for _, r := range ranked[:b.MaxInfluencers] {
+			dst = append(dst, graph.Pair{Key: r.b, Val: a})
+		}
+		i = j
+	}
+	return dst
+}
+
+// rankedB is one distinct B of an A with its best score.
+type rankedB struct {
+	b     graph.VertexID
+	score float64
+}
+
+// rank appends run's distinct B's to dst — run is one A's edges sorted by B —
+// each scored by its best copy, ordered best first with ties to the lower B.
+func (b *Builder) rank(dst []rankedB, run []graph.Edge) []rankedB {
+	score := b.Score
 	if score == nil {
 		score = func(e graph.Edge) float64 { return float64(e.TS) }
 	}
-	byA := make(map[graph.VertexID][]graph.Edge)
-	for _, e := range edges {
-		byA[e.Src] = append(byA[e.Src], e)
-	}
-	out := make([]graph.Edge, 0, len(edges))
-	for _, es := range byA {
-		if len(es) > max {
-			sort.Slice(es, func(i, j int) bool { return score(es[i]) > score(es[j]) })
-			es = es[:max]
+	for k, e := range run {
+		s := score(e)
+		if k > 0 && e.Dst == run[k-1].Dst {
+			dst[len(dst)-1].score = max(dst[len(dst)-1].score, s)
+			continue
 		}
-		out = append(out, es...)
+		dst = append(dst, rankedB{b: e.Dst, score: s})
 	}
-	return out
+	slices.SortFunc(dst, func(x, y rankedB) int {
+		return cmp.Or(cmp.Compare(y.score, x.score), cmp.Compare(x.b, y.b))
+	})
+	return dst
 }

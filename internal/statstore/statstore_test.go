@@ -62,17 +62,80 @@ func TestBuildPartitionFilter(t *testing.T) {
 	}
 }
 
+// TestBuildFollowsKeepsPartitionIgnoresCap: Build's already-follows index
+// holds every follow of the A's Keep accepts, the influencer cap aside.
 func TestBuildFollowsKeepsPartitionIgnoresCap(t *testing.T) {
 	b := &Builder{
 		Keep:           func(a graph.VertexID) bool { return a%2 == 0 },
 		MaxInfluencers: 1,
 	}
-	idx := b.BuildFollows([]graph.Edge{
+	snap := b.Build([]graph.Edge{
 		follow(2, 30, 0), follow(2, 10, 0), follow(2, 10, 5), follow(2, 20, 0),
 		follow(3, 10, 0),
 	})
-	if len(idx) != 1 || !sameIDs(idx[2], []graph.VertexID{10, 20, 30}) {
-		t.Fatalf("BuildFollows = %v, want A=2 → [10 20 30] only", idx)
+	for _, c := range []graph.VertexID{10, 20, 30} {
+		if !snap.Follows(2, c) {
+			t.Errorf("Follows(2, %d) = false, want true: the cap does not apply", c)
+		}
+	}
+	if snap.Follows(3, 10) {
+		t.Error("Follows(3, 10) = true, want false: A=3 is another partition's")
+	}
+	if snap.Follows(2, 40) || snap.Follows(10, 2) {
+		t.Error("Follows reports an edge that is not there")
+	}
+}
+
+// TestInfluencerCapIgnoresEdgeOrder: with every score tied, the cap keeps
+// the lowest B's whatever order the edges arrive in.
+func TestInfluencerCapIgnoresEdgeOrder(t *testing.T) {
+	b := &Builder{MaxInfluencers: 2}
+	for _, edges := range [][]graph.Edge{
+		{follow(1, 10, 0), follow(1, 20, 0), follow(1, 30, 0)},
+		{follow(1, 30, 0), follow(1, 20, 0), follow(1, 10, 0)},
+		{follow(1, 20, 0), follow(1, 30, 0), follow(1, 10, 0)},
+	} {
+		snap := b.Build(edges)
+		if !sameIDs(snap.Followers(10), []graph.VertexID{1}) || !sameIDs(snap.Followers(20), []graph.VertexID{1}) || snap.Followers(30) != nil {
+			t.Fatalf("edges %v: S keeps 10:%v 20:%v 30:%v, want B=10 and B=20", edges,
+				snap.Followers(10), snap.Followers(20), snap.Followers(30))
+		}
+	}
+}
+
+// TestInfluencerCapCountsDistinctBs: a follow given twice is one influencer,
+// ranked by its best copy.
+func TestInfluencerCapCountsDistinctBs(t *testing.T) {
+	b := &Builder{MaxInfluencers: 2}
+	snap := b.Build([]graph.Edge{follow(1, 10, 0), follow(1, 10, 0), follow(1, 20, 0)})
+	if !sameIDs(snap.Followers(10), []graph.VertexID{1}) || !sameIDs(snap.Followers(20), []graph.VertexID{1}) {
+		t.Fatalf("S keeps 10:%v 20:%v, want both: a duplicate is not a second influencer", snap.Followers(10), snap.Followers(20))
+	}
+	// B=10's later copy outranks B=20; its earlier one alone would not.
+	b.MaxInfluencers = 1
+	snap = b.Build([]graph.Edge{follow(1, 10, 100), follow(1, 20, 200), follow(1, 10, 300)})
+	if !sameIDs(snap.Followers(10), []graph.VertexID{1}) || snap.Followers(20) != nil {
+		t.Fatalf("S keeps 10:%v 20:%v, want B=10 by its best copy", snap.Followers(10), snap.Followers(20))
+	}
+}
+
+// TestSnapshotLookupsZeroAlloc holds the two lookups the detection path makes
+// per candidate list and per candidate to zero allocations.
+func TestSnapshotLookupsZeroAlloc(t *testing.T) {
+	snap := (&Builder{}).Build(benchFollowEdges(1_000, 20))
+	var n int
+	if allocs := testing.AllocsPerRun(100, func() {
+		for v := graph.VertexID(0); v < 1_100; v++ {
+			n += len(snap.Followers(v))
+			if snap.Follows(v, v+1) {
+				n++
+			}
+		}
+	}); allocs != 0 {
+		t.Fatalf("Followers + Follows allocate %.1f times a run, want 0", allocs)
+	}
+	if n == 0 {
+		t.Fatal("vacuous: every lookup missed")
 	}
 }
 
@@ -199,6 +262,9 @@ func TestBuildEmpty(t *testing.T) {
 	snap := b.Build(nil)
 	if snap.NumInfluencers() != 0 || snap.NumEdges() != 0 {
 		t.Fatal("empty build should be empty")
+	}
+	if snap.Followers(0) != nil || snap.Follows(0, 0) {
+		t.Fatal("empty build answers a lookup")
 	}
 }
 

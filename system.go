@@ -2,12 +2,10 @@ package motifstream
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"motifstream/internal/core"
 	"motifstream/internal/dynstore"
-	"motifstream/internal/graph"
 	"motifstream/internal/metrics"
 	"motifstream/internal/motif"
 	"motifstream/internal/statstore"
@@ -63,10 +61,6 @@ func (o *Options) RegisterMotifs(src string) error {
 type System struct {
 	engine *core.Engine
 	opts   Options
-	// known is the SuppressKnown already-follows index, built from the same
-	// edges as the S the engine serves and swapped with it by ReloadStatic;
-	// nil without SuppressKnown.
-	known atomic.Pointer[map[VertexID]graph.AdjList]
 }
 
 // New builds a System from the static A→B follow edges.
@@ -88,12 +82,13 @@ func New(staticEdges []Edge, opts Options) (*System, error) {
 	}
 
 	s := &System{opts: opts}
+	static := statstore.New(s.buildStatic(staticEdges))
 	var follows func(a, c VertexID) bool
 	if opts.SuppressKnown {
-		follows = func(a, c VertexID) bool { return (*s.known.Load())[a].Contains(c) }
+		follows = func(a, c VertexID) bool { return static.Snapshot().Follows(a, c) }
 	}
 	s.engine, err = core.NewEngine(core.Config{
-		Static: statstore.New(s.buildStatic(staticEdges)),
+		Static: static,
 		// MaxPerTarget bounds per-event work on viral items: only the
 		// most recent in-edges matter for k-threshold detection.
 		Dynamic:  dynstore.New(dynstore.Options{Retention: opts.Retention, MaxPerTarget: 1024}),
@@ -106,15 +101,9 @@ func New(staticEdges []Edge, opts Options) (*System, error) {
 	return s, nil
 }
 
-// buildStatic builds S from staticEdges and, with SuppressKnown, publishes
-// the already-follows index built from the same edges.
+// buildStatic builds S and the already-follows index from staticEdges.
 func (s *System) buildStatic(staticEdges []Edge) *statstore.Snapshot {
-	builder := &statstore.Builder{MaxInfluencers: s.opts.MaxInfluencers}
-	if s.opts.SuppressKnown {
-		known := builder.BuildFollows(staticEdges)
-		s.known.Store(&known)
-	}
-	return builder.Build(staticEdges)
+	return (&statstore.Builder{MaxInfluencers: s.opts.MaxInfluencers}).Build(staticEdges)
 }
 
 // primaryDiamond builds the plan both facades run first, applying their
@@ -156,13 +145,11 @@ func (s *System) Apply(e Edge) []Candidate {
 	return s.engine.Apply(e)
 }
 
-// ReloadStatic swaps in S and, with SuppressKnown, the already-follows
-// index built from staticEdges, modeling the paper's periodic offline S load.
-// Each is swapped by one atomic pointer store, as Store.Reload does, so a
-// concurrent Apply reads whole builds, never a partly built one. The index
-// goes first, so a candidate drawn from the new S is always checked against
-// the new index; only an Apply straddling the reload can check one drawn
-// from the old S against either.
+// ReloadStatic swaps in S and the already-follows index built from
+// staticEdges, modeling the paper's periodic offline S load. Both are one
+// Snapshot, swapped by one Store.Reload, so a concurrent Apply reads whole
+// builds, never a partly built one; only an Apply straddling the reload can
+// check a candidate drawn from the old S against the new index.
 func (s *System) ReloadStatic(staticEdges []Edge) {
 	s.engine.ReloadStatic(s.buildStatic(staticEdges))
 }
