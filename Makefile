@@ -79,8 +79,11 @@ test-parallel: test-allocs
 	$(GO) test -race -run 'TestApplyLoop|TestParallelApply|TestCkptClock|TestCheckpointClockOutlier|TestDetectBatch|TestLatencyMetricSplit' ./internal/cluster ./internal/core
 
 # test-transport runs the networked tier under the race detector: the
-# wire codec and fault tests in internal/transport, plus the loopback
-# multi-process cluster suite (hub + socket-attached workers, connection
+# wire codec, its version-3 golden frames and the fault tests in
+# internal/transport, with the read-path tests (TestRemoteRead*: a round
+# trip on the feed connection, a read in flight across a drop, a read behind
+# a full, undrained feed), plus the loopback multi-process cluster suite (hub
+# + socket-attached workers, reads through the hub's broker, connection
 # drops, worker crash/restart, full restart), the replica-host contract
 # tests over the fake link, and the crash matrix's TCP legs — the quick loop
 # for transport work.

@@ -11,6 +11,7 @@ import (
 	"motifstream/internal/dynstore"
 	"motifstream/internal/graph"
 	"motifstream/internal/motif"
+	"motifstream/internal/partition"
 )
 
 // runE9 measures the replication claim: "we can replicate the partitions
@@ -147,7 +148,8 @@ type capacityReplica struct {
 	mu      sync.Mutex
 }
 
-func (r *capacityReplica) ID() int { return r.inner.ID() }
+func (r *capacityReplica) ID() int                              { return r.inner.ID() }
+func (r *capacityReplica) TopItems(n int) []partition.ItemCount { return r.inner.TopItems(n) }
 
 func (r *capacityReplica) RecommendationsFor(a graph.VertexID) []motif.Candidate {
 	r.mu.Lock()

@@ -26,7 +26,9 @@
 // wave) and worker crashes (Abort: sockets drop, no flush, no final
 // checkpoint cut) with recovery over the same durable chains. The same
 // no-fault oracle equivalence, fingerprint audit, truncation, and
-// resource-flatness invariants apply.
+// resource-flatness invariants apply; in addition, a sample of broker reads
+// through the hub follows every wave, and the run fails if none is ever
+// answered or any outlives the transport's read timeout.
 package main
 
 import (
@@ -45,6 +47,7 @@ import (
 	"motifstream/internal/dynstore"
 	"motifstream/internal/graph"
 	"motifstream/internal/motif"
+	"motifstream/internal/transport"
 )
 
 func main() {
@@ -452,6 +455,43 @@ type network struct {
 	// reconnects sums the reconnect counters of workers since crashed
 	// (counters die with the Cluster).
 	reconnects uint64
+	// reads counts the hub reads sampleReads issued, answered those that
+	// returned a non-empty answer, refused those the broker turned away.
+	reads, answered, refused int
+}
+
+// readsPerWave is the number of RecommendationsFor reads sampleReads issues
+// after each wave, besides one TopItems.
+const readsPerWave = 16
+
+// sampleReads reads through the hub after a wave, over whatever drops and
+// crashes the wave injected: RecommendationsFor for ring users in turn, then
+// one TopItems fan-out. A read may be refused (every replica of a partition
+// reconnecting) or empty; none may outlive the transport's read timeout,
+// which bounds a read waiting behind its feed.
+func (n *network) sampleReads() error {
+	for i := 0; i <= readsPerWave; i++ {
+		start := time.Now()
+		var got int
+		var err error
+		if i < readsPerWave {
+			recs, e := n.c.RecommendationsFor(graph.VertexID(n.reads % n.gen.users))
+			got, err = len(recs), e
+		} else {
+			top, e := n.c.TopItems(5)
+			got, err = len(top), e
+		}
+		if d := time.Since(start); d > transport.ReadTimeout+time.Second {
+			return fmt.Errorf("hub read took %v, past the %v read timeout", d, transport.ReadTimeout)
+		}
+		n.reads++
+		if err != nil {
+			n.refused++
+		} else if got > 0 {
+			n.answered++
+		}
+	}
+	return nil
 }
 
 // startNetwork attaches one worker per replica index to the hub s.c and
@@ -528,8 +568,9 @@ func (n *network) crashWorker(i int) error {
 	return nil
 }
 
+// ops is the networked menu; every entry ends with a sample of hub reads.
 func (n *network) ops() []op {
-	return []op{
+	ops := []op{
 		{"ingest through one random mid-wave connection drop", func() error { return n.publishWave(1) }},
 		{"crash worker r0 mid-stream, restart over same chains", func() error { return n.crashWorker(0) }},
 		{"ingest through a double blip (drop during replay)", func() error { return n.publishWave(2) }},
@@ -541,6 +582,16 @@ func (n *network) ops() []op {
 			return n.waitForTruncation(25 * time.Millisecond)
 		}},
 	}
+	for i := range ops {
+		fn := ops[i].fn
+		ops[i].fn = func() error {
+			if err := fn(); err != nil {
+				return err
+			}
+			return n.sampleReads()
+		}
+	}
+	return ops
 }
 
 // drain: hub EOS, workers flush + FIN and exit.
@@ -555,7 +606,8 @@ func (n *network) drain() error {
 }
 
 // evidence is the fault injection's vacuousness check: connections were
-// severed, and workers reconnected through it.
+// severed, workers reconnected through it, and reads through the hub were
+// answered.
 func (n *network) evidence() (string, error) {
 	if n.drops == 0 {
 		return "", fmt.Errorf("vacuous: no connection was ever severed")
@@ -566,7 +618,11 @@ func (n *network) evidence() (string, error) {
 	if n.reconnects == 0 {
 		return "", fmt.Errorf("no worker ever reconnected despite %d severed connections", n.drops)
 	}
-	return fmt.Sprintf("; %d reconnects absorbed %d severed connections", n.reconnects, n.drops), nil
+	if n.answered == 0 {
+		return "", fmt.Errorf("vacuous: none of %d hub reads returned an answer", n.reads)
+	}
+	return fmt.Sprintf("; %d reconnects absorbed %d severed connections; %d hub reads: %d answered, %d refused, %d read errors",
+		n.reconnects, n.drops, n.reads, n.answered, n.refused, n.c.Metrics().Counter("transport.read.errors").Value()), nil
 }
 
 // checkGoroutines fails on monotonic growth: once warmed up, the low

@@ -23,12 +23,14 @@ import (
 	"motifstream/internal/partition"
 )
 
-// Replica is one copy of a partition served behind the broker. The
-// in-process implementation wraps *partition.Partition; a networked
-// deployment would substitute an RPC client.
+// Replica is one copy of a partition served behind the broker: a
+// *partition.Partition in process, or the hub's stand-in for one a worker
+// runs, which asks over the slot's feed connection (internal/transport).
 type Replica interface {
 	// RecommendationsFor returns recent candidates for user a.
 	RecommendationsFor(a graph.VertexID) []motif.Candidate
+	// TopItems returns the replica's n most-recommended items.
+	TopItems(n int) []partition.ItemCount
 	// ID identifies the underlying partition.
 	ID() int
 }
@@ -119,8 +121,9 @@ func (b *Broker) AddReplica(partitionID int, rep Replica) (int, error) {
 }
 
 // ReplaceReplica swaps the backing replica of an existing member — node
-// replacement: same slot, new machine. Health is unchanged (the cluster
-// downs the slot before replacing and ups it after catch-up).
+// replacement: same slot, new machine. The new member starts marked down,
+// as an added one does, so no read reaches it before the cluster marks it
+// up after catch-up.
 func (b *Broker) ReplaceReplica(partitionID, idx int, rep Replica) error {
 	if partitionID < 0 || partitionID >= len(b.groups) {
 		return fmt.Errorf("broker: partition %d out of range", partitionID)
@@ -137,7 +140,7 @@ func (b *Broker) ReplaceReplica(partitionID, idx int, rep Replica) error {
 	// Swap inside a fresh member so readers holding an old snapshot keep a
 	// consistent (rep, down) pair.
 	m := &member{rep: rep}
-	m.down.Store(g.members[idx].down.Load())
+	m.down.Store(true)
 	members := make([]*member, len(g.members))
 	copy(members, g.members)
 	members[idx] = m

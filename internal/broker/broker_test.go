@@ -18,7 +18,8 @@ type fakeReplica struct {
 	reads int
 }
 
-func (f *fakeReplica) ID() int { return f.id }
+func (f *fakeReplica) ID() int                            { return f.id }
+func (f *fakeReplica) TopItems(int) []partition.ItemCount { return nil }
 
 func (f *fakeReplica) RecommendationsFor(a graph.VertexID) []motif.Candidate {
 	f.mu.Lock()
@@ -164,6 +165,24 @@ func TestHealthAccessors(t *testing.T) {
 	}
 	if err := b.MarkDown(0, 99); err == nil {
 		t.Fatal("out-of-range replica MarkDown accepted")
+	}
+}
+
+// TestReplaceReplicaStartsDown: a replacement member serves no read until
+// it is marked up, even where the member it replaced was up — a replica that
+// has not caught up is not read.
+func TestReplaceReplicaStartsDown(t *testing.T) {
+	b, _ := newTestBroker(t, 1, 1)
+	fresh := &fakeReplica{tag: 7}
+	if err := b.ReplaceReplica(0, 0, fresh); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.RecommendationsFor(1); !errors.Is(err, ErrNoReplica) {
+		t.Fatalf("read before MarkUp: err = %v, want ErrNoReplica", err)
+	}
+	b.MarkUp(0, 0)
+	if got, err := b.RecommendationsFor(1); err != nil || got[0].Item != 7 {
+		t.Fatalf("read after MarkUp = %v, %v; want the replacement's answer", got, err)
 	}
 }
 

@@ -662,7 +662,8 @@ func (c *Cluster) Stats() Stats {
 }
 
 // RecommendationsFor serves a user read through the broker. Workers have
-// no broker — the hub fans reads out to them over their read listeners.
+// no broker — the hub fans reads out to them over their slots' feed
+// connections.
 func (c *Cluster) RecommendationsFor(a graph.VertexID) ([]motif.Candidate, error) {
 	h, err := c.hubTier()
 	if err != nil {
@@ -680,15 +681,7 @@ func (c *Cluster) TopItems(n int) ([]partition.ItemCount, error) {
 		return nil, err
 	}
 	lists, err := broker.FanOut(h.broker, func(r broker.Replica) []partition.ItemCount {
-		// Behavioral interface, not a concrete type: both local partitions
-		// and the hub's dial-based remote members serve the query.
-		q, ok := r.(interface {
-			TopItems(int) []partition.ItemCount
-		})
-		if !ok {
-			return nil
-		}
-		return q.TopItems(n)
+		return r.TopItems(n)
 	})
 	if err != nil {
 		return nil, err

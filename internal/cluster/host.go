@@ -26,7 +26,7 @@ type hubLink interface {
 	// to resume whose oldest durable restore point is floor, and returns
 	// the firehose from resume plus the handle for the slot's live, floor
 	// and detach reports; reads is where the broker finds the replica.
-	attach(pid, r, gen int, floor, resume uint64, reads reader) (transport.Attachment, <-chan queue.Envelope[graph.Edge], error)
+	attach(pid, r, gen int, floor, resume uint64, reads broker.Replica) (transport.Attachment, <-chan queue.Envelope[graph.Edge], error)
 	// offer hands one event's candidates toward delivery.
 	offer(msg transport.CandMsg) error
 	// acked is the checkpoint ack gate: whether everything offered so far
@@ -36,13 +36,6 @@ type hubLink interface {
 	// once drained); close releases the link after the host's last offer.
 	closeFeed()
 	close()
-}
-
-// reader serves a slot's reads: a local partition, or a hub's dial-based
-// stand-in for one a worker runs.
-type reader interface {
-	broker.Replica
-	transport.ReplicaQuerier
 }
 
 // placed names one placement's checkpoint directory — what the base-pool,

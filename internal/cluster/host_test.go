@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"motifstream/internal/broker"
 	"motifstream/internal/graph"
 	"motifstream/internal/queue"
 	"motifstream/internal/transport"
@@ -53,7 +54,7 @@ func newFakeLink(stream []graph.Edge) *fakeLink {
 
 func (l *fakeLink) logMeta() (id, head, start uint64) { return 7, 0, 0 }
 
-func (l *fakeLink) attach(pid, r, gen int, floor, resume uint64, reads reader) (transport.Attachment, <-chan queue.Envelope[graph.Edge], error) {
+func (l *fakeLink) attach(pid, r, gen int, floor, resume uint64, reads broker.Replica) (transport.Attachment, <-chan queue.Envelope[graph.Edge], error) {
 	return &l.att, l.feed, nil
 }
 

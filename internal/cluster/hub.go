@@ -12,6 +12,7 @@ import (
 	"motifstream/internal/delivery"
 	"motifstream/internal/graph"
 	"motifstream/internal/motif"
+	"motifstream/internal/partition"
 	"motifstream/internal/placement"
 	"motifstream/internal/queue"
 	"motifstream/internal/transport"
@@ -199,6 +200,7 @@ func newHubTier(sh *shared) (h *hubTier, err error) {
 type vacant struct{ pid int }
 
 func (v vacant) RecommendationsFor(graph.VertexID) []motif.Candidate { return nil }
+func (v vacant) TopItems(int) []partition.ItemCount                  { return nil }
 func (v vacant) ID() int                                             { return v.pid }
 
 // seedDelivery runs on a durable-log restart. The replicas are about to
@@ -318,7 +320,7 @@ func (h *hubTier) close() {
 	h.candidates.Close()
 	h.deliverWG.Wait()
 	if h.listener != nil {
-		h.listener.close()
+		h.listener.server.Close()
 	}
 	if h.wal != nil {
 		// Consumers and replayers have drained; everything appended is
@@ -400,7 +402,7 @@ type attachment struct {
 // the log out from under the replay about to start. The slot turns
 // replaying — broker-down until the attachment reports live. On error it is
 // untouched.
-func (h *hubTier) attach(pid, r, gen int, floor, resume uint64, reads reader) (transport.Attachment, <-chan queue.Envelope[graph.Edge], error) {
+func (h *hubTier) attach(pid, r, gen int, floor, resume uint64, reads broker.Replica) (transport.Attachment, <-chan queue.Envelope[graph.Edge], error) {
 	slot, err := h.slot(pid, r)
 	if err != nil {
 		return nil, nil, err

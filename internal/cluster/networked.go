@@ -9,9 +9,9 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
+	"motifstream/internal/broker"
 	"motifstream/internal/graph"
 	"motifstream/internal/queue"
 	"motifstream/internal/transport"
@@ -69,36 +69,28 @@ func (cfg *Config) netDrainTimeout() time.Duration {
 	return 30 * time.Second
 }
 
-// tcpLink joins a worker's replica host to the hub over internal/transport:
-// one feed connection per attached slot, one sequenced, cumulatively acked
-// candidate stream (the forwarder, which is the worker's whole candidate
-// queue), and a read listener the hub's broker dials. Exactly-once across the
-// sockets needs one law of its own, the checkpoint ack gate (offer, acked):
-// envelope redelivery after a reconnect is dropped by the feed's next-offset
-// filter, re-sent candidate frames by the delivery tier's per-group offset
-// filter.
+// tcpLink joins a worker's replica host to the hub over internal/transport,
+// on connections the worker dials: one feed connection per attached slot,
+// which also carries the broker's reads of the slot, and one sequenced,
+// cumulatively acked candidate stream (the forwarder, which is the worker's
+// whole candidate queue). Exactly-once across the sockets needs one law of
+// its own, the checkpoint ack gate (offer, acked): envelope redelivery after
+// a reconnect is dropped by the feed's next-offset filter, re-sent candidate
+// frames by the delivery tier's per-group offset filter.
 type tcpLink struct {
 	*shared
 	feed *transport.FeedClient
 	fw   *transport.CandForwarder
-	rs   *transport.ReplicaServer
 }
 
 // dialHub builds the worker's transport stack — the meta handshake (with
 // retry, so workers can start first), which yields the hub log's identity,
-// adopted as this process's runID; the candidate forwarder; and the
-// read-RPC listener, on an ephemeral loopback port advertised to the hub on
-// attach. Dial/hello attempts and the retry window take the transport's
-// defaults (5s and 10s).
+// adopted as this process's runID, and the candidate forwarder. Dial/hello
+// attempts and the retry window take the transport's defaults (5s and 10s).
 func dialHub(sh *shared) (*tcpLink, error) {
 	opts := transport.ClientOptions{Metrics: sh.reg}
 	feed, err := transport.DialFeed(sh.cfg.Join, opts)
 	if err != nil {
-		return nil, err
-	}
-	rs, err := transport.NewReplicaServer("", sh.reg)
-	if err != nil {
-		feed.Close()
 		return nil, err
 	}
 	logID, _, _ := feed.LogMeta()
@@ -107,17 +99,16 @@ func dialHub(sh *shared) (*tcpLink, error) {
 		shared: sh,
 		feed:   feed,
 		fw:     transport.NewCandForwarder(sh.cfg.Join, logID, opts),
-		rs:     rs,
 	}, nil
 }
 
 func (l *tcpLink) logMeta() (id, head, start uint64) { return l.feed.LogMeta() }
 
 // attach opens the slot's feed connection, which also carries its live and
-// floor reports; the subscription re-announces both after every reconnect.
-func (l *tcpLink) attach(pid, r, gen int, floor, resume uint64, reads reader) (transport.Attachment, <-chan queue.Envelope[graph.Edge], error) {
-	l.rs.Register(pid, r, reads)
-	sub, err := l.feed.SubscribeReplica(pid, r, gen, floor, resume, l.rs.Addr())
+// floor reports, re-announced after every reconnect, and serves the hub's
+// reads of the slot from reads.
+func (l *tcpLink) attach(pid, r, gen int, floor, resume uint64, reads broker.Replica) (transport.Attachment, <-chan queue.Envelope[graph.Edge], error) {
+	sub, err := l.feed.SubscribeReplica(pid, r, gen, floor, resume, reads)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -141,26 +132,21 @@ func (l *tcpLink) close() {
 	}
 	l.fw.Close()
 	l.feed.Close()
-	l.rs.Close()
 }
 
 // hubListener is a hub's server side of the TCP transport: the listener
 // workers dial, relaying their calls to the hub tier's handler set (it is the
-// transport.HubBackend), and the dial-based broker members they are read
-// through.
+// transport.HubBackend).
 type hubListener struct {
 	h      *hubTier
 	server *transport.Server
-
-	mu      sync.Mutex
-	remotes map[[2]int]*transport.RemoteReplica
 }
 
 // listen binds the hub listener. The listener state is installed before the
 // server exists, so backend callbacks (accepting starts immediately) never
 // observe a half-built hub.
 func (h *hubTier) listen() (err error) {
-	h.listener = &hubListener{h: h, remotes: make(map[[2]int]*transport.RemoteReplica)}
+	h.listener = &hubListener{h: h}
 	batch := h.cfg.ApplyBatch
 	if batch < 1 {
 		batch = 64
@@ -174,33 +160,12 @@ func (h *hubTier) listen() (err error) {
 	return err
 }
 
-func (l *hubListener) close() {
-	l.server.Close()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, rr := range l.remotes {
-		rr.Close()
-	}
-}
-
 func (l *hubListener) LogMeta() (uint64, uint64, uint64) { return l.h.logMeta() }
 
-// ReplicaAttached attaches like any replica host, with a dial-based stand-in
-// pointed at the worker's read listener as the slot's broker member; the
-// stand-in it supersedes (or, on a refused attach, the new one) is closed.
-func (l *hubListener) ReplicaAttached(pid, r, gen int, floor, resume uint64, readAddr string) (transport.Attachment, <-chan queue.Envelope[graph.Edge], error) {
-	rr := transport.NewRemoteReplica(pid, r, 0, l.h.reg)
-	rr.SetAddr(readAddr)
-	att, sub, err := l.h.attach(pid, r, gen, floor, resume, rr)
-	if err == nil {
-		l.mu.Lock()
-		rr, l.remotes[[2]int{pid, r}] = l.remotes[[2]int{pid, r}], rr
-		l.mu.Unlock()
-	}
-	if rr != nil {
-		rr.Close()
-	}
-	return att, sub, err
+// ReplicaAttached attaches like any replica host; reads, the slot's broker
+// member, asks the worker over the feed connection of this attach.
+func (l *hubListener) ReplicaAttached(pid, r, gen int, floor, resume uint64, reads broker.Replica) (transport.Attachment, <-chan queue.Envelope[graph.Edge], error) {
+	return l.h.attach(pid, r, gen, floor, resume, reads)
 }
 
 func (l *hubListener) DeliverCandidates(msgs []transport.CandMsg) error {

@@ -251,8 +251,8 @@ func TestNetworkedWorkerStaticPerPartition(t *testing.T) {
 
 // TestNetworkedEndToEnd is the success bar's happy path: hub + one worker
 // process boundary over real sockets, oracle delivered-set equivalence,
-// fan-out reads through dial-based broker members, clean shutdown with
-// final checkpoint cuts, clean fingerprint audit.
+// fan-out reads through broker members that ride the feed connections,
+// clean shutdown with final checkpoint cuts, clean fingerprint audit.
 func TestNetworkedEndToEnd(t *testing.T) {
 	edges := motifWorkload(42, 8, 120)
 	want := oracleNotes(t, 2, 1, edges)
@@ -269,7 +269,7 @@ func TestNetworkedEndToEnd(t *testing.T) {
 	}
 
 	wcfg := workerConfig(t, hcfg, hub.ListenAddr(), [][2]int{{0, 0}, {1, 0}})
-	_, joinWorker := startWorker(t, wcfg)
+	wk, joinWorker := startWorker(t, wcfg)
 	awaitAllLive(t, hub)
 
 	for _, e := range edges {
@@ -278,7 +278,30 @@ func TestNetworkedEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Fan-out reads reach the worker over its read listener.
+	// Once the stream is applied the hub writes no envelope frame, so every
+	// frame it writes on a feed is a read request: N reads, at least N frames.
+	for _, or := range wcfg.OwnedReplicas {
+		deadline := time.Now().Add(10 * time.Second)
+		for wk.host.replica(or[0], or[1]).applied.Load() < uint64(len(edges)) {
+			if time.Now().After(deadline) {
+				t.Fatalf("worker replica %d/%d never applied the stream", or[0], or[1])
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	framesOut := hub.Metrics().Counter("transport.feed.frames_out")
+	before, reads := framesOut.Value(), 0
+	for a := graph.VertexID(0); a < 8; a++ {
+		if _, err := hub.RecommendationsFor(a); err != nil {
+			t.Fatal(err)
+		}
+		reads++
+	}
+	if got := framesOut.Value() - before; got < uint64(reads) {
+		t.Errorf("%d reads raised the hub's feed frames_out by %d: they did not ride the feed connections", reads, got)
+	}
+
+	// Fan-out reads reach the worker over its feed connections.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		top, err := hub.TopItems(5)
@@ -542,12 +565,12 @@ func TestNetworkedStaleDetachIgnored(t *testing.T) {
 	defer hub.Stop()
 
 	backend := hub.hub.listener // what the transport server calls for a feed hello
-	attA, _, err := backend.ReplicaAttached(0, 0, 0, 0, 0, "127.0.0.1:1")
+	attA, _, err := backend.ReplicaAttached(0, 0, 0, 0, 0, vacant{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	attA.NotifyLive()
-	attB, _, err := backend.ReplicaAttached(0, 0, 0, 0, 0, "127.0.0.1:1")
+	attB, _, err := backend.ReplicaAttached(0, 0, 0, 0, 0, vacant{})
 	if err != nil {
 		t.Fatal(err)
 	}

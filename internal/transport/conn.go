@@ -112,14 +112,6 @@ func (c *conn) readMsg() ([]byte, error) {
 	return payload, nil
 }
 
-func (c *conn) setReadDeadline(d time.Duration) {
-	if d > 0 {
-		c.nc.SetReadDeadline(time.Now().Add(d))
-	} else {
-		c.nc.SetReadDeadline(time.Time{})
-	}
-}
-
 func (c *conn) close() {
 	c.closeOnce.Do(func() { c.nc.Close() })
 }

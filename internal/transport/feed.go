@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"motifstream/internal/broker"
 	"motifstream/internal/graph"
 	"motifstream/internal/metrics"
 	"motifstream/internal/queue"
@@ -100,26 +101,27 @@ func (f *FeedClient) LogMeta() (logID, head, start uint64) {
 
 // SubscribeReplica attaches slot (pid, r) at generation gen: floor is the
 // replica's durable restore floor (the hub pins its log truncation to it
-// from the attach on), offset where the stream resumes, readAddr the
-// worker's read-RPC listener, which the hub's broker dials. The returned
-// subscription's channel closes on clean end-of-stream (hub shutdown) or
-// Close; connection drops reconnect with idempotent redelivery.
-func (f *FeedClient) SubscribeReplica(pid, r, gen int, floor, offset uint64, readAddr string) (*FeedSub, error) {
+// from the attach on), offset where the stream resumes, and reads the
+// replica's read surface, which answers the hub broker's requests arriving
+// on the feed. The returned subscription's channel closes on clean
+// end-of-stream (hub shutdown) or Close; connection drops reconnect with
+// idempotent redelivery.
+func (f *FeedClient) SubscribeReplica(pid, r, gen int, floor, offset uint64, reads broker.Replica) (*FeedSub, error) {
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
 		return nil, errors.New("transport: feed closed")
 	}
 	s := &FeedSub{
-		f:        f,
-		pid:      pid,
-		r:        r,
-		gen:      gen,
-		readAddr: readAddr,
-		floor:    floor,
-		next:     offset,
-		ch:       make(chan queue.Envelope[graph.Edge], 256),
-		done:     make(chan struct{}),
+		f:     f,
+		pid:   pid,
+		r:     r,
+		gen:   gen,
+		reads: reads,
+		floor: floor,
+		next:  offset,
+		ch:    make(chan queue.Envelope[graph.Edge], 256),
+		done:  make(chan struct{}),
 	}
 	f.subs[s] = struct{}{}
 	f.mu.Unlock()
@@ -149,7 +151,7 @@ func (f *FeedClient) Close() {
 type FeedSub struct {
 	f           *FeedClient
 	pid, r, gen int
-	readAddr    string
+	reads       broker.Replica
 
 	next uint64 // next expected offset; envelopes below are dropped
 	ch   chan queue.Envelope[graph.Edge]
@@ -250,7 +252,7 @@ func (s *FeedSub) run() {
 		s.mu.Lock()
 		floor = s.floor
 		s.mu.Unlock()
-		return encodeHelloFeed(helloFeed{pid: s.pid, r: s.r, gen: s.gen, floor: floor, resume: s.next, readAddr: s.readAddr})
+		return encodeHelloFeed(helloFeed{pid: s.pid, r: s.r, gen: s.gen, floor: floor, resume: s.next})
 	}
 	err := redial(s.f.addr, s.f.opts, s.f.m, s.f.reconnects, s.stopped, hello, msgFeedAck, func(c *conn, ack []byte) (bool, error) {
 		wr := wireCursor(ack)
@@ -293,7 +295,8 @@ func (s *FeedSub) run() {
 }
 
 // stream consumes one connection until it drops (false) or announces a
-// clean end of stream (true).
+// clean end of stream (true). It answers the hub's reads inline, so a read
+// waits behind the envelopes the hub wrote before it.
 func (s *FeedSub) stream(c *conn, envBuf *[]queue.Envelope[graph.Edge]) bool {
 	for {
 		payload, err := c.readMsg()
@@ -324,10 +327,28 @@ func (s *FeedSub) stream(c *conn, envBuf *[]queue.Envelope[graph.Edge]) bool {
 					return true
 				}
 			}
+		case msgRecsReq, msgTopReq:
+			resp := s.answer(payload)
+			if resp == nil || c.writeMsg(resp) != nil {
+				return false
+			}
 		case msgEOS:
 			return true
 		default:
 			return false
 		}
 	}
+}
+
+// answer serves one read request from the replica's read surface; nil when
+// the request does not decode.
+func (s *FeedSub) answer(req []byte) []byte {
+	id, arg, err := decodeReadReq(wireCursor(req[1:]))
+	if err != nil {
+		return nil
+	}
+	if req[0] == msgRecsReq {
+		return encodeRecsResp(id, s.reads.RecommendationsFor(graph.VertexID(arg)))
+	}
+	return encodeTopResp(id, s.reads.TopItems(int(arg)))
 }

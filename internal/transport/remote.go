@@ -5,39 +5,47 @@ import (
 	"sync"
 	"time"
 
-	"motifstream/internal/codecutil"
 	"motifstream/internal/graph"
 	"motifstream/internal/metrics"
 	"motifstream/internal/motif"
 	"motifstream/internal/partition"
 )
 
-// RemoteReplica is the hub's dial-based broker member: it satisfies the
-// broker.Replica read surface by RPC against the worker's ReplicaServer.
-// It starts with no address (broker marks it down); the worker's feed
-// attach supplies one. The connection is dialed lazily per query and kept
-// for pipelining; any error drops it and the next query redials.
+// ReadTimeout bounds one broker read of a worker's replica.
+const ReadTimeout = 5 * time.Second
+
+var (
+	errReadClosed  = errors.New("transport: the read's feed connection ended")
+	errReadTimeout = errors.New("transport: read timed out")
+)
+
+// RemoteReplica is the hub's broker member for a slot a worker runs. It
+// satisfies broker.Replica over the feed connection of one attach: the feed's
+// writer takes its requests between envelope batches, and the feed's upstream
+// reader routes the worker's answers back by request id. It ends with that
+// connection; the next attach brings a new member.
 type RemoteReplica struct {
-	pid, r  int
+	pid     int
 	timeout time.Duration
+	reqs    chan []byte   // request frames, taken by the feed's writer
+	done    chan struct{} // closed when the feed connection's handler returns
 
-	mu     sync.Mutex
-	addr   string
-	c      *conn
-	nextID uint64
-	closed bool
+	mu      sync.Mutex
+	nextID  uint64
+	waiting map[uint64]chan []byte // in-flight calls by request id
 
-	m    *connMetrics
 	rtt  *metrics.Histogram
 	errs *metrics.Counter
 }
 
-// NewRemoteReplica creates an unaddressed remote member for slot (pid, r).
-func NewRemoteReplica(pid, r int, timeout time.Duration, reg *metrics.Registry) *RemoteReplica {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
+func newRemoteReplica(pid int, reg *metrics.Registry) *RemoteReplica {
+	rr := &RemoteReplica{
+		pid:     pid,
+		timeout: ReadTimeout,
+		reqs:    make(chan []byte),
+		done:    make(chan struct{}),
+		waiting: make(map[uint64]chan []byte),
 	}
-	rr := &RemoteReplica{pid: pid, r: r, timeout: timeout, m: newConnMetrics(reg, "read", "")}
 	if reg != nil {
 		rr.rtt = reg.Histogram("transport.read.rtt")
 		rr.errs = reg.Counter("transport.read.errors")
@@ -48,141 +56,99 @@ func NewRemoteReplica(pid, r int, timeout time.Duration, reg *metrics.Registry) 
 // ID returns the partition id (broker.Replica contract).
 func (rr *RemoteReplica) ID() int { return rr.pid }
 
-// SetAddr records the worker's read address for this slot.
-func (rr *RemoteReplica) SetAddr(addr string) {
+// rpc performs one request/response exchange and returns the response's body
+// after the type byte. A failure — the connection ended, the timeout passed,
+// a response of the wrong type — is counted; a timed-out call's late answer
+// finds no waiter and is dropped.
+func (rr *RemoteReplica) rpc(typ byte, arg uint64, wantType byte) ([]byte, error) {
 	rr.mu.Lock()
-	if addr != rr.addr {
-		rr.addr = addr
-		if rr.c != nil {
-			rr.c.close()
-			rr.c = nil
-		}
-	}
+	rr.nextID++
+	id := rr.nextID
+	ch := make(chan []byte, 1)
+	rr.waiting[id] = ch
 	rr.mu.Unlock()
-}
-
-// connLocked returns the live connection, dialing if needed.
-func (rr *RemoteReplica) connLocked() (*conn, error) {
-	if rr.closed {
-		return nil, errors.New("transport: remote replica closed")
-	}
-	if rr.c != nil {
-		return rr.c, nil
-	}
-	if rr.addr == "" {
-		return nil, errors.New("transport: remote replica has no address")
-	}
-	hello := typeU2(msgHelloRead, uint64(rr.pid), uint64(rr.r))
-	c, ack, err := dialConn(rr.addr, hello, rr.timeout, nil, rr.m)
-	if err != nil {
-		return nil, err
-	}
-	if len(ack) == 0 || ack[0] != msgReadAck {
-		c.close()
-		return nil, errors.New("transport: read hello refused")
-	}
-	rr.c = c
-	return c, nil
-}
-
-// rpc performs one request/response exchange under the member lock (reads
-// are serialized per member; the broker fans out across members for
-// parallelism). Any failure drops the connection for a fresh dial next
-// time.
-func (rr *RemoteReplica) rpc(encode func(id uint64) []byte, wantType byte) (*codecutil.Cursor, error) {
+	start := time.Now()
+	resp, err := rr.await(typeU2(typ, id, arg), ch)
 	rr.mu.Lock()
-	defer rr.mu.Unlock()
-	c, err := rr.connLocked()
+	delete(rr.waiting, id)
+	rr.mu.Unlock()
+	if err == nil && resp[0] != wantType {
+		err = errors.New("transport: unexpected read response")
+	}
 	if err != nil {
 		if rr.errs != nil {
 			rr.errs.Inc()
 		}
 		return nil, err
 	}
-	rr.nextID++
-	id := rr.nextID
-	start := time.Now()
-	c.setReadDeadline(rr.timeout)
-	defer c.setReadDeadline(0)
-	err = c.writeMsg(encode(id))
-	for err == nil {
-		var payload []byte
-		payload, err = c.readMsg()
-		if err != nil {
-			break
-		}
-		if len(payload) == 0 || payload[0] != wantType {
-			err = errors.New("transport: unexpected read response")
-			break
-		}
-		wr := wireCursor(payload[1:])
-		respID := wr.U("resp id")
-		if wr.Err != nil {
-			err = wr.Err
-			break
-		}
-		if respID != id {
-			continue // stale response from a timed-out predecessor
-		}
-		if rr.rtt != nil {
-			rr.rtt.Observe(time.Since(start))
-		}
-		return wr, nil
+	if rr.rtt != nil {
+		rr.rtt.Observe(time.Since(start))
 	}
-	c.close()
-	rr.c = nil
-	if rr.errs != nil {
-		rr.errs.Inc()
-	}
-	return nil, err
+	return resp[1:], nil
 }
 
-// RecommendationsFor queries the remote replica's ranked store. Failures
-// return nil — the broker treats that as an empty read, and health is
-// governed by the feed connection, not the read path.
-func (rr *RemoteReplica) RecommendationsFor(a graph.VertexID) []motif.Candidate {
-	wr, err := rr.rpc(func(id uint64) []byte {
-		return typeU2(msgRecsReq, id, uint64(a))
-	}, msgRecsResp)
-	if err != nil {
-		return nil
+// await hands req to the feed's writer and waits for the answer on ch, both
+// within one timeout. The timeout is a timer, not a deadline on the socket:
+// one firing there would sever the feed. Behind an envelope backlog the
+// writer takes the request late, or the worker answers late; either way the
+// wait ends at the timeout.
+func (rr *RemoteReplica) await(req []byte, ch chan []byte) ([]byte, error) {
+	t := time.NewTimer(rr.timeout)
+	defer t.Stop()
+	select {
+	case rr.reqs <- req:
+	case <-rr.done:
+		return nil, errReadClosed
+	case <-t.C:
+		return nil, errReadTimeout
 	}
-	out := decodeCandidates(wr, "recs count")
-	if wr.Err != nil {
-		return nil
+	select {
+	case resp := <-ch:
+		return resp, nil
+	case <-rr.done:
+		return nil, errReadClosed
+	case <-t.C:
+		return nil, errReadTimeout
 	}
-	return out
 }
 
-// TopItems queries the remote replica's fan-out aggregate.
-func (rr *RemoteReplica) TopItems(n int) []partition.ItemCount {
-	wr, err := rr.rpc(func(id uint64) []byte {
-		return typeU2(msgTopReq, id, uint64(n))
-	}, msgTopResp)
-	if err != nil {
-		return nil
-	}
-	cnt := wr.Count("top count", 2)
-	var out []partition.ItemCount
-	for i := 0; i < cnt && wr.Err == nil; i++ {
-		var it partition.ItemCount
-		it.Item = graph.VertexID(wr.U("top item"))
-		it.Count = wr.U("top item count")
-		out = append(out, it)
-	}
-	if wr.Err != nil {
-		return nil
-	}
-	return out
-}
-
-// Close drops the member's connection permanently.
-func (rr *RemoteReplica) Close() {
+// deliver hands a response frame to the call waiting on its id. It copies
+// the frame, which aliases the connection's read buffer.
+func (rr *RemoteReplica) deliver(payload []byte) {
+	id := wireCursor(payload[1:]).U("resp id")
 	rr.mu.Lock()
-	rr.closed = true
-	if rr.c != nil {
-		rr.c.close()
-		rr.c = nil
-	}
+	ch := rr.waiting[id]
+	delete(rr.waiting, id)
 	rr.mu.Unlock()
+	if ch != nil {
+		ch <- append([]byte(nil), payload...)
+	}
+}
+
+// RecommendationsFor queries the worker's replica. Failures return nil —
+// the broker treats that as an empty read, and health is governed by the
+// feed's attach and live reports, not the read path.
+func (rr *RemoteReplica) RecommendationsFor(a graph.VertexID) []motif.Candidate {
+	body, err := rr.rpc(msgRecsReq, uint64(a), msgRecsResp)
+	if err != nil {
+		return nil
+	}
+	_, out, err := decodeRecsResp(wireCursor(body))
+	if err != nil {
+		return nil
+	}
+	return out
+}
+
+// TopItems queries the worker's replica's fan-out aggregate.
+func (rr *RemoteReplica) TopItems(n int) []partition.ItemCount {
+	body, err := rr.rpc(msgTopReq, uint64(n), msgTopResp)
+	if err != nil {
+		return nil
+	}
+	_, out, err := decodeTopResp(wireCursor(body))
+	if err != nil {
+		return nil
+	}
+	return out
 }

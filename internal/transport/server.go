@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"motifstream/internal/broker"
 	"motifstream/internal/graph"
 	"motifstream/internal/metrics"
 	"motifstream/internal/queue"
@@ -32,12 +33,12 @@ type HubBackend interface {
 	// LogMeta reports the firehose log's identity and current bounds.
 	LogMeta() (logID, head, start uint64)
 	// ReplicaAttached validates and records a worker taking ownership of
-	// slot (pid, r) at generation gen, reachable for reads at readAddr,
-	// publishing its restore floor and opening the firehose subscription
-	// at resume (replay-then-live) as one step. The newest attachment owns
-	// the slot; what a superseded one reports, its Close included, is
-	// ignored.
-	ReplicaAttached(pid, r, gen int, floor, resume uint64, readAddr string) (Attachment, <-chan queue.Envelope[graph.Edge], error)
+	// slot (pid, r) at generation gen, publishing its restore floor and
+	// opening the firehose subscription at resume (replay-then-live) as one
+	// step; reads is the slot's broker member, which asks the worker over
+	// this attach's feed connection. The newest attachment owns the slot;
+	// what a superseded one reports, its Close included, is ignored.
+	ReplicaAttached(pid, r, gen int, floor, resume uint64, reads broker.Replica) (Attachment, <-chan queue.Envelope[graph.Edge], error)
 	// DeliverCandidates publishes decoded candidate messages into the
 	// hub's delivery topic, in slice order. Idempotent under redelivery:
 	// the delivery tier's per-group monotonic offset filter drops
@@ -202,7 +203,9 @@ func (s *Server) handleMeta(c *conn) {
 }
 
 // handleFeed serves one replica's firehose subscription: replay-then-live
-// envelope batches downstream, floor/live reports upstream.
+// envelope batches and the broker's read requests downstream, floor/live
+// reports and read responses upstream. The slot's broker member lives as
+// long as this connection: when the handler returns, its calls fail.
 func (s *Server) handleFeed(c *conn, body []byte) {
 	wr := wireCursor(body)
 	h := decodeHelloFeed(wr)
@@ -211,7 +214,9 @@ func (s *Server) handleFeed(c *conn, body []byte) {
 		return
 	}
 	b := s.cfg.Backend
-	att, sub, err := b.ReplicaAttached(h.pid, h.r, h.gen, h.floor, h.resume, h.readAddr)
+	rr := newRemoteReplica(h.pid, s.cfg.Metrics)
+	defer close(rr.done)
+	att, sub, err := b.ReplicaAttached(h.pid, h.r, h.gen, h.floor, h.resume, rr)
 	if err != nil {
 		c.writeMsg(encodeHelloErr(err.Error()))
 		c.close()
@@ -230,8 +235,8 @@ func (s *Server) handleFeed(c *conn, body []byte) {
 		return
 	}
 
-	// Reader: upstream floor/live reports; closes done on any error so
-	// the writer stops waiting on the subscription.
+	// Reader: upstream floor/live reports and read responses; closes done on
+	// any error so the writer stops waiting on the subscription.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -249,6 +254,8 @@ func (s *Server) handleFeed(c *conn, body []byte) {
 				}
 			case msgLive:
 				att.NotifyLive()
+			case msgRecsResp, msgTopResp:
+				rr.deliver(payload)
 			default:
 				return
 			}
@@ -286,6 +293,10 @@ loop:
 				break loop
 			}
 			if eos {
+				break loop
+			}
+		case req := <-rr.reqs:
+			if err := c.writeMsg(req); err != nil {
 				break loop
 			}
 		case <-done:

@@ -10,6 +10,7 @@ import (
 	"testing/iotest"
 	"time"
 
+	"motifstream/internal/broker"
 	"motifstream/internal/codecutil"
 	"motifstream/internal/graph"
 	"motifstream/internal/metrics"
@@ -30,9 +31,10 @@ type fakeHub struct {
 	subs     map[chan queue.Envelope[graph.Edge]]uint64 // chan -> next offset to push
 	cands    []CandMsg
 	rawCands int
-	floor2   map[int]uint64 // pid -> highest delivered offset
-	attached map[[2]int]int // (pid,r) -> attach count
-	hellos   []uint64       // restore floor of every attach, in order
+	floor2   map[int]uint64            // pid -> highest delivered offset
+	attached map[[2]int]int            // (pid,r) -> attach count
+	reads    map[[2]int]broker.Replica // (pid,r) -> broker member of the newest attach
+	hellos   []uint64                  // restore floor of every attach, in order
 	lives    int
 	floors   []uint64
 	detached int
@@ -47,6 +49,7 @@ func newFakeHub(logID uint64) *fakeHub {
 		logID:    logID,
 		subs:     make(map[chan queue.Envelope[graph.Edge]]uint64),
 		attached: make(map[[2]int]int),
+		reads:    make(map[[2]int]broker.Replica),
 		floor2:   make(map[int]uint64),
 	}
 }
@@ -58,10 +61,11 @@ func (f *fakeHub) LogMeta() (uint64, uint64, uint64) {
 }
 
 // ReplicaAttached opens a subscription at resume: replay, then live.
-func (f *fakeHub) ReplicaAttached(pid, r, gen int, floor, resume uint64, readAddr string) (Attachment, <-chan queue.Envelope[graph.Edge], error) {
+func (f *fakeHub) ReplicaAttached(pid, r, gen int, floor, resume uint64, reads broker.Replica) (Attachment, <-chan queue.Envelope[graph.Edge], error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.attached[[2]int{pid, r}]++
+	f.reads[[2]int{pid, r}] = reads
 	f.hellos = append(f.hellos, floor)
 	ch := make(chan queue.Envelope[graph.Edge], len(f.envs)+1024)
 	for _, env := range f.envs[min(resume, uint64(len(f.envs))):] {
@@ -161,7 +165,7 @@ func (f *fakeHub) await(t *testing.T, what string, cond func() bool) {
 
 func testServer(t *testing.T, backend HubBackend) *Server {
 	t.Helper()
-	s, err := NewServer(ServerConfig{Listen: "127.0.0.1:0", Backend: backend, DrainQuiet: 20 * time.Millisecond})
+	s, err := NewServer(ServerConfig{Listen: "127.0.0.1:0", Backend: backend, DrainQuiet: 20 * time.Millisecond, Metrics: metrics.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +191,7 @@ func TestFeedResumeAcrossDrops(t *testing.T) {
 	if id, _, _ := fc.LogMeta(); id != 77 {
 		t.Fatalf("log id = %d", id)
 	}
-	sub, err := fc.SubscribeReplica(0, 0, 1, 5, 0, "")
+	sub, err := fc.SubscribeReplica(0, 0, 1, 5, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +253,7 @@ func TestFeedHelloCarriesFloorAndDetachIsScoped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sub, err := fc.SubscribeReplica(0, 0, 0, 40, 50, "")
+		sub, err := fc.SubscribeReplica(0, 0, 0, 40, 50, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,29 +284,32 @@ func TestFeedHelloCarriesFloorAndDetachIsScoped(t *testing.T) {
 	}
 }
 
-// TestOldProtocolVersionRefused: a version-1 peer (whose feed hello has no
-// floor field) fails the preamble check and gets no reply — refused, not
-// misparsed.
+// TestOldProtocolVersionRefused: an older peer — version 1, whose feed hello
+// has no floor field, or version 2, whose hello carries a read address and
+// which expects the hub to dial back for reads — fails the preamble check
+// and gets no reply: refused, not misparsed.
 func TestOldProtocolVersionRefused(t *testing.T) {
 	fake := newFakeHub(5)
 	srv := testServer(t, fake)
-	nc, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	v1 := connMagic
-	v1[7] = 1
-	nc.Write(v1[:])
-	codecutil.WriteFrame(nc, encodeHelloFeed(helloFeed{resume: 9}))
-	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if n, err := nc.Read(make([]byte, 16)); err == nil {
-		t.Fatalf("server answered a version-1 preamble with %d bytes", n)
+	for _, version := range []byte{1, 2} {
+		nc, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := connMagic
+		old[7] = version
+		nc.Write(old[:])
+		codecutil.WriteFrame(nc, encodeHelloFeed(helloFeed{resume: 9}))
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := nc.Read(make([]byte, 16)); err == nil {
+			t.Fatalf("server answered a version-%d preamble with %d bytes", version, n)
+		}
+		nc.Close()
 	}
 	fake.mu.Lock()
 	defer fake.mu.Unlock()
 	if len(fake.hellos) != 0 {
-		t.Fatal("a version-1 hello reached the backend")
+		t.Fatal("an old-version hello reached the backend")
 	}
 }
 
@@ -643,10 +650,9 @@ func TestFramePrefixesAndBitFlipsRejected(t *testing.T) {
 		}
 	}
 
-	// The version-2 feed hello: every field survives the round trip — the
-	// restore floor distinct from the resume offset — and no strict prefix
-	// decodes.
-	want := helloFeed{pid: 1, r: 2, gen: 3, floor: 300, resume: 4000, readAddr: "127.0.0.1:99"}
+	// The feed hello: every field survives the round trip — the restore
+	// floor distinct from the resume offset — and no strict prefix decodes.
+	want := helloFeed{pid: 1, r: 2, gen: 3, floor: 300, resume: 4000}
 	hello := encodeHelloFeed(want)
 	wr := wireCursor(hello[1:])
 	if got := decodeHelloFeed(wr); wr.Err != nil || got != want {
@@ -685,7 +691,7 @@ func TestDecodeCandBatchAllocBudget(t *testing.T) {
 func FuzzTransportFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{msgEOS})
-	f.Add(encodeHelloFeed(helloFeed{pid: 1, r: 2, gen: 3, floor: 300, resume: 4000, readAddr: "127.0.0.1:99"}))
+	f.Add(encodeHelloFeed(helloFeed{pid: 1, r: 2, gen: 3, floor: 300, resume: 4000}))
 	f.Add(encodeEnvBatch(logMeta{7, 100, 5}, []queue.Envelope[graph.Edge]{
 		{Offset: 9, VirtualDelay: time.Second, PubUnixNS: 123, Msg: graph.Edge{Src: 1, Dst: 2, Type: graph.Follow, TS: 42}},
 	}))
@@ -695,6 +701,9 @@ func FuzzTransportFrame(f *testing.F) {
 	f.Add(encodeRecsResp(2, []motif.Candidate{{User: 1, Item: 2}}))
 	f.Add(encodeTopResp(4, []partition.ItemCount{{Item: 3, Count: 9}}))
 	f.Add(encodeHelloErr("nope"))
+	for _, frame := range readFrames() {
+		f.Add(frame)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Raw bytes as a frame stream: must error or yield payloads, never
@@ -714,6 +723,7 @@ func FuzzTransportFrame(f *testing.F) {
 		decodeLogMeta(wireCursor(data))
 		decodeEnvBatch(wireCursor(data), nil)
 		decodeCandBatch(wireCursor(data))
+		decodeReadReq(wireCursor(data))
 		decodeRecsResp(wireCursor(data))
 		decodeTopResp(wireCursor(data))
 		wireCursor(data).String("fuzz", 1<<16)

@@ -5,8 +5,8 @@
 //
 // The wire codec is the WAL's record framing (u32 length + CRC32C,
 // hoisted into internal/codecutil), so a frame on the socket and a record
-// in the log are the same bytes-level artifact. Three connection kinds
-// exist, all dialed worker→hub except reads:
+// in the log are the same bytes-level artifact. Two connection kinds
+// exist, both dialed worker→hub, so a worker needs no listening socket:
 //
 //   - feed: one per replica. The worker attaches to its slot with its
 //     restore floor and a resume offset; the hub streams envelope batches
@@ -15,13 +15,14 @@
 //     same socket. Reconnects resume idempotently: the worker re-hellos
 //     with its current floor and next expected offset and drops anything
 //     below it. Each accepted hello is one attachment, to which the hub
-//     scopes the reports and the detach that follow it.
+//     scopes the reports and the detach that follow it. The broker's reads
+//     of the slot ride the same socket: the hub writes a request between
+//     envelope batches and the worker answers upstream, after the batches
+//     written before it.
 //   - cands: one per worker. Candidate batches flow up with sequence
 //     numbers and cumulative acks flow down; unacked batches are resent in
 //     order after a reconnect. The hub's per-group monotonic offset filter
 //     collapses the resulting at-least-once stream to exactly-once.
-//   - read: hub→worker. The hub's broker dials a worker's ReplicaServer to
-//     serve RecommendationsFor/TopItems fan-outs remotely.
 //
 // Every message is one frame: a type byte followed by varint fields.
 package transport
@@ -38,10 +39,11 @@ import (
 	"motifstream/internal/queue"
 )
 
-// connMagic opens every transport connection, format version 2 (the feed
-// hello carries the restore floor); a version-1 peer fails the preamble
-// check, so a mixed deployment is refused, not misparsed.
-var connMagic = [8]byte{'M', 'S', 'T', 'P', 'T', 0, 0, 2}
+// connMagic opens every transport connection, format version 3 (reads ride
+// the feed connection; the feed hello lost version 2's read address); an
+// older peer fails the preamble check, so a mixed deployment is refused, not
+// misparsed.
+var connMagic = [8]byte{'M', 'S', 'T', 'P', 'T', 0, 0, 3}
 
 // maxFrame bounds any accepted wire frame: larger claims are corruption
 // or a hostile peer, rejected before allocation.
@@ -51,7 +53,7 @@ const maxFrame = 1 << 24
 const (
 	msgHelloMeta   = 1  // worker→hub: request log identity/bounds
 	msgMetaResp    = 2  // hub→worker: logID, head, logStart
-	msgHelloFeed   = 3  // worker→hub: attach replica (pid, r, gen, floor, resume, readAddr)
+	msgHelloFeed   = 3  // worker→hub: attach replica (pid, r, gen, floor, resume)
 	msgFeedAck     = 4  // hub→worker: accepted; logID, head, logStart
 	msgEnvBatch    = 5  // hub→worker: coalesced envelope batch
 	msgEOS         = 6  // hub→worker: clean end of stream (cluster shutdown)
@@ -61,14 +63,12 @@ const (
 	msgCandBatch   = 10 // worker→hub: candidate batch {seq, msgs}
 	msgCandAck     = 11 // hub→worker: cumulative ack {seq}
 	msgCandFin     = 12 // worker→hub: stream complete, close after ack
-	msgHelloRead   = 13 // hub→worker: open read stream for (pid, r)
-	msgReadAck     = 14 // worker→hub: accepted
-	msgRecsReq     = 15 // read: RecommendationsFor
-	msgRecsResp    = 16
-	msgTopReq      = 17 // read: TopItems
-	msgTopResp     = 18
-	// 19 and 20 are retired (a read-path probe); not to be reused within
-	// format version 2.
+	// 13 and 14 are retired (version 2's read-connection hello and its
+	// ack), as are 19 and 20 (a read-path probe); none is to be reused.
+	msgRecsReq  = 15 // hub→worker on a feed: RecommendationsFor {id, user}
+	msgRecsResp = 16 // worker→hub on a feed: {id, candidates}
+	msgTopReq   = 17 // hub→worker on a feed: TopItems {id, n}
+	msgTopResp  = 18 // worker→hub on a feed: {id, item counts}
 	msgHelloErr = 21 // either side: hello rejected, message string
 )
 
@@ -104,11 +104,10 @@ func appendString(b []byte, s string) []byte {
 }
 
 // helloFeed is the feed attach request: the slot and its generation, the
-// replica's restore floor, the offset to stream from, and its read address.
+// replica's restore floor, and the offset to stream from.
 type helloFeed struct {
 	pid, r, gen   int
 	floor, resume uint64
-	readAddr      string
 }
 
 func encodeHelloFeed(h helloFeed) []byte {
@@ -118,7 +117,6 @@ func encodeHelloFeed(h helloFeed) []byte {
 	b = binary.AppendUvarint(b, uint64(h.gen))
 	b = binary.AppendUvarint(b, h.floor)
 	b = binary.AppendUvarint(b, h.resume)
-	b = appendString(b, h.readAddr)
 	return b
 }
 
@@ -129,7 +127,6 @@ func decodeHelloFeed(r *codecutil.Cursor) helloFeed {
 	h.gen = int(r.U("hello gen"))
 	h.floor = r.U("hello floor")
 	h.resume = r.U("hello resume")
-	h.readAddr = r.String("hello read addr", 256)
 	return h
 }
 
@@ -279,6 +276,14 @@ func decodeCandBatch(r *codecutil.Cursor) (seq uint64, msgs []CandMsg, err error
 		msgs = append(msgs, m)
 	}
 	return seq, msgs, r.Err
+}
+
+// A read request, typeU2(msgRecsReq or msgTopReq, id, arg), carries the id
+// its response echoes and the read's argument: the user, or n.
+func decodeReadReq(r *codecutil.Cursor) (id, arg uint64, err error) {
+	id = r.U("read id")
+	arg = r.U("read arg")
+	return id, arg, r.Err
 }
 
 func encodeRecsResp(id uint64, cands []motif.Candidate) []byte {
