@@ -31,7 +31,7 @@ test-race:
 
 # test-allocs runs the candidate path's allocation gates — the kernel's; S's
 # Followers and Follows lookups (0); the engine's no-candidate budget and its
-# chunk budgets (multi-motif, emitting); the apply loop's no-candidate batch
+# chunk budgets (multi-motif, emitting, the triangle beside a group); the apply loop's no-candidate batch
 # over two workers (0); the funnel's offer (a live duplicate 0, a delivery its
 # Notification) — without the race detector: instrumentation changes
 # allocation counts, so under -race they skip.
@@ -94,17 +94,19 @@ test-transport:
 # test-planner runs the motif planner and shared-execution suite under
 # the race detector: the DSL (lexer/parser/plan IR/EXPLAIN goldens), the
 # plan executor against its test-only references (the hand-written
-# diamond and fresh-follow it replaced, an op-list interpreter, the
-# brute-force oracle) with the differential fuzz target's seeds, the
-# engine's shared-trie differential, and the cluster-level multi-query
-# differential (shared vs independent multiset
-# + fingerprint equality, multi-motif kill/restore) — the quick loop for
-# planner and multi-query work. The multi-motif allocation gates (the
-# no-candidate path and the emit path's chunk budget) are among
-# test-allocs.
+# diamond, fresh-follow and triangle closure it replaced — the triangle's
+# differential over twenty seeded worlds among them — an op-list
+# interpreter, the brute-force oracle) with the differential fuzz target's
+# seeds, the engine's plan-only contract (a nil entry or a non-plan is an
+# error) and its shared-trie differential, and the cluster-level
+# multi-query differential (shared vs ungrouped multiset, fingerprint
+# equality across batch/worker configs, multi-motif kill/restore) — the
+# quick loop for planner and multi-query work. The multi-motif allocation
+# gates (the no-candidate path and the emit path's chunk budget, the
+# triangle's included) are among test-allocs.
 test-planner: test-allocs
 	$(GO) test -race ./internal/motifdsl ./internal/motif
-	$(GO) test -race -run 'TestEngineShared|TestMultiQuery' ./internal/core ./internal/cluster
+	$(GO) test -race -run 'TestEngineShared|TestEngineRejectsNonPlans|TestMultiQuery' ./internal/core ./internal/cluster
 
 # test-codec runs the checkpoint codec's gates: the allocation budgets of
 # segment decode, delta capture and the candidate log (commit, read) with the

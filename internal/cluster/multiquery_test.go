@@ -7,9 +7,13 @@ import (
 	"testing"
 	"time"
 
+	"motifstream/internal/delivery"
+	"motifstream/internal/dynstore"
 	"motifstream/internal/graph"
 	"motifstream/internal/motif"
 	"motifstream/internal/motifdsl"
+	"motifstream/internal/partition"
+	"motifstream/internal/statstore"
 )
 
 // multiQueryDSL generates a seeded standing-query set whose plans share
@@ -65,9 +69,8 @@ motif "broadcast-%d" {
 }
 
 // multiQueryPrograms returns a NewPrograms constructor for the seeded
-// motif set, with a TriangleClosure (no plan, so outside the trie) leading
-// the registration order so grouped and directly invoked programs
-// interleave.
+// motif set, with the triangle closure (a plan alone under its key) leading
+// the registration order so the groups' slots interleave.
 func multiQueryPrograms(t testing.TB, seed int64) func() []motif.Program {
 	t.Helper()
 	src := multiQueryDSL(seed)
@@ -85,15 +88,38 @@ func multiQueryPrograms(t testing.TB, seed int64) func() []motif.Program {
 	}
 }
 
-// independent hides each program's concrete type from the replica engines,
-// which then invoke every plan themselves — a group of one — instead of
-// sharing its probes: the differential's reference arrangement.
-func independent(progs []motif.Program) []motif.Program {
-	out := make([]motif.Program, len(progs))
-	for i, p := range progs {
-		out[i] = struct{ motif.ScratchProgram }{p.(motif.ScratchProgram)}
+// ungroupedOracle is clusterFreeOracle's loop with no engine and so no
+// grouping: per partition an S, a D and a follows index of its own, and per
+// event each plan's OnEdge — a group of one — in registration order, its
+// candidates straight into a delivery.Pipeline. The stream must be shorter
+// than D's retention, since nothing sweeps. Returns the delivered multiset.
+func ungroupedOracle(t *testing.T, cfg Config, stream []graph.Edge) map[noteKey]int {
+	t.Helper()
+	part := partition.NewHashPartitioner(cfg.Partitions)
+	ctxs := make([]*motif.Context, cfg.Partitions)
+	for pid := range ctxs {
+		snap := (&statstore.Builder{
+			Keep:           func(a graph.VertexID) bool { return part.PartitionOf(a) == pid },
+			MaxInfluencers: cfg.MaxInfluencers,
+		}).Build(cfg.StaticEdges)
+		ctxs[pid] = &motif.Context{S: statstore.New(snap), D: dynstore.New(cfg.Dynamic), Follows: snap.Follows}
 	}
-	return out
+	progs := cfg.NewPrograms()
+	pipe := delivery.NewPipeline(cfg.Delivery)
+	notes := map[noteKey]int{}
+	for _, e := range stream {
+		for _, ctx := range ctxs {
+			ctx.D.Insert(e)
+			for _, p := range progs {
+				for _, cand := range p.OnEdge(ctx, e) {
+					if _, note := pipe.Offer(cand, 0); note != nil {
+						notes[noteKey{note.Candidate.User, note.Candidate.Item}]++
+					}
+				}
+			}
+		}
+	}
+	return notes
 }
 
 // fanStatic wires users 0..n-1 so each follows the next three, letting
@@ -135,9 +161,9 @@ func multiTypeWorkload(seed int64, users, steps int) []graph.Edge {
 // TestMultiQuerySharedMatchesIndependent is the cluster-level multi-query
 // differential: across randomized motif sets, seeds, and batch/worker
 // configurations, a shared-trie cluster must deliver exactly the
-// notification multiset of a cluster running every motif independently and
-// converge to bit-identical recoverable state (per-replica CRC32C
-// fingerprints).
+// notification multiset of every motif run independently (ungroupedOracle),
+// and every configuration must converge to the bit-identical recoverable
+// state of the unbatched one (per-replica CRC32C fingerprints).
 func TestMultiQuerySharedMatchesIndependent(t *testing.T) {
 	const users = 40
 	static := fanStatic(users)
@@ -152,21 +178,11 @@ func TestMultiQuerySharedMatchesIndependent(t *testing.T) {
 	for _, seed := range []int64{5, 21} {
 		stream := multiTypeWorkload(seed, users, 300)
 		newProgs := multiQueryPrograms(t, seed)
-
 		refCfg := recoveryConfig(t, static)
-		refCfg.NewPrograms = func() []motif.Program { return independent(newProgs()) }
-		refNotes := collectNotes(&refCfg)
-		ref, err := New(refCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref.Start()
-		for _, e := range stream {
-			if err := ref.Publish(e); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ref.Stop()
+		refCfg.NewPrograms = newProgs
+		refNotes := ungroupedOracle(t, refCfg, stream)
+		// The first variant's fingerprints, by partition and replica.
+		var want map[[2]int]uint32
 
 		for _, v := range variants {
 			name := fmt.Sprintf("seed%d/batch%d_workers%d", seed, v.batch, v.workers)
@@ -188,28 +204,26 @@ func TestMultiQuerySharedMatchesIndependent(t *testing.T) {
 				}
 				c.Stop()
 
-				assertSameNotes(t, refNotes(), notes())
+				assertSameNotes(t, refNotes, notes())
+				got := map[[2]int]uint32{}
 				for pid := 0; pid < cfg.Partitions; pid++ {
 					for r := 0; r < cfg.Replicas; r++ {
-						sp, err := c.Replica(pid, r)
+						p, err := c.Replica(pid, r)
 						if err != nil {
 							t.Fatal(err)
 						}
-						rp, err := ref.Replica(pid, r)
-						if err != nil {
+						if got[[2]int{pid, r}], err = p.Fingerprint(); err != nil {
 							t.Fatal(err)
 						}
-						got, err := sp.Fingerprint()
-						if err != nil {
-							t.Fatal(err)
-						}
-						want, err := rp.Fingerprint()
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got != want {
-							t.Errorf("partition %d replica %d: shared fingerprint %08x != independent %08x", pid, r, got, want)
-						}
+					}
+				}
+				if want == nil {
+					want = got
+				}
+				for slot, sum := range got {
+					if sum != want[slot] {
+						t.Errorf("partition %d replica %d: fingerprint %08x != %08x at batch %d×%d",
+							slot[0], slot[1], sum, want[slot], variants[0].batch, variants[0].workers)
 					}
 				}
 			})

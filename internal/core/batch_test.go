@@ -187,31 +187,30 @@ func chunkBudget(cands, viaElems int) int {
 	return (cands+candChunk-1)/candChunk + (viaElems+viaChunk-1)/viaChunk + 1
 }
 
-// TestDetectBatchAllocBudgetEmitting is the allocation gate of the emit
-// path: a share group of twenty thresholds (k = 2..21) on events where
-// several of them emit (28 candidates for 7 users, from 7 members, the
-// members recommending one user sharing its Via window: 35 elements an event).
-// Candidates and Vias are windows of the scratch's chunks, assembled in
-// registration order where they are issued, so the batch pays for the chunks
-// it fills — 10 allocations here for 1792 candidates, where an array pair per
-// group-event and an assembly copy per event were 192.
-func TestDetectBatchAllocBudgetEmitting(t *testing.T) {
-	if racetest.Enabled {
-		t.Skip("allocation gate: race instrumentation allocates; the non-race run enforces the budget")
-	}
-	// Users 102..108: user 100+j follows B's 1..j, so once all eight B's have
-	// acted on a target user 100+j has j supports.
-	var static []graph.Edge
-	for j := 2; j <= 8; j++ {
-		for b := 1; b <= j; b++ {
-			static = append(static, graph.Edge{Src: graph.VertexID(100 + j), Dst: graph.VertexID(b)})
-		}
-	}
+// thresholds returns twenty diamonds, k = 2..21, of one share key: the share
+// group of the emit path's gates.
+func thresholds() []motif.Program {
 	var progs []motif.Program
 	for k := 2; k <= 21; k++ {
 		progs = append(progs, motif.NewDiamond(motif.DiamondConfig{
 			Name: fmt.Sprintf("k%d", k), K: k, Window: 30 * time.Second, MaxFanout: 64,
 		}))
+	}
+	return progs
+}
+
+// emitBudget runs progs over the emit path's world — users 102..108, user
+// 100+j following B's 1..j, so once all eight B's have acted on a target user
+// 100+j has j supports — on batches of 64 events where every B acts on every
+// target. It returns what a warm batch emits, its candidates and their
+// distinct Via elements, and the allocations a batch costs.
+func emitBudget(t *testing.T, progs []motif.Program) (cands, viaElems int, perBatch float64) {
+	t.Helper()
+	var static []graph.Edge
+	for j := 2; j <= 8; j++ {
+		for b := 1; b <= j; b++ {
+			static = append(static, graph.Edge{Src: graph.VertexID(100 + j), Dst: graph.VertexID(b)})
+		}
 	}
 	b := &statstore.Builder{}
 	e, err := NewEngine(Config{
@@ -244,7 +243,6 @@ func TestDetectBatchAllocBudgetEmitting(t *testing.T) {
 		fill()
 		replicaApply(e, batch, edges, out)
 	}
-	cands, viaElems := 0, 0
 	for _, evCands := range out {
 		cands += len(evCands)
 		vias := map[*graph.VertexID]bool{}
@@ -255,13 +253,47 @@ func TestDetectBatchAllocBudgetEmitting(t *testing.T) {
 			}
 		}
 	}
-	if cands != batch*28 || viaElems != batch*35 {
-		t.Fatalf("warm batch emitted %d candidates over %d Via elements, want 28 and 35 per event", cands, viaElems)
-	}
-	perBatch := testing.AllocsPerRun(20, func() {
+	return cands, viaElems, testing.AllocsPerRun(20, func() {
 		fill()
 		replicaApply(e, batch, edges, out)
 	})
+}
+
+// TestDetectBatchAllocBudgetEmitting is the allocation gate of the emit
+// path: a share group of twenty thresholds (k = 2..21) on events where
+// several of them emit (28 candidates for 7 users, from 7 members, the
+// members recommending one user sharing its Via window: 35 elements an event).
+// Candidates and Vias are windows of the scratch's chunks, assembled in
+// registration order where they are issued, so the batch pays for the chunks
+// it fills — 10 allocations here for 1792 candidates, where an array pair per
+// group-event and an assembly copy per event were 192.
+func TestDetectBatchAllocBudgetEmitting(t *testing.T) {
+	if racetest.Enabled {
+		t.Skip("allocation gate: race instrumentation allocates; the non-race run enforces the budget")
+	}
+	cands, viaElems, perBatch := emitBudget(t, thresholds())
+	if cands != 64*28 || viaElems != 64*35 {
+		t.Fatalf("warm batch emitted %d candidates over %d Via elements, want 28 and 35 per event", cands, viaElems)
+	}
+	if budget := chunkBudget(cands, viaElems); perBatch > float64(budget) {
+		t.Fatalf("emitting path allocates %.1f/batch for %d candidates; the chunk budget is %d", perBatch, cands, budget)
+	}
+}
+
+// TestDetectBatchAllocBudgetTriangle registers the triangle closure beside
+// the twenty thresholds on the same events: each event also recommends its
+// actor to the seven other B's in the window, the seven sharing one Via
+// window [target]. The triangle's candidates ride the same chunks, so the
+// batch stays within the chunk budget — 10 allocations for 2240 candidates,
+// where a slice per emitting event and a Via per candidate made it 522.
+func TestDetectBatchAllocBudgetTriangle(t *testing.T) {
+	if racetest.Enabled {
+		t.Skip("allocation gate: race instrumentation allocates; the non-race run enforces the budget")
+	}
+	cands, viaElems, perBatch := emitBudget(t, append(thresholds(), motif.NewTriangleClosure(30*time.Second)))
+	if cands != 64*35 {
+		t.Fatalf("warm batch emitted %d candidates, want 35 per event", cands)
+	}
 	if budget := chunkBudget(cands, viaElems); perBatch > float64(budget) {
 		t.Fatalf("emitting path allocates %.1f/batch for %d candidates; the chunk budget is %d", perBatch, cands, budget)
 	}

@@ -2,7 +2,7 @@
 // partitioned graph infrastructure that maintains the relevant data
 // structures" (S and D) and "the 'program' that performs the motif
 // detection" (§3). An Engine is the partition-local unit: it owns one S
-// snapshot, one D store, and a set of motif programs, and turns a stream of
+// snapshot, one D store, and a set of motif plans, and turns a stream of
 // dynamic edges into recommendation candidates. The cluster packages stack
 // partitioning, replication, brokers, and delivery on top.
 package core
@@ -25,8 +25,8 @@ type Config struct {
 	Static *statstore.Store
 	// Dynamic is the D store. Required.
 	Dynamic *dynstore.Store
-	// Programs are the motif programs to run per edge, in order. At least
-	// one is required.
+	// Programs are the motif plans to run per edge, in order: each must be a
+	// *motif.PlannedProgram. At least one is required.
 	Programs []motif.Program
 	// Follows optionally reports existing a→c follows for candidate
 	// suppression.
@@ -39,17 +39,12 @@ type Config struct {
 	SweepInterval time.Duration
 }
 
-// Engine applies dynamic edges to D and runs motif programs: plans through
-// the motif package's group executor, anything else by calling it. Safe for
-// concurrent Apply calls.
+// Engine applies dynamic edges to D and runs its plans through the motif
+// package's group executor. Safe for concurrent Apply calls.
 type Engine struct {
 	static  *statstore.Store
 	dynamic *dynstore.Store
 	ctx     *motif.Context
-	// direct holds, in registration order, the programs the engine invokes
-	// itself: everything that is not a plan (TriangleClosure, a caller's own
-	// Program). A plan's entry is nil; its candidates come from a group.
-	direct []motif.ScratchProgram
 
 	// Shared execution trie: every plan runs in a group, plans with a common
 	// probe prefix (equal ShareKey) in the same one, so the per-event D/S
@@ -68,14 +63,6 @@ type Engine struct {
 
 	sweepEvery int64 // ms of stream time between sweeps
 	lastSweep  atomic.Int64
-}
-
-// plainProgram runs a Program that has no scratch path through the engine's
-// one invocation form.
-type plainProgram struct{ motif.Program }
-
-func (p plainProgram) OnEdgeScratch(ctx *motif.Context, e graph.Edge, _ *motif.Scratch) []motif.Candidate {
-	return p.OnEdge(ctx, e)
 }
 
 // NewEngine validates cfg and constructs an Engine.
@@ -118,33 +105,31 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// buildGroups sorts the programs into the two ways the engine runs them:
-// plans into groups — one per ShareKey in first-registration order — and
-// everything else into direct. Group members keep their registration indices
-// so candidate assembly stays in registration order. Only groups of two or
-// more count as sharing.
+// buildGroups sorts the plans into groups, one per ShareKey in
+// first-registration order; a nil entry or a program that is not a plan is an
+// error. Group members keep their registration indices so candidate assembly
+// stays in registration order. Only groups of two or more count as sharing.
 func (e *Engine) buildGroups(progs []motif.Program) error {
-	e.direct = make([]motif.ScratchProgram, len(progs))
 	e.sharing.Programs = len(progs)
 	groupOf := map[string]int{}
 	var members [][]*motif.PlannedProgram
 	for i, p := range progs {
-		switch p := p.(type) {
-		case *motif.PlannedProgram:
-			gi, ok := groupOf[p.ShareKey()]
-			if !ok {
-				gi = len(members)
-				groupOf[p.ShareKey()] = gi
-				members = append(members, nil)
-				e.groupSlots = append(e.groupSlots, nil)
-			}
-			members[gi] = append(members[gi], p)
-			e.groupSlots[gi] = append(e.groupSlots[gi], i)
-		case motif.ScratchProgram:
-			e.direct[i] = p
-		default:
-			e.direct[i] = plainProgram{p}
+		plan, ok := p.(*motif.PlannedProgram)
+		switch {
+		case p == nil || ok && plan == nil:
+			return fmt.Errorf("core: Programs[%d] is nil", i)
+		case !ok:
+			return fmt.Errorf("core: Programs[%d] is a %T, not a plan: the engine runs *motif.PlannedProgram only", i, p)
 		}
+		gi, ok := groupOf[plan.ShareKey()]
+		if !ok {
+			gi = len(members)
+			groupOf[plan.ShareKey()] = gi
+			members = append(members, nil)
+			e.groupSlots = append(e.groupSlots, nil)
+		}
+		members[gi] = append(members[gi], plan)
+		e.groupSlots[gi] = append(e.groupSlots[gi], i)
 	}
 	for _, ms := range members {
 		g, err := motif.NewPlannedGroup(ms)
@@ -188,26 +173,14 @@ func (e *Engine) applyOne(edge graph.Edge, s *motif.Scratch) []motif.Candidate {
 	start := time.Now()
 	e.dynamic.Insert(edge)
 	detect := time.Now()
-	// Direct programs first, while nothing is staged in the scratch they are
-	// handed (a plan invoked directly hands over whatever is). Then each group
-	// runs its trigger filter, D/S probes and threshold once, staging member
-	// results under their registration slots. Programs are read-only past the
-	// D insert above, so the order they run in cannot change any result — the
-	// hand-over alone determines candidate order: one window of the scratch's
-	// chunk, assembled in registration order.
-	res := s.ResultSlots(len(e.direct))
-	for i, sp := range e.direct {
-		if sp != nil {
-			res[i] = sp.OnEdgeScratch(e.ctx, edge, s)
-		}
-	}
+	// Each group runs its trigger filter, D/S probes and threshold once,
+	// staging member results under their registration slots. Plans are
+	// read-only past the D insert above, so the order groups run in cannot
+	// change any result — the hand-over alone determines candidate order: one
+	// window of the scratch's chunk, assembled in registration order.
 	for gi, g := range e.groups {
 		g.StageInto(e.ctx, edge, s, e.groupSlots[gi])
 	}
-	for i, cands := range res {
-		s.StageCandidates(i, cands)
-	}
-	clear(res)
 	out := s.HandOver(nil)
 	end := time.Now()
 	e.queryLatency.Observe(end.Sub(detect))

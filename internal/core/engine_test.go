@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -101,15 +102,27 @@ func (echoProgram) OnEdge(_ *motif.Context, e graph.Edge) []motif.Candidate {
 	return []motif.Candidate{{User: e.Src, Item: e.Dst, Program: "echo"}}
 }
 
-// TestEngineRunsPlainProgram checks that a program with no scratch path is
-// invoked and its candidates assembled in registration order between plans.
-func TestEngineRunsPlainProgram(t *testing.T) {
-	e := testEngine(t, fig1Static(), func(c *Config) {
-		c.Programs = []motif.Program{motif.NewFreshFollow(1), echoProgram{}, motif.NewFreshFollow(1)}
-	})
-	got := e.Apply(graph.Edge{Src: 10, Dst: 99, Type: graph.Follow, TS: 1})
-	if len(got) != 3 || got[0].Program != "fresh-follow" || got[1].Program != "echo" || got[2].Program != "fresh-follow" {
-		t.Fatalf("candidates = %+v, want fresh-follow, echo, fresh-follow", got)
+// TestEngineRejectsNonPlans pins the engine's contract: it runs plans only,
+// and an entry that is not one — nil, a nil plan, a caller's own Program — is
+// an error naming the entry, not a panic at the first Apply.
+func TestEngineRejectsNonPlans(t *testing.T) {
+	b := &statstore.Builder{}
+	for _, c := range []struct {
+		odd  motif.Program
+		want string
+	}{
+		{nil, "Programs[1] is nil"},
+		{(*motif.PlannedProgram)(nil), "Programs[1] is nil"},
+		{echoProgram{}, "Programs[1] is a core.echoProgram, not a plan"},
+	} {
+		_, err := NewEngine(Config{
+			Static:   statstore.New(b.Build(nil)),
+			Dynamic:  dynstore.New(dynstore.Options{}),
+			Programs: []motif.Program{motif.NewFreshFollow(1), c.odd, motif.NewFreshFollow(1)},
+		})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%T: err = %v, want one saying %q", c.odd, err, c.want)
+		}
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 
 // sharedMotifSet compiles a mixed standing-query set: three share groups
 // (follow diamonds, content co-action with per-type windows, k=1
-// broadcasts) plus a TriangleClosure, which is no plan and stays outside
-// the trie.
+// broadcasts) plus two plans alone under their keys, a retweet broadcast and
+// the triangle closure.
 func sharedMotifSet(t testing.TB) []motif.Program {
 	t.Helper()
 	src := ""
@@ -69,23 +69,13 @@ motif "broadcast2" {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A directly invoked program in the middle of the registration order
-	// exercises mixed grouped/direct assembly.
+	// A group of one in the middle of the registration order interleaves
+	// the groups' slots.
 	mixed := make([]motif.Program, 0, len(progs)+1)
 	mixed = append(mixed, progs[:3]...)
 	mixed = append(mixed, motif.NewTriangleClosure(10*time.Minute))
 	mixed = append(mixed, progs[3:]...)
 	return mixed
-}
-
-// independent hides each program's concrete type from the engine, which then
-// invokes every plan itself — a group of one — instead of sharing its probes.
-func independent(progs []motif.Program) []motif.Program {
-	out := make([]motif.Program, len(progs))
-	for i, p := range progs {
-		out[i] = struct{ motif.ScratchProgram }{p.(motif.ScratchProgram)}
-	}
-	return out
 }
 
 // sharedTestEngine runs progs over a seeded random S.
@@ -112,33 +102,36 @@ func sharedTestEngine(t testing.TB, progs []motif.Program) *Engine {
 	return e
 }
 
-// TestEngineSharedMatchesIndependent is the engine-level differential: a
-// shared-trie engine and one running every program independently must produce
-// identical per-event candidate slices (same order, same attribution) over a random
-// multi-type stream.
+// TestEngineSharedMatchesIndependent is the engine-level differential: the
+// shared-trie engine must produce, event by event, what its plans produce
+// independently — each plan's OnEdge (a group of one) in registration order,
+// over a D store of the reference's own — with the same order and the same
+// attribution, over a random multi-type stream.
 func TestEngineSharedMatchesIndependent(t *testing.T) {
-	shared := sharedTestEngine(t, sharedMotifSet(t))
-	indep := sharedTestEngine(t, independent(sharedMotifSet(t)))
+	progs := sharedMotifSet(t)
+	shared := sharedTestEngine(t, progs)
+	ref := &motif.Context{
+		S: shared.Static(),
+		D: dynstore.New(dynstore.Options{Retention: time.Hour, MaxPerTarget: 256}),
+	}
 
 	// Expected trie: {follow-k2,k3,k4}, {content-k2,k3}, and the two
-	// follow broadcasts; broadcast-rt (retweet trigger) stays a singleton.
+	// follow broadcasts; broadcast-rt (retweet trigger) and the triangle stay
+	// groups of one.
 	ss := shared.Sharing()
 	if ss.Groups != 3 || ss.GroupedPrograms != 7 || ss.ScansSavedPerEvent != 4 {
 		t.Fatalf("sharing did not engage as expected: %+v", ss)
 	}
-	if is := indep.Sharing(); is.Groups != 0 || is.ScansSavedPerEvent != 0 {
-		t.Fatalf("independent engine still grouped: %+v", is)
-	}
-	// One group per key (three shared plus the singleton) against none: the
-	// independent engine invokes all eight plans itself.
-	if len(shared.groups) != 4 || len(indep.groups) != 0 {
-		t.Fatalf("groups: shared %d, independent %d; want 4 and 0", len(shared.groups), len(indep.groups))
+	if len(shared.groups) != 5 {
+		t.Fatalf("%d groups, want one per key: 5", len(shared.groups))
 	}
 
 	r := rand.New(rand.NewSource(99))
 	ts := int64(1_000_000)
-	emitted := 0
-	for i := 0; i < 4000; i++ {
+	const events = 4000
+	emitted := map[string]int{}
+	total := 0
+	for i := 0; i < events; i++ {
 		ts += int64(r.Intn(20_000))
 		e := graph.Edge{
 			Src:  graph.VertexID(1 + r.Intn(40)),
@@ -146,7 +139,11 @@ func TestEngineSharedMatchesIndependent(t *testing.T) {
 			Type: graph.EdgeType(r.Intn(3)),
 			TS:   ts,
 		}
-		want := indep.Apply(e)
+		ref.D.Insert(e)
+		var want []motif.Candidate
+		for _, p := range progs {
+			want = append(want, p.OnEdge(ref, e)...)
+		}
 		got := shared.Apply(e)
 		if len(want) == 0 && len(got) == 0 {
 			continue
@@ -154,35 +151,31 @@ func TestEngineSharedMatchesIndependent(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("event %d (%v): shared candidates diverge\nindependent: %v\nshared: %v", i, e, want, got)
 		}
-		emitted += len(want)
+		for _, c := range want {
+			emitted[c.Program]++
+		}
+		total += len(want)
 	}
-	if emitted == 0 {
-		t.Fatal("vacuous run: no candidates emitted")
+	if emitted["follow-k2"] == 0 || emitted["content-k2"] == 0 || emitted["triangle-closure"] == 0 {
+		t.Fatalf("vacuous run: candidates by program %v", emitted)
 	}
-	sst, ist := shared.Stats(), indep.Stats()
-	if sst.Candidates != ist.Candidates || sst.Events != ist.Events {
-		t.Fatalf("counters diverged: shared %d/%d, independent %d/%d",
-			sst.Events, sst.Candidates, ist.Events, ist.Candidates)
+	if st := shared.Stats(); st.Events != events || st.Candidates != uint64(total) {
+		t.Fatalf("counters: %d events, %d candidates; want %d and %d", st.Events, st.Candidates, events, total)
 	}
 }
 
-// idleProgram is a caller's own motif with no scratch path that never
-// fires: a program outside the trie that costs the alloc gate nothing.
-type idleProgram struct{}
-
-func (idleProgram) Name() string                                        { return "idle" }
-func (idleProgram) OnEdge(*motif.Context, graph.Edge) []motif.Candidate { return nil }
-
 // TestDetectBatchAllocBudgetMultiMotif extends the alloc gate to a shared
-// group: five planned motifs in one share group plus a directly invoked
-// program stay within the chunk budget warm on the no-candidate path — no
-// chunk filled, so one allocation a batch of 64.
+// group: five planned motifs in one share group plus the triangle closure, a
+// second group, stay within the chunk budget warm on the no-candidate path —
+// no chunk filled, so one allocation a batch of 64. The triangle probes D on
+// every event, but its 50 ms window holds no co-actor: a target's previous
+// actor acted 80 ms before.
 func TestDetectBatchAllocBudgetMultiMotif(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("allocation gate: race instrumentation allocates; the non-race run enforces the budget")
 	}
 	b := &statstore.Builder{}
-	progs := []motif.Program{idleProgram{}}
+	progs := []motif.Program{motif.NewTriangleClosure(50 * time.Millisecond)}
 	for _, k := range []int{2, 3, 3, 4, 5} {
 		src := fmt.Sprintf(`
 motif "g%d" {

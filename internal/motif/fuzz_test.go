@@ -10,31 +10,38 @@ import (
 )
 
 // FuzzPlanMatchesReference draws a random world and a share group of plans —
-// threshold, window, trigger types, fanout cap, candidate cap, chain depth
-// and group size all from the fuzzer — and requires the executor's output,
-// per member and per event, to equal the test-only references exactly
-// (order, Via, Score, Program): the op-list interpreter for every member,
-// run in the group and alone, plus the hand-written diamond or fresh-follow
-// for the shapes they cover. What the executor's emit path shares it must
-// share by the ownership rule on Candidate.Via, and keep none of in the
-// scratch. The seeds are the rows of the three differential tests in
-// planned_test.go (each emits candidates on this smaller world too: 17 to
-// 4695 of them).
+// the shape (support threshold or co-actors), threshold, window, trigger
+// types, fanout cap, candidate cap, chain depth, group size and whether
+// already-follows suppression is on, all from the fuzzer — and requires the
+// executor's output, per member and per event, to equal the test-only
+// references exactly (order, Via, Score, Program): the op-list interpreter
+// for every member, run in the group and alone, plus the hand-written
+// diamond, fresh-follow or triangle for the shapes they cover. What the
+// executor's emit path shares it must share by the ownership rule on
+// Candidate.Via, and keep none of in the scratch. The first seeds are the
+// rows of the three differential tests in planned_test.go, the rest draw
+// co-actor groups and suppression off (each emits candidates on this smaller
+// world too: 17 to 4695 of them).
 func FuzzPlanMatchesReference(f *testing.F) {
 	const follow, retweet, favorite = 1 << graph.Follow, 1 << graph.Retweet, 1 << graph.Favorite
+	const all = follow | retweet | favorite
 	// world seed, k, window seconds, trigger-type mask, fanout, candidate
-	// cap, chain depth, group size
-	f.Add(int64(1), uint8(2), uint16(300), uint8(follow), uint8(0), uint8(0), uint8(1), uint8(0))
-	f.Add(int64(2), uint8(3), uint16(600), uint8(follow), uint8(64), uint8(100), uint8(1), uint8(0))
-	f.Add(int64(3), uint8(2), uint16(120), uint8(retweet|favorite), uint8(8), uint8(3), uint8(1), uint8(0))
-	f.Add(int64(4), uint8(4), uint16(1800), uint8(follow|retweet), uint8(16), uint8(0), uint8(1), uint8(0))
-	f.Add(int64(7), uint8(1), uint16(600), uint8(follow), uint8(0), uint8(5), uint8(1), uint8(0))
-	f.Add(int64(11), uint8(3), uint16(600), uint8(follow|retweet), uint8(32), uint8(0), uint8(1), uint8(4))
-	f.Add(int64(12), uint8(1), uint16(60), uint8(follow|favorite), uint8(0), uint8(9), uint8(3), uint8(2))
+	// cap, chain depth, group size, co-actor shape, suppression off
+	f.Add(int64(1), uint8(2), uint16(300), uint8(follow), uint8(0), uint8(0), uint8(1), uint8(0), false, false)
+	f.Add(int64(2), uint8(3), uint16(600), uint8(follow), uint8(64), uint8(100), uint8(1), uint8(0), false, false)
+	f.Add(int64(3), uint8(2), uint16(120), uint8(retweet|favorite), uint8(8), uint8(3), uint8(1), uint8(0), false, false)
+	f.Add(int64(4), uint8(4), uint16(1800), uint8(follow|retweet), uint8(16), uint8(0), uint8(1), uint8(0), false, false)
+	f.Add(int64(7), uint8(1), uint16(600), uint8(follow), uint8(0), uint8(5), uint8(1), uint8(0), false, false)
+	f.Add(int64(11), uint8(3), uint16(600), uint8(follow|retweet), uint8(32), uint8(0), uint8(1), uint8(4), false, false)
+	f.Add(int64(12), uint8(1), uint16(60), uint8(follow|favorite), uint8(0), uint8(9), uint8(3), uint8(2), false, false)
+	f.Add(int64(21), uint8(0), uint16(600), uint8(all), uint8(64), uint8(0), uint8(0), uint8(0), true, false)
+	f.Add(int64(22), uint8(0), uint16(60), uint8(retweet|favorite), uint8(8), uint8(3), uint8(0), uint8(2), true, true)
+	f.Add(int64(23), uint8(0), uint16(1800), uint8(all), uint8(4), uint8(2), uint8(0), uint8(4), true, false)
+	f.Add(int64(24), uint8(2), uint16(600), uint8(follow|retweet), uint8(0), uint8(0), uint8(2), uint8(3), false, true)
 
-	f.Fuzz(func(t *testing.T, seed int64, k uint8, windowSec uint16, typeMask, fanout, maxCands, depth, size uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, k uint8, windowSec uint16, typeMask, fanout, maxCands, depth, size uint8, coActors, noFollows bool) {
 		window := time.Duration(max(windowSec, 1)) * time.Second
-		if typeMask &= follow | retweet | favorite; typeMask == 0 {
+		if typeMask &= all; typeMask == 0 {
 			typeMask = follow
 		}
 		var types []graph.EdgeType
@@ -65,11 +72,21 @@ func FuzzPlanMatchesReference(f *testing.F) {
 				expandCaps[j] = mcands % 7 // 0 expands every survivor
 			}
 			name := fmt.Sprintf("m%d", i)
-			plan, err := NewPlannedProgram(name, PlanOps(win, mk, fan, expandCaps, mcands))
+			ops := PlanOps(win, mk, fan, expandCaps, mcands)
+			if coActors {
+				ops = coActorOps(win, fan, mcands)
+			}
+			plan, err := NewPlannedProgram(name, ops)
 			if err != nil {
 				t.Fatal(err)
 			}
 			switch {
+			case coActors:
+				// The hand-written triangle fires on every type, and its zero
+				// fanout means 64, not unlimited.
+				if typeMask == all && fan > 0 {
+					hands[i] = handTriangle{Name: name, Window: window, MaxCoActors: fan, MaxCandidates: mcands}
+				}
 			case mdepth > 1:
 			case mk > 1:
 				hands[i] = newHandDiamond(DiamondConfig{
@@ -90,6 +107,9 @@ func FuzzPlanMatchesReference(f *testing.F) {
 		}
 
 		ctx, stream := randomWorld(seed, 30, 260, 400)
+		if noFollows {
+			ctx.Follows = nil
+		}
 		s := GetScratch()
 		defer PutScratch(s)
 		owners := map[*graph.VertexID]Candidate{}

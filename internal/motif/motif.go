@@ -1,12 +1,11 @@
 // Package motif implements online motif detection over the S and D stores.
 // A motif program is invoked once per incoming dynamic edge and emits
 // recommendation candidates the moment the motif completes — the paper's
-// novel "twist" over batch motif detection. Diamond-family motifs (the
-// production algorithm of §2, its content co-action and k=1 fresh-follow
-// variants, static chains up to three hops) are plans: an op sequence built
-// by NewDiamond, NewFreshFollow or the motifdsl planner and run by the one
-// executor in planned.go. TriangleClosure, whose recipients come from D, is
-// the one hand-written program.
+// novel "twist" over batch motif detection. Every motif is a plan: an op
+// sequence built by NewDiamond (the production algorithm of §2 and its
+// content co-action variant), NewFreshFollow (k=1), the motifdsl planner
+// (static chains up to three hops, per-type windows) or NewTriangleClosure
+// (recipients drawn from D), and run by the one executor in planned.go.
 package motif
 
 import (
@@ -37,11 +36,11 @@ type Candidate struct {
 	// recommend one user for one trigger share the very window. The chunk
 	// lives as long as any window of it does, so whoever keeps a candidate
 	// beyond delivery copies its Via, as the partition's candidate log does;
-	// clone it before changing it. The same holds for a candidate slice: it
-	// is a window of a chunk of candChunk candidates. This is what the engine
-	// and PlannedGroup.DetectInto hand over, whichever program emitted; a
-	// program called on its own (TriangleClosure.OnEdge, a caller's own
-	// Program) returns what it allocated.
+	// clone it before changing it. The candidates a co-actor plan emits for
+	// one trigger share its one-element window, [Trigger.Dst]. The same holds
+	// for a candidate slice: it is a window of a chunk of candChunk
+	// candidates. This is what every plan hands over, through an engine, a
+	// PlannedGroup or its own OnEdge.
 	Via []graph.VertexID
 	// Trigger is the edge whose arrival completed the motif.
 	Trigger graph.Edge
@@ -67,17 +66,17 @@ type Context struct {
 	Follows func(a, c graph.VertexID) bool
 }
 
-// Program detects one motif shape. OnEdge is called after e has been
-// inserted into ctx.D and returns the candidates completed by e.
-// Implementations must be safe for concurrent OnEdge calls.
+// Program detects one motif shape: a plan (*PlannedProgram), the only kind
+// the engine runs. OnEdge is called after e has been inserted into ctx.D and
+// returns the candidates completed by e. Implementations must be safe for
+// concurrent OnEdge calls.
 //
 // Locality contract: a program's D reads must be confined to the in-edge
-// list of e.Dst (the triggering edge's target). Every built-in program and
-// every DSL-compiled plan honors this, and the cluster's batched apply
-// path depends on it: events with distinct targets are detected
-// concurrently, which is only equivalent to sequential apply when no
-// program peeks at another target's dynamic state. S reads are
-// unrestricted (S is immutable between reloads).
+// list of e.Dst (the triggering edge's target). Every plan honors this, and
+// the cluster's batched apply path depends on it: events with distinct
+// targets are detected concurrently, which is only equivalent to sequential
+// apply when no program peeks at another target's dynamic state. S reads
+// are unrestricted (S is immutable between reloads).
 type Program interface {
 	// Name identifies the program in candidates and metrics.
 	Name() string
@@ -157,8 +156,8 @@ func PutScratch(s *Scratch) {
 
 // ScratchProgram is the allocation-free variant of Program. OnEdgeScratch
 // behaves exactly like OnEdge but takes caller-owned scratch for its
-// intermediates. The engine's hot path uses it for every program it invokes
-// itself; OnEdge remains the compatibility entry point.
+// intermediates, for a caller that runs one plan with a scratch of its own
+// (the engine runs groups instead).
 type ScratchProgram interface {
 	Program
 	// OnEdgeScratch reports the candidates whose motif e completes, using
@@ -226,6 +225,19 @@ func NewFreshFollow(maxCandidates int) *PlannedProgram {
 	// Any positive window accepts the type; a k=1 plan never reads it.
 	windowMS := [NumEdgeTypes]int64{graph.Follow: 1}
 	return mustPlan("fresh-follow", PlanOps(windowMS, 1, 0, nil, maxCandidates))
+}
+
+// NewTriangleClosure returns the plan of the co-action triangle, a motif of
+// the kind the paper's conclusion anticipates: when B acts on C, B is
+// recommended to each user A who also acted on C within the window, at most
+// 64 of them, unless A follows B (the A→B edge closes the triangle A→C←B).
+// Every trigger type fires it. A window under a millisecond panics.
+func NewTriangleClosure(window time.Duration) *PlannedProgram {
+	if window < time.Millisecond {
+		panic("motif: triangle closure requires a positive window")
+	}
+	w := window.Milliseconds()
+	return mustPlan("triangle-closure", coActorOps([NumEdgeTypes]int64{w, w, w}, 64, 0))
 }
 
 // mustPlan wraps NewPlannedProgram for the constructors above, whose op

@@ -10,14 +10,15 @@ import (
 
 // This file is the package's one detection executor: a small probe-op IR
 // (written by PlanOps for NewDiamond, NewFreshFollow and the motifdsl
-// planner), the program a validated op sequence becomes (PlannedProgram),
-// and the shared-execution node that runs it (PlannedGroup): the common
-// probe prefix of its members once per event, fanning out only where the
-// plans diverge. A program on its own runs as a group of one, so there is no
-// second per-event path; the op list itself is kept for Ops and EXPLAIN.
+// planner, by coActorOps for NewTriangleClosure), the program a validated op
+// sequence becomes (PlannedProgram), and the shared-execution node that runs
+// it (PlannedGroup): the common probe prefix of its members once per event,
+// fanning out only where the plans diverge. A program on its own runs as a
+// group of one, so there is no second per-event path; the op list itself is
+// kept for Ops and EXPLAIN.
 //
 // The IR covers the paper's two-hop diamond, longer static chains, k-of-n
-// thresholds, and per-trigger-type freshness windows.
+// thresholds, per-trigger-type freshness windows, and the co-action triangle.
 
 // NumEdgeTypes is the number of edge types the planned runtime indexes
 // per-type windows by. Filter ops reject any trigger type outside this
@@ -52,6 +53,9 @@ const (
 	// OpEmit turns the final frontier into candidates: self/already-follows
 	// suppression, via attribution, and a Limit cap on emissions.
 	OpEmit
+	// OpCoActors makes the dynamic probe's actors the recipients and the
+	// trigger actor e.Src the item: the co-action triangle.
+	OpCoActors
 )
 
 // String names the op for EXPLAIN output and errors.
@@ -71,6 +75,8 @@ func (k OpKind) String() string {
 		return "expand"
 	case OpEmit:
 		return "emit"
+	case OpCoActors:
+		return "co-actors"
 	default:
 		return fmt.Sprintf("op(%d)", uint8(k))
 	}
@@ -83,16 +89,16 @@ type Op struct {
 	// WindowMS (OpFilterTrigger) holds the freshness window in stream
 	// milliseconds per trigger edge type; 0 rejects the type.
 	WindowMS [NumEdgeTypes]int64
-	// K is the OpProbeDynamic early-exit minimum and the OpThreshold
-	// support threshold.
+	// K is the OpProbeDynamic early-exit minimum (1 before OpCoActors) and
+	// the OpThreshold support threshold.
 	K int
 	// Limit caps OpProbeDynamic fanout, OpExpand survivors, and OpEmit
 	// candidates; 0 means unlimited.
 	Limit int
 }
 
-// PlanOps spells the op sequence of a plan shape — the one place it is
-// written, for the constructors here and the motifdsl planner alike: the
+// PlanOps spells the op sequence of a support-threshold shape — the one place
+// it is written, for the constructors here and the motifdsl planner alike: the
 // trigger filter; for k = 1 the trigger bound as sole support, otherwise
 // the dynamic probe (fanout-capped), the static probe and the k threshold;
 // one expansion per entry of expandCaps; emit, capped at maxCands.
@@ -112,6 +118,17 @@ func PlanOps(windowMS [NumEdgeTypes]int64, k, fanout int, expandCaps []int, maxC
 	return append(ops, Op{Kind: OpEmit, Limit: maxCands})
 }
 
+// coActorOps spells the co-actor shape: the trigger filter, the dynamic probe
+// (fanout-capped, K 1: every actor is a recipient), co-actors, capped emit.
+func coActorOps(windowMS [NumEdgeTypes]int64, fanout, maxCands int) []Op {
+	return []Op{
+		{Kind: OpFilterTrigger, WindowMS: windowMS},
+		{Kind: OpProbeDynamic, K: 1, Limit: fanout},
+		{Kind: OpCoActors},
+		{Kind: OpEmit, Limit: maxCands},
+	}
+}
+
 // PlannedProgram is a validated op sequence as a motif program. It is
 // immutable, safe for concurrent OnEdge calls, confines its D reads to
 // e.Dst's in-edge list (k=1 plans read no dynamic state at all), and costs
@@ -128,16 +145,18 @@ type PlannedProgram struct {
 	expands     int
 	expandCaps  [2]int
 	triggerOnly bool
+	coActors    bool
 	shareKey    string
 
 	// solo is the group of one OnEdgeScratch runs the program through.
 	solo *PlannedGroup
 }
 
-// NewPlannedProgram validates ops as one of the two legal shapes —
+// NewPlannedProgram validates ops as one of the three legal shapes —
 //
 //	filter-trigger, probe-dynamic, probe-static, threshold, expand*, emit
 //	filter-trigger, bind-trigger, expand*, emit            (k = 1)
+//	filter-trigger, probe-dynamic, co-actors, emit         (K = 1)
 //
 // — and returns the program. The op order is the planner's output; the
 // runtime trusts its dataflow but re-checks the shape, since what executes
@@ -180,12 +199,19 @@ func NewPlannedProgram(name string, ops []Op) (*PlannedProgram, error) {
 		p.triggerOnly = true
 		p.k = 1
 	case ok && op.Kind == OpProbeDynamic:
-		if op.K < 2 {
-			return nil, fmt.Errorf("motif: plan %q probe-dynamic needs K >= 2 (k=1 plans bind the trigger)", name)
-		}
 		p.k = op.K
 		p.fanout = op.Limit
 		op, ok = next()
+		if ok && op.Kind == OpCoActors {
+			if p.k != 1 {
+				return nil, fmt.Errorf("motif: plan %q co-actors needs probe-dynamic K 1 (every in-window actor is a recipient)", name)
+			}
+			p.coActors = true
+			break
+		}
+		if p.k < 2 {
+			return nil, fmt.Errorf("motif: plan %q probe-dynamic needs K >= 2 (k=1 plans bind the trigger)", name)
+		}
 		if !ok || op.Kind != OpProbeStatic {
 			return nil, fmt.Errorf("motif: plan %q needs probe-static after probe-dynamic", name)
 		}
@@ -205,6 +231,9 @@ func NewPlannedProgram(name string, ops []Op) (*PlannedProgram, error) {
 		if op.Kind != OpExpand {
 			break
 		}
+		if p.coActors {
+			return nil, fmt.Errorf("motif: plan %q expands co-actors (they are the recipients)", name)
+		}
 		if p.expands >= 2 {
 			return nil, fmt.Errorf("motif: plan %q chains too deep (at most 2 expansions)", name)
 		}
@@ -218,7 +247,7 @@ func NewPlannedProgram(name string, ops []Op) (*PlannedProgram, error) {
 	if _, extra := next(); extra {
 		return nil, fmt.Errorf("motif: plan %q has ops after emit", name)
 	}
-	p.shareKey = shareKeyOf(p.triggerOnly, p.windowMS, p.fanout)
+	p.shareKey = shareKeyOf(p.triggerOnly, p.coActors, p.windowMS, p.fanout)
 	p.solo = groupOf([]*PlannedProgram{p})
 	return p, nil
 }
@@ -227,8 +256,9 @@ func NewPlannedProgram(name string, ops []Op) (*PlannedProgram, error) {
 // per-type windows), probe kind, and fanout cap. Plans with equal keys
 // perform identical per-event D/S prefix work and can execute it once.
 // Trigger-only plans key on accepted types alone — their windows are
-// vacuous (the trigger is always inside its own window).
-func shareKeyOf(triggerOnly bool, windowMS [NumEdgeTypes]int64, fanout int) string {
+// vacuous (the trigger is always inside its own window). Co-actor plans
+// probe D as a threshold's do but read no S lists, so they key apart.
+func shareKeyOf(triggerOnly, coActors bool, windowMS [NumEdgeTypes]int64, fanout int) string {
 	var b strings.Builder
 	if triggerOnly {
 		b.WriteString("trig|")
@@ -241,7 +271,11 @@ func shareKeyOf(triggerOnly bool, windowMS [NumEdgeTypes]int64, fanout int) stri
 		}
 		return b.String()
 	}
-	fmt.Fprintf(&b, "dyn|fan%d|", fanout)
+	probe := "dyn"
+	if coActors {
+		probe = "co"
+	}
+	fmt.Fprintf(&b, "%s|fan%d|", probe, fanout)
 	for t := 0; t < NumEdgeTypes; t++ {
 		fmt.Fprintf(&b, "%d,", windowMS[t])
 	}
@@ -426,6 +460,32 @@ func (p *PlannedProgram) emit(ctx *Context, e graph.Edge, s *Scratch, cur graph.
 	}
 }
 
+// emitCoActors stages the co-actor shape's candidates: each actor in the
+// group's s.recent, freshest first, is recommended e.Src unless it is either
+// end of the trigger or already follows e.Src; fresher co-action scores
+// higher, in (0, 1]. The member's candidates share one staged Via, [e.Dst].
+func (p *PlannedProgram) emitCoActors(ctx *Context, e graph.Edge, s *Scratch) {
+	win, start := p.windowMS[e.Type], len(s.stage)
+	var via viaRef
+	for _, in := range s.recent {
+		if in.B == e.Src || in.B == e.Dst || ctx.Follows != nil && ctx.Follows(in.B, e.Src) {
+			continue
+		}
+		if via.n == 0 {
+			via = viaRef{len(s.viaElems), 1}
+			s.viaElems = append(s.viaElems, e.Dst)
+		}
+		s.refs = append(s.refs, via)
+		s.stage = append(s.stage, Candidate{
+			User: in.B, Item: e.Src, Trigger: e, DetectedAtMS: e.TS, Program: p.name,
+			Score: 1 - float64(e.TS-in.TS)/float64(win+1),
+		})
+		if p.maxCands > 0 && len(s.stage)-start >= p.maxCands {
+			break
+		}
+	}
+}
+
 // supportersOf appends to via the B's whose follower lists contain a, in the
 // order of bs. Survivor sets are small, so a binary-search pass per survivor
 // is cheap.
@@ -476,9 +536,9 @@ func connectorOf(a graph.VertexID, s *Scratch) (graph.VertexID, bool) {
 
 // ResultSlots returns a scratch-backed slice of n candidate slots, all
 // nil: one per registered program, for a caller that parks per-program
-// results (DetectInto's res; the engine's direct programs) before reading
-// them in registration order. Callers should nil consumed entries so a
-// pooled Scratch does not retain candidates.
+// results (DetectInto's res) before reading them in registration order.
+// Callers should nil consumed entries so a pooled Scratch does not retain
+// candidates.
 func (s *Scratch) ResultSlots(n int) [][]Candidate {
 	if cap(s.res) < n {
 		s.res = make([][]Candidate, n)
@@ -600,16 +660,18 @@ func (g *PlannedGroup) StageInto(ctx *Context, e graph.Edge, s *Scratch, slots [
 		if len(recent) < minK {
 			return
 		}
-		lists := probeStatic(ctx, s)
-		if len(lists) < minK {
-			return
+		if !prefix.coActors {
+			lists := probeStatic(ctx, s)
+			if len(lists) < minK {
+				return
+			}
+			s.as, s.cnt = graph.ThresholdCountsInto(s.as[:0], s.cnt[:0], lists, minK, &s.g)
+			s.passes++
+			if len(s.as) == 0 {
+				return
+			}
+			surv, cnt, maxCnt = s.as, s.cnt, slices.Max(s.cnt)
 		}
-		s.as, s.cnt = graph.ThresholdCountsInto(s.as[:0], s.cnt[:0], lists, minK, &s.g)
-		s.passes++
-		if len(s.as) == 0 {
-			return
-		}
-		surv, cnt, maxCnt = s.as, s.cnt, slices.Max(s.cnt)
 	}
 	for _, idx := range g.byK {
 		m := g.members[idx]
@@ -627,22 +689,6 @@ func (g *PlannedGroup) StageInto(ctx *Context, e graph.Edge, s *Scratch, slots [
 		s.memo[i] = viaRef{}
 	}
 	s.viaSet = s.viaSet[:0]
-}
-
-// StageCandidates stages cands — what a program outside the planned executor
-// returned for the event — under slot, Vias included, so the hand-over issues
-// them like a plan's.
-func (s *Scratch) StageCandidates(slot int, cands []Candidate) {
-	if len(cands) == 0 {
-		return
-	}
-	lo := len(s.stage)
-	s.stage = append(s.stage, cands...)
-	for _, c := range cands {
-		s.refs = append(s.refs, viaRef{len(s.viaElems), len(c.Via)})
-		s.viaElems = append(s.viaElems, c.Via...)
-	}
-	s.runs = append(s.runs, stageRun{slot, lo, len(s.stage)})
 }
 
 // HandOver issues everything staged as one window of the candidate chunk —
@@ -665,9 +711,7 @@ func (s *Scratch) HandOver(res [][]Candidate) []Candidate {
 		w := out[at : at+n : at+n]
 		copy(w, s.stage[r.lo:r.hi])
 		for i, ref := range s.refs[r.lo:r.hi] {
-			if ref.n > 0 { // an empty Via stays as its program returned it
-				w[i].Via = vias[ref.off : ref.off+ref.n : ref.off+ref.n]
-			}
+			w[i].Via = vias[ref.off : ref.off+ref.n : ref.off+ref.n]
 		}
 		if res != nil {
 			res[r.slot] = w
@@ -680,9 +724,14 @@ func (s *Scratch) HandOver(res [][]Candidate) []Candidate {
 }
 
 // runSuffix executes the member's post-prefix ops (expansions and emit) from
-// the group's shared survivors. It must not touch s.recent, s.bs, s.lists,
-// s.as or s.cnt — those belong to the group prefix and later members.
+// the group's shared survivors, or from its probed actors for a co-actor
+// plan. It must not touch s.recent, s.bs, s.lists, s.as or s.cnt — those
+// belong to the group prefix and later members.
 func (p *PlannedProgram) runSuffix(ctx *Context, e graph.Edge, s *Scratch, surv graph.AdjList, cnt []int) {
+	if p.coActors {
+		p.emitCoActors(ctx, e, s)
+		return
+	}
 	if p.expands == 0 {
 		p.emit(ctx, e, s, surv, cnt)
 		return

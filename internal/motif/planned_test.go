@@ -257,4 +257,13 @@ func TestPlannedProgramValidation(t *testing.T) {
 	if _, err := NewPlannedProgram("x", deep); err == nil {
 		t.Fatal("3 expansions accepted")
 	}
+	co := coActorOps(windowsOf(time.Minute), 8, 0)
+	co[1].K = 2
+	if _, err := NewPlannedProgram("x", co); err == nil {
+		t.Fatal("co-actors after a K 2 probe accepted")
+	}
+	co = coActorOps(windowsOf(time.Minute), 8, 0)
+	if _, err := NewPlannedProgram("x", append(co[:3:3], Op{Kind: OpExpand}, co[3])); err == nil {
+		t.Fatal("expanded co-actors accepted")
+	}
 }

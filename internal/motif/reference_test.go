@@ -2,6 +2,7 @@ package motif
 
 import (
 	"sort"
+	"time"
 
 	"motifstream/internal/dynstore"
 	"motifstream/internal/graph"
@@ -9,8 +10,9 @@ import (
 
 // This file holds the references the differential tests and the fuzz target
 // hold the plan executor against. None of them runs in production and none
-// calls into planned.go's per-event code: the hand-written diamond and
-// fresh-follow are the detectors the executor replaced, and interpretOps
+// calls into planned.go's per-event code: the hand-written diamond,
+// fresh-follow and triangle closure are the detectors the executor replaced,
+// and interpretOps
 // executes an op list one op at a time, so a plan's Ops (the listing EXPLAIN
 // prints) is proven to mean what the executor's decoded summary does.
 
@@ -100,6 +102,59 @@ func (f handFreshFollow) OnEdge(ctx *Context, e graph.Edge) []Candidate {
 	return out
 }
 
+// handTriangle is the hand-written co-action triangle: on B→C, every recent
+// co-actor A of C is recommended B itself ("you and B both engaged with C —
+// follow B"), the closing A→B edge completing the triangle A→C←B, A→B. The
+// recipients come from D and S is used in reverse, to suppress A's that
+// already follow B. It fires on every trigger type.
+type handTriangle struct {
+	// Name labels its candidates.
+	Name string
+	// Window is the co-action freshness period.
+	Window time.Duration
+	// MaxCoActors caps the recent co-actors considered per event. Zero
+	// selects 64.
+	MaxCoActors int
+	// MaxCandidates caps emissions per event; 0 means unlimited.
+	MaxCandidates int
+}
+
+func (t handTriangle) OnEdge(ctx *Context, e graph.Edge) []Candidate {
+	limit := t.MaxCoActors
+	if limit <= 0 {
+		limit = 64
+	}
+	since := e.TS - t.Window.Milliseconds()
+	recent := ctx.D.RecentLimitInto(nil, e.Dst, since, limit)
+	if len(recent) == 0 {
+		return nil
+	}
+	out := make([]Candidate, 0, len(recent))
+	for _, in := range recent {
+		a := in.B // a co-actor of C plays the A role here
+		if a == e.Src || a == e.Dst {
+			continue
+		}
+		if ctx.Follows != nil && ctx.Follows(a, e.Src) {
+			continue // A already follows B
+		}
+		out = append(out, Candidate{
+			User:         a,
+			Item:         e.Src, // recommend the actor B itself
+			Via:          []graph.VertexID{e.Dst},
+			Trigger:      e,
+			DetectedAtMS: e.TS,
+			Program:      t.Name,
+			// Fresher co-action scores higher, normalized to (0, 1].
+			Score: 1 - float64(e.TS-in.TS)/float64(t.Window.Milliseconds()+1),
+		})
+		if t.MaxCandidates > 0 && len(out) >= t.MaxCandidates {
+			break
+		}
+	}
+	return out
+}
+
 // refSupporters returns the B's whose follower lists contain a, in B order.
 func refSupporters(a graph.VertexID, bs []graph.VertexID, lists []graph.AdjList) []graph.VertexID {
 	via := make([]graph.VertexID, 0, len(bs))
@@ -125,6 +180,9 @@ func interpretOps(ctx *Context, name string, ops []Op, e graph.Edge) []Candidate
 		conns     []graph.VertexID
 		connLists []graph.AdjList
 		expanded  int
+		// The co-actor shape's candidates, once OpCoActors has run.
+		coActors []Candidate
+		co       bool
 	)
 	for _, op := range ops {
 		switch op.Kind {
@@ -143,6 +201,17 @@ func interpretOps(ctx *Context, name string, ops []Op, e graph.Edge) []Candidate
 			recent = ctx.D.RecentLimitInto(nil, e.Dst, e.TS-win, op.Limit)
 			if len(recent) < op.K {
 				return nil
+			}
+		case OpCoActors:
+			co = true
+			for _, in := range recent {
+				if in.B == e.Src || in.B == e.Dst || (ctx.Follows != nil && ctx.Follows(in.B, e.Src)) {
+					continue
+				}
+				coActors = append(coActors, Candidate{
+					User: in.B, Item: e.Src, Via: []graph.VertexID{e.Dst}, Trigger: e, DetectedAtMS: e.TS,
+					Program: name, Score: 1 - float64(e.TS-in.TS)/float64(win+1),
+				})
 			}
 		case OpProbeStatic:
 			for _, in := range recent {
@@ -179,6 +248,12 @@ func interpretOps(ctx *Context, name string, ops []Op, e graph.Edge) []Candidate
 			sort.Slice(cur, func(i, j int) bool { return cur[i] < cur[j] })
 			expanded++
 		case OpEmit:
+			if co {
+				if op.Limit > 0 && len(coActors) > op.Limit {
+					coActors = coActors[:op.Limit]
+				}
+				return coActors
+			}
 			var out []Candidate
 			for _, a := range cur {
 				if a == e.Dst || (ctx.Follows != nil && ctx.Follows(a, e.Dst)) {

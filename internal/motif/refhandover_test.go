@@ -245,14 +245,13 @@ func handOverWorld(events int) (*Context, []graph.Edge) {
 	return ctx, stream
 }
 
-// engineSet is a registration order of six programs run the way the engine
-// runs them: two share groups whose members interleave, and a TriangleClosure
-// — a direct program — between them.
+// engineSet is a registration order of six plans run the way the engine
+// runs them: two share groups whose members interleave, and the triangle
+// closure — a third group, of one — between them.
 type engineSet struct {
-	tri            *TriangleClosure
-	groups         []*PlannedGroup
-	slots          [][]int
-	triSlot, progs int
+	groups []*PlannedGroup
+	slots  [][]int
+	progs  int
 }
 
 func newEngineSet(t *testing.T) *engineSet {
@@ -272,41 +271,40 @@ func newEngineSet(t *testing.T) *engineSet {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tri, err := NewPlannedGroup([]*PlannedProgram{NewTriangleClosure(10 * time.Minute)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Registration order: k3, bcast, triangle, k2, fresh-follow, k5.
 	return &engineSet{
-		tri:     NewTriangleClosure(10 * time.Minute),
-		groups:  []*PlannedGroup{diamonds, bcasts},
-		slots:   [][]int{{0, 3, 5}, {1, 4}},
-		triSlot: 2, progs: 6,
+		groups: []*PlannedGroup{diamonds, bcasts, tri},
+		slots:  [][]int{{0, 3, 5}, {1, 4}, {2}},
+		progs:  6,
 	}
 }
 
-// detect is core.Engine.applyOne's sequence past the D insert: the direct
-// program first, the groups staged, one hand-over.
+// detect is core.Engine.applyOne's sequence past the D insert: the groups
+// staged, one hand-over.
 func (ps *engineSet) detect(ctx *Context, e graph.Edge, s *Scratch) []Candidate {
-	tri := ps.tri.OnEdgeScratch(ctx, e, s)
 	for i, g := range ps.groups {
 		g.StageInto(ctx, e, s, ps.slots[i])
 	}
-	s.StageCandidates(ps.triSlot, tri)
 	return s.HandOver(nil)
 }
 
 // reference is what the hand-over replaced: every group's candidates in
-// arrays of their own, the direct program's as it returned them, copied
-// together in registration order.
+// arrays of their own, copied together in registration order.
 func (ps *engineSet) reference(ctx *Context, e graph.Edge, s *Scratch) []Candidate {
 	res := make([][]Candidate, ps.progs)
 	for i, g := range ps.groups {
 		g.StageInto(ctx, e, s, ps.slots[i])
 		refHandOver(s, res)
 	}
-	res[ps.triSlot] = ps.tri.OnEdgeScratch(ctx, e, s)
 	return inOrder(res)
 }
 
 // TestHandOverRegistrationOrder is the engine's hand-over against the
-// reference with direct and grouped programs mixed, over a stream that puts
+// reference with three groups' members interleaved, over a stream that puts
 // chunk boundaries between the small events of a batch and has events larger
 // than a chunk.
 func TestHandOverRegistrationOrder(t *testing.T) {

@@ -329,5 +329,9 @@ func (p *parser) parseDuration() (time.Duration, error) {
 	if d <= 0 {
 		return 0, errf(t.Pos, "duration must be positive, got %s", d)
 	}
+	// A plan's windows are whole milliseconds; 0 ms would reject the type.
+	if d < time.Millisecond {
+		return 0, errf(t.Pos, "duration %s is under a millisecond, the resolution of stream time", d)
+	}
 	return d, nil
 }

@@ -143,6 +143,8 @@ func TestParseErrors(t *testing.T) {
 		{"unclosed body", `motif "x" { match A -> B;`, "end of input"},
 		{"missing arrow", `motif "x" { match A B; }`, "expected"},
 		{"bad duration", `motif "x" { match A -> B; match B => C within 5; where count(B) >= 2; emit C to A; }`, "duration"},
+		// Truncated to 0 ms, the retweet window would reject retweets.
+		{"sub-millisecond within", `motif "x" { match A -> B; match B =[retweet]=> C within 500us; match B =[favorite]=> C within 5m; where count(B) >= 2; emit C to A; }`, "1:57: duration 500µs is under a millisecond"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

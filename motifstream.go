@@ -44,7 +44,8 @@ const (
 // Via accounts whose recent actions completed the motif.
 type Candidate = motif.Candidate
 
-// Program is a pluggable motif detector invoked per stream edge.
+// Program is a motif plan invoked per stream edge: what CompileMotif and
+// NewTriangleClosure return. The engines run plans only.
 type Program = motif.Program
 
 // Notification is a candidate that survived the delivery funnel.

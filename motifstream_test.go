@@ -199,6 +199,29 @@ motif "content" {
 	}
 }
 
+// TestSystemExtraProgramsArePlans pins the facade's contract: ExtraPrograms
+// takes plans — the triangle closure runs beside the diamond — and New
+// rejects anything else with an error naming the entry.
+func TestSystemExtraProgramsArePlans(t *testing.T) {
+	sys, err := motifstream.New(fig1(), motifstream.Options{
+		K: 2, ExtraPrograms: []motifstream.Program{motifstream.NewTriangleClosure(10 * time.Minute)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := int64(1_000_000)
+	sys.Apply(motifstream.Edge{Src: 1, Dst: 500, Type: motifstream.Retweet, TS: t0})
+	got := sys.Apply(motifstream.Edge{Src: 3, Dst: 500, Type: motifstream.Retweet, TS: t0 + 1})
+	if len(got) != 1 || got[0].Program != "triangle-closure" || got[0].User != 1 || got[0].Item != 3 {
+		t.Fatalf("triangle results = %v", got)
+	}
+	tri := motifstream.NewTriangleClosure(time.Minute)
+	if _, err := motifstream.New(fig1(), motifstream.Options{ExtraPrograms: []motifstream.Program{tri, nil}}); err == nil ||
+		!strings.Contains(err.Error(), "ExtraPrograms[1]") {
+		t.Fatalf("nil entry: err = %v, want one naming ExtraPrograms[1]", err)
+	}
+}
+
 func TestCompileMotifErrorsArePositioned(t *testing.T) {
 	_, err := motifstream.CompileMotif(`motif "x" {
     match A -> B;

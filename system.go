@@ -36,8 +36,9 @@ type Options struct {
 	// follows (derivable from the static edges). Default on for follow
 	// motifs; content actions are never suppressed this way.
 	SuppressKnown bool
-	// ExtraPrograms run after the primary diamond program; use
-	// CompileMotif to build them from DSL source.
+	// ExtraPrograms are plans run after the primary diamond: CompileMotif's
+	// output or NewTriangleClosure. New rejects any other Program, nil
+	// included.
 	ExtraPrograms []Program
 	// motifSources holds DSL sources added via RegisterMotifs, compiled
 	// and appended after ExtraPrograms.
@@ -76,6 +77,11 @@ func New(staticEdges []Edge, opts Options) (*System, error) {
 		return nil, fmt.Errorf("motifstream: Retention %s shorter than Window %s", opts.Retention, window)
 	}
 
+	for i, p := range opts.ExtraPrograms {
+		if plan, _ := p.(*motif.PlannedProgram); plan == nil {
+			return nil, fmt.Errorf("motifstream: ExtraPrograms[%d] (%T) is not a plan from CompileMotif or NewTriangleClosure", i, p)
+		}
+	}
 	programs, err := appendMotifs(append([]motif.Program{primary}, opts.ExtraPrograms...), opts.motifSources)
 	if err != nil {
 		return nil, err
@@ -192,11 +198,10 @@ func (s *System) Stats() Stats {
 // Metrics exposes the engine's full metrics registry.
 func (s *System) Metrics() *metrics.Registry { return s.engine.Metrics() }
 
-// NewTriangleClosure returns the co-action triangle motif program: when B
-// acts on item C, recommend following B to users who also acted on C
-// within the window. It demonstrates the paper's §3 point that other
-// motifs can run as additional programs over the same S/D infrastructure;
-// pass it via Options.ExtraPrograms.
+// NewTriangleClosure returns the plan of the co-action triangle motif: when
+// B acts on item C, recommend following B to users who also acted on C
+// within the window — the paper's §3 point that other motifs run as one more
+// program over the same S/D infrastructure. Pass it via Options.ExtraPrograms.
 func NewTriangleClosure(window time.Duration) Program {
 	return motif.NewTriangleClosure(window)
 }
