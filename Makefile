@@ -30,13 +30,15 @@ test-race:
 	$(GO) test -race ./...
 
 # test-allocs runs the candidate path's allocation gates — the kernel's; S's
-# Followers and Follows lookups (0); the engine's no-candidate budget and its
-# chunk budgets (multi-motif, emitting, the triangle beside a group); the apply loop's no-candidate batch
+# Followers and Follows lookups (0); D's insert on the quiet shape (≤ 0.05 an
+# insert across sweeps and cuts) and its restore (per shard, not per target);
+# the engine's no-candidate budget and its chunk budgets (multi-motif,
+# emitting, the triangle beside a group); the apply loop's no-candidate batch
 # over two workers (0); the funnel's offer (a live duplicate 0, a delivery its
 # Notification) — without the race detector: instrumentation changes
 # allocation counts, so under -race they skip.
 test-allocs:
-	$(GO) test -run 'ZeroAlloc|TestDetectBatchAllocBudget|TestOfferAllocBudget' ./internal/graph ./internal/statstore ./internal/core ./internal/cluster ./internal/delivery
+	$(GO) test -run 'ZeroAlloc|TestInsertAllocBudget|TestLoadSnapshotAllocBudget|TestDetectBatchAllocBudget|TestOfferAllocBudget' ./internal/graph ./internal/statstore ./internal/dynstore ./internal/core ./internal/cluster ./internal/delivery
 
 # test-crashmatrix runs just the fault-injection matrix (kill / restore /
 # whole-cluster restart at every pipeline stage, oracle-asserted, once per
@@ -160,12 +162,12 @@ bench:
 	done
 
 # bench-smoke runs the durability benchmarks, the threshold kernel's
-# strategy table and the candidate log's commit path once each, so the perf
-# paths benchmark/ measures keep compiling and running in CI without a full
-# measurement run.
+# strategy table, the candidate log's commit path and D's insert path once
+# each, so the perf paths benchmark/ measures keep compiling and running in
+# CI without a full measurement run.
 bench-smoke:
 	@set -e; for pkg in $$($(GO) list ./...); do \
-		$(GO) test -run=NONE -bench 'Checkpoint|Recovery|Snapshot|Reprovision|DetectBatch|ThresholdIntersect|Commit' -benchtime=1x -count=1 $$pkg; \
+		$(GO) test -run=NONE -bench 'Checkpoint|Recovery|Snapshot|Reprovision|DetectBatch|ThresholdIntersect|Commit|Insert' -benchtime=1x -count=1 $$pkg; \
 	done
 
 # soak drives the long-haul churn harness (cmd/soak): sustained ingest
@@ -186,14 +188,16 @@ soak-net:
 # of 10s per target keeps the decoders, the WAL record framing, the
 # delivery-state codec, the transport wire protocol, the motif DSL compiler,
 # the restore planner, the segment merge, the candidate log, the plan
-# executor, the threshold kernel's strategies and the packed S build (each
-# against its references) continuously fuzzed without stalling checks. The exhaustive
+# executor, the threshold kernel's strategies, the packed S build and the
+# flat D store (each against its references) continuously fuzzed without
+# stalling checks. The exhaustive
 # prefix / bit-flip properties run first: what the fuzzers sample, they
 # enumerate for one valid input per format.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run 'PrefixesAndBitFlips' ./internal/partition ./internal/dynstore ./internal/delivery ./internal/transport
 	$(GO) test -run=NONE -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME) ./internal/dynstore
+	$(GO) test -run=NONE -fuzz FuzzStoreMatchesReference -fuzztime $(FUZZTIME) ./internal/dynstore
 	$(GO) test -run=NONE -fuzz FuzzWALReadRecord -fuzztime $(FUZZTIME) ./internal/queue
 	$(GO) test -run=NONE -fuzz FuzzDeliveryStateReadFrom -fuzztime $(FUZZTIME) ./internal/delivery
 	$(GO) test -run=NONE -fuzz FuzzAuditRecords -fuzztime $(FUZZTIME) ./internal/audit

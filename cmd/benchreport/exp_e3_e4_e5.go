@@ -116,17 +116,17 @@ func runE4(c runConfig) {
 	for _, e := range stream {
 		d.Insert(e)
 	}
-	ds := d.Stats()
+	dBytes := d.MemoryBytes()
 
 	tb2 := newTable("scale", "design", "memory")
 	tb2.addf("laptop (%d users)|two-hop Bloom|%s", users, fmtBytes(twoHop.MemoryBytes()))
-	tb2.addf("laptop (%d users)|S + D (this system)|%s", users, fmtBytes(snap.MemoryBytes()+ds.Bytes))
+	tb2.addf("laptop (%d users)|S + D (this system)|%s", users, fmtBytes(snap.MemoryBytes()+dBytes))
 	model := baseline.TwitterScaleModel()
 	tb2.addf("Twitter 2012 (model)|two-hop Bloom|%s", fmtBytes(uint64(model.TwoHopBytes)))
 	tb2.addf("Twitter 2012 (model)|S + D (this system)|%s", fmtBytes(uint64(model.StreamingBytes)))
 	tb2.print()
 	fmt.Printf("  measured laptop ratio: %.0fx; modeled Twitter-scale ratio: %.0fx\n",
-		safeDiv(float64(twoHop.MemoryBytes()), float64(snap.MemoryBytes()+ds.Bytes)),
+		safeDiv(float64(twoHop.MemoryBytes()), float64(snap.MemoryBytes()+dBytes)),
 		safeDiv(model.TwoHopBytes, model.StreamingBytes))
 
 	// --- Degree sweep: the asymptotics, measured. ---
@@ -188,10 +188,9 @@ func runE5(c runConfig) {
 			cands += len(prog.OnEdge(ctx, e))
 			if i%5000 == 0 {
 				d.Sweep(e.TS)
-				st := d.Stats()
-				if st.Bytes > peakBytes {
-					peakBytes = st.Bytes
-					peakEdges = st.Edges
+				if b := d.MemoryBytes(); b > peakBytes {
+					peakBytes = b
+					peakEdges = d.Stats().Edges
 				}
 			}
 		}

@@ -123,56 +123,59 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 	// broke the quiescence contract) encodes as an empty list, keeping the
 	// frame count consistent.
 	var ids []graph.VertexID
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for c := range sh.targets {
-			ids = append(ids, c)
+	s.each(func(sh *shard) {
+		for j, p := range sh.spans {
+			if p.n > 0 {
+				ids = append(ids, sh.keys[j])
+			}
 		}
-		sh.mu.RUnlock()
-	}
+	})
 	slices.Sort(ids)
 	var list []InEdge
 	return encodeFrames(w, snapMagic, len(ids), func(i int) (graph.VertexID, []InEdge) {
 		sh := s.shardFor(ids[i])
 		sh.mu.RLock()
-		list = append(list[:0], sh.targets[ids[i]]...)
+		list = append(list[:0], sh.list(ids[i])...)
 		sh.mu.RUnlock()
 		return ids[i], list
 	})
 }
 
 // LoadSnapshot replaces the store's contents with a copy of the given run
-// (an empty list, a delta's tombstone, installs nothing). Each list is
-// copied into an array of its own: decoded lists share one arena per
-// segment, and an installed list lives until its target is swept, so
-// keeping the caller's slice would pin a whole segment's arena for one
-// surviving target. The dirty sets are cleared: the loaded state is by
-// definition what the checkpoint chain already contains, so the next delta
-// cut captures only changes applied after it.
+// (an empty list, a delta's tombstone, installs nothing), every shard locked
+// throughout, into arenas sized with the tables in a first pass: an install
+// allocates per shard and pins no decode arena. The dirty log is cleared:
+// the loaded state is what the checkpoint chain already contains, so the
+// next delta cut captures only changes applied after it.
 func (s *Store) LoadSnapshot(targets Targets) {
-	s.Reset()
-	for _, e := range targets {
-		if len(e.Val) == 0 {
-			continue
-		}
-		sh := s.shardFor(e.Key)
-		sh.mu.Lock()
-		sh.targets[e.Key] = slices.Clone(e.Val)
-		sh.edges += int64(len(e.Val))
-		sh.mu.Unlock()
-	}
-}
-
-// Reset drops every retained edge, modeling the state loss of a crashed
-// replica; options are kept.
-func (s *Store) Reset() {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		sh.targets = make(map[graph.VertexID][]InEdge)
-		sh.edges = 0
-		sh.dirty = make(map[graph.VertexID]struct{})
-		sh.mu.Unlock()
+		sh.keys, sh.spans, sh.n, sh.edges, sh.arena, sh.garbage, sh.dirty, sh.gone = nil, nil, 0, 0, nil, 0, nil, nil
+	}
+	for _, e := range targets {
+		sh := s.shardFor(e.Key)
+		sh.n += min(len(e.Val), 1)
+		sh.edges += int64(len(e.Val))
+	}
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.rehash(tableSize(sh.n))
+		sh.arena = make([]InEdge, 0, sh.edges)
+	}
+	for _, e := range targets {
+		if n := uint32(len(e.Val)); n > 0 {
+			sh := s.shardFor(e.Key)
+			j := sh.slot(e.Key)
+			sh.keys[j], sh.spans[j] = e.Key, span{off: uint32(len(sh.arena)), n: n, block: n}
+			sh.arena = append(sh.arena, e.Val...)
+		}
+	}
+	for i := range s.shards {
+		s.shards[i].mu.Unlock()
 	}
 }
+
+// Reset drops every retained edge and releases D's arrays, modeling the
+// state loss of a crashed replica; options are kept.
+func (s *Store) Reset() { s.LoadSnapshot(nil) }

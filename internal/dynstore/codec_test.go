@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -63,10 +64,10 @@ func storeContents(s *Store) map[graph.VertexID][]InEdge {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for c, list := range sh.targets {
-			cp := make([]InEdge, len(list))
-			copy(cp, list)
-			out[c] = cp
+		for j, p := range sh.spans {
+			if p.n > 0 {
+				out[sh.keys[j]] = slices.Clone(sh.list(sh.keys[j]))
+			}
 		}
 		sh.mu.RUnlock()
 	}
@@ -114,8 +115,8 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 		// Query results deep-equal at a few probe points.
 		for c := graph.VertexID(0); c < 80; c += 7 {
 			for _, since := range []int64{0, 1_000_000, 1_030_000} {
-				got := restored.Recent(c, since)
-				want := orig.Recent(c, since)
+				got := recent(restored, c, since)
+				want := recent(orig, c, since)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("trial %d: Recent(%d,%d) = %v, want %v", trial, c, since, got, want)
 				}
@@ -150,10 +151,10 @@ func TestSnapshotReadFromReplacesContents(t *testing.T) {
 	if err := restore(b, buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.Recent(9, 0); got != nil {
+	if got := recent(b, 9, 0); got != nil {
 		t.Fatalf("pre-restore contents survived: %v", got)
 	}
-	if got := b.Recent(2, 0); len(got) != 1 || got[0].B != 1 {
+	if got := recent(b, 2, 0); len(got) != 1 || got[0].B != 1 {
 		t.Fatalf("restored contents wrong: %v", got)
 	}
 }
@@ -257,7 +258,7 @@ func TestResetDropsEverything(t *testing.T) {
 	}
 	// The store stays usable.
 	s.Insert(graph.Edge{Src: 1, Dst: 2, TS: 100})
-	if len(s.Recent(2, 0)) != 1 {
+	if len(recent(s, 2, 0)) != 1 {
 		t.Fatal("store unusable after Reset")
 	}
 }

@@ -14,39 +14,40 @@ import (
 // order, newer wins per target, reconstructs the store exactly.
 var deltaMagic = [8]byte{'M', 'S', 'D', 'S', 'D', 'L', 0, 1}
 
-// CaptureDelta copies every dirtied target's current list and resets the
-// dirty sets — the synchronous part of an incremental checkpoint cut. Its
-// cost is proportional to the number of targets touched since the last
-// cut, not to the store size, which is what keeps the apply-loop pause
-// bounded, and the copies share one array sized in a first pass, so a cut
-// allocates a handful of times however many targets it carries. The run
-// comes back in dirty-set order: whoever encodes or merges it seals it
-// first, off the apply loop. The caller must quiesce writers for a
-// consistent cut (the replica checkpoint pipeline serializes cuts with
+// CaptureDelta copies every dirtied target's current list and empties the
+// dirty log — the synchronous part of an incremental checkpoint cut. It
+// costs what was touched since the last cut, not the store size, which
+// bounds the apply-loop pause, and its copies share one array sized in a
+// first pass. The run carries each key once, in dirty-log order: whoever
+// encodes or merges it seals it first, off the apply loop. The caller must
+// quiesce writers (the replica checkpoint pipeline serializes cuts with
 // Apply).
 func (s *Store) CaptureDelta() Targets {
 	targets, edges := 0, 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		targets += len(sh.dirty)
-		for c := range sh.dirty {
-			edges += len(sh.targets[c])
+	s.each(func(sh *shard) {
+		targets += len(sh.dirty) + len(sh.gone)
+		for _, c := range sh.dirty {
+			edges += len(sh.list(c))
 		}
-		sh.mu.RUnlock()
-	}
+	})
 	out := make(Targets, 0, targets)
 	arena := codecutil.Arena[InEdge]{Chunk: edges}
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for c := range sh.dirty {
-			// absent => deletion, encoded as empty
-			out = append(out, codecutil.Entry[graph.VertexID, []InEdge]{Key: c, Val: arena.Copy(sh.targets[c])})
+		for _, c := range sh.dirty {
+			// A key's first sighting copies it; an emptied one is gone's.
+			if j := sh.slot(c); j >= 0 && sh.spans[j].block&dirtyBit != 0 {
+				sh.spans[j].block &^= dirtyBit
+				out = append(out, codecutil.Entry[graph.VertexID, []InEdge]{Key: c, Val: arena.Copy(sh.at(j))})
+			}
 		}
-		if len(sh.dirty) > 0 {
-			sh.dirty = make(map[graph.VertexID]struct{})
+		for _, c := range sh.gone {
+			if sh.list(c) == nil { // else inserted into since, and copied above
+				out = append(out, codecutil.Entry[graph.VertexID, []InEdge]{Key: c}) // a deletion, encoded as empty
+			}
 		}
+		sh.dirty, sh.gone = sh.dirty[:0], sh.gone[:0]
 		sh.mu.Unlock()
 	}
 	return out

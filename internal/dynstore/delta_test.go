@@ -82,6 +82,39 @@ func TestCaptureDeltaRecordsSweepDeletions(t *testing.T) {
 	}
 }
 
+// TestCaptureDeltaCarriesEachKeyOnce pins the two ways a key could reach
+// the dirty log twice between cuts — swept empty and inserted into again,
+// and swept empty twice — to one entry: Seal does not deduplicate, and a
+// repeated key encodes a segment the decoder rejects as not ascending.
+func TestCaptureDeltaCarriesEachKeyOnce(t *testing.T) {
+	t0 := int64(1_000_000)
+	hour := time.Hour.Milliseconds()
+	for _, tc := range []struct {
+		name  string
+		after func(s *Store)
+		want  []InEdge
+	}{
+		{"swept then reinserted", func(s *Store) {
+			s.Sweep(t0 + 2*hour)
+			s.Insert(graph.Edge{Src: 2, Dst: 7, TS: t0 + 2*hour})
+		}, []InEdge{{B: 2, TS: t0 + 2*hour}}},
+		{"swept twice", func(s *Store) {
+			s.Sweep(t0 + 2*hour)
+			s.Insert(graph.Edge{Src: 2, Dst: 7, TS: t0 + 2*hour})
+			s.Sweep(t0 + 4*hour)
+		}, nil},
+	} {
+		s := deltaTestStore()
+		s.Insert(graph.Edge{Src: 1, Dst: 7, TS: t0})
+		s.CaptureDelta()
+		tc.after(s)
+		d := s.CaptureDelta()
+		if len(d) != 1 || d[0].Key != 7 || !reflect.DeepEqual(d[0].Val, tc.want) {
+			t.Fatalf("%s: cut carries %v, want target 7 once with %v", tc.name, d, tc.want)
+		}
+	}
+}
+
 func TestDeltaCodecRoundTrip(t *testing.T) {
 	s := deltaTestStore()
 	t0 := int64(1_000_000)
@@ -169,9 +202,9 @@ func TestDeltaComposeEqualsFullSnapshot(t *testing.T) {
 	}
 }
 
-// TestCaptureDeltaAllocBudget gates the cut's allocation count: the run,
-// one array shared by every copied list and a fresh dirty set per shard,
-// whether the cut carries two hundred targets or two thousand. One
+// TestCaptureDeltaAllocBudget gates the cut's allocation count: the run and
+// one array shared by every copied list — the dirty log is emptied in place
+// — whether the cut carries two hundred targets or two thousand. One
 // allocation per dirty target (the copy this replaced) fails it.
 func TestCaptureDeltaAllocBudget(t *testing.T) {
 	for _, targets := range []int{200, 2000} {

@@ -5,10 +5,13 @@
 // concurrency, pruned to a retention window to bound memory (paper §2:
 // "memory pressure can be alleviated by pruning the D data structure to
 // only retain the most recent edges"), and accounts its own size for
-// experiment E5.
+// experiment E5. A shard is flat arrays, the way graph.Packed holds S: no
+// target owns a heap object, and the garbage collector has no pointer to scan.
 package dynstore
 
 import (
+	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
@@ -21,9 +24,12 @@ type InEdge struct {
 	TS int64 // Unix milliseconds
 }
 
-// entryBytes approximates the resident cost of one retained InEdge,
-// including slice overhead amortization.
-const entryBytes = 16
+// entryBytes is the size of one InEdge in an arena, slotBytes that of one
+// key-table slot (a key and its span): the units of MemoryBytes.
+const entryBytes, slotBytes = 16, 8 + 12
+
+// fibHash is 2^64 / φ; a shard and a table slot take different bits of c·fibHash.
+const fibHash = 0x9e3779b97f4a7c15
 
 // Options configures a Store.
 type Options struct {
@@ -49,16 +55,35 @@ type Store struct {
 	shards      []shard
 }
 
+// shard is one lock's part of D. keys and spans are an open-addressing table
+// (Fibonacci hash, linear probing, at most 3/4 full) of the targets holding
+// edges. A target's list is arena[off:off+n], oldest first, in a block only
+// it appends into. Insert drops the expired prefix and the cap's overflow by
+// advancing off and moves a full block to the arena's end at twice its
+// length; the garbage either leaves lasts until a compaction.
 type shard struct {
 	mu      sync.RWMutex
-	targets map[graph.VertexID][]InEdge
+	keys    []graph.VertexID
+	spans   []span
+	shift   uint // 64 - log2(len(keys)): a key's home slot is its hash's top bits
+	n       int  // occupied slots
+	arena   []InEdge
+	garbage int   // arena entries in no block
 	edges   int64 // retained edge count in this shard
-	// dirty is the set of targets modified since the last CaptureDelta —
-	// inserts, prunes, and sweep deletions all mark it. It is what makes
-	// incremental checkpoints possible: a cut copies only these lists
-	// instead of the whole shard.
-	dirty map[graph.VertexID]struct{}
+	// The dirty log lets a cut copy only the targets changed since the last:
+	// dirty takes a target when its span takes dirtyBit (a key repeats only
+	// if a sweep emptied it in between), gone each target a sweep emptied.
+	dirty, gone []graph.VertexID
 }
+
+// span locates a target's list: n edges from off, in a block of cap()
+// edges. 0 edges marks a free slot. A shard holds fewer than 2³¹ edges.
+type span struct{ off, n, block uint32 }
+
+// dirtyBit, the top bit of block, marks a target on the dirty log.
+const dirtyBit = 1 << 31
+
+func (p span) cap() uint32 { return p.block &^ dirtyBit }
 
 // New creates a Store with the given options.
 func New(opts Options) *Store {
@@ -66,28 +91,98 @@ func New(opts Options) *Store {
 	if n <= 0 {
 		n = 64
 	}
-	// Round up to power of two for cheap masking.
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	s := &Store{
+	p := 1 << bits.Len(uint(n-1)) // a power of two, for cheap masking
+	return &Store{
 		retentionMS: opts.Retention.Milliseconds(),
 		maxPer:      opts.MaxPerTarget,
 		mask:        uint64(p - 1),
 		shards:      make([]shard, p),
 	}
-	for i := range s.shards {
-		s.shards[i].targets = make(map[graph.VertexID][]InEdge)
-		s.shards[i].dirty = make(map[graph.VertexID]struct{})
-	}
-	return s
 }
 
 func (s *Store) shardFor(c graph.VertexID) *shard {
-	// Fibonacci hashing spreads sequential IDs across shards.
-	h := uint64(c) * 0x9e3779b97f4a7c15
-	return &s.shards[(h>>32)&s.mask]
+	return &s.shards[(uint64(c)*fibHash>>32)&s.mask]
+}
+
+// slot returns c's slot, or the free slot where a probe for it ends; -1
+// when the table has no slots.
+func (sh *shard) slot(c graph.VertexID) int {
+	if len(sh.keys) == 0 {
+		return -1
+	}
+	mask := len(sh.keys) - 1
+	for i := int(uint64(c) * fibHash >> sh.shift); ; i = (i + 1) & mask {
+		if sh.spans[i].n == 0 || sh.keys[i] == c {
+			return i
+		}
+	}
+}
+
+// list returns c's retained edges, nil when it has none.
+func (sh *shard) list(c graph.VertexID) []InEdge { return sh.at(sh.slot(c)) }
+
+// at returns slot i's list (nil for a free slot or -1), capacity-limited.
+func (sh *shard) at(i int) []InEdge {
+	if i < 0 || sh.spans[i].n == 0 {
+		return nil
+	}
+	p := sh.spans[i]
+	return sh.arena[p.off : p.off+p.n : p.off+p.n]
+}
+
+// tableSize is the table n targets are rebuilt at: the least power of two,
+// at least 8, they fill at most 3/4 of; 0 for none.
+func tableSize(n int) int {
+	if n == 0 {
+		return 0
+	}
+	return max(8, 1<<bits.Len(uint((4*n-1)/3)))
+}
+
+// rehash re-places every occupied slot in a fresh table of size slots.
+func (sh *shard) rehash(size int) {
+	keys, spans := sh.keys, sh.spans
+	sh.keys, sh.spans = make([]graph.VertexID, size), make([]span, size)
+	sh.shift = 64 - uint(bits.TrailingZeros(uint(size)))
+	for i, p := range spans {
+		if p.n > 0 {
+			j := sh.slot(keys[i])
+			sh.keys[j], sh.spans[j] = keys[i], p
+		}
+	}
+}
+
+// compact copies every list into a fresh arena, each block exactly its
+// list, with a quarter's headroom plus extra.
+func (sh *shard) compact(extra int) {
+	arena := make([]InEdge, 0, int(sh.edges)+int(sh.edges)/4+extra)
+	for i := range sh.spans {
+		p := &sh.spans[i]
+		if p.n > 0 {
+			off := len(arena)
+			arena = append(arena, sh.arena[p.off:p.off+p.n]...)
+			p.off, p.block = uint32(off), p.n|p.block&dirtyBit
+		}
+	}
+	sh.arena, sh.garbage = arena, 0
+}
+
+// relocate moves slot i's full block to the arena's end at twice its length.
+// An arena too small for it grows by a quarter, or is compacted if half garbage.
+func (sh *shard) relocate(i int) {
+	size := max(2*sh.spans[i].n, 1)
+	if len(sh.arena)+int(size) > cap(sh.arena) {
+		if 2*sh.garbage >= len(sh.arena) {
+			sh.compact(int(size))
+		} else {
+			sh.arena = append(make([]InEdge, 0, len(sh.arena)*5/4+int(size)), sh.arena...)
+		}
+	}
+	p, off := &sh.spans[i], len(sh.arena)
+	sh.arena = sh.arena[:off+int(size)]
+	copy(sh.arena[off:], sh.at(i)) // not p.off: an emptied list's is stale past a compaction
+	sh.garbage += int(p.cap())
+	p.off, p.block = uint32(off), size|p.block&dirtyBit
 }
 
 // Insert records edge e (Src=B, Dst=C) and returns the number of retained
@@ -96,70 +191,59 @@ func (s *Store) Insert(e graph.Edge) int {
 	sh := s.shardFor(e.Dst)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	list := sh.targets[e.Dst]
-	before := len(list)
-	list = append(list, InEdge{B: e.Src, TS: e.TS})
-	list = s.pruneLocked(list, e.TS)
-	if s.maxPer > 0 && len(list) > s.maxPer {
-		drop := len(list) - s.maxPer
-		list = append(list[:0], list[drop:]...)
+	i := sh.slot(e.Dst)
+	if i < 0 || sh.spans[i].n == 0 {
+		if 4*(sh.n+1) > 3*len(sh.keys) {
+			sh.rehash(max(2*len(sh.keys), 8))
+			i = sh.slot(e.Dst)
+		}
+		sh.keys[i] = e.Dst
+		sh.n++
 	}
-	sh.targets[e.Dst] = list
-	sh.edges += int64(len(list) - before)
-	sh.dirty[e.Dst] = struct{}{}
-	return len(list)
+	p, before := &sh.spans[i], sh.spans[i].n
+	// Drop the expired prefix (the stream is near-ordered: stragglers go on a
+	// later pass) and, at the cap, the oldest. The list never empties.
+	drop := uint32(0)
+	if s.retentionMS > 0 {
+		cutoff := e.TS - s.retentionMS
+		for drop < p.n && sh.arena[p.off+drop].TS < cutoff {
+			drop++
+		}
+	}
+	if s.maxPer > 0 && int(p.n-drop) >= s.maxPer {
+		drop = p.n + 1 - uint32(s.maxPer)
+	}
+	p.off, p.n, p.block = p.off+drop, p.n-drop, p.block-drop
+	sh.garbage += int(drop)
+	if p.n == p.cap() {
+		sh.relocate(i)
+	}
+	sh.arena[p.off+p.n] = InEdge{B: e.Src, TS: e.TS}
+	p.n++
+	sh.edges += int64(p.n) - int64(before)
+	if p.block&dirtyBit == 0 {
+		p.block |= dirtyBit
+		sh.dirty = append(sh.dirty, e.Dst)
+	}
+	return int(p.n)
 }
 
-// pruneLocked drops entries older than the retention window relative to
-// now. Entries are appended in arrival order; the stream is near-ordered,
-// so a linear scan from the front removes the expired prefix. Out-of-order
-// stragglers are tolerated: they are removed on a later prune pass.
-func (s *Store) pruneLocked(list []InEdge, nowMS int64) []InEdge {
-	if s.retentionMS <= 0 || len(list) == 0 {
-		return list
-	}
-	cutoff := nowMS - s.retentionMS
-	i := 0
-	for i < len(list) && list[i].TS < cutoff {
-		i++
-	}
-	if i == 0 {
-		return list
-	}
-	return append(list[:0], list[i:]...)
-}
-
-// seenPool recycles the dedup scratch sets used by Recent queries; the
+// seenPool recycles the dedup scratch sets used by RecentLimitInto; the
 // query path runs once per stream event per partition, so map allocation
 // here dominated whole-system CPU before pooling.
 var seenPool = sync.Pool{
 	New: func() any { return make(map[graph.VertexID]struct{}, 64) },
 }
 
-// Recent returns the B's that pointed at c at or after since (Unix ms),
-// deduplicated keeping the most recent timestamp per B, oldest first. The
-// result is freshly allocated.
-func (s *Store) Recent(c graph.VertexID, sinceMS int64) []InEdge {
-	return s.RecentLimit(c, sinceMS, 0)
-}
-
-// RecentLimit is Recent restricted to the limit most recent distinct B's;
-// limit <= 0 means unlimited. The detection hot path passes its fanout cap
-// here so a viral target with thousands of in-window edges costs O(limit)
-// per query rather than O(window).
-func (s *Store) RecentLimit(c graph.VertexID, sinceMS int64, limit int) []InEdge {
-	return s.RecentLimitInto(nil, c, sinceMS, limit)
-}
-
-// RecentLimitInto is the appending form of RecentLimit: results are
-// appended to dst (usually dst[:0] of a reusable buffer) and the extended
-// slice is returned. Once dst has capacity the call performs zero heap
-// allocation, which is what keeps the per-event detection path
-// allocation-free.
+// RecentLimitInto appends to dst (usually dst[:0] of a reusable buffer) the
+// limit most recent distinct B's that pointed at c at or after since (Unix
+// ms; limit <= 0: all), each at its latest timestamp, oldest first. The
+// detection path passes its fanout cap, so a viral target costs O(limit) a
+// query, not O(window); once dst has capacity the call allocates nothing.
 func (s *Store) RecentLimitInto(dst []InEdge, c graph.VertexID, sinceMS int64, limit int) []InEdge {
 	sh := s.shardFor(c)
 	sh.mu.RLock()
-	list := sh.targets[c]
+	list := sh.list(c)
 	if len(list) == 0 {
 		sh.mu.RUnlock()
 		return dst
@@ -201,57 +285,80 @@ func (s *Store) RecentLimitInto(dst []InEdge, c graph.VertexID, sinceMS int64, l
 
 // Sweep prunes every target against the given current time and drops empty
 // targets. It is called periodically by the partition's background pruner;
-// Insert also prunes lazily per target. Returns edges removed.
+// Insert also prunes lazily per target. Returns edges removed. A shard it
+// prunes is rebuilt at its live size, the targets it emptied on the gone log.
 func (s *Store) Sweep(nowMS int64) int {
 	if s.retentionMS <= 0 {
 		return 0
 	}
 	cutoff := nowMS - s.retentionMS
 	removed := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
+	for k := range s.shards {
+		sh := &s.shards[k]
 		sh.mu.Lock()
-		for c, list := range sh.targets {
+		// A gone target inserted into since is on the dirty log, and back on
+		// the gone log below if this sweep empties it: forget its entry.
+		sh.gone = slices.DeleteFunc(sh.gone, func(c graph.VertexID) bool { return sh.list(c) != nil })
+		before := removed
+		for i := range sh.spans {
+			p := &sh.spans[i]
+			list := sh.arena[p.off : p.off+p.n]
 			keep := list[:0]
 			for _, in := range list {
 				if in.TS >= cutoff {
 					keep = append(keep, in)
 				}
 			}
+			if len(keep) == len(list) {
+				continue
+			}
 			removed += len(list) - len(keep)
-			sh.edges -= int64(len(list) - len(keep))
-			if len(keep) < len(list) {
-				sh.dirty[c] = struct{}{}
+			p.n = uint32(len(keep))
+			switch {
+			case p.n == 0:
+				sh.gone = append(sh.gone, sh.keys[i])
+				sh.n--
+			case p.block&dirtyBit == 0:
+				p.block |= dirtyBit
+				sh.dirty = append(sh.dirty, sh.keys[i])
 			}
-			if len(keep) == 0 {
-				delete(sh.targets, c)
-			} else {
-				sh.targets[c] = keep
-			}
+		}
+		if removed > before {
+			sh.edges -= int64(removed - before)
+			sh.compact(0)
+			sh.rehash(tableSize(sh.n))
 		}
 		sh.mu.Unlock()
 	}
 	return removed
 }
 
-// Stats is a point-in-time summary of the store.
+// Stats is a point-in-time summary of what the store holds: equal contents
+// give equal Stats, however their arrays came to be.
 type Stats struct {
-	Targets int    // distinct C's retained
-	Edges   int64  // retained in-edges
-	Bytes   uint64 // approximate resident size
+	Targets int   // distinct C's retained
+	Edges   int64 // retained in-edges
 }
 
 // Stats scans the shards and returns current totals.
-func (s *Store) Stats() Stats {
-	var st Stats
-	const mapEntryOverhead = 48
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		st.Targets += len(sh.targets)
-		st.Edges += sh.edges
-		sh.mu.RUnlock()
-	}
-	st.Bytes = uint64(st.Edges)*entryBytes + uint64(st.Targets)*mapEntryOverhead
+func (s *Store) Stats() (st Stats) {
+	s.each(func(sh *shard) { st.Targets, st.Edges = st.Targets+sh.n, st.Edges+sh.edges })
 	return st
+}
+
+// MemoryBytes is the exact size of D's arrays, like graph.Packed's: the key
+// tables and the arenas' capacity. Unlike Stats it depends on history (a
+// restored store's arenas are tight), and it leaves out the dirty log.
+func (s *Store) MemoryBytes() (b uint64) {
+	s.each(func(sh *shard) { b += uint64(len(sh.keys))*slotBytes + uint64(cap(sh.arena))*entryBytes })
+	return b
+}
+
+// each calls fn with every shard under its read lock.
+func (s *Store) each(fn func(sh *shard)) {
+	for i := range s.shards {
+		s.shards[i].mu.RLock()
+		fn(&s.shards[i])
+		s.shards[i].mu.RUnlock()
+	}
 }

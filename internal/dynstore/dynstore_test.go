@@ -2,15 +2,24 @@ package dynstore
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"motifstream/internal/graph"
+	"motifstream/internal/racetest"
+	"motifstream/internal/workload"
 )
 
 func edge(b, c graph.VertexID, ts int64) graph.Edge {
 	return graph.Edge{Src: b, Dst: c, Type: graph.Follow, TS: ts}
+}
+
+// recent is every distinct in-window B of c, freshly allocated.
+func recent(s *Store, c graph.VertexID, sinceMS int64) []InEdge {
+	return s.RecentLimitInto(nil, c, sinceMS, 0)
 }
 
 func bsOf(ins []InEdge) []graph.VertexID {
@@ -27,17 +36,17 @@ func TestInsertAndRecent(t *testing.T) {
 	s.Insert(edge(2, 100, 2_000))
 	s.Insert(edge(3, 200, 3_000))
 
-	got := s.Recent(100, 0)
+	got := recent(s, 100, 0)
 	if len(got) != 2 {
 		t.Fatalf("Recent(100) = %v, want 2 entries", got)
 	}
 	if got[0].B != 1 || got[1].B != 2 {
 		t.Fatalf("Recent(100) order = %v, want chronological [1 2]", bsOf(got))
 	}
-	if got := s.Recent(200, 0); len(got) != 1 || got[0].B != 3 {
+	if got := recent(s, 200, 0); len(got) != 1 || got[0].B != 3 {
 		t.Fatalf("Recent(200) = %v", got)
 	}
-	if got := s.Recent(999, 0); got != nil {
+	if got := recent(s, 999, 0); got != nil {
 		t.Fatalf("Recent(unknown) = %v, want nil", got)
 	}
 }
@@ -47,7 +56,7 @@ func TestRecentSinceFilter(t *testing.T) {
 	s.Insert(edge(1, 100, 1_000))
 	s.Insert(edge(2, 100, 2_000))
 	s.Insert(edge(3, 100, 3_000))
-	got := s.Recent(100, 2_000)
+	got := recent(s, 100, 2_000)
 	if len(got) != 2 || got[0].B != 2 || got[1].B != 3 {
 		t.Fatalf("Recent(since=2000) = %v, want B's [2 3]", bsOf(got))
 	}
@@ -58,7 +67,7 @@ func TestRecentDedupsKeepingLatest(t *testing.T) {
 	s.Insert(edge(1, 100, 1_000))
 	s.Insert(edge(2, 100, 2_000))
 	s.Insert(edge(1, 100, 5_000)) // B=1 acts again, later
-	got := s.Recent(100, 0)
+	got := recent(s, 100, 0)
 	if len(got) != 2 {
 		t.Fatalf("Recent = %v, want 2 distinct B's", got)
 	}
@@ -75,7 +84,7 @@ func TestRecentLimitKeepsFreshest(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Insert(edge(graph.VertexID(i), 100, int64(1_000+i)))
 	}
-	got := s.RecentLimit(100, 0, 3)
+	got := s.RecentLimitInto(nil, 100, 0, 3)
 	if len(got) != 3 {
 		t.Fatalf("RecentLimit = %d entries, want 3", len(got))
 	}
@@ -87,11 +96,11 @@ func TestRecentLimitKeepsFreshest(t *testing.T) {
 		}
 	}
 	// Limit 0 means unlimited.
-	if got := s.RecentLimit(100, 0, 0); len(got) != 10 {
+	if got := s.RecentLimitInto(nil, 100, 0, 0); len(got) != 10 {
 		t.Fatalf("unlimited = %d entries, want 10", len(got))
 	}
 	// Limit larger than population.
-	if got := s.RecentLimit(100, 0, 99); len(got) != 10 {
+	if got := s.RecentLimitInto(nil, 100, 0, 99); len(got) != 10 {
 		t.Fatalf("big limit = %d entries, want 10", len(got))
 	}
 }
@@ -105,7 +114,7 @@ func TestInsertPrunesExpired(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("retained %d in-edges, want 2 (edge@1000 pruned)", n)
 	}
-	got := s.Recent(100, 0)
+	got := recent(s, 100, 0)
 	for _, in := range got {
 		if in.B == 1 {
 			t.Fatal("expired edge still visible")
@@ -118,7 +127,7 @@ func TestMaxPerTarget(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Insert(edge(graph.VertexID(i), 100, int64(1_000+i)))
 	}
-	got := s.Recent(100, 0)
+	got := recent(s, 100, 0)
 	if len(got) != 3 {
 		t.Fatalf("retained %d, want 3 (MaxPerTarget)", len(got))
 	}
@@ -163,20 +172,121 @@ func TestSweepPartial(t *testing.T) {
 	if removed != 1 {
 		t.Fatalf("removed %d, want 1", removed)
 	}
-	got := s.Recent(100, 0)
+	got := recent(s, 100, 0)
 	if len(got) != 1 || got[0].B != 2 {
 		t.Fatalf("after partial sweep: %v", bsOf(got))
 	}
 }
 
-func TestStatsBytes(t *testing.T) {
-	s := New(Options{})
-	if st := s.Stats(); st.Bytes != 0 {
-		t.Fatalf("empty store bytes = %d", st.Bytes)
+// TestMemoryBytes pins MemoryBytes to the size of D's arrays — every
+// shard's key table and the capacity of its edge arena — and holds a sweep
+// that empties the store to the empty store's figure.
+func TestMemoryBytes(t *testing.T) {
+	s := New(Options{Retention: time.Second, Shards: 4})
+	empty := s.MemoryBytes()
+	arrays := func() uint64 {
+		var b uint64
+		for i := range s.shards {
+			sh := &s.shards[i]
+			b += uint64(len(sh.keys))*uint64(unsafe.Sizeof(graph.VertexID(0))) +
+				uint64(len(sh.spans))*uint64(unsafe.Sizeof(span{})) +
+				uint64(cap(sh.arena))*uint64(unsafe.Sizeof(InEdge{}))
+		}
+		return b
 	}
-	s.Insert(edge(1, 2, 1))
-	if st := s.Stats(); st.Bytes == 0 || st.Edges != 1 || st.Targets != 1 {
-		t.Fatalf("stats after one insert: %+v", st)
+	for i := 0; i < 1_000; i++ {
+		s.Insert(edge(graph.VertexID(i), graph.VertexID(i%300), int64(i)))
+		if got, want := s.MemoryBytes(), arrays(); got != want {
+			t.Fatalf("after %d inserts MemoryBytes = %d, the arrays hold %d", i+1, got, want)
+		}
+	}
+	if removed := s.Sweep(1 << 40); removed != 1_000 {
+		t.Fatalf("Sweep removed %d, want 1000", removed)
+	}
+	if got := s.MemoryBytes(); got != empty {
+		t.Fatalf("emptied store holds %d bytes, the empty store %d", got, empty)
+	}
+}
+
+// quietStream is the benchmark's quiet shape: 95 % content events, nearly
+// every one onto a fresh target, 24 000 events a minute.
+func quietStream(events int) []graph.Edge {
+	return workload.GenEventStream(workload.StreamConfig{
+		Users: 20_000, Events: events, Rate: 400,
+		BurstFraction: 0.35, BurstMeanSize: 12, BurstWindow: time.Minute,
+		ContentFraction: 0.95, ZipfS: 1.35, Seed: 7,
+	})
+}
+
+// insertAllocs replays stream into ins with the engine's minute sweeps and a
+// cut per 50 s, and returns the allocations per insert of its second half —
+// the first warms the arrays and the dirty log up.
+func insertAllocs(stream []graph.Edge, ins func(graph.Edge), sweep func(int64), capture func()) float64 {
+	var before, after runtime.MemStats
+	lastSweep, lastCut := stream[0].TS, stream[0].TS
+	for i, e := range stream {
+		if i == len(stream)/2 {
+			runtime.ReadMemStats(&before)
+		}
+		ins(e)
+		if e.TS-lastSweep >= 60_000 {
+			sweep(e.TS)
+			lastSweep = e.TS
+		}
+		if e.TS-lastCut >= 50_000 {
+			capture()
+			lastCut = e.TS
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(len(stream)-len(stream)/2)
+}
+
+// TestInsertAllocBudget gates D's insert path on the quiet shape: a warm
+// store taking a fresh target per event, across sweeps and cuts, allocates
+// at most 0.05 times an insert. The map-of-lists reference allocates a list
+// per fresh target and grows its maps and each cut's fresh dirty set (≈ 1.4
+// an insert).
+func TestInsertAllocBudget(t *testing.T) {
+	if racetest.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	stream := quietStream(4 * 24_000)
+	s := New(Options{Retention: time.Minute, MaxPerTarget: 1024})
+	got := insertAllocs(stream, func(e graph.Edge) { s.Insert(e) }, func(now int64) { s.Sweep(now) }, func() { s.CaptureDelta() })
+	r := newRef(Options{Retention: time.Minute, MaxPerTarget: 1024})
+	ref := insertAllocs(stream, func(e graph.Edge) { r.Insert(e) }, func(now int64) { r.Sweep(now) }, func() { r.CaptureDelta() })
+	t.Logf("allocations per insert: %.4f (reference %.4f)", got, ref)
+	if got > 0.05 {
+		t.Errorf("%.4f allocations per insert, budget 0.05", got)
+	}
+	if ref <= 0.05 {
+		t.Errorf("the reference allocates %.4f times an insert: the gate no longer separates the layouts", ref)
+	}
+}
+
+// TestLoadSnapshotAllocBudget gates the install of a restored run: its
+// allocations grow with the shard count — each shard's table and arena —
+// not with the targets it carries. The reference allocates a list per
+// target.
+func TestLoadSnapshotAllocBudget(t *testing.T) {
+	if racetest.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	run := make(Targets, 2_000)
+	for i := range run {
+		run[i] = entry(graph.VertexID(i), []InEdge{{B: 1, TS: int64(i)}, {B: 2, TS: int64(i)}})
+	}
+	for _, shards := range []int{4, 64} {
+		s := New(Options{Retention: time.Hour, Shards: shards})
+		s.Insert(edge(9, 9, 9)) // something to drop
+		allocs := testing.AllocsPerRun(5, func() { s.LoadSnapshot(run) })
+		if st := s.Stats(); st.Targets != len(run) || st.Edges != 2*int64(len(run)) {
+			t.Fatalf("installed %+v", st)
+		}
+		if budget := float64(3 * shards); allocs > budget {
+			t.Errorf("%d shards: installing %d targets allocates %.0f times, budget %.0f", shards, len(run), allocs, budget)
+		}
 	}
 }
 
@@ -225,7 +335,7 @@ func TestRecentAgainstReference(t *testing.T) {
 				wantTS[h.b] = h.ts
 			}
 		}
-		got := s.Recent(target, since)
+		got := recent(s, target, since)
 		if len(got) != len(wantTS) {
 			t.Fatalf("trial %d: %d distinct B's, want %d", trial, len(got), len(wantTS))
 		}
@@ -255,7 +365,7 @@ func TestConcurrentInsertAndQuery(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 1_000; i++ {
-			s.Recent(graph.VertexID(i%50), 0)
+			recent(s, graph.VertexID(i%50), 0)
 			s.Stats()
 		}
 	}()

@@ -176,7 +176,7 @@ type Stats struct {
 	IngestP50, IngestP99 time.Duration
 	// RetainedEdges is the current D store size.
 	RetainedEdges int64
-	// RetainedBytes approximates D's resident memory.
+	// RetainedBytes is the size of D's arrays (dynstore.Store.MemoryBytes).
 	RetainedBytes uint64
 }
 
@@ -191,7 +191,7 @@ func (s *System) Stats() Stats {
 		IngestP50:     es.IngestLatency.P50,
 		IngestP99:     es.IngestLatency.P99,
 		RetainedEdges: es.Dynamic.Edges,
-		RetainedBytes: es.Dynamic.Bytes,
+		RetainedBytes: s.engine.Dynamic().MemoryBytes(),
 	}
 }
 
