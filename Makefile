@@ -35,10 +35,13 @@ test-race:
 # the engine's no-candidate budget and its chunk budgets (multi-motif,
 # emitting, the triangle beside a group); the apply loop's no-candidate batch
 # over two workers (0); the funnel's offer (a live duplicate 0, a delivery its
-# Notification) — without the race detector: instrumentation changes
-# allocation counts, so under -race they skip.
+# Notification); the wire's: a candidate connection's decode (≤ 0.02 a
+# candidate, TestDecodeCandBatchAllocBudget), an envelope batch encoded and
+# framed (TestEnvBatchFrameZeroAlloc, 0) and a frame read
+# (TestReadMsgZeroAlloc, 0) — without the race detector: instrumentation
+# changes allocation counts, so under -race they skip.
 test-allocs:
-	$(GO) test -run 'ZeroAlloc|TestInsertAllocBudget|TestLoadSnapshotAllocBudget|TestDetectBatchAllocBudget|TestOfferAllocBudget' ./internal/graph ./internal/statstore ./internal/dynstore ./internal/core ./internal/cluster ./internal/delivery
+	$(GO) test -run 'ZeroAlloc|TestInsertAllocBudget|TestLoadSnapshotAllocBudget|TestDetectBatchAllocBudget|TestOfferAllocBudget|TestDecodeCandBatchAllocBudget' ./internal/graph ./internal/statstore ./internal/dynstore ./internal/core ./internal/cluster ./internal/delivery ./internal/transport
 
 # test-crashmatrix runs just the fault-injection matrix (kill / restore /
 # whole-cluster restart at every pipeline stage, oracle-asserted, once per
@@ -162,12 +165,13 @@ bench:
 	done
 
 # bench-smoke runs the durability benchmarks, the threshold kernel's
-# strategy table, the candidate log's commit path and D's insert path once
-# each, so the perf paths benchmark/ measures keep compiling and running in
-# CI without a full measurement run.
+# strategy table, the candidate log's commit path, D's insert path and the
+# wire's candidate decode and envelope write once each, so the perf paths
+# benchmark/ measures keep compiling and running in CI without a full
+# measurement run.
 bench-smoke:
 	@set -e; for pkg in $$($(GO) list ./...); do \
-		$(GO) test -run=NONE -bench 'Checkpoint|Recovery|Snapshot|Reprovision|DetectBatch|ThresholdIntersect|Commit|Insert' -benchtime=1x -count=1 $$pkg; \
+		$(GO) test -run=NONE -bench 'Checkpoint|Recovery|Snapshot|Reprovision|DetectBatch|ThresholdIntersect|Commit|Insert|CandBatch|EnvBatch' -benchtime=1x -count=1 $$pkg; \
 	done
 
 # soak drives the long-haul churn harness (cmd/soak): sustained ingest
@@ -186,7 +190,8 @@ soak-net:
 
 # fuzz-smoke is the one list of fuzz targets, FUZZTIME each. The CI budget
 # of 10s per target keeps the decoders, the WAL record framing, the
-# delivery-state codec, the transport wire protocol, the motif DSL compiler,
+# delivery-state codec, the transport wire protocol and its candidate
+# decode's round trip through one connection's arenas, the motif DSL compiler,
 # the restore planner, the segment merge, the candidate log, the plan
 # executor, the threshold kernel's strategies, the packed S build and the
 # flat D store (each against its references) continuously fuzzed without
@@ -202,6 +207,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz FuzzDeliveryStateReadFrom -fuzztime $(FUZZTIME) ./internal/delivery
 	$(GO) test -run=NONE -fuzz FuzzAuditRecords -fuzztime $(FUZZTIME) ./internal/audit
 	$(GO) test -run=NONE -fuzz FuzzTransportFrame -fuzztime $(FUZZTIME) ./internal/transport
+	$(GO) test -run=NONE -fuzz FuzzCandBatchRoundTrip -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run=NONE -fuzz FuzzCompile -fuzztime $(FUZZTIME) ./internal/motifdsl
 	$(GO) test -run=NONE -fuzz FuzzPlanRestore -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run=NONE -fuzz FuzzSegmentMerge -fuzztime $(FUZZTIME) ./internal/partition

@@ -196,11 +196,13 @@ func (c *Cursor) Trailer() {
 	}
 }
 
-// Arena hands out sub-slices of shared backing arrays, so a decoded segment
-// or a captured delta costs a few allocations instead of one per list. Each
-// slice is three-index, so an append to one reallocates instead of bleeding
-// into its neighbour. Arena-backed lists are for transient states: one that
-// outlives its siblings pins the whole array.
+// Arena hands out sub-slices of shared backing arrays, so a decoded segment,
+// a captured delta or a connection's candidate frames cost a few allocations
+// instead of one per list. Each slice is three-index, so an append to one
+// reallocates instead of bleeding into its neighbour. An arena never reuses
+// what it issued; one list that outlives its siblings pins the whole array,
+// so arena-backed lists suit transient states and values whose holders accept
+// that (motif.Candidate.Via's contract).
 type Arena[T any] struct {
 	// Chunk is how many elements to allocate when the free space cannot
 	// hold a request (a larger request gets an array of its own size).

@@ -54,20 +54,25 @@ func WriteFrame(w io.Writer, payload []byte) error {
 
 // ReadFrame reads one frame from r, verifying the checksum. buf is an
 // optional reuse buffer; the returned slice aliases it when it is large
-// enough. max bounds the accepted payload length (frames claiming more
-// fail with ErrFrameTooLarge before any allocation). A clean EOF at a
-// frame boundary returns io.EOF; EOF inside a frame returns
+// enough. The header is read into buf too (an array of ReadFrame's own would
+// escape through r), so a caller that passes back the last payload's buffer
+// reads without allocating. max bounds the accepted payload length (frames
+// claiming more fail with ErrFrameTooLarge before any allocation). A clean
+// EOF at a frame boundary returns io.EOF; EOF inside a frame returns
 // io.ErrUnexpectedEOF — the caller decides whether a torn frame is a
 // recoverable tail or a protocol failure.
 func ReadFrame(r io.Reader, buf []byte, max uint32) ([]byte, error) {
-	var hdr [FrameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < FrameHeaderLen {
+		buf = make([]byte, FrameHeaderLen)
+	}
+	hdr := buf[:FrameHeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
 		return nil, fmt.Errorf("codecutil: frame header: %w", io.ErrUnexpectedEOF)
 	}
-	n, crc := DecodeFrameHeader(hdr[:])
+	n, crc := DecodeFrameHeader(hdr)
 	if n == 0 {
 		return nil, fmt.Errorf("codecutil: zero-length frame: %w", ErrFrameCorrupt)
 	}

@@ -191,7 +191,7 @@ func (f *CandForwarder) done() bool {
 // ack-gated cuts never covered, so a successor re-emits it.
 func (f *CandForwarder) manage() {
 	defer f.wg.Done()
-	hello := func() []byte { return typeU1(msgHelloCands, f.logID) }
+	hello := func() []byte { return appendU1(nil, msgHelloCands, f.logID) }
 	err := redial(f.addr, f.opts, f.m, f.reconnects, f.done, hello, msgCandAck, func(c *conn, _ []byte) (bool, error) {
 		f.mu.Lock()
 		if f.closed || f.aborted {
@@ -314,7 +314,12 @@ func (f *CandForwarder) readAcks(c *conn) {
 			popped++
 		}
 		if popped > 0 {
-			f.ring = f.ring[popped:]
+			// Keep the ring anchored, as framePendingLocked keeps pending: a
+			// reslice past the acked frames would leave them in the backing
+			// array, alive until an append happened to reallocate it.
+			rest := copy(f.ring, f.ring[popped:])
+			clear(f.ring[rest:])
+			f.ring = f.ring[:rest]
 		}
 		fin := f.finSent && len(f.ring) == 0
 		if fin {

@@ -58,8 +58,9 @@ type conn struct {
 	br  *bufio.Reader
 	bw  *bufio.Writer
 	wmu sync.Mutex
+	hdr [codecutil.FrameHeaderLen]byte // writeMsg's frame header, under wmu
 
-	readBuf []byte
+	readBuf []byte // the last payload's buffer, which the next frame's header and payload reuse
 	m       *connMetrics
 
 	closeOnce sync.Once
@@ -78,11 +79,17 @@ func newConn(nc net.Conn, wrap DialWrapper, m *connMetrics) *conn {
 	}
 }
 
-// writeMsg frames and flushes one message payload.
+// writeMsg frames and flushes one message payload. The payload is copied
+// out before it returns, so the caller may reuse its buffer; the header is
+// built in the conn (a stack array would escape through the writer).
 func (c *conn) writeMsg(payload []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if err := codecutil.WriteFrame(c.bw, payload); err != nil {
+	codecutil.EncodeFrameHeader(c.hdr[:], payload)
+	if _, err := c.bw.Write(c.hdr[:]); err != nil {
+		return err
+	}
+	if _, err := c.bw.Write(payload); err != nil {
 		return err
 	}
 	if err := c.bw.Flush(); err != nil {

@@ -200,7 +200,7 @@ func (s *FeedSub) ReportFloor(floor uint64) {
 	c := s.c
 	s.mu.Unlock()
 	if c != nil {
-		c.writeMsg(typeU1(msgFloorReport, floor))
+		c.writeMsg(appendU1(nil, msgFloorReport, floor))
 	}
 }
 
@@ -282,7 +282,7 @@ func (s *FeedSub) run() {
 			return true, nil
 		}
 		if raised > floor {
-			c.writeMsg(typeU1(msgFloorReport, raised))
+			c.writeMsg(appendU1(nil, msgFloorReport, raised))
 		}
 		if live {
 			c.writeMsg([]byte{msgLive})

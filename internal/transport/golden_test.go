@@ -32,12 +32,12 @@ func wireGoldens() []wireGolden {
 				h := decodeHelloFeed(wr)
 				return encodeHelloFeed(h), wr.Err
 			}},
-		{"env_batch.frame", encodeEnvBatch(logMeta{7, 100, 5}, []queue.Envelope[graph.Edge]{
+		{"env_batch.frame", encodeEnvBatch(nil, logMeta{7, 100, 5}, []queue.Envelope[graph.Edge]{
 			{Offset: 9, VirtualDelay: time.Second, PubUnixNS: 123, Msg: graph.Edge{Src: 1, Dst: 2, Type: graph.Follow, TS: 42}},
 			{Offset: 10, Msg: graph.Edge{Src: 300, Dst: 1 << 40, Type: graph.Retweet, TS: -7}},
 		}), func(p []byte) ([]byte, error) {
 			meta, envs, err := decodeEnvBatch(wireCursor(p[1:]), nil)
-			return encodeEnvBatch(meta, envs), err
+			return encodeEnvBatch(nil, meta, envs), err
 		}},
 		{"recs_req.frame", typeU2(msgRecsReq, 3, 42), reencodeReadReq},
 		{"top_req.frame", typeU2(msgTopReq, 4, 10), reencodeReadReq},

@@ -42,7 +42,11 @@ type HubBackend interface {
 	// DeliverCandidates publishes decoded candidate messages into the
 	// hub's delivery topic, in slice order. Idempotent under redelivery:
 	// the delivery tier's per-group monotonic offset filter drops
-	// duplicates. Returns an error only when delivery is shut down.
+	// duplicates. Returns an error only when delivery is shut down. The msgs
+	// slice is the connection's and valid only for the duration of the call
+	// (copy a message by value to keep it); its Cands and their Vias are
+	// windows of the connection's decode arenas, never reused, and may be
+	// retained (motif.Candidate.Via's contract).
 	DeliverCandidates(msgs []CandMsg) error
 }
 
@@ -263,6 +267,7 @@ func (s *Server) handleFeed(c *conn, body []byte) {
 	}()
 
 	batch := make([]queue.Envelope[graph.Edge], 0, s.cfg.BatchMax)
+	var frame []byte // every envelope batch is encoded into this one buffer
 	eos := false
 loop:
 	for {
@@ -289,7 +294,8 @@ loop:
 				break
 			}
 			logID, head, start := b.LogMeta()
-			if err := c.writeMsg(encodeEnvBatch(logMeta{logID, head, start}, batch)); err != nil {
+			frame = encodeEnvBatch(frame[:0], logMeta{logID, head, start}, batch)
+			if err := c.writeMsg(frame); err != nil {
 				break loop
 			}
 			if eos {
@@ -315,6 +321,8 @@ loop:
 // into the hub's delivery topic in order, then cumulatively acked. The
 // ack is only written after every message in the batch is durably handed
 // to the backend, preserving at-least-once across hub or worker crashes.
+// The connection decodes every batch through one candDecoder and writes
+// every ack from one buffer, so a steady stream allocates per arena chunk.
 func (s *Server) handleCands(c *conn, body []byte) {
 	wr := wireCursor(body)
 	logID := wr.U("cands log id")
@@ -338,9 +346,15 @@ func (s *Server) handleCands(c *conn, body []byte) {
 		s.untrack(c)
 		c.close()
 	}()
-	if err := c.writeMsg(typeU1(msgCandAck, 0)); err != nil {
+	var ack []byte
+	writeAck := func(seq uint64) error {
+		ack = appendU1(ack[:0], msgCandAck, seq)
+		return c.writeMsg(ack)
+	}
+	if err := writeAck(0); err != nil {
 		return
 	}
+	dec := newCandDecoder()
 	var lastSeq uint64
 	for {
 		payload, err := c.readMsg()
@@ -350,25 +364,25 @@ func (s *Server) handleCands(c *conn, body []byte) {
 		wr := wireCursor(payload[1:])
 		switch payload[0] {
 		case msgCandBatch:
-			seq, msgs, err := decodeCandBatch(wr)
+			seq, msgs, err := decodeCandBatch(wr, dec)
 			if err != nil {
 				return
 			}
 			if seq <= lastSeq && lastSeq > 0 {
 				// Duplicate after reconnect-with-resend; the delivery
 				// filter would drop the contents anyway, skip the publish.
-				c.writeMsg(typeU1(msgCandAck, lastSeq))
+				writeAck(lastSeq)
 				continue
 			}
 			if err := b.DeliverCandidates(msgs); err != nil {
 				return
 			}
 			lastSeq = seq
-			if err := c.writeMsg(typeU1(msgCandAck, seq)); err != nil {
+			if err := writeAck(seq); err != nil {
 				return
 			}
 		case msgCandFin:
-			c.writeMsg(typeU1(msgCandAck, lastSeq))
+			writeAck(lastSeq)
 			return
 		default:
 			return

@@ -150,12 +150,12 @@ func decodeLogMeta(r *codecutil.Cursor) logMeta {
 	return m
 }
 
-// encodeEnvBatch packs envelopes into one frame, prefixed with the hub's
-// current log bounds so the worker's cached head/start stay fresh without
-// extra round trips.
-func encodeEnvBatch(meta logMeta, envs []queue.Envelope[graph.Edge]) []byte {
-	b := make([]byte, 1, 32+24*len(envs))
-	b[0] = msgEnvBatch
+// encodeEnvBatch appends to b the frame payload packing envelopes, prefixed
+// with the hub's current log bounds so the worker's cached head/start stay
+// fresh without extra round trips. A feed encodes every batch into the one
+// buffer it passes back in.
+func encodeEnvBatch(b []byte, meta logMeta, envs []queue.Envelope[graph.Edge]) []byte {
+	b = append(b, msgEnvBatch)
 	b = appendLogMeta(b, meta)
 	b = binary.AppendUvarint(b, uint64(len(envs)))
 	for _, env := range envs {
@@ -210,34 +210,56 @@ func appendCandidate(b []byte, c motif.Candidate) []byte {
 	return b
 }
 
-func decodeCandidate(r *codecutil.Cursor) motif.Candidate {
-	var c motif.Candidate
+// candDecoder owns the arrays decoded candidates are windows of: every
+// candidate list and every Via is a three-index window of an arena chunk,
+// which gives a decoded Via the contract of one emitted in process
+// (motif.Candidate.Via):
+// its backing array is shared with other candidates, never reused, and alive
+// for as long as anyone holds a window of it. A candidate connection owns one
+// decoder for its life, so decoding allocates per chunk, not per list; the
+// zero decoder allocates each list at its own size, for one-off decodes. msgs
+// is the message list decodeCandBatch reuses.
+type candDecoder struct {
+	cands codecutil.Arena[motif.Candidate]
+	vias  codecutil.Arena[graph.VertexID]
+	msgs  []CandMsg
+}
+
+// A candidate connection's arena chunks: 512 candidates (52 KiB) and 4 096
+// Via elements (32 KiB), so a chunk serves several 64-message frames.
+const (
+	candArenaChunk = 512
+	viaArenaChunk  = 4096
+)
+
+func newCandDecoder() *candDecoder {
+	return &candDecoder{
+		cands: codecutil.Arena[motif.Candidate]{Chunk: candArenaChunk},
+		vias:  codecutil.Arena[graph.VertexID]{Chunk: viaArenaChunk},
+	}
+}
+
+// decodeCandidate reads one candidate into c. Count has bounded the Via
+// length against the bytes left before the arena is asked for it, as it has
+// the candidate and message lists below.
+func decodeCandidate(r *codecutil.Cursor, d *candDecoder, c *motif.Candidate) {
 	c.User = graph.VertexID(r.U("cand user"))
 	c.Item = graph.VertexID(r.U("cand item"))
-	// Count has bounded the length against the bytes left, so Via is sized
-	// once, as are the candidate and message lists below.
-	if nv := r.Count("cand via count", 1); nv > 0 {
-		c.Via = make([]graph.VertexID, nv)
-		for i := range c.Via {
-			c.Via[i] = graph.VertexID(r.U("cand via"))
-		}
+	c.Via = d.vias.Take(r.Count("cand via count", 1))
+	for i := range c.Via {
+		c.Via[i] = graph.VertexID(r.U("cand via"))
 	}
 	c.Trigger = decodeEdge(r, "cand trigger")
 	c.DetectedAtMS = r.I("cand detected")
 	c.Program = r.String("cand program", 4096)
 	c.Score = math.Float64frombits(r.U("cand score"))
-	return c
 }
 
 // decodeCandidates reads a counted candidate list, nil when empty.
-func decodeCandidates(r *codecutil.Cursor, context string) []motif.Candidate {
-	n := r.Count(context, 10)
-	if n == 0 {
-		return nil
-	}
-	out := make([]motif.Candidate, 0, n)
-	for i := 0; i < n && r.Err == nil; i++ {
-		out = append(out, decodeCandidate(r))
+func decodeCandidates(r *codecutil.Cursor, context string, d *candDecoder) []motif.Candidate {
+	out := d.cands.Take(r.Count(context, 10))
+	for i := 0; i < len(out) && r.Err == nil; i++ {
+		decodeCandidate(r, d, &out[i])
 	}
 	return out
 }
@@ -260,21 +282,23 @@ func encodeCandBatch(seq uint64, msgs []CandMsg) []byte {
 	return b
 }
 
-func decodeCandBatch(r *codecutil.Cursor) (seq uint64, msgs []CandMsg, err error) {
+// decodeCandBatch decodes a candidate batch through d. The message list is
+// d's and valid until its next decode; the candidates and their Vias are
+// windows of d's arenas and may be kept.
+func decodeCandBatch(r *codecutil.Cursor, d *candDecoder) (seq uint64, msgs []CandMsg, err error) {
 	seq = r.U("cand seq")
 	n := r.Count("cand msg count", 5)
-	if n > 0 {
-		msgs = make([]CandMsg, 0, n)
-	}
+	msgs = d.msgs[:0]
 	for i := 0; i < n && r.Err == nil; i++ {
 		var m CandMsg
 		m.Pid = int(r.U("cand pid"))
 		m.Offset = r.U("cand offset")
 		m.PubNS = r.I("cand pub ns")
 		m.Delay = time.Duration(r.U("cand delay"))
-		m.Cands = decodeCandidates(r, "cand count")
+		m.Cands = decodeCandidates(r, "cand count", d)
 		msgs = append(msgs, m)
 	}
+	d.msgs = msgs
 	return seq, msgs, r.Err
 }
 
@@ -298,7 +322,7 @@ func encodeRecsResp(id uint64, cands []motif.Candidate) []byte {
 
 func decodeRecsResp(r *codecutil.Cursor) (uint64, []motif.Candidate, error) {
 	id := r.U("recs id")
-	out := decodeCandidates(r, "recs count")
+	out := decodeCandidates(r, "recs count", new(candDecoder))
 	return id, out, r.Err
 }
 
@@ -326,10 +350,9 @@ func decodeTopResp(r *codecutil.Cursor) (uint64, []partition.ItemCount, error) {
 	return id, out, r.Err
 }
 
-// typeU1 encodes a message of one uvarint field (acks, floors, ids).
-func typeU1(typ byte, v uint64) []byte {
-	b := []byte{typ}
-	return binary.AppendUvarint(b, v)
+// appendU1 appends to b a message of one uvarint field (acks, floors, ids).
+func appendU1(b []byte, typ byte, v uint64) []byte {
+	return binary.AppendUvarint(append(b, typ), v)
 }
 
 // typeU2 encodes a message of two uvarint fields.
