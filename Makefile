@@ -34,8 +34,8 @@ test-race:
 # insert across sweeps and cuts) and its restore (per shard, not per target);
 # the engine's no-candidate budget and its chunk budgets (multi-motif,
 # emitting, the triangle beside a group); the apply loop's no-candidate batch
-# over two workers (0); the funnel's offer (a live duplicate 0, a delivery its
-# Notification); the wire's: a candidate connection's decode (≤ 0.02 a
+# over two workers (0); the funnel's offer (a live duplicate 0, a delivery
+# ≤ 0.01: a chunk of 256 Notifications); the wire's: a candidate connection's decode (≤ 0.02 a
 # candidate, TestDecodeCandBatchAllocBudget), an envelope batch encoded and
 # framed (TestEnvBatchFrameZeroAlloc, 0) and a frame read
 # (TestReadMsgZeroAlloc, 0) — without the race detector: instrumentation
@@ -114,8 +114,10 @@ test-planner: test-allocs
 	$(GO) test -race -run 'TestEngineShared|TestEngineRejectsNonPlans|TestMultiQuery' ./internal/core ./internal/cluster
 
 # test-codec runs the checkpoint codec's gates: the allocation budgets of
-# segment decode, delta capture and the candidate log (commit, read) with the
-# log's bytes-per-candidate footprint (without race, like test-planner's:
+# segment decode, delta capture and the candidate log (commit to users at
+# depth, commit to 4 096 new users — TestCommitNewUsersAllocBudget, ≤ 0.05 a
+# candidate — and read) with the log's exact bytes per retained candidate
+# (without race, like test-planner's:
 # instrumentation changes allocation counts), the parent-written golden
 # files with the exhaustive prefix / bit-flip properties beside each fuzz
 # target, the cursor's own tests, the segment merge law (its table, the

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"motifstream/internal/codecutil"
 	"motifstream/internal/graph"
 	"motifstream/internal/motif"
 )
@@ -90,9 +91,13 @@ type Pipeline struct {
 	mu      sync.Mutex
 	dedup   *lruTTL
 	fatigue map[graph.VertexID]budget
+	notes   codecutil.Arena[Notification] // what Offer hands out, noteChunk at a time
 
 	stats FunnelStats
 }
+
+// noteChunk is how many Notifications one allocation holds (≈ 30 KB).
+const noteChunk = 256
 
 // FunnelStats counts candidates through each pipeline stage.
 type FunnelStats struct {
@@ -143,13 +148,16 @@ func NewPipeline(opts Options) *Pipeline {
 		opts:    opts,
 		dedup:   newLRUTTL(opts.DedupCapacity, opts.DedupTTL),
 		fatigue: make(map[graph.VertexID]budget),
+		notes:   codecutil.Arena[Notification]{Chunk: noteChunk},
 	}
 }
 
 // Offer runs one candidate through the funnel. queueDelay is the simulated
 // propagation delay accumulated on the way here; it is folded into the
 // notification latency. The returned notification is non-nil only when the
-// decision is Delivered.
+// decision is Delivered. It is the caller's — the pipeline never reuses or
+// writes it again — but it comes from a chunk of noteChunk: one retained note
+// keeps its whole chunk (≈ 30 KB) alive.
 func (p *Pipeline) Offer(c motif.Candidate, queueDelay time.Duration) (Decision, *Notification) {
 	nowMS := c.DetectedAtMS + queueDelay.Milliseconds()
 	p.mu.Lock()
@@ -173,11 +181,13 @@ func (p *Pipeline) Offer(c motif.Candidate, queueDelay time.Duration) (Decision,
 	if lat < 0 {
 		lat = 0
 	}
-	return Delivered, &Notification{
+	n := &p.notes.Take(1)[0]
+	*n = Notification{
 		Candidate:     c,
 		DeliveredAtMS: nowMS,
 		Latency:       lat,
 	}
+	return Delivered, n
 }
 
 // isAsleep reports whether the user's local hour falls in the sleep window.

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -207,8 +208,8 @@ func TestSlabLRUMatchesListModel(t *testing.T) {
 // TestOfferAllocBudget is the funnel's allocation gate. A live duplicate — the
 // fate of nearly every candidate — allocates nothing; a delivery into a warm
 // slab (an expired pair offered again; a new pair taking an evicted one's
-// slot at capacity) allocates its Notification and nothing else: no entry, no
-// list element, no budget.
+// slot at capacity) allocates a chunk of Notifications once every noteChunk
+// deliveries and nothing else: no entry, no list element, no budget.
 func TestOfferAllocBudget(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("allocation gate: race instrumentation allocates; the non-race run enforces the budget")
@@ -237,15 +238,32 @@ func TestOfferAllocBudget(t *testing.T) {
 	}
 	now += 2 * time.Minute.Milliseconds()
 	next = 0
-	if n := testing.AllocsPerRun(pairs-1, offer(Delivered)); n > 1 {
-		t.Fatalf("delivering an expired pair again allocates %.2f; want 1, the Notification", n)
+	if n := allocsPer(pairs, offer(Delivered)); n > 0.01 {
+		t.Fatalf("delivering an expired pair again allocates %.4f; want ≤ 0.01, a Notification chunk", n)
+	} else {
+		t.Logf("delivering an expired pair again: %.4f allocations", n)
 	}
 	// Full of live entries: each new pair evicts the least recent one.
 	next = pairs
-	if n := testing.AllocsPerRun(pairs-1, offer(Delivered)); n > 1 {
-		t.Fatalf("delivering a new pair at capacity allocates %.2f; want 1, the Notification", n)
+	if n := allocsPer(pairs, offer(Delivered)); n > 0.01 {
+		t.Fatalf("delivering a new pair at capacity allocates %.4f; want ≤ 0.01, a Notification chunk", n)
+	} else {
+		t.Logf("delivering a new pair at capacity: %.4f allocations", n)
 	}
 	if got := len(p.dedup.slab); got != pairs/lruChunk {
 		t.Fatalf("slab has %d chunks for %d entries", got, pairs)
 	}
+}
+
+// allocsPer is testing.AllocsPerRun without its rounding down: the mean
+// allocations of n calls of f, a fraction.
+func allocsPer(n int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(n)
 }

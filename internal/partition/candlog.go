@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sync"
@@ -15,8 +16,17 @@ import (
 // by field and Via element by Via element, in a form that spells a
 // completion once however many programs reported it, and a reader gets a
 // freshly materialised list — the log neither keeps nor hands out a slice it
-// was given, and nothing in a user's arrays is a pointer. dirty tracks users
-// whose lists changed since the last delta checkpoint cut.
+// was given, and nothing in its arrays is a pointer.
+//
+// The log is flat arrays, the way a shard of D holds its lists: index maps a
+// user to a record in recs, and the record locates the user's runs, programs
+// and Via elements as one block in each of three arenas. No user owns a heap
+// object, and a new user costs no allocation once the arenas have room. A
+// block that cannot take the next candidate moves to its arena's end at a
+// larger size (room); an arena with no room for that is compacted into a new
+// array, every block made exactly its list (arena.compact). dirty lists the
+// records changed since the last delta checkpoint cut, each once: the
+// record's flag says whether it is listed.
 //
 // The log is a ring per user and nothing else: an add at depth evicts the
 // user's oldest candidate, and nothing removes a user. Its size is therefore
@@ -25,28 +35,47 @@ import (
 type candidateLog struct {
 	depth int
 	mu    sync.RWMutex
-	users map[graph.VertexID]*userLog
-	dirty map[graph.VertexID]struct{}
+	index map[graph.VertexID]uint32 // a user's record in recs
+	recs  []logUser
+	dirty []uint32 // the records whose dirty flag is set
+	runs  arena[logRun]
+	progs arena[uint32] // one per candidate: its program in names
+	vias  arena[graph.VertexID]
 	names nameTable
 }
+
+// logUser is one user's record: its key, its three blocks, and whether it
+// changed since the last cut.
+type logUser struct {
+	key               graph.VertexID
+	runs, progs, vias block
+	dirty             bool
+}
+
+// block locates a user's list in an arena: n elements from off, in a block of
+// size elements that only that list grows into. An arena holds fewer than 2³²
+// elements.
+type block struct{ off, n, size uint32 }
 
 // userLog is one user's retained candidates, oldest first: the runs of
 // consecutive candidates that differ only in Program (the members of a share
 // group recommending one completion), every candidate's program, and the
-// runs' Via elements back to back.
+// runs' Via elements back to back. The log's is a view of a record's blocks,
+// each slice capped at its block, so appending within the block writes the
+// arena in place; a captured one owns copies.
 type userLog struct {
 	runs  []logRun
-	progs []uint32 // one per candidate: its program in the log's nameTable
+	progs []uint32
 	vias  []graph.VertexID
 }
 
 // logRun is everything the n candidates of a run share but their user (the
-// map key): the trigger edge, the item, the detection time, the score's bits
-// and how many elements of the user's vias are the run's Via. n is as wide as
-// a run needs to be, not as a list may get: a run that is full stops merging
-// and an equal one starts after it. via and a progs entry are 32 bits because
-// 2³² Via elements or distinct program names are more than a checkpoint that
-// fits in memory can hold, whatever its bytes say.
+// record's key): the trigger edge, the item, the detection time, the score's
+// bits and how many elements of the user's vias are the run's Via. n is as
+// wide as a run needs to be, not as a list may get: a run that is full stops
+// merging and an equal one starts after it. via and a progs entry are 32 bits
+// because 2³² Via elements or distinct program names are more than a
+// checkpoint that fits in memory can hold, whatever its bytes say.
 type logRun struct {
 	src, dst graph.VertexID
 	ts       int64
@@ -59,9 +88,18 @@ type logRun struct {
 }
 
 // sameBut reports whether the two runs are equal in every field but n.
-func (r logRun) sameBut(o logRun) bool {
-	o.n = r.n
-	return r == o
+func (r *logRun) sameBut(o *logRun) bool {
+	return r.src == o.src && r.dst == o.dst && r.ts == o.ts && r.item == o.item &&
+		r.at == o.at && r.score == o.score && r.via == o.via && r.typ == o.typ
+}
+
+// runOf is c's run of one.
+func runOf(c *motif.Candidate) logRun {
+	return logRun{
+		src: c.Trigger.Src, dst: c.Trigger.Dst, ts: c.Trigger.TS, typ: c.Trigger.Type,
+		item: c.Item, at: c.DetectedAtMS, score: math.Float64bits(c.Score),
+		via: uint32(len(c.Via)), n: 1,
+	}
 }
 
 func newCandidateLog(depth int) *candidateLog {
@@ -70,75 +108,223 @@ func newCandidateLog(depth int) *candidateLog {
 	return l
 }
 
+// view returns u's lists as a userLog over the arenas.
+func (l *candidateLog) view(u *logUser) userLog {
+	return userLog{runs: l.runs.window(u.runs), progs: l.progs.window(u.progs), vias: l.vias.window(u.vias)}
+}
+
+// setLens records v's lengths, a view of u after an add or an eviction, in
+// u's blocks.
+func (u *logUser) setLens(v userLog) {
+	u.runs.n, u.progs.n, u.vias.n = uint32(len(v.runs)), uint32(len(v.progs)), uint32(len(v.vias))
+}
+
 // install replaces the log's contents with the given lists, as they are: one
-// longer than the depth stays so until its user's next add trims it. An
-// empty list installs nothing. No cut writes one — a dirty user always has a
-// list — but a segment already on disk may hold one, a deleted user's
-// tombstone from a log that could be swept, which is why this skip, Merge's
-// noCandidates and the delta decoder go on reading it. A candidate is filed
-// under its list's key, which is its User in every list a log has written.
+// longer than the depth stays so until its user's next add trims it. Every
+// block is exactly its list. An empty list installs nothing. No cut writes
+// one — a dirty user always has a list — but a segment already on disk may
+// hold one, a deleted user's tombstone from a log that could be swept, which
+// is why this skip, Merge's noCandidates and the delta decoder go on reading
+// it. A candidate is filed under its list's key, which is its User in every
+// list a log has written.
 func (l *candidateLog) install(lists codecutil.Run[graph.VertexID, []motif.Candidate]) {
-	users := make(map[graph.VertexID]*userLog, len(lists))
+	nProgs, nVias := 0, 0
+	for _, e := range lists {
+		nProgs += len(e.Val)
+		for _, c := range e.Val {
+			nVias += len(c.Via)
+		}
+	}
+	index := make(map[graph.VertexID]uint32, len(lists))
+	recs := make([]logUser, 0, len(lists))
+	// At most one run a candidate: fit trims what the lists did not fill.
+	runs := arena[logRun]{buf: make([]logRun, 0, nProgs)}
+	progs := arena[uint32]{buf: make([]uint32, 0, nProgs)}
+	vias := arena[graph.VertexID]{buf: make([]graph.VertexID, 0, nVias)}
 	var names nameTable
 	for _, e := range lists {
 		if len(e.Val) == 0 {
 			continue
 		}
-		u := &userLog{progs: make([]uint32, 0, len(e.Val))}
-		for _, c := range e.Val {
-			u.add(c, names.intern(c.Program))
+		u := logUser{key: e.Key, runs: runs.rest(), progs: progs.rest(), vias: vias.rest()}
+		v := userLog{runs.window(u.runs), progs.window(u.progs), vias.window(u.vias)}
+		for i := range e.Val {
+			c := &e.Val[i]
+			r := runOf(c)
+			v.add(&r, c.Via, names.intern(c.Program), v.extends(&r, c.Via))
 		}
-		users[e.Key] = u
+		u.setLens(v)
+		runs.claim(&u.runs)
+		progs.claim(&u.progs)
+		vias.claim(&u.vias)
+		index[e.Key] = uint32(len(recs))
+		recs = append(recs, u)
 	}
+	runs.fit()
 	l.mu.Lock()
-	l.users, l.names = users, names
-	l.dirty = make(map[graph.VertexID]struct{})
+	l.index, l.recs, l.dirty = index, recs, nil
+	l.runs, l.progs, l.vias, l.names = runs, progs, vias, names
 	l.mu.Unlock()
 }
 
 // addAll appends a batch under one lock acquisition — the batched apply
 // path commits a whole batch's candidates at once. A user at depth loses
-// their oldest candidate first: the arrays slide down over what leaves, in
-// place, so a full user's footprint stays what it was.
+// their oldest candidate first: the blocks slide down over what leaves, in
+// place, so a full user's blocks stay where and what they were.
 func (l *candidateLog) addAll(cands []motif.Candidate) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for _, c := range cands {
-		u := l.users[c.User]
-		if u == nil {
-			// Most users that get a candidate go on to fill up: progs starts
-			// at the size it would double its way to (64 bytes at most).
-			u = &userLog{progs: make([]uint32, 0, min(l.depth, 16))}
-			l.users[c.User] = u
+	for i := range cands {
+		c := &cands[i]
+		k, ok := l.index[c.User]
+		if !ok {
+			k = uint32(len(l.recs))
+			l.index[c.User] = k
+			l.recs = append(l.recs, logUser{key: c.User})
 		}
-		if drop := len(u.progs) + 1 - l.depth; drop > 0 {
-			u.dropOldest(drop)
+		u := &l.recs[k]
+		v := l.view(u)
+		if drop := len(v.progs) + 1 - l.depth; drop > 0 {
+			v.dropOldest(drop)
+			u.setLens(v)
 		}
-		u.add(c, l.names.intern(c.Program))
-		l.dirty[c.User] = struct{}{}
+		r := runOf(c)
+		extends := v.extends(&r, c.Via)
+		if l.room(u, extends, len(c.Via)) {
+			v = l.view(u)
+		}
+		v.add(&r, c.Via, l.names.intern(c.Program), extends)
+		u.setLens(v)
+		if !u.dirty {
+			u.dirty = true
+			l.dirty = append(l.dirty, k)
+		}
 	}
 }
 
-// add appends c as the user's newest candidate: one more of the last run if
-// it equals that run bit for bit in everything but Program — two candidates
-// equal in Program too are a run of two, not a duplicate — and a run of its
-// own otherwise.
-func (u *userLog) add(c motif.Candidate, prog uint32) {
+// Block sizes: a block that must grow moves at half again its size, from
+// these at least and at most what a list at depth can need, and always at
+// what it needs if that is more.
+const startRuns, startProgs, startVias = 2, 16, 4
+
+// room makes u's blocks big enough to take a candidate with via Via
+// elements: one more program, and unless the candidate extends the last run,
+// one more run and its Via elements. It reports whether a block moved. No
+// list holds more programs or runs than the depth (an over-long restored list
+// shrinks before it grows); a Via block is bounded by the Via elements a run
+// so far, times the depth.
+func (l *candidateLog) room(u *logUser, extends bool, via int) (moved bool) {
+	if u.progs.n == u.progs.size {
+		l.progs.move(&u.progs, grow(u.progs, 1, startProgs, l.depth), l.recs, func(u *logUser) *block { return &u.progs })
+		moved = true
+	}
+	if extends {
+		return moved
+	}
+	if u.runs.n == u.runs.size {
+		l.runs.move(&u.runs, grow(u.runs, 1, startRuns, l.depth), l.recs, func(u *logUser) *block { return &u.runs })
+		moved = true
+	}
+	if int(u.vias.n)+via > int(u.vias.size) {
+		perRun := (int(u.vias.n) + via + int(u.runs.n)) / (int(u.runs.n) + 1) // rounded up
+		l.vias.move(&u.vias, grow(u.vias, via, startVias, perRun*l.depth), l.recs, func(u *logUser) *block { return &u.vias })
+		moved = true
+	}
+	return moved
+}
+
+// grow is the size b moves at to take more elements: half again its size, at
+// least start and at most limit, or what it needs if that is more.
+func grow(b block, more, start, limit int) int {
+	return max(int(b.n)+more, min(max(int(b.size)*3/2, start), limit))
+}
+
+// arena is one of the log's element arrays. buf[:len(buf)] is users' blocks
+// and garbage (blocks users moved out of), buf[len(buf):cap(buf)] free room.
+type arena[T any] struct{ buf []T }
+
+// window returns b's list, its capacity b's block.
+func (a *arena[T]) window(b block) []T { return a.buf[b.off : b.off+b.n : b.off+b.size] }
+
+// rest is an empty block over the arena's free room.
+func (a *arena[T]) rest() block {
+	return block{off: uint32(len(a.buf)), size: uint32(cap(a.buf) - len(a.buf))}
+}
+
+// claim shrinks b, a block from rest, to its list and takes it from the free
+// room.
+func (a *arena[T]) claim(b *block) {
+	b.size = b.n
+	a.buf = a.buf[:b.off+b.n]
+}
+
+// fit trims the free room to what a compaction leaves.
+func (a *arena[T]) fit() {
+	if n := len(a.buf); cap(a.buf) > n+n>>roomShift {
+		a.buf = append(make([]T, 0, n+n>>roomShift), a.buf...)
+	}
+}
+
+// move gives b, one of recs' blocks (of picks which), a block of size
+// elements at the arena's end, its list copied there and its old block left
+// as garbage. An arena without the room is compacted first.
+func (a *arena[T]) move(b *block, size int, recs []logUser, of func(*logUser) *block) {
+	if len(a.buf)+size > cap(a.buf) {
+		a.compact(recs, of, size)
+	}
+	off := len(a.buf)
+	a.buf = a.buf[:off+size]
+	copy(a.buf[off:], a.window(*b))
+	b.off, b.size = uint32(off), uint32(size)
+}
+
+// roomShift sets the free room a compaction leaves: the live lists over
+// 2^roomShift, plus what the move that called it needs. A block grows only by
+// taking free room and leaving garbage no larger, so garbage and free room
+// together never exceed it.
+const roomShift = 4
+
+// compact copies every list into a fresh array, each block made exactly its
+// list, and leaves free room for extra elements and the lists over 2^roomShift.
+func (a *arena[T]) compact(recs []logUser, of func(*logUser) *block, extra int) {
+	live := 0
+	for i := range recs {
+		live += int(of(&recs[i]).n)
+	}
+	buf := make([]T, 0, live+live>>roomShift+extra)
+	for i := range recs {
+		b := of(&recs[i])
+		off := len(buf)
+		buf = append(buf, a.window(*b)...)
+		b.off, b.size = uint32(off), b.n
+	}
+	a.buf = buf
+}
+
+// add appends a candidate of run r (runOf), Via via and program prog as the
+// user's newest: one more of the last run if it extends it (extends, asked
+// before: the room check needs the answer too), and a run of its own
+// otherwise.
+func (u *userLog) add(r *logRun, via []graph.VertexID, prog uint32, extends bool) {
 	u.progs = append(u.progs, prog)
-	r := logRun{
-		src: c.Trigger.Src, dst: c.Trigger.Dst, ts: c.Trigger.TS, typ: c.Trigger.Type,
-		item: c.Item, at: c.DetectedAtMS, score: math.Float64bits(c.Score),
-		via: uint32(len(c.Via)), n: 1,
+	if extends {
+		u.runs[len(u.runs)-1].n++
+		return
 	}
-	if n := len(u.runs); n > 0 {
-		last := &u.runs[n-1]
-		if last.n < math.MaxUint16 && last.sameBut(r) && slices.Equal(u.vias[len(u.vias)-len(c.Via):], c.Via) {
-			last.n++
-			return
-		}
+	u.runs = append(u.runs, *r)
+	u.vias = append(u.vias, via...)
+}
+
+// extends reports whether a candidate of run r and Via via joins the user's
+// last run: it equals that run bit for bit in everything but Program — two
+// candidates equal in Program too are a run of two, not a duplicate.
+func (u *userLog) extends(r *logRun, via []graph.VertexID) bool {
+	n := len(u.runs)
+	if n == 0 {
+		return false
 	}
-	u.runs = append(u.runs, r)
-	u.vias = append(u.vias, c.Via...)
+	last := &u.runs[n-1]
+	return last.n < math.MaxUint16 && last.sameBut(r) && slices.Equal(u.vias[len(u.vias)-len(via):], via)
 }
 
 // dropOldest evicts the user's drop oldest candidates (at most all of them):
@@ -197,10 +383,11 @@ func (u *userLog) each(a graph.VertexID, names []string, via []graph.VertexID, f
 func (l *candidateLog) get(a graph.VertexID) []motif.Candidate {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	u := l.users[a]
-	if u == nil {
+	i, ok := l.index[a]
+	if !ok {
 		return nil
 	}
+	u := l.view(&l.recs[i])
 	out := make([]motif.Candidate, 0, len(u.progs))
 	u.each(a, l.names.names, slices.Clone(u.vias), func(c motif.Candidate) { out = append(out, c) })
 	return out
@@ -211,14 +398,14 @@ func (l *candidateLog) get(a graph.VertexID) []motif.Candidate {
 func (l *candidateLog) writeTo(cp *codecutil.Writer) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	keys := make([]graph.VertexID, 0, len(l.users))
-	for a := range l.users {
-		keys = append(keys, a)
+	order := make([]uint32, len(l.recs))
+	for i := range order {
+		order[i] = uint32(i)
 	}
-	slices.Sort(keys)
-	cp.PutU(uint64(len(keys)))
-	for _, a := range keys {
-		u := l.users[a]
+	slices.SortFunc(order, func(i, j uint32) int { return cmp.Compare(l.recs[i].key, l.recs[j].key) })
+	cp.PutU(uint64(len(order)))
+	for _, i := range order {
+		a, u := l.recs[i].key, l.view(&l.recs[i])
 		cp.PutU(uint64(a))
 		cp.PutU(uint64(len(u.progs)))
 		u.each(a, l.names.names, u.vias, func(c motif.Candidate) { putCandidate(cp, c) })
@@ -240,7 +427,8 @@ type packedUser struct {
 	userLog
 }
 
-// capture copies out the dirty users and resets the dirty set.
+// capture copies out the dirty users and clears their flags and the dirty
+// log.
 func (l *candidateLog) capture() packedUsers {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -254,10 +442,11 @@ func (l *candidateLog) capture() packedUsers {
 		users: make([]packedUser, 0, len(l.dirty)),
 	}
 	var nRuns, nProgs, nVias int
-	for a := range l.dirty {
-		u := l.users[a]
-		p.users = append(p.users, packedUser{key: a, userLog: *u})
-		nRuns, nProgs, nVias = nRuns+len(u.runs), nProgs+len(u.progs), nVias+len(u.vias)
+	for _, i := range l.dirty {
+		u := &l.recs[i]
+		u.dirty = false
+		p.users = append(p.users, packedUser{key: u.key, userLog: l.view(u)})
+		nRuns, nProgs, nVias = nRuns+int(u.runs.n), nProgs+int(u.progs.n), nVias+int(u.vias.n)
 	}
 	runs := codecutil.Arena[logRun]{Chunk: nRuns}
 	progs := codecutil.Arena[uint32]{Chunk: nProgs}
@@ -266,7 +455,7 @@ func (l *candidateLog) capture() packedUsers {
 		u := &p.users[i]
 		u.runs, u.progs, u.vias = runs.Copy(u.runs), progs.Copy(u.progs), vias.Copy(u.vias)
 	}
-	l.dirty = make(map[graph.VertexID]struct{})
+	l.dirty = l.dirty[:0]
 	return p
 }
 

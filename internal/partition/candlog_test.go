@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
@@ -88,6 +89,12 @@ func sameCut(t testing.TB, what string, p *Partition, ref *refLog) {
 	}
 }
 
+// isDirty reads user a's dirty flag: whether the next cut carries a.
+func (l *candidateLog) isDirty(a graph.VertexID) bool {
+	i, ok := l.index[a]
+	return ok && l.recs[i].dirty
+}
+
 // logPartition is a partition to commit candidates to: no edge is applied, so
 // D stays empty and the log and item counters are all its state.
 func logPartition(t testing.TB, depth int) *Partition {
@@ -114,7 +121,7 @@ func sameCandidates(a, b []motif.Candidate) bool {
 	})
 }
 
-// logFuzzUsers is the differential's user universe.
+// logFuzzUsers is the fuzzed differential's user universe.
 const logFuzzUsers = 4
 
 // logFuzzScores are the scores a fuzzed completion draws from: the usual
@@ -129,7 +136,8 @@ type logDiff struct {
 	t       *testing.T
 	p       *Partition
 	ref     *refLog
-	trigger int // the current completion; a flag bit moves on to the next
+	users   graph.VertexID // the user universe: 0 up to users
+	trigger int            // the current completion; a flag bit moves on to the next
 }
 
 // check holds the two to each other: every user's list, the dirty sets the
@@ -137,7 +145,7 @@ type logDiff struct {
 // the segment encoder over the reference's lists).
 func (d *logDiff) check(op string) {
 	d.t.Helper()
-	for a := graph.VertexID(0); a < logFuzzUsers; a++ {
+	for a := graph.VertexID(0); a < d.users; a++ {
 		got, want := d.p.RecommendationsFor(a), d.ref.Users[a]
 		if !sameCandidates(got, want) {
 			d.t.Fatalf("after %s: user %d\n got %+v\nwant %+v", op, a, got, want)
@@ -147,7 +155,7 @@ func (d *logDiff) check(op string) {
 				d.t.Fatalf("after %s: user %d entry %d: Via has len %d, cap %d", op, a, i, len(c.Via), cap(c.Via))
 			}
 		}
-		_, dirty := d.p.log.dirty[a]
+		dirty := d.p.log.isDirty(a)
 		if _, want := d.ref.dirty[a]; dirty != want {
 			d.t.Fatalf("after %s: user %d dirty %v, reference %v", op, a, dirty, want)
 		}
@@ -161,19 +169,64 @@ func (d *logDiff) check(op string) {
 	}
 }
 
+// commit commits a run of 1 + run%6 candidates that share a completion to
+// both sides, for user%users. flags: bit 0 moves to a new trigger first, bits
+// 1–3 pick the score, bits 4–6 the Via length (0–5), bit 7 gives every
+// candidate of the run the same program. vary: bits 0 and 1 move Item and
+// DetectedAtMS off their usual values, bits 2–3 pick the trigger type, bit 4
+// changes the last Via element.
+func (d *logDiff) commit(user graph.VertexID, run, flags, vary byte) {
+	if flags&1 != 0 {
+		d.trigger++
+	}
+	e := graph.Edge{
+		Src: graph.VertexID(100 + d.trigger), Dst: graph.VertexID(200 + d.trigger%3),
+		Type: graph.EdgeType(vary >> 2 & 3 % motif.NumEdgeTypes), TS: int64(1000 + 10*d.trigger),
+	}
+	c := motif.Candidate{
+		User: user % d.users, Item: e.Dst + graph.VertexID(vary&1),
+		Trigger: e, DetectedAtMS: e.TS + int64(vary>>1&1),
+		Score: logFuzzScores[int(flags>>1&7)%len(logFuzzScores)],
+	}
+	for i := 0; i < int(flags>>4&7)%6; i++ {
+		c.Via = append(c.Via, graph.VertexID(300+d.trigger+i))
+	}
+	if n := len(c.Via); n > 0 && vary&16 != 0 {
+		c.Via[n-1]++
+	}
+	cands := make([]motif.Candidate, 1+int(run)%6)
+	for i := range cands {
+		cands[i] = c
+		cands[i].Program = fmt.Sprintf("p%d", i)
+		if flags&128 != 0 {
+			cands[i].Program = "p0"
+		}
+	}
+	d.p.Commit(cands)
+	d.ref.commit(cands)
+}
+
+// restore moves both sides into fresh partitions of the given depth through
+// WriteTo → DecodeBase → LoadState.
+func (d *logDiff) restore(depth int) {
+	var buf bytes.Buffer
+	if _, err := d.p.WriteTo(&buf); err != nil {
+		d.t.Fatal(err)
+	}
+	s, err := DecodeBase(buf.Bytes())
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	d.p, d.ref = logPartition(d.t, depth), newRefLog(depth)
+	d.p.LoadState(s)
+	d.ref.load(s)
+}
+
 // run interprets ops, five bytes an add and two a restore:
 //
-//	0..3 user run flags vary  commit a run of 1 + run%6 candidates for user%4
-//	                          that share a completion. flags: bit 0 moves to a
-//	                          new trigger first, bits 1–3 pick the score, bits
-//	                          4–6 the Via length (0–5), bit 7 gives every
-//	                          candidate of the run the same program. vary: bit
-//	                          0 and 1 move Item and DetectedAtMS off their
-//	                          usual values, bits 2–3 pick the trigger type,
-//	                          bit 4 changes the last Via element.
+//	0..3 user run flags vary  commit (user%4, the rest as commit reads them)
 //	5                         CaptureDelta → WriteTo, both sides, bytes equal
-//	6 depth                   WriteTo → DecodeBase → LoadState into fresh
-//	                          partitions of depth 1, 2 or 16
+//	6 depth                   restore into partitions of depth 1, 2 or 16
 //	4, 7                      nothing (check runs after every op)
 func (d *logDiff) run(ops []byte) {
 	next := func() byte {
@@ -187,52 +240,14 @@ func (d *logDiff) run(ops []byte) {
 	for len(ops) > 0 {
 		switch op := next() % 8; op {
 		default:
-			user, run, flags, vary := next(), next(), next(), next()
-			if flags&1 != 0 {
-				d.trigger++
-			}
-			e := graph.Edge{
-				Src: graph.VertexID(100 + d.trigger), Dst: graph.VertexID(200 + d.trigger%3),
-				Type: graph.EdgeType(vary >> 2 & 3 % motif.NumEdgeTypes), TS: int64(1000 + 10*d.trigger),
-			}
-			c := motif.Candidate{
-				User: graph.VertexID(user % logFuzzUsers), Item: e.Dst + graph.VertexID(vary&1),
-				Trigger: e, DetectedAtMS: e.TS + int64(vary>>1&1),
-				Score: logFuzzScores[int(flags>>1&7)%len(logFuzzScores)],
-			}
-			for i := 0; i < int(flags>>4&7)%6; i++ {
-				c.Via = append(c.Via, graph.VertexID(300+d.trigger+i))
-			}
-			if n := len(c.Via); n > 0 && vary&16 != 0 {
-				c.Via[n-1]++
-			}
-			cands := make([]motif.Candidate, 1+int(run)%6)
-			for i := range cands {
-				cands[i] = c
-				cands[i].Program = fmt.Sprintf("p%d", i)
-				if flags&128 != 0 {
-					cands[i].Program = "p0"
-				}
-			}
-			d.p.Commit(cands)
-			d.ref.commit(cands)
+			d.commit(graph.VertexID(next()), next(), next(), next())
 			d.check("commit")
 		case 5:
 			sameCut(d.t, "cut", d.p, d.ref)
 			d.check("capture")
 		case 6:
 			depth := []int{1, 2, 16}[next()%3]
-			var buf bytes.Buffer
-			if _, err := d.p.WriteTo(&buf); err != nil {
-				d.t.Fatal(err)
-			}
-			s, err := DecodeBase(buf.Bytes())
-			if err != nil {
-				d.t.Fatal(err)
-			}
-			d.p, d.ref = logPartition(d.t, depth), newRefLog(depth)
-			d.p.LoadState(s)
-			d.ref.load(s)
+			d.restore(depth)
 			d.check(fmt.Sprintf("restore at depth %d", depth))
 		case 4, 7:
 		}
@@ -285,10 +300,62 @@ func FuzzCandidateLog(f *testing.F) {
 	})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		for _, depth := range []int{1, 2, 16} {
-			d := &logDiff{t: t, p: logPartition(t, depth), ref: newRefLog(depth)}
+			d := &logDiff{t: t, p: logPartition(t, depth), ref: newRefLog(depth), users: logFuzzUsers}
 			d.run(ops)
 		}
 	})
+}
+
+// TestCandidateLogAtScale is FuzzCandidateLog's differential over 2 048
+// users, enough that every arena compacts again and again — each compaction
+// moving every block — between cuts, restores and the commits after them.
+// Seeded batches of 400 runs to random users alternate with cuts, and the log
+// is restored at depth 1, then 2, then 16; after each step the two sides agree
+// on every user's RecommendationsFor, dirty flag and the base bytes, and at
+// every cut on the delta bytes.
+func TestCandidateLogAtScale(t *testing.T) {
+	const users = 2048
+	r := rand.New(rand.NewSource(31))
+	d := &logDiff{t: t, p: logPartition(t, 16), ref: newRefLog(16), users: users}
+	// arrays notes the arenas' backing arrays: a compaction replaces one.
+	arrays := func() [3]uintptr {
+		l := d.p.log
+		return [3]uintptr{
+			uintptr(unsafe.Pointer(unsafe.SliceData(l.runs.buf))),
+			uintptr(unsafe.Pointer(unsafe.SliceData(l.progs.buf))),
+			uintptr(unsafe.Pointer(unsafe.SliceData(l.vias.buf))),
+		}
+	}
+	var compactions [3]int
+	for step := 0; step < 60; step++ {
+		switch {
+		case step%16 == 15:
+			depth := []int{1, 2, 16}[step/16]
+			d.restore(depth)
+			d.check(fmt.Sprintf("restore at depth %d", depth))
+		case step%4 == 3:
+			sameCut(t, fmt.Sprintf("cut at step %d", step), d.p, d.ref)
+			d.check("cut")
+		default:
+			for i := 0; i < 400; i++ {
+				before := arrays()
+				d.commit(graph.VertexID(r.Intn(users)), byte(r.Intn(256)), byte(r.Intn(256)), byte(r.Intn(256)))
+				for j, a := range arrays() {
+					if a != before[j] {
+						compactions[j]++
+					}
+				}
+			}
+			d.check(fmt.Sprintf("commits of step %d", step))
+		}
+	}
+	sameCut(t, "final cut", d.p, d.ref)
+	for j, n := range compactions {
+		if n < 20 {
+			t.Errorf("arena %d compacted %d times; the differential wants many", j, n)
+		}
+	}
+	t.Logf("compactions (runs, programs, Vias): %v", compactions)
 }
 
 // TestItemCounterAddAll holds the coalescing item counter to the
@@ -406,12 +473,21 @@ func (s logShape) fill(t testing.TB, n, rounds int) *Partition {
 	return p
 }
 
+// logBytes is the log's exact size: its arenas' capacities, its record
+// table's and its index's entries (a key and a record number each).
+func logBytes(l *candidateLog) int {
+	return cap(l.runs.buf)*int(unsafe.Sizeof(logRun{})) +
+		cap(l.progs.buf)*int(unsafe.Sizeof(uint32(0))) +
+		cap(l.vias.buf)*int(unsafe.Sizeof(graph.VertexID(0))) +
+		cap(l.recs)*int(unsafe.Sizeof(logUser{})) +
+		len(l.index)*int(unsafe.Sizeof(graph.VertexID(0))+unsafe.Sizeof(uint32(0)))
+}
+
 // TestCandidateLogFootprint bounds what the log holds per retained candidate,
-// from its arrays' capacities (what the allocator was asked for, so the
-// number repeats exactly): the runs, the program indices, the Via elements,
-// the three slice headers and the map's key and pointer. A list of candidate
-// structs costs 104 bytes a candidate before its Via (the benchmark's logs
-// were at ≈ 125 and ≈ 150).
+// in exact bytes (logBytes: what the allocator was asked for, so the number
+// repeats exactly). A list of candidate structs costs 104 bytes a candidate
+// before its Via (the benchmark's logs were at ≈ 125 and ≈ 150); a log of a
+// heap object and three slices per user, 56 and 120 on these shapes.
 func TestCandidateLogFootprint(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -422,18 +498,14 @@ func TestCandidateLogFootprint(t *testing.T) {
 		{"steady", steadyShape, 120},
 	} {
 		l := tc.shape.fill(t, 70, 40).log
-		bytes, cands := uintptr(0), 0
-		for _, u := range l.users {
-			bytes += unsafe.Sizeof(graph.VertexID(0)) + unsafe.Sizeof(u) + unsafe.Sizeof(*u) +
-				uintptr(cap(u.runs))*unsafe.Sizeof(logRun{}) +
-				uintptr(cap(u.progs))*unsafe.Sizeof(uint32(0)) +
-				uintptr(cap(u.vias))*unsafe.Sizeof(graph.VertexID(0))
-			cands += len(u.progs)
+		cands := 0
+		for i := range l.recs {
+			cands += int(l.recs[i].progs.n)
 		}
 		if cands != 70*16 {
 			t.Fatalf("%s: %d candidates retained, want every user at depth", tc.name, cands)
 		}
-		if per := float64(bytes) / float64(cands); per > tc.budget {
+		if per := float64(logBytes(l)) / float64(cands); per > tc.budget {
 			t.Errorf("%s shape: %.1f bytes per retained candidate, budget %.0f", tc.name, per, tc.budget)
 		} else {
 			t.Logf("%s shape: %.1f bytes per retained candidate", tc.name, per)
@@ -457,6 +529,52 @@ func TestCommitAllocBudget(t *testing.T) {
 	}
 }
 
+// TestCommitNewUsersAllocBudget: committing to users the log has never seen
+// allocates per compaction of an arena and per growth of the record table and
+// the index, not per user: 4 096 new users, each taking events until full, at
+// most 0.05 allocations a candidate. A log of a heap object per user pays for
+// the object, its programs and every doubling of its arrays: 0.75 a
+// steady-shaped candidate.
+func TestCommitNewUsersAllocBudget(t *testing.T) {
+	const users, rounds = 4096, 16
+	for _, tc := range []struct {
+		name  string
+		shape logShape
+	}{{"multiquery", multiqueryShape}, {"steady", steadyShape}} {
+		p := logPartition(t, 16)
+		events, cands := tc.shape.fresh(users, rounds)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, ev := range events {
+			p.Commit(ev)
+		}
+		runtime.ReadMemStats(&after)
+		if n := len(p.log.recs); n < users {
+			t.Fatalf("%s: %d users logged, want %d", tc.name, n, users)
+		}
+		if per := float64(after.Mallocs-before.Mallocs) / float64(cands); per > 0.05 {
+			t.Errorf("%s: committing to new users allocates %.3f times a candidate, budget 0.05", tc.name, per)
+		} else {
+			t.Logf("%s: %.4f allocations a candidate", tc.name, per)
+		}
+	}
+}
+
+// fresh returns rounds events for each block of s.users users of the first n,
+// in block order, and how many candidates they hold: commits to users a log
+// has not seen before their block.
+func (s logShape) fresh(n, rounds int) ([][]motif.Candidate, int) {
+	var events [][]motif.Candidate
+	cands := 0
+	for first := 0; first < n; first += s.users {
+		for i := 0; i < rounds; i++ {
+			events = append(events, s.event(first+i, graph.VertexID(first)))
+			cands += len(events[len(events)-1])
+		}
+	}
+	return events, cands
+}
+
 // TestRecommendationsForAllocBudget: a read materialises the list and one
 // array for its Vias, shared within a run.
 func TestRecommendationsForAllocBudget(t *testing.T) {
@@ -470,25 +588,38 @@ func TestRecommendationsForAllocBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkCommit is the log's write path on stream-shaped events to users
-// already at depth: ns and bytes allocated per candidate committed.
+// BenchmarkCommit is the log's write path on stream-shaped events: to users
+// already at depth, and (fresh) to 4 096 users the log has not seen, each
+// taking events until full — ns and bytes allocated per candidate committed.
 func BenchmarkCommit(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
 		shape logShape
-	}{{"multiquery", multiqueryShape}, {"steady", steadyShape}} {
+		fresh bool
+	}{{"multiquery", multiqueryShape, false}, {"steady", steadyShape, false}, {"multiquery-fresh", multiqueryShape, true}, {"steady-fresh", steadyShape, true}} {
 		b.Run(bc.name, func(b *testing.B) {
-			p := bc.shape.fill(b, 7, 40)
-			events := make([][]motif.Candidate, 64)
+			var p *Partition
+			var events [][]motif.Candidate
 			cands := 0
-			for i := range events {
-				events[i] = bc.shape.event(40+i, 0)
-				cands += len(events[i])
+			if bc.fresh {
+				events, cands = bc.shape.fresh(4096, 16)
+			} else {
+				p = bc.shape.fill(b, 7, 40)
+				events = make([][]motif.Candidate, 64)
+				for i := range events {
+					events[i] = bc.shape.event(40+i, 0)
+					cands += len(events[i])
+				}
 			}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if bc.fresh {
+					b.StopTimer()
+					p = logPartition(b, 16)
+					b.StartTimer()
+				}
 				for _, ev := range events {
 					p.Commit(ev)
 				}

@@ -209,10 +209,11 @@ func TestRecommendationsForForeignUser(t *testing.T) {
 }
 
 // The log keeps exactly the last depth candidates of a user: a full user's
-// arrays slide in place, so once one has held the most runs its stream's
+// blocks slide in place, so once one has held the most runs its stream's
 // shape puts in a list (one more completion after filling up) none of them
-// regrows or moves however many adds follow, and what slid out pins nothing — no element of a user's arrays holds
-// a pointer, so nothing evicted is reachable from what lies past their lengths.
+// grows or moves however many adds follow, and what slid out pins nothing —
+// no arena element holds a pointer, so nothing evicted is reachable from what
+// lies past a list in its block.
 func TestCandidateLogSlidesInPlace(t *testing.T) {
 	for _, typ := range []reflect.Type{reflect.TypeOf(logRun{}), reflect.TypeOf(userLog{}.progs).Elem(), reflect.TypeOf(userLog{}.vias).Elem()} {
 		fields := []reflect.Type{typ}
@@ -224,7 +225,7 @@ func TestCandidateLogSlidesInPlace(t *testing.T) {
 		}
 		for _, f := range fields {
 			if k := f.Kind(); k < reflect.Int || k > reflect.Uint64 {
-				t.Fatalf("%v holds a %v: a user's arrays must be pointer-free", typ, f)
+				t.Fatalf("%v holds a %v: the arenas must be pointer-free", typ, f)
 			}
 		}
 	}
@@ -232,28 +233,30 @@ func TestCandidateLogSlidesInPlace(t *testing.T) {
 		for _, depth := range []int{1, 2, 5, 16, 17} {
 			l := newCandidateLog(depth)
 			full := depth + runLen - 1
-			var runs *logRun // the arrays' first slots from then on
-			var progs *uint32
-			var vias *graph.VertexID
+			// place is where a record's blocks lie and how big they are.
+			place := func(u logUser) [6]uint32 {
+				return [6]uint32{u.runs.off, u.runs.size, u.progs.off, u.progs.size, u.vias.off, u.vias.size}
+			}
+			var at [6]uint32 // the full user's place from then on
 			for i := 1; i <= 10*depth; i++ {
 				completion := graph.VertexID((i + runLen - 1) / runLen)
 				l.addAll([]motif.Candidate{{
 					User: 7, Item: completion, Via: []graph.VertexID{1, 2, completion},
 					Program: fmt.Sprintf("p%d", i%runLen),
 				}})
-				u := l.users[7]
-				if depth > 1 && (cap(u.runs) >= 2*depth || cap(u.progs) >= 2*depth || cap(u.vias) >= 2*3*depth) {
-					t.Fatalf("depth %d: arrays of %d runs, %d programs, %d Via elements after %d adds",
-						depth, cap(u.runs), cap(u.progs), cap(u.vias), i)
+				u := l.recs[l.index[7]]
+				if depth > 1 && (int(u.runs.size) > depth || int(u.progs.size) > depth || int(u.vias.size) > 3*depth) {
+					t.Fatalf("depth %d: blocks of %d runs, %d programs, %d Via elements after %d adds",
+						depth, u.runs.size, u.progs.size, u.vias.size, i)
 				}
-				if len(u.progs) != min(i, depth) || len(u.vias) != 3*len(u.runs) {
+				if int(u.progs.n) != min(i, depth) || u.vias.n != 3*u.runs.n {
 					t.Fatalf("depth %d: %d candidates in %d runs with %d Via elements after %d adds",
-						depth, len(u.progs), len(u.runs), len(u.vias), i)
+						depth, u.progs.n, u.runs.n, u.vias.n, i)
 				}
 				if i == full {
-					runs, progs, vias = &u.runs[0], &u.progs[0], &u.vias[0]
-				} else if i > full && (&u.runs[0] != runs || &u.progs[0] != progs || &u.vias[0] != vias) {
-					t.Fatalf("depth %d: add %d moved an array of a full user instead of sliding it", depth, i)
+					at = place(u)
+				} else if i > full && place(u) != at {
+					t.Fatalf("depth %d: add %d moved a block of a full user instead of sliding it", depth, i)
 				}
 			}
 			got := l.get(7)
