@@ -38,7 +38,8 @@ test-race:
 # ≤ 0.01: a chunk of 256 Notifications); the wire's: a candidate connection's decode (≤ 0.02 a
 # candidate, TestDecodeCandBatchAllocBudget), an envelope batch encoded and
 # framed (TestEnvBatchFrameZeroAlloc, 0) and a frame read
-# (TestReadMsgZeroAlloc, 0) — without the race detector: instrumentation
+# (TestReadMsgZeroAlloc, 0); the delivery loop's simulated queue-delay draws
+# (TestHopDelayZeroAlloc, 0) — without the race detector: instrumentation
 # changes allocation counts, so under -race they skip.
 test-allocs:
 	$(GO) test -run 'ZeroAlloc|TestInsertAllocBudget|TestLoadSnapshotAllocBudget|TestDetectBatchAllocBudget|TestOfferAllocBudget|TestDecodeCandBatchAllocBudget' ./internal/graph ./internal/statstore ./internal/dynstore ./internal/core ./internal/cluster ./internal/delivery ./internal/transport
@@ -84,7 +85,7 @@ test-parallel: test-allocs
 	$(GO) test -race -run 'TestApplyLoop|TestParallelApply|TestCkptClock|TestCheckpointClockOutlier|TestDetectBatch|TestLatencyMetricSplit' ./internal/cluster ./internal/core
 
 # test-transport runs the networked tier under the race detector: the
-# wire codec, its version-3 golden frames and the fault tests in
+# wire codec, its version-4 golden frames and the fault tests in
 # internal/transport, with the read-path tests (TestRemoteRead*: a round
 # trip on the feed connection, a read in flight across a drop, a read behind
 # a full, undrained feed), plus the loopback multi-process cluster suite (hub
@@ -118,15 +119,16 @@ test-planner: test-allocs
 # depth, commit to 4 096 new users — TestCommitNewUsersAllocBudget, ≤ 0.05 a
 # candidate — and read) with the log's exact bytes per retained candidate
 # (without race, like test-planner's:
-# instrumentation changes allocation counts), the parent-written golden
-# files with the exhaustive prefix / bit-flip properties beside each fuzz
-# target, the cursor's own tests, the segment merge law (its table, the
-# differential fuzz target's seeds, the rejection of keys out of order) and
+# instrumentation changes allocation counts), the golden files (the WAL's
+# two segment versions and the wire's frames among them) with the exhaustive
+# prefix / bit-flip properties beside each fuzz target, the cursor's own
+# tests, the segment merge law (its table, the differential fuzz target's
+# seeds, the rejection of keys out of order) and
 # one iteration of the compactor's fold (base + 8 deltas from disk) — the
 # quick loop for codec work.
 test-codec:
 	$(GO) test -run 'AllocBudget|Footprint' ./internal/partition ./internal/dynstore
-	$(GO) test -run 'Golden|PrefixesAndBitFlips|Cursor|Arena|TestRun' ./internal/codecutil ./internal/partition ./internal/dynstore ./internal/delivery ./internal/placement ./internal/transport ./internal/cluster
+	$(GO) test -run 'Golden|PrefixesAndBitFlips|Cursor|Arena|TestRun' ./internal/codecutil ./internal/partition ./internal/dynstore ./internal/delivery ./internal/placement ./internal/queue ./internal/transport ./internal/cluster
 	$(GO) test -run 'SegmentMerge|KeysOutOfOrder|DuplicateTarget' ./internal/partition ./internal/dynstore
 	$(GO) test -run=NONE -bench BenchmarkCheckpointCompose -benchtime=1x -count=1 ./internal/partition
 

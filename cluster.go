@@ -11,7 +11,6 @@ import (
 	"motifstream/internal/motif"
 	"motifstream/internal/partition"
 	"motifstream/internal/placement"
-	"motifstream/internal/queue"
 )
 
 // ClusterOptions configures the full partitioned deployment. Zero values
@@ -36,8 +35,10 @@ type ClusterOptions struct {
 	motifSources []string
 	// QueueDelayMedian and QueueDelayP99 shape the simulated end-to-end
 	// message-queue propagation delay (the paper's dominant latency:
-	// median 7s, p99 15s). Both zero disables delay modeling. The total
-	// is split evenly between the ingest hop and the delivery hop.
+	// median 7s, p99 15s). A zero median disables delay modeling; otherwise
+	// P99 must exceed the median (NewCluster fails if not, or if either is
+	// negative). The total is split evenly between the ingest hop and the
+	// delivery hop.
 	QueueDelayMedian, QueueDelayP99 time.Duration
 	// MaxPushesPerUserPerDay is the fatigue budget (0 selects 4).
 	MaxPushesPerUserPerDay int
@@ -177,12 +178,16 @@ func NewCluster(staticEdges []Edge, opts ClusterOptions) (*Cluster, error) {
 		return nil, err
 	}
 
-	var ingestDelay, deliverDelay queue.DelayModel
-	if opts.QueueDelayMedian > 0 && opts.QueueDelayP99 > opts.QueueDelayMedian {
+	med, p99 := opts.QueueDelayMedian, opts.QueueDelayP99
+	if med < 0 || p99 < 0 || (med > 0 && p99 <= med) {
+		return nil, fmt.Errorf("motifstream: queue delay median %v, p99 %v: want a zero median (off) or 0 < median < p99", med, p99)
+	}
+	var ingestDelay, deliverDelay cluster.DelayModel
+	if med > 0 {
 		// Two lognormal hops whose sum approximates the configured
 		// end-to-end quantiles: halve the median per hop; sums of two
 		// iid lognormals keep roughly the same tail ratio.
-		half := queue.LognormalFromQuantiles(opts.QueueDelayMedian/2, opts.QueueDelayP99/2)
+		half := cluster.LognormalFromQuantiles(med/2, p99/2)
 		ingestDelay, deliverDelay = half, half
 	}
 

@@ -10,7 +10,6 @@ import (
 	"motifstream/internal/graph"
 	"motifstream/internal/metrics"
 	"motifstream/internal/motif"
-	"motifstream/internal/queue"
 	"motifstream/internal/statstore"
 )
 
@@ -116,7 +115,7 @@ func runE2(c runConfig) {
 	stream := cachedStream(users, events)
 
 	reg := metrics.NewRegistry()
-	hop := queue.LognormalFromQuantiles(3500*time.Millisecond, 7500*time.Millisecond)
+	hop := cluster.LognormalFromQuantiles(3500*time.Millisecond, 7500*time.Millisecond)
 	clu, err := cluster.New(cluster.Config{
 		Partitions:     4,
 		StaticEdges:    static,

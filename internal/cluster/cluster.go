@@ -98,7 +98,6 @@ import (
 	"motifstream/internal/motif"
 	"motifstream/internal/partition"
 	"motifstream/internal/placement"
-	"motifstream/internal/queue"
 )
 
 // Config assembles a Cluster.
@@ -119,12 +118,12 @@ type Config struct {
 	// own instances mirrors a real deployment and keeps the option open.
 	// Required.
 	NewPrograms func() []motif.Program
-	// IngestDelay models the firehose→partition queue hop; nil = none. The
-	// hub draws one sample per event at publish and the log carries it.
-	IngestDelay queue.DelayModel
+	// IngestDelay models the firehose→partition queue hop; nil = none.
 	// DeliveryDelay models the partition→push-gateway hop; nil = none. The
-	// hub draws one sample per event where candidates enter its queue.
-	DeliveryDelay queue.DelayModel
+	// hub's delivery loop draws both for every accepted event, keyed by Seed
+	// and the event's offset (hopdelay.go).
+	IngestDelay   DelayModel
+	DeliveryDelay DelayModel
 	// Delivery configures the push pipeline.
 	Delivery delivery.Options
 	// ApplyBatch bounds how many envelopes a replica consumer drains from
@@ -476,7 +475,7 @@ func (c *Cluster) Publish(e graph.Edge) error {
 	if err != nil {
 		return err
 	}
-	if err := h.publish(e); err != nil {
+	if err := h.firehose.Publish(e, 0); err != nil {
 		return err
 	}
 	c.ingested.Inc()
@@ -494,8 +493,11 @@ func (c *Cluster) Stop() { c.stop(false) }
 // cut per alive replica at the drained head — so a subsequent Reopen
 // composes straight to the end of the log instead of replaying the whole
 // last checkpoint interval — and a hard fsync barrier on the durable log
-// before it closes. On a cluster without Config.LogDir it behaves exactly
-// like Stop (the final cuts would be wiped at the next construction anyway).
+// before it closes. The cuts are made wherever checkpoint chains outlive the
+// process — on a hub or single process with Config.LogDir, and on every
+// worker (Config.Join), whose chains are against the hub's durable log. A
+// single process without LogDir behaves exactly like Stop (its final cuts
+// would be wiped at the next construction anyway).
 func (c *Cluster) Shutdown() { c.stop(c.host.chains) }
 
 func (c *Cluster) stop(finalCut bool) {

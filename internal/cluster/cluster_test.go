@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -8,7 +10,6 @@ import (
 	"motifstream/internal/dynstore"
 	"motifstream/internal/graph"
 	"motifstream/internal/motif"
-	"motifstream/internal/queue"
 )
 
 func fig1Static() []graph.Edge {
@@ -131,22 +132,25 @@ func TestReplicasDoNotDuplicateDeliveries(t *testing.T) {
 // TestQueueDelayFeedsLatency: an event crosses two simulated queue hops —
 // firehose to partition, partition to push gateway — whichever side of a
 // socket its replica runs on, so the same stream reports the same end-to-end
-// latency in process and through a loopback hub + worker.
+// latency in process and through a loopback hub + worker. Fixed hops pin the
+// sum, which a draw keyed to the wrong offset would still reach; the
+// lognormal case pins every notification's (DeliveredAtMS, Latency) to both
+// hops' draws at its trigger's offset, in process and over TCP.
 func TestQueueDelayFeedsLatency(t *testing.T) {
 	base := testConfig(1, 1)
-	base.IngestDelay = queue.Fixed{D: 3 * time.Second}
-	base.DeliveryDelay = queue.Fixed{D: 4 * time.Second}
-	deployments := map[string]func(t *testing.T) (hub *Cluster, join func()){
-		"inproc": func(t *testing.T) (*Cluster, func()) {
-			c, err := New(base)
+	base.IngestDelay = Fixed{D: 3 * time.Second}
+	base.DeliveryDelay = Fixed{D: 4 * time.Second}
+	deployments := map[string]func(t *testing.T, cfg Config) (hub *Cluster, join func()){
+		"inproc": func(t *testing.T, cfg Config) (*Cluster, func()) {
+			c, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			c.Start()
 			return c, func() {}
 		},
-		"tcp": func(t *testing.T) (*Cluster, func()) {
-			hcfg := base
+		"tcp": func(t *testing.T, cfg Config) (*Cluster, func()) {
+			hcfg := cfg
 			hcfg.Listen, hcfg.LogDir, hcfg.CheckpointDir = "127.0.0.1:0", t.TempDir(), t.TempDir()
 			hub, err := New(hcfg)
 			if err != nil {
@@ -160,7 +164,7 @@ func TestQueueDelayFeedsLatency(t *testing.T) {
 	}
 	for name, deploy := range deployments {
 		t.Run(name, func(t *testing.T) {
-			c, join := deploy(t)
+			c, join := deploy(t, base)
 			t0 := int64(1_000_000)
 			c.Publish(graph.Edge{Src: 10, Dst: 99, Type: graph.Follow, TS: t0})
 			c.Publish(graph.Edge{Src: 11, Dst: 99, Type: graph.Follow, TS: t0 + 1})
@@ -177,6 +181,52 @@ func TestQueueDelayFeedsLatency(t *testing.T) {
 			}
 		})
 	}
+
+	t.Run("lognormal", func(t *testing.T) {
+		heavy := base
+		heavy.IngestDelay = LognormalFromQuantiles(3*time.Second, 7*time.Second)
+		heavy.DeliveryDelay = LognormalFromQuantiles(4*time.Second, 8*time.Second)
+		heavy.Seed = 7
+		heavy.Delivery.MaxPerUserPerDay = 1 << 20
+		type latency struct {
+			at  int64
+			lat time.Duration
+		}
+		sorted := func(ls []latency) []latency {
+			sort.Slice(ls, func(i, j int) bool {
+				return ls[i].at < ls[j].at || ls[i].at == ls[j].at && ls[i].lat < ls[j].lat
+			})
+			return ls
+		}
+		// Each item's second follow completes user 2's diamond: its trigger
+		// is offset 2i+1.
+		const items = 40
+		t0 := int64(1_000_000)
+		var want []latency
+		ingest, deliver := newHop(heavy.IngestDelay, heavy.Seed), newHop(heavy.DeliveryDelay, heavy.Seed+1)
+		for i := 0; i < items; i++ {
+			off := uint64(2*i + 1)
+			ms := (ingest.delay(off) + deliver.delay(off)).Milliseconds()
+			want = append(want, latency{t0 + int64(off) + ms, time.Duration(ms) * time.Millisecond})
+		}
+		want = sorted(want)
+		for _, name := range []string{"inproc", "tcp"} {
+			cfg := heavy
+			var got []latency
+			cfg.OnNotify = func(n delivery.Notification) { got = append(got, latency{n.DeliveredAtMS, n.Latency}) }
+			c, join := deployments[name](t, cfg)
+			for i := 0; i < items; i++ {
+				item := graph.VertexID(100 + i)
+				c.Publish(graph.Edge{Src: 10, Dst: item, Type: graph.Follow, TS: t0 + int64(2*i)})
+				c.Publish(graph.Edge{Src: 11, Dst: item, Type: graph.Follow, TS: t0 + int64(2*i+1)})
+			}
+			c.Shutdown()
+			join()
+			if got = sorted(got); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: notifications (DeliveredAtMS, Latency)\n got %v\nwant %v", name, got, want)
+			}
+		}
+	})
 }
 
 func TestFailoverPromotesEmitter(t *testing.T) {

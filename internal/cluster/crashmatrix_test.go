@@ -946,6 +946,9 @@ func TestReopenCorruptBaseAboveTruncatedLogFails(t *testing.T) {
 	cfg.Replicas = 1 // every replica compacts, so truncation advances
 	cfg.CheckpointInterval = time.Second
 	cfg.CompactEvery = 2
+	// Segments small enough that 400 records span several: the log only
+	// truncates whole segments below the newest.
+	cfg.LogSegmentBytes = 8 << 10
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -65,8 +65,10 @@ type hubTier struct {
 	firehose *queue.Topic[graph.Edge]
 	// wal is the durable firehose log backend when Config.LogDir is set;
 	// the tier owns it and closes it after the last drain in shutdown.
-	wal        *queue.WAL[graph.Edge]
-	candidates *queue.Topic[transport.CandMsg]
+	wal *queue.WAL[graph.Edge]
+	// candidates is the delivery loop's queue: every replica host's offers,
+	// in process or relayed from a socket, bounded at queueBuffer.
+	candidates chan transport.CandMsg
 	broker     *broker.Broker
 	slots      [][]*replicaSlot
 	present    [][2]int // the placements in service at construction
@@ -85,8 +87,6 @@ type hubTier struct {
 	stateBusy atomic.Bool
 	deliverWG sync.WaitGroup
 
-	// ingestMu is publish's; taken only when Config.IngestDelay is set.
-	ingestMu sync.Mutex
 	// truncMu makes maybeTruncateLog's floor scan plus truncate atomic
 	// against an attach's floor publication plus subscribe (see attach).
 	truncMu sync.Mutex
@@ -111,10 +111,6 @@ func newHubTier(sh *shared) (h *hubTier, err error) {
 		Name:   "firehose",
 		Buffer: queueBuffer,
 		Retain: cfg.CheckpointDir != "",
-		// The delivery tier sequences on firehose offsets, so offset
-		// order must equal every replica's delivery order even when
-		// Publish is called from multiple goroutines.
-		Ordered: true,
 	}
 	var logID uint64 // see shared.runID
 	var backend queue.LogBackend[graph.Edge]
@@ -143,10 +139,7 @@ func newHubTier(sh *shared) (h *hubTier, err error) {
 		logID = binary.LittleEndian.Uint64(id[:])
 	}
 	h.firehose = queue.NewTopicWithLog[graph.Edge](opts, backend)
-	h.candidates = queue.NewTopic[transport.CandMsg](queue.Options{
-		Name:   "candidates",
-		Buffer: queueBuffer,
-	})
+	h.candidates = make(chan transport.CandMsg, queueBuffer)
 	sh.adoptLog(logID)
 
 	h.slots = make([][]*replicaSlot, cfg.Partitions)
@@ -178,16 +171,16 @@ func newHubTier(sh *shared) (h *hubTier, err error) {
 	if h.wal != nil {
 		h.seedDelivery()
 	}
-	// The candidate queue retains nothing, so its consumer — the delivery
-	// pipeline, seeded above — subscribes before anything can offer: ahead
-	// of the listener, and of the host whose replicas replay at Start.
+	// The delivery pipeline, seeded above, consumes the candidate queue
+	// before anything can offer: ahead of the listener, and of the host whose
+	// replicas replay at Start.
 	h.deliverWG.Add(1)
-	go h.runDelivery(h.candidates.Subscribe())
+	go h.runDelivery()
 	if cfg.Listen != "" {
 		// Bound last: accepting starts immediately, so the topology must be
 		// in place first.
 		if err = h.listen(); err != nil {
-			h.candidates.Close()
+			close(h.candidates)
 			h.deliverWG.Wait()
 		}
 	}
@@ -241,9 +234,13 @@ func (h *hubTier) seedDelivery() {
 // nextOffset[g] is group g's exactly-once high-water mark: a batch is
 // processed only when its firehose offset has not been covered yet, so
 // the replicas' redundant emissions — including a recovering replica's
-// replay — produce exactly one delivery attempt per candidate.
-func (h *hubTier) runDelivery(sub <-chan queue.Envelope[transport.CandMsg]) {
+// replay — produce exactly one delivery attempt per candidate. An accepted
+// batch's simulated queue delay is derived here, where it is spent: both
+// hops' draws for its offset (hopdelay.go), summed before the pipeline
+// truncates the total to milliseconds.
+func (h *hubTier) runDelivery() {
 	defer h.deliverWG.Done()
+	ingest, deliver := newHop(h.cfg.IngestDelay, h.cfg.Seed), newHop(h.cfg.DeliveryDelay, h.cfg.Seed+1)
 	nextOffset := make([]uint64, h.cfg.Partitions)
 	// A durable-log restart seeds the filter from the persisted offsets:
 	// every replica is about to replay its tail span, and the previous
@@ -251,23 +248,24 @@ func (h *hubTier) runDelivery(sub <-chan queue.Envelope[transport.CandMsg]) {
 	copy(nextOffset, h.initialDelivery)
 	persist := h.cfg.CheckpointDir != ""
 	batches := 0
-	for env := range sub {
-		if env.Msg.Offset < nextOffset[env.Msg.Pid] {
+	for msg := range h.candidates {
+		if msg.Offset < nextOffset[msg.Pid] {
 			continue // another replica's copy already covered this event
 		}
-		nextOffset[env.Msg.Pid] = env.Msg.Offset + 1
+		nextOffset[msg.Pid] = msg.Offset + 1
 		// Wall-clock detection latency, measured once per accepted batch:
 		// first publish of the triggering event to the moment its candidates
 		// reach the delivery tier. Replayed events carry pubNS zero and are
 		// excluded — recovery lag is the replay-rate metric's job, not this
 		// one's.
-		if env.Msg.PubNS > 0 {
-			if d := time.Duration(time.Now().UnixNano() - env.Msg.PubNS); d >= 0 {
+		if msg.PubNS > 0 {
+			if d := time.Duration(time.Now().UnixNano() - msg.PubNS); d >= 0 {
 				h.detectLatency.Observe(d)
 			}
 		}
-		for _, cand := range env.Msg.Cands {
-			decision, note := h.pipeline.Offer(cand, env.VirtualDelay)
+		delay := ingest.delay(msg.Offset) + deliver.delay(msg.Offset)
+		for _, cand := range msg.Cands {
+			decision, note := h.pipeline.Offer(cand, delay)
 			if decision != delivery.Delivered {
 				continue
 			}
@@ -313,15 +311,17 @@ func (h *hubTier) runDelivery(sub <-chan queue.Envelope[transport.CandMsg]) {
 // for the workers' candidate FIN exchanges — including workers that were
 // mid-reconnect when the stream closed and still need to replay the tail —
 // so everything they flushed lands in the delivery queue before it closes.
+// The server's Close waits out every connection handler, so no straggling
+// DeliverCandidates can send on the closed queue.
 func (h *hubTier) close() {
-	if h.listener != nil && !h.listener.server.DrainWorkers(h.cfg.netDrainTimeout()) {
-		h.ckptErrors.Inc()
-	}
-	h.candidates.Close()
-	h.deliverWG.Wait()
 	if h.listener != nil {
+		if !h.listener.server.DrainWorkers(h.cfg.netDrainTimeout()) {
+			h.ckptErrors.Inc()
+		}
 		h.listener.server.Close()
 	}
+	close(h.candidates)
+	h.deliverWG.Wait()
 	if h.wal != nil {
 		// Consumers and replayers have drained; everything appended is
 		// fsynced by the close, so the checkpoints written before it never
@@ -490,30 +490,11 @@ func (a *attachment) Close() {
 	slot.state.Store(replicaDead)
 }
 
-// publish appends one edge to the firehose, carrying its ingest-hop delay if
-// Config.IngestDelay models one: the log stores the sample, so every replica,
-// replay and transport reports the same figure. The sample is keyed by the
-// offset the edge is about to take, hence the lock around reading the head
-// and publishing at it (the topic serializes publishers regardless).
-func (h *hubTier) publish(e graph.Edge) error {
-	m := h.cfg.IngestDelay
-	if m == nil {
-		return h.firehose.Publish(e, 0)
-	}
-	h.ingestMu.Lock()
-	defer h.ingestMu.Unlock()
-	return h.firehose.Publish(e, m.Sample(hopRand(h.cfg.Seed, h.firehose.Published())))
-}
-
 // offer hands one event's candidates to the delivery tier, whose per-group
-// offset filter collapses the replicas' identical offers to one per event —
-// identical in simulated delay too: the delivery-hop sample is added here,
-// at the one candidate queue, keyed by the event's offset.
+// offset filter collapses the replicas' identical offers to one per event.
 func (h *hubTier) offer(msg transport.CandMsg) error {
-	if m := h.cfg.DeliveryDelay; m != nil {
-		msg.Delay += m.Sample(hopRand(h.cfg.Seed+1, msg.Offset))
-	}
-	return h.candidates.Publish(msg, msg.Delay)
+	h.candidates <- msg
+	return nil
 }
 
 // acked: in process an offer returns once the candidate queue has the batch.

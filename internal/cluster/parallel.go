@@ -300,7 +300,7 @@ func (h *replicaHost) applyBatch(rep *replica, b *replicaBatch) bool {
 		// event whose candidates were not yet handed to the delivery tier,
 		// or a restore from that cut would skip re-emitting them.
 		if len(ev) > 0 && !dead {
-			msg := transport.CandMsg{Pid: rep.pid, Offset: env.Offset, PubNS: env.PubUnixNS, Delay: env.VirtualDelay, Cands: ev}
+			msg := transport.CandMsg{Pid: rep.pid, Offset: env.Offset, PubNS: env.PubUnixNS, Cands: ev}
 			if h.link.offer(msg) != nil {
 				return false
 			}

@@ -13,7 +13,6 @@ import (
 	"motifstream/internal/dynstore"
 	"motifstream/internal/graph"
 	"motifstream/internal/placement"
-	"motifstream/internal/queue"
 )
 
 // replicaCkptDir names a generation-0 replica checkpoint directory — the
@@ -238,8 +237,8 @@ func TestFaultEquivalenceOracle(t *testing.T) {
 	stream := motifWorkload(42, 60, 600)
 	delayedConfig := func() Config {
 		cfg := recoveryConfig(t, static)
-		cfg.IngestDelay = queue.LognormalFromQuantiles(3*time.Second, 7*time.Second)
-		cfg.DeliveryDelay = queue.LognormalFromQuantiles(4*time.Second, 8*time.Second)
+		cfg.IngestDelay = LognormalFromQuantiles(3*time.Second, 7*time.Second)
+		cfg.DeliveryDelay = LognormalFromQuantiles(4*time.Second, 8*time.Second)
 		cfg.Seed = 7
 		return cfg
 	}

@@ -2,9 +2,7 @@ package queue
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
-	"time"
 )
 
 // BenchmarkPublishFanOut measures one publish delivered to n draining
@@ -69,14 +67,5 @@ func BenchmarkPublish(b *testing.B) {
 			t.Close()
 			<-done
 		})
-	}
-}
-
-func BenchmarkLognormalSample(b *testing.B) {
-	m := LognormalFromQuantiles(7*time.Second, 15*time.Second)
-	r := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Sample(r)
 	}
 }

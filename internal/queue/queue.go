@@ -1,16 +1,10 @@
 // Package queue provides the in-process message fabric the cluster runs
 // on: fan-out pub/sub Topics with per-subscriber backpressure, and — for
 // topics built with Retain — an offset-addressable retained log supporting
-// replay.
-//
-// The paper reports that "nearly all the latency comes from event
-// propagation delays in various message queues" (7s median, 15s p99
-// end-to-end) "while the actual graph queries take only a few
-// milliseconds". A Topic does not simulate that delay: it carries, unchanged
-// and identically to every subscriber and every replay, whatever simulated
-// delay its publisher hands to Publish. The models experiment E2 draws the
-// delay from (see DelayModel) live here only because every tier imports
-// this package; the cluster's hub tier samples them, once per hop per event.
+// replay. It simulates nothing: the paper's queue-propagation delay (7s
+// median, 15s p99 end-to-end) is a function of the seed and an event's
+// offset, which the cluster's delivery loop derives where it spends it, so no
+// envelope, record or log byte carries one.
 //
 // Offsets are the durability currency of the whole system: every
 // published message is stamped with its position in the topic's publish
@@ -30,21 +24,16 @@ import (
 	"time"
 )
 
-// Envelope wraps a message crossing a queue. VirtualDelay is the simulated
-// propagation delay the publisher attributed to the message — the carried
-// argument of Publish, verbatim, the same on every subscriber's copy and on
-// every replay; downstream stages add it to processing time to compute
-// end-to-end latency without sleeping. Offset is the message's position in the topic's publish
-// sequence; consumers that checkpoint their progress record it so a
-// restarted consumer can resume with SubscribeFrom. PubUnixNS is the
-// wall-clock time (UnixNano) the message was first published; replayed
-// envelopes carry zero so recovery traffic never pollutes wall-clock
-// latency measurements with replay lag.
+// Envelope wraps a message crossing a queue. Offset is the message's
+// position in the topic's publish sequence; consumers that checkpoint their
+// progress record it so a restarted consumer can resume with SubscribeFrom.
+// PubUnixNS is the wall-clock time (UnixNano) the message was first
+// published; replayed envelopes carry zero so recovery traffic never
+// pollutes wall-clock latency measurements with replay lag.
 type Envelope[T any] struct {
-	Msg          T
-	VirtualDelay time.Duration
-	Offset       uint64
-	PubUnixNS    int64
+	Msg       T
+	Offset    uint64
+	PubUnixNS int64
 }
 
 // ErrClosed is returned by Publish after Close.
@@ -67,12 +56,11 @@ type subscriber[T any] struct {
 	done chan struct{}
 }
 
-// Record is one retained log entry of a Retain topic. The carried delay is
-// stored so a replayed copy reports the same simulated delay as the
-// original.
+// Record is one retained log entry of a Retain topic. A wrapper of one field
+// is vestigial: it stays only while the benchmark driver names it, and
+// retires with the change that opens benchmark/.
 type Record[T any] struct {
-	Msg     T
-	Carried time.Duration
+	Msg T
 }
 
 // LogBackend is the storage engine behind a Retain topic's
@@ -166,23 +154,19 @@ func (m *memLog[T]) Close() error { return nil }
 // Topic is a fan-out pub/sub queue: every subscriber receives every
 // message, matching the paper's design in which "every partition needs to
 // handle the entire stream of edge creation events". Publish blocks when a
-// subscriber's buffer is full (backpressure). With Retain set, the topic
-// additionally keeps every published message in an offset-addressable
-// in-memory log so a recovering consumer can replay from a checkpointed
-// offset via SubscribeFrom. Safe for concurrent use.
+// subscriber's buffer is full (backpressure), and concurrent publishers are
+// serialized, so every subscriber observes offset order. With Retain set,
+// the topic additionally keeps every published message in an
+// offset-addressable in-memory log so a recovering consumer can replay from
+// a checkpointed offset via SubscribeFrom. Safe for concurrent use.
 type Topic[T any] struct {
-	name    string
-	buf     int
-	retain  bool
-	ordered bool
+	name   string
+	buf    int
+	retain bool
 
-	// pubMu serializes publishers on ordered (and all retained) topics so
-	// offset order equals every subscriber's delivery order — the
-	// invariant both replay and any consumer-side offset sequencing
-	// depend on. Unordered topics skip it: their consumers only need
-	// per-publisher FIFO, which channel sends already give, and keeping
-	// publishers independent avoids head-of-line blocking when one
-	// subscriber's buffer is full. mu guards the mutable state below; it
+	// pubMu serializes publishers so offset order equals every subscriber's
+	// delivery order — the invariant both replay and any consumer-side
+	// offset sequencing depend on. mu guards the mutable state below; it
 	// is never held across a channel send, and — so a disk-backed log
 	// cannot stall subscribes and replay hand-offs behind an fsync — never
 	// across a backend call either: the retained append happens under
@@ -206,8 +190,7 @@ type Topic[T any] struct {
 }
 
 // Options configures a Topic: its label, its backpressure bound and its
-// ordering and retention guarantees. Nothing here shapes simulated delay —
-// that is the publisher's argument to Publish.
+// retention.
 type Options struct {
 	// Name labels the topic in stats.
 	Name string
@@ -216,12 +199,11 @@ type Options struct {
 	// Retain keeps every published message in an in-memory log,
 	// addressable by offset, enabling SubscribeFrom replay. Deployments
 	// that checkpoint consumers bound the log with TruncateBelow once a
-	// prefix can no longer be replayed from. Retain implies Ordered.
+	// prefix can no longer be replayed from.
 	Retain bool
-	// Ordered serializes concurrent publishers so every subscriber
-	// observes envelopes in offset order. Required when consumers
-	// sequence on Envelope.Offset across publishers; costs head-of-line
-	// blocking under backpressure.
+	// Ordered is vestigial and ignored: every topic serializes its
+	// publishers. It stays while the benchmark driver sets it, and retires
+	// with the change that opens benchmark/.
 	Ordered bool
 }
 
@@ -232,7 +214,7 @@ func NewTopic[T any](opts Options) *Topic[T] {
 }
 
 // NewTopicWithLog creates a Topic whose retained log is stored in the
-// given backend; non-nil implies Retain (and therefore Ordered). Pass an
+// given backend; non-nil implies Retain. Pass an
 // opened WAL to make the log durable: offsets then survive the process,
 // and the topic resumes publishing from the backend's end. The topic does
 // not take ownership — the caller closes a durable backend itself, after
@@ -250,7 +232,6 @@ func NewTopicWithLog[T any](opts Options, backend LogBackend[T]) *Topic[T] {
 		name:    opts.Name,
 		buf:     b,
 		retain:  retain,
-		ordered: opts.Ordered || retain,
 		backend: backend,
 		byCh:    map[<-chan Envelope[T]]*subscriber[T]{},
 	}
@@ -369,11 +350,7 @@ func (t *Topic[T]) replay(sub *subscriber[T], next uint64) {
 			return
 		}
 		for i, r := range buf[:n] {
-			env := Envelope[T]{
-				Msg:          r.Msg,
-				VirtualDelay: r.Carried,
-				Offset:       next + uint64(i),
-			}
+			env := Envelope[T]{Msg: r.Msg, Offset: next + uint64(i)}
 			select {
 			case sub.ch <- env:
 			case <-sub.done:
@@ -395,60 +372,42 @@ func (t *Topic[T]) unsubscribedLocked(sub *subscriber[T]) bool {
 }
 
 // Publish delivers msg to every subscriber, stamping each copy with the
-// publish offset and with carried — the simulated delay the publisher
-// attributes to the message — as its VirtualDelay. Returns ErrClosed after Close,
-// and surfaces retained-append failures from a durable log backend.
-func (t *Topic[T]) Publish(msg T, carried time.Duration) error {
-	if t.ordered {
-		t.pubMu.Lock()
-		defer t.pubMu.Unlock()
-	}
-	if t.backend != nil {
-		// Retained path. The append runs under pubMu alone — mu is held
-		// only for the brief bookkeeping on either side — so a slow disk
-		// (a WAL fsync batch) back-pressures publishers without stalling
-		// Subscribe, replay hand-offs, or stats reads behind file I/O.
-		// Ordering: the record lands in the backend before published
-		// advances, so any replayer that observes the offset can read it.
-		t.mu.Lock()
-		if t.closed {
-			t.mu.Unlock()
-			return ErrClosed
-		}
-		off := t.published
-		t.mu.Unlock()
-		if err := t.backend.Append(Record[T]{Msg: msg, Carried: carried}); err != nil {
-			return fmt.Errorf("queue: %s: retained append: %w", t.name, err)
-		}
-		t.mu.Lock()
-		t.published++
-		subs := t.subs
-		t.mu.Unlock()
-		t.fanOut(subs, msg, carried, off)
-		return nil
-	}
+// publish offset. Returns ErrClosed after Close, and surfaces
+// retained-append failures from a durable log backend. The second parameter
+// is vestigial and ignored: it stays while the benchmark driver passes it,
+// and retires with the change that opens benchmark/.
+func (t *Topic[T]) Publish(msg T, _ time.Duration) error {
+	t.pubMu.Lock()
+	defer t.pubMu.Unlock()
+	// mu is held only for the brief bookkeeping on either side of the
+	// retained append, which runs under pubMu alone: a slow disk (a WAL
+	// fsync batch) back-pressures publishers without stalling Subscribe,
+	// replay hand-offs, or stats reads behind file I/O. The record lands in
+	// the backend before published advances, so any replayer that observes
+	// the offset can read it.
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	closed, off := t.closed, t.published
+	t.mu.Unlock()
+	if closed {
 		return ErrClosed
 	}
-	off := t.published
+	if t.backend != nil {
+		if err := t.backend.Append(Record[T]{Msg: msg}); err != nil {
+			return fmt.Errorf("queue: %s: retained append: %w", t.name, err)
+		}
+	}
+	t.mu.Lock()
 	t.published++
 	subs := t.subs
 	t.mu.Unlock()
-	t.fanOut(subs, msg, carried, off)
+	t.fanOut(subs, msg, off)
 	return nil
 }
 
 // fanOut sends the same envelope to every subscriber; one mid-Unsubscribe
 // is skipped via done. The publish wall-clock time is taken once.
-func (t *Topic[T]) fanOut(subs []*subscriber[T], msg T, carried time.Duration, off uint64) {
-	env := Envelope[T]{
-		Msg:          msg,
-		VirtualDelay: carried,
-		Offset:       off,
-		PubUnixNS:    time.Now().UnixNano(),
-	}
+func (t *Topic[T]) fanOut(subs []*subscriber[T], msg T, off uint64) {
+	env := Envelope[T]{Msg: msg, Offset: off, PubUnixNS: time.Now().UnixNano()}
 	for _, s := range subs {
 		select {
 		case s.ch <- env:
@@ -484,10 +443,8 @@ func (t *Topic[T]) Unsubscribe(ch <-chan Envelope[T]) {
 }
 
 // Close closes all subscriber channels. Publish afterwards fails. Taking
-// pubMu first waits out any in-flight Publish fan-out on ordered topics
-// so no send can race the channel close; for unordered topics the
-// caller must stop publishers before closing (the cluster closes each
-// topic only after the goroutines feeding it have drained).
+// pubMu first waits out any in-flight Publish fan-out, so no send can race
+// the channel close.
 func (t *Topic[T]) Close() {
 	t.pubMu.Lock()
 	defer t.pubMu.Unlock()

@@ -1,9 +1,6 @@
 package queue
 
 import (
-	"math"
-	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -67,24 +64,6 @@ func TestTopicCloseSemantics(t *testing.T) {
 	}
 }
 
-// The topic adds nothing to the delay its publisher carried in: every
-// subscriber's copy of one offset reports exactly what Publish was given.
-func TestTopicDelayAccumulation(t *testing.T) {
-	topic := NewTopic[int](Options{})
-	subs := []<-chan Envelope[int]{topic.Subscribe(), topic.Subscribe()}
-	carried := []time.Duration{2 * time.Second, 0, 1500 * time.Millisecond}
-	for i, d := range carried {
-		topic.Publish(i, d)
-	}
-	for s, sub := range subs {
-		for i, d := range carried {
-			if env := <-sub; env.Offset != uint64(i) || env.VirtualDelay != d {
-				t.Fatalf("subscriber %d offset %d: VirtualDelay = %v, want %v", s, env.Offset, env.VirtualDelay, d)
-			}
-		}
-	}
-}
-
 func TestTopicBackpressure(t *testing.T) {
 	topic := NewTopic[int](Options{Buffer: 1})
 	sub := topic.Subscribe()
@@ -133,49 +112,5 @@ func TestTopicConcurrentPublish(t *testing.T) {
 	}
 	if len(got) != writers*per {
 		t.Fatalf("received %d distinct messages, want %d", len(got), writers*per)
-	}
-}
-
-func TestFixedDelay(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	if (Fixed{D: time.Minute}).Sample(r) != time.Minute {
-		t.Fatal("Fixed should sample D")
-	}
-}
-
-func TestLognormalFromQuantiles(t *testing.T) {
-	// The paper's observation: median 7s, p99 15s.
-	m := LognormalFromQuantiles(7*time.Second, 15*time.Second)
-	r := rand.New(rand.NewSource(42))
-	const n = 200_000
-	samples := make([]float64, n)
-	for i := range samples {
-		samples[i] = m.Sample(r).Seconds()
-	}
-	sort.Float64s(samples)
-	median := samples[n/2]
-	p99 := samples[int(0.99*n)]
-	if math.Abs(median-7) > 0.2 {
-		t.Fatalf("median = %.2fs, want ~7s", median)
-	}
-	if math.Abs(p99-15) > 0.7 {
-		t.Fatalf("p99 = %.2fs, want ~15s", p99)
-	}
-}
-
-func TestLognormalFromQuantilesValidation(t *testing.T) {
-	for _, bad := range [][2]time.Duration{
-		{0, time.Second},
-		{time.Second, time.Second},
-		{2 * time.Second, time.Second},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("quantiles %v should panic", bad)
-				}
-			}()
-			LognormalFromQuantiles(bad[0], bad[1])
-		}()
 	}
 }

@@ -98,27 +98,6 @@ func TestSubscribeFromOnClosedTopicDrainsThenCloses(t *testing.T) {
 	}
 }
 
-func TestSubscribeFromCarriesStoredDelay(t *testing.T) {
-	topic := NewTopic[int](Options{Retain: true})
-	live := topic.Subscribe()
-	topic.Publish(7, 2*time.Second)
-	// A replayed copy reports what the live one did — the delay Publish was
-	// given, stored with the record — however often it is replayed.
-	want := (<-live).VirtualDelay
-	if want != 2*time.Second {
-		t.Fatalf("live VirtualDelay = %v, want 2s", want)
-	}
-	for i := 0; i < 2; i++ {
-		sub, err := topic.SubscribeFrom(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if env := <-sub; env.VirtualDelay != want {
-			t.Fatalf("replay %d: VirtualDelay = %v, live copy had %v", i, env.VirtualDelay, want)
-		}
-	}
-}
-
 func TestUnsubscribeReleasesBlockedPublisher(t *testing.T) {
 	topic := NewTopic[int](Options{Buffer: 1})
 	dead := topic.Subscribe()

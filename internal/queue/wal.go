@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 
 	"motifstream/internal/codecutil"
 )
@@ -29,7 +28,14 @@ import (
 // protected by a CRC32C:
 //
 //	u32 payload length | u32 CRC32C(payload) | payload
-//	payload = u64 carried-delay nanoseconds | marshaled message
+//	payload = marshaled message                      (format version 2)
+//	payload = 8 bytes, unread | marshaled message    (format version 1)
+//
+// The magic's last byte is the segment's format version. New segments are
+// version 2. A version-1 segment — written before the simulated queue delay
+// left the log, which the 8-byte prefix held — stays readable: Read skips
+// the prefix, and an append to a version-1 tail writes it as zeros, so a
+// segment never mixes layouts and the next rotation starts a version-2 one.
 //
 // Durability is batched: records are buffered, handed to the OS every
 // SyncEvery appends, and fsynced by a background syncer goroutine (with
@@ -51,8 +57,15 @@ import (
 // kept in memory (8 bytes per retained record, strictly less than the
 // in-memory backend kept) and rebuilt from the segment scan at open.
 
-// walMagic identifies a WAL segment file, format version 1.
-var walMagic = [8]byte{'M', 'S', 'W', 'A', 'L', 0, 0, 1}
+// walMagic identifies a WAL segment file of format version 2, the one
+// written; walMagicV1 one of version 1, whose records carry walV1Prefix
+// unread bytes ahead of the message.
+var (
+	walMagic   = [8]byte{'M', 'S', 'W', 'A', 'L', 0, 0, 2}
+	walMagicV1 = [8]byte{'M', 'S', 'W', 'A', 'L', 0, 0, 1}
+)
+
+const walV1Prefix = 8
 
 // ErrWALCorrupt is wrapped by OpenWAL errors when a non-tail segment is
 // damaged: the log has a hole that replay cannot paper over.
@@ -96,6 +109,9 @@ type WALOptions[T any] struct {
 type walSegment struct {
 	first uint64
 	path  string
+	// skip is how many payload bytes precede the message: walV1Prefix in a
+	// version-1 segment, zero in a version-2 one.
+	skip int
 	// index[i] is the byte position of record first+i's header.
 	index []int64
 	// size is the byte length of valid content (header + records).
@@ -272,12 +288,15 @@ func scanWALSegment(path string, tail bool) (*walSegment, uint64, error) {
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, 0, fmt.Errorf("queue: wal segment %s: header: %w", path, err)
 	}
-	if [8]byte(hdr[:8]) != walMagic {
+	seg := &walSegment{first: binary.LittleEndian.Uint64(hdr[16:24]), path: path, size: walHeaderLen}
+	switch [8]byte(hdr[:8]) {
+	case walMagic:
+	case walMagicV1:
+		seg.skip = walV1Prefix
+	default:
 		return nil, 0, fmt.Errorf("queue: wal segment %s: bad magic %q", path, hdr[:8])
 	}
 	id := binary.LittleEndian.Uint64(hdr[8:16])
-	first := binary.LittleEndian.Uint64(hdr[16:24])
-	seg := &walSegment{first: first, path: path, size: walHeaderLen}
 
 	var rec [walRecHeader]byte
 	payload := make([]byte, 0, 4096)
@@ -289,8 +308,11 @@ func scanWALSegment(path string, tail bool) (*walSegment, uint64, error) {
 			}
 			return tornOrCorrupt(seg, id, tail, path, "short record header")
 		}
+		// A record holds a message of at least one byte (Append refuses an
+		// empty one), so no payload is as short as its prefix. A zero-filled
+		// torn tail would otherwise parse as an empty record: CRC32C("") is 0.
 		n, crc := codecutil.DecodeFrameHeader(rec[:])
-		if n == 0 || n > maxWALPayload {
+		if n <= uint32(seg.skip) || n > maxWALPayload {
 			return tornOrCorrupt(seg, id, tail, path, "implausible record length")
 		}
 		if cap(payload) < int(n) {
@@ -354,11 +376,15 @@ func (w *WAL[T]) createSegment(first uint64) (*walSegment, error) {
 func (w *WAL[T]) ID() uint64 { return w.id }
 
 // Append implements LogBackend: marshal, frame, buffer, and fsync every
-// SyncEvery records.
+// SyncEvery records. A message that marshals to no bytes is refused: the
+// scan could not tell its record from a zero-filled torn tail.
 func (w *WAL[T]) Append(rec Record[T]) error {
 	msg, err := w.opts.Marshal(rec.Msg)
 	if err != nil {
 		return fmt.Errorf("queue: wal marshal: %w", err)
+	}
+	if len(msg) == 0 {
+		return errors.New("queue: wal marshal: empty message")
 	}
 
 	w.mu.Lock()
@@ -370,14 +396,13 @@ func (w *WAL[T]) Append(rec Record[T]) error {
 		return fmt.Errorf("queue: wal background sync: %w", w.syncErr)
 	}
 	tail := w.segs[len(w.segs)-1]
-	// Frame header, carried prefix and message are assembled in the WAL's
-	// own buffer (mu guards it) and handed to the writer in one call, so a
-	// record costs no allocation here beyond Marshal's.
-	w.frame = append(w.frame[:0], make([]byte, walRecHeader+8)...)
+	// Frame header, a version-1 tail's zeroed prefix and the message are
+	// assembled in the WAL's own buffer (mu guards it) and handed to the
+	// writer in one call, so a record costs no allocation here beyond
+	// Marshal's.
+	w.frame = append(w.frame[:0], make([]byte, walRecHeader+tail.skip)...)
 	w.frame = append(w.frame, msg...)
-	payload := w.frame[walRecHeader:]
-	binary.LittleEndian.PutUint64(payload[:8], uint64(rec.Carried))
-	codecutil.EncodeFrameHeader(w.frame, payload)
+	codecutil.EncodeFrameHeader(w.frame, w.frame[walRecHeader:])
 	if _, err := w.bw.Write(w.frame); err != nil {
 		return err
 	}
@@ -527,7 +552,7 @@ func (w *WAL[T]) Read(from uint64, dst []Record[T]) (int, error) {
 		}
 		n, crc := codecutil.DecodeFrameHeader(buf[pos : pos+walRecHeader])
 		pos += walRecHeader
-		if n == 0 || n > maxWALPayload || pos+int(n) > len(buf) {
+		if n <= uint32(seg.skip) || n > maxWALPayload || pos+int(n) > len(buf) {
 			return 0, fmt.Errorf("queue: wal read %s: implausible record length %d", seg.path, n)
 		}
 		payload := buf[pos : pos+int(n)]
@@ -535,11 +560,11 @@ func (w *WAL[T]) Read(from uint64, dst []Record[T]) (int, error) {
 		if codecutil.CRC32C(payload) != crc {
 			return 0, fmt.Errorf("queue: wal read %s: record %d checksum mismatch", seg.path, idx+k)
 		}
-		msg, err := w.opts.Unmarshal(payload[8:])
+		msg, err := w.opts.Unmarshal(payload[seg.skip:])
 		if err != nil {
 			return 0, fmt.Errorf("queue: wal unmarshal: %w", err)
 		}
-		dst[k] = Record[T]{Msg: msg, Carried: time.Duration(binary.LittleEndian.Uint64(payload[:8]))}
+		dst[k] = Record[T]{Msg: msg}
 	}
 	return count, nil
 }

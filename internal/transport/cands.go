@@ -12,7 +12,7 @@ const (
 	// forwarderWindow bounds the candidate messages a forwarder holds between
 	// Offer and the hub's ack, framed or not. At the bound Offer blocks —
 	// backpressure reaches the replica apply loops exactly as a full
-	// in-process candidate topic's would (same depth as its buffer).
+	// in-process candidate queue's would (same depth as its buffer).
 	forwarderWindow = 4096
 	// candFrameMax bounds the messages coalesced into one frame: the hub acks
 	// a frame only after delivering all of it, so this is also the coarsest

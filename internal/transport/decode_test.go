@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"slices"
 	"testing"
-	"time"
 
 	"motifstream/internal/codecutil"
 	"motifstream/internal/graph"
@@ -37,7 +36,7 @@ func candBatches(n, msgs int) ([][]CandMsg, [][]byte) {
 				cands[j] = motif.Candidate{User: graph.VertexID(rng.Intn(1 << 20)), Item: trigger.Dst, Via: via,
 					Trigger: trigger, DetectedAtMS: trigger.TS, Program: "diamond", Score: float64(len(via))}
 			}
-			batch[i] = CandMsg{Pid: i % 4, Offset: uint64(f*msgs + i), PubNS: int64(f), Delay: time.Millisecond, Cands: cands}
+			batch[i] = CandMsg{Pid: i % 4, Offset: uint64(f*msgs + i), PubNS: int64(f), Cands: cands}
 		}
 		batches[f] = batch
 		payloads[f] = encodeCandBatch(uint64(f+1), batch)
@@ -138,7 +137,7 @@ func FuzzCandBatchRoundTrip(f *testing.F) {
 		for i := range batches {
 			var batch []CandMsg
 			for n := next() % 6; n > 0; n-- {
-				m := CandMsg{Pid: int(next()), Offset: wide(), PubNS: -int64(wide()), Delay: time.Duration(wide())}
+				m := CandMsg{Pid: int(next()), Offset: wide(), PubNS: -int64(wide())}
 				for c := next() % 5; c > 0; c-- {
 					cand := motif.Candidate{User: graph.VertexID(wide()), Item: graph.VertexID(wide()),
 						Trigger:      graph.Edge{Src: graph.VertexID(wide()), Dst: graph.VertexID(next()), Type: graph.EdgeType(next()), TS: int64(wide())},

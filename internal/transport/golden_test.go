@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"motifstream/internal/codecutil"
 	"motifstream/internal/graph"
@@ -15,7 +14,7 @@ import (
 )
 
 // wireGolden is one message as it crosses the socket in wire format version
-// 3: testdata/<file> holds its frame — header (length, CRC32C) and payload —
+// 4: testdata/<file> holds its frame — header (length, CRC32C) and payload —
 // as this version's encoder wrote it. reencode decodes a payload and encodes
 // the result again.
 type wireGolden struct {
@@ -33,11 +32,21 @@ func wireGoldens() []wireGolden {
 				return encodeHelloFeed(h), wr.Err
 			}},
 		{"env_batch.frame", encodeEnvBatch(nil, logMeta{7, 100, 5}, []queue.Envelope[graph.Edge]{
-			{Offset: 9, VirtualDelay: time.Second, PubUnixNS: 123, Msg: graph.Edge{Src: 1, Dst: 2, Type: graph.Follow, TS: 42}},
+			{Offset: 9, PubUnixNS: 123, Msg: graph.Edge{Src: 1, Dst: 2, Type: graph.Follow, TS: 42}},
 			{Offset: 10, Msg: graph.Edge{Src: 300, Dst: 1 << 40, Type: graph.Retweet, TS: -7}},
 		}), func(p []byte) ([]byte, error) {
 			meta, envs, err := decodeEnvBatch(wireCursor(p[1:]), nil)
 			return encodeEnvBatch(nil, meta, envs), err
+		}},
+		{"cand_batch.frame", encodeCandBatch(5, []CandMsg{
+			{Pid: 1, Offset: 9, PubNS: 123, Cands: []motif.Candidate{
+				{User: 42, Item: 6, Via: []graph.VertexID{7, 8}, Trigger: graph.Edge{Src: 8, Dst: 6, Type: graph.Follow, TS: 99}, DetectedAtMS: 99, Program: "diamond", Score: 2},
+				{User: 43, Item: 6, Via: []graph.VertexID{8}, Trigger: graph.Edge{Src: 8, Dst: 6, Type: graph.Follow, TS: 99}, DetectedAtMS: 99, Program: "co-action", Score: 0.5},
+			}},
+			{Pid: 3, Offset: 1 << 40, Cands: []motif.Candidate{{User: 1 << 35, Item: 2, Program: "diamond", Score: 1}}},
+		}), func(p []byte) ([]byte, error) {
+			seq, msgs, err := decodeCandBatch(wireCursor(p[1:]), newCandDecoder())
+			return encodeCandBatch(seq, msgs), err
 		}},
 		{"recs_req.frame", typeU2(msgRecsReq, 3, 42), reencodeReadReq},
 		{"top_req.frame", typeU2(msgTopReq, 4, 10), reencodeReadReq},
@@ -65,13 +74,13 @@ func reencodeReadReq(p []byte) ([]byte, error) {
 // goldens: both requests, both responses.
 func readFrames() [][]byte {
 	var out [][]byte
-	for _, g := range wireGoldens()[2:] {
+	for _, g := range wireGoldens()[3:] {
 		out = append(out, g.payload)
 	}
 	return out
 }
 
-// TestWireGoldenFrames pins wire format version 3 at the byte level: each
+// TestWireGoldenFrames pins wire format version 4 at the byte level: each
 // message encodes to its golden frame, and the golden frame reads back and
 // decodes to a message that encodes to the same bytes.
 func TestWireGoldenFrames(t *testing.T) {

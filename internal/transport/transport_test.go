@@ -674,7 +674,7 @@ func TestFrameOversized(t *testing.T) {
 // and no single-bit flip of it reads back as an intact frame, and no strict
 // prefix of the payload decodes as a message.
 func TestFramePrefixesAndBitFlipsRejected(t *testing.T) {
-	payload := encodeCandBatch(3, []CandMsg{{Pid: 1, Offset: 2, PubNS: 3, Delay: time.Millisecond, Cands: []motif.Candidate{
+	payload := encodeCandBatch(3, []CandMsg{{Pid: 1, Offset: 2, PubNS: 3, Cands: []motif.Candidate{
 		{User: 5, Item: 6, Via: []graph.VertexID{7, 8}, Program: "diamond", Score: 1.5},
 		{User: 5, Item: 9, Via: []graph.VertexID{7}, Program: "diamond", Score: 1},
 	}}})
@@ -732,9 +732,9 @@ func FuzzTransportFrame(f *testing.F) {
 	f.Add([]byte{msgEOS})
 	f.Add(encodeHelloFeed(helloFeed{pid: 1, r: 2, gen: 3, floor: 300, resume: 4000}))
 	f.Add(encodeEnvBatch(nil, logMeta{7, 100, 5}, []queue.Envelope[graph.Edge]{
-		{Offset: 9, VirtualDelay: time.Second, PubUnixNS: 123, Msg: graph.Edge{Src: 1, Dst: 2, Type: graph.Follow, TS: 42}},
+		{Offset: 9, PubUnixNS: 123, Msg: graph.Edge{Src: 1, Dst: 2, Type: graph.Follow, TS: 42}},
 	}))
-	f.Add(encodeCandBatch(3, []CandMsg{{Pid: 1, Offset: 2, PubNS: 3, Delay: time.Millisecond, Cands: []motif.Candidate{
+	f.Add(encodeCandBatch(3, []CandMsg{{Pid: 1, Offset: 2, PubNS: 3, Cands: []motif.Candidate{
 		{User: 5, Item: 6, Via: []graph.VertexID{7, 8}, Program: "diamond", Score: 1.5},
 	}}}))
 	f.Add(encodeRecsResp(2, []motif.Candidate{{User: 1, Item: 2}}))

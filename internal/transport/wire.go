@@ -5,8 +5,11 @@
 //
 // The wire codec is the WAL's record framing (u32 length + CRC32C,
 // hoisted into internal/codecutil), so a frame on the socket and a record
-// in the log are the same bytes-level artifact. Two connection kinds
-// exist, both dialed worker→hub, so a worker needs no listening socket:
+// in the log are the same bytes-level artifact. Every connection is dialed
+// worker→hub, so a worker needs no listening socket. Besides a transient
+// meta connection — one hello answered with the log's identity and bounds,
+// then closed, which DialFeed makes once to learn which log it restores
+// against — two long-lived kinds exist:
 //
 //   - feed: one per replica. The worker attaches to its slot with its
 //     restore floor and a resume offset; the hub streams envelope batches
@@ -30,7 +33,6 @@ package transport
 import (
 	"encoding/binary"
 	"math"
-	"time"
 
 	"motifstream/internal/codecutil"
 	"motifstream/internal/graph"
@@ -39,11 +41,11 @@ import (
 	"motifstream/internal/queue"
 )
 
-// connMagic opens every transport connection, format version 3 (reads ride
-// the feed connection; the feed hello lost version 2's read address); an
-// older peer fails the preamble check, so a mixed deployment is refused, not
+// connMagic opens every transport connection, format version 4 (envelopes
+// and candidate messages lost version 3's simulated-delay field); an older
+// peer fails the preamble check, so a mixed deployment is refused, not
 // misparsed.
-var connMagic = [8]byte{'M', 'S', 'T', 'P', 'T', 0, 0, 3}
+var connMagic = [8]byte{'M', 'S', 'T', 'P', 'T', 0, 0, 4}
 
 // maxFrame bounds any accepted wire frame: larger claims are corruption
 // or a hostile peer, rejected before allocation.
@@ -160,7 +162,6 @@ func encodeEnvBatch(b []byte, meta logMeta, envs []queue.Envelope[graph.Edge]) [
 	b = binary.AppendUvarint(b, uint64(len(envs)))
 	for _, env := range envs {
 		b = binary.AppendUvarint(b, env.Offset)
-		b = binary.AppendUvarint(b, uint64(env.VirtualDelay))
 		b = binary.AppendVarint(b, env.PubUnixNS)
 		b = appendEdge(b, env.Msg)
 	}
@@ -169,11 +170,10 @@ func encodeEnvBatch(b []byte, meta logMeta, envs []queue.Envelope[graph.Edge]) [
 
 func decodeEnvBatch(r *codecutil.Cursor, dst []queue.Envelope[graph.Edge]) (logMeta, []queue.Envelope[graph.Edge], error) {
 	meta := decodeLogMeta(r)
-	n := r.Count("env count", 7)
+	n := r.Count("env count", 6)
 	for i := 0; i < n && r.Err == nil; i++ {
 		var env queue.Envelope[graph.Edge]
 		env.Offset = r.U("env offset")
-		env.VirtualDelay = time.Duration(r.U("env delay"))
 		env.PubUnixNS = r.I("env pub ns")
 		env.Msg = decodeEdge(r, "env edge")
 		dst = append(dst, env)
@@ -184,15 +184,14 @@ func decodeEnvBatch(r *codecutil.Cursor, dst []queue.Envelope[graph.Edge]) (logM
 // CandMsg is one event's worth of candidates from one replica: the group
 // it came from and the firehose offset of the triggering event, so the
 // delivery consumer can collapse the replicas' redundant emissions to
-// exactly one batch per event per group. PubNS carries the triggering
-// event's wall-clock publish time (zero for replayed events), letting the
-// delivery tier measure real end-to-end detection latency alongside the
-// virtual-delay model, whose delay accumulated so far is Delay.
+// exactly one batch per event per group — and derive its simulated queue
+// delay from the offset. PubNS carries the triggering event's wall-clock
+// publish time (zero for replayed events), letting the delivery tier
+// measure real end-to-end detection latency.
 type CandMsg struct {
 	Pid    int
 	Offset uint64
 	PubNS  int64
-	Delay  time.Duration
 	Cands  []motif.Candidate
 }
 
@@ -273,7 +272,6 @@ func encodeCandBatch(seq uint64, msgs []CandMsg) []byte {
 		b = binary.AppendUvarint(b, uint64(m.Pid))
 		b = binary.AppendUvarint(b, m.Offset)
 		b = binary.AppendVarint(b, m.PubNS)
-		b = binary.AppendUvarint(b, uint64(m.Delay))
 		b = binary.AppendUvarint(b, uint64(len(m.Cands)))
 		for _, c := range m.Cands {
 			b = appendCandidate(b, c)
@@ -287,14 +285,13 @@ func encodeCandBatch(seq uint64, msgs []CandMsg) []byte {
 // windows of d's arenas and may be kept.
 func decodeCandBatch(r *codecutil.Cursor, d *candDecoder) (seq uint64, msgs []CandMsg, err error) {
 	seq = r.U("cand seq")
-	n := r.Count("cand msg count", 5)
+	n := r.Count("cand msg count", 4)
 	msgs = d.msgs[:0]
 	for i := 0; i < n && r.Err == nil; i++ {
 		var m CandMsg
 		m.Pid = int(r.U("cand pid"))
 		m.Offset = r.U("cand offset")
 		m.PubNS = r.I("cand pub ns")
-		m.Delay = time.Duration(r.U("cand delay"))
 		m.Cands = decodeCandidates(r, "cand count", d)
 		msgs = append(msgs, m)
 	}

@@ -95,6 +95,33 @@ func TestPrimaryDiamondValidation(t *testing.T) {
 	}
 }
 
+// TestQueueDelayValidation: quantiles that cannot shape a lognormal are an
+// error, not a cluster that silently simulates no delay; a zero median is
+// the documented way to turn the simulation off.
+func TestQueueDelayValidation(t *testing.T) {
+	for _, q := range [][2]time.Duration{
+		{20 * time.Second, 15 * time.Second},
+		{7 * time.Second, 7 * time.Second},
+		{-time.Second, 15 * time.Second},
+		{0, -time.Second},
+	} {
+		clu, err := motifstream.NewCluster(fig1(), motifstream.ClusterOptions{
+			Partitions: 2, QueueDelayMedian: q[0], QueueDelayP99: q[1],
+		})
+		if err == nil {
+			clu.Stop()
+			t.Errorf("NewCluster accepted queue delay median %v, p99 %v", q[0], q[1])
+		}
+	}
+	for _, p99 := range []time.Duration{0, 15 * time.Second} {
+		clu, err := motifstream.NewCluster(fig1(), motifstream.ClusterOptions{Partitions: 2, QueueDelayP99: p99})
+		if err != nil {
+			t.Fatalf("zero median, p99 %v: %v", p99, err)
+		}
+		clu.Stop()
+	}
+}
+
 func TestSystemSuppressKnown(t *testing.T) {
 	static := append(fig1(), motifstream.Edge{Src: 2, Dst: 99, Type: motifstream.Follow})
 	sys, err := motifstream.New(static, motifstream.Options{
