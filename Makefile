@@ -1,17 +1,18 @@
 GO ?= go
 
-.PHONY: check build vet test test-race test-allocs test-crashmatrix test-delivery test-elasticity test-audit test-parallel test-transport test-planner test-codec test-benchmark loc soak-flake soak soak-net bench bench-smoke fuzz fuzz-smoke
+.PHONY: check build vet test test-race examples test-allocs test-crashmatrix test-delivery test-elasticity test-audit test-parallel test-transport test-planner test-codec test-benchmark loc soak-flake soak soak-net bench bench-smoke fuzz fuzz-smoke
 
 # check is the CI gate: formatting, static analysis, the full test suite
 # under the race detector — once — and only what that run does not cover:
 # the allocation gates (they skip under -race), the codec's allocation and
-# format gates, the nested benchmark module's own vet + tests, and short fuzz
-# smoke runs of the durability codecs. test-crashmatrix, test-delivery,
-# test-elasticity, test-audit, test-transport and the -race halves of
-# test-parallel and test-planner are -run subsets of test-race, kept as named
-# targets for the quick loop and deliberately not prerequisites here:
-# internal/cluster under the race detector is the long pole.
-check: fmt-check vet test-race test-allocs test-codec test-benchmark fuzz-smoke
+# format gates, the nested benchmark module's own vet + tests, short fuzz
+# smoke runs of the durability codecs, and every example program run end to
+# end. test-crashmatrix, test-delivery, test-elasticity, test-audit,
+# test-transport and the -race halves of test-parallel and test-planner are
+# -run subsets of test-race, kept as named targets for the quick loop and
+# deliberately not prerequisites here: internal/cluster under the race
+# detector is the long pole.
+check: fmt-check vet test-race test-allocs test-codec test-benchmark fuzz-smoke examples
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
@@ -28,6 +29,14 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# examples runs all six programs under examples/ (about 30 s on 2 vCPUs,
+# cluster and recovery the longest), not just compiles them: a program that
+# panics or exits non-zero fails the target. examples/recovery is the one
+# path through the public facade's recovery on the firehose log a cluster
+# keeps under its CheckpointDir by default.
+examples:
+	@set -e; for d in examples/*/; do echo "== go run ./$$d"; $(GO) run ./$$d; done
 
 # test-allocs runs the candidate path's allocation gates — the kernel's; S's
 # Followers and Follows lookups (0); D's insert on the quiet shape (≤ 0.05 an

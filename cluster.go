@@ -57,8 +57,9 @@ type ClusterOptions struct {
 	Seed int64
 	// CheckpointDir, when non-empty, enables the recovery subsystem:
 	// replicas write periodic durable checkpoints here, the firehose
-	// retains its log for offset replay, and KillReplica/RestoreReplica
-	// become available for crash/recovery testing and operations.
+	// retains its log on disk (LogDir) for offset replay, KillReplica and
+	// RestoreReplica become available for crash/recovery testing and
+	// operations, and the deployment survives Shutdown and ReopenCluster.
 	CheckpointDir string
 	// CheckpointInterval is the stream-time interval between per-replica
 	// checkpoints; zero selects one minute. Ignored without CheckpointDir.
@@ -69,16 +70,17 @@ type ClusterOptions struct {
 	// bounds restore time and advances the firehose log's truncation
 	// horizon. Ignored without CheckpointDir.
 	CheckpointCompactEvery int
-	// LogDir, when non-empty, stores the firehose log as a durable
-	// segmented WAL on disk, making whole-cluster restarts recoverable:
-	// NewCluster (or ReopenCluster) over an existing LogDir plus
-	// CheckpointDir restores every replica from its checkpoint chain and
-	// replays the durable log from its floor offset. Requires
-	// CheckpointDir. See docs/DURABILITY.md for the durable-log contract.
+	// LogDir is where the firehose log is stored as a durable segmented
+	// WAL, making whole-cluster restarts recoverable: NewCluster (or
+	// ReopenCluster) over an existing CheckpointDir and LogDir restores
+	// every replica from its checkpoint chain and replays the durable log
+	// from its floor offset. Empty selects <CheckpointDir>/firehose.
+	// Requires CheckpointDir; forbidden with Join. See docs/DURABILITY.md
+	// for the durable-log contract.
 	LogDir string
 	// LogSyncEvery is the durable log's fsync batch in records — the
 	// bound on the torn tail an OS crash can lose; zero selects 256.
-	// Ignored without LogDir.
+	// Ignored without CheckpointDir.
 	LogSyncEvery int
 	// MirrorBases is the base replication factor: every compacted base
 	// checkpoint is mirrored (CRC-verified) to up to this many peer
@@ -106,9 +108,8 @@ type ClusterOptions struct {
 	// binds a TCP listener on the address (":0" picks a free port; see
 	// ListenAddr), owns the durable firehose log and the delivery tier,
 	// and serves every replica slot to out-of-process workers — no replica
-	// runs in the hub process. Requires LogDir and CheckpointDir. Mutually
-	// exclusive with Join. See docs/OPERATIONS.md, "Multi-process
-	// deployment".
+	// runs in the hub process. Requires CheckpointDir. Mutually exclusive
+	// with Join. See docs/OPERATIONS.md, "Multi-process deployment".
 	Listen string
 	// Join, when non-empty, runs this deployment as a networked worker: it
 	// dials the hub at the address, subscribes to the firehose over TCP
@@ -244,15 +245,15 @@ func NewCluster(staticEdges []Edge, opts ClusterOptions) (*Cluster, error) {
 }
 
 // ReopenCluster restarts a previously shut-down durable deployment: a
-// brand-new cluster over the same LogDir and CheckpointDir restores every
-// replica from its durable checkpoint chain and replays the on-disk
-// firehose log until caught up. After a clean Shutdown the reopened
-// cluster delivers exactly the notification set an uninterrupted run
-// would have. staticEdges and opts must describe the same deployment the
-// directories were written by.
+// brand-new cluster over the same CheckpointDir (and LogDir, if one was
+// set) restores every replica from its durable checkpoint chain and
+// replays the on-disk firehose log until caught up. After a clean Shutdown
+// the reopened cluster delivers exactly the notification set an
+// uninterrupted run would have. staticEdges and opts must describe the
+// same deployment the directories were written by.
 func ReopenCluster(staticEdges []Edge, opts ClusterOptions) (*Cluster, error) {
-	if opts.LogDir == "" {
-		return nil, fmt.Errorf("motifstream: ReopenCluster requires ClusterOptions.LogDir")
+	if opts.CheckpointDir == "" {
+		return nil, fmt.Errorf("motifstream: ReopenCluster requires ClusterOptions.CheckpointDir")
 	}
 	return NewCluster(staticEdges, opts)
 }
@@ -267,10 +268,10 @@ func (c *Cluster) Stop() {
 	c.inner.Stop()
 }
 
-// Shutdown gracefully stops a durable-log cluster: everything drained, a
+// Shutdown gracefully stops a checkpointing cluster: everything drained, a
 // final checkpoint cut per replica, and the on-disk log fsynced — the
 // state a later ReopenCluster resumes from losslessly. Equivalent to Stop
-// on clusters without LogDir.
+// on clusters without CheckpointDir.
 func (c *Cluster) Shutdown() {
 	c.stopHealer()
 	c.inner.Shutdown()

@@ -10,7 +10,7 @@
 //
 // Multi-process deployment (see docs/OPERATIONS.md):
 //
-//	magicrecs -listen :7400 -logdir /data/log -checkpointdir /data/ckpt -workerprocs 2
+//	magicrecs -listen :7400 -checkpointdir /data/ckpt -workerprocs 2
 //	magicrecs -join hub:7400 -owned 0/0,1/0 -checkpointdir /data/ckpt
 //
 // Flags control the paper's tunables: k, the window τ, partition and
@@ -62,8 +62,8 @@ func run(args []string, errOut io.Writer) int {
 		ckptDir    = fs.String("checkpointdir", "", "directory for durable replica checkpoints (enables crash recovery; empty disables)")
 		ckptEvery  = fs.Duration("checkpointinterval", time.Minute, "stream-time interval between replica checkpoints")
 		compactN   = fs.Int("compactevery", 8, "delta checkpoint segments per chain before the background compactor folds a new base")
-		logDir     = fs.String("logdir", "", "directory for the durable firehose log (WAL); with -checkpointdir, whole-cluster restarts recover from disk")
-		restarts   = fs.Int("restarts", 0, "restart the whole cluster N times mid-stream (Shutdown + Reopen over the same dirs; requires -logdir)")
+		logDir     = fs.String("logdir", "", "directory for the durable firehose log (WAL) whole-cluster restarts replay (requires -checkpointdir; empty selects <checkpointdir>/firehose)")
+		restarts   = fs.Int("restarts", 0, "restart the whole cluster N times mid-stream (Shutdown + Reopen over the same dirs; requires -checkpointdir)")
 		mirrorN    = fs.Int("mirrorbases", 0, "replicate each compacted base checkpoint to N peer replica directories (base replication; 0 disables)")
 		reprovN    = fs.Int("reprovision", 0, "N times mid-stream, kill replica 1 of every partition and reprovision it onto a fresh node (requires -checkpointdir and -replicas >= 2)")
 		scaleN     = fs.Int("scale-events", 0, "perform N live scale events mid-stream, alternating AddReplica and DecommissionReplica on every partition (requires -checkpointdir)")
@@ -72,7 +72,7 @@ func run(args []string, errOut io.Writer) int {
 		batchN     = fs.Int("applybatch", 0, "replica apply loop batch bound: drain up to N envelopes per apply batch (0/1 = one envelope per batch)")
 		workersN   = fs.Int("applyworkers", 0, "worker goroutines for candidate generation per batch, sharded by target (0/1 = consumer goroutine; needs -applybatch > 1)")
 
-		listen      = fs.String("listen", "", "run as a networked hub: bind this TCP address, own the durable log and delivery tier, and serve every replica slot to worker processes (requires -logdir and -checkpointdir)")
+		listen      = fs.String("listen", "", "run as a networked hub: bind this TCP address, own the durable log and delivery tier, and serve every replica slot to worker processes (requires -checkpointdir)")
 		join        = fs.String("join", "", "run as a networked worker: dial the hub at this address and consume the slots in -owned (requires -owned and -checkpointdir; forbids -logdir)")
 		ownedStr    = fs.String("owned", "", "comma-separated partition/replica slots this worker owns, e.g. 0/0,1/0 (requires -join)")
 		workerProcs = fs.Int("workerprocs", 0, "with -listen: spawn N worker OS processes (re-exec of this binary with -join), splitting all replica slots among them")
@@ -86,8 +86,8 @@ func run(args []string, errOut io.Writer) int {
 		return 2
 	}
 
-	if *restarts > 0 && (*logDir == "" || *ckptDir == "") {
-		return fail("-restarts requires -logdir and -checkpointdir")
+	if *restarts > 0 && *ckptDir == "" {
+		return fail("-restarts requires -checkpointdir")
 	}
 	if (*reprovN > 0 || *scaleN > 0 || *healAfter > 0) && *ckptDir == "" {
 		return fail("-reprovision, -scale-events, and -healafter require -checkpointdir")
@@ -112,8 +112,8 @@ func run(args []string, errOut io.Writer) int {
 	if *listen != "" && *join != "" {
 		return fail("-listen and -join are mutually exclusive (a process is a hub or a worker, not both)")
 	}
-	if *listen != "" && (*logDir == "" || *ckptDir == "") {
-		return fail("-listen requires -logdir and -checkpointdir (the hub owns the durable firehose log)")
+	if *listen != "" && *ckptDir == "" {
+		return fail("-listen requires -checkpointdir (the hub owns the durable firehose log)")
 	}
 	if *join != "" && *ownedStr == "" {
 		return fail("-join requires -owned (the partition/replica slots this worker consumes)")
@@ -307,8 +307,8 @@ func run(args []string, errOut io.Writer) int {
 			s := clu.Stats()
 			delivered += s.Delivered
 			ingested += s.Events
-			fmt.Printf("  --- restart at event %d: shut down (%d pushed this run), reopening from %s + %s ---\n",
-				i, s.Delivered, *logDir, *ckptDir)
+			fmt.Printf("  --- restart at event %d: shut down (%d pushed this run), reopening from %s ---\n",
+				i, s.Delivered, *ckptDir)
 			clu, err = motifstream.ReopenCluster(static, opts)
 			if err != nil {
 				log.Fatalf("reopen: %v", err)

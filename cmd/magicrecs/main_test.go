@@ -36,16 +36,17 @@ func TestFlagValidation(t *testing.T) {
 		{"applyworkers without applybatch", []string{"-applyworkers=4"}, "-applyworkers requires -applybatch > 1"},
 		{"applyworkers with applybatch 1", []string{"-applyworkers=4", "-applybatch=1"}, "-applyworkers requires -applybatch > 1"},
 		{"audit without checkpointdir", []string{"-audit"}, "-audit requires -checkpointdir"},
-		{"restarts without dirs", []string{"-restarts=1"}, "-restarts requires -logdir and -checkpointdir"},
-		{"restarts without checkpointdir", []string{"-restarts=1", "-logdir=x"}, "-restarts requires -logdir and -checkpointdir"},
-		{"listen and join", []string{"-listen=:0", "-join=h:1", "-logdir=a", "-checkpointdir=b"}, "mutually exclusive"},
-		{"listen without dirs", []string{"-listen=:0"}, "-listen requires -logdir and -checkpointdir"},
+		{"restarts without dirs", []string{"-restarts=1"}, "-restarts requires -checkpointdir"},
+		{"restarts without checkpointdir", []string{"-restarts=1", "-logdir=x"}, "-restarts requires -checkpointdir"},
+		{"listen and join", []string{"-listen=:0", "-join=h:1", "-checkpointdir=b"}, "mutually exclusive"},
+		{"listen without dirs", []string{"-listen=:0"}, "-listen requires -checkpointdir"},
+		{"listen with logdir only", []string{"-listen=:0", "-logdir=a"}, "-listen requires -checkpointdir"},
 		{"join without owned", []string{"-join=h:1", "-checkpointdir=b"}, "-join requires -owned"},
 		{"join without checkpointdir", []string{"-join=h:1", "-owned=0/0"}, "-join requires -checkpointdir"},
 		{"join with logdir", []string{"-join=h:1", "-owned=0/0", "-checkpointdir=b", "-logdir=a"}, "-join forbids -logdir"},
 		{"owned without join", []string{"-owned=0/0"}, "-owned requires -join"},
 		{"workerprocs without listen", []string{"-workerprocs=2"}, "-workerprocs requires -listen"},
-		{"lifecycle flags in networked mode", []string{"-listen=:0", "-logdir=a", "-checkpointdir=b", "-scale-events=1"}, "not available with -listen/-join"},
+		{"lifecycle flags in networked mode", []string{"-listen=:0", "-checkpointdir=b", "-scale-events=1"}, "not available with -listen/-join"},
 		{"owned slot out of range", []string{"-join=h:1", "-owned=5/9", "-checkpointdir=b"}, "outside 20 partitions x 1 replicas"},
 		{"owned malformed", []string{"-join=h:1", "-owned=5", "-checkpointdir=b"}, "not partition/replica"},
 		{"motifs missing file", []string{"-motifs=/nonexistent/standing.motif"}, "-motifs"},
@@ -269,7 +270,7 @@ func TestWorkerProcsEndToEnd(t *testing.T) {
 
 	cmd := exec.Command(os.Args[0],
 		"-listen", "127.0.0.1:0", "-workerprocs", "2",
-		"-logdir", filepath.Join(tmp, "log"), "-checkpointdir", filepath.Join(tmp, "ckpt"),
+		"-checkpointdir", filepath.Join(tmp, "ckpt"), // the hub's log goes under it
 		"-static", staticFile, "-stream", streamFile,
 		"-partitions", "2", "-replicas", "1", "-k", "2",
 		"-queuemedian", "0s", "-queuep99", "0s", "-audit", "-progress", "0")

@@ -25,11 +25,12 @@
 // is set — or a base from the partition's pool), then replays the retained
 // firehose log from that point until it reaches the offset that was the
 // head when recovery began. Until then the broker keeps the replica marked
-// down, so a stale replica never serves reads. With Config.LogDir the
-// firehose log itself is durable (a segmented on-disk WAL) and the failure
-// model extends to the whole process: Shutdown drains, cuts a final
-// checkpoint per replica, and fsyncs the log; Reopen builds a brand-new
-// Cluster over the same directories, every replica restoring the same way.
+// down, so a stale replica never serves reads. The retained firehose log is
+// a segmented on-disk WAL (Config.LogDir, by default under CheckpointDir),
+// so the failure model extends to the whole process: Shutdown drains, cuts
+// a final checkpoint per replica, and fsyncs the log; Reopen builds a
+// brand-new Cluster over the same directories, every replica restoring the
+// same way.
 // restore.go holds the one plan → execute → launch sequence all of these
 // share.
 //
@@ -45,7 +46,7 @@
 // a fresh base (compaction), which bounds restore composition time and
 // advances the replica's restore floor. The cluster truncates the
 // retained firehose log below the minimum floor across replicas — log
-// compaction — so retained-log memory is bounded by checkpoint cadence
+// compaction — so the retained log's disk is bounded by checkpoint cadence
 // rather than stream length. The delivery consumer's per-group high-water
 // offsets are persisted alongside the checkpoints, closing the
 // promoted-replica gap (a sole-coverage restore clamps its chain back to
@@ -87,6 +88,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -150,28 +152,28 @@ type Config struct {
 	// OnNotify, if set, receives every delivered notification.
 	OnNotify func(delivery.Notification)
 	// CheckpointDir, when non-empty, enables the recovery subsystem: the
-	// firehose retains its log for offset replay, each replica writes
-	// periodic durable checkpoints here, and KillReplica/RestoreReplica
-	// become available. The directory is created if missing.
+	// firehose retains its log on disk (LogDir) for offset replay, each
+	// replica writes periodic durable checkpoints here, and
+	// KillReplica/RestoreReplica become available. The directory is
+	// created if missing.
 	CheckpointDir string
-	// LogDir, when non-empty, stores the retained firehose log as a
-	// durable segmented WAL on disk instead of in memory. The log — and
-	// therefore every checkpoint offset — then outlives the process:
-	// checkpoints are gated by the log's persistent identity (plus their
-	// own checksums) rather than a per-process run id, and constructing a
-	// cluster over an existing LogDir+CheckpointDir restores every
-	// replica from its chain and replays the log from its floor (see
-	// Reopen). Requires CheckpointDir: the restart path needs the
-	// delivery high-water offsets persisted there to keep replayed
-	// candidate batches exactly-once.
+	// LogDir is where the process holding the firehose log keeps it: a
+	// durable segmented WAL, so the log — and therefore every checkpoint
+	// offset — outlives the process. Checkpoints are gated by the log's
+	// persistent identity (plus their own checksums), and constructing a
+	// cluster over an existing LogDir+CheckpointDir restores every replica
+	// from its chain and replays the log from its floor (see Reopen).
+	// Empty selects <CheckpointDir>/firehose. Requires CheckpointDir: the
+	// restart path needs the delivery high-water offsets persisted there to
+	// keep replayed candidate batches exactly-once.
 	LogDir string
 	// LogSyncEvery is the WAL's fsync batch in records (the bound on the
 	// torn tail an OS crash can lose); zero selects 256. Ignored without
-	// LogDir.
+	// CheckpointDir.
 	LogSyncEvery int
 	// LogSegmentBytes is the WAL's segment rotation threshold — also the
 	// granularity of firehose log compaction, which deletes whole
-	// segments. Zero selects 4 MiB. Ignored without LogDir.
+	// segments. Zero selects 4 MiB. Ignored without CheckpointDir.
 	LogSegmentBytes int64
 	// CheckpointInterval is the stream-time interval between per-replica
 	// checkpoints; zero selects one minute. Ignored without CheckpointDir.
@@ -200,7 +202,8 @@ type Config struct {
 	// Listen, when non-empty, runs this cluster as a networked hub — the
 	// hub tier alone, every replica slot animated by a worker process that
 	// attaches over this TCP listener (":0" picks a port; see ListenAddr).
-	// Requires LogDir. See docs/OPERATIONS.md, "Multi-process deployment".
+	// Requires CheckpointDir. See docs/OPERATIONS.md, "Multi-process
+	// deployment".
 	Listen string
 	// Join, when non-empty, runs this cluster as a networked worker — a
 	// replica host for the slots in OwnedReplicas — against the hub
@@ -238,13 +241,10 @@ type shared struct {
 	// table is the durable placement assignment (generations, scale-out
 	// membership, decommission tombstones); never saved without recovery.
 	table *placement.Table
-	// runID stamps this cluster instance's checkpoint files. With an
-	// in-memory firehose log the log dies with the process, so the id is
-	// random per construction and foreign-run files are wiped rather than
-	// resurrected. With a durable log (Config.LogDir, or the hub's on a
-	// worker) the id is the log's persistent identity: checkpoints stay
-	// valid across restarts exactly as long as they index the same on-disk
-	// log, and are validated by their checksums instead of the run gate.
+	// runID stamps this cluster's checkpoint files: the firehose WAL's
+	// persistent identity (the hub's, on a worker; zero without recovery).
+	// Checkpoints stay valid across restarts exactly as long as they index
+	// the same on-disk log, and are validated by their checksums within it.
 	runID uint64
 
 	reg                   *metrics.Registry
@@ -363,11 +363,11 @@ type Cluster struct {
 // New validates cfg and builds the tiers Listen/Join select: the hub tier
 // unless this process joins another's, then a replica host over a link to
 // it — owning every placement, or a worker's OwnedReplicas, or on a
-// listening hub none. The cluster is idle until Start. Where replica chains
-// outlive the process construction is also the recovery path: the log's
-// identity gates the checkpoints, every owned replica is restored
-// (restoreSlot), and Start replays the log from each restore point. Fresh
-// directories degenerate to a normal cold start.
+// listening hub none. The cluster is idle until Start. With recovery,
+// construction is also the recovery path: the log's identity gates the
+// checkpoints, every owned replica is restored (restoreSlot), and Start
+// replays the log from each restore point. Fresh directories degenerate to
+// a normal cold start.
 func New(cfg Config) (c *Cluster, err error) {
 	if cfg.Partitions < 1 {
 		return nil, fmt.Errorf("cluster: need at least one partition")
@@ -377,6 +377,12 @@ func New(cfg Config) (c *Cluster, err error) {
 	}
 	if cfg.NewPrograms == nil {
 		return nil, fmt.Errorf("cluster: NewPrograms is required")
+	}
+	if cfg.Join == "" && cfg.CheckpointDir != "" && cfg.LogDir == "" {
+		// The process holding the log keeps it on disk whenever it
+		// checkpoints: checkpoint offsets index it, so it must outlive the
+		// process as the checkpoints do. (A worker's log is the hub's.)
+		cfg.LogDir = filepath.Join(cfg.CheckpointDir, "firehose")
 	}
 	if err := validateNetworked(cfg); err != nil {
 		return nil, err
@@ -398,14 +404,11 @@ func New(cfg Config) (c *Cluster, err error) {
 	c = &Cluster{shared: newShared(cfg)}
 	var link hubLink
 	var owned [][2]int
-	// chains: replica checkpoint chains outlive this process, because the
-	// log that assigned their offsets does (a durable one, or the hub's).
-	chains := cfg.LogDir != ""
 	if cfg.Join != "" {
 		if link, err = dialHub(c.shared); err != nil {
 			return nil, fmt.Errorf("cluster: join %s: %w", cfg.Join, err)
 		}
-		owned, chains = cfg.OwnedReplicas, true
+		owned = cfg.OwnedReplicas
 	} else {
 		if c.hub, err = newHubTier(c.shared); err != nil {
 			return nil, err
@@ -415,7 +418,7 @@ func New(cfg Config) (c *Cluster, err error) {
 			owned = c.hub.present
 		}
 	}
-	if c.host, err = newReplicaHost(c.shared, link, owned, chains); err != nil {
+	if c.host, err = newReplicaHost(c.shared, link, owned); err != nil {
 		link.close()
 		return nil, err
 	}
@@ -490,15 +493,12 @@ func (c *Cluster) Publish(e graph.Edge) error {
 func (c *Cluster) Stop() { c.stop(false) }
 
 // Shutdown is the graceful durable stop: Stop plus one final checkpoint
-// cut per alive replica at the drained head — so a subsequent Reopen
-// composes straight to the end of the log instead of replaying the whole
-// last checkpoint interval — and a hard fsync barrier on the durable log
-// before it closes. The cuts are made wherever checkpoint chains outlive the
-// process — on a hub or single process with Config.LogDir, and on every
-// worker (Config.Join), whose chains are against the hub's durable log. A
-// single process without LogDir behaves exactly like Stop (its final cuts
-// would be wiped at the next construction anyway).
-func (c *Cluster) Shutdown() { c.stop(c.host.chains) }
+// cut per alive replica this process runs, at the drained head — so a
+// subsequent Reopen composes straight to the end of the log instead of
+// replaying the whole last checkpoint interval — and a hard fsync barrier
+// on the durable log before it closes. Without CheckpointDir there is
+// nothing to cut and it behaves exactly like Stop.
+func (c *Cluster) Shutdown() { c.stop(true) }
 
 func (c *Cluster) stop(finalCut bool) {
 	c.stopOnce.Do(func() { c.host.stop(finalCut) })

@@ -24,6 +24,7 @@ func TestCompactionUnderLoadChaos(t *testing.T) {
 		cfg := recoveryConfig(t, static)
 		cfg.CheckpointInterval = 3 * time.Second // stream time: cuts constantly
 		cfg.CompactEvery = 2                     // fold chains constantly
+		cfg.LogSegmentBytes = 2 << 10            // the log truncates whole segments
 		notes := collectNotes(&cfg)
 		c, err := New(cfg)
 		if err != nil {
@@ -107,6 +108,7 @@ func TestLogTruncationBoundedByDurableFloor(t *testing.T) {
 	cfg := recoveryConfig(t, ringStatic(40))
 	cfg.CheckpointInterval = 3 * time.Second
 	cfg.CompactEvery = 2
+	cfg.LogSegmentBytes = 2 << 10 // the log truncates whole segments
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -312,13 +314,14 @@ func TestClampChainPrefix(t *testing.T) {
 }
 
 // TestDeliveryOffsetsPersistence covers the file the promoted-replica
-// clamp reads: round trip, out-of-range groups, and the run-id gate that
-// keeps a new cluster from trusting a previous run's offsets.
+// clamp reads: round trip, out-of-range groups, and the log-identity gate
+// that keeps a cluster over another firehose log from trusting the offsets.
 func TestDeliveryOffsetsPersistence(t *testing.T) {
 	dir := t.TempDir()
 	newCluster := func() *Cluster {
 		cfg := recoveryConfig(t, fig1Static())
 		cfg.CheckpointDir = dir
+		cfg.LogDir = t.TempDir()
 		c, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -336,7 +339,7 @@ func TestDeliveryOffsetsPersistence(t *testing.T) {
 	if _, ok := c.loadDeliveryOffset(2); ok {
 		t.Fatal("out-of-range group reported ok")
 	}
-	// A different run must not trust this run's offsets.
+	// A cluster over another log must not trust this one's offsets.
 	c2 := newCluster()
 	if _, ok := c2.loadDeliveryOffset(0); ok {
 		t.Fatal("foreign-run delivery offsets accepted")

@@ -532,6 +532,7 @@ func TestCrashMatrix(t *testing.T) {
 			tune: func(cfg *Config) {
 				cfg.CheckpointInterval = time.Second
 				cfg.CompactEvery = 2
+				cfg.LogSegmentBytes = 2 << 10 // the log truncates whole segments
 			},
 			fault: func(h *crashHarness) {
 				h.publishTo(0.5)

@@ -48,16 +48,21 @@ func (c *Cluster) Replicas(pid int) int {
 // mirrors pushed by peers.
 const mirrorSubdir = "mirror"
 
-// mirrorName formats a mirror file name: the source replica index (so a
-// source's newer push retires only its own older ones) and the base's cut
-// offset, zero-padded so lexical order is offset order.
-func mirrorName(srcIdx int, offset uint64) string {
-	return fmt.Sprintf("mirror-r%02d-%020d.seg", srcIdx, offset)
+// mirrorName formats a mirror file name: the identity of the log the base's
+// offset indexes (like a manifest's gating id: a mirror is only a restore
+// point against that log), the source replica index (so a source's newer
+// push retires only its own older ones) and the base's cut offset,
+// zero-padded so lexical order is offset order.
+func mirrorName(id uint64, srcIdx int, offset uint64) string {
+	return fmt.Sprintf("mirror-%016x-r%02d-%020d.seg", id, srcIdx, offset)
 }
 
-// parseMirrorName inverts mirrorName.
-func parseMirrorName(name string) (srcIdx int, offset uint64, ok bool) {
-	rest, found := strings.CutPrefix(name, "mirror-r")
+// parseMirrorName inverts mirrorName for mirrors written under log identity
+// id. ok is false for any other name — among them another log's mirrors and
+// those named before mirrors carried an identity — which no restore installs
+// and the retire paths delete.
+func parseMirrorName(name string, id uint64) (srcIdx int, offset uint64, ok bool) {
+	rest, found := strings.CutPrefix(name, fmt.Sprintf("mirror-%016x-r", id))
 	if !found {
 		return 0, 0, false
 	}
@@ -131,11 +136,11 @@ func (h *replicaHost) mirrorBase(rep *replica, srcPath string, offset uint64) {
 			h.ckptErrors.Inc()
 			continue
 		}
-		if err := writeMirrorFile(filepath.Join(dir, mirrorName(rep.idx, offset)), data); err != nil {
+		if err := writeMirrorFile(filepath.Join(dir, mirrorName(h.runID, rep.idx, offset)), data); err != nil {
 			h.ckptErrors.Inc()
 			continue
 		}
-		removeOlderMirrors(dir, rep.idx, offset)
+		removeOlderMirrors(dir, h.runID, rep.idx, offset)
 		h.mirrorsOut.Inc()
 		budget--
 	}
@@ -162,14 +167,14 @@ func writeMirrorFile(path string, data []byte) error {
 
 // removeOlderMirrors retires srcIdx's mirrors older than newest — one
 // live mirror per source bounds pool disk to MirrorBases extra bases per
-// replica.
-func removeOlderMirrors(dir string, srcIdx int, newest uint64) {
+// replica — and every file not written under log identity id.
+func removeOlderMirrors(dir string, id uint64, srcIdx int, newest uint64) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
 	for _, e := range entries {
-		if idx, off, ok := parseMirrorName(e.Name()); ok && idx == srcIdx && off < newest {
+		if idx, off, ok := parseMirrorName(e.Name(), id); !ok || idx == srcIdx && off < newest {
 			os.Remove(filepath.Join(dir, e.Name()))
 		}
 	}
@@ -183,8 +188,9 @@ func removeOlderMirrors(dir string, srcIdx int, newest uint64) {
 // so its offset is the pool's real claim on the log. Torn mirrors are
 // deliberately excluded — they are inert for restore, and counting them
 // would let a crashing pusher (whose retirement pass never ran) pin the
-// firehose log at a dead offset forever.
-func mirrorOffsets(dir string) []uint64 {
+// firehose log at a dead offset forever, as are mirrors not written under
+// log identity id.
+func mirrorOffsets(dir string, id uint64) []uint64 {
 	mdir := filepath.Join(dir, mirrorSubdir)
 	entries, err := os.ReadDir(mdir)
 	if err != nil {
@@ -195,7 +201,7 @@ func mirrorOffsets(dir string) []uint64 {
 	// mirrorName zero-pads offsets, so per source the order is ascending.
 	bySrc := make(map[int][]string)
 	for _, e := range entries {
-		if idx, _, ok := parseMirrorName(e.Name()); ok {
+		if idx, _, ok := parseMirrorName(e.Name(), id); ok {
 			bySrc[idx] = append(bySrc[idx], e.Name())
 		}
 	}
@@ -206,7 +212,7 @@ func mirrorOffsets(dir string) []uint64 {
 			if err != nil || !checksumOK(data) {
 				continue
 			}
-			_, off, _ := parseMirrorName(names[i])
+			_, off, _ := parseMirrorName(names[i], id)
 			out = append(out, off)
 			break
 		}
@@ -215,7 +221,8 @@ func mirrorOffsets(dir string) []uint64 {
 }
 
 // removeSourceMirrors retires every mirror srcIdx pushed into partition
-// pid's replica directories. Called when the source placement is
+// pid's replica directories, and every file there not written under this
+// cluster's log identity. Called when the source placement is
 // decommissioned: its mirrors would otherwise never be retired (only the
 // source's own newer pushes retire them), and with the truncation floor
 // counting mirror offsets an orphaned mirror would pin the firehose log
@@ -228,7 +235,7 @@ func (h *replicaHost) removeSourceMirrors(pid, srcIdx int) {
 			continue
 		}
 		for _, e := range entries {
-			if idx, _, ok := parseMirrorName(e.Name()); ok && idx == srcIdx {
+			if idx, _, ok := parseMirrorName(e.Name(), h.runID); !ok || idx == srcIdx {
 				os.Remove(filepath.Join(mdir, e.Name()))
 			}
 		}
@@ -243,10 +250,10 @@ type baseSource struct {
 
 // basePool lists every potential restore base among a partition's
 // placements — each directory's own manifest base plus the mirrors pushed
-// into it — newest offset first. Purely advisory: candidates are fully
-// CRC-verified at compose time, so concurrent compaction retiring a file, a
-// torn mirror push, or plain corruption just moves composition to the next
-// candidate.
+// into it under log identity runID — newest offset first. Purely advisory:
+// candidates are fully CRC-verified at compose time, so concurrent
+// compaction retiring a file, a torn mirror push, or plain corruption just
+// moves composition to the next candidate.
 func basePool(placements []placed, runID uint64) []baseSource {
 	var out []baseSource
 	for _, pl := range placements {
@@ -261,7 +268,7 @@ func basePool(placements []placed, runID uint64) []baseSource {
 			continue
 		}
 		for _, e := range entries {
-			if _, off, ok := parseMirrorName(e.Name()); ok {
+			if _, off, ok := parseMirrorName(e.Name(), runID); ok {
 				out = append(out, baseSource{path: filepath.Join(mdir, e.Name()), offset: off})
 			}
 		}

@@ -182,7 +182,7 @@ func TestAddReplicaRefusesDivergedPoolBase(t *testing.T) {
 	}
 	head := c.hub.firehose.Published()
 	dir := c.hub.slots[0][1].dir
-	planted := writeMirror(t, dir, head, false)
+	planted := writeMirror(t, dir, c.runID, head, false)
 	data, err := os.ReadFile(planted.path)
 	if err != nil {
 		t.Fatal(err)
@@ -442,7 +442,8 @@ func TestReopenRecoversDespiteTornMirrorWrites(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		if strings.HasPrefix(filepath.Base(path), "mirror-r00-") {
+		// mirror-<log id>-r00-…: the id is the fresh log's, unknown here.
+		if name := filepath.Base(path); strings.HasPrefix(name, "mirror-") && strings.Contains(name, "-r00-") {
 			return &codecutil.FailNth{F: f, FailWriteAt: 1}, nil
 		}
 		return f, nil
@@ -579,7 +580,7 @@ func TestMirrorOnlySurvivorReplaysAfterTruncation(t *testing.T) {
 				continue
 			}
 			for _, e := range entries {
-				idx, off, ok := parseMirrorName(e.Name())
+				idx, off, ok := parseMirrorName(e.Name(), h.c.runID)
 				if !ok || off <= out[idx] {
 					continue
 				}
@@ -668,6 +669,71 @@ func TestMirrorOnlySurvivorReplaysAfterTruncation(t *testing.T) {
 
 	assertSameNotes(t, oracleNotes(), faultNotes())
 	assertConverged(t, h.c, oracle, faultCfg)
+}
+
+// TestForeignMirrorsNeverInstalled reuses a checkpoint directory under a
+// fresh firehose log: the first cluster leaves base mirrors in its replica
+// directories, whose offsets index its own log. A reprovision under the
+// second log must not install one — mirrors carry the log identity in their
+// name, like a manifest's gating id — and replays its own log instead,
+// converging to its peer.
+func TestForeignMirrorsNeverInstalled(t *testing.T) {
+	const users = 40
+	cfg := durableConfig(t, ringStatic(users))
+	cfg.CheckpointInterval = time.Second
+	cfg.CompactEvery = 2
+	cfg.MirrorBases = 1
+	cfg.LogSegmentBytes = 2 << 10
+	first, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.Start()
+	for _, e := range motifWorkload(63, users, 400) {
+		first.Publish(e)
+	}
+	first.Shutdown()
+	if st := first.Stats(); st.BaseMirrors == 0 {
+		t.Fatal("vacuous: the first cluster mirrored no base")
+	}
+
+	// Same CheckpointDir, fresh log, an interval the stream never reaches:
+	// the second cluster cuts nothing, so the foreign mirrors are the only
+	// bases on disk.
+	cfg.LogDir = t.TempDir()
+	cfg.CheckpointInterval = time.Hour
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	for _, e := range motifWorkload(99, users, 600) {
+		c.Publish(e)
+	}
+	if err := c.ReprovisionReplica(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AwaitReplicaLive(0, 1, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	c.Stop()
+	if st := c.Stats(); st.BasePoolRestores != 0 {
+		t.Fatalf("BasePoolRestores = %d: a mirror of another log was installed", st.BasePoolRestores)
+	}
+	fingerprint := func(r int) uint32 {
+		p, err := c.Replica(0, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, err := p.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fp
+	}
+	if got, want := fingerprint(1), fingerprint(0); got != want {
+		t.Fatalf("reprovisioned replica fingerprint %08x, peer %08x", got, want)
+	}
 }
 
 // TestReprovisionKeepsSharing is the regression for the replacement node's

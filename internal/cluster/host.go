@@ -79,7 +79,7 @@ type replica struct {
 	writer *ckptWriter
 	// boot is where construction's startup restore left the replica (chain
 	// composed and installed), consumed by start's launch. Zero — empty
-	// chain, offset zero — where chains do not outlive the process.
+	// chain, offset zero — without recovery.
 	boot restorePoint
 }
 
@@ -89,8 +89,6 @@ type replica struct {
 type replicaHost struct {
 	*shared
 	link hubLink
-	// chains reports that checkpoint chains outlive this process (see New).
-	chains bool
 
 	// ctl serializes the replica lifecycle operations (start, stop, kill,
 	// restore, the elastic calls) and guards the replica fields they
@@ -115,11 +113,11 @@ type replicaHost struct {
 	statics []*statstore.Snapshot
 }
 
-// newReplicaHost builds a replica for every owned placement and — where
-// chains outlive the process — restores each from its chain now, so start
-// only has to launch at the planned offsets.
-func newReplicaHost(sh *shared, link hubLink, owned [][2]int, chains bool) (*replicaHost, error) {
-	h := &replicaHost{shared: sh, link: link, chains: chains, statics: make([]*statstore.Snapshot, sh.cfg.Partitions)}
+// newReplicaHost builds a replica for every owned placement and — with
+// recovery — restores each from its chain now, so start only has to launch
+// at the planned offsets.
+func newReplicaHost(sh *shared, link hubLink, owned [][2]int) (*replicaHost, error) {
+	h := &replicaHost{shared: sh, link: link, statics: make([]*statstore.Snapshot, sh.cfg.Partitions)}
 	for _, or := range owned {
 		// Geometry plus placement table are the authority: silently running
 		// without a claimed slot would strand its partition.
@@ -130,16 +128,15 @@ func newReplicaHost(sh *shared, link hubLink, owned [][2]int, chains bool) (*rep
 		if pls[or[1]].Removed {
 			return nil, fmt.Errorf("cluster: owned replica %d/%d is decommissioned", or[0], or[1])
 		}
-		// A chain left by a run whose firehose log is gone is wiped rather
-		// than resurrected. Where the log outlives the process it stays —
-		// the log-identity gate plus segment checksums vouch for it.
-		rep, err := h.place(or[0], or[1], pls[or[1]].Gen, !chains)
+		// A chain already in the directory stays: the log-identity gate
+		// plus segment checksums vouch for it.
+		rep, err := h.place(or[0], or[1], pls[or[1]].Gen, false)
 		if err != nil {
 			return nil, err
 		}
 		h.reps = append(h.reps, rep)
 	}
-	if chains {
+	if sh.cfg.CheckpointDir != "" {
 		for _, rep := range h.reps {
 			// At start-up every group has coverage: all launch together.
 			var err error
@@ -214,9 +211,9 @@ func (h *replicaHost) placed(pid int) []placed {
 }
 
 // start launches every hosted replica from the restore point construction
-// left it at: where chains outlived the previous process it replays the log
-// through the replaying → live machine exactly as a RestoreReplica rejoin
-// would; on a cold start it is live at once.
+// left it at: behind the log's head it replays through the replaying → live
+// machine exactly as a RestoreReplica rejoin would; on a cold start it is
+// live at once.
 func (h *replicaHost) start() {
 	h.ctl.Lock()
 	for _, rep := range h.reps {

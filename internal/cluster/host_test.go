@@ -92,7 +92,7 @@ func hostOverFake(t *testing.T, link hubLink, tune func(*Config)) (*replicaHost,
 	sh := newShared(cfg)
 	id, _, _ := link.logMeta()
 	sh.adoptLog(id)
-	h, err := newReplicaHost(sh, link, [][2]int{{0, 0}}, false)
+	h, err := newReplicaHost(sh, link, [][2]int{{0, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}

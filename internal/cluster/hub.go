@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"crypto/rand"
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -63,8 +61,10 @@ type hubTier struct {
 	*shared
 
 	firehose *queue.Topic[graph.Edge]
-	// wal is the durable firehose log backend when Config.LogDir is set;
-	// the tier owns it and closes it after the last drain in shutdown.
+	// wal is the firehose's retained log whenever the cluster checkpoints
+	// (Config.LogDir, derived from CheckpointDir by New when empty); nil
+	// without recovery. The tier owns it and closes it after the last drain
+	// in shutdown.
 	wal *queue.WAL[graph.Edge]
 	// candidates is the delivery loop's queue: every replica host's offers,
 	// in process or relayed from a socket, bounded at queueBuffer.
@@ -100,18 +100,13 @@ type hubTier struct {
 	topoMu sync.RWMutex
 }
 
-// newHubTier opens the firehose log — durable over Config.LogDir, retained
-// in memory with recovery, a plain topic otherwise — adopts its identity,
-// and builds one slot record per placement, each born dead behind a
-// placeholder broker member: a replica host's attach brings it to life.
+// newHubTier opens the firehose log — durable over Config.LogDir, a plain
+// topic without recovery — adopts its identity, and builds one slot record
+// per placement, each born dead behind a placeholder broker member: a
+// replica host's attach brings it to life.
 func newHubTier(sh *shared) (h *hubTier, err error) {
 	cfg := sh.cfg
 	h = &hubTier{shared: sh}
-	opts := queue.Options{
-		Name:   "firehose",
-		Buffer: queueBuffer,
-		Retain: cfg.CheckpointDir != "",
-	}
 	var logID uint64 // see shared.runID
 	var backend queue.LogBackend[graph.Edge]
 	if cfg.LogDir != "" {
@@ -131,14 +126,8 @@ func newHubTier(sh *shared) (h *hubTier, err error) {
 			}
 		}()
 		backend, logID = h.wal, h.wal.ID()
-	} else if cfg.CheckpointDir != "" {
-		var id [8]byte
-		if _, err := rand.Read(id[:]); err != nil {
-			return nil, fmt.Errorf("cluster: run id: %w", err)
-		}
-		logID = binary.LittleEndian.Uint64(id[:])
 	}
-	h.firehose = queue.NewTopicWithLog[graph.Edge](opts, backend)
+	h.firehose = queue.NewTopicWithLog[graph.Edge](queue.Options{Name: "firehose", Buffer: queueBuffer}, backend)
 	h.candidates = make(chan transport.CandMsg, queueBuffer)
 	sh.adoptLog(logID)
 
@@ -418,7 +407,7 @@ func (h *hubTier) attach(pid, r, gen int, floor, resume uint64, reads broker.Rep
 		return nil, nil, fmt.Errorf("cluster: replica %d/%d generation %d is stale (placement table says %d)", pid, r, gen, slot.gen)
 	}
 	a := &attachment{h: h, slot: slot}
-	if h.cfg.CheckpointDir == "" {
+	if h.wal == nil {
 		// No recovery: the topic retains nothing to replay from.
 		a.sub = h.firehose.Subscribe()
 	} else if a.sub, err = h.firehose.SubscribeFrom(resume); err != nil {
@@ -538,7 +527,7 @@ func (h *hubTier) maybeTruncateLog() {
 	}
 	h.topoMu.RUnlock()
 	for _, dir := range dirs {
-		for _, off := range mirrorOffsets(dir) {
+		for _, off := range mirrorOffsets(dir, h.runID) {
 			if off < floor {
 				floor = off
 			}

@@ -31,8 +31,8 @@ func validateNetworked(cfg Config) error {
 		return fmt.Errorf("cluster: Listen and Join are mutually exclusive roles")
 	}
 	if cfg.Listen != "" {
-		if cfg.LogDir == "" {
-			return fmt.Errorf("cluster: Listen (hub mode) requires LogDir — workers restore against the durable log's identity")
+		if cfg.CheckpointDir == "" {
+			return fmt.Errorf("cluster: Listen (hub mode) requires CheckpointDir — workers restore against the durable log's identity")
 		}
 		if len(cfg.OwnedReplicas) > 0 {
 			return fmt.Errorf("cluster: OwnedReplicas is a worker (Join) option")

@@ -158,7 +158,7 @@ func TestNetworkedValidation(t *testing.T) {
 			c.Join = "127.0.0.1:1"
 			c.OwnedReplicas = [][2]int{{0, 0}}
 		}},
-		{"listen without logdir", func(c *Config) { c.Listen = "127.0.0.1:0" }},
+		{"listen without checkpoint dir", func(c *Config) { c.Listen = "127.0.0.1:0"; c.CheckpointDir = "" }},
 		{"listen with owned", func(c *Config) { c.Listen = "127.0.0.1:0"; c.LogDir = t.TempDir(); c.OwnedReplicas = [][2]int{{0, 0}} }},
 		{"join with logdir", func(c *Config) { c.Join = "127.0.0.1:1"; c.LogDir = t.TempDir(); c.OwnedReplicas = [][2]int{{0, 0}} }},
 		{"join without owned", func(c *Config) { c.Join = "127.0.0.1:1" }},

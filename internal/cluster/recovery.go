@@ -31,15 +31,12 @@ import (
 // The ordering is crash-safe: a segment file is written and fsynced
 // before the manifest that references it is renamed into place, so the
 // manifest never names a missing or partial segment; conversely a crash
-// between the two leaves an orphan segment that the next cluster
-// construction removes with the rest of the foreign-run files.
-// The gating id protects offset integrity: with the in-memory firehose
-// log it is a random per-process run id — the log dies with the process,
-// so foreign-run files are wiped at construction rather than resurrected.
-// With a durable log (Config.LogDir) it is the log's persistent identity,
-// and chains survive process restarts exactly as long as the log that
-// assigned their offsets; integrity within a segment is the CRC32C
-// trailer's job (verified at every compose).
+// between the two leaves an orphan segment no manifest names, inert until
+// the next segment of its kind cut at that sequence number overwrites it.
+// The gating id protects offset integrity: it is the firehose WAL's
+// persistent identity, and chains survive process restarts exactly as long
+// as the log that assigned their offsets; integrity within a segment is
+// the CRC32C trailer's job (verified at every compose).
 
 // ErrRecoveryDisabled is returned by KillReplica/RestoreReplica when the
 // cluster was built without Config.CheckpointDir.
@@ -47,10 +44,10 @@ var ErrRecoveryDisabled = errors.New("cluster: recovery requires Config.Checkpoi
 
 // Reopen constructs and starts a brand-new Cluster over an existing
 // durable deployment — the whole-cluster restart path. cfg must name the
-// same LogDir and CheckpointDir a previous cluster ran with (and a
-// workload-compatible configuration); every replica restores through the
-// common plan (restore.go) and replays the durable log from its restore
-// point, with the delivery tier's exactly-once filter and suppression
+// same CheckpointDir (and LogDir, if one was set) a previous cluster ran
+// with, and a workload-compatible configuration; every replica restores
+// through the common plan (restore.go) and replays the durable log from its
+// restore point, with the delivery tier's exactly-once filter and suppression
 // state (dedup LRU + fatigue budgets) seeded from delivery.state so
 // nothing already pushed repeats and daily budgets are not reset. After a
 // clean Shutdown the reopened cluster delivers exactly the notification
@@ -60,8 +57,8 @@ var ErrRecoveryDisabled = errors.New("cluster: recovery requires Config.Checkpoi
 // product-level dedup tolerance. Reopen over a fresh pair of directories
 // is simply a cold start.
 func Reopen(cfg Config) (*Cluster, error) {
-	if cfg.LogDir == "" {
-		return nil, fmt.Errorf("cluster: Reopen requires Config.LogDir")
+	if cfg.CheckpointDir == "" {
+		return nil, fmt.Errorf("cluster: Reopen requires Config.CheckpointDir")
 	}
 	c, err := New(cfg)
 	if err != nil {
@@ -209,8 +206,8 @@ func (m *manifest) write(path string, runID uint64) error {
 }
 
 // loadManifest reads a manifest, returning an empty one when the file is
-// absent or belongs to a different cluster run (recover from scratch in
-// both cases). Malformed content returns an error.
+// absent or stamped by another log (recover from scratch in both cases).
+// Malformed content returns an error.
 func loadManifest(path string, runID uint64) (manifest, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -234,8 +231,8 @@ func loadManifest(path string, runID uint64) (manifest, error) {
 		return manifest{}, c.Err
 	}
 	if fileRun != runID {
-		// A previous run's chain: its offsets index a firehose log that
-		// died with that process.
+		// Another log's chain: its offsets index a stream this log never
+		// carried.
 		return manifest{}, nil
 	}
 	return m, nil

@@ -674,15 +674,16 @@ func TestRepeatedKillRestoreCycles(t *testing.T) {
 }
 
 // TestRestoreIgnoresForeignRunCheckpoints reuses a checkpoint directory
-// across two cluster runs: the second run's restore must not resurrect
-// the first run's state — its offsets index a firehose log that died with
-// that cluster — and must instead replay its own log from scratch.
+// across two cluster runs, each over its own firehose log: the second run's
+// restore must not resurrect the first run's state — its offsets index
+// another log — and must instead replay its own log from scratch.
 func TestRestoreIgnoresForeignRunCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	static := ringStatic(40)
 	newCfg := func() Config {
 		cfg := recoveryConfig(t, static)
 		cfg.CheckpointDir = dir
+		cfg.LogDir = t.TempDir()
 		cfg.CheckpointInterval = time.Second
 		return cfg
 	}

@@ -94,8 +94,9 @@ type writerToFunc func(io.Writer) (int64, error)
 func (f writerToFunc) WriteTo(w io.Writer) (int64, error) { return f(w) }
 
 // writeMirror drops a base holding the cuts up to offset into peerDir's
-// mirror subdirectory and returns its pool entry.
-func writeMirror(t testing.TB, peerDir string, offset uint64, corrupt bool) baseSource {
+// mirror subdirectory, named under log identity id, and returns its pool
+// entry.
+func writeMirror(t testing.TB, peerDir string, id, offset uint64, corrupt bool) baseSource {
 	t.Helper()
 	mdir := filepath.Join(peerDir, mirrorSubdir)
 	if err := os.MkdirAll(mdir, 0o755); err != nil {
@@ -109,7 +110,7 @@ func writeMirror(t testing.TB, peerDir string, offset uint64, corrupt bool) base
 	if corrupt {
 		data[len(data)/2] ^= 0x40
 	}
-	path := filepath.Join(mdir, mirrorName(0, offset))
+	path := filepath.Join(mdir, mirrorName(id, 0, offset))
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +271,7 @@ func (row planRow) materialize(t testing.TB) (string, restoreInputs) {
 	}
 	// basePool's order: newest offset first.
 	for i := len(row.mirrors) - 1; i >= 0; i-- {
-		in.pool = append(in.pool, writeMirror(t, peer, row.mirrors[i], false))
+		in.pool = append(in.pool, writeMirror(t, peer, planRunID, row.mirrors[i], false))
 	}
 	return root, in
 }
@@ -385,7 +386,7 @@ func FuzzPlanRestore(f *testing.F) {
 				continue
 			}
 			seen[o] = true
-			in.pool = append(in.pool, writeMirror(t, peer, o, corruptMask&(1<<(8+i)) == 0 && rng.Intn(3) == 0))
+			in.pool = append(in.pool, writeMirror(t, peer, planRunID, o, corruptMask&(1<<(8+i)) == 0 && rng.Intn(3) == 0))
 		}
 		before := treeImage(t, root)
 		plan, err := planRestore(in)

@@ -1,10 +1,10 @@
 // Package queue provides the in-process message fabric the cluster runs
 // on: fan-out pub/sub Topics with per-subscriber backpressure, and — for
-// topics built with Retain — an offset-addressable retained log supporting
-// replay. It simulates nothing: the paper's queue-propagation delay (7s
-// median, 15s p99 end-to-end) is a function of the seed and an event's
-// offset, which the cluster's delivery loop derives where it spends it, so no
-// envelope, record or log byte carries one.
+// topics built over a LogBackend — an offset-addressable retained log
+// supporting replay. It simulates nothing: the paper's queue-propagation
+// delay (7s median, 15s p99 end-to-end) is a function of the seed and an
+// event's offset, which the cluster's delivery loop derives where it spends
+// it, so no envelope, record or log byte carries one.
 //
 // Offsets are the durability currency of the whole system: every
 // published message is stamped with its position in the topic's publish
@@ -13,7 +13,7 @@
 // the retained log and hands off to live delivery with no gap and no
 // duplicate. TruncateBelow implements log compaction: once every consumer
 // has a durable checkpoint at or above an offset, the prefix below it can
-// be dropped, bounding the retained log's memory. See docs/DURABILITY.md
+// be dropped, bounding the retained log's size. See docs/DURABILITY.md
 // for the full offset-semantics contract.
 package queue
 
@@ -39,8 +39,8 @@ type Envelope[T any] struct {
 // ErrClosed is returned by Publish after Close.
 var ErrClosed = errors.New("queue: closed")
 
-// ErrNotRetained is returned by SubscribeFrom on a topic built without
-// Retain: replay needs the log.
+// ErrNotRetained is returned by SubscribeFrom on a topic built without a
+// LogBackend: replay needs the log.
 var ErrNotRetained = errors.New("queue: topic does not retain its log")
 
 // ErrTruncated is wrapped by SubscribeFrom errors when the requested
@@ -56,20 +56,18 @@ type subscriber[T any] struct {
 	done chan struct{}
 }
 
-// Record is one retained log entry of a Retain topic. A wrapper of one field
+// Record is one entry of a topic's retained log. A wrapper of one field
 // is vestigial: it stays only while the benchmark driver names it, and
 // retires with the change that opens benchmark/.
 type Record[T any] struct {
 	Msg T
 }
 
-// LogBackend is the storage engine behind a Retain topic's
-// offset-addressable log. The built-in in-memory backend dies with the
-// process (checkpoint offsets are then only meaningful within one run);
-// the disk-backed WAL survives it, which is what makes whole-cluster
-// restarts recoverable. Implementations are safe for concurrent use; the
-// topic guarantees Append calls are serialized (its publish lock) and
-// always at offset End().
+// LogBackend is the storage engine behind a topic's offset-addressable
+// retained log. The disk-backed WAL is the production one: it survives the
+// process, which is what makes whole-cluster restarts recoverable.
+// Implementations are safe for concurrent use; the topic guarantees Append
+// calls are serialized (its publish lock) and always at offset End().
 type LogBackend[T any] interface {
 	// Append stores rec at offset End(), advancing End by one.
 	Append(rec Record[T]) error
@@ -89,80 +87,17 @@ type LogBackend[T any] interface {
 	Close() error
 }
 
-// memLog is the in-memory LogBackend: a slice indexed by offset - start.
-// It preserves the exact pre-backend Topic semantics, including
-// byte-granular truncation.
-type memLog[T any] struct {
-	mu    sync.Mutex
-	log   []Record[T]
-	start uint64
-}
-
-func (m *memLog[T]) Append(rec Record[T]) error {
-	m.mu.Lock()
-	m.log = append(m.log, rec)
-	m.mu.Unlock()
-	return nil
-}
-
-func (m *memLog[T]) Read(from uint64, dst []Record[T]) (int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if from < m.start {
-		return 0, fmt.Errorf("queue: read offset %d below log start %d: %w", from, m.start, ErrTruncated)
-	}
-	end := m.start + uint64(len(m.log))
-	if from >= end {
-		return 0, nil
-	}
-	n := copy(dst, m.log[from-m.start:])
-	return n, nil
-}
-
-func (m *memLog[T]) Start() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.start
-}
-
-func (m *memLog[T]) End() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.start + uint64(len(m.log))
-}
-
-func (m *memLog[T]) TruncateBelow(offset uint64) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	end := m.start + uint64(len(m.log))
-	if offset > end {
-		offset = end
-	}
-	if offset <= m.start {
-		return m.start
-	}
-	kept := m.log[offset-m.start:]
-	// Reallocate rather than reslice so the dropped prefix's memory is
-	// actually reclaimable.
-	m.log = append(make([]Record[T], 0, len(kept)), kept...)
-	m.start = offset
-	return m.start
-}
-
-func (m *memLog[T]) Close() error { return nil }
-
 // Topic is a fan-out pub/sub queue: every subscriber receives every
 // message, matching the paper's design in which "every partition needs to
 // handle the entire stream of edge creation events". Publish blocks when a
 // subscriber's buffer is full (backpressure), and concurrent publishers are
-// serialized, so every subscriber observes offset order. With Retain set,
-// the topic additionally keeps every published message in an
-// offset-addressable in-memory log so a recovering consumer can replay from
-// a checkpointed offset via SubscribeFrom. Safe for concurrent use.
+// serialized, so every subscriber observes offset order. A topic built over
+// a LogBackend additionally appends every published message to it, so a
+// recovering consumer can replay from a checkpointed offset via
+// SubscribeFrom. Safe for concurrent use.
 type Topic[T any] struct {
-	name   string
-	buf    int
-	retain bool
+	name string
+	buf  int
 
 	// pubMu serializes publishers so offset order equals every subscriber's
 	// delivery order — the invariant both replay and any consumer-side
@@ -178,45 +113,39 @@ type Topic[T any] struct {
 	byCh   map[<-chan Envelope[T]]*subscriber[T]
 	closed bool
 
-	// backend stores the retained log of a Retain topic (nil otherwise).
+	// backend stores the retained log (nil: the topic retains nothing).
 	// Appends are ordered by pubMu; the backend synchronizes its own reads
 	// against them.
 	backend LogBackend[T]
 
-	// published is the next offset to assign. On retained topics it
-	// resumes from the backend's durable end at construction, so offsets
+	// published is the next offset to assign. Over a backend it resumes
+	// from the backend's durable end at construction, so offsets
 	// stay meaningful across a process restart.
 	published uint64
 }
 
-// Options configures a Topic: its label, its backpressure bound and its
-// retention.
+// Options configures a Topic: its label and its backpressure bound.
 type Options struct {
 	// Name labels the topic in stats.
 	Name string
 	// Buffer is each subscriber's channel capacity; 0 selects 1024.
 	Buffer int
-	// Retain keeps every published message in an in-memory log,
-	// addressable by offset, enabling SubscribeFrom replay. Deployments
-	// that checkpoint consumers bound the log with TruncateBelow once a
-	// prefix can no longer be replayed from.
-	Retain bool
 	// Ordered is vestigial and ignored: every topic serializes its
 	// publishers. It stays while the benchmark driver sets it, and retires
 	// with the change that opens benchmark/.
 	Ordered bool
 }
 
-// NewTopic creates a Topic. With Retain set the log lives in the built-in
-// in-memory backend; use NewTopicWithLog to supply a durable one.
+// NewTopic creates a Topic that retains nothing: subscribers see what is
+// published after they subscribe. Use NewTopicWithLog for replay.
 func NewTopic[T any](opts Options) *Topic[T] {
 	return NewTopicWithLog[T](opts, nil)
 }
 
 // NewTopicWithLog creates a Topic whose retained log is stored in the
-// given backend; non-nil implies Retain. Pass an
-// opened WAL to make the log durable: offsets then survive the process,
-// and the topic resumes publishing from the backend's end. The topic does
+// given backend; a nil backend retains nothing. Pass an opened WAL to make
+// the log durable: offsets then survive the process, and the topic resumes
+// publishing from the backend's end. The topic does
 // not take ownership — the caller closes a durable backend itself, after
 // the topic's consumers (including replayers) have drained.
 func NewTopicWithLog[T any](opts Options, backend LogBackend[T]) *Topic[T] {
@@ -224,14 +153,9 @@ func NewTopicWithLog[T any](opts Options, backend LogBackend[T]) *Topic[T] {
 	if b <= 0 {
 		b = 1024
 	}
-	retain := opts.Retain || backend != nil
-	if retain && backend == nil {
-		backend = &memLog[T]{}
-	}
 	t := &Topic[T]{
 		name:    opts.Name,
 		buf:     b,
-		retain:  retain,
 		backend: backend,
 		byCh:    map[<-chan Envelope[T]]*subscriber[T]{},
 	}
@@ -273,7 +197,7 @@ func (t *Topic[T]) Subscribe() <-chan Envelope[T] {
 // channel closes. Returns ErrNotRetained if the topic keeps no log and an
 // error if offset is beyond the current head.
 func (t *Topic[T]) SubscribeFrom(offset uint64) (<-chan Envelope[T], error) {
-	if !t.retain {
+	if t.backend == nil {
 		return nil, ErrNotRetained
 	}
 	// Validate against the replay horizon before registering. The check is
@@ -472,9 +396,8 @@ func (t *Topic[T]) Published() uint64 {
 }
 
 // TruncateBelow drops retained log entries below the given offset — log
-// compaction — as far as the backend's granularity allows (the in-memory
-// backend is entry-exact; the disk WAL deletes whole segments and may
-// retain a little extra). The caller is responsible for the safety
+// compaction — as far as the backend's granularity allows (the disk WAL
+// deletes whole segments and may retain a little extra). The caller is responsible for the safety
 // argument: no consumer may ever need to replay from below the new start
 // (the cluster truncates below the minimum durable checkpoint offset
 // across replicas, which every possible restore point is at or above).

@@ -33,7 +33,7 @@ func TestSubscribeFromRequiresRetention(t *testing.T) {
 }
 
 func TestSubscribeFromRejectsFutureOffset(t *testing.T) {
-	topic := NewTopic[int](Options{Retain: true})
+	topic := newRetained[int](Options{})
 	topic.Publish(1, 0)
 	if _, err := topic.SubscribeFrom(2); err == nil {
 		t.Fatal("offset beyond head accepted")
@@ -44,7 +44,7 @@ func TestSubscribeFromRejectsFutureOffset(t *testing.T) {
 }
 
 func TestSubscribeFromReplaysHistoryThenGoesLive(t *testing.T) {
-	topic := NewTopic[int](Options{Retain: true, Buffer: 1024})
+	topic := newRetained[int](Options{Buffer: 1024})
 	for i := 0; i < 500; i++ {
 		topic.Publish(i, 0)
 	}
@@ -77,7 +77,7 @@ func TestSubscribeFromReplaysHistoryThenGoesLive(t *testing.T) {
 }
 
 func TestSubscribeFromOnClosedTopicDrainsThenCloses(t *testing.T) {
-	topic := NewTopic[int](Options{Retain: true, Buffer: 16})
+	topic := newRetained[int](Options{Buffer: 16})
 	for i := 0; i < 5; i++ {
 		topic.Publish(i, 0)
 	}
@@ -137,7 +137,7 @@ func TestUnsubscribeReleasesBlockedPublisher(t *testing.T) {
 }
 
 func TestUnsubscribeDuringReplayStopsReplay(t *testing.T) {
-	topic := NewTopic[int](Options{Retain: true, Buffer: 1})
+	topic := newRetained[int](Options{Buffer: 1})
 	for i := 0; i < 1_000; i++ {
 		topic.Publish(i, 0)
 	}
@@ -161,7 +161,7 @@ func TestUnsubscribeDuringReplayStopsReplay(t *testing.T) {
 }
 
 func TestPublishedTracksHeadOffset(t *testing.T) {
-	topic := NewTopic[int](Options{Retain: true})
+	topic := newRetained[int](Options{})
 	if topic.Published() != 0 {
 		t.Fatal("fresh topic Published != 0")
 	}

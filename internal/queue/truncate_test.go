@@ -6,7 +6,7 @@ import (
 )
 
 func TestTruncateBelowDropsPrefix(t *testing.T) {
-	topic := NewTopic[int](Options{Retain: true, Buffer: 64})
+	topic := newRetained[int](Options{Buffer: 64})
 	for i := 0; i < 100; i++ {
 		topic.Publish(i, 0)
 	}
@@ -45,7 +45,7 @@ func TestTruncateBelowNonRetainedIsNoop(t *testing.T) {
 }
 
 func TestSubscribeFromAfterTruncation(t *testing.T) {
-	topic := NewTopic[int](Options{Retain: true, Buffer: 256})
+	topic := newRetained[int](Options{Buffer: 256})
 	for i := 0; i < 100; i++ {
 		topic.Publish(i, 0)
 	}
@@ -77,7 +77,7 @@ func TestSubscribeFromAfterTruncation(t *testing.T) {
 }
 
 func TestSubscribeFromMidLogAfterTruncation(t *testing.T) {
-	topic := NewTopic[int](Options{Retain: true, Buffer: 256})
+	topic := newRetained[int](Options{Buffer: 256})
 	for i := 0; i < 50; i++ {
 		topic.Publish(i, 0)
 	}

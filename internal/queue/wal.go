@@ -54,8 +54,8 @@ import (
 // TruncateBelow is log compaction mapped to segment deletion: whole
 // leading segments whose records all lie below the horizon are unlinked;
 // the newest segment is never deleted. The per-record offset index is
-// kept in memory (8 bytes per retained record, strictly less than the
-// in-memory backend kept) and rebuilt from the segment scan at open.
+// kept in memory (8 bytes per retained record, where an in-memory log would
+// hold the record itself) and rebuilt from the segment scan at open.
 
 // walMagic identifies a WAL segment file of format version 2, the one
 // written; walMagicV1 one of version 1, whose records carry walV1Prefix
@@ -142,8 +142,8 @@ type WAL[T any] struct {
 	// The batch fsync runs on a dedicated goroutine so a full batch costs
 	// publishers a flush to the OS buffer, not an fsync wait: holding mu
 	// across the fsync would make every SyncEvery-th publish pay the full
-	// device latency, which measures ~5x the in-memory backend — off-path
-	// it stays under 2x (TestDiskWALPublishWithin2xOfMemory). syncReq has
+	// device latency, which measures ~5x an in-memory log's — off-path it
+	// stays under 2x (TestDiskWALPublishWithin2xOfMemory). syncReq has
 	// capacity 1: a signal sent while one is pending coalesces into it.
 	syncReq  chan *os.File
 	syncDone chan struct{}

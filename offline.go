@@ -1,6 +1,7 @@
 package motifstream
 
 import (
+	"sync"
 	"time"
 
 	"motifstream/internal/graph"
@@ -65,7 +66,9 @@ func followersContain(l graph.AdjList, a VertexID) bool { return l.Contains(a) }
 // modeling the paper's periodic offline load. The first build runs
 // synchronously before return; later ones call fetch from the background
 // goroutine, so fetch must be safe to call from another goroutine. The
-// returned stop function terminates the loop and is idempotent.
+// returned stop function terminates the loop; it is idempotent and safe to
+// call from several goroutines at once, each call returning once the loop
+// has exited.
 func (s *System) PeriodicStaticReload(interval time.Duration, fetch func() (follows []Edge, interactions []Interaction, nowMS int64), opts BatchOptions) (stop func()) {
 	if interval <= 0 {
 		interval = time.Hour
@@ -91,12 +94,11 @@ func (s *System) PeriodicStaticReload(interval time.Duration, fetch func() (foll
 			}
 		}
 	}()
-	var once bool
+	var once sync.Once
 	return func() {
-		if !once {
-			once = true
+		once.Do(func() {
 			close(stopCh)
 			<-done
-		}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package motifstream_test
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -93,4 +94,37 @@ func TestPeriodicStaticReload(t *testing.T) {
 	}
 	stop()
 	stop() // idempotent
+}
+
+// TestPeriodicStaticReloadConcurrentStop calls the stop function from eight
+// goroutines at once: it stops the loop exactly once, every call returns
+// only after the loop exited, and under the race detector the calls do not
+// race.
+func TestPeriodicStaticReloadConcurrentStop(t *testing.T) {
+	sys, err := motifstream.New(nil, motifstream.Options{K: 2, Window: 10 * time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reloads atomic.Int32
+	stop := sys.PeriodicStaticReload(time.Millisecond, func() ([]motifstream.Edge, []motifstream.Interaction, int64) {
+		reloads.Add(1)
+		return []motifstream.Edge{{Src: 1, Dst: 10, Type: motifstream.Follow}}, nil, dayMS
+	}, motifstream.BatchOptions{})
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			stop()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	after := reloads.Load()
+	time.Sleep(20 * time.Millisecond)
+	if n := reloads.Load(); n != after {
+		t.Fatalf("loop still reloading after every stop returned: %d → %d reloads", after, n)
+	}
 }
