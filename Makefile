@@ -38,9 +38,12 @@ test-race:
 examples:
 	@set -e; for d in examples/*/; do echo "== go run ./$$d"; $(GO) run ./$$d; done
 
-# test-allocs runs the candidate path's allocation gates — the kernel's; S's
-# Followers and Follows lookups (0); D's insert on the quiet shape (≤ 0.05 an
-# insert across sweeps and cuts) and its restore (per shard, not per target);
+# test-allocs runs the ingest and candidate paths' allocation gates — a
+# durable firehose publish through the WAL with the cluster's record codec
+# between rotations (TestWALAppendZeroAlloc, 0); the kernel's; S's Followers
+# and Follows lookups (0); D's insert on the quiet shape (≤ 0.02 an insert
+# across sweeps and cuts), its sweep-and-refill cycle at the working set
+# (TestSweepZeroAlloc, 0) and its restore (per shard, not per target);
 # the engine's no-candidate budget and its chunk budgets (multi-motif,
 # emitting, the triangle beside a group); the apply loop's no-candidate batch
 # over two workers (0); the funnel's offer (a live duplicate 0, a delivery
@@ -49,7 +52,8 @@ examples:
 # framed (TestEnvBatchFrameZeroAlloc, 0) and a frame read
 # (TestReadMsgZeroAlloc, 0); the delivery loop's simulated queue-delay draws
 # (TestHopDelayZeroAlloc, 0) — without the race detector: instrumentation
-# changes allocation counts, so under -race they skip.
+# changes allocation counts, so under -race they skip. Every *ZeroAlloc gate
+# is selected by the regex's first term.
 test-allocs:
 	$(GO) test -run 'ZeroAlloc|TestInsertAllocBudget|TestLoadSnapshotAllocBudget|TestDetectBatchAllocBudget|TestOfferAllocBudget|TestDecodeCandBatchAllocBudget' ./internal/graph ./internal/statstore ./internal/dynstore ./internal/core ./internal/cluster ./internal/delivery ./internal/transport
 

@@ -425,15 +425,21 @@ func New(cfg Config) (c *Cluster, err error) {
 	return c, nil
 }
 
-// marshalEdge and unmarshalEdge are the WAL's record codec for firehose
-// events: varint fields, no framing (the WAL frames and checksums).
-func marshalEdge(e graph.Edge) ([]byte, error) {
-	b := make([]byte, 0, 2*binary.MaxVarintLen64+binary.MaxVarintLen64+1)
-	b = binary.AppendUvarint(b, uint64(e.Src))
-	b = binary.AppendUvarint(b, uint64(e.Dst))
-	b = append(b, byte(e.Type))
-	b = binary.AppendVarint(b, e.TS)
-	return b, nil
+// edgeMarshaler and unmarshalEdge are the WAL's record codec for firehose
+// events: varint fields, no framing (the WAL frames and checksums). The
+// marshaler encodes into one buffer of its own, which the WAL's Marshal
+// contract allows (it runs under the WAL's lock and its result is used only
+// until Append returns), so a record costs no allocation; one marshaler
+// serves one WAL.
+func edgeMarshaler() func(graph.Edge) ([]byte, error) {
+	var b []byte
+	return func(e graph.Edge) ([]byte, error) {
+		b = binary.AppendUvarint(b[:0], uint64(e.Src))
+		b = binary.AppendUvarint(b, uint64(e.Dst))
+		b = append(b, byte(e.Type))
+		b = binary.AppendVarint(b, e.TS)
+		return b, nil
+	}
 }
 
 func unmarshalEdge(b []byte) (graph.Edge, error) {

@@ -112,7 +112,7 @@ func newHubTier(sh *shared) (h *hubTier, err error) {
 	if cfg.LogDir != "" {
 		h.wal, err = queue.OpenWAL(queue.WALOptions[graph.Edge]{
 			Dir:          cfg.LogDir,
-			Marshal:      marshalEdge,
+			Marshal:      edgeMarshaler(),
 			Unmarshal:    unmarshalEdge,
 			SyncEvery:    cfg.LogSyncEvery,
 			SegmentBytes: cfg.LogSegmentBytes,

@@ -53,6 +53,12 @@ type Store struct {
 	maxPer      int
 	mask        uint64
 	shards      []shard
+
+	// order is compact's scratch: the occupied slots of the shard it
+	// compacts, by offset. One per store under its own lock (taken inside
+	// a shard's), not one per shard.
+	orderMu sync.Mutex
+	order   []uint64
 }
 
 // shard is one lock's part of D. keys and spans are an open-addressing table
@@ -60,7 +66,8 @@ type Store struct {
 // edges. A target's list is arena[off:off+n], oldest first, in a block only
 // it appends into. Insert drops the expired prefix and the cap's overflow by
 // advancing off and moves a full block to the arena's end at twice its
-// length; the garbage either leaves lasts until a compaction.
+// length; the garbage either leaves lasts until a compaction. A sweep
+// rebuilds both arrays in place, so a store at its working set keeps them.
 type shard struct {
 	mu      sync.RWMutex
 	keys    []graph.VertexID
@@ -77,7 +84,8 @@ type shard struct {
 }
 
 // span locates a target's list: n edges from off, in a block of cap()
-// edges. 0 edges marks a free slot. A shard holds fewer than 2³¹ edges.
+// edges. 0 edges marks a free slot, whose span is all zero. A shard holds
+// fewer than 2³¹ edges.
 type span struct{ off, n, block uint32 }
 
 // dirtyBit, the top bit of block, marks a target on the dirty log.
@@ -152,35 +160,68 @@ func (sh *shard) rehash(size int) {
 	}
 }
 
-// compact copies every list into a fresh arena, each block exactly its
-// list, with a quarter's headroom plus extra.
-func (sh *shard) compact(extra int) {
-	arena := make([]InEdge, 0, int(sh.edges)+int(sh.edges)/4+extra)
-	for i := range sh.spans {
-		p := &sh.spans[i]
-		if p.n > 0 {
-			off := len(arena)
-			arena = append(arena, sh.arena[p.off:p.off+p.n]...)
-			p.off, p.block = uint32(off), p.n|p.block&dirtyBit
+// replace re-places every target in the same table after a sweep emptied
+// some, walking once around it from free, a slot that was free before the
+// sweep: no probe path crosses it, so each target lands at or before the
+// slot it leaves and never disturbs one already walked.
+func (sh *shard) replace(free int) {
+	mask := len(sh.keys) - 1
+	for k := 1; k < len(sh.keys); k++ {
+		i := (free + k) & mask
+		if p := sh.spans[i]; p.n > 0 {
+			sh.spans[i] = span{}
+			j := sh.slot(sh.keys[i])
+			sh.keys[j], sh.spans[j] = sh.keys[i], p
 		}
+	}
+}
+
+// compact makes every block exactly its list, packed from the arena's
+// start in offset order, with room for a quarter of the live edges plus
+// extra after them. The lists slide down the arena they are in; only an
+// arena without that room, or more than four times it, is replaced. A sweep
+// at the working set finds about twice that room (up to four times in a
+// sparse shard), so it keeps the arena it has; docs/BENCHMARKS.md, "Ingest
+// point", measures tighter bounds.
+func (s *Store) compact(sh *shard, extra int) {
+	need := int(sh.edges) + int(sh.edges)/4 + extra
+	arena := sh.arena[:0]
+	if need > cap(sh.arena) || 4*need < cap(sh.arena) {
+		arena = make([]InEdge, 0, need)
+	}
+	s.orderMu.Lock()
+	defer s.orderMu.Unlock()
+	s.order = s.order[:0]
+	for i, p := range sh.spans {
+		if p.n > 0 {
+			s.order = append(s.order, uint64(p.off)<<32|uint64(i))
+		}
+	}
+	slices.Sort(s.order)
+	for _, o := range s.order {
+		p, off := &sh.spans[uint32(o)], len(arena)
+		arena = append(arena, sh.arena[p.off:p.off+p.n]...) // in place a memmove down: off <= p.off
+		p.off, p.block = uint32(off), p.n|p.block&dirtyBit
 	}
 	sh.arena, sh.garbage = arena, 0
 }
 
 // relocate moves slot i's full block to the arena's end at twice its length.
-// An arena too small for it grows by a quarter, or is compacted if half garbage.
-func (sh *shard) relocate(i int) {
+// An arena too small for it is compacted if an eighth of it is garbage — the
+// sooner garbage goes, the less capacity a store at its working set keeps —
+// or else grows by a quarter.
+func (s *Store) relocate(sh *shard, i int) {
 	size := max(2*sh.spans[i].n, 1)
 	if len(sh.arena)+int(size) > cap(sh.arena) {
-		if 2*sh.garbage >= len(sh.arena) {
-			sh.compact(int(size))
+		if 8*sh.garbage >= len(sh.arena) {
+			s.compact(sh, int(size))
 		} else {
 			sh.arena = append(make([]InEdge, 0, len(sh.arena)*5/4+int(size)), sh.arena...)
 		}
 	}
 	p, off := &sh.spans[i], len(sh.arena)
 	sh.arena = sh.arena[:off+int(size)]
-	copy(sh.arena[off:], sh.at(i)) // not p.off: an emptied list's is stale past a compaction
+	copy(sh.arena[off:], sh.at(i))
 	sh.garbage += int(p.cap())
 	p.off, p.block = uint32(off), size|p.block&dirtyBit
 }
@@ -216,7 +257,7 @@ func (s *Store) Insert(e graph.Edge) int {
 	p.off, p.n, p.block = p.off+drop, p.n-drop, p.block-drop
 	sh.garbage += int(drop)
 	if p.n == p.cap() {
-		sh.relocate(i)
+		s.relocate(sh, i)
 	}
 	sh.arena[p.off+p.n] = InEdge{B: e.Src, TS: e.TS}
 	p.n++
@@ -286,7 +327,9 @@ func (s *Store) RecentLimitInto(dst []InEdge, c graph.VertexID, sinceMS int64, l
 // Sweep prunes every target against the given current time and drops empty
 // targets. It is called periodically by the partition's background pruner;
 // Insert also prunes lazily per target. Returns edges removed. A shard it
-// prunes is rebuilt at its live size, the targets it emptied on the gone log.
+// prunes is compacted and its table re-placed in place — rebuilt smaller
+// only when far larger than its live set — the targets it emptied on the
+// gone log.
 func (s *Store) Sweep(nowMS int64) int {
 	if s.retentionMS <= 0 {
 		return 0
@@ -299,7 +342,8 @@ func (s *Store) Sweep(nowMS int64) int {
 		// A gone target inserted into since is on the dirty log, and back on
 		// the gone log below if this sweep empties it: forget its entry.
 		sh.gone = slices.DeleteFunc(sh.gone, func(c graph.VertexID) bool { return sh.list(c) != nil })
-		before := removed
+		before, targets := removed, sh.n
+		free := slices.IndexFunc(sh.spans, func(p span) bool { return p.n == 0 })
 		for i := range sh.spans {
 			p := &sh.spans[i]
 			list := sh.arena[p.off : p.off+p.n]
@@ -318,6 +362,7 @@ func (s *Store) Sweep(nowMS int64) int {
 			case p.n == 0:
 				sh.gone = append(sh.gone, sh.keys[i])
 				sh.n--
+				*p = span{}
 			case p.block&dirtyBit == 0:
 				p.block |= dirtyBit
 				sh.dirty = append(sh.dirty, sh.keys[i])
@@ -325,8 +370,16 @@ func (s *Store) Sweep(nowMS int64) int {
 		}
 		if removed > before {
 			sh.edges -= int64(removed - before)
-			sh.compact(0)
+			s.compact(sh, 0)
+		}
+		// A sweep at the working set leaves a table up to 4 times what its
+		// targets need (power-of-two sizes); 8 times is a working set gone.
+		switch {
+		case sh.n == targets:
+		case 8*tableSize(sh.n) <= len(sh.keys):
 			sh.rehash(tableSize(sh.n))
+		default:
+			sh.replace(free)
 		}
 		sh.mu.Unlock()
 	}

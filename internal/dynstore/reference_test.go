@@ -276,7 +276,29 @@ func randomOptions(ch chooser) Options {
 	return opts
 }
 
-// runOps drives steps random operations over 48 targets and 16 sources, so
+// wrapKeys returns n targets whose home slot lies in the last eighth of any
+// table (the last slot of an 8-slot one), so together their probe chains
+// wrap past slot 0, and entries with homes all along the table's end sit on
+// them.
+func wrapKeys(n int) []graph.VertexID {
+	var out []graph.VertexID
+	for c := graph.VertexID(1); len(out) < n; c++ {
+		if uint64(c)*fibHash>>61 == 7 {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// opTargets are runOps' 48 targets: 0–23, and 24 whose probe chains wrap.
+var opTargets = append(func() (ids []graph.VertexID) {
+	for c := range 24 {
+		ids = append(ids, graph.VertexID(c))
+	}
+	return ids
+}(), wrapKeys(24)...)
+
+// runOps drives steps random operations over opTargets and 16 sources, so
 // (B, C) pairs repeat: near-ordered inserts with stragglers up to a window
 // late, probes, sweeps at arbitrary times — some past every edge, some
 // twice between two cuts — cuts, snapshots, and loads and resets
@@ -285,6 +307,7 @@ func runOps(t testing.TB, opts Options, ch chooser, steps int) {
 	d := newDiffer(t, opts)
 	window := max(opts.Retention.Milliseconds(), 1_000)
 	ts := int64(1_000_000)
+	target := func() graph.VertexID { return opTargets[ch.Intn(len(opTargets))] }
 	for i := 0; i < steps; i++ {
 		switch k := ch.Intn(100); {
 		case k < 70:
@@ -293,9 +316,9 @@ func runOps(t testing.TB, opts Options, ch chooser, steps int) {
 			if ch.Intn(8) == 0 {
 				straggle = int64(ch.Intn(int(window)))
 			}
-			d.insert(graph.Edge{Src: graph.VertexID(ch.Intn(16)), Dst: graph.VertexID(ch.Intn(48)), TS: ts - straggle})
+			d.insert(graph.Edge{Src: graph.VertexID(ch.Intn(16)), Dst: target(), TS: ts - straggle})
 		case k < 82:
-			d.recent(graph.VertexID(ch.Intn(48)), ts-int64(ch.Intn(int(2*window))), ch.Intn(5))
+			d.recent(target(), ts-int64(ch.Intn(int(2*window))), ch.Intn(5))
 		case k < 88:
 			d.sweep(ts + int64(ch.Intn(int(2*window))) - window/2)
 		case k < 94:
@@ -320,8 +343,10 @@ func runOps(t testing.TB, opts Options, ch chooser, steps int) {
 // bursts over a 60 s window with a quarter of content events (steady), 95 %
 // content events, nearly every one a fresh target (quiet), and steady's mix
 // eight times thinner (multiquery) — with the engine's minute sweeps, a cut
-// per 50 s and a fanout-64 probe per follow; the random sequences cover the
-// option corners.
+// per 50 s and a fanout-64 probe per follow; the sweeps subtest takes a
+// table near full through in-place sweeps of every depth, among probe chains
+// that wrap past slot 0, down to the rebuild of a table and an arena far
+// larger than what is left; the random sequences cover the option corners.
 func TestStoreMatchesReference(t *testing.T) {
 	const window = 60_000
 	for _, shape := range []struct {
@@ -355,12 +380,52 @@ func TestStoreMatchesReference(t *testing.T) {
 			d.write()
 		})
 	}
+	t.Run("sweeps", func(t *testing.T) {
+		for _, shards := range []int{1, 4} {
+			sweepRounds(t, shards)
+		}
+	})
 	t.Run("random", func(t *testing.T) {
 		r := rand.New(rand.NewSource(29))
 		for trial := 0; trial < 300; trial++ {
 			runOps(t, randomOptions(r), r, 1_000)
 		}
 	})
+}
+
+// sweepRounds fills a store of the given shard count with 192 targets, 64
+// of them wrapping — a one-shard table is then 3/4 full — each
+// with an edge at its own time in a shuffled order, and sweeps a tenth, half,
+// nine tenths, all but three and all of them away, refilling in between.
+// After each refill and each sweep every target is probed and a cut taken: a
+// target left where its probe chain cannot reach it, a stale span reused by
+// a new target or a lost dirty mark shows up against the reference.
+func sweepRounds(t *testing.T, shards int) {
+	const window = 60_000
+	d := newDiffer(t, Options{Retention: time.Minute, Shards: shards})
+	keys := wrapKeys(64)
+	for c := range 128 {
+		keys = append(keys, graph.VertexID(1_000+c))
+	}
+	r := rand.New(rand.NewSource(int64(shards)))
+	base := int64(1_000_000)
+	for _, keep := range []int{173, 96, 19, 3, 0} {
+		for i, k := range r.Perm(len(keys)) {
+			d.insert(graph.Edge{Src: graph.VertexID(i % 7), Dst: keys[k], TS: base + int64(i)})
+		}
+		probe := func() {
+			for _, c := range keys {
+				d.recent(c, 0, 0)
+			}
+			d.stats()
+			d.capture()
+		}
+		probe()
+		d.sweep(base + int64(len(keys)-keep) + window)
+		probe()
+		d.write()
+		base += 2 * window
+	}
 }
 
 // FuzzStoreMatchesReference is TestStoreMatchesReference's random sequences

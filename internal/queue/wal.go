@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -54,8 +55,10 @@ import (
 // TruncateBelow is log compaction mapped to segment deletion: whole
 // leading segments whose records all lie below the horizon are unlinked;
 // the newest segment is never deleted. The per-record offset index is
-// kept in memory (8 bytes per retained record, where an in-memory log would
-// hold the record itself) and rebuilt from the segment scan at open.
+// kept in memory (4 bytes per retained record, where an in-memory log would
+// hold the record itself) and rebuilt from the segment scan at open. A
+// record's position is a uint32, which is what bounds SegmentBytes: a
+// segment ends at most one record past it, so at 1 GiB every position fits.
 
 // walMagic identifies a WAL segment file of format version 2, the one
 // written; walMagicV1 one of version 1, whose records carry walV1Prefix
@@ -81,6 +84,7 @@ const (
 
 	defaultWALSyncEvery    = 256
 	defaultWALSegmentBytes = 4 << 20
+	maxWALSegmentBytes     = 1 << 30
 )
 
 // WALOptions configures OpenWAL.
@@ -88,7 +92,10 @@ type WALOptions[T any] struct {
 	// Dir holds the segment files; created if missing.
 	Dir string
 	// Marshal and Unmarshal convert messages to and from record payloads.
-	// Required.
+	// Required. Marshal runs under the WAL's lock, one call at a time, and
+	// its result is used only until Append returns: it may return one
+	// buffer that it reuses for every call, which makes a record cost no
+	// allocation.
 	Marshal   func(T) ([]byte, error)
 	Unmarshal func([]byte) (T, error)
 	// SyncEvery is the fsync batch: every SyncEvery appended records the
@@ -101,7 +108,8 @@ type WALOptions[T any] struct {
 	// behind a slow one. They do not make individual publishes
 	// synchronously durable — call Sync for a hard barrier.
 	SyncEvery int
-	// SegmentBytes is the rotation threshold; zero selects 4 MiB.
+	// SegmentBytes is the rotation threshold; zero selects 4 MiB, and
+	// OpenWAL refuses more than 1 GiB.
 	SegmentBytes int64
 }
 
@@ -113,7 +121,7 @@ type walSegment struct {
 	// version-1 segment, zero in a version-2 one.
 	skip int
 	// index[i] is the byte position of record first+i's header.
-	index []int64
+	index []uint32
 	// size is the byte length of valid content (header + records).
 	size int64
 	// file caches a read handle for a sealed segment (immutable until
@@ -165,6 +173,9 @@ func OpenWAL[T any](opts WALOptions[T]) (*WAL[T], error) {
 	}
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = defaultWALSegmentBytes
+	}
+	if opts.SegmentBytes > maxWALSegmentBytes {
+		return nil, fmt.Errorf("queue: wal: SegmentBytes %d above the 1 GiB bound", opts.SegmentBytes)
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("queue: wal dir: %w", err)
@@ -325,7 +336,12 @@ func scanWALSegment(path string, tail bool) (*walSegment, uint64, error) {
 		if codecutil.CRC32C(payload) != crc {
 			return tornOrCorrupt(seg, id, tail, path, "record checksum mismatch")
 		}
-		seg.index = append(seg.index, pos)
+		if pos > math.MaxUint32 {
+			// Not a tear: a valid record the index cannot hold. Only a
+			// segment written past the 1 GiB SegmentBytes bound gets here.
+			return nil, 0, fmt.Errorf("queue: wal segment %s: record at byte %d past the 4 GiB index bound", path, pos)
+		}
+		seg.index = append(seg.index, uint32(pos))
 		seg.size = pos + walRecHeader + int64(n)
 	}
 }
@@ -376,17 +392,11 @@ func (w *WAL[T]) createSegment(first uint64) (*walSegment, error) {
 func (w *WAL[T]) ID() uint64 { return w.id }
 
 // Append implements LogBackend: marshal, frame, buffer, and fsync every
-// SyncEvery records. A message that marshals to no bytes is refused: the
-// scan could not tell its record from a zero-filled torn tail.
+// SyncEvery records. Marshal runs under the lock, so a codec that reuses
+// one buffer makes a record cost no allocation. A message that marshals to
+// no bytes is refused: the scan could not tell its record from a
+// zero-filled torn tail.
 func (w *WAL[T]) Append(rec Record[T]) error {
-	msg, err := w.opts.Marshal(rec.Msg)
-	if err != nil {
-		return fmt.Errorf("queue: wal marshal: %w", err)
-	}
-	if len(msg) == 0 {
-		return errors.New("queue: wal marshal: empty message")
-	}
-
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -395,18 +405,24 @@ func (w *WAL[T]) Append(rec Record[T]) error {
 	if w.syncErr != nil {
 		return fmt.Errorf("queue: wal background sync: %w", w.syncErr)
 	}
+	msg, err := w.opts.Marshal(rec.Msg)
+	if err != nil {
+		return fmt.Errorf("queue: wal marshal: %w", err)
+	}
+	if len(msg) == 0 {
+		return errors.New("queue: wal marshal: empty message")
+	}
 	tail := w.segs[len(w.segs)-1]
 	// Frame header, a version-1 tail's zeroed prefix and the message are
 	// assembled in the WAL's own buffer (mu guards it) and handed to the
-	// writer in one call, so a record costs no allocation here beyond
-	// Marshal's.
+	// writer in one call; msg is not used after that.
 	w.frame = append(w.frame[:0], make([]byte, walRecHeader+tail.skip)...)
 	w.frame = append(w.frame, msg...)
 	codecutil.EncodeFrameHeader(w.frame, w.frame[walRecHeader:])
 	if _, err := w.bw.Write(w.frame); err != nil {
 		return err
 	}
-	tail.index = append(tail.index, tail.size)
+	tail.index = append(tail.index, uint32(tail.size))
 	tail.size += int64(len(w.frame))
 	w.unsynced++
 	if w.unsynced >= w.opts.SyncEvery {
@@ -454,6 +470,10 @@ func (w *WAL[T]) rotateLocked() error {
 	if err != nil {
 		return err
 	}
+	// Segments of one log hold about as many records each: sized from the
+	// one just sealed, the index grows at most once before the next
+	// rotation instead of doubling its way up.
+	seg.index = make([]uint32, 0, len(tail.index)+len(tail.index)/16)
 	f, err := os.OpenFile(seg.path, os.O_RDWR, 0o644)
 	if err != nil {
 		return err
@@ -504,10 +524,10 @@ func (w *WAL[T]) Read(from uint64, dst []Record[T]) (int, error) {
 	if count > len(dst) {
 		count = len(dst)
 	}
-	lo := seg.index[idx]
+	lo := int64(seg.index[idx])
 	hi := seg.size
 	if idx+count < len(seg.index) {
-		hi = seg.index[idx+count]
+		hi = int64(seg.index[idx+count])
 	}
 	buf := make([]byte, hi-lo)
 	if seg == tail {
@@ -519,7 +539,7 @@ func (w *WAL[T]) Read(from uint64, dst []Record[T]) (int, error) {
 			w.mu.Unlock()
 			return 0, err
 		}
-		if _, err := io.ReadFull(io.NewSectionReader(w.active, lo, hi-lo), buf); err != nil {
+		if _, err := w.active.ReadAt(buf, lo); err != nil {
 			w.mu.Unlock()
 			return 0, fmt.Errorf("queue: wal read %s @%d: %w", seg.path, lo, err)
 		}
@@ -540,7 +560,7 @@ func (w *WAL[T]) Read(from uint64, dst []Record[T]) (int, error) {
 		// below this offset — which the TruncateBelow contract forbids
 		// while a replayer still needs it (a violation surfaces as a read
 		// error, never a bad envelope).
-		if _, err := io.ReadFull(io.NewSectionReader(src, lo, hi-lo), buf); err != nil {
+		if _, err := src.ReadAt(buf, lo); err != nil {
 			return 0, fmt.Errorf("queue: wal read %s @%d: %w", seg.path, lo, err)
 		}
 	}

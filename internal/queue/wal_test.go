@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -572,4 +573,70 @@ func TestDiskWALPublishWithin2xOfMemory(t *testing.T) {
 		}
 	}
 	t.Fatalf("disk WAL publish is %.2fx the in-memory backend after %d attempts (budget 2x)", lastRatio, attempts)
+}
+
+// TestWALMarshalReusedBuffer holds the Marshal contract: Append calls
+// Marshal under the WAL's lock and is done with its result when it returns,
+// so a Marshal that returns one buffer it reuses keeps every record intact —
+// here from several appenders at once, across rotations (run under -race, a
+// call outside the lock is a data race on the buffer).
+func TestWALMarshalReusedBuffer(t *testing.T) {
+	dir := t.TempDir()
+	var buf []byte
+	w := intWAL(t, dir, func(o *WALOptions[int]) {
+		o.SegmentBytes = 1 << 10
+		o.Marshal = func(v int) ([]byte, error) {
+			buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(v))
+			return buf, nil
+		}
+	})
+	defer w.Close()
+	const writers, each = 4, 300
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := w.Append(Record[int]{Msg: g*each + i}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg")); len(segs) < 3 {
+		t.Fatalf("only %d segments: the appends never crossed a rotation", len(segs))
+	}
+	// Every value once, and each appender's in its order.
+	next := make([]int, writers)
+	recs := readAll(t, w, 0)
+	for _, r := range recs {
+		g, i := r.Msg/each, r.Msg%each
+		if g < 0 || g >= writers || i != next[g] {
+			t.Fatalf("record %d read out of its appender's order", r.Msg)
+		}
+		next[g]++
+	}
+	if len(recs) != writers*each {
+		t.Fatalf("read %d records, appended %d", len(recs), writers*each)
+	}
+}
+
+// TestWALSegmentBytesBound: the in-memory index holds byte positions as
+// uint32, so OpenWAL refuses a rotation threshold above 1 GiB and names the
+// bound.
+func TestWALSegmentBytesBound(t *testing.T) {
+	_, err := OpenWAL(WALOptions[int]{
+		Dir:          t.TempDir(),
+		Marshal:      func(int) ([]byte, error) { return []byte{1}, nil },
+		Unmarshal:    func([]byte) (int, error) { return 0, nil },
+		SegmentBytes: 1<<30 + 1,
+	})
+	if err == nil || !strings.Contains(err.Error(), "1 GiB") {
+		t.Fatalf("SegmentBytes above 1 GiB: err = %v, want one naming the bound", err)
+	}
+	w := intWAL(t, t.TempDir(), func(o *WALOptions[int]) { o.SegmentBytes = 1 << 30 })
+	w.Close()
 }
