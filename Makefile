@@ -44,10 +44,15 @@ examples:
 # and Follows lookups (0); D's insert on the quiet shape (≤ 0.02 an insert
 # across sweeps and cuts), its sweep-and-refill cycle at the working set
 # (TestSweepZeroAlloc, 0) and its restore (per shard, not per target);
-# the engine's no-candidate budget and its chunk budgets (multi-motif,
-# emitting, the triangle beside a group); the apply loop's no-candidate batch
-# over two workers (0); the funnel's offer (a live duplicate 0, a delivery
-# ≤ 0.01: a chunk of 256 Notifications); the wire's: a candidate connection's decode (≤ 0.02 a
+# the engine's no-candidate budgets (≤ 1 an event for one plan, 0 a batch
+# for a multi-motif share group) and its emitting batches, the triangle
+# beside a group too: 0 through DetectLeased with their windows released
+# (recycled chunks), the chunk budget through DetectBatch; the candidate log's
+# commits (to users at depth 0, at its working set with runs coming and going
+# TestCommitWorkingSetZeroAlloc 0, to 4 096 new users ≤ 0.05 a candidate);
+# the apply loop's no-candidate batch over two workers (0); the funnel's
+# offer (a live duplicate 0, a delivery ≤ 0.01: chunks of 256 Notifications
+# and their Vias); the wire's: a candidate connection's decode (≤ 0.02 a
 # candidate, TestDecodeCandBatchAllocBudget), an envelope batch encoded and
 # framed (TestEnvBatchFrameZeroAlloc, 0) and a frame read
 # (TestReadMsgZeroAlloc, 0); the delivery loop's simulated queue-delay draws
@@ -55,7 +60,7 @@ examples:
 # changes allocation counts, so under -race they skip. Every *ZeroAlloc gate
 # is selected by the regex's first term.
 test-allocs:
-	$(GO) test -run 'ZeroAlloc|TestInsertAllocBudget|TestLoadSnapshotAllocBudget|TestDetectBatchAllocBudget|TestOfferAllocBudget|TestDecodeCandBatchAllocBudget' ./internal/graph ./internal/statstore ./internal/dynstore ./internal/core ./internal/cluster ./internal/delivery ./internal/transport
+	$(GO) test -run 'ZeroAlloc|TestInsertAllocBudget|TestLoadSnapshotAllocBudget|TestDetectBatchAllocBudget|TestCommitAllocBudget|TestCommitNewUsersAllocBudget|TestOfferAllocBudget|TestDecodeCandBatchAllocBudget' ./internal/graph ./internal/statstore ./internal/dynstore ./internal/core ./internal/partition ./internal/cluster ./internal/delivery ./internal/transport
 
 # test-crashmatrix runs just the fault-injection matrix (kill / restore /
 # whole-cluster restart at every pipeline stage, oracle-asserted, once per
@@ -121,8 +126,8 @@ test-transport:
 # multi-query differential (shared vs ungrouped multiset, fingerprint
 # equality across batch/worker configs, multi-motif kill/restore) — the
 # quick loop for planner and multi-query work. The multi-motif allocation
-# gates (the no-candidate path and the emit path's chunk budget, the
-# triangle's included) are among test-allocs.
+# gates (the no-candidate path and the emit path's, the triangle's
+# included) are among test-allocs.
 test-planner: test-allocs
 	$(GO) test -race ./internal/motifdsl ./internal/motif
 	$(GO) test -race -run 'TestEngineShared|TestEngineRejectsNonPlans|TestMultiQuery' ./internal/core ./internal/cluster
@@ -130,7 +135,8 @@ test-planner: test-allocs
 # test-codec runs the checkpoint codec's gates: the allocation budgets of
 # segment decode, delta capture and the candidate log (commit to users at
 # depth, commit to 4 096 new users — TestCommitNewUsersAllocBudget, ≤ 0.05 a
-# candidate — and read) with the log's exact bytes per retained candidate
+# candidate; both in test-allocs too — and read) with the log's exact bytes
+# per retained candidate
 # (without race, like test-planner's:
 # instrumentation changes allocation counts), the golden files (the WAL's
 # two segment versions and the wire's frames among them) with the exhaustive

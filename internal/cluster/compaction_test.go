@@ -329,7 +329,7 @@ func TestDeliveryOffsetsPersistence(t *testing.T) {
 		return c
 	}
 	c := newCluster()
-	c.persistDeliveryOffsets([]uint64{5, 9}, true)
+	c.hub.persistDeliveryOffsets([]uint64{5, 9}, true)
 	if got, ok := c.loadDeliveryOffset(0); !ok || got != 5 {
 		t.Fatalf("loadDeliveryOffset(0) = %d, %v", got, ok)
 	}

@@ -290,7 +290,7 @@ func composeFromPool(pool []baseSource, start, head uint64) (*partition.Segment,
 		if err != nil {
 			continue
 		}
-		st, err := partition.DecodeBase(data)
+		st, err := partition.DecodeBase(data, nil)
 		if err != nil {
 			continue
 		}

@@ -79,6 +79,10 @@ type hubTier struct {
 	// a durable-log restart, so replicas replaying their tail spans do
 	// not re-deliver batches the previous run already pushed.
 	initialDelivery []uint64
+	// offPath is delivery.off's path, and offBuf the buffer its record is
+	// encoded into: the delivery goroutine's (persistDeliveryOffsets).
+	offPath string
+	offBuf  []byte
 	// stateWG tracks in-flight async delivery-state cuts; stateBusy keeps
 	// at most one in flight (a busy tick is skipped, the next one captures
 	// a strictly newer state). Cuts are only spawned by the delivery
@@ -106,7 +110,7 @@ type hubTier struct {
 // replica host's attach brings it to life.
 func newHubTier(sh *shared) (h *hubTier, err error) {
 	cfg := sh.cfg
-	h = &hubTier{shared: sh}
+	h = &hubTier{shared: sh, offPath: deliveryOffsetsPath(cfg.CheckpointDir)}
 	var logID uint64 // see shared.runID
 	var backend queue.LogBackend[graph.Edge]
 	if cfg.LogDir != "" {
@@ -239,6 +243,7 @@ func (h *hubTier) runDelivery() {
 	batches := 0
 	for msg := range h.candidates {
 		if msg.Offset < nextOffset[msg.Pid] {
+			msg.Lease.Release()
 			continue // another replica's copy already covered this event
 		}
 		nextOffset[msg.Pid] = msg.Offset + 1
@@ -264,6 +269,9 @@ func (h *hubTier) runDelivery() {
 				h.cfg.OnNotify(*note)
 			}
 		}
+		// The pipeline keeps nothing of a candidate: a notification's Via
+		// is its own copy.
+		msg.Lease.Release()
 		if persist {
 			// Periodically persist the per-group high-water offsets next
 			// to the checkpoints: RestoreReplica reads them to clamp a

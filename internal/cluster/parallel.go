@@ -82,22 +82,26 @@ func (k *ckptClock) tick(ts, everyMS int64) bool {
 }
 
 // replicaBatch holds one consumer's reusable batch buffers and its resident
-// detect workers; everything is sized once and recycled across batches, so a
-// warmed-up consumer allocates nothing per batch beyond the chunks the
-// programs' candidates fill.
+// detect workers; everything is sized once and recycled across batches, and
+// the chunks the programs' candidates fill come back to the partition's
+// engine once their leases are released, so a warmed-up consumer allocates
+// nothing per batch.
 type replicaBatch struct {
 	max     int
 	workers int
 	envs    []queue.Envelope[graph.Edge]
 	// Per-worker shards: the edges routed to shard w and each edge's
 	// position in envs, so results scatter back into offset order. outs[w]
-	// holds a reference only between a shard's detection and the scatter.
-	edges [][]graph.Edge
-	pos   [][]int
-	outs  [][]candList
-	// cands[i] is envelope i's detection result, in batch order, until the
-	// commit hands it off.
-	cands []candList
+	// and outLeases[w] hold a result only between a shard's detection and
+	// the scatter.
+	edges     [][]graph.Edge
+	pos       [][]int
+	outs      [][]candList
+	outLeases [][]motif.Lease
+	// cands[i] is envelope i's detection result, and leases[i] its lease, in
+	// batch order, until the commit hands them off.
+	cands  []candList
+	leases []motif.Lease
 	// closed records that the subscription closed mid-drain; the partial
 	// batch is still applied before the consumer exits.
 	closed bool
@@ -126,19 +130,22 @@ func newReplicaBatch(max, workers int) *replicaBatch {
 	b := &replicaBatch{max: max, workers: workers}
 	b.envs = make([]queue.Envelope[graph.Edge], 0, max)
 	b.cands = make([]candList, max)
+	b.leases = make([]motif.Lease, max)
 	b.edges = make([][]graph.Edge, workers)
 	b.pos = make([][]int, workers)
 	b.outs = make([][]candList, workers)
+	b.outLeases = make([][]motif.Lease, workers)
 	for w := range b.edges {
 		b.edges[w] = make([]graph.Edge, 0, max)
 		b.pos[w] = make([]int, 0, max)
 		b.outs[w] = make([]candList, max)
+		b.outLeases[w] = make([]motif.Lease, max)
 	}
 	return b
 }
 
 // startWorkers starts the batch's resident detect workers — one fewer than
-// its shards, the consumer detecting shard 0 itself — which run DetectBatch
+// its shards, the consumer detecting shard 0 itself — which run DetectLeased
 // on p over each shard they are sent until stopWorkers. They are started
 // once per consumer, not per batch: a batch costs them a channel send and a
 // WaitGroup count, no goroutine, closure or allocation.
@@ -149,11 +156,17 @@ func (b *replicaBatch) startWorkers(p *partition.Partition) {
 		go func() {
 			defer b.exited.Done()
 			for shard := range b.shards {
-				p.DetectBatch(b.edges[shard], b.outs[shard][:len(b.edges[shard])])
+				b.detect(p, shard)
 				b.pending.Done()
 			}
 		}()
 	}
+}
+
+// detect runs detection over shard's edges into its result buffers.
+func (b *replicaBatch) detect(p *partition.Partition, shard int) {
+	n := len(b.edges[shard])
+	p.DetectLeased(b.edges[shard], b.outs[shard][:n], b.outLeases[shard][:n])
 }
 
 // stopWorkers ends the resident workers and returns once they have exited.
@@ -165,10 +178,12 @@ func (b *replicaBatch) stopWorkers() {
 
 // consumeBatched is the replica consumer loop: block for one envelope,
 // drain up to the batch bound, apply, repeat. Its detect workers live
-// exactly as long as it does.
+// exactly as long as it does, and so does the engine's detection memory:
+// the chunks it recycles are dropped when the loop exits.
 func (h *replicaHost) consumeBatched(rep *replica) {
 	b := newReplicaBatch(h.cfg.ApplyBatch, h.cfg.ApplyWorkers)
 	b.startWorkers(rep.p)
+	defer rep.p.ReleaseScratch()
 	defer b.stopWorkers()
 	for {
 		select {
@@ -236,13 +251,13 @@ func (h *replicaHost) applyBatch(rep *replica, b *replicaBatch) bool {
 
 	w := min(b.workers, n)
 	if w <= 1 {
-		// Inline: one DetectBatch over the whole batch — still amortizes
+		// Inline: one detection over the whole batch — still amortizes
 		// scratch and counters, just without fan-out.
 		b.edges[0] = b.edges[0][:0]
 		for _, env := range b.envs {
 			b.edges[0] = append(b.edges[0], env.Msg)
 		}
-		p.DetectBatch(b.edges[0], cands)
+		p.DetectLeased(b.edges[0], cands, b.leases[:n])
 	} else {
 		// Shard by edge target: same target, same shard, offset order
 		// within the shard — the arrangement under which concurrent
@@ -263,13 +278,14 @@ func (h *replicaHost) applyBatch(rep *replica, b *replicaBatch) bool {
 			}
 		}
 		// Shard 0 runs inline on the consumer goroutine.
-		p.DetectBatch(b.edges[0], b.outs[0][:len(b.edges[0])])
+		b.detect(p, 0)
 		b.pending.Wait()
 		// Move, not copy: a reference left in outs would outlive the batch
 		// and pin the chunk its candidates were issued from.
 		for i := 0; i < w; i++ {
 			for j, at := range b.pos[i] {
 				cands[at], b.outs[i][j] = b.outs[i][j], nil
+				b.leases[at], b.outLeases[i][j] = b.outLeases[i][j], motif.Lease{}
 			}
 		}
 	}
@@ -281,8 +297,9 @@ func (h *replicaHost) applyBatch(rep *replica, b *replicaBatch) bool {
 
 	// Ordered commit, one envelope at a time in offset order.
 	for i, env := range b.envs {
-		ev := cands[i]
-		cands[i] = nil // the slice is handed off; drop the batch's reference
+		// The slice and its lease are handed off: drop the batch's references.
+		ev, lease := cands[i], b.leases[i]
+		cands[i], b.leases[i] = nil, motif.Lease{}
 		p.Commit(ev)
 
 		// One load gates BOTH this envelope's offer and its cut. A teardown
@@ -299,11 +316,19 @@ func (h *replicaHost) applyBatch(rep *replica, b *replicaBatch) bool {
 		// offset: a cut at Offset+1 must never claim durability for an
 		// event whose candidates were not yet handed to the delivery tier,
 		// or a restore from that cut would skip re-emitting them.
-		if len(ev) > 0 && !dead {
-			msg := transport.CandMsg{Pid: rep.pid, Offset: env.Offset, PubNS: env.PubUnixNS, Cands: ev}
-			if h.link.offer(msg) != nil {
-				return false
+		// An offered message is the delivery tier's to release; what is not
+		// sent is released here.
+		switch {
+		case len(ev) == 0:
+		case dead:
+			lease.Release()
+		case h.link.offer(transport.CandMsg{Pid: rep.pid, Offset: env.Offset, PubNS: env.PubUnixNS, Cands: ev, Lease: lease}) != nil:
+			lease.Release()
+			for j := i + 1; j < n; j++ {
+				b.leases[j].Release()
+				cands[j], b.leases[j] = nil, motif.Lease{}
 			}
+			return false
 		}
 		rep.applied.Store(env.Offset + 1)
 

@@ -8,6 +8,7 @@ import (
 
 	"motifstream/internal/dynstore"
 	"motifstream/internal/graph"
+	"motifstream/internal/motif"
 	"motifstream/internal/queue"
 	"motifstream/internal/racetest"
 )
@@ -318,7 +319,8 @@ func setBatch(b *replicaBatch, first uint64, edges []graph.Edge) {
 // same slice until a later batch happened to overwrite the entry — up to a
 // batch's worth of stale candidate windows per worker, each pinning the chunk
 // it was issued from. After applyBatch returns, no buffer of the batch may
-// reference a candidate slice, whatever the sizes of the batches before.
+// reference a candidate slice or hold a lease, whatever the sizes of the
+// batches before.
 func TestApplyBatchReleasesCandidates(t *testing.T) {
 	h, link, b := batchHost(t, 16, 2)
 	rep := h.reps[0]
@@ -348,6 +350,13 @@ func TestApplyBatchReleasesCandidates(t *testing.T) {
 		for i, cands := range b.cands {
 			if cands != nil {
 				t.Fatalf("batch [%d,%d): the batch still holds the %d candidates of envelope %d", lo, hi, len(cands), i)
+			}
+		}
+		for w, leases := range append(b.outLeases, b.leases) {
+			for j, l := range leases {
+				if l != (motif.Lease{}) {
+					t.Fatalf("batch [%d,%d): lease buffer %d still holds the lease of its entry %d", lo, hi, w, j)
+				}
 			}
 		}
 		if len(b.edges[1]) > 0 {

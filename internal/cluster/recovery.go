@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -543,6 +544,7 @@ func (w *ckptWriter) compact() {
 // used, and the offset of the last used segment (zero when none were).
 func composeChain(dir string, segs []segmentRef) (st *partition.Segment, used int, offset uint64) {
 	var chain []*partition.Segment
+	var names codecutil.Strings // the chain's program names, one copy each
 	for _, ref := range segs {
 		// Each segment is read whole and decoded, CRC first, before any is
 		// merged: a corrupt one leaves the chain before it as it was. The
@@ -555,7 +557,7 @@ func composeChain(dir string, segs []segmentRef) (st *partition.Segment, used in
 		if ref.kind == segKindBase {
 			decode = partition.DecodeBase
 		}
-		seg, err := decode(data)
+		seg, err := decode(data, &names)
 		if err != nil {
 			break
 		}
@@ -616,21 +618,23 @@ func (h *replicaHost) truncateManifest(dir string, man *manifest, keep int) bool
 // final persist at drain passes durable=true: on a durable-log cluster
 // that file is load-bearing for the restart contract (the reopened
 // filter seeds from it), so it must survive a power loss after a clean
-// Shutdown just like the WAL and the checkpoint manifests do.
-func (s *shared) persistDeliveryOffsets(next []uint64, durable bool) {
-	err := codecutil.ReplaceFile(deliveryOffsetsPath(s.cfg.CheckpointDir), func(w io.Writer) error {
-		enc := &codecutil.Writer{BW: bufio.NewWriter(w)}
-		enc.PutBytes(deliveryMagic[:])
-		enc.PutU(deliveryVersion)
-		enc.PutU(s.runID)
-		enc.PutU(uint64(len(next)))
-		for _, off := range next {
-			enc.PutU(off)
-		}
-		return enc.Flush()
+// Shutdown just like the WAL and the checkpoint manifests do. The record is
+// encoded into the hub's one buffer and written whole.
+func (h *hubTier) persistDeliveryOffsets(next []uint64, durable bool) {
+	b := append(h.offBuf[:0], deliveryMagic[:]...)
+	b = binary.AppendUvarint(b, deliveryVersion)
+	b = binary.AppendUvarint(b, h.runID)
+	b = binary.AppendUvarint(b, uint64(len(next)))
+	for _, off := range next {
+		b = binary.AppendUvarint(b, off)
+	}
+	h.offBuf = b
+	err := codecutil.ReplaceFile(h.offPath, func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
 	}, durable)
 	if err != nil {
-		s.ckptErrors.Inc()
+		h.ckptErrors.Inc()
 	}
 }
 
@@ -734,38 +738,45 @@ func (h *hubTier) loadDeliveryState() ([]uint64, bool) {
 	return offsets, true
 }
 
-// loadDeliveryOffset reads the persisted delivery high-water offset for a
-// group. ok is false when the file is absent, unreadable, foreign-run, or
-// does not cover pid.
-func (s *shared) loadDeliveryOffset(pid int) (uint64, bool) {
+// readDeliveryOffsets parses delivery.off once: the persisted delivery
+// high-water offsets of the groups it covers, in group order, up to the first
+// it cannot read — none when the file is absent, unreadable or foreign-run.
+func (s *shared) readDeliveryOffsets() []uint64 {
 	data, err := os.ReadFile(deliveryOffsetsPath(s.cfg.CheckpointDir))
 	if err != nil {
-		return 0, false
+		return nil
 	}
 	cur := codecutil.NewCursor(data, "delivery offsets")
 	cur.Header(deliveryMagic, deliveryVersion)
 	if run := cur.U("run id"); run != s.runID {
-		return 0, false
+		return nil
 	}
-	if n := cur.Count("group count", 1); pid >= n {
-		return 0, false
+	offs := make([]uint64, 0, cur.Count("group count", 1))
+	for range cap(offs) {
+		off := cur.U("group offset")
+		if cur.Err != nil {
+			break
+		}
+		offs = append(offs, off)
 	}
-	var off uint64
-	for i := 0; i <= pid; i++ {
-		off = cur.U("group offset")
+	return offs
+}
+
+// loadDeliveryOffset reads the persisted delivery high-water offset for a
+// group. ok is false when the file is absent, unreadable, foreign-run, or
+// does not cover pid.
+func (s *shared) loadDeliveryOffset(pid int) (uint64, bool) {
+	if offs := s.readDeliveryOffsets(); pid < len(offs) {
+		return offs[pid], true
 	}
-	return off, cur.Err == nil
+	return 0, false
 }
 
 // loadDeliveryOffsets reads every group's persisted delivery high-water
 // offset, zero-filled when the file is absent, unreadable, or gated away.
 func (s *shared) loadDeliveryOffsets() []uint64 {
 	out := make([]uint64, s.cfg.Partitions)
-	for pid := range out {
-		if off, ok := s.loadDeliveryOffset(pid); ok {
-			out[pid] = off
-		}
-	}
+	copy(out, s.readDeliveryOffsets())
 	return out
 }
 

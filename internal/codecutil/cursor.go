@@ -17,11 +17,26 @@ type Cursor struct {
 	Prefix string
 	Err    error
 
-	b      []byte // Checked trims verified trailers off the end
-	pos    int
-	last   string            // the previous String result
-	intern map[string]string // every String result, once there are two
+	b    []byte // Checked trims verified trailers off the end
+	pos  int
+	strs *Strings // the table String interns through; nil is own
+	own  Strings
 }
+
+// Strings is a table of the strings cursors read (Cursor.String): equal
+// strings read through cursors that share one table are one copy. A repeat
+// of the previous string — all a single-program deployment ever reads —
+// costs a comparison; the map is built when a second distinct string turns
+// up. The zero table is empty. Not safe for concurrent use.
+type Strings struct {
+	last   string            // the previous string read
+	intern map[string]string // every string read, once there are two
+}
+
+// Intern makes String intern through t, which other cursors may share, so
+// a sequence of sections that name the same few strings — a checkpoint chain
+// — holds one copy of each; nil gives the cursor a table of its own again.
+func (c *Cursor) Intern(t *Strings) { c.strs = t }
 
 // NewCursor returns a cursor at the start of b. The cursor aliases b; only
 // String copies out of it.
@@ -122,10 +137,9 @@ func (c *Cursor) Count(context string, minBytes int) int {
 }
 
 // String reads a length-prefixed string of at most max bytes. Equal
-// strings read through one cursor share one copy: a segment or a candidate
-// batch names each of its few motif programs once per candidate. A repeat of
-// the previous string — all a single-program deployment ever reads — costs
-// a comparison; the table is built when a second distinct string turns up.
+// strings read through one cursor, or through cursors sharing a table
+// (Intern), share one copy: a segment or a candidate batch names each of its
+// few motif programs once per candidate.
 func (c *Cursor) String(context string, max int) string {
 	n := c.U(context)
 	if c.Err == nil && n > uint64(max) {
@@ -135,20 +149,29 @@ func (c *Cursor) String(context string, max int) string {
 	if len(b) == 0 {
 		return ""
 	}
-	if string(b) == c.last {
-		return c.last
+	t := c.strs
+	if t == nil {
+		t = &c.own
 	}
-	s, ok := c.intern[string(b)]
+	return t.of(b)
+}
+
+// of returns b as a string, the table's copy if it has one.
+func (t *Strings) of(b []byte) string {
+	if string(b) == t.last {
+		return t.last
+	}
+	s, ok := t.intern[string(b)]
 	if !ok {
 		s = string(b)
-		if c.last != "" {
-			if c.intern == nil {
-				c.intern = map[string]string{c.last: c.last}
+		if t.last != "" {
+			if t.intern == nil {
+				t.intern = map[string]string{t.last: t.last}
 			}
-			c.intern[s] = s
+			t.intern[s] = s
 		}
 	}
-	c.last = s
+	t.last = s
 	return s
 }
 

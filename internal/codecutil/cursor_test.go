@@ -56,6 +56,48 @@ func TestCursorStringInterns(t *testing.T) {
 	}
 }
 
+// Cursors that share a table (Intern) share one copy of each string across
+// the sections they read, and a section whose strings the table already
+// holds costs no allocation for them.
+func TestCursorsShareInternedStrings(t *testing.T) {
+	var buf bytes.Buffer
+	w := &Writer{BW: bufio.NewWriter(&buf)}
+	names := []string{"m01", "m02", "m03", "m01", "m04", "m02"}
+	for _, s := range names {
+		w.PutString(s)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var table Strings
+	read := func() []string {
+		c := NewCursor(buf.Bytes(), "test")
+		c.Intern(&table)
+		out := make([]string, len(names))
+		for i := range out {
+			out[i] = c.String("s", 16)
+		}
+		if err := c.Done(); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	first, second := read(), read()
+	for i, s := range first {
+		if s != names[i] || unsafe.StringData(s) != unsafe.StringData(second[i]) {
+			t.Fatalf("string %d: %q and %q are not one copy of %q", i, s, second[i], names[i])
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		c := Cursor{b: buf.Bytes(), strs: &table}
+		for range names {
+			c.String("s", 16)
+		}
+	}); allocs > 0 {
+		t.Fatalf("strings the shared table holds cost %v allocations, want 0", allocs)
+	}
+}
+
 func TestCursorReadsWhatWriterWrote(t *testing.T) {
 	var buf bytes.Buffer
 	hw := &HashWriter{W: &buf}

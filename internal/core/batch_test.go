@@ -37,12 +37,22 @@ func batchWorkload(seed int64, n int) []graph.Edge {
 // batch, then MaybeSweep is offered every edge in order. out[i] receives
 // edge i's candidates.
 func replicaApply(e *Engine, max int, edges []graph.Edge, out [][]motif.Candidate) {
+	leasedApply(e, max, edges, out, nil)
+}
+
+// leasedApply is replicaApply that also stores out[i]'s lease in leases[i]
+// when leases is non-nil.
+func leasedApply(e *Engine, max int, edges []graph.Edge, out [][]motif.Candidate, leases []motif.Lease) {
 	for lo := 0; lo < len(edges); {
 		hi := lo + 1
 		for hi < len(edges) && hi-lo < max && !e.SweepDue(edges[hi-1].TS) {
 			hi++
 		}
-		e.DetectBatch(edges[lo:hi], out[lo:hi])
+		if leases != nil {
+			e.DetectLeased(edges[lo:hi], out[lo:hi], leases[lo:hi])
+		} else {
+			e.DetectBatch(edges[lo:hi], out[lo:hi])
+		}
 		for _, edge := range edges[lo:hi] {
 			e.MaybeSweep(edge.TS)
 		}
@@ -179,14 +189,6 @@ func TestDetectBatchAllocBudget(t *testing.T) {
 	}
 }
 
-// chunkBudget is what the emit path may allocate for a batch: the chunks its
-// candidates and their Via elements fill (motif's candChunk and viaChunk), and
-// one.
-func chunkBudget(cands, viaElems int) int {
-	const candChunk, viaChunk = 256, 2048
-	return (cands+candChunk-1)/candChunk + (viaElems+viaChunk-1)/viaChunk + 1
-}
-
 // thresholds returns twenty diamonds, k = 2..21, of one share key: the share
 // group of the emit path's gates.
 func thresholds() []motif.Program {
@@ -199,12 +201,23 @@ func thresholds() []motif.Program {
 	return progs
 }
 
+// chunkBudget is what DetectBatch's emit path may allocate for a batch whose
+// leases it drops: the chunks its candidates and their Via elements fill
+// (motif's candChunk and viaChunk), and one.
+func chunkBudget(cands, viaElems int) int {
+	const candChunk, viaChunk = 256, 2048
+	return (cands+candChunk-1)/candChunk + (viaElems+viaChunk-1)/viaChunk + 1
+}
+
 // emitBudget runs progs over the emit path's world — users 102..108, user
 // 100+j following B's 1..j, so once all eight B's have acted on a target user
 // 100+j has j supports — on batches of 64 events where every B acts on every
 // target. It returns what a warm batch emits, its candidates and their
-// distinct Via elements, and the allocations a batch costs.
-func emitBudget(t *testing.T, progs []motif.Program) (cands, viaElems int, perBatch float64) {
+// distinct Via elements, and the allocations a batch costs two ways: through
+// DetectLeased with each batch's windows released once it is read, as the
+// cluster's candidate path releases them, and through DetectBatch, which
+// hands no leases out.
+func emitBudget(t *testing.T, progs []motif.Program) (cands, viaElems int, leased, batched float64) {
 	t.Helper()
 	var static []graph.Edge
 	for j := 2; j <= 8; j++ {
@@ -239,9 +252,16 @@ func emitBudget(t *testing.T, progs []motif.Program) (cands, viaElems int, perBa
 			}
 		}
 	}
-	for i := 0; i < 20; i++ {
+	leases := make([]motif.Lease, batch)
+	apply := func() {
+		for _, l := range leases {
+			l.Release()
+		}
 		fill()
-		replicaApply(e, batch, edges, out)
+		leasedApply(e, batch, edges, out, leases)
+	}
+	for i := 0; i < 20; i++ {
+		apply()
 	}
 	for _, evCands := range out {
 		cands += len(evCands)
@@ -253,49 +273,59 @@ func emitBudget(t *testing.T, progs []motif.Program) (cands, viaElems int, perBa
 			}
 		}
 	}
-	return cands, viaElems, testing.AllocsPerRun(20, func() {
+	leased = testing.AllocsPerRun(20, apply)
+	batched = testing.AllocsPerRun(20, func() {
 		fill()
 		replicaApply(e, batch, edges, out)
 	})
+	return cands, viaElems, leased, batched
 }
 
 // TestDetectBatchAllocBudgetEmitting is the allocation gate of the emit
 // path: a share group of twenty thresholds (k = 2..21) on events where
 // several of them emit (28 candidates for 7 users, from 7 members, the
 // members recommending one user sharing its Via window: 35 elements an event).
-// Candidates and Vias are windows of the scratch's chunks, assembled in
-// registration order where they are issued, so the batch pays for the chunks
-// it fills — 10 allocations here for 1792 candidates, where an array pair per
-// group-event and an assembly copy per event were 192.
+// Candidates and Vias are windows of chunks, assembled in registration order
+// where they are issued. Through DetectLeased a chunk whose windows are all
+// released is issued again, so a warm batch allocates nothing. DetectBatch
+// pays for the chunks it fills — 10 allocations here for 1792 candidates,
+// where an array pair per group-event and an assembly copy per event were 192.
 func TestDetectBatchAllocBudgetEmitting(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("allocation gate: race instrumentation allocates; the non-race run enforces the budget")
 	}
-	cands, viaElems, perBatch := emitBudget(t, thresholds())
+	cands, viaElems, leased, batched := emitBudget(t, thresholds())
 	if cands != 64*28 || viaElems != 64*35 {
 		t.Fatalf("warm batch emitted %d candidates over %d Via elements, want 28 and 35 per event", cands, viaElems)
 	}
-	if budget := chunkBudget(cands, viaElems); perBatch > float64(budget) {
-		t.Fatalf("emitting path allocates %.1f/batch for %d candidates; the chunk budget is %d", perBatch, cands, budget)
+	if leased != 0 {
+		t.Fatalf("leased emitting path allocates %.1f/batch for %d candidates with its windows released; want 0", leased, cands)
+	}
+	if budget := chunkBudget(cands, viaElems); batched > float64(budget) {
+		t.Fatalf("DetectBatch's emitting path allocates %.1f/batch for %d candidates; the chunk budget is %d", batched, cands, budget)
 	}
 }
 
 // TestDetectBatchAllocBudgetTriangle registers the triangle closure beside
 // the twenty thresholds on the same events: each event also recommends its
 // actor to the seven other B's in the window, the seven sharing one Via
-// window [target]. The triangle's candidates ride the same chunks, so the
-// batch stays within the chunk budget — 10 allocations for 2240 candidates,
-// where a slice per emitting event and a Via per candidate made it 522.
+// window [target]. The triangle's candidates ride the same chunks, so a warm
+// leased batch allocates nothing, and DetectBatch stays within the chunk
+// budget — 10 allocations for 2240 candidates, where a slice per emitting
+// event and a Via per candidate made it 522.
 func TestDetectBatchAllocBudgetTriangle(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("allocation gate: race instrumentation allocates; the non-race run enforces the budget")
 	}
-	cands, viaElems, perBatch := emitBudget(t, append(thresholds(), motif.NewTriangleClosure(30*time.Second)))
+	cands, viaElems, leased, batched := emitBudget(t, append(thresholds(), motif.NewTriangleClosure(30*time.Second)))
 	if cands != 64*35 {
 		t.Fatalf("warm batch emitted %d candidates, want 35 per event", cands)
 	}
-	if budget := chunkBudget(cands, viaElems); perBatch > float64(budget) {
-		t.Fatalf("emitting path allocates %.1f/batch for %d candidates; the chunk budget is %d", perBatch, cands, budget)
+	if leased != 0 {
+		t.Fatalf("leased emitting path allocates %.1f/batch for %d candidates with its windows released; want 0", leased, cands)
+	}
+	if budget := chunkBudget(cands, viaElems); batched > float64(budget) {
+		t.Fatalf("DetectBatch's emitting path allocates %.1f/batch for %d candidates; the chunk budget is %d", batched, cands, budget)
 	}
 }
 

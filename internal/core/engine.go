@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -55,6 +56,13 @@ type Engine struct {
 	groupSlots [][]int
 	sharing    SharingStats
 
+	// scratches are the engine's idle detect scratches, as many as ran at
+	// once, all bound to chunks: a hand-over's chunks come back to the engine
+	// that issued them once its lease is released (DetectLeased).
+	scratchMu sync.Mutex
+	scratches []*motif.Scratch
+	chunks    *motif.Recycler
+
 	reg           *metrics.Registry
 	events        *metrics.Counter
 	candidates    *metrics.Counter
@@ -92,6 +100,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 			D:       cfg.Dynamic,
 			Follows: cfg.Follows,
 		},
+		chunks:        motif.NewRecycler(),
 		reg:           reg,
 		events:        reg.Counter("engine.events"),
 		candidates:    reg.Counter("engine.candidates"),
@@ -158,7 +167,7 @@ func (e *Engine) buildGroups(progs []motif.Program) error {
 // span including the D-store insert.
 func (e *Engine) Apply(edge graph.Edge) []motif.Candidate {
 	s := motif.GetScratch()
-	out := e.applyOne(edge, s)
+	out, _ := e.applyOne(edge, s)
 	motif.PutScratch(s)
 	e.events.Inc()
 	e.candidates.Add(uint64(len(out)))
@@ -167,9 +176,10 @@ func (e *Engine) Apply(edge graph.Edge) []motif.Candidate {
 }
 
 // applyOne inserts edge into D, runs every program with the given scratch,
-// and observes the latency histograms. Counters and sweeps are the
-// caller's responsibility so batched callers can amortize them.
-func (e *Engine) applyOne(edge graph.Edge, s *motif.Scratch) []motif.Candidate {
+// and observes the latency histograms; it returns the candidates and their
+// lease. Counters and sweeps are the caller's responsibility so batched
+// callers can amortize them.
+func (e *Engine) applyOne(edge graph.Edge, s *motif.Scratch) ([]motif.Candidate, motif.Lease) {
 	start := time.Now()
 	e.dynamic.Insert(edge)
 	detect := time.Now()
@@ -181,11 +191,55 @@ func (e *Engine) applyOne(edge graph.Edge, s *motif.Scratch) []motif.Candidate {
 	for gi, g := range e.groups {
 		g.StageInto(e.ctx, edge, s, e.groupSlots[gi])
 	}
-	out := s.HandOver(nil)
+	out, lease := s.HandOver(nil)
 	end := time.Now()
 	e.queryLatency.Observe(end.Sub(detect))
 	e.ingestLatency.Observe(end.Sub(start))
-	return out
+	return out, lease
+}
+
+// scratch returns a scratch for one detection. A leased one is an idle
+// scratch of the engine's, or a new one, bound to its chunks. One that is not
+// is pooled and recycles nothing (motif.GetScratch): a caller that never
+// sees its leases cannot release them, so chunks bound to the engine would
+// cost it a chunk header each beside the buffer.
+func (e *Engine) scratch(leased bool) *motif.Scratch {
+	if !leased {
+		return motif.GetScratch()
+	}
+	e.scratchMu.Lock()
+	defer e.scratchMu.Unlock()
+	n := len(e.scratches)
+	if n == 0 {
+		return motif.NewScratch(e.chunks)
+	}
+	s := e.scratches[n-1]
+	e.scratches[n-1] = nil
+	e.scratches = e.scratches[:n-1]
+	return s
+}
+
+// putScratch makes s, from scratch(leased), idle again.
+func (e *Engine) putScratch(s *motif.Scratch, leased bool) {
+	if !leased {
+		motif.PutScratch(s)
+		return
+	}
+	e.scratchMu.Lock()
+	e.scratches = append(e.scratches, s)
+	e.scratchMu.Unlock()
+}
+
+// ReleaseScratch drops the engine's idle scratches and the chunks waiting to
+// be issued again, and lets every chunk released from now on go to the
+// collector: a replica's apply loop calls it when it exits, so that an
+// engine no one applies to holds no detection memory. No detection may be in
+// flight. A later one starts afresh.
+func (e *Engine) ReleaseScratch() {
+	e.scratchMu.Lock()
+	defer e.scratchMu.Unlock()
+	e.chunks.Close()
+	e.chunks, e.scratches = motif.NewRecycler(), nil
 }
 
 // DetectBatch ingests edges[i] and stores its candidates into out[i]
@@ -199,16 +253,30 @@ func (e *Engine) applyOne(edge graph.Edge, s *motif.Scratch) []motif.Candidate {
 // motif.Program's locality contract), so per-target insert order is all
 // that matters.
 func (e *Engine) DetectBatch(edges []graph.Edge, out [][]motif.Candidate) {
+	e.DetectLeased(edges, out, nil)
+}
+
+// DetectLeased is DetectBatch that also stores out[i]'s lease in leases[i]
+// when leases is non-nil (it then has len(edges) slots). Releasing a lease
+// once out[i] is read — logged, delivered, encoded — lets the engine issue
+// its chunks again; a lease never released costs an allocation, never a
+// rewritten window (see motif.Candidate.Via). With nil leases the windows
+// come from chunks no one recycles, as DetectBatch's and Apply's do.
+func (e *Engine) DetectLeased(edges []graph.Edge, out [][]motif.Candidate, leases []motif.Lease) {
 	if len(edges) == 0 {
 		return
 	}
-	s := motif.GetScratch()
+	s := e.scratch(leases != nil)
 	total := 0
 	for i, edge := range edges {
-		out[i] = e.applyOne(edge, s)
+		var lease motif.Lease
+		out[i], lease = e.applyOne(edge, s)
+		if leases != nil {
+			leases[i] = lease
+		}
 		total += len(out[i])
 	}
-	motif.PutScratch(s)
+	e.putScratch(s, leases != nil)
 	e.events.Add(uint64(len(edges)))
 	e.candidates.Add(uint64(total))
 }

@@ -91,13 +91,15 @@ type Pipeline struct {
 	mu      sync.Mutex
 	dedup   *lruTTL
 	fatigue map[graph.VertexID]budget
-	notes   codecutil.Arena[Notification] // what Offer hands out, noteChunk at a time
+	notes   codecutil.Arena[Notification]   // what Offer hands out, noteChunk at a time
+	vias    codecutil.Arena[graph.VertexID] // their Vias, noteViaChunk at a time
 
 	stats FunnelStats
 }
 
-// noteChunk is how many Notifications one allocation holds (≈ 30 KB).
-const noteChunk = 256
+// noteChunk is how many Notifications one allocation holds (≈ 30 KB), and
+// noteViaChunk how many of their Via elements (8 KB).
+const noteChunk, noteViaChunk = 256, 1024
 
 // FunnelStats counts candidates through each pipeline stage.
 type FunnelStats struct {
@@ -149,6 +151,7 @@ func NewPipeline(opts Options) *Pipeline {
 		dedup:   newLRUTTL(opts.DedupCapacity, opts.DedupTTL),
 		fatigue: make(map[graph.VertexID]budget),
 		notes:   codecutil.Arena[Notification]{Chunk: noteChunk},
+		vias:    codecutil.Arena[graph.VertexID]{Chunk: noteViaChunk},
 	}
 }
 
@@ -157,7 +160,10 @@ func NewPipeline(opts Options) *Pipeline {
 // notification latency. The returned notification is non-nil only when the
 // decision is Delivered. It is the caller's — the pipeline never reuses or
 // writes it again — but it comes from a chunk of noteChunk: one retained note
-// keeps its whole chunk (≈ 30 KB) alive.
+// keeps its whole chunk (≈ 30 KB) alive. Its Candidate.Via is the pipeline's
+// copy of c.Via, a window of an array shared with other notifications' and
+// never rewritten, so the pipeline keeps nothing of c: the caller may release
+// c's lease (motif.Lease) as soon as Offer returns.
 func (p *Pipeline) Offer(c motif.Candidate, queueDelay time.Duration) (Decision, *Notification) {
 	nowMS := c.DetectedAtMS + queueDelay.Milliseconds()
 	p.mu.Lock()
@@ -187,6 +193,7 @@ func (p *Pipeline) Offer(c motif.Candidate, queueDelay time.Duration) (Decision,
 		DeliveredAtMS: nowMS,
 		Latency:       lat,
 	}
+	n.Candidate.Via = p.vias.Copy(c.Via)
 	return Delivered, n
 }
 

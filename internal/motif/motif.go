@@ -28,19 +28,22 @@ type Candidate struct {
 	// tweet for content motifs).
 	Item graph.VertexID
 	// Via lists the supporting B's: followings of User that acted on Item
-	// within the window. It is immutable once emitted and has no spare
-	// capacity (len == cap: an append copies, it never writes into a
-	// neighbour). Its backing array is a chunk (viaChunk elements) shared with
-	// the other candidates issued from that chunk — other users', other
-	// programs', other triggers' — and the members of a share group that
-	// recommend one user for one trigger share the very window. The chunk
-	// lives as long as any window of it does, so whoever keeps a candidate
-	// beyond delivery copies its Via, as the partition's candidate log does;
-	// clone it before changing it. The candidates a co-actor plan emits for
-	// one trigger share its one-element window, [Trigger.Dst]. The same holds
-	// for a candidate slice: it is a window of a chunk of candChunk
-	// candidates. This is what every plan hands over, through an engine, a
-	// PlannedGroup or its own OnEdge.
+	// within the window. It has no spare capacity (len == cap: an append
+	// copies, it never writes into a neighbour). Its backing array is a chunk
+	// (viaChunk elements) shared with the other candidates issued from that
+	// chunk — other users', other programs', other triggers' — and the
+	// members of a share group that recommend one user for one trigger share
+	// the very window; the candidates a co-actor plan emits for one trigger
+	// share its one-element window, [Trigger.Dst]. The same holds for a
+	// candidate slice: it is a window of a chunk of candChunk candidates.
+	// Never write through either. Both stay as issued until the hand-over's
+	// Lease is released: the candidate path releases it once the candidates
+	// are logged and delivered (or encoded for the wire), and a recycled chunk
+	// is then issued again. So whoever keeps a candidate beyond that copies
+	// its Via — the partition's candidate log and the delivery pipeline's
+	// notifications do. This is what every plan hands over, through an
+	// engine, a PlannedGroup or its own OnEdge; a hand-over whose lease no one
+	// releases keeps its windows as issued for as long as they are reachable.
 	Via []graph.VertexID
 	// Trigger is the edge whose arrival completed the motif.
 	Trigger graph.Edge
@@ -88,13 +91,16 @@ type Program interface {
 // path. A Scratch is single-goroutine; recycle via GetScratch/PutScratch
 // (or hold one per worker) so a warmed-up caller pays zero heap
 // allocation per event that emits no candidates. What an emitting event
-// hands over outlives the call and is never rewritten: a capacity-limited
-// window of the scratch's current candidate chunk and one of its Via chunk
-// (see Candidate.Via), bump-allocated — the scratch mallocs only when a
-// chunk runs out, so the chunk, not the event, is the allocation unit. A
-// Scratch owns the unissued tails of its two chunks and nothing issued:
-// between hand-overs it holds no Candidate and no window a Candidate points
-// into, and two scratches share no chunk.
+// hands over is a capacity-limited window of the scratch's current candidate
+// chunk and one of its Via chunk (see Candidate.Via), bump-allocated: the
+// chunk, not the event, is the allocation unit. A scratch bound to a
+// Recycler (NewScratch) takes each new chunk from it, and a chunk goes back
+// once the scratch has moved past it and every window issued from it is
+// released (Lease), so at its working set such a scratch allocates nothing;
+// any other scratch allocates every chunk. A Scratch owns the unissued tails
+// of its two chunks and nothing issued: between hand-overs it holds no
+// Candidate and no window a Candidate points into, and two scratches share
+// no chunk.
 type Scratch struct {
 	recent []dynstore.InEdge
 	bs     []graph.VertexID
@@ -133,9 +139,14 @@ type Scratch struct {
 	viaSet   []int
 
 	// cands and vias are the unissued tails of the current candidate chunk
-	// and Via chunk; HandOver issues windows off their fronts.
+	// and Via chunk; HandOver issues windows off their fronts. With a
+	// recycler (rec), cc and vc are those chunks, and the scratch holds a
+	// reference to each until it moves past it.
 	cands []Candidate
 	vias  []graph.VertexID
+	cc    *chunk[Candidate]
+	vc    *chunk[graph.VertexID]
+	rec   *Recycler
 
 	// res backs ResultSlots; its callers nil the entries they consume so a
 	// pooled scratch never retains candidates.

@@ -596,24 +596,11 @@ func groupOf(members []*PlannedProgram) *PlannedGroup {
 }
 
 // Chunk sizes of the emit hand-over: how many candidates, and how many Via
-// elements, one malloc serves. An event needing more gets a chunk of its own.
+// elements, one chunk serves. An event needing more gets an array of its own.
 const (
 	candChunk = 256
 	viaChunk  = 2048
 )
-
-// issue bump-allocates a window of n elements off the front of *tail, the
-// unissued rest of a chunk, with no spare capacity. When the tail is too short
-// it is abandoned for a new chunk of max(n, chunk) elements; windows issued
-// before are never touched again.
-func issue[T any](tail *[]T, n, chunk int) []T {
-	if len(*tail) < n {
-		*tail = make([]T, max(n, chunk))
-	}
-	w := (*tail)[:n:n]
-	*tail = (*tail)[n:]
-	return w
-}
 
 // DetectInto runs the group against one edge, storing the candidates of
 // member i (in the order given at construction) into res[slots[i]]. Slots not
@@ -696,14 +683,22 @@ func (g *PlannedGroup) StageInto(ctx *Context, e graph.Edge, s *Scratch, slots [
 // Vias in one window of the Via chunk, a capacity-limited window of it per
 // candidate, and leaves nothing the event emitted in the scratch. A non-nil
 // res also receives each slot's part of the window. It returns nil when
-// nothing is staged.
-func (s *Scratch) HandOver(res [][]Candidate) []Candidate {
+// nothing is staged. The lease is the windows' hold on their chunks: on a
+// scratch bound to a recycler, releasing it once the candidates are read lets
+// the chunks be issued again when the scratch has moved past them; until
+// then, and forever if no one releases it, the windows are never rewritten.
+func (s *Scratch) HandOver(res [][]Candidate) ([]Candidate, Lease) {
 	if len(s.stage) == 0 {
-		return nil
+		return nil, Lease{}
 	}
 	slices.SortFunc(s.runs, func(a, b stageRun) int { return a.slot - b.slot })
-	out := issue(&s.cands, len(s.stage), candChunk)
-	vias := issue(&s.vias, len(s.viaElems), viaChunk)
+	var cf *freeList[Candidate]
+	var vf *freeList[graph.VertexID]
+	if s.rec != nil {
+		cf, vf = &s.rec.cands, &s.rec.vias
+	}
+	out, cc := issue(&s.cands, &s.cc, cf, len(s.stage), candChunk)
+	vias, vc := issue(&s.vias, &s.vc, vf, len(s.viaElems), viaChunk)
 	copy(vias, s.viaElems)
 	at := 0
 	for _, r := range s.runs {
@@ -720,7 +715,7 @@ func (s *Scratch) HandOver(res [][]Candidate) []Candidate {
 	}
 	clear(s.stage)
 	s.stage, s.refs, s.runs, s.viaElems = s.stage[:0], s.refs[:0], s.runs[:0], s.viaElems[:0]
-	return out
+	return out, Lease{cc, vc}
 }
 
 // runSuffix executes the member's post-prefix ops (expansions and emit) from

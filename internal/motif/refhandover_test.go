@@ -289,7 +289,8 @@ func (ps *engineSet) detect(ctx *Context, e graph.Edge, s *Scratch) []Candidate 
 	for i, g := range ps.groups {
 		g.StageInto(ctx, e, s, ps.slots[i])
 	}
-	return s.HandOver(nil)
+	out, _ := s.HandOver(nil)
+	return out
 }
 
 // reference is what the hand-over replaced: every group's candidates in
@@ -349,10 +350,14 @@ func TestHandOverRegistrationOrder(t *testing.T) {
 // goroutine reads every window they have issued so far. Under the race
 // detector a worker writing into memory it has already issued — its own
 // chunk's or the other's — is a reported race; without it, the checksums a
-// worker took at hand-over must still hold when both are done.
+// worker took at hand-over must still hold when both are done. With the
+// scratches bound to one recycler, the reader releases each window once it
+// has read it, as the delivery tier does: a chunk issued again while a window
+// of it is unread is the race, or the checksum that no longer holds.
 func TestHandOverWorkersShareOnlyIssuedWindows(t *testing.T) {
 	type issuedWindow struct {
 		cands []Candidate
+		lease Lease
 		sum   uint64
 	}
 	checksum := func(cands []Candidate) (sum uint64) {
@@ -364,43 +369,58 @@ func TestHandOverWorkersShareOnlyIssuedWindows(t *testing.T) {
 		}
 		return sum
 	}
-	ps := newEngineSet(t)
-	ctx, stream := handOverWorld(2400)
-	windows := make(chan issuedWindow, 64) // the reader lags the workers by a few hand-overs
-	var workers sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		workers.Add(1)
-		go func(w int) {
-			defer workers.Done()
-			s := new(Scratch)
-			for _, e := range stream {
-				if int(e.Dst)%2 != w {
-					continue
+	for _, recycled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("recycled=%v", recycled), func(t *testing.T) {
+			ps := newEngineSet(t)
+			ctx, stream := handOverWorld(2400)
+			rec := NewRecycler()
+			windows := make(chan issuedWindow, 64) // the reader lags the workers by a few hand-overs
+			var workers sync.WaitGroup
+			for w := 0; w < 2; w++ {
+				workers.Add(1)
+				go func(w int) {
+					defer workers.Done()
+					s := new(Scratch)
+					if recycled {
+						s = NewScratch(rec)
+					}
+					for _, e := range stream {
+						if int(e.Dst)%2 != w {
+							continue
+						}
+						ctx.D.Insert(e)
+						for i, g := range ps.groups {
+							g.StageInto(ctx, e, s, ps.slots[i])
+						}
+						if cands, lease := s.HandOver(nil); len(cands) > 0 {
+							windows <- issuedWindow{cands, lease, checksum(cands)}
+						}
+					}
+				}(w)
+			}
+			go func() {
+				workers.Wait()
+				close(windows)
+			}()
+			var all []issuedWindow
+			for w := range windows {
+				if got := checksum(w.cands); got != w.sum {
+					t.Fatalf("window changed between hand-over and read: checksum %x, was %x", got, w.sum)
 				}
-				ctx.D.Insert(e)
-				if cands := ps.detect(ctx, e, s); len(cands) > 0 {
-					windows <- issuedWindow{cands, checksum(cands)}
+				if recycled {
+					w.lease.Release()
+					w.cands = nil
+				}
+				all = append(all, w)
+			}
+			if len(all) < 100 {
+				t.Fatalf("vacuous run: %d windows issued", len(all))
+			}
+			for _, w := range all {
+				if got := checksum(w.cands); w.cands != nil && got != w.sum {
+					t.Fatalf("window changed after hand-over: checksum %x, was %x", got, w.sum)
 				}
 			}
-		}(w)
-	}
-	go func() {
-		workers.Wait()
-		close(windows)
-	}()
-	var all []issuedWindow
-	for w := range windows {
-		all = append(all, w)
-		if got := checksum(w.cands); got != w.sum {
-			t.Fatalf("window changed between hand-over and read: checksum %x, was %x", got, w.sum)
-		}
-	}
-	if len(all) < 100 {
-		t.Fatalf("vacuous run: %d windows issued", len(all))
-	}
-	for _, w := range all {
-		if got := checksum(w.cands); got != w.sum {
-			t.Fatalf("window changed after hand-over: checksum %x, was %x", got, w.sum)
-		}
+		})
 	}
 }

@@ -64,14 +64,14 @@ func TestDecodeAllocBudget(t *testing.T) {
 		}
 		const budget = 24
 		if got := testing.AllocsPerRun(5, func() {
-			if _, err := ParseDelta(delta.Bytes()); err != nil {
+			if _, err := ParseDelta(delta.Bytes(), nil); err != nil {
 				t.Fatal(err)
 			}
 		}); got > budget {
 			t.Errorf("%s: ParseDelta of %d bytes allocates %.0f times, budget %d", shape.name, delta.Len(), got, budget)
 		}
 		if got := testing.AllocsPerRun(5, func() {
-			if _, err := DecodeBase(base.Bytes()); err != nil {
+			if _, err := DecodeBase(base.Bytes(), nil); err != nil {
 				t.Fatal(err)
 			}
 		}); got > budget {

@@ -6,12 +6,13 @@ import (
 	"path/filepath"
 	"testing"
 
+	"motifstream/internal/codecutil"
 	"motifstream/internal/graph"
 )
 
 // BenchmarkCheckpointCompose is the compactor's fold as the cluster runs
-// it: a base and eight delta segments read from disk, composed, and
-// written back as one base.
+// it: a base and eight delta segments read from disk and decoded through one
+// program-name table, composed, and written back as one base.
 func BenchmarkCheckpointCompose(b *testing.B) {
 	dir := b.TempDir()
 	var paths []string
@@ -46,6 +47,7 @@ func BenchmarkCheckpointCompose(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		chain := make([]*Segment, len(paths))
+		var names codecutil.Strings
 		for j, p := range paths {
 			data, err := os.ReadFile(p)
 			if err != nil {
@@ -55,7 +57,7 @@ func BenchmarkCheckpointCompose(b *testing.B) {
 			if j == 0 {
 				decode = DecodeBase
 			}
-			if chain[j], err = decode(data); err != nil {
+			if chain[j], err = decode(data, &names); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -23,10 +23,11 @@ import (
 // and Via elements as one block in each of three arenas. No user owns a heap
 // object, and a new user costs no allocation once the arenas have room. A
 // block that cannot take the next candidate moves to its arena's end at a
-// larger size (room); an arena with no room for that is compacted into a new
-// array, every block made exactly its list (arena.compact). dirty lists the
-// records changed since the last delta checkpoint cut, each once: the
-// record's flag says whether it is listed.
+// larger size (room); an arena with no room for that is compacted in place,
+// every block made exactly its list and slid down the array in offset order,
+// and only an array too small for the lists and their room is replaced
+// (arena.compact). dirty lists the records changed since the last delta
+// checkpoint cut, each once: the record's flag says whether it is listed.
 //
 // The log is a ring per user and nothing else: an add at depth evicts the
 // user's oldest candidate, and nothing removes a user. Its size is therefore
@@ -42,6 +43,8 @@ type candidateLog struct {
 	progs arena[uint32] // one per candidate: its program in names
 	vias  arena[graph.VertexID]
 	names nameTable
+	// order is compact's scratch: one arena's blocks by offset.
+	order []uint64
 }
 
 // logUser is one user's record: its key, its three blocks, and whether it
@@ -215,19 +218,19 @@ const startRuns, startProgs, startVias = 2, 16, 4
 // so far, times the depth.
 func (l *candidateLog) room(u *logUser, extends bool, via int) (moved bool) {
 	if u.progs.n == u.progs.size {
-		l.progs.move(&u.progs, grow(u.progs, 1, startProgs, l.depth), l.recs, func(u *logUser) *block { return &u.progs })
+		l.progs.move(&u.progs, grow(u.progs, 1, startProgs, l.depth), l.recs, func(u *logUser) *block { return &u.progs }, &l.order)
 		moved = true
 	}
 	if extends {
 		return moved
 	}
 	if u.runs.n == u.runs.size {
-		l.runs.move(&u.runs, grow(u.runs, 1, startRuns, l.depth), l.recs, func(u *logUser) *block { return &u.runs })
+		l.runs.move(&u.runs, grow(u.runs, 1, startRuns, l.depth), l.recs, func(u *logUser) *block { return &u.runs }, &l.order)
 		moved = true
 	}
 	if int(u.vias.n)+via > int(u.vias.size) {
 		perRun := (int(u.vias.n) + via + int(u.runs.n)) / (int(u.runs.n) + 1) // rounded up
-		l.vias.move(&u.vias, grow(u.vias, via, startVias, perRun*l.depth), l.recs, func(u *logUser) *block { return &u.vias })
+		l.vias.move(&u.vias, grow(u.vias, via, startVias, perRun*l.depth), l.recs, func(u *logUser) *block { return &u.vias }, &l.order)
 		moved = true
 	}
 	return moved
@@ -267,10 +270,11 @@ func (a *arena[T]) fit() {
 
 // move gives b, one of recs' blocks (of picks which), a block of size
 // elements at the arena's end, its list copied there and its old block left
-// as garbage. An arena without the room is compacted first.
-func (a *arena[T]) move(b *block, size int, recs []logUser, of func(*logUser) *block) {
+// as garbage. An arena without the room is compacted first, with order as
+// its scratch.
+func (a *arena[T]) move(b *block, size int, recs []logUser, of func(*logUser) *block, order *[]uint64) {
 	if len(a.buf)+size > cap(a.buf) {
-		a.compact(recs, of, size)
+		a.compact(recs, of, size, order)
 	}
 	off := len(a.buf)
 	a.buf = a.buf[:off+size]
@@ -278,27 +282,39 @@ func (a *arena[T]) move(b *block, size int, recs []logUser, of func(*logUser) *b
 	b.off, b.size = uint32(off), uint32(size)
 }
 
-// roomShift sets the free room a compaction leaves: the live lists over
-// 2^roomShift, plus what the move that called it needs. A block grows only by
-// taking free room and leaving garbage no larger, so garbage and free room
-// together never exceed it.
-const roomShift = 4
+// roomShift sets the free room a compaction must leave: the live lists over
+// 2^roomShift, plus what the move that called it needs. growShift sets the
+// room of an array that replaces one without that room: the lists over
+// 2^growShift, plus what the move needs. A block grows only by taking free
+// room and leaving garbage no larger, so garbage and free room together never
+// exceed the room of the last compaction.
+const roomShift, growShift = 4, 3
 
-// compact copies every list into a fresh array, each block made exactly its
-// list, and leaves free room for extra elements and the lists over 2^roomShift.
-func (a *arena[T]) compact(recs []logUser, of func(*logUser) *block, extra int) {
-	live := 0
-	for i := range recs {
-		live += int(of(&recs[i]).n)
-	}
-	buf := make([]T, 0, live+live>>roomShift+extra)
+// compact makes every block exactly its list, packed from the start of the
+// array in the blocks' offset order, order being the scratch that sorts them.
+// An array with free room for extra elements and the lists over 2^roomShift
+// keeps them: each list slides down (a memmove; the way dynstore's sweep
+// compacts a shard). Only an array without that room is replaced, by one with
+// room for the lists over 2^growShift: a log growing toward its working set
+// allocates at geometric steps, and one at it never.
+func (a *arena[T]) compact(recs []logUser, of func(*logUser) *block, extra int, order *[]uint64) {
+	live, o := 0, (*order)[:0]
 	for i := range recs {
 		b := of(&recs[i])
-		off := len(buf)
-		buf = append(buf, a.window(*b)...)
+		live += int(b.n)
+		o = append(o, uint64(b.off)<<32|uint64(i))
+	}
+	slices.Sort(o)
+	src, dst := a.buf, a.buf[:0]
+	if live+live>>roomShift+extra > cap(a.buf) {
+		dst = make([]T, 0, live+live>>growShift+extra)
+	}
+	for _, k := range o {
+		b, off := of(&recs[uint32(k)]), len(dst)
+		dst = append(dst, src[b.off:b.off+b.n]...) // in place, a memmove down: off <= b.off
 		b.off, b.size = uint32(off), b.n
 	}
-	a.buf = buf
+	*order, a.buf = o, dst
 }
 
 // add appends a candidate of run r (runOf), Via via and program prog as the

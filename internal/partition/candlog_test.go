@@ -213,7 +213,7 @@ func (d *logDiff) restore(depth int) {
 	if _, err := d.p.WriteTo(&buf); err != nil {
 		d.t.Fatal(err)
 	}
-	s, err := DecodeBase(buf.Bytes())
+	s, err := DecodeBase(buf.Bytes(), nil)
 	if err != nil {
 		d.t.Fatal(err)
 	}
@@ -317,13 +317,18 @@ func TestCandidateLogAtScale(t *testing.T) {
 	const users = 2048
 	r := rand.New(rand.NewSource(31))
 	d := &logDiff{t: t, p: logPartition(t, 16), ref: newRefLog(16), users: users}
-	// arrays notes the arenas' backing arrays: a compaction replaces one.
-	arrays := func() [3]uintptr {
+	// arrays notes the arenas' backing arrays and lengths: a compaction
+	// replaces an array or, in place, drops garbage a move alone never would.
+	type array struct {
+		data uintptr
+		n    int
+	}
+	arrays := func() [3]array {
 		l := d.p.log
-		return [3]uintptr{
-			uintptr(unsafe.Pointer(unsafe.SliceData(l.runs.buf))),
-			uintptr(unsafe.Pointer(unsafe.SliceData(l.progs.buf))),
-			uintptr(unsafe.Pointer(unsafe.SliceData(l.vias.buf))),
+		return [3]array{
+			{uintptr(unsafe.Pointer(unsafe.SliceData(l.runs.buf))), len(l.runs.buf)},
+			{uintptr(unsafe.Pointer(unsafe.SliceData(l.progs.buf))), len(l.progs.buf)},
+			{uintptr(unsafe.Pointer(unsafe.SliceData(l.vias.buf))), len(l.vias.buf)},
 		}
 	}
 	var compactions [3]int
@@ -341,7 +346,7 @@ func TestCandidateLogAtScale(t *testing.T) {
 				before := arrays()
 				d.commit(graph.VertexID(r.Intn(users)), byte(r.Intn(256)), byte(r.Intn(256)), byte(r.Intn(256)))
 				for j, a := range arrays() {
-					if a != before[j] {
+					if a.data != before[j].data || a.n < before[j].n {
 						compactions[j]++
 					}
 				}
@@ -558,6 +563,50 @@ func TestCommitNewUsersAllocBudget(t *testing.T) {
 			t.Logf("%s: %.4f allocations a candidate", tc.name, per)
 		}
 	}
+}
+
+// TestCommitWorkingSetZeroAlloc: a log at its working set — every user at
+// depth, a user's run count and Via count coming and going as events of one,
+// four and five programs alternate — allocates nothing a commit. Run and Via
+// blocks that must grow keep moving (a full user's program block is at depth
+// and stays), and their arenas keep compacting, in the arrays they are in: an
+// arena is replaced only when its lists and their room outgrow it.
+func TestCommitWorkingSetZeroAlloc(t *testing.T) {
+	shape := logShape{members: []int{4, 1, 1, 5, 1}, viaLens: []int{1, 2, 3}, users: 7}
+	const users, rounds = 70, 40
+	p := shape.fill(t, users, rounds)
+	var events [][]motif.Candidate
+	for i := 0; i < 30; i++ {
+		for first := 0; first < users; first += shape.users {
+			events = append(events, shape.event(rounds+i, graph.VertexID(first)))
+		}
+	}
+	l := p.log
+	arenas := func() [3]int { return [3]int{len(l.runs.buf), len(l.progs.buf), len(l.vias.buf)} }
+	var compactions [3]int
+	commitAll := func() {
+		for _, ev := range events {
+			before := arenas()
+			p.Commit(ev)
+			// A move only lengthens an arena; a compaction drops its garbage.
+			for j, n := range arenas() {
+				if n < before[j] {
+					compactions[j]++
+				}
+			}
+		}
+	}
+	for i := 0; i < 20; i++ {
+		commitAll()
+	}
+	compactions = [3]int{}
+	if got := testing.AllocsPerRun(5, commitAll); got > 0 {
+		t.Errorf("%d commits at the working set allocate %.1f times, budget 0", len(events), got)
+	}
+	if compactions[0] == 0 || compactions[2] == 0 {
+		t.Errorf("vacuous: compactions (runs, programs, Vias) %v; want runs and Vias compacting", compactions)
+	}
+	t.Logf("compactions in 6 passes (runs, programs, Vias): %v", compactions)
 }
 
 // fresh returns rounds events for each block of s.users users of the first n,

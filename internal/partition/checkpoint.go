@@ -235,8 +235,11 @@ func (s *Segment) writeBase(w io.Writer) (int64, uint32, error) {
 // own range. The segment's lists and Via slices share per-section arenas:
 // it is for merging, fingerprinting and re-encoding, and LoadState copies
 // out what it installs. Malformed input returns an error, never panics.
-func DecodeBase(data []byte) (*Segment, error) {
+// Program names are interned through names when it is non-nil, as in
+// ParseDelta.
+func DecodeBase(data []byte, names *codecutil.Strings) (*Segment, error) {
 	c := codecutil.NewCursor(data, "partition checkpoint")
+	c.Intern(names)
 	c.Checked()
 	c.Header(partMagic, partSnapVersion)
 	s := &Segment{}

@@ -37,7 +37,7 @@ func checkpointTestPartition(t *testing.T) *Partition {
 // the way the restore path does: decode whole, then install. A failed
 // decode installs nothing.
 func restore(p *Partition, data []byte) error {
-	s, err := DecodeBase(data)
+	s, err := DecodeBase(data, nil)
 	if err != nil {
 		return err
 	}
@@ -153,7 +153,7 @@ func TestCheckpointChecksumDetectsEveryBitFlip(t *testing.T) {
 	for pos := 0; pos < dbuf.Len(); pos++ {
 		mut := append([]byte(nil), dbuf.Bytes()...)
 		mut[pos] ^= 0x40
-		if _, err := ParseDelta(mut); err == nil {
+		if _, err := ParseDelta(mut, nil); err == nil {
 			t.Fatalf("delta byte flip at %d/%d decoded without error", pos, dbuf.Len())
 		}
 	}
@@ -164,7 +164,7 @@ func TestCheckpointChecksumDetectsEveryBitFlip(t *testing.T) {
 	if err := restore(fresh, base.Bytes()); err != nil {
 		t.Fatalf("pristine base rejected: %v", err)
 	}
-	if _, err := ParseDelta(dbuf.Bytes()); err != nil {
+	if _, err := ParseDelta(dbuf.Bytes(), nil); err != nil {
 		t.Fatalf("pristine delta rejected: %v", err)
 	}
 }

@@ -111,9 +111,12 @@ func (s *Segment) WriteTo(w io.Writer) (int64, error) {
 // first like DecodeBase, into an arena-backed Segment. The segment is fully
 // decoded before anyone merges it, so a corrupt one returns an error and
 // leaves whatever it would have been merged into exactly as it was
-// (enabling segment-at-a-time fallback).
-func ParseDelta(data []byte) (*Segment, error) {
+// (enabling segment-at-a-time fallback). Program names are interned through
+// names when it is non-nil: a chain decoded through one table holds one copy
+// of each.
+func ParseDelta(data []byte, names *codecutil.Strings) (*Segment, error) {
 	c := codecutil.NewCursor(data, "partition delta")
+	c.Intern(names)
 	c.Checked()
 	c.Header(deltaMagic, deltaVersion)
 	s := &Segment{SweepClock: c.I("delta sweep clock")}

@@ -52,7 +52,7 @@ func applyDiamonds(p *Partition, t0 int64, from, to int) {
 // restore path's composition step. A segment that does not decode folds
 // nothing: base comes back as it was.
 func applyDelta(base *Segment, data []byte) (*Segment, error) {
-	d, err := ParseDelta(data)
+	d, err := ParseDelta(data, nil)
 	if err != nil {
 		return base, err
 	}
@@ -101,7 +101,7 @@ func TestDeltaComposeMatchesFullState(t *testing.T) {
 
 	// The composed state round-trips through the base codec and installs
 	// into a fresh partition that captures identically.
-	decoded, err := DecodeBase(baseBytes(t, base))
+	decoded, err := DecodeBase(baseBytes(t, base), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestComposePathsFingerprintEqual(t *testing.T) {
 				t.Fatalf("payload CRC %08x / trailer %08x != state fingerprint %08x",
 					crc, binary.LittleEndian.Uint32(trailer), wantFP)
 			}
-			pool, err := DecodeBase(file.Bytes())
+			pool, err := DecodeBase(file.Bytes(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -306,7 +306,7 @@ func TestDeltaCorruptSegmentLeavesStateUntouched(t *testing.T) {
 	}
 	truncated := buf.Bytes()[:buf.Len()/2]
 
-	before, err := DecodeBase(baseBytes(t, st))
+	before, err := DecodeBase(baseBytes(t, st), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

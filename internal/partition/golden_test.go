@@ -84,7 +84,7 @@ func readGolden(t *testing.T, name string) []byte {
 func TestGoldenSegmentsDecodeAndReencode(t *testing.T) {
 	base, delta := readGolden(t, "base.seg"), readGolden(t, "delta.seg")
 
-	st, err := DecodeBase(base)
+	st, err := DecodeBase(base, nil)
 	if err != nil {
 		t.Fatalf("DecodeBase: %v", err)
 	}
@@ -106,7 +106,7 @@ func TestGoldenSegmentsDecodeAndReencode(t *testing.T) {
 		t.Fatalf("Fingerprint %08x, file trailer %08x", fp, trailer)
 	}
 
-	d, err := ParseDelta(delta)
+	d, err := ParseDelta(delta, nil)
 	if err != nil {
 		t.Fatalf("ParseDelta: %v", err)
 	}
@@ -133,11 +133,11 @@ func TestGoldenSegmentsDecodeAndReencode(t *testing.T) {
 func TestSegmentPrefixesAndBitFlipsRejected(t *testing.T) {
 	decoders := map[string]func([]byte) error{
 		"base.seg": func(b []byte) error {
-			_, err := DecodeBase(b)
+			_, err := DecodeBase(b, nil)
 			return err
 		},
 		"delta.seg": func(b []byte) error {
-			_, err := ParseDelta(b)
+			_, err := ParseDelta(b, nil)
 			return err
 		},
 	}

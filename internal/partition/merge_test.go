@@ -117,7 +117,7 @@ func TestSegmentMergeLaw(t *testing.T) {
 				}
 				// What the fold returns encodes as a base and comes back
 				// the same, with no empty list in it.
-				back, err := DecodeBase(baseBytes(t, got))
+				back, err := DecodeBase(baseBytes(t, got), nil)
 				if err != nil || !statesEqual(back, got) {
 					t.Fatalf("folded segment does not round-trip as a base (err %v)", err)
 				}
@@ -271,7 +271,7 @@ func TestDecodeRejectsKeysOutOfOrder(t *testing.T) {
 		if delta {
 			decode = ParseDelta
 		}
-		if s, err := decode(handSegment(t, delta, []uint64{7, 9}, []uint64{900, 901})); err != nil || len(s.Users) != 2 || len(s.Items) != 2 {
+		if s, err := decode(handSegment(t, delta, []uint64{7, 9}, []uint64{900, 901}), nil); err != nil || len(s.Users) != 2 || len(s.Items) != 2 {
 			t.Fatalf("delta=%v: ascending hand-encoded segment rejected: %v", delta, err)
 		}
 		for name, data := range map[string][]byte{
@@ -280,7 +280,7 @@ func TestDecodeRejectsKeysOutOfOrder(t *testing.T) {
 			"repeated item":    handSegment(t, delta, []uint64{7}, []uint64{900, 900}),
 			"descending items": handSegment(t, delta, nil, []uint64{901, 900}),
 		} {
-			s, err := decode(data)
+			s, err := decode(data, nil)
 			if err == nil || s != nil || !strings.Contains(err.Error(), "not ascending") {
 				t.Fatalf("delta=%v, %s: decoded to %+v, err %v", delta, name, s, err)
 			}
@@ -293,7 +293,7 @@ func TestDecodeRejectsKeysOutOfOrder(t *testing.T) {
 		}
 	}
 	// A message names the keys.
-	_, err := DecodeBase(handSegment(t, false, []uint64{9, 7}, nil))
+	_, err := DecodeBase(handSegment(t, false, []uint64{9, 7}, nil), nil)
 	if want := fmt.Sprintf("%d after %d", 7, 9); !strings.Contains(err.Error(), want) {
 		t.Fatalf("error %q does not name the keys (%s)", err, want)
 	}

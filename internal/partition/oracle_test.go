@@ -107,7 +107,7 @@ func snapshot(t testing.TB, p *Partition) *Segment {
 	if _, err := p.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	s, err := DecodeBase(buf.Bytes())
+	s, err := DecodeBase(buf.Bytes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

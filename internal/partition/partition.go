@@ -157,6 +157,17 @@ func (p *Partition) DetectBatch(edges []graph.Edge, out [][]motif.Candidate) {
 	p.engine.DetectBatch(edges, out)
 }
 
+// DetectLeased is DetectBatch that also stores out[i]'s lease in leases[i]
+// (core.Engine.DetectLeased): the cluster's apply loop hands each lease on
+// with its candidates, and whoever finishes with them releases it.
+func (p *Partition) DetectLeased(edges []graph.Edge, out [][]motif.Candidate, leases []motif.Lease) {
+	p.engine.DetectLeased(edges, out, leases)
+}
+
+// ReleaseScratch drops the engine's detection memory (core.Engine.ReleaseScratch):
+// the apply loop's last act.
+func (p *Partition) ReleaseScratch() { p.engine.ReleaseScratch() }
+
 // Commit appends already-detected candidates to the per-user log and the
 // item counter. Candidates must be presented in stream order; the log's
 // per-user recency depends on it.

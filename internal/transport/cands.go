@@ -274,10 +274,14 @@ func (f *CandForwarder) writeLoop(c *conn, done chan<- struct{}) {
 }
 
 // framePendingLocked moves up to candFrameMax pending messages into one new
-// frame at the ring's tail.
+// frame at the ring's tail and releases them: the frame is all a resend
+// needs.
 func (f *CandForwarder) framePendingLocked() {
 	n := min(len(f.pending), candFrameMax)
 	f.ring = append(f.ring, candEntry{seq: f.nextSeq, nmsgs: n, frame: encodeCandBatch(f.nextSeq, f.pending[:n])})
+	for _, m := range f.pending[:n] {
+		m.Lease.Release()
+	}
 	f.nextSeq++
 	f.unsent++
 	rest := copy(f.pending, f.pending[n:])

@@ -193,6 +193,13 @@ type CandMsg struct {
 	Offset uint64
 	PubNS  int64
 	Cands  []motif.Candidate
+	// Lease is Cands' hold on the chunks their replica issued them from; it
+	// is not on the wire. Whoever finishes with a message — the hub's
+	// delivery loop once it has offered or skipped the candidates, a
+	// worker's forwarder once it has encoded them, an apply loop that never
+	// sends them — releases it, once, and reads the candidates no more, so
+	// that the replica's engine can issue their chunks again.
+	Lease motif.Lease
 }
 
 func appendCandidate(b []byte, c motif.Candidate) []byte {
@@ -211,10 +218,11 @@ func appendCandidate(b []byte, c motif.Candidate) []byte {
 
 // candDecoder owns the arrays decoded candidates are windows of: every
 // candidate list and every Via is a three-index window of an arena chunk,
-// which gives a decoded Via the contract of one emitted in process
-// (motif.Candidate.Via):
-// its backing array is shared with other candidates, never reused, and alive
-// for as long as anyone holds a window of it. A candidate connection owns one
+// which gives a decoded Via what one emitted in process promises its holder
+// (motif.Candidate.Via): its backing array is shared with other candidates
+// and never written again. These arrays are never reused either — a decoded
+// message's Lease is the zero one — and live for as long as anyone holds a
+// window of them. A candidate connection owns one
 // decoder for its life, so decoding allocates per chunk, not per list; the
 // zero decoder allocates each list at its own size, for one-off decodes. msgs
 // is the message list decodeCandBatch reuses.
