@@ -12,7 +12,6 @@ import (
 	"motifstream/internal/graph"
 	"motifstream/internal/motif"
 	"motifstream/internal/motifdsl"
-	"motifstream/internal/partition"
 	"motifstream/internal/statstore"
 )
 
@@ -88,38 +87,64 @@ func multiQueryPrograms(t testing.TB, seed int64) func() []motif.Program {
 	}
 }
 
-// ungroupedOracle is clusterFreeOracle's loop with no engine and so no
-// grouping: per partition an S, a D and a follows index of its own, and per
-// event each plan's OnEdge — a group of one — in registration order, its
-// candidates straight into a delivery.Pipeline. The stream must be shorter
-// than D's retention, since nothing sweeps. Returns the delivered multiset.
+// ungroupedOracle is the multi-query reference: no engine and so no
+// grouping, and no partitions — one S and one follows index over every user,
+// one D — and per event each plan's OnEdge, a group of one, in registration
+// order, its candidates straight into a delivery.Pipeline. The stream must be
+// shorter than D's retention, since nothing sweeps. Returns the delivered
+// multiset.
 func ungroupedOracle(t *testing.T, cfg Config, stream []graph.Edge) map[noteKey]int {
 	t.Helper()
-	part := partition.NewHashPartitioner(cfg.Partitions)
-	ctxs := make([]*motif.Context, cfg.Partitions)
-	for pid := range ctxs {
-		snap := (&statstore.Builder{
-			Keep:           func(a graph.VertexID) bool { return part.PartitionOf(a) == pid },
-			MaxInfluencers: cfg.MaxInfluencers,
-		}).Build(cfg.StaticEdges)
-		ctxs[pid] = &motif.Context{S: statstore.New(snap), D: dynstore.New(cfg.Dynamic), Follows: snap.Follows}
-	}
+	snap := (&statstore.Builder{MaxInfluencers: cfg.MaxInfluencers}).Build(cfg.StaticEdges)
+	ctx := &motif.Context{S: statstore.New(snap), D: dynstore.New(cfg.Dynamic), Follows: snap.Follows}
 	progs := cfg.NewPrograms()
 	pipe := delivery.NewPipeline(cfg.Delivery)
 	notes := map[noteKey]int{}
 	for _, e := range stream {
-		for _, ctx := range ctxs {
-			ctx.D.Insert(e)
-			for _, p := range progs {
-				for _, cand := range p.OnEdge(ctx, e) {
-					if _, note := pipe.Offer(cand, 0); note != nil {
-						notes[noteKey{note.Candidate.User, note.Candidate.Item}]++
-					}
+		ctx.D.Insert(e)
+		for _, p := range progs {
+			for _, cand := range p.OnEdge(ctx, e) {
+				if _, note := pipe.Offer(cand, 0); note != nil {
+					notes[noteKey{note.Candidate.User, note.Candidate.Item}]++
 				}
 			}
 		}
 	}
 	return notes
+}
+
+// TestCoActionRecipientsAreOwned: the co-actor shape takes its recipients
+// from D, which every partition holds in full, and its already-follows skip
+// from S, which holds only the partition's own users. A cluster of four
+// partitions running the triangle closure must deliver exactly what one
+// global S and follows index deliver: no partition recommends B to a user it
+// does not own, who may already follow B. Each user follows the next one, so
+// of three consecutive co-actors the first may be recommended the third but
+// never the second.
+func TestCoActionRecipientsAreOwned(t *testing.T) {
+	const users = 40
+	var static []graph.Edge
+	for a := graph.VertexID(0); a < users; a++ {
+		static = append(static, graph.Edge{Src: a, Dst: (a + 1) % users})
+	}
+	cfg := recoveryConfig(t, static)
+	cfg.Partitions = 4
+	cfg.NewPrograms = func() []motif.Program { return []motif.Program{motif.NewTriangleClosure(10 * time.Minute)} }
+	stream := multiTypeWorkload(9, users, 300)
+	want := ungroupedOracle(t, cfg, stream)
+	notes := collectNotes(&cfg)
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	for _, e := range stream {
+		if err := c.Publish(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Stop()
+	assertSameNotes(t, want, notes())
 }
 
 // fanStatic wires users 0..n-1 so each follows the next three, letting

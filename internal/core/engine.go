@@ -29,8 +29,8 @@ type Config struct {
 	// Programs are the motif plans to run per edge, in order: each must be a
 	// *motif.PlannedProgram. At least one is required.
 	Programs []motif.Program
-	// Follows optionally reports existing a→c follows for candidate
-	// suppression.
+	// Follows optionally reports whether a must not be recommended c
+	// (motif.Context.Follows): a follows c, or a is another partition's.
 	Follows func(a, c graph.VertexID) bool
 	// Metrics receives engine instrumentation; nil creates a private
 	// registry.

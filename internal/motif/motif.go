@@ -64,8 +64,10 @@ type Context struct {
 	S *statstore.Store
 	// D is the dynamic store of recent B→C edges (full stream).
 	D *dynstore.Store
-	// Follows reports whether a already follows c, used to suppress
-	// redundant follow recommendations. Nil disables the check.
+	// Follows reports whether a must not be recommended c here: a already
+	// follows c, or — in a partition — a is not the partition's own user.
+	// Recipients drawn from D (the co-actor shape) may be anyone's; those
+	// from S are the partition's own. Nil disables the check.
 	Follows func(a, c graph.VertexID) bool
 }
 

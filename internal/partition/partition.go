@@ -111,8 +111,10 @@ func New(cfg Config) (*Partition, error) {
 		Static:   static,
 		Dynamic:  dynstore.New(cfg.Dynamic),
 		Programs: cfg.Programs,
+		// A user this partition does not own is never its recipient: its
+		// owner decides, holding its follows.
 		Follows: func(a, c graph.VertexID) bool {
-			return static.Snapshot().Follows(a, c)
+			return cfg.Partitioner.PartitionOf(a) != cfg.ID || static.Snapshot().Follows(a, c)
 		},
 		Metrics: cfg.Metrics,
 	})
