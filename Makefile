@@ -43,7 +43,9 @@ examples:
 # between rotations (TestWALAppendZeroAlloc, 0); the kernel's; S's Followers
 # and Follows lookups (0); D's insert on the quiet shape (≤ 0.02 an insert
 # across sweeps and cuts), its sweep-and-refill cycle at the working set
-# (TestSweepZeroAlloc, 0) and its restore (per shard, not per target);
+# (TestSweepZeroAlloc, 0) and its restore (per shard, not per target); the
+# block arena both keep their lists in (TestArenaZeroAlloc: a compaction in
+# place and a move into its room, 0);
 # the engine's no-candidate budgets (≤ 1 an event for one plan, 0 a batch
 # for a multi-motif share group) and its emitting batches, the triangle
 # beside a group too: 0 through DetectLeased with their windows released
@@ -60,7 +62,7 @@ examples:
 # changes allocation counts, so under -race they skip. Every *ZeroAlloc gate
 # is selected by the regex's first term.
 test-allocs:
-	$(GO) test -run 'ZeroAlloc|TestInsertAllocBudget|TestLoadSnapshotAllocBudget|TestDetectBatchAllocBudget|TestCommitAllocBudget|TestCommitNewUsersAllocBudget|TestOfferAllocBudget|TestDecodeCandBatchAllocBudget' ./internal/graph ./internal/statstore ./internal/dynstore ./internal/core ./internal/partition ./internal/cluster ./internal/delivery ./internal/transport
+	$(GO) test -run 'ZeroAlloc|TestInsertAllocBudget|TestLoadSnapshotAllocBudget|TestDetectBatchAllocBudget|TestCommitAllocBudget|TestCommitNewUsersAllocBudget|TestOfferAllocBudget|TestDecodeCandBatchAllocBudget' ./internal/graph ./internal/statstore ./internal/arena ./internal/dynstore ./internal/core ./internal/partition ./internal/cluster ./internal/delivery ./internal/transport
 
 # test-crashmatrix runs just the fault-injection matrix (kill / restore /
 # whole-cluster restart at every pipeline stage, oracle-asserted, once per
@@ -216,8 +218,9 @@ soak-net:
 # delivery-state codec, the transport wire protocol and its candidate
 # decode's round trip through one connection's arenas, the motif DSL compiler,
 # the restore planner, the segment merge, the candidate log, the plan
-# executor, the threshold kernel's strategies, the packed S build and the
-# flat D store (each against its references) continuously fuzzed without
+# executor, the threshold kernel's strategies, the packed S build, the block
+# arena under both its policies and the flat D store (each against its
+# references) continuously fuzzed without
 # stalling checks. The exhaustive
 # prefix / bit-flip properties run first: what the fuzzers sample, they
 # enumerate for one valid input per format.
@@ -238,6 +241,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz FuzzPlanMatchesReference -fuzztime $(FUZZTIME) ./internal/motif
 	$(GO) test -run=NONE -fuzz FuzzThresholdIntersect -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run=NONE -fuzz FuzzStaticBuild -fuzztime $(FUZZTIME) ./internal/statstore
+	$(GO) test -run=NONE -fuzz FuzzArena -fuzztime $(FUZZTIME) ./internal/arena
 
 # fuzz gives each target of that list a longer budget (manual runs).
 fuzz:

@@ -5,6 +5,7 @@ import (
 	"io"
 	"slices"
 
+	"motifstream/internal/arena"
 	"motifstream/internal/codecutil"
 	"motifstream/internal/graph"
 )
@@ -125,7 +126,7 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 	var ids []graph.VertexID
 	s.each(func(sh *shard) {
 		for j, p := range sh.spans {
-			if p.n > 0 {
+			if p.N > 0 {
 				ids = append(ids, sh.keys[j])
 			}
 		}
@@ -151,7 +152,7 @@ func (s *Store) LoadSnapshot(targets Targets) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		sh.keys, sh.spans, sh.n, sh.edges, sh.arena, sh.garbage, sh.dirty, sh.gone = nil, nil, 0, 0, nil, 0, nil, nil
+		sh.keys, sh.spans, sh.n, sh.edges, sh.dirty, sh.gone = nil, nil, 0, 0, nil, nil
 	}
 	for _, e := range targets {
 		sh := s.shardFor(e.Key)
@@ -161,14 +162,13 @@ func (s *Store) LoadSnapshot(targets Targets) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.rehash(tableSize(sh.n))
-		sh.arena = make([]InEdge, 0, sh.edges)
+		sh.arena = arena.Make[InEdge](int(sh.edges))
 	}
 	for _, e := range targets {
-		if n := uint32(len(e.Val)); n > 0 {
+		if len(e.Val) > 0 {
 			sh := s.shardFor(e.Key)
 			j := sh.slot(e.Key)
-			sh.keys[j], sh.spans[j] = e.Key, span{off: uint32(len(sh.arena)), n: n, block: n}
-			sh.arena = append(sh.arena, e.Val...)
+			sh.keys[j], sh.spans[j] = e.Key, sh.arena.Append(e.Val)
 		}
 	}
 	for i := range s.shards {

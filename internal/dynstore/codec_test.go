@@ -65,7 +65,7 @@ func storeContents(s *Store) map[graph.VertexID][]InEdge {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		for j, p := range sh.spans {
-			if p.n > 0 {
+			if p.N > 0 {
 				out[sh.keys[j]] = slices.Clone(sh.list(sh.keys[j]))
 			}
 		}

@@ -37,13 +37,13 @@ func (s *Store) CaptureDelta() Targets {
 		sh.mu.Lock()
 		for _, c := range sh.dirty {
 			// A key's first sighting copies it; an emptied one is gone's.
-			if j := sh.slot(c); j >= 0 && sh.spans[j].block&dirtyBit != 0 {
-				sh.spans[j].block &^= dirtyBit
-				out = append(out, codecutil.Entry[graph.VertexID, []InEdge]{Key: c, Val: arena.Copy(sh.at(j))})
+			if j := sh.slot(c); j >= 0 && sh.spans[j].Size&dirtyBit != 0 {
+				sh.spans[j].Size &^= dirtyBit
+				out = append(out, codecutil.Entry[graph.VertexID, []InEdge]{Key: c, Val: arena.Copy(sh.arena.Window(sh.spans[j]))})
 			}
 		}
 		for _, c := range sh.gone {
-			if sh.list(c) == nil { // else inserted into since, and copied above
+			if len(sh.list(c)) == 0 { // else inserted into since, and copied above
 				out = append(out, codecutil.Entry[graph.VertexID, []InEdge]{Key: c}) // a deletion, encoded as empty
 			}
 		}

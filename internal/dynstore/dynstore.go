@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"motifstream/internal/arena"
 	"motifstream/internal/graph"
 )
 
@@ -54,44 +55,48 @@ type Store struct {
 	mask        uint64
 	shards      []shard
 
-	// order is compact's scratch: the occupied slots of the shard it
-	// compacts, by offset. One per store under its own lock (taken inside
-	// a shard's), not one per shard.
-	orderMu sync.Mutex
-	order   []uint64
+	order arena.Order // the compactions' scratch: one per store, not per shard
 }
 
 // shard is one lock's part of D. keys and spans are an open-addressing table
 // (Fibonacci hash, linear probing, at most 3/4 full) of the targets holding
-// edges. A target's list is arena[off:off+n], oldest first, in a block only
-// it appends into. Insert drops the expired prefix and the cap's overflow by
-// advancing off and moves a full block to the arena's end at twice its
-// length; the garbage either leaves lasts until a compaction. A sweep
-// rebuilds both arrays in place, so a store at its working set keeps them.
+// edges. A target's list is a block of arena, oldest first: internal/arena is
+// the mechanism, policy D's numbers. Insert drops the expired prefix and the
+// cap's overflow from the block's front and moves a full block at twice its
+// length. A sweep compacts the arena and re-places the table in place, so a
+// store at its working set keeps both arrays.
 type shard struct {
-	mu      sync.RWMutex
-	keys    []graph.VertexID
-	spans   []span
-	shift   uint // 64 - log2(len(keys)): a key's home slot is its hash's top bits
-	n       int  // occupied slots
-	arena   []InEdge
-	garbage int   // arena entries in no block
-	edges   int64 // retained edge count in this shard
+	mu    sync.RWMutex
+	keys  []graph.VertexID
+	spans []arena.Block // 0 edges marks a free slot, whose span is all zero
+	shift uint          // 64 - log2(len(keys)): a key's home slot is its hash's top bits
+	n     int           // occupied slots
+	arena arena.Arena[InEdge]
+	edges int64 // retained edge count in this shard
 	// The dirty log lets a cut copy only the targets changed since the last:
 	// dirty takes a target when its span takes dirtyBit (a key repeats only
 	// if a sweep emptied it in between), gone each target a sweep emptied.
 	dirty, gone []graph.VertexID
 }
 
-// span locates a target's list: n edges from off, in a block of cap()
-// edges. 0 edges marks a free slot, whose span is all zero. A shard holds
-// fewer than 2³¹ edges.
-type span struct{ off, n, block uint32 }
+// dirtyBit, the owner's bit of a span's Size, marks a target on the dirty log.
+const dirtyBit = arena.Mark
 
-// dirtyBit, the top bit of block, marks a target on the dirty log.
-const dirtyBit = 1 << 31
+// policy is D's arena policy (docs/BENCHMARKS.md, "Ingest point"): a move
+// without room compacts at an eighth of garbage, else grows the arena by a
+// quarter; a compaction leaves a quarter of room, replacing an arena without
+// it or over four times it, so a sweep at the working set keeps its arena.
+var policy = arena.Policy{Garbage: 8, Grow: 4, Room: 4, NewRoom: 4, Shrink: 4}
 
-func (p span) cap() uint32 { return p.block &^ dirtyBit }
+// blocks is sh's occupied spans, sized by edges: an insert's drop still counts.
+func (sh *shard) blocks() arena.Blocks {
+	return arena.Blocks{N: len(sh.spans), Live: int(sh.edges), At: func(i int) *arena.Block {
+		if sh.spans[i].N == 0 {
+			return nil
+		}
+		return &sh.spans[i]
+	}}
+}
 
 // New creates a Store with the given options.
 func New(opts Options) *Store {
@@ -120,22 +125,18 @@ func (sh *shard) slot(c graph.VertexID) int {
 	}
 	mask := len(sh.keys) - 1
 	for i := int(uint64(c) * fibHash >> sh.shift); ; i = (i + 1) & mask {
-		if sh.spans[i].n == 0 || sh.keys[i] == c {
+		if sh.spans[i].N == 0 || sh.keys[i] == c {
 			return i
 		}
 	}
 }
 
-// list returns c's retained edges, nil when it has none.
-func (sh *shard) list(c graph.VertexID) []InEdge { return sh.at(sh.slot(c)) }
-
-// at returns slot i's list (nil for a free slot or -1), capacity-limited.
-func (sh *shard) at(i int) []InEdge {
-	if i < 0 || sh.spans[i].n == 0 {
-		return nil
+// list returns c's retained edges, empty when it has none.
+func (sh *shard) list(c graph.VertexID) []InEdge {
+	if i := sh.slot(c); i >= 0 {
+		return sh.arena.Window(sh.spans[i])
 	}
-	p := sh.spans[i]
-	return sh.arena[p.off : p.off+p.n : p.off+p.n]
+	return nil
 }
 
 // tableSize is the table n targets are rebuilt at: the least power of two,
@@ -150,10 +151,10 @@ func tableSize(n int) int {
 // rehash re-places every occupied slot in a fresh table of size slots.
 func (sh *shard) rehash(size int) {
 	keys, spans := sh.keys, sh.spans
-	sh.keys, sh.spans = make([]graph.VertexID, size), make([]span, size)
+	sh.keys, sh.spans = make([]graph.VertexID, size), make([]arena.Block, size)
 	sh.shift = 64 - uint(bits.TrailingZeros(uint(size)))
 	for i, p := range spans {
-		if p.n > 0 {
+		if p.N > 0 {
 			j := sh.slot(keys[i])
 			sh.keys[j], sh.spans[j] = keys[i], p
 		}
@@ -168,62 +169,12 @@ func (sh *shard) replace(free int) {
 	mask := len(sh.keys) - 1
 	for k := 1; k < len(sh.keys); k++ {
 		i := (free + k) & mask
-		if p := sh.spans[i]; p.n > 0 {
-			sh.spans[i] = span{}
+		if p := sh.spans[i]; p.N > 0 {
+			sh.spans[i] = arena.Block{}
 			j := sh.slot(sh.keys[i])
 			sh.keys[j], sh.spans[j] = sh.keys[i], p
 		}
 	}
-}
-
-// compact makes every block exactly its list, packed from the arena's
-// start in offset order, with room for a quarter of the live edges plus
-// extra after them. The lists slide down the arena they are in; only an
-// arena without that room, or more than four times it, is replaced. A sweep
-// at the working set finds about twice that room (up to four times in a
-// sparse shard), so it keeps the arena it has; docs/BENCHMARKS.md, "Ingest
-// point", measures tighter bounds.
-func (s *Store) compact(sh *shard, extra int) {
-	need := int(sh.edges) + int(sh.edges)/4 + extra
-	arena := sh.arena[:0]
-	if need > cap(sh.arena) || 4*need < cap(sh.arena) {
-		arena = make([]InEdge, 0, need)
-	}
-	s.orderMu.Lock()
-	defer s.orderMu.Unlock()
-	s.order = s.order[:0]
-	for i, p := range sh.spans {
-		if p.n > 0 {
-			s.order = append(s.order, uint64(p.off)<<32|uint64(i))
-		}
-	}
-	slices.Sort(s.order)
-	for _, o := range s.order {
-		p, off := &sh.spans[uint32(o)], len(arena)
-		arena = append(arena, sh.arena[p.off:p.off+p.n]...) // in place a memmove down: off <= p.off
-		p.off, p.block = uint32(off), p.n|p.block&dirtyBit
-	}
-	sh.arena, sh.garbage = arena, 0
-}
-
-// relocate moves slot i's full block to the arena's end at twice its length.
-// An arena too small for it is compacted if an eighth of it is garbage — the
-// sooner garbage goes, the less capacity a store at its working set keeps —
-// or else grows by a quarter.
-func (s *Store) relocate(sh *shard, i int) {
-	size := max(2*sh.spans[i].n, 1)
-	if len(sh.arena)+int(size) > cap(sh.arena) {
-		if 8*sh.garbage >= len(sh.arena) {
-			s.compact(sh, int(size))
-		} else {
-			sh.arena = append(make([]InEdge, 0, len(sh.arena)*5/4+int(size)), sh.arena...)
-		}
-	}
-	p, off := &sh.spans[i], len(sh.arena)
-	sh.arena = sh.arena[:off+int(size)]
-	copy(sh.arena[off:], sh.at(i))
-	sh.garbage += int(p.cap())
-	p.off, p.block = uint32(off), size|p.block&dirtyBit
 }
 
 // Insert records edge e (Src=B, Dst=C) and returns the number of retained
@@ -233,7 +184,7 @@ func (s *Store) Insert(e graph.Edge) int {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	i := sh.slot(e.Dst)
-	if i < 0 || sh.spans[i].n == 0 {
+	if i < 0 || sh.spans[i].N == 0 {
 		if 4*(sh.n+1) > 3*len(sh.keys) {
 			sh.rehash(max(2*len(sh.keys), 8))
 			i = sh.slot(e.Dst)
@@ -241,32 +192,31 @@ func (s *Store) Insert(e graph.Edge) int {
 		sh.keys[i] = e.Dst
 		sh.n++
 	}
-	p, before := &sh.spans[i], sh.spans[i].n
+	p, before := &sh.spans[i], sh.spans[i].N
 	// Drop the expired prefix (the stream is near-ordered: stragglers go on a
-	// later pass) and, at the cap, the oldest. The list never empties.
-	drop := uint32(0)
+	// later pass) and, at the cap, the oldest.
+	list, drop := sh.arena.Window(*p), 0
 	if s.retentionMS > 0 {
 		cutoff := e.TS - s.retentionMS
-		for drop < p.n && sh.arena[p.off+drop].TS < cutoff {
+		for drop < len(list) && list[drop].TS < cutoff {
 			drop++
 		}
 	}
-	if s.maxPer > 0 && int(p.n-drop) >= s.maxPer {
-		drop = p.n + 1 - uint32(s.maxPer)
+	if s.maxPer > 0 && len(list)-drop >= s.maxPer {
+		drop = len(list) + 1 - s.maxPer
 	}
-	p.off, p.n, p.block = p.off+drop, p.n-drop, p.block-drop
-	sh.garbage += int(drop)
-	if p.n == p.cap() {
-		s.relocate(sh, i)
+	sh.arena.Drop(p, drop)
+	if p.N == p.Cap() {
+		sh.arena.Move(p, max(2*int(p.N), 1), policy, sh.blocks(), &s.order)
 	}
-	sh.arena[p.off+p.n] = InEdge{B: e.Src, TS: e.TS}
-	p.n++
-	sh.edges += int64(p.n) - int64(before)
-	if p.block&dirtyBit == 0 {
-		p.block |= dirtyBit
+	list = append(sh.arena.Window(*p), InEdge{B: e.Src, TS: e.TS}) // in place: the block has room
+	p.N = uint32(len(list))
+	sh.edges += int64(p.N) - int64(before)
+	if p.Size&dirtyBit == 0 {
+		p.Size |= dirtyBit
 		sh.dirty = append(sh.dirty, e.Dst)
 	}
-	return int(p.n)
+	return int(p.N)
 }
 
 // seenPool recycles the dedup scratch sets used by RecentLimitInto; the
@@ -341,12 +291,12 @@ func (s *Store) Sweep(nowMS int64) int {
 		sh.mu.Lock()
 		// A gone target inserted into since is on the dirty log, and back on
 		// the gone log below if this sweep empties it: forget its entry.
-		sh.gone = slices.DeleteFunc(sh.gone, func(c graph.VertexID) bool { return sh.list(c) != nil })
+		sh.gone = slices.DeleteFunc(sh.gone, func(c graph.VertexID) bool { return len(sh.list(c)) > 0 })
 		before, targets := removed, sh.n
-		free := slices.IndexFunc(sh.spans, func(p span) bool { return p.n == 0 })
+		free := slices.IndexFunc(sh.spans, func(p arena.Block) bool { return p.N == 0 })
 		for i := range sh.spans {
 			p := &sh.spans[i]
-			list := sh.arena[p.off : p.off+p.n]
+			list := sh.arena.Window(*p)
 			keep := list[:0]
 			for _, in := range list {
 				if in.TS >= cutoff {
@@ -357,20 +307,20 @@ func (s *Store) Sweep(nowMS int64) int {
 				continue
 			}
 			removed += len(list) - len(keep)
-			p.n = uint32(len(keep))
+			p.N = uint32(len(keep))
 			switch {
-			case p.n == 0:
+			case p.N == 0:
 				sh.gone = append(sh.gone, sh.keys[i])
 				sh.n--
-				*p = span{}
-			case p.block&dirtyBit == 0:
-				p.block |= dirtyBit
+				*p = arena.Block{}
+			case p.Size&dirtyBit == 0:
+				p.Size |= dirtyBit
 				sh.dirty = append(sh.dirty, sh.keys[i])
 			}
 		}
 		if removed > before {
 			sh.edges -= int64(removed - before)
-			s.compact(sh, 0)
+			sh.arena.Compact(0, policy, sh.blocks(), &s.order)
 		}
 		// A sweep at the working set leaves a table up to 4 times what its
 		// targets need (power-of-two sizes); 8 times is a working set gone.
@@ -403,7 +353,7 @@ func (s *Store) Stats() (st Stats) {
 // tables and the arenas' capacity. Unlike Stats it depends on history (a
 // restored store's arenas are tight), and it leaves out the dirty log.
 func (s *Store) MemoryBytes() (b uint64) {
-	s.each(func(sh *shard) { b += uint64(len(sh.keys))*slotBytes + uint64(cap(sh.arena))*entryBytes })
+	s.each(func(sh *shard) { b += uint64(len(sh.keys))*slotBytes + uint64(cap(sh.arena.Buf()))*entryBytes })
 	return b
 }
 

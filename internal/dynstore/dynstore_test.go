@@ -9,6 +9,7 @@ import (
 	"time"
 	"unsafe"
 
+	"motifstream/internal/arena"
 	"motifstream/internal/graph"
 	"motifstream/internal/racetest"
 	"motifstream/internal/workload"
@@ -190,8 +191,8 @@ func TestMemoryBytes(t *testing.T) {
 		for i := range s.shards {
 			sh := &s.shards[i]
 			b += uint64(len(sh.keys))*uint64(unsafe.Sizeof(graph.VertexID(0))) +
-				uint64(len(sh.spans))*uint64(unsafe.Sizeof(span{})) +
-				uint64(cap(sh.arena))*uint64(unsafe.Sizeof(InEdge{}))
+				uint64(len(sh.spans))*uint64(unsafe.Sizeof(arena.Block{})) +
+				uint64(cap(sh.arena.Buf()))*uint64(unsafe.Sizeof(InEdge{}))
 		}
 		return b
 	}

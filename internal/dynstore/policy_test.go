@@ -68,4 +68,4 @@ func TestArenaPolicyTrajectory(t *testing.T) {
 }
 
 // arenaLenCap is the length and capacity of sh's edge arena.
-func arenaLenCap(sh *shard) (int, int) { return len(sh.arena), cap(sh.arena) }
+func arenaLenCap(sh *shard) (int, int) { return len(sh.arena.Buf()), cap(sh.arena.Buf()) }

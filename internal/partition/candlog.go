@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 
+	"motifstream/internal/arena"
 	"motifstream/internal/codecutil"
 	"motifstream/internal/graph"
 	"motifstream/internal/motif"
@@ -18,16 +19,12 @@ import (
 // freshly materialised list — the log neither keeps nor hands out a slice it
 // was given, and nothing in its arrays is a pointer.
 //
-// The log is flat arrays, the way a shard of D holds its lists: index maps a
-// user to a record in recs, and the record locates the user's runs, programs
-// and Via elements as one block in each of three arenas. No user owns a heap
-// object, and a new user costs no allocation once the arenas have room. A
-// block that cannot take the next candidate moves to its arena's end at a
-// larger size (room); an arena with no room for that is compacted in place,
-// every block made exactly its list and slid down the array in offset order,
-// and only an array too small for the lists and their room is replaced
-// (arena.compact). dirty lists the records changed since the last delta
-// checkpoint cut, each once: the record's flag says whether it is listed.
+// The log is flat arrays, as D is: index maps a user to a record in recs, and
+// the record locates the user's runs, programs and Via elements as a block in
+// each of three arenas — internal/arena is the mechanism, logPolicy and room
+// the log's numbers — so a new user costs no allocation once they have room.
+// dirty lists the records changed since the last delta checkpoint cut, each
+// once: the record's flag says whether it is listed.
 //
 // The log is a ring per user and nothing else: an add at depth evicts the
 // user's oldest candidate, and nothing removes a user. Its size is therefore
@@ -39,33 +36,27 @@ type candidateLog struct {
 	index map[graph.VertexID]uint32 // a user's record in recs
 	recs  []logUser
 	dirty []uint32 // the records whose dirty flag is set
-	runs  arena[logRun]
-	progs arena[uint32] // one per candidate: its program in names
-	vias  arena[graph.VertexID]
+	runs  arena.Arena[logRun]
+	progs arena.Arena[uint32] // one per candidate: its program in names
+	vias  arena.Arena[graph.VertexID]
 	names nameTable
-	// order is compact's scratch: one arena's blocks by offset.
-	order []uint64
+	order arena.Order // the compactions' scratch
 }
 
 // logUser is one user's record: its key, its three blocks, and whether it
 // changed since the last cut.
 type logUser struct {
 	key               graph.VertexID
-	runs, progs, vias block
+	runs, progs, vias arena.Block
 	dirty             bool
 }
-
-// block locates a user's list in an arena: n elements from off, in a block of
-// size elements that only that list grows into. An arena holds fewer than 2³²
-// elements.
-type block struct{ off, n, size uint32 }
 
 // userLog is one user's retained candidates, oldest first: the runs of
 // consecutive candidates that differ only in Program (the members of a share
 // group recommending one completion), every candidate's program, and the
-// runs' Via elements back to back. The log's is a view of a record's blocks,
-// each slice capped at its block, so appending within the block writes the
-// arena in place; a captured one owns copies.
+// runs' Via elements back to back. The log's is a view of a record's blocks
+// (arena.Window: an append within a block is in place); a captured one owns
+// copies.
 type userLog struct {
 	runs  []logRun
 	progs []uint32
@@ -113,13 +104,13 @@ func newCandidateLog(depth int) *candidateLog {
 
 // view returns u's lists as a userLog over the arenas.
 func (l *candidateLog) view(u *logUser) userLog {
-	return userLog{runs: l.runs.window(u.runs), progs: l.progs.window(u.progs), vias: l.vias.window(u.vias)}
+	return userLog{runs: l.runs.Window(u.runs), progs: l.progs.Window(u.progs), vias: l.vias.Window(u.vias)}
 }
 
 // setLens records v's lengths, a view of u after an add or an eviction, in
 // u's blocks.
 func (u *logUser) setLens(v userLog) {
-	u.runs.n, u.progs.n, u.vias.n = uint32(len(v.runs)), uint32(len(v.progs)), uint32(len(v.vias))
+	u.runs.N, u.progs.N, u.vias.N = uint32(len(v.runs)), uint32(len(v.progs)), uint32(len(v.vias))
 }
 
 // install replaces the log's contents with the given lists, as they are: one
@@ -140,30 +131,24 @@ func (l *candidateLog) install(lists codecutil.Run[graph.VertexID, []motif.Candi
 	}
 	index := make(map[graph.VertexID]uint32, len(lists))
 	recs := make([]logUser, 0, len(lists))
-	// At most one run a candidate: fit trims what the lists did not fill.
-	runs := arena[logRun]{buf: make([]logRun, 0, nProgs)}
-	progs := arena[uint32]{buf: make([]uint32, 0, nProgs)}
-	vias := arena[graph.VertexID]{buf: make([]graph.VertexID, 0, nVias)}
+	// At most one run a candidate: Fit gives back what the lists did not fill.
+	runs, progs, vias := arena.Make[logRun](nProgs), arena.Make[uint32](nProgs), arena.Make[graph.VertexID](nVias)
 	var names nameTable
+	var v userLog // one user's lists, built here and appended
 	for _, e := range lists {
 		if len(e.Val) == 0 {
 			continue
 		}
-		u := logUser{key: e.Key, runs: runs.rest(), progs: progs.rest(), vias: vias.rest()}
-		v := userLog{runs.window(u.runs), progs.window(u.progs), vias.window(u.vias)}
+		v = userLog{v.runs[:0], v.progs[:0], v.vias[:0]}
 		for i := range e.Val {
 			c := &e.Val[i]
 			r := runOf(c)
 			v.add(&r, c.Via, names.intern(c.Program), v.extends(&r, c.Via))
 		}
-		u.setLens(v)
-		runs.claim(&u.runs)
-		progs.claim(&u.progs)
-		vias.claim(&u.vias)
 		index[e.Key] = uint32(len(recs))
-		recs = append(recs, u)
+		recs = append(recs, logUser{key: e.Key, runs: runs.Append(v.runs), progs: progs.Append(v.progs), vias: vias.Append(v.vias)})
 	}
-	runs.fit()
+	runs.Fit(logPolicy)
 	l.mu.Lock()
 	l.index, l.recs, l.dirty = index, recs, nil
 	l.runs, l.progs, l.vias, l.names = runs, progs, vias, names
@@ -210,6 +195,13 @@ func (l *candidateLog) addAll(cands []motif.Candidate) {
 // what it needs if that is more.
 const startRuns, startProgs, startVias = 2, 16, 4
 
+// logPolicy is the log's arena policy (docs/BENCHMARKS.md, "Log point" and
+// "Recycle point"): a move without room always compacts, keeping an array
+// with room for a sixteenth of the lists; a new array has an eighth of room.
+// A log growing toward its working set allocates at geometric steps, one at
+// it never.
+var logPolicy = arena.Policy{Room: 16, NewRoom: 8}
+
 // room makes u's blocks big enough to take a candidate with via Via
 // elements: one more program, and unless the candidate extends the last run,
 // one more run and its Via elements. It reports whether a block moved. No
@@ -217,104 +209,28 @@ const startRuns, startProgs, startVias = 2, 16, 4
 // shrinks before it grows); a Via block is bounded by the Via elements a run
 // so far, times the depth.
 func (l *candidateLog) room(u *logUser, extends bool, via int) (moved bool) {
-	if u.progs.n == u.progs.size {
-		l.progs.move(&u.progs, grow(u.progs, 1, startProgs, l.depth), l.recs, func(u *logUser) *block { return &u.progs }, &l.order)
+	if u.progs.N == u.progs.Size {
+		l.progs.Move(&u.progs, grow(u.progs, 1, startProgs, l.depth), logPolicy, arena.Blocks{N: len(l.recs), At: func(i int) *arena.Block { return &l.recs[i].progs }}, &l.order)
 		moved = true
 	}
 	if extends {
 		return moved
 	}
-	if u.runs.n == u.runs.size {
-		l.runs.move(&u.runs, grow(u.runs, 1, startRuns, l.depth), l.recs, func(u *logUser) *block { return &u.runs }, &l.order)
+	if u.runs.N == u.runs.Size {
+		l.runs.Move(&u.runs, grow(u.runs, 1, startRuns, l.depth), logPolicy, arena.Blocks{N: len(l.recs), At: func(i int) *arena.Block { return &l.recs[i].runs }}, &l.order)
 		moved = true
 	}
-	if int(u.vias.n)+via > int(u.vias.size) {
-		perRun := (int(u.vias.n) + via + int(u.runs.n)) / (int(u.runs.n) + 1) // rounded up
-		l.vias.move(&u.vias, grow(u.vias, via, startVias, perRun*l.depth), l.recs, func(u *logUser) *block { return &u.vias }, &l.order)
+	if int(u.vias.N)+via > int(u.vias.Size) {
+		perRun := (int(u.vias.N) + via + int(u.runs.N)) / (int(u.runs.N) + 1) // rounded up
+		l.vias.Move(&u.vias, grow(u.vias, via, startVias, perRun*l.depth), logPolicy, arena.Blocks{N: len(l.recs), At: func(i int) *arena.Block { return &l.recs[i].vias }}, &l.order)
 		moved = true
 	}
 	return moved
 }
 
-// grow is the size b moves at to take more elements: half again its size, at
-// least start and at most limit, or what it needs if that is more.
-func grow(b block, more, start, limit int) int {
-	return max(int(b.n)+more, min(max(int(b.size)*3/2, start), limit))
-}
-
-// arena is one of the log's element arrays. buf[:len(buf)] is users' blocks
-// and garbage (blocks users moved out of), buf[len(buf):cap(buf)] free room.
-type arena[T any] struct{ buf []T }
-
-// window returns b's list, its capacity b's block.
-func (a *arena[T]) window(b block) []T { return a.buf[b.off : b.off+b.n : b.off+b.size] }
-
-// rest is an empty block over the arena's free room.
-func (a *arena[T]) rest() block {
-	return block{off: uint32(len(a.buf)), size: uint32(cap(a.buf) - len(a.buf))}
-}
-
-// claim shrinks b, a block from rest, to its list and takes it from the free
-// room.
-func (a *arena[T]) claim(b *block) {
-	b.size = b.n
-	a.buf = a.buf[:b.off+b.n]
-}
-
-// fit trims the free room to what a compaction leaves.
-func (a *arena[T]) fit() {
-	if n := len(a.buf); cap(a.buf) > n+n>>roomShift {
-		a.buf = append(make([]T, 0, n+n>>roomShift), a.buf...)
-	}
-}
-
-// move gives b, one of recs' blocks (of picks which), a block of size
-// elements at the arena's end, its list copied there and its old block left
-// as garbage. An arena without the room is compacted first, with order as
-// its scratch.
-func (a *arena[T]) move(b *block, size int, recs []logUser, of func(*logUser) *block, order *[]uint64) {
-	if len(a.buf)+size > cap(a.buf) {
-		a.compact(recs, of, size, order)
-	}
-	off := len(a.buf)
-	a.buf = a.buf[:off+size]
-	copy(a.buf[off:], a.window(*b))
-	b.off, b.size = uint32(off), uint32(size)
-}
-
-// roomShift sets the free room a compaction must leave: the live lists over
-// 2^roomShift, plus what the move that called it needs. growShift sets the
-// room of an array that replaces one without that room: the lists over
-// 2^growShift, plus what the move needs. A block grows only by taking free
-// room and leaving garbage no larger, so garbage and free room together never
-// exceed the room of the last compaction.
-const roomShift, growShift = 4, 3
-
-// compact makes every block exactly its list, packed from the start of the
-// array in the blocks' offset order, order being the scratch that sorts them.
-// An array with free room for extra elements and the lists over 2^roomShift
-// keeps them: each list slides down (a memmove; the way dynstore's sweep
-// compacts a shard). Only an array without that room is replaced, by one with
-// room for the lists over 2^growShift: a log growing toward its working set
-// allocates at geometric steps, and one at it never.
-func (a *arena[T]) compact(recs []logUser, of func(*logUser) *block, extra int, order *[]uint64) {
-	live, o := 0, (*order)[:0]
-	for i := range recs {
-		b := of(&recs[i])
-		live += int(b.n)
-		o = append(o, uint64(b.off)<<32|uint64(i))
-	}
-	slices.Sort(o)
-	src, dst := a.buf, a.buf[:0]
-	if live+live>>roomShift+extra > cap(a.buf) {
-		dst = make([]T, 0, live+live>>growShift+extra)
-	}
-	for _, k := range o {
-		b, off := of(&recs[uint32(k)]), len(dst)
-		dst = append(dst, src[b.off:b.off+b.n]...) // in place, a memmove down: off <= b.off
-		b.off, b.size = uint32(off), b.n
-	}
-	*order, a.buf = o, dst
+// grow is the size b moves at to take more elements, start and limit as above.
+func grow(b arena.Block, more, start, limit int) int {
+	return max(int(b.N)+more, min(max(int(b.Size)*3/2, start), limit))
 }
 
 // add appends a candidate of run r (runOf), Via via and program prog as the
@@ -462,7 +378,7 @@ func (l *candidateLog) capture() packedUsers {
 		u := &l.recs[i]
 		u.dirty = false
 		p.users = append(p.users, packedUser{key: u.key, userLog: l.view(u)})
-		nRuns, nProgs, nVias = nRuns+int(u.runs.n), nProgs+int(u.progs.n), nVias+int(u.vias.n)
+		nRuns, nProgs, nVias = nRuns+int(u.runs.N), nProgs+int(u.progs.N), nVias+int(u.vias.N)
 	}
 	runs := codecutil.Arena[logRun]{Chunk: nRuns}
 	progs := codecutil.Arena[uint32]{Chunk: nProgs}

@@ -326,9 +326,9 @@ func TestCandidateLogAtScale(t *testing.T) {
 	arrays := func() [3]array {
 		l := d.p.log
 		return [3]array{
-			{uintptr(unsafe.Pointer(unsafe.SliceData(l.runs.buf))), len(l.runs.buf)},
-			{uintptr(unsafe.Pointer(unsafe.SliceData(l.progs.buf))), len(l.progs.buf)},
-			{uintptr(unsafe.Pointer(unsafe.SliceData(l.vias.buf))), len(l.vias.buf)},
+			{uintptr(unsafe.Pointer(unsafe.SliceData(l.runs.Buf()))), len(l.runs.Buf())},
+			{uintptr(unsafe.Pointer(unsafe.SliceData(l.progs.Buf()))), len(l.progs.Buf())},
+			{uintptr(unsafe.Pointer(unsafe.SliceData(l.vias.Buf()))), len(l.vias.Buf())},
 		}
 	}
 	var compactions [3]int
@@ -481,9 +481,9 @@ func (s logShape) fill(t testing.TB, n, rounds int) *Partition {
 // logBytes is the log's exact size: its arenas' capacities, its record
 // table's and its index's entries (a key and a record number each).
 func logBytes(l *candidateLog) int {
-	return cap(l.runs.buf)*int(unsafe.Sizeof(logRun{})) +
-		cap(l.progs.buf)*int(unsafe.Sizeof(uint32(0))) +
-		cap(l.vias.buf)*int(unsafe.Sizeof(graph.VertexID(0))) +
+	return cap(l.runs.Buf())*int(unsafe.Sizeof(logRun{})) +
+		cap(l.progs.Buf())*int(unsafe.Sizeof(uint32(0))) +
+		cap(l.vias.Buf())*int(unsafe.Sizeof(graph.VertexID(0))) +
 		cap(l.recs)*int(unsafe.Sizeof(logUser{})) +
 		len(l.index)*int(unsafe.Sizeof(graph.VertexID(0))+unsafe.Sizeof(uint32(0)))
 }
@@ -505,7 +505,7 @@ func TestCandidateLogFootprint(t *testing.T) {
 		l := tc.shape.fill(t, 70, 40).log
 		cands := 0
 		for i := range l.recs {
-			cands += int(l.recs[i].progs.n)
+			cands += int(l.recs[i].progs.N)
 		}
 		if cands != 70*16 {
 			t.Fatalf("%s: %d candidates retained, want every user at depth", tc.name, cands)
@@ -582,7 +582,7 @@ func TestCommitWorkingSetZeroAlloc(t *testing.T) {
 		}
 	}
 	l := p.log
-	arenas := func() [3]int { return [3]int{len(l.runs.buf), len(l.progs.buf), len(l.vias.buf)} }
+	arenas := func() [3]int { return [3]int{len(l.runs.Buf()), len(l.progs.Buf()), len(l.vias.Buf())} }
 	var compactions [3]int
 	commitAll := func() {
 		for _, ev := range events {

@@ -111,8 +111,7 @@ func New(cfg Config) (*Partition, error) {
 		Static:   static,
 		Dynamic:  dynstore.New(cfg.Dynamic),
 		Programs: cfg.Programs,
-		// A user this partition does not own is never its recipient: its
-		// owner decides, holding its follows.
+		// Another partition's user is its owner's to recommend to.
 		Follows: func(a, c graph.VertexID) bool {
 			return cfg.Partitioner.PartitionOf(a) != cfg.ID || static.Snapshot().Follows(a, c)
 		},

@@ -235,7 +235,7 @@ func TestCandidateLogSlidesInPlace(t *testing.T) {
 			full := depth + runLen - 1
 			// place is where a record's blocks lie and how big they are.
 			place := func(u logUser) [6]uint32 {
-				return [6]uint32{u.runs.off, u.runs.size, u.progs.off, u.progs.size, u.vias.off, u.vias.size}
+				return [6]uint32{u.runs.Off, u.runs.Size, u.progs.Off, u.progs.Size, u.vias.Off, u.vias.Size}
 			}
 			var at [6]uint32 // the full user's place from then on
 			for i := 1; i <= 10*depth; i++ {
@@ -245,13 +245,13 @@ func TestCandidateLogSlidesInPlace(t *testing.T) {
 					Program: fmt.Sprintf("p%d", i%runLen),
 				}})
 				u := l.recs[l.index[7]]
-				if depth > 1 && (int(u.runs.size) > depth || int(u.progs.size) > depth || int(u.vias.size) > 3*depth) {
+				if depth > 1 && (int(u.runs.Size) > depth || int(u.progs.Size) > depth || int(u.vias.Size) > 3*depth) {
 					t.Fatalf("depth %d: blocks of %d runs, %d programs, %d Via elements after %d adds",
-						depth, u.runs.size, u.progs.size, u.vias.size, i)
+						depth, u.runs.Size, u.progs.Size, u.vias.Size, i)
 				}
-				if int(u.progs.n) != min(i, depth) || u.vias.n != 3*u.runs.n {
+				if int(u.progs.N) != min(i, depth) || u.vias.N != 3*u.runs.N {
 					t.Fatalf("depth %d: %d candidates in %d runs with %d Via elements after %d adds",
-						depth, u.progs.n, u.runs.n, u.vias.n, i)
+						depth, u.progs.N, u.runs.N, u.vias.N, i)
 				}
 				if i == full {
 					at = place(u)

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"motifstream/internal/arena"
 	"motifstream/internal/codecutil"
 	"motifstream/internal/graph"
 	"motifstream/internal/motif"
@@ -91,4 +92,4 @@ func TestLogArenaPolicyTrajectory(t *testing.T) {
 }
 
 // arenaLenCap is the length and capacity of one of the log's arenas.
-func arenaLenCap[T any](a *arena[T]) (int, int) { return len(a.buf), cap(a.buf) }
+func arenaLenCap[T any](a *arena.Arena[T]) (int, int) { return len(a.Buf()), cap(a.Buf()) }
