@@ -89,7 +89,7 @@ func (h *harness) push(r, k int) {
 	for r >= len(h.recs) {
 		h.recs = append(h.recs, Block{})
 	}
-	b := &h.recs[r]
+	b, fresh := &h.recs[r], h.recs[r].N == 0
 	if int(b.N)+k > int(b.Cap()) {
 		size := max(int(b.N)+k, int(b.Cap())*3/2)
 		before, n, g := h.a.buf, len(h.a.buf), h.a.garbage
@@ -121,6 +121,17 @@ func (h *harness) push(r, k int) {
 		h.ref[r] = append(h.ref[r], h.next)
 	}
 	b.N = uint32(len(list))
+	if fresh {
+		h.mark(r)
+	}
+}
+
+// mark sets Mark on an odd record's block as its list starts, as D marks a
+// dirty target: the arena must keep it through every move and compaction.
+func (h *harness) mark(r int) {
+	if r%2 == 1 {
+		h.recs[r].Size |= Mark
+	}
 }
 
 // drop makes the first n elements of record r's list garbage.
@@ -160,6 +171,7 @@ func (h *harness) restore(room int) {
 		h.recs[r] = Block{}
 		if len(h.ref[r]) > 0 {
 			h.recs[r] = h.a.Append(h.ref[r])
+			h.mark(r)
 		}
 	}
 	h.a.Fit(h.p)
@@ -179,6 +191,9 @@ func (h *harness) check(op string) {
 		}
 		if h.free && b.N == 0 && b != (Block{}) {
 			h.t.Fatalf("after %s: free record %d is %+v", op, r, b)
+		}
+		if b.N > 0 && b.Size&Mark != 0 != (r%2 == 1) {
+			h.t.Fatalf("after %s: record %d's block %+v, its Mark lost or gained", op, r, b)
 		}
 	}
 	if s := h.slack(); s > h.bound {

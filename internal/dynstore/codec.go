@@ -152,7 +152,7 @@ func (s *Store) LoadSnapshot(targets Targets) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		sh.keys, sh.spans, sh.n, sh.edges, sh.dirty, sh.gone = nil, nil, 0, 0, nil, nil
+		sh.keys, sh.spans, sh.n, sh.edges, sh.arena, sh.dirty, sh.gone = nil, nil, 0, 0, arena.Arena[InEdge]{}, nil, nil
 	}
 	for _, e := range targets {
 		sh := s.shardFor(e.Key)

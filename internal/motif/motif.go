@@ -64,10 +64,9 @@ type Context struct {
 	S *statstore.Store
 	// D is the dynamic store of recent B→C edges (full stream).
 	D *dynstore.Store
-	// Follows reports whether a must not be recommended c here: a already
-	// follows c, or — in a partition — a is not the partition's own user.
-	// Recipients drawn from D (the co-actor shape) may be anyone's; those
-	// from S are the partition's own. Nil disables the check.
+	// Follows reports whether a must not be recommended c here: a follows c,
+	// or a is not the partition's own (a co-actor recipient, drawn from D,
+	// may be anyone). Nil disables the check.
 	Follows func(a, c graph.VertexID) bool
 }
 
