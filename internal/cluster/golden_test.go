@@ -5,7 +5,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
+	"time"
+
+	"motifstream/internal/delivery"
+	"motifstream/internal/graph"
+	"motifstream/internal/motif"
 )
 
 // testdata/MANIFEST was written by the encoder of PR 14 (commit 0f8c592,
@@ -56,6 +62,81 @@ func TestGoldenManifestDecodesAndReencodes(t *testing.T) {
 		}
 		if _, err := loadManifest(p, goldenRunID); err == nil {
 			t.Fatalf("%d-byte prefix of %d loaded", cut, len(data))
+		}
+	}
+}
+
+// testdata/delivery.off and testdata/delivery.state were written by the
+// hub's persistDeliveryOffsets and persistDeliveryState at commit abb8c04,
+// the last one whose encoders streamed through codecutil's writers, from
+// goldenDeliveryOffsets and goldenDeliveryPipeline below (run id
+// goldenRunID); they pin the hub's two files across codec rewrites.
+
+var goldenDeliveryOffsets = []uint64{17, 1 << 35, 0}
+
+func goldenDeliveryOptions() delivery.Options {
+	return delivery.Options{
+		DedupTTL: time.Hour, DedupCapacity: 16, MaxPerUserPerDay: 2,
+		SleepStartHour: delivery.SleepDisabled, SleepEndHour: delivery.SleepDisabled,
+	}
+}
+
+// goldenDeliveryPipeline holds four dedup entries and three budgets, one of
+// them spent.
+func goldenDeliveryPipeline() *delivery.Pipeline {
+	p := delivery.NewPipeline(goldenDeliveryOptions())
+	for _, c := range [][3]int64{{1, 2, 1_000}, {300_000, 1 << 40, 2_000}, {5, 10, 3_000}, {5, 11, 4_000}, {1, 2, 5_000}} {
+		user, item := graph.VertexID(c[0]), graph.VertexID(c[1])
+		p.Offer(motif.Candidate{User: user, Item: item, DetectedAtMS: c[2], Trigger: graph.Edge{Src: 1, Dst: item, TS: c[2]}}, 0)
+	}
+	return p
+}
+
+func TestGoldenDeliveryFilesDecodeAndReencode(t *testing.T) {
+	off, err := os.ReadFile(filepath.Join("testdata", "delivery.off"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := appendDeliveryOffsets(nil, goldenRunID, goldenDeliveryOffsets); !bytes.Equal(got, off) {
+		t.Fatal("encoder output differs from testdata/delivery.off")
+	}
+	offs := parseDeliveryOffsets(off, goldenRunID)
+	if !slices.Equal(offs, goldenDeliveryOffsets) {
+		t.Fatalf("delivery.off decoded to %v", offs)
+	}
+	if re := appendDeliveryOffsets(nil, goldenRunID, offs); !bytes.Equal(re, off) {
+		t.Fatal("re-encoded offsets differ from testdata/delivery.off")
+	}
+	if foreign := parseDeliveryOffsets(off, goldenRunID+1); foreign != nil {
+		t.Fatalf("foreign-run offsets = %v, want none", foreign)
+	}
+
+	state, err := os.ReadFile(filepath.Join("testdata", "delivery.state"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := len(goldenDeliveryOffsets)
+	if got := appendDeliveryState(nil, goldenRunID, goldenDeliveryOffsets, goldenDeliveryPipeline()); !bytes.Equal(got, state) {
+		t.Fatal("encoder output differs from testdata/delivery.state")
+	}
+	p := delivery.NewPipeline(goldenDeliveryOptions())
+	offs, err = parseDeliveryState(state, goldenRunID, groups, p)
+	if err != nil || !slices.Equal(offs, goldenDeliveryOffsets) {
+		t.Fatalf("delivery.state decoded to %v, %v", offs, err)
+	}
+	if re := appendDeliveryState(nil, goldenRunID, offs, p); !bytes.Equal(re, state) {
+		t.Fatal("re-encoded state differs from testdata/delivery.state")
+	}
+	if offs, err := parseDeliveryState(state, goldenRunID+1, groups, delivery.NewPipeline(goldenDeliveryOptions())); offs != nil || err != nil {
+		t.Fatalf("foreign-run state = %v, %v; want nothing, no error", offs, err)
+	}
+	if _, err := parseDeliveryState(state, goldenRunID, groups+1, delivery.NewPipeline(goldenDeliveryOptions())); err == nil {
+		t.Fatal("a state for another partition count loaded")
+	}
+	// Both sections are checksummed: no strict prefix loads.
+	for cut := 0; cut < len(state); cut++ {
+		if _, err := parseDeliveryState(state[:cut], goldenRunID, groups, delivery.NewPipeline(goldenDeliveryOptions())); err == nil {
+			t.Fatalf("%d-byte prefix of %d loaded", cut, len(state))
 		}
 	}
 }

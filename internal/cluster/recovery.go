@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 
 	"motifstream/internal/audit"
 	"motifstream/internal/codecutil"
+	"motifstream/internal/delivery"
 	"motifstream/internal/partition"
 )
 
@@ -621,13 +623,7 @@ func (h *replicaHost) truncateManifest(dir string, man *manifest, keep int) bool
 // Shutdown just like the WAL and the checkpoint manifests do. The record is
 // encoded into the hub's one buffer and written whole.
 func (h *hubTier) persistDeliveryOffsets(next []uint64, durable bool) {
-	b := append(h.offBuf[:0], deliveryMagic[:]...)
-	b = binary.AppendUvarint(b, deliveryVersion)
-	b = binary.AppendUvarint(b, h.runID)
-	b = binary.AppendUvarint(b, uint64(len(next)))
-	for _, off := range next {
-		b = binary.AppendUvarint(b, off)
-	}
+	b := appendDeliveryOffsets(h.offBuf[:0], h.runID, next)
 	h.offBuf = b
 	err := codecutil.ReplaceFile(h.offPath, func(w io.Writer) error {
 		_, err := w.Write(b)
@@ -636,6 +632,19 @@ func (h *hubTier) persistDeliveryOffsets(next []uint64, durable bool) {
 	if err != nil {
 		h.ckptErrors.Inc()
 	}
+}
+
+// appendDeliveryOffsets appends delivery.off to b: magic, version, the
+// gating id, then the per-group high-water offsets.
+func appendDeliveryOffsets(b []byte, runID uint64, next []uint64) []byte {
+	b = append(b, deliveryMagic[:]...)
+	b = binary.AppendUvarint(b, deliveryVersion)
+	b = binary.AppendUvarint(b, runID)
+	b = binary.AppendUvarint(b, uint64(len(next)))
+	for _, off := range next {
+		b = binary.AppendUvarint(b, off)
+	}
+	return b
 }
 
 // persistDeliveryState cuts the delivery tier's restart state to
@@ -658,22 +667,7 @@ func (h *hubTier) persistDeliveryOffsets(next []uint64, durable bool) {
 // (the final exact cut), so the fsync stalls nobody.
 func (h *hubTier) persistDeliveryState(next []uint64) error {
 	err := codecutil.ReplaceFile(deliveryStatePath(h.cfg.CheckpointDir), func(w io.Writer) error {
-		hw := &codecutil.HashWriter{W: w}
-		enc := &codecutil.Writer{BW: bufio.NewWriter(hw)}
-		enc.PutBytes(deliveryStateMagic[:])
-		enc.PutU(deliveryStateVersion)
-		enc.PutU(h.runID)
-		enc.PutU(uint64(len(next)))
-		for _, off := range next {
-			enc.PutU(off)
-		}
-		if err := enc.Flush(); err != nil {
-			return err
-		}
-		if err := codecutil.WriteChecksum(w, hw.Sum()); err != nil {
-			return err
-		}
-		_, err := h.pipeline.WriteTo(w)
+		_, err := w.Write(appendDeliveryState(nil, h.runID, next, h.pipeline))
 		return err
 	}, true)
 	if err != nil {
@@ -682,6 +676,24 @@ func (h *hubTier) persistDeliveryState(next []uint64) error {
 	}
 	h.deliveryStateCuts.Inc()
 	return nil
+}
+
+// appendDeliveryState appends delivery.state to b: the gating header
+// (magic, version, gating id, the per-group offsets) closed by its CRC32C,
+// then p's snapshot.
+func appendDeliveryState(b []byte, runID uint64, next []uint64, p *delivery.Pipeline) []byte {
+	start := len(b)
+	b = append(b, deliveryStateMagic[:]...)
+	b = binary.AppendUvarint(b, deliveryStateVersion)
+	b = binary.AppendUvarint(b, runID)
+	b = binary.AppendUvarint(b, uint64(len(next)))
+	for _, off := range next {
+		b = binary.AppendUvarint(b, off)
+	}
+	b = binary.LittleEndian.AppendUint32(b, codecutil.CRC32C(b[start:]))
+	var snap bytes.Buffer
+	p.WriteTo(&snap)
+	return append(b, snap.Bytes()...)
 }
 
 // cutDeliveryStateAsync schedules one delivery state cut off the
@@ -714,12 +726,28 @@ func (h *hubTier) loadDeliveryState() ([]uint64, bool) {
 	if err != nil {
 		return nil, false
 	}
+	offsets, err := parseDeliveryState(data, h.runID, h.cfg.Partitions, h.pipeline)
+	if err != nil {
+		h.ckptErrors.Inc()
+	}
+	if offsets == nil {
+		return nil, false
+	}
+	h.deliveryStateRestores.Inc()
+	return offsets, true
+}
+
+// parseDeliveryState parses delivery.state, restoring its snapshot into p
+// and returning its offsets — nil, and no error, for a file another run
+// wrote. A file that does not cover exactly partitions groups is rejected
+// whole, before p is touched.
+func parseDeliveryState(data []byte, runID uint64, partitions int, p *delivery.Pipeline) ([]uint64, error) {
 	cur := codecutil.NewCursor(data, "delivery state header")
 	cur.Header(deliveryStateMagic, deliveryStateVersion)
-	if run := cur.U("run id"); cur.Err == nil && run != h.runID {
+	if run := cur.U("run id"); cur.Err == nil && run != runID {
 		// A foreign run's pipeline state indexes a stream this log never
 		// carried; ignoring it is the correct degrade, not an error.
-		return nil, false
+		return nil, nil
 	}
 	offsets := make([]uint64, cur.Count("group count", 1))
 	for i := range offsets {
@@ -728,14 +756,18 @@ func (h *hubTier) loadDeliveryState() ([]uint64, bool) {
 	// The header's trailer sits mid-file, so it is checked after the parse
 	// that finds it; the pipeline section after it verifies CRC-first.
 	cur.Trailer()
-	// A different deployment shape under the same log identity cannot seed
-	// this filter, so the pair is rejected whole.
-	if cur.Err != nil || len(offsets) != h.cfg.Partitions || h.pipeline.Restore(cur) != nil {
-		h.ckptErrors.Inc()
-		return nil, false
+	if cur.Err == nil && len(offsets) != partitions {
+		// A different deployment shape under the same log identity cannot
+		// seed this filter, so the pair is rejected whole.
+		cur.Fail("group count", fmt.Errorf("%d groups, want %d", len(offsets), partitions))
 	}
-	h.deliveryStateRestores.Inc()
-	return offsets, true
+	if cur.Err != nil {
+		return nil, cur.Err
+	}
+	if err := p.Restore(cur); err != nil {
+		return nil, err
+	}
+	return offsets, nil
 }
 
 // readDeliveryOffsets parses delivery.off once: the persisted delivery
@@ -746,9 +778,14 @@ func (s *shared) readDeliveryOffsets() []uint64 {
 	if err != nil {
 		return nil
 	}
+	return parseDeliveryOffsets(data, s.runID)
+}
+
+// parseDeliveryOffsets is readDeliveryOffsets' parse of the file's bytes.
+func parseDeliveryOffsets(data []byte, runID uint64) []uint64 {
 	cur := codecutil.NewCursor(data, "delivery offsets")
 	cur.Header(deliveryMagic, deliveryVersion)
-	if run := cur.U("run id"); run != s.runID {
+	if run := cur.U("run id"); run != runID {
 		return nil
 	}
 	offs := make([]uint64, 0, cur.Count("group count", 1))
