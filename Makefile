@@ -52,6 +52,8 @@ examples:
 # (recycled chunks), the chunk budget through DetectBatch; the candidate log's
 # commits (to users at depth 0, at its working set with runs coming and going
 # TestCommitWorkingSetZeroAlloc 0, to 4 096 new users ≤ 0.05 a candidate);
+# the checkpoint writer's encode (TestSegmentAppendZeroAlloc: a sealed delta
+# and a sealed base appended into a buffer with room, 0);
 # the apply loop's no-candidate batch over two workers (0); the funnel's
 # offer (a live duplicate 0, a delivery ≤ 0.01: chunks of 256 Notifications
 # and their Vias); the wire's: a candidate connection's decode (≤ 0.02 a
@@ -215,7 +217,8 @@ soak-net:
 
 # fuzz-smoke is the one list of fuzz targets, FUZZTIME each. The CI budget
 # of 10s per target keeps the decoders, the WAL record framing, the
-# delivery-state codec, the transport wire protocol and its candidate
+# delivery-state codec, the hub's delivery.off and delivery.state files, the
+# manifest and the placement table, the transport wire protocol and its candidate
 # decode's round trip through one connection's arenas, the motif DSL compiler,
 # the restore planner, the segment merge, the candidate log, the plan
 # executor, the threshold kernel's strategies, the packed S build, the block
@@ -231,6 +234,10 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz FuzzStoreMatchesReference -fuzztime $(FUZZTIME) ./internal/dynstore
 	$(GO) test -run=NONE -fuzz FuzzWALReadRecord -fuzztime $(FUZZTIME) ./internal/queue
 	$(GO) test -run=NONE -fuzz FuzzDeliveryStateReadFrom -fuzztime $(FUZZTIME) ./internal/delivery
+	$(GO) test -run=NONE -fuzz FuzzDeliveryOffsetsFile -fuzztime $(FUZZTIME) ./internal/cluster
+	$(GO) test -run=NONE -fuzz FuzzDeliveryStateFile -fuzztime $(FUZZTIME) ./internal/cluster
+	$(GO) test -run=NONE -fuzz FuzzManifestFile -fuzztime $(FUZZTIME) ./internal/cluster
+	$(GO) test -run=NONE -fuzz FuzzPlacementTable -fuzztime $(FUZZTIME) ./internal/placement
 	$(GO) test -run=NONE -fuzz FuzzAuditRecords -fuzztime $(FUZZTIME) ./internal/audit
 	$(GO) test -run=NONE -fuzz FuzzTransportFrame -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run=NONE -fuzz FuzzCandBatchRoundTrip -fuzztime $(FUZZTIME) ./internal/transport

@@ -85,7 +85,6 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -93,6 +92,7 @@ import (
 	"time"
 
 	"motifstream/internal/broker"
+	"motifstream/internal/codecutil"
 	"motifstream/internal/delivery"
 	"motifstream/internal/dynstore"
 	"motifstream/internal/graph"
@@ -426,51 +426,23 @@ func New(cfg Config) (c *Cluster, err error) {
 }
 
 // edgeMarshaler and unmarshalEdge are the WAL's record codec for firehose
-// events: varint fields, no framing (the WAL frames and checksums). The
-// marshaler encodes into one buffer of its own, which the WAL's Marshal
-// contract allows (it runs under the WAL's lock and its result is used only
-// until Append returns), so a record costs no allocation; one marshaler
-// serves one WAL.
+// events: graph.AppendEdge's encoding, no framing (the WAL frames and
+// checksums). The marshaler encodes into one buffer of its own, which the
+// WAL's Marshal contract allows (it runs under the WAL's lock and its result
+// is used only until Append returns), so a record costs no allocation; one
+// marshaler serves one WAL.
 func edgeMarshaler() func(graph.Edge) ([]byte, error) {
 	var b []byte
 	return func(e graph.Edge) ([]byte, error) {
-		b = binary.AppendUvarint(b[:0], uint64(e.Src))
-		b = binary.AppendUvarint(b, uint64(e.Dst))
-		b = append(b, byte(e.Type))
-		b = binary.AppendVarint(b, e.TS)
+		b = graph.AppendEdge(b[:0], e)
 		return b, nil
 	}
 }
 
 func unmarshalEdge(b []byte) (graph.Edge, error) {
-	var e graph.Edge
-	src, n := binary.Uvarint(b)
-	if n <= 0 {
-		return e, fmt.Errorf("cluster: edge src: short payload")
-	}
-	b = b[n:]
-	dst, n := binary.Uvarint(b)
-	if n <= 0 {
-		return e, fmt.Errorf("cluster: edge dst: short payload")
-	}
-	b = b[n:]
-	if len(b) < 1 {
-		return e, fmt.Errorf("cluster: edge type: short payload")
-	}
-	typ := b[0]
-	b = b[1:]
-	ts, n := binary.Varint(b)
-	if n <= 0 {
-		return e, fmt.Errorf("cluster: edge ts: short payload")
-	}
-	if len(b) != n {
-		return e, fmt.Errorf("cluster: edge payload has %d trailing bytes", len(b)-n)
-	}
-	e.Src = graph.VertexID(src)
-	e.Dst = graph.VertexID(dst)
-	e.Type = graph.EdgeType(typ)
-	e.TS = ts
-	return e, nil
+	c := codecutil.NewCursor(b, "cluster: edge record")
+	e := graph.ReadEdge(c, "edge")
+	return e, c.Done()
 }
 
 // Start launches one consumer goroutine per hosted replica

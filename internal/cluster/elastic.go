@@ -15,7 +15,6 @@ package cluster
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -305,10 +304,7 @@ func composeFromPool(pool []baseSource, start, head uint64) (*partition.Segment,
 // names never collide, and retiring old's now-unreferenced segments.
 func (h *replicaHost) seedChain(dir string, data []byte, offset uint64, old manifest) (manifest, error) {
 	ref := segmentRef{kind: segKindBase, seq: old.nextSeq, offset: offset}
-	if err := writeFileSync(segmentPath(dir, ref), func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	}); err != nil {
+	if err := writeFileSync(segmentPath(dir, ref), data); err != nil {
 		return manifest{}, err
 	}
 	man := manifest{segs: []segmentRef{ref}, nextSeq: old.nextSeq + 1}

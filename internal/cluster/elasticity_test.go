@@ -725,10 +725,7 @@ func TestForeignMirrorsNeverInstalled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fp, err := p.Fingerprint()
-		if err != nil {
-			t.Fatal(err)
-		}
+		fp := p.Fingerprint()
 		return fp
 	}
 	if got, want := fingerprint(1), fingerprint(0); got != want {

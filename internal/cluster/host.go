@@ -74,6 +74,10 @@ type replica struct {
 	// claims.
 	applied atomic.Uint64
 
+	// fpBuf is the encoded base the apply loop's audit fingerprints are read
+	// from (stampFingerprint); nil with auditing off.
+	fpBuf []byte
+
 	// writer is the replica's async checkpoint persistence goroutine; nil
 	// before Start, while dead, and on clusters without recovery.
 	writer *ckptWriter

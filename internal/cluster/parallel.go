@@ -249,44 +249,36 @@ func (h *replicaHost) applyBatch(rep *replica, b *replicaBatch) bool {
 	n := len(b.envs)
 	cands := b.cands[:n]
 
+	// Shard by edge target: same target, same shard, offset order within
+	// the shard — the arrangement under which concurrent detection sees
+	// exactly the stream-order D prefix per target. With one shard every
+	// edge lands in shard 0, in offset order, and the consumer detects the
+	// whole batch itself.
 	w := min(b.workers, n)
-	if w <= 1 {
-		// Inline: one detection over the whole batch — still amortizes
-		// scratch and counters, just without fan-out.
-		b.edges[0] = b.edges[0][:0]
-		for _, env := range b.envs {
-			b.edges[0] = append(b.edges[0], env.Msg)
+	for i := 0; i < w; i++ {
+		b.edges[i] = b.edges[i][:0]
+		b.pos[i] = b.pos[i][:0]
+	}
+	for i, env := range b.envs {
+		h := int((uint64(env.Msg.Dst) * 0x9e3779b97f4a7c15 >> 32) % uint64(w))
+		b.edges[h] = append(b.edges[h], env.Msg)
+		b.pos[h] = append(b.pos[h], i)
+	}
+	for i := 1; i < w; i++ {
+		if len(b.edges[i]) > 0 {
+			b.pending.Add(1)
+			b.shards <- i
 		}
-		p.DetectLeased(b.edges[0], cands, b.leases[:n])
-	} else {
-		// Shard by edge target: same target, same shard, offset order
-		// within the shard — the arrangement under which concurrent
-		// detection sees exactly the stream-order D prefix per target.
-		for i := 0; i < w; i++ {
-			b.edges[i] = b.edges[i][:0]
-			b.pos[i] = b.pos[i][:0]
-		}
-		for i, env := range b.envs {
-			h := int((uint64(env.Msg.Dst) * 0x9e3779b97f4a7c15 >> 32) % uint64(w))
-			b.edges[h] = append(b.edges[h], env.Msg)
-			b.pos[h] = append(b.pos[h], i)
-		}
-		for i := 1; i < w; i++ {
-			if len(b.edges[i]) > 0 {
-				b.pending.Add(1)
-				b.shards <- i
-			}
-		}
-		// Shard 0 runs inline on the consumer goroutine.
-		b.detect(p, 0)
-		b.pending.Wait()
-		// Move, not copy: a reference left in outs would outlive the batch
-		// and pin the chunk its candidates were issued from.
-		for i := 0; i < w; i++ {
-			for j, at := range b.pos[i] {
-				cands[at], b.outs[i][j] = b.outs[i][j], nil
-				b.leases[at], b.outLeases[i][j] = b.outLeases[i][j], motif.Lease{}
-			}
+	}
+	// Shard 0 runs inline on the consumer goroutine.
+	b.detect(p, 0)
+	b.pending.Wait()
+	// Move, not copy: a reference left in outs would outlive the batch and
+	// pin the chunk its candidates were issued from.
+	for i := 0; i < w; i++ {
+		for j, at := range b.pos[i] {
+			cands[at], b.outs[i][j] = b.outs[i][j], nil
+			b.leases[at], b.outLeases[i][j] = b.outLeases[i][j], motif.Lease{}
 		}
 	}
 

@@ -207,14 +207,8 @@ func TestParallelApplyEquivalence(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						gotFP, err := pp.Fingerprint()
-						if err != nil {
-							t.Fatal(err)
-						}
-						wantFP, err := sp.Fingerprint()
-						if err != nil {
-							t.Fatal(err)
-						}
+						gotFP := pp.Fingerprint()
+						wantFP := sp.Fingerprint()
 						if gotFP != wantFP {
 							t.Errorf("partition %d replica %d: batched fingerprint %08x != sequential %08x", pid, r, gotFP, wantFP)
 						}

@@ -1,12 +1,9 @@
 package cluster
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -79,7 +76,7 @@ var deliveryMagic = [8]byte{'M', 'S', 'D', 'L', 'V', 'O', 0, 1}
 
 // deliveryStateMagic identifies the delivery pipeline state file header,
 // version 1. The header (magic + version + gating id) wraps the
-// pipeline's own CRC32C-framed snapshot (delivery.Pipeline.WriteTo).
+// pipeline's own CRC32C-framed snapshot (delivery.Pipeline.AppendState).
 var deliveryStateMagic = [8]byte{'M', 'S', 'D', 'L', 'S', 'T', 0, 1}
 
 const (
@@ -169,15 +166,15 @@ var openSegFile = func(path string) (codecutil.WriteSyncCloser, error) {
 	return os.Create(path)
 }
 
-// writeFileSync writes a file directly and fsyncs it. Segment files use
-// this rather than the atomic dance: their names are fresh and only the
+// writeFileSync writes data to a file directly and fsyncs it. Segment files
+// use this rather than the atomic dance: their names are fresh and only the
 // manifest makes them reachable.
-func writeFileSync(path string, write func(io.Writer) error) error {
+func writeFileSync(path string, data []byte) error {
 	f, err := openSegFile(path)
 	if err != nil {
 		return err
 	}
-	err = write(f)
+	_, err = f.Write(data)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -190,22 +187,23 @@ func writeFileSync(path string, write func(io.Writer) error) error {
 	return err
 }
 
-// writeManifest durably replaces the manifest file.
+// write durably replaces the manifest file.
 func (m *manifest) write(path string, runID uint64) error {
-	return codecutil.ReplaceFile(path, func(w io.Writer) error {
-		enc := &codecutil.Writer{BW: bufio.NewWriter(w)}
-		enc.PutBytes(manifestMagic[:])
-		enc.PutU(manifestVersion)
-		enc.PutU(runID)
-		enc.PutU(m.nextSeq)
-		enc.PutU(uint64(len(m.segs)))
-		for _, s := range m.segs {
-			enc.PutU(uint64(s.kind))
-			enc.PutU(s.seq)
-			enc.PutU(s.offset)
-		}
-		return enc.Flush()
-	}, true)
+	return codecutil.ReplaceFile(path, m.appendTo(nil, runID), true)
+}
+
+// appendTo appends the manifest file format, stamped with runID, to b.
+func (m *manifest) appendTo(b []byte, runID uint64) []byte {
+	b = codecutil.AppendHeader(b, manifestMagic, manifestVersion)
+	b = binary.AppendUvarint(b, runID)
+	b = binary.AppendUvarint(b, m.nextSeq)
+	b = binary.AppendUvarint(b, uint64(len(m.segs)))
+	for _, s := range m.segs {
+		b = binary.AppendUvarint(b, uint64(s.kind))
+		b = binary.AppendUvarint(b, s.seq)
+		b = binary.AppendUvarint(b, s.offset)
+	}
+	return b
 }
 
 // loadManifest reads a manifest, returning an empty one when the file is
@@ -219,6 +217,11 @@ func loadManifest(path string, runID uint64) (manifest, error) {
 		}
 		return manifest{}, err
 	}
+	return parseManifest(data, runID)
+}
+
+// parseManifest is loadManifest's parse of the file's bytes.
+func parseManifest(data []byte, runID uint64) (manifest, error) {
 	c := codecutil.NewCursor(data, "manifest")
 	c.Header(manifestMagic, manifestVersion)
 	fileRun := c.U("run id")
@@ -244,7 +247,7 @@ func loadManifest(path string, runID uint64) (manifest, error) {
 // ckptJob is one cut handed from the apply loop to the async writer: the
 // captured delta and the firehose offset it corresponds to. With auditing
 // on, fp carries the CRC32C fingerprint of the replica's full state at
-// the cut (hasFP false when auditing is off or the encode failed).
+// the cut (hasFP false when auditing is off).
 type ckptJob struct {
 	delta  *partition.Segment
 	offset uint64
@@ -266,6 +269,9 @@ type ckptWriter struct {
 	done   chan struct{}
 	man    manifest
 	deltas int // delta segments since the last base
+	// buf is the one buffer every segment this writer persists, delta or
+	// base, is encoded into and written from whole; it goes with the writer.
+	buf []byte
 	// pending holds a cut whose persistence failed. CaptureDelta drains
 	// the partition's dirty sets, so the failed cut's keys exist nowhere
 	// else — they are merged into the next cut rather than dropped, or
@@ -402,18 +408,15 @@ func (h *replicaHost) cutCheckpoint(rep *replica, nextOffset uint64) {
 // stampFingerprint attaches the replica's current state fingerprint to a
 // checkpoint job when auditing is on. Called on the apply loop (or at
 // drained shutdown) — the only places Apply is quiescent, which the
-// fingerprint's streaming encode requires. A failed encode is counted and
-// the cut proceeds unaudited: the audit is advisory, the cut is not.
+// fingerprint's encode of the live state requires. The base is encoded into
+// the replica's fpBuf, which therefore holds one encoded base of the replica
+// for as long as the replica lives; with auditing off it stays nil.
 func (h *replicaHost) stampFingerprint(rep *replica, job *ckptJob) {
 	if !h.audit {
 		return
 	}
-	fp, err := rep.p.Fingerprint()
-	if err != nil {
-		h.ckptErrors.Inc()
-		return
-	}
-	job.fp, job.hasFP = fp, true
+	rep.fpBuf = rep.p.AppendBase(rep.fpBuf[:0])
+	job.fp, job.hasFP = partition.FingerprintOf(rep.fpBuf), true
 }
 
 // appendSegment encodes one cut as a delta segment, fsyncs it, and
@@ -428,10 +431,8 @@ func (w *ckptWriter) appendSegment(job ckptJob) {
 	}
 	ref := segmentRef{kind: segKindDelta, seq: w.man.nextSeq, offset: job.offset}
 	path := segmentPath(w.dir, ref)
-	if err := writeFileSync(path, func(f io.Writer) error {
-		_, err := job.delta.WriteTo(f)
-		return err
-	}); err != nil {
+	w.buf = job.delta.AppendDelta(w.buf[:0])
+	if err := writeFileSync(path, w.buf); err != nil {
 		w.pending = job.delta
 		w.h.ckptErrors.Inc()
 		return
@@ -490,32 +491,28 @@ func (w *ckptWriter) compact() {
 		w.h.ckptErrors.Inc()
 		return
 	}
+	w.buf = st.AppendBase(w.buf[:0])
 	if w.h.audit {
 		// Compaction self-check: the composed chain re-derives a state the
 		// replica also held live (the newest cut), so their fingerprints
 		// must match bit-for-bit. A mismatch here is the divergence class
 		// the audit exists for — a recovery composition that would install
 		// different state than the replica actually had — caught at write
-		// time instead of at the next restore. The composed fingerprint is
-		// recorded either way (it re-records the offset, so VerifyFingerprints
-		// exposes the disagreement too); the base is still published — its
-		// bytes are what the chain durably says, and refusing to compact
-		// would only hide the divergence behind a longer chain.
-		if fp, err := st.Fingerprint(); err == nil {
-			if w.hasLastFP && w.lastFPOffset == offset && w.lastFP != fp {
-				w.h.auditMismatches.Inc()
-			}
-			w.recordFingerprint(audit.Record{Offset: offset, Sum: fp})
-		} else {
-			w.h.ckptErrors.Inc()
+		// time instead of at the next restore. The composed fingerprint, the
+		// trailer of the base just encoded, is recorded either way (it
+		// re-records the offset, so VerifyFingerprints exposes the
+		// disagreement too); the base is still published — its bytes are
+		// what the chain durably says, and refusing to compact would only
+		// hide the divergence behind a longer chain.
+		fp := partition.FingerprintOf(w.buf)
+		if w.hasLastFP && w.lastFPOffset == offset && w.lastFP != fp {
+			w.h.auditMismatches.Inc()
 		}
+		w.recordFingerprint(audit.Record{Offset: offset, Sum: fp})
 	}
 	ref := segmentRef{kind: segKindBase, seq: w.man.nextSeq, offset: offset}
 	path := segmentPath(w.dir, ref)
-	if err := writeFileSync(path, func(f io.Writer) error {
-		_, err := st.WriteBaseTo(f)
-		return err
-	}); err != nil {
+	if err := writeFileSync(path, w.buf); err != nil {
 		w.h.ckptErrors.Inc()
 		return
 	}
@@ -623,13 +620,8 @@ func (h *replicaHost) truncateManifest(dir string, man *manifest, keep int) bool
 // Shutdown just like the WAL and the checkpoint manifests do. The record is
 // encoded into the hub's one buffer and written whole.
 func (h *hubTier) persistDeliveryOffsets(next []uint64, durable bool) {
-	b := appendDeliveryOffsets(h.offBuf[:0], h.runID, next)
-	h.offBuf = b
-	err := codecutil.ReplaceFile(h.offPath, func(w io.Writer) error {
-		_, err := w.Write(b)
-		return err
-	}, durable)
-	if err != nil {
+	h.offBuf = appendDeliveryOffsets(h.offBuf[:0], h.runID, next)
+	if err := codecutil.ReplaceFile(h.offPath, h.offBuf, durable); err != nil {
 		h.ckptErrors.Inc()
 	}
 }
@@ -637,8 +629,7 @@ func (h *hubTier) persistDeliveryOffsets(next []uint64, durable bool) {
 // appendDeliveryOffsets appends delivery.off to b: magic, version, the
 // gating id, then the per-group high-water offsets.
 func appendDeliveryOffsets(b []byte, runID uint64, next []uint64) []byte {
-	b = append(b, deliveryMagic[:]...)
-	b = binary.AppendUvarint(b, deliveryVersion)
+	b = codecutil.AppendHeader(b, deliveryMagic, deliveryVersion)
 	b = binary.AppendUvarint(b, runID)
 	b = binary.AppendUvarint(b, uint64(len(next)))
 	for _, off := range next {
@@ -654,7 +645,7 @@ func appendDeliveryOffsets(b []byte, runID uint64, next []uint64) []byte {
 // + fatigue budgets). The pairing invariant — a restored filter seeded
 // from this file never runs ahead of the dedup state restored from it —
 // rests on a one-sided capture order the callers must preserve: `next`
-// is snapshotted AT OR BEFORE the moment WriteTo captures the pipeline
+// is snapshotted AT OR BEFORE the moment AppendState captures the pipeline
 // state (the async cut copies the offsets at the cadence point, then
 // captures strictly later on this goroutine; the final drain cut takes
 // both at the same quiesced instant). Offsets older than the state only
@@ -664,13 +655,11 @@ func appendDeliveryOffsets(b []byte, runID uint64, next []uint64) []byte {
 // (which the hot path keeps fresher) is only the fallback when this
 // file is missing or corrupt. Always durable (tmp+rename+fsync): it
 // runs off the delivery goroutine (the periodic async cut) or at drain
-// (the final exact cut), so the fsync stalls nobody.
+// (the final exact cut), so the fsync stalls nobody. The file is encoded
+// into a buffer of the cut's own, dropped with it.
 func (h *hubTier) persistDeliveryState(next []uint64) error {
-	err := codecutil.ReplaceFile(deliveryStatePath(h.cfg.CheckpointDir), func(w io.Writer) error {
-		_, err := w.Write(appendDeliveryState(nil, h.runID, next, h.pipeline))
-		return err
-	}, true)
-	if err != nil {
+	data := appendDeliveryState(nil, h.runID, next, h.pipeline)
+	if err := codecutil.ReplaceFile(deliveryStatePath(h.cfg.CheckpointDir), data, true); err != nil {
 		h.ckptErrors.Inc()
 		return err
 	}
@@ -683,17 +672,13 @@ func (h *hubTier) persistDeliveryState(next []uint64) error {
 // then p's snapshot.
 func appendDeliveryState(b []byte, runID uint64, next []uint64, p *delivery.Pipeline) []byte {
 	start := len(b)
-	b = append(b, deliveryStateMagic[:]...)
-	b = binary.AppendUvarint(b, deliveryStateVersion)
+	b = codecutil.AppendHeader(b, deliveryStateMagic, deliveryStateVersion)
 	b = binary.AppendUvarint(b, runID)
 	b = binary.AppendUvarint(b, uint64(len(next)))
 	for _, off := range next {
 		b = binary.AppendUvarint(b, off)
 	}
-	b = binary.LittleEndian.AppendUint32(b, codecutil.CRC32C(b[start:]))
-	var snap bytes.Buffer
-	p.WriteTo(&snap)
-	return append(b, snap.Bytes()...)
+	return p.AppendState(codecutil.AppendChecksum(b, start))
 }
 
 // cutDeliveryStateAsync schedules one delivery state cut off the

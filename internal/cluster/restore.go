@@ -146,13 +146,9 @@ func planRestore(in restoreInputs) (restorePlan, error) {
 	if want, found := in.recorded[plan.offset]; found && plan.state != nil && plan.offset > 0 {
 		got, ok := baseFingerprint(plan.seed)
 		if !ok {
-			got, err = plan.state.Fingerprint()
-			ok = err == nil
+			got = plan.state.Fingerprint()
 		}
-		plan.audited, plan.got, plan.want = ok, got, want
-		if !ok {
-			plan.faults++
-		}
+		plan.audited, plan.got, plan.want = true, got, want
 	}
 	return plan, nil
 }

@@ -1,7 +1,6 @@
 package codecutil
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -13,17 +12,18 @@ import (
 // Equal strings read through one cursor share one copy in whatever order
 // they come — a run of one name (no table at all), names interleaved, an
 // empty string between them — and a run costs no allocation past its first.
+// appendString appends s length-prefixed, as Cursor.String reads it.
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
 func TestCursorStringInterns(t *testing.T) {
-	var buf bytes.Buffer
-	w := &Writer{BW: bufio.NewWriter(&buf)}
+	var buf []byte
 	seq := []string{"a1", "a1", "b2", "a1", "", "b2", "c3", "", "a1", "c3", "c3"}
 	for _, s := range seq {
-		w.PutString(s)
+		buf = appendString(buf, s)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	c := NewCursor(buf.Bytes(), "test")
+	c := NewCursor(buf, "test")
 	first := map[string]*byte{}
 	for i, want := range seq {
 		got := c.String("s", 16)
@@ -39,15 +39,12 @@ func TestCursorStringInterns(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	buf.Reset()
+	buf = buf[:0]
 	for i := 0; i < 100; i++ {
-		w.PutString("diamond")
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
+		buf = appendString(buf, "diamond")
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
-		c := Cursor{b: buf.Bytes()}
+		c := Cursor{b: buf}
 		for i := 0; i < 100; i++ {
 			c.String("s", 16)
 		}
@@ -60,18 +57,14 @@ func TestCursorStringInterns(t *testing.T) {
 // the sections they read, and a section whose strings the table already
 // holds costs no allocation for them.
 func TestCursorsShareInternedStrings(t *testing.T) {
-	var buf bytes.Buffer
-	w := &Writer{BW: bufio.NewWriter(&buf)}
+	var buf []byte
 	names := []string{"m01", "m02", "m03", "m01", "m04", "m02"}
 	for _, s := range names {
-		w.PutString(s)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
+		buf = appendString(buf, s)
 	}
 	var table Strings
 	read := func() []string {
-		c := NewCursor(buf.Bytes(), "test")
+		c := NewCursor(buf, "test")
 		c.Intern(&table)
 		out := make([]string, len(names))
 		for i := range out {
@@ -89,7 +82,7 @@ func TestCursorsShareInternedStrings(t *testing.T) {
 		}
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
-		c := Cursor{b: buf.Bytes(), strs: &table}
+		c := Cursor{b: buf, strs: &table}
 		for range names {
 			c.String("s", 16)
 		}
@@ -99,27 +92,20 @@ func TestCursorsShareInternedStrings(t *testing.T) {
 }
 
 func TestCursorReadsWhatWriterWrote(t *testing.T) {
-	var buf bytes.Buffer
-	hw := &HashWriter{W: &buf}
 	magic := [8]byte{'M', 'S', 'T', 'E', 'S', 'T', 0, 1}
-	w := &Writer{BW: bufio.NewWriter(hw)}
-	w.PutBytes(magic[:])
-	w.PutU(3)
-	w.PutI(-77)
-	w.PutString("diamond")
-	w.PutString("diamond")
-	w.PutString("")
-	w.PutU(1 << 63)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteChecksum(&buf, hw.Sum()); err != nil {
-		t.Fatal(err)
-	}
+	buf := append([]byte(nil), magic[:]...)
+	buf = binary.AppendUvarint(buf, 3)
+	buf = binary.AppendVarint(buf, -77)
+	buf = appendString(buf, "diamond")
+	buf = appendString(buf, "diamond")
+	buf = appendString(buf, "")
+	buf = binary.AppendUvarint(buf, 1<<63)
+	sum := CRC32C(buf)
+	buf = binary.LittleEndian.AppendUint32(buf, sum)
 
-	c := NewCursor(buf.Bytes(), "test")
-	if sum := c.Checked(); sum != hw.Sum() {
-		t.Fatalf("Checked = %08x, want %08x (%v)", sum, hw.Sum(), c.Err)
+	c := NewCursor(buf, "test")
+	if got := c.Checked(); got != sum {
+		t.Fatalf("Checked = %08x, want %08x (%v)", got, sum, c.Err)
 	}
 	c.Header(magic, 3)
 	if v := c.I("i"); v != -77 {

@@ -1,22 +1,22 @@
 package codecutil
 
 import (
-	"io"
 	"os"
 	"path/filepath"
 )
 
-// ReplaceFile writes path via a temp file and renames it into place, so
-// readers only ever observe complete content. durable adds the fsyncs (file,
-// then directory); without them an OS crash may lose the newest version — for
-// advisory data written on a hot path, skipping the two fsyncs is the point.
-func ReplaceFile(path string, write func(io.Writer) error, durable bool) error {
+// ReplaceFile writes data to path via a temp file and renames it into place,
+// so readers only ever observe complete content. durable adds the fsyncs
+// (file, then directory); without them an OS crash may lose the newest
+// version — for advisory data written on a hot path, skipping the two fsyncs
+// is the point.
+func ReplaceFile(path string, data []byte, durable bool) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	err = write(f)
+	_, err = f.Write(data)
 	if err == nil && durable {
 		err = f.Sync()
 	}

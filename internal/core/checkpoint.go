@@ -21,30 +21,18 @@ var engineMagic = [8]byte{'M', 'S', 'E', 'N', 'G', 'S', 0, 1}
 
 const engineSnapVersion = 1
 
-// writeEngineState emits the magic, version and sweep clock, then the D
-// snapshot section through d.
-func writeEngineState(w io.Writer, sweepClock int64, d func(io.Writer) (int64, error)) (int64, error) {
-	var buf [8 + 2*binary.MaxVarintLen64]byte
-	copy(buf[:8], engineMagic[:])
-	n := 8
-	n += binary.PutUvarint(buf[n:], engineSnapVersion)
-	n += binary.PutVarint(buf[n:], sweepClock)
-	cw := &codecutil.CountingWriter{W: w}
-	if _, err := cw.Write(buf[:n]); err != nil {
-		return cw.N, err
-	}
-	_, err := d(cw)
-	return cw.N, err
+// appendEngineHeader appends the magic, version and sweep clock that open
+// the section; the D snapshot section follows.
+func appendEngineHeader(b []byte, sweepClock int64) []byte {
+	return binary.AppendVarint(codecutil.AppendHeader(b, engineMagic, engineSnapVersion), sweepClock)
 }
 
-// WriteEngineState serializes a segment's engine state — sweep clock plus a
+// AppendEngineState appends a segment's engine state — sweep clock plus a
 // sealed run of D targets — in the engine checkpoint format: how a composed
 // base is written without touching a live Engine. The bytes are identical
-// to Engine.WriteTo of an engine holding that state.
-func WriteEngineState(w io.Writer, sweepClock int64, targets dynstore.Targets) (int64, error) {
-	return writeEngineState(w, sweepClock, func(w io.Writer) (int64, error) {
-		return dynstore.EncodeTargets(w, targets, false)
-	})
+// to Engine.AppendState of an engine holding that state.
+func AppendEngineState(b []byte, sweepClock int64, targets dynstore.Targets) []byte {
+	return dynstore.AppendTargets(appendEngineHeader(b, sweepClock), targets, false)
 }
 
 // DecodeEngineStateAt parses the engine checkpoint section that is the
@@ -57,12 +45,15 @@ func DecodeEngineStateAt(c *codecutil.Cursor) (sweepClock int64, targets dynstor
 	return sweepClock, dynstore.DecodeTargetsAt(c, false)
 }
 
-// WriteTo serializes the engine's recoverable state — the sweep clock and
-// the full D store — implementing io.WriterTo. The caller must not run
-// Apply concurrently (the replica checkpoint pipeline serializes them).
-func (e *Engine) WriteTo(w io.Writer) (int64, error) {
-	return writeEngineState(w, e.SweepClock(), e.dynamic.WriteTo)
+// AppendState appends the engine's recoverable state — the sweep clock and
+// the full D store. The caller must not run Apply concurrently (the replica
+// checkpoint pipeline serializes them).
+func (e *Engine) AppendState(b []byte) []byte {
+	return e.dynamic.AppendSnapshot(appendEngineHeader(b, e.SweepClock()))
 }
+
+// WriteTo writes AppendState's bytes, implementing io.WriterTo.
+func (e *Engine) WriteTo(w io.Writer) (int64, error) { return codecutil.WriteTo(w, e.AppendState(nil)) }
 
 // SweepClock returns the stream time of the last D prune — the engine
 // half of a checkpoint cut.

@@ -36,8 +36,8 @@ func TestGoldenStateDecodesAndReencodes(t *testing.T) {
 		t.Fatal("encoder output differs from delivery.state")
 	}
 	dst := NewPipeline(stateOpts(16, 2))
-	if n, err := dst.ReadFrom(bytes.NewReader(data)); err != nil || n != int64(len(data)) {
-		t.Fatalf("ReadFrom = %d, %v; file is %d bytes", n, err, len(data))
+	if err := restoreState(dst, data); err != nil {
+		t.Fatalf("Restore: %v; file is %d bytes", err, len(data))
 	}
 	if got := encodeState(t, dst); !bytes.Equal(got, data) {
 		t.Fatal("re-encoded restored state differs from delivery.state")
@@ -59,14 +59,14 @@ func TestStatePrefixesAndBitFlipsRejected(t *testing.T) {
 	dst.Offer(cand(50, 50, 1_000), 0)
 	want := encodeState(t, dst)
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := dst.ReadFrom(bytes.NewReader(data[:cut])); err == nil {
+		if err := restoreState(dst, data[:cut]); err == nil {
 			t.Fatalf("%d-byte prefix of %d decoded", cut, len(data))
 		}
 	}
 	mut := bytes.Clone(data)
 	for bit := 0; bit < 8*len(data); bit++ {
 		mut[bit/8] ^= 1 << (bit % 8)
-		if _, err := dst.ReadFrom(bytes.NewReader(mut)); err == nil {
+		if err := restoreState(dst, mut); err == nil {
 			t.Fatalf("flip of bit %d decoded", bit)
 		}
 		mut[bit/8] ^= 1 << (bit % 8)

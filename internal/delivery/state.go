@@ -14,8 +14,7 @@
 package delivery
 
 import (
-	"bufio"
-	"io"
+	"encoding/binary"
 	"sort"
 
 	"motifstream/internal/codecutil"
@@ -63,34 +62,28 @@ func (p *Pipeline) captureState() ([]dedupSnap, []budgetSnap) {
 	return dedup, fatigue
 }
 
-// WriteTo snapshots the pipeline's suppression state — dedup LRU and
-// fatigue budgets — as one self-contained frame: magic, version, entry
+// AppendState appends the pipeline's suppression state — dedup LRU and
+// fatigue budgets — as one self-contained section: magic, version, entry
 // sections, CRC32C trailer over everything before it. Safe for concurrent
 // use; Offer calls block only while the state is copied out, not while it
-// is encoded or written.
-func (p *Pipeline) WriteTo(w io.Writer) (int64, error) {
+// is encoded.
+func (p *Pipeline) AppendState(b []byte) []byte {
 	dedup, fatigue := p.captureState()
-	cw := &codecutil.CountingWriter{W: w}
-	hw := &codecutil.HashWriter{W: cw}
-	enc := &codecutil.Writer{BW: bufio.NewWriter(hw)}
-	enc.PutBytes(stateMagic[:])
-	enc.PutU(stateVersion)
-	enc.PutU(uint64(len(dedup)))
+	start := len(b)
+	b = codecutil.AppendHeader(b, stateMagic, stateVersion)
+	b = binary.AppendUvarint(b, uint64(len(dedup)))
 	for _, e := range dedup {
-		enc.PutU(uint64(e.user))
-		enc.PutU(uint64(e.item))
-		enc.PutI(e.expMS)
+		b = binary.AppendUvarint(b, uint64(e.user))
+		b = binary.AppendUvarint(b, uint64(e.item))
+		b = binary.AppendVarint(b, e.expMS)
 	}
-	enc.PutU(uint64(len(fatigue)))
-	for _, b := range fatigue {
-		enc.PutU(uint64(b.user))
-		enc.PutI(b.day)
-		enc.PutU(uint64(b.spent))
+	b = binary.AppendUvarint(b, uint64(len(fatigue)))
+	for _, f := range fatigue {
+		b = binary.AppendUvarint(b, uint64(f.user))
+		b = binary.AppendVarint(b, f.day)
+		b = binary.AppendUvarint(b, uint64(f.spent))
 	}
-	if err := enc.Flush(); err != nil {
-		return cw.N, err
-	}
-	return cw.N, codecutil.WriteChecksum(cw, hw.Sum())
+	return codecutil.AppendChecksum(b, start)
 }
 
 // Restore installs the snapshot section that is the rest of c, replacing
@@ -126,17 +119,6 @@ func (p *Pipeline) Restore(c *codecutil.Cursor) error {
 	return nil
 }
 
-// ReadFrom is Restore for callers with a stream, implementing
-// io.ReaderFrom: it reads r to its end, which must be one snapshot written
-// by WriteTo.
-func (p *Pipeline) ReadFrom(r io.Reader) (int64, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return int64(len(data)), err
-	}
-	return int64(len(data)), p.Restore(codecutil.NewCursor(data, "delivery state"))
-}
-
 // install swaps a fully decoded snapshot in under the mutex.
 func (p *Pipeline) install(dedup []dedupSnap, fatigue []budgetSnap) {
 	p.mu.Lock()
@@ -148,7 +130,7 @@ func (p *Pipeline) install(dedup []dedupSnap, fatigue []budgetSnap) {
 	for _, e := range dedup {
 		k := dedupKey{user: e.user, item: e.item}
 		if i, ok := l.items[k]; ok {
-			// Duplicate keys cannot come from WriteTo, but arbitrary input
+			// Duplicate keys cannot come from AppendState, but arbitrary input
 			// may carry them; keep the newest and its recency.
 			l.remove(i)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"motifstream/internal/codecutil"
 	"motifstream/internal/graph"
 )
 
@@ -21,15 +22,12 @@ func stateOpts(capacity, budget int) Options {
 
 func encodeState(t *testing.T, p *Pipeline) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	n, err := p.WriteTo(&buf)
-	if err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	if n != int64(buf.Len()) {
-		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
-	}
-	return buf.Bytes()
+	return p.AppendState(nil)
+}
+
+// restoreState restores p from data, one whole snapshot.
+func restoreState(p *Pipeline, data []byte) error {
+	return p.Restore(codecutil.NewCursor(data, "delivery state"))
 }
 
 func TestStateRoundTripSuppression(t *testing.T) {
@@ -41,8 +39,8 @@ func TestStateRoundTripSuppression(t *testing.T) {
 	data := encodeState(t, src)
 
 	dst := NewPipeline(stateOpts(16, 2))
-	if n, err := dst.ReadFrom(bytes.NewReader(data)); err != nil || n != int64(len(data)) {
-		t.Fatalf("ReadFrom = %d, %v", n, err)
+	if err := restoreState(dst, data); err != nil {
+		t.Fatalf("Restore: %v", err)
 	}
 	// Restored dedup entries suppress repeats within the TTL.
 	if d, _ := dst.Offer(cand(1, 2, 5_000), 0); d != DroppedDuplicate {
@@ -68,7 +66,7 @@ func TestStateRecencyOrderSurvives(t *testing.T) {
 	data := encodeState(t, src)
 
 	dst := NewPipeline(stateOpts(2, 1<<30))
-	if _, err := dst.ReadFrom(bytes.NewReader(data)); err != nil {
+	if err := restoreState(dst, data); err != nil {
 		t.Fatal(err)
 	}
 	// Capacity pressure evicts the restored LRU tail — (1,1), not (2,2).
@@ -90,7 +88,7 @@ func TestStateRestoreClampsToCapacity(t *testing.T) {
 
 	// Restore into a pipeline whose capacity shrank: the newest entries win.
 	dst := NewPipeline(stateOpts(2, 1<<30))
-	if _, err := dst.ReadFrom(bytes.NewReader(data)); err != nil {
+	if err := restoreState(dst, data); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 2; i++ {
@@ -101,7 +99,7 @@ func TestStateRestoreClampsToCapacity(t *testing.T) {
 	// Offers above refilled the LRU; the clamped-in newest pair from the
 	// snapshot was present before them.
 	src2 := NewPipeline(stateOpts(2, 1<<30))
-	if _, err := src2.ReadFrom(bytes.NewReader(data)); err != nil {
+	if err := restoreState(src2, data); err != nil {
 		t.Fatal(err)
 	}
 	for i := 3; i <= 4; i++ {
@@ -114,7 +112,7 @@ func TestStateRestoreClampsToCapacity(t *testing.T) {
 func TestStateEmptyRoundTrip(t *testing.T) {
 	data := encodeState(t, NewPipeline(stateOpts(8, 4)))
 	dst := NewPipeline(stateOpts(8, 4))
-	if _, err := dst.ReadFrom(bytes.NewReader(data)); err != nil {
+	if err := restoreState(dst, data); err != nil {
 		t.Fatal(err)
 	}
 	if d, _ := dst.Offer(cand(1, 2, 1_000), 0); d != Delivered {
@@ -136,7 +134,7 @@ func TestStateCorruptionDetected(t *testing.T) {
 		bad[at] ^= 0x10
 		dst := NewPipeline(stateOpts(16, 2))
 		dst.Offer(cand(50, 50, 1_000), 0)
-		if _, err := dst.ReadFrom(bytes.NewReader(bad)); err == nil {
+		if err := restoreState(dst, bad); err == nil {
 			t.Fatalf("corruption at byte %d decoded cleanly", at)
 		}
 		if d, _ := dst.Offer(cand(50, 50, 2_000), 0); d != DroppedDuplicate {
@@ -150,7 +148,7 @@ func TestStateCorruptionDetected(t *testing.T) {
 	// Truncation must surface too.
 	for _, keep := range []int{0, 4, len(data) / 2, len(data) - 1} {
 		dst := NewPipeline(stateOpts(16, 2))
-		if _, err := dst.ReadFrom(bytes.NewReader(data[:keep])); err == nil {
+		if err := restoreState(dst, data[:keep]); err == nil {
 			t.Fatalf("truncation to %d bytes decoded cleanly", keep)
 		}
 	}
@@ -163,22 +161,14 @@ func FuzzDeliveryStateReadFrom(f *testing.F) {
 	seed := NewPipeline(stateOpts(8, 2))
 	seed.Offer(cand(1, 2, 1_000), 0)
 	seed.Offer(cand(3, 4, 2_000), 0)
-	var buf bytes.Buffer
-	if _, err := seed.WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	var empty bytes.Buffer
-	if _, err := NewPipeline(stateOpts(8, 2)).WriteTo(&empty); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(empty.Bytes())
+	f.Add(seed.AppendState(nil))
+	f.Add(NewPipeline(stateOpts(8, 2)).AppendState(nil))
 	f.Add([]byte{})
 	f.Add([]byte("MSDLVS\x00\x01garbage"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := NewPipeline(stateOpts(8, 2))
-		if _, err := p.ReadFrom(bytes.NewReader(data)); err != nil {
+		if err := restoreState(p, data); err != nil {
 			return
 		}
 		// A clean decode must leave a usable pipeline.

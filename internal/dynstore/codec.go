@@ -1,7 +1,7 @@
 package dynstore
 
 import (
-	"bufio"
+	"encoding/binary"
 	"io"
 	"slices"
 
@@ -43,42 +43,33 @@ func frameMagic(delta bool) [8]byte {
 	return snapMagic
 }
 
-// encodeFrames writes the shared container: magic, version, target count,
-// then one frame per target, closed by a CRC32C trailer over everything
-// before it. at returns the i-th target, ascending, and its list; it may
-// lock per call, so peak extra memory stays at one list.
-func encodeFrames(w io.Writer, magic [8]byte, n int, at func(i int) (graph.VertexID, []InEdge)) (int64, error) {
-	cw := &codecutil.CountingWriter{W: w}
-	hw := &codecutil.HashWriter{W: cw}
-	enc := &codecutil.Writer{BW: bufio.NewWriter(hw)}
-	enc.PutBytes(magic[:])
-	enc.PutU(snapVersion)
-	enc.PutU(uint64(n))
-	for i := 0; i < n; i++ {
-		c, list := at(i)
-		enc.PutU(uint64(c))
-		enc.PutU(uint64(len(list)))
-		prev := int64(0)
-		for _, in := range list {
-			enc.PutU(uint64(in.B))
-			enc.PutI(in.TS - prev)
-			prev = in.TS
-		}
+// appendFrame appends one target's frame: the target, the list length, then
+// per entry B and the timestamp's delta from the previous entry.
+func appendFrame(b []byte, c graph.VertexID, list []InEdge) []byte {
+	b = binary.AppendUvarint(b, uint64(c))
+	b = binary.AppendUvarint(b, uint64(len(list)))
+	prev := int64(0)
+	for _, in := range list {
+		b = binary.AppendUvarint(b, uint64(in.B))
+		b = binary.AppendVarint(b, in.TS-prev)
+		prev = in.TS
 	}
-	if err := enc.Flush(); err != nil {
-		return cw.N, err
-	}
-	return cw.N, codecutil.WriteChecksum(cw, hw.Sum())
+	return b
 }
 
-// EncodeTargets serializes a sealed run as a snapshot section or, with
-// delta set, a delta section — how a segment is written without
-// instantiating a Store. The bytes are those Store.WriteTo produces for a
-// store holding the run.
-func EncodeTargets(w io.Writer, t Targets, delta bool) (int64, error) {
-	return encodeFrames(w, frameMagic(delta), len(t), func(i int) (graph.VertexID, []InEdge) {
-		return t[i].Key, t[i].Val
-	})
+// AppendTargets appends a sealed run as a snapshot section or, with delta
+// set, a delta section — magic, version, target count, one frame per target,
+// closed by a CRC32C trailer over everything before it: how a segment is
+// written without instantiating a Store. The bytes are those
+// Store.AppendSnapshot appends for a store holding the run.
+func AppendTargets(b []byte, t Targets, delta bool) []byte {
+	start := len(b)
+	b = codecutil.AppendHeader(b, frameMagic(delta), snapVersion)
+	b = binary.AppendUvarint(b, uint64(len(t)))
+	for _, e := range t {
+		b = appendFrame(b, e.Key, e.Val)
+	}
+	return codecutil.AppendChecksum(b, start)
 }
 
 // DecodeTargetsAt parses the snapshot (or delta) section written by
@@ -110,19 +101,14 @@ func DecodeTargetsAt(c *codecutil.Cursor, delta bool) Targets {
 	return out
 }
 
-// WriteTo serializes the store's full contents in the versioned binary
-// snapshot format, implementing io.WriterTo. Each target list is copied
-// under its shard's read lock; for a point-in-time-consistent snapshot
-// across shards the caller must quiesce writers (the replica checkpoint
-// pipeline serializes cuts with Apply, so this holds there).
-func (s *Store) WriteTo(w io.Writer) (int64, error) {
-	// Gather and sort only the target IDs for deterministic output, then
-	// copy one list at a time under its shard lock while encoding — peak
-	// extra memory stays at a single list rather than a full duplicate of
-	// D. Lists must be copied because Insert reuses backing arrays in
-	// place. A target removed since gathering (only possible if the caller
-	// broke the quiescence contract) encodes as an empty list, keeping the
-	// frame count consistent.
+// AppendSnapshot appends the store's full contents in the versioned binary
+// snapshot format. Each target's frame is encoded under its shard's read
+// lock; for a point-in-time-consistent snapshot across shards the caller
+// must quiesce writers (the replica checkpoint pipeline serializes cuts with
+// Apply, so this holds there). A target removed since its ID was gathered
+// (only possible if the caller broke the quiescence contract) encodes as an
+// empty list, keeping the frame count consistent.
+func (s *Store) AppendSnapshot(b []byte) []byte {
 	var ids []graph.VertexID
 	s.each(func(sh *shard) {
 		for j, p := range sh.spans {
@@ -132,14 +118,21 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 		}
 	})
 	slices.Sort(ids)
-	var list []InEdge
-	return encodeFrames(w, snapMagic, len(ids), func(i int) (graph.VertexID, []InEdge) {
-		sh := s.shardFor(ids[i])
+	start := len(b)
+	b = codecutil.AppendHeader(b, snapMagic, snapVersion)
+	b = binary.AppendUvarint(b, uint64(len(ids)))
+	for _, c := range ids {
+		sh := s.shardFor(c)
 		sh.mu.RLock()
-		list = append(list[:0], sh.list(ids[i])...)
+		b = appendFrame(b, c, sh.list(c))
 		sh.mu.RUnlock()
-		return ids[i], list
-	})
+	}
+	return codecutil.AppendChecksum(b, start)
+}
+
+// WriteTo writes AppendSnapshot's bytes, implementing io.WriterTo.
+func (s *Store) WriteTo(w io.Writer) (int64, error) {
+	return codecutil.WriteTo(w, s.AppendSnapshot(nil))
 }
 
 // LoadSnapshot replaces the store's contents with a copy of the given run

@@ -123,15 +123,7 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 	}
 	d := s.CaptureDelta()
 	d.Seal()
-	var buf bytes.Buffer
-	n, err := EncodeTargets(&buf, d, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) {
-		t.Fatalf("EncodeTargets reported %d bytes, wrote %d", n, buf.Len())
-	}
-	got, err := decodeDelta(buf.Bytes())
+	got, err := decodeDelta(AppendTargets(nil, d, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +137,7 @@ func TestDeltaDecodeRejectsCorruptInput(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		s.Insert(graph.Edge{Src: graph.VertexID(i), Dst: 1, TS: int64(1_000_000 + i)})
 	}
-	var buf bytes.Buffer
-	if _, err := EncodeTargets(&buf, s.CaptureDelta(), true); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := AppendTargets(nil, s.CaptureDelta(), true)
 	if _, err := decodeDelta(data); err != nil {
 		t.Fatalf("pristine delta rejected: %v", err)
 	}

@@ -127,14 +127,12 @@ func (r *refStore) CaptureDelta() Targets {
 }
 
 func (r *refStore) WriteTo(w io.Writer) (int64, error) {
-	ids := make([]graph.VertexID, 0, len(r.targets))
-	for c := range r.targets {
-		ids = append(ids, c)
+	var t Targets
+	for c, list := range r.targets {
+		t = append(t, entry(c, list))
 	}
-	slices.Sort(ids)
-	return encodeFrames(w, snapMagic, len(ids), func(i int) (graph.VertexID, []InEdge) {
-		return ids[i], r.targets[ids[i]]
-	})
+	t.Seal()
+	return codecutil.WriteTo(w, AppendTargets(nil, t, false))
 }
 
 func (r *refStore) LoadSnapshot(targets Targets) {
@@ -209,15 +207,9 @@ func (d *differ) capture() {
 		seen[e.Key] = true
 	}
 	got.Seal()
-	var g, w bytes.Buffer
-	if _, err := EncodeTargets(&g, got, true); err != nil {
-		d.t.Fatal(err)
-	}
-	if _, err := EncodeTargets(&w, want, true); err != nil {
-		d.t.Fatal(err)
-	}
-	if !bytes.Equal(g.Bytes(), w.Bytes()) {
-		d.t.Fatalf("CaptureDelta encodes to %d bytes, reference %d: %v, want %v", g.Len(), w.Len(), got, want)
+	g, w := AppendTargets(nil, got, true), AppendTargets(nil, want, true)
+	if !bytes.Equal(g, w) {
+		d.t.Fatalf("CaptureDelta encodes to %d bytes, reference %d: %v, want %v", len(g), len(w), got, want)
 	}
 }
 

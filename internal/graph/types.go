@@ -5,8 +5,11 @@
 package graph
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
+
+	"motifstream/internal/codecutil"
 )
 
 // VertexID identifies a user account. The paper's A/B/C roles are all
@@ -55,6 +58,26 @@ type Edge struct {
 
 // Time converts the edge timestamp to a time.Time.
 func (e Edge) Time() time.Time { return time.UnixMilli(e.TS) }
+
+// AppendEdge appends the one encoding of an edge — the firehose log's
+// record, and the form an edge takes in wire frames and in a candidate's
+// trigger: Src and Dst as uvarints, Type as one byte, TS as a zigzag varint.
+func AppendEdge(b []byte, e Edge) []byte {
+	b = binary.AppendUvarint(b, uint64(e.Src))
+	b = binary.AppendUvarint(b, uint64(e.Dst))
+	b = append(b, byte(e.Type))
+	return binary.AppendVarint(b, e.TS)
+}
+
+// ReadEdge reads an edge as AppendEdge wrote it.
+func ReadEdge(c *codecutil.Cursor, context string) Edge {
+	var e Edge
+	e.Src = VertexID(c.U(context))
+	e.Dst = VertexID(c.U(context))
+	e.Type = EdgeType(c.Byte(context))
+	e.TS = c.I(context)
+	return e
+}
 
 // String renders the edge for logs and tests.
 func (e Edge) String() string {

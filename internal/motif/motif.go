@@ -9,10 +9,13 @@
 package motif
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
+	"motifstream/internal/codecutil"
 	"motifstream/internal/dynstore"
 	"motifstream/internal/graph"
 	"motifstream/internal/statstore"
@@ -53,6 +56,46 @@ type Candidate struct {
 	Program string
 	// Score ranks the candidate; more supporting B's score higher.
 	Score float64
+}
+
+// MinCandidateBytes is the shortest candidate encoding: ten fields of one
+// byte each.
+const MinCandidateBytes = 10
+
+// maxProgramName bounds a decoded program name.
+const maxProgramName = 1 << 12
+
+// AppendCandidate appends the one encoding of a candidate, in checkpoint
+// segments and wire frames alike: User, Item, the Via count and elements as
+// uvarints, the trigger through graph.AppendEdge, DetectedAtMS as a zigzag
+// varint, Program length-prefixed, and Score's IEEE 754 bits as a uvarint.
+func AppendCandidate(b []byte, c Candidate) []byte {
+	b = binary.AppendUvarint(b, uint64(c.User))
+	b = binary.AppendUvarint(b, uint64(c.Item))
+	b = binary.AppendUvarint(b, uint64(len(c.Via)))
+	for _, v := range c.Via {
+		b = binary.AppendUvarint(b, uint64(v))
+	}
+	b = graph.AppendEdge(b, c.Trigger)
+	b = binary.AppendVarint(b, c.DetectedAtMS)
+	b = binary.AppendUvarint(b, uint64(len(c.Program)))
+	b = append(b, c.Program...)
+	return binary.AppendUvarint(b, math.Float64bits(c.Score))
+}
+
+// ReadCandidate reads a candidate as AppendCandidate wrote it into c, taking
+// its Via from vias once Count has bounded the length against the bytes left.
+func ReadCandidate(r *codecutil.Cursor, vias *codecutil.Arena[graph.VertexID], c *Candidate) {
+	c.User = graph.VertexID(r.U("candidate user"))
+	c.Item = graph.VertexID(r.U("candidate item"))
+	c.Via = vias.Take(r.Count("candidate via count", 1))
+	for i := range c.Via {
+		c.Via[i] = graph.VertexID(r.U("candidate via"))
+	}
+	c.Trigger = graph.ReadEdge(r, "candidate trigger")
+	c.DetectedAtMS = r.I("candidate detected-at")
+	c.Program = r.String("candidate program", maxProgramName)
+	c.Score = math.Float64frombits(r.U("candidate score"))
 }
 
 // Context carries the partition-local stores a program reads. The engine

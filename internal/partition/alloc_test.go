@@ -8,6 +8,7 @@ import (
 	"motifstream/internal/dynstore"
 	"motifstream/internal/graph"
 	"motifstream/internal/motif"
+	"motifstream/internal/racetest"
 )
 
 // benchSegment builds a cut the size the benchmark deployment writes:
@@ -77,5 +78,26 @@ func TestDecodeAllocBudget(t *testing.T) {
 		}); got > budget {
 			t.Errorf("%s: DecodeBase of %d bytes allocates %.0f times, budget %d", shape.name, base.Len(), got, budget)
 		}
+	}
+}
+
+// TestSegmentAppendZeroAlloc gates the checkpoint writer's encode: appending
+// a sealed delta segment, and a sealed base, into a buffer that has room for
+// it allocates nothing — every section is appended into the caller's bytes.
+func TestSegmentAppendZeroAlloc(t *testing.T) {
+	if racetest.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	st := benchSegment(2000, 3, 500).segment()
+	buf := st.AppendBase(st.AppendDelta(nil))
+	if got := testing.AllocsPerRun(5, func() {
+		buf = st.AppendDelta(buf[:0])
+	}); got != 0 {
+		t.Errorf("AppendDelta into a buffer with room allocates %.0f times, want 0", got)
+	}
+	if got := testing.AllocsPerRun(5, func() {
+		buf = st.AppendBase(buf[:0])
+	}); got != 0 {
+		t.Errorf("AppendBase into a buffer with room allocates %.0f times, want 0", got)
 	}
 }

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"cmp"
+	"encoding/binary"
 	"math"
 	"slices"
 	"sync"
@@ -325,9 +326,9 @@ func (l *candidateLog) get(a graph.VertexID) []motif.Candidate {
 	return out
 }
 
-// writeTo encodes the candidate-log section from the runs, users ascending,
-// byte for byte what writeRun makes of the materialised lists.
-func (l *candidateLog) writeTo(cp *codecutil.Writer) {
+// appendTo appends the candidate-log section from the runs, users ascending,
+// byte for byte what appendRun makes of the materialised lists.
+func (l *candidateLog) appendTo(b []byte) []byte {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	order := make([]uint32, len(l.recs))
@@ -335,13 +336,14 @@ func (l *candidateLog) writeTo(cp *codecutil.Writer) {
 		order[i] = uint32(i)
 	}
 	slices.SortFunc(order, func(i, j uint32) int { return cmp.Compare(l.recs[i].key, l.recs[j].key) })
-	cp.PutU(uint64(len(order)))
+	b = binary.AppendUvarint(b, uint64(len(order)))
 	for _, i := range order {
 		a, u := l.recs[i].key, l.view(&l.recs[i])
-		cp.PutU(uint64(a))
-		cp.PutU(uint64(len(u.progs)))
-		u.each(a, l.names.names, u.vias, func(c motif.Candidate) { putCandidate(cp, c) })
+		b = binary.AppendUvarint(b, uint64(a))
+		b = binary.AppendUvarint(b, uint64(len(u.progs)))
+		u.each(a, l.names.names, u.vias, func(c motif.Candidate) { b = motif.AppendCandidate(b, c) })
 	}
+	return b
 }
 
 // packedUsers is what a cut takes of the log: the dirty users' arrays, copied

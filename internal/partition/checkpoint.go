@@ -1,9 +1,8 @@
 package partition
 
 import (
-	"bufio"
+	"encoding/binary"
 	"io"
-	"math"
 
 	"motifstream/internal/codecutil"
 	"motifstream/internal/core"
@@ -34,9 +33,6 @@ import (
 var partMagic = [8]byte{'M', 'S', 'P', 'A', 'R', 'T', 0, 1}
 
 const partSnapVersion = 2
-
-// maxSnapProgram bounds a decoded program name.
-const maxSnapProgram = 1 << 12
 
 // Segment is the one in-memory form of a checkpoint segment, base or
 // delta: per section, a sorted run of key → full replacement value. A base
@@ -80,44 +76,8 @@ func (s *Segment) seal() {
 	s.Targets.Seal()
 }
 
-func putCandidate(w *codecutil.Writer, c motif.Candidate) {
-	w.PutU(uint64(c.User))
-	w.PutU(uint64(c.Item))
-	w.PutU(uint64(len(c.Via)))
-	for _, b := range c.Via {
-		w.PutU(uint64(b))
-	}
-	w.PutU(uint64(c.Trigger.Src))
-	w.PutU(uint64(c.Trigger.Dst))
-	w.PutU(uint64(c.Trigger.Type))
-	w.PutI(c.Trigger.TS)
-	w.PutI(c.DetectedAtMS)
-	w.PutString(c.Program)
-	w.PutU(math.Float64bits(c.Score))
-}
-
-// getCandidate decodes one candidate, taking its Via from the segment's
-// arena.
-func getCandidate(c *codecutil.Cursor, vias *codecutil.Arena[graph.VertexID]) motif.Candidate {
-	var cand motif.Candidate
-	cand.User = graph.VertexID(c.U("candidate user"))
-	cand.Item = graph.VertexID(c.U("candidate item"))
-	cand.Via = vias.Take(c.Count("candidate via count", 1))
-	for i := range cand.Via {
-		cand.Via[i] = graph.VertexID(c.U("candidate via"))
-	}
-	cand.Trigger.Src = graph.VertexID(c.U("trigger src"))
-	cand.Trigger.Dst = graph.VertexID(c.U("trigger dst"))
-	cand.Trigger.Type = graph.EdgeType(c.U("trigger type"))
-	cand.Trigger.TS = c.I("trigger ts")
-	cand.DetectedAtMS = c.I("candidate detected-at")
-	cand.Program = c.String("candidate program", maxSnapProgram)
-	cand.Score = math.Float64frombits(c.U("candidate score"))
-	return cand
-}
-
-// liveRun views a live map as a sealed run, so the live partition streams
-// through the same section writer as a segment. The values are the map's
+// liveRun views a live map as a sealed run, so the live partition is
+// encoded by the same section encoder as a segment. The values are the map's
 // own, not copies: the caller holds the map's lock while the run is in use.
 func liveRun[V any](m map[graph.VertexID]V) codecutil.Run[graph.VertexID, V] {
 	r := make(codecutil.Run[graph.VertexID, V], 0, len(m))
@@ -128,27 +88,24 @@ func liveRun[V any](m map[graph.VertexID]V) codecutil.Run[graph.VertexID, V] {
 	return r
 }
 
-// writeRun encodes the candidate-log or the item-counter section shared by
+// appendRun appends the candidate-log or the item-counter section shared by
 // the base and delta formats: the key count, then per key, ascending so
-// equal states serialize identically, the key and whatever put writes.
-func writeRun[V any](cp *codecutil.Writer, r codecutil.Run[graph.VertexID, V], put func(*codecutil.Writer, V)) {
-	cp.PutU(uint64(len(r)))
+// equal states serialize identically, the key and whatever put appends.
+func appendRun[V any](b []byte, r codecutil.Run[graph.VertexID, V], put func([]byte, V) []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(r)))
 	for _, e := range r {
-		cp.PutU(uint64(e.Key))
-		put(cp, e.Val)
+		b = put(binary.AppendUvarint(b, uint64(e.Key)), e.Val)
 	}
+	return b
 }
 
-func putCandidates(cp *codecutil.Writer, list []motif.Candidate) {
-	cp.PutU(uint64(len(list)))
+func appendCandidates(b []byte, list []motif.Candidate) []byte {
+	b = binary.AppendUvarint(b, uint64(len(list)))
 	for _, c := range list {
-		putCandidate(cp, c)
+		b = motif.AppendCandidate(b, c)
 	}
+	return b
 }
-
-// minCandidateBytes is the shortest candidate encoding: ten fields of one
-// byte each.
-const minCandidateBytes = 10
 
 // candidateChunk caps one array of the decoder's candidate arena: at ~100
 // bytes a candidate it is about the size of a D-entry chunk.
@@ -161,13 +118,13 @@ const candidateChunk = 512
 func readUserItemSections(c *codecutil.Cursor, s *Segment) {
 	nUsers := c.Count("user count", 2)
 	s.Users = make(codecutil.Run[graph.VertexID, []motif.Candidate], 0, nUsers)
-	lists := codecutil.Arena[motif.Candidate]{Chunk: min(c.Len()/minCandidateBytes, candidateChunk)}
+	lists := codecutil.Arena[motif.Candidate]{Chunk: min(c.Len()/motif.MinCandidateBytes, candidateChunk)}
 	vias := codecutil.SectionArena[graph.VertexID](c, 1)
 	for i := 0; i < nUsers && c.Err == nil; i++ {
 		a := graph.VertexID(c.U("log user"))
-		list := lists.Take(c.Count("log length", minCandidateBytes))
+		list := lists.Take(c.Count("log length", motif.MinCandidateBytes))
 		for j := range list {
-			list[j] = getCandidate(c, &vias)
+			motif.ReadCandidate(c, &vias, &list[j])
 		}
 		s.Users = codecutil.AppendAscending(c, "log user", s.Users, a, list)
 	}
@@ -179,64 +136,40 @@ func readUserItemSections(c *codecutil.Cursor, s *Segment) {
 	}
 }
 
-// writeFile emits the container the base and delta formats share: magic
-// and version, whatever head writes (the delta's sweep clock, the two
-// sections above), then the embedded D section through tail, closed by the
-// CRC32C of everything before it. It returns the bytes written and that
-// CRC. The segment's and the live partition's encodes differ only in where
-// their runs come from, so equal states cannot serialize differently.
-func writeFile(w io.Writer, magic [8]byte, version uint64, head func(*codecutil.Writer), tail func(io.Writer) (int64, error)) (int64, uint32, error) {
-	cw := &codecutil.CountingWriter{W: w}
-	hw := &codecutil.HashWriter{W: cw}
-	cp := &codecutil.Writer{BW: bufio.NewWriter(hw)}
-	cp.PutBytes(magic[:])
-	cp.PutU(version)
-	head(cp)
-	if err := cp.Flush(); err != nil {
-		return cw.N, 0, err
-	}
-	// D section last: it dominates the payload and the embedded codec
-	// leaves the stream positioned exactly past itself.
-	if _, err := tail(hw); err != nil {
-		return cw.N, 0, err
-	}
-	// File-level CRC32C trailer over everything above, written outside the
-	// hash so the trailer verifies the payload, not itself.
-	sum := hw.Sum()
-	return cw.N, sum, codecutil.WriteChecksum(cw, sum)
-}
-
-// writeUserItems encodes the segment's candidate-log and item-counter
+// appendUserItems appends the segment's candidate-log and item-counter
 // sections.
-func (s *Segment) writeUserItems(cp *codecutil.Writer) {
-	writeRun(cp, s.Users, putCandidates)
-	writeRun(cp, s.Items, (*codecutil.Writer).PutU)
+func (s *Segment) appendUserItems(b []byte) []byte {
+	b = appendRun(b, s.Users, appendCandidates)
+	return appendRun(b, s.Items, binary.AppendUvarint)
 }
 
-// WriteBaseTo serializes the segment as a base checkpoint, implementing the
-// same byte format Partition.WriteTo produces.
-func (s *Segment) WriteBaseTo(w io.Writer) (int64, error) {
-	n, _, err := s.writeBase(w)
-	return n, err
-}
-
-// writeBase is WriteBaseTo that also returns the payload CRC32C it wrote
-// as the file's trailer — the state fingerprint (fingerprint.go).
-func (s *Segment) writeBase(w io.Writer) (int64, uint32, error) {
+// AppendBase appends the segment as a base checkpoint: magic and version,
+// the candidate-log and item-counter sections, the embedded engine section
+// (its D section last: it dominates the payload), closed by the CRC32C of
+// everything before it — the state fingerprint (fingerprint.go). The bytes
+// are those Partition.AppendBase appends for a partition holding the state:
+// the two differ only in where their runs come from, so equal states cannot
+// serialize differently.
+func (s *Segment) AppendBase(b []byte) []byte {
 	s.seal()
-	return writeFile(w, partMagic, partSnapVersion, s.writeUserItems, func(w io.Writer) (int64, error) {
-		return core.WriteEngineState(w, s.SweepClock, s.Targets)
-	})
+	start := len(b)
+	b = s.appendUserItems(codecutil.AppendHeader(b, partMagic, partSnapVersion))
+	b = core.AppendEngineState(b, s.SweepClock, s.Targets)
+	return codecutil.AppendChecksum(b, start)
 }
 
-// DecodeBase parses a whole base checkpoint file written by WriteBaseTo (or
-// Partition.WriteTo). The file's CRC32C trailer is verified over the whole
-// buffer before anything is parsed, then the embedded D snapshot's over its
-// own range. The segment's lists and Via slices share per-section arenas:
-// it is for merging, fingerprinting and re-encoding, and LoadState copies
-// out what it installs. Malformed input returns an error, never panics.
-// Program names are interned through names when it is non-nil, as in
-// ParseDelta.
+// WriteBaseTo writes AppendBase's bytes to w.
+func (s *Segment) WriteBaseTo(w io.Writer) (int64, error) {
+	return codecutil.WriteTo(w, s.AppendBase(nil))
+}
+
+// DecodeBase parses a whole base checkpoint file written by AppendBase. The
+// file's CRC32C trailer is verified over the whole buffer before anything is
+// parsed, then the embedded D snapshot's over its own range. The segment's
+// lists and Via slices share per-section arenas: it is for merging,
+// fingerprinting and re-encoding, and LoadState copies out what it installs.
+// Malformed input returns an error, never panics. Program names are interned
+// through names when it is non-nil, as in ParseDelta.
 func DecodeBase(data []byte, names *codecutil.Strings) (*Segment, error) {
 	c := codecutil.NewCursor(data, "partition checkpoint")
 	c.Intern(names)
@@ -273,26 +206,25 @@ func (p *Partition) LoadState(s *Segment) {
 	p.items.mu.Unlock()
 }
 
-// WriteTo serializes the partition's recoverable state, implementing
-// io.WriterTo. Sections stream directly from the live structures — the
-// candidate log's runs and the item counters under their read locks, the
-// engine's D store one target list at a time — so peak extra memory stays
-// far below a full copy of the partition. The caller must not run Apply
-// concurrently; concurrent reads are fine.
-func (p *Partition) WriteTo(w io.Writer) (int64, error) {
-	n, _, err := p.writeBase(w)
-	return n, err
+// AppendBase appends the partition's recoverable state as a base
+// checkpoint, Segment.AppendBase's bytes. Sections are encoded directly from
+// the live structures — the candidate log's runs and the item counters under
+// their read locks, the engine's D store one target list at a time — so no
+// copy of the state is made besides the encoding. The caller must not run
+// Apply concurrently; concurrent reads are fine.
+func (p *Partition) AppendBase(b []byte) []byte {
+	start := len(b)
+	b = p.log.appendTo(codecutil.AppendHeader(b, partMagic, partSnapVersion))
+	p.items.mu.RLock()
+	b = appendRun(b, liveRun(p.items.counts), binary.AppendUvarint)
+	p.items.mu.RUnlock()
+	b = p.engine.AppendState(b)
+	return codecutil.AppendChecksum(b, start)
 }
 
-// writeBase is WriteTo that also returns the payload CRC32C it wrote as
-// the trailer — the state fingerprint (fingerprint.go).
-func (p *Partition) writeBase(w io.Writer) (int64, uint32, error) {
-	return writeFile(w, partMagic, partSnapVersion, func(cp *codecutil.Writer) {
-		p.log.writeTo(cp)
-		p.items.mu.RLock()
-		writeRun(cp, liveRun(p.items.counts), (*codecutil.Writer).PutU)
-		p.items.mu.RUnlock()
-	}, p.engine.WriteTo)
+// WriteTo writes AppendBase's bytes, implementing io.WriterTo.
+func (p *Partition) WriteTo(w io.Writer) (int64, error) {
+	return codecutil.WriteTo(w, p.AppendBase(nil))
 }
 
 // Reset drops all recoverable state — D contents, the sweep clock, the

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"encoding/binary"
 	"io"
 
 	"motifstream/internal/codecutil"
@@ -93,21 +94,24 @@ func Merge(asBase bool, chain ...*Segment) *Segment {
 	return out
 }
 
-// WriteTo serializes the segment as a delta segment, implementing
-// io.WriterTo. Keys are written in ascending order so equal deltas
-// serialize identically.
-func (s *Segment) WriteTo(w io.Writer) (int64, error) {
+// AppendDelta appends the segment as a delta segment: magic, version, the
+// sweep clock, the candidate-log and item-counter sections and the embedded
+// D delta section, closed by a CRC32C over everything before it. Keys are
+// written in ascending order so equal deltas serialize identically.
+func (s *Segment) AppendDelta(b []byte) []byte {
 	s.seal()
-	n, _, err := writeFile(w, deltaMagic, deltaVersion, func(cp *codecutil.Writer) {
-		cp.PutI(s.SweepClock)
-		s.writeUserItems(cp)
-	}, func(w io.Writer) (int64, error) {
-		return dynstore.EncodeTargets(w, s.Targets, true)
-	})
-	return n, err
+	start := len(b)
+	b = binary.AppendVarint(codecutil.AppendHeader(b, deltaMagic, deltaVersion), s.SweepClock)
+	b = dynstore.AppendTargets(s.appendUserItems(b), s.Targets, true)
+	return codecutil.AppendChecksum(b, start)
 }
 
-// ParseDelta parses a whole delta segment file written by WriteTo, CRC32C
+// WriteTo writes AppendDelta's bytes, implementing io.WriterTo.
+func (s *Segment) WriteTo(w io.Writer) (int64, error) {
+	return codecutil.WriteTo(w, s.AppendDelta(nil))
+}
+
+// ParseDelta parses a whole delta segment file written by AppendDelta, CRC32C
 // first like DecodeBase, into an arena-backed Segment. The segment is fully
 // decoded before anyone merges it, so a corrupt one returns an error and
 // leaves whatever it would have been merged into exactly as it was

@@ -1,6 +1,6 @@
 package partition
 
-import "io"
+import "encoding/binary"
 
 // A state fingerprint is the CRC32C of the base-checkpoint *payload* of a
 // partition's recoverable state — everything the base encoding writes
@@ -19,20 +19,21 @@ import "io"
 //     scale-out go-live gate verify a pool-composed base against the
 //     source replica's recorded cut without decoding anything.
 //
-// Computing one streams the encoder into a hash and discards the bytes —
-// no allocation proportional to state size beyond the encoder's buffers.
+// Computing one encodes the base and reads its trailer (FingerprintOf): it
+// allocates one encoded base, or nothing when the caller appends the base
+// into a buffer of its own that has room.
+
+// FingerprintOf returns the fingerprint of the state an encoded base holds:
+// its trailer.
+func FingerprintOf(base []byte) uint32 {
+	return binary.LittleEndian.Uint32(base[len(base)-4:])
+}
 
 // Fingerprint returns the CRC32C fingerprint of the state a base segment
 // holds.
-func (s *Segment) Fingerprint() (uint32, error) {
-	_, sum, err := s.writeBase(io.Discard)
-	return sum, err
-}
+func (s *Segment) Fingerprint() uint32 { return FingerprintOf(s.AppendBase(nil)) }
 
-// Fingerprint returns the live partition's CRC32C fingerprint, streamed
-// from the live structures under their read locks (no state copy). The
-// caller must not run Apply concurrently — same contract as WriteTo.
-func (p *Partition) Fingerprint() (uint32, error) {
-	_, sum, err := p.writeBase(io.Discard)
-	return sum, err
-}
+// Fingerprint returns the live partition's CRC32C fingerprint, encoded from
+// the live structures under their read locks. The caller must not run Apply
+// concurrently — same contract as AppendBase.
+func (p *Partition) Fingerprint() uint32 { return FingerprintOf(p.AppendBase(nil)) }

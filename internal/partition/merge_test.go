@@ -232,19 +232,14 @@ func FuzzSegmentMerge(f *testing.F) {
 // encoder here writes once the keys do not ascend.
 func handSegment(t *testing.T, delta bool, users, items []uint64) []byte {
 	t.Helper()
-	var b []byte
-	var d bytes.Buffer
-	var err error
+	var b, d []byte
 	if delta {
 		b = binary.AppendUvarint(append(b, deltaMagic[:]...), deltaVersion)
 		b = binary.AppendVarint(b, 5) // sweep clock
-		_, err = dynstore.EncodeTargets(&d, nil, true)
+		d = dynstore.AppendTargets(nil, nil, true)
 	} else {
 		b = binary.AppendUvarint(append(b, partMagic[:]...), partSnapVersion)
-		_, err = core.WriteEngineState(&d, 5, nil)
-	}
-	if err != nil {
-		t.Fatal(err)
+		d = core.AppendEngineState(nil, 5, nil)
 	}
 	b = binary.AppendUvarint(b, uint64(len(users)))
 	for _, a := range users {
@@ -254,7 +249,7 @@ func handSegment(t *testing.T, delta bool, users, items []uint64) []byte {
 	for _, it := range items {
 		b = binary.AppendUvarint(binary.AppendUvarint(b, it), 1)
 	}
-	b = append(b, d.Bytes()...)
+	b = append(b, d...)
 	return binary.LittleEndian.AppendUint32(b, codecutil.CRC32C(b))
 }
 

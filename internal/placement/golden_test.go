@@ -2,6 +2,7 @@ package placement
 
 import (
 	"bytes"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -70,4 +71,27 @@ func TestGoldenTableDecodesAndReencodes(t *testing.T) {
 			t.Fatalf("%d-byte prefix of %d loaded", cut, len(data))
 		}
 	}
+}
+
+// FuzzPlacementTable: arbitrary bytes never panic the table's decoder, and a
+// table that decodes re-encodes to bytes that decode to the same table.
+func FuzzPlacementTable(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "PLACEMENT"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add(NewTable("", 0xfeedface12345678).appendTo(nil))
+	f.Add(NewTable("", 1).appendTo(nil))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tbl := NewTable("", 0xfeedface12345678)
+		if err := tbl.decode(data); err != nil {
+			return
+		}
+		again := NewTable("", 0xfeedface12345678)
+		if err := again.decode(tbl.appendTo(nil)); err != nil || !maps.Equal(again.slots, tbl.slots) {
+			t.Fatalf("table %v re-encoded decodes to %v, %v", tbl.slots, again.slots, err)
+		}
+	})
 }

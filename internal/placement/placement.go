@@ -24,9 +24,8 @@
 package placement
 
 import (
-	"bufio"
+	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -103,6 +102,12 @@ func Load(path string, runID uint64) (*Table, error) {
 		}
 		return t, err
 	}
+	return t, t.decode(data)
+}
+
+// decode installs the table file data holds — nothing when another run wrote
+// it. Malformed content returns an error and installs nothing.
+func (t *Table) decode(data []byte) error {
 	c := codecutil.NewCursor(data, "placement table")
 	c.Header(tableMagic, tableVersion)
 	fileRun := c.U("run id")
@@ -116,28 +121,25 @@ func Load(path string, runID uint64) (*Table, error) {
 		entries[tableKey{pid, idx}] = Placement{Partition: pid, Replica: idx, Gen: gen, Removed: removed}
 	}
 	if c.Err != nil {
-		return t, c.Err
+		return c.Err
 	}
-	if fileRun != runID {
-		// A previous run's topology: its directories index a log that died
-		// with that run (or a different durable log entirely).
-		return t, nil
+	if fileRun == t.runID {
+		// Another run's topology is left out: its directories index a log
+		// that died with that run (or a different durable log entirely).
+		t.slots = entries
 	}
-	t.slots = entries
-	return t, nil
+	return nil
 }
 
 // save writes the table atomically (tmp + fsync + rename). Caller holds mu.
 func (t *Table) save() error {
-	return codecutil.ReplaceFile(t.path, t.encode, true)
+	return codecutil.ReplaceFile(t.path, t.appendTo(nil), true)
 }
 
-// encode writes the table's file format to w.
-func (t *Table) encode(w io.Writer) error {
-	enc := &codecutil.Writer{BW: bufio.NewWriter(w)}
-	enc.PutBytes(tableMagic[:])
-	enc.PutU(tableVersion)
-	enc.PutU(t.runID)
+// appendTo appends the table's file format to b.
+func (t *Table) appendTo(b []byte) []byte {
+	b = codecutil.AppendHeader(b, tableMagic, tableVersion)
+	b = binary.AppendUvarint(b, t.runID)
 	keys := make([]tableKey, 0, len(t.slots))
 	for k := range t.slots {
 		keys = append(keys, k)
@@ -148,19 +150,19 @@ func (t *Table) encode(w io.Writer) error {
 		}
 		return keys[i][1] < keys[j][1]
 	})
-	enc.PutU(uint64(len(keys)))
+	b = binary.AppendUvarint(b, uint64(len(keys)))
 	for _, k := range keys {
 		p := t.slots[k]
-		enc.PutU(uint64(p.Partition))
-		enc.PutU(uint64(p.Replica))
-		enc.PutU(uint64(p.Gen))
+		b = binary.AppendUvarint(b, uint64(p.Partition))
+		b = binary.AppendUvarint(b, uint64(p.Replica))
+		b = binary.AppendUvarint(b, uint64(p.Gen))
 		removed := uint64(0)
 		if p.Removed {
 			removed = 1
 		}
-		enc.PutU(removed)
+		b = binary.AppendUvarint(b, removed)
 	}
-	return enc.Flush()
+	return b
 }
 
 // Get returns the placement for (pid, idx); absent entries are the

@@ -32,7 +32,6 @@ package transport
 
 import (
 	"encoding/binary"
-	"math"
 
 	"motifstream/internal/codecutil"
 	"motifstream/internal/graph"
@@ -74,30 +73,10 @@ const (
 	msgHelloErr = 21 // either side: hello rejected, message string
 )
 
-// appendEdge encodes an edge with the same varint field layout as the
-// cluster's WAL record codec.
-func appendEdge(b []byte, e graph.Edge) []byte {
-	b = binary.AppendUvarint(b, uint64(e.Src))
-	b = binary.AppendUvarint(b, uint64(e.Dst))
-	b = append(b, byte(e.Type))
-	b = binary.AppendVarint(b, e.TS)
-	return b
-}
-
 // wireCursor opens a frame payload for decoding — with the repository's one
 // cursor, the same that decodes checkpoint files.
 func wireCursor(payload []byte) *codecutil.Cursor {
 	return codecutil.NewCursor(payload, "transport")
-}
-
-// decodeEdge reads an edge as appendEdge wrote it.
-func decodeEdge(r *codecutil.Cursor, context string) graph.Edge {
-	var e graph.Edge
-	e.Src = graph.VertexID(r.U(context))
-	e.Dst = graph.VertexID(r.U(context))
-	e.Type = graph.EdgeType(r.Byte(context))
-	e.TS = r.I(context)
-	return e
 }
 
 func appendString(b []byte, s string) []byte {
@@ -163,7 +142,7 @@ func encodeEnvBatch(b []byte, meta logMeta, envs []queue.Envelope[graph.Edge]) [
 	for _, env := range envs {
 		b = binary.AppendUvarint(b, env.Offset)
 		b = binary.AppendVarint(b, env.PubUnixNS)
-		b = appendEdge(b, env.Msg)
+		b = graph.AppendEdge(b, env.Msg)
 	}
 	return b
 }
@@ -175,7 +154,7 @@ func decodeEnvBatch(r *codecutil.Cursor, dst []queue.Envelope[graph.Edge]) (logM
 		var env queue.Envelope[graph.Edge]
 		env.Offset = r.U("env offset")
 		env.PubUnixNS = r.I("env pub ns")
-		env.Msg = decodeEdge(r, "env edge")
+		env.Msg = graph.ReadEdge(r, "env edge")
 		dst = append(dst, env)
 	}
 	return meta, dst, r.Err
@@ -200,20 +179,6 @@ type CandMsg struct {
 	// sends them — releases it, once, and reads the candidates no more, so
 	// that the replica's engine can issue their chunks again.
 	Lease motif.Lease
-}
-
-func appendCandidate(b []byte, c motif.Candidate) []byte {
-	b = binary.AppendUvarint(b, uint64(c.User))
-	b = binary.AppendUvarint(b, uint64(c.Item))
-	b = binary.AppendUvarint(b, uint64(len(c.Via)))
-	for _, v := range c.Via {
-		b = binary.AppendUvarint(b, uint64(v))
-	}
-	b = appendEdge(b, c.Trigger)
-	b = binary.AppendVarint(b, c.DetectedAtMS)
-	b = appendString(b, c.Program)
-	b = binary.AppendUvarint(b, math.Float64bits(c.Score))
-	return b
 }
 
 // candDecoder owns the arrays decoded candidates are windows of: every
@@ -246,27 +211,11 @@ func newCandDecoder() *candDecoder {
 	}
 }
 
-// decodeCandidate reads one candidate into c. Count has bounded the Via
-// length against the bytes left before the arena is asked for it, as it has
-// the candidate and message lists below.
-func decodeCandidate(r *codecutil.Cursor, d *candDecoder, c *motif.Candidate) {
-	c.User = graph.VertexID(r.U("cand user"))
-	c.Item = graph.VertexID(r.U("cand item"))
-	c.Via = d.vias.Take(r.Count("cand via count", 1))
-	for i := range c.Via {
-		c.Via[i] = graph.VertexID(r.U("cand via"))
-	}
-	c.Trigger = decodeEdge(r, "cand trigger")
-	c.DetectedAtMS = r.I("cand detected")
-	c.Program = r.String("cand program", 4096)
-	c.Score = math.Float64frombits(r.U("cand score"))
-}
-
 // decodeCandidates reads a counted candidate list, nil when empty.
 func decodeCandidates(r *codecutil.Cursor, context string, d *candDecoder) []motif.Candidate {
-	out := d.cands.Take(r.Count(context, 10))
+	out := d.cands.Take(r.Count(context, motif.MinCandidateBytes))
 	for i := 0; i < len(out) && r.Err == nil; i++ {
-		decodeCandidate(r, d, &out[i])
+		motif.ReadCandidate(r, &d.vias, &out[i])
 	}
 	return out
 }
@@ -282,7 +231,7 @@ func encodeCandBatch(seq uint64, msgs []CandMsg) []byte {
 		b = binary.AppendVarint(b, m.PubNS)
 		b = binary.AppendUvarint(b, uint64(len(m.Cands)))
 		for _, c := range m.Cands {
-			b = appendCandidate(b, c)
+			b = motif.AppendCandidate(b, c)
 		}
 	}
 	return b
@@ -320,7 +269,7 @@ func encodeRecsResp(id uint64, cands []motif.Candidate) []byte {
 	b = binary.AppendUvarint(b, id)
 	b = binary.AppendUvarint(b, uint64(len(cands)))
 	for _, c := range cands {
-		b = appendCandidate(b, c)
+		b = motif.AppendCandidate(b, c)
 	}
 	return b
 }
