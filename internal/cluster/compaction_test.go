@@ -281,9 +281,12 @@ func TestWriterCarriesTombstones(t *testing.T) {
 					t.Fatalf("target %d missing from the composed chain", kept)
 				}
 			}
-			got := st.Fingerprint()
-			if want := p.Fingerprint(); got != want {
-				t.Fatalf("composed fingerprint %08x, live partition %08x", got, want)
+			got, err := st.Fingerprint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, err := p.Fingerprint(); err != nil || got != want {
+				t.Fatalf("composed fingerprint %08x, live partition %08x (err %v)", got, want, err)
 			}
 		})
 	}

@@ -725,7 +725,10 @@ func TestForeignMirrorsNeverInstalled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fp := p.Fingerprint()
+		fp, err := p.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
 		return fp
 	}
 	if got, want := fingerprint(1), fingerprint(0); got != want {

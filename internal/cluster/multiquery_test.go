@@ -237,7 +237,9 @@ func TestMultiQuerySharedMatchesIndependent(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						got[[2]int{pid, r}] = p.Fingerprint()
+						if got[[2]int{pid, r}], err = p.Fingerprint(); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
 				if want == nil {
@@ -330,8 +332,14 @@ func TestMultiQueryKillRestore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := recovered.Fingerprint()
-		want := reference.Fingerprint()
+		got, err := recovered.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := reference.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if got != want {
 			t.Fatalf("partition %d: recovered fingerprint %08x != oracle %08x", pid, got, want)
 		}

@@ -207,8 +207,14 @@ func TestParallelApplyEquivalence(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						gotFP := pp.Fingerprint()
-						wantFP := sp.Fingerprint()
+						gotFP, err := pp.Fingerprint()
+						if err != nil {
+							t.Fatal(err)
+						}
+						wantFP, err := sp.Fingerprint()
+						if err != nil {
+							t.Fatal(err)
+						}
 						if gotFP != wantFP {
 							t.Errorf("partition %d replica %d: batched fingerprint %08x != sequential %08x", pid, r, gotFP, wantFP)
 						}

@@ -146,7 +146,7 @@ func planRestore(in restoreInputs) (restorePlan, error) {
 	if want, found := in.recorded[plan.offset]; found && plan.state != nil && plan.offset > 0 {
 		got, ok := baseFingerprint(plan.seed)
 		if !ok {
-			got = plan.state.Fingerprint()
+			got, _ = plan.state.Fingerprint()
 		}
 		plan.audited, plan.got, plan.want = true, got, want
 	}

@@ -193,7 +193,10 @@ var cleanChain = []chainSeg{{base: true, offset: 10}, {offset: 20}, {offset: 30}
 
 func planRows(t testing.TB) []planRow {
 	fp := func(offsets ...uint64) uint32 {
-		sum := stateAt(offsets...).Fingerprint()
+		sum, err := stateAt(offsets...).Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
 		return sum
 	}
 	return []planRow{
@@ -421,7 +424,10 @@ func FuzzPlanRestore(f *testing.F) {
 func TestRecordedFingerprintsDisputeIsDeterministic(t *testing.T) {
 	_, dir, peer := planDirs(t)
 	writeChain(t, dir, cleanChain)
-	right := stateAt(10, 20, 30).Fingerprint()
+	right, err := stateAt(10, 20, 30).Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for d, at30 := range map[string]uint32{dir: right, peer: right ^ 1} {
 		alog, err := audit.Open(auditLogPath(d), planRunID)
 		if err != nil {

@@ -15,6 +15,7 @@ package delivery
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 
 	"motifstream/internal/codecutil"
@@ -69,6 +70,9 @@ func (p *Pipeline) captureState() ([]dedupSnap, []budgetSnap) {
 // is encoded.
 func (p *Pipeline) AppendState(b []byte) []byte {
 	dedup, fatigue := p.captureState()
+	// Room for the whole section up front, every field at its longest: one
+	// allocation at most, however large the LRU.
+	b = slices.Grow(b, len(stateMagic)+4+(3+3*(len(dedup)+len(fatigue)))*binary.MaxVarintLen64)
 	start := len(b)
 	b = codecutil.AppendHeader(b, stateMagic, stateVersion)
 	b = binary.AppendUvarint(b, uint64(len(dedup)))

@@ -73,7 +73,7 @@ func AppendTargets(b []byte, t Targets, delta bool) []byte {
 }
 
 // DecodeTargetsAt parses the snapshot (or delta) section written by
-// encodeFrames, which must be the rest of c (every file that embeds one
+// AppendTargets, which must be the rest of c (every file that embeds one
 // puts it last): the CRC32C trailer is verified over the whole section
 // before a frame is parsed. No Store is touched — the restore path decodes
 // into runs first so delta segments can be merged on top before

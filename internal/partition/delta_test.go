@@ -151,20 +151,26 @@ func TestFingerprintDistinguishesStates(t *testing.T) {
 	for name, mutate := range variants {
 		st := snapshot(t, build())
 		mutate(st)
-		fp := st.Fingerprint()
+		fp, err := st.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
 		// The live form must agree with the composed form for the same
 		// state, and so distinguish exactly the same variants.
 		live := deltaWorkloadPartition(t)
 		live.LoadState(st)
-		if liveFP := live.Fingerprint(); liveFP != fp {
-			t.Fatalf("%s: live fingerprint %08x != composed %08x", name, liveFP, fp)
+		if liveFP, err := live.Fingerprint(); err != nil || liveFP != fp {
+			t.Fatalf("%s: live fingerprint %08x (err %v) != composed %08x", name, liveFP, err, fp)
 		}
 		if other, dup := seen[fp]; dup {
 			t.Fatalf("states %q and %q share fingerprint %08x", name, other, fp)
 		}
 		seen[fp] = name
 	}
-	want := base.Fingerprint()
+	want, err := base.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if seen[want] != "identical" {
 		t.Fatalf("rebuilding the same state fingerprints to %q's value, not its own", seen[want])
 	}
@@ -214,14 +220,19 @@ func TestComposePathsFingerprintEqual(t *testing.T) {
 				segs = append(segs, buf.Bytes())
 			}
 			want := snapshot(t, live)
-			wantFP := want.Fingerprint()
-			liveFP := live.Fingerprint()
+			wantFP, err := want.Fingerprint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			liveFP, err := live.Fingerprint()
+			if err != nil {
+				t.Fatal(err)
+			}
 			if liveFP != wantFP {
 				t.Fatalf("live partition fingerprint %08x != captured state %08x", liveFP, wantFP)
 			}
 
 			// Path 1: compose the replica's own chain.
-			var err error
 			chain := base
 			for _, seg := range segs {
 				if chain, err = applyDelta(chain, seg); err != nil {
@@ -231,8 +242,8 @@ func TestComposePathsFingerprintEqual(t *testing.T) {
 			if !statesEqual(chain, want) {
 				t.Fatal("own-chain composition diverged from live capture")
 			}
-			if fp := chain.Fingerprint(); fp != wantFP {
-				t.Fatalf("own-chain fingerprint %08x, want %08x", fp, wantFP)
+			if fp, err := chain.Fingerprint(); err != nil || fp != wantFP {
+				t.Fatalf("own-chain fingerprint %08x (err %v), want %08x", fp, err, wantFP)
 			}
 
 			// Path 2: the pool base — the state round-tripped through the
@@ -255,8 +266,8 @@ func TestComposePathsFingerprintEqual(t *testing.T) {
 			if !statesEqual(pool, want) {
 				t.Fatal("pool-base round trip diverged from live capture")
 			}
-			if fp := pool.Fingerprint(); fp != wantFP {
-				t.Fatalf("pool-base fingerprint %08x, want %08x", fp, wantFP)
+			if fp, err := pool.Fingerprint(); err != nil || fp != wantFP {
+				t.Fatalf("pool-base fingerprint %08x (err %v), want %08x", fp, err, wantFP)
 			}
 
 			// Path 3: deterministic replay from scratch — same edges, fresh
@@ -272,8 +283,8 @@ func TestComposePathsFingerprintEqual(t *testing.T) {
 			if !statesEqual(got, want) {
 				t.Fatal("deterministic replay diverged from live capture")
 			}
-			if fp := got.Fingerprint(); fp != wantFP {
-				t.Fatalf("replay fingerprint %08x, want %08x", fp, wantFP)
+			if fp, err := got.Fingerprint(); err != nil || fp != wantFP {
+				t.Fatalf("replay fingerprint %08x (err %v), want %08x", fp, err, wantFP)
 			}
 		})
 	}

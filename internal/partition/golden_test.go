@@ -98,7 +98,10 @@ func TestGoldenSegmentsDecodeAndReencode(t *testing.T) {
 	if !bytes.Equal(out.Bytes(), base) {
 		t.Fatal("re-encoded base differs from base.seg")
 	}
-	fp := st.Fingerprint()
+	fp, err := st.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if trailer := binary.LittleEndian.Uint32(base[len(base)-4:]); fp != trailer {
 		t.Fatalf("Fingerprint %08x, file trailer %08x", fp, trailer)
 	}
