@@ -192,13 +192,14 @@ bench:
 	done
 
 # bench-smoke runs the durability benchmarks, the threshold kernel's
-# strategy table, the candidate log's commit path, D's insert path and the
-# wire's candidate decode and envelope write once each, so the perf paths
-# benchmark/ measures keep compiling and running in CI without a full
-# measurement run.
+# strategy table, the candidate log's commit path, D's insert path, the
+# wire's candidate decode and envelope write and the stream generator at
+# the quiet shape and the large preset once each, so the perf paths
+# benchmark/ measures (and the generator its set-up waits on) keep
+# compiling and running in CI without a full measurement run.
 bench-smoke:
 	@set -e; for pkg in $$($(GO) list ./...); do \
-		$(GO) test -run=NONE -bench 'Checkpoint|Recovery|Snapshot|Reprovision|DetectBatch|ThresholdIntersect|Commit|Insert|CandBatch|EnvBatch' -benchtime=1x -count=1 $$pkg; \
+		$(GO) test -run=NONE -bench 'Checkpoint|Recovery|Snapshot|Reprovision|DetectBatch|ThresholdIntersect|Commit|Insert|CandBatch|EnvBatch|GenEventStream' -benchtime=1x -count=1 $$pkg; \
 	done
 
 # soak drives the long-haul churn harness (cmd/soak): sustained ingest
@@ -222,8 +223,8 @@ soak-net:
 # decode's round trip through one connection's arenas, the motif DSL compiler,
 # the restore planner, the segment merge, the candidate log, the plan
 # executor, the threshold kernel's strategies, the packed S build, the block
-# arena under both its policies and the flat D store (each against its
-# references) continuously fuzzed without
+# arena under both its policies, the flat D store and the stream generator
+# (each against its references) continuously fuzzed without
 # stalling checks. The exhaustive
 # prefix / bit-flip properties run first: what the fuzzers sample, they
 # enumerate for one valid input per format.
@@ -249,6 +250,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz FuzzThresholdIntersect -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run=NONE -fuzz FuzzStaticBuild -fuzztime $(FUZZTIME) ./internal/statstore
 	$(GO) test -run=NONE -fuzz FuzzArena -fuzztime $(FUZZTIME) ./internal/arena
+	$(GO) test -run=NONE -fuzz FuzzGenEventStream -fuzztime $(FUZZTIME) ./internal/workload
 
 # fuzz gives each target of that list a longer budget (manual runs).
 fuzz:

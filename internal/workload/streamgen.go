@@ -71,6 +71,12 @@ type burst struct {
 // events join active bursts: several distinct B's acting on the same C
 // within BurstWindow, exactly the temporally-correlated pattern §1 of the
 // paper identifies as the recommendation signal.
+//
+// It costs O(Events) plus an O(live) move each time a burst is exhausted.
+// That rests on one invariant: the live bursts are kept in endMS order.
+// Each is appended with endMS = now + BurstWindow, now never decreases, and
+// neither retiring nor removing a burst reorders the rest, so the expired
+// bursts are always a prefix.
 func GenEventStream(cfg StreamConfig) []graph.Edge {
 	if cfg.Users <= 1 || cfg.Events <= 0 {
 		return nil
@@ -107,14 +113,12 @@ func GenEventStream(cfg StreamConfig) []graph.Edge {
 	for i := 0; i < cfg.Events; i++ {
 		elapsedMS += r.ExpFloat64() * meanGapMS
 		nowMS := startMS + int64(elapsedMS) // timestamp ties allowed
-		// Retire expired bursts.
-		live := active[:0]
-		for _, b := range active {
-			if b.endMS > nowMS && b.remaining > 0 {
-				live = append(live, b)
-			}
+		// Retire expired bursts: a prefix, by the endMS order.
+		expired := 0
+		for expired < len(active) && active[expired].endMS <= nowMS {
+			expired++
 		}
-		active = live
+		active = active[expired:]
 
 		var e graph.Edge
 		if r.Float64() < cfg.BurstFraction {
@@ -146,6 +150,10 @@ func GenEventStream(cfg StreamConfig) []graph.Edge {
 				Dst:  active[bi].target,
 				Type: active[bi].edgeType,
 				TS:   nowMS,
+			}
+			if active[bi].remaining == 0 {
+				// Exhausted: removed in place, keeping the endMS order.
+				active = append(active[:bi], active[bi+1:]...)
 			}
 		} else {
 			// Background event: mostly follows of Zipf targets.
