@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"time"
 
 	"motifstream/internal/audit"
@@ -31,8 +33,11 @@ import (
 // The ordering is crash-safe: a segment file is written and fsynced
 // before the manifest that references it is renamed into place, so the
 // manifest never names a missing or partial segment; conversely a crash
-// between the two leaves an orphan segment no manifest names, inert until
-// the next segment of its kind cut at that sequence number overwrites it.
+// between the two leaves an orphan segment no manifest names, and a crash
+// between a compaction's manifest rename and its removals leaves the old
+// deltas below the base. Both are inert, and both go when the replica's
+// writer next starts: sweepOrphanSegments removes every segment file the
+// loaded manifest does not name.
 // The gating id protects offset integrity: it is the firehose WAL's
 // persistent identity, and chains survive process restarts exactly as long
 // as the log that assigned their offsets; integrity within a segment is
@@ -147,11 +152,58 @@ func (m *manifest) deltaCount() int {
 func manifestPath(dir string) string { return filepath.Join(dir, "MANIFEST") }
 
 func segmentPath(dir string, ref segmentRef) string {
+	return filepath.Join(dir, segmentName(ref))
+}
+
+// segmentName is a segment's file name: base-%08d.seg or delta-%08d.seg.
+func segmentName(ref segmentRef) string {
 	kind := "delta"
 	if ref.kind == segKindBase {
 		kind = "base"
 	}
-	return filepath.Join(dir, fmt.Sprintf("%s-%08d.seg", kind, ref.seq))
+	return fmt.Sprintf("%s-%08d.seg", kind, ref.seq)
+}
+
+// isSegmentName reports whether name is exactly one segmentName can make.
+func isSegmentName(name string) bool {
+	stem, ok := strings.CutSuffix(name, ".seg")
+	if !ok {
+		return false
+	}
+	kind, digits, _ := strings.Cut(stem, "-")
+	seq, err := strconv.ParseUint(digits, 10, 64)
+	if err != nil {
+		return false
+	}
+	ref := segmentRef{kind: segKindDelta, seq: seq}
+	if kind == "base" {
+		ref.kind = segKindBase
+	}
+	return segmentName(ref) == name
+}
+
+// sweepOrphanSegments removes the segment files in a replica directory that
+// man, its loaded manifest, does not name: a segment whose manifest rename a
+// crash prevented (a later cut at that sequence number overwrites it only
+// when it is of the same kind) and the deltas a published compaction had not
+// yet removed. It touches nothing but names segmentName makes — the
+// manifest, the audit log and the mirror subdirectory stay — and runs
+// before the replica's writer starts, the only other writer of segments
+// there.
+func sweepOrphanSegments(dir string, man manifest) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	named := make(map[string]bool, len(man.segs))
+	for _, ref := range man.segs {
+		named[segmentName(ref)] = true
+	}
+	for _, e := range entries {
+		if name := e.Name(); e.Type().IsRegular() && isSegmentName(name) && !named[name] {
+			os.Remove(filepath.Join(dir, name))
+		}
+	}
 }
 
 func deliveryOffsetsPath(dir string) string { return filepath.Join(dir, "delivery.off") }
@@ -293,7 +345,8 @@ type ckptWriter struct {
 func auditLogPath(dir string) string { return filepath.Join(dir, "audit.log") }
 
 // startWriter launches the async persistence goroutine for rep,
-// continuing the given manifest chain.
+// continuing the given manifest chain, once the segments that chain does
+// not name are swept from the replica's directory.
 func (h *replicaHost) startWriter(rep *replica, man manifest) *ckptWriter {
 	w := &ckptWriter{
 		h:   h,
@@ -306,6 +359,7 @@ func (h *replicaHost) startWriter(rep *replica, man manifest) *ckptWriter {
 		man:  man,
 	}
 	w.deltas = man.deltaCount()
+	sweepOrphanSegments(w.dir, man)
 	if h.audit {
 		alog, err := audit.Open(auditLogPath(w.dir), h.runID)
 		if err != nil {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -549,6 +550,110 @@ func TestCheckpointFilesAreWrittenAtomically(t *testing.T) {
 	}
 	if st.Compactions == 0 {
 		t.Fatal("no compactions recorded despite CompactEvery=4")
+	}
+}
+
+// TestReopenSweepsOrphanSegments plants the two orphans a crash can leave
+// in a replica directory — a base at the manifest's nextSeq (a crash
+// between a segment's write and its manifest rename, of the kind the next
+// cut there will not overwrite) and a delta below the base (a crash between
+// a compaction's manifest rename and its removals) — and checks that Reopen
+// removes both before the writers start, while every segment the manifest
+// names, every mirror and every file that is not exactly a segment name
+// stays byte for byte, and the fingerprint audit still agrees.
+func TestReopenSweepsOrphanSegments(t *testing.T) {
+	cfg := durableConfig(t, ringStatic(40))
+	cfg.CheckpointInterval = time.Second
+	cfg.CompactEvery = 4
+	cfg.MirrorBases = 1
+	stream := motifWorkload(17, 40, 300)
+	half := len(stream) / 2
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	publishAll(t, c, stream[:half])
+	c.Shutdown()
+
+	// kept maps every file that must survive to its bytes; orphans lists
+	// the planted files that must not.
+	kept := map[string][]byte{}
+	var orphans []string
+	keep := func(path string) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept[path] = data
+	}
+	plant := func(path string, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for pid := 0; pid < cfg.Partitions; pid++ {
+		for r := 0; r < cfg.Replicas; r++ {
+			dir := replicaCkptDir(cfg.CheckpointDir, pid, r)
+			man, err := loadManifest(manifestPath(dir), c.runID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(man.segs) == 0 || man.segs[0].kind != segKindBase || man.segs[0].seq == 0 {
+				t.Fatalf("vacuous: replica %d/%d has no compacted base to plant below: %+v", pid, r, man.segs)
+			}
+			for _, ref := range man.segs {
+				keep(segmentPath(dir, ref))
+			}
+			base := kept[segmentPath(dir, man.segs[0])]
+			for _, ref := range []segmentRef{
+				{kind: segKindBase, seq: man.nextSeq},
+				{kind: segKindDelta, seq: man.segs[0].seq - 1},
+			} {
+				path := segmentPath(dir, ref)
+				plant(path, base)
+				orphans = append(orphans, path)
+			}
+			for _, name := range []string{"base-7.seg", "delta-00000001.seg.tmp", "delta-00000001"} {
+				plant(filepath.Join(dir, name), []byte("not a segment"))
+				keep(filepath.Join(dir, name))
+			}
+			mirrors, err := filepath.Glob(filepath.Join(dir, mirrorSubdir, "*"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, path := range mirrors {
+				keep(path)
+			}
+			plant(filepath.Join(dir, mirrorSubdir, "delta-00000000.seg"), base)
+			keep(filepath.Join(dir, mirrorSubdir, "delta-00000000.seg"))
+		}
+	}
+
+	c2, err := Reopen(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range orphans {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("orphan %s survived Reopen (stat: %v)", path, err)
+		}
+	}
+	for path, want := range kept {
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s changed across Reopen (read: %v)", path, err)
+		}
+	}
+	publishAll(t, c2, stream[half:])
+	c2.Shutdown()
+	for pid := 0; pid < cfg.Partitions; pid++ {
+		rep, err := c2.VerifyFingerprints(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Compared == 0 || len(rep.Mismatches) != 0 {
+			t.Fatalf("partition %d: %d offsets compared, mismatches %+v", pid, rep.Compared, rep.Mismatches)
+		}
 	}
 }
 
