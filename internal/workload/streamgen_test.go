@@ -201,9 +201,13 @@ func FuzzGenEventStream(f *testing.F) {
 	})
 }
 
+// streamSink keeps the benchmarked streams live so the calls stay.
+var streamSink []graph.Edge
+
 // BenchmarkGenEventStream times generation at the benchmark's quiet shape
-// (~1 000 live bursts) and the large preset (~18 000): ns/event stays
-// flat as the live set grows only while generation is linear.
+// (about 1 000 live bursts on average) and the large preset (about
+// 18 000). The re-filtering reference costs O(live) on every event; what is
+// left of that here is one O(live) move per exhausted burst.
 func BenchmarkGenEventStream(b *testing.B) {
 	large, _ := ScenarioByName("large")
 	for _, c := range []struct {
@@ -215,7 +219,7 @@ func BenchmarkGenEventStream(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			for range b.N {
-				GenEventStream(c.cfg)
+				streamSink = GenEventStream(c.cfg)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.cfg.Events), "ns/event")
 		})
