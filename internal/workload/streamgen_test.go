@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 	"time"
 
@@ -111,68 +110,53 @@ func referenceEventStream(cfg StreamConfig) []graph.Edge {
 	return edges
 }
 
-// streamEdgeCases are configs at the edges of the retire logic.
-func streamEdgeCases() map[string]StreamConfig {
+func TestGenEventStreamMatchesReference(t *testing.T) {
 	base := StreamConfig{
 		Users: 1_000, Events: 20_000, Rate: 1_000,
 		BurstFraction: 0.35, BurstMeanSize: 12, BurstWindow: 2 * time.Second,
 		ContentFraction: 0.25, ZipfS: 1.35, Seed: 5,
 	}
-	cases := map[string]StreamConfig{"base": base}
-	sub := base
-	// Under 1 ms a burst's endMS is its spawn time: it expires at the next
-	// event, however many events share that millisecond.
-	sub.BurstWindow = 500 * time.Microsecond
-	cases["sub-ms-window"] = sub
-	fast := sub
-	fast.Rate = 50_000 // many events a millisecond
-	cases["sub-ms-window-fast"] = fast
-	single := base
-	// Every event is a burst event and every burst is exhausted by the
-	// event that spawns it or by one more.
-	single.BurstFraction, single.BurstMeanSize = 1, 1
-	cases["all-bursts-size-1"] = single
-	two := base
-	two.Users = 2
-	cases["users-2"] = two
-	follows := base
-	follows.ContentFraction = 0
-	cases["content-0"] = follows
-	content := base
-	content.ContentFraction = 1
-	cases["content-1"] = content
-	long := base
-	long.BurstWindow = time.Hour // nothing expires: bursts leave only by running out
-	cases["window-longer-than-stream"] = long
-	return cases
-}
-
-func TestGenEventStreamMatchesReference(t *testing.T) {
-	for name, cfg := range streamEdgeCases() {
-		t.Run(name, func(t *testing.T) {
+	// Configs at the edges of the retire logic, each one edit of base.
+	for _, c := range []struct {
+		name string
+		edit func(*StreamConfig)
+	}{
+		{"base", func(*StreamConfig) {}},
+		// Under 1 ms a burst's endMS is its spawn time: it expires at the
+		// next event, however many events share that millisecond.
+		{"sub-ms-window", func(c *StreamConfig) { c.BurstWindow = 500 * time.Microsecond }},
+		{"sub-ms-window-fast", func(c *StreamConfig) { c.BurstWindow, c.Rate = 500*time.Microsecond, 50_000 }},
+		// Every event joins a burst, and every burst is exhausted by the
+		// event that spawns it or by one more.
+		{"all-bursts-size-1", func(c *StreamConfig) { c.BurstFraction, c.BurstMeanSize = 1, 1 }},
+		{"users-2", func(c *StreamConfig) { c.Users = 2 }},
+		{"content-0", func(c *StreamConfig) { c.ContentFraction = 0 }},
+		{"content-1", func(c *StreamConfig) { c.ContentFraction = 1 }},
+		// Nothing expires: bursts leave only by running out.
+		{"window-longer-than-stream", func(c *StreamConfig) { c.BurstWindow = time.Hour }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := base
+			c.edit(&cfg)
 			got, want := GenEventStream(cfg), referenceEventStream(cfg)
 			if len(got) != cfg.Events {
 				t.Fatalf("%d edges, want %d", len(got), cfg.Events)
 			}
 			if i := firstDiff(got, want); i >= 0 {
-				t.Fatalf("edge %d: got %+v, reference %+v", i, got[i], want[i])
+				t.Fatalf("edge %d differs from the reference (%d and %d edges)", i, len(got), len(want))
 			}
 		})
 	}
 }
 
-// firstDiff returns the first index where a and b differ, or -1 when they
-// are equal.
+// firstDiff returns the first index at which a and b differ, or -1.
 func firstDiff(a, b []graph.Edge) int {
-	if slices.Equal(a, b) {
-		return -1
-	}
-	for i := range min(len(a), len(b)) {
-		if a[i] != b[i] {
+	for i := range max(len(a), len(b)) {
+		if i >= len(a) || i >= len(b) || a[i] != b[i] {
 			return i
 		}
 	}
-	return min(len(a), len(b))
+	return -1
 }
 
 // FuzzGenEventStream compares the generator with its reference on fuzzed
