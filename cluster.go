@@ -183,13 +183,12 @@ func NewCluster(staticEdges []Edge, opts ClusterOptions) (*Cluster, error) {
 	if med < 0 || p99 < 0 || (med > 0 && p99 <= med) {
 		return nil, fmt.Errorf("motifstream: queue delay median %v, p99 %v: want a zero median (off) or 0 < median < p99", med, p99)
 	}
-	var ingestDelay, deliverDelay cluster.DelayModel
+	var hopDelay cluster.DelayModel
 	if med > 0 {
 		// Two lognormal hops whose sum approximates the configured
 		// end-to-end quantiles: halve the median per hop; sums of two
 		// iid lognormals keep roughly the same tail ratio.
-		half := cluster.LognormalFromQuantiles(med/2, p99/2)
-		ingestDelay, deliverDelay = half, half
+		hopDelay = cluster.LognormalFromQuantiles(med/2, p99/2)
 	}
 
 	dopts := delivery.Options{
@@ -201,11 +200,6 @@ func NewCluster(staticEdges []Edge, opts ClusterOptions) (*Cluster, error) {
 		dopts.SleepEndHour = delivery.SleepDisabled
 	}
 
-	var onNotify func(delivery.Notification)
-	if opts.OnNotify != nil {
-		onNotify = func(n delivery.Notification) { opts.OnNotify(n) }
-	}
-
 	inner, err := cluster.New(cluster.Config{
 		Partitions:         opts.Partitions,
 		Replicas:           opts.Replicas,
@@ -213,11 +207,10 @@ func NewCluster(staticEdges []Edge, opts ClusterOptions) (*Cluster, error) {
 		MaxInfluencers:     opts.MaxInfluencers,
 		Dynamic:            dynstore.Options{Retention: window, MaxPerTarget: 1024},
 		NewPrograms:        func() []motif.Program { return programs },
-		IngestDelay:        ingestDelay,
-		DeliveryDelay:      deliverDelay,
+		HopDelay:           hopDelay,
 		Delivery:           dopts,
 		Seed:               opts.Seed,
-		OnNotify:           onNotify,
+		OnNotify:           opts.OnNotify,
 		CheckpointDir:      opts.CheckpointDir,
 		CheckpointInterval: opts.CheckpointInterval,
 		CompactEvery:       opts.CheckpointCompactEvery,

@@ -61,7 +61,7 @@ func runE9(c runConfig) {
 	var base float64
 	for _, replicas := range []int{1, 2, 3} {
 		clu := newCluster(replicas)
-		groups := make([][]broker.Replica, 4)
+		groups := make([][]broker.Member, 4)
 		for pid := 0; pid < 4; pid++ {
 			for rep := 0; rep < replicas; rep++ {
 				p, err := clu.Replica(pid, rep)
@@ -141,7 +141,8 @@ func runE9(c runConfig) {
 
 // capacityReplica wraps a replica with a per-server capacity model: one
 // in-flight read at a time, each costing a fixed service time. This is
-// what makes replication's read-throughput benefit visible in-process.
+// what makes replication's read-throughput benefit visible in-process. It
+// is its own broker member, always serving.
 type capacityReplica struct {
 	inner   broker.Replica
 	service time.Duration
@@ -150,6 +151,7 @@ type capacityReplica struct {
 
 func (r *capacityReplica) ID() int                              { return r.inner.ID() }
 func (r *capacityReplica) TopItems(n int) []partition.ItemCount { return r.inner.TopItems(n) }
+func (r *capacityReplica) Serving() (broker.Replica, bool)      { return r, true }
 
 func (r *capacityReplica) RecommendationsFor(a graph.VertexID) []motif.Candidate {
 	r.mu.Lock()

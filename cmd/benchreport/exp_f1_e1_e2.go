@@ -115,7 +115,6 @@ func runE2(c runConfig) {
 	stream := cachedStream(users, events)
 
 	reg := metrics.NewRegistry()
-	hop := cluster.LognormalFromQuantiles(3500*time.Millisecond, 7500*time.Millisecond)
 	clu, err := cluster.New(cluster.Config{
 		Partitions:     4,
 		StaticEdges:    static,
@@ -126,10 +125,9 @@ func runE2(c runConfig) {
 				K: 3, Window: 10 * time.Minute, MaxFanout: 64,
 			})}
 		},
-		IngestDelay:   hop,
-		DeliveryDelay: hop,
-		Metrics:       reg,
-		Seed:          1,
+		HopDelay: cluster.LognormalFromQuantiles(3500*time.Millisecond, 7500*time.Millisecond),
+		Metrics:  reg,
+		Seed:     1,
 	})
 	if err != nil {
 		log.Fatal(err)

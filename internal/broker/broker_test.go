@@ -3,6 +3,7 @@ package broker
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"motifstream/internal/graph"
@@ -10,13 +11,17 @@ import (
 	"motifstream/internal/partition"
 )
 
-// fakeReplica records which replica served each read.
+// fakeReplica is its own member: it records which replica served each
+// read and serves while down is false.
 type fakeReplica struct {
 	id    int
 	tag   int
+	down  atomic.Bool
 	mu    sync.Mutex
 	reads int
 }
+
+func (f *fakeReplica) Serving() (Replica, bool) { return f, !f.down.Load() }
 
 func (f *fakeReplica) ID() int                            { return f.id }
 func (f *fakeReplica) TopItems(int) []partition.ItemCount { return nil }
@@ -38,7 +43,7 @@ func newTestBroker(t *testing.T, partitions, replicas int) (*Broker, [][]*fakeRe
 	t.Helper()
 	part := partition.NewHashPartitioner(partitions)
 	fakes := make([][]*fakeReplica, partitions)
-	groups := make([][]Replica, partitions)
+	groups := make([][]Member, partitions)
 	for p := 0; p < partitions; p++ {
 		for r := 0; r < replicas; r++ {
 			f := &fakeReplica{id: p, tag: p*100 + r}
@@ -58,10 +63,10 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(nil, nil); err == nil {
 		t.Fatal("nil partitioner accepted")
 	}
-	if _, err := New(part, make([][]Replica, 1)); err == nil {
+	if _, err := New(part, make([][]Member, 1)); err == nil {
 		t.Fatal("group/partition count mismatch accepted")
 	}
-	if _, err := New(part, make([][]Replica, 2)); err == nil {
+	if _, err := New(part, make([][]Member, 2)); err == nil {
 		t.Fatal("empty replica group accepted")
 	}
 }
@@ -102,9 +107,7 @@ func TestRoundRobinSpreadsLoad(t *testing.T) {
 
 func TestFailoverRoutesAroundDownReplica(t *testing.T) {
 	b, fakes := newTestBroker(t, 1, 2)
-	if err := b.MarkDown(0, 0); err != nil {
-		t.Fatal(err)
-	}
+	fakes[0][0].down.Store(true)
 	for i := 0; i < 10; i++ {
 		if _, err := b.RecommendationsFor(1); err != nil {
 			t.Fatal(err)
@@ -117,9 +120,7 @@ func TestFailoverRoutesAroundDownReplica(t *testing.T) {
 		t.Fatalf("healthy replica served %d of 10", fakes[0][1].readCount())
 	}
 	// Recovery restores routing.
-	if err := b.MarkUp(0, 0); err != nil {
-		t.Fatal(err)
-	}
+	fakes[0][0].down.Store(false)
 	for i := 0; i < 20; i++ {
 		b.RecommendationsFor(1)
 	}
@@ -129,9 +130,9 @@ func TestFailoverRoutesAroundDownReplica(t *testing.T) {
 }
 
 func TestAllReplicasDown(t *testing.T) {
-	b, _ := newTestBroker(t, 1, 2)
-	b.MarkDown(0, 0)
-	b.MarkDown(0, 1)
+	b, fakes := newTestBroker(t, 1, 2)
+	fakes[0][0].down.Store(true)
+	fakes[0][1].down.Store(true)
 	if _, err := b.RecommendationsFor(1); !errors.Is(err, ErrNoReplica) {
 		t.Fatalf("err = %v, want ErrNoReplica", err)
 	}
@@ -141,48 +142,23 @@ func TestAllReplicasDown(t *testing.T) {
 	}
 }
 
-func TestHealthAccessors(t *testing.T) {
-	b, _ := newTestBroker(t, 2, 2)
-	if n := b.HealthyReplicas(0); n != 2 {
-		t.Fatalf("HealthyReplicas = %d", n)
+// TestAddReplicaServes: a member added to a group takes its share of the
+// reads, and a nil member is refused.
+func TestAddReplicaServes(t *testing.T) {
+	b, fakes := newTestBroker(t, 1, 1)
+	fakes[0][0].down.Store(true)
+	added := &fakeReplica{tag: 7}
+	if idx, err := b.AddReplica(0, added); err != nil || idx != 1 {
+		t.Fatalf("AddReplica = %d, %v; want index 1", idx, err)
 	}
-	if !b.ReplicaHealthy(0, 1) {
-		t.Fatal("fresh replica should be healthy")
-	}
-	b.MarkDown(0, 1)
-	if b.ReplicaHealthy(0, 1) {
-		t.Fatal("down replica reported healthy")
-	}
-	if n := b.HealthyReplicas(0); n != 1 {
-		t.Fatalf("HealthyReplicas after MarkDown = %d", n)
-	}
-	// Out-of-range queries are safe.
-	if b.HealthyReplicas(99) != 0 || b.ReplicaHealthy(99, 0) || b.ReplicaHealthy(0, 99) {
-		t.Fatal("out-of-range health queries should be false/0")
-	}
-	if err := b.MarkDown(99, 0); err == nil {
-		t.Fatal("out-of-range MarkDown accepted")
-	}
-	if err := b.MarkDown(0, 99); err == nil {
-		t.Fatal("out-of-range replica MarkDown accepted")
-	}
-}
-
-// TestReplaceReplicaStartsDown: a replacement member serves no read until
-// it is marked up, even where the member it replaced was up — a replica that
-// has not caught up is not read.
-func TestReplaceReplicaStartsDown(t *testing.T) {
-	b, _ := newTestBroker(t, 1, 1)
-	fresh := &fakeReplica{tag: 7}
-	if err := b.ReplaceReplica(0, 0, fresh); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.RecommendationsFor(1); !errors.Is(err, ErrNoReplica) {
-		t.Fatalf("read before MarkUp: err = %v, want ErrNoReplica", err)
-	}
-	b.MarkUp(0, 0)
 	if got, err := b.RecommendationsFor(1); err != nil || got[0].Item != 7 {
-		t.Fatalf("read after MarkUp = %v, %v; want the replacement's answer", got, err)
+		t.Fatalf("read = %v, %v; want the added member's answer", got, err)
+	}
+	if _, err := b.AddReplica(0, nil); err == nil {
+		t.Fatal("nil member accepted")
+	}
+	if _, err := b.AddReplica(1, added); err == nil {
+		t.Fatal("out-of-range partition accepted")
 	}
 }
 
@@ -203,8 +179,8 @@ func TestFanOut(t *testing.T) {
 }
 
 func TestFanOutWithDownGroup(t *testing.T) {
-	b, _ := newTestBroker(t, 2, 1)
-	b.MarkDown(1, 0)
+	b, fakes := newTestBroker(t, 2, 1)
+	fakes[1][0].down.Store(true)
 	got, err := FanOut(b, func(r Replica) int { return 1 })
 	if err == nil {
 		t.Fatal("expected partial failure error")

@@ -21,9 +21,7 @@ import (
 func stateEncoding(t *testing.T, p *partition.Partition) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := p.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf.Write(p.AppendBase(nil))
 	return buf.Bytes()
 }
 

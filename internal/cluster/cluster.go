@@ -24,8 +24,8 @@
 // incremental delta segments, written per replica when Config.CheckpointDir
 // is set — or a base from the partition's pool), then replays the retained
 // firehose log from that point until it reaches the offset that was the
-// head when recovery began. Until then the broker keeps the replica marked
-// down, so a stale replica never serves reads. The retained firehose log is
+// head when recovery began. Until then its slot is replaying and serves no
+// read, so a stale replica never answers one. The retained firehose log is
 // a segmented on-disk WAL (Config.LogDir, by default under CheckpointDir),
 // so the failure model extends to the whole process: Shutdown drains, cuts
 // a final checkpoint per replica, and fsyncs the log; Reopen builds a
@@ -120,12 +120,11 @@ type Config struct {
 	// own instances mirrors a real deployment and keeps the option open.
 	// Required.
 	NewPrograms func() []motif.Program
-	// IngestDelay models the firehose→partition queue hop; nil = none.
-	// DeliveryDelay models the partition→push-gateway hop; nil = none. The
-	// hub's delivery loop draws both for every accepted event, keyed by Seed
-	// and the event's offset (hopdelay.go).
-	IngestDelay   DelayModel
-	DeliveryDelay DelayModel
+	// HopDelay models each of the two queue hops, firehose→partition and
+	// partition→push gateway; nil = none. The hub's delivery loop draws it
+	// twice for every accepted event, keyed by the event's offset and Seed
+	// for the ingest hop, Seed+1 for the delivery hop (hopdelay.go).
+	HopDelay DelayModel
 	// Delivery configures the push pipeline.
 	Delivery delivery.Options
 	// ApplyBatch bounds how many envelopes a replica consumer drains from
@@ -483,20 +482,12 @@ func (c *Cluster) stop(finalCut bool) {
 }
 
 // hubTier returns the hub tier, which only the process holding the log has:
-// ingest, reads, failover flags and slot states are hub business.
+// ingest, reads, failure flags and slot states are hub business.
 func (c *Cluster) hubTier() (*hubTier, error) {
 	if c.hub == nil {
 		return nil, ErrNotLocal
 	}
 	return c.hub, nil
-}
-
-// Broker returns the read-path broker (nil on a worker).
-func (c *Cluster) Broker() *broker.Broker {
-	if h, err := c.hubTier(); err == nil {
-		return h.broker
-	}
-	return nil
 }
 
 // Pipeline returns the delivery pipeline (for funnel stats).
@@ -531,21 +522,23 @@ func (c *Cluster) Replica(pid, r int) (*partition.Partition, error) {
 	return rep.p, nil
 }
 
-// FailReplica marks a replica down for reads — experiment E9's failover
-// scenario. The replica keeps its state and keeps consuming (transient
-// unreachability), so candidate delivery continues seamlessly from the
-// surviving copies; use KillReplica for real state loss.
+// FailReplica takes a replica out of read service — experiment E9's
+// failover scenario. The replica keeps its state and keeps consuming
+// (transient unreachability), so candidate delivery continues seamlessly
+// from the surviving copies; use KillReplica for real state loss. The flag
+// holds until RecoverReplica or the slot's next go-live.
 func (c *Cluster) FailReplica(pid, r int) error {
-	h, err := c.hubTier()
+	slot, err := c.slot(pid, r)
 	if err != nil {
 		return err
 	}
-	return h.broker.MarkDown(pid, r)
+	slot.failed.Store(true)
+	return nil
 }
 
-// RecoverReplica marks a flag-failed replica healthy again. Replicas
-// killed with KillReplica must rejoin through RestoreReplica instead:
-// their state is gone, so serving reads would be a lie.
+// RecoverReplica returns a flag-failed live replica to read service.
+// Replicas killed with KillReplica must rejoin through RestoreReplica
+// instead: their state is gone, so serving reads would be a lie.
 func (c *Cluster) RecoverReplica(pid, r int) error {
 	slot, err := c.slot(pid, r)
 	if err != nil {
@@ -554,7 +547,8 @@ func (c *Cluster) RecoverReplica(pid, r int) error {
 	if slot.state.Load() != replicaLive {
 		return fmt.Errorf("cluster: replica %d/%d is not merely flagged down; use RestoreReplica", pid, r)
 	}
-	return c.hub.broker.MarkUp(pid, r)
+	slot.failed.Store(false)
+	return nil
 }
 
 // Stats summarizes a running cluster.

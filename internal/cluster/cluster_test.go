@@ -6,10 +6,12 @@ import (
 	"testing"
 	"time"
 
+	"motifstream/internal/broker"
 	"motifstream/internal/delivery"
 	"motifstream/internal/dynstore"
 	"motifstream/internal/graph"
 	"motifstream/internal/motif"
+	"motifstream/internal/partition"
 )
 
 func fig1Static() []graph.Edge {
@@ -43,6 +45,76 @@ func testConfig(partitions, replicas int) Config {
 		NewPrograms: diamondPrograms,
 		Delivery:    awakeDelivery(),
 	}
+}
+
+// serving reports whether slot (pid, r) answers reads.
+func serving(c *Cluster, pid, r int) bool {
+	slot, err := c.slot(pid, r)
+	if err != nil {
+		return false
+	}
+	_, ok := slot.Serving()
+	return ok
+}
+
+// fingerprint is a live partition's state fingerprint (its base's trailer).
+func fingerprint(p *partition.Partition) uint32 { return partition.FingerprintOf(p.AppendBase(nil)) }
+
+// fakeReads is a broker.Replica that answers nothing; its value tells
+// attachments apart.
+type fakeReads int
+
+func (f fakeReads) RecommendationsFor(graph.VertexID) []motif.Candidate { return nil }
+func (f fakeReads) TopItems(int) []partition.ItemCount                  { return nil }
+func (f fakeReads) ID() int                                             { return int(f) }
+
+// TestSlotServesLiveAttachmentOnly: a slot serves through its newest
+// attachment once that attachment is live, and not before — even where the
+// attachment it replaced was live — nor while it is failed or detached.
+func TestSlotServesLiveAttachmentOnly(t *testing.T) {
+	c, err := New(testConfig(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	slot := c.hub.slots[0][0]
+	check := func(what string, want broker.Replica) {
+		t.Helper()
+		got, ok := slot.Serving()
+		if want == nil && ok {
+			t.Fatalf("%s: slot serves %v, want none", what, got)
+		}
+		if want != nil && (!ok || got != want) {
+			t.Fatalf("%s: slot serves %v (%v), want %v", what, got, ok, want)
+		}
+	}
+	check("born dead", nil)
+	a, _, err := c.hub.attach(0, 0, 0, 0, 0, fakeReads(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("replaying", nil)
+	a.NotifyLive()
+	check("live", fakeReads(1))
+	b, _, err := c.hub.attach(0, 0, 0, 0, 0, fakeReads(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("replaced while live", nil)
+	a.NotifyLive()
+	check("superseded attachment's live report", nil)
+	b.NotifyLive()
+	check("replacement live", fakeReads(2))
+	if err := c.FailReplica(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	check("failed", nil)
+	if err := c.RecoverReplica(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	check("recovered", fakeReads(2))
+	b.Close()
+	check("detached", nil)
 }
 
 func TestNewValidation(t *testing.T) {
@@ -138,8 +210,7 @@ func TestReplicasDoNotDuplicateDeliveries(t *testing.T) {
 // hops' draws at its trigger's offset, in process and over TCP.
 func TestQueueDelayFeedsLatency(t *testing.T) {
 	base := testConfig(1, 1)
-	base.IngestDelay = Fixed{D: 3 * time.Second}
-	base.DeliveryDelay = Fixed{D: 4 * time.Second}
+	base.HopDelay = Fixed{D: 3500 * time.Millisecond}
 	deployments := map[string]func(t *testing.T, cfg Config) (hub *Cluster, join func()){
 		"inproc": func(t *testing.T, cfg Config) (*Cluster, func()) {
 			c, err := New(cfg)
@@ -174,7 +245,7 @@ func TestQueueDelayFeedsLatency(t *testing.T) {
 			if st.Delivered != 1 {
 				t.Fatalf("Delivered = %d", st.Delivered)
 			}
-			// End-to-end latency = 3s ingest hop + 4s delivery hop = 7s; the
+			// End-to-end latency = 3.5s ingest hop + 3.5s delivery hop = 7s; the
 			// histogram reports bucket upper bounds, so allow the bucket width.
 			if st.E2ELatency.P50 < 7*time.Second || st.E2ELatency.P50 > 9*time.Second {
 				t.Fatalf("latency p50 = %v, want ~7s", st.E2ELatency.P50)
@@ -184,8 +255,7 @@ func TestQueueDelayFeedsLatency(t *testing.T) {
 
 	t.Run("lognormal", func(t *testing.T) {
 		heavy := base
-		heavy.IngestDelay = LognormalFromQuantiles(3*time.Second, 7*time.Second)
-		heavy.DeliveryDelay = LognormalFromQuantiles(4*time.Second, 8*time.Second)
+		heavy.HopDelay = LognormalFromQuantiles(3500*time.Millisecond, 7500*time.Millisecond)
 		heavy.Seed = 7
 		heavy.Delivery.MaxPerUserPerDay = 1 << 20
 		type latency struct {
@@ -203,7 +273,7 @@ func TestQueueDelayFeedsLatency(t *testing.T) {
 		const items = 40
 		t0 := int64(1_000_000)
 		var want []latency
-		ingest, deliver := newHop(heavy.IngestDelay, heavy.Seed), newHop(heavy.DeliveryDelay, heavy.Seed+1)
+		ingest, deliver := newHop(heavy.HopDelay, heavy.Seed), newHop(heavy.HopDelay, heavy.Seed+1)
 		for i := 0; i < items; i++ {
 			off := uint64(2*i + 1)
 			ms := (ingest.delay(off) + deliver.delay(off)).Milliseconds()
@@ -402,7 +472,7 @@ func TestTopItemsFanOut(t *testing.T) {
 	}
 	c3.Start()
 	c3.Stop()
-	c3.Broker().MarkDown(0, 0)
+	c3.FailReplica(0, 0)
 	if _, err := c3.TopItems(5); err == nil {
 		t.Fatal("fan-out with a dead group should error")
 	}

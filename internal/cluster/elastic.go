@@ -439,7 +439,7 @@ func (c *Cluster) AddReplica(pid int) (int, error) {
 	c.host.mu.Lock()
 	c.host.reps = append(c.host.reps, rep)
 	c.host.mu.Unlock()
-	if _, err := c.hub.broker.AddReplica(pid, vacant{pid: pid}); err != nil {
+	if _, err := c.hub.broker.AddReplica(pid, slot); err != nil {
 		return 0, err
 	}
 	c.scaleOuts.Inc()

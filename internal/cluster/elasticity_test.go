@@ -133,8 +133,8 @@ func TestAddReplicaCatchesUpAndServes(t *testing.T) {
 	if err := c.AwaitReplicaLive(0, idx, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Broker().ReplicaHealthy(0, idx) {
-		t.Fatal("scaled-out replica not broker-healthy after catch-up")
+	if !serving(c, 0, idx) {
+		t.Fatal("scaled-out replica not serving after catch-up")
 	}
 	for _, e := range stream[half:] {
 		c.Publish(e)
@@ -720,18 +720,14 @@ func TestForeignMirrorsNeverInstalled(t *testing.T) {
 	if st := c.Stats(); st.BasePoolRestores != 0 {
 		t.Fatalf("BasePoolRestores = %d: a mirror of another log was installed", st.BasePoolRestores)
 	}
-	fingerprint := func(r int) uint32 {
+	replicaFingerprint := func(r int) uint32 {
 		p, err := c.Replica(0, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fp, err := p.Fingerprint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fp
+		return fingerprint(p)
 	}
-	if got, want := fingerprint(1), fingerprint(0); got != want {
+	if got, want := replicaFingerprint(1), replicaFingerprint(0); got != want {
 		t.Fatalf("reprovisioned replica fingerprint %08x, peer %08x", got, want)
 	}
 }

@@ -112,9 +112,7 @@ func composedChain(t *testing.T, h *replicaHost, dir string) ([]byte, uint64) {
 		t.Fatalf("chain composes %d of %d segments", used, len(man.segs))
 	}
 	var buf bytes.Buffer
-	if _, err := st.WriteBaseTo(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf.Write(st.AppendBase(nil))
 	return buf.Bytes(), offset
 }
 

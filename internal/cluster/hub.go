@@ -9,16 +9,14 @@ import (
 	"motifstream/internal/broker"
 	"motifstream/internal/delivery"
 	"motifstream/internal/graph"
-	"motifstream/internal/motif"
-	"motifstream/internal/partition"
 	"motifstream/internal/placement"
 	"motifstream/internal/queue"
 	"motifstream/internal/transport"
 )
 
 // Slot states — the catch-up machine every replica goes through, whichever
-// process runs it. A slot is born dead; an attach moves it to replaying
-// (broker-down), the attachment's live report to live (broker-up), its
+// process runs it. A slot is born dead; an attach moves it to replaying, the
+// attachment's live report to live (the one state that serves reads), its
 // detach back to dead. DecommissionReplica moves any state to removed — a
 // terminal tombstone that keeps the group's indices stable.
 const (
@@ -30,7 +28,8 @@ const (
 
 // replicaSlot is the hub tier's record of one placement: where its chain
 // lives, where it stands in the catch-up machine, and which attachment — a
-// replica host's claim on it, from this process or a socket — owns it.
+// replica host's claim on it, from this process or a socket — owns it. It is
+// the broker's member for its index: the slot alone says whether it serves.
 type replicaSlot struct {
 	pid, idx int
 	// gen is the placement generation (bumped by ReprovisionReplica) and
@@ -40,16 +39,35 @@ type replicaSlot struct {
 	dir string
 
 	state atomic.Int32
+	// failed is FailReplica's flag: the replica keeps its state and keeps
+	// consuming but serves no read. RecoverReplica and the next go-live
+	// clear it.
+	failed atomic.Bool
 	// floor is the offset of the replica's oldest durable restore point
 	// (its base segment's cut offset; zero until the first compaction).
 	// The firehose log is only ever truncated below the minimum floor
 	// across replicas.
 	floor atomic.Uint64
 
-	// att is the slot's newest attachment (nil while nobody is attached)
-	// and live closes when it reports live; both guarded by hubTier.slotMu.
-	att  *attachment
+	// att is the slot's newest attachment (nil while nobody is attached),
+	// written under hubTier.slotMu and loaded without it by Serving; live
+	// closes when the attachment reports live, guarded by slotMu.
+	att  atomic.Pointer[attachment]
 	live chan struct{}
+}
+
+// Serving implements broker.Member: the attachment's replica, while the
+// slot is live and not failed. A transition stores the state before the
+// attachment (attach) or the attachment before the state (Close), and a
+// live state belongs to the attachment loaded on both sides of it, so a
+// read never reaches an attachment that was replaced or a replica still
+// replaying.
+func (s *replicaSlot) Serving() (broker.Replica, bool) {
+	a := s.att.Load()
+	if a == nil || s.state.Load() != replicaLive || s.failed.Load() || s.att.Load() != a {
+		return nil, false
+	}
+	return a.reads, true
 }
 
 // hubTier is everything that exists once per deployment: the firehose log,
@@ -106,8 +124,8 @@ type hubTier struct {
 
 // newHubTier opens the firehose log — durable over Config.LogDir, a plain
 // topic without recovery — adopts its identity, and builds one slot record
-// per placement, each born dead behind a placeholder broker member: a
-// replica host's attach brings it to life.
+// per placement, each born dead and each the broker's member for its index:
+// a replica host's attach brings it to life.
 func newHubTier(sh *shared) (h *hubTier, err error) {
 	cfg := sh.cfg
 	h = &hubTier{shared: sh, offPath: deliveryOffsetsPath(cfg.CheckpointDir)}
@@ -136,7 +154,7 @@ func newHubTier(sh *shared) (h *hubTier, err error) {
 	sh.adoptLog(logID)
 
 	h.slots = make([][]*replicaSlot, cfg.Partitions)
-	groups := make([][]broker.Replica, cfg.Partitions)
+	groups := make([][]broker.Member, cfg.Partitions)
 	for pid := range h.slots {
 		for r, pl := range sh.placements(pid) {
 			slot := &replicaSlot{pid: pid, idx: r, gen: pl.Gen, live: make(chan struct{})}
@@ -150,16 +168,11 @@ func newHubTier(sh *shared) (h *hubTier, err error) {
 				}
 			}
 			h.slots[pid] = append(h.slots[pid], slot)
-			groups[pid] = append(groups[pid], vacant{pid: pid})
+			groups[pid] = append(groups[pid], slot)
 		}
 	}
 	if h.broker, err = broker.New(sh.part, groups); err != nil {
 		return nil, err
-	}
-	for pid, group := range h.slots {
-		for r := range group {
-			h.broker.MarkDown(pid, r)
-		}
 	}
 	if h.wal != nil {
 		h.seedDelivery()
@@ -179,15 +192,6 @@ func newHubTier(sh *shared) (h *hubTier, err error) {
 	}
 	return h, err
 }
-
-// vacant stands in the broker's replica groups for a slot no replica has
-// attached to yet (a decommissioned one never will), keeping member indices
-// aligned with slot indices; it is marked down and never serves.
-type vacant struct{ pid int }
-
-func (v vacant) RecommendationsFor(graph.VertexID) []motif.Candidate { return nil }
-func (v vacant) TopItems(int) []partition.ItemCount                  { return nil }
-func (v vacant) ID() int                                             { return v.pid }
 
 // seedDelivery runs on a durable-log restart. The replicas are about to
 // replay their tail spans, and those batches were already pushed by a
@@ -233,7 +237,7 @@ func (h *hubTier) seedDelivery() {
 // truncates the total to milliseconds.
 func (h *hubTier) runDelivery() {
 	defer h.deliverWG.Done()
-	ingest, deliver := newHop(h.cfg.IngestDelay, h.cfg.Seed), newHop(h.cfg.DeliveryDelay, h.cfg.Seed+1)
+	ingest, deliver := newHop(h.cfg.HopDelay, h.cfg.Seed), newHop(h.cfg.HopDelay, h.cfg.Seed+1)
 	nextOffset := make([]uint64, h.cfg.Partitions)
 	// A durable-log restart seeds the filter from the persisted offsets:
 	// every replica is about to replay its tail span, and the previous
@@ -380,13 +384,15 @@ func (h *hubTier) logMeta() (id, head, start uint64) {
 }
 
 // attachment is one replica host's claim on a slot: the subscription it
-// reads and the handle its reports arrive through. The slot points back at
-// its newest attachment only: a superseded one (a half-open connection whose
-// worker already reconnected) reports, and at last detaches, to no effect.
+// reads, the replica the broker reaches it through, and the handle its
+// reports arrive through. The slot points back at its newest attachment
+// only: a superseded one (a half-open connection whose worker already
+// reconnected) reports, and at last detaches, to no effect.
 type attachment struct {
-	h    *hubTier
-	slot *replicaSlot
-	sub  <-chan queue.Envelope[graph.Edge]
+	h     *hubTier
+	slot  *replicaSlot
+	sub   <-chan queue.Envelope[graph.Edge]
+	reads broker.Replica
 }
 
 // attach is a replica host taking ownership of slot (pid, r) at generation
@@ -397,8 +403,8 @@ type attachment struct {
 // previous incarnation (which restored higher than this one, say, whose
 // chain was lost) could otherwise let a concurrent peer compaction truncate
 // the log out from under the replay about to start. The slot turns
-// replaying — broker-down until the attachment reports live. On error it is
-// untouched.
+// replaying — serving no read until the attachment reports live. On error it
+// is untouched.
 func (h *hubTier) attach(pid, r, gen int, floor, resume uint64, reads broker.Replica) (transport.Attachment, <-chan queue.Envelope[graph.Edge], error) {
 	slot, err := h.slot(pid, r)
 	if err != nil {
@@ -414,7 +420,7 @@ func (h *hubTier) attach(pid, r, gen int, floor, resume uint64, reads broker.Rep
 	if gen != slot.gen {
 		return nil, nil, fmt.Errorf("cluster: replica %d/%d generation %d is stale (placement table says %d)", pid, r, gen, slot.gen)
 	}
-	a := &attachment{h: h, slot: slot}
+	a := &attachment{h: h, slot: slot, reads: reads}
 	if h.wal == nil {
 		// No recovery: the topic retains nothing to replay from.
 		a.sub = h.firehose.Subscribe()
@@ -423,39 +429,35 @@ func (h *hubTier) attach(pid, r, gen int, floor, resume uint64, reads broker.Rep
 		// log below it was truncated; surface rather than silently diverge.
 		return nil, nil, fmt.Errorf("cluster: replay from %d: %w", resume, err)
 	}
-	if err := h.broker.ReplaceReplica(pid, r, reads); err != nil {
-		h.firehose.Unsubscribe(a.sub)
-		return nil, nil, err
+	if old := slot.att.Load(); old != nil {
+		h.firehose.Unsubscribe(old.sub)
 	}
-	if slot.att != nil {
-		h.firehose.Unsubscribe(slot.att.sub)
-	}
-	slot.att = a
 	slot.floor.Store(floor)
-	h.down(slot)
-	slot.state.Store(replicaReplaying)
+	slot.leave(replicaReplaying)
+	slot.att.Store(a)
 	return a, a.sub, nil
 }
 
-// down takes a slot out of read service ahead of a state change, re-arming
-// the live channel if a previous go-live closed it. The caller holds slotMu.
-func (h *hubTier) down(slot *replicaSlot) {
-	if slot.state.Load() == replicaLive {
-		slot.live = make(chan struct{})
+// leave moves a slot out of any state into st, re-arming the live channel
+// if a previous go-live closed it. The caller holds slotMu.
+func (s *replicaSlot) leave(st int32) {
+	if s.state.Load() == replicaLive {
+		s.live = make(chan struct{})
 	}
-	h.broker.MarkDown(slot.pid, slot.idx)
+	s.state.Store(st)
 }
 
 // NotifyLive: the replica applied every offset that existed when it
-// attached — it is as fresh as any live one, and the broker may serve it.
+// attached — it is as fresh as any live one, and it serves reads, a
+// FailReplica flag from before included.
 func (a *attachment) NotifyLive() {
 	h, slot := a.h, a.slot
 	h.slotMu.Lock()
 	defer h.slotMu.Unlock()
-	if slot.att != a || !slot.state.CompareAndSwap(replicaReplaying, replicaLive) {
+	if slot.att.Load() != a || !slot.state.CompareAndSwap(replicaReplaying, replicaLive) {
 		return
 	}
-	h.broker.MarkUp(slot.pid, slot.idx)
+	slot.failed.Store(false)
 	close(slot.live)
 }
 
@@ -463,7 +465,7 @@ func (a *attachment) NotifyLive() {
 // and with it possibly the log's truncation horizon.
 func (a *attachment) ReportFloor(offset uint64) {
 	a.h.slotMu.Lock()
-	if a.slot.att == a && offset > a.slot.floor.Load() {
+	if a.slot.att.Load() == a && offset > a.slot.floor.Load() {
 		a.slot.floor.Store(offset)
 	}
 	a.h.slotMu.Unlock()
@@ -472,19 +474,18 @@ func (a *attachment) ReportFloor(offset uint64) {
 
 // Close ends the attachment — a kill, a dropped connection, a worker gone.
 // Releasing its subscription frees any publisher blocked on its buffer
-// (buffered envelopes are lost, as with a dead process); the slot is dead
-// and broker-down until the next attach.
+// (buffered envelopes are lost, as with a dead process); the slot is dead,
+// serving no read, until the next attach.
 func (a *attachment) Close() {
 	h, slot := a.h, a.slot
 	h.slotMu.Lock()
 	defer h.slotMu.Unlock()
-	if slot.att != a {
+	if slot.att.Load() != a {
 		return
 	}
 	h.firehose.Unsubscribe(a.sub)
-	slot.att = nil
-	h.down(slot)
-	slot.state.Store(replicaDead)
+	slot.att.Store(nil)
+	slot.leave(replicaDead)
 }
 
 // offer hands one event's candidates to the delivery tier, whose per-group

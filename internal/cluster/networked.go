@@ -195,16 +195,6 @@ func (c *Cluster) ListenAddr() string {
 	return ""
 }
 
-// AttachedConnections returns how many worker connections (replica feeds
-// plus candidate streams) are attached to this hub right now; 0 on
-// non-hubs. Also exported as the transport.attached_connections gauge.
-func (c *Cluster) AttachedConnections() int {
-	if s := c.server(); s != nil {
-		return s.Connections()
-	}
-	return 0
-}
-
 // DropConnections severs every attached worker connection without
 // closing the listener — a network-blip injection for fault harnesses.
 // Workers observe a drop, retry-with-backoff, and resume from their

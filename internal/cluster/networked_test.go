@@ -81,11 +81,11 @@ func awaitAttached(t testing.TB, hub *Cluster, want int) {
 	deadline := time.After(15 * time.Second)
 	tick := time.NewTicker(time.Millisecond)
 	defer tick.Stop()
-	for hub.AttachedConnections() < want {
+	for hub.server().Connections() < want {
 		select {
 		case <-tick.C:
 		case <-deadline:
-			t.Fatalf("hub holds %d worker connections, want %d", hub.AttachedConnections(), want)
+			t.Fatalf("hub holds %d worker connections, want %d", hub.server().Connections(), want)
 		}
 	}
 }
@@ -565,12 +565,12 @@ func TestNetworkedStaleDetachIgnored(t *testing.T) {
 	defer hub.Stop()
 
 	backend := hub.hub.listener // what the transport server calls for a feed hello
-	attA, _, err := backend.ReplicaAttached(0, 0, 0, 0, 0, vacant{})
+	attA, _, err := backend.ReplicaAttached(0, 0, 0, 0, 0, fakeReads(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	attA.NotifyLive()
-	attB, _, err := backend.ReplicaAttached(0, 0, 0, 0, 0, vacant{})
+	attB, _, err := backend.ReplicaAttached(0, 0, 0, 0, 0, fakeReads(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,16 +590,16 @@ func TestNetworkedStaleDetachIgnored(t *testing.T) {
 	if st, _ := hub.ReplicaState(0, 0); st != "live" {
 		t.Fatalf("state after the stale detach = %q, want live", st)
 	}
-	if !hub.Broker().ReplicaHealthy(0, 0) {
-		t.Fatal("stale detach took the broker member down")
+	if !serving(hub, 0, 0) {
+		t.Fatal("stale detach took the slot out of read service")
 	}
 
 	attB.Close()
 	if st, _ := hub.ReplicaState(0, 0); st != "dead" {
 		t.Fatalf("state after the owning attachment's detach = %q, want dead", st)
 	}
-	if hub.Broker().ReplicaHealthy(0, 0) {
-		t.Fatal("detached slot's broker member still up")
+	if serving(hub, 0, 0) {
+		t.Fatal("detached slot still serving")
 	}
 }
 

@@ -238,8 +238,7 @@ func TestFaultEquivalenceOracle(t *testing.T) {
 	stream := motifWorkload(42, 60, 600)
 	delayedConfig := func() Config {
 		cfg := recoveryConfig(t, static)
-		cfg.IngestDelay = LognormalFromQuantiles(3*time.Second, 7*time.Second)
-		cfg.DeliveryDelay = LognormalFromQuantiles(4*time.Second, 8*time.Second)
+		cfg.HopDelay = LognormalFromQuantiles(3500*time.Millisecond, 7500*time.Millisecond)
 		cfg.Seed = 7
 		return cfg
 	}
@@ -675,23 +674,23 @@ func TestRestoredReplicaServesReadsAfterCatchUp(t *testing.T) {
 	if err := c.KillReplica(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if c.Broker().ReplicaHealthy(0, 0) {
-		t.Fatal("dead replica still broker-healthy")
+	if serving(c, 0, 0) {
+		t.Fatal("dead replica still serving")
 	}
 	if err := c.RestoreReplica(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	// The broker keeps the replica down until catch-up completes. The
-	// state machine may already have flipped to live if replay was quick,
-	// so only assert the invariant: replaying => broker-down.
-	if state, _ := c.ReplicaState(0, 0); state == "replaying" && c.Broker().ReplicaHealthy(0, 0) {
-		t.Fatal("replaying replica marked broker-healthy")
+	// The replica serves no read until catch-up completes. The state
+	// machine may already have flipped to live if replay was quick, so
+	// only assert the invariant: replaying => not serving.
+	if state, _ := c.ReplicaState(0, 0); state == "replaying" && serving(c, 0, 0) {
+		t.Fatal("replaying replica serving")
 	}
 	if err := c.AwaitReplicaLive(0, 0, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Broker().ReplicaHealthy(0, 0) {
-		t.Fatal("live replica not broker-healthy after catch-up")
+	if !serving(c, 0, 0) {
+		t.Fatal("live replica not serving after catch-up")
 	}
 	for _, e := range stream[half:] {
 		c.Publish(e)

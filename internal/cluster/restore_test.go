@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"errors"
-	"io"
 	"io/fs"
 	"math/rand"
 	"os"
@@ -60,18 +59,13 @@ func writeChain(t testing.TB, dir string, segs []chainSeg) manifest {
 	for _, seg := range segs {
 		folded = append(folded, seg.offset)
 		ref := segmentRef{kind: segKindDelta, seq: man.nextSeq, offset: seg.offset}
-		var body io.WriterTo
+		var data []byte
 		if seg.base {
 			ref.kind = segKindBase
-			body = writerToFunc(stateAt(folded...).WriteBaseTo)
+			data = stateAt(folded...).AppendBase(nil)
 		} else {
-			body = stateAt(seg.offset)
+			data = stateAt(seg.offset).AppendDelta(nil)
 		}
-		var buf bytes.Buffer
-		if _, err := body.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		data := buf.Bytes()
 		if seg.corrupt {
 			data[len(data)/2] ^= 0x40
 		}
@@ -89,10 +83,6 @@ func writeChain(t testing.TB, dir string, segs []chainSeg) manifest {
 	return man
 }
 
-type writerToFunc func(io.Writer) (int64, error)
-
-func (f writerToFunc) WriteTo(w io.Writer) (int64, error) { return f(w) }
-
 // writeMirror drops a base holding the cuts up to offset into peerDir's
 // mirror subdirectory, named under log identity id, and returns its pool
 // entry.
@@ -103,9 +93,7 @@ func writeMirror(t testing.TB, peerDir string, id, offset uint64, corrupt bool) 
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := stateAt(offset).WriteBaseTo(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf.Write(stateAt(offset).AppendBase(nil))
 	data := buf.Bytes()
 	if corrupt {
 		data[len(data)/2] ^= 0x40
@@ -192,13 +180,7 @@ type planRow struct {
 var cleanChain = []chainSeg{{base: true, offset: 10}, {offset: 20}, {offset: 30}}
 
 func planRows(t testing.TB) []planRow {
-	fp := func(offsets ...uint64) uint32 {
-		sum, err := stateAt(offsets...).Fingerprint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sum
-	}
+	fp := func(offsets ...uint64) uint32 { return stateAt(offsets...).Fingerprint() }
 	return []planRow{
 		{name: "clean chain", chain: cleanChain, logStart: 10,
 			keep: 3, offset: 30, floor: 10, folded: []uint64{10, 20, 30}},
@@ -314,12 +296,8 @@ func TestPlanRestore(t *testing.T) {
 				t.Fatal("plan carries no state")
 			}
 			var got, want bytes.Buffer
-			if _, err := plan.state.WriteBaseTo(&got); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := stateAt(row.folded...).WriteBaseTo(&want); err != nil {
-				t.Fatal(err)
-			}
+			got.Write(plan.state.AppendBase(nil))
+			want.Write(stateAt(row.folded...).AppendBase(nil))
 			if !bytes.Equal(got.Bytes(), want.Bytes()) {
 				t.Fatalf("installed state is not the fold of cuts %v", row.folded)
 			}
@@ -424,10 +402,7 @@ func FuzzPlanRestore(f *testing.F) {
 func TestRecordedFingerprintsDisputeIsDeterministic(t *testing.T) {
 	_, dir, peer := planDirs(t)
 	writeChain(t, dir, cleanChain)
-	right, err := stateAt(10, 20, 30).Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
+	right := stateAt(10, 20, 30).Fingerprint()
 	for d, at30 := range map[string]uint32{dir: right, peer: right ^ 1} {
 		alog, err := audit.Open(auditLogPath(d), planRunID)
 		if err != nil {

@@ -41,17 +41,6 @@ func DecodeFrameHeader(hdr []byte) (n, crc uint32) {
 	return binary.LittleEndian.Uint32(hdr[:4]), binary.LittleEndian.Uint32(hdr[4:8])
 }
 
-// WriteFrame writes one framed payload: header, then payload bytes.
-func WriteFrame(w io.Writer, payload []byte) error {
-	var hdr [FrameHeaderLen]byte
-	EncodeFrameHeader(hdr[:], payload)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
 // ReadFrame reads one frame from r, verifying the checksum. buf is an
 // optional reuse buffer; the returned slice aliases it when it is large
 // enough. The header is read into buf too (an array of ReadFrame's own would

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"io"
 
 	"motifstream/internal/codecutil"
 	"motifstream/internal/dynstore"
@@ -51,9 +50,6 @@ func DecodeEngineStateAt(c *codecutil.Cursor) (sweepClock int64, targets dynstor
 func (e *Engine) AppendState(b []byte) []byte {
 	return e.dynamic.AppendSnapshot(appendEngineHeader(b, e.SweepClock()))
 }
-
-// WriteTo writes AppendState's bytes, implementing io.WriterTo.
-func (e *Engine) WriteTo(w io.Writer) (int64, error) { return codecutil.WriteTo(w, e.AppendState(nil)) }
 
 // SweepClock returns the stream time of the last D prune — the engine
 // half of a checkpoint cut.

@@ -53,13 +53,7 @@ func TestEngineCheckpointRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	n, err := orig.WriteTo(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) {
-		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
-	}
+	buf.Write(orig.AppendState(nil))
 
 	restored := newCheckpointEngine(t)
 	if err := restore(restored, buf.Bytes()); err != nil {
@@ -100,9 +94,7 @@ func TestEngineCheckpointSweepEquivalence(t *testing.T) {
 		first.Apply(e)
 	}
 	var buf bytes.Buffer
-	if _, err := first.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf.Write(first.AppendState(nil))
 	resumed := newCheckpointEngine(t)
 	if err := restore(resumed, buf.Bytes()); err != nil {
 		t.Fatal(err)
@@ -120,9 +112,7 @@ func TestEngineCheckpointRejectsCorruptInput(t *testing.T) {
 	e := newCheckpointEngine(t)
 	e.Apply(graph.Edge{Src: 10, Dst: 500, TS: 1_000_000})
 	var buf bytes.Buffer
-	if _, err := e.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf.Write(e.AppendState(nil))
 	good := buf.Bytes()
 	for _, bad := range [][]byte{
 		{},

@@ -110,9 +110,7 @@ func BenchmarkSnapshotEncode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if _, err := s.WriteTo(&buf); err != nil {
-			b.Fatal(err)
-		}
+		buf.Write(s.AppendSnapshot(nil))
 	}
 	b.SetBytes(int64(buf.Len()))
 }
@@ -126,9 +124,7 @@ func BenchmarkSnapshotDecode(b *testing.B) {
 		s.Insert(e)
 	}
 	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
-		b.Fatal(err)
-	}
+	buf.Write(s.AppendSnapshot(nil))
 	b.SetBytes(int64(buf.Len()))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -2,7 +2,6 @@ package dynstore
 
 import (
 	"encoding/binary"
-	"io"
 	"slices"
 
 	"motifstream/internal/arena"
@@ -128,11 +127,6 @@ func (s *Store) AppendSnapshot(b []byte) []byte {
 		sh.mu.RUnlock()
 	}
 	return codecutil.AppendChecksum(b, start)
-}
-
-// WriteTo writes AppendSnapshot's bytes, implementing io.WriterTo.
-func (s *Store) WriteTo(w io.Writer) (int64, error) {
-	return codecutil.WriteTo(w, s.AppendSnapshot(nil))
 }
 
 // LoadSnapshot replaces the store's contents with a copy of the given run

@@ -85,13 +85,7 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 		orig := randomStore(r, opts, 1+r.Intn(3_000))
 
 		var buf bytes.Buffer
-		n, err := orig.WriteTo(&buf)
-		if err != nil {
-			t.Fatalf("trial %d: WriteTo: %v", trial, err)
-		}
-		if n != int64(buf.Len()) {
-			t.Fatalf("trial %d: WriteTo reported %d bytes, wrote %d", trial, n, buf.Len())
-		}
+		buf.Write(orig.AppendSnapshot(nil))
 
 		// Restore into a store with a different shard layout: the format
 		// must be layout-independent.
@@ -127,9 +121,7 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 
 func TestSnapshotRoundTripEmptyStore(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := New(Options{}).WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf.Write(New(Options{}).AppendSnapshot(nil))
 	restored := New(Options{})
 	if err := restore(restored, buf.Bytes()); err != nil {
 		t.Fatal(err)
@@ -143,9 +135,7 @@ func TestSnapshotReadFromReplacesContents(t *testing.T) {
 	a := New(Options{})
 	a.Insert(graph.Edge{Src: 1, Dst: 2, TS: 10})
 	var buf bytes.Buffer
-	if _, err := a.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf.Write(a.AppendSnapshot(nil))
 	b := New(Options{})
 	b.Insert(graph.Edge{Src: 9, Dst: 9, TS: 99}) // pre-existing junk
 	if err := restore(b, buf.Bytes()); err != nil {
@@ -165,9 +155,7 @@ func TestSnapshotDecodeRejectsCorruptInput(t *testing.T) {
 		s.Insert(graph.Edge{Src: graph.VertexID(i), Dst: graph.VertexID(i % 5), TS: int64(i)})
 	}
 	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf.Write(s.AppendSnapshot(nil))
 	good := buf.Bytes()
 
 	cases := map[string][]byte{
@@ -225,9 +213,7 @@ func TestSnapshotEmbeddedAtCursorPosition(t *testing.T) {
 	s.Insert(graph.Edge{Src: 1, Dst: 2, TS: 5})
 	var buf bytes.Buffer
 	buf.WriteString("HEADER")
-	if _, err := s.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf.Write(s.AppendSnapshot(nil))
 
 	c := codecutil.NewCursor(buf.Bytes(), "container")
 	for range "HEADER" {
@@ -271,9 +257,7 @@ func TestResetDropsEverything(t *testing.T) {
 func TestSnapshotPrefixesAndBitFlipsRejected(t *testing.T) {
 	src := randomStore(rand.New(rand.NewSource(5)), Options{Retention: time.Hour}, 60)
 	var buf bytes.Buffer
-	if _, err := src.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf.Write(src.AppendSnapshot(nil))
 	data := buf.Bytes()
 	s := New(Options{})
 	rejected := func(what string, n int, input []byte) {
@@ -313,9 +297,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		})
 	}
 	var valid bytes.Buffer
-	if _, err := seed.WriteTo(&valid); err != nil {
-		f.Fatal(err)
-	}
+	valid.Write(seed.AppendSnapshot(nil))
 	f.Add(valid.Bytes())
 	f.Add([]byte{})
 	f.Add(snapMagic[:])
@@ -328,9 +310,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		// Decoded successfully: encoding the result must round-trip.
 		var buf bytes.Buffer
-		if _, err := s.WriteTo(&buf); err != nil {
-			t.Fatalf("re-encode of decoded store failed: %v", err)
-		}
+		buf.Write(s.AppendSnapshot(nil))
 		again := New(Options{})
 		if err := restore(again, buf.Bytes()); err != nil {
 			t.Fatalf("decode of re-encoded store failed: %v", err)

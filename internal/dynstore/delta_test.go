@@ -27,9 +27,7 @@ func decodeDelta(data []byte) (Targets, error) {
 func capture(t *testing.T, s *Store) Targets {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf.Write(s.AppendSnapshot(nil))
 	targets, err := decodeSnapshot(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)

@@ -429,9 +429,7 @@ func TestConcurrentInsertAndQuery(t *testing.T) {
 		t.Fatal("no edges retained after concurrent inserts")
 	}
 	var snap bytes.Buffer
-	if _, err := s.WriteTo(&snap); err != nil {
-		t.Fatal(err)
-	}
+	snap.Write(s.AppendSnapshot(nil))
 	run, err := decodeSnapshot(snap.Bytes())
 	if err != nil {
 		t.Fatal(err)

@@ -216,9 +216,7 @@ func (d *differ) capture() {
 // write requires equal snapshot bytes and keeps the snapshot for load.
 func (d *differ) write() {
 	var g, w bytes.Buffer
-	if _, err := d.s.WriteTo(&g); err != nil {
-		d.t.Fatal(err)
-	}
+	g.Write(d.s.AppendSnapshot(nil))
 	if _, err := d.ref.WriteTo(&w); err != nil {
 		d.t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func BenchmarkIntersectAutoSkewed(b *testing.B) {
 	x := benchList(1, 100, 1_000_000)
 	y := benchList(2, 100_000, 1_000_000)
 	for i := 0; i < b.N; i++ {
-		Intersect(x, y)
+		IntersectInto(nil, x, y)
 	}
 }
 

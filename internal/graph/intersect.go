@@ -144,17 +144,9 @@ func IntersectGallopInto(dst AdjList, a, b AdjList) AdjList {
 	return dst
 }
 
-// Intersect picks an exact-intersection kernel based on the size ratio of
-// the inputs. The 32x cutover matches the E8 ablation crossover.
-func Intersect(a, b AdjList) AdjList {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	return IntersectInto(make(AdjList, 0, minInt(len(a), len(b))), a, b)
-}
-
-// IntersectInto is the appending form of Intersect: it picks a kernel by
-// size ratio and appends the result to dst.
+// IntersectInto picks an exact-intersection kernel based on the size ratio
+// of the inputs and appends the result to dst. The 32x cutover matches the
+// E8 ablation crossover.
 func IntersectInto(dst AdjList, a, b AdjList) AdjList {
 	la, lb := len(a), len(b)
 	if la == 0 || lb == 0 {

@@ -9,6 +9,9 @@ import (
 	"testing/quick"
 )
 
+// intersect is IntersectInto with a fresh destination.
+func intersect(a, b AdjList) AdjList { return IntersectInto(nil, a, b) }
+
 // refIntersect is the trivially correct reference: map-count membership.
 func refIntersect(a, b AdjList) AdjList {
 	in := make(map[VertexID]bool, len(a))
@@ -90,7 +93,7 @@ func TestIntersectKernelsFixedCases(t *testing.T) {
 		for name, fn := range map[string]func(a, b AdjList) AdjList{
 			"merge":  IntersectMerge,
 			"gallop": IntersectGallop,
-			"auto":   Intersect,
+			"auto":   intersect,
 		} {
 			got := fn(c.a, c.b)
 			if !equalLists(got, c.want) {
@@ -118,7 +121,7 @@ func TestIntersectKernelsAgree(t *testing.T) {
 		if got := IntersectGallop(a, b); !equalLists(got, want) {
 			t.Fatalf("trial %d: gallop = %v, want %v", trial, got, want)
 		}
-		if got := Intersect(a, b); !equalLists(got, want) {
+		if got := IntersectInto(nil, a, b); !equalLists(got, want) {
 			t.Fatalf("trial %d: auto = %v, want %v", trial, got, want)
 		}
 	}
@@ -226,8 +229,8 @@ func TestIntersectQuickProperties(t *testing.T) {
 			b[i] = VertexID(v)
 		}
 		la, lb := NewAdjList(a), NewAdjList(b)
-		ab := Intersect(la, lb)
-		ba := Intersect(lb, la)
+		ab := IntersectInto(nil, la, lb)
+		ba := IntersectInto(nil, lb, la)
 		if !equalLists(ab, ba) {
 			return false
 		}
@@ -317,7 +320,7 @@ func TestIntersectKernelsTolerateDuplicates(t *testing.T) {
 	for name, fn := range map[string]func(a, b AdjList) AdjList{
 		"merge":  IntersectMerge,
 		"gallop": IntersectGallop,
-		"auto":   Intersect,
+		"auto":   intersect,
 	} {
 		if got := fn(a, b); !equalLists(got, want) {
 			t.Errorf("%s(%v, %v) = %v, want %v", name, a, b, got, want)
@@ -474,10 +477,10 @@ func TestIntersectDeterministic(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	a := randList(r, 1000, 10_000)
 	b := randList(r, 1000, 10_000)
-	first := Intersect(a, b)
+	first := IntersectInto(nil, a, b)
 	for i := 0; i < 5; i++ {
-		if got := Intersect(a, b); !reflect.DeepEqual(got, first) {
-			t.Fatal("Intersect is not deterministic")
+		if got := IntersectInto(nil, a, b); !reflect.DeepEqual(got, first) {
+			t.Fatal("IntersectInto is not deterministic")
 		}
 	}
 }

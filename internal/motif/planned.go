@@ -297,10 +297,6 @@ func (p *PlannedProgram) MaxFanout() int { return p.fanout }
 // MaxCandidates returns the per-event emission cap (0 = unlimited).
 func (p *PlannedProgram) MaxCandidates() int { return p.maxCands }
 
-// Expands returns the number of expansion hops between the threshold
-// survivors and the emitted users (0 for the diamond shape).
-func (p *PlannedProgram) Expands() int { return p.expands }
-
 // TriggerOnly reports whether the plan is the pruned k=1 shape that reads
 // no dynamic state.
 func (p *PlannedProgram) TriggerOnly() bool { return p.triggerOnly }

@@ -176,9 +176,14 @@ motif "deep" {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := p.(*motif.PlannedProgram)
-	if d.Expands() != 1 {
-		t.Fatalf("expands = %d, want 1", d.Expands())
+	expands := 0
+	for _, op := range p.(*motif.PlannedProgram).Ops() {
+		if op.Kind == motif.OpExpand {
+			expands++
+		}
+	}
+	if expands != 1 {
+		t.Fatalf("expands = %d, want 1", expands)
 	}
 }
 

@@ -57,9 +57,7 @@ func TestDecodeAllocBudget(t *testing.T) {
 	} {
 		st := benchSegment(shape.targets, shape.perTarget, shape.cands).segment()
 		var base, delta bytes.Buffer
-		if _, err := st.WriteBaseTo(&base); err != nil {
-			t.Fatal(err)
-		}
+		base.Write(st.AppendBase(nil))
 		if _, err := st.WriteTo(&delta); err != nil {
 			t.Fatal(err)
 		}

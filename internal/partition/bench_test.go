@@ -26,21 +26,17 @@ func BenchmarkCheckpointCompose(b *testing.B) {
 				st.Targets[c+graph.VertexID(2000*i)] = list
 			}
 		}
-		var buf bytes.Buffer
-		var err error
+		var data []byte
 		if i == 0 {
-			_, err = st.segment().WriteBaseTo(&buf)
+			data = st.segment().AppendBase(nil)
 		} else {
-			_, err = st.segment().WriteTo(&buf)
-		}
-		if err != nil {
-			b.Fatal(err)
+			data = st.segment().AppendDelta(nil)
 		}
 		paths = append(paths, filepath.Join(dir, string(rune('a'+i))))
-		if err := os.WriteFile(paths[i], buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(paths[i], data, 0o644); err != nil {
 			b.Fatal(err)
 		}
-		total += int64(buf.Len())
+		total += int64(len(data))
 	}
 	b.SetBytes(total)
 	b.ReportAllocs()
@@ -63,8 +59,6 @@ func BenchmarkCheckpointCompose(b *testing.B) {
 		}
 		st := Merge(true, chain...)
 		var out bytes.Buffer
-		if _, err := st.WriteBaseTo(&out); err != nil {
-			b.Fatal(err)
-		}
+		out.Write(st.AppendBase(nil))
 	}
 }

@@ -161,9 +161,7 @@ func (d *logDiff) check(op string) {
 		}
 	}
 	var live bytes.Buffer
-	if _, err := d.p.WriteTo(&live); err != nil {
-		d.t.Fatal(err)
-	}
+	live.Write(d.p.AppendBase(nil))
 	if want := baseBytes(d.t, d.ref.segment()); !bytes.Equal(live.Bytes(), want) {
 		d.t.Fatalf("after %s: base encodings differ (%d bytes, reference %d)", op, live.Len(), len(want))
 	}
@@ -210,9 +208,7 @@ func (d *logDiff) commit(user graph.VertexID, run, flags, vary byte) {
 // WriteTo → DecodeBase → LoadState.
 func (d *logDiff) restore(depth int) {
 	var buf bytes.Buffer
-	if _, err := d.p.WriteTo(&buf); err != nil {
-		d.t.Fatal(err)
-	}
+	buf.Write(d.p.AppendBase(nil))
 	s, err := DecodeBase(buf.Bytes(), nil)
 	if err != nil {
 		d.t.Fatal(err)
@@ -382,9 +378,7 @@ func TestItemCounterAddAll(t *testing.T) {
 		t.Fatalf("TopItems = %v, want %v", got, want)
 	}
 	var live bytes.Buffer
-	if _, err := p.WriteTo(&live); err != nil {
-		t.Fatal(err)
-	}
+	live.Write(p.AppendBase(nil))
 	if !bytes.Equal(live.Bytes(), baseBytes(t, ref.segment())) {
 		t.Fatal("base bytes differ from the per-candidate counter's")
 	}

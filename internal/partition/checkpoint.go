@@ -2,7 +2,6 @@ package partition
 
 import (
 	"encoding/binary"
-	"io"
 
 	"motifstream/internal/codecutil"
 	"motifstream/internal/core"
@@ -158,11 +157,6 @@ func (s *Segment) AppendBase(b []byte) []byte {
 	return codecutil.AppendChecksum(b, start)
 }
 
-// WriteBaseTo writes AppendBase's bytes to w.
-func (s *Segment) WriteBaseTo(w io.Writer) (int64, error) {
-	return codecutil.WriteTo(w, s.AppendBase(nil))
-}
-
 // DecodeBase parses a whole base checkpoint file written by AppendBase. The
 // file's CRC32C trailer is verified over the whole buffer before anything is
 // parsed, then the embedded D snapshot's over its own range. The segment's
@@ -220,11 +214,6 @@ func (p *Partition) AppendBase(b []byte) []byte {
 	p.items.mu.RUnlock()
 	b = p.engine.AppendState(b)
 	return codecutil.AppendChecksum(b, start)
-}
-
-// WriteTo writes AppendBase's bytes, implementing io.WriterTo.
-func (p *Partition) WriteTo(w io.Writer) (int64, error) {
-	return codecutil.WriteTo(w, p.AppendBase(nil))
 }
 
 // Reset drops all recoverable state — D contents, the sweep clock, the

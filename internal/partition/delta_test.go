@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math/rand"
 	"testing"
 	"time"
@@ -47,6 +46,9 @@ func applyDiamonds(p *Partition, t0 int64, from, to int) {
 		p.Apply(graph.Edge{Src: 11, Dst: item, Type: graph.Follow, TS: t0 + int64(i)*10 + 1})
 	}
 }
+
+// fingerprint is a live partition's state fingerprint (its base's trailer).
+func fingerprint(p *Partition) uint32 { return FingerprintOf(p.AppendBase(nil)) }
 
 // applyDelta decodes one delta segment file and folds it onto base — the
 // restore path's composition step. A segment that does not decode folds
@@ -151,26 +153,20 @@ func TestFingerprintDistinguishesStates(t *testing.T) {
 	for name, mutate := range variants {
 		st := snapshot(t, build())
 		mutate(st)
-		fp, err := st.Fingerprint()
-		if err != nil {
-			t.Fatal(err)
-		}
+		fp := st.Fingerprint()
 		// The live form must agree with the composed form for the same
 		// state, and so distinguish exactly the same variants.
 		live := deltaWorkloadPartition(t)
 		live.LoadState(st)
-		if liveFP, err := live.Fingerprint(); err != nil || liveFP != fp {
-			t.Fatalf("%s: live fingerprint %08x (err %v) != composed %08x", name, liveFP, err, fp)
+		if liveFP := fingerprint(live); liveFP != fp {
+			t.Fatalf("%s: live fingerprint %08x != composed %08x", name, liveFP, fp)
 		}
 		if other, dup := seen[fp]; dup {
 			t.Fatalf("states %q and %q share fingerprint %08x", name, other, fp)
 		}
 		seen[fp] = name
 	}
-	want, err := base.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := base.Fingerprint()
 	if seen[want] != "identical" {
 		t.Fatalf("rebuilding the same state fingerprints to %q's value, not its own", seen[want])
 	}
@@ -220,20 +216,15 @@ func TestComposePathsFingerprintEqual(t *testing.T) {
 				segs = append(segs, buf.Bytes())
 			}
 			want := snapshot(t, live)
-			wantFP, err := want.Fingerprint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			liveFP, err := live.Fingerprint()
-			if err != nil {
-				t.Fatal(err)
-			}
+			wantFP := want.Fingerprint()
+			liveFP := fingerprint(live)
 			if liveFP != wantFP {
 				t.Fatalf("live partition fingerprint %08x != captured state %08x", liveFP, wantFP)
 			}
 
 			// Path 1: compose the replica's own chain.
 			chain := base
+			var err error
 			for _, seg := range segs {
 				if chain, err = applyDelta(chain, seg); err != nil {
 					t.Fatal(err)
@@ -242,8 +233,8 @@ func TestComposePathsFingerprintEqual(t *testing.T) {
 			if !statesEqual(chain, want) {
 				t.Fatal("own-chain composition diverged from live capture")
 			}
-			if fp, err := chain.Fingerprint(); err != nil || fp != wantFP {
-				t.Fatalf("own-chain fingerprint %08x (err %v), want %08x", fp, err, wantFP)
+			if fp := chain.Fingerprint(); fp != wantFP {
+				t.Fatalf("own-chain fingerprint %08x, want %08x", fp, wantFP)
 			}
 
 			// Path 2: the pool base — the state round-tripped through the
@@ -251,9 +242,7 @@ func TestComposePathsFingerprintEqual(t *testing.T) {
 			// the file's last four bytes — the CRC32C of the payload
 			// before them — ARE the fingerprint.
 			var file bytes.Buffer
-			if _, err := want.WriteBaseTo(&file); err != nil {
-				t.Fatal(err)
-			}
+			file.Write(want.AppendBase(nil))
 			payload, trailer := file.Bytes()[:file.Len()-4], file.Bytes()[file.Len()-4:]
 			if crc := codecutil.CRC32C(payload); crc != wantFP || binary.LittleEndian.Uint32(trailer) != wantFP {
 				t.Fatalf("payload CRC %08x / trailer %08x != state fingerprint %08x",
@@ -266,8 +255,8 @@ func TestComposePathsFingerprintEqual(t *testing.T) {
 			if !statesEqual(pool, want) {
 				t.Fatal("pool-base round trip diverged from live capture")
 			}
-			if fp, err := pool.Fingerprint(); err != nil || fp != wantFP {
-				t.Fatalf("pool-base fingerprint %08x (err %v), want %08x", fp, err, wantFP)
+			if fp := pool.Fingerprint(); fp != wantFP {
+				t.Fatalf("pool-base fingerprint %08x, want %08x", fp, wantFP)
 			}
 
 			// Path 3: deterministic replay from scratch — same edges, fresh
@@ -283,8 +272,8 @@ func TestComposePathsFingerprintEqual(t *testing.T) {
 			if !statesEqual(got, want) {
 				t.Fatal("deterministic replay diverged from live capture")
 			}
-			if fp, err := got.Fingerprint(); err != nil || fp != wantFP {
-				t.Fatalf("replay fingerprint %08x (err %v), want %08x", fp, err, wantFP)
+			if fp := got.Fingerprint(); fp != wantFP {
+				t.Fatalf("replay fingerprint %08x, want %08x", fp, wantFP)
 			}
 		})
 	}
@@ -345,9 +334,7 @@ func TestDeltaCutPauseBounded(t *testing.T) {
 	}
 
 	full := minOver(5, func() {
-		if _, err := p.WriteTo(io.Discard); err != nil {
-			t.Fatal(err)
-		}
+		p.AppendBase(nil)
 	})
 
 	// Dirty a handful of targets before each run and time only the cut.

@@ -30,10 +30,5 @@ func FingerprintOf(base []byte) uint32 {
 }
 
 // Fingerprint returns the CRC32C fingerprint of the state a base segment
-// holds. The error is always nil.
-func (s *Segment) Fingerprint() (uint32, error) { return FingerprintOf(s.AppendBase(nil)), nil }
-
-// Fingerprint returns the live partition's CRC32C fingerprint, encoded from
-// the live structures under their read locks. The caller must not run Apply
-// concurrently — same contract as AppendBase. The error is always nil.
-func (p *Partition) Fingerprint() (uint32, error) { return FingerprintOf(p.AppendBase(nil)), nil }
+// holds.
+func (s *Segment) Fingerprint() uint32 { return FingerprintOf(s.AppendBase(nil)) }

@@ -104,9 +104,7 @@ func statesEqual(a, b *Segment) bool {
 func snapshot(t testing.TB, p *Partition) *Segment {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := p.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf.Write(p.AppendBase(nil))
 	s, err := DecodeBase(buf.Bytes(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -118,8 +116,6 @@ func snapshot(t testing.TB, p *Partition) *Segment {
 func baseBytes(t testing.TB, s *Segment) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := s.WriteBaseTo(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf.Write(s.AppendBase(nil))
 	return buf.Bytes()
 }

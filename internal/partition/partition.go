@@ -196,8 +196,3 @@ func (p *Partition) RecommendationsFor(a graph.VertexID) []motif.Candidate {
 	}
 	return p.log.get(a)
 }
-
-// Owns reports whether this partition owns user a.
-func (p *Partition) Owns(a graph.VertexID) bool {
-	return p.part.PartitionOf(a) == p.id
-}

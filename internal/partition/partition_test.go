@@ -102,7 +102,7 @@ func TestPartitionDetectsFigure1(t *testing.T) {
 	if len(recs) != 1 || recs[0].Item != 99 {
 		t.Fatalf("RecommendationsFor(2) = %v", recs)
 	}
-	if !p.Owns(2) {
+	if p.part.PartitionOf(2) != p.id {
 		t.Fatal("single partition must own everyone")
 	}
 	if p.ID() != 0 || p.Engine() == nil {
@@ -155,7 +155,7 @@ func TestPartitionLocality(t *testing.T) {
 	for _, e := range dyn {
 		for _, p := range parts {
 			for _, c := range p.Apply(e) {
-				if !p.Owns(c.User) {
+				if p.part.PartitionOf(c.User) != p.id {
 					t.Fatalf("partition %d emitted candidate for foreign user %d", p.ID(), c.User)
 				}
 				combined = append(combined, c)

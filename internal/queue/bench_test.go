@@ -11,7 +11,7 @@ import (
 func BenchmarkPublishFanOut(b *testing.B) {
 	for _, subs := range []int{1, 8, 32} {
 		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
-			t := NewTopic[int](Options{Buffer: 1 << 16})
+			t := NewTopicWithLog[int](Options{Buffer: 1 << 16}, nil)
 			done := make(chan struct{}, subs)
 			for i := 0; i < subs; i++ {
 				ch := t.Subscribe()

@@ -136,14 +136,9 @@ type Options struct {
 	Ordered bool
 }
 
-// NewTopic creates a Topic that retains nothing: subscribers see what is
-// published after they subscribe. Use NewTopicWithLog for replay.
-func NewTopic[T any](opts Options) *Topic[T] {
-	return NewTopicWithLog[T](opts, nil)
-}
-
 // NewTopicWithLog creates a Topic whose retained log is stored in the
-// given backend; a nil backend retains nothing. Pass an opened WAL to make
+// given backend; a nil backend retains nothing: subscribers see what is
+// published after they subscribe. Pass an opened WAL to make
 // the log durable: offsets then survive the process, and the topic resumes
 // publishing from the backend's end. The topic does
 // not take ownership — the caller closes a durable backend itself, after

@@ -7,7 +7,7 @@ import (
 )
 
 func TestTopicFanOut(t *testing.T) {
-	topic := NewTopic[int](Options{Name: "t"})
+	topic := NewTopicWithLog[int](Options{Name: "t"}, nil)
 	s1 := topic.Subscribe()
 	s2 := topic.Subscribe()
 	if err := topic.Publish(42, 0); err != nil {
@@ -28,7 +28,7 @@ func TestTopicFanOut(t *testing.T) {
 }
 
 func TestTopicOrderingPerSubscriber(t *testing.T) {
-	topic := NewTopic[int](Options{Buffer: 100})
+	topic := NewTopicWithLog[int](Options{Buffer: 100}, nil)
 	sub := topic.Subscribe()
 	for i := 0; i < 50; i++ {
 		topic.Publish(i, 0)
@@ -47,7 +47,7 @@ func TestTopicOrderingPerSubscriber(t *testing.T) {
 }
 
 func TestTopicCloseSemantics(t *testing.T) {
-	topic := NewTopic[int](Options{})
+	topic := NewTopicWithLog[int](Options{}, nil)
 	sub := topic.Subscribe()
 	topic.Close()
 	if _, ok := <-sub; ok {
@@ -65,7 +65,7 @@ func TestTopicCloseSemantics(t *testing.T) {
 }
 
 func TestTopicBackpressure(t *testing.T) {
-	topic := NewTopic[int](Options{Buffer: 1})
+	topic := NewTopicWithLog[int](Options{Buffer: 1}, nil)
 	sub := topic.Subscribe()
 	topic.Publish(1, 0) // fills the buffer
 	done := make(chan struct{})
@@ -87,7 +87,7 @@ func TestTopicBackpressure(t *testing.T) {
 }
 
 func TestTopicConcurrentPublish(t *testing.T) {
-	topic := NewTopic[int](Options{Buffer: 10_000})
+	topic := NewTopicWithLog[int](Options{Buffer: 10_000}, nil)
 	sub := topic.Subscribe()
 	var wg sync.WaitGroup
 	const writers = 4

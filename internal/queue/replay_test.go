@@ -7,7 +7,7 @@ import (
 )
 
 func TestEnvelopeOffsetsAreSequential(t *testing.T) {
-	topic := NewTopic[int](Options{Buffer: 16})
+	topic := NewTopicWithLog[int](Options{Buffer: 16}, nil)
 	sub := topic.Subscribe()
 	for i := 0; i < 10; i++ {
 		topic.Publish(i, 0)
@@ -26,7 +26,7 @@ func TestEnvelopeOffsetsAreSequential(t *testing.T) {
 }
 
 func TestSubscribeFromRequiresRetention(t *testing.T) {
-	topic := NewTopic[int](Options{})
+	topic := NewTopicWithLog[int](Options{}, nil)
 	if _, err := topic.SubscribeFrom(0); err != ErrNotRetained {
 		t.Fatalf("SubscribeFrom on non-retained topic = %v, want ErrNotRetained", err)
 	}
@@ -99,7 +99,7 @@ func TestSubscribeFromOnClosedTopicDrainsThenCloses(t *testing.T) {
 }
 
 func TestUnsubscribeReleasesBlockedPublisher(t *testing.T) {
-	topic := NewTopic[int](Options{Buffer: 1})
+	topic := NewTopicWithLog[int](Options{Buffer: 1}, nil)
 	dead := topic.Subscribe()
 	live := topic.Subscribe()
 	// Drain the live subscriber continuously so only dead's buffer wedges.

@@ -37,7 +37,7 @@ func TestTruncateBelowDropsPrefix(t *testing.T) {
 }
 
 func TestTruncateBelowNonRetainedIsNoop(t *testing.T) {
-	topic := NewTopic[int](Options{})
+	topic := NewTopicWithLog[int](Options{}, nil)
 	topic.Publish(1, 0)
 	if got := topic.TruncateBelow(1); got != 0 {
 		t.Fatalf("non-retained TruncateBelow dropped %d", got)

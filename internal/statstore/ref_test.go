@@ -132,9 +132,9 @@ func FuzzStaticBuild(f *testing.F) {
 			for _, l := range ref.followers {
 				refEdges += uint64(len(l))
 			}
-			if snap.NumEdges() != refEdges || snap.NumInfluencers() != len(ref.followers) {
-				t.Fatalf("NumEdges, NumInfluencers = %d, %d, reference %d, %d (edges %v)",
-					snap.NumEdges(), snap.NumInfluencers(), refEdges, len(ref.followers), edges)
+			if snap.NumEdges() != refEdges || snap.followers.Len() != len(ref.followers) {
+				t.Fatalf("NumEdges, influencers = %d, %d, reference %d, %d (edges %v)",
+					snap.NumEdges(), snap.followers.Len(), refEdges, len(ref.followers), edges)
 			}
 			for _, v := range vs {
 				if got, want := snap.Followers(v), ref.followers[v]; !slices.Equal(got, want) {

@@ -73,10 +73,6 @@ func (s *Snapshot) Follows(a, c graph.VertexID) bool {
 	return s.follows.Row(a).Contains(c)
 }
 
-// NumInfluencers returns the number of distinct B's with at least one
-// in-partition follower.
-func (s *Snapshot) NumInfluencers() int { return s.followers.Len() }
-
 // NumEdges returns the total A→B edges retained in S.
 func (s *Snapshot) NumEdges() uint64 { return uint64(s.followers.NumValues()) }
 

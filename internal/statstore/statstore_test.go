@@ -26,8 +26,8 @@ func TestBuildBasic(t *testing.T) {
 	if snap.Followers(99) != nil {
 		t.Fatal("unknown B should have nil followers")
 	}
-	if snap.NumInfluencers() != 2 {
-		t.Fatalf("NumInfluencers = %d, want 2", snap.NumInfluencers())
+	if snap.followers.Len() != 2 {
+		t.Fatalf("influencers = %d, want 2", snap.followers.Len())
 	}
 	if snap.NumEdges() != 4 {
 		t.Fatalf("NumEdges = %d, want 4", snap.NumEdges())
@@ -260,7 +260,7 @@ func TestConcurrentReadDuringReload(t *testing.T) {
 func TestBuildEmpty(t *testing.T) {
 	b := &Builder{}
 	snap := b.Build(nil)
-	if snap.NumInfluencers() != 0 || snap.NumEdges() != 0 {
+	if snap.followers.Len() != 0 || snap.NumEdges() != 0 {
 		t.Fatal("empty build should be empty")
 	}
 	if snap.Followers(0) != nil || snap.Follows(0, 0) {

@@ -1,10 +1,8 @@
-// Package stream provides edge-event sources and sinks: in-memory sources
-// for tests and benchmarks, a binary on-disk format for recorded streams
-// (written by cmd/loadgen, replayed by cmd/magicrecs), and a
-// rate-controlled producer that feeds a queue topic at a target
-// events-per-second rate. In paper terms this package plays the role of
-// the firehose: "a data source (e.g., message queue) that provides a
-// stream of graph edges as they are created in real-time".
+// Package stream is the binary on-disk format for recorded edge streams,
+// written by cmd/loadgen and replayed by cmd/magicrecs. In paper terms a
+// recorded stream stands in for the firehose: "a data source (e.g., message
+// queue) that provides a stream of graph edges as they are created in
+// real-time".
 package stream
 
 import (
@@ -15,40 +13,6 @@ import (
 
 	"motifstream/internal/graph"
 )
-
-// Source yields edges in timestamp order.
-type Source interface {
-	// Next returns the next edge; ok is false when the stream is
-	// exhausted.
-	Next() (e graph.Edge, ok bool)
-}
-
-// SliceSource replays a fixed edge slice.
-type SliceSource struct {
-	edges []graph.Edge
-	pos   int
-}
-
-// NewSliceSource wraps edges (not copied).
-func NewSliceSource(edges []graph.Edge) *SliceSource {
-	return &SliceSource{edges: edges}
-}
-
-// Next implements Source.
-func (s *SliceSource) Next() (graph.Edge, bool) {
-	if s.pos >= len(s.edges) {
-		return graph.Edge{}, false
-	}
-	e := s.edges[s.pos]
-	s.pos++
-	return e, true
-}
-
-// Reset rewinds to the beginning.
-func (s *SliceSource) Reset() { s.pos = 0 }
-
-// Len returns the total number of edges.
-func (s *SliceSource) Len() int { return len(s.edges) }
 
 // streamMagic identifies the binary edge-stream format, version 1.
 var streamMagic = [8]byte{'M', 'S', 'T', 'R', 'E', 'A', 'M', 1}

@@ -6,36 +6,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"motifstream/internal/graph"
 )
-
-func TestSliceSource(t *testing.T) {
-	edges := []graph.Edge{
-		{Src: 1, Dst: 2, TS: 10},
-		{Src: 3, Dst: 4, TS: 20},
-	}
-	s := NewSliceSource(edges)
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	e1, ok := s.Next()
-	if !ok || e1.Src != 1 {
-		t.Fatalf("first = %v, %v", e1, ok)
-	}
-	e2, ok := s.Next()
-	if !ok || e2.Src != 3 {
-		t.Fatalf("second = %v, %v", e2, ok)
-	}
-	if _, ok := s.Next(); ok {
-		t.Fatal("exhausted source yielded an edge")
-	}
-	s.Reset()
-	if e, ok := s.Next(); !ok || e.Src != 1 {
-		t.Fatal("Reset did not rewind")
-	}
-}
 
 func TestWriteReadRoundTrip(t *testing.T) {
 	edges := []graph.Edge{
@@ -126,91 +99,5 @@ func TestRoundTripRandom(t *testing.T) {
 		if n > 0 && !reflect.DeepEqual(got, edges) {
 			t.Fatalf("trial %d: round trip mismatch", trial)
 		}
-	}
-}
-
-type collector struct {
-	edges []graph.Edge
-}
-
-func (c *collector) Publish(e graph.Edge) error {
-	c.edges = append(c.edges, e)
-	return nil
-}
-
-func TestProducerUnthrottled(t *testing.T) {
-	edges := make([]graph.Edge, 1_000)
-	for i := range edges {
-		edges[i] = graph.Edge{Src: graph.VertexID(i), Dst: 1, TS: int64(i)}
-	}
-	var sink collector
-	p := &Producer{Source: NewSliceSource(edges)}
-	stats, err := p.Run(&sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Events != 1_000 || len(sink.edges) != 1_000 {
-		t.Fatalf("published %d / collected %d", stats.Events, len(sink.edges))
-	}
-}
-
-func TestProducerThrottled(t *testing.T) {
-	const n = 400
-	edges := make([]graph.Edge, n)
-	var sink collector
-	p := &Producer{
-		Source: NewSliceSource(edges),
-		Rate:   2_000, // 400 events at 2000/s = 200ms minimum
-		Batch:  50,
-	}
-	start := time.Now()
-	stats, err := p.Run(&sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	if elapsed < 150*time.Millisecond {
-		t.Fatalf("run finished in %v; throttle not applied", elapsed)
-	}
-	got := float64(stats.Events) / stats.Elapsed.Seconds()
-	if got > 3_000 {
-		t.Fatalf("achieved %.0f events/s, want <= ~2000", got)
-	}
-}
-
-type failer struct{ after int }
-
-func (f *failer) Publish(graph.Edge) error {
-	f.after--
-	if f.after < 0 {
-		return errFail
-	}
-	return nil
-}
-
-var errFail = &failError{}
-
-type failError struct{}
-
-func (*failError) Error() string { return "fail" }
-
-func TestProducerStopsOnPublishError(t *testing.T) {
-	edges := make([]graph.Edge, 100)
-	p := &Producer{Source: NewSliceSource(edges)}
-	stats, err := p.Run(&failer{after: 10})
-	if err == nil {
-		t.Fatal("expected publish error")
-	}
-	if stats.Events != 10 {
-		t.Fatalf("Events = %d, want 10 successful", stats.Events)
-	}
-}
-
-func TestPublisherFunc(t *testing.T) {
-	n := 0
-	var pub Publisher = PublisherFunc(func(graph.Edge) error { n++; return nil })
-	pub.Publish(graph.Edge{})
-	if n != 1 {
-		t.Fatal("PublisherFunc not invoked")
 	}
 }

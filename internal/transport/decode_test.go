@@ -9,7 +9,6 @@ import (
 	"slices"
 	"testing"
 
-	"motifstream/internal/codecutil"
 	"motifstream/internal/graph"
 	"motifstream/internal/motif"
 	"motifstream/internal/queue"
@@ -219,7 +218,7 @@ func TestReadMsgZeroAlloc(t *testing.T) {
 	}
 	payload := encodeEnvBatch(nil, logMeta{7, 100, 5}, []queue.Envelope[graph.Edge]{{Offset: 9, Msg: graph.Edge{Src: 1, Dst: 2}}})
 	var fb bytes.Buffer
-	if err := codecutil.WriteFrame(&fb, payload); err != nil {
+	if err := writeFrame(&fb, payload); err != nil {
 		t.Fatal(err)
 	}
 	c := &conn{br: bufio.NewReaderSize(&repeatReader{b: fb.Bytes()}, 64<<10)}

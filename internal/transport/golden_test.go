@@ -90,7 +90,7 @@ func TestWireGoldenFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 		var fb bytes.Buffer
-		if err := codecutil.WriteFrame(&fb, g.payload); err != nil {
+		if err := writeFrame(&fb, g.payload); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(fb.Bytes(), data) {

@@ -364,15 +364,13 @@ func (s *Server) handleCands(c *conn, body []byte) {
 		wr := wireCursor(payload[1:])
 		switch payload[0] {
 		case msgCandBatch:
+			// A worker writes each frame once per connection, so seqs
+			// rise; a frame resent after a reconnect arrives on a fresh
+			// connection, and the delivery tier's offset filter drops what
+			// an earlier one already delivered.
 			seq, msgs, err := decodeCandBatch(wr, dec)
 			if err != nil {
 				return
-			}
-			if seq <= lastSeq && lastSeq > 0 {
-				// Duplicate after reconnect-with-resend; the delivery
-				// filter would drop the contents anyway, skip the publish.
-				writeAck(lastSeq)
-				continue
 			}
 			if err := b.DeliverCandidates(msgs); err != nil {
 				return

@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
+	"io"
 	"net"
 	"slices"
 	"sync"
@@ -18,6 +20,11 @@ import (
 	"motifstream/internal/partition"
 	"motifstream/internal/queue"
 )
+
+// writeFrame frames payload onto w the way a connection writes a message.
+func writeFrame(w io.Writer, payload []byte) error {
+	return (&conn{bw: bufio.NewWriter(w)}).writeMsg(payload)
+}
 
 // fakeHub is an in-memory HubBackend: a tiny replayable log plus
 // recorders for every callback, so transport behavior is testable
@@ -299,7 +306,7 @@ func TestOldProtocolVersionRefused(t *testing.T) {
 		old := connMagic
 		old[7] = version
 		nc.Write(old[:])
-		codecutil.WriteFrame(nc, encodeHelloFeed(helloFeed{resume: 9}))
+		writeFrame(nc, encodeHelloFeed(helloFeed{resume: 9}))
 		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
 		if n, err := nc.Read(make([]byte, 16)); err == nil {
 			t.Fatalf("server answered a version-%d preamble with %d bytes", version, n)
@@ -637,7 +644,7 @@ func TestFramePartialReads(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := [][]byte{[]byte("first frame"), encodeEnvBatch(nil, logMeta{1, 2, 3}, []queue.Envelope[graph.Edge]{{Offset: 9}})}
 	for _, p := range payloads {
-		if err := codecutil.WriteFrame(&buf, p); err != nil {
+		if err := writeFrame(&buf, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -661,7 +668,7 @@ func TestFrameOversized(t *testing.T) {
 	codecutil.EncodeFrameHeader(hdr[:], huge)
 	// Rewrite the length field to a hostile claim, keeping the real CRC.
 	var buf bytes.Buffer
-	codecutil.WriteFrame(&buf, huge)
+	writeFrame(&buf, huge)
 	b := buf.Bytes()
 	b[0], b[1], b[2], b[3] = 0xff, 0xff, 0xff, 0x7f
 	if _, err := codecutil.ReadFrame(bytes.NewReader(b), nil, maxFrame); err == nil {
@@ -679,7 +686,7 @@ func TestFramePrefixesAndBitFlipsRejected(t *testing.T) {
 		{User: 5, Item: 9, Via: []graph.VertexID{7}, Program: "diamond", Score: 1},
 	}}})
 	var fb bytes.Buffer
-	if err := codecutil.WriteFrame(&fb, payload); err != nil {
+	if err := writeFrame(&fb, payload); err != nil {
 		t.Fatal(err)
 	}
 	frame := fb.Bytes()
@@ -774,8 +781,8 @@ func FuzzTransportFrame(f *testing.F) {
 			return
 		}
 		var fb bytes.Buffer
-		if err := codecutil.WriteFrame(&fb, data); err != nil {
-			t.Fatalf("WriteFrame: %v", err)
+		if err := writeFrame(&fb, data); err != nil {
+			t.Fatalf("writeFrame: %v", err)
 		}
 		framed := fb.Bytes()
 		got, err := codecutil.ReadFrame(bytes.NewReader(framed), nil, maxFrame)
