@@ -166,8 +166,15 @@ test-benchmark:
 # a // comment): one row per internal/* package, one for the root package,
 # one per cmd/*, and a total row over every non-test Go file outside
 # benchmark/ (examples/ included) — the yardstick the simplification items on
-# the ROADMAP are held to.
+# the ROADMAP are held to. Its last three rows are the yardstick's option
+# counts, read from the source: the fields of cluster.Config and of the
+# facade's ClusterOptions (a line declaring several names counts each), and
+# the flags cmd/magicrecs registers on its flag set.
 LOC_AWK = { sub(/^[ \t]+/, "") } !/^$$/ && !/^\/\// { code++ } END { printf "%-22s %6d lines %6d code\n", pkg, NR, code }
+FIELDS_AWK = $$0 == "type " name " struct {" { on = 1; next } on && /^}/ { on = 0 } \
+	on && match($$0, /^\t[A-Za-z_][A-Za-z0-9_]*(, *[A-Za-z_][A-Za-z0-9_]*)*[ \t]/) { s = substr($$0, 1, RLENGTH); n += gsub(/,/, "", s) + 1 } \
+	END { printf "%-22s %6d fields\n", label, n }
+FLAGS_AWK = { n += gsub(/fs\.[A-Z][A-Za-z0-9]*\("/, "") } END { printf "%-22s %6d flags\n", "magicrecs flags", n }
 loc:
 	@for d in internal/*/ cmd/*/; do \
 		find $$d -name '*.go' ! -name '*_test.go' | xargs cat | awk -v pkg=$$d '$(LOC_AWK)'; \
@@ -175,6 +182,9 @@ loc:
 	@find . -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | awk -v pkg='(root package)' '$(LOC_AWK)'
 	@find . -path ./benchmark -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | \
 		xargs cat | awk -v pkg='total (no benchmark/)' '$(LOC_AWK)'
+	@awk -v name=Config -v label=cluster.Config '$(FIELDS_AWK)' internal/cluster/cluster.go
+	@awk -v name=ClusterOptions -v label=ClusterOptions '$(FIELDS_AWK)' cluster.go
+	@find cmd/magicrecs -name '*.go' ! -name '*_test.go' | xargs cat | awk '$(FLAGS_AWK)'
 
 # soak-flake is the nightly soak of the once-flaky scale-out scenario
 # (the zombie-cut bug): 200 consecutive runs, any recurrence fails.
