@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test test-race examples test-allocs test-crashmatrix test-delivery test-elasticity test-audit test-parallel test-transport test-planner test-codec test-benchmark loc soak-flake soak soak-net bench bench-smoke fuzz fuzz-smoke
+.PHONY: check build vet test test-race examples test-allocs test-crashmatrix test-delivery test-elasticity test-audit test-parallel test-transport test-planner test-codec test-benchmark loc test-times soak-flake soak soak-net bench bench-smoke fuzz fuzz-smoke
 
 # check is the CI gate: formatting, static analysis, the full test suite
 # under the race detector — once — and only what that run does not cover:
@@ -107,7 +107,7 @@ test-parallel: test-allocs
 	$(GO) test -race -run 'TestApplyLoop|TestParallelApply|TestCkptClock|TestCheckpointClockOutlier|TestDetectBatch|TestLatencyMetricSplit' ./internal/cluster ./internal/core
 
 # test-transport runs the networked tier under the race detector: the
-# wire codec, its version-4 golden frames and the fault tests in
+# wire codec, its version-5 golden frames and the fault tests in
 # internal/transport, with the read-path tests (TestRemoteRead*: a round
 # trip on the feed connection, a read in flight across a drop, a read behind
 # a full, undrained feed), plus the loopback multi-process cluster suite (hub
@@ -185,6 +185,18 @@ loc:
 	@awk -v name=Config -v label=cluster.Config '$(FIELDS_AWK)' internal/cluster/cluster.go
 	@awk -v name=ClusterOptions -v label=ClusterOptions '$(FIELDS_AWK)' cluster.go
 	@find cmd/magicrecs -name '*.go' ! -name '*_test.go' | xargs cat | awk '$(FLAGS_AWK)'
+
+# test-times runs one package's tests once (PKG, default ./internal/cluster)
+# and prints every test's and subtest's wall time from go test -json, slowest
+# first, then the package's own; a failed test is marked FAIL. It is the
+# per-test table a change to the suite's running time is reported with.
+PKG ?= ./internal/cluster
+TIMES_AWK = /"Action":"(pass|fail)"/ && match($$0, /"Elapsed":[0-9.]+/) { \
+		e = substr($$0, RSTART + 10, RLENGTH - 10); \
+		t = match($$0, /"Test":"[^"]*"/) ? substr($$0, RSTART + 8, RLENGTH - 9) : "(package total)"; \
+		printf "%9.2fs  %s%s\n", e, t, ($$0 ~ /"Action":"fail"/) ? "  FAIL" : "" }
+test-times:
+	@$(GO) test -json -count=1 $(PKG) | awk '$(TIMES_AWK)' | sort -rn
 
 # soak-flake is the nightly soak of the once-flaky scale-out scenario
 # (the zombie-cut bug): 200 consecutive runs, any recurrence fails.

@@ -121,9 +121,11 @@ type ClusterOptions struct {
 	// OwnedReplicas lists the (partition, replica) slots a worker process
 	// owns. Required with Join, forbidden otherwise.
 	OwnedReplicas [][2]int
-	// NetDrainTimeout bounds networked shutdown flushes (the hub's wait
-	// for worker reconnects to quiesce, a worker's candidate-ack wait);
-	// zero selects 30s. Ignored without Listen/Join.
+	// NetDrainTimeout bounds networked shutdown flushes: a hub's wait for
+	// the FIN every worker-attached slot owes (past it, Shutdown returns an
+	// error naming the slots that never finished), a worker's wait for its
+	// candidate acks and its FIN's; zero selects 30s. Ignored without
+	// Listen/Join.
 	NetDrainTimeout time.Duration
 	// Audit enables the detection-state fingerprint audit: every
 	// checkpoint cut records a CRC32C fingerprint of the replica's full
@@ -255,19 +257,22 @@ func ReopenCluster(staticEdges []Edge, opts ClusterOptions) (*Cluster, error) {
 func (c *Cluster) Publish(e Edge) error { return c.inner.Publish(e) }
 
 // Stop drains and shuts down the cluster (the auto-healer first, so no
-// re-provision can race the teardown). Safe to call multiple times.
-func (c *Cluster) Stop() {
+// re-provision can race the teardown). Safe to call multiple times; only
+// the first call returns an error: on a networked hub, the slots whose
+// workers never finished within NetDrainTimeout, on a worker what Wait
+// reports.
+func (c *Cluster) Stop() error {
 	c.stopHealer()
-	c.inner.Stop()
+	return c.inner.Stop()
 }
 
 // Shutdown gracefully stops a checkpointing cluster: everything drained, a
 // final checkpoint cut per replica, and the on-disk log fsynced — the
 // state a later ReopenCluster resumes from losslessly. Equivalent to Stop
-// on clusters without CheckpointDir.
-func (c *Cluster) Shutdown() {
+// on clusters without CheckpointDir, and returns the same errors.
+func (c *Cluster) Shutdown() error {
 	c.stopHealer()
-	c.inner.Shutdown()
+	return c.inner.Shutdown()
 }
 
 func (c *Cluster) stopHealer() {
@@ -282,9 +287,11 @@ func (c *Cluster) stopHealer() {
 func (c *Cluster) ListenAddr() string { return c.inner.ListenAddr() }
 
 // Wait blocks until the hub ends the stream, then runs the worker's full
-// durable stop (final checkpoint cuts gated on candidate acks). This is a
-// networked worker process's main loop — construct, Wait, exit. Errors on
-// non-worker deployments.
+// durable stop (final checkpoint cuts gated on candidate acks, then the FIN
+// naming the slots it finished). This is a networked worker process's main
+// loop — construct, Wait, exit — and its error is what ended the worker
+// abnormally: a hello the hub rejected, a hub unreachable for a whole outage
+// budget, a FIN exchange that failed. Errors on non-worker deployments.
 func (c *Cluster) Wait() error { return c.inner.Wait() }
 
 // Abort tears a networked worker down as a crash would: connections

@@ -303,7 +303,9 @@ func run(args []string, errOut io.Writer) int {
 			// Shut down before reading stats: the drain delivers whatever
 			// is still in flight in the firehose and delivery queues, and
 			// those pushes belong in this run's totals.
-			clu.Shutdown()
+			if err := clu.Shutdown(); err != nil {
+				log.Fatalf("shutdown at event %d: %v", i, err)
+			}
 			s := clu.Stats()
 			delivered += s.Delivered
 			ingested += s.Events
@@ -323,7 +325,9 @@ func run(args []string, errOut io.Writer) int {
 				i+1, delivered+s.Delivered, time.Since(start).Round(time.Millisecond))
 		}
 	}
-	clu.Shutdown()
+	if err := clu.Shutdown(); err != nil {
+		log.Fatalf("shutdown: %v", err)
+	}
 	wall := time.Since(start)
 
 	// A networked shutdown ends every worker's stream; collect the

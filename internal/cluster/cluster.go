@@ -213,9 +213,11 @@ type Config struct {
 	// OwnedReplicas lists the (partition, replica) slots a worker process
 	// owns. Required with Join, forbidden otherwise.
 	OwnedReplicas [][2]int
-	// NetDrainTimeout bounds shutdown flushes: the hub's wait for worker
-	// candidate FINs and a worker's wait for candidate acks before a
-	// final checkpoint cut (default 30s).
+	// NetDrainTimeout bounds networked shutdown flushes (default 30s): a
+	// listening hub's wait for the FIN every slot that attached during its
+	// run owes — past it the durable close still runs and Shutdown returns
+	// an error naming the slots that never sent one — and a worker's waits
+	// for its candidate acks, before a final checkpoint cut and for its FIN.
 	NetDrainTimeout time.Duration
 }
 
@@ -466,8 +468,10 @@ func (c *Cluster) Publish(e graph.Edge) error {
 // mid-catch-up finishes its replay first — then stops the checkpoint
 // writers (pending cuts land on disk), closes the candidate queue, and
 // waits for delivery. Safe to call multiple times; must not be called
-// concurrently with RestoreReplica.
-func (c *Cluster) Stop() { c.stop(false) }
+// concurrently with RestoreReplica. Only the first call returns an error: a
+// listening hub's slots that owed a FIN past NetDrainTimeout, or what a
+// worker's Wait reports.
+func (c *Cluster) Stop() error { return c.stop(false) }
 
 // Shutdown is the graceful durable stop: Stop plus one final checkpoint
 // cut per alive replica this process runs, at the drained head — so a
@@ -475,10 +479,12 @@ func (c *Cluster) Stop() { c.stop(false) }
 // replaying the whole last checkpoint interval — and a hard fsync barrier
 // on the durable log before it closes. Without CheckpointDir there is
 // nothing to cut and it behaves exactly like Stop.
-func (c *Cluster) Shutdown() { c.stop(true) }
+func (c *Cluster) Shutdown() error { return c.stop(true) }
 
-func (c *Cluster) stop(finalCut bool) {
-	c.stopOnce.Do(func() { c.host.stop(finalCut) })
+// stop runs the host's stop once; only that call returns its error.
+func (c *Cluster) stop(finalCut bool) (err error) {
+	c.stopOnce.Do(func() { err = c.host.stop(finalCut) })
+	return err
 }
 
 // hubTier returns the hub tier, which only the process holding the log has:
@@ -608,7 +614,7 @@ type Stats struct {
 
 // Stats returns current cluster totals.
 func (c *Cluster) Stats() Stats {
-	_, _, start := c.host.link.logMeta()
+	_, _, start := c.host.link.LogMeta()
 	return Stats{
 		Events:                c.ingested.Value(),
 		Delivered:             c.delivered.Value(),

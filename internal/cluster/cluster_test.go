@@ -89,14 +89,14 @@ func TestSlotServesLiveAttachmentOnly(t *testing.T) {
 		}
 	}
 	check("born dead", nil)
-	a, _, err := c.hub.attach(0, 0, 0, 0, 0, fakeReads(1))
+	a, _, err := c.hub.ReplicaAttached(0, 0, 0, 0, 0, fakeReads(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	check("replaying", nil)
 	a.NotifyLive()
 	check("live", fakeReads(1))
-	b, _, err := c.hub.attach(0, 0, 0, 0, 0, fakeReads(2))
+	b, _, err := c.hub.ReplicaAttached(0, 0, 0, 0, 0, fakeReads(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,22 +20,23 @@ import (
 // (docs/OPERATIONS.md, "Replica host ↔ hub contract"). *hubTier implements
 // it with plain function calls, tcpLink (networked.go) over sockets.
 type hubLink interface {
-	// logMeta reports the firehose log's identity and current bounds.
-	logMeta() (id, head, start uint64)
-	// attach claims slot (pid, r) at generation gen for a replica restored
+	// LogMeta reports the firehose log's identity and current bounds.
+	LogMeta() (id, head, start uint64)
+	// ReplicaAttached claims slot (pid, r) at generation gen for a replica restored
 	// to resume whose oldest durable restore point is floor, and returns
 	// the firehose from resume plus the handle for the slot's live, floor
 	// and detach reports; reads is where the broker finds the replica.
-	attach(pid, r, gen int, floor, resume uint64, reads broker.Replica) (transport.Attachment, <-chan queue.Envelope[graph.Edge], error)
+	ReplicaAttached(pid, r, gen int, floor, resume uint64, reads broker.Replica) (transport.Attachment, <-chan queue.Envelope[graph.Edge], error)
 	// offer hands one event's candidates toward delivery.
 	offer(msg transport.CandMsg) error
 	// acked is the checkpoint ack gate: whether everything offered so far
 	// has reached the hub tier, waiting a bounded time for it.
 	acked() bool
 	// closeFeed ends every attached stream (the envelope channels close
-	// once drained); close releases the link after the host's last offer.
+	// once drained); close releases the link after the host's last offer,
+	// returning what the tier it reaches could not finish.
 	closeFeed()
-	close()
+	close() error
 }
 
 // placed names one placement's checkpoint directory — what the base-pool,
@@ -234,8 +235,8 @@ func (h *replicaHost) start() {
 
 // stop drains the host: end the feeds, let the consumers apply what is
 // buffered, cut final checkpoints when asked, stop the writers, release the
-// link.
-func (h *replicaHost) stop(finalCut bool) {
+// link, and return the link's close error.
+func (h *replicaHost) stop(finalCut bool) error {
 	h.link.closeFeed()
 	h.wg.Wait()
 	if finalCut && !h.link.acked() {
@@ -261,5 +262,5 @@ func (h *replicaHost) stop(finalCut bool) {
 		stopWriter(rep)
 	}
 	h.ctl.Unlock()
-	h.link.close()
+	return h.link.close()
 }

@@ -52,9 +52,9 @@ func newFakeLink(stream []graph.Edge) *fakeLink {
 	return l
 }
 
-func (l *fakeLink) logMeta() (id, head, start uint64) { return 7, 0, 0 }
+func (l *fakeLink) LogMeta() (id, head, start uint64) { return 7, 0, 0 }
 
-func (l *fakeLink) attach(pid, r, gen int, floor, resume uint64, reads broker.Replica) (transport.Attachment, <-chan queue.Envelope[graph.Edge], error) {
+func (l *fakeLink) ReplicaAttached(pid, r, gen int, floor, resume uint64, reads broker.Replica) (transport.Attachment, <-chan queue.Envelope[graph.Edge], error) {
 	return &l.att, l.feed, nil
 }
 
@@ -75,8 +75,8 @@ func (l *fakeLink) acked() bool {
 	return l.ackedFn == nil || l.ackedFn(l.acks)
 }
 
-func (l *fakeLink) closeFeed() { close(l.feed) }
-func (l *fakeLink) close()     {}
+func (l *fakeLink) closeFeed()   { close(l.feed) }
+func (l *fakeLink) close() error { return nil }
 
 // hostOverFake builds a one-replica host (slot 0/0 of a one-partition
 // deployment) over link, with the given tuning, and returns it with its
@@ -90,7 +90,7 @@ func hostOverFake(t *testing.T, link hubLink, tune func(*Config)) (*replicaHost,
 		tune(&cfg)
 	}
 	sh := newShared(cfg)
-	id, _, _ := link.logMeta()
+	id, _, _ := link.LogMeta()
 	sh.adoptLog(id)
 	h, err := newReplicaHost(sh, link, [][2]int{{0, 0}})
 	if err != nil {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,6 +49,10 @@ type replicaSlot struct {
 	// The firehose log is only ever truncated below the minimum floor
 	// across replicas.
 	floor atomic.Uint64
+	// owesFin: the slot attached during this run and no candidate FIN has
+	// named it at its generation since. Every attach sets it; a listening
+	// hub's shutdown drain waits until no slot owes one.
+	owesFin atomic.Bool
 
 	// att is the slot's newest attachment (nil while nobody is attached),
 	// written under hubTier.slotMu and loaded without it by Serving; live
@@ -73,8 +78,8 @@ func (s *replicaSlot) Serving() (broker.Replica, bool) {
 // hubTier is everything that exists once per deployment: the firehose log,
 // the candidate queue and delivery pipeline, the broker, and the slot
 // records with their state machine. Replica hosts reach it only through its
-// handler set: it is the in-process hubLink, and hubListener (networked.go)
-// relays the same calls for socket-attached workers.
+// handler set: it is the in-process hubLink, and the transport.HubBackend
+// that socket-attached workers reach through its server (networked.go).
 type hubTier struct {
 	*shared
 
@@ -90,8 +95,10 @@ type hubTier struct {
 	broker     *broker.Broker
 	slots      [][]*replicaSlot
 	present    [][2]int // the placements in service at construction
-	// listener serves socket-attached workers; nil without Config.Listen.
-	listener *hubListener
+	// server serves socket-attached workers; nil without Config.Listen.
+	server *transport.Server
+	// fins is kicked by every candidate FIN, waking the shutdown drain.
+	fins chan struct{}
 
 	// initialDelivery seeds runDelivery's per-group high-water offsets on
 	// a durable-log restart, so replicas replaying their tail spans do
@@ -110,7 +117,8 @@ type hubTier struct {
 	deliverWG sync.WaitGroup
 
 	// truncMu makes maybeTruncateLog's floor scan plus truncate atomic
-	// against an attach's floor publication plus subscribe (see attach).
+	// against an attach's floor publication plus subscribe (see
+	// ReplicaAttached).
 	truncMu sync.Mutex
 	// slotMu serializes the slot state machine's transitions.
 	slotMu sync.Mutex
@@ -128,7 +136,7 @@ type hubTier struct {
 // a replica host's attach brings it to life.
 func newHubTier(sh *shared) (h *hubTier, err error) {
 	cfg := sh.cfg
-	h = &hubTier{shared: sh, offPath: deliveryOffsetsPath(cfg.CheckpointDir)}
+	h = &hubTier{shared: sh, offPath: deliveryOffsetsPath(cfg.CheckpointDir), fins: make(chan struct{}, 1)}
 	var logID uint64 // see shared.runID
 	var backend queue.LogBackend[graph.Edge]
 	if cfg.LogDir != "" {
@@ -308,18 +316,20 @@ func (h *hubTier) runDelivery() {
 }
 
 // close ends the tier after its log closed and every in-process consumer
-// drained. The topic close ended every worker feed with EOS; wait
-// for the workers' candidate FIN exchanges — including workers that were
-// mid-reconnect when the stream closed and still need to replay the tail —
-// so everything they flushed lands in the delivery queue before it closes.
-// The server's Close waits out every connection handler, so no straggling
-// DeliverCandidates can send on the closed queue.
-func (h *hubTier) close() {
-	if h.listener != nil {
-		if !h.listener.server.DrainWorkers(h.cfg.netDrainTimeout()) {
-			h.ckptErrors.Inc()
-		}
-		h.listener.server.Close()
+// drained. The topic close ended every worker feed with EOS; a listening hub
+// then waits for the FIN every slot that attached during this run owes — a
+// worker that was mid-reconnect when the stream closed still comes back,
+// replays the tail and flushes — so everything the workers flushed lands in
+// the delivery queue before it closes. The wait is bounded by
+// NetDrainTimeout; past it the durable close still runs, and close returns
+// an error naming every slot that never finished. The server's Close waits
+// out every connection handler, so no straggling DeliverCandidates can send
+// on the closed queue.
+func (h *hubTier) close() error {
+	var err error
+	if h.server != nil {
+		err = h.awaitFins()
+		h.server.Close()
 	}
 	close(h.candidates)
 	h.deliverWG.Wait()
@@ -330,6 +340,53 @@ func (h *hubTier) close() {
 		if err := h.wal.Close(); err != nil {
 			h.ckptErrors.Inc()
 		}
+	}
+	return err
+}
+
+// awaitFins waits until no slot owes a FIN, for at most NetDrainTimeout.
+func (h *hubTier) awaitFins() error {
+	timeout := h.cfg.netDrainTimeout()
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for {
+		var owed []string
+		h.topoMu.RLock()
+		for _, group := range h.slots {
+			for _, s := range group {
+				if s.owesFin.Load() {
+					owed = append(owed, fmt.Sprintf("%d/%d", s.pid, s.idx))
+				}
+			}
+		}
+		h.topoMu.RUnlock()
+		if len(owed) == 0 {
+			return nil
+		}
+		select {
+		case <-h.fins:
+		case <-timer.C:
+			return fmt.Errorf("cluster: no FIN within %v from replica slot(s) %s: their workers never finished, and what they had not flushed is not delivered", timeout, strings.Join(owed, ", "))
+		}
+	}
+}
+
+// ReplicaFinished clears slot (pid, r)'s FIN debt when gen is its
+// generation, and applies floor as the slot's floor report; a stale
+// generation's FIN is ignored.
+func (h *hubTier) ReplicaFinished(pid, r, gen int, floor uint64) {
+	if slot, err := h.slot(pid, r); err == nil && gen == slot.gen {
+		h.slotMu.Lock()
+		if floor > slot.floor.Load() {
+			slot.floor.Store(floor)
+		}
+		slot.owesFin.Store(false)
+		h.slotMu.Unlock()
+		h.maybeTruncateLog()
+	}
+	select {
+	case h.fins <- struct{}{}:
+	default:
 	}
 }
 
@@ -379,7 +436,7 @@ func (h *hubTier) placed(pid int) []placed {
 	return out
 }
 
-func (h *hubTier) logMeta() (id, head, start uint64) {
+func (h *hubTier) LogMeta() (id, head, start uint64) {
 	return h.runID, h.firehose.Published(), h.firehose.LogStart()
 }
 
@@ -395,17 +452,17 @@ type attachment struct {
 	reads broker.Replica
 }
 
-// attach is a replica host taking ownership of slot (pid, r) at generation
-// gen, with its state restored to resume and floor its oldest durable
-// restore point; reads is where the broker reaches the replica. Publishing
-// the floor and subscribing are one atomic step, under truncMu, against
-// maybeTruncateLog's scan-plus-truncate: a stale floor from the slot's
-// previous incarnation (which restored higher than this one, say, whose
-// chain was lost) could otherwise let a concurrent peer compaction truncate
-// the log out from under the replay about to start. The slot turns
-// replaying — serving no read until the attachment reports live. On error it
-// is untouched.
-func (h *hubTier) attach(pid, r, gen int, floor, resume uint64, reads broker.Replica) (transport.Attachment, <-chan queue.Envelope[graph.Edge], error) {
+// ReplicaAttached is a replica host taking ownership of slot (pid, r) at
+// generation gen, with its state restored to resume and floor its oldest
+// durable restore point; reads is where the broker reaches the replica.
+// Publishing the floor and subscribing are one atomic step, under truncMu,
+// against maybeTruncateLog's scan-plus-truncate: a stale floor from the
+// slot's previous incarnation (which restored higher than this one, say,
+// whose chain was lost) could otherwise let a concurrent peer compaction
+// truncate the log out from under the replay about to start. The slot turns
+// replaying — serving no read until the attachment reports live — and owes
+// a FIN. On error it is untouched.
+func (h *hubTier) ReplicaAttached(pid, r, gen int, floor, resume uint64, reads broker.Replica) (transport.Attachment, <-chan queue.Envelope[graph.Edge], error) {
 	slot, err := h.slot(pid, r)
 	if err != nil {
 		return nil, nil, err
@@ -433,6 +490,7 @@ func (h *hubTier) attach(pid, r, gen int, floor, resume uint64, reads broker.Rep
 		h.firehose.Unsubscribe(old.sub)
 	}
 	slot.floor.Store(floor)
+	slot.owesFin.Store(true)
 	slot.leave(replicaReplaying)
 	slot.att.Store(a)
 	return a, a.sub, nil

@@ -1,10 +1,11 @@
 package cluster
 
 // The TCP transport of the replica-host ↔ hub contract: tcpLink is the
-// hubLink a worker process (Config.Join) reaches the hub through, and
-// hubListener is how a hub (Config.Listen) exposes its handler set to those
-// workers. docs/OPERATIONS.md, "Multi-process deployment", has the roles,
-// the topology, the contract and the reconnect semantics.
+// hubLink a worker process (Config.Join) reaches the hub through, and a hub
+// (Config.Listen) serves those workers its own handler set — *hubTier is
+// their transport.HubBackend. docs/OPERATIONS.md, "Multi-process
+// deployment", has the roles, the topology, the contract and the reconnect
+// semantics.
 
 import (
 	"errors"
@@ -81,6 +82,9 @@ type tcpLink struct {
 	*shared
 	feed *transport.FeedClient
 	fw   *transport.CandForwarder
+	// subs are the slots' feed subscriptions, appended by attach (under the
+	// host's ctl): what the candidate FIN names and Wait reports on.
+	subs []*transport.FeedSub
 }
 
 // dialHub builds the worker's transport stack — the meta handshake (with
@@ -102,16 +106,17 @@ func dialHub(sh *shared) (*tcpLink, error) {
 	}, nil
 }
 
-func (l *tcpLink) logMeta() (id, head, start uint64) { return l.feed.LogMeta() }
+func (l *tcpLink) LogMeta() (id, head, start uint64) { return l.feed.LogMeta() }
 
-// attach opens the slot's feed connection, which also carries its live and
-// floor reports, re-announced after every reconnect, and serves the hub's
-// reads of the slot from reads.
-func (l *tcpLink) attach(pid, r, gen int, floor, resume uint64, reads broker.Replica) (transport.Attachment, <-chan queue.Envelope[graph.Edge], error) {
+// ReplicaAttached opens the slot's feed connection, which also carries its
+// live and floor reports, re-announced after every reconnect, and serves the
+// hub's reads of the slot from reads.
+func (l *tcpLink) ReplicaAttached(pid, r, gen int, floor, resume uint64, reads broker.Replica) (transport.Attachment, <-chan queue.Envelope[graph.Edge], error) {
 	sub, err := l.feed.SubscribeReplica(pid, r, gen, floor, resume, reads)
 	if err != nil {
 		return nil, nil, err
 	}
+	l.subs = append(l.subs, sub)
 	return sub, sub.C(), nil
 }
 
@@ -124,55 +129,41 @@ func (l *tcpLink) acked() bool { return l.fw.WaitDrained(l.cfg.netDrainTimeout()
 
 func (l *tcpLink) closeFeed() { l.feed.Close() }
 
-// close flushes the candidate stream — everything offered acked, then the FIN
-// exchange the hub's candidate drain waits for — and tears the sockets down.
-func (l *tcpLink) close() {
-	if !l.fw.Finish(l.cfg.netDrainTimeout()) {
-		l.ckptErrors.Inc()
-	}
+// close flushes the candidate stream — everything offered acked, then the
+// FIN naming the slots whose feeds finished, which is what the hub's drain
+// waits for — and tears the sockets down. It returns what ended the worker
+// abnormally: a failed FIN exchange, and every feed's terminal error (the hub
+// rejected its hello, or stayed unreachable for a whole outage budget).
+func (l *tcpLink) close() error {
+	errs := []error{l.fw.Finish(l.subs, l.cfg.netDrainTimeout())}
 	l.fw.Close()
 	l.feed.Close()
+	for _, sub := range l.subs {
+		errs = append(errs, sub.Err())
+	}
+	return errors.Join(errs...)
 }
 
-// hubListener is a hub's server side of the TCP transport: the listener
-// workers dial, relaying their calls to the hub tier's handler set (it is the
-// transport.HubBackend).
-type hubListener struct {
-	h      *hubTier
-	server *transport.Server
-}
-
-// listen binds the hub listener. The listener state is installed before the
-// server exists, so backend callbacks (accepting starts immediately) never
-// observe a half-built hub.
+// listen binds the hub listener, the tier itself serving the workers'
+// calls: accepting starts immediately, so the caller builds the tier first.
 func (h *hubTier) listen() (err error) {
-	h.listener = &hubListener{h: h}
 	batch := h.cfg.ApplyBatch
 	if batch < 1 {
 		batch = 64
 	}
-	h.listener.server, err = transport.NewServer(transport.ServerConfig{
+	h.server, err = transport.NewServer(transport.ServerConfig{
 		Listen:   h.cfg.Listen,
-		Backend:  h.listener,
+		Backend:  h,
 		BatchMax: batch,
 		Metrics:  h.reg,
 	})
 	return err
 }
 
-func (l *hubListener) LogMeta() (uint64, uint64, uint64) { return l.h.logMeta() }
-
-// ReplicaAttached attaches like any replica host; reads, the slot's broker
-// member, asks the worker over the feed connection of this attach.
-func (l *hubListener) ReplicaAttached(pid, r, gen int, floor, resume uint64, reads broker.Replica) (transport.Attachment, <-chan queue.Envelope[graph.Edge], error) {
-	return l.h.attach(pid, r, gen, floor, resume, reads)
-}
-
-func (l *hubListener) DeliverCandidates(msgs []transport.CandMsg) error {
+// DeliverCandidates queues a socket's decoded batch for delivery, in order.
+func (h *hubTier) DeliverCandidates(msgs []transport.CandMsg) error {
 	for _, m := range msgs {
-		if err := l.h.offer(m); err != nil {
-			return err
-		}
+		h.candidates <- m
 	}
 	return nil
 }
@@ -180,10 +171,10 @@ func (l *hubListener) DeliverCandidates(msgs []transport.CandMsg) error {
 // server returns the hub's transport server, nil on a process that is not
 // a listening hub.
 func (c *Cluster) server() *transport.Server {
-	if c.hub == nil || c.hub.listener == nil {
+	if c.hub == nil {
 		return nil
 	}
-	return c.hub.listener.server
+	return c.hub.server
 }
 
 // ListenAddr returns the hub's bound listen address ("" on non-hubs) —
@@ -208,17 +199,18 @@ func (c *Cluster) DropConnections() int {
 	return 0
 }
 
-// Wait blocks until the hub ends the stream (EOS on every feed), then
-// runs the full durable stop: final checkpoint cuts gated on candidate
-// acks, forwarder flush + FIN, listener teardown. This is a worker
-// process's main loop — start, Wait, exit.
+// Wait blocks until every feed has ended — the hub's EOS, or a terminal
+// error — then runs the full durable stop: final checkpoint cuts gated on
+// candidate acks, forwarder flush and the FIN naming the finished slots,
+// socket teardown. This is a worker process's main loop — start, Wait,
+// exit — and it returns what ended the worker abnormally: a feed whose hello
+// the hub rejected or whose outage budget ran out, and a failed FIN exchange.
 func (c *Cluster) Wait() error {
 	if c.cfg.Join == "" {
 		return fmt.Errorf("cluster: Wait is the worker-mode main loop")
 	}
 	c.host.wg.Wait()
-	c.stop(true)
-	return nil
+	return c.stop(true)
 }
 
 // Abort tears a worker down as a crash would, at the durable-state level:

@@ -3,12 +3,16 @@ package cluster
 import (
 	"errors"
 	"os"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"motifstream/internal/codecutil"
 	"motifstream/internal/delivery"
 	"motifstream/internal/graph"
+	"motifstream/internal/transport"
 )
 
 // hubConfig builds a networked hub over fresh (or given) directories with
@@ -564,7 +568,7 @@ func TestNetworkedStaleDetachIgnored(t *testing.T) {
 	hub.Start()
 	defer hub.Stop()
 
-	backend := hub.hub.listener // what the transport server calls for a feed hello
+	backend := hub.hub // what the transport server calls for a feed hello
 	attA, _, err := backend.ReplicaAttached(0, 0, 0, 0, 0, fakeReads(0))
 	if err != nil {
 		t.Fatal(err)
@@ -601,6 +605,7 @@ func TestNetworkedStaleDetachIgnored(t *testing.T) {
 	if serving(hub, 0, 0) {
 		t.Fatal("detached slot still serving")
 	}
+	backend.ReplicaFinished(0, 0, 0, 0) // the FIN a worker's stop sends
 }
 
 // TestNetworkedReattachPublishesRestoreFloor pins the floor-at-attach rule
@@ -670,4 +675,214 @@ func TestNetworkedReattachPublishesRestoreFloor(t *testing.T) {
 	}
 	hub.Shutdown()
 	joinWorker()
+}
+
+// redialHold delays every write on a worker's sockets until its deadline:
+// armed and followed by a drop, it holds each redial's hello, as a network
+// partition would.
+type redialHold struct{ until atomic.Int64 }
+
+type heldWriter struct {
+	codecutil.WriteSyncCloser
+	h *redialHold
+}
+
+func (w heldWriter) Write(p []byte) (int, error) {
+	time.Sleep(time.Until(time.Unix(0, w.h.until.Load())))
+	return w.WriteSyncCloser.Write(p)
+}
+
+// startHeldWorker is startWorker for a worker whose sockets write through
+// hold: the transport stack New dialed is replaced, before Start attaches
+// any slot, by one with hold's wrapper.
+func startHeldWorker(t *testing.T, cfg Config, hold *redialHold) (*Cluster, func()) {
+	t.Helper()
+	w, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := w.host.link.(*tcpLink)
+	logID, _, _ := l.LogMeta()
+	l.fw.Close()
+	l.feed.Close()
+	opts := transport.ClientOptions{Metrics: l.reg, WrapWriter: func(ws codecutil.WriteSyncCloser) codecutil.WriteSyncCloser {
+		return heldWriter{ws, hold}
+	}}
+	if l.feed, err = transport.DialFeed(cfg.Join, opts); err != nil {
+		t.Fatal(err)
+	}
+	l.fw = transport.NewCandForwarder(cfg.Join, logID, opts)
+	w.Start()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if err := w.Wait(); err != nil {
+			t.Errorf("worker Wait: %v", err)
+		}
+	}()
+	return w, func() { <-done }
+}
+
+// TestNetworkedShutdownWaitsForReconnectingWorker: a worker cut off
+// mid-stream whose redial is held for 3 s — past any quiet window a drain
+// could guess — while the hub shuts down still comes back, replays the
+// closed log's tail and flushes: the hub's drain waits for the FIN its slots
+// owe, and the delivered set is the no-fault oracle's.
+func TestNetworkedShutdownWaitsForReconnectingWorker(t *testing.T) {
+	edges := motifWorkload(17, 8, 200)
+	want := oracleNotes(t, 2, 1, edges)
+
+	hcfg := hubConfig(t, 2, 1, t.TempDir(), t.TempDir())
+	notes := collectNotes(&hcfg)
+	hub, err := New(hcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub.Start()
+	wcfg := workerConfig(t, hcfg, hub.ListenAddr(), [][2]int{{0, 0}, {1, 0}})
+	hold := new(redialHold)
+	_, joinWorker := startHeldWorker(t, wcfg, hold)
+	awaitAllLive(t, hub)
+
+	for _, e := range edges {
+		if err := hub.Publish(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hold.until.Store(time.Now().Add(3 * time.Second).UnixNano())
+	hub.DropConnections()
+	start := time.Now()
+	if err := hub.Shutdown(); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if d := time.Since(start); d < 3*time.Second {
+		t.Errorf("Shutdown returned after %v, before the held worker could come back", d)
+	}
+	joinWorker()
+	diffNotes(t, want, notes(), "held-redial")
+	verifyAllFingerprints(t, hub)
+}
+
+// TestNetworkedShutdownNamesUnfinishedSlots: a worker that crashed and never
+// came back leaves its slots owing a FIN. Shutdown waits NetDrainTimeout for
+// it, runs the durable close anyway and fails loudly, naming the slots; the
+// hub then reopens over the same directories and runs cleanly.
+func TestNetworkedShutdownNamesUnfinishedSlots(t *testing.T) {
+	logDir, ckptDir := t.TempDir(), t.TempDir()
+	hcfg := hubConfig(t, 2, 1, logDir, ckptDir)
+	hcfg.NetDrainTimeout = 500 * time.Millisecond
+	hub, err := New(hcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub.Start()
+	wcfg := workerConfig(t, hcfg, hub.ListenAddr(), [][2]int{{0, 0}, {1, 0}})
+	wk, joinWorker := startWorker(t, wcfg)
+	awaitAllLive(t, hub)
+	for _, e := range motifWorkload(5, 8, 60) {
+		if err := hub.Publish(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wk.Abort()
+	joinWorker()
+
+	start := time.Now()
+	err = hub.Shutdown()
+	if d := time.Since(start); d > hcfg.NetDrainTimeout+time.Second {
+		t.Errorf("Shutdown took %v, past NetDrainTimeout %v + 1s", d, hcfg.NetDrainTimeout)
+	}
+	if err == nil || !strings.Contains(err.Error(), "0/0, 1/0") {
+		t.Fatalf("Shutdown = %v, want an error naming slots 0/0 and 1/0", err)
+	}
+
+	hub, err = New(hcfg)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	hub.Start()
+	wcfg.Join = hub.ListenAddr()
+	_, joinWorker = startWorker(t, wcfg)
+	awaitAllLive(t, hub)
+	if err := hub.Shutdown(); err != nil {
+		t.Fatalf("Shutdown after the reopen: %v", err)
+	}
+	joinWorker()
+	verifyAllFingerprints(t, hub)
+}
+
+// TestNetworkedWaitReportsRejectedHello: a worker whose feed hello the hub
+// rejects — here a slot the hub does not have — ends with that error from
+// Wait, so a worker process exits nonzero instead of looking finished.
+func TestNetworkedWaitReportsRejectedHello(t *testing.T) {
+	hcfg := hubConfig(t, 1, 1, t.TempDir(), t.TempDir())
+	hub, err := New(hcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub.Start()
+	defer hub.Stop()
+	wcfg := workerConfig(t, hcfg, hub.ListenAddr(), [][2]int{{0, 1}})
+	wcfg.Replicas = 2
+	wk, err := New(wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wk.Start()
+	done := make(chan error, 1)
+	go func() { done <- wk.Wait() }()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("Wait = %v, want the hub's rejection of slot 0/1", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("worker never ended after the hub rejected its only slot")
+	}
+}
+
+// TestNetworkedFinCarriesFinalFloor: the final cut of a worker's stop folds
+// its chain into a new base — a floor advance made after its feed closed.
+// The FIN carries it, so the hub's slot ends at the worker's final floor.
+// Without periodic cuts, the first run's final cut leaves one delta and the
+// second run's makes two, which is when the chain folds.
+func TestNetworkedFinCarriesFinalFloor(t *testing.T) {
+	edges := motifWorkload(3, 8, 120)
+	logDir, ckptDir := t.TempDir(), t.TempDir()
+	run := func(stretch []graph.Edge) (*Cluster, *Cluster) {
+		hcfg := hubConfig(t, 1, 1, logDir, ckptDir)
+		hcfg.CheckpointInterval = 1000 * time.Hour
+		hcfg.CompactEvery = 2
+		hub, err := New(hcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hub.Start()
+		wk, joinWorker := startWorker(t, workerConfig(t, hcfg, hub.ListenAddr(), [][2]int{{0, 0}}))
+		awaitAllLive(t, hub)
+		for _, e := range stretch {
+			if err := hub.Publish(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := hub.Shutdown(); err != nil {
+			t.Fatal(err)
+		}
+		joinWorker()
+		return hub, wk
+	}
+	run(edges[:len(edges)/2])
+	hub, wk := run(edges[len(edges)/2:])
+
+	man, err := loadManifest(manifestPath(wk.host.replica(0, 0).dir), wk.runID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := man.floorOffset()
+	if final != uint64(len(edges)) {
+		t.Fatalf("worker's final floor = %d, want the stream's end %d: the final cut did not fold", final, len(edges))
+	}
+	if got := hub.hub.slots[0][0].floor.Load(); got != final {
+		t.Fatalf("hub slot floor = %d, want the worker's final floor %d", got, final)
+	}
 }

@@ -165,7 +165,7 @@ type restorePoint struct {
 // reports whether some replica of the group covers the stream meanwhile.
 // The caller holds ctl (or is construction).
 func (h *replicaHost) planSlot(rep *replica, alive bool) (restorePlan, error) {
-	_, head, start := h.link.logMeta()
+	_, head, start := h.link.LogMeta()
 	in := restoreInputs{
 		dir:      rep.dir,
 		runID:    h.runID,
@@ -239,8 +239,8 @@ func (h *replicaHost) restoreSlot(rep *replica, alive bool) (restorePoint, error
 // launch is applied — at once when there is nothing to replay. The caller
 // holds ctl. On error the replica is untouched.
 func (h *replicaHost) launchReplica(rep *replica, at restorePoint) error {
-	_, target, _ := h.link.logMeta()
-	att, sub, err := h.link.attach(rep.pid, rep.idx, rep.gen, at.floor, at.offset, rep.p)
+	_, target, _ := h.link.LogMeta()
+	att, sub, err := h.link.ReplicaAttached(rep.pid, rep.idx, rep.gen, at.floor, at.offset, rep.p)
 	if err != nil {
 		return err
 	}

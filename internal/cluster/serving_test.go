@@ -33,7 +33,7 @@ func servingCluster(t *testing.T, replicas int) *cluster.Cluster {
 		t.Fatal(err)
 	}
 	c.Start()
-	t.Cleanup(c.Stop)
+	t.Cleanup(func() { c.Stop() })
 	for r := 0; r < replicas; r++ {
 		awaitLive(t, c, r)
 	}

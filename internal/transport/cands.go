@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -46,11 +47,13 @@ type CandForwarder struct {
 	offered  int64       // messages accepted by Offer
 	acked    int64       // messages covered by cumulative acks
 	c        *conn
-	finReq   bool // Finish called: writer sends FIN once everything is acked
+	fin      []byte // the FIN frame, set by Finish
+	finReq   bool   // Finish called: writer sends fin once everything is acked
 	finSent  bool
 	finished bool // hub acked everything and the FIN exchange completed
 	closed   bool
 	aborted  bool
+	err      error // the terminal redial error that aborted the forwarder
 
 	m          *connMetrics
 	reconnects *metrics.Counter
@@ -139,20 +142,37 @@ func (f *CandForwarder) waitUntilLocked(deadline time.Time) bool {
 }
 
 // Finish flushes: after the last Offer, waits for everything offered to be
-// acked, sends FIN, and waits for the final exchange. Returns false on
-// timeout or abort.
-func (f *CandForwarder) Finish(timeout time.Duration) bool {
+// acked, sends the FIN, and waits for its ack. The FIN names every one of
+// subs that ended without a terminal error, with the floor it last reported
+// (one made after its connection closed included) and the offset its feed
+// ended at; their feed client must be closed. Fails on timeout or abort.
+func (f *CandForwarder) Finish(subs []*FeedSub, timeout time.Duration) error {
+	var slots []helloFeed
+	for _, s := range subs {
+		if s.Err() == nil {
+			s.mu.Lock()
+			slots = append(slots, helloFeed{pid: s.pid, r: s.r, gen: s.gen, floor: s.floor, resume: s.next})
+			s.mu.Unlock()
+		}
+	}
 	deadline := time.Now().Add(timeout)
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.fin = encodeCandFin(slots)
 	f.finReq = true
 	f.cond.Broadcast()
 	for !f.finished && !f.aborted {
 		if !f.waitUntilLocked(deadline) {
-			return false
+			return fmt.Errorf("transport: candidate stream not finished within %v", timeout)
 		}
 	}
-	return f.finished
+	switch {
+	case f.finished:
+		return nil
+	case f.err != nil:
+		return f.err
+	}
+	return errForwarderClosed
 }
 
 // Abort severs the stream without flushing — the crash path. Unacked
@@ -222,7 +242,7 @@ func (f *CandForwarder) manage() {
 	})
 	if err != nil {
 		f.mu.Lock()
-		f.aborted = true
+		f.aborted, f.err = true, fmt.Errorf("transport: candidate stream: %w", err)
 		f.cond.Broadcast()
 		f.mu.Unlock()
 	}
@@ -262,8 +282,9 @@ func (f *CandForwarder) writeLoop(c *conn, done chan<- struct{}) {
 			}
 			if f.finReq && len(f.ring) == 0 && !f.finSent {
 				f.finSent = true
+				fin := f.fin
 				f.mu.Unlock()
-				if c.writeMsg([]byte{msgCandFin}) != nil {
+				if c.writeMsg(fin) != nil {
 					c.close()
 				}
 				return

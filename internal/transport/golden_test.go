@@ -14,7 +14,7 @@ import (
 )
 
 // wireGolden is one message as it crosses the socket in wire format version
-// 4: testdata/<file> holds its frame — header (length, CRC32C) and payload —
+// 5: testdata/<file> holds its frame — header (length, CRC32C) and payload —
 // as this version's encoder wrote it. reencode decodes a payload and encodes
 // the result again.
 type wireGolden struct {
@@ -48,6 +48,11 @@ func wireGoldens() []wireGolden {
 			seq, msgs, err := decodeCandBatch(wireCursor(p[1:]), newCandDecoder())
 			return encodeCandBatch(seq, msgs), err
 		}},
+		{"cand_fin.frame", encodeCandFin([]helloFeed{{pid: 1, r: 2, gen: 3, floor: 300, resume: 4000}, {pid: 0, r: 1, gen: 0, floor: 0, resume: 1 << 40}}),
+			func(p []byte) ([]byte, error) {
+				slots, err := decodeCandFin(wireCursor(p[1:]))
+				return encodeCandFin(slots), err
+			}},
 		{"recs_req.frame", typeU2(msgRecsReq, 3, 42), reencodeReadReq},
 		{"top_req.frame", typeU2(msgTopReq, 4, 10), reencodeReadReq},
 		{"recs_resp.frame", encodeRecsResp(3, []motif.Candidate{
@@ -74,13 +79,13 @@ func reencodeReadReq(p []byte) ([]byte, error) {
 // goldens: both requests, both responses.
 func readFrames() [][]byte {
 	var out [][]byte
-	for _, g := range wireGoldens()[3:] {
+	for _, g := range wireGoldens()[4:] {
 		out = append(out, g.payload)
 	}
 	return out
 }
 
-// TestWireGoldenFrames pins wire format version 4 at the byte level: each
+// TestWireGoldenFrames pins wire format version 5 at the byte level: each
 // message encodes to its golden frame, and the golden frame reads back and
 // decodes to a message that encodes to the same bytes.
 func TestWireGoldenFrames(t *testing.T) {

@@ -48,6 +48,11 @@ type HubBackend interface {
 	// windows of the connection's decode arenas, never reused, and may be
 	// retained (motif.Candidate.Via's contract).
 	DeliverCandidates(msgs []CandMsg) error
+	// ReplicaFinished: a worker's candidate FIN names slot (pid, r) at
+	// generation gen as finished — its feed ended and everything it offered
+	// is delivered — with its final restore floor, which the closed feed
+	// could not report. Called once per named slot, before the FIN's ack.
+	ReplicaFinished(pid, r, gen int, floor uint64)
 }
 
 // helloTimeout bounds the preamble+hello exchange on an accepted connection.
@@ -61,12 +66,6 @@ type ServerConfig struct {
 	Backend HubBackend
 	// BatchMax bounds envelopes coalesced per feed frame (defaults to 64).
 	BatchMax int
-	// DrainQuiet is how long the connection set must stay empty before a
-	// drain concludes no worker is coming back (defaults to 2s — above the
-	// clients' 1s reconnect-backoff ceiling, so a worker that was between
-	// connections when the shutdown started still gets to reconnect and
-	// flush).
-	DrainQuiet time.Duration
 	// Metrics receives per-connection-kind transport counters.
 	Metrics *metrics.Registry
 }
@@ -77,11 +76,9 @@ type Server struct {
 	cfg ServerConfig
 	ln  net.Listener
 
-	mu         sync.Mutex
-	conns      map[*conn]struct{}
-	lastChange time.Time // last conn-set mutation, for drain quiescence
-	tracked    bool      // any connection ever tracked
-	closed     bool
+	mu     sync.Mutex
+	conns  map[*conn]struct{}
+	closed bool
 
 	feedM *connMetrics
 	candM *connMetrics
@@ -98,9 +95,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	if cfg.BatchMax <= 0 {
 		cfg.BatchMax = 64
-	}
-	if cfg.DrainQuiet <= 0 {
-		cfg.DrainQuiet = 2 * time.Second
 	}
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
@@ -145,7 +139,6 @@ func (s *Server) track(c *conn) bool {
 		return false
 	}
 	s.conns[c] = struct{}{}
-	s.tracked = true
 	s.connsChangedLocked()
 	return true
 }
@@ -162,7 +155,6 @@ func (s *Server) untrack(c *conn) {
 }
 
 func (s *Server) connsChangedLocked() {
-	s.lastChange = time.Now()
 	if s.attached != nil {
 		s.attached.Set(int64(len(s.conns)))
 	}
@@ -380,36 +372,22 @@ func (s *Server) handleCands(c *conn, body []byte) {
 				return
 			}
 		case msgCandFin:
+			slots, err := decodeCandFin(wr)
+			if err != nil {
+				return
+			}
+			// Out of the set Close severs: the slots below may be the last
+			// the hub's drain waits for, and the ack must still reach the
+			// worker when it closes the server on their account.
+			s.untrack(c)
+			for _, h := range slots {
+				b.ReplicaFinished(h.pid, h.r, h.gen, h.floor)
+			}
 			writeAck(lastSeq)
 			return
 		default:
 			return
 		}
-	}
-}
-
-// DrainWorkers blocks until every worker has finished its shutdown
-// exchange: feeds drained to EOS, final candidate batches flushed and
-// FINed, all connections closed — sustained for DrainQuiet, so a worker
-// that was between connections (mid-reconnect-backoff after a network
-// blip) still gets to come back, replay the closed log's tail, and flush.
-// A hub that never saw a worker returns immediately. Returns whether the
-// drain completed before the timeout.
-func (s *Server) DrainWorkers(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for {
-		s.mu.Lock()
-		n := len(s.conns)
-		last := s.lastChange
-		tracked := s.tracked
-		s.mu.Unlock()
-		if !tracked || (n == 0 && time.Since(last) >= s.cfg.DrainQuiet) {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -45,9 +45,10 @@ type fakeHub struct {
 	lives    int
 	floors   []uint64
 	detached int
-	closedBy []int // which accepted hello (0-based, in attach order) each detach ended
-	// hold, when non-nil, parks every DeliverCandidates until it closes: a
-	// hub that takes frames and acks none.
+	closedBy []int       // which accepted hello (0-based, in attach order) each detach ended
+	finished []helloFeed // every slot a candidate FIN named, in order (resume unset)
+	// hold, when non-nil, parks every DeliverCandidates and ReplicaFinished
+	// until it closes: a hub that takes frames and acks none.
 	hold chan struct{}
 }
 
@@ -152,6 +153,16 @@ func (f *fakeHub) DeliverCandidates(msgs []CandMsg) error {
 	return nil
 }
 
+// ReplicaFinished records one slot a FIN named.
+func (f *fakeHub) ReplicaFinished(pid, r, gen int, floor uint64) {
+	if f.hold != nil {
+		<-f.hold
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.finished = append(f.finished, helloFeed{pid: pid, r: r, gen: gen, floor: floor})
+}
+
 // await polls cond, evaluated under the hub's lock, until it holds.
 func (f *fakeHub) await(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -172,7 +183,7 @@ func (f *fakeHub) await(t *testing.T, what string, cond func() bool) {
 
 func testServer(t *testing.T, backend HubBackend) *Server {
 	t.Helper()
-	s, err := NewServer(ServerConfig{Listen: "127.0.0.1:0", Backend: backend, DrainQuiet: 20 * time.Millisecond, Metrics: metrics.NewRegistry()})
+	s, err := NewServer(ServerConfig{Listen: "127.0.0.1:0", Backend: backend, Metrics: metrics.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,8 +373,8 @@ func TestCandForwarderTornWrite(t *testing.T) {
 			fake.await(t, "first frame never delivered", func() bool { return fake.rawCands == 1 })
 		}
 	}
-	if !fw.Finish(10 * time.Second) {
-		t.Fatal("forwarder did not finish")
+	if err := fw.Finish(nil, 10*time.Second); err != nil {
+		t.Fatalf("forwarder did not finish: %v", err)
 	}
 
 	fake.mu.Lock()
@@ -459,8 +470,8 @@ func TestCandForwarderConcurrentOffer(t *testing.T) {
 
 	close(stop)
 	wg.Wait()
-	if !fw.Finish(10 * time.Second) {
-		t.Fatal("forwarder did not finish")
+	if err := fw.Finish(nil, 10*time.Second); err != nil {
+		t.Fatalf("forwarder did not finish: %v", err)
 	}
 	fake.mu.Lock()
 	defer fake.mu.Unlock()
@@ -578,8 +589,8 @@ func TestCandForwarderRingReleasesAckedFrames(t *testing.T) {
 	}
 
 	release()
-	if !fw.Finish(10 * time.Second) {
-		t.Fatal("forwarder did not finish")
+	if err := fw.Finish(nil, 10*time.Second); err != nil {
+		t.Fatalf("forwarder did not finish: %v", err)
 	}
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
@@ -595,46 +606,77 @@ func TestCandForwarderRingReleasesAckedFrames(t *testing.T) {
 	}
 }
 
-// TestDrainWorkers covers the shutdown drain: it must not conclude while
-// a worker is mid-flush, must wait out the quiet window for stragglers,
-// and must return immediately on a hub that never saw a worker.
-func TestDrainWorkers(t *testing.T) {
+// TestCandFinNamesFinishedSlots: a worker's FIN names each slot whose feed
+// finished, with the floor reported after its connection closed, which only
+// the FIN can carry; the hub hands the slots to its backend before it acks
+// the FIN, so Finish returns only once the backend has them.
+func TestCandFinNamesFinishedSlots(t *testing.T) {
 	fake := newFakeHub(3)
-	empty := testServer(t, fake)
-	start := time.Now()
-	if !empty.DrainWorkers(time.Second) {
-		t.Fatal("drain of a workerless hub failed")
-	}
-	if time.Since(start) > 500*time.Millisecond {
-		t.Fatal("workerless drain waited for the quiet window")
-	}
-
+	fake.hold = make(chan struct{})
+	fake.publish(graph.Edge{Src: 1, Dst: 2})
 	srv := testServer(t, fake)
-	fw := NewCandForwarder(srv.Addr(), 3, ClientOptions{})
-	if err := fw.Offer(CandMsg{Pid: 1, Offset: 7}); err != nil {
+	fc, err := DialFeed(srv.Addr(), ClientOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait until the forwarder's connection exists and the message landed, so
-	// the drain below races a *connected* worker, not an un-dialed one.
-	fake.await(t, "message never delivered", func() bool { return len(fake.cands) == 1 })
-	done := make(chan bool, 1)
-	drainStart := time.Now()
-	go func() { done <- srv.DrainWorkers(5 * time.Second) }()
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		fw.Finish(5 * time.Second)
-		fw.Close()
-	}()
-	if !<-done {
-		t.Fatal("drain timed out despite a finishing worker")
+	sub, err := fc.SubscribeReplica(0, 1, 2, 10, 0, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d := time.Since(drainStart); d < 50*time.Millisecond {
-		t.Fatalf("drain concluded in %v, before the worker closed", d)
+	fake.await(t, "feed never attached", func() bool { return fake.attached[[2]int{0, 1}] == 1 })
+	fake.closeTopic()
+	for range sub.C() {
+	}
+	fc.Close()
+	sub.ReportFloor(40)
+
+	time.AfterFunc(50*time.Millisecond, func() { close(fake.hold) })
+	fw := NewCandForwarder(srv.Addr(), 3, ClientOptions{})
+	defer fw.Close()
+	if err := fw.Offer(CandMsg{Pid: 0, Offset: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Finish([]*FeedSub{sub}, 5*time.Second); err != nil {
+		t.Fatal(err)
 	}
 	fake.mu.Lock()
 	defer fake.mu.Unlock()
-	if len(fake.cands) != 1 || fake.cands[0].Offset != 7 {
+	if want := []helloFeed{{pid: 0, r: 1, gen: 2, floor: 40}}; !slices.Equal(fake.finished, want) {
+		t.Fatalf("backend had %+v when the FIN's ack arrived, want %+v", fake.finished, want)
+	}
+	if len(fake.cands) != 1 {
 		t.Fatalf("cands = %+v", fake.cands)
+	}
+}
+
+// closingHub closes its server from a FIN's first ReplicaFinished, as the
+// hub's drain does once the last slot it waited for has finished.
+type closingHub struct {
+	*fakeHub
+	srv atomic.Pointer[Server]
+}
+
+func (h *closingHub) ReplicaFinished(pid, r, gen int, floor uint64) {
+	go h.srv.Load().Close()
+	time.Sleep(50 * time.Millisecond) // Close has severed what it tracks
+	h.fakeHub.ReplicaFinished(pid, r, gen, floor)
+}
+
+// TestCandFinAckOutlivesServerClose: a server closed on account of a FIN's
+// slots still acks that FIN, so the worker's Finish succeeds.
+func TestCandFinAckOutlivesServerClose(t *testing.T) {
+	h := &closingHub{fakeHub: newFakeHub(3)}
+	srv := testServer(t, h)
+	h.srv.Store(srv)
+	fw := NewCandForwarder(srv.Addr(), 3, ClientOptions{})
+	defer fw.Close()
+	if err := fw.Finish([]*FeedSub{{pid: 1}}, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(h.finished) != 1 {
+		t.Fatalf("finished = %+v", h.finished)
 	}
 }
 
@@ -747,6 +789,7 @@ func FuzzTransportFrame(f *testing.F) {
 	f.Add(encodeRecsResp(2, []motif.Candidate{{User: 1, Item: 2}}))
 	f.Add(encodeTopResp(4, []partition.ItemCount{{Item: 3, Count: 9}}))
 	f.Add(encodeHelloErr("nope"))
+	f.Add(encodeCandFin([]helloFeed{{pid: 1, r: 2, gen: 3, floor: 300, resume: 4000}, {}}))
 	for _, frame := range readFrames() {
 		f.Add(frame)
 	}
@@ -769,6 +812,7 @@ func FuzzTransportFrame(f *testing.F) {
 		decodeLogMeta(wireCursor(data))
 		decodeEnvBatch(wireCursor(data), nil)
 		decodeCandBatch(wireCursor(data), newCandDecoder())
+		decodeCandFin(wireCursor(data))
 		decodeReadReq(wireCursor(data))
 		decodeRecsResp(wireCursor(data))
 		decodeTopResp(wireCursor(data))

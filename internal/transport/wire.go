@@ -25,7 +25,11 @@
 //   - cands: one per worker. Candidate batches flow up with sequence
 //     numbers and cumulative acks flow down; unacked batches are resent in
 //     order after a reconnect. The hub's per-group monotonic offset filter
-//     collapses the resulting at-least-once stream to exactly-once.
+//     collapses the resulting at-least-once stream to exactly-once. A
+//     worker's stop ends the stream with a FIN, once everything it offered
+//     is acked, naming the slots it finished — each as a feed hello's body
+//     (pid, r, gen, final restore floor, final offset) — and the hub acks
+//     the FIN after handing those slots to its backend.
 //
 // Every message is one frame: a type byte followed by varint fields.
 package transport
@@ -40,11 +44,11 @@ import (
 	"motifstream/internal/queue"
 )
 
-// connMagic opens every transport connection, format version 4 (envelopes
-// and candidate messages lost version 3's simulated-delay field); an older
-// peer fails the preamble check, so a mixed deployment is refused, not
-// misparsed.
-var connMagic = [8]byte{'M', 'S', 'T', 'P', 'T', 0, 0, 4}
+// connMagic opens every transport connection, format version 5 (the
+// candidate FIN names the worker's finished slots; version 4's was empty);
+// an older peer fails the preamble check, so a mixed deployment is refused,
+// not misparsed.
+var connMagic = [8]byte{'M', 'S', 'T', 'P', 'T', 0, 0, 5}
 
 // maxFrame bounds any accepted wire frame: larger claims are corruption
 // or a hostile peer, rejected before allocation.
@@ -63,7 +67,7 @@ const (
 	msgHelloCands  = 9  // worker→hub: open candidate stream (logID)
 	msgCandBatch   = 10 // worker→hub: candidate batch {seq, msgs}
 	msgCandAck     = 11 // hub→worker: cumulative ack {seq}
-	msgCandFin     = 12 // worker→hub: stream complete, close after ack
+	msgCandFin     = 12 // worker→hub: stream complete {finished slots}, close after ack
 	// 13 and 14 are retired (version 2's read-connection hello and its
 	// ack), as are 19 and 20 (a read-path probe); none is to be reused.
 	msgRecsReq  = 15 // hub→worker on a feed: RecommendationsFor {id, user}
@@ -85,14 +89,17 @@ func appendString(b []byte, s string) []byte {
 }
 
 // helloFeed is the feed attach request: the slot and its generation, the
-// replica's restore floor, and the offset to stream from.
+// replica's restore floor, and the offset to stream from. A candidate FIN
+// names each finished slot with the same fields: its final floor, and in
+// resume the offset its feed ended at.
 type helloFeed struct {
 	pid, r, gen   int
 	floor, resume uint64
 }
 
-func encodeHelloFeed(h helloFeed) []byte {
-	b := []byte{msgHelloFeed}
+func encodeHelloFeed(h helloFeed) []byte { return appendHelloFeed([]byte{msgHelloFeed}, h) }
+
+func appendHelloFeed(b []byte, h helloFeed) []byte {
 	b = binary.AppendUvarint(b, uint64(h.pid))
 	b = binary.AppendUvarint(b, uint64(h.r))
 	b = binary.AppendUvarint(b, uint64(h.gen))
@@ -109,6 +116,24 @@ func decodeHelloFeed(r *codecutil.Cursor) helloFeed {
 	h.floor = r.U("hello floor")
 	h.resume = r.U("hello resume")
 	return h
+}
+
+// encodeCandFin is the candidate stream's FIN: the count of finished slots,
+// then each as a feed hello's body.
+func encodeCandFin(slots []helloFeed) []byte {
+	b := binary.AppendUvarint([]byte{msgCandFin}, uint64(len(slots)))
+	for _, h := range slots {
+		b = appendHelloFeed(b, h)
+	}
+	return b
+}
+
+func decodeCandFin(r *codecutil.Cursor) ([]helloFeed, error) {
+	slots := make([]helloFeed, r.Count("fin slot count", 5))
+	for i := 0; i < len(slots) && r.Err == nil; i++ {
+		slots[i] = decodeHelloFeed(r)
+	}
+	return slots, r.Err
 }
 
 // logMeta carries the hub log's identity and bounds.
