@@ -333,8 +333,7 @@ func (h *crashHarness) finish() {
 
 // finishWorkers is finish's restore-and-drain over TCP. A clean end of
 // stream detaches every slot, so the all-live invariant is checked going
-// into the drain rather than after it; and a floor report that trails the
-// end of stream is dropped with its connection, so the workers first apply
+// into the drain rather than after it, and the workers first apply
 // everything published while the hub still listens — as an in-process
 // drain has the consumers do before the hub tier closes.
 func (h *crashHarness) finishWorkers() {

@@ -168,8 +168,9 @@ type FeedSub struct {
 // C returns the envelope channel (same contract as a topic subscription).
 func (s *FeedSub) C() <-chan queue.Envelope[graph.Edge] { return s.ch }
 
-// Err reports a terminal subscription error (the hub rejected the hello:
-// unknown slot, stale generation, truncated resume offset).
+// Err reports a terminal subscription error: the hub rejected the hello
+// (unknown slot, stale generation, truncated resume offset), or stayed
+// unreachable for a whole outage budget.
 func (s *FeedSub) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -189,7 +190,9 @@ func (s *FeedSub) NotifyLive() {
 }
 
 // ReportFloor tells the hub — which owns the log and truncates once every
-// floor allows it — that the replica's durable restore floor advanced.
+// floor allows it — that the replica's durable restore floor advanced. A
+// report made while no connection is up rides the next hello, or, once the
+// feed has ended, the worker's candidate FIN.
 func (s *FeedSub) ReportFloor(floor uint64) {
 	s.mu.Lock()
 	if floor <= s.floor {
