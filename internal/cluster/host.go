@@ -22,10 +22,10 @@ import (
 type hubLink interface {
 	// LogMeta reports the firehose log's identity and current bounds.
 	LogMeta() (id, head, start uint64)
-	// ReplicaAttached claims slot (pid, r) at generation gen for a replica restored
-	// to resume whose oldest durable restore point is floor, and returns
-	// the firehose from resume plus the handle for the slot's live, floor
-	// and detach reports; reads is where the broker finds the replica.
+	// ReplicaAttached claims slot (pid, r) at generation gen for a replica
+	// restored to resume whose oldest durable restore point is floor, and
+	// returns the firehose from resume plus the handle for the slot's live,
+	// floor and detach reports; reads is where the broker finds the replica.
 	ReplicaAttached(pid, r, gen int, floor, resume uint64, reads broker.Replica) (transport.Attachment, <-chan queue.Envelope[graph.Edge], error)
 	// offer hands one event's candidates toward delivery.
 	offer(msg transport.CandMsg) error

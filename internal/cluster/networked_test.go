@@ -749,14 +749,14 @@ func TestNetworkedShutdownWaitsForReconnectingWorker(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hold.until.Store(time.Now().Add(3 * time.Second).UnixNano())
+	until := time.Now().Add(3 * time.Second)
+	hold.until.Store(until.UnixNano())
 	hub.DropConnections()
-	start := time.Now()
 	if err := hub.Shutdown(); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	if d := time.Since(start); d < 3*time.Second {
-		t.Errorf("Shutdown returned after %v, before the held worker could come back", d)
+	if early := time.Until(until); early > 0 {
+		t.Errorf("Shutdown returned %v before the held worker could write its FIN", early)
 	}
 	joinWorker()
 	diffNotes(t, want, notes(), "held-redial")
