@@ -8,6 +8,7 @@ import (
 	"motifstream/internal/cluster"
 	"motifstream/internal/delivery"
 	"motifstream/internal/dynstore"
+	"motifstream/internal/metrics"
 	"motifstream/internal/motif"
 	"motifstream/internal/partition"
 	"motifstream/internal/placement"
@@ -91,7 +92,8 @@ type ClusterOptions struct {
 	MirrorBases int
 	// HealAfter enables the placement auto-healer: a replica that stays
 	// dead longer than this is automatically re-provisioned onto a fresh
-	// node (ReprovisionReplica). Zero disables. Requires CheckpointDir.
+	// node (ReprovisionReplica), and counted in the cluster.healed counter.
+	// Zero disables. Requires CheckpointDir.
 	HealAfter time.Duration
 	// ApplyBatch bounds how many envelopes each replica drains from its
 	// firehose subscription into one batch, amortizing scratch and metric
@@ -233,7 +235,15 @@ func NewCluster(staticEdges []Edge, opts ClusterOptions) (*Cluster, error) {
 	inner.Start()
 	c := &Cluster{inner: inner}
 	if opts.HealAfter > 0 && opts.CheckpointDir != "" {
-		c.healer = placement.NewHealer(inner, placement.HealerOptions{After: opts.HealAfter})
+		healed := inner.Metrics().Counter("cluster.healed")
+		c.healer = placement.NewHealer(inner, placement.HealerOptions{
+			After: opts.HealAfter,
+			OnHeal: func(_, _ int, err error) {
+				if err == nil {
+					healed.Inc()
+				}
+			},
+		})
 		c.healer.Start()
 	}
 	return c, nil
@@ -304,7 +314,17 @@ func (c *Cluster) RecommendationsFor(a VertexID) ([]Candidate, error) {
 	return c.inner.RecommendationsFor(a)
 }
 
-// ClusterStats summarizes a deployment.
+// ClusterStats is what the paper's API reports of a deployment: events,
+// pushes, latency quantiles and the delivery funnel, plus the firehose log's
+// truncation position. Every other count is read by name from Metrics():
+// cluster.checkpoints, cluster.checkpoint_errors, cluster.restores,
+// cluster.compactions, cluster.reprovisions (cluster.healed is the
+// auto-healer's share), cluster.base_mirrors, cluster.base_pool_restores,
+// cluster.fsyncs_saved, cluster.delivery_state_cuts,
+// cluster.delivery_state_restores, cluster.scale_outs, cluster.scale_ins,
+// cluster.audit_records and cluster.audit_mismatches among them, and the
+// checkpoint cuts' apply-loop pauses in the cluster.checkpoint_cut_pause
+// histogram.
 type ClusterStats struct {
 	// Events is the number of stream edges ingested.
 	Events uint64
@@ -320,88 +340,29 @@ type ClusterStats struct {
 	DetectLatencyP50, DetectLatencyP99 time.Duration
 	// Funnel breaks down candidate drops by pipeline stage.
 	Funnel FunnelStats
-	// Checkpoints counts durable replica checkpoint segments written;
-	// Restores counts replicas rejoined through checkpoint + replay.
-	Checkpoints, Restores uint64
-	// Compactions counts delta chains folded into fresh bases by the
-	// background checkpoint writers.
-	Compactions uint64
 	// LogTruncatedBelow is the firehose log's compaction horizon: every
 	// retained offset is at or above it. Zero until the first truncation.
 	LogTruncatedBelow uint64
-	// CheckpointPauseP99 is the 99th-percentile apply-loop pause taken by
-	// a checkpoint cut: delta capture plus any backpressure wait on the
-	// async writer (encode and fsync themselves run off-loop).
-	CheckpointPauseP99 time.Duration
-	// Reprovisions counts node replacements (ReprovisionReplica, operator
-	// or auto-healer driven); Healed is the auto-healer's share.
-	Reprovisions, Healed uint64
-	// BaseMirrors counts base checkpoints replicated to peer replica
-	// directories; BasePoolRestores counts restores recovered from the
-	// partition base pool (a mirror or a peer's base) rather than the
-	// replica's own chain.
-	BaseMirrors, BasePoolRestores uint64
-	// FsyncsSaved counts fsyncs elided by the async writers' cut
-	// coalescing.
-	FsyncsSaved uint64
-	// ScaleOuts and ScaleIns count live membership changes.
-	ScaleOuts, ScaleIns uint64
-	// DeliveryStateCuts counts durable snapshots of the delivery
-	// pipeline's suppression state (dedup LRU + fatigue budgets), cut
-	// beside the delivery offsets; DeliveryStateRestores counts restarts
-	// that installed one, keeping a (user, item) pair pushed before the
-	// restart suppressed after it.
-	DeliveryStateCuts, DeliveryStateRestores uint64
-	// ApplyBatches counts batches applied by the replica apply loops;
-	// ApplyBatchMean and ApplyBatchP99 summarize how many envelopes each
-	// batch actually carried (bounded by ClusterOptions.ApplyBatch; small
-	// values mean the consumer is keeping up and draining shallow). With
-	// ApplyBatch <= 1 every envelope is its own batch.
-	ApplyBatches                  uint64
-	ApplyBatchMean, ApplyBatchP99 float64
-	// AuditRecords counts state fingerprints recorded by the audit layer;
-	// AuditMismatches counts fingerprint disagreements the pipeline
-	// detected (compaction self-checks, recovery cross-checks, go-live
-	// gates). Any nonzero mismatch means two recovery-equivalent states
-	// differed. Zero without ClusterOptions.Audit.
-	AuditRecords, AuditMismatches uint64
 }
 
 // Stats returns current cluster totals.
 func (c *Cluster) Stats() ClusterStats {
 	s := c.inner.Stats()
-	st := ClusterStats{
-		Events:                s.Events,
-		Delivered:             s.Delivered,
-		LatencyP50:            s.E2ELatency.P50,
-		LatencyP99:            s.E2ELatency.P99,
-		DetectLatencyP50:      s.DetectLatency.P50,
-		DetectLatencyP99:      s.DetectLatency.P99,
-		Funnel:                s.Funnel,
-		Checkpoints:           s.Checkpoints,
-		Restores:              s.Restores,
-		Compactions:           s.Compactions,
-		LogTruncatedBelow:     s.LogTruncatedBelow,
-		CheckpointPauseP99:    s.CutPause.P99,
-		Reprovisions:          s.Reprovisions,
-		BaseMirrors:           s.BaseMirrors,
-		BasePoolRestores:      s.BasePoolRestores,
-		FsyncsSaved:           s.FsyncsSaved,
-		ScaleOuts:             s.ScaleOuts,
-		ScaleIns:              s.ScaleIns,
-		DeliveryStateCuts:     s.DeliveryStateCuts,
-		DeliveryStateRestores: s.DeliveryStateRestores,
-		ApplyBatches:          s.ApplyBatches,
-		ApplyBatchMean:        float64(s.ApplyBatchSize.Mean),
-		ApplyBatchP99:         float64(s.ApplyBatchSize.P99),
-		AuditRecords:          s.AuditRecords,
-		AuditMismatches:       s.AuditMismatches,
+	return ClusterStats{
+		Events:            s.Events,
+		Delivered:         s.Delivered,
+		LatencyP50:        s.E2ELatency.P50,
+		LatencyP99:        s.E2ELatency.P99,
+		DetectLatencyP50:  s.DetectLatency.P50,
+		DetectLatencyP99:  s.DetectLatency.P99,
+		Funnel:            s.Funnel,
+		LogTruncatedBelow: s.LogTruncatedBelow,
 	}
-	if c.healer != nil {
-		st.Healed = c.healer.Healed()
-	}
-	return st
 }
+
+// Metrics exposes the cluster's metrics registry, the one place its
+// counters are kept; Dump renders them all.
+func (c *Cluster) Metrics() *metrics.Registry { return c.inner.Metrics() }
 
 // ItemCount pairs a recommended item with its recommendation count.
 type ItemCount = partition.ItemCount

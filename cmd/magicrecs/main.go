@@ -353,17 +353,10 @@ func run(args []string, errOut io.Writer) int {
 		s.Funnel.Raw, s.Funnel.DroppedDuplicate, s.Funnel.DroppedAsleep,
 		s.Funnel.DroppedFatigue, s.Funnel.Delivered, 100*s.Funnel.DeliveryRate())
 	if *ckptDir != "" {
-		fmt.Printf("recovery:    %d checkpoint segments (%d compactions) in %s; cut pause p99=%v; firehose log truncated below offset %d\n",
-			s.Checkpoints, s.Compactions, *ckptDir, s.CheckpointPauseP99, s.LogTruncatedBelow)
-		fmt.Printf("delivery:    %d pipeline state cuts (dedup LRU + fatigue budgets), %d restored at restarts\n",
-			s.DeliveryStateCuts, s.DeliveryStateRestores)
-		fmt.Printf("placement:   %d reprovisions (%d auto-healed), %d base mirrors, %d pool restores, %d scale-outs, %d scale-ins, %d fsyncs saved\n",
-			s.Reprovisions, s.Healed, s.BaseMirrors, s.BasePoolRestores, s.ScaleOuts, s.ScaleIns, s.FsyncsSaved)
+		fmt.Printf("recovery:    checkpoints in %s; firehose log truncated below offset %d\n", *ckptDir, s.LogTruncatedBelow)
 	}
-	if *batchN > 1 {
-		fmt.Printf("batching:    %d apply batches (mean %.1f / p99 %.0f envelopes per batch, bound %d, %d workers)\n",
-			s.ApplyBatches, s.ApplyBatchMean, s.ApplyBatchP99, *batchN, *workersN)
-	}
+	// Every other count, the final run's, by registry name.
+	fmt.Printf("metrics:\n%s\n", clu.Metrics().Dump())
 	if *auditOn {
 		// Cross-verify the recorded per-cut fingerprints of every
 		// partition's replica group: any two replicas that recorded the
@@ -381,9 +374,10 @@ func run(args []string, errOut io.Writer) int {
 				fmt.Printf("  AUDIT MISMATCH partition %d offset %d: %v\n", pid, m.Offset, m.Sums)
 			}
 		}
+		flagged := clu.Metrics().Counter("cluster.audit_mismatches").Value()
 		fmt.Printf("audit:       %d fingerprints recorded, %d offsets cross-compared, %d mismatches (%d flagged by the pipeline)\n",
-			records, compared, mismatches, s.AuditMismatches)
-		if mismatches > 0 || s.AuditMismatches > 0 {
+			records, compared, mismatches, flagged)
+		if mismatches > 0 || flagged > 0 {
 			log.Fatal("audit: replica state diverged — fingerprint mismatch")
 		}
 	}

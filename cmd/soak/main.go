@@ -285,8 +285,18 @@ func (s *soak) audit() error {
 	if records == 0 {
 		return fmt.Errorf("vacuous: audit enabled but no fingerprints recorded")
 	}
-	if n := s.c.Stats().AuditMismatches; n != 0 {
-		return fmt.Errorf("pipeline detected %d fingerprint mismatches", n)
+	return s.noMismatches("pipeline")
+}
+
+// noMismatches fails when the pipeline's own fingerprint cross-checks
+// counted a mismatch, or when the registry holds no such count at all.
+func (s *soak) noMismatches(when string) error {
+	n, ok := s.c.Metrics().CounterValue("cluster.audit_mismatches")
+	if !ok {
+		return fmt.Errorf("%s: no cluster.audit_mismatches counter in the registry", when)
+	}
+	if n != 0 {
+		return fmt.Errorf("%s detected %d fingerprint mismatches", when, n)
 	}
 	return nil
 }
@@ -413,7 +423,7 @@ func (l lifecycle) drain() error {
 // count covers the final incarnation only; the delivered-set oracle covers
 // the whole run.
 func (l lifecycle) evidence() (string, error) {
-	return fmt.Sprintf(" (%d audit records since last restart)", l.c.Stats().AuditRecords), nil
+	return fmt.Sprintf(" (%d audit records since last restart)", l.c.Metrics().Counter("cluster.audit_records").Value()), nil
 }
 
 // netWorker is one in-process stand-in for a worker OS process: its own
@@ -755,8 +765,8 @@ func run(dur time.Duration, seed int64, users, wave int, netMode bool) error {
 		}
 		// Mid-run invariant: the pipeline's own fingerprint cross-checks
 		// found nothing.
-		if n := s.c.Stats().AuditMismatches; n != 0 {
-			return fmt.Errorf("wave %d: pipeline detected %d fingerprint mismatches", s.waves, n)
+		if err := s.noMismatches(fmt.Sprintf("wave %d: pipeline", s.waves)); err != nil {
+			return err
 		}
 		s.sample()
 		s.waves++

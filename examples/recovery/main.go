@@ -87,7 +87,7 @@ func main() {
 	publish(stream[2*third:])
 	clu.Stop()
 
-	s := clu.Stats()
+	s, reg := clu.Stats(), clu.Metrics()
 	fmt.Printf("\nevents=%d delivered=%d checkpoints=%d restores=%d\n",
-		s.Events, s.Delivered, s.Checkpoints, s.Restores)
+		s.Events, s.Delivered, reg.Counter("cluster.checkpoints").Value(), reg.Counter("cluster.restores").Value())
 }

@@ -142,12 +142,14 @@ func TestApplyLoopMatchesClusterFreeOracle(t *testing.T) {
 					}
 				}
 			}
-			st := c.Stats()
-			if st.Checkpoints == 0 {
+			if counter(t, c, "cluster.checkpoints") == 0 {
 				t.Fatal("vacuous: no checkpoint was cut")
 			}
-			if v.batch <= 1 && st.ApplyBatchSize.Max > 1 {
-				t.Fatalf("batch bound %d applied a batch of %d envelopes", v.batch, int64(st.ApplyBatchSize.Max))
+			// Every batch holds at least one envelope, so the replicas
+			// applied as many events as batches exactly when none held two.
+			applied, batches := counter(t, c, "engine.events"), c.Stats().ApplyBatches
+			if v.batch <= 1 && applied != batches {
+				t.Fatalf("batch bound %d applied %d events in %d batches", v.batch, applied, batches)
 			}
 		})
 	}

@@ -252,7 +252,6 @@ type shared struct {
 	e2eLatency            *metrics.Histogram
 	detectLatency         *metrics.Histogram
 	cutPause              *metrics.Histogram
-	batchSize             *metrics.Histogram
 	applyBatches          *metrics.Counter
 	ingested              *metrics.Counter
 	delivered             *metrics.Counter
@@ -287,7 +286,6 @@ func newShared(cfg Config) *shared {
 		e2eLatency:            reg.Histogram("cluster.e2e_latency"),
 		detectLatency:         reg.Histogram("cluster.detect_latency_wall"),
 		cutPause:              reg.Histogram("cluster.checkpoint_cut_pause"),
-		batchSize:             reg.Histogram("cluster.apply_batch_size"),
 		applyBatches:          reg.Counter("cluster.apply_batches"),
 		ingested:              reg.Counter("cluster.events"),
 		delivered:             reg.Counter("cluster.delivered"),
@@ -557,48 +555,21 @@ func (c *Cluster) RecoverReplica(pid, r int) error {
 	return nil
 }
 
-// Stats summarizes a running cluster.
+// Stats summarizes a running cluster: what the paper's API reports (events,
+// pushes, latency, the funnel), the firehose log's position, and the two
+// apply-loop figures the benchmark (benchmark/run.go) reads. Every other
+// count is read by its cluster.* name from Metrics(), the one place
+// counters are kept.
 type Stats struct {
-	Events      uint64
-	Delivered   uint64
-	Checkpoints uint64
-	Restores    uint64
-	// Compactions counts delta chains folded into fresh bases by the
-	// async writers.
-	Compactions uint64
-	// Reprovisions counts node replacements (ReprovisionReplica).
-	Reprovisions uint64
-	// BaseMirrors counts base checkpoints replicated to peer replica
-	// directories; BasePoolRestores counts restores that recovered state
-	// from the partition's base pool (a mirror or a peer's base) rather
-	// than the replica's own chain.
-	BaseMirrors      uint64
-	BasePoolRestores uint64
-	// FsyncsSaved counts fsyncs the async writers elided by coalescing
-	// queued checkpoint cuts into one segment per drain.
-	FsyncsSaved uint64
-	// DeliveryStateCuts counts durable snapshots of the delivery
-	// pipeline's suppression state (dedup LRU + fatigue budgets);
-	// DeliveryStateRestores counts restarts that installed one.
-	DeliveryStateCuts, DeliveryStateRestores uint64
-	// ScaleOuts and ScaleIns count live membership changes (AddReplica /
-	// DecommissionReplica).
-	ScaleOuts, ScaleIns uint64
-	// AuditRecords counts fingerprint records appended to the per-replica
-	// audit logs; AuditMismatches counts fingerprint disagreements the
-	// pipeline itself detected (compaction self-checks, recovery
-	// cross-checks, go-live gates). Any nonzero mismatch count means two
-	// recovery-equivalent states differed — run VerifyFingerprints for
-	// the offsets. Zero without Config.Audit.
-	AuditRecords, AuditMismatches uint64
+	Events    uint64
+	Delivered uint64
 	// LogTruncatedBelow is the firehose log's compaction horizon: every
 	// retained offset is at or above it. Zero until the first truncation.
 	LogTruncatedBelow uint64
 	// ApplyBatches counts batches applied by the replica apply loops (one
-	// per envelope with ApplyBatch <= 1); ApplyBatchSize is the
-	// distribution of envelopes per batch (unitless counts).
-	ApplyBatches   uint64
-	ApplyBatchSize metrics.Snapshot
+	// per envelope with ApplyBatch <= 1); the engines' engine.events over
+	// it is the mean envelopes per batch.
+	ApplyBatches uint64
 	// CutPause is the distribution of apply-loop pauses taken by
 	// checkpoint cuts: delta capture plus any backpressure wait on the
 	// async writer (encode and fsync themselves happen off-loop).
@@ -616,28 +587,14 @@ type Stats struct {
 func (c *Cluster) Stats() Stats {
 	_, _, start := c.host.link.LogMeta()
 	return Stats{
-		Events:                c.ingested.Value(),
-		Delivered:             c.delivered.Value(),
-		Checkpoints:           c.checkpoints.Value(),
-		Restores:              c.restores.Value(),
-		Compactions:           c.compactions.Value(),
-		Reprovisions:          c.reprovisions.Value(),
-		BaseMirrors:           c.mirrorsOut.Value(),
-		BasePoolRestores:      c.poolRestores.Value(),
-		FsyncsSaved:           c.fsyncsSaved.Value(),
-		DeliveryStateCuts:     c.deliveryStateCuts.Value(),
-		DeliveryStateRestores: c.deliveryStateRestores.Value(),
-		ScaleOuts:             c.scaleOuts.Value(),
-		ScaleIns:              c.scaleIns.Value(),
-		AuditRecords:          c.auditRecords.Value(),
-		AuditMismatches:       c.auditMismatches.Value(),
-		LogTruncatedBelow:     start,
-		ApplyBatches:          c.applyBatches.Value(),
-		ApplyBatchSize:        c.batchSize.Snapshot(),
-		CutPause:              c.cutPause.Snapshot(),
-		E2ELatency:            c.e2eLatency.Snapshot(),
-		DetectLatency:         c.detectLatency.Snapshot(),
-		Funnel:                c.pipeline.Stats(),
+		Events:            c.ingested.Value(),
+		Delivered:         c.delivered.Value(),
+		LogTruncatedBelow: start,
+		ApplyBatches:      c.applyBatches.Value(),
+		CutPause:          c.cutPause.Snapshot(),
+		E2ELatency:        c.e2eLatency.Snapshot(),
+		DetectLatency:     c.detectLatency.Snapshot(),
+		Funnel:            c.pipeline.Stats(),
 	}
 }
 

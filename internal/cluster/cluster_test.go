@@ -47,6 +47,18 @@ func testConfig(partitions, replicas int) Config {
 	}
 }
 
+// counter reads the cluster's counter registered under name, failing the
+// test on a name the cluster's registry does not hold: a misspelt name must
+// not read as a silent zero.
+func counter(t testing.TB, c *Cluster, name string) uint64 {
+	t.Helper()
+	v, ok := c.Metrics().CounterValue(name)
+	if !ok {
+		t.Fatalf("no counter %q in the cluster's registry", name)
+	}
+	return v
+}
+
 // serving reports whether slot (pid, r) answers reads.
 func serving(c *Cluster, pid, r int) bool {
 	slot, err := c.slot(pid, r)

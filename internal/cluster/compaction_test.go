@@ -20,7 +20,7 @@ func TestCompactionUnderLoadChaos(t *testing.T) {
 	static := ringStatic(50)
 	stream := motifWorkload(77, 50, 700)
 
-	run := func(chaos bool) (map[noteKey]int, Stats) {
+	run := func(chaos bool) (map[noteKey]int, *Cluster) {
 		cfg := recoveryConfig(t, static)
 		cfg.CheckpointInterval = 3 * time.Second // stream time: cuts constantly
 		cfg.CompactEvery = 2                     // fold chains constantly
@@ -72,11 +72,11 @@ func TestCompactionUnderLoadChaos(t *testing.T) {
 				}
 			}
 		}
-		return notes(), c.Stats()
+		return notes(), c
 	}
 
 	want, _ := run(false)
-	got, st := run(true)
+	got, c := run(true)
 	if len(want) == 0 {
 		t.Fatal("vacuous: oracle delivered nothing")
 	}
@@ -90,14 +90,15 @@ func TestCompactionUnderLoadChaos(t *testing.T) {
 			t.Fatalf("chaos run delivered %v, oracle did not", k)
 		}
 	}
-	if st.Compactions == 0 {
+	compactions, below := counter(t, c, "cluster.compactions"), c.Stats().LogTruncatedBelow
+	if compactions == 0 {
 		t.Fatal("vacuous: no compactions ran under load")
 	}
-	if st.LogTruncatedBelow == 0 {
+	if below == 0 {
 		t.Fatal("vacuous: firehose log never truncated")
 	}
 	t.Logf("compaction chaos: %d notifications identical, %d checkpoints, %d compactions, log truncated below %d",
-		len(want), st.Checkpoints, st.Compactions, st.LogTruncatedBelow)
+		len(want), counter(t, c, "cluster.checkpoints"), compactions, below)
 }
 
 // TestLogTruncationBoundedByDurableFloor checks the compaction safety

@@ -393,7 +393,7 @@ func (h *crashHarness) assertFingerprints() {
 	if len(distinct) < 2 {
 		h.t.Fatalf("vacuous: %d audit records carry %d distinct fingerprint value(s)", total, len(distinct))
 	}
-	if n := h.c.Stats().AuditMismatches; n != 0 {
+	if n := counter(h.t, h.c, "cluster.audit_mismatches"); n != 0 {
 		h.t.Fatalf("pipeline detected %d fingerprint mismatches", n)
 	}
 }
@@ -497,7 +497,7 @@ func TestCrashMatrix(t *testing.T) {
 				h.restoreAll(1)
 			},
 			verify: func(t *testing.T, h *crashHarness) {
-				if st := h.c.Stats(); st.Checkpoints == 0 {
+				if counter(t, h.c, "cluster.checkpoints") == 0 {
 					t.Fatal("vacuous: no checkpoints written")
 				}
 			},
@@ -517,7 +517,7 @@ func TestCrashMatrix(t *testing.T) {
 				h.restoreAll(1)
 			},
 			verify: func(t *testing.T, h *crashHarness) {
-				if st := h.c.Stats(); st.Compactions == 0 {
+				if counter(t, h.c, "cluster.compactions") == 0 {
 					t.Fatal("vacuous: no compactions ran")
 				}
 			},
@@ -561,8 +561,8 @@ func TestCrashMatrix(t *testing.T) {
 				h.restoreAll(1)
 			},
 			verify: func(t *testing.T, h *crashHarness) {
-				if st := h.c.Stats(); st.Restores < 4 {
-					t.Fatalf("expected two restore rounds, got %d restores", st.Restores)
+				if n := counter(t, h.c, "cluster.restores"); n < 4 {
+					t.Fatalf("expected two restore rounds, got %d restores", n)
 				}
 			},
 		},
@@ -578,7 +578,7 @@ func TestCrashMatrix(t *testing.T) {
 				h.restart()
 			},
 			verify: func(t *testing.T, h *crashHarness) {
-				if st := h.c.Stats(); st.Restores == 0 {
+				if counter(t, h.c, "cluster.restores") == 0 {
 					t.Fatal("vacuous: reopen restored nothing")
 				}
 			},
@@ -656,11 +656,10 @@ func TestCrashMatrix(t *testing.T) {
 				h.reprovisionAll(1)
 			},
 			verify: func(t *testing.T, h *crashHarness) {
-				st := h.c.Stats()
-				if st.Reprovisions == 0 {
+				if counter(t, h.c, "cluster.reprovisions") == 0 {
 					t.Fatal("vacuous: nothing reprovisioned")
 				}
-				if st.BaseMirrors == 0 {
+				if counter(t, h.c, "cluster.base_mirrors") == 0 {
 					t.Fatal("vacuous: no bases mirrored")
 				}
 				// The replacement lives in a new generation directory.
@@ -706,12 +705,11 @@ func TestCrashMatrix(t *testing.T) {
 				h.reprovisionAll(1)
 			},
 			verify: func(t *testing.T, h *crashHarness) {
-				st := h.c.Stats()
-				if st.LogTruncatedBelow == 0 {
+				if h.c.Stats().LogTruncatedBelow == 0 {
 					t.Fatal("vacuous: log never truncated; plain replay would have sufficed")
 				}
-				if st.Reprovisions == 0 || st.BasePoolRestores == 0 {
-					t.Fatalf("vacuous: reprovisions=%d pool restores=%d", st.Reprovisions, st.BasePoolRestores)
+				if re, pool := counter(t, h.c, "cluster.reprovisions"), counter(t, h.c, "cluster.base_pool_restores"); re == 0 || pool == 0 {
+					t.Fatalf("vacuous: reprovisions=%d pool restores=%d", re, pool)
 				}
 			},
 		},
@@ -739,7 +737,7 @@ func TestCrashMatrix(t *testing.T) {
 				h.restoreAll(1)
 			},
 			verify: func(t *testing.T, h *crashHarness) {
-				if st := h.c.Stats(); st.ScaleOuts == 0 {
+				if counter(t, h.c, "cluster.scale_outs") == 0 {
 					t.Fatal("vacuous: no scale-out happened")
 				}
 				if n := h.c.Replicas(0); n != 3 {
@@ -767,7 +765,7 @@ func TestCrashMatrix(t *testing.T) {
 				h.decommissionAll(1)
 			},
 			verify: func(t *testing.T, h *crashHarness) {
-				if st := h.c.Stats(); st.ScaleIns == 0 {
+				if counter(t, h.c, "cluster.scale_ins") == 0 {
 					t.Fatal("vacuous: no scale-in happened")
 				}
 				if state, _ := h.c.ReplicaState(0, 1); state != "removed" {
@@ -923,7 +921,7 @@ func TestReopenBaseCorruptionForcesDeepReplay(t *testing.T) {
 		t.Fatalf("Reopen over corrupt bases: %v", err)
 	}
 	h.c = c
-	if st := c.Stats(); st.Restores == 0 {
+	if counter(t, c, "cluster.restores") == 0 {
 		t.Fatal("vacuous: reopen restored nothing")
 	}
 	h.finish()
@@ -1027,7 +1025,7 @@ func TestRestartRepushesSuppressed(t *testing.T) {
 	if got := notes()[key]; got != 1 {
 		t.Fatalf("vacuous: (0,%d) delivered %d times before restart, want 1", item, got)
 	}
-	if st := c.Stats(); st.DeliveryStateCuts == 0 {
+	if counter(t, c, "cluster.delivery_state_cuts") == 0 {
 		t.Fatal("Shutdown cut no delivery state")
 	}
 
@@ -1044,8 +1042,8 @@ func TestRestartRepushesSuppressed(t *testing.T) {
 	if f := c2.Pipeline().Stats(); f.DroppedDuplicate == 0 {
 		t.Fatalf("reopened funnel saw no duplicate drop: %+v", f)
 	}
-	if st := c2.Stats(); st.DeliveryStateRestores != 1 {
-		t.Fatalf("DeliveryStateRestores = %d, want 1", st.DeliveryStateRestores)
+	if n := counter(t, c2, "cluster.delivery_state_restores"); n != 1 {
+		t.Fatalf("cluster.delivery_state_restores = %d, want 1", n)
 	}
 }
 
@@ -1131,8 +1129,8 @@ func TestRestartCorruptDeliveryStateDegrades(t *testing.T) {
 			publishAll(t, c2, repushEdges(item, ts+60_000))
 			c2.Shutdown()
 
-			if st := c2.Stats(); st.DeliveryStateRestores != 0 {
-				t.Fatalf("DeliveryStateRestores = %d over %s state", st.DeliveryStateRestores, tc.name)
+			if n := counter(t, c2, "cluster.delivery_state_restores"); n != 0 {
+				t.Fatalf("cluster.delivery_state_restores = %d over %s state", n, tc.name)
 			}
 			// Degraded semantics: the pair is re-pushed exactly once more.
 			if got := notes()[key]; got != 2 {

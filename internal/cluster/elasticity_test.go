@@ -151,8 +151,8 @@ func TestAddReplicaCatchesUpAndServes(t *testing.T) {
 	if len(notes()) == 0 {
 		t.Fatal("vacuous: nothing delivered")
 	}
-	if st := c.Stats(); st.ScaleOuts != 1 {
-		t.Fatalf("ScaleOuts = %d", st.ScaleOuts)
+	if n := counter(t, c, "cluster.scale_outs"); n != 1 {
+		t.Fatalf("cluster.scale_outs = %d", n)
 	}
 }
 
@@ -207,9 +207,8 @@ func TestAddReplicaRefusesDivergedPoolBase(t *testing.T) {
 	if state, _ := c.ReplicaState(0, idx); state != "dead" {
 		t.Fatalf("refused newcomer is %q, want dead", state)
 	}
-	st := c.Stats()
-	if st.AuditMismatches != 1 || st.BasePoolRestores != 0 {
-		t.Fatalf("mismatches=%d pool restores=%d, want 1 and 0", st.AuditMismatches, st.BasePoolRestores)
+	if mm, pool := counter(t, c, "cluster.audit_mismatches"), counter(t, c, "cluster.base_pool_restores"); mm != 1 || pool != 0 {
+		t.Fatalf("mismatches=%d pool restores=%d, want 1 and 0", mm, pool)
 	}
 	if man, err := loadManifest(manifestPath(c.hub.slots[0][idx].dir), c.runID); err != nil || len(man.segs) != 0 {
 		t.Fatalf("refused newcomer's chain was seeded anyway: %v (err %v)", man.segs, err)
@@ -225,7 +224,7 @@ func TestAddReplicaRefusesDivergedPoolBase(t *testing.T) {
 	if err := c.AwaitReplicaLive(0, idx, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if n := c.Stats().AuditMismatches; n != 1 {
+	if n := counter(t, c, "cluster.audit_mismatches"); n != 1 {
 		t.Fatalf("healed retry counted %d mismatches, want still 1", n)
 	}
 }
@@ -366,8 +365,8 @@ func TestReopenAllBasesCorruptRecoversViaMirrors(t *testing.T) {
 	h := newCrashHarness(t, faultCfg, stream)
 	h.publishTo(1.0)
 	h.c.Shutdown()
-	if st := h.c.Stats(); st.LogTruncatedBelow == 0 || st.BaseMirrors == 0 {
-		t.Fatalf("vacuous: truncated below %d, mirrors %d", st.LogTruncatedBelow, st.BaseMirrors)
+	if below, mirrors := h.c.Stats().LogTruncatedBelow, counter(t, h.c, "cluster.base_mirrors"); below == 0 || mirrors == 0 {
+		t.Fatalf("vacuous: truncated below %d, mirrors %d", below, mirrors)
 	}
 
 	// Corrupt every replica's own chain base; leave the mirrors alone.
@@ -392,7 +391,7 @@ func TestReopenAllBasesCorruptRecoversViaMirrors(t *testing.T) {
 		t.Fatalf("Reopen over corrupt bases with mirrors available: %v", err)
 	}
 	h.c = c
-	if st := c.Stats(); st.BasePoolRestores == 0 {
+	if counter(t, c, "cluster.base_pool_restores") == 0 {
 		t.Fatal("vacuous: nothing recovered via the base pool")
 	}
 	h.finish()
@@ -455,8 +454,8 @@ func TestReopenRecoversDespiteTornMirrorWrites(t *testing.T) {
 	h := newCrashHarness(t, faultCfg, stream)
 	h.publishTo(1.0)
 	h.c.Shutdown()
-	if st := h.c.Stats(); st.LogTruncatedBelow == 0 || st.BaseMirrors == 0 {
-		t.Fatalf("vacuous: truncated below %d, intact mirrors %d", st.LogTruncatedBelow, st.BaseMirrors)
+	if below, mirrors := h.c.Stats().LogTruncatedBelow, counter(t, h.c, "cluster.base_mirrors"); below == 0 || mirrors == 0 {
+		t.Fatalf("vacuous: truncated below %d, intact mirrors %d", below, mirrors)
 	}
 
 	// Replica 1's directories hold only replica 0's pushes — every one of
@@ -501,7 +500,7 @@ func TestReopenRecoversDespiteTornMirrorWrites(t *testing.T) {
 		t.Fatalf("Reopen with only torn+intact mirrors: %v", err)
 	}
 	h.c = c
-	if st := c.Stats(); st.BasePoolRestores == 0 {
+	if counter(t, c, "cluster.base_pool_restores") == 0 {
 		t.Fatal("vacuous: nothing recovered via the base pool")
 	}
 	h.finish()
@@ -662,7 +661,7 @@ func TestMirrorOnlySurvivorReplaysAfterTruncation(t *testing.T) {
 		t.Fatalf("Reopen with only stale mirrors: %v", err)
 	}
 	h.c = c
-	if st := c.Stats(); st.BasePoolRestores == 0 {
+	if counter(t, c, "cluster.base_pool_restores") == 0 {
 		t.Fatal("vacuous: nothing recovered via the base pool")
 	}
 	h.finish()
@@ -693,7 +692,7 @@ func TestForeignMirrorsNeverInstalled(t *testing.T) {
 		first.Publish(e)
 	}
 	first.Shutdown()
-	if st := first.Stats(); st.BaseMirrors == 0 {
+	if counter(t, first, "cluster.base_mirrors") == 0 {
 		t.Fatal("vacuous: the first cluster mirrored no base")
 	}
 
@@ -717,8 +716,8 @@ func TestForeignMirrorsNeverInstalled(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Stop()
-	if st := c.Stats(); st.BasePoolRestores != 0 {
-		t.Fatalf("BasePoolRestores = %d: a mirror of another log was installed", st.BasePoolRestores)
+	if n := counter(t, c, "cluster.base_pool_restores"); n != 0 {
+		t.Fatalf("cluster.base_pool_restores = %d: a mirror of another log was installed", n)
 	}
 	replicaFingerprint := func(r int) uint32 {
 		p, err := c.Replica(0, r)
@@ -852,9 +851,15 @@ func TestHealerReprovisionsOnRealCluster(t *testing.T) {
 	for _, e := range motifWorkload(66, 40, 200) {
 		c.Publish(e)
 	}
+	var healed atomic.Uint64
 	healer := placement.NewHealer(c, placement.HealerOptions{
 		After:    50 * time.Millisecond,
 		Interval: 10 * time.Millisecond,
+		OnHeal: func(_, _ int, err error) {
+			if err == nil {
+				healed.Add(1)
+			}
+		},
 	})
 	healer.Start()
 	if err := c.KillReplica(0, 1); err != nil {
@@ -873,10 +878,10 @@ func TestHealerReprovisionsOnRealCluster(t *testing.T) {
 	}
 	healer.Stop() // before Stop: lifecycle calls must not race shutdown
 	c.Stop()
-	if healer.Healed() == 0 {
+	if healed.Load() == 0 {
 		t.Fatal("healer reports zero heals")
 	}
-	if st := c.Stats(); st.Reprovisions == 0 {
+	if counter(t, c, "cluster.reprovisions") == 0 {
 		t.Fatal("no reprovision recorded")
 	}
 	restored, _ := c.Replica(0, 1)

@@ -301,6 +301,12 @@ func TestNetworkedEndToEnd(t *testing.T) {
 		}
 		reads++
 	}
+	// The feed's writer goroutine counts a frame after flushing it, so the
+	// worker's answer can return a read before its frame is counted: wait
+	// for the count, not for the read.
+	for deadline := time.Now().Add(10 * time.Second); framesOut.Value()-before < uint64(reads) && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if got := framesOut.Value() - before; got < uint64(reads) {
 		t.Errorf("%d reads raised the hub's feed frames_out by %d: they did not ride the feed connections", reads, got)
 	}
@@ -487,7 +493,7 @@ func TestNetworkedWorkerCrashRestart(t *testing.T) {
 	if err := hub.AwaitReplicaLive(1, 1, 20*time.Second); err != nil {
 		t.Fatalf("restarted worker 1/1: %v", err)
 	}
-	if wkB2.Stats().Restores == 0 {
+	if counter(t, wkB2, "cluster.restores") == 0 {
 		t.Error("restarted worker recorded no restores")
 	}
 

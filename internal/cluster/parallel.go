@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"sync"
-	"time"
 
 	"motifstream/internal/graph"
 	"motifstream/internal/motif"
@@ -283,9 +282,6 @@ func (h *replicaHost) applyBatch(rep *replica, b *replicaBatch) bool {
 	}
 
 	h.applyBatches.Inc()
-	// The histogram stores unitless envelope counts; snapshot quantiles
-	// read as counts, not durations.
-	h.batchSize.Observe(time.Duration(n))
 
 	// Ordered commit, one envelope at a time in offset order.
 	for i, env := range b.envs {

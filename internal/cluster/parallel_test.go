@@ -127,8 +127,8 @@ func TestCheckpointClockOutlierIntegration(t *testing.T) {
 	// outlier+interval); the clamped clock keeps cutting, so the total is
 	// far above what the pre-outlier prefix alone could produce.
 	prefixBound := uint64(outlierAt) // cuts cannot exceed events
-	if st := c.Stats(); st.Checkpoints <= prefixBound {
-		t.Fatalf("Checkpoints = %d: outlier suppressed post-outlier cuts (prefix bound %d)", st.Checkpoints, prefixBound)
+	if n := counter(t, c, "cluster.checkpoints"); n <= prefixBound {
+		t.Fatalf("cluster.checkpoints = %d: outlier suppressed post-outlier cuts (prefix bound %d)", n, prefixBound)
 	}
 }
 

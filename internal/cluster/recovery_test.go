@@ -367,12 +367,11 @@ func TestFaultEquivalenceOracle(t *testing.T) {
 	}
 
 	// Checkpoints were actually written and used.
-	st := fault.Stats()
-	if st.Checkpoints == 0 {
+	if counter(t, fault, "cluster.checkpoints") == 0 {
 		t.Fatal("fault run wrote no checkpoints")
 	}
-	if st.Restores != uint64(faultCfg.Partitions) {
-		t.Fatalf("Restores = %d, want %d", st.Restores, faultCfg.Partitions)
+	if n := counter(t, fault, "cluster.restores"); n != uint64(faultCfg.Partitions) {
+		t.Fatalf("cluster.restores = %d, want %d", n, faultCfg.Partitions)
 	}
 }
 
@@ -543,11 +542,10 @@ func TestCheckpointFilesAreWrittenAtomically(t *testing.T) {
 	if len(tmps) != 0 {
 		t.Fatalf("leftover temp files: %v", tmps)
 	}
-	st := c.Stats()
-	if st.Checkpoints == 0 {
+	if counter(t, c, "cluster.checkpoints") == 0 {
 		t.Fatal("no checkpoints recorded")
 	}
-	if st.Compactions == 0 {
+	if counter(t, c, "cluster.compactions") == 0 {
 		t.Fatal("no compactions recorded despite CompactEvery=4")
 	}
 }
@@ -772,8 +770,8 @@ func TestRepeatedKillRestoreCycles(t *testing.T) {
 	if len(notes()) == 0 {
 		t.Fatal("vacuous: nothing delivered")
 	}
-	if st := c.Stats(); st.Restores < uint64(kills) {
-		t.Fatalf("Restores = %d for %d kills", st.Restores, kills)
+	if n := counter(t, c, "cluster.restores"); n < uint64(kills) {
+		t.Fatalf("cluster.restores = %d for %d kills", n, kills)
 	}
 }
 
@@ -802,7 +800,7 @@ func TestRestoreIgnoresForeignRunCheckpoints(t *testing.T) {
 		c1.Publish(e)
 	}
 	c1.Stop()
-	if st := c1.Stats(); st.Checkpoints == 0 {
+	if counter(t, c1, "cluster.checkpoints") == 0 {
 		t.Fatal("run 1 wrote no checkpoints")
 	}
 

@@ -88,12 +88,13 @@ func TestDetectBatchEquivalence(t *testing.T) {
 					t.Fatalf("event %d: batched candidates %+v != sequential %+v", i, got[i], seqCands[i])
 				}
 			}
-			ss, bs := seq.Stats(), bat.Stats()
-			if ss.Events != bs.Events || ss.Candidates != bs.Candidates {
-				t.Fatalf("counters diverged: seq %d/%d, batch %d/%d", ss.Events, ss.Candidates, bs.Events, bs.Candidates)
+			for _, name := range []string{"engine.events", "engine.candidates"} {
+				if sn, bn := counter(t, seq, name), counter(t, bat, name); sn != bn {
+					t.Fatalf("%s diverged: seq %d, batch %d", name, sn, bn)
+				}
 			}
-			if ss.Dynamic != bs.Dynamic {
-				t.Fatalf("D stats diverged: seq %+v, batch %+v", ss.Dynamic, bs.Dynamic)
+			if sd, bd := seq.Dynamic().Stats(), bat.Dynamic().Stats(); sd != bd {
+				t.Fatalf("D stats diverged: seq %+v, batch %+v", sd, bd)
 			}
 			if seq.SweepClock() != bat.SweepClock() {
 				t.Fatalf("sweep clock diverged: seq %d, batch %d", seq.SweepClock(), bat.SweepClock())
@@ -112,18 +113,19 @@ func TestLatencyMetricSplit(t *testing.T) {
 	for i := 0; i < n; i++ {
 		e.Apply(graph.Edge{Src: 1, Dst: graph.VertexID(100 + i), Type: graph.Follow, TS: 1_000_000 + int64(i)})
 	}
-	st := e.Stats()
-	if st.QueryLatency.Count != n {
-		t.Fatalf("query_latency observed %d times, want %d", st.QueryLatency.Count, n)
+	query := e.Metrics().Histogram("engine.query_latency").Snapshot()
+	ingest := e.Metrics().Histogram("engine.ingest_latency").Snapshot()
+	if query.Count != n {
+		t.Fatalf("query_latency observed %d times, want %d", query.Count, n)
 	}
-	if st.IngestLatency.Count != n {
-		t.Fatalf("ingest_latency observed %d times, want %d", st.IngestLatency.Count, n)
+	if ingest.Count != n {
+		t.Fatalf("ingest_latency observed %d times, want %d", ingest.Count, n)
 	}
 	// Ingest covers a superset span of query, so its mean cannot be
 	// smaller (histogram bucketing grants equality).
-	if st.IngestLatency.Mean < st.QueryLatency.Mean {
+	if ingest.Mean < query.Mean {
 		t.Fatalf("ingest mean %v < query mean %v: insert span missing from ingest_latency",
-			st.IngestLatency.Mean, st.QueryLatency.Mean)
+			ingest.Mean, query.Mean)
 	}
 }
 

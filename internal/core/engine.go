@@ -365,26 +365,3 @@ func (s SharingStats) SharedFraction() float64 {
 
 // Sharing reports how the registered programs were grouped.
 func (e *Engine) Sharing() SharingStats { return e.sharing }
-
-// Stats summarizes engine activity.
-type Stats struct {
-	Events     uint64
-	Candidates uint64
-	// QueryLatency is the program-execution span only (the paper's
-	// "queries take a few milliseconds" claim).
-	QueryLatency metrics.Snapshot
-	// IngestLatency is the full per-event span: D insert plus programs.
-	IngestLatency metrics.Snapshot
-	Dynamic       dynstore.Stats
-}
-
-// Stats returns current counters and store sizes.
-func (e *Engine) Stats() Stats {
-	return Stats{
-		Events:        e.events.Value(),
-		Candidates:    e.candidates.Value(),
-		QueryLatency:  e.queryLatency.Snapshot(),
-		IngestLatency: e.ingestLatency.Snapshot(),
-		Dynamic:       e.dynamic.Stats(),
-	}
-}

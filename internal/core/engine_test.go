@@ -33,6 +33,17 @@ func testEngine(t *testing.T, static []graph.Edge, cfgTweak func(*Config)) *Engi
 	return e
 }
 
+// counter reads the engine's counter registered under name, failing the
+// test on a name the engine's registry does not hold.
+func counter(t testing.TB, e *Engine, name string) uint64 {
+	t.Helper()
+	v, ok := e.Metrics().CounterValue(name)
+	if !ok {
+		t.Fatalf("no counter %q in the engine's registry", name)
+	}
+	return v
+}
+
 func fig1Static() []graph.Edge {
 	return []graph.Edge{
 		{Src: 1, Dst: 10}, {Src: 2, Dst: 10},
@@ -64,18 +75,17 @@ func TestEngineDetectsAndCounts(t *testing.T) {
 	if len(got) != 1 || got[0].User != 2 {
 		t.Fatalf("candidates = %v", got)
 	}
-	st := e.Stats()
-	if st.Events != 2 {
-		t.Fatalf("Events = %d", st.Events)
+	if n := counter(t, e, "engine.events"); n != 2 {
+		t.Fatalf("engine.events = %d", n)
 	}
-	if st.Candidates != 1 {
-		t.Fatalf("Candidates = %d", st.Candidates)
+	if n := counter(t, e, "engine.candidates"); n != 1 {
+		t.Fatalf("engine.candidates = %d", n)
 	}
-	if st.QueryLatency.Count != 2 {
-		t.Fatalf("latency observations = %d", st.QueryLatency.Count)
+	if n := e.Metrics().Histogram("engine.query_latency").Snapshot().Count; n != 2 {
+		t.Fatalf("latency observations = %d", n)
 	}
-	if st.Dynamic.Edges != 2 {
-		t.Fatalf("D edges = %d", st.Dynamic.Edges)
+	if n := e.Dynamic().Stats().Edges; n != 2 {
+		t.Fatalf("D edges = %d", n)
 	}
 }
 
@@ -88,8 +98,8 @@ func TestEngineInsertsEachEdgeOnce(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		e.Apply(graph.Edge{Src: 10, Dst: graph.VertexID(50 + i), Type: graph.Follow, TS: int64(i)})
 	}
-	if st := e.Stats(); st.Dynamic.Edges != 5 {
-		t.Fatalf("D edges = %d, want 5", st.Dynamic.Edges)
+	if n := e.Dynamic().Stats().Edges; n != 5 {
+		t.Fatalf("D edges = %d, want 5", n)
 	}
 }
 
@@ -136,14 +146,14 @@ func TestEngineStreamTimeSweep(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		e.Apply(graph.Edge{Src: 10, Dst: graph.VertexID(100 + i), Type: graph.Follow, TS: t0})
 	}
-	if st := e.Stats(); st.Dynamic.Targets != 10 {
-		t.Fatalf("targets before sweep = %d", st.Dynamic.Targets)
+	if n := e.Dynamic().Stats().Targets; n != 10 {
+		t.Fatalf("targets before sweep = %d", n)
 	}
 	// Advance stream time by 2 minutes: sweep becomes due and the old
 	// targets (outside 1m retention) vanish.
 	e.Apply(graph.Edge{Src: 11, Dst: 200, Type: graph.Follow, TS: t0 + 120_000})
-	if st := e.Stats(); st.Dynamic.Targets != 1 {
-		t.Fatalf("targets after sweep = %d, want 1 (only the fresh one)", st.Dynamic.Targets)
+	if n := e.Dynamic().Stats().Targets; n != 1 {
+		t.Fatalf("targets after sweep = %d, want 1 (only the fresh one)", n)
 	}
 }
 
@@ -204,8 +214,8 @@ func TestEngineConcurrentApply(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if st := e.Stats(); st.Events != writers*per {
-		t.Fatalf("Events = %d, want %d", st.Events, writers*per)
+	if n := counter(t, e, "engine.events"); n != writers*per {
+		t.Fatalf("engine.events = %d, want %d", n, writers*per)
 	}
 }
 

@@ -159,8 +159,8 @@ func TestEngineSharedMatchesIndependent(t *testing.T) {
 	if emitted["follow-k2"] == 0 || emitted["content-k2"] == 0 || emitted["triangle-closure"] == 0 {
 		t.Fatalf("vacuous run: candidates by program %v", emitted)
 	}
-	if st := shared.Stats(); st.Events != events || st.Candidates != uint64(total) {
-		t.Fatalf("counters: %d events, %d candidates; want %d and %d", st.Events, st.Candidates, events, total)
+	if ev, cands := counter(t, shared, "engine.events"), counter(t, shared, "engine.candidates"); ev != events || cands != uint64(total) {
+		t.Fatalf("counters: %d events, %d candidates; want %d and %d", ev, cands, events, total)
 	}
 }
 

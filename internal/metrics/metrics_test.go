@@ -166,6 +166,30 @@ func TestRegistryReturnsSameInstrument(t *testing.T) {
 	}
 }
 
+// TestCounterValueNeverCreates pins the read a caller by name relies on: a
+// name the registry does not hold reads as absent, not as zero, and stays
+// absent; a registered counter reads its count, zero included.
+func TestCounterValueNeverCreates(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("held")
+	r.Histogram("hist")
+	if v, ok := r.CounterValue("held"); !ok || v != 0 {
+		t.Fatalf("CounterValue(held) = %d, %v; want 0, true", v, ok)
+	}
+	r.Counter("held").Add(3)
+	if v, ok := r.CounterValue("held"); !ok || v != 3 {
+		t.Fatalf("CounterValue(held) = %d, %v; want 3, true", v, ok)
+	}
+	for _, name := range []string{"misspelt", "hist", "misspelt"} {
+		if v, ok := r.CounterValue(name); ok {
+			t.Fatalf("CounterValue(%s) = %d, true: no counter has that name", name, v)
+		}
+	}
+	if strings.Contains(r.Dump(), "misspelt") {
+		t.Fatalf("CounterValue created a counter:\n%s", r.Dump())
+	}
+}
+
 func TestRegistryDump(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a.count").Add(2)

@@ -36,9 +36,10 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Registry is a named collection of metrics. Components create their
-// instruments through a shared registry so cmd/benchreport and
-// cmd/magicrecs can dump a full view.
+// Registry is a named collection of metrics and the one place their values
+// are kept: components create their instruments through a shared registry,
+// and readers look them up by name (CounterValue) or render them all (Dump,
+// which cmd/magicrecs prints at the end of a run).
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
@@ -90,6 +91,19 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.histograms[name] = h
 	}
 	return h
+}
+
+// CounterValue reads the counter registered under name without creating it.
+// ok is false when the registry holds no counter by that name, so a reader
+// by name can tell a misspelt name from a count of zero.
+func (r *Registry) CounterValue(name string) (v uint64, ok bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	c, ok := r.counters[name]
+	if !ok {
+		return 0, false
+	}
+	return c.Value(), true
 }
 
 // Dump renders every metric, sorted by name, one per line.

@@ -70,8 +70,6 @@ type Healer struct {
 	once    sync.Once
 	started atomic.Bool
 
-	healed atomic.Uint64
-
 	// mu guards the scheduling state below: the sweep loop reads and
 	// dispatches under it, and heal goroutines record their outcome under
 	// it when they finish.
@@ -143,9 +141,6 @@ func (h *Healer) Stop() {
 	<-h.done
 	h.healWG.Wait()
 }
-
-// Healed returns how many replicas the healer has re-provisioned.
-func (h *Healer) Healed() uint64 { return h.healed.Load() }
 
 func (h *Healer) run() {
 	defer close(h.done)
@@ -229,7 +224,6 @@ func (h *Healer) heal(key [2]int) {
 	} else {
 		delete(h.fails, key)
 		delete(h.notBefore, key)
-		h.healed.Add(1)
 	}
 	h.mu.Unlock()
 	if h.opts.OnHeal != nil {

@@ -150,14 +150,26 @@ func (f *fakeElastic) ReprovisionReplica(pid, r int) error {
 	return nil
 }
 
+// countHeals is an OnHeal that counts a healer's successful re-provisions
+// into n.
+func countHeals(n *atomic.Uint64) func(int, int, error) {
+	return func(_, _ int, err error) {
+		if err == nil {
+			n.Add(1)
+		}
+	}
+}
+
 func TestHealerReprovisionsAfterDeadline(t *testing.T) {
 	fake := newFakeElastic()
 	healedCh := make(chan [2]int, 4)
+	var healed atomic.Uint64
 	h := NewHealer(fake, HealerOptions{
 		After:    40 * time.Millisecond,
 		Interval: 5 * time.Millisecond,
 		OnHeal: func(pid, r int, err error) {
 			if err == nil {
+				healed.Add(1)
 				healedCh <- [2]int{pid, r}
 			}
 		},
@@ -174,8 +186,8 @@ func TestHealerReprovisionsAfterDeadline(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("healer never re-provisioned the dead replica")
 	}
-	if h.Healed() != 1 {
-		t.Fatalf("Healed = %d", h.Healed())
+	if n := healed.Load(); n != 1 {
+		t.Fatalf("healed %d replicas, want 1", n)
 	}
 	if s, _ := fake.ReplicaState(0, 1); s != "live" {
 		t.Fatalf("state after heal = %q", s)
@@ -185,11 +197,12 @@ func TestHealerReprovisionsAfterDeadline(t *testing.T) {
 func TestHealerLeavesHealthyReplicasAlone(t *testing.T) {
 	fake := newFakeElastic()
 	fake.set(0, 1, "replaying")
-	h := NewHealer(fake, HealerOptions{After: 10 * time.Millisecond, Interval: 2 * time.Millisecond})
+	var healed atomic.Uint64
+	h := NewHealer(fake, HealerOptions{After: 10 * time.Millisecond, Interval: 2 * time.Millisecond, OnHeal: countHeals(&healed)})
 	h.Start()
 	time.Sleep(60 * time.Millisecond)
 	h.Stop()
-	if n := h.Healed(); n != 0 {
+	if n := healed.Load(); n != 0 {
 		t.Fatalf("healer re-provisioned %d healthy replicas", n)
 	}
 }
@@ -210,13 +223,15 @@ func TestHealerBacksOffAfterFailures(t *testing.T) {
 	fake := newFakeElastic()
 	fake.err = errors.New("node pool exhausted")
 	fake.set(0, 1, "dead")
-	var failed atomic.Uint64
+	var failed, healed atomic.Uint64
 	h := NewHealer(fake, HealerOptions{
 		After:    10 * time.Millisecond,
 		Interval: 2 * time.Millisecond,
 		OnHeal: func(_, _ int, err error) {
 			if err != nil {
 				failed.Add(1)
+			} else {
+				healed.Add(1)
 			}
 		},
 	})
@@ -233,8 +248,8 @@ func TestHealerBacksOffAfterFailures(t *testing.T) {
 	if got > 10 {
 		t.Fatalf("healer hot-looped: %d failed attempts in 500ms despite backoff", got)
 	}
-	if h.Healed() != 0 {
-		t.Fatalf("Healed = %d with a permanently failing fake", h.Healed())
+	if n := healed.Load(); n != 0 {
+		t.Fatalf("healed %d replicas with a permanently failing fake", n)
 	}
 }
 
@@ -314,10 +329,12 @@ func (s *slowElastic) ReprovisionReplica(pid, r int) error {
 func TestHealerCapsConcurrentReprovisions(t *testing.T) {
 	const replicas = 6
 	fake := newSlowElastic(replicas)
+	var healed atomic.Uint64
 	h := NewHealer(fake, HealerOptions{
 		After:         5 * time.Millisecond,
 		Interval:      2 * time.Millisecond,
 		MaxConcurrent: 2,
+		OnHeal:        countHeals(&healed),
 	})
 	h.Start()
 	// Every replica's deadline expires almost immediately; give the
@@ -325,9 +342,9 @@ func TestHealerCapsConcurrentReprovisions(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 	close(fake.release)
 	deadline := time.Now().Add(5 * time.Second)
-	for h.Healed() < replicas {
+	for healed.Load() < replicas {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d replicas healed", h.Healed(), replicas)
+			t.Fatalf("only %d/%d replicas healed", healed.Load(), replicas)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -2,12 +2,64 @@ package motifstream_test
 
 import (
 	"maps"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"motifstream"
 )
+
+// counter reads the cluster's counter registered under name, failing the
+// test on a name the cluster's registry does not hold: a misspelt name must
+// not read as a silent zero.
+func counter(t testing.TB, clu *motifstream.Cluster, name string) uint64 {
+	t.Helper()
+	v, ok := clu.Metrics().CounterValue(name)
+	if !ok {
+		t.Fatalf("no counter %q in the cluster's registry", name)
+	}
+	return v
+}
+
+// TestClusterMetricNames pins the registry names that carry the counts
+// ClusterStats does not: a fresh durable cluster holds every one of them
+// before it has counted anything, and the auto-healer's count is there as
+// soon as HealAfter is set. A reader by name (the CLI's dump, cmd/soak,
+// examples/recovery, the tests' counter helper) relies on these names.
+func TestClusterMetricNames(t *testing.T) {
+	clu, err := motifstream.NewCluster([]motifstream.Edge{{Src: 1, Dst: 10}}, motifstream.ClusterOptions{
+		Partitions: 2, Replicas: 2, K: 2,
+		Window:        time.Hour,
+		CheckpointDir: t.TempDir(),
+		HealAfter:     time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clu.Stop()
+	reg := clu.Metrics()
+	for _, name := range []string{
+		"cluster.checkpoints", "cluster.checkpoint_errors", "cluster.restores",
+		"cluster.compactions", "cluster.reprovisions", "cluster.healed",
+		"cluster.base_mirrors", "cluster.base_pool_restores", "cluster.fsyncs_saved",
+		"cluster.delivery_state_cuts", "cluster.delivery_state_restores",
+		"cluster.scale_outs", "cluster.scale_ins",
+		"cluster.audit_records", "cluster.audit_mismatches",
+		"cluster.apply_batches", "engine.events",
+	} {
+		if _, ok := reg.CounterValue(name); !ok {
+			t.Errorf("no counter %q in a fresh durable cluster's registry", name)
+		}
+	}
+	dump := reg.Dump()
+	if !strings.Contains(dump, "hist cluster.checkpoint_cut_pause:") {
+		t.Errorf("no cluster.checkpoint_cut_pause histogram in the dump:\n%s", dump)
+	}
+	if strings.Contains(dump, "apply_batch_size") {
+		t.Errorf("the dump still carries an apply_batch_size histogram:\n%s", dump)
+	}
+}
 
 // TestClusterFacadeRecovery drives kill → restore → catch-up through the
 // public facade with durable checkpoints enabled.
@@ -54,11 +106,11 @@ func TestClusterFacadeRecovery(t *testing.T) {
 	if s.Delivered == 0 {
 		t.Fatal("nothing delivered")
 	}
-	if s.Checkpoints == 0 {
+	if counter(t, clu, "cluster.checkpoints") == 0 {
 		t.Fatal("no checkpoints written")
 	}
-	if s.Restores != 1 {
-		t.Fatalf("Restores = %d", s.Restores)
+	if n := counter(t, clu, "cluster.restores"); n != 1 {
+		t.Fatalf("cluster.restores = %d", n)
 	}
 	// Reads still served through the broker after recovery.
 	if _, err := clu.RecommendationsFor(2); err != nil {
@@ -152,12 +204,11 @@ func TestClusterFacadeElasticity(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	clu.Stop()
-	s := clu.Stats()
-	if s.ScaleOuts != 1 || s.ScaleIns != 1 {
-		t.Fatalf("scale stats = %d out / %d in", s.ScaleOuts, s.ScaleIns)
+	if out, in := counter(t, clu, "cluster.scale_outs"), counter(t, clu, "cluster.scale_ins"); out != 1 || in != 1 {
+		t.Fatalf("scale counts = %d out / %d in", out, in)
 	}
-	if s.Reprovisions < 2 || s.Healed < 1 {
-		t.Fatalf("reprovisions = %d (healed %d), want >= 2 (>= 1)", s.Reprovisions, s.Healed)
+	if re, healed := counter(t, clu, "cluster.reprovisions"), counter(t, clu, "cluster.healed"); re < 2 || healed < 1 {
+		t.Fatalf("reprovisions = %d (healed %d), want >= 2 (>= 1)", re, healed)
 	}
 	if _, err := clu.RecommendationsFor(2); err != nil {
 		t.Fatal(err)

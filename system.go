@@ -182,15 +182,17 @@ type Stats struct {
 
 // Stats returns current counters.
 func (s *System) Stats() Stats {
-	es := s.engine.Stats()
+	reg := s.engine.Metrics()
+	query := reg.Histogram("engine.query_latency").Snapshot()
+	ingest := reg.Histogram("engine.ingest_latency").Snapshot()
 	return Stats{
-		Events:        es.Events,
-		Candidates:    es.Candidates,
-		QueryP50:      es.QueryLatency.P50,
-		QueryP99:      es.QueryLatency.P99,
-		IngestP50:     es.IngestLatency.P50,
-		IngestP99:     es.IngestLatency.P99,
-		RetainedEdges: es.Dynamic.Edges,
+		Events:        reg.Counter("engine.events").Value(),
+		Candidates:    reg.Counter("engine.candidates").Value(),
+		QueryP50:      query.P50,
+		QueryP99:      query.P99,
+		IngestP50:     ingest.P50,
+		IngestP99:     ingest.P99,
+		RetainedEdges: s.engine.Dynamic().Stats().Edges,
 		RetainedBytes: s.engine.Dynamic().MemoryBytes(),
 	}
 }
