@@ -1,6 +1,7 @@
 package motif
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -269,6 +270,76 @@ func TestNewDiamondValidation(t *testing.T) {
 	}
 	if p.K() != 2 {
 		t.Fatal("K() does not round-trip")
+	}
+}
+
+// TestConstructorPlans pins the listing and the share key of every plan a
+// constructor here builds. The EXPLAIN goldens cover DSL shapes only, and
+// callers group plans by the key, so a change to either is a change to what
+// shares a probe prefix with what.
+func TestConstructorPlans(t *testing.T) {
+	min10 := (10 * time.Minute).Milliseconds()
+	cases := []struct {
+		name string
+		p    *PlannedProgram
+		ops  []Op
+		key  string
+	}{
+		{
+			"diamond", NewDiamond(DiamondConfig{K: 3, Window: 10 * time.Minute}),
+			[]Op{
+				{Kind: OpFilterTrigger, WindowMS: [NumEdgeTypes]int64{min10, 0, 0}},
+				{Kind: OpProbeDynamic, K: 3},
+				{Kind: OpProbeStatic},
+				{Kind: OpThreshold, K: 3},
+				{Kind: OpEmit},
+			},
+			"dyn|fan0|600000,0,0,",
+		},
+		{
+			"content", NewDiamond(DiamondConfig{
+				Name: "content", K: 2, Window: 10 * time.Minute,
+				EdgeTypes: []graph.EdgeType{graph.Retweet, graph.Favorite}, MaxFanout: 64, MaxCandidates: 100,
+			}),
+			[]Op{
+				{Kind: OpFilterTrigger, WindowMS: [NumEdgeTypes]int64{0, min10, min10}},
+				{Kind: OpProbeDynamic, K: 2, Limit: 64},
+				{Kind: OpProbeStatic},
+				{Kind: OpThreshold, K: 2},
+				{Kind: OpEmit, Limit: 100},
+			},
+			"dyn|fan64|0,600000,600000,",
+		},
+		{
+			"fresh-follow", NewFreshFollow(5),
+			[]Op{
+				{Kind: OpFilterTrigger, WindowMS: [NumEdgeTypes]int64{1, 0, 0}},
+				{Kind: OpBindTrigger},
+				{Kind: OpEmit, Limit: 5},
+			},
+			"trig|100",
+		},
+		{
+			"triangle-closure", NewTriangleClosure(10 * time.Minute),
+			[]Op{
+				{Kind: OpFilterTrigger, WindowMS: [NumEdgeTypes]int64{min10, min10, min10}},
+				{Kind: OpProbeDynamic, K: 1, Limit: 64},
+				{Kind: OpCoActors},
+				{Kind: OpEmit},
+			},
+			"co|fan64|600000,600000,600000,",
+		},
+	}
+	for _, c := range cases {
+		if c.p.Name() != c.name {
+			t.Errorf("name %q, want %q", c.p.Name(), c.name)
+		}
+		if got := c.p.Ops(); !reflect.DeepEqual(got, c.ops) {
+			t.Errorf("%s: ops\n got %+v\nwant %+v", c.name, got, c.ops)
+		}
+		if got := c.p.ShareKey(); got != c.key {
+			t.Errorf("%s: share key %q, want %q", c.name, got, c.key)
+		}
 	}
 }
 
