@@ -72,11 +72,11 @@ func FuzzPlanMatchesReference(f *testing.F) {
 				expandCaps[j] = mcands % 7 // 0 expands every survivor
 			}
 			name := fmt.Sprintf("m%d", i)
-			ops := PlanOps(win, mk, fan, expandCaps, mcands)
+			shape := Shape{WindowMS: win, K: mk, MaxFanout: fan, ExpandCaps: expandCaps, MaxCandidates: mcands}
 			if coActors {
-				ops = coActorOps(win, fan, mcands)
+				shape = Shape{WindowMS: win, K: 1, MaxFanout: fan, MaxCandidates: mcands, CoActors: true}
 			}
-			plan, err := NewPlannedProgram(name, ops)
+			plan, err := NewPlannedProgram(name, shape)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,10 +1,10 @@
 // Package motif implements online motif detection over the S and D stores.
 // A motif program is invoked once per incoming dynamic edge and emits
 // recommendation candidates the moment the motif completes — the paper's
-// novel "twist" over batch motif detection. Every motif is a plan: an op
-// sequence built by NewDiamond (the production algorithm of §2 and its
-// content co-action variant), NewFreshFollow (k=1), the motifdsl planner
-// (static chains up to three hops, per-type windows) or NewTriangleClosure
+// novel "twist" over batch motif detection. Every motif is a plan: a Shape
+// built by NewDiamond (the production algorithm of §2 and its content
+// co-action variant), NewFreshFollow (k=1), the motifdsl planner (static
+// chains up to three hops, per-type windows) or NewTriangleClosure
 // (recipients drawn from D), and run by the one executor in planned.go.
 package motif
 
@@ -244,7 +244,7 @@ type DiamondConfig struct {
 // NewDiamond returns the plan of the production algorithm of §2: on edge
 // B→C, fetch the other recent B's pointing at C from D; if at least K, look
 // up each B's followers in S and emit the K-threshold intersection. The
-// result is an ordinary planned program — the same ops, share key and
+// result is an ordinary planned program — the same shape, share key and
 // executor a DSL declaration of the shape compiles to. K < 2, a window under
 // a millisecond (stream time is in milliseconds) and a trigger type outside
 // the edge-type table are programmer errors and panic.
@@ -261,14 +261,14 @@ func NewDiamond(cfg DiamondConfig) *PlannedProgram {
 	if len(cfg.EdgeTypes) == 0 {
 		cfg.EdgeTypes = []graph.EdgeType{graph.Follow}
 	}
-	var windowMS [NumEdgeTypes]int64
+	s := Shape{K: cfg.K, MaxFanout: cfg.MaxFanout, MaxCandidates: cfg.MaxCandidates}
 	for _, t := range cfg.EdgeTypes {
 		if int(t) >= NumEdgeTypes {
 			panic(fmt.Sprintf("motif: diamond trigger type %d is not an edge type", t))
 		}
-		windowMS[t] = cfg.Window.Milliseconds()
+		s.WindowMS[t] = cfg.Window.Milliseconds()
 	}
-	return mustPlan(cfg.Name, PlanOps(windowMS, cfg.K, cfg.MaxFanout, nil, cfg.MaxCandidates))
+	return mustPlan(cfg.Name, s)
 }
 
 // NewFreshFollow returns the plan of the degenerate k=1 motif: every new
@@ -278,8 +278,9 @@ func NewDiamond(cfg DiamondConfig) *PlannedProgram {
 // precisely because k=1 floods.
 func NewFreshFollow(maxCandidates int) *PlannedProgram {
 	// Any positive window accepts the type; a k=1 plan never reads it.
-	windowMS := [NumEdgeTypes]int64{graph.Follow: 1}
-	return mustPlan("fresh-follow", PlanOps(windowMS, 1, 0, nil, maxCandidates))
+	return mustPlan("fresh-follow", Shape{
+		WindowMS: [NumEdgeTypes]int64{graph.Follow: 1}, K: 1, MaxCandidates: maxCandidates,
+	})
 }
 
 // NewTriangleClosure returns the plan of the co-action triangle, a motif of
@@ -292,13 +293,15 @@ func NewTriangleClosure(window time.Duration) *PlannedProgram {
 		panic("motif: triangle closure requires a positive window")
 	}
 	w := window.Milliseconds()
-	return mustPlan("triangle-closure", coActorOps([NumEdgeTypes]int64{w, w, w}, 64, 0))
+	return mustPlan("triangle-closure", Shape{
+		WindowMS: [NumEdgeTypes]int64{w, w, w}, K: 1, MaxFanout: 64, CoActors: true,
+	})
 }
 
-// mustPlan wraps NewPlannedProgram for the constructors above, whose op
-// sequences are legal by construction.
-func mustPlan(name string, ops []Op) *PlannedProgram {
-	p, err := NewPlannedProgram(name, ops)
+// mustPlan wraps NewPlannedProgram for the constructors above, whose shapes
+// are legal by construction.
+func mustPlan(name string, s Shape) *PlannedProgram {
+	p, err := NewPlannedProgram(name, s)
 	if err != nil {
 		panic(err)
 	}

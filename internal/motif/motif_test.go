@@ -268,8 +268,8 @@ func TestNewDiamondValidation(t *testing.T) {
 	if p.Name() != "custom" {
 		t.Fatalf("custom name lost: %q", p.Name())
 	}
-	if p.K() != 2 {
-		t.Fatal("K() does not round-trip")
+	if p.Shape().K != 2 {
+		t.Fatal("K does not round-trip")
 	}
 }
 

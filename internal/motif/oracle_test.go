@@ -193,7 +193,7 @@ func TestChainAgainstOracle(t *testing.T) {
 			D:       dynstore.New(dynstore.Options{Retention: window}),
 			Follows: func(a, c graph.VertexID) bool { return oracle.follows[a][c] },
 		}
-		prog, err := NewPlannedProgram("chain", PlanOps(windowsOf(window), k, 0, make([]int, hops-1), 0))
+		prog, err := NewPlannedProgram("chain", Shape{WindowMS: windowsOf(window), K: k, ExpandCaps: make([]int, hops-1)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,24 +8,51 @@ import (
 	"motifstream/internal/graph"
 )
 
-// This file is the package's one detection executor: a small probe-op IR
-// (written by PlanOps for NewDiamond, NewFreshFollow and the motifdsl
-// planner, by coActorOps for NewTriangleClosure), the program a validated op
-// sequence becomes (PlannedProgram), and the shared-execution node that runs
-// it (PlannedGroup): the common probe prefix of its members once per event,
-// fanning out only where the plans diverge. A program on its own runs as a
-// group of one, so there is no second per-event path; the op list itself is
-// kept for Ops and EXPLAIN.
+// This file is the package's one detection executor: the shape a motif plan
+// is (Shape, built by NewDiamond, NewFreshFollow, NewTriangleClosure and the
+// motifdsl planner), the program a validated shape becomes (PlannedProgram),
+// and the shared-execution node that runs it (PlannedGroup): the common probe
+// prefix of its members once per event, fanning out only where the plans
+// diverge. A program on its own runs as a group of one, so there is no second
+// per-event path. The probe-op listing (PlanOps) is the shape's EXPLAIN view,
+// and the test-only reference interpreter runs it; the executor reads the
+// shape.
 //
-// The IR covers the paper's two-hop diamond, longer static chains, k-of-n
+// Shapes cover the paper's two-hop diamond, longer static chains, k-of-n
 // thresholds, per-trigger-type freshness windows, and the co-action triangle.
 
 // NumEdgeTypes is the number of edge types the planned runtime indexes
-// per-type windows by. Filter ops reject any trigger type outside this
-// range.
+// per-type windows by. A trigger type outside this range is rejected.
 const NumEdgeTypes = 3
 
-// OpKind enumerates the probe-op IR.
+// Shape is a motif plan: what the executor runs and what PlanOps lists. The
+// support-threshold shape probes D for the recent actors on the trigger's
+// target, resolves their follower lists in S and keeps the users at least K
+// of them follow (K = 1 binds the trigger actor as the sole support and reads
+// no dynamic state), expands that frontier one static hop per ExpandCaps
+// entry, and emits. The co-actor shape (CoActors, K = 1, no expansion) makes
+// the probed actors the recipients and the trigger actor the item.
+type Shape struct {
+	// WindowMS holds the freshness window in stream milliseconds per trigger
+	// edge type; 0 rejects the type.
+	WindowMS [NumEdgeTypes]int64
+	// K is the support threshold.
+	K int
+	// MaxFanout caps the dynamic probe's actors; 0 means unlimited.
+	MaxFanout int
+	// ExpandCaps holds one survivor cap per expansion, at most two; 0 means
+	// unlimited.
+	ExpandCaps []int
+	// MaxCandidates caps emitted candidates per event; 0 means unlimited.
+	MaxCandidates int
+	// CoActors selects the co-action triangle.
+	CoActors bool
+}
+
+// bindsTrigger reports the pruned k=1 shape that reads no dynamic state.
+func (s *Shape) bindsTrigger() bool { return s.K == 1 && !s.CoActors }
+
+// OpKind enumerates the probe ops of a plan's listing.
 type OpKind uint8
 
 const (
@@ -58,7 +85,7 @@ const (
 	OpCoActors
 )
 
-// String names the op for EXPLAIN output and errors.
+// String names the op for EXPLAIN output.
 func (k OpKind) String() string {
 	switch k {
 	case OpFilterTrigger:
@@ -82,8 +109,8 @@ func (k OpKind) String() string {
 	}
 }
 
-// Op is one instruction of a planned motif. Fields are interpreted per
-// kind; unused fields are zero.
+// Op is one step of a plan's listing. Fields are interpreted per kind;
+// unused fields are zero.
 type Op struct {
 	Kind OpKind
 	// WindowMS (OpFilterTrigger) holds the freshness window in stream
@@ -97,157 +124,75 @@ type Op struct {
 	Limit int
 }
 
-// PlanOps spells the op sequence of a support-threshold shape — the one place
-// it is written, for the constructors here and the motifdsl planner alike: the
-// trigger filter; for k = 1 the trigger bound as sole support, otherwise
-// the dynamic probe (fanout-capped), the static probe and the k threshold;
-// one expansion per entry of expandCaps; emit, capped at maxCands.
-func PlanOps(windowMS [NumEdgeTypes]int64, k, fanout int, expandCaps []int, maxCands int) []Op {
-	ops := []Op{{Kind: OpFilterTrigger, WindowMS: windowMS}}
-	if k == 1 {
+// PlanOps lists a shape as probe ops in execution order — the one place the
+// listing is written, for Ops and EXPLAIN alike: the trigger filter; for the
+// bound trigger the trigger as sole support, otherwise the dynamic probe
+// (fanout-capped) followed by co-actors or by the static probe and the k
+// threshold; one expansion per entry of ExpandCaps; emit, capped at
+// MaxCandidates.
+func PlanOps(s Shape) []Op {
+	ops := []Op{{Kind: OpFilterTrigger, WindowMS: s.WindowMS}}
+	switch {
+	case s.bindsTrigger():
 		ops = append(ops, Op{Kind: OpBindTrigger})
-	} else {
+	case s.CoActors:
 		ops = append(ops,
-			Op{Kind: OpProbeDynamic, K: k, Limit: fanout},
+			Op{Kind: OpProbeDynamic, K: s.K, Limit: s.MaxFanout},
+			Op{Kind: OpCoActors})
+	default:
+		ops = append(ops,
+			Op{Kind: OpProbeDynamic, K: s.K, Limit: s.MaxFanout},
 			Op{Kind: OpProbeStatic},
-			Op{Kind: OpThreshold, K: k})
+			Op{Kind: OpThreshold, K: s.K})
 	}
-	for _, c := range expandCaps {
+	for _, c := range s.ExpandCaps {
 		ops = append(ops, Op{Kind: OpExpand, Limit: c})
 	}
-	return append(ops, Op{Kind: OpEmit, Limit: maxCands})
+	return append(ops, Op{Kind: OpEmit, Limit: s.MaxCandidates})
 }
 
-// coActorOps spells the co-actor shape: the trigger filter, the dynamic probe
-// (fanout-capped, K 1: every actor is a recipient), co-actors, capped emit.
-func coActorOps(windowMS [NumEdgeTypes]int64, fanout, maxCands int) []Op {
-	return []Op{
-		{Kind: OpFilterTrigger, WindowMS: windowMS},
-		{Kind: OpProbeDynamic, K: 1, Limit: fanout},
-		{Kind: OpCoActors},
-		{Kind: OpEmit, Limit: maxCands},
-	}
-}
-
-// PlannedProgram is a validated op sequence as a motif program. It is
-// immutable, safe for concurrent OnEdge calls, confines its D reads to
-// e.Dst's in-edge list (k=1 plans read no dynamic state at all), and costs
-// zero heap allocation per non-emitting event on a warmed-up Scratch.
+// PlannedProgram is a validated shape as a motif program. It is immutable,
+// safe for concurrent OnEdge calls, confines its D reads to e.Dst's in-edge
+// list (k=1 plans read no dynamic state at all), and costs zero heap
+// allocation per non-emitting event on a warmed-up Scratch.
 type PlannedProgram struct {
-	name string
-	ops  []Op // as given; execution reads the decoded summary below
-
-	// Decoded summary of the op sequence, fixed at construction.
-	windowMS    [NumEdgeTypes]int64
-	k           int
-	fanout      int
-	maxCands    int
-	expands     int
-	expandCaps  [2]int
-	triggerOnly bool
-	coActors    bool
-	shareKey    string
+	name     string
+	shape    Shape
+	shareKey string
 
 	// solo is the group of one OnEdgeScratch runs the program through.
 	solo *PlannedGroup
 }
 
-// NewPlannedProgram validates ops as one of the three legal shapes —
-//
-//	filter-trigger, probe-dynamic, probe-static, threshold, expand*, emit
-//	filter-trigger, bind-trigger, expand*, emit            (k = 1)
-//	filter-trigger, probe-dynamic, co-actors, emit         (K = 1)
-//
-// — and returns the program. The op order is the planner's output; the
-// runtime trusts its dataflow but re-checks the shape, since what executes
-// is the summary decoded here, not the list.
-func NewPlannedProgram(name string, ops []Op) (*PlannedProgram, error) {
+// NewPlannedProgram validates shape and returns its program: a name, at
+// least one trigger type, no negative window, K >= 1, at most two
+// expansions, and for co-actors K = 1 (every in-window actor is a recipient)
+// and no expansion (the co-actors are the recipients).
+func NewPlannedProgram(name string, shape Shape) (*PlannedProgram, error) {
 	if name == "" {
 		return nil, fmt.Errorf("motif: planned program needs a name")
 	}
-	p := &PlannedProgram{name: name, ops: append([]Op(nil), ops...)}
-	i := 0
-	next := func() (Op, bool) {
-		if i >= len(p.ops) {
-			return Op{}, false
-		}
-		op := p.ops[i]
-		i++
-		return op, true
-	}
-	op, ok := next()
-	if !ok || op.Kind != OpFilterTrigger {
-		return nil, fmt.Errorf("motif: plan %q must start with filter-trigger", name)
-	}
 	any := false
-	for t := 0; t < NumEdgeTypes; t++ {
-		if op.WindowMS[t] < 0 {
+	for t, w := range shape.WindowMS {
+		if w < 0 {
 			return nil, fmt.Errorf("motif: plan %q has a negative window for %s", name, graph.EdgeType(t))
 		}
-		if op.WindowMS[t] > 0 {
-			any = true
-		}
+		any = any || w > 0
 	}
-	if !any {
-		return nil, fmt.Errorf("motif: plan %q accepts no trigger types", name)
-	}
-	p.windowMS = op.WindowMS
-
-	op, ok = next()
 	switch {
-	case ok && op.Kind == OpBindTrigger:
-		p.triggerOnly = true
-		p.k = 1
-	case ok && op.Kind == OpProbeDynamic:
-		p.k = op.K
-		p.fanout = op.Limit
-		op, ok = next()
-		if ok && op.Kind == OpCoActors {
-			if p.k != 1 {
-				return nil, fmt.Errorf("motif: plan %q co-actors needs probe-dynamic K 1 (every in-window actor is a recipient)", name)
-			}
-			p.coActors = true
-			break
-		}
-		if p.k < 2 {
-			return nil, fmt.Errorf("motif: plan %q probe-dynamic needs K >= 2 (k=1 plans bind the trigger)", name)
-		}
-		if !ok || op.Kind != OpProbeStatic {
-			return nil, fmt.Errorf("motif: plan %q needs probe-static after probe-dynamic", name)
-		}
-		op, ok = next()
-		if !ok || op.Kind != OpThreshold || op.K != p.k {
-			return nil, fmt.Errorf("motif: plan %q needs threshold-intersect k=%d after probe-static", name, p.k)
-		}
-	default:
-		return nil, fmt.Errorf("motif: plan %q needs bind-trigger or probe-dynamic after the filter", name)
+	case !any:
+		return nil, fmt.Errorf("motif: plan %q accepts no trigger types", name)
+	case shape.K < 1:
+		return nil, fmt.Errorf("motif: plan %q needs K >= 1, got %d", name, shape.K)
+	case len(shape.ExpandCaps) > 2:
+		return nil, fmt.Errorf("motif: plan %q chains too deep (at most 2 expansions)", name)
+	case shape.CoActors && shape.K != 1:
+		return nil, fmt.Errorf("motif: plan %q co-actors needs K 1 (every in-window actor is a recipient)", name)
+	case shape.CoActors && len(shape.ExpandCaps) > 0:
+		return nil, fmt.Errorf("motif: plan %q expands co-actors (they are the recipients)", name)
 	}
-
-	for {
-		op, ok = next()
-		if !ok {
-			return nil, fmt.Errorf("motif: plan %q is missing emit", name)
-		}
-		if op.Kind != OpExpand {
-			break
-		}
-		if p.coActors {
-			return nil, fmt.Errorf("motif: plan %q expands co-actors (they are the recipients)", name)
-		}
-		if p.expands >= 2 {
-			return nil, fmt.Errorf("motif: plan %q chains too deep (at most 2 expansions)", name)
-		}
-		p.expandCaps[p.expands] = op.Limit
-		p.expands++
-	}
-	if op.Kind != OpEmit {
-		return nil, fmt.Errorf("motif: plan %q has %s where emit was expected", name, op.Kind)
-	}
-	p.maxCands = op.Limit
-	if _, extra := next(); extra {
-		return nil, fmt.Errorf("motif: plan %q has ops after emit", name)
-	}
-	p.shareKey = shareKeyOf(p.triggerOnly, p.coActors, p.windowMS, p.fanout)
+	shape.ExpandCaps = slices.Clone(shape.ExpandCaps)
+	p := &PlannedProgram{name: name, shape: shape, shareKey: shareKeyOf(&shape)}
 	p.solo = groupOf([]*PlannedProgram{p})
 	return p, nil
 }
@@ -258,12 +203,12 @@ func NewPlannedProgram(name string, ops []Op) (*PlannedProgram, error) {
 // Trigger-only plans key on accepted types alone — their windows are
 // vacuous (the trigger is always inside its own window). Co-actor plans
 // probe D as a threshold's do but read no S lists, so they key apart.
-func shareKeyOf(triggerOnly, coActors bool, windowMS [NumEdgeTypes]int64, fanout int) string {
+func shareKeyOf(s *Shape) string {
 	var b strings.Builder
-	if triggerOnly {
+	if s.bindsTrigger() {
 		b.WriteString("trig|")
-		for t := 0; t < NumEdgeTypes; t++ {
-			if windowMS[t] > 0 {
+		for _, w := range s.WindowMS {
+			if w > 0 {
 				b.WriteByte('1')
 			} else {
 				b.WriteByte('0')
@@ -272,12 +217,12 @@ func shareKeyOf(triggerOnly, coActors bool, windowMS [NumEdgeTypes]int64, fanout
 		return b.String()
 	}
 	probe := "dyn"
-	if coActors {
+	if s.CoActors {
 		probe = "co"
 	}
-	fmt.Fprintf(&b, "%s|fan%d|", probe, fanout)
-	for t := 0; t < NumEdgeTypes; t++ {
-		fmt.Fprintf(&b, "%d,", windowMS[t])
+	fmt.Fprintf(&b, "%s|fan%d|", probe, s.MaxFanout)
+	for _, w := range s.WindowMS {
+		fmt.Fprintf(&b, "%d,", w)
 	}
 	return b.String()
 }
@@ -285,30 +230,15 @@ func shareKeyOf(triggerOnly, coActors bool, windowMS [NumEdgeTypes]int64, fanout
 // Name implements Program.
 func (p *PlannedProgram) Name() string { return p.name }
 
-// Ops returns a copy of the program's op sequence.
-func (p *PlannedProgram) Ops() []Op { return append([]Op(nil), p.ops...) }
-
-// K returns the support threshold.
-func (p *PlannedProgram) K() int { return p.k }
-
-// MaxFanout returns the dynamic-probe fanout cap (0 = unlimited).
-func (p *PlannedProgram) MaxFanout() int { return p.fanout }
-
-// MaxCandidates returns the per-event emission cap (0 = unlimited).
-func (p *PlannedProgram) MaxCandidates() int { return p.maxCands }
-
-// TriggerOnly reports whether the plan is the pruned k=1 shape that reads
-// no dynamic state.
-func (p *PlannedProgram) TriggerOnly() bool { return p.triggerOnly }
-
-// WindowFor returns the freshness window in milliseconds for a trigger
-// type, 0 when the type is rejected.
-func (p *PlannedProgram) WindowFor(t graph.EdgeType) int64 {
-	if int(t) >= NumEdgeTypes {
-		return 0
-	}
-	return p.windowMS[t]
+// Shape returns a copy of the program's shape.
+func (p *PlannedProgram) Shape() Shape {
+	s := p.shape
+	s.ExpandCaps = slices.Clone(s.ExpandCaps)
+	return s
 }
+
+// Ops lists the program's shape as probe ops (PlanOps): what EXPLAIN prints.
+func (p *PlannedProgram) Ops() []Op { return PlanOps(p.shape) }
 
 // ShareKey identifies the program's shared probe prefix. Programs with
 // equal keys can be grouped under one PlannedGroup.
@@ -416,7 +346,7 @@ func expandFrontier(ctx *Context, s *Scratch, cur graph.AdjList, limit, round in
 func (p *PlannedProgram) emit(ctx *Context, e graph.Edge, s *Scratch, cur graph.AdjList, cnt []int) {
 	start := len(s.stage)
 	for i, a := range cur {
-		if cnt != nil && cnt[i] < p.k {
+		if cnt != nil && cnt[i] < p.shape.K {
 			continue
 		}
 		if a == e.Dst {
@@ -426,7 +356,7 @@ func (p *PlannedProgram) emit(ctx *Context, e graph.Edge, s *Scratch, cur graph.
 			continue
 		}
 		var via viaRef
-		if p.expands == 0 {
+		if len(p.shape.ExpandCaps) == 0 {
 			via = s.sharedVia(i, a)
 		} else {
 			conn, ok := connectorOf(a, s)
@@ -434,7 +364,7 @@ func (p *PlannedProgram) emit(ctx *Context, e graph.Edge, s *Scratch, cur graph.
 				continue
 			}
 			via.off = len(s.viaElems)
-			if p.expands == 1 {
+			if len(p.shape.ExpandCaps) == 1 {
 				s.viaElems = supportersOf(s.viaElems, conn, s.bs, s.lists)
 			} else {
 				s.viaElems = append(s.viaElems, conn)
@@ -450,7 +380,7 @@ func (p *PlannedProgram) emit(ctx *Context, e graph.Edge, s *Scratch, cur graph.
 			Program:      p.name,
 			Score:        float64(via.n),
 		})
-		if p.maxCands > 0 && len(s.stage)-start >= p.maxCands {
+		if p.shape.MaxCandidates > 0 && len(s.stage)-start >= p.shape.MaxCandidates {
 			break
 		}
 	}
@@ -461,7 +391,7 @@ func (p *PlannedProgram) emit(ctx *Context, e graph.Edge, s *Scratch, cur graph.
 // end of the trigger or already follows e.Src; fresher co-action scores
 // higher, in (0, 1]. The member's candidates share one staged Via, [e.Dst].
 func (p *PlannedProgram) emitCoActors(ctx *Context, e graph.Edge, s *Scratch) {
-	win, start := p.windowMS[e.Type], len(s.stage)
+	win, start := p.shape.WindowMS[e.Type], len(s.stage)
 	var via viaRef
 	for _, in := range s.recent {
 		if in.B == e.Src || in.B == e.Dst || ctx.Follows != nil && ctx.Follows(in.B, e.Src) {
@@ -476,7 +406,7 @@ func (p *PlannedProgram) emitCoActors(ctx *Context, e graph.Edge, s *Scratch) {
 			User: in.B, Item: e.Src, Trigger: e, DetectedAtMS: e.TS, Program: p.name,
 			Score: 1 - float64(e.TS-in.TS)/float64(win+1),
 		})
-		if p.maxCands > 0 && len(s.stage)-start >= p.maxCands {
+		if p.shape.MaxCandidates > 0 && len(s.stage)-start >= p.shape.MaxCandidates {
 			break
 		}
 	}
@@ -584,7 +514,7 @@ func groupOf(members []*PlannedProgram) *PlannedGroup {
 	}
 	// Insertion sort keeps equal-k members in registration order.
 	for i := 1; i < len(g.byK); i++ {
-		for j := i; j > 0 && members[g.byK[j]].k < members[g.byK[j-1]].k; j-- {
+		for j := i; j > 0 && members[g.byK[j]].shape.K < members[g.byK[j-1]].shape.K; j-- {
 			g.byK[j], g.byK[j-1] = g.byK[j-1], g.byK[j]
 		}
 	}
@@ -617,9 +547,14 @@ func (g *PlannedGroup) DetectInto(ctx *Context, e graph.Edge, s *Scratch, res []
 // Until then s must not be passed to a program: a plan's OnEdgeScratch hands
 // over whatever is staged.
 func (g *PlannedGroup) StageInto(ctx *Context, e graph.Edge, s *Scratch, slots []int) {
-	// The prefix parameters are the share key's, equal across members.
+	// The prefix parameters are the share key's, equal across members. The
+	// trigger type comes from the stream: one outside the window table is
+	// rejected like one the plan does not accept.
 	prefix := g.members[0]
-	win := prefix.WindowFor(e.Type)
+	if int(e.Type) >= NumEdgeTypes {
+		return
+	}
+	win := prefix.shape.WindowMS[e.Type]
 	if win <= 0 {
 		return
 	}
@@ -629,7 +564,7 @@ func (g *PlannedGroup) StageInto(ctx *Context, e graph.Edge, s *Scratch, slots [
 	var surv graph.AdjList
 	var cnt []int
 	maxCnt := 1
-	if prefix.triggerOnly {
+	if prefix.shape.bindsTrigger() {
 		if surv = bindTrigger(ctx, e, s); surv == nil {
 			return
 		}
@@ -637,13 +572,13 @@ func (g *PlannedGroup) StageInto(ctx *Context, e graph.Edge, s *Scratch, slots [
 		// The fanout cap is pushed into the store query so a viral target with
 		// thousands of in-window actors costs O(fanout), not O(window); the
 		// store returns the freshest distinct actors.
-		recent := ctx.D.RecentLimitInto(s.recent[:0], e.Dst, e.TS-win, prefix.fanout)
+		recent := ctx.D.RecentLimitInto(s.recent[:0], e.Dst, e.TS-win, prefix.shape.MaxFanout)
 		s.recent = recent
-		minK := g.members[g.byK[0]].k
+		minK := g.members[g.byK[0]].shape.K
 		if len(recent) < minK {
 			return
 		}
-		if !prefix.coActors {
+		if !prefix.shape.CoActors {
 			lists := probeStatic(ctx, s)
 			if len(lists) < minK {
 				return
@@ -658,7 +593,7 @@ func (g *PlannedGroup) StageInto(ctx *Context, e graph.Edge, s *Scratch, slots [
 	}
 	for _, idx := range g.byK {
 		m := g.members[idx]
-		if m.k > maxCnt {
+		if m.shape.K > maxCnt {
 			break // ascending k: no survivor reaches a later member's either
 		}
 		lo := len(s.stage)
@@ -714,16 +649,16 @@ func (s *Scratch) HandOver(res [][]Candidate) ([]Candidate, Lease) {
 	return out, Lease{cc, vc}
 }
 
-// runSuffix executes the member's post-prefix ops (expansions and emit) from
+// runSuffix executes the member's post-prefix steps (expansions and emit) from
 // the group's shared survivors, or from its probed actors for a co-actor
 // plan. It must not touch s.recent, s.bs, s.lists, s.as or s.cnt — those
 // belong to the group prefix and later members.
 func (p *PlannedProgram) runSuffix(ctx *Context, e graph.Edge, s *Scratch, surv graph.AdjList, cnt []int) {
-	if p.coActors {
+	if p.shape.CoActors {
 		p.emitCoActors(ctx, e, s)
 		return
 	}
-	if p.expands == 0 {
+	if len(p.shape.ExpandCaps) == 0 {
 		p.emit(ctx, e, s, surv, cnt)
 		return
 	}
@@ -731,14 +666,14 @@ func (p *PlannedProgram) runSuffix(ctx *Context, e graph.Edge, s *Scratch, surv 
 	if cnt != nil {
 		cur = s.front[:0]
 		for i, a := range surv {
-			if cnt[i] >= p.k {
+			if cnt[i] >= p.shape.K {
 				cur = append(cur, a)
 			}
 		}
 		s.front = cur
 	}
-	for round := 1; round <= p.expands; round++ {
-		cur = expandFrontier(ctx, s, cur, p.expandCaps[round-1], round)
+	for i, limit := range p.shape.ExpandCaps {
+		cur = expandFrontier(ctx, s, cur, limit, i+1)
 		if len(cur) == 0 {
 			return
 		}

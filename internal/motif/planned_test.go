@@ -13,7 +13,7 @@ import (
 )
 
 // windowsOf is the per-type window table of a diamond over types (empty
-// means follows only), for the tests that spell a shape through PlanOps.
+// means follows only), for the tests that spell a Shape.
 func windowsOf(window time.Duration, types ...graph.EdgeType) [NumEdgeTypes]int64 {
 	var win [NumEdgeTypes]int64
 	if len(types) == 0 {
@@ -147,7 +147,9 @@ func TestPlannedGroupMatchesIndependent(t *testing.T) {
 			Name: name, K: k, Window: window, EdgeTypes: types, MaxFanout: 32, MaxCandidates: maxCands,
 		})
 	}
-	deep, err := NewPlannedProgram("deep", PlanOps(windowsOf(window, types...), 2, 32, []int{64}, 0))
+	deep, err := NewPlannedProgram("deep", Shape{
+		WindowMS: windowsOf(window, types...), K: 2, MaxFanout: 32, ExpandCaps: []int{64},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,33 +239,36 @@ func TestPlannedGroupRejectsMixedKeys(t *testing.T) {
 
 // TestPlannedProgramValidation exercises NewPlannedProgram's shape checks.
 func TestPlannedProgramValidation(t *testing.T) {
-	valid := PlanOps(windowsOf(time.Minute), 2, 0, nil, 0)
+	valid := Shape{WindowMS: windowsOf(time.Minute), K: 2}
 	if _, err := NewPlannedProgram("", valid); err == nil {
 		t.Fatal("empty name accepted")
 	}
-	if _, err := NewPlannedProgram("x", valid[1:]); err == nil {
-		t.Fatal("missing filter accepted")
-	}
-	if _, err := NewPlannedProgram("x", valid[:4]); err == nil {
-		t.Fatal("missing emit accepted")
-	}
-	noTypes := append([]Op(nil), valid...)
-	noTypes[0].WindowMS = [NumEdgeTypes]int64{}
+	noTypes := valid
+	noTypes.WindowMS = [NumEdgeTypes]int64{}
 	if _, err := NewPlannedProgram("x", noTypes); err == nil {
 		t.Fatal("typeless filter accepted")
 	}
-	deep := append(append([]Op(nil), valid[:4]...),
-		Op{Kind: OpExpand}, Op{Kind: OpExpand}, Op{Kind: OpExpand}, valid[4])
+	negative := valid
+	negative.WindowMS[graph.Retweet] = -1
+	if _, err := NewPlannedProgram("x", negative); err == nil {
+		t.Fatal("negative window accepted")
+	}
+	noK := valid
+	noK.K = 0
+	if _, err := NewPlannedProgram("x", noK); err == nil {
+		t.Fatal("K 0 accepted")
+	}
+	deep := valid
+	deep.ExpandCaps = []int{0, 0, 0}
 	if _, err := NewPlannedProgram("x", deep); err == nil {
 		t.Fatal("3 expansions accepted")
 	}
-	co := coActorOps(windowsOf(time.Minute), 8, 0)
-	co[1].K = 2
+	co := Shape{WindowMS: windowsOf(time.Minute), K: 2, MaxFanout: 8, CoActors: true}
 	if _, err := NewPlannedProgram("x", co); err == nil {
 		t.Fatal("co-actors after a K 2 probe accepted")
 	}
-	co = coActorOps(windowsOf(time.Minute), 8, 0)
-	if _, err := NewPlannedProgram("x", append(co[:3:3], Op{Kind: OpExpand}, co[3])); err == nil {
+	co.K, co.ExpandCaps = 1, []int{0}
+	if _, err := NewPlannedProgram("x", co); err == nil {
 		t.Fatal("expanded co-actors accepted")
 	}
 }

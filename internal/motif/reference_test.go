@@ -12,9 +12,9 @@ import (
 // hold the plan executor against. None of them runs in production and none
 // calls into planned.go's per-event code: the hand-written diamond,
 // fresh-follow and triangle closure are the detectors the executor replaced,
-// and interpretOps
-// executes an op list one op at a time, so a plan's Ops (the listing EXPLAIN
-// prints) is proven to mean what the executor's decoded summary does.
+// and interpretOps executes an op list one op at a time, so a plan's Ops (the
+// listing EXPLAIN prints) is proven to mean what the executor runs from the
+// shape.
 
 // handDiamond is the hand-written §2 detector: on edge B→C, fetch the other
 // recent B's pointing at C from D; if at least K, look up each B's followers

@@ -165,7 +165,9 @@ func TestHandOverMatchesReference(t *testing.T) {
 				}
 				// Registration order is neither construction nor ascending-k order.
 				slots[i] = (i + 2) % r.members
-				p, err := NewPlannedProgram(fmt.Sprintf("m%d", i), PlanOps(win, k, r.fan, make([]int, depth-1), r.cands))
+				p, err := NewPlannedProgram(fmt.Sprintf("m%d", i), Shape{
+					WindowMS: win, K: k, MaxFanout: r.fan, ExpandCaps: make([]int, depth-1), MaxCandidates: r.cands,
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -259,7 +261,7 @@ func newEngineSet(t *testing.T) *engineSet {
 	dia := func(name string, k int) *PlannedProgram {
 		return NewDiamond(DiamondConfig{Name: name, K: k, Window: 10 * time.Minute, MaxFanout: 64})
 	}
-	bcast, err := NewPlannedProgram("bcast", PlanOps(windowsOf(time.Minute), 1, 0, nil, 0))
+	bcast, err := NewPlannedProgram("bcast", Shape{WindowMS: windowsOf(time.Minute), K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

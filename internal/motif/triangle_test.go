@@ -87,7 +87,9 @@ func TestTriangleClosureSuppression(t *testing.T) {
 
 func TestTriangleClosureMaxCandidates(t *testing.T) {
 	ctx := newCtx(t, nil, false, time.Hour)
-	p, err := NewPlannedProgram("capped", coActorOps(windowsOf(10*time.Minute, graph.Retweet), 64, 2))
+	p, err := NewPlannedProgram("capped", Shape{
+		WindowMS: windowsOf(10*time.Minute, graph.Retweet), K: 1, MaxFanout: 64, MaxCandidates: 2, CoActors: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

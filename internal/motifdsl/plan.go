@@ -9,8 +9,8 @@ import (
 	"motifstream/internal/motif"
 )
 
-// Plan is a validated, executable form of a Spec: a sequence of probe ops
-// (motif.Op) plus the rationale behind it for EXPLAIN. The planner
+// Plan is a validated, executable form of a Spec: a motif.Shape run as a
+// planned program, plus the rationale behind it for EXPLAIN. The planner
 // generalizes the paper's two-hop diamond to static chains up to three hops
 // deep, k-of-n support thresholds, and per-trigger-type freshness windows.
 //
@@ -21,12 +21,6 @@ import (
 // microseconds per motif.
 type Plan struct {
 	Spec *Spec
-	// Ops is the probe-op program in execution order.
-	Ops []motif.Op
-	// ShareKey identifies the plan's shared probe prefix; plans with equal
-	// keys execute the prefix once per event under the engine's shared
-	// executor.
-	ShareKey string
 
 	prog  *motif.PlannedProgram
 	depth int      // static hops between user and support
@@ -68,7 +62,7 @@ const defaultWindow = 10 * time.Minute
 
 // The planner's fixed estimates: the p90 count of distinct in-window actors
 // per target and the p50 follower-list length. They only appear in EXPLAIN
-// text, never in the ops or the results.
+// text, never in the shape or the results.
 const (
 	coldDynIn  = 8
 	coldStatic = 16
@@ -169,14 +163,11 @@ func PlanSpec(spec *Spec) (*Plan, error) {
 	}
 
 	p := &Plan{Spec: spec, depth: depth}
-	p.build(k, windowMS, fanout, maxCands)
-
-	prog, err := motif.NewPlannedProgram(spec.Name, p.Ops)
+	prog, err := motif.NewPlannedProgram(spec.Name, p.build(k, windowMS, fanout, maxCands))
 	if err != nil {
 		return nil, errf(spec.Pos, "motif %q: %v", spec.Name, err)
 	}
 	p.prog = prog
-	p.ShareKey = prog.ShareKey()
 	return p, nil
 }
 
@@ -261,15 +252,14 @@ func chainOf(spec *Spec, statics []*MatchClause, support string) (string, int, e
 	return start, len(statics), nil
 }
 
-// build emits the op sequence (spelled by motif.PlanOps, the one place a
-// shape's ops are written) using the greedy ordering rule: among the
-// dataflow-valid probe orders, take the probe with the smallest expected
+// build returns the plan's shape, chosen by the greedy ordering rule: among
+// the dataflow-valid probe orders, take the probe with the smallest expected
 // output first and place the threshold at the narrowest point. With one
 // dynamic and one static probe family there are two valid pipelines —
 // window-probe-first, or (when the trigger alone satisfies the threshold)
 // no window probe at all — and the fixed estimates appear only in the text
 // of the rationale while the k=1 prune decides the shape.
-func (p *Plan) build(k int, windowMS [motif.NumEdgeTypes]int64, fanout, maxCands int) {
+func (p *Plan) build(k int, windowMS [motif.NumEdgeTypes]int64, fanout, maxCands int) motif.Shape {
 	expandCap := fanout
 	if expandCap <= 0 {
 		expandCap = defaultExpandCap
@@ -278,7 +268,6 @@ func (p *Plan) build(k int, windowMS [motif.NumEdgeTypes]int64, fanout, maxCands
 	for i := range expandCaps {
 		expandCaps[i] = expandCap
 	}
-	p.Ops = motif.PlanOps(windowMS, k, fanout, expandCaps, maxCands)
 	if k == 1 {
 		// The trigger edge is itself the single in-window support: the
 		// dynamic-window probe and the threshold-intersect are pruned, the
@@ -298,6 +287,7 @@ func (p *Plan) build(k int, windowMS [motif.NumEdgeTypes]int64, fanout, maxCands
 		p.note("chain depth %d: %d expansion hop(s) after the threshold, survivors capped at %d per hop",
 			p.depth, p.depth-1, expandCap)
 	}
+	return motif.Shape{WindowMS: windowMS, K: k, MaxFanout: fanout, ExpandCaps: expandCaps, MaxCandidates: maxCands}
 }
 
 func (p *Plan) note(format string, args ...interface{}) {
@@ -333,7 +323,7 @@ func (p *Plan) Program() motif.Program { return p.prog }
 func (p *Plan) Describe() string {
 	var b strings.Builder
 	shape := "k-of-n diamond"
-	if p.prog.TriggerOnly() {
+	if p.prog.Shape().K == 1 {
 		shape = "fresh-follow broadcast (k=1)"
 	}
 	if p.depth > 1 {
@@ -341,11 +331,11 @@ func (p *Plan) Describe() string {
 	}
 	fmt.Fprintf(&b, "plan %q (%s)\n", p.Spec.Name, shape)
 	b.WriteString("  probe order (greedy, statistics-free):\n")
-	for i, op := range p.Ops {
+	for i, op := range p.prog.Ops() {
 		fmt.Fprintf(&b, "    %d. %s", i+1, p.describeOp(op))
 		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "  sharing: key %s — plans with this key run the trigger filter and D/S probes once per event\n", p.ShareKey)
+	fmt.Fprintf(&b, "  sharing: key %s — plans with this key run the trigger filter and D/S probes once per event\n", p.prog.ShareKey())
 	b.WriteString("  rationale:\n")
 	for _, n := range p.notes {
 		fmt.Fprintf(&b, "    - %s\n", n)

@@ -20,16 +20,16 @@ func TestPlanDiamond(t *testing.T) {
 	if !ok {
 		t.Fatalf("program type %T, want *motif.PlannedProgram", p)
 	}
-	if d.K() != 3 || d.MaxFanout() != 64 || d.MaxCandidates() != 100 {
-		t.Fatalf("k=%d fanout=%d cands=%d", d.K(), d.MaxFanout(), d.MaxCandidates())
+	if d.Shape().K != 3 || d.Shape().MaxFanout != 64 || d.Shape().MaxCandidates != 100 {
+		t.Fatalf("k=%d fanout=%d cands=%d", d.Shape().K, d.Shape().MaxFanout, d.Shape().MaxCandidates)
 	}
-	if got := d.WindowFor(graph.Follow); got != (10 * time.Minute).Milliseconds() {
+	if got := d.Shape().WindowMS[graph.Follow]; got != (10 * time.Minute).Milliseconds() {
 		t.Fatalf("window = %dms", got)
 	}
 	if d.Name() != "diamond" {
 		t.Fatalf("name = %q", d.Name())
 	}
-	if d.TriggerOnly() {
+	if d.Shape().K == 1 {
 		t.Fatal("k=3 plan must probe the dynamic store")
 	}
 }
@@ -45,7 +45,7 @@ motif "x" {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := p.(*motif.PlannedProgram).WindowFor(graph.Follow)
+	got := p.(*motif.PlannedProgram).Shape().WindowMS[graph.Follow]
 	if got != defaultWindow.Milliseconds() {
 		t.Fatalf("window = %dms, want default %v", got, defaultWindow)
 	}
@@ -67,11 +67,11 @@ motif "broadcast" {
 	if !ok {
 		t.Fatalf("program type %T, want *motif.PlannedProgram", p)
 	}
-	if !d.TriggerOnly() {
+	if d.Shape().K != 1 {
 		t.Fatal("k=1 plan must prune the dynamic probe")
 	}
-	if d.MaxCandidates() != 10 {
-		t.Fatalf("MaxCandidates = %d", d.MaxCandidates())
+	if d.Shape().MaxCandidates != 10 {
+		t.Fatalf("MaxCandidates = %d", d.Shape().MaxCandidates)
 	}
 }
 
@@ -91,10 +91,10 @@ motif "fresh-retweet" {
 		t.Fatal(err)
 	}
 	d := p.(*motif.PlannedProgram)
-	if d.WindowFor(graph.Retweet) != (5 * time.Minute).Milliseconds() {
-		t.Fatalf("retweet window = %dms", d.WindowFor(graph.Retweet))
+	if d.Shape().WindowMS[graph.Retweet] != (5 * time.Minute).Milliseconds() {
+		t.Fatalf("retweet window = %dms", d.Shape().WindowMS[graph.Retweet])
 	}
-	if d.WindowFor(graph.Follow) != 0 {
+	if d.Shape().WindowMS[graph.Follow] != 0 {
 		t.Fatal("k=1 retweet plan must not accept follow triggers")
 	}
 
@@ -127,11 +127,11 @@ motif "renamed" {
 		t.Fatal(err)
 	}
 	d := p.(*motif.PlannedProgram)
-	if d.K() != 2 {
-		t.Fatalf("k = %d", d.K())
+	if d.Shape().K != 2 {
+		t.Fatalf("k = %d", d.Shape().K)
 	}
-	if d.WindowFor(graph.Favorite) != (2*time.Minute).Milliseconds() || d.WindowFor(graph.Follow) != 0 {
-		t.Fatalf("windows: favorite=%d follow=%d", d.WindowFor(graph.Favorite), d.WindowFor(graph.Follow))
+	if d.Shape().WindowMS[graph.Favorite] != (2*time.Minute).Milliseconds() || d.Shape().WindowMS[graph.Follow] != 0 {
+		t.Fatalf("windows: favorite=%d follow=%d", d.Shape().WindowMS[graph.Favorite], d.Shape().WindowMS[graph.Follow])
 	}
 }
 
@@ -151,13 +151,13 @@ motif "content" {
 		t.Fatal(err)
 	}
 	d := p.(*motif.PlannedProgram)
-	if d.WindowFor(graph.Retweet) != (5 * time.Minute).Milliseconds() {
-		t.Fatalf("retweet window = %dms", d.WindowFor(graph.Retweet))
+	if d.Shape().WindowMS[graph.Retweet] != (5 * time.Minute).Milliseconds() {
+		t.Fatalf("retweet window = %dms", d.Shape().WindowMS[graph.Retweet])
 	}
-	if d.WindowFor(graph.Favorite) != (30 * time.Minute).Milliseconds() {
-		t.Fatalf("favorite window = %dms", d.WindowFor(graph.Favorite))
+	if d.Shape().WindowMS[graph.Favorite] != (30 * time.Minute).Milliseconds() {
+		t.Fatalf("favorite window = %dms", d.Shape().WindowMS[graph.Favorite])
 	}
-	if d.WindowFor(graph.Follow) != 0 {
+	if d.Shape().WindowMS[graph.Follow] != 0 {
 		t.Fatal("follow triggers must be rejected")
 	}
 }

@@ -14,7 +14,7 @@
 //	}
 //
 // Compile lexes, parses, semantically checks, and plans the spec into a
-// motif.PlannedProgram: the same op sequence, share key and executor
+// motif.PlannedProgram: the same shape, share key and executor
 // motif.NewDiamond builds for the shape directly.
 package motifdsl
 
