@@ -102,11 +102,10 @@ func (h *Histogram) Snapshot() Snapshot {
 	s.Min = time.Duration(minNS)
 	s.Max = time.Duration(maxNS)
 	s.Mean = time.Duration(sum / float64(total))
+	// The p-quantile is the ceil(p*n)-th observation (1-based): the floor
+	// rank would read one observation low, the minimum for p50 of three.
 	q := func(p float64) time.Duration {
-		target := uint64(p * float64(total))
-		if target == 0 {
-			target = 1
-		}
+		target := uint64(math.Ceil(p * float64(total)))
 		var cum uint64
 		for b := 0; b < histBuckets; b++ {
 			cum += counts[b]

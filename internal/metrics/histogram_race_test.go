@@ -81,11 +81,7 @@ func TestHistogramQuantileOneBucketBound(t *testing.T) {
 			got time.Duration
 		}{{0.50, s.P50}, {0.90, s.P90}, {0.99, s.P99}} {
 			// Snapshot targets the ceil(p*n)-th observation (1-based).
-			target := int(q.p * float64(n))
-			if target == 0 {
-				target = 1
-			}
-			exact := vals[target-1]
+			exact := vals[int(math.Ceil(q.p*float64(n)))-1]
 			got := float64(q.got)
 			if got < exact && q.got != s.Max {
 				t.Fatalf("trial %d p%v: reported %v below exact order statistic %v ns",
@@ -98,5 +94,23 @@ func TestHistogramQuantileOneBucketBound(t *testing.T) {
 					trial, q.p, q.got, time.Duration(exact))
 			}
 		}
+	}
+}
+
+// TestHistogramQuantileFewSamples pins the ceil rank where it matters most,
+// a histogram of a few samples: of {1ms, 10ms, 100ms}, p50 is the second
+// observation and p90 and p99 the third. The floor rank reads p50 at the
+// minimum and p99 at the median.
+func TestHistogramQuantileFewSamples(t *testing.T) {
+	h := NewHistogram()
+	for _, d := range []time.Duration{time.Millisecond, 10 * time.Millisecond, 100 * time.Millisecond} {
+		h.Observe(d)
+	}
+	s := h.Snapshot()
+	if s.P50 < 10*time.Millisecond || float64(s.P50) > float64(10*time.Millisecond)*histBase {
+		t.Fatalf("p50 = %v, want 10ms within one bucket", s.P50)
+	}
+	if s.P90 != 100*time.Millisecond || s.P99 != 100*time.Millisecond {
+		t.Fatalf("p90 = %v, p99 = %v, want the maximum 100ms", s.P90, s.P99)
 	}
 }
