@@ -120,11 +120,12 @@ test-transport:
 	$(GO) test -race -run 'TestNetworked|TestReplicaHost|TestCrashMatrix/.*/tcp' ./internal/cluster
 
 # test-planner runs the motif planner and shared-execution suite under
-# the race detector: the DSL (lexer/parser/plan IR/EXPLAIN goldens), the
-# plan executor against its test-only references (the hand-written
+# the race detector: the DSL (lexer/parser/plan shapes/EXPLAIN goldens), the
+# constructors' pinned listings and share keys, the plan executor, which
+# reads a plan's shape, against its test-only references (the hand-written
 # diamond, fresh-follow and triangle closure it replaced — the triangle's
-# differential over twenty seeded worlds among them — an op-list
-# interpreter, the brute-force oracle) with the differential fuzz target's
+# differential over twenty seeded worlds among them — an interpreter of the
+# shape's op listing, the brute-force oracle) with the differential fuzz target's
 # seeds, the engine's plan-only contract (a nil entry or a non-plan is an
 # error) and its shared-trie differential, and the cluster-level
 # multi-query differential (shared vs ungrouped multiset, fingerprint
