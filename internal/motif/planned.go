@@ -132,18 +132,14 @@ type Op struct {
 // MaxCandidates.
 func PlanOps(s Shape) []Op {
 	ops := []Op{{Kind: OpFilterTrigger, WindowMS: s.WindowMS}}
+	probe := Op{Kind: OpProbeDynamic, K: s.K, Limit: s.MaxFanout}
 	switch {
 	case s.bindsTrigger():
 		ops = append(ops, Op{Kind: OpBindTrigger})
 	case s.CoActors:
-		ops = append(ops,
-			Op{Kind: OpProbeDynamic, K: s.K, Limit: s.MaxFanout},
-			Op{Kind: OpCoActors})
+		ops = append(ops, probe, Op{Kind: OpCoActors})
 	default:
-		ops = append(ops,
-			Op{Kind: OpProbeDynamic, K: s.K, Limit: s.MaxFanout},
-			Op{Kind: OpProbeStatic},
-			Op{Kind: OpThreshold, K: s.K})
+		ops = append(ops, probe, Op{Kind: OpProbeStatic}, Op{Kind: OpThreshold, K: s.K})
 	}
 	for _, c := range s.ExpandCaps {
 		ops = append(ops, Op{Kind: OpExpand, Limit: c})
@@ -172,15 +168,15 @@ func NewPlannedProgram(name string, shape Shape) (*PlannedProgram, error) {
 	if name == "" {
 		return nil, fmt.Errorf("motif: planned program needs a name")
 	}
-	any := false
+	accepts := false
 	for t, w := range shape.WindowMS {
 		if w < 0 {
 			return nil, fmt.Errorf("motif: plan %q has a negative window for %s", name, graph.EdgeType(t))
 		}
-		any = any || w > 0
+		accepts = accepts || w > 0
 	}
 	switch {
-	case !any:
+	case !accepts:
 		return nil, fmt.Errorf("motif: plan %q accepts no trigger types", name)
 	case shape.K < 1:
 		return nil, fmt.Errorf("motif: plan %q needs K >= 1, got %d", name, shape.K)
