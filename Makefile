@@ -152,7 +152,7 @@ test-planner: test-allocs
 # quick loop for codec work.
 test-codec:
 	$(GO) test -run 'AllocBudget|Footprint' ./internal/partition ./internal/dynstore
-	$(GO) test -run 'Golden|PrefixesAndBitFlips|Cursor|Arena|TestRun' ./internal/codecutil ./internal/partition ./internal/dynstore ./internal/delivery ./internal/placement ./internal/queue ./internal/transport ./internal/cluster
+	$(GO) test -run 'Golden|PrefixesAndBitFlips|Cursor|Arena|TestRun' ./internal/codecutil ./internal/partition ./internal/dynstore ./internal/delivery ./internal/placement ./internal/queue ./internal/transport ./internal/cluster ./internal/stream
 	$(GO) test -run 'SegmentMerge|KeysOutOfOrder|DuplicateTarget' ./internal/partition ./internal/dynstore
 	$(GO) test -run=NONE -bench BenchmarkCheckpointCompose -benchtime=1x -count=1 ./internal/partition
 
@@ -246,7 +246,7 @@ soak-net:
 # fuzz-smoke is the one list of fuzz targets, FUZZTIME each. The CI budget
 # of 10s per target keeps the decoders, the WAL record framing, the
 # delivery-state codec, the hub's delivery.off and delivery.state files, the
-# manifest and the placement table, the transport wire protocol and its candidate
+# recorded-stream file, the manifest and the placement table, the transport wire protocol and its candidate
 # decode's round trip through one connection's arenas, the motif DSL compiler,
 # the restore planner, the segment merge, the candidate log, the plan
 # executor, the threshold kernel's strategies, the packed S build, the block
@@ -267,6 +267,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz FuzzManifestFile -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run=NONE -fuzz FuzzPlacementTable -fuzztime $(FUZZTIME) ./internal/placement
 	$(GO) test -run=NONE -fuzz FuzzAuditRecords -fuzztime $(FUZZTIME) ./internal/audit
+	$(GO) test -run=NONE -fuzz FuzzReadEdges -fuzztime $(FUZZTIME) ./internal/stream
 	$(GO) test -run=NONE -fuzz FuzzTransportFrame -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run=NONE -fuzz FuzzCandBatchRoundTrip -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run=NONE -fuzz FuzzCompile -fuzztime $(FUZZTIME) ./internal/motifdsl

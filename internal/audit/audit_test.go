@@ -2,9 +2,12 @@ package audit
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"motifstream/internal/codecutil"
 )
 
 func logPath(t *testing.T) string {
@@ -49,6 +52,32 @@ func TestAppendReadRoundtrip(t *testing.T) {
 		if got[i] != recs[i] {
 			t.Fatalf("record %d: got %+v want %+v", i, got[i], recs[i])
 		}
+	}
+}
+
+// TestRecordBytes pins the record layout byte for byte: uvarint offset,
+// uvarint sum, then the CRC32C of the two, little-endian.
+func TestRecordBytes(t *testing.T) {
+	for _, tc := range []struct {
+		rec  Record
+		want string
+	}{
+		{Record{Offset: 0, Sum: 0}, "0000d27761f1"},
+		{Record{Offset: 1234, Sum: 0xdeadbeef}, "d209effdb6f50daceb4822"},
+		{Record{Offset: 1 << 40, Sum: 0xffffffff}, "808080808020ffffffff0f6ee5fe31"},
+	} {
+		if got := hex.EncodeToString(appendRecord(nil, tc.rec)); got != tc.want {
+			t.Errorf("%+v encodes as %s, want %s", tc.rec, got, tc.want)
+		}
+		rec, n, ok := decodeRecord(append(appendRecord(nil, tc.rec), 0xff))
+		if !ok || rec != tc.rec || n != len(tc.want)/2 {
+			t.Errorf("%+v decodes as %+v, %d bytes, ok %v", tc.rec, rec, n, ok)
+		}
+	}
+	// A sum above 32 bits is rejected even under a valid checksum.
+	wide := binary.AppendUvarint(binary.AppendUvarint(nil, 1), 1<<32)
+	if rec, _, ok := decodeRecord(binary.LittleEndian.AppendUint32(wide, codecutil.CRC32C(wide))); ok {
+		t.Errorf("a 33-bit sum decoded as %+v", rec)
 	}
 }
 
