@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 
@@ -50,28 +51,19 @@ func appendRecord(b []byte, rec Record) []byte {
 	start := len(b)
 	b = binary.AppendUvarint(b, rec.Offset)
 	b = binary.AppendUvarint(b, uint64(rec.Sum))
-	return binary.LittleEndian.AppendUint32(b, codecutil.CRC32C(b[start:]))
+	return codecutil.AppendChecksum(b, start)
 }
 
 // decodeRecord parses one record from b, returning it and the bytes
 // consumed; ok is false when b holds no complete, checksum-valid record.
 func decodeRecord(b []byte) (rec Record, n int, ok bool) {
-	off, n1 := binary.Uvarint(b)
-	if n1 <= 0 {
-		return rec, 0, false
+	c := codecutil.NewCursor(b, "audit record")
+	off, sum := c.U("offset"), c.U("sum")
+	if sum > math.MaxUint32 {
+		c.Fail("sum", fmt.Errorf("%d is wider than 32 bits", sum))
 	}
-	sum, n2 := binary.Uvarint(b[n1:])
-	if n2 <= 0 || sum > 1<<32-1 {
-		return rec, 0, false
-	}
-	n = n1 + n2
-	if len(b) < n+4 {
-		return rec, 0, false
-	}
-	if binary.LittleEndian.Uint32(b[n:]) != codecutil.CRC32C(b[:n]) {
-		return rec, 0, false
-	}
-	return Record{Offset: off, Sum: uint32(sum)}, n + 4, true
+	c.Trailer()
+	return Record{Offset: off, Sum: uint32(sum)}, len(b) - c.Len(), c.Err == nil
 }
 
 // Log is an open audit log. Appends go straight to the file descriptor —

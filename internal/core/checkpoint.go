@@ -20,18 +20,13 @@ var engineMagic = [8]byte{'M', 'S', 'E', 'N', 'G', 'S', 0, 1}
 
 const engineSnapVersion = 1
 
-// appendEngineHeader appends the magic, version and sweep clock that open
-// the section; the D snapshot section follows.
-func appendEngineHeader(b []byte, sweepClock int64) []byte {
-	return binary.AppendVarint(codecutil.AppendHeader(b, engineMagic, engineSnapVersion), sweepClock)
-}
-
 // AppendEngineState appends a segment's engine state — sweep clock plus a
 // sealed run of D targets — in the engine checkpoint format: how a composed
-// base is written without touching a live Engine. The bytes are identical
-// to Engine.AppendState of an engine holding that state.
+// base is written without touching a live Engine, and how AppendState
+// writes a live one.
 func AppendEngineState(b []byte, sweepClock int64, targets dynstore.Targets) []byte {
-	return dynstore.AppendTargets(appendEngineHeader(b, sweepClock), targets, false)
+	b = binary.AppendVarint(codecutil.AppendHeader(b, engineMagic, engineSnapVersion), sweepClock)
+	return dynstore.AppendTargets(b, targets, false)
 }
 
 // DecodeEngineStateAt parses the engine checkpoint section that is the
@@ -48,7 +43,7 @@ func DecodeEngineStateAt(c *codecutil.Cursor) (sweepClock int64, targets dynstor
 // the full D store. The caller must not run Apply concurrently (the replica
 // checkpoint pipeline serializes them).
 func (e *Engine) AppendState(b []byte) []byte {
-	return e.dynamic.AppendSnapshot(appendEngineHeader(b, e.SweepClock()))
+	return AppendEngineState(b, e.SweepClock(), e.dynamic.Targets())
 }
 
 // SweepClock returns the stream time of the last D prune — the engine

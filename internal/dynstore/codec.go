@@ -2,7 +2,6 @@ package dynstore
 
 import (
 	"encoding/binary"
-	"slices"
 
 	"motifstream/internal/arena"
 	"motifstream/internal/codecutil"
@@ -59,8 +58,8 @@ func appendFrame(b []byte, c graph.VertexID, list []InEdge) []byte {
 // AppendTargets appends a sealed run as a snapshot section or, with delta
 // set, a delta section — magic, version, target count, one frame per target,
 // closed by a CRC32C trailer over everything before it: how a segment is
-// written without instantiating a Store. The bytes are those
-// Store.AppendSnapshot appends for a store holding the run.
+// written without instantiating a Store, and how Store.AppendSnapshot
+// writes a live one.
 func AppendTargets(b []byte, t Targets, delta bool) []byte {
 	start := len(b)
 	b = codecutil.AppendHeader(b, frameMagic(delta), snapVersion)
@@ -100,34 +99,27 @@ func DecodeTargetsAt(c *codecutil.Cursor, delta bool) Targets {
 	return out
 }
 
-// AppendSnapshot appends the store's full contents in the versioned binary
-// snapshot format. Each target's frame is encoded under its shard's read
-// lock; for a point-in-time-consistent snapshot across shards the caller
-// must quiesce writers (the replica checkpoint pipeline serializes cuts with
-// Apply, so this holds there). A target removed since its ID was gathered
-// (only possible if the caller broke the quiescence contract) encodes as an
-// empty list, keeping the frame count consistent.
-func (s *Store) AppendSnapshot(b []byte) []byte {
-	var ids []graph.VertexID
+// Targets returns the store's contents as a sealed run whose lists are
+// windows of the shards' arenas, gathered under each shard's read lock. The
+// windows stay valid only while nothing is applied: for a point-in-time
+// snapshot across shards the caller must quiesce writers (the replica
+// checkpoint pipeline serializes cuts with Apply, so this holds there).
+func (s *Store) Targets() Targets {
+	var t Targets
 	s.each(func(sh *shard) {
 		for j, p := range sh.spans {
 			if p.N > 0 {
-				ids = append(ids, sh.keys[j])
+				t = append(t, codecutil.Entry[graph.VertexID, []InEdge]{Key: sh.keys[j], Val: sh.arena.Window(p)})
 			}
 		}
 	})
-	slices.Sort(ids)
-	start := len(b)
-	b = codecutil.AppendHeader(b, snapMagic, snapVersion)
-	b = binary.AppendUvarint(b, uint64(len(ids)))
-	for _, c := range ids {
-		sh := s.shardFor(c)
-		sh.mu.RLock()
-		b = appendFrame(b, c, sh.list(c))
-		sh.mu.RUnlock()
-	}
-	return codecutil.AppendChecksum(b, start)
+	t.Seal()
+	return t
 }
+
+// AppendSnapshot appends the store's full contents in the versioned binary
+// snapshot format, under Targets' quiescence contract.
+func (s *Store) AppendSnapshot(b []byte) []byte { return AppendTargets(b, s.Targets(), false) }
 
 // LoadSnapshot replaces the store's contents with a copy of the given run
 // (an empty list, a delta's tombstone, installs nothing), every shard locked

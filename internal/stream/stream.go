@@ -6,11 +6,11 @@
 package stream
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 
+	"motifstream/internal/codecutil"
 	"motifstream/internal/graph"
 )
 
@@ -18,86 +18,41 @@ import (
 var streamMagic = [8]byte{'M', 'S', 'T', 'R', 'E', 'A', 'M', 1}
 
 // WriteEdges writes edges in the binary stream format: an 8-byte magic, a
-// uvarint count, then per edge varint-delta-encoded fields. Delta-encoding
-// timestamps exploits near-sortedness for compactness.
+// uvarint count, then each edge as graph.AppendEdge encodes it with TS
+// replaced by its delta from the previous edge's — the stream is
+// near-ordered, so the deltas stay small.
 func WriteEdges(w io.Writer, edges []graph.Edge) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(streamMagic[:]); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	put := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	if err := put(uint64(len(edges))); err != nil {
-		return err
-	}
+	b := binary.AppendUvarint(append([]byte(nil), streamMagic[:]...), uint64(len(edges)))
 	var prevTS int64
 	for _, e := range edges {
-		if err := put(uint64(e.Src)); err != nil {
-			return err
-		}
-		if err := put(uint64(e.Dst)); err != nil {
-			return err
-		}
-		if err := put(uint64(e.Type)); err != nil {
-			return err
-		}
-		n := binary.PutVarint(buf[:], e.TS-prevTS)
-		if _, err := bw.Write(buf[:n]); err != nil {
-			return err
-		}
-		prevTS = e.TS
+		e.TS, prevTS = e.TS-prevTS, e.TS
+		b = graph.AppendEdge(b, e)
 	}
-	return bw.Flush()
+	_, err := w.Write(b)
+	return err
 }
 
-// ReadEdges reads a stream written by WriteEdges.
+// ReadEdges reads a stream written by WriteEdges. The count is bounded by
+// the bytes that follow it (an edge is at least four), so a corrupt count
+// fails instead of sizing an allocation.
 func ReadEdges(r io.Reader) ([]graph.Edge, error) {
-	br := bufio.NewReader(r)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("stream: reading magic: %w", err)
-	}
-	if magic != streamMagic {
-		return nil, fmt.Errorf("stream: bad magic %q", magic[:])
-	}
-	count, err := binary.ReadUvarint(br)
+	b, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("stream: reading count: %w", err)
+		return nil, fmt.Errorf("stream: %w", err)
 	}
-	const maxEdges = 1 << 30
-	if count > maxEdges {
-		return nil, fmt.Errorf("stream: implausible edge count %d", count)
+	if len(b) < len(streamMagic) || [8]byte(b) != streamMagic {
+		return nil, fmt.Errorf("stream: bad magic %q", b[:min(len(b), len(streamMagic))])
 	}
-	edges := make([]graph.Edge, 0, count)
+	c := codecutil.NewCursor(b[len(streamMagic):], "stream")
+	edges := make([]graph.Edge, c.Count("edge count", 4))
 	var prevTS int64
-	for i := uint64(0); i < count; i++ {
-		src, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("stream: edge %d src: %w", i, err)
-		}
-		dst, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("stream: edge %d dst: %w", i, err)
-		}
-		typ, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("stream: edge %d type: %w", i, err)
-		}
-		dts, err := binary.ReadVarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("stream: edge %d ts: %w", i, err)
-		}
-		prevTS += dts
-		edges = append(edges, graph.Edge{
-			Src:  graph.VertexID(src),
-			Dst:  graph.VertexID(dst),
-			Type: graph.EdgeType(typ),
-			TS:   prevTS,
-		})
+	for i := range edges {
+		edges[i] = graph.ReadEdge(c, "edge")
+		edges[i].TS += prevTS
+		prevTS = edges[i].TS
+	}
+	if err := c.Done(); err != nil {
+		return nil, err
 	}
 	return edges, nil
 }

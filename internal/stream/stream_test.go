@@ -2,8 +2,10 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -67,6 +69,24 @@ func TestReadRejectsTruncation(t *testing.T) {
 		if _, err := ReadEdges(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
+	}
+}
+
+// TestReadRejectsImplausibleCount: a count that the bytes after it cannot
+// hold fails before anything is sized by it. 2^22 edges of 32 bytes would be
+// a 128 MiB allocation for a 16-byte file.
+func TestReadRejectsImplausibleCount(t *testing.T) {
+	b := binary.AppendUvarint(append([]byte(nil), streamMagic[:]...), 1<<22)
+	b = append(b, 0, 0, 0, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadEdges(bytes.NewReader(b))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a count of 2^22 edges in 4 bytes was accepted")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("rejecting it allocated %d bytes, want under 1 MiB", alloc)
 	}
 }
 
