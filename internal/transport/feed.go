@@ -53,8 +53,8 @@ type FeedClient struct {
 	wg         sync.WaitGroup
 }
 
-// DialFeed performs the meta handshake against the hub (with retry, so
-// the worker can start before the hub finishes binding) and returns a
+// DialFeed performs the meta handshake against the hub — retried by redial,
+// so the worker can start before the hub finishes binding — and returns a
 // client carrying the log's identity and bounds.
 func DialFeed(addr string, opts ClientOptions) (*FeedClient, error) {
 	f := &FeedClient{
@@ -66,31 +66,22 @@ func DialFeed(addr string, opts ClientOptions) (*FeedClient, error) {
 	if opts.Metrics != nil {
 		f.reconnects = opts.Metrics.Counter("transport.reconnects")
 	}
-	deadline := time.Now().Add(retryFor)
-	attempt := 0
-	for {
-		c, resp, err := dialConn(addr, []byte{msgHelloMeta}, dialTimeout, opts.WrapWriter, nil)
-		if err == nil {
-			c.close()
-			wr := wireCursor(resp)
-			if len(resp) == 0 || wr.Byte("meta type") != msgMetaResp {
-				return nil, errors.New("transport: unexpected meta response")
-			}
+	// The handshake is not a stream: nil metrics and no reconnect counter,
+	// so transport.reconnects counts only the streams' redials.
+	hello := func() []byte { return []byte{msgHelloMeta} }
+	err := redial(addr, opts, nil, nil, func() bool { return false }, hello, msgMetaResp,
+		func(_ *conn, ack []byte) (bool, error) {
+			wr := wireCursor(ack)
 			meta := decodeLogMeta(wr)
-			if wr.Err != nil {
-				return nil, wr.Err
-			}
 			f.logID = meta.logID
 			f.head.Store(meta.head)
 			f.start.Store(meta.start)
-			return f, nil
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("transport: meta handshake with %s: %w", addr, err)
-		}
-		time.Sleep(backoff(attempt))
-		attempt++
+			return true, wr.Err
+		})
+	if err != nil {
+		return nil, fmt.Errorf("transport: meta handshake with %s: %w", addr, err)
 	}
+	return f, nil
 }
 
 // LogMeta returns the hub log's identity (the worker's runID) and its head
