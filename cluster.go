@@ -31,9 +31,9 @@ type ClusterOptions struct {
 	// MaxFanout caps the recent actors considered per event, bounding
 	// work on viral items. Zero selects 256; negative means unlimited.
 	MaxFanout int
-	// motifSources holds DSL sources added via RegisterMotifs; NewCluster
-	// compiles them once, after the primary diamond.
-	motifSources []string
+	// motifs holds the plans RegisterMotifs compiled, run after the
+	// primary diamond.
+	motifs []Program
 	// QueueDelayMedian and QueueDelayP99 shape the simulated end-to-end
 	// message-queue propagation delay (the paper's dominant latency:
 	// median 7s, p99 15s). A zero median disables delay modeling; otherwise
@@ -93,7 +93,7 @@ type ClusterOptions struct {
 	// HealAfter enables the placement auto-healer: a replica that stays
 	// dead longer than this is automatically re-provisioned onto a fresh
 	// node (ReprovisionReplica), and counted in the cluster.healed counter.
-	// Zero disables. Requires CheckpointDir.
+	// Zero disables. Requires CheckpointDir: NewCluster fails without it.
 	HealAfter time.Duration
 	// ApplyBatch bounds how many envelopes each replica drains from its
 	// firehose subscription into one batch, amortizing scratch and metric
@@ -135,7 +135,7 @@ type ClusterOptions struct {
 	// the records, scale-out go-live is gated on a fingerprint match, and
 	// VerifyFingerprints cross-checks all replicas of a partition. See
 	// docs/DURABILITY.md, "State determinism & fingerprint audit".
-	// Requires CheckpointDir.
+	// Requires CheckpointDir: NewCluster fails without it.
 	Audit bool
 }
 
@@ -148,11 +148,7 @@ type ClusterOptions struct {
 // shared trie, so large standing-query sets cost far less than N
 // independent scans.
 func (o *ClusterOptions) RegisterMotifs(src string) error {
-	if _, err := CompileMotif(src); err != nil {
-		return err
-	}
-	o.motifSources = append(o.motifSources, src)
-	return nil
+	return registerMotifs(&o.motifs, src)
 }
 
 // Cluster is the running multi-partition deployment.
@@ -169,6 +165,9 @@ func NewCluster(staticEdges []Edge, opts ClusterOptions) (*Cluster, error) {
 		// operation (ErrNotLocal over the network tier).
 		return nil, fmt.Errorf("motifstream: HealAfter is not supported in networked mode")
 	}
+	if opts.CheckpointDir == "" && (opts.Audit || opts.HealAfter > 0) {
+		return nil, fmt.Errorf("motifstream: Audit and HealAfter require CheckpointDir")
+	}
 	if opts.Partitions == 0 {
 		opts.Partitions = 20
 	}
@@ -176,12 +175,9 @@ func NewCluster(staticEdges []Edge, opts ClusterOptions) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Plans are immutable and safe for concurrent OnEdge calls, so the motif
-	// set is compiled once and every replica runs the same programs.
-	programs, err := appendMotifs([]motif.Program{primary}, opts.motifSources)
-	if err != nil {
-		return nil, err
-	}
+	// Plans are immutable and safe for concurrent OnEdge calls, so every
+	// replica runs the same programs.
+	programs := append([]motif.Program{primary}, opts.motifs...)
 
 	med, p99 := opts.QueueDelayMedian, opts.QueueDelayP99
 	if med < 0 || p99 < 0 || (med > 0 && p99 <= med) {
@@ -234,7 +230,7 @@ func NewCluster(staticEdges []Edge, opts ClusterOptions) (*Cluster, error) {
 	}
 	inner.Start()
 	c := &Cluster{inner: inner}
-	if opts.HealAfter > 0 && opts.CheckpointDir != "" {
+	if opts.HealAfter > 0 {
 		healed := inner.Metrics().Counter("cluster.healed")
 		c.healer = placement.NewHealer(inner, placement.HealerOptions{
 			After: opts.HealAfter,

@@ -18,17 +18,16 @@ func CompileMotif(src string) ([]Program, error) {
 	return motifdsl.Compile(src)
 }
 
-// appendMotifs compiles each registered source and appends its programs to
-// progs, the tail of the program set both facades build.
-func appendMotifs(progs []Program, sources []string) ([]Program, error) {
-	for _, src := range sources {
-		extra, err := CompileMotif(src)
-		if err != nil {
-			return nil, err
-		}
-		progs = append(progs, extra...)
+// registerMotifs compiles src and appends its plans to *motifs, which is
+// left as it was when src does not compile. Plans are immutable, so both
+// facades run the compiled plans themselves.
+func registerMotifs(motifs *[]Program, src string) error {
+	progs, err := CompileMotif(src)
+	if err != nil {
+		return err
 	}
-	return progs, nil
+	*motifs = append(*motifs, progs...)
+	return nil
 }
 
 // ExplainMotif returns the human-readable query plan for each declaration

@@ -122,6 +122,22 @@ func TestQueueDelayValidation(t *testing.T) {
 	}
 }
 
+// TestClusterOptionsRequireCheckpointDir: Audit and HealAfter each require
+// CheckpointDir, and NewCluster refuses them without one instead of running
+// with no audit or no healer.
+func TestClusterOptionsRequireCheckpointDir(t *testing.T) {
+	for name, opts := range map[string]motifstream.ClusterOptions{
+		"Audit":     {Partitions: 2, Audit: true},
+		"HealAfter": {Partitions: 2, HealAfter: time.Minute},
+	} {
+		clu, err := motifstream.NewCluster(fig1(), opts)
+		if err == nil {
+			clu.Stop()
+			t.Errorf("NewCluster accepted %s without CheckpointDir", name)
+		}
+	}
+}
+
 func TestSystemSuppressKnown(t *testing.T) {
 	static := append(fig1(), motifstream.Edge{Src: 2, Dst: 99, Type: motifstream.Follow})
 	sys, err := motifstream.New(static, motifstream.Options{
@@ -392,8 +408,7 @@ func TestClusterFacadeValidatesDSL(t *testing.T) {
 	if err := opts.RegisterMotifs("motif bogus"); err == nil {
 		t.Fatal("bad motif source accepted")
 	}
-	// The rejected source must not linger in the set: construction compiles
-	// every registered source and would fail on it.
+	// The rejected source must not linger in the set.
 	clu, err := motifstream.NewCluster(fig1(), opts)
 	if err != nil {
 		t.Fatalf("rejected source poisoned the options: %v", err)

@@ -32,17 +32,19 @@ type Options struct {
 	// MaxFanout caps the recent actors considered per event, bounding
 	// work on viral items. Zero selects 256; negative means unlimited.
 	MaxFanout int
-	// SuppressKnown drops recommendations of items the user already
-	// follows (derivable from the static edges). Default on for follow
-	// motifs; content actions are never suppressed this way.
+	// SuppressKnown drops a recommendation of an item to a user whom the
+	// static edges show following it already, for every program. It is off
+	// unless set (a cluster's partitions always suppress). Content items
+	// are tweet vertices, which no static follow reaches, so in effect it
+	// filters follow recommendations.
 	SuppressKnown bool
 	// ExtraPrograms are plans run after the primary diamond: CompileMotif's
 	// output or NewTriangleClosure. New rejects any other Program, nil
 	// included.
 	ExtraPrograms []Program
-	// motifSources holds DSL sources added via RegisterMotifs, compiled
-	// and appended after ExtraPrograms.
-	motifSources []string
+	// motifs holds the plans RegisterMotifs compiled, run after
+	// ExtraPrograms.
+	motifs []Program
 }
 
 // RegisterMotifs validates src — one or more motif declarations in the
@@ -50,11 +52,7 @@ type Options struct {
 // system runs alongside the primary diamond. Call any number of times
 // before New; an invalid source is rejected without modifying the set.
 func (o *Options) RegisterMotifs(src string) error {
-	if _, err := CompileMotif(src); err != nil {
-		return err
-	}
-	o.motifSources = append(o.motifSources, src)
-	return nil
+	return registerMotifs(&o.motifs, src)
 }
 
 // System is the single-node detection engine: one S snapshot, one D store,
@@ -82,10 +80,7 @@ func New(staticEdges []Edge, opts Options) (*System, error) {
 			return nil, fmt.Errorf("motifstream: ExtraPrograms[%d] (%T) is not a plan from CompileMotif or NewTriangleClosure", i, p)
 		}
 	}
-	programs, err := appendMotifs(append([]motif.Program{primary}, opts.ExtraPrograms...), opts.motifSources)
-	if err != nil {
-		return nil, err
-	}
+	programs := append(append([]motif.Program{primary}, opts.ExtraPrograms...), opts.motifs...)
 
 	s := &System{opts: opts}
 	static := statstore.New(s.buildStatic(staticEdges))
