@@ -8,7 +8,6 @@ import (
 
 	"motifstream/internal/broker"
 	"motifstream/internal/cluster"
-	"motifstream/internal/dynstore"
 	"motifstream/internal/graph"
 	"motifstream/internal/motif"
 	"motifstream/internal/partition"
@@ -26,32 +25,6 @@ func runE9(c runConfig) {
 	static := cachedGraph(users, avgFollows)
 	stream := cachedStream(users, events)
 
-	newCluster := func(replicas int) *cluster.Cluster {
-		clu, err := cluster.New(cluster.Config{
-			Partitions:     4,
-			Replicas:       replicas,
-			StaticEdges:    static,
-			MaxInfluencers: 200,
-			Dynamic:        dynstore.Options{Retention: 10 * time.Minute},
-			NewPrograms: func() []motif.Program {
-				return []motif.Program{motif.NewDiamond(motif.DiamondConfig{
-					K: 3, Window: 10 * time.Minute, MaxFanout: 64,
-				})}
-			},
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		clu.Start()
-		for _, e := range stream {
-			if err := clu.Publish(e); err != nil {
-				log.Fatal(err)
-			}
-		}
-		clu.Stop()
-		return clu
-	}
-
 	// In-process replica reads take nanoseconds, so raw reads would never
 	// show the paper's replication benefit (its replicas are separate
 	// servers with finite capacity). capacityReplica models that: one
@@ -60,7 +33,7 @@ func runE9(c runConfig) {
 	tb := newTable("replicas", "reads/s", "scaling vs 1 replica")
 	var base float64
 	for _, replicas := range []int{1, 2, 3} {
-		clu := newCluster(replicas)
+		clu, _ := runDiamond(static, stream, func(c *cluster.Config) { c.Replicas = replicas })
 		groups := make([][]broker.Member, 4)
 		for pid := 0; pid < 4; pid++ {
 			for rep := 0; rep < replicas; rep++ {
@@ -105,7 +78,7 @@ func runE9(c runConfig) {
 	tb.print()
 
 	fmt.Println("\n  (b) failover continuity with 2 replicas")
-	clu := newCluster(2)
+	clu, _ := runDiamond(static, stream, func(c *cluster.Config) { c.Replicas = 2 })
 	// Probe a user that actually has recommendations.
 	probe := graph.VertexID(0)
 	for a := graph.VertexID(0); a < graph.VertexID(users); a++ {

@@ -72,29 +72,7 @@ func runE1(c runConfig) {
 
 	tb := newTable("partitions", "events/s", "vs target 10^4/s", "wall")
 	for _, p := range parts {
-		clu, err := cluster.New(cluster.Config{
-			Partitions:     p,
-			StaticEdges:    static,
-			MaxInfluencers: 200,
-			Dynamic:        dynstore.Options{Retention: 10 * time.Minute},
-			NewPrograms: func() []motif.Program {
-				return []motif.Program{motif.NewDiamond(motif.DiamondConfig{
-					K: 3, Window: 10 * time.Minute, MaxFanout: 64,
-				})}
-			},
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		clu.Start()
-		start := time.Now()
-		for _, e := range stream {
-			if err := clu.Publish(e); err != nil {
-				log.Fatal(err)
-			}
-		}
-		clu.Stop()
-		wall := time.Since(start)
+		_, wall := runDiamond(static, stream, func(c *cluster.Config) { c.Partitions = p })
 		eps := float64(len(stream)) / wall.Seconds()
 		tb.addf("%d|%.0f|%.1fx|%v", p, eps, eps/1e4, wall.Round(time.Millisecond))
 	}
@@ -115,30 +93,10 @@ func runE2(c runConfig) {
 	stream := cachedStream(users, events)
 
 	reg := metrics.NewRegistry()
-	clu, err := cluster.New(cluster.Config{
-		Partitions:     4,
-		StaticEdges:    static,
-		MaxInfluencers: 200,
-		Dynamic:        dynstore.Options{Retention: 10 * time.Minute},
-		NewPrograms: func() []motif.Program {
-			return []motif.Program{motif.NewDiamond(motif.DiamondConfig{
-				K: 3, Window: 10 * time.Minute, MaxFanout: 64,
-			})}
-		},
-		HopDelay: cluster.LognormalFromQuantiles(3500*time.Millisecond, 7500*time.Millisecond),
-		Metrics:  reg,
-		Seed:     1,
+	clu, _ := runDiamond(static, stream, func(c *cluster.Config) {
+		c.HopDelay = cluster.LognormalFromQuantiles(3500*time.Millisecond, 7500*time.Millisecond)
+		c.Metrics, c.Seed = reg, 1
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	clu.Start()
-	for _, e := range stream {
-		if err := clu.Publish(e); err != nil {
-			log.Fatal(err)
-		}
-	}
-	clu.Stop()
 
 	e2e := clu.Stats().E2ELatency
 	query := reg.Histogram("engine.query_latency").Snapshot()

@@ -1,12 +1,47 @@
 package main
 
 import (
+	"log"
 	"sync"
 	"time"
 
+	"motifstream/internal/cluster"
+	"motifstream/internal/dynstore"
 	"motifstream/internal/graph"
+	"motifstream/internal/motif"
 	"motifstream/internal/workload"
 )
+
+// runDiamond runs the deployment E1, E2 and E9 measure: four partitions of
+// the k=3 diamond (10-minute window, fanout 64) over static capped at 200
+// influencers, D retaining 10 minutes, with tune setting the rest. It
+// publishes stream, stops the cluster and returns it with the wall time
+// from Start through Stop.
+func runDiamond(static, stream []graph.Edge, tune func(*cluster.Config)) (*cluster.Cluster, time.Duration) {
+	cfg := cluster.Config{
+		Partitions:     4,
+		StaticEdges:    static,
+		MaxInfluencers: 200,
+		Dynamic:        dynstore.Options{Retention: 10 * time.Minute},
+		NewPrograms: func() []motif.Program {
+			return []motif.Program{motif.NewDiamond(motif.DiamondConfig{K: 3, Window: 10 * time.Minute, MaxFanout: 64})}
+		},
+	}
+	tune(&cfg)
+	clu, err := cluster.New(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	clu.Start()
+	start := time.Now()
+	for _, e := range stream {
+		if err := clu.Publish(e); err != nil {
+			log.Fatal(err)
+		}
+	}
+	clu.Stop()
+	return clu, time.Since(start)
+}
 
 // workloadSizes returns the standard (or quick) workload dimensions shared
 // by the experiments so results are comparable across tables.
