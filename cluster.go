@@ -75,14 +75,11 @@ type ClusterOptions struct {
 	// WAL, making whole-cluster restarts recoverable: NewCluster (or
 	// ReopenCluster) over an existing CheckpointDir and LogDir restores
 	// every replica from its checkpoint chain and replays the durable log
-	// from its floor offset. Empty selects <CheckpointDir>/firehose.
-	// Requires CheckpointDir; forbidden with Join. See docs/DURABILITY.md
-	// for the durable-log contract.
+	// from its floor offset. Empty selects <CheckpointDir>/firehose. The log
+	// fsyncs every 256 records, the bound on the torn tail an OS crash can
+	// lose. Requires CheckpointDir; forbidden with Join. See
+	// docs/DURABILITY.md for the durable-log contract.
 	LogDir string
-	// LogSyncEvery is the durable log's fsync batch in records — the
-	// bound on the torn tail an OS crash can lose; zero selects 256.
-	// Ignored without CheckpointDir.
-	LogSyncEvery int
 	// MirrorBases is the base replication factor: every compacted base
 	// checkpoint is mirrored (CRC-verified) to up to this many peer
 	// replica directories of the same partition. Mirrors make a corrupt
@@ -123,12 +120,6 @@ type ClusterOptions struct {
 	// OwnedReplicas lists the (partition, replica) slots a worker process
 	// owns. Required with Join, forbidden otherwise.
 	OwnedReplicas [][2]int
-	// NetDrainTimeout bounds networked shutdown flushes: a hub's wait for
-	// the FIN every worker-attached slot owes (past it, Shutdown returns an
-	// error naming the slots that never finished), a worker's wait for its
-	// candidate acks and its FIN's; zero selects 30s. Ignored without
-	// Listen/Join.
-	NetDrainTimeout time.Duration
 	// Audit enables the detection-state fingerprint audit: every
 	// checkpoint cut records a CRC32C fingerprint of the replica's full
 	// recoverable state, recovery compositions are cross-checked against
@@ -215,7 +206,6 @@ func NewCluster(staticEdges []Edge, opts ClusterOptions) (*Cluster, error) {
 		CheckpointInterval: opts.CheckpointInterval,
 		CompactEvery:       opts.CheckpointCompactEvery,
 		LogDir:             opts.LogDir,
-		LogSyncEvery:       opts.LogSyncEvery,
 		MirrorBases:        opts.MirrorBases,
 		ApplyBatch:         opts.ApplyBatch,
 		ApplyWorkers:       opts.ApplyWorkers,
@@ -223,7 +213,6 @@ func NewCluster(staticEdges []Edge, opts ClusterOptions) (*Cluster, error) {
 		Listen:             opts.Listen,
 		Join:               opts.Join,
 		OwnedReplicas:      opts.OwnedReplicas,
-		NetDrainTimeout:    opts.NetDrainTimeout,
 	})
 	if err != nil {
 		return nil, err
@@ -265,8 +254,7 @@ func (c *Cluster) Publish(e Edge) error { return c.inner.Publish(e) }
 // Stop drains and shuts down the cluster (the auto-healer first, so no
 // re-provision can race the teardown). Safe to call multiple times; only
 // the first call returns an error: on a networked hub, the slots whose
-// workers never finished within NetDrainTimeout, on a worker what Wait
-// reports.
+// workers never finished within 30 seconds, on a worker what Wait reports.
 func (c *Cluster) Stop() error {
 	c.stopHealer()
 	return c.inner.Stop()

@@ -181,6 +181,34 @@ func TestEndToEndFigure1(t *testing.T) {
 	}
 }
 
+// TestFutureDatedEdgeKeepsD: every partition ingests the whole stream, so
+// one edge dated a year ahead reaches every replica's sweep clock. It must
+// not prune D to its own horizon there: the diamond completed a second
+// later is still detected.
+func TestFutureDatedEdgeKeepsD(t *testing.T) {
+	c, err := New(testConfig(2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	t0 := int64(1_000_000_000)
+	year := int64(365 * 24 * time.Hour / time.Millisecond)
+	for _, e := range []graph.Edge{
+		{Src: 10, Dst: 99, Type: graph.Follow, TS: t0},
+		{Src: 12, Dst: 98, Type: graph.Follow, TS: t0 + 61_000},
+		{Src: 12, Dst: 97, Type: graph.Follow, TS: t0 + year},
+		{Src: 11, Dst: 99, Type: graph.Follow, TS: t0 + 62_000},
+	} {
+		if err := c.Publish(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Stop()
+	if raw := c.Stats().Funnel.Raw; raw != 1 {
+		t.Fatalf("raw candidates = %d, want 1: a future-dated edge emptied D", raw)
+	}
+}
+
 func TestPublishAfterStopFails(t *testing.T) {
 	c, err := New(testConfig(1, 1))
 	if err != nil {

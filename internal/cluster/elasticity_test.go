@@ -853,8 +853,7 @@ func TestHealerReprovisionsOnRealCluster(t *testing.T) {
 	}
 	var healed atomic.Uint64
 	healer := placement.NewHealer(c, placement.HealerOptions{
-		After:    50 * time.Millisecond,
-		Interval: 10 * time.Millisecond,
+		After: 50 * time.Millisecond,
 		OnHeal: func(_, _ int, err error) {
 			if err == nil {
 				healed.Add(1)

@@ -31,13 +31,11 @@ func validateNetworked(cfg Config) error {
 	if cfg.Listen != "" && cfg.Join != "" {
 		return fmt.Errorf("cluster: Listen and Join are mutually exclusive roles")
 	}
-	if cfg.Listen != "" {
-		if cfg.CheckpointDir == "" {
-			return fmt.Errorf("cluster: Listen (hub mode) requires CheckpointDir — workers restore against the durable log's identity")
-		}
-		if len(cfg.OwnedReplicas) > 0 {
-			return fmt.Errorf("cluster: OwnedReplicas is a worker (Join) option")
-		}
+	if cfg.Join == "" && len(cfg.OwnedReplicas) > 0 {
+		return fmt.Errorf("cluster: OwnedReplicas is a worker (Join) option")
+	}
+	if cfg.Listen != "" && cfg.CheckpointDir == "" {
+		return fmt.Errorf("cluster: Listen (hub mode) requires CheckpointDir — workers restore against the durable log's identity")
 	}
 	if cfg.Join != "" {
 		if cfg.CheckpointDir == "" {

@@ -164,6 +164,7 @@ func TestNetworkedValidation(t *testing.T) {
 		}},
 		{"listen without checkpoint dir", func(c *Config) { c.Listen = "127.0.0.1:0"; c.CheckpointDir = "" }},
 		{"listen with owned", func(c *Config) { c.Listen = "127.0.0.1:0"; c.LogDir = t.TempDir(); c.OwnedReplicas = [][2]int{{0, 0}} }},
+		{"owned without join", func(c *Config) { c.OwnedReplicas = [][2]int{{0, 0}} }},
 		{"join with logdir", func(c *Config) { c.Join = "127.0.0.1:1"; c.LogDir = t.TempDir(); c.OwnedReplicas = [][2]int{{0, 0}} }},
 		{"join without owned", func(c *Config) { c.Join = "127.0.0.1:1" }},
 		{"join without checkpoint dir", func(c *Config) { c.Join = "127.0.0.1:1"; c.OwnedReplicas = [][2]int{{0, 0}}; c.CheckpointDir = "" }},

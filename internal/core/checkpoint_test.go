@@ -17,10 +17,9 @@ func newCheckpointEngine(t *testing.T) *Engine {
 	b := &statstore.Builder{}
 	snap := b.Build([]graph.Edge{{Src: 1, Dst: 10}, {Src: 2, Dst: 10}})
 	e, err := NewEngine(Config{
-		Static:        statstore.New(snap),
-		Dynamic:       dynstore.New(dynstore.Options{Retention: time.Hour}),
-		Programs:      []motif.Program{motif.NewDiamond(motif.DiamondConfig{K: 2, Window: time.Hour})},
-		SweepInterval: time.Minute,
+		Static:   statstore.New(snap),
+		Dynamic:  dynstore.New(dynstore.Options{Retention: time.Hour}),
+		Programs: []motif.Program{motif.NewDiamond(motif.DiamondConfig{K: 2, Window: time.Hour})},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -35,10 +35,10 @@ type Config struct {
 	// Metrics receives engine instrumentation; nil creates a private
 	// registry.
 	Metrics *metrics.Registry
-	// SweepInterval is the stream-time interval between background D
-	// prunes; zero selects one minute.
-	SweepInterval time.Duration
 }
+
+// sweepEveryMS is the stream time between D prunes: one minute.
+const sweepEveryMS = int64(time.Minute / time.Millisecond)
 
 // Engine applies dynamic edges to D and runs its plans through the motif
 // package's group executor. Safe for concurrent Apply calls.
@@ -69,8 +69,7 @@ type Engine struct {
 	queryLatency  *metrics.Histogram
 	ingestLatency *metrics.Histogram
 
-	sweepEvery int64 // ms of stream time between sweeps
-	lastSweep  atomic.Int64
+	lastSweep atomic.Int64 // stream time of the last D prune
 }
 
 // NewEngine validates cfg and constructs an Engine.
@@ -88,10 +87,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	sweep := cfg.SweepInterval
-	if sweep <= 0 {
-		sweep = time.Minute
-	}
 	e := &Engine{
 		static:  cfg.Static,
 		dynamic: cfg.Dynamic,
@@ -106,7 +101,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		candidates:    reg.Counter("engine.candidates"),
 		queryLatency:  reg.Histogram("engine.query_latency"),
 		ingestLatency: reg.Histogram("engine.ingest_latency"),
-		sweepEvery:    sweep.Milliseconds(),
 	}
 	if err := e.buildGroups(cfg.Programs); err != nil {
 		return nil, err
@@ -304,7 +298,7 @@ func (e *Engine) ApplyBatch(edges []graph.Edge, out [][]motif.Candidate) {
 // without performing one. The cluster's apply loop uses it to end a batch
 // at the first edge where a sweep is due.
 func (e *Engine) SweepDue(nowMS int64) bool {
-	return nowMS-e.lastSweep.Load() >= e.sweepEvery
+	return nowMS-e.lastSweep.Load() >= sweepEveryMS
 }
 
 // MaybeSweep prunes D if a sweep is due at nowMS. Exported for batched
@@ -316,10 +310,19 @@ func (e *Engine) MaybeSweep(nowMS int64) { e.maybeSweep(nowMS) }
 // identically to live ones. The clock is a CAS so the due-check costs one
 // atomic load on the hot path; a lost race means another goroutine claimed
 // this sweep.
+//
+// Once the clock is set, a sweep advances it — and takes its cutoff — at
+// most two intervals past the previous sweep: one edge dated far ahead must
+// not prune D to its own horizon and stall sweeps until stream time catches
+// up. After a real quiet gap longer than that, consecutive edges each sweep
+// until the clock has caught up.
 func (e *Engine) maybeSweep(nowMS int64) {
 	last := e.lastSweep.Load()
-	if nowMS-last < e.sweepEvery {
+	if nowMS-last < sweepEveryMS {
 		return
+	}
+	if last != 0 && nowMS-last > 2*sweepEveryMS {
+		nowMS = last + 2*sweepEveryMS
 	}
 	if e.lastSweep.CompareAndSwap(last, nowMS) {
 		e.dynamic.Sweep(nowMS)

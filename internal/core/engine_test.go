@@ -139,7 +139,6 @@ func TestEngineRejectsNonPlans(t *testing.T) {
 func TestEngineStreamTimeSweep(t *testing.T) {
 	e := testEngine(t, fig1Static(), func(c *Config) {
 		c.Dynamic = dynstore.New(dynstore.Options{Retention: time.Minute})
-		c.SweepInterval = time.Minute
 	})
 	t0 := int64(1_000_000)
 	// Fill D with edges to many distinct targets.
@@ -154,6 +153,34 @@ func TestEngineStreamTimeSweep(t *testing.T) {
 	e.Apply(graph.Edge{Src: 11, Dst: 200, Type: graph.Follow, TS: t0 + 120_000})
 	if n := e.Dynamic().Stats().Targets; n != 1 {
 		t.Fatalf("targets after sweep = %d, want 1 (only the fresh one)", n)
+	}
+}
+
+// TestEngineSweepClampsFutureEdge: one edge dated a year ahead advances the
+// sweep clock — and the cutoff of the sweep it triggers — two intervals past
+// the previous sweep, not to its own timestamp, so D keeps the window; a
+// run of such edges catches the clock up two intervals an edge.
+func TestEngineSweepClampsFutureEdge(t *testing.T) {
+	e := testEngine(t, fig1Static(), func(c *Config) {
+		c.Dynamic = dynstore.New(dynstore.Options{Retention: 10 * time.Minute})
+	})
+	t0 := int64(1_000_000)
+	e.Apply(graph.Edge{Src: 10, Dst: 99, Type: graph.Follow, TS: t0})
+	if got := e.SweepClock(); got != t0 {
+		t.Fatalf("an unswept clock seeds at the edge: clock %d, want %d", got, t0)
+	}
+	year := int64(365 * 24 * time.Hour / time.Millisecond)
+	for i := int64(1); i <= 3; i++ {
+		e.Apply(graph.Edge{Src: 12, Dst: graph.VertexID(500 + i), Type: graph.Follow, TS: t0 + year})
+		if got, want := e.SweepClock(), t0+2*i*sweepEveryMS; got != want {
+			t.Fatalf("after future edge %d: clock %d, want %d", i, got, want)
+		}
+	}
+	if got := e.Dynamic().Stats().Edges; got != 4 {
+		t.Fatalf("D holds %d edges, want 4: a future-dated edge pruned the window", got)
+	}
+	if got := e.Apply(graph.Edge{Src: 11, Dst: 99, Type: graph.Follow, TS: t0 + 62_000}); len(got) != 1 || got[0].User != 2 {
+		t.Fatalf("diamond after a future-dated edge: candidates %v, want one for user 2", got)
 	}
 }
 

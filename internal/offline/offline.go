@@ -2,8 +2,9 @@
 // the A→B edges are computed offline and loaded into the system
 // periodically: this allows us to take advantage of rich features to prune
 // the graph" (§2). The pipeline scores each follow edge from interaction
-// features, prunes weak edges and over-long follow lists, and builds the
-// pruned edge set the facade's System.PeriodicStaticReload loads on a timer.
+// features, caps over-long follow lists to their best-scored edges, and
+// builds the pruned edge set the facade's System.PeriodicStaticReload loads
+// on a timer.
 package offline
 
 import (
@@ -36,13 +37,10 @@ type EdgeFeatures struct {
 	Reciprocal bool
 }
 
-// Scorer ranks an edge from its features; higher keeps the edge longer
-// under pruning.
-type Scorer func(f EdgeFeatures) float64
-
-// DefaultScorer blends engagement volume, engagement recency, follow
-// recency, and reciprocity — the "rich features" of the paper, in
-// miniature. The weights are ad hoc but monotone in the obvious
+// DefaultScorer ranks an edge from its features, higher keeping the edge
+// longer under the influencer cap. It blends engagement volume, engagement
+// recency, follow recency, and reciprocity — the "rich features" of the
+// paper, in miniature. The weights are ad hoc but monotone in the obvious
 // directions, which is all the pruning experiment needs.
 func DefaultScorer(f EdgeFeatures) float64 {
 	score := float64(f.Interactions)
@@ -73,10 +71,6 @@ type Config struct {
 	// MaxInfluencers caps each A's follow list after scoring (the
 	// paper's influencer cap). Zero keeps everything.
 	MaxInfluencers int
-	// MinScore prunes edges scoring below it regardless of the cap.
-	MinScore float64
-	// Scorer ranks edges; nil selects DefaultScorer.
-	Scorer Scorer
 }
 
 // Pipeline scores and prunes follow edges into S snapshots.
@@ -84,18 +78,14 @@ type Pipeline struct {
 	cfg Config
 }
 
-// NewPipeline validates cfg and returns a Pipeline.
+// NewPipeline returns a Pipeline.
 func NewPipeline(cfg Config) *Pipeline {
-	if cfg.Scorer == nil {
-		cfg.Scorer = DefaultScorer
-	}
 	return &Pipeline{cfg: cfg}
 }
 
 // BuildStats reports what one build did.
 type BuildStats struct {
 	InputEdges   int
-	ScoredOut    int // dropped by MinScore
 	CappedOut    int // dropped by the influencer cap
 	OutputEdges  int
 	BuildElapsed time.Duration
@@ -103,14 +93,13 @@ type BuildStats struct {
 
 // String renders the stats for logs.
 func (s BuildStats) String() string {
-	return fmt.Sprintf("offline build: %d in, %d below min-score, %d over cap, %d out (%v)",
-		s.InputEdges, s.ScoredOut, s.CappedOut, s.OutputEdges, s.BuildElapsed)
+	return fmt.Sprintf("offline build: %d in, %d over cap, %d out (%v)",
+		s.InputEdges, s.CappedOut, s.OutputEdges, s.BuildElapsed)
 }
 
-// Build scores every follow edge at the given build time, prunes, and
-// returns the snapshot plus the surviving edges (which the online side
-// also needs for its already-follows index).
-func (p *Pipeline) Build(follows []graph.Edge, interactions []Interaction, nowMS int64) (*statstore.Snapshot, []graph.Edge, BuildStats) {
+// Build scores every follow edge at the given build time and returns the
+// snapshot, each follow list capped to its best-scored MaxInfluencers.
+func (p *Pipeline) Build(follows []graph.Edge, interactions []Interaction, nowMS int64) (*statstore.Snapshot, BuildStats) {
 	start := time.Now()
 	stats := BuildStats{InputEdges: len(follows)}
 
@@ -133,42 +122,23 @@ func (p *Pipeline) Build(follows []graph.Edge, interactions []Interaction, nowMS
 	score := func(e graph.Edge) float64 {
 		k := pair{e.Src, e.Dst}
 		f := EdgeFeatures{
-			FollowAgeMS:  maxI64(0, nowMS-e.TS),
+			FollowAgeMS:  max(0, nowMS-e.TS),
 			Interactions: counts[k],
 			Reciprocal:   followSet[pair{e.Dst, e.Src}],
 		}
 		if f.Interactions > 0 {
-			f.LastInteractionMS = maxI64(0, nowMS-latest[k])
+			f.LastInteractionMS = max(0, nowMS-latest[k])
 		}
-		return p.cfg.Scorer(f)
-	}
-
-	// Min-score pruning first, so the cap ranks survivors only.
-	kept := follows
-	if p.cfg.MinScore > 0 {
-		kept = make([]graph.Edge, 0, len(follows))
-		for _, e := range follows {
-			if score(e) >= p.cfg.MinScore {
-				kept = append(kept, e)
-			}
-		}
-		stats.ScoredOut = len(follows) - len(kept)
+		return DefaultScorer(f)
 	}
 
 	builder := &statstore.Builder{
 		MaxInfluencers: p.cfg.MaxInfluencers,
 		Score:          score,
 	}
-	snap := builder.Build(kept)
+	snap := builder.Build(follows)
 	stats.OutputEdges = int(snap.NumEdges())
-	stats.CappedOut = len(kept) - stats.OutputEdges
+	stats.CappedOut = len(follows) - stats.OutputEdges
 	stats.BuildElapsed = time.Since(start)
-	return snap, kept, stats
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	return snap, stats
 }

@@ -165,8 +165,7 @@ func TestHealerReprovisionsAfterDeadline(t *testing.T) {
 	healedCh := make(chan [2]int, 4)
 	var healed atomic.Uint64
 	h := NewHealer(fake, HealerOptions{
-		After:    40 * time.Millisecond,
-		Interval: 5 * time.Millisecond,
+		After: 40 * time.Millisecond,
 		OnHeal: func(pid, r int, err error) {
 			if err == nil {
 				healed.Add(1)
@@ -198,7 +197,7 @@ func TestHealerLeavesHealthyReplicasAlone(t *testing.T) {
 	fake := newFakeElastic()
 	fake.set(0, 1, "replaying")
 	var healed atomic.Uint64
-	h := NewHealer(fake, HealerOptions{After: 10 * time.Millisecond, Interval: 2 * time.Millisecond, OnHeal: countHeals(&healed)})
+	h := NewHealer(fake, HealerOptions{After: 10 * time.Millisecond, OnHeal: countHeals(&healed)})
 	h.Start()
 	time.Sleep(60 * time.Millisecond)
 	h.Stop()
@@ -225,8 +224,7 @@ func TestHealerBacksOffAfterFailures(t *testing.T) {
 	fake.set(0, 1, "dead")
 	var failed, healed atomic.Uint64
 	h := NewHealer(fake, HealerOptions{
-		After:    10 * time.Millisecond,
-		Interval: 2 * time.Millisecond,
+		After: 10 * time.Millisecond,
 		OnHeal: func(_, _ int, err error) {
 			if err != nil {
 				failed.Add(1)
@@ -262,15 +260,11 @@ func TestHealerResetsBackoffOnExternalRecovery(t *testing.T) {
 	fake := newFakeElastic()
 	h := NewHealer(fake, HealerOptions{After: 10 * time.Millisecond})
 	key := [2]int{0, 1}
-	h.mu.Lock()
 	h.fails[key] = 5
 	h.notBefore[key] = time.Now().Add(time.Hour)
 	h.firstDead[key] = time.Now()
-	h.mu.Unlock()
 	// The replica is observed live (it recovered without the healer).
 	h.sweep(time.Now())
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if _, ok := h.fails[key]; ok {
 		t.Fatal("fails survived an external recovery")
 	}
@@ -326,19 +320,17 @@ func (s *slowElastic) ReprovisionReplica(pid, r int) error {
 	return nil
 }
 
+// TestHealerCapsConcurrentReprovisions: a correlated failure is healed one
+// replica at a time — no two re-provisions overlap — and every replica is
+// healed.
 func TestHealerCapsConcurrentReprovisions(t *testing.T) {
 	const replicas = 6
 	fake := newSlowElastic(replicas)
 	var healed atomic.Uint64
-	h := NewHealer(fake, HealerOptions{
-		After:         5 * time.Millisecond,
-		Interval:      2 * time.Millisecond,
-		MaxConcurrent: 2,
-		OnHeal:        countHeals(&healed),
-	})
+	h := NewHealer(fake, HealerOptions{After: 5 * time.Millisecond, OnHeal: countHeals(&healed)})
 	h.Start()
-	// Every replica's deadline expires almost immediately; give the
-	// healer time to dispatch as many rebuilds as it is willing to.
+	// Every replica's deadline expires almost immediately; hold the first
+	// rebuild long enough for the others to be due.
 	time.Sleep(100 * time.Millisecond)
 	close(fake.release)
 	deadline := time.Now().Add(5 * time.Second)
@@ -350,16 +342,13 @@ func TestHealerCapsConcurrentReprovisions(t *testing.T) {
 	}
 	h.Stop()
 	fake.mu.Lock()
-	max := fake.maxInFlight
-	left := fake.inFlight
-	fake.mu.Unlock()
-	if max > 2 {
-		t.Fatalf("%d re-provisions in flight at once, cap 2", max)
+	defer fake.mu.Unlock()
+	if fake.maxInFlight != 1 {
+		t.Fatalf("%d re-provisions in flight at once, want 1", fake.maxInFlight)
 	}
-	if max == 0 {
-		t.Fatal("vacuous: nothing was ever in flight")
-	}
-	if left != 0 {
-		t.Fatalf("%d re-provisions still in flight after Stop", left)
+	for key, state := range fake.states {
+		if state != "live" {
+			t.Fatalf("replica %v is %q after the heals", key, state)
+		}
 	}
 }

@@ -464,7 +464,13 @@ func FuzzWALReadRecord(f *testing.F) {
 	f.Add(mutated)
 	// A CRC-valid version-1 record shorter than its 8-byte prefix.
 	f.Add(segment(walMagicV1, 0, []byte{1, 2, 3}))
+	// A CRC-valid version-2 record of three bytes: the framing admits it.
+	f.Add(segment(walMagic, 0, []byte{1, 2, 3}))
 
+	// The codec decodes any payload (its first 8 bytes, zero-padded): the
+	// property under test is the WAL's framing, and a fuzzer can forge a
+	// CRC-valid record of any length, which a stricter codec would reject
+	// after the WAL read it correctly.
 	opts := func(dir string) WALOptions[int] {
 		return WALOptions[int]{
 			Dir: dir,
@@ -474,10 +480,9 @@ func FuzzWALReadRecord(f *testing.F) {
 				return b, nil
 			},
 			Unmarshal: func(b []byte) (int, error) {
-				if len(b) != 8 {
-					return 0, fmt.Errorf("bad length %d", len(b))
-				}
-				return int(binary.LittleEndian.Uint64(b)), nil
+				var v [8]byte
+				copy(v[:], b)
+				return int(binary.LittleEndian.Uint64(v[:])), nil
 			},
 		}
 	}

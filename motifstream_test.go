@@ -63,11 +63,6 @@ func TestSystemValidation(t *testing.T) {
 	if _, err := motifstream.New(nil, motifstream.Options{K: 1}); err == nil {
 		t.Fatal("K=1 accepted")
 	}
-	if _, err := motifstream.New(nil, motifstream.Options{
-		K: 2, Window: time.Hour, Retention: time.Minute,
-	}); err == nil {
-		t.Fatal("Retention < Window accepted")
-	}
 }
 
 // TestPrimaryDiamondValidation holds both facades to one set of rules for

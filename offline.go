@@ -9,25 +9,18 @@ import (
 )
 
 // Interaction is one engagement signal (A retweeted/favorited/replied-to
-// B's content) feeding the offline edge scorer.
+// B's content) feeding the offline edge score.
 type Interaction = offline.Interaction
-
-// EdgeFeatures aggregates the offline signals for one follow edge.
-type EdgeFeatures = offline.EdgeFeatures
 
 // BatchOptions configures the offline static-graph build — the paper's
 // "the A→B edges are computed offline and loaded into the system
 // periodically: this allows us to take advantage of rich features to
 // prune the graph."
 type BatchOptions struct {
-	// MaxInfluencers caps each user's follow list after scoring.
+	// MaxInfluencers caps each user's follow list to its best-scored
+	// edges, scored by a blend of engagement volume, engagement recency,
+	// follow recency, and reciprocity. Zero keeps every edge.
 	MaxInfluencers int
-	// MinScore drops edges scoring below it.
-	MinScore float64
-	// Scorer ranks edges from features; nil selects the default blend of
-	// engagement volume, engagement recency, follow recency, and
-	// reciprocity.
-	Scorer func(EdgeFeatures) float64
 }
 
 // BatchBuildStats reports what one offline build did.
@@ -37,21 +30,17 @@ type BatchBuildStats = offline.BuildStats
 // returns the pruned edge set to load into a System or Cluster, plus
 // build statistics. nowMS anchors the recency features.
 func BuildStatic(follows []Edge, interactions []Interaction, nowMS int64, opts BatchOptions) ([]Edge, BatchBuildStats) {
-	p := offline.NewPipeline(offline.Config{
-		MaxInfluencers: opts.MaxInfluencers,
-		MinScore:       opts.MinScore,
-		Scorer:         opts.Scorer,
-	})
-	snap, kept, stats := p.Build(follows, interactions, nowMS)
+	p := offline.NewPipeline(offline.Config{MaxInfluencers: opts.MaxInfluencers})
+	snap, stats := p.Build(follows, interactions, nowMS)
 	// The snapshot is partition-agnostic here; callers load the pruned
 	// edges so System/Cluster can build partition-filtered stores and
 	// already-follows indexes themselves. Apply the snapshot's survivors
-	// back onto the kept edge list when a cap was in force.
+	// back onto the edge list when a cap was in force.
 	if opts.MaxInfluencers <= 0 {
-		return kept, stats
+		return follows, stats
 	}
 	out := make([]Edge, 0, snap.NumEdges())
-	for _, e := range kept {
+	for _, e := range follows {
 		if followersContain(snap.Followers(e.Dst), e.Src) {
 			out = append(out, e)
 		}

@@ -42,24 +42,6 @@ func TestBuildStaticNoCapPassesThrough(t *testing.T) {
 	}
 }
 
-func TestBuildStaticCustomScorer(t *testing.T) {
-	now := dayMS
-	follows := []motifstream.Edge{
-		{Src: 1, Dst: 10, Type: motifstream.Follow, TS: now},
-		{Src: 1, Dst: 20, Type: motifstream.Follow, TS: now},
-	}
-	// Score by target ID: 20 wins under cap 1.
-	kept, _ := motifstream.BuildStatic(follows, nil, now, motifstream.BatchOptions{
-		MaxInfluencers: 1,
-		Scorer:         func(motifstream.EdgeFeatures) float64 { return 0 },
-	})
-	// With a constant scorer the tie is broken arbitrarily but exactly
-	// one edge must survive.
-	if len(kept) != 1 {
-		t.Fatalf("kept = %v, want exactly one under cap", kept)
-	}
-}
-
 func TestPeriodicStaticReload(t *testing.T) {
 	sys, err := motifstream.New(nil, motifstream.Options{K: 2, Window: 10 * time.Minute})
 	if err != nil {

@@ -17,7 +17,8 @@ type Options struct {
 	// act on the same item within the window (paper: k; production 3).
 	// Zero selects 3.
 	K int
-	// Window is the freshness window τ. Zero selects 10 minutes.
+	// Window is the freshness window τ, and how long D keeps stream edges.
+	// Zero selects 10 minutes.
 	Window time.Duration
 	// EdgeTypes are the stream actions that trigger detection; empty
 	// means follows only.
@@ -26,9 +27,6 @@ type Options struct {
 	// building the static store, the paper's quality/memory lever.
 	// Zero means unlimited.
 	MaxInfluencers int
-	// Retention bounds how long stream edges stay queryable; it must be
-	// at least Window. Zero selects Window.
-	Retention time.Duration
 	// MaxFanout caps the recent actors considered per event, bounding
 	// work on viral items. Zero selects 256; negative means unlimited.
 	MaxFanout int
@@ -68,13 +66,6 @@ func New(staticEdges []Edge, opts Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.Retention <= 0 {
-		opts.Retention = window
-	}
-	if opts.Retention < window {
-		return nil, fmt.Errorf("motifstream: Retention %s shorter than Window %s", opts.Retention, window)
-	}
-
 	for i, p := range opts.ExtraPrograms {
 		if plan, _ := p.(*motif.PlannedProgram); plan == nil {
 			return nil, fmt.Errorf("motifstream: ExtraPrograms[%d] (%T) is not a plan from CompileMotif or NewTriangleClosure", i, p)
@@ -90,9 +81,10 @@ func New(staticEdges []Edge, opts Options) (*System, error) {
 	}
 	s.engine, err = core.NewEngine(core.Config{
 		Static: static,
-		// MaxPerTarget bounds per-event work on viral items: only the
-		// most recent in-edges matter for k-threshold detection.
-		Dynamic:  dynstore.New(dynstore.Options{Retention: opts.Retention, MaxPerTarget: 1024}),
+		// D keeps the window, as a cluster's partitions do. MaxPerTarget
+		// bounds per-event work on viral items: only the most recent
+		// in-edges matter for k-threshold detection.
+		Dynamic:  dynstore.New(dynstore.Options{Retention: window, MaxPerTarget: 1024}),
 		Programs: programs,
 		Follows:  follows,
 	})
