@@ -82,11 +82,13 @@ test-delivery:
 	$(GO) test -race ./internal/delivery
 
 # test-elasticity runs the elastic placement suite (node replacement,
-# base replication, live scale-out/in, auto-healer, placement table, and
-# the restore planner every placement goes live through) under the race
-# detector — the quick loop for the placement subsystem.
+# base replication with the mirror tests — torn pushes, foreign and
+# orphaned mirrors, the truncation floor a mirror holds —, live
+# scale-out/in, auto-healer, placement table, and the restore planner
+# every placement goes live through) under the race detector — the quick
+# loop for the placement subsystem.
 test-elasticity:
-	$(GO) test -race -run 'TestElastic|TestAddReplica|TestReprovision|TestHealer|TestReopenRebuilds|TestReopenAllBases|TestReopenRecoversDespite|TestPlanRestore|TestCrashMatrix/(reprovision|scale)' ./internal/cluster ./internal/placement
+	$(GO) test -race -run 'TestElastic|TestAddReplica|TestReprovision|TestHealer|TestReopenRebuilds|TestReopenAllBases|TestReopenRecoversDespite|TestMirror|TestForeignMirrors|TestPlanRestore|TestCrashMatrix/(reprovision|scale)' ./internal/cluster ./internal/placement
 
 # test-audit runs the state-determinism layer under the race detector:
 # the audit log codec and verifier, the fingerprint's two properties

@@ -7,7 +7,6 @@ import (
 	"motifstream/internal/audit"
 	"motifstream/internal/cluster"
 	"motifstream/internal/delivery"
-	"motifstream/internal/dynstore"
 	"motifstream/internal/metrics"
 	"motifstream/internal/motif"
 	"motifstream/internal/partition"
@@ -23,13 +22,16 @@ type ClusterOptions struct {
 	// Replicas per partition (fault tolerance + read throughput). Zero
 	// selects 1.
 	Replicas int
-	// K, Window, EdgeTypes, MaxInfluencers mirror Options.
+	// K, Window, EdgeTypes, MaxInfluencers mirror Options. D keeps
+	// stream edges for the longest window of the primary diamond and the
+	// registered motifs.
 	K              int
 	Window         time.Duration
 	EdgeTypes      []EdgeType
 	MaxInfluencers int
 	// MaxFanout caps the recent actors considered per event, bounding
-	// work on viral items. Zero selects 256; negative means unlimited.
+	// work on viral items. Zero selects 256; negative means unlimited, up
+	// to the 1024 newest in-edges D keeps per item (its celebrity cap).
 	MaxFanout int
 	// motifs holds the plans RegisterMotifs compiled, run after the
 	// primary diamond.
@@ -162,7 +164,7 @@ func NewCluster(staticEdges []Edge, opts ClusterOptions) (*Cluster, error) {
 	if opts.Partitions == 0 {
 		opts.Partitions = 20
 	}
-	primary, window, err := primaryDiamond(opts.K, opts.Window, opts.EdgeTypes, opts.MaxFanout)
+	primary, err := primaryDiamond(opts.K, opts.Window, opts.EdgeTypes, opts.MaxFanout)
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +198,7 @@ func NewCluster(staticEdges []Edge, opts ClusterOptions) (*Cluster, error) {
 		Replicas:           opts.Replicas,
 		StaticEdges:        staticEdges,
 		MaxInfluencers:     opts.MaxInfluencers,
-		Dynamic:            dynstore.Options{Retention: window, MaxPerTarget: 1024},
+		Dynamic:            dynamicOptions(programs),
 		NewPrograms:        func() []motif.Program { return programs },
 		HopDelay:           hopDelay,
 		Delivery:           dopts,

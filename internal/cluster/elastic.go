@@ -15,6 +15,7 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -95,35 +96,35 @@ func baseFingerprint(data []byte) (fp uint32, ok bool) {
 }
 
 // checksumOK verifies a base file's CRC32C trailer over its payload — the
-// cheap byte-level gate mirror writes use; compose-time reads do the full
-// structural decode.
+// cheap byte-level gate the mirrored-table rebuild uses; compose-time reads
+// do the full structural decode.
 func checksumOK(data []byte) bool {
 	_, ok := baseFingerprint(data)
 	return ok
 }
 
-// mirrorBase replicates a freshly compacted base to up to
-// Config.MirrorBases peer replica directories of the same partition.
-// Called from the owning replica's writer goroutine after the base is
-// published. Strictly best-effort: the source is CRC-verified before any
-// push, each push is independent, and a failed one is counted and left
-// where it tore (a crashed pusher would too — readers CRC-gate every
-// mirror, so torn files are inert).
-func (h *replicaHost) mirrorBase(rep *replica, srcPath string, offset uint64) {
+// mirrorBase replicates a freshly compacted base — data, the bytes compact
+// just wrote — to up to Config.MirrorBases peer replica directories of the
+// same partition, recording each intact push in rep.mirrored. Called from
+// the owning replica's writer goroutine after the base is published.
+// Strictly best-effort: each push is independent, and a failed one is
+// counted, keeps the peer's previous entry and is left where it tore (a
+// crashed pusher would too — readers CRC-gate every mirror, so torn files
+// are inert).
+func (h *replicaHost) mirrorBase(rep *replica, data []byte, offset uint64) {
 	budget := h.mirrorBases
 	if budget <= 0 {
-		return
-	}
-	data, err := os.ReadFile(srcPath)
-	if err != nil || !checksumOK(data) {
-		h.ckptErrors.Inc()
 		return
 	}
 	// The writes happen outside the topology lock. A peer decommissioned or
 	// reprovisioned between the snapshot and the push at worst leaves
 	// garbage in a directory about to be (or already) deleted — generation
 	// directories are never reused, so nothing can ever resurrect it.
-	for _, peer := range h.placed(rep.pid) {
+	peers := h.placed(rep.pid)
+	maps.DeleteFunc(rep.mirrored, func(idx int, _ uint64) bool {
+		return !slices.ContainsFunc(peers, func(p placed) bool { return p.idx == idx })
+	})
+	for _, peer := range peers {
 		if budget == 0 {
 			break
 		}
@@ -140,6 +141,7 @@ func (h *replicaHost) mirrorBase(rep *replica, srcPath string, offset uint64) {
 			continue
 		}
 		removeOlderMirrors(dir, h.runID, rep.idx, offset)
+		rep.mirrored[peer.idx] = max(rep.mirrored[peer.idx], offset)
 		h.mirrorsOut.Inc()
 		budget--
 	}
@@ -179,53 +181,41 @@ func removeOlderMirrors(dir string, id uint64, srcIdx int, newest uint64) {
 	}
 }
 
-// mirrorOffsets lists, per source replica, the replay point of the
-// newest CRC-intact mirror base hosted in a replica directory's mirror
-// subdir — the truncation floor scan's view of the base pool. Only the
-// newest intact mirror per source counts: that is the file composeFromPool
-// would actually install (it picks the newest base that passes the gate),
-// so its offset is the pool's real claim on the log. Torn mirrors are
-// deliberately excluded — they are inert for restore, and counting them
-// would let a crashing pusher (whose retirement pass never ran) pin the
-// firehose log at a dead offset forever, as are mirrors not written under
-// log identity id.
-func mirrorOffsets(dir string, id uint64) []uint64 {
-	mdir := filepath.Join(dir, mirrorSubdir)
-	entries, err := os.ReadDir(mdir)
-	if err != nil {
-		return nil
-	}
-	// Per source, walk candidate offsets newest-first and take the first
-	// file whose checksum holds. ReadDir returns names sorted, and
-	// mirrorName zero-pads offsets, so per source the order is ascending.
-	bySrc := make(map[int][]string)
-	for _, e := range entries {
-		if idx, _, ok := parseMirrorName(e.Name(), id); ok {
-			bySrc[idx] = append(bySrc[idx], e.Name())
+// scanMirrored rebuilds rep.mirrored from disk: per peer, the newest
+// CRC-intact mirror rep's index pushed there under this log — the file
+// composeFromPool would install of that push history. Torn mirrors are
+// inert for restore and not counted, nor are mirrors of another log.
+// Called by every restore, with no writer running.
+func (h *replicaHost) scanMirrored(rep *replica) {
+	clear(rep.mirrored)
+	for _, peer := range h.placed(rep.pid) {
+		if peer.idx == rep.idx {
+			continue
 		}
-	}
-	var out []uint64
-	for _, names := range bySrc {
-		for i := len(names) - 1; i >= 0; i-- {
-			data, err := os.ReadFile(filepath.Join(mdir, names[i]))
-			if err != nil || !checksumOK(data) {
+		mdir := filepath.Join(peer.dir, mirrorSubdir)
+		entries, _ := os.ReadDir(mdir)
+		// ReadDir sorts names, and mirrorName zero-pads offsets: per source
+		// the newest comes last.
+		for i := len(entries) - 1; i >= 0; i-- {
+			idx, off, ok := parseMirrorName(entries[i].Name(), h.runID)
+			if !ok || idx != rep.idx {
 				continue
 			}
-			_, off, _ := parseMirrorName(names[i], id)
-			out = append(out, off)
-			break
+			if data, err := os.ReadFile(filepath.Join(mdir, entries[i].Name())); err == nil && checksumOK(data) {
+				rep.mirrored[peer.idx] = off
+				break
+			}
 		}
 	}
-	return out
 }
 
 // removeSourceMirrors retires every mirror srcIdx pushed into partition
 // pid's replica directories, and every file there not written under this
 // cluster's log identity. Called when the source placement is
 // decommissioned: its mirrors would otherwise never be retired (only the
-// source's own newer pushes retire them), and with the truncation floor
-// counting mirror offsets an orphaned mirror would pin the firehose log
-// forever.
+// source's own newer pushes retire them) and would hold peer disk forever.
+// They hold no log: the removed slot's floor, which counted them, counts
+// for nothing.
 func (h *replicaHost) removeSourceMirrors(pid, srcIdx int) {
 	for _, peer := range h.placed(pid) {
 		mdir := filepath.Join(peer.dir, mirrorSubdir)
@@ -431,7 +421,7 @@ func (c *Cluster) AddReplica(pid int) (int, error) {
 	slot := &replicaSlot{pid: pid, idx: idx, dir: rep.dir, live: make(chan struct{})}
 	slot.state.Store(replicaDead) // until the launch below attaches
 	// Membership first, with a floor of zero: from this instant the
-	// truncation scan counts the newcomer, so the log cannot be compacted
+	// truncation floor counts the newcomer, so the log cannot be compacted
 	// out from under the catch-up launchPlacement is about to begin.
 	c.hub.topoMu.Lock()
 	c.hub.slots[pid] = append(c.hub.slots[pid], slot)
@@ -482,7 +472,7 @@ func (c *Cluster) DecommissionReplica(pid, r int) error {
 		os.RemoveAll(slot.dir)
 	}
 	// Retire the mirrors this replica pushed to its peers: no source will
-	// ever supersede them, and the truncation floor counts hosted mirrors.
+	// ever supersede them.
 	c.host.removeSourceMirrors(pid, r)
 	c.scaleIns.Inc()
 	return nil

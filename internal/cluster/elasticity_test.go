@@ -731,6 +731,154 @@ func TestForeignMirrorsNeverInstalled(t *testing.T) {
 	}
 }
 
+// mirrorTestConfig is the mirror tests' deployment: two partitions of two
+// replicas, each compacting every second delta and pushing every base to
+// one peer, over a log small enough to truncate mid-stream.
+func mirrorTestConfig(t *testing.T, users int) Config {
+	cfg := durableConfig(t, ringStatic(users))
+	cfg.CheckpointInterval = time.Second
+	cfg.CompactEvery = 2
+	cfg.MirrorBases = 1
+	cfg.LogSegmentBytes = 2 << 10
+	return cfg
+}
+
+// newestIntactMirrors maps each source index to the offset of its newest
+// CRC-intact mirror in replica r's directory of partition pid.
+func newestIntactMirrors(c *Cluster, pid, r int) map[int]uint64 {
+	out := map[int]uint64{}
+	mdir := filepath.Join(replicaCkptDir(c.cfg.CheckpointDir, pid, r), mirrorSubdir)
+	entries, _ := os.ReadDir(mdir)
+	for _, e := range entries {
+		idx, off, ok := parseMirrorName(e.Name(), c.runID)
+		if !ok || off <= out[idx] {
+			continue
+		}
+		if data, err := os.ReadFile(filepath.Join(mdir, e.Name())); err == nil && checksumOK(data) {
+			out[idx] = off
+		}
+	}
+	return out
+}
+
+// TestMirrorOfRemovedSourceDoesNotPinLog recreates what a crash inside
+// DecommissionReplica leaves — the tombstone saved, the removed source's
+// mirrors still in its peers' directories — by putting one back after the
+// decommission. No replica accounts for that orphan, so the log truncates
+// past it; it stays in the base pool, where a restore may still use it
+// while the log extends it.
+func TestMirrorOfRemovedSourceDoesNotPinLog(t *testing.T) {
+	const users = 40
+	cfg := mirrorTestConfig(t, users)
+	h := newCrashHarness(t, cfg, motifWorkload(66, users, 400))
+	h.publishTo(0.5)
+
+	// Keep a copy of replica 1's newest intact push into replica 0's
+	// directory, per partition.
+	orphans := map[string][]byte{}
+	deadline := time.Now().Add(30 * time.Second)
+	for pid := 0; pid < cfg.Partitions; pid++ {
+		for {
+			if off, ok := newestIntactMirrors(h.c, pid, 0)[1]; ok {
+				path := filepath.Join(replicaCkptDir(cfg.CheckpointDir, pid, 0), mirrorSubdir, mirrorName(h.c.runID, 1, off))
+				if data, err := os.ReadFile(path); err == nil && checksumOK(data) {
+					orphans[path] = data
+					break
+				}
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("partition %d: replica 1 never mirrored a base to replica 0", pid)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	h.decommissionAll(1)
+	for path, data := range orphans {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.publishTo(1.0)
+	h.c.Shutdown()
+
+	below := h.c.Stats().LogTruncatedBelow
+	for path := range orphans {
+		_, off, _ := parseMirrorName(filepath.Base(path), h.c.runID)
+		if off >= below {
+			t.Fatalf("orphaned mirror %s at offset %d pins the log: truncated below %d", filepath.Base(path), off, below)
+		}
+	}
+	for pid := 0; pid < cfg.Partitions; pid++ {
+		pool := basePool(h.c.host.placed(pid), h.c.runID)
+		if !slices.ContainsFunc(pool, func(b baseSource) bool { _, ok := orphans[b.path]; return ok }) {
+			t.Fatalf("partition %d: the orphaned mirror left the base pool %v", pid, pool)
+		}
+	}
+}
+
+// TestMirrorFrozenByTearBoundsLogAfterReopen checks the rebuild of each
+// replica's mirrored table: mirrors frozen mid-run by torn pushes (as in
+// TestMirrorOnlySurvivorReplaysAfterTruncation) must keep bounding the
+// log's truncation after a Shutdown, a Reopen and more publishing, while
+// the chain floors move past them.
+func TestMirrorFrozenByTearBoundsLogAfterReopen(t *testing.T) {
+	const users = 40
+	cfg := mirrorTestConfig(t, users)
+	var tear atomic.Bool
+	orig := openSegFile
+	openSegFile = func(path string) (codecutil.WriteSyncCloser, error) {
+		f, err := os.Create(path)
+		if err != nil {
+			return nil, err
+		}
+		if tear.Load() && strings.HasPrefix(filepath.Base(path), "mirror-") {
+			return &codecutil.FailNth{F: f, FailWriteAt: 1}, nil
+		}
+		return f, nil
+	}
+	defer func() { openSegFile = orig }()
+
+	h := newCrashHarness(t, cfg, motifWorkload(67, users, 400))
+	h.publishTo(0.4)
+	h.waitForBases(0)
+	h.waitForBases(1)
+	h.waitForTruncation()
+	deadline := time.Now().Add(30 * time.Second)
+	for pid := 0; pid < cfg.Partitions; pid++ {
+		for len(newestIntactMirrors(h.c, pid, 0))+len(newestIntactMirrors(h.c, pid, 1)) == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("partition %d never hosted an intact mirror", pid)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	tear.Store(true)
+	h.publishTo(0.6)
+	h.restart()
+	h.publishTo(1.0)
+	h.c.Shutdown()
+
+	below := h.c.Stats().LogTruncatedBelow
+	if below == 0 {
+		t.Fatal("vacuous: the log was never truncated")
+	}
+	binding := false
+	for pid := 0; pid < cfg.Partitions; pid++ {
+		for r := 0; r < cfg.Replicas; r++ {
+			for src, off := range newestIntactMirrors(h.c, pid, r) {
+				if off < below {
+					t.Fatalf("partition %d: frozen mirror from r%02d at offset %d fell below the horizon %d", pid, src, off, below)
+				}
+				man, err := loadManifest(manifestPath(replicaCkptDir(cfg.CheckpointDir, pid, src)), h.c.runID)
+				binding = binding || err == nil && man.floorOffset() > off
+			}
+		}
+	}
+	if !binding {
+		t.Fatal("vacuous: no chain floor advanced past a frozen mirror")
+	}
+}
+
 // TestReprovisionKeepsSharing is the regression for the replacement node's
 // partition constructor building its engine from less than the replicas New
 // built were given: a reprovisioned or scaled-out replica must run the same

@@ -79,6 +79,12 @@ type replica struct {
 	// from (stampFingerprint); nil with auditing off.
 	fpBuf []byte
 
+	// mirrored maps each peer index to the offset of the newest base this
+	// replica pushed there intact: restore points its floor must keep the
+	// log under (floor). executeRestore rebuilds it from disk; after that
+	// only the writer goroutine touches it (mirrorBase).
+	mirrored map[int]uint64
+
 	// writer is the replica's async checkpoint persistence goroutine; nil
 	// before Start, while dead, and on clusters without recovery.
 	writer *ckptWriter
@@ -86,6 +92,17 @@ type replica struct {
 	// composed and installed), consumed by start's launch. Zero — empty
 	// chain, offset zero — without recovery.
 	boot restorePoint
+}
+
+// floor is the replica's claim on the log's truncation horizon: the lowest
+// of its chain's base offset and the bases it mirrored to peers. A mirror
+// outlives its source's chain (a kill, a corrupt base), and then it is the
+// partition's only restore point for the span above it.
+func (rep *replica) floor(base uint64) uint64 {
+	for _, off := range rep.mirrored {
+		base = min(base, off)
+	}
+	return base
 }
 
 // replicaHost runs replicas: their partitions, apply loops (parallel.go),
@@ -172,7 +189,7 @@ func (h *replicaHost) place(pid, idx, gen int, wipe bool) (*replica, error) {
 		return nil, fmt.Errorf("cluster: partition %d replica %d: %w", pid, idx, err)
 	}
 	h.statics[pid] = p.Engine().Static().Snapshot()
-	rep := &replica{pid: pid, idx: idx, gen: gen, p: p}
+	rep := &replica{pid: pid, idx: idx, gen: gen, p: p, mirrored: make(map[int]uint64)}
 	if h.cfg.CheckpointDir != "" {
 		rep.dir = placement.Dir(h.cfg.CheckpointDir, pid, idx, gen)
 		if wipe {

@@ -116,9 +116,9 @@ type hubTier struct {
 	stateBusy atomic.Bool
 	deliverWG sync.WaitGroup
 
-	// truncMu makes maybeTruncateLog's floor scan plus truncate atomic
-	// against an attach's floor publication plus subscribe (see
-	// ReplicaAttached).
+	// truncMu makes maybeTruncateLog's read of the slot floors plus
+	// truncate atomic against an attach's floor publication plus subscribe
+	// (see ReplicaAttached).
 	truncMu sync.Mutex
 	// slotMu serializes the slot state machine's transitions.
 	slotMu sync.Mutex
@@ -456,7 +456,7 @@ type attachment struct {
 // generation gen, with its state restored to resume and floor its oldest
 // durable restore point; reads is where the broker reaches the replica.
 // Publishing the floor and subscribing are one atomic step, under truncMu,
-// against maybeTruncateLog's scan-plus-truncate: a stale floor from the
+// against maybeTruncateLog's floor-read-plus-truncate: a stale floor from the
 // slot's previous incarnation (which restored higher than this one, say,
 // whose chain was lost) could otherwise let a concurrent peer compaction
 // truncate the log out from under the replay about to start. The slot turns
@@ -559,47 +559,27 @@ func (h *hubTier) acked() bool { return true }
 func (h *hubTier) closeFeed() { h.firehose.Close() }
 
 // maybeTruncateLog compacts the retained firehose log below the minimum
-// restore floor across all replicas: every offset below it is covered by
-// a durable restore point, so no restore — including segment-at-a-time
-// corruption fallback — can ever need to replay it. The floor counts two
-// kinds of restore point: every non-removed replica's own chain floor,
-// and each source's newest intact mirror base in the partition pools (a
-// mirror's offset is its replay point, and composeFromPool refuses one below the log start
-// — so truncating past one would silently disarm the base pool exactly
-// when it is needed, e.g. a mirror-only survivor whose own base later
-// corrupts). Mirror offsets normally trail their source's chain floor by
-// nothing — compact pushes them at the floor offset — but a mirror
-// outlives its source (kill, decommission), and then it is the pool's
-// only claim on that span. Called on every floor report, i.e. after a
-// replica's durable progress.
+// restore floor across all non-removed replicas: every offset below it is
+// covered by a durable restore point, so no restore — including
+// segment-at-a-time corruption fallback — can ever need to replay it. Each
+// floor is what its replica reported: its chain's base offset, lowered to
+// the newest base it pushed intact to each peer (replica.floor), so a
+// mirror keeps counting through its source's kill. Called on every floor
+// report, i.e. after a replica's durable progress.
 func (h *hubTier) maybeTruncateLog() {
 	h.truncMu.Lock()
 	defer h.truncMu.Unlock()
 	h.topoMu.RLock()
 	floor := ^uint64(0)
-	var dirs []string
 	for _, group := range h.slots {
 		for _, s := range group {
-			if s.state.Load() == replicaRemoved {
-				// A tombstone never restores; its floor is irrelevant.
-				continue
-			}
-			if f := s.floor.Load(); f < floor {
-				floor = f
-			}
-			if s.dir != "" {
-				dirs = append(dirs, s.dir)
+			// A tombstone never restores; its floor is irrelevant.
+			if s.state.Load() != replicaRemoved {
+				floor = min(floor, s.floor.Load())
 			}
 		}
 	}
 	h.topoMu.RUnlock()
-	for _, dir := range dirs {
-		for _, off := range mirrorOffsets(dir, h.runID) {
-			if off < floor {
-				floor = off
-			}
-		}
-	}
 	if floor == 0 || floor == ^uint64(0) {
 		return
 	}

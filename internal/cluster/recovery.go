@@ -512,9 +512,9 @@ func (w *ckptWriter) appendSegment(job ckptJob) {
 	if w.deltas >= w.h.compactEvery {
 		w.compact()
 	}
-	// Durable progress: tell the hub where the chain's floor stands, so
+	// Durable progress: tell the hub where the replica's floor stands, so
 	// it can move the log's truncation horizon.
-	w.rep.att.ReportFloor(w.man.floorOffset())
+	w.rep.att.ReportFloor(w.rep.floor(w.man.floorOffset()))
 }
 
 // recordFingerprint appends one record to the replica's audit log.
@@ -588,7 +588,7 @@ func (w *ckptWriter) compact() {
 	// Base replication: push the fresh base to peer replica directories
 	// so the partition keeps restore points even when this machine — or
 	// this base — is lost.
-	w.h.mirrorBase(w.rep, path, offset)
+	w.h.mirrorBase(w.rep, w.buf, offset)
 }
 
 // composeChain decodes segments in order, stopping at the first unreadable

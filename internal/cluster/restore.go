@@ -52,7 +52,7 @@ type restorePlan struct {
 	seed  []byte
 	// offset is the replay point — every envelope below it is folded into
 	// state — and floor the offset of the base actually installed (zero
-	// without one): the replica's claim on the truncation horizon.
+	// without one), which bounds the replica's floor.
 	offset, floor uint64
 	// audited: a replica recorded fingerprint want at offset, and state
 	// fingerprints to got. Unset with auditing off, from scratch, or at an
@@ -217,7 +217,8 @@ func (h *replicaHost) executeRestore(rep *replica, plan restorePlan) (restorePoi
 	} else {
 		rep.p.LoadState(plan.state)
 	}
-	return restorePoint{man: man, offset: plan.offset, floor: plan.floor}, nil
+	h.scanMirrored(rep)
+	return restorePoint{man: man, offset: plan.offset, floor: rep.floor(plan.floor)}, nil
 }
 
 // restoreSlot plans and executes the restore of a replica whose partition

@@ -24,7 +24,11 @@ import (
 type Config struct {
 	// Static is the S store. Required.
 	Static *statstore.Store
-	// Dynamic is the D store. Required.
+	// Dynamic is the D store. Required. Its retention should cover the
+	// longest window any program reads (Shape().WindowMS), or that program
+	// misses supports D already pruned; the motifstream facades size it so.
+	// The engine does not enforce it: an experiment may prune below the
+	// window on purpose.
 	Dynamic *dynstore.Store
 	// Programs are the motif plans to run per edge, in order: each must be a
 	// *motif.PlannedProgram. At least one is required.

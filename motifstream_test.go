@@ -398,6 +398,69 @@ motif "rt" {
 	}
 }
 
+// hourMotif reads retweets an hour back, six times the primary diamond's
+// ten-minute Window in the retention tests below.
+const hourMotif = `
+motif "rt1h" {
+    match A -> B;
+    match B =[retweet]=> C within 1h;
+    where count(B) >= 2;
+    emit C to A via B;
+}`
+
+// retentionStream is a retweet of 777 by 10, an unrelated follow ten
+// minutes later (D sweeps on it), and a retweet of 777 by 11 twenty minutes
+// after the first: within the motif's hour, beyond the diamond's window.
+func retentionStream() []motifstream.Edge {
+	t0 := int64(1_000_000)
+	return []motifstream.Edge{
+		{Src: 10, Dst: 777, Type: motifstream.Retweet, TS: t0},
+		{Src: 3, Dst: 500, Type: motifstream.Follow, TS: t0 + 10*60_000},
+		{Src: 11, Dst: 777, Type: motifstream.Retweet, TS: t0 + 20*60_000},
+	}
+}
+
+// TestSystemRetentionCoversMotifWindow: D keeps the longest window any
+// program reads, not the primary diamond's alone.
+func TestSystemRetentionCoversMotifWindow(t *testing.T) {
+	opts := motifstream.Options{K: 2, Window: 10 * time.Minute}
+	if err := opts.RegisterMotifs(hourMotif); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := motifstream.New(fig1(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []motifstream.Candidate
+	for _, e := range retentionStream() {
+		got = append(got, sys.Apply(e)...)
+	}
+	if len(got) != 1 || got[0].Program != "rt1h" || got[0].User != 2 {
+		t.Fatalf("the hour-long motif found %v, want one candidate for user 2", got)
+	}
+}
+
+// TestClusterRetentionCoversMotifWindow is the same check through the
+// cluster facade, whose partitions size D from the same programs.
+func TestClusterRetentionCoversMotifWindow(t *testing.T) {
+	opts := motifstream.ClusterOptions{Partitions: 4, K: 2, Window: 10 * time.Minute, DisableSleepHours: true}
+	if err := opts.RegisterMotifs(hourMotif); err != nil {
+		t.Fatal(err)
+	}
+	clu, err := motifstream.NewCluster(fig1(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range retentionStream() {
+		clu.Publish(e)
+	}
+	clu.Stop()
+	recs, err := clu.RecommendationsFor(2)
+	if err != nil || len(recs) != 1 || recs[0].Program != "rt1h" {
+		t.Fatalf("the hour-long motif found %v, %v; want one recommendation for user 2", recs, err)
+	}
+}
+
 func TestClusterFacadeValidatesDSL(t *testing.T) {
 	opts := motifstream.ClusterOptions{Partitions: 2, K: 2}
 	if err := opts.RegisterMotifs("motif bogus"); err == nil {

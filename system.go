@@ -17,8 +17,10 @@ type Options struct {
 	// act on the same item within the window (paper: k; production 3).
 	// Zero selects 3.
 	K int
-	// Window is the freshness window τ, and how long D keeps stream edges.
-	// Zero selects 10 minutes.
+	// Window is the primary diamond's freshness window τ. Zero selects 10
+	// minutes. D keeps stream edges for the longest window any program
+	// reads: this one, an ExtraPrograms plan's or a registered motif's
+	// `within`.
 	Window time.Duration
 	// EdgeTypes are the stream actions that trigger detection; empty
 	// means follows only.
@@ -28,7 +30,8 @@ type Options struct {
 	// Zero means unlimited.
 	MaxInfluencers int
 	// MaxFanout caps the recent actors considered per event, bounding
-	// work on viral items. Zero selects 256; negative means unlimited.
+	// work on viral items. Zero selects 256; negative means unlimited, up
+	// to the 1024 newest in-edges D keeps per item (its celebrity cap).
 	MaxFanout int
 	// SuppressKnown drops a recommendation of an item to a user whom the
 	// static edges show following it already, for every program. It is off
@@ -62,7 +65,7 @@ type System struct {
 
 // New builds a System from the static A→B follow edges.
 func New(staticEdges []Edge, opts Options) (*System, error) {
-	primary, window, err := primaryDiamond(opts.K, opts.Window, opts.EdgeTypes, opts.MaxFanout)
+	primary, err := primaryDiamond(opts.K, opts.Window, opts.EdgeTypes, opts.MaxFanout)
 	if err != nil {
 		return nil, err
 	}
@@ -80,11 +83,8 @@ func New(staticEdges []Edge, opts Options) (*System, error) {
 		follows = func(a, c VertexID) bool { return static.Snapshot().Follows(a, c) }
 	}
 	s.engine, err = core.NewEngine(core.Config{
-		Static: static,
-		// D keeps the window, as a cluster's partitions do. MaxPerTarget
-		// bounds per-event work on viral items: only the most recent
-		// in-edges matter for k-threshold detection.
-		Dynamic:  dynstore.New(dynstore.Options{Retention: window, MaxPerTarget: 1024}),
+		Static:   static,
+		Dynamic:  dynstore.New(dynamicOptions(programs)),
 		Programs: programs,
 		Follows:  follows,
 	})
@@ -99,27 +99,41 @@ func (s *System) buildStatic(staticEdges []Edge) *statstore.Snapshot {
 	return (&statstore.Builder{MaxInfluencers: s.opts.MaxInfluencers}).Build(staticEdges)
 }
 
+// dynamicOptions sizes D for the programs both facades run, every one a
+// plan: it keeps the longest window any of them reads, so no program misses
+// a support D already pruned, and caps the in-edges kept per item at 1024,
+// bounding per-event work on viral items — only the most recent in-edges
+// matter for k-threshold detection.
+func dynamicOptions(programs []motif.Program) dynstore.Options {
+	var ms int64
+	for _, p := range programs {
+		for _, w := range p.(*motif.PlannedProgram).Shape().WindowMS {
+			ms = max(ms, w)
+		}
+	}
+	return dynstore.Options{Retention: time.Duration(ms) * time.Millisecond, MaxPerTarget: 1024}
+}
+
 // primaryDiamond builds the plan both facades run first, applying their
 // shared defaults — K 0 selects 3, a Window <= 0 ten minutes, MaxFanout 0
 // selects 256 and negative means unlimited — and refusing what no plan can
-// express. It also returns the window it settled on, which sizes D's
-// retention.
-func primaryDiamond(k int, window time.Duration, edgeTypes []EdgeType, maxFanout int) (motif.Program, time.Duration, error) {
+// express.
+func primaryDiamond(k int, window time.Duration, edgeTypes []EdgeType, maxFanout int) (motif.Program, error) {
 	if k == 0 {
 		k = 3
 	}
 	if k < 2 {
-		return nil, 0, fmt.Errorf("motifstream: K must be >= 2, got %d", k)
+		return nil, fmt.Errorf("motifstream: K must be >= 2, got %d", k)
 	}
 	if window <= 0 {
 		window = 10 * time.Minute
 	}
 	if window < time.Millisecond {
-		return nil, 0, fmt.Errorf("motifstream: Window %s is under a millisecond, the resolution of stream time", window)
+		return nil, fmt.Errorf("motifstream: Window %s is under a millisecond, the resolution of stream time", window)
 	}
 	for _, t := range edgeTypes {
 		if int(t) >= motif.NumEdgeTypes {
-			return nil, 0, fmt.Errorf("motifstream: EdgeTypes holds %d, which is not an edge type", t)
+			return nil, fmt.Errorf("motifstream: EdgeTypes holds %d, which is not an edge type", t)
 		}
 	}
 	if maxFanout == 0 {
@@ -129,7 +143,7 @@ func primaryDiamond(k int, window time.Duration, edgeTypes []EdgeType, maxFanout
 	}
 	return motif.NewDiamond(motif.DiamondConfig{
 		K: k, Window: window, EdgeTypes: edgeTypes, MaxFanout: maxFanout,
-	}), window, nil
+	}), nil
 }
 
 // Apply ingests one stream edge and returns the recommendations whose
