@@ -14,7 +14,10 @@ import (
 )
 
 // ClusterOptions configures the full partitioned deployment. Zero values
-// select production-shaped defaults.
+// select production-shaped defaults. Every replica's apply loop runs one
+// fixed shape: batches of up to 16 envelopes, detection fanned over 2
+// workers. With CheckpointDir set, a second NewCluster over the same
+// directories after Shutdown is the whole-deployment restart.
 type ClusterOptions struct {
 	// Partitions is the number of hash partitions over users (paper: 20).
 	// Zero selects 20.
@@ -62,22 +65,17 @@ type ClusterOptions struct {
 	// replicas write periodic durable checkpoints here, the firehose
 	// retains its log on disk (LogDir) for offset replay, KillReplica and
 	// RestoreReplica become available for crash/recovery testing and
-	// operations, and the deployment survives Shutdown and ReopenCluster.
+	// operations, and the deployment survives Shutdown: NewCluster over the
+	// same directories resumes it.
 	CheckpointDir string
 	// CheckpointInterval is the stream-time interval between per-replica
 	// checkpoints; zero selects one minute. Ignored without CheckpointDir.
 	CheckpointInterval time.Duration
-	// CheckpointCompactEvery is how many incremental delta segments a
-	// replica's checkpoint chain accumulates before the background
-	// compactor folds it into a fresh base; zero selects 8. Compaction
-	// bounds restore time and advances the firehose log's truncation
-	// horizon. Ignored without CheckpointDir.
-	CheckpointCompactEvery int
 	// LogDir is where the firehose log is stored as a durable segmented
-	// WAL, making whole-cluster restarts recoverable: NewCluster (or
-	// ReopenCluster) over an existing CheckpointDir and LogDir restores
-	// every replica from its checkpoint chain and replays the durable log
-	// from its floor offset. Empty selects <CheckpointDir>/firehose. The log
+	// WAL, making whole-cluster restarts recoverable: NewCluster over an
+	// existing CheckpointDir and LogDir restores every replica from its
+	// checkpoint chain and replays the durable log from its floor offset.
+	// Empty selects <CheckpointDir>/firehose. The log
 	// fsyncs every 256 records, the bound on the torn tail an OS crash can
 	// lose. Requires CheckpointDir; forbidden with Join. See
 	// docs/DURABILITY.md for the durable-log contract.
@@ -94,17 +92,6 @@ type ClusterOptions struct {
 	// node (ReprovisionReplica), and counted in the cluster.healed counter.
 	// Zero disables. Requires CheckpointDir: NewCluster fails without it.
 	HealAfter time.Duration
-	// ApplyBatch bounds how many envelopes each replica drains from its
-	// firehose subscription into one batch, amortizing scratch and metric
-	// updates; candidates are published and checkpoints cut through an
-	// ordered-commit stage whose results do not depend on the bound (see
-	// docs/DURABILITY.md, "Ordering invariants of the apply loop"). Zero
-	// or one applies one envelope at a time.
-	ApplyBatch int
-	// ApplyWorkers fans candidate generation for a batch across this many
-	// goroutines, sharded by target vertex. Zero or one — or a batch of
-	// one — keeps detection on the consumer goroutine.
-	ApplyWorkers int
 	// Listen, when non-empty, runs this deployment as a networked hub: it
 	// binds a TCP listener on the address (":0" picks a free port; see
 	// ListenAddr), owns the durable firehose log and the delivery tier,
@@ -151,7 +138,13 @@ type Cluster struct {
 }
 
 // NewCluster builds and starts the deployment with the given static follow
-// edges.
+// edges. Over the CheckpointDir (and LogDir, if one was set) of a deployment
+// that was shut down, it is the restart: every replica restores from its
+// durable checkpoint chain and replays the on-disk firehose log until caught
+// up, and after a clean Shutdown the restarted deployment delivers exactly
+// the notification set an uninterrupted run would have. staticEdges and
+// opts must then describe the same deployment the directories were written
+// by.
 func NewCluster(staticEdges []Edge, opts ClusterOptions) (*Cluster, error) {
 	if opts.HealAfter > 0 && (opts.Listen != "" || opts.Join != "") {
 		// The healer drives ReprovisionReplica, which is a local-lifecycle
@@ -193,6 +186,11 @@ func NewCluster(staticEdges []Edge, opts ClusterOptions) (*Cluster, error) {
 		dopts.SleepEndHour = delivery.SleepDisabled
 	}
 
+	// The apply loop runs the shape benchmark/workloads.go measures; the
+	// batching-independence invariants (docs/DURABILITY.md, "Ordering
+	// invariants of the apply loop") keep delivered notifications and
+	// recoverable state independent of it.
+	const applyBatch, applyWorkers = 16, 2
 	inner, err := cluster.New(cluster.Config{
 		Partitions:         opts.Partitions,
 		Replicas:           opts.Replicas,
@@ -206,11 +204,10 @@ func NewCluster(staticEdges []Edge, opts ClusterOptions) (*Cluster, error) {
 		OnNotify:           opts.OnNotify,
 		CheckpointDir:      opts.CheckpointDir,
 		CheckpointInterval: opts.CheckpointInterval,
-		CompactEvery:       opts.CheckpointCompactEvery,
 		LogDir:             opts.LogDir,
 		MirrorBases:        opts.MirrorBases,
-		ApplyBatch:         opts.ApplyBatch,
-		ApplyWorkers:       opts.ApplyWorkers,
+		ApplyBatch:         applyBatch,
+		ApplyWorkers:       applyWorkers,
 		Audit:              opts.Audit,
 		Listen:             opts.Listen,
 		Join:               opts.Join,
@@ -236,20 +233,6 @@ func NewCluster(staticEdges []Edge, opts ClusterOptions) (*Cluster, error) {
 	return c, nil
 }
 
-// ReopenCluster restarts a previously shut-down durable deployment: a
-// brand-new cluster over the same CheckpointDir (and LogDir, if one was
-// set) restores every replica from its durable checkpoint chain and
-// replays the on-disk firehose log until caught up. After a clean Shutdown
-// the reopened cluster delivers exactly the notification set an
-// uninterrupted run would have. staticEdges and opts must describe the
-// same deployment the directories were written by.
-func ReopenCluster(staticEdges []Edge, opts ClusterOptions) (*Cluster, error) {
-	if opts.CheckpointDir == "" {
-		return nil, fmt.Errorf("motifstream: ReopenCluster requires ClusterOptions.CheckpointDir")
-	}
-	return NewCluster(staticEdges, opts)
-}
-
 // Publish feeds one edge into the cluster firehose. Blocks on backpressure.
 func (c *Cluster) Publish(e Edge) error { return c.inner.Publish(e) }
 
@@ -264,8 +247,9 @@ func (c *Cluster) Stop() error {
 
 // Shutdown gracefully stops a checkpointing cluster: everything drained, a
 // final checkpoint cut per replica, and the on-disk log fsynced — the
-// state a later ReopenCluster resumes from losslessly. Equivalent to Stop
-// on clusters without CheckpointDir, and returns the same errors.
+// state a later NewCluster over the same directories resumes from
+// losslessly. Equivalent to Stop on clusters without CheckpointDir, and
+// returns the same errors.
 func (c *Cluster) Shutdown() error {
 	c.stopHealer()
 	return c.inner.Shutdown()

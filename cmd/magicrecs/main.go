@@ -61,16 +61,13 @@ func run(args []string, errOut io.Writer) int {
 		progress   = fs.Int("progress", 50_000, "print progress every N events (0 disables)")
 		ckptDir    = fs.String("checkpointdir", "", "directory for durable replica checkpoints (enables crash recovery; empty disables)")
 		ckptEvery  = fs.Duration("checkpointinterval", time.Minute, "stream-time interval between replica checkpoints")
-		compactN   = fs.Int("compactevery", 8, "delta checkpoint segments per chain before the background compactor folds a new base")
 		logDir     = fs.String("logdir", "", "directory for the durable firehose log (WAL) whole-cluster restarts replay (requires -checkpointdir; empty selects <checkpointdir>/firehose)")
-		restarts   = fs.Int("restarts", 0, "restart the whole cluster N times mid-stream (Shutdown + Reopen over the same dirs; requires -checkpointdir)")
+		restarts   = fs.Int("restarts", 0, "restart the whole cluster N times mid-stream (Shutdown, then a new cluster over the same dirs; requires -checkpointdir)")
 		mirrorN    = fs.Int("mirrorbases", 0, "replicate each compacted base checkpoint to N peer replica directories (base replication; 0 disables)")
 		reprovN    = fs.Int("reprovision", 0, "N times mid-stream, kill replica 1 of every partition and reprovision it onto a fresh node (requires -checkpointdir and -replicas >= 2)")
 		scaleN     = fs.Int("scale-events", 0, "perform N live scale events mid-stream, alternating AddReplica and DecommissionReplica on every partition (requires -checkpointdir)")
 		healAfter  = fs.Duration("healafter", 0, "auto-reprovision replicas dead longer than this (auto-healer; 0 disables)")
 		auditOn    = fs.Bool("audit", false, "record a CRC32C state fingerprint at every checkpoint cut and cross-verify replicas after the run (requires -checkpointdir)")
-		batchN     = fs.Int("applybatch", 0, "replica apply loop batch bound: drain up to N envelopes per apply batch (0/1 = one envelope per batch)")
-		workersN   = fs.Int("applyworkers", 0, "worker goroutines for candidate generation per batch, sharded by target (0/1 = consumer goroutine; needs -applybatch > 1)")
 
 		listen      = fs.String("listen", "", "run as a networked hub: bind this TCP address, own the durable log and delivery tier, and serve every replica slot to worker processes (requires -checkpointdir)")
 		join        = fs.String("join", "", "run as a networked worker: dial the hub at this address and consume the slots in -owned (requires -owned and -checkpointdir; forbids -logdir)")
@@ -97,15 +94,6 @@ func run(args []string, errOut io.Writer) int {
 	}
 	if *auditOn && *ckptDir == "" {
 		return fail("-audit requires -checkpointdir")
-	}
-	workersSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "applyworkers" {
-			workersSet = true
-		}
-	})
-	if workersSet && *batchN <= 1 {
-		return fail("-applyworkers requires -applybatch > 1 (a batch of one envelope has nothing to fan out)")
 	}
 
 	networked := *listen != "" || *join != ""
@@ -156,27 +144,24 @@ func run(args []string, errOut io.Writer) int {
 	}
 
 	opts := motifstream.ClusterOptions{
-		Partitions:             *partitions,
-		Replicas:               *replicas,
-		K:                      *k,
-		Window:                 *window,
-		MaxInfluencers:         *maxInfl,
-		MaxFanout:              *maxFanout,
-		QueueDelayMedian:       *queueMed,
-		QueueDelayP99:          *queueP99,
-		Seed:                   1,
-		CheckpointDir:          *ckptDir,
-		CheckpointInterval:     *ckptEvery,
-		CheckpointCompactEvery: *compactN,
-		LogDir:                 *logDir,
-		MirrorBases:            *mirrorN,
-		HealAfter:              *healAfter,
-		ApplyBatch:             *batchN,
-		ApplyWorkers:           *workersN,
-		Audit:                  *auditOn,
-		Listen:                 *listen,
-		Join:                   *join,
-		OwnedReplicas:          owned,
+		Partitions:         *partitions,
+		Replicas:           *replicas,
+		K:                  *k,
+		Window:             *window,
+		MaxInfluencers:     *maxInfl,
+		MaxFanout:          *maxFanout,
+		QueueDelayMedian:   *queueMed,
+		QueueDelayP99:      *queueP99,
+		Seed:               1,
+		CheckpointDir:      *ckptDir,
+		CheckpointInterval: *ckptEvery,
+		LogDir:             *logDir,
+		MirrorBases:        *mirrorN,
+		HealAfter:          *healAfter,
+		Audit:              *auditOn,
+		Listen:             *listen,
+		Join:               *join,
+		OwnedReplicas:      owned,
 	}
 	if motifSrc != "" {
 		if err := opts.RegisterMotifs(motifSrc); err != nil {
@@ -311,7 +296,7 @@ func run(args []string, errOut io.Writer) int {
 			ingested += s.Events
 			fmt.Printf("  --- restart at event %d: shut down (%d pushed this run), reopening from %s ---\n",
 				i, s.Delivered, *ckptDir)
-			clu, err = motifstream.ReopenCluster(static, opts)
+			clu, err = motifstream.NewCluster(static, opts)
 			if err != nil {
 				log.Fatalf("reopen: %v", err)
 			}
@@ -439,8 +424,7 @@ var workerFlags = map[string]bool{
 	"partitions": true, "replicas": true, "k": true, "window": true,
 	"maxinfluencers": true, "maxfanout": true, "motifs": true,
 	"queuemedian": true, "queuep99": true,
-	"checkpointdir": true, "checkpointinterval": true, "compactevery": true,
-	"mirrorbases": true, "applybatch": true, "applyworkers": true, "audit": true,
+	"checkpointdir": true, "checkpointinterval": true, "mirrorbases": true, "audit": true,
 }
 
 // spawnWorker re-execs this binary as a worker owning the given slots.

@@ -33,8 +33,6 @@ func TestFlagValidation(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"applyworkers without applybatch", []string{"-applyworkers=4"}, "-applyworkers requires -applybatch > 1"},
-		{"applyworkers with applybatch 1", []string{"-applyworkers=4", "-applybatch=1"}, "-applyworkers requires -applybatch > 1"},
 		{"audit without checkpointdir", []string{"-audit"}, "-audit requires -checkpointdir"},
 		{"restarts without dirs", []string{"-restarts=1"}, "-restarts requires -checkpointdir"},
 		{"restarts without checkpointdir", []string{"-restarts=1", "-logdir=x"}, "-restarts requires -checkpointdir"},

@@ -1,8 +1,9 @@
 // Command soak drives a durable cluster under sustained ingest while
 // continuously injecting the full fault menu — replica kills and
 // restores, node reprovisions, scale-out/scale-in, and whole-process
-// restarts (Shutdown + Reopen over the same durable directories) — for a
-// wall-clock budget, then proves the run changed nothing observable:
+// restarts (Shutdown, then a new cluster over the same durable
+// directories) — for a wall-clock budget, then proves the run changed
+// nothing observable:
 //
 //   - the delivered notification multiset must equal a no-fault oracle
 //     run over the same event stream (exactly-once, no loss, no dupes);
@@ -158,12 +159,10 @@ func soakCfg(root string, seed int64, static []graph.Edge) cluster.Config {
 		Audit:              true,
 		LogDir:             filepath.Join(root, "log"),
 		LogSegmentBytes:    16 << 10,
-		LogSyncEvery:       64,
 		MirrorBases:        1,
 		Delivery: delivery.Options{
 			SleepStartHour: 1, SleepEndHour: 1, // equal = suppression off
 			MaxPerUserPerDay: 1 << 30,
-			TimezoneOf:       func(graph.VertexID) int { return 0 },
 		},
 	}
 }
@@ -379,10 +378,11 @@ func (l lifecycle) ops() []op {
 			// The cross-process boundary: graceful shutdown, then a brand-new
 			// Cluster over the same durable directories.
 			l.c.Shutdown()
-			c, err := cluster.Reopen(l.cfg)
+			c, err := cluster.New(l.cfg)
 			if err != nil {
 				return fmt.Errorf("reopen: %w", err)
 			}
+			c.Start()
 			l.c = c
 			return l.publishWave(0)
 		}},

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"slices"
 	"time"
 
 	"motifstream"
@@ -26,11 +27,19 @@ func main() {
 	now := motifstream.Millis(time.Date(2014, 9, 1, 0, 0, 0, 0, time.UTC))
 	r := rand.New(rand.NewSource(5))
 	byUser := map[motifstream.VertexID][]motifstream.VertexID{}
+	var followers []motifstream.VertexID
 	for _, e := range rawFollows {
+		if byUser[e.Src] == nil {
+			followers = append(followers, e.Src)
+		}
 		byUser[e.Src] = append(byUser[e.Src], e.Dst)
 	}
+	// Draw in user order: ranging over the map would hand each user
+	// different draws from run to run.
+	slices.Sort(followers)
 	var interactions []motifstream.Interaction
-	for a, followings := range byUser {
+	for _, a := range followers {
+		followings := byUser[a]
 		// Engage with ~3 favourites repeatedly.
 		for j := 0; j < 3 && j < len(followings); j++ {
 			b := followings[r.Intn(len(followings))]

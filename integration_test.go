@@ -5,6 +5,10 @@ import (
 	"time"
 
 	"motifstream"
+	"motifstream/internal/cluster"
+	"motifstream/internal/delivery"
+	"motifstream/internal/dynstore"
+	"motifstream/internal/motif"
 )
 
 // TestIntegrationSyntheticWorkload replays a generated workload through
@@ -156,6 +160,73 @@ func TestIntegrationClusterMatchesSystem(t *testing.T) {
 		t.Fatalf("cluster delivered %d of %d reference candidates; too lossy", len(got), len(ref))
 	}
 	t.Logf("cluster delivered %d / %d reference candidates", len(got), len(ref))
+}
+
+// TestClusterFacadeAppliesInBatches publishes a burst into a one-partition,
+// one-replica facade cluster: its apply loop drains the backlog in batches,
+// so it counts fewer batches than events, and it delivers what the same
+// stream delivers through a batch-of-one internal/cluster.
+func TestClusterFacadeAppliesInBatches(t *testing.T) {
+	static := motifstream.GenFollowGraph(motifstream.GraphConfig{Users: 1_000, AvgFollows: 15, ZipfS: 1.35, Seed: 2})
+	events := motifstream.GenEventStream(motifstream.StreamConfig{
+		Users: 1_000, Events: 5_000, Rate: 50,
+		BurstFraction: 0.5, BurstMeanSize: 10, BurstWindow: 5 * time.Minute,
+		ZipfS: 1.35, Seed: 3,
+	})
+	const window = 5 * time.Minute
+	clu, err := motifstream.NewCluster(static, motifstream.ClusterOptions{
+		Partitions: 1, Replicas: 1, K: 2, Window: window, MaxFanout: 16,
+		DisableSleepHours: true, MaxPushesPerUserPerDay: 1 << 30, DedupTTL: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range events {
+		if err := clu.Publish(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clu.Stop()
+	applied, batches := counter(t, clu, "engine.events"), counter(t, clu, "cluster.apply_batches")
+	if applied != uint64(len(events)) {
+		t.Fatalf("engine.events = %d, want %d", applied, len(events))
+	}
+	if batches >= applied {
+		t.Fatalf("cluster.apply_batches = %d for %d events: the facade applied one envelope at a time", batches, applied)
+	}
+
+	ref, err := cluster.New(cluster.Config{
+		Partitions:  1,
+		Replicas:    1,
+		StaticEdges: static,
+		Dynamic:     dynstore.Options{Retention: window, MaxPerTarget: 1024},
+		NewPrograms: func() []motif.Program {
+			return []motif.Program{motif.NewDiamond(motif.DiamondConfig{K: 2, Window: window, MaxFanout: 16})}
+		},
+		Delivery: delivery.Options{
+			DedupTTL: time.Millisecond, MaxPerUserPerDay: 1 << 30,
+			SleepStartHour: delivery.SleepDisabled, SleepEndHour: delivery.SleepDisabled,
+		},
+		ApplyBatch: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Start()
+	for _, e := range events {
+		if err := ref.Publish(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref.Stop()
+	got, want := clu.Stats().Delivered, ref.Stats().Delivered
+	if want == 0 {
+		t.Fatal("vacuous: the batch-of-one cluster delivered nothing")
+	}
+	if got != want {
+		t.Fatalf("facade delivered %d, batch-of-one cluster %d", got, want)
+	}
+	t.Logf("%d events in %d batches, %d delivered", applied, batches, got)
 }
 
 // TestIntegrationLatencyShape reproduces E2's shape in miniature: with

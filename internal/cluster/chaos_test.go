@@ -42,7 +42,6 @@ func TestChaosFailuresDuringStream(t *testing.T) {
 			SleepStartHour: 1, SleepEndHour: 1,
 			MaxPerUserPerDay: 1 << 30,
 			DedupTTL:         time.Millisecond,
-			TimezoneOf:       func(graph.VertexID) int { return 0 },
 		},
 		OnNotify: func(delivery.Notification) { delivered++ },
 	}

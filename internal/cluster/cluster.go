@@ -28,9 +28,8 @@
 // read, so a stale replica never answers one. The retained firehose log is
 // a segmented on-disk WAL (Config.LogDir, by default under CheckpointDir),
 // so the failure model extends to the whole process: Shutdown drains, cuts
-// a final checkpoint per replica, and fsyncs the log; Reopen builds a
-// brand-new Cluster over the same directories, every replica restoring the
-// same way.
+// a final checkpoint per replica, and fsyncs the log; New over the same
+// directories is the restart, every replica restoring the same way.
 // restore.go holds the one plan → execute → launch sequence all of these
 // share.
 //
@@ -161,15 +160,11 @@ type Config struct {
 	// offset — outlives the process. Checkpoints are gated by the log's
 	// persistent identity (plus their own checksums), and constructing a
 	// cluster over an existing LogDir+CheckpointDir restores every replica
-	// from its chain and replays the log from its floor (see Reopen).
+	// from its chain and replays the log from its floor (see New).
 	// Empty selects <CheckpointDir>/firehose. Requires CheckpointDir: the
 	// restart path needs the delivery high-water offsets persisted there to
 	// keep replayed candidate batches exactly-once.
 	LogDir string
-	// LogSyncEvery is the WAL's fsync batch in records (the bound on the
-	// torn tail an OS crash can lose); zero selects 256. Ignored without
-	// CheckpointDir.
-	LogSyncEvery int
 	// LogSegmentBytes is the WAL's segment rotation threshold — also the
 	// granularity of firehose log compaction, which deletes whole
 	// segments. Zero selects 4 MiB. Ignored without CheckpointDir.
@@ -363,10 +358,18 @@ type Cluster struct {
 // unless this process joins another's, then a replica host over a link to
 // it — owning every placement, or a worker's OwnedReplicas, or on a
 // listening hub none. The cluster is idle until Start. With recovery,
-// construction is also the recovery path: the log's identity gates the
-// checkpoints, every owned replica is restored (restoreSlot), and Start
-// replays the log from each restore point. Fresh directories degenerate to
-// a normal cold start.
+// construction is also the recovery path, and New + Start over the
+// directories of a shut-down cluster is the whole-cluster restart: the log's
+// identity gates the checkpoints, every owned replica is restored
+// (restoreSlot), Start replays the log from each restore point, and the
+// delivery tier's exactly-once filter and suppression state (dedup LRU +
+// fatigue budgets) are seeded from delivery.state. cfg must then describe
+// the same deployment the directories were written by. After a clean
+// Shutdown the restarted cluster delivers exactly the notification set an
+// uninterrupted run would have; after a hard crash, at most the un-fsynced
+// log tail (the WAL's 256-record fsync batch) and the last delivery-offset
+// persistence interval are re-exposed, the paper's product-level dedup
+// tolerance. Fresh directories degenerate to a normal cold start.
 func New(cfg Config) (c *Cluster, err error) {
 	if cfg.Partitions < 1 {
 		return nil, fmt.Errorf("cluster: need at least one partition")
@@ -473,10 +476,10 @@ func (c *Cluster) Stop() error { return c.stop(false) }
 
 // Shutdown is the graceful durable stop: Stop plus one final checkpoint
 // cut per alive replica this process runs, at the drained head — so a
-// subsequent Reopen composes straight to the end of the log instead of
-// replaying the whole last checkpoint interval — and a hard fsync barrier
-// on the durable log before it closes. Without CheckpointDir there is
-// nothing to cut and it behaves exactly like Stop.
+// restart over the same directories composes straight to the end of the
+// log instead of replaying the whole last checkpoint interval — and a hard
+// fsync barrier on the durable log before it closes. Without CheckpointDir
+// there is nothing to cut and it behaves exactly like Stop.
 func (c *Cluster) Shutdown() error { return c.stop(true) }
 
 // stop runs the host's stop once; only that call returns its error.

@@ -30,10 +30,7 @@ func diamondPrograms() []motif.Program {
 // awakeDelivery disables time-of-day suppression so tests are
 // deterministic.
 func awakeDelivery() delivery.Options {
-	return delivery.Options{
-		SleepStartHour: 1, SleepEndHour: 1,
-		TimezoneOf: func(graph.VertexID) int { return 0 },
-	}
+	return delivery.Options{SleepStartHour: 1, SleepEndHour: 1}
 }
 
 func testConfig(partitions, replicas int) Config {
@@ -434,7 +431,6 @@ func TestPartitionedEqualsSingleNode(t *testing.T) {
 			Delivery: delivery.Options{
 				SleepStartHour: 1, SleepEndHour: 1,
 				MaxPerUserPerDay: 1 << 30,
-				TimezoneOf:       func(graph.VertexID) int { return 0 },
 			},
 			OnNotify: func(n delivery.Notification) {
 				got[[2]graph.VertexID{n.Candidate.User, n.Candidate.Item}] = true

@@ -19,8 +19,8 @@ import (
 // and through a cluster subjected to kill/restore/restart faults injected
 // at a specific pipeline stage — mid-checkpoint, mid-compaction,
 // mid-truncation, mid-replay, and across full-process restarts
-// (Shutdown + Reopen of a brand-new Cluster value over the same durable
-// directories) — and the delivered notification sets must be identical,
+// (Shutdown, then New + Start of a brand-new Cluster value over the same
+// durable directories) — and the delivered notification sets must be identical,
 // with the touched replicas' D stores converging to the oracle's.
 
 // durableConfig is recoveryConfig plus a durable firehose log with tiny
@@ -30,7 +30,6 @@ func durableConfig(t testing.TB, static []graph.Edge) Config {
 	cfg := recoveryConfig(t, static)
 	cfg.LogDir = t.TempDir()
 	cfg.LogSegmentBytes = 16 << 10
-	cfg.LogSyncEvery = 64
 	return cfg
 }
 
@@ -68,7 +67,10 @@ func newCrashHarness(t *testing.T, cfg Config, stream []graph.Edge) *crashHarnes
 func (h *crashHarness) tcp() bool { return h.cfg.Listen != "" }
 
 // open constructs and starts the deployment over cfg's directories: the
-// cluster (or hub), then over TCP one worker per replica index.
+// cluster (or hub), then over TCP one worker per replica index, returning
+// once every worker has attached its slots. A hub knows a worker only from
+// its attach: one shut down before it owes the worker no end of stream,
+// and the worker would spend its outage budget redialing a closed listener.
 func (h *crashHarness) open() {
 	h.t.Helper()
 	c, err := New(h.cfg)
@@ -79,6 +81,17 @@ func (h *crashHarness) open() {
 	h.c = c
 	for idx := range h.workers {
 		h.startWorker(idx)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for idx := range h.workers {
+		for pid := 0; pid < h.cfg.Partitions; pid++ {
+			for state, _ := c.ReplicaState(pid, idx); state == "dead"; state, _ = c.ReplicaState(pid, idx) {
+				if time.Now().After(deadline) {
+					h.t.Fatalf("worker %d never attached replica %d/%d", idx, pid, idx)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
 	}
 }
 
@@ -567,7 +580,7 @@ func TestCrashMatrix(t *testing.T) {
 			},
 		},
 		{
-			// The acceptance case: feed half the stream, Shutdown, Reopen
+			// The acceptance case: feed half the stream, Shutdown, open
 			// a brand-new Cluster value over the same directories, feed
 			// the rest.
 			name:    "cross-process-restart",
@@ -608,7 +621,7 @@ func TestCrashMatrix(t *testing.T) {
 		},
 		{
 			// Restart while a replica group member is dead: Shutdown cuts
-			// finals only for the alive replicas, and Reopen resurrects
+			// finals only for the alive replicas, and the restart resurrects
 			// the dead one from its stale chain with a deeper replay.
 			name:    "restart-with-dead-replica",
 			durable: true,
@@ -846,7 +859,7 @@ func TestCrashMatrix(t *testing.T) {
 // corruption arm: replicas idx 0 die before their first checkpoint cut
 // (pinning the cluster floor at zero, so the durable log is never
 // truncated), the surviving replicas compact real base segments, and
-// after Shutdown every base on disk is bit-flipped. Reopen must detect
+// after Shutdown every base on disk is bit-flipped. The restart must detect
 // the damage via the segment checksums, fall each chain back to scratch,
 // and replay the entire durable log — delivering exactly the oracle set.
 func TestReopenBaseCorruptionForcesDeepReplay(t *testing.T) {
@@ -916,10 +929,11 @@ func TestReopenBaseCorruptionForcesDeepReplay(t *testing.T) {
 		t.Fatal("vacuous: no base segments to corrupt")
 	}
 
-	c, err := Reopen(faultCfg)
+	c, err := New(faultCfg)
 	if err != nil {
-		t.Fatalf("Reopen over corrupt bases: %v", err)
+		t.Fatalf("restart over corrupt bases: %v", err)
 	}
+	c.Start()
 	h.c = c
 	if counter(t, c, "cluster.restores") == 0 {
 		t.Fatal("vacuous: reopen restored nothing")
@@ -933,7 +947,7 @@ func TestReopenBaseCorruptionForcesDeepReplay(t *testing.T) {
 // TestReopenCorruptBaseAboveTruncatedLogFails pins the documented
 // unrecoverable corner (docs/DURABILITY.md): once the durable log has
 // been compacted past offset zero, a corrupt base leaves no restore point
-// the log can back — Reopen must refuse with ErrTruncated instead of
+// the log can back — the restart must refuse with ErrTruncated instead of
 // composing garbage.
 func TestReopenCorruptBaseAboveTruncatedLogFails(t *testing.T) {
 	const users = 40
@@ -978,8 +992,8 @@ func TestReopenCorruptBaseAboveTruncatedLogFails(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := Reopen(cfg); !errors.Is(err, queue.ErrTruncated) {
-		t.Fatalf("Reopen over corrupt base above truncated log = %v, want ErrTruncated", err)
+	if _, err := New(cfg); !errors.Is(err, queue.ErrTruncated) {
+		t.Fatalf("restart over corrupt base above truncated log = %v, want ErrTruncated", err)
 	}
 }
 
@@ -1005,7 +1019,7 @@ func publishAll(t *testing.T, c *Cluster, edges []graph.Edge) {
 // TestRestartRepushesSuppressed is the crash matrix's
 // restart-repushes-suppressed scenario: a (user, item) pair pushed before
 // a clean Shutdown must be DroppedDuplicate — not re-pushed — when the
-// stream repeats the pair after Reopen. This is the restart
+// stream repeats the pair after the restart. This is the restart
 // duplicate-push window the durable delivery.state closes; before it the
 // reopened pipeline's empty dedup LRU re-delivered the pair.
 func TestRestartRepushesSuppressed(t *testing.T) {
@@ -1029,10 +1043,11 @@ func TestRestartRepushesSuppressed(t *testing.T) {
 		t.Fatal("Shutdown cut no delivery state")
 	}
 
-	c2, err := Reopen(cfg)
+	c2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c2.Start()
 	publishAll(t, c2, repushEdges(item, ts+60_000))
 	c2.Shutdown()
 
@@ -1049,7 +1064,7 @@ func TestRestartRepushesSuppressed(t *testing.T) {
 
 // TestRestartFatigueBudgetSurvives is the fatigue arm of the scenario: a
 // user's daily push budget spent before Shutdown must still be spent
-// after Reopen within the same stream day, not silently reset.
+// after the restart within the same stream day, not silently reset.
 func TestRestartFatigueBudgetSurvives(t *testing.T) {
 	cfg := durableConfig(t, ringStatic(8))
 	cfg.Delivery.MaxPerUserPerDay = 1
@@ -1071,10 +1086,11 @@ func TestRestartFatigueBudgetSurvives(t *testing.T) {
 
 	// Same stream day, different item: the restored budget (1/1 spent)
 	// must block it.
-	c2, err := Reopen(cfg)
+	c2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c2.Start()
 	publishAll(t, c2, repushEdges(itemB, ts+120_000))
 	c2.Shutdown()
 
@@ -1087,7 +1103,7 @@ func TestRestartFatigueBudgetSurvives(t *testing.T) {
 }
 
 // TestRestartCorruptDeliveryStateDegrades pins the failure contract: a
-// corrupt (or missing) delivery.state must degrade Reopen to the
+// corrupt (or missing) delivery.state must degrade the restart to the
 // pre-durable-state tolerance — the repeated pair is re-pushed once, the
 // documented product-level-dedup corner — never fail the reopen.
 func TestRestartCorruptDeliveryStateDegrades(t *testing.T) {
@@ -1122,10 +1138,11 @@ func TestRestartCorruptDeliveryStateDegrades(t *testing.T) {
 			}
 			tc.damage(t, deliveryStatePath(cfg.CheckpointDir))
 
-			c2, err := Reopen(cfg)
+			c2, err := New(cfg)
 			if err != nil {
-				t.Fatalf("Reopen over %s delivery.state: %v", tc.name, err)
+				t.Fatalf("restart over %s delivery.state: %v", tc.name, err)
 			}
+			c2.Start()
 			publishAll(t, c2, repushEdges(item, ts+60_000))
 			c2.Shutdown()
 
@@ -1162,10 +1179,11 @@ func TestReopenSeedsDeliveryFilter(t *testing.T) {
 		t.Fatal("vacuous: nothing delivered before restart")
 	}
 
-	c2, err := Reopen(cfg)
+	c2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c2.Start()
 	defer c2.Stop()
 	seeded := false
 	for _, off := range c2.hub.initialDelivery {

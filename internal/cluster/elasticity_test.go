@@ -286,10 +286,11 @@ func TestReopenRebuildsElasticTopology(t *testing.T) {
 		t.Fatalf("reprovisioned replica's chain never advanced past offset %d (%d segments)", reprovHead, len(man.segs))
 	}
 
-	c2, err := Reopen(cfg)
+	c2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c2.Start()
 	if n := c2.Replicas(0); n != 3 {
 		t.Fatalf("reopened partition 0 has %d replicas, want 3", n)
 	}
@@ -386,10 +387,11 @@ func TestReopenAllBasesCorruptRecoversViaMirrors(t *testing.T) {
 		t.Fatalf("corrupted %d bases, want %d", corrupted, faultCfg.Partitions*faultCfg.Replicas)
 	}
 
-	c, err := Reopen(faultCfg)
+	c, err := New(faultCfg)
 	if err != nil {
-		t.Fatalf("Reopen over corrupt bases with mirrors available: %v", err)
+		t.Fatalf("restart over corrupt bases with mirrors available: %v", err)
 	}
+	c.Start()
 	h.c = c
 	if counter(t, c, "cluster.base_pool_restores") == 0 {
 		t.Fatal("vacuous: nothing recovered via the base pool")
@@ -495,10 +497,11 @@ func TestReopenRecoversDespiteTornMirrorWrites(t *testing.T) {
 		}
 	}
 
-	c, err := Reopen(faultCfg)
+	c, err := New(faultCfg)
 	if err != nil {
-		t.Fatalf("Reopen with only torn+intact mirrors: %v", err)
+		t.Fatalf("restart with only torn+intact mirrors: %v", err)
 	}
+	c.Start()
 	h.c = c
 	if counter(t, c, "cluster.base_pool_restores") == 0 {
 		t.Fatal("vacuous: nothing recovered via the base pool")
@@ -656,10 +659,11 @@ func TestMirrorOnlySurvivorReplaysAfterTruncation(t *testing.T) {
 		}
 	}
 
-	c, err := Reopen(faultCfg)
+	c, err := New(faultCfg)
 	if err != nil {
-		t.Fatalf("Reopen with only stale mirrors: %v", err)
+		t.Fatalf("restart with only stale mirrors: %v", err)
 	}
+	c.Start()
 	h.c = c
 	if counter(t, c, "cluster.base_pool_restores") == 0 {
 		t.Fatal("vacuous: nothing recovered via the base pool")
@@ -819,7 +823,7 @@ func TestMirrorOfRemovedSourceDoesNotPinLog(t *testing.T) {
 // TestMirrorFrozenByTearBoundsLogAfterReopen checks the rebuild of each
 // replica's mirrored table: mirrors frozen mid-run by torn pushes (as in
 // TestMirrorOnlySurvivorReplaysAfterTruncation) must keep bounding the
-// log's truncation after a Shutdown, a Reopen and more publishing, while
+// log's truncation after a Shutdown, a restart and more publishing, while
 // the chain floors move past them.
 func TestMirrorFrozenByTearBoundsLogAfterReopen(t *testing.T) {
 	const users = 40

@@ -144,7 +144,6 @@ func newHubTier(sh *shared) (h *hubTier, err error) {
 			Dir:          cfg.LogDir,
 			Marshal:      edgeMarshaler(),
 			Unmarshal:    unmarshalEdge,
-			SyncEvery:    cfg.LogSyncEvery,
 			SegmentBytes: cfg.LogSegmentBytes,
 		})
 		if err != nil {

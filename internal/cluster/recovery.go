@@ -47,32 +47,6 @@ import (
 // cluster was built without Config.CheckpointDir.
 var ErrRecoveryDisabled = errors.New("cluster: recovery requires Config.CheckpointDir")
 
-// Reopen constructs and starts a brand-new Cluster over an existing
-// durable deployment — the whole-cluster restart path. cfg must name the
-// same CheckpointDir (and LogDir, if one was set) a previous cluster ran
-// with, and a workload-compatible configuration; every replica restores
-// through the common plan (restore.go) and replays the durable log from its
-// restore point, with the delivery tier's exactly-once filter and suppression
-// state (dedup LRU + fatigue budgets) seeded from delivery.state so
-// nothing already pushed repeats and daily budgets are not reset. After a
-// clean Shutdown the reopened cluster delivers exactly the notification
-// set an uninterrupted run would have; after a hard crash, at most the
-// un-fsynced log tail (bounded by Config.LogSyncEvery) and the last
-// delivery-offset persistence interval are re-exposed, the paper's
-// product-level dedup tolerance. Reopen over a fresh pair of directories
-// is simply a cold start.
-func Reopen(cfg Config) (*Cluster, error) {
-	if cfg.CheckpointDir == "" {
-		return nil, fmt.Errorf("cluster: Reopen requires Config.CheckpointDir")
-	}
-	c, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	c.Start()
-	return c, nil
-}
-
 // manifestMagic identifies the checkpoint manifest format, version 1.
 var manifestMagic = [8]byte{'M', 'S', 'M', 'A', 'N', 'F', 0, 1}
 

@@ -43,7 +43,6 @@ func recoveryConfig(t testing.TB, static []graph.Edge) Config {
 		Delivery: delivery.Options{
 			SleepStartHour: 1, SleepEndHour: 1,
 			MaxPerUserPerDay: 1 << 30,
-			TimezoneOf:       func(graph.VertexID) int { return 0 },
 		},
 	}
 }
@@ -318,10 +317,11 @@ func TestFaultEquivalenceOracle(t *testing.T) {
 	reopenCfg.LogDir = t.TempDir()
 	reopenLatencies := collectLatencies(&reopenCfg)
 	for _, span := range [][]graph.Edge{stream[:killAt], stream[killAt:]} {
-		c, err := Reopen(reopenCfg)
+		c, err := New(reopenCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		c.Start()
 		for _, e := range span {
 			if err := c.Publish(e); err != nil {
 				t.Fatal(err)
@@ -554,7 +554,7 @@ func TestCheckpointFilesAreWrittenAtomically(t *testing.T) {
 // in a replica directory — a base at the manifest's nextSeq (a crash
 // between a segment's write and its manifest rename, of the kind the next
 // cut there will not overwrite) and a delta below the base (a crash between
-// a compaction's manifest rename and its removals) — and checks that Reopen
+// a compaction's manifest rename and its removals) — and checks that a restart
 // removes both before the writers start, while every segment the manifest
 // names, every mirror and every file that is not exactly a segment name
 // stays byte for byte, and the fingerprint audit still agrees.
@@ -627,18 +627,19 @@ func TestReopenSweepsOrphanSegments(t *testing.T) {
 		}
 	}
 
-	c2, err := Reopen(cfg)
+	c2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c2.Start()
 	for _, path := range orphans {
 		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Errorf("orphan %s survived Reopen (stat: %v)", path, err)
+			t.Errorf("orphan %s survived the restart (stat: %v)", path, err)
 		}
 	}
 	for path, want := range kept {
 		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
-			t.Errorf("%s changed across Reopen (read: %v)", path, err)
+			t.Errorf("%s changed across the restart (read: %v)", path, err)
 		}
 	}
 	publishAll(t, c2, stream[half:])

@@ -61,7 +61,6 @@ func TestNotificationsOutliveTheirChunks(t *testing.T) {
 		Delivery: delivery.Options{
 			SleepStartHour: 1, SleepEndHour: 1,
 			MaxPerUserPerDay: 1 << 30,
-			TimezoneOf:       func(graph.VertexID) int { return 0 },
 		},
 	}
 

@@ -77,10 +77,12 @@ type Options struct {
 	// 23..8 default. Equal non-zero values — or SleepDisabled in both —
 	// disable suppression.
 	SleepStartHour, SleepEndHour int
-	// TimezoneOf returns the user's UTC offset in hours (may be negative).
-	// Nil derives a deterministic offset from the user ID, spreading users
-	// over 24 zones.
-	TimezoneOf func(u graph.VertexID) int
+}
+
+// timezoneOf is user u's UTC offset in hours, -12..11: a deterministic
+// function of the user ID that spreads users over 24 zones.
+func timezoneOf(u graph.VertexID) int {
+	return int((uint64(u)*0x9e3779b97f4a7c15)>>40%24) - 12
 }
 
 // Pipeline applies dedup, waking-hours, and fatigue policies. Safe for
@@ -141,11 +143,6 @@ func NewPipeline(opts Options) *Pipeline {
 	} else if opts.SleepStartHour == 0 && opts.SleepEndHour == 0 {
 		opts.SleepStartHour, opts.SleepEndHour = 23, 8
 	}
-	if opts.TimezoneOf == nil {
-		opts.TimezoneOf = func(u graph.VertexID) int {
-			return int((uint64(u)*0x9e3779b97f4a7c15)>>40%24) - 12
-		}
-	}
 	return &Pipeline{
 		opts:    opts,
 		dedup:   newLRUTTL(opts.DedupCapacity, opts.DedupTTL),
@@ -204,7 +201,7 @@ func (p *Pipeline) isAsleep(u graph.VertexID, nowMS int64) bool {
 		return false
 	}
 	utcHour := (nowMS / int64(time.Hour/time.Millisecond)) % 24
-	local := (int(utcHour) + p.opts.TimezoneOf(u)) % 24
+	local := (int(utcHour) + timezoneOf(u)) % 24
 	if local < 0 {
 		local += 24
 	}

@@ -10,10 +10,21 @@ import (
 
 const hourMS = int64(time.Hour / time.Millisecond)
 
-// alwaysAwake pins every user's local clock to midday.
+// alwaysAwake turns waking-hours suppression off.
 func alwaysAwake(opts *Options) {
-	opts.TimezoneOf = func(graph.VertexID) int { return 0 }
 	opts.SleepStartHour, opts.SleepEndHour = 1, 1 // equal = disabled
+}
+
+// userInZone returns the smallest user whose derived UTC offset is z hours.
+func userInZone(t *testing.T, z int) graph.VertexID {
+	t.Helper()
+	for u := graph.VertexID(1); u < 1<<16; u++ {
+		if timezoneOf(u) == z {
+			return u
+		}
+	}
+	t.Fatalf("no user in zone %d", z)
+	return 0
 }
 
 func cand(user, item graph.VertexID, ts int64) motif.Candidate {
@@ -105,39 +116,35 @@ func TestSleepSuppression(t *testing.T) {
 	opts := Options{
 		SleepStartHour: 23,
 		SleepEndHour:   8,
-		TimezoneOf:     func(graph.VertexID) int { return 0 },
 	}
 	p := NewPipeline(opts)
+	u := userInZone(t, 0)
 	// 03:00 UTC: asleep (inside 23..8 wrap window).
-	if d, _ := p.Offer(cand(1, 2, 3*hourMS), 0); d != DroppedAsleep {
+	if d, _ := p.Offer(cand(u, 2, 3*hourMS), 0); d != DroppedAsleep {
 		t.Fatalf("03:00 = %v, want asleep", d)
 	}
 	// 12:00 UTC: awake.
-	if d, _ := p.Offer(cand(1, 3, 12*hourMS), 0); d != Delivered {
+	if d, _ := p.Offer(cand(u, 3, 12*hourMS), 0); d != Delivered {
 		t.Fatalf("12:00 = %v, want delivered", d)
 	}
 	// 23:30 UTC: asleep again.
-	if d, _ := p.Offer(cand(1, 4, 23*hourMS+1800_000), 0); d != DroppedAsleep {
+	if d, _ := p.Offer(cand(u, 4, 23*hourMS+1800_000), 0); d != DroppedAsleep {
 		t.Fatalf("23:30 = %v, want asleep", d)
 	}
 }
 
 func TestSleepTimezoneShifts(t *testing.T) {
 	// User at UTC+9: 03:00 UTC is noon local — awake.
-	opts := Options{
+	p := NewPipeline(Options{
 		SleepStartHour: 23,
 		SleepEndHour:   8,
-		TimezoneOf:     func(graph.VertexID) int { return 9 },
-	}
-	p := NewPipeline(opts)
-	if d, _ := p.Offer(cand(1, 2, 3*hourMS), 0); d != Delivered {
+	})
+	if d, _ := p.Offer(cand(userInZone(t, 9), 2, 3*hourMS), 0); d != Delivered {
 		t.Fatalf("UTC+9 at 03:00 UTC = %v, want delivered", d)
 	}
 	// Negative offsets also work: UTC-4 at 12:00 UTC is 08:00 local,
 	// which is the boundary (SleepEndHour excluded) — awake.
-	opts.TimezoneOf = func(graph.VertexID) int { return -4 }
-	p2 := NewPipeline(opts)
-	if d, _ := p2.Offer(cand(1, 2, 12*hourMS), 0); d != Delivered {
+	if d, _ := p.Offer(cand(userInZone(t, -4), 2, 12*hourMS), 0); d != Delivered {
 		t.Fatalf("UTC-4 at 12:00 UTC = %v, want delivered (8am boundary)", d)
 	}
 }
@@ -147,13 +154,13 @@ func TestNonWrappingSleepWindow(t *testing.T) {
 	opts := Options{
 		SleepStartHour: 2,
 		SleepEndHour:   5,
-		TimezoneOf:     func(graph.VertexID) int { return 0 },
 	}
 	p := NewPipeline(opts)
-	if d, _ := p.Offer(cand(1, 2, 3*hourMS), 0); d != DroppedAsleep {
+	u := userInZone(t, 0)
+	if d, _ := p.Offer(cand(u, 2, 3*hourMS), 0); d != DroppedAsleep {
 		t.Fatal("03:00 should be asleep in the 2..5 window")
 	}
-	if d, _ := p.Offer(cand(1, 3, 6*hourMS), 0); d != Delivered {
+	if d, _ := p.Offer(cand(u, 3, 6*hourMS), 0); d != Delivered {
 		t.Fatal("06:00 should be awake in the 2..5 window")
 	}
 }
@@ -213,16 +220,16 @@ func TestSleepDisabledSentinel(t *testing.T) {
 	opts := Options{
 		SleepStartHour: SleepDisabled,
 		SleepEndHour:   SleepDisabled,
-		TimezoneOf:     func(graph.VertexID) int { return 0 },
 	}
 	p := NewPipeline(opts)
-	if d, _ := p.Offer(cand(1, 2, 3*hourMS), 0); d != Delivered {
+	u := userInZone(t, 0)
+	if d, _ := p.Offer(cand(u, 2, 3*hourMS), 0); d != Delivered {
 		t.Fatalf("03:00 with SleepDisabled = %v, want delivered", d)
 	}
 	// One-sided sentinel still disables (it cannot mean a real hour).
 	opts.SleepStartHour, opts.SleepEndHour = SleepDisabled, 8
 	p2 := NewPipeline(opts)
-	if d, _ := p2.Offer(cand(1, 2, 3*hourMS), 0); d != Delivered {
+	if d, _ := p2.Offer(cand(u, 2, 3*hourMS), 0); d != Delivered {
 		t.Fatalf("03:00 with one-sided sentinel = %v, want delivered", d)
 	}
 }
@@ -230,8 +237,8 @@ func TestSleepDisabledSentinel(t *testing.T) {
 func TestZeroSleepPairSelectsDefaultWindow(t *testing.T) {
 	// The unset (0, 0) pair keeps selecting the 23..8 default: only the
 	// sentinel expresses "no sleep window".
-	p := NewPipeline(Options{TimezoneOf: func(graph.VertexID) int { return 0 }})
-	if d, _ := p.Offer(cand(1, 2, 3*hourMS), 0); d != DroppedAsleep {
+	p := NewPipeline(Options{})
+	if d, _ := p.Offer(cand(userInZone(t, 0), 2, 3*hourMS), 0); d != DroppedAsleep {
 		t.Fatalf("03:00 with zero options = %v, want asleep (default window)", d)
 	}
 }
@@ -334,10 +341,9 @@ func TestDecisionString(t *testing.T) {
 }
 
 func TestDefaultTimezoneSpread(t *testing.T) {
-	p := NewPipeline(Options{})
 	zones := map[int]bool{}
 	for u := graph.VertexID(0); u < 1_000; u++ {
-		z := p.opts.TimezoneOf(u)
+		z := timezoneOf(u)
 		if z < -12 || z > 11 {
 			t.Fatalf("timezone %d out of range", z)
 		}

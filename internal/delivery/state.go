@@ -4,7 +4,7 @@
 // cuts these snapshots next to its delivery high-water offsets and
 // restores them at whole-cluster restart, closing the restart
 // duplicate-push window documented in docs/DURABILITY.md: a (user, item)
-// pair pushed before a clean Shutdown stays suppressed after Reopen, and
+// pair pushed before a clean Shutdown stays suppressed after the restart, and
 // a user's daily budget is not silently reset by the process boundary.
 //
 // The funnel counters (FunnelStats) are deliberately not part of the

@@ -64,12 +64,12 @@ func BenchmarkInsert(b *testing.B) {
 }
 
 // BenchmarkInsertShards is the sharding ablation: contention at 1 shard
-// vs the default 64 under parallel writers.
+// vs D's 64 under parallel writers.
 func BenchmarkInsertShards(b *testing.B) {
 	edges := benchEdges(100_000)
 	for _, shards := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s := New(Options{Retention: time.Minute, Shards: shards, MaxPerTarget: 1024})
+			s := newStore(Options{Retention: time.Minute, MaxPerTarget: 1024}, shards)
 			b.RunParallel(func(pb *testing.PB) {
 				i := rand.Int()
 				for pb.Next() {

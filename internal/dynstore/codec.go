@@ -14,8 +14,7 @@ import (
 // timestamp as a zigzag delta from the previous entry (the stream is
 // near-ordered, so deltas stay small). Targets are written in ascending C
 // order so equal stores serialize identically. The layout is independent
-// of the shard count, so a snapshot restores into a store configured with
-// any Shards value.
+// of the shard count, so a snapshot restores into a store of any.
 //
 // The same frame encoding, under a different magic, carries delta
 // checkpoint segments (see delta.go): a delta frame is a full replacement

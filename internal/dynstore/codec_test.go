@@ -15,8 +15,8 @@ import (
 // randomStore builds a store from a random near-ordered stream, mirroring
 // how D is populated in production: arrival-ordered inserts with lazy
 // pruning and per-target caps.
-func randomStore(r *rand.Rand, opts Options, events int) *Store {
-	s := New(opts)
+func randomStore(r *rand.Rand, opts Options, shards, events int) *Store {
+	s := newStore(opts, shards)
 	ts := int64(1_000_000)
 	for i := 0; i < events; i++ {
 		ts += int64(r.Intn(50))
@@ -80,20 +80,16 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 		opts := Options{
 			Retention:    time.Duration(1+r.Intn(600)) * time.Second,
 			MaxPerTarget: []int{0, 4, 64}[r.Intn(3)],
-			Shards:       []int{0, 1, 8}[r.Intn(3)],
 		}
-		orig := randomStore(r, opts, 1+r.Intn(3_000))
+		shards := []int{shardCount, 1, 8}[r.Intn(3)]
+		orig := randomStore(r, opts, shards, 1+r.Intn(3_000))
 
 		var buf bytes.Buffer
 		buf.Write(orig.AppendSnapshot(nil))
 
 		// Restore into a store with a different shard layout: the format
 		// must be layout-independent.
-		restored := New(Options{
-			Retention:    opts.Retention,
-			MaxPerTarget: opts.MaxPerTarget,
-			Shards:       16,
-		})
+		restored := newStore(opts, 16)
 		if err := restore(restored, buf.Bytes()); err != nil {
 			t.Fatalf("trial %d: restore: %v", trial, err)
 		}
@@ -255,7 +251,7 @@ func TestResetDropsEverything(t *testing.T) {
 // is checked over the whole buffer before a frame is parsed and detects
 // every single-bit error, so the bit-flip half is exact.
 func TestSnapshotPrefixesAndBitFlipsRejected(t *testing.T) {
-	src := randomStore(rand.New(rand.NewSource(5)), Options{Retention: time.Hour}, 60)
+	src := randomStore(rand.New(rand.NewSource(5)), Options{Retention: time.Hour}, shardCount, 60)
 	var buf bytes.Buffer
 	buf.Write(src.AppendSnapshot(nil))
 	data := buf.Bytes()

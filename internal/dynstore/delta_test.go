@@ -12,7 +12,7 @@ import (
 )
 
 func deltaTestStore() *Store {
-	return New(Options{Retention: time.Hour, Shards: 4})
+	return newStore(Options{Retention: time.Hour}, 4)
 }
 
 // decodeDelta parses a whole delta section into a run.

@@ -42,11 +42,10 @@ type Options struct {
 	// MaxPerTarget caps retained in-edges per C; the oldest fall off.
 	// Protects against celebrity C's during viral events. Zero = unlimited.
 	MaxPerTarget int
-
-	// Shards is the number of lock shards; it is rounded up to a power of
-	// two. Zero selects 64.
-	Shards int
 }
+
+// shardCount is D's number of lock shards.
+const shardCount = 64
 
 // Store is the D structure. All methods are safe for concurrent use.
 type Store struct {
@@ -99,17 +98,16 @@ func (sh *shard) blocks() arena.Blocks {
 }
 
 // New creates a Store with the given options.
-func New(opts Options) *Store {
-	n := opts.Shards
-	if n <= 0 {
-		n = 64
-	}
-	p := 1 << bits.Len(uint(n-1)) // a power of two, for cheap masking
+func New(opts Options) *Store { return newStore(opts, shardCount) }
+
+// newStore is New over n lock shards, a power of two for cheap masking: D
+// runs shardCount, the tests fewer, to crowd one shard's table.
+func newStore(opts Options, n int) *Store {
 	return &Store{
 		retentionMS: opts.Retention.Milliseconds(),
 		maxPer:      opts.MaxPerTarget,
-		mask:        uint64(p - 1),
-		shards:      make([]shard, p),
+		mask:        uint64(n - 1),
+		shards:      make([]shard, n),
 	}
 }
 

@@ -184,7 +184,7 @@ func TestSweepPartial(t *testing.T) {
 // shard's key table and the capacity of its edge arena — and holds a sweep
 // that empties the store to the empty store's figure.
 func TestMemoryBytes(t *testing.T) {
-	s := New(Options{Retention: time.Second, Shards: 4})
+	s := newStore(Options{Retention: time.Second}, 4)
 	empty := s.MemoryBytes()
 	arrays := func() uint64 {
 		var b uint64
@@ -277,7 +277,7 @@ func TestSweepZeroAlloc(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	const targets, cycles = 4_096, 4
-	s := New(Options{Retention: time.Minute, MaxPerTarget: 1024, Shards: 8})
+	s := newStore(Options{Retention: time.Minute, MaxPerTarget: 1024}, 8)
 	cycle := func(k int) {
 		base, ts := graph.VertexID(k%2*targets), int64(k)*60_000
 		for j := range targets {
@@ -326,7 +326,7 @@ func TestLoadSnapshotAllocBudget(t *testing.T) {
 		run[i] = entry(graph.VertexID(i), []InEdge{{B: 1, TS: int64(i)}, {B: 2, TS: int64(i)}})
 	}
 	for _, shards := range []int{4, 64} {
-		s := New(Options{Retention: time.Hour, Shards: shards})
+		s := newStore(Options{Retention: time.Hour}, shards)
 		s.Insert(edge(9, 9, 9)) // something to drop
 		allocs := testing.AllocsPerRun(5, func() { s.LoadSnapshot(run) })
 		if st := s.Stats(); st.Targets != len(run) || st.Edges != 2*int64(len(run)) {
@@ -334,20 +334,6 @@ func TestLoadSnapshotAllocBudget(t *testing.T) {
 		}
 		if budget := float64(3 * shards); allocs > budget {
 			t.Errorf("%d shards: installing %d targets allocates %.0f times, budget %.0f", shards, len(run), allocs, budget)
-		}
-	}
-}
-
-func TestShardRounding(t *testing.T) {
-	for _, n := range []int{0, 1, 3, 64, 100} {
-		s := New(Options{Shards: n})
-		// Power-of-two mask: mask+1 must be a power of two >= max(n,1).
-		p := s.mask + 1
-		if p&(p-1) != 0 {
-			t.Fatalf("Shards=%d: %d shards is not a power of two", n, p)
-		}
-		if n > 0 && int(p) < n {
-			t.Fatalf("Shards=%d rounded down to %d", n, p)
 		}
 	}
 }
@@ -400,7 +386,7 @@ func TestRecentAgainstReference(t *testing.T) {
 // through the store's one scratch) and then requires the table and the
 // arenas to agree: a snapshot holds exactly what Stats counts.
 func TestConcurrentInsertAndQuery(t *testing.T) {
-	s := New(Options{Retention: time.Minute, Shards: 8})
+	s := newStore(Options{Retention: time.Minute}, 8)
 	var wg sync.WaitGroup
 	const writers = 4
 	const perWriter = 2_000

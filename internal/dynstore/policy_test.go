@@ -18,7 +18,7 @@ import (
 // compaction leaves, when an array is replaced), so a refactor of the
 // mechanism that changes one fails here.
 func TestArenaPolicyTrajectory(t *testing.T) {
-	s := New(Options{Retention: 30 * time.Second, MaxPerTarget: 12, Shards: 2})
+	s := newStore(Options{Retention: 30 * time.Second, MaxPerTarget: 12}, 2)
 	r := rand.New(rand.NewSource(36))
 	sum := crc32.NewIEEE()
 	var buf [8]byte

@@ -165,8 +165,8 @@ type differ struct {
 	a, b  []InEdge
 }
 
-func newDiffer(t testing.TB, opts Options) *differ {
-	return &differ{t: t, s: New(opts), ref: newRef(opts)}
+func newDiffer(t testing.TB, opts Options, shards int) *differ {
+	return &differ{t: t, s: newStore(opts, shards), ref: newRef(opts)}
 }
 
 func (d *differ) insert(e graph.Edge) {
@@ -258,12 +258,13 @@ func (b *fuzzBytes) Intn(n int) int {
 
 // randomOptions draws the option corners: caps of 0, 1, 2 and 1024, no
 // retention or a window of up to 20 s, one shard or 64.
-func randomOptions(ch chooser) Options {
-	opts := Options{MaxPerTarget: []int{0, 1, 2, 1024}[ch.Intn(4)], Shards: []int{1, 64}[ch.Intn(2)]}
+func randomOptions(ch chooser) (opts Options, shards int) {
+	opts.MaxPerTarget = []int{0, 1, 2, 1024}[ch.Intn(4)]
+	shards = []int{1, 64}[ch.Intn(2)]
 	if ch.Intn(4) > 0 {
 		opts.Retention = time.Duration(1+ch.Intn(20)) * time.Second
 	}
-	return opts
+	return opts, shards
 }
 
 // wrapKeys returns n targets whose home slot lies in the last eighth of any
@@ -293,8 +294,8 @@ var opTargets = append(func() (ids []graph.VertexID) {
 // late, probes, sweeps at arbitrary times — some past every edge, some
 // twice between two cuts — cuts, snapshots, and loads and resets
 // mid-sequence. It ends with a cut and a snapshot.
-func runOps(t testing.TB, opts Options, ch chooser, steps int) {
-	d := newDiffer(t, opts)
+func runOps(t testing.TB, opts Options, shards int, ch chooser, steps int) {
+	d := newDiffer(t, opts, shards)
 	window := max(opts.Retention.Milliseconds(), 1_000)
 	ts := int64(1_000_000)
 	target := func() graph.VertexID { return opTargets[ch.Intn(len(opTargets))] }
@@ -350,7 +351,7 @@ func TestStoreMatchesReference(t *testing.T) {
 				BurstFraction: 0.35, BurstMeanSize: 12, BurstWindow: time.Minute,
 				ContentFraction: shape.content, ZipfS: 1.35, Seed: 7,
 			})
-			d := newDiffer(t, Options{Retention: time.Minute, MaxPerTarget: 1024})
+			d := newDiffer(t, Options{Retention: time.Minute, MaxPerTarget: 1024}, shardCount)
 			lastSweep, lastCut := stream[0].TS, stream[0].TS
 			for _, e := range stream {
 				d.insert(e)
@@ -378,7 +379,8 @@ func TestStoreMatchesReference(t *testing.T) {
 	t.Run("random", func(t *testing.T) {
 		r := rand.New(rand.NewSource(29))
 		for trial := 0; trial < 300; trial++ {
-			runOps(t, randomOptions(r), r, 1_000)
+			opts, shards := randomOptions(r)
+			runOps(t, opts, shards, r, 1_000)
 		}
 	})
 }
@@ -392,7 +394,7 @@ func TestStoreMatchesReference(t *testing.T) {
 // a new target or a lost dirty mark shows up against the reference.
 func sweepRounds(t *testing.T, shards int) {
 	const window = 60_000
-	d := newDiffer(t, Options{Retention: time.Minute, Shards: shards})
+	d := newDiffer(t, Options{Retention: time.Minute}, shards)
 	keys := wrapKeys(64)
 	for c := range 128 {
 		keys = append(keys, graph.VertexID(1_000+c))
@@ -432,7 +434,7 @@ func FuzzStoreMatchesReference(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ch := fuzzBytes(data)
-		opts := randomOptions(&ch)
-		runOps(t, opts, &ch, min(len(ch)/4, 1_000))
+		opts, shards := randomOptions(&ch)
+		runOps(t, opts, shards, &ch, min(len(ch)/4, 1_000))
 	})
 }

@@ -29,7 +29,7 @@ import (
 //
 // The log is a ring per user and nothing else: an add at depth evicts the
 // user's oldest candidate, and nothing removes a user. Its size is therefore
-// bounded by at most depth (RecentPerUser, 16) candidates for each A this
+// bounded by at most depth (recentPerUser, 16) candidates for each A this
 // partition owns in S — by S's user set, not by how long the stream has run.
 type candidateLog struct {
 	depth int
@@ -97,6 +97,8 @@ func runOf(c *motif.Candidate) logRun {
 	}
 }
 
+// newCandidateLog returns an empty log of the given depth: recentPerUser in
+// a partition, shallower too in the log's own tests.
 func newCandidateLog(depth int) *candidateLog {
 	l := &candidateLog{depth: depth}
 	l.install(nil)

@@ -95,19 +95,20 @@ func (l *candidateLog) isDirty(a graph.VertexID) bool {
 	return ok && l.recs[i].dirty
 }
 
-// logPartition is a partition to commit candidates to: no edge is applied, so
-// D stays empty and the log and item counters are all its state.
+// logPartition is a partition to commit candidates to, its log at the given
+// depth: no edge is applied, so D stays empty and the log and item counters
+// are all its state.
 func logPartition(t testing.TB, depth int) *Partition {
 	t.Helper()
 	p, err := New(Config{
-		Partitioner:   NewHashPartitioner(1),
-		Dynamic:       dynstore.Options{Retention: time.Hour},
-		Programs:      diamondProgs(),
-		RecentPerUser: depth,
+		Partitioner: NewHashPartitioner(1),
+		Dynamic:     dynstore.Options{Retention: time.Hour},
+		Programs:    diamondProgs(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.log = newCandidateLog(depth)
 	return p
 }
 

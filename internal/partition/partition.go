@@ -72,10 +72,11 @@ type Config struct {
 	Programs []motif.Program
 	// Metrics is the shared registry; nil creates a private one.
 	Metrics *metrics.Registry
-	// RecentPerUser is the per-user candidate log depth for serving read
-	// queries; 0 selects 16.
-	RecentPerUser int
 }
+
+// recentPerUser is the per-user candidate log depth for serving read
+// queries.
+const recentPerUser = 16
 
 // Partition is one shard of the system: a partition-filtered S, a full D,
 // the detection engine, and a small per-user candidate log that serves the
@@ -120,15 +121,11 @@ func New(cfg Config) (*Partition, error) {
 	if err != nil {
 		return nil, err
 	}
-	depth := cfg.RecentPerUser
-	if depth <= 0 {
-		depth = 16
-	}
 	return &Partition{
 		id:     cfg.ID,
 		part:   cfg.Partitioner,
 		engine: eng,
-		log:    newCandidateLog(depth),
+		log:    newCandidateLog(recentPerUser),
 		items:  newItemCounter(),
 	}, nil
 }

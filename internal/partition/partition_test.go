@@ -289,13 +289,13 @@ func TestCandidateLogSlidesInPlace(t *testing.T) {
 func TestCandidateLogDepthAndSweep(t *testing.T) {
 	p, err := New(Config{
 		ID: 0, StaticEdges: fig1Edges(), Partitioner: singlePartitioner{},
-		Dynamic:       dynstore.Options{Retention: time.Hour},
-		Programs:      diamondProgs(),
-		RecentPerUser: 2,
+		Dynamic:  dynstore.Options{Retention: time.Hour},
+		Programs: diamondProgs(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.log = newCandidateLog(2)
 	// Complete the motif three times with different targets.
 	t0 := int64(1_000_000)
 	for i, target := range []graph.VertexID{90, 91, 92} {

@@ -39,8 +39,8 @@ import (
 // segment never mixes layouts and the next rotation starts a version-2 one.
 //
 // Durability is batched: records are buffered, handed to the OS every
-// SyncEvery appends, and fsynced by a background syncer goroutine (with
-// inline fsyncs at rotation, Sync, and Close), so a publish costs a
+// walSyncEvery (256) appends, and fsynced by a background syncer goroutine
+// (with inline fsyncs at rotation, Sync, and Close), so a publish costs a
 // buffered write, not an fsync wait. The deliberate consequence is the
 // torn tail: an OS crash may lose the records after the last fsync. A
 // reopen detects the tear during its scan — a record whose length, CRC,
@@ -82,7 +82,16 @@ const (
 	walRecHeader  = codecutil.FrameHeaderLen
 	maxWALPayload = 1 << 26
 
-	defaultWALSyncEvery    = 256
+	// walSyncEvery is the fsync batch: every walSyncEvery appended records
+	// the write buffer is handed to the OS and an fsync is scheduled on the
+	// background syncer (rotation, Sync, and Close fsync inline). It bounds
+	// the torn tail an OS crash can lose — one write buffer plus everything
+	// flushed since the most recent covering fsync began, so roughly
+	// walSyncEvery records on a keeping-up device and up to one
+	// device-fsync-duration's worth behind a slow one. It does not make
+	// individual publishes synchronously durable — call Sync for a hard
+	// barrier.
+	walSyncEvery           = 256
 	defaultWALSegmentBytes = 4 << 20
 	maxWALSegmentBytes     = 1 << 30
 )
@@ -98,16 +107,6 @@ type WALOptions[T any] struct {
 	// allocation.
 	Marshal   func(T) ([]byte, error)
 	Unmarshal func([]byte) (T, error)
-	// SyncEvery is the fsync batch: every SyncEvery appended records the
-	// write buffer is handed to the OS and an fsync is scheduled on the
-	// background syncer (rotation, Sync, and Close fsync inline). Zero
-	// selects 256. Smaller values narrow the torn-tail window an OS
-	// crash can lose — one write buffer plus everything flushed since
-	// the most recent covering fsync began, so roughly SyncEvery records
-	// on a keeping-up device and up to one device-fsync-duration's worth
-	// behind a slow one. They do not make individual publishes
-	// synchronously durable — call Sync for a hard barrier.
-	SyncEvery int
 	// SegmentBytes is the rotation threshold; zero selects 4 MiB, and
 	// OpenWAL refuses more than 1 GiB.
 	SegmentBytes int64
@@ -149,7 +148,7 @@ type WAL[T any] struct {
 
 	// The batch fsync runs on a dedicated goroutine so a full batch costs
 	// publishers a flush to the OS buffer, not an fsync wait: holding mu
-	// across the fsync would make every SyncEvery-th publish pay the full
+	// across the fsync would make every walSyncEvery-th publish pay the full
 	// device latency, which measures ~5x an in-memory log's — off-path it
 	// stays under 2x (TestDiskWALPublishWithin2xOfMemory). syncReq has
 	// capacity 1: a signal sent while one is pending coalesces into it.
@@ -167,9 +166,6 @@ func OpenWAL[T any](opts WALOptions[T]) (*WAL[T], error) {
 	}
 	if opts.Marshal == nil || opts.Unmarshal == nil {
 		return nil, errors.New("queue: wal: Marshal and Unmarshal are required")
-	}
-	if opts.SyncEvery <= 0 {
-		opts.SyncEvery = defaultWALSyncEvery
 	}
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = defaultWALSegmentBytes
@@ -392,7 +388,7 @@ func (w *WAL[T]) createSegment(first uint64) (*walSegment, error) {
 func (w *WAL[T]) ID() uint64 { return w.id }
 
 // Append implements LogBackend: marshal, frame, buffer, and fsync every
-// SyncEvery records. Marshal runs under the lock, so a codec that reuses
+// walSyncEvery records. Marshal runs under the lock, so a codec that reuses
 // one buffer makes a record cost no allocation. A message that marshals to
 // no bytes is refused: the scan could not tell its record from a
 // zero-filled torn tail.
@@ -425,7 +421,7 @@ func (w *WAL[T]) Append(rec Record[T]) error {
 	tail.index = append(tail.index, uint32(tail.size))
 	tail.size += int64(len(w.frame))
 	w.unsynced++
-	if w.unsynced >= w.opts.SyncEvery {
+	if w.unsynced >= walSyncEvery {
 		// Batch boundary: hand the bytes to the OS here, fsync on the
 		// background syncer. Coalescing sends keeps a slow device from
 		// queueing unbounded sync work.

@@ -530,7 +530,7 @@ func FuzzWALReadRecord(f *testing.F) {
 // TestDiskWALPublishWithin2xOfMemory is the benchmark-guarded regression
 // test for the publish path: with fsync batching, publishing through the
 // disk WAL must stay within 2x of the in-memory backend (the cost is a
-// buffered write + CRC, amortizing the fsync over SyncEvery records). The
+// buffered write + CRC, amortizing the fsync over walSyncEvery records). The
 // measurement is retried a few times to ride out scheduler noise.
 func TestDiskWALPublishWithin2xOfMemory(t *testing.T) {
 	if testing.Short() {

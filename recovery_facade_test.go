@@ -216,7 +216,7 @@ func TestClusterFacadeElasticity(t *testing.T) {
 }
 
 // TestClusterFacadeRestartFromCheckpointDir restarts a deployment that names
-// only a CheckpointDir: Shutdown mid-stream, then ReopenCluster over the same
+// only a CheckpointDir: Shutdown mid-stream, then NewCluster over the same
 // directory. The firehose log it replays lives there too, so the delivered
 // multiset must equal an uninterrupted run's.
 func TestClusterFacadeRestartFromCheckpointDir(t *testing.T) {
@@ -252,7 +252,7 @@ func TestClusterFacadeRestartFromCheckpointDir(t *testing.T) {
 		for i, e := range stream {
 			if i == restartAt {
 				clu.Shutdown()
-				if clu, err = motifstream.ReopenCluster(static, opts); err != nil {
+				if clu, err = motifstream.NewCluster(static, opts); err != nil {
 					t.Fatalf("reopen over the checkpoint directory alone: %v", err)
 				}
 			}
