@@ -258,7 +258,7 @@ soak-net:
 
 # fuzz-smoke is the one list of fuzz targets, FUZZTIME each. The CI budget
 # of 10s per target keeps the decoders, the WAL record framing, the
-# delivery-state codec, the hub's delivery.off and delivery.state files, the
+# delivery-state codec, the hub's delivery.state file, the
 # recorded-stream file, the manifest and the placement table, the transport wire protocol and its candidate
 # decode's round trip through one connection's arenas, the motif DSL compiler,
 # the restore planner, the segment merge, the candidate log, the plan
@@ -279,7 +279,6 @@ fuzz-smoke:
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzStoreMatchesReference ./internal/dynstore
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzWALReadRecord ./internal/queue
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzDeliveryStateReadFrom ./internal/delivery
-	$(GO) test $(FUZZFLAGS) -fuzz FuzzDeliveryOffsetsFile ./internal/cluster
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzDeliveryStateFile ./internal/cluster
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzManifestFile ./internal/cluster
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzPlacementTable ./internal/placement

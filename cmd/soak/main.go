@@ -141,8 +141,10 @@ func (g *waveGen) wave(steps int) []graph.Edge {
 // firehose log with tiny segments (so restarts exercise WAL rotation and
 // truncation within minutes), one mirrored base per partition (so
 // reprovision always has a pool to rebuild from), the fingerprint audit
-// on, and a suppression-free deterministic delivery pipeline — the
-// delivered multiset depends only on the event stream, never on faults.
+// on, the apply loop the facade and the benchmark run (batches of up to 16
+// over 2 detection workers, committed in offset order), and a
+// suppression-free deterministic delivery pipeline — the delivered
+// multiset depends only on the event stream, never on faults.
 func soakCfg(root string, seed int64, static []graph.Edge) cluster.Config {
 	return cluster.Config{
 		Partitions:  2,
@@ -160,6 +162,8 @@ func soakCfg(root string, seed int64, static []graph.Edge) cluster.Config {
 		LogDir:             filepath.Join(root, "log"),
 		LogSegmentBytes:    16 << 10,
 		MirrorBases:        1,
+		ApplyBatch:         16,
+		ApplyWorkers:       2,
 		Delivery: delivery.Options{
 			SleepStartHour: 1, SleepEndHour: 1, // equal = suppression off
 			MaxPerUserPerDay: 1 << 30,

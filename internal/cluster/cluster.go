@@ -46,10 +46,10 @@
 // advances the replica's restore floor. The cluster truncates the
 // retained firehose log below the minimum floor across replicas — log
 // compaction — so the retained log's disk is bounded by checkpoint cadence
-// rather than stream length. The delivery consumer's per-group high-water
-// offsets are persisted alongside the checkpoints, closing the
-// promoted-replica gap (a sole-coverage restore clamps its chain back to
-// the group's delivered offset). docs/DURABILITY.md states the full
+// rather than stream length. A cut waits until the delivery tier has
+// decided every candidate the replica offered below it (the ack gate,
+// hubLink.acked), so no chain — and no restore from one — runs ahead of
+// what the group has delivered. docs/DURABILITY.md states the full
 // contract and its safety arguments.
 //
 // # Elastic placement
@@ -366,10 +366,12 @@ type Cluster struct {
 // fatigue budgets) are seeded from delivery.state. cfg must then describe
 // the same deployment the directories were written by. After a clean
 // Shutdown the restarted cluster delivers exactly the notification set an
-// uninterrupted run would have; after a hard crash, at most the un-fsynced
-// log tail (the WAL's 256-record fsync batch) and the last delivery-offset
-// persistence interval are re-exposed, the paper's product-level dedup
-// tolerance. Fresh directories degenerate to a normal cold start.
+// uninterrupted run would have; after a hard crash nothing is lost — no cut
+// covers an offset the delivery tier had not decided — and what is pushed
+// again is at most the un-fsynced log tail (the WAL's 256-record fsync
+// batch) and each replica's span above its last cut, the paper's
+// product-level dedup tolerance. Fresh directories degenerate to a normal
+// cold start.
 func New(cfg Config) (c *Cluster, err error) {
 	if cfg.Partitions < 1 {
 		return nil, fmt.Errorf("cluster: need at least one partition")

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -308,43 +307,5 @@ func TestClampChainPrefix(t *testing.T) {
 	}
 	if got := clampChainPrefix(nil, 5); got != 0 {
 		t.Fatalf("clampChainPrefix(nil) = %d", got)
-	}
-}
-
-// TestDeliveryOffsetsPersistence covers the file the promoted-replica
-// clamp reads: round trip, out-of-range groups, and the log-identity gate
-// that keeps a cluster over another firehose log from trusting the offsets.
-func TestDeliveryOffsetsPersistence(t *testing.T) {
-	dir := t.TempDir()
-	newCluster := func() *Cluster {
-		cfg := recoveryConfig(t, fig1Static())
-		cfg.CheckpointDir = dir
-		cfg.LogDir = t.TempDir()
-		c, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	c := newCluster()
-	c.hub.persistDeliveryOffsets([]uint64{5, 9}, true)
-	if got, ok := c.loadDeliveryOffset(0); !ok || got != 5 {
-		t.Fatalf("loadDeliveryOffset(0) = %d, %v", got, ok)
-	}
-	if got, ok := c.loadDeliveryOffset(1); !ok || got != 9 {
-		t.Fatalf("loadDeliveryOffset(1) = %d, %v", got, ok)
-	}
-	if _, ok := c.loadDeliveryOffset(2); ok {
-		t.Fatal("out-of-range group reported ok")
-	}
-	// A cluster over another log must not trust this one's offsets.
-	c2 := newCluster()
-	if _, ok := c2.loadDeliveryOffset(0); ok {
-		t.Fatal("foreign-run delivery offsets accepted")
-	}
-	// Absent file.
-	os.Remove(deliveryOffsetsPath(dir))
-	if _, ok := c.loadDeliveryOffset(0); ok {
-		t.Fatal("absent delivery offsets reported ok")
 	}
 }

@@ -268,7 +268,18 @@ func (h *crashHarness) corruptBases(idx int) {
 		mdir := filepath.Join(slot.dir, mirrorSubdir)
 		if entries, err := os.ReadDir(mdir); err == nil {
 			for _, e := range entries {
-				flipByte(h.t, filepath.Join(mdir, e.Name()))
+				// A surviving peer may be pushing or retiring a mirror here
+				// right now: a file already gone, or created and not yet
+				// written, is no base on this disk.
+				path := filepath.Join(mdir, e.Name())
+				data, err := os.ReadFile(path)
+				if err != nil || len(data) == 0 {
+					continue
+				}
+				data[len(data)/2] ^= 0x40
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					h.t.Fatal(err)
+				}
 				corrupted++
 			}
 		}

@@ -312,8 +312,8 @@ func (h *replicaHost) seedChain(dir string, data []byte, offset uint64, old mani
 // directory, S built from the newest offline build — to live. Its plan
 // finds no chain, so it seeds from the pool's newest usable base (or
 // rebuilds from a log retained from zero). The caller holds ctl.
-func (h *replicaHost) launchPlacement(rep *replica, alive bool) error {
-	plan, err := h.planSlot(rep, alive)
+func (h *replicaHost) launchPlacement(rep *replica) error {
+	plan, err := h.planSlot(rep)
 	if err != nil {
 		return err
 	}
@@ -383,7 +383,7 @@ func (c *Cluster) ReprovisionReplica(pid, r int) error {
 		os.RemoveAll(rep.dir)
 	}
 	c.reprovisions.Inc()
-	return c.host.launchPlacement(fresh, c.hub.alive(pid, nil) > 0)
+	return c.host.launchPlacement(fresh)
 }
 
 // AddReplica grows partition pid by one replica while the stream is
@@ -435,7 +435,7 @@ func (c *Cluster) AddReplica(pid int) (int, error) {
 	c.scaleOuts.Inc()
 	// On error the slot stays dead (and its floor pins the log); the
 	// operator can retry via RestoreReplica or ReprovisionReplica.
-	return idx, c.host.launchPlacement(rep, c.hub.alive(pid, nil) > 0)
+	return idx, c.host.launchPlacement(rep)
 }
 
 // DecommissionReplica removes a replica from service permanently — live

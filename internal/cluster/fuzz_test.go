@@ -40,22 +40,6 @@ func FuzzManifestFile(f *testing.F) {
 	})
 }
 
-func FuzzDeliveryOffsetsFile(f *testing.F) {
-	addTestdata(f, "delivery.off")
-	f.Add(appendDeliveryOffsets(nil, goldenRunID, nil))
-	f.Add(appendDeliveryOffsets(nil, goldenRunID+1, goldenDeliveryOffsets))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		offs := parseDeliveryOffsets(data, goldenRunID)
-		if offs == nil {
-			return
-		}
-		if again := parseDeliveryOffsets(appendDeliveryOffsets(nil, goldenRunID, offs), goldenRunID); !slices.Equal(again, offs) {
-			t.Fatalf("offsets %v re-encoded decode to %v", offs, again)
-		}
-	})
-}
-
 func FuzzDeliveryStateFile(f *testing.F) {
 	groups := len(goldenDeliveryOffsets)
 	addTestdata(f, "delivery.state")

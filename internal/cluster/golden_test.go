@@ -66,11 +66,10 @@ func TestGoldenManifestDecodesAndReencodes(t *testing.T) {
 	}
 }
 
-// testdata/delivery.off and testdata/delivery.state were written by the
-// hub's persistDeliveryOffsets and persistDeliveryState at commit abb8c04,
-// the last one whose encoders streamed through codecutil's writers, from
-// goldenDeliveryOffsets and goldenDeliveryPipeline below (run id
-// goldenRunID); they pin the hub's two files across codec rewrites.
+// testdata/delivery.state was written by the hub's persistDeliveryState at
+// commit abb8c04, the last one whose encoders streamed through codecutil's
+// writers, from goldenDeliveryOffsets and goldenDeliveryPipeline below (run
+// id goldenRunID); it pins the hub's delivery file across codec rewrites.
 
 var goldenDeliveryOffsets = []uint64{17, 1 << 35, 0}
 
@@ -93,24 +92,6 @@ func goldenDeliveryPipeline() *delivery.Pipeline {
 }
 
 func TestGoldenDeliveryFilesDecodeAndReencode(t *testing.T) {
-	off, err := os.ReadFile(filepath.Join("testdata", "delivery.off"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := appendDeliveryOffsets(nil, goldenRunID, goldenDeliveryOffsets); !bytes.Equal(got, off) {
-		t.Fatal("encoder output differs from testdata/delivery.off")
-	}
-	offs := parseDeliveryOffsets(off, goldenRunID)
-	if !slices.Equal(offs, goldenDeliveryOffsets) {
-		t.Fatalf("delivery.off decoded to %v", offs)
-	}
-	if re := appendDeliveryOffsets(nil, goldenRunID, offs); !bytes.Equal(re, off) {
-		t.Fatal("re-encoded offsets differ from testdata/delivery.off")
-	}
-	if foreign := parseDeliveryOffsets(off, goldenRunID+1); foreign != nil {
-		t.Fatalf("foreign-run offsets = %v, want none", foreign)
-	}
-
 	state, err := os.ReadFile(filepath.Join("testdata", "delivery.state"))
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +101,7 @@ func TestGoldenDeliveryFilesDecodeAndReencode(t *testing.T) {
 		t.Fatal("encoder output differs from testdata/delivery.state")
 	}
 	p := delivery.NewPipeline(goldenDeliveryOptions())
-	offs, err = parseDeliveryState(state, goldenRunID, groups, p)
+	offs, err := parseDeliveryState(state, goldenRunID, groups, p)
 	if err != nil || !slices.Equal(offs, goldenDeliveryOffsets) {
 		t.Fatalf("delivery.state decoded to %v, %v", offs, err)
 	}

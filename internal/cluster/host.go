@@ -29,8 +29,10 @@ type hubLink interface {
 	ReplicaAttached(pid, r, gen int, floor, resume uint64, reads broker.Replica) (transport.Attachment, <-chan queue.Envelope[graph.Edge], error)
 	// offer hands one event's candidates toward delivery.
 	offer(msg transport.CandMsg) error
-	// acked is the checkpoint ack gate: whether everything offered so far
-	// has reached the hub tier, waiting a bounded time for it.
+	// acked is the checkpoint ack gate: whether the hub's delivery loop has
+	// decided — filtered or run through the pipeline — every message
+	// offered before the call. In process it waits without bound; over TCP
+	// at most NetDrainTimeout, reporting false past it.
 	acked() bool
 	// closeFeed ends every attached stream (the envelope channels close
 	// once drained); close releases the link after the host's last offer,
@@ -160,9 +162,8 @@ func newReplicaHost(sh *shared, link hubLink, owned [][2]int) (*replicaHost, err
 	}
 	if sh.cfg.CheckpointDir != "" {
 		for _, rep := range h.reps {
-			// At start-up every group has coverage: all launch together.
 			var err error
-			if rep.boot, err = h.restoreSlot(rep, true); err != nil {
+			if rep.boot, err = h.restoreSlot(rep); err != nil {
 				return nil, err
 			}
 		}
@@ -266,7 +267,7 @@ func (h *replicaHost) stop(finalCut bool) error {
 	for _, rep := range h.reps {
 		if finalCut && rep.writer != nil {
 			// The consumer has drained: every envelope it received is
-			// applied and its candidates are offered and acked, so a cut
+			// applied and its candidates are offered and decided, so a cut
 			// claiming everything applied is sound. An empty delta means
 			// the chain head already covers it (nothing applied since the
 			// last cut) — skip the no-op segment.

@@ -104,10 +104,16 @@ type hubTier struct {
 	// a durable-log restart, so replicas replaying their tail spans do
 	// not re-deliver batches the previous run already pushed.
 	initialDelivery []uint64
-	// offPath is delivery.off's path, and offBuf the buffer its record is
-	// encoded into: the delivery goroutine's (persistDeliveryOffsets).
-	offPath string
-	offBuf  []byte
+	// sent counts the messages put into candidates, decided those
+	// runDelivery has filtered or run through the pipeline: the ack gate
+	// (awaitDecided). A sender counts before its send, so whenever decided
+	// reaches sent as it stood after a caller's sends, the caller's
+	// messages are decided. waiters counts the goroutines parked in the
+	// gate; the delivery loop broadcasts decidedCond only while one is.
+	sent, decided atomic.Uint64
+	waiters       atomic.Int32
+	decidedMu     sync.Mutex
+	decidedCond   *sync.Cond
 	// stateWG tracks in-flight async delivery-state cuts; stateBusy keeps
 	// at most one in flight (a busy tick is skipped, the next one captures
 	// a strictly newer state). Cuts are only spawned by the delivery
@@ -136,7 +142,8 @@ type hubTier struct {
 // a replica host's attach brings it to life.
 func newHubTier(sh *shared) (h *hubTier, err error) {
 	cfg := sh.cfg
-	h = &hubTier{shared: sh, offPath: deliveryOffsetsPath(cfg.CheckpointDir), fins: make(chan struct{}, 1)}
+	h = &hubTier{shared: sh, fins: make(chan struct{}, 1)}
+	h.decidedCond = sync.NewCond(&h.decidedMu)
 	var logID uint64 // see shared.runID
 	var backend queue.LogBackend[graph.Edge]
 	if cfg.LogDir != "" {
@@ -208,16 +215,12 @@ func newHubTier(sh *shared) (h *hubTier, err error) {
 // pair pushed before the shutdown stays suppressed across the restart,
 // daily budgets are not silently reset, and the filter can never run ahead
 // of the dedup state because they were captured together. A missing,
-// foreign, or corrupt delivery.state degrades to the fresher-but-unpaired
-// delivery.off seeds with a fresh pipeline — the documented
-// pre-durable-state tolerance (a repeated pair may be re-pushed once),
-// never a failed reopen.
+// foreign, or corrupt delivery.state degrades to a filter seeded from zero
+// with a fresh pipeline: every chain lies at or below the decided point
+// (acked), so nothing is lost, and what re-pushes is at most each replica's
+// span above its last cut — never a failed reopen.
 func (h *hubTier) seedDelivery() {
-	if offs, ok := h.loadDeliveryState(); ok {
-		h.initialDelivery = offs
-	} else {
-		h.initialDelivery = h.loadDeliveryOffsets()
-	}
+	h.initialDelivery = h.loadDeliveryState()
 	// Clamp the seeds to the recovered log head: after a torn-tail crash
 	// the log may have lost a suffix whose offsets the delivery filter
 	// already covered — those offsets are about to be REUSED by brand-new
@@ -254,8 +257,10 @@ func (h *hubTier) runDelivery() {
 	batches := 0
 	for msg := range h.candidates {
 		if msg.Offset < nextOffset[msg.Pid] {
+			// Another replica's copy already covered this event.
 			msg.Lease.Release()
-			continue // another replica's copy already covered this event
+			h.decide()
+			continue
 		}
 		nextOffset[msg.Pid] = msg.Offset + 1
 		// Wall-clock detection latency, measured once per accepted batch:
@@ -283,35 +288,50 @@ func (h *hubTier) runDelivery() {
 		// The pipeline keeps nothing of a candidate: a notification's Via
 		// is its own copy.
 		msg.Lease.Release()
-		if persist {
-			// Periodically persist the per-group high-water offsets next
-			// to the checkpoints: RestoreReplica reads them to clamp a
-			// sole-coverage rejoin back to the delivered point.
-			if batches++; batches%deliveryPersistEvery == 0 {
-				h.persistDeliveryOffsets(nextOffset, false)
-			}
-			// And, on a coarser cadence, cut the delivery restart state —
-			// the pipeline's suppression state (dedup LRU + fatigue
-			// budgets) bundled with the filter offsets captured right now
-			// — written asynchronously so the encode and fsync never
-			// stall the delivery tier.
-			if batches%deliveryStatePersistEvery == 0 {
-				h.cutDeliveryStateAsync(append([]uint64(nil), nextOffset...))
-			}
+		h.decide()
+		// Periodically cut the delivery restart state — the pipeline's
+		// suppression state (dedup LRU + fatigue budgets) bundled with the
+		// filter offsets captured right now — written asynchronously so
+		// the encode and fsync never stall the delivery tier.
+		if batches++; persist && batches%deliveryStatePersistEvery == 0 {
+			h.cutDeliveryStateAsync(append([]uint64(nil), nextOffset...))
 		}
 	}
 	if persist && batches > 0 {
-		// Final exact persists at the drained point: wait out any async
+		// Final exact persist at the drained point: wait out any async
 		// state cut, then write the state+offsets snapshot (one atomic
 		// file — a restart seeded from it can never run its filter ahead
 		// of the dedup state restored with it; docs/DURABILITY.md,
-		// "Durable delivery-pipeline state") and the standalone offsets
-		// file, which remains the mid-run clamp source and the restart
-		// fallback when the snapshot is missing or corrupt.
+		// "Durable delivery-pipeline state").
 		h.stateWG.Wait()
 		h.persistDeliveryState(nextOffset)
-		h.persistDeliveryOffsets(nextOffset, true)
 	}
+}
+
+// decide counts one message decided and wakes the gate's waiters, if any.
+// A waiter registers before it reads decided, so one that this load misses
+// sees the new count.
+func (h *hubTier) decide() {
+	h.decided.Add(1)
+	if h.waiters.Load() > 0 {
+		h.decidedMu.Lock()
+		h.decidedCond.Broadcast()
+		h.decidedMu.Unlock()
+	}
+}
+
+// awaitDecided blocks until the delivery loop has decided target messages.
+func (h *hubTier) awaitDecided(target uint64) {
+	if h.decided.Load() >= target {
+		return
+	}
+	h.decidedMu.Lock()
+	h.waiters.Add(1)
+	for h.decided.Load() < target {
+		h.decidedCond.Wait()
+	}
+	h.waiters.Add(-1)
+	h.decidedMu.Unlock()
 }
 
 // close ends the tier after its log closed and every in-process consumer
@@ -548,12 +568,17 @@ func (a *attachment) Close() {
 // offer hands one event's candidates to the delivery tier, whose per-group
 // offset filter collapses the replicas' identical offers to one per event.
 func (h *hubTier) offer(msg transport.CandMsg) error {
+	h.sent.Add(1)
 	h.candidates <- msg
 	return nil
 }
 
-// acked: in process an offer returns once the candidate queue has the batch.
-func (h *hubTier) acked() bool { return true }
+// acked waits, without bound like an offer into a full queue, until the
+// delivery loop has decided every message offered before the call.
+func (h *hubTier) acked() bool {
+	h.awaitDecided(h.sent.Load())
+	return true
+}
 
 func (h *hubTier) closeFeed() { h.firehose.Close() }
 

@@ -72,9 +72,10 @@ func (cfg *Config) netDrainTimeout() time.Duration {
 // on connections the worker dials: one feed connection per attached slot,
 // which also carries the broker's reads of the slot, and one sequenced,
 // cumulatively acked candidate stream (the forwarder, which is the worker's
-// whole candidate queue). Exactly-once across the sockets needs one law of
-// its own, the checkpoint ack gate (offer, acked): envelope redelivery after
-// a reconnect is dropped by the feed's next-offset filter, re-sent candidate
+// whole candidate queue). Exactly-once across the sockets rests on the
+// checkpoint ack gate both links share (offer, acked: the hub acks a frame
+// once its delivery loop has decided it): envelope redelivery after a
+// reconnect is dropped by the feed's next-offset filter, re-sent candidate
 // frames by the delivery tier's per-group offset filter.
 type tcpLink struct {
 	*shared
@@ -122,7 +123,8 @@ func (l *tcpLink) ReplicaAttached(pid, r, gen int, floor, resume uint64, reads b
 // checkpoint ack gate from this call on.
 func (l *tcpLink) offer(msg transport.CandMsg) error { return l.fw.Offer(msg) }
 
-// acked waits for the hub to ack every candidate message offered so far.
+// acked waits, at most NetDrainTimeout, for the hub to ack every candidate
+// message offered so far — that is, to have decided it.
 func (l *tcpLink) acked() bool { return l.fw.WaitDrained(l.cfg.netDrainTimeout()) }
 
 func (l *tcpLink) closeFeed() { l.feed.Close() }
@@ -158,11 +160,14 @@ func (h *hubTier) listen() (err error) {
 	return err
 }
 
-// DeliverCandidates queues a socket's decoded batch for delivery, in order.
+// DeliverCandidates offers a socket's decoded batch for delivery, in order,
+// and returns once the delivery loop has decided it (acked): the frame's ack
+// then means what the in-process acked means.
 func (h *hubTier) DeliverCandidates(msgs []transport.CandMsg) error {
 	for _, m := range msgs {
-		h.candidates <- m
+		h.offer(m)
 	}
+	h.acked()
 	return nil
 }
 

@@ -20,7 +20,6 @@ import (
 // docs/DURABILITY.md for the full contract):
 //
 //	<CheckpointDir>/
-//	  delivery.off              per-group delivery high-water offsets
 //	  delivery.state            delivery pipeline dedup LRU + fatigue budgets
 //	  p000-r00/                 one directory per replica
 //	    MANIFEST                ordered segment list (atomic rename)
@@ -50,9 +49,6 @@ var ErrRecoveryDisabled = errors.New("cluster: recovery requires Config.Checkpoi
 // manifestMagic identifies the checkpoint manifest format, version 1.
 var manifestMagic = [8]byte{'M', 'S', 'M', 'A', 'N', 'F', 0, 1}
 
-// deliveryMagic identifies the delivery offsets file format, version 1.
-var deliveryMagic = [8]byte{'M', 'S', 'D', 'L', 'V', 'O', 0, 1}
-
 // deliveryStateMagic identifies the delivery pipeline state file header,
 // version 1. The header (magic + version + gating id) wraps the
 // pipeline's own CRC32C-framed snapshot (delivery.Pipeline.AppendState).
@@ -60,7 +56,6 @@ var deliveryStateMagic = [8]byte{'M', 'S', 'D', 'L', 'S', 'T', 0, 1}
 
 const (
 	manifestVersion      = 1
-	deliveryVersion      = 1
 	deliveryStateVersion = 1
 
 	segKindBase  = 0
@@ -70,14 +65,9 @@ const (
 	// block the apply loop (backpressure) until the writer drains.
 	ckptQueueDepth = 2
 
-	// deliveryPersistEvery is how many processed candidate batches elapse
-	// between persisted snapshots of the per-group high-water offsets.
-	deliveryPersistEvery = 64
-
 	// deliveryStatePersistEvery is how many processed candidate batches
 	// elapse between cuts of the delivery pipeline's suppression state
-	// (dedup LRU + fatigue budgets). Coarser than the offsets cadence:
-	// a state cut copies the whole LRU, not a vector of counters, and
+	// (dedup LRU + fatigue budgets). A cut copies the whole LRU, and
 	// staleness between cuts only re-exposes the documented repeated-pair
 	// tolerance after a hard crash — a clean Shutdown always cuts a final
 	// exact snapshot.
@@ -179,8 +169,6 @@ func sweepOrphanSegments(dir string, man manifest) {
 		}
 	}
 }
-
-func deliveryOffsetsPath(dir string) string { return filepath.Join(dir, "delivery.off") }
 
 func deliveryStatePath(dir string) string { return filepath.Join(dir, "delivery.state") }
 
@@ -413,9 +401,9 @@ func (h *replicaHost) cutCheckpoint(rep *replica, nextOffset uint64) {
 		return
 	}
 	if !h.link.acked() {
-		// The hub tier does not yet hold every candidate message offered
-		// below this offset: a cut now could durably cover offsets whose
-		// candidates exist only in this process. Skip the cut entirely —
+		// The hub's delivery loop has not decided every candidate message
+		// offered below this offset in time: a cut now could durably cover
+		// offsets no delivery decision covers yet. Skip the cut entirely —
 		// the dirty keys stay captured by the next one. (Checked before
 		// CaptureDelta: a post-capture skip would drop the delta.)
 		h.ckptErrors.Inc()
@@ -613,7 +601,7 @@ func clampChainPrefix(segs []segmentRef, limit uint64) int {
 
 // truncateManifest drops segments beyond keep, rewrites the manifest, and
 // removes the dropped files, reporting whether the trim stuck. Used by
-// restore for corruption fallback and the delivered-offset clamp. A
+// restore to drop a corrupt tail or segments past the log head. A
 // failed rewrite is counted and the trim abandoned — in-memory chain and
 // files stay exactly as the on-disk manifest describes them, so nothing
 // leaks unreferenced and a later restore retries the same fallback.
@@ -636,36 +624,6 @@ func (h *replicaHost) truncateManifest(dir string, man *manifest, keep int) bool
 	return true
 }
 
-// persistDeliveryOffsets snapshots the delivery consumer's per-group
-// high-water offsets. Called only from the delivery goroutine. The
-// periodic hot-path persists are atomic-by-rename but deliberately
-// unsynced (durable=false): mid-run the offsets are advisory — the
-// restore clamp tolerates staleness by design — and fsyncing inline
-// every interval would stall the entire delivery tier on disk I/O. The
-// final persist at drain passes durable=true: on a durable-log cluster
-// that file is load-bearing for the restart contract (the reopened
-// filter seeds from it), so it must survive a power loss after a clean
-// Shutdown just like the WAL and the checkpoint manifests do. The record is
-// encoded into the hub's one buffer and written whole.
-func (h *hubTier) persistDeliveryOffsets(next []uint64, durable bool) {
-	h.offBuf = appendDeliveryOffsets(h.offBuf[:0], h.runID, next)
-	if err := codecutil.ReplaceFile(h.offPath, h.offBuf, durable); err != nil {
-		h.ckptErrors.Inc()
-	}
-}
-
-// appendDeliveryOffsets appends delivery.off to b: magic, version, the
-// gating id, then the per-group high-water offsets.
-func appendDeliveryOffsets(b []byte, runID uint64, next []uint64) []byte {
-	b = codecutil.AppendHeader(b, deliveryMagic, deliveryVersion)
-	b = binary.AppendUvarint(b, runID)
-	b = binary.AppendUvarint(b, uint64(len(next)))
-	for _, off := range next {
-		b = binary.AppendUvarint(b, off)
-	}
-	return b
-}
-
 // persistDeliveryState cuts the delivery tier's restart state to
 // delivery.state as ONE atomic file: a gating header carrying the
 // per-group high-water offsets passed by the caller (CRC32C-trailed),
@@ -679,12 +637,11 @@ func appendDeliveryOffsets(b []byte, runID uint64, next []uint64) []byte {
 // both at the same quiesced instant). Offsets older than the state only
 // re-process replayed batches the restored dedup entries suppress;
 // offsets newer than the state would skip spans the LRU has never seen
-// — the loss direction this file exists to rule out. delivery.off
-// (which the hot path keeps fresher) is only the fallback when this
-// file is missing or corrupt. Always durable (tmp+rename+fsync): it
-// runs off the delivery goroutine (the periodic async cut) or at drain
-// (the final exact cut), so the fsync stalls nobody. The file is encoded
-// into a buffer of the cut's own, dropped with it.
+// — the loss direction this file exists to rule out. Always durable
+// (tmp+rename+fsync): it runs off the delivery goroutine (the periodic
+// async cut) or at drain (the final exact cut), so the fsync stalls
+// nobody. The file is encoded into a buffer of the cut's own, dropped
+// with it.
 func (h *hubTier) persistDeliveryState(next []uint64) error {
 	data := appendDeliveryState(nil, h.runID, next, h.pipeline)
 	if err := codecutil.ReplaceFile(deliveryStatePath(h.cfg.CheckpointDir), data, true); err != nil {
@@ -728,26 +685,25 @@ func (h *hubTier) cutDeliveryStateAsync(next []uint64) {
 
 // loadDeliveryState restores the delivery pipeline's dedup LRU and
 // fatigue budgets from delivery.state and returns the filter offsets
-// captured with them. ok is false — and nothing is installed — when the
+// captured with them. It returns nil — and installs nothing — when the
 // file is missing, foreign-run, shaped for a different partition count,
-// or corrupt: the caller then degrades to delivery.off seeding and a
-// fresh pipeline, the pre-durable-state tolerance (a repeated (user,
-// item) pair may be re-pushed once), never a failed reopen. Only
-// corruption and shape mismatches are counted as errors.
-func (h *hubTier) loadDeliveryState() ([]uint64, bool) {
+// or corrupt: the caller then degrades to a filter seeded from zero and a
+// fresh pipeline (a repeated (user, item) pair may be re-pushed once),
+// never a failed reopen. Only corruption and shape mismatches are counted
+// as errors.
+func (h *hubTier) loadDeliveryState() []uint64 {
 	data, err := os.ReadFile(deliveryStatePath(h.cfg.CheckpointDir))
 	if err != nil {
-		return nil, false
+		return nil
 	}
 	offsets, err := parseDeliveryState(data, h.runID, h.cfg.Partitions, h.pipeline)
 	if err != nil {
 		h.ckptErrors.Inc()
 	}
-	if offsets == nil {
-		return nil, false
+	if offsets != nil {
+		h.deliveryStateRestores.Inc()
 	}
-	h.deliveryStateRestores.Inc()
-	return offsets, true
+	return offsets
 }
 
 // parseDeliveryState parses delivery.state, restoring its snapshot into p
@@ -781,53 +737,6 @@ func parseDeliveryState(data []byte, runID uint64, partitions int, p *delivery.P
 		return nil, err
 	}
 	return offsets, nil
-}
-
-// readDeliveryOffsets parses delivery.off once: the persisted delivery
-// high-water offsets of the groups it covers, in group order, up to the first
-// it cannot read — none when the file is absent, unreadable or foreign-run.
-func (s *shared) readDeliveryOffsets() []uint64 {
-	data, err := os.ReadFile(deliveryOffsetsPath(s.cfg.CheckpointDir))
-	if err != nil {
-		return nil
-	}
-	return parseDeliveryOffsets(data, s.runID)
-}
-
-// parseDeliveryOffsets is readDeliveryOffsets' parse of the file's bytes.
-func parseDeliveryOffsets(data []byte, runID uint64) []uint64 {
-	cur := codecutil.NewCursor(data, "delivery offsets")
-	cur.Header(deliveryMagic, deliveryVersion)
-	if run := cur.U("run id"); run != runID {
-		return nil
-	}
-	offs := make([]uint64, 0, cur.Count("group count", 1))
-	for range cap(offs) {
-		off := cur.U("group offset")
-		if cur.Err != nil {
-			break
-		}
-		offs = append(offs, off)
-	}
-	return offs
-}
-
-// loadDeliveryOffset reads the persisted delivery high-water offset for a
-// group. ok is false when the file is absent, unreadable, foreign-run, or
-// does not cover pid.
-func (s *shared) loadDeliveryOffset(pid int) (uint64, bool) {
-	if offs := s.readDeliveryOffsets(); pid < len(offs) {
-		return offs[pid], true
-	}
-	return 0, false
-}
-
-// loadDeliveryOffsets reads every group's persisted delivery high-water
-// offset, zero-filled when the file is absent, unreadable, or gated away.
-func (s *shared) loadDeliveryOffsets() []uint64 {
-	out := make([]uint64, s.cfg.Partitions)
-	copy(out, s.readDeliveryOffsets())
-	return out
 }
 
 // KillReplica crashes a replica for real: it stops consuming the firehose
@@ -889,9 +798,10 @@ func (c *Cluster) localSlot(pid, r int) (*replicaSlot, *replica, error) {
 }
 
 // RestoreReplica rejoins a killed replica: plan and execute its restore
-// (planRestore: own chain, base pool, or scratch — including the
-// sole-coverage clamp that closes the promoted-replica gap), then replay
-// the retained firehose log from the restore point. S is the one the
+// (planRestore: own chain, base pool, or scratch — every cut of which lies
+// at or below what the delivery tier has decided, so the rejoin skips no
+// undecided offset), then replay the retained firehose log from the
+// restore point. S is the one the
 // replica was built with, its peers' too. The replica stays broker-down
 // while replaying, and the delivery tier's offset filter absorbs its
 // replayed candidate batches; it turns live once it has applied every
@@ -906,8 +816,7 @@ func (c *Cluster) RestoreReplica(pid, r int) error {
 	if slot.state.Load() != replicaDead {
 		return fmt.Errorf("cluster: replica %d/%d is not dead; only killed replicas restore", pid, r)
 	}
-	// The slot itself is dead, so only its peers count as coverage.
-	at, err := c.host.restoreSlot(rep, c.hub.alive(pid, nil) > 0)
+	at, err := c.host.restoreSlot(rep)
 	if err != nil {
 		return err
 	}

@@ -24,12 +24,6 @@ type restoreInputs struct {
 	logStart, head uint64
 	// pool is the partition's base pool (basePool), newest offset first.
 	pool []baseSource
-	// alive: some replica of the group is live or replaying and covers the
-	// stream meanwhile. When none is, delivered/hasDelivered carry the
-	// group's persisted delivery high-water offset.
-	alive        bool
-	delivered    uint64
-	hasDelivered bool
 	// recorded maps cut offsets to the state fingerprint a replica of the
 	// partition recorded there; nil when auditing is off.
 	recorded map[uint64]uint32
@@ -74,8 +68,8 @@ func (p *restorePlan) diverged() bool { return p.audited && p.got != p.want }
 //     back (a cut past the head means a torn tail lost the suffix the chain
 //     claims) that composes with every segment's checksum verified (a
 //     corrupt base is treated like a corrupt delta: the chain falls all the
-//     way back to scratch), clamped to the delivered offset when the
-//     replica would be its group's only coverage;
+//     way back to scratch) — never past an offset the delivery tier has not
+//     decided, since every cut waited for that (acked);
 //  2. the partition's base pool, when the chain's point lies below the
 //     log's truncation horizon or the directory holds no chain at all (a
 //     fresh placement: any base the log extends beats replaying from zero);
@@ -102,29 +96,6 @@ func planRestore(in restoreInputs) (restorePlan, error) {
 	st, used, offset := composeChain(in.dir, segs[:keep])
 	if used < keep {
 		plan.faults++
-	}
-	// The promoted-replica clamp (defense-in-depth: the last-alive guard
-	// makes sole-coverage rejoins unreachable through the public API):
-	// rejoining as sole coverage with a chain cut ahead of what the group
-	// has delivered would skip the span between them, so fall the chain
-	// back to the delivered offset. Two safety bounds: never fall below
-	// the durable floor (the log may already be truncated up to it — the
-	// residual span is the documented truncation-vs-gap tradeoff), and
-	// never destroy segments unless the clamped replay point is actually
-	// still retained.
-	if used > 0 && !in.alive && in.hasDelivered && in.delivered < offset {
-		k := clampChainPrefix(segs[:used], in.delivered)
-		if k < 1 && segs[0].kind == segKindBase {
-			k = 1
-		}
-		replayFrom := uint64(0)
-		if k > 0 {
-			replayFrom = segs[k-1].offset
-		}
-		if k < used && replayFrom >= in.logStart {
-			st, used, offset = composeChain(in.dir, segs[:k])
-			plan.mustTrim = true
-		}
 	}
 	plan.keep = used
 	if used > 0 {
@@ -161,10 +132,9 @@ type restorePoint struct {
 	offset, floor uint64
 }
 
-// planSlot gathers rep's restore inputs and plans its restore. alive
-// reports whether some replica of the group covers the stream meanwhile.
-// The caller holds ctl (or is construction).
-func (h *replicaHost) planSlot(rep *replica, alive bool) (restorePlan, error) {
+// planSlot gathers rep's restore inputs and plans its restore. The caller
+// holds ctl (or is construction).
+func (h *replicaHost) planSlot(rep *replica) (restorePlan, error) {
 	_, head, start := h.link.LogMeta()
 	in := restoreInputs{
 		dir:      rep.dir,
@@ -172,10 +142,6 @@ func (h *replicaHost) planSlot(rep *replica, alive bool) (restorePlan, error) {
 		logStart: start,
 		head:     head,
 		pool:     basePool(h.placed(rep.pid), h.runID),
-		alive:    alive,
-	}
-	if !in.alive {
-		in.delivered, in.hasDelivered = h.loadDeliveryOffset(rep.pid)
 	}
 	if h.audit {
 		in.recorded = h.recordedFingerprints(auditSources(h.placed(rep.pid)))
@@ -224,8 +190,8 @@ func (h *replicaHost) executeRestore(rep *replica, plan restorePlan) (restorePoi
 // restoreSlot plans and executes the restore of a replica whose partition
 // was built from configuration (construction) or survived a kill
 // (RestoreReplica).
-func (h *replicaHost) restoreSlot(rep *replica, alive bool) (restorePoint, error) {
-	plan, err := h.planSlot(rep, alive)
+func (h *replicaHost) restoreSlot(rep *replica) (restorePoint, error) {
+	plan, err := h.planSlot(rep)
 	if err != nil {
 		return restorePoint{}, err
 	}

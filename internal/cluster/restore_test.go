@@ -162,10 +162,8 @@ type planRow struct {
 	name    string
 	chain   []chainSeg
 	mirrors []uint64 // pool bases (in a peer's mirror dir), by offset
-	// Observations; head defaults to 100, alive to true.
+	// Observations; head defaults to 100.
 	logStart, head uint64
-	sole           bool // no alive coverage; delivered is the persisted offset
-	delivered      uint64
 	recorded       map[uint64]uint32
 
 	wantErr                bool
@@ -202,18 +200,6 @@ func planRows(t testing.TB) []planRow {
 		{name: "pool mirrors outside the retained log are not restore points",
 			chain:   []chainSeg{{base: true, offset: 10, corrupt: true}},
 			mirrors: []uint64{12, 120}, logStart: 15, wantErr: true},
-		{name: "sole coverage ahead of the delivered offset is clamped",
-			chain: cleanChain, sole: true, delivered: 22,
-			keep: 2, offset: 20, floor: 10, mustTrim: true, folded: []uint64{10, 20}},
-		{name: "the clamp never falls below the floor",
-			chain: cleanChain, sole: true, delivered: 5,
-			keep: 1, offset: 10, floor: 10, mustTrim: true, folded: []uint64{10}},
-		{name: "the clamp never reaches into a truncated log",
-			chain: cleanChain, sole: true, delivered: 22, logStart: 25,
-			keep: 3, offset: 30, floor: 10, folded: []uint64{10, 20, 30}},
-		{name: "a delivered offset at the chain head clamps nothing",
-			chain: cleanChain, sole: true, delivered: 30,
-			keep: 3, offset: 30, floor: 10, folded: []uint64{10, 20, 30}},
 		{name: "a fresh placement seeds from the pool's newest usable base",
 			mirrors: []uint64{20, 40, 120},
 			keep:    0, offset: 40, floor: 40, seeded: true, folded: []uint64{40}},
@@ -245,7 +231,6 @@ func (row planRow) materialize(t testing.TB) (string, restoreInputs) {
 	in := restoreInputs{
 		dir: dir, runID: planRunID,
 		logStart: row.logStart, head: row.head,
-		alive: !row.sole, delivered: row.delivered, hasDelivered: row.sole,
 		recorded: row.recorded,
 	}
 	if in.head == 0 {
@@ -355,8 +340,12 @@ func FuzzPlanRestore(f *testing.F) {
 		in := restoreInputs{
 			dir: dir, runID: planRunID,
 			logStart: uint64(logStart), head: uint64(head),
-			alive: rng.Intn(2) == 0, delivered: uint64(rng.Intn(150)), hasDelivered: rng.Intn(2) == 0,
 		}
+		// Three draws the planner no longer reads, kept so every seed
+		// builds the pool it always built.
+		rng.Intn(2)
+		rng.Intn(150)
+		rng.Intn(2)
 		seen := map[uint64]bool{}
 		for i, n := 0, rng.Intn(4); i < n; i++ {
 			o := uint64(rng.Intn(150))
@@ -432,7 +421,7 @@ func TestRecordedFingerprintsDisputeIsDeterministic(t *testing.T) {
 		if _, ok := recorded[30]; ok || recorded[20] != 0xabcd || len(recorded) != 1 {
 			t.Fatalf("run %d: recorded = %v, want only the agreed offset 20", run, recorded)
 		}
-		plan, err := planRestore(restoreInputs{dir: dir, runID: planRunID, head: 100, alive: true, recorded: recorded})
+		plan, err := planRestore(restoreInputs{dir: dir, runID: planRunID, head: 100, recorded: recorded})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -112,33 +112,31 @@ func (f *CandForwarder) Offer(msg CandMsg) error {
 // needs. Returns false on timeout or abort — the caller must then skip its
 // checkpoint cut.
 func (f *CandForwarder) WaitDrained(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	target := f.offered
-	for f.acked < target && !f.aborted {
-		if !f.waitUntilLocked(deadline) {
-			return false
-		}
-	}
-	return f.acked >= target
+	return f.waitLocked(timeout, func() bool { return f.acked >= target })
 }
 
-// waitUntilLocked waits for a condition broadcast with a deadline (cond
-// vars have no native timeout; a timer broadcast provides one).
-func (f *CandForwarder) waitUntilLocked(deadline time.Time) bool {
-	remaining := time.Until(deadline)
-	if remaining <= 0 {
-		return false
+// waitLocked waits on the forwarder's condition, f.mu held, until done
+// reports true, the forwarder aborts, or timeout elapses, and returns done's
+// last answer. Cond vars have no native timeout: one timer per call
+// broadcasts at the deadline.
+func (f *CandForwarder) waitLocked(timeout time.Duration, done func() bool) bool {
+	if !done() && !f.aborted {
+		expired := false
+		t := time.AfterFunc(timeout, func() {
+			f.mu.Lock()
+			expired = true
+			f.cond.Broadcast()
+			f.mu.Unlock()
+		})
+		for !done() && !f.aborted && !expired {
+			f.cond.Wait()
+		}
+		t.Stop()
 	}
-	t := time.AfterFunc(remaining, func() {
-		f.mu.Lock()
-		f.cond.Broadcast()
-		f.mu.Unlock()
-	})
-	f.cond.Wait()
-	t.Stop()
-	return time.Now().Before(deadline)
+	return done()
 }
 
 // Finish flushes: after the last Offer, waits for everything offered to be
@@ -155,20 +153,16 @@ func (f *CandForwarder) Finish(subs []*FeedSub, timeout time.Duration) error {
 			s.mu.Unlock()
 		}
 	}
-	deadline := time.Now().Add(timeout)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.fin = encodeCandFin(slots)
 	f.finReq = true
 	f.cond.Broadcast()
-	for !f.finished && !f.aborted {
-		if !f.waitUntilLocked(deadline) {
-			return fmt.Errorf("transport: candidate stream not finished within %v", timeout)
-		}
-	}
 	switch {
-	case f.finished:
+	case f.waitLocked(timeout, func() bool { return f.finished }):
 		return nil
+	case !f.aborted:
+		return fmt.Errorf("transport: candidate stream not finished within %v", timeout)
 	case f.err != nil:
 		return f.err
 	}

@@ -39,8 +39,10 @@ type HubBackend interface {
 	// this attach's feed connection. The newest attachment owns the slot;
 	// what a superseded one reports, its Close included, is ignored.
 	ReplicaAttached(pid, r, gen int, floor, resume uint64, reads broker.Replica) (Attachment, <-chan queue.Envelope[graph.Edge], error)
-	// DeliverCandidates publishes decoded candidate messages into the
-	// hub's delivery topic, in slice order. Idempotent under redelivery:
+	// DeliverCandidates hands decoded candidate messages to the hub's
+	// delivery loop, in slice order, and returns once the loop has decided
+	// every one of them (filtered or run through the pipeline): the frame's
+	// ack follows the return. Idempotent under redelivery:
 	// the delivery tier's per-group monotonic offset filter drops
 	// duplicates. Returns an error only when delivery is shut down. The msgs
 	// slice is the connection's and valid only for the duration of the call
@@ -309,10 +311,11 @@ loop:
 	<-done // reader exited: the attachment reports nothing after its Close
 }
 
-// handleCands serves one worker's candidate stream: batches are published
-// into the hub's delivery topic in order, then cumulatively acked. The
-// ack is only written after every message in the batch is durably handed
-// to the backend, preserving at-least-once across hub or worker crashes.
+// handleCands serves one worker's candidate stream: batches are handed to
+// the backend in order, then cumulatively acked. The ack is only written
+// once DeliverCandidates returns, that is once the hub's delivery loop has
+// decided every message in the batch — what the worker's checkpoint gate
+// needs for a cut never to cover an undecided offset.
 // The connection decodes every batch through one candDecoder and writes
 // every ack from one buffer, so a steady stream allocates per arena chunk.
 func (s *Server) handleCands(c *conn, body []byte) {
