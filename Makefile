@@ -40,7 +40,10 @@ examples:
 
 # test-allocs runs the ingest and candidate paths' allocation gates — a
 # durable firehose publish through the WAL with the cluster's record codec
-# between rotations (TestWALAppendZeroAlloc, 0); the kernel's; S's Followers
+# between rotations (TestWALAppendZeroAlloc, 0), the same with the 4×2
+# deployment's eight readers taking their batches and waking on it
+# (TestFirehoseReadersZeroAlloc, 0), and a reader's batch read from the
+# in-memory tail (TestReaderTailReadZeroAlloc, 0); the kernel's; S's Followers
 # and Follows lookups (0); D's insert on the quiet shape (≤ 0.02 an insert
 # across sweeps and cuts), its sweep-and-refill cycle at the working set
 # (TestSweepZeroAlloc, 0) and its restore (per shard, not per target); the

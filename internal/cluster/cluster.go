@@ -126,8 +126,8 @@ type Config struct {
 	HopDelay DelayModel
 	// Delivery configures the push pipeline.
 	Delivery delivery.Options
-	// ApplyBatch bounds how many envelopes a replica consumer drains from
-	// its subscription into one batch: it runs candidate generation for
+	// ApplyBatch bounds how many envelopes a replica consumer reads from
+	// its stream into one batch: it runs candidate generation for
 	// the whole batch (fanned across ApplyWorkers), then republishes
 	// candidates and cuts checkpoints in offset order through an ordered
 	// commit stage. A batch ends early wherever a D sweep or a checkpoint
@@ -216,7 +216,8 @@ type Config struct {
 	NetDrainTimeout time.Duration
 }
 
-// queueBuffer sizes the firehose and candidate queue channels.
+// queueBuffer sizes the firehose's in-memory tail — how far a live replica
+// may lag before Publish waits for it — and the candidate queue's channel.
 const queueBuffer = 4096
 
 // shared is what the tiers of one process have in common: the
@@ -576,8 +577,10 @@ type Stats struct {
 	// it is the mean envelopes per batch.
 	ApplyBatches uint64
 	// CutPause is the distribution of apply-loop pauses taken by
-	// checkpoint cuts: delta capture plus any backpressure wait on the
-	// async writer (encode and fsync themselves happen off-loop).
+	// checkpoint cuts, a cut the gate skips included: the checkpoint ack
+	// gate's wait for the delivery loop's decisions (hubLink.acked), delta
+	// capture, and any backpressure wait on the async writer (encode and
+	// fsync themselves happen off-loop).
 	CutPause   metrics.Snapshot
 	E2ELatency metrics.Snapshot
 	// DetectLatency is the wall-clock distribution from an event's first

@@ -7,10 +7,8 @@ import (
 	"sync/atomic"
 
 	"motifstream/internal/broker"
-	"motifstream/internal/graph"
 	"motifstream/internal/partition"
 	"motifstream/internal/placement"
-	"motifstream/internal/queue"
 	"motifstream/internal/statstore"
 	"motifstream/internal/transport"
 )
@@ -24,9 +22,11 @@ type hubLink interface {
 	LogMeta() (id, head, start uint64)
 	// ReplicaAttached claims slot (pid, r) at generation gen for a replica
 	// restored to resume whose oldest durable restore point is floor, and
-	// returns the firehose from resume plus the handle for the slot's live,
-	// floor and detach reports; reads is where the broker finds the replica.
-	ReplicaAttached(pid, r, gen int, floor, resume uint64, reads broker.Replica) (transport.Attachment, <-chan queue.Envelope[graph.Edge], error)
+	// returns the handle for the slot's live, floor and detach reports plus
+	// the firehose as a stream read at the replica's own offset, from
+	// resume on, which the handle's Close ends; reads is where the broker
+	// finds the replica.
+	ReplicaAttached(pid, r, gen int, floor, resume uint64, reads broker.Replica) (transport.Attachment, transport.Stream, error)
 	// offer hands one event's candidates toward delivery.
 	offer(msg transport.CandMsg) error
 	// acked is the checkpoint ack gate: whether the hub's delivery loop has
@@ -34,8 +34,8 @@ type hubLink interface {
 	// offered before the call. In process it waits without bound; over TCP
 	// at most NetDrainTimeout, reporting false past it.
 	acked() bool
-	// closeFeed ends every attached stream (the envelope channels close
-	// once drained); close releases the link after the host's last offer,
+	// closeFeed ends every attached stream (each reads to its end, then
+	// io.EOF); close releases the link after the host's last offer,
 	// returning what the tier it reaches could not finish.
 	closeFeed()
 	close() error
@@ -51,7 +51,7 @@ type placed struct {
 // replica is the host's handle for one replica it runs: the partition state
 // plus the consumer goroutine's lifecycle and catch-up bookkeeping. The
 // placement fields (dir is "" without recovery) never change — node
-// replacement swaps in a whole new replica; att/sub/quit/stopped are
+// replacement swaps in a whole new replica; att/sub/stopped are
 // replaced on every launch, written only while no consumer is running.
 type replica struct {
 	pid, idx, gen int
@@ -62,8 +62,7 @@ type replica struct {
 	dead atomic.Bool
 
 	att     transport.Attachment
-	sub     <-chan queue.Envelope[graph.Edge]
-	quit    chan struct{} // closed by teardown to stop the consumer
+	sub     transport.Stream
 	stopped chan struct{} // closed by the consumer on exit
 
 	// replaying: the consumer has not yet applied target, the log head it
@@ -116,8 +115,8 @@ type replicaHost struct {
 
 	// ctl serializes the replica lifecycle operations (start, stop, kill,
 	// restore, the elastic calls) and guards the replica fields they
-	// rewrite, so concurrent chaos injection cannot double-close a quit
-	// channel or race the last-alive-replica guard. Writers never take it —
+	// rewrite, so concurrent chaos injection cannot double-close an
+	// attachment or race the last-alive-replica guard. Writers never take it —
 	// stopWriter waits on them while it is held.
 	ctl sync.Mutex
 	// mu guards the reps slice, which the elastic calls rewrite mid-run

@@ -18,7 +18,9 @@ import (
 // withholds acks or refuses an offer at a chosen point — neither of which
 // the real links can be made to do on cue.
 type fakeLink struct {
-	feed chan queue.Envelope[graph.Edge]
+	// feed is the slot's firehose: a topic without a backend whose tail
+	// holds the whole scripted stream, read from offset zero.
+	feed *queue.Topic[graph.Edge]
 
 	mu      sync.Mutex
 	offers  []transport.CandMsg
@@ -28,16 +30,18 @@ type fakeLink struct {
 	att     fakeAttachment
 }
 
-// fakeAttachment records what the host reports about its slot.
+// fakeAttachment records what the host reports about its slot; its Close
+// ends the slot's stream, as the contract asks.
 type fakeAttachment struct {
 	mu     sync.Mutex
 	lives  int
 	floors []uint64
 	closed bool
+	sub    *queue.Reader[graph.Edge]
 }
 
 func (a *fakeAttachment) NotifyLive() { a.mu.Lock(); a.lives++; a.mu.Unlock() }
-func (a *fakeAttachment) Close()      { a.mu.Lock(); a.closed = true; a.mu.Unlock() }
+func (a *fakeAttachment) Close()      { a.mu.Lock(); a.closed = true; a.sub.Close(); a.mu.Unlock() }
 func (a *fakeAttachment) ReportFloor(f uint64) {
 	a.mu.Lock()
 	a.floors = append(a.floors, f)
@@ -45,17 +49,24 @@ func (a *fakeAttachment) ReportFloor(f uint64) {
 }
 
 func newFakeLink(stream []graph.Edge) *fakeLink {
-	l := &fakeLink{feed: make(chan queue.Envelope[graph.Edge], len(stream))}
-	for i, e := range stream {
-		l.feed <- queue.Envelope[graph.Edge]{Offset: uint64(i), Msg: e}
+	l := &fakeLink{feed: queue.NewTopicWithLog[graph.Edge](queue.Options{Buffer: 4096}, nil)}
+	for _, e := range stream {
+		l.feed.Publish(e, 0)
 	}
 	return l
 }
 
 func (l *fakeLink) LogMeta() (id, head, start uint64) { return 7, 0, 0 }
 
-func (l *fakeLink) ReplicaAttached(pid, r, gen int, floor, resume uint64, reads broker.Replica) (transport.Attachment, <-chan queue.Envelope[graph.Edge], error) {
-	return &l.att, l.feed, nil
+func (l *fakeLink) ReplicaAttached(pid, r, gen int, floor, resume uint64, reads broker.Replica) (transport.Attachment, transport.Stream, error) {
+	sub, err := l.feed.NewReader(0)
+	if err != nil {
+		return nil, nil, err
+	}
+	l.att.mu.Lock()
+	l.att.sub = sub
+	l.att.mu.Unlock()
+	return &l.att, sub, nil
 }
 
 func (l *fakeLink) offer(msg transport.CandMsg) error {
@@ -75,7 +86,7 @@ func (l *fakeLink) acked() bool {
 	return l.ackedFn == nil || l.ackedFn(l.acks)
 }
 
-func (l *fakeLink) closeFeed()   { close(l.feed) }
+func (l *fakeLink) closeFeed()   { l.feed.Close() }
 func (l *fakeLink) close() error { return nil }
 
 // hostOverFake builds a one-replica host (slot 0/0 of a one-partition
@@ -145,8 +156,8 @@ func TestReplicaHostAckGate(t *testing.T) {
 	if man, err := loadManifest(manifestPath(dir), h.runID); err != nil || len(man.segs) != 0 {
 		t.Fatalf("chain under a closed gate: %v, %d segments", err, len(man.segs))
 	}
-	for i, e := range stream[half:] {
-		gated.feed <- queue.Envelope[graph.Edge]{Offset: uint64(half + i), Msg: e}
+	for _, e := range stream[half:] {
+		gated.feed.Publish(e, 0)
 	}
 	h.stop(true)
 	if n := h.ckptErrors.Value(); n != 1 {
@@ -219,5 +230,26 @@ func TestReplicaHostOfferFailure(t *testing.T) {
 		if seg.offset > failed {
 			t.Fatalf("segment cut at %d covers offset %d, whose candidates were never handed over", seg.offset, failed)
 		}
+	}
+}
+
+// TestCutPauseTimesTheAckGate: the checkpoint cut's apply-loop pause starts
+// before the ack gate, so a gate that waits for the delivery loop shows in
+// cluster.checkpoint_cut_pause.
+func TestCutPauseTimesTheAckGate(t *testing.T) {
+	const gateWait = 50 * time.Millisecond
+	link := newFakeLink(motifWorkload(63, 20, 60))
+	link.ackedFn = func(int) bool {
+		time.Sleep(gateWait)
+		return true
+	}
+	h, _ := hostOverFake(t, link, nil)
+	h.start()
+	h.stop(false)
+	if h.checkpoints.Value() == 0 {
+		t.Fatal("vacuous: no cut was taken")
+	}
+	if snap := h.cutPause.Snapshot(); snap.Max < gateWait {
+		t.Fatalf("longest cut pause %v, want at least the gate's %v", snap.Max, gateWait)
 	}
 }

@@ -123,8 +123,8 @@ type hubTier struct {
 	deliverWG sync.WaitGroup
 
 	// truncMu makes maybeTruncateLog's read of the slot floors plus
-	// truncate atomic against an attach's floor publication plus subscribe
-	// (see ReplicaAttached).
+	// truncate atomic against an attach's floor publication plus reader
+	// open (see ReplicaAttached).
 	truncMu sync.Mutex
 	// slotMu serializes the slot state machine's transitions.
 	slotMu sync.Mutex
@@ -459,29 +459,30 @@ func (h *hubTier) LogMeta() (id, head, start uint64) {
 	return h.runID, h.firehose.Published(), h.firehose.LogStart()
 }
 
-// attachment is one replica host's claim on a slot: the subscription it
-// reads, the replica the broker reaches it through, and the handle its
-// reports arrive through. The slot points back at its newest attachment
-// only: a superseded one (a half-open connection whose worker already
-// reconnected) reports, and at last detaches, to no effect.
+// attachment is one replica host's claim on a slot: the reader it reads
+// the firehose through, the replica the broker reaches it through, and the
+// handle its reports arrive through. The slot points back at its newest
+// attachment only: a superseded one (a half-open connection whose worker
+// already reconnected) reports, and at last detaches, to no effect.
 type attachment struct {
 	h     *hubTier
 	slot  *replicaSlot
-	sub   <-chan queue.Envelope[graph.Edge]
+	sub   *queue.Reader[graph.Edge]
 	reads broker.Replica
 }
 
 // ReplicaAttached is a replica host taking ownership of slot (pid, r) at
 // generation gen, with its state restored to resume and floor its oldest
 // durable restore point; reads is where the broker reaches the replica.
-// Publishing the floor and subscribing are one atomic step, under truncMu,
-// against maybeTruncateLog's floor-read-plus-truncate: a stale floor from the
-// slot's previous incarnation (which restored higher than this one, say,
-// whose chain was lost) could otherwise let a concurrent peer compaction
-// truncate the log out from under the replay about to start. The slot turns
+// Publishing the floor and opening the reader at resume are one atomic
+// step, under truncMu, against maybeTruncateLog's floor-read-plus-truncate:
+// a stale floor from the slot's previous incarnation (which restored higher
+// than this one, say, whose chain was lost) could otherwise let a concurrent
+// peer compaction truncate the log out from under the replay about to
+// start. A superseded attachment's reader is closed. The slot turns
 // replaying — serving no read until the attachment reports live — and owes
 // a FIN. On error it is untouched.
-func (h *hubTier) ReplicaAttached(pid, r, gen int, floor, resume uint64, reads broker.Replica) (transport.Attachment, <-chan queue.Envelope[graph.Edge], error) {
+func (h *hubTier) ReplicaAttached(pid, r, gen int, floor, resume uint64, reads broker.Replica) (transport.Attachment, transport.Stream, error) {
 	slot, err := h.slot(pid, r)
 	if err != nil {
 		return nil, nil, err
@@ -497,16 +498,13 @@ func (h *hubTier) ReplicaAttached(pid, r, gen int, floor, resume uint64, reads b
 		return nil, nil, fmt.Errorf("cluster: replica %d/%d generation %d is stale (placement table says %d)", pid, r, gen, slot.gen)
 	}
 	a := &attachment{h: h, slot: slot, reads: reads}
-	if h.wal == nil {
-		// No recovery: the topic retains nothing to replay from.
-		a.sub = h.firehose.Subscribe()
-	} else if a.sub, err = h.firehose.SubscribeFrom(resume); err != nil {
+	if a.sub, err = h.firehose.NewReader(resume); err != nil {
 		// Only reachable when the chain was lost (corrupt base) after the
 		// log below it was truncated; surface rather than silently diverge.
 		return nil, nil, fmt.Errorf("cluster: replay from %d: %w", resume, err)
 	}
 	if old := slot.att.Load(); old != nil {
-		h.firehose.Unsubscribe(old.sub)
+		old.sub.Close()
 	}
 	slot.floor.Store(floor)
 	slot.owesFin.Store(true)
@@ -550,9 +548,9 @@ func (a *attachment) ReportFloor(offset uint64) {
 }
 
 // Close ends the attachment — a kill, a dropped connection, a worker gone.
-// Releasing its subscription frees any publisher blocked on its buffer
-// (buffered envelopes are lost, as with a dead process); the slot is dead,
-// serving no read, until the next attach.
+// Closing its reader frees any publisher waiting for it (what it had not
+// read is not read, as with a dead process); the slot is dead, serving no
+// read, until the next attach.
 func (a *attachment) Close() {
 	h, slot := a.h, a.slot
 	h.slotMu.Lock()
@@ -560,7 +558,7 @@ func (a *attachment) Close() {
 	if slot.att.Load() != a {
 		return
 	}
-	h.firehose.Unsubscribe(a.sub)
+	a.sub.Close()
 	slot.att.Store(nil)
 	slot.leave(replicaDead)
 }

@@ -13,8 +13,6 @@ import (
 	"time"
 
 	"motifstream/internal/broker"
-	"motifstream/internal/graph"
-	"motifstream/internal/queue"
 	"motifstream/internal/transport"
 )
 
@@ -110,13 +108,13 @@ func (l *tcpLink) LogMeta() (id, head, start uint64) { return l.feed.LogMeta() }
 // ReplicaAttached opens the slot's feed connection, which also carries its
 // live and floor reports, re-announced after every reconnect, and serves the
 // hub's reads of the slot from reads.
-func (l *tcpLink) ReplicaAttached(pid, r, gen int, floor, resume uint64, reads broker.Replica) (transport.Attachment, <-chan queue.Envelope[graph.Edge], error) {
+func (l *tcpLink) ReplicaAttached(pid, r, gen int, floor, resume uint64, reads broker.Replica) (transport.Attachment, transport.Stream, error) {
 	sub, err := l.feed.SubscribeReplica(pid, r, gen, floor, resume, reads)
 	if err != nil {
 		return nil, nil, err
 	}
 	l.subs = append(l.subs, sub)
-	return sub, sub.C(), nil
+	return sub, sub, nil
 }
 
 // offer hands the message to the forwarder, which counts it against the

@@ -10,14 +10,14 @@ import (
 	"motifstream/internal/transport"
 )
 
-// This file is the replica apply loop — the only one. A consumer blocks for
-// one envelope, drains whatever else is already buffered on its
-// subscription up to the Config.ApplyBatch bound, fans candidate generation
-// across a bounded worker pool sharded by edge target, then commits the
-// batch in offset order: candidate-log commit, candidate publish, sweep,
-// checkpoint clock tick and cut, catch-up transition. A bound of one is the
-// degenerate case — the assembler never drains, detection runs inline —
-// and is per-envelope apply.
+// This file is the replica apply loop — the only one. A consumer reads its
+// stream at its own offset, taking whatever is available up to the
+// Config.ApplyBatch bound, or waits for the stream's wake-up when nothing
+// is; it fans candidate generation across a bounded worker pool sharded by
+// edge target, then commits the batch in offset order: candidate-log
+// commit, candidate publish, sweep, checkpoint clock tick and cut, catch-up
+// transition. A bound of one is the degenerate case — one envelope a read,
+// detection inline — and is per-envelope apply.
 //
 // Three invariants make the result independent of how the stream is
 // chopped into batches (docs/DURABILITY.md expands on each):
@@ -88,7 +88,11 @@ func (k *ckptClock) tick(ts, everyMS int64) bool {
 type replicaBatch struct {
 	max     int
 	workers int
-	envs    []queue.Envelope[graph.Edge]
+	// read holds what the stream's reads returned and no batch has applied
+	// yet; envs, the batch, is its prefix, and read[len(envs):] what lay
+	// past the batch's boundary, which opens the next batch.
+	read []queue.Envelope[graph.Edge]
+	envs []queue.Envelope[graph.Edge]
 	// Per-worker shards: the edges routed to shard w and each edge's
 	// position in envs, so results scatter back into offset order. outs[w]
 	// and outLeases[w] hold a result only between a shard's detection and
@@ -101,10 +105,6 @@ type replicaBatch struct {
 	// batch order, until the commit hands them off.
 	cands  []candList
 	leases []motif.Lease
-	// closed records that the subscription closed mid-drain; the partial
-	// batch is still applied before the consumer exits.
-	closed bool
-
 	// shards feeds the resident workers the index of a shard to detect.
 	// pending counts the shards of the current batch still with a worker,
 	// exited the workers still running.
@@ -127,7 +127,8 @@ func newReplicaBatch(max, workers int) *replicaBatch {
 		workers = 1
 	}
 	b := &replicaBatch{max: max, workers: workers}
-	b.envs = make([]queue.Envelope[graph.Edge], 0, max)
+	b.read = make([]queue.Envelope[graph.Edge], 0, max)
+	b.envs = b.read
 	b.cands = make([]candList, max)
 	b.leases = make([]motif.Lease, max)
 	b.edges = make([][]graph.Edge, workers)
@@ -175,8 +176,10 @@ func (b *replicaBatch) stopWorkers() {
 	b.exited.Wait()
 }
 
-// consumeBatched is the replica consumer loop: block for one envelope,
-// drain up to the batch bound, apply, repeat. Its detect workers live
+// consumeBatched is the replica consumer loop: take a batch from the
+// stream, apply it, repeat, waiting for the stream's wake-up when there is
+// nothing to read, until the stream ends — the log closed, or a teardown
+// closed the attachment and with it the stream. Its detect workers live
 // exactly as long as it does, and so does the engine's detection memory:
 // the chunks it recycles are dropped when the loop exits.
 func (h *replicaHost) consumeBatched(rep *replica) {
@@ -185,46 +188,40 @@ func (h *replicaHost) consumeBatched(rep *replica) {
 	defer rep.p.ReleaseScratch()
 	defer b.stopWorkers()
 	for {
-		select {
-		case <-rep.quit:
+		if err := h.assembleBatch(rep, b); err != nil {
 			return
-		case env, ok := <-rep.sub:
-			if !ok {
-				return
-			}
-			h.assembleBatch(rep, b, env)
-			if !h.applyBatch(rep, b) {
-				return
-			}
-			if b.closed {
-				return
-			}
+		}
+		if len(b.envs) == 0 {
+			<-rep.sub.Ready()
+		} else if !h.applyBatch(rep, b) {
+			return
 		}
 	}
 }
 
-// assembleBatch collects first plus whatever is already buffered on the
-// subscription, up to the batch bound, ending the batch early at the first
-// envelope where a D sweep or a checkpoint cut is due. The probes are
-// read-only: the sweep clock cannot advance during assembly (only this
-// consumer sweeps this engine) and the checkpoint clock is simulated on a
-// copy.
-func (h *replicaHost) assembleBatch(rep *replica, b *replicaBatch, first queue.Envelope[graph.Edge]) {
-	b.envs = append(b.envs[:0], first)
+// assembleBatch tops what the last batch left unapplied up to the batch
+// bound with one read that does not block, and takes its prefix as the
+// batch, ending early at the first envelope where a D sweep or a checkpoint
+// cut is due. The probes are read-only: the sweep clock cannot advance
+// during assembly (only this consumer sweeps this engine) and the
+// checkpoint clock is simulated on a copy. The stream's error (its end) is
+// returned only once nothing read is left, and leaves the batch empty.
+func (h *replicaHost) assembleBatch(rep *replica, b *replicaBatch) error {
+	held := copy(b.read[:b.max], b.read[len(b.envs):])
+	n, err := rep.sub.Read(b.read[held:b.max])
+	b.read = b.read[:held+n]
+	b.envs = b.read[:0]
+	if len(b.read) == 0 {
+		return err
+	}
 	p := rep.p
 	sim := rep.clock
-	for len(b.envs) < b.max && !h.batchBoundary(p, &sim, b.envs[len(b.envs)-1].Msg.TS) {
-		select {
-		case env, ok := <-rep.sub:
-			if !ok {
-				b.closed = true
-				return
-			}
-			b.envs = append(b.envs, env)
-		default:
-			return
-		}
+	k := 1
+	for k < len(b.read) && !h.batchBoundary(p, &sim, b.read[k-1].Msg.TS) {
+		k++
 	}
+	b.envs = b.read[:k]
+	return nil
 }
 
 // batchBoundary reports whether an envelope with timestamp ts must be the
@@ -291,8 +288,9 @@ func (h *replicaHost) applyBatch(rep *replica, b *replicaBatch) bool {
 		p.Commit(ev)
 
 		// One load gates BOTH this envelope's offer and its cut. A teardown
-		// marks the replica dead before closing quit, but the consumer's
-		// select may still drain buffered envelopes first — a "zombie" span.
+		// marks the replica dead before it ends the stream, but the
+		// consumer may be mid-batch, or hold what it read past the batch's
+		// boundary, when it does — a "zombie" span.
 		// Suppressing only the offer while still cutting would let a durable
 		// cut claim offsets whose candidates were never handed to the
 		// delivery tier; the restored replica would resume past the

@@ -400,6 +400,9 @@ func (h *replicaHost) cutCheckpoint(rep *replica, nextOffset uint64) {
 	if w == nil {
 		return
 	}
+	// The clock starts before the ack gate, whose wait for the delivery
+	// loop stalls the apply loop like any other part of the cut.
+	start := time.Now()
 	if !h.link.acked() {
 		// The hub's delivery loop has not decided every candidate message
 		// offered below this offset in time: a cut now could durably cover
@@ -407,16 +410,16 @@ func (h *replicaHost) cutCheckpoint(rep *replica, nextOffset uint64) {
 		// the dirty keys stay captured by the next one. (Checked before
 		// CaptureDelta: a post-capture skip would drop the delta.)
 		h.ckptErrors.Inc()
+		h.cutPause.Observe(time.Since(start))
 		return
 	}
-	start := time.Now()
 	delta := rep.p.CaptureDelta()
 	job := ckptJob{delta: delta, offset: nextOffset}
 	h.stampFingerprint(rep, &job)
 	w.jobs <- job
 	// Observed after the send so the metric is the apply loop's whole
-	// checkpoint stall: capture plus any backpressure wait on a slow
-	// writer — the honest number an operator watches to confirm
+	// checkpoint stall: the gate's wait, capture and any backpressure wait
+	// on a slow writer — the honest number an operator watches to confirm
 	// checkpointing is not pausing ingest.
 	h.cutPause.Observe(time.Since(start))
 }
@@ -586,8 +589,9 @@ func composeChain(dir string, segs []segmentRef) (st *partition.Segment, used in
 }
 
 // clampChainPrefix returns how many leading segments have cut offsets at
-// or below limit — the prefix a restore falls back to when the group's
-// delivered high-water lags the newest checkpoint.
+// or below limit — planRestore passes the log head, so the kept prefix is
+// what the log still extends: a chain cut above the head (a log that lost
+// its tail) falls back to it.
 func clampChainPrefix(segs []segmentRef, limit uint64) int {
 	keep := 0
 	for i, ref := range segs {

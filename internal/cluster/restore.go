@@ -212,7 +212,6 @@ func (h *replicaHost) launchReplica(rep *replica, at restorePoint) error {
 		return err
 	}
 	rep.att, rep.sub = att, sub
-	rep.quit = make(chan struct{})
 	rep.stopped = make(chan struct{})
 	rep.clock = ckptClock{}
 	rep.applied.Store(at.offset)
@@ -237,15 +236,15 @@ func (h *replicaHost) launchReplica(rep *replica, at restorePoint) error {
 }
 
 // teardown stops a running replica's consumer and leaves its slot dead:
-// mark it (see applyBatch), stop the goroutine, detach — a live report the
-// consumer still issues mid-way through its replaying → live transition
-// arrives after the attachment ended and is ignored. The async writer stops
+// mark it (see applyBatch), detach, which ends the consumer's stream, and
+// wait for the goroutine — a live report the consumer still issues mid-way
+// through its replaying → live transition arrives after the attachment
+// ended and is ignored. The async writer stops
 // after the consumer (its only sender): pending segments drain to disk
 // first, like a kernel flushing a dying process's page cache — the durable
 // chain stays valid for a future restore. The caller holds ctl.
 func (h *replicaHost) teardown(rep *replica) {
 	rep.dead.Store(true)
-	close(rep.quit)
 	rep.att.Close()
 	<-rep.stopped
 	stopWriter(rep)

@@ -295,6 +295,56 @@ func TestPlanRestore(t *testing.T) {
 	}
 }
 
+// TestExecuteRestoreTrimFailure covers executeRestore's two outcomes when
+// the manifest cannot be rewritten — a non-empty directory squats on
+// MANIFEST.tmp, so codecutil.ReplaceFile fails: a plan that must trim (its
+// chain runs past the log head) is refused, and one whose trim only drops a
+// corrupt tail carries on from the kept prefix.
+func TestExecuteRestoreTrimFailure(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		chain   []chainSeg
+		head    uint64
+		wantErr bool
+		offset  uint64
+	}{
+		{name: "a chain cut past the head must trim", chain: cleanChain, head: 25, wantErr: true},
+		{name: "a corrupt tail need not", head: 100, offset: 20,
+			chain: []chainSeg{{base: true, offset: 10}, {offset: 20}, {offset: 30, corrupt: true}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, dir := hostOverFake(t, newFakeLink(nil), nil)
+			writeChain(t, dir, tc.chain)
+			if err := os.MkdirAll(filepath.Join(manifestPath(dir)+".tmp", "squatter"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			plan, err := planRestore(restoreInputs{dir: dir, runID: planRunID, head: tc.head})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.keep >= len(tc.chain) || plan.mustTrim != tc.wantErr {
+				t.Fatalf("vacuous: plan keeps %d of %d segments, mustTrim %v", plan.keep, len(tc.chain), plan.mustTrim)
+			}
+			at, err := h.executeRestore(h.reps[0], plan)
+			if tc.wantErr {
+				if err == nil {
+					t.Fatalf("a failed mandatory trim was executed, restoring to %d", at.offset)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("a failed optional trim refused the restore: %v", err)
+			}
+			if at.offset != tc.offset {
+				t.Fatalf("restored to %d, want the kept prefix's %d", at.offset, tc.offset)
+			}
+			if man, err := loadManifest(manifestPath(dir), planRunID); err != nil || len(man.segs) != len(tc.chain) {
+				t.Fatalf("manifest after the failed trim: %v, %d segments, want the untouched %d", err, len(man.segs), len(tc.chain))
+			}
+		})
+	}
+}
+
 // TestPlanRestoreWritesNothing is the planner's purity gate: for every
 // scenario of the table — including the ones whose plans call for trims
 // and seeds — the directory tree is byte-identical after planning.

@@ -5,21 +5,19 @@ import (
 	"testing"
 )
 
-// BenchmarkPublishFanOut measures one publish delivered to n draining
-// subscribers — the firehose pattern where every partition consumes the
-// full stream.
+// BenchmarkPublishFanOut measures one publish read by n draining readers —
+// the firehose pattern where every partition consumes the full stream.
 func BenchmarkPublishFanOut(b *testing.B) {
 	for _, subs := range []int{1, 8, 32} {
 		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
 			t := NewTopicWithLog[int](Options{Buffer: 1 << 16}, nil)
-			done := make(chan struct{}, subs)
-			for i := 0; i < subs; i++ {
-				ch := t.Subscribe()
-				go func() {
-					for range ch {
-					}
-					done <- struct{}{}
-				}()
+			done := make([]<-chan []Envelope[int], subs)
+			for i := range done {
+				r, err := t.NewReader(0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				done[i] = drainAll(r)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -29,15 +27,15 @@ func BenchmarkPublishFanOut(b *testing.B) {
 			}
 			b.StopTimer()
 			t.Close()
-			for i := 0; i < subs; i++ {
-				<-done
+			for _, d := range done {
+				<-d
 			}
 		})
 	}
 }
 
-// BenchmarkPublish measures one retained publish delivered to a draining
-// subscriber, per log backend — the number the disk WAL's fsync batching
+// BenchmarkPublish measures one retained publish read by a draining
+// reader, per log backend — the number the disk WAL's fsync batching
 // is held to (TestDiskWALPublishWithin2xOfMemory enforces the 2x budget).
 func BenchmarkPublish(b *testing.B) {
 	backends := []struct {
@@ -50,13 +48,11 @@ func BenchmarkPublish(b *testing.B) {
 	for _, be := range backends {
 		b.Run(be.name, func(b *testing.B) {
 			t := NewTopicWithLog[int](Options{Buffer: 1 << 16}, be.make(b))
-			ch := t.Subscribe()
-			done := make(chan struct{})
-			go func() {
-				for range ch {
-				}
-				close(done)
-			}()
+			r, err := t.NewReader(0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			done := drainAll(r)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := t.Publish(i, 0); err != nil {

@@ -44,57 +44,52 @@ func TestTruncateBelowNonRetainedIsNoop(t *testing.T) {
 	}
 }
 
+// TestSubscribeFromAfterTruncation: the tail is shorter than the retained
+// suffix, so the readers below read the truncated backend.
 func TestSubscribeFromAfterTruncation(t *testing.T) {
-	topic := newRetained[int](Options{Buffer: 256})
+	topic := newRetained[int](Options{Buffer: 16})
 	for i := 0; i < 100; i++ {
 		topic.Publish(i, 0)
 	}
 	topic.TruncateBelow(60)
 
 	// Below the compaction horizon: a typed, inspectable error.
-	if _, err := topic.SubscribeFrom(59); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("SubscribeFrom below log start = %v, want ErrTruncated", err)
+	if _, err := topic.NewReader(59); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("reader below log start = %v, want ErrTruncated", err)
 	}
 	// At the horizon: replays the retained suffix with correct offsets.
-	sub, err := topic.SubscribeFrom(60)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustReader(t, topic, 60)
 	topic.Close()
-	want := uint64(60)
-	for env := range sub {
+	got := readToEnd(t, r)
+	for i, env := range got {
+		want := uint64(60 + i)
 		if env.Offset != want {
 			t.Fatalf("Offset = %d, want %d", env.Offset, want)
 		}
 		if env.Msg != int(want) {
 			t.Fatalf("Msg = %d, want %d", env.Msg, want)
 		}
-		want++
 	}
-	if want != 100 {
-		t.Fatalf("replayed through %d, want 100", want)
+	if len(got) != 40 {
+		t.Fatalf("replayed through %d, want 100", 60+len(got))
 	}
 }
 
 func TestSubscribeFromMidLogAfterTruncation(t *testing.T) {
-	topic := newRetained[int](Options{Buffer: 256})
+	topic := newRetained[int](Options{Buffer: 16})
 	for i := 0; i < 50; i++ {
 		topic.Publish(i, 0)
 	}
 	topic.TruncateBelow(10)
-	sub, err := topic.SubscribeFrom(25)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustReader(t, topic, 25)
 	topic.Close()
-	want := uint64(25)
-	for env := range sub {
-		if env.Offset != want {
-			t.Fatalf("Offset = %d, want %d", env.Offset, want)
+	got := readToEnd(t, r)
+	for i, env := range got {
+		if env.Offset != uint64(25+i) {
+			t.Fatalf("Offset = %d, want %d", env.Offset, 25+i)
 		}
-		want++
 	}
-	if want != 50 {
-		t.Fatalf("replayed through %d, want 50", want)
+	if len(got) != 25 {
+		t.Fatalf("replayed through %d, want 50", 25+len(got))
 	}
 }

@@ -307,32 +307,26 @@ func TestTopicWithWALBackendReplaysAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	w := intWAL(t, dir, nil)
 	topic := NewTopicWithLog[int](Options{Name: "t"}, w)
-	sub := topic.Subscribe()
-	go func() {
-		for range sub {
-		}
-	}()
+	drained := drainAll(mustReader(t, topic, 0))
 	for i := 0; i < 400; i++ {
 		if err := topic.Publish(i, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	topic.Close()
+	<-drained
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// A second topic over the same directory: offsets resume, and a
-	// replay subscription streams the previous run's records.
+	// reader at an old offset streams the previous run's records.
 	w2 := intWAL(t, dir, nil)
 	topic2 := NewTopicWithLog[int](Options{Name: "t"}, w2)
 	if topic2.Published() != 400 {
 		t.Fatalf("reopened Published() = %d, want 400", topic2.Published())
 	}
-	ch, err := topic2.SubscribeFrom(100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustReader(t, topic2, 100)
 	for i := 0; i < 50; i++ {
 		if err := topic2.Publish(400+i, 0); err != nil {
 			t.Fatal(err)
@@ -340,7 +334,7 @@ func TestTopicWithWALBackendReplaysAcrossReopen(t *testing.T) {
 	}
 	topic2.Close()
 	next := uint64(100)
-	for env := range ch {
+	for _, env := range readToEnd(t, r) {
 		if env.Offset != next {
 			t.Fatalf("offset %d, want %d", env.Offset, next)
 		}
@@ -356,9 +350,9 @@ func TestTopicWithWALBackendReplaysAcrossReopen(t *testing.T) {
 }
 
 // TestPublishHoldsNoTopicLockDuringAppend is the regression guard for the
-// publish-path lock fix: with a deliberately slow log backend, Subscribe
-// and LogStart must not stall behind an in-flight retained append (they
-// used to share the topic mutex with it).
+// publish-path lock fix: with a deliberately slow log backend, opening a
+// reader and LogStart must not stall behind an in-flight retained append
+// (they used to share the topic mutex with it).
 func TestPublishHoldsNoTopicLockDuringAppend(t *testing.T) {
 	slow := &slowLog[int]{
 		inner:   &memLog[int]{},
@@ -379,7 +373,7 @@ func TestPublishHoldsNoTopicLockDuringAppend(t *testing.T) {
 	// These must return while the append is still blocked.
 	finished := make(chan struct{})
 	go func() {
-		topic.Subscribe()
+		topic.NewReader(0)
 		topic.LogStart()
 		_ = topic.Published()
 		close(finished)
@@ -387,7 +381,7 @@ func TestPublishHoldsNoTopicLockDuringAppend(t *testing.T) {
 	select {
 	case <-finished:
 	case <-time.After(2 * time.Second):
-		t.Fatal("Subscribe/LogStart blocked behind a retained append")
+		t.Fatal("NewReader/LogStart blocked behind a retained append")
 	}
 	close(slow.gate)
 	if err := <-done; err != nil {
@@ -542,13 +536,11 @@ func TestDiskWALPublishWithin2xOfMemory(t *testing.T) {
 	measure := func(backend func(tb testing.TB) LogBackend[int]) float64 {
 		res := testing.Benchmark(func(b *testing.B) {
 			topic := NewTopicWithLog[int](Options{Buffer: 1 << 16}, backend(b))
-			ch := topic.Subscribe()
-			done := make(chan struct{})
-			go func() {
-				for range ch {
-				}
-				close(done)
-			}()
+			r, err := topic.NewReader(0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			done := drainAll(r)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := topic.Publish(i, 0); err != nil {

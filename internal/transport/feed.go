@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,9 +95,9 @@ func (f *FeedClient) LogMeta() (logID, head, start uint64) {
 // replica's durable restore floor (the hub pins its log truncation to it
 // from the attach on), offset where the stream resumes, and reads the
 // replica's read surface, which answers the hub broker's requests arriving
-// on the feed. The returned subscription's channel closes on clean
-// end-of-stream (hub shutdown) or Close; connection drops reconnect with
-// idempotent redelivery.
+// on the feed. The returned subscription is the slot's Stream: it ends with
+// io.EOF on clean end-of-stream (hub shutdown) or Close; connection drops
+// reconnect with idempotent redelivery.
 func (f *FeedClient) SubscribeReplica(pid, r, gen int, floor, offset uint64, reads broker.Replica) (*FeedSub, error) {
 	f.mu.Lock()
 	if f.closed {
@@ -111,9 +112,10 @@ func (f *FeedClient) SubscribeReplica(pid, r, gen int, floor, offset uint64, rea
 		reads: reads,
 		floor: floor,
 		next:  offset,
-		ch:    make(chan queue.Envelope[graph.Edge], 256),
+		ready: make(chan struct{}, 1),
 		done:  make(chan struct{}),
 	}
+	s.room.L = &s.mu
 	f.subs[s] = struct{}{}
 	f.mu.Unlock()
 	f.wg.Add(1)
@@ -122,8 +124,8 @@ func (f *FeedClient) SubscribeReplica(pid, r, gen int, floor, offset uint64, rea
 }
 
 // Close severs every subscription and waits for their goroutines. Each
-// subscription's channel is closed, so consumers drain and exit exactly
-// as they do when an in-process topic closes.
+// subscription's stream ends, so consumers drain and exit exactly as they
+// do when an in-process topic closes.
 func (f *FeedClient) Close() {
 	f.mu.Lock()
 	f.closed = true
@@ -138,17 +140,29 @@ func (f *FeedClient) Close() {
 	f.wg.Wait()
 }
 
-// FeedSub is one replica's attachment to the hub's firehose over the wire.
+// feedBuffer bounds the envelopes a subscription holds decoded ahead of its
+// reader: past it the subscription reads no more frames from its socket, and
+// TCP carries the backpressure to the hub's feed handler.
+const feedBuffer = 256
+
+// FeedSub is one replica's attachment to the hub's firehose over the wire,
+// and the replica's Stream: its connection loop decodes the feed's frames
+// into pend, which Read takes from.
 type FeedSub struct {
 	f           *FeedClient
 	pid, r, gen int
 	reads       broker.Replica
 
-	next uint64 // next expected offset; envelopes below are dropped
-	ch   chan queue.Envelope[graph.Edge]
-	done chan struct{}
+	next  uint64        // next expected offset; envelopes below are dropped
+	ready chan struct{} // one-slot: envelopes, or the end, arrived
+	done  chan struct{} // closed by Close: the stream ends once pend is read
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// pend[rd:] is decoded and not yet read; room (on mu) parks the
+	// connection loop while it holds feedBuffer.
+	pend     []queue.Envelope[graph.Edge]
+	rd       int
+	room     sync.Cond
 	c        *conn
 	live     bool   // live announced; re-sent after reconnect
 	floor    uint64 // durable floor; carried by every (re)attach hello
@@ -156,8 +170,53 @@ type FeedSub struct {
 	stopOnce sync.Once
 }
 
-// C returns the envelope channel (same contract as a topic subscription).
-func (s *FeedSub) C() <-chan queue.Envelope[graph.Edge] { return s.ch }
+// Read takes the decoded envelopes in offset order (the Stream contract).
+func (s *FeedSub) Read(dst []queue.Envelope[graph.Edge]) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := copy(dst, s.pend[s.rd:])
+	s.rd += n
+	s.room.Signal()
+	switch {
+	case n == 0 && s.stopped():
+		return 0, io.EOF
+	case n > 0 && (s.rd < len(s.pend) || s.stopped()):
+		s.wake() // more to read, or the end
+	}
+	return n, nil
+}
+
+// Ready is the Stream's wake-up channel.
+func (s *FeedSub) Ready() <-chan struct{} { return s.ready }
+
+// push hands one frame's envelopes to the reader, less those below next (a
+// reconnect's redelivery), first waiting while the reader has feedBuffer
+// unread. False once the subscription is stopped: the frame is dropped.
+func (s *FeedSub) push(envs []queue.Envelope[graph.Edge]) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(s.pend)-s.rd >= feedBuffer && !s.stopped() {
+		s.room.Wait()
+	}
+	if s.stopped() {
+		return false
+	}
+	s.pend, s.rd = s.pend[:copy(s.pend, s.pend[s.rd:])], 0
+	for _, env := range envs {
+		if env.Offset >= s.next {
+			s.pend, s.next = append(s.pend, env), env.Offset+1
+		}
+	}
+	s.wake()
+	return true
+}
+
+func (s *FeedSub) wake() {
+	select {
+	case s.ready <- struct{}{}:
+	default: // a wake-up is pending already
+	}
+}
 
 // Err reports a terminal subscription error: the hub rejected the hello
 // (unknown slot, stale generation, truncated resume offset), or stayed
@@ -199,7 +258,8 @@ func (s *FeedSub) ReportFloor(floor uint64) {
 }
 
 // Close detaches the subscription: the connection drops (the hub marks the
-// slot down) and the envelope channel closes.
+// slot down) and the stream ends once what was decoded is read. The
+// connection loop closes its subscription on exit.
 func (s *FeedSub) Close() {
 	s.f.mu.Lock()
 	delete(s.f.subs, s)
@@ -208,10 +268,12 @@ func (s *FeedSub) Close() {
 		close(s.done)
 		s.mu.Lock()
 		c := s.c
+		s.room.Broadcast()
 		s.mu.Unlock()
 		if c != nil {
 			c.close()
 		}
+		s.wake()
 	})
 }
 
@@ -232,14 +294,14 @@ func (s *FeedSub) fail(err error) {
 
 // run is the subscription's connection loop (redial): each hello carries the
 // floor and resume offset as of its dial, each accepted connection streams
-// envelope batches into ch. Exits (closing ch) on EOS, stop, client close, or
-// a terminal redial error. A worker cannot tell a dead hub from one that shut
-// down cleanly while it was between connections (the EOS went to nobody), so
-// an exhausted outage budget ends the consumer and the worker's main loop
-// rather than redialing forever.
+// envelope batches into pend. Exits (ending the stream) on EOS, stop, client
+// close, or a terminal redial error. A worker cannot tell a dead hub from
+// one that shut down cleanly while it was between connections (the EOS went
+// to nobody), so an exhausted outage budget ends the consumer and the
+// worker's main loop rather than redialing forever.
 func (s *FeedSub) run() {
 	defer s.f.wg.Done()
-	defer close(s.ch)
+	defer s.Close()
 	envBuf := make([]queue.Envelope[graph.Edge], 0, 128)
 	var floor uint64 // as the latest hello carried it
 	hello := func() []byte {
@@ -310,16 +372,8 @@ func (s *FeedSub) stream(c *conn, envBuf *[]queue.Envelope[graph.Edge]) bool {
 			}
 			s.f.head.Store(meta.head)
 			s.f.start.Store(meta.start)
-			for _, env := range envs {
-				if env.Offset < s.next {
-					continue // redelivered after reconnect; already consumed
-				}
-				select {
-				case s.ch <- env:
-					s.next = env.Offset + 1
-				case <-s.done:
-					return true
-				}
+			if !s.push(envs) {
+				return true
 			}
 		case msgRecsReq, msgTopReq:
 			resp := s.answer(payload)

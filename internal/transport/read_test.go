@@ -123,8 +123,8 @@ func TestRemoteReadAcrossDrop(t *testing.T) {
 }
 
 // TestRemoteReadBehindFullFeed pins the read-waits-behind-feed outcome: a
-// worker whose envelope channel is full and undrained reads nothing from the
-// socket, so a read returns empty at the timeout and counts one error. Once
+// worker whose subscription holds feedBuffer envelopes unread reads nothing
+// from the socket, so a read returns empty at the timeout and counts one error. Once
 // the consumer drains, the feed still delivers every offset once, in order,
 // and the next read is answered — the late answer to the timed-out one is
 // dropped.
@@ -138,9 +138,14 @@ func TestRemoteReadBehindFullFeed(t *testing.T) {
 	sub := subscribeReads(t, srv, &fakeReads{})
 	rr := fake.member(t, 1)
 	rr.timeout = 100 * time.Millisecond
-	for deadline := time.Now().Add(10 * time.Second); len(sub.ch) < cap(sub.ch); time.Sleep(time.Millisecond) {
+	buffered := func() int {
+		sub.mu.Lock()
+		defer sub.mu.Unlock()
+		return len(sub.pend) - sub.rd
+	}
+	for deadline := time.Now().Add(10 * time.Second); buffered() < feedBuffer; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("envelope channel holds %d of %d", len(sub.ch), cap(sub.ch))
+			t.Fatalf("subscription holds %d of %d", buffered(), feedBuffer)
 		}
 	}
 
@@ -156,7 +161,7 @@ func TestRemoteReadBehindFullFeed(t *testing.T) {
 	}
 
 	for i := 0; i < n; i++ {
-		if env := <-sub.C(); env.Offset != uint64(i) {
+		if env, _ := recv(t, sub); env.Offset != uint64(i) {
 			t.Fatalf("envelope %d has offset %d", i, env.Offset)
 		}
 	}
@@ -165,7 +170,7 @@ func TestRemoteReadBehindFullFeed(t *testing.T) {
 		t.Errorf("read after the drain = %+v", recs)
 	}
 	fake.closeTopic()
-	if env, ok := <-sub.C(); ok {
+	if env, ok := recv(t, sub); ok {
 		t.Errorf("envelope %d after the last offset", env.Offset)
 	}
 	if err := sub.Err(); err != nil {

@@ -21,8 +21,21 @@ type Attachment interface {
 	NotifyLive()
 	// ReportFloor: the replica's durable restore floor advanced.
 	ReportFloor(floor uint64)
-	// Close detaches: the slot is down until the next attach.
+	// Close detaches, ending the attach's stream: the slot is down until
+	// the next attach.
 	Close()
+}
+
+// Stream is a replica's firehose, read at the replica's own offset: the
+// envelopes from its resume offset on, in offset order. Read copies what is
+// available into dst without blocking; after any Read, Ready receives once
+// another may return something new (a wake-up may find nothing). An error
+// ends the stream: io.EOF at the log's clean end. One goroutine reads a
+// stream. The hub's is a *queue.Reader over its topic; a worker's, the
+// *FeedSub that decodes the slot's feed frames.
+type Stream interface {
+	Read(dst []queue.Envelope[graph.Edge]) (int, error)
+	Ready() <-chan struct{}
 }
 
 // HubBackend is the hub tier's side of the replica-host contract, as the
@@ -34,11 +47,12 @@ type HubBackend interface {
 	LogMeta() (logID, head, start uint64)
 	// ReplicaAttached validates and records a worker taking ownership of
 	// slot (pid, r) at generation gen, publishing its restore floor and
-	// opening the firehose subscription at resume (replay-then-live) as one
-	// step; reads is the slot's broker member, which asks the worker over
-	// this attach's feed connection. The newest attachment owns the slot;
-	// what a superseded one reports, its Close included, is ignored.
-	ReplicaAttached(pid, r, gen int, floor, resume uint64, reads broker.Replica) (Attachment, <-chan queue.Envelope[graph.Edge], error)
+	// opening the firehose stream at resume as one step; reads is the
+	// slot's broker member, which asks the worker over this attach's feed
+	// connection. The newest attachment owns the slot; a superseded one's
+	// stream ends with queue.ErrClosed, and what it reports, its Close
+	// included, is ignored.
+	ReplicaAttached(pid, r, gen int, floor, resume uint64, reads broker.Replica) (Attachment, Stream, error)
 	// DeliverCandidates hands decoded candidate messages to the hub's
 	// delivery loop, in slice order, and returns once the loop has decided
 	// every one of them (filtered or run through the pipeline): the frame's
@@ -66,7 +80,8 @@ type ServerConfig struct {
 	Listen string
 	// Backend receives decoded protocol events.
 	Backend HubBackend
-	// BatchMax bounds envelopes coalesced per feed frame (defaults to 64).
+	// BatchMax bounds the envelopes one stream read, and so one feed frame,
+	// carries (defaults to 64).
 	BatchMax int
 	// Metrics receives per-connection-kind transport counters.
 	Metrics *metrics.Registry
@@ -200,10 +215,11 @@ func (s *Server) handleMeta(c *conn) {
 	c.writeMsg(appendLogMeta([]byte{msgMetaResp}, logMeta{logID, head, start}))
 }
 
-// handleFeed serves one replica's firehose subscription: replay-then-live
-// envelope batches and the broker's read requests downstream, floor/live
-// reports and read responses upstream. The slot's broker member lives as
-// long as this connection: when the handler returns, its calls fail.
+// handleFeed serves one replica's firehose stream: what each read of it
+// returns as one envelope frame, and the broker's read requests, downstream;
+// floor/live reports and read responses upstream. The slot's broker member
+// lives as long as this connection: when the handler returns, its calls
+// fail.
 func (s *Server) handleFeed(c *conn, body []byte) {
 	wr := wireCursor(body)
 	h := decodeHelloFeed(wr)
@@ -234,7 +250,7 @@ func (s *Server) handleFeed(c *conn, body []byte) {
 	}
 
 	// Reader: upstream floor/live reports and read responses; closes done on
-	// any error so the writer stops waiting on the subscription.
+	// any error so the writer stops waiting on the stream.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -260,41 +276,27 @@ func (s *Server) handleFeed(c *conn, body []byte) {
 		}
 	}()
 
-	batch := make([]queue.Envelope[graph.Edge], 0, s.cfg.BatchMax)
+	batch := make([]queue.Envelope[graph.Edge], s.cfg.BatchMax)
 	var frame []byte // every envelope batch is encoded into this one buffer
 	eos := false
 loop:
 	for {
-		select {
-		case env, ok := <-sub:
-			if !ok {
-				eos = true
-				break loop
-			}
-			batch = append(batch[:0], env)
-			// Coalesce whatever is immediately available, up to the bound.
-			for len(batch) < s.cfg.BatchMax {
-				select {
-				case env, ok := <-sub:
-					if !ok {
-						eos = true
-						break
-					}
-					batch = append(batch, env)
-					continue
-				case <-done:
-				default:
-				}
-				break
-			}
+		n, err := sub.Read(batch)
+		switch {
+		case n > 0:
 			logID, head, start := b.LogMeta()
-			frame = encodeEnvBatch(frame[:0], logMeta{logID, head, start}, batch)
+			frame = encodeEnvBatch(frame[:0], logMeta{logID, head, start}, batch[:n])
 			if err := c.writeMsg(frame); err != nil {
 				break loop
 			}
-			if eos {
-				break loop
-			}
+		case err != nil && !errors.Is(err, queue.ErrClosed):
+			// ErrClosed: a newer attach of the slot superseded this one,
+			// whose connection lasts, without an EOS, until it drops.
+			eos = true
+			break loop
+		}
+		select {
+		case <-sub.Ready():
 		case req := <-rr.reqs:
 			if err := c.writeMsg(req); err != nil {
 				break loop
@@ -303,8 +305,10 @@ loop:
 			break loop
 		}
 	}
-	if eos {
-		c.writeMsg([]byte{msgEOS})
+	// After an EOS the worker closes first: closing here with its reports
+	// unread would reset the connection, discarding the EOS in flight.
+	if eos && c.writeMsg([]byte{msgEOS}) == nil {
+		<-done
 	}
 	s.untrack(c)
 	c.close()

@@ -31,11 +31,11 @@ func writeFrame(w io.Writer, payload []byte) error {
 // without a cluster.
 type fakeHub struct {
 	logID uint64
+	// topic is the log: no backend, and a tail long enough for every test's
+	// stream, so a reader can open at any offset published.
+	topic *queue.Topic[graph.Edge]
 
 	mu       sync.Mutex
-	envs     []queue.Envelope[graph.Edge]
-	closed   bool
-	subs     map[chan queue.Envelope[graph.Edge]]uint64 // chan -> next offset to push
 	cands    []CandMsg
 	rawCands int
 	floor2   map[int]uint64            // pid -> highest delivered offset
@@ -55,7 +55,7 @@ type fakeHub struct {
 func newFakeHub(logID uint64) *fakeHub {
 	return &fakeHub{
 		logID:    logID,
-		subs:     make(map[chan queue.Envelope[graph.Edge]]uint64),
+		topic:    queue.NewTopicWithLog[graph.Edge](queue.Options{Buffer: 4096}, nil),
 		attached: make(map[[2]int]int),
 		reads:    make(map[[2]int]broker.Replica),
 		floor2:   make(map[int]uint64),
@@ -63,56 +63,33 @@ func newFakeHub(logID uint64) *fakeHub {
 }
 
 func (f *fakeHub) LogMeta() (uint64, uint64, uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.logID, uint64(len(f.envs)), 0
+	return f.logID, f.topic.Published(), 0
 }
 
-// ReplicaAttached opens a subscription at resume: replay, then live.
-func (f *fakeHub) ReplicaAttached(pid, r, gen int, floor, resume uint64, reads broker.Replica) (Attachment, <-chan queue.Envelope[graph.Edge], error) {
+// ReplicaAttached opens a reader at resume, clamped to the head.
+func (f *fakeHub) ReplicaAttached(pid, r, gen int, floor, resume uint64, reads broker.Replica) (Attachment, Stream, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.attached[[2]int{pid, r}]++
 	f.reads[[2]int{pid, r}] = reads
 	f.hellos = append(f.hellos, floor)
-	ch := make(chan queue.Envelope[graph.Edge], len(f.envs)+1024)
-	for _, env := range f.envs[min(resume, uint64(len(f.envs))):] {
-		ch <- env
+	sub, err := f.topic.NewReader(min(resume, f.topic.Published()))
+	if err != nil {
+		return nil, nil, err
 	}
-	if f.closed {
-		close(ch)
-	} else {
-		f.subs[ch] = uint64(len(f.envs))
-	}
-	return fakeAttachment{f, ch, len(f.hellos) - 1}, ch, nil
+	return fakeAttachment{f, sub, len(f.hellos) - 1}, sub, nil
 }
 
 // fakeAttachment records what one accepted hello's worker reports.
 type fakeAttachment struct {
-	f  *fakeHub
-	ch chan queue.Envelope[graph.Edge]
-	n  int // position among the accepted hellos
+	f   *fakeHub
+	sub *queue.Reader[graph.Edge]
+	n   int // position among the accepted hellos
 }
 
-func (f *fakeHub) publish(e graph.Edge) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	env := queue.Envelope[graph.Edge]{Offset: uint64(len(f.envs)), Msg: e}
-	f.envs = append(f.envs, env)
-	for ch := range f.subs {
-		ch <- env
-	}
-}
+func (f *fakeHub) publish(e graph.Edge) { f.topic.Publish(e, 0) }
 
-func (f *fakeHub) closeTopic() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.closed = true
-	for ch := range f.subs {
-		close(ch)
-		delete(f.subs, ch)
-	}
-}
+func (f *fakeHub) closeTopic() { f.topic.Close() }
 
 func (a fakeAttachment) NotifyLive() {
 	a.f.mu.Lock()
@@ -131,7 +108,7 @@ func (a fakeAttachment) Close() {
 	defer a.f.mu.Unlock()
 	a.f.detached++
 	a.f.closedBy = append(a.f.closedBy, a.n)
-	delete(a.f.subs, a.ch)
+	a.sub.Close()
 }
 
 // DeliverCandidates mirrors the hub's contract: idempotent under
@@ -161,6 +138,27 @@ func (f *fakeHub) ReplicaFinished(pid, r, gen int, floor uint64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.finished = append(f.finished, helloFeed{pid: pid, r: r, gen: gen, floor: floor})
+}
+
+// recv returns the stream's next envelope, or false at its end, waiting on
+// Ready between empty reads; it fails the test after 10s with neither.
+func recv(t *testing.T, s Stream) (queue.Envelope[graph.Edge], bool) {
+	t.Helper()
+	var one [1]queue.Envelope[graph.Edge]
+	for {
+		n, err := s.Read(one[:])
+		if n == 1 {
+			return one[0], true
+		}
+		if err != nil {
+			return queue.Envelope[graph.Edge]{}, false
+		}
+		select {
+		case <-s.Ready():
+		case <-time.After(10 * time.Second):
+			t.Fatal("no envelope and no end of stream within 10s")
+		}
+	}
 }
 
 // await polls cond, evaluated under the hub's lock, until it holds.
@@ -216,7 +214,7 @@ func TestFeedResumeAcrossDrops(t *testing.T) {
 	sub.NotifyLive()
 
 	var got []uint64
-	for env := range sub.C() {
+	for env, ok := recv(t, sub); ok; env, ok = recv(t, sub) {
 		got = append(got, env.Offset)
 		if len(got) == 15 {
 			if n := srv.DropConnections(); n == 0 {
@@ -254,6 +252,61 @@ func TestFeedResumeAcrossDrops(t *testing.T) {
 	}
 	if fake.lives < 1 {
 		t.Errorf("live reports = %d, want >= 1 (sticky re-announce)", fake.lives)
+	}
+}
+
+// TestFeedEOSSurvivesWorkerReports: a worker that keeps reporting while it
+// reads the tail of a closed log slowly gets every envelope and the EOS. A
+// hub that closed its end while frames were still queued for the worker
+// would have its kernel answer the next report with a reset, discarding
+// them; the hub lets the worker close first.
+func TestFeedEOSSurvivesWorkerReports(t *testing.T) {
+	const n = 1500
+	fake := newFakeHub(11)
+	for i := 0; i < n; i++ {
+		fake.publish(graph.Edge{Src: graph.VertexID(i), Dst: graph.VertexID(i + 1), TS: int64(i)})
+	}
+	fake.closeTopic()
+	srv := testServer(t, fake)
+	nc, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc.(*net.TCPConn).SetReadBuffer(4 << 10) // the worker reads slowly: frames queue on the hub
+	c := newConn(nc, nil, nil)
+	defer c.close()
+	if _, err := nc.Write(connMagic[:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.writeMsg(encodeHelloFeed(helloFeed{floor: 1})); err != nil {
+		t.Fatal(err)
+	}
+	if ack, err := c.readMsg(); err != nil || ack[0] != msgFeedAck {
+		t.Fatalf("hello answered %v, %v", ack, err)
+	}
+	go func() {
+		for floor := uint64(2); c.writeMsg(appendU1(nil, msgFloorReport, floor)) == nil; floor++ {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+	got := 0
+	for {
+		payload, err := c.readMsg()
+		if err != nil {
+			t.Fatalf("feed ended with %v after %d of %d envelopes, before its EOS", err, got, n)
+		}
+		if payload[0] == msgEOS {
+			break
+		}
+		_, envs, err := decodeEnvBatch(wireCursor(payload[1:]), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got += len(envs)
+		time.Sleep(time.Millisecond)
+	}
+	if got != n {
+		t.Fatalf("EOS after %d envelopes, want %d", got, n)
 	}
 }
 
@@ -625,7 +678,7 @@ func TestCandFinNamesFinishedSlots(t *testing.T) {
 	}
 	fake.await(t, "feed never attached", func() bool { return fake.attached[[2]int{0, 1}] == 1 })
 	fake.closeTopic()
-	for range sub.C() {
+	for _, ok := recv(t, sub); ok; _, ok = recv(t, sub) {
 	}
 	fc.Close()
 	sub.ReportFloor(40)
