@@ -56,18 +56,21 @@ examples:
 # commits (to users at depth 0, at its working set with runs coming and going
 # TestCommitWorkingSetZeroAlloc 0, to 4 096 new users ≤ 0.05 a candidate);
 # the checkpoint writer's encode (TestSegmentAppendZeroAlloc: a sealed delta
-# and a sealed base appended into a buffer with room, 0);
+# and a sealed base appended into a buffer with room, 0) and the compactor's
+# fold (TestFoldAllocBudget: a base and eight deltas walked and folded into a
+# buffer with room, a constant at every cut shape);
 # the apply loop's no-candidate batch over two workers (0); the funnel's
 # offer (a live duplicate 0, a delivery ≤ 0.01: chunks of 256 Notifications
 # and their Vias); the wire's: a candidate connection's decode (≤ 0.02 a
 # candidate, TestDecodeCandBatchAllocBudget), an envelope batch encoded and
-# framed (TestEnvBatchFrameZeroAlloc, 0) and a frame read
-# (TestReadMsgZeroAlloc, 0); the delivery loop's simulated queue-delay draws
+# framed (TestEnvBatchFrameZeroAlloc, 0), a frame read
+# (TestReadMsgZeroAlloc, 0) and a candidate frame framed into an acked
+# frame's buffer (TestCandFrameRecycledZeroAlloc, 0); the delivery loop's simulated queue-delay draws
 # (TestHopDelayZeroAlloc, 0) — without the race detector: instrumentation
 # changes allocation counts, so under -race they skip. Every *ZeroAlloc gate
 # is selected by the regex's first term.
 test-allocs:
-	$(GO) test -run 'ZeroAlloc|TestInsertAllocBudget|TestLoadSnapshotAllocBudget|TestDetectBatchAllocBudget|TestCommitAllocBudget|TestCommitNewUsersAllocBudget|TestOfferAllocBudget|TestDecodeCandBatchAllocBudget' ./internal/graph ./internal/statstore ./internal/arena ./internal/dynstore ./internal/core ./internal/partition ./internal/cluster ./internal/delivery ./internal/transport
+	$(GO) test -run 'ZeroAlloc|TestInsertAllocBudget|TestLoadSnapshotAllocBudget|TestDetectBatchAllocBudget|TestCommitAllocBudget|TestCommitNewUsersAllocBudget|TestOfferAllocBudget|TestDecodeCandBatchAllocBudget|TestFoldAllocBudget' ./internal/graph ./internal/statstore ./internal/arena ./internal/dynstore ./internal/core ./internal/partition ./internal/cluster ./internal/delivery ./internal/transport
 
 # test-crashmatrix runs just the fault-injection matrix (kill / restore /
 # whole-cluster restart at every pipeline stage, oracle-asserted, once per
@@ -143,22 +146,29 @@ test-planner: test-allocs
 	$(GO) test -race -run 'TestEngineShared|TestEngineRejectsNonPlans|TestMultiQuery' ./internal/core ./internal/cluster
 
 # test-codec runs the checkpoint codec's gates: the allocation budgets of
-# segment decode, delta capture and the candidate log (commit to users at
+# segment decode, the compactor's fold (TestFoldAllocBudget, a constant at
+# every cut shape, the measured multiquery cut's included), delta capture
+# and the candidate log (commit to users at
 # depth, commit to 4 096 new users — TestCommitNewUsersAllocBudget, ≤ 0.05 a
 # candidate; both in test-allocs too — and read) with the log's exact bytes
 # per retained candidate
 # (without race, like test-planner's:
 # instrumentation changes allocation counts), the golden files (the WAL's
 # two segment versions and the wire's frames among them) with the exhaustive
-# prefix / bit-flip properties beside each fuzz target, the cursor's own
-# tests, the segment merge law (its table, the differential fuzz target's
-# seeds, the rejection of keys out of order) and
-# one iteration of the compactor's fold (base + 8 deltas from disk) — the
-# quick loop for codec work.
+# prefix / bit-flip properties beside each fuzz target (a segment's walk
+# rejecting each prefix and flip exactly where the one-pass decoder it
+# replaced does among them), the cursor's own tests, the segment merge law
+# (its table, the differential fuzz target's seeds, the rejection of keys out
+# of order), the fold of encoded segments (its differential fuzz target's
+# seeds against the map oracle, the oracle at every cut shape, a base
+# superseding what precedes it) and one iteration of the compactor's fold
+# (base + 8 deltas from disk, at the steady and the multiquery cut shape) —
+# each section is one reader: the walk checks, the decode materialises the
+# spans it kept, and the fold copies them — the quick loop for codec work.
 test-codec:
 	$(GO) test -run 'AllocBudget|Footprint' ./internal/partition ./internal/dynstore
 	$(GO) test -run 'Golden|PrefixesAndBitFlips|Cursor|Arena|TestRun' ./internal/codecutil ./internal/partition ./internal/dynstore ./internal/delivery ./internal/placement ./internal/queue ./internal/transport ./internal/cluster ./internal/stream
-	$(GO) test -run 'SegmentMerge|KeysOutOfOrder|DuplicateTarget' ./internal/partition ./internal/dynstore
+	$(GO) test -run 'SegmentMerge|KeysOutOfOrder|DuplicateTarget|Fold' ./internal/partition ./internal/dynstore
 	$(GO) test -run=NONE -bench BenchmarkCheckpointCompose -benchtime=1x -count=1 ./internal/partition
 
 # test-benchmark vets and tests the nested motifstream/benchmark module
@@ -264,7 +274,8 @@ soak-net:
 # delivery-state codec, the hub's delivery.state file, the
 # recorded-stream file, the manifest and the placement table, the transport wire protocol and its candidate
 # decode's round trip through one connection's arenas, the motif DSL compiler,
-# the restore planner, the segment merge, the candidate log, the plan
+# the restore planner, the segment merge, the fold of encoded segments, the
+# candidate log, the plan
 # executor, the threshold kernel's strategies, the packed S build, the block
 # arena under both its policies, the flat D store and the stream generator
 # (each against its references) continuously fuzzed without
@@ -292,6 +303,7 @@ fuzz-smoke:
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzCompile ./internal/motifdsl
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzPlanRestore ./internal/cluster
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzSegmentMerge ./internal/partition
+	$(GO) test $(FUZZFLAGS) -fuzz FuzzFold ./internal/partition
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzCandidateLog ./internal/partition
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzPlanMatchesReference ./internal/motif
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzThresholdIntersect ./internal/graph

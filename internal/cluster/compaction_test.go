@@ -190,16 +190,27 @@ func TestFailedSegmentWriteCarriesDirtForward(t *testing.T) {
 	if len(w.man.segs) != 1 {
 		t.Fatalf("manifest has %d segments, want 1", len(w.man.segs))
 	}
-	st, used, offset := composeChain(goodDir, w.man.segs)
+	base, used, offset := composeChain(goodDir, w.man.segs, nil)
 	if used != 1 || offset != 20 {
 		t.Fatalf("composeChain = used %d offset %d", used, offset)
 	}
+	st := decodeBase(t, base)
 	if _, ok := findTarget(st, 7); !ok {
 		t.Fatal("failed cut's target 7 missing from the chain (hole)")
 	}
 	if _, ok := findTarget(st, 9); !ok {
 		t.Fatal("second cut's target 9 missing from the chain")
 	}
+}
+
+// decodeBase decodes a base composeChain folded.
+func decodeBase(t *testing.T, base []byte) *partition.Segment {
+	t.Helper()
+	st, err := partition.DecodeBase(base, nil)
+	if err != nil {
+		t.Fatalf("composed base does not decode: %v", err)
+	}
+	return st
 }
 
 // findTarget looks c up in a segment's D section.
@@ -269,10 +280,11 @@ func TestWriterCarriesTombstones(t *testing.T) {
 			if len(w.man.segs) != 1 || w.man.segs[0].kind != segKindBase {
 				t.Fatalf("chain did not compact: %v", w.man.segs)
 			}
-			st, used, offset := composeChain(dir, w.man.segs)
+			base, used, offset := composeChain(dir, w.man.segs, nil)
 			if used != 1 || offset != 30 {
 				t.Fatalf("composeChain = used %d offset %d", used, offset)
 			}
+			st := decodeBase(t, base)
 			if list, ok := findTarget(st, 7); ok {
 				t.Fatalf("swept target 7 is back in the composed chain: %v", list)
 			}
@@ -281,7 +293,7 @@ func TestWriterCarriesTombstones(t *testing.T) {
 					t.Fatalf("target %d missing from the composed chain", kept)
 				}
 			}
-			got := st.Fingerprint()
+			got := partition.FingerprintOf(base)
 			if want := fingerprint(p); got != want {
 				t.Fatalf("composed fingerprint %08x, live partition %08x", got, want)
 			}

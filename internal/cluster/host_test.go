@@ -118,13 +118,11 @@ func composedChain(t *testing.T, h *replicaHost, dir string) ([]byte, uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, used, offset := composeChain(dir, man.segs)
+	base, used, offset := composeChain(dir, man.segs, nil)
 	if used != len(man.segs) || used == 0 {
 		t.Fatalf("chain composes %d of %d segments", used, len(man.segs))
 	}
-	var buf bytes.Buffer
-	buf.Write(st.AppendBase(nil))
-	return buf.Bytes(), offset
+	return base, offset
 }
 
 // TestReplicaHostAckGate drives the skip arm of cutCheckpoint, which only a

@@ -503,14 +503,14 @@ func (w *ckptWriter) compact() {
 	if len(w.man.segs) < 2 {
 		return
 	}
-	st, used, offset := composeChain(w.dir, w.man.segs)
+	base, used, offset := composeChain(w.dir, w.man.segs, w.buf[:0])
+	w.buf = base
 	if used < len(w.man.segs) {
 		// A corrupt segment mid-chain: leave it for restore-time fallback
 		// rather than compacting a prefix and silently losing the rest.
 		w.h.ckptErrors.Inc()
 		return
 	}
-	w.buf = st.AppendBase(w.buf[:0])
 	if w.h.audit {
 		// Compaction self-check: the composed chain re-derives a state the
 		// replica also held live (the newest cut), so their fingerprints
@@ -556,36 +556,23 @@ func (w *ckptWriter) compact() {
 	w.h.mirrorBase(w.rep, w.buf, offset)
 }
 
-// composeChain decodes segments in order, stopping at the first unreadable
-// or corrupt one — the segment-at-a-time fallback — and merges those into
-// one base segment. Returns the composed state, how many segments were
-// used, and the offset of the last used segment (zero when none were).
-func composeChain(dir string, segs []segmentRef) (st *partition.Segment, used int, offset uint64) {
-	var chain []*partition.Segment
-	var names codecutil.Strings // the chain's program names, one copy each
+// composeChain folds segments in order into one base appended to buf,
+// stopping at the first unreadable or corrupt one — the segment-at-a-time
+// fallback. Each segment is read whole and walked, CRC first, before it joins
+// the fold, so a corrupt one leaves the chain before it as it was; nothing is
+// decoded (partition.Chain), so the files read, not a decoded chain, bound
+// the fold's footprint. Returns the base, how many segments were used, and
+// the offset of the last used segment (zero when none were).
+func composeChain(dir string, segs []segmentRef, buf []byte) (base []byte, used int, offset uint64) {
+	var chain partition.Chain
 	for _, ref := range segs {
-		// Each segment is read whole and decoded, CRC first, before any is
-		// merged: a corrupt one leaves the chain before it as it was. The
-		// decoded chain, not the files, bounds the fold's footprint.
 		data, err := os.ReadFile(segmentPath(dir, ref))
-		if err != nil {
+		if err != nil || chain.Add(data, ref.kind == segKindBase) != nil {
 			break
 		}
-		decode := partition.ParseDelta
-		if ref.kind == segKindBase {
-			decode = partition.DecodeBase
-		}
-		seg, err := decode(data, &names)
-		if err != nil {
-			break
-		}
-		if ref.kind == segKindBase {
-			chain = chain[:0] // a base supersedes everything older
-		}
-		chain = append(chain, seg)
 		used, offset = used+1, ref.offset
 	}
-	return partition.Merge(true, chain...), used, offset
+	return chain.AppendBase(buf), used, offset
 }
 
 // clampChainPrefix returns how many leading segments have cut offsets at

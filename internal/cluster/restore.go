@@ -93,33 +93,37 @@ func planRestore(in restoreInputs) (restorePlan, error) {
 		plan.faults++
 		plan.mustTrim = true
 	}
-	st, used, offset := composeChain(in.dir, segs[:keep])
+	chain, used, offset := composeChain(in.dir, segs[:keep], nil)
 	if used < keep {
 		plan.faults++
 	}
 	plan.keep = used
+	var base []byte // the encoded state the plan installs
 	if used > 0 {
-		plan.state, plan.offset = st, offset
+		base, plan.offset = chain, offset
 		plan.floor = (&manifest{segs: segs[:used]}).floorOffset()
 	}
 	if plan.offset < in.logStart || len(segs) == 0 {
 		if st, data, off, ok := composeFromPool(in.pool, in.logStart, in.head); ok {
 			plan.state, plan.seed, plan.offset, plan.floor = st, data, off, off
+			base = data
 		} else if plan.offset < in.logStart {
 			return plan, fmt.Errorf("restore point %d below log start %d and no usable base in the partition pool: %w",
 				plan.offset, in.logStart, queue.ErrTruncated)
 		}
 	}
-	// Audit cross-check: the state about to be installed must fingerprint-
-	// equal what a replica recorded when it held that state live. A pool
-	// base's fingerprint is its verified checksum trailer; a composed
-	// chain's is computed.
-	if want, found := in.recorded[plan.offset]; found && plan.state != nil && plan.offset > 0 {
-		got, ok := baseFingerprint(plan.seed)
-		if !ok {
-			got = plan.state.Fingerprint()
+	if plan.state == nil && base != nil {
+		// The chain's fold, decoded once.
+		if plan.state, err = partition.DecodeBase(base, nil); err != nil {
+			return plan, fmt.Errorf("composed chain at offset %d does not decode: %w", plan.offset, err)
 		}
-		plan.audited, plan.got, plan.want = true, got, want
+	}
+	// Audit cross-check: the state about to be installed must fingerprint-
+	// equal what a replica recorded when it held that state live. Its
+	// fingerprint is the trailer of the base it decodes from, a pool base or
+	// the chain's fold.
+	if want, found := in.recorded[plan.offset]; found && base != nil && plan.offset > 0 {
+		plan.audited, plan.got, plan.want = true, partition.FingerprintOf(base), want
 	}
 	return plan, nil
 }

@@ -136,16 +136,22 @@ func (c *Cursor) Count(context string, minBytes int) int {
 	return int(n)
 }
 
-// String reads a length-prefixed string of at most max bytes. Equal
-// strings read through one cursor, or through cursors sharing a table
-// (Intern), share one copy: a segment or a candidate batch names each of its
-// few motif programs once per candidate.
-func (c *Cursor) String(context string, max int) string {
+// Bytes reads a length-prefixed byte string of at most max bytes, aliasing
+// the section.
+func (c *Cursor) Bytes(context string, max int) []byte {
 	n := c.U(context)
 	if c.Err == nil && n > uint64(max) {
 		c.Fail(context, fmt.Errorf("implausible length %d", n))
 	}
-	b := c.take(context, int(n))
+	return c.take(context, int(n))
+}
+
+// String reads what Bytes reads as a string. Equal strings read through one
+// cursor, or through cursors sharing a table (Intern), share one copy: a
+// segment or a candidate batch names each of its few motif programs once per
+// candidate.
+func (c *Cursor) String(context string, max int) string {
+	b := c.Bytes(context, max)
 	if len(b) == 0 {
 		return ""
 	}
@@ -239,10 +245,10 @@ type Arena[T any] struct {
 const arenaChunk = 4096
 
 // SectionArena returns the arena for the elements, each at least minBytes
-// long, of the section c has left: one array when the section can hold no
+// long, that n bytes of a section encode: one array when they can hold no
 // more than arenaChunk of them, arenaChunk-sized arrays otherwise.
-func SectionArena[T any](c *Cursor, minBytes int) Arena[T] {
-	return Arena[T]{Chunk: min(c.Len()/minBytes, arenaChunk)}
+func SectionArena[T any](n, minBytes int) Arena[T] {
+	return Arena[T]{Chunk: min(n/minBytes, arenaChunk)}
 }
 
 // Take returns a zeroed slice of n elements, nil for n == 0.

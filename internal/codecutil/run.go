@@ -2,6 +2,7 @@ package codecutil
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
 )
@@ -38,6 +39,47 @@ func AppendAscending[K cmp.Ordered, V any](c *Cursor, context string, r Run[K, V
 	}
 	return append(r, Entry[K, V]{key, val})
 }
+
+// ReadRun reads a section AppendRun wrote: the entry count, bounded by the
+// bytes left at minBytes an entry, then per entry the key and the value read
+// takes, failing c unless the keys ascend (AppendAscending). The contexts name
+// the count and the key in error messages.
+func ReadRun[K ~uint64, V any](c *Cursor, count, key string, minBytes int, read func(*Cursor) V) Run[K, V] {
+	n := c.Count(count, minBytes)
+	r := make(Run[K, V], 0, n)
+	for i := 0; i < n && c.Err == nil; i++ {
+		k := K(c.U(key))
+		r = AppendAscending(c, key, r, k, read(c))
+	}
+	return r
+}
+
+// AppendRun appends a sealed run as every checkpoint section lays one out:
+// the entry count, then per entry, ascending, the key as a uvarint and
+// whatever put appends for the value.
+func AppendRun[K ~uint64, V any](b []byte, r Run[K, V], put func([]byte, V) []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(r)))
+	for _, e := range r {
+		b = put(binary.AppendUvarint(b, uint64(e.Key)), e.Val)
+	}
+	return b
+}
+
+// SpanOf is ReadRun's reader for a run of spans: it runs check, which reads
+// one value's encoding — validating it and keeping nothing — and returns the
+// bytes check read, a window of the section, so the value is carried without
+// being decoded.
+func SpanOf(check func(*Cursor)) func(*Cursor) []byte {
+	return func(c *Cursor) []byte {
+		pos := c.pos
+		check(c)
+		return c.b[pos:c.pos:c.pos]
+	}
+}
+
+// AppendSpan is AppendRun's put for a run of spans: the value's encoding as
+// it was read.
+func AppendSpan(b, span []byte) []byte { return append(b, span...) }
 
 // MergeRuns is the newer-wins merge of sealed runs given in cut order,
 // oldest first — the one rule every composition of checkpoint segments

@@ -25,18 +25,23 @@ const engineSnapVersion = 1
 // base is written without touching a live Engine, and how AppendState
 // writes a live one.
 func AppendEngineState(b []byte, sweepClock int64, targets dynstore.Targets) []byte {
-	b = binary.AppendVarint(codecutil.AppendHeader(b, engineMagic, engineSnapVersion), sweepClock)
-	return dynstore.AppendTargets(b, targets, false)
+	return dynstore.AppendTargets(AppendEngineHeader(b, sweepClock), targets, false)
 }
 
-// DecodeEngineStateAt parses the engine checkpoint section that is the
-// rest of c into the sweep clock and a run of D targets without touching
-// any Engine, so delta segments can be merged on top before installation.
-// The error, if any, is latched on c.
-func DecodeEngineStateAt(c *codecutil.Cursor) (sweepClock int64, targets dynstore.Targets) {
+// AppendEngineHeader appends the engine section up to its D section: magic,
+// version and the sweep clock. A D section must follow.
+func AppendEngineHeader(b []byte, sweepClock int64) []byte {
+	return binary.AppendVarint(codecutil.AppendHeader(b, engineMagic, engineSnapVersion), sweepClock)
+}
+
+// WalkEngineStateAt reads the engine checkpoint section that is the rest of
+// c into the sweep clock and the D section's spans (dynstore.WalkTargetsAt),
+// checking it whole and decoding no list. The error, if any, is latched on
+// c.
+func WalkEngineStateAt(c *codecutil.Cursor) (sweepClock int64, targets dynstore.Spans) {
 	c.Header(engineMagic, engineSnapVersion)
 	sweepClock = c.I("sweep clock")
-	return sweepClock, dynstore.DecodeTargetsAt(c, false)
+	return sweepClock, dynstore.WalkTargetsAt(c, false)
 }
 
 // AppendState appends the engine's recoverable state — the sweep clock and

@@ -32,11 +32,11 @@ func newCheckpointEngine(t *testing.T) *Engine {
 // decode leaves the engine as it was.
 func restore(e *Engine, data []byte) error {
 	c := codecutil.NewCursor(data, "core")
-	sweepClock, targets := DecodeEngineStateAt(c)
+	sweepClock, spans := WalkEngineStateAt(c)
 	if err := c.Done(); err != nil {
 		return err
 	}
-	e.LoadState(sweepClock, targets)
+	e.LoadState(sweepClock, dynstore.DecodeTargets(spans))
 	return nil
 }
 

@@ -40,10 +40,9 @@ func frameMagic(delta bool) [8]byte {
 	return snapMagic
 }
 
-// appendFrame appends one target's frame: the target, the list length, then
-// per entry B and the timestamp's delta from the previous entry.
-func appendFrame(b []byte, c graph.VertexID, list []InEdge) []byte {
-	b = binary.AppendUvarint(b, uint64(c))
+// appendList appends one target's list after its id: the length, then per
+// entry B and the timestamp's delta from the previous entry.
+func appendList(b []byte, list []InEdge) []byte {
 	b = binary.AppendUvarint(b, uint64(len(list)))
 	prev := int64(0)
 	for _, in := range list {
@@ -54,46 +53,82 @@ func appendFrame(b []byte, c graph.VertexID, list []InEdge) []byte {
 	return b
 }
 
-// AppendTargets appends a sealed run as a snapshot section or, with delta
-// set, a delta section — magic, version, target count, one frame per target,
-// closed by a CRC32C trailer over everything before it: how a segment is
-// written without instantiating a Store, and how Store.AppendSnapshot
-// writes a live one.
-func AppendTargets(b []byte, t Targets, delta bool) []byte {
-	start := len(b)
-	b = codecutil.AppendHeader(b, frameMagic(delta), snapVersion)
-	b = binary.AppendUvarint(b, uint64(len(t)))
-	for _, e := range t {
-		b = appendFrame(b, e.Key, e.Val)
+// readList reads a list appendList wrote into arena or, with arena nil,
+// only checks it. It is the one reader of the layout: the walk checks every
+// frame with it, and DecodeTargets materialises the spans the walk kept.
+func readList(c *codecutil.Cursor, arena *codecutil.Arena[InEdge]) []InEdge {
+	// An entry is at least two bytes.
+	n := c.Count("target length", 2)
+	var list []InEdge
+	if arena != nil {
+		list = arena.Take(n)
 	}
+	prev := int64(0)
+	for j := 0; j < n; j++ {
+		b := graph.VertexID(c.U("entry source"))
+		prev += c.I("entry timestamp")
+		if list != nil {
+			list[j] = InEdge{B: b, TS: prev}
+		}
+	}
+	return list
+}
+
+// Spans is a D section as the walk leaves it: target → the bytes encoding
+// its list, windows of the file that was walked.
+type Spans = codecutil.Run[graph.VertexID, []byte]
+
+// appendSection appends a snapshot section or, with delta set, a delta
+// section — magic, version, target count, one frame per target (its id, then
+// what put appends), closed by a CRC32C trailer over everything before it.
+func appendSection[V any](b []byte, r codecutil.Run[graph.VertexID, V], delta bool, put func([]byte, V) []byte) []byte {
+	start := len(b)
+	b = codecutil.AppendRun(codecutil.AppendHeader(b, frameMagic(delta), snapVersion), r, put)
 	return codecutil.AppendChecksum(b, start)
 }
 
-// DecodeTargetsAt parses the snapshot (or delta) section written by
-// AppendTargets, which must be the rest of c (every file that embeds one
-// puts it last): the CRC32C trailer is verified over the whole section
-// before a frame is parsed. No Store is touched — the restore path decodes
-// into runs first so delta segments can be merged on top before
-// installation. All lists share one arena, so the run is for merging and
-// re-encoding; whoever keeps a list long-term copies it out (LoadSnapshot
-// does). Malformed input latches an error on c, never panics.
-func DecodeTargetsAt(c *codecutil.Cursor, delta bool) Targets {
+// AppendTargets appends a sealed run as a snapshot or delta section: how a
+// segment is written without instantiating a Store, and how
+// Store.AppendSnapshot writes a live one.
+func AppendTargets(b []byte, t Targets, delta bool) []byte {
+	return appendSection(b, t, delta, appendList)
+}
+
+// AppendSpans appends walked spans as a snapshot or delta section: how a
+// fold writes the lists it merged without decoding them. For spans a walk
+// of AppendTargets' bytes kept, the bytes are AppendTargets'.
+func AppendSpans(b []byte, s Spans, delta bool) []byte {
+	return appendSection(b, s, delta, codecutil.AppendSpan)
+}
+
+// WalkTargetsAt reads the snapshot (or delta) section AppendTargets wrote,
+// which must be the rest of c (every file that embeds one puts it last),
+// into spans over c's bytes: the CRC32C trailer is verified over the whole
+// section before a frame is read, then every frame is checked — ids
+// ascending, counts bounded by the bytes left — and none decoded. Malformed
+// input latches an error on c, never panics.
+func WalkTargetsAt(c *codecutil.Cursor, delta bool) Spans {
 	c.Checked()
 	c.Header(frameMagic(delta), snapVersion)
-	// A frame is at least two bytes, and so is an entry.
-	count := c.Count("target count", 2)
-	out := make(Targets, 0, count)
-	arena := codecutil.SectionArena[InEdge](c, 2)
-	for i := 0; i < count && c.Err == nil; i++ {
-		cid := graph.VertexID(c.U("target id"))
-		list := arena.Take(c.Count("target length", 2))
-		prev := int64(0)
-		for j := range list {
-			list[j].B = graph.VertexID(c.U("entry source"))
-			prev += c.I("entry timestamp")
-			list[j].TS = prev
-		}
-		out = codecutil.AppendAscending(c, "target id", out, cid, list)
+	// A frame is at least two bytes.
+	return codecutil.ReadRun[graph.VertexID](c, "target count", "target id", 2,
+		codecutil.SpanOf(func(c *codecutil.Cursor) { readList(c, nil) }))
+}
+
+// DecodeTargets materialises walked spans into a run of lists. No Store is
+// touched — the restore path decodes into runs so an installation is one
+// pass. All lists share one arena, so the run is for merging and
+// re-encoding; whoever keeps a list long-term copies it out (LoadSnapshot
+// does).
+func DecodeTargets(s Spans) Targets {
+	n := 0
+	for _, e := range s {
+		n += len(e.Val)
+	}
+	out := make(Targets, len(s))
+	arena := codecutil.SectionArena[InEdge](n, 2)
+	for i, e := range s {
+		out[i] = codecutil.Entry[graph.VertexID, []InEdge]{Key: e.Key, Val: readList(codecutil.NewCursor(e.Val, "dynstore snapshot"), &arena)}
 	}
 	return out
 }

@@ -34,7 +34,7 @@ func randomStore(r *rand.Rand, opts Options, shards, events int) *Store {
 // into a run, no store touched.
 func decodeSnapshot(data []byte) (Targets, error) {
 	c := codecutil.NewCursor(data, "dynstore")
-	targets := DecodeTargetsAt(c, false)
+	targets := DecodeTargets(WalkTargetsAt(c, false))
 	return targets, c.Done()
 }
 
@@ -215,7 +215,7 @@ func TestSnapshotEmbeddedAtCursorPosition(t *testing.T) {
 	for range "HEADER" {
 		c.Byte("header")
 	}
-	targets := DecodeTargetsAt(c, false)
+	targets := DecodeTargets(WalkTargetsAt(c, false))
 	if err := c.Done(); err != nil {
 		t.Fatal(err)
 	}

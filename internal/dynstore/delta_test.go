@@ -18,7 +18,7 @@ func deltaTestStore() *Store {
 // decodeDelta parses a whole delta section into a run.
 func decodeDelta(data []byte) (Targets, error) {
 	c := codecutil.NewCursor(data, "dynstore delta")
-	d := DecodeTargetsAt(c, true)
+	d := DecodeTargets(WalkTargetsAt(c, true))
 	return d, c.Done()
 }
 

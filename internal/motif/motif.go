@@ -85,16 +85,34 @@ func AppendCandidate(b []byte, c Candidate) []byte {
 
 // ReadCandidate reads a candidate as AppendCandidate wrote it into c, taking
 // its Via from vias once Count has bounded the length against the bytes left.
+// With c nil it only checks the encoding — every field, the Via count and
+// the program name's bound — and keeps nothing: how a checkpoint walk
+// validates a candidate it carries as bytes.
 func ReadCandidate(r *codecutil.Cursor, vias *codecutil.Arena[graph.VertexID], c *Candidate) {
+	var check Candidate
+	keep := c != nil
+	if !keep {
+		c = &check
+	}
 	c.User = graph.VertexID(r.U("candidate user"))
 	c.Item = graph.VertexID(r.U("candidate item"))
-	c.Via = vias.Take(r.Count("candidate via count", 1))
-	for i := range c.Via {
-		c.Via[i] = graph.VertexID(r.U("candidate via"))
+	n := r.Count("candidate via count", 1)
+	if keep {
+		c.Via = vias.Take(n)
+	}
+	for i := 0; i < n; i++ {
+		v := graph.VertexID(r.U("candidate via"))
+		if keep {
+			c.Via[i] = v
+		}
 	}
 	c.Trigger = graph.ReadEdge(r, "candidate trigger")
 	c.DetectedAtMS = r.I("candidate detected-at")
-	c.Program = r.String("candidate program", maxProgramName)
+	if keep {
+		c.Program = r.String("candidate program", maxProgramName)
+	} else {
+		r.Bytes("candidate program", maxProgramName)
+	}
 	c.Score = math.Float64frombits(r.U("candidate score"))
 }
 

@@ -329,7 +329,7 @@ func (l *candidateLog) get(a graph.VertexID) []motif.Candidate {
 }
 
 // appendTo appends the candidate-log section from the runs, users ascending,
-// byte for byte what appendRun makes of the materialised lists.
+// byte for byte what codecutil.AppendRun makes of the materialised lists.
 func (l *candidateLog) appendTo(b []byte) []byte {
 	l.mu.RLock()
 	defer l.mu.RUnlock()

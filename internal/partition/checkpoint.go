@@ -18,10 +18,12 @@ import (
 // from a newer offline build) on restore, exactly as a production replica
 // reloads the latest S snapshot on boot.
 //
-// Checkpoints are decoded into a Segment — sorted runs, no locks, no live
-// structures — rather than straight into a live Partition, so the recovery
-// path can merge a base with a chain of delta segments (see delta.go)
-// before installing the result once.
+// A chain of checkpoint files — a base and the delta segments cut after it
+// (see delta.go) — is folded without decoding it (Chain): every section is a
+// sorted run of full replacement values, so the fold merges the runs' keys
+// and copies the winners' bytes. Only the state a restore installs is
+// decoded, into a Segment — sorted runs, no locks, no live structures — and
+// installed once.
 
 // partMagic identifies the partition checkpoint format. Version 2 closes
 // every base segment with a CRC32C trailer over the whole file (magic
@@ -38,10 +40,9 @@ const partSnapVersion = 2
 // holds a partition's whole recoverable state and no empty list; a delta
 // holds what one cut dirtied, and an empty list in it is a tombstone: the
 // target was swept since the previous cut (or, in a segment an older binary
-// wrote, the user was — candidateLog.install). It is
-// what CaptureDelta returns, what both decoders produce, what Merge
-// composes and the background compactor folds chains into, and what
-// LoadState installs.
+// wrote, the user was — candidateLog.install). It is what CaptureDelta
+// returns, what the checkpoint writer coalesces queued cuts with (Merge),
+// what DecodeBase produces and what LoadState installs.
 type Segment struct {
 	// SweepClock is the engine's last D-prune stream time at the cut.
 	SweepClock int64
@@ -87,17 +88,6 @@ func liveRun[V any](m map[graph.VertexID]V) codecutil.Run[graph.VertexID, V] {
 	return r
 }
 
-// appendRun appends the candidate-log or the item-counter section shared by
-// the base and delta formats: the key count, then per key, ascending so
-// equal states serialize identically, the key and whatever put appends.
-func appendRun[V any](b []byte, r codecutil.Run[graph.VertexID, V], put func([]byte, V) []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(r)))
-	for _, e := range r {
-		b = put(binary.AppendUvarint(b, uint64(e.Key)), e.Val)
-	}
-	return b
-}
-
 func appendCandidates(b []byte, list []motif.Candidate) []byte {
 	b = binary.AppendUvarint(b, uint64(len(list)))
 	for _, c := range list {
@@ -106,40 +96,111 @@ func appendCandidates(b []byte, list []motif.Candidate) []byte {
 	return b
 }
 
+// readCandidates reads a list appendCandidates wrote into the arenas or, with
+// lists nil, only checks it: the one reader of the layout, which the walk
+// checks every list with and decode materialises the walked spans with.
+func readCandidates(c *codecutil.Cursor, lists *codecutil.Arena[motif.Candidate], vias *codecutil.Arena[graph.VertexID]) []motif.Candidate {
+	n := c.Count("log length", motif.MinCandidateBytes)
+	if lists == nil {
+		for i := 0; i < n; i++ {
+			motif.ReadCandidate(c, nil, nil)
+		}
+		return nil
+	}
+	list := lists.Take(n)
+	for j := range list {
+		motif.ReadCandidate(c, vias, &list[j])
+	}
+	return list
+}
+
+// readCounter reads an item counter.
+func readCounter(c *codecutil.Cursor) uint64 { return c.U("item counter") }
+
 // candidateChunk caps one array of the decoder's candidate arena: at ~100
 // bytes a candidate it is about the size of a D-entry chunk.
 const candidateChunk = 512
 
-// readUserItemSections decodes the candidate-log and item-counter sections
-// into runs, rejecting keys that do not ascend. The segment's candidate
-// lists share one arena and its Via slices another; the error, if any, is
-// latched on c.
-func readUserItemSections(c *codecutil.Cursor, s *Segment) {
-	nUsers := c.Count("user count", 2)
-	s.Users = make(codecutil.Run[graph.VertexID, []motif.Candidate], 0, nUsers)
-	lists := codecutil.Arena[motif.Candidate]{Chunk: min(c.Len()/motif.MinCandidateBytes, candidateChunk)}
-	vias := codecutil.SectionArena[graph.VertexID](c, 1)
-	for i := 0; i < nUsers && c.Err == nil; i++ {
-		a := graph.VertexID(c.U("log user"))
-		list := lists.Take(c.Count("log length", motif.MinCandidateBytes))
-		for j := range list {
-			motif.ReadCandidate(c, &vias, &list[j])
-		}
-		s.Users = codecutil.AppendAscending(c, "log user", s.Users, a, list)
+// spans is a checkpoint segment as the walk leaves it: per section, a sorted
+// run of key → the bytes encoding its value, windows of the file walked.
+// Every section holds full replacement values, so a fold merges these runs
+// and copies the winners' bytes (Chain); only a state to be installed is
+// decoded.
+type spans struct {
+	sweepClock            int64
+	users, items, targets codecutil.Run[graph.VertexID, []byte]
+}
+
+// walk reads a whole base file, or with base false a delta file, into spans
+// over data, checking everything a decode relies on: the file's CRC32C
+// before any of it is parsed and the embedded D section's over its own
+// range, the headers, every count against the bytes left, keys ascending in
+// every section, every candidate and D frame well formed (a program name's
+// bound and the Via count included), and no trailing bytes. Malformed input
+// returns an error, never panics.
+func walk(data []byte, base bool) (spans, error) {
+	var s spans
+	prefix := "partition delta"
+	if base {
+		prefix = "partition checkpoint"
 	}
-	nItems := c.Count("item count", 2)
-	s.Items = make(codecutil.Run[graph.VertexID, uint64], 0, nItems)
-	for i := 0; i < nItems && c.Err == nil; i++ {
-		it := graph.VertexID(c.U("item id"))
-		s.Items = codecutil.AppendAscending(c, "item id", s.Items, it, c.U("item counter"))
+	c := codecutil.NewCursor(data, prefix)
+	c.Checked()
+	if base {
+		c.Header(partMagic, partSnapVersion)
+	} else {
+		c.Header(deltaMagic, deltaVersion)
+		s.sweepClock = c.I("delta sweep clock")
 	}
+	s.users = codecutil.ReadRun[graph.VertexID](c, "user count", "log user", 2,
+		codecutil.SpanOf(func(c *codecutil.Cursor) { readCandidates(c, nil, nil) }))
+	s.items = codecutil.ReadRun[graph.VertexID](c, "item count", "item id", 2,
+		codecutil.SpanOf(func(c *codecutil.Cursor) { readCounter(c) }))
+	if base {
+		s.sweepClock, s.targets = core.WalkEngineStateAt(c)
+	} else {
+		s.targets = dynstore.WalkTargetsAt(c, true)
+	}
+	return s, c.Done()
+}
+
+// decode materialises walked spans into a segment. Its candidate lists share
+// one arena and their Via slices another: the segment is for merging,
+// fingerprinting and re-encoding, and LoadState copies out what it installs.
+// Program names are interned through names, or through a table of the
+// segment's own when it is nil.
+func (s *spans) decode(names *codecutil.Strings) *Segment {
+	if names == nil {
+		names = new(codecutil.Strings)
+	}
+	n := 0
+	for _, e := range s.users {
+		n += len(e.Val)
+	}
+	lists := codecutil.Arena[motif.Candidate]{Chunk: min(n/motif.MinCandidateBytes, candidateChunk)}
+	vias := codecutil.SectionArena[graph.VertexID](n, 1)
+	out := &Segment{
+		SweepClock: s.sweepClock,
+		Users:      make(codecutil.Run[graph.VertexID, []motif.Candidate], len(s.users)),
+		Items:      make(codecutil.Run[graph.VertexID, uint64], len(s.items)),
+		Targets:    dynstore.DecodeTargets(s.targets),
+	}
+	for i, e := range s.users {
+		c := codecutil.NewCursor(e.Val, "partition checkpoint")
+		c.Intern(names)
+		out.Users[i] = codecutil.Entry[graph.VertexID, []motif.Candidate]{Key: e.Key, Val: readCandidates(c, &lists, &vias)}
+	}
+	for i, e := range s.items {
+		out.Items[i] = codecutil.Entry[graph.VertexID, uint64]{Key: e.Key, Val: readCounter(codecutil.NewCursor(e.Val, "partition checkpoint"))}
+	}
+	return out
 }
 
 // appendUserItems appends the segment's candidate-log and item-counter
 // sections.
 func (s *Segment) appendUserItems(b []byte) []byte {
-	b = appendRun(b, s.Users, appendCandidates)
-	return appendRun(b, s.Items, binary.AppendUvarint)
+	b = codecutil.AppendRun(b, s.Users, appendCandidates)
+	return codecutil.AppendRun(b, s.Items, binary.AppendUvarint)
 }
 
 // AppendBase appends the segment as a base checkpoint: magic and version,
@@ -157,25 +218,16 @@ func (s *Segment) AppendBase(b []byte) []byte {
 	return codecutil.AppendChecksum(b, start)
 }
 
-// DecodeBase parses a whole base checkpoint file written by AppendBase. The
-// file's CRC32C trailer is verified over the whole buffer before anything is
-// parsed, then the embedded D snapshot's over its own range. The segment's
-// lists and Via slices share per-section arenas: it is for merging,
-// fingerprinting and re-encoding, and LoadState copies out what it installs.
-// Malformed input returns an error, never panics. Program names are interned
-// through names when it is non-nil, as in ParseDelta.
+// DecodeBase parses a whole base checkpoint file written by AppendBase: the
+// walk checks it whole, then decode materialises it. Malformed input returns
+// an error, never panics. Program names are interned through names when it
+// is non-nil: states decoded through one table hold one copy of each.
 func DecodeBase(data []byte, names *codecutil.Strings) (*Segment, error) {
-	c := codecutil.NewCursor(data, "partition checkpoint")
-	c.Intern(names)
-	c.Checked()
-	c.Header(partMagic, partSnapVersion)
-	s := &Segment{}
-	readUserItemSections(c, s)
-	s.SweepClock, s.Targets = core.DecodeEngineStateAt(c)
-	if err := c.Done(); err != nil {
+	s, err := walk(data, true)
+	if err != nil {
 		return nil, err
 	}
-	return s, nil
+	return s.decode(names), nil
 }
 
 // LoadState installs a composed segment, replacing all recoverable state (an
@@ -210,7 +262,7 @@ func (p *Partition) AppendBase(b []byte) []byte {
 	start := len(b)
 	b = p.log.appendTo(codecutil.AppendHeader(b, partMagic, partSnapVersion))
 	p.items.mu.RLock()
-	b = appendRun(b, liveRun(p.items.counts), binary.AppendUvarint)
+	b = codecutil.AppendRun(b, liveRun(p.items.counts), binary.AppendUvarint)
 	p.items.mu.RUnlock()
 	b = p.engine.AppendState(b)
 	return codecutil.AppendChecksum(b, start)

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"motifstream/internal/codecutil"
+	"motifstream/internal/core"
 	"motifstream/internal/dynstore"
 	"motifstream/internal/graph"
 	"motifstream/internal/motif"
@@ -58,11 +59,11 @@ func (p *Partition) CaptureDelta() *Segment {
 // key.
 func empty[T any](list []T) bool { return len(list) == 0 }
 
-// Merge composes segments given in cut order, oldest first, into one —
-// every composition of segments there is. Newer wins per key: a key in
-// several was re-dirtied after the older cuts and the newest holds its
-// current value; a key only in an older one was untouched since, so its old
-// value is still current; the sweep clock is the newest's.
+// Merge composes decoded segments given in cut order, oldest first, into
+// one. Newer wins per key: a key in several was re-dirtied after the older
+// cuts and the newest holds its current value; a key only in an older one
+// was untouched since, so its old value is still current; the sweep clock is
+// the newest's.
 //
 // With asBase false the chain is deltas and the result is the delta
 // equivalent to writing them one after another: tombstones stay, because a
@@ -72,7 +73,8 @@ func empty[T any](list []T) bool { return len(list) == 0 }
 // cut's keys exist nowhere else and dropping it would leave the chain a
 // silent hole. With asBase true the chain starts at a base (or at the
 // beginning of the stream, whose base is empty) and the result is a base:
-// tombstones have nothing left to delete and are dropped.
+// tombstones have nothing left to delete and are dropped. A chain on disk is
+// folded by Chain, which applies the same law to the encoded segments.
 func Merge(asBase bool, chain ...*Segment) *Segment {
 	users := make([]codecutil.Run[graph.VertexID, []motif.Candidate], len(chain))
 	items := make([]codecutil.Run[graph.VertexID, uint64], len(chain))
@@ -94,6 +96,61 @@ func Merge(asBase bool, chain ...*Segment) *Segment {
 	return out
 }
 
+// Chain folds a checkpoint chain's segment files into a base without
+// decoding them: the compactor's fold and the restore plan's. Every segment
+// Add takes is walked — each check a decode makes — into runs of value spans
+// over its file's bytes, and AppendBase merges the runs by Merge's law and
+// appends the winning spans as they are. The zero Chain is the empty one.
+type Chain struct {
+	segs []spans
+}
+
+// Add walks a segment file, a base or a delta, onto the end of the chain; a
+// base supersedes everything older. A segment that fails the walk returns
+// its error and adds nothing, so the chain stays the fold of the segments
+// before it (the segment-at-a-time fallback). The chain keeps windows of
+// data.
+func (ch *Chain) Add(data []byte, base bool) error {
+	s, err := walk(data, base)
+	if err != nil {
+		return err
+	}
+	if base {
+		ch.segs = ch.segs[:0]
+	}
+	ch.segs = append(ch.segs, s)
+	return nil
+}
+
+// AppendBase appends the base the chain composes to, the bytes
+// Merge(true, decoded chain...).AppendBase appends: newest wins per key, a
+// span encoding an empty list is a tombstone and dropped, and the winners'
+// bytes follow the base header, then the engine header with the newest
+// sweep clock and a snapshot section, each section closed by its CRC32C.
+func (ch *Chain) AppendBase(b []byte) []byte {
+	users := make([]codecutil.Run[graph.VertexID, []byte], len(ch.segs))
+	items := make([]codecutil.Run[graph.VertexID, []byte], len(ch.segs))
+	targets := make([]dynstore.Spans, len(ch.segs))
+	var sweepClock int64
+	for i, s := range ch.segs {
+		users[i], items[i], targets[i] = s.users, s.items, s.targets
+		sweepClock = s.sweepClock // ends as the newest's
+	}
+	start := len(b)
+	b = codecutil.AppendHeader(b, partMagic, partSnapVersion)
+	b = codecutil.AppendRun(b, codecutil.MergeRuns(emptySpan, users...), codecutil.AppendSpan)
+	b = codecutil.AppendRun(b, codecutil.MergeRuns(nil, items...), codecutil.AppendSpan)
+	b = dynstore.AppendSpans(core.AppendEngineHeader(b, sweepClock), codecutil.MergeRuns(emptySpan, targets...), false)
+	return codecutil.AppendChecksum(b, start)
+}
+
+// emptySpan reports a tombstone among spans: the encoding of an empty list,
+// whose count comes first.
+func emptySpan(span []byte) bool {
+	n, _ := binary.Uvarint(span)
+	return n == 0
+}
+
 // AppendDelta appends the segment as a delta segment: magic, version, the
 // sweep clock, the candidate-log and item-counter sections and the embedded
 // D delta section, closed by a CRC32C over everything before it. Keys are
@@ -109,25 +166,4 @@ func (s *Segment) AppendDelta(b []byte) []byte {
 // WriteTo writes AppendDelta's bytes, implementing io.WriterTo.
 func (s *Segment) WriteTo(w io.Writer) (int64, error) {
 	return codecutil.WriteTo(w, s.AppendDelta(nil))
-}
-
-// ParseDelta parses a whole delta segment file written by AppendDelta, CRC32C
-// first like DecodeBase, into an arena-backed Segment. The segment is fully
-// decoded before anyone merges it, so a corrupt one returns an error and
-// leaves whatever it would have been merged into exactly as it was
-// (enabling segment-at-a-time fallback). Program names are interned through
-// names when it is non-nil: a chain decoded through one table holds one copy
-// of each.
-func ParseDelta(data []byte, names *codecutil.Strings) (*Segment, error) {
-	c := codecutil.NewCursor(data, "partition delta")
-	c.Intern(names)
-	c.Checked()
-	c.Header(deltaMagic, deltaVersion)
-	s := &Segment{SweepClock: c.I("delta sweep clock")}
-	readUserItemSections(c, s)
-	s.Targets = dynstore.DecodeTargetsAt(c, true)
-	if err := c.Done(); err != nil {
-		return nil, err
-	}
-	return s, nil
 }

@@ -50,6 +50,18 @@ func applyDiamonds(p *Partition, t0 int64, from, to int) {
 // fingerprint is a live partition's state fingerprint (its base's trailer).
 func fingerprint(p *Partition) uint32 { return FingerprintOf(p.AppendBase(nil)) }
 
+// ParseDelta parses a whole delta segment file written by AppendDelta,
+// walked whole before it is decoded, as DecodeBase parses a base: a corrupt
+// one returns an error and leaves whatever it would have been merged into
+// exactly as it was.
+func ParseDelta(data []byte, names *codecutil.Strings) (*Segment, error) {
+	s, err := walk(data, false)
+	if err != nil {
+		return nil, err
+	}
+	return s.decode(names), nil
+}
+
 // applyDelta decodes one delta segment file and folds it onto base — the
 // restore path's composition step. A segment that does not decode folds
 // nothing: base comes back as it was.

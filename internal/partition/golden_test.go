@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"motifstream/internal/codecutil"
 	"motifstream/internal/dynstore"
 	"motifstream/internal/graph"
 	"motifstream/internal/motif"
@@ -151,6 +152,117 @@ func TestSegmentPrefixesAndBitFlipsRejected(t *testing.T) {
 			mut[bit/8] ^= 1 << (bit % 8)
 			if decode(mut) == nil {
 				t.Fatalf("%s: flip of bit %d decoded", name, bit)
+			}
+			mut[bit/8] ^= 1 << (bit % 8)
+		}
+	}
+}
+
+// refDecode is the one-pass decoder the walk replaced, kept as the reference
+// the walk's rejections are held to: it parses a base file, or with base
+// false a delta file, straight into lists, field by field in the order the
+// format lays them out, and returns the first error. The engine and D
+// headers are spelled out here: they pin the format as the golden files do.
+func refDecode(data []byte, base bool) error {
+	prefix := "partition delta"
+	if base {
+		prefix = "partition checkpoint"
+	}
+	c := codecutil.NewCursor(data, prefix)
+	c.Checked()
+	if base {
+		c.Header(partMagic, partSnapVersion)
+	} else {
+		c.Header(deltaMagic, deltaVersion)
+		c.I("delta sweep clock")
+	}
+	var vias codecutil.Arena[graph.VertexID]
+	var users codecutil.Run[graph.VertexID, []motif.Candidate]
+	nUsers := c.Count("user count", 2)
+	for i := 0; i < nUsers && c.Err == nil; i++ {
+		a := graph.VertexID(c.U("log user"))
+		list := make([]motif.Candidate, c.Count("log length", motif.MinCandidateBytes))
+		for j := range list {
+			motif.ReadCandidate(c, &vias, &list[j])
+		}
+		users = codecutil.AppendAscending(c, "log user", users, a, list)
+	}
+	var items codecutil.Run[graph.VertexID, uint64]
+	nItems := c.Count("item count", 2)
+	for i := 0; i < nItems && c.Err == nil; i++ {
+		it := graph.VertexID(c.U("item id"))
+		items = codecutil.AppendAscending(c, "item id", items, it, c.U("item counter"))
+	}
+	dMagic := [8]byte{'M', 'S', 'D', 'S', 'D', 'L', 0, 1}
+	if base {
+		c.Header([8]byte{'M', 'S', 'E', 'N', 'G', 'S', 0, 1}, 1)
+		c.I("sweep clock")
+		dMagic = [8]byte{'M', 'S', 'D', 'S', 'N', 'P', 0, 1}
+	}
+	c.Checked()
+	c.Header(dMagic, 2)
+	var targets dynstore.Targets
+	count := c.Count("target count", 2)
+	for i := 0; i < count && c.Err == nil; i++ {
+		cid := graph.VertexID(c.U("target id"))
+		list := make([]dynstore.InEdge, c.Count("target length", 2))
+		prev := int64(0)
+		for j := range list {
+			list[j].B = graph.VertexID(c.U("entry source"))
+			prev += c.I("entry timestamp")
+			list[j].TS = prev
+		}
+		targets = codecutil.AppendAscending(c, "target id", targets, cid, list)
+	}
+	return c.Done()
+}
+
+// TestWalkPrefixesAndBitFlipsRejectedAsDecoded: the walk rejects every
+// strict prefix and every single-bit flip of the golden segments with the
+// error the one-pass decoder returns — at the checksum, which CRC32C makes
+// exact. With the checksums recomputed, so that parsing reaches whatever the
+// flip or the cut broke, it still fails exactly where and how the decoder
+// does (or accepts exactly what the decoder accepts): each byte layout's
+// checks moved into the walk unchanged.
+func TestWalkPrefixesAndBitFlipsRejectedAsDecoded(t *testing.T) {
+	for name, base := range map[string]bool{"base.seg": true, "delta.seg": false} {
+		data := readGolden(t, name)
+		dMagic := []byte("MSDSDL")
+		if base {
+			dMagic = []byte("MSDSNP")
+		}
+		dStart := bytes.Index(data, dMagic)
+		if dStart < 0 {
+			t.Fatalf("%s: no D section", name)
+		}
+		check := func(what string, b []byte) {
+			t.Helper()
+			_, err := walk(b, base)
+			want := refDecode(b, base)
+			if (err == nil) != (want == nil) || err != nil && err.Error() != want.Error() {
+				t.Fatalf("%s, %s: walk says %v, the decoder %v", name, what, err, want)
+			}
+		}
+		// resum recomputes b's D section trailer and file trailer in place.
+		resum := func(b []byte) []byte {
+			n := len(b)
+			binary.LittleEndian.PutUint32(b[n-8:], codecutil.CRC32C(b[dStart:n-8]))
+			binary.LittleEndian.PutUint32(b[n-4:], codecutil.CRC32C(b[:n-4]))
+			return b
+		}
+		check("pristine", data)
+		for cut := 0; cut < len(data); cut++ {
+			check("prefix", data[:cut])
+			prefix := append(append([]byte(nil), data[:cut]...), 0, 0, 0, 0)
+			binary.LittleEndian.PutUint32(prefix[cut:], codecutil.CRC32C(data[:cut]))
+			check("prefix under a valid file trailer", prefix)
+		}
+		mut := append([]byte(nil), data...)
+		for bit := 0; bit < 8*len(data); bit++ {
+			mut[bit/8] ^= 1 << (bit % 8)
+			check("bit flip", mut)
+			if bit/8 < len(data)-8 {
+				check("bit flip under valid trailers", resum(append([]byte(nil), mut...)))
 			}
 			mut[bit/8] ^= 1 << (bit % 8)
 		}

@@ -293,3 +293,139 @@ func TestDecodeRejectsKeysOutOfOrder(t *testing.T) {
 		t.Fatalf("error %q does not name the keys (%s)", err, want)
 	}
 }
+
+// foldFiles encodes a chain of states as the writer leaves it on disk — the
+// states at bases as bases, the rest as deltas — and folds it through Chain.
+func foldFiles(t testing.TB, states []*mapState, bases map[int]bool) []byte {
+	t.Helper()
+	var ch Chain
+	for i, st := range states {
+		file := st.segment().AppendDelta(nil)
+		if bases[i] {
+			file = st.segment().AppendBase(nil)
+		}
+		if err := ch.Add(file, bases[i]); err != nil {
+			t.Fatalf("segment %d: %v", i, err)
+		}
+	}
+	return ch.AppendBase(nil)
+}
+
+// FuzzFold holds the fold of encoded segments against the map oracle on the
+// chains fuzzChain reads — a base, then deltas whose empty lists are
+// tombstones: the fold's bytes are the oracle's base encoding, and so Merge's
+// of the decoded chain.
+func FuzzFold(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x07, 2, 0x17, 5, 0x27, 3, 0x87, 0, 0x27, 0, 0x83, 1, 0x27, 2})
+	f.Add([]byte{0x01, 1, 0x22, 3, 0x81, 0, 0x12, 9, 0x82, 2, 0x81, 3, 0xb0, 7, 0x8f, 0, 0x2f, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		states := fuzzChain(data)
+		oracle := newMapState()
+		for _, st := range states {
+			oracle.applyDelta(st)
+		}
+		if got, want := foldFiles(t, states, map[int]bool{0: true}), baseBytes(t, oracle.segment()); !bytes.Equal(got, want) {
+			t.Fatalf("fold of %d segments encodes differently from the oracle", len(states))
+		}
+	})
+}
+
+// TestFoldMatchesOracle is the fold at the cut shapes the benchmark writes:
+// a base and eight deltas with tombstones (foldChain) fold to the oracle's
+// bytes, which are also Merge's of the decoded chain.
+func TestFoldMatchesOracle(t *testing.T) {
+	for _, shape := range cutShapes {
+		files, states := foldChain(shape, 8)
+		var ch Chain
+		decoded := make([]*Segment, len(files))
+		oracle := newMapState()
+		for i, file := range files {
+			if err := ch.Add(file, i == 0); err != nil {
+				t.Fatalf("%s: segment %d: %v", shape.name, i, err)
+			}
+			decode := ParseDelta
+			if i == 0 {
+				decode = DecodeBase
+			}
+			var err error
+			if decoded[i], err = decode(file, nil); err != nil {
+				t.Fatal(err)
+			}
+			oracle.applyDelta(states[i])
+		}
+		got, want := ch.AppendBase(nil), baseBytes(t, oracle.segment())
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: fold encodes differently from the oracle", shape.name)
+		}
+		if merged := baseBytes(t, Merge(true, decoded...)); !bytes.Equal(got, merged) {
+			t.Fatalf("%s: fold encodes differently from Merge of the decoded chain", shape.name)
+		}
+	}
+}
+
+// TestFoldBaseSupersedes: a base anywhere in a chain replaces everything
+// before it, and a segment that fails the walk adds nothing — the fold is
+// the oracle's from the last base on (from the empty state without one).
+func TestFoldBaseSupersedes(t *testing.T) {
+	// state returns a small state: a user, an item and a target under key k,
+	// and a tombstone for key k-1's user and target when tombstones is set.
+	state := func(k graph.VertexID, tombstones bool) *mapState {
+		st := newMapState()
+		st.SweepClock = int64(k)
+		st.Users[k] = []motif.Candidate{{User: k, Item: k, Via: []graph.VertexID{k}, Program: "p"}}
+		st.Items[k] = uint64(k)
+		st.Targets[k] = []dynstore.InEdge{{B: k, TS: int64(k)}}
+		if tombstones {
+			st.Users[k-1], st.Targets[k-1] = nil, nil
+		}
+		return st
+	}
+	a, b, c, d := state(2, false), state(3, true), state(5, false), state(6, true)
+	fold := func(states ...*mapState) []byte {
+		oracle := newMapState()
+		for _, st := range states {
+			oracle.applyDelta(st)
+		}
+		return baseBytes(t, oracle.segment())
+	}
+	for _, row := range []struct {
+		name   string
+		chain  []*mapState
+		bases  map[int]bool
+		oracle []*mapState
+	}{
+		{"base first", []*mapState{a, b}, map[int]bool{0: true}, []*mapState{a, b}},
+		{"base mid-chain", []*mapState{a, b, c, d}, map[int]bool{0: true, 2: true}, []*mapState{c, d}},
+		{"base last", []*mapState{a, b, c}, map[int]bool{0: true, 2: true}, []*mapState{c}},
+		{"deltas before the first base", []*mapState{b, d, c, b}, map[int]bool{2: true}, []*mapState{c, b}},
+		{"no base: the stream's start", []*mapState{b, d}, nil, []*mapState{b, d}},
+		{"empty chain", nil, nil, nil},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			if got, want := foldFiles(t, row.chain, row.bases), fold(row.oracle...); !bytes.Equal(got, want) {
+				t.Fatal("fold differs from the oracle's from the last base on")
+			}
+		})
+	}
+	t.Run("corrupt segment adds nothing", func(t *testing.T) {
+		var ch Chain
+		if err := ch.Add(a.segment().AppendBase(nil), true); err != nil {
+			t.Fatal(err)
+		}
+		before := ch.AppendBase(nil)
+		for _, base := range []bool{false, true} {
+			bad := c.segment().AppendDelta(nil)
+			if base {
+				bad = c.segment().AppendBase(nil)
+			}
+			bad[len(bad)/2] ^= 0x40
+			if err := ch.Add(bad, base); err == nil {
+				t.Fatalf("base=%v: corrupt segment walked", base)
+			}
+			if !bytes.Equal(ch.AppendBase(nil), before) {
+				t.Fatalf("base=%v: a rejected segment changed the fold", base)
+			}
+		}
+	})
+}

@@ -104,7 +104,8 @@ type WALOptions[T any] struct {
 	// Required. Marshal runs under the WAL's lock, one call at a time, and
 	// its result is used only until Append returns: it may return one
 	// buffer that it reuses for every call, which makes a record cost no
-	// allocation.
+	// allocation. Unmarshal's argument is valid only during the call: Read
+	// reuses its buffer.
 	Marshal   func(T) ([]byte, error)
 	Unmarshal func([]byte) (T, error)
 	// SegmentBytes is the rotation threshold; zero selects 4 MiB, and
@@ -484,6 +485,11 @@ func (w *WAL[T]) rotateLocked() error {
 	return nil
 }
 
+// walReadBufs recycles Read's buffers. Reads of sealed segments run
+// concurrently outside mu, so each read takes a buffer of its own; Unmarshal
+// keeps nothing of it.
+var walReadBufs sync.Pool // of *[]byte
+
 // Read implements LogBackend: records [from, from+len(dst)) as far as one
 // segment supplies them (callers loop). Every record's CRC is re-verified
 // on the way out, so even damage after the open scan surfaces as an error
@@ -525,15 +531,26 @@ func (w *WAL[T]) Read(from uint64, dst []Record[T]) (int, error) {
 	if idx+count < len(seg.index) {
 		hi = int64(seg.index[idx+count])
 	}
-	buf := make([]byte, hi-lo)
+	bufp, _ := walReadBufs.Get().(*[]byte)
+	if bufp == nil {
+		bufp = new([]byte)
+	}
+	defer walReadBufs.Put(bufp)
+	if int64(cap(*bufp)) < hi-lo {
+		*bufp = make([]byte, hi-lo)
+	}
+	buf := (*bufp)[:hi-lo]
 	if seg == tail {
-		// The requested range may still sit in the write buffer: flush it
-		// (no fsync) so the pread observes every appended record. The
+		// The requested range may reach into the write buffer: only then
+		// flush it (no fsync), so the pread observes every appended record
+		// and a reader behind the buffer costs the writer nothing. The
 		// pread itself also stays under the lock — rotation closes this
 		// file.
-		if err := w.bw.Flush(); err != nil {
-			w.mu.Unlock()
-			return 0, err
+		if hi > seg.size-int64(w.bw.Buffered()) {
+			if err := w.bw.Flush(); err != nil {
+				w.mu.Unlock()
+				return 0, err
+			}
 		}
 		if _, err := w.active.ReadAt(buf, lo); err != nil {
 			w.mu.Unlock()

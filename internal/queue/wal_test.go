@@ -637,3 +637,55 @@ func TestWALSegmentBytesBound(t *testing.T) {
 	w := intWAL(t, t.TempDir(), func(o *WALOptions[int]) { o.SegmentBytes = 1 << 30 })
 	w.Close()
 }
+
+// TestWALReadFlushesOnlyWhatItReads: a read of records the write buffer has
+// already handed to the file leaves the buffer alone, and allocates nothing
+// past what Unmarshal does (here nothing: an int); a read reaching into the
+// buffer flushes it.
+func TestWALReadFlushesOnlyWhatItReads(t *testing.T) {
+	w := intWAL(t, t.TempDir(), nil)
+	defer w.Close()
+	for i := 0; i < 64; i++ {
+		if err := w.Append(Record[int]{Msg: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.mu.Lock()
+	err := w.bw.Flush()
+	w.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 64; i < 70; i++ {
+		if err := w.Append(Record[int]{Msg: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buffered := func() int {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return w.bw.Buffered()
+	}
+	held := buffered()
+	if held == 0 {
+		t.Fatal("vacuous: the write buffer holds nothing")
+	}
+	dst := make([]Record[int], 16)
+	if n, err := w.Read(10, dst); err != nil || n != 16 || dst[0].Msg != 10 || dst[15].Msg != 25 {
+		t.Fatalf("Read(10) = %d records from %d, %v", n, dst[0].Msg, err)
+	}
+	if got := buffered(); got != held {
+		t.Fatalf("a read of written records flushed the write buffer (%d bytes held, now %d)", held, got)
+	}
+	if !racetest.Enabled {
+		if allocs := testing.AllocsPerRun(100, func() { w.Read(10, dst) }); allocs != 0 {
+			t.Fatalf("a read of written records allocates %.0f times, want 0", allocs)
+		}
+	}
+	if n, err := w.Read(60, dst); err != nil || n != 10 || dst[9].Msg != 69 {
+		t.Fatalf("Read(60) = %d records to %d, %v", n, dst[9].Msg, err)
+	}
+	if got := buffered(); got != 0 {
+		t.Fatalf("a read into the write buffer left %d bytes unflushed", got)
+	}
+}

@@ -19,6 +19,9 @@ const (
 	// a frame only after delivering all of it, so this is also the coarsest
 	// step the checkpoint gate advances in.
 	candFrameMax = 64
+	// candFreeFrames bounds the acked frame buffers a forwarder keeps for
+	// framing the next frames into.
+	candFreeFrames = 8
 )
 
 var errForwarderClosed = errors.New("transport: candidate forwarder closed")
@@ -42,6 +45,7 @@ type CandForwarder struct {
 	cond     *sync.Cond
 	pending  []CandMsg   // offered, not yet framed, oldest first
 	ring     []candEntry // unacked frames, ascending seq, contiguous
+	free     [][]byte    // acked frames' buffers, emptied, framed into again
 	nextSeq  uint64      // seq of the next frame formed (first is 1)
 	unsent   int         // frames at the ring's tail not yet written on the live conn
 	offered  int64       // messages accepted by Offer
@@ -290,10 +294,29 @@ func (f *CandForwarder) writeLoop(c *conn, done chan<- struct{}) {
 
 // framePendingLocked moves up to candFrameMax pending messages into one new
 // frame at the ring's tail and releases them: the frame is all a resend
-// needs.
+// needs. The frame is appended into an acked frame's buffer when readAcks
+// left one. That reuse is race-free only because writeLoop is the one
+// goroutine that frames and writes: a buffer that comes back while its
+// frame's write is still returning is framed into again only after that
+// write, on the same goroutine, and a reconnect starts the next writeLoop
+// only once the last one is done (writerDone).
 func (f *CandForwarder) framePendingLocked() {
 	n := min(len(f.pending), candFrameMax)
-	f.ring = append(f.ring, candEntry{seq: f.nextSeq, nmsgs: n, frame: encodeCandBatch(f.nextSeq, f.pending[:n])})
+	var buf []byte
+	if k := len(f.free); k > 0 {
+		buf, f.free[k-1], f.free = f.free[k-1], nil, f.free[:k-1]
+	}
+	// A buffer smaller than the frame is likely to be is replaced by one of
+	// that size, so framing does not grow it step by step: a message takes
+	// a few bytes and a candidate about fifty.
+	size := 64
+	for _, m := range f.pending[:n] {
+		size += 16 + 64*len(m.Cands)
+	}
+	if cap(buf) < size {
+		buf = make([]byte, 0, size)
+	}
+	f.ring = append(f.ring, candEntry{seq: f.nextSeq, nmsgs: n, frame: appendCandBatch(buf, f.nextSeq, f.pending[:n])})
 	for _, m := range f.pending[:n] {
 		m.Lease.Release()
 	}
@@ -321,33 +344,42 @@ func (f *CandForwarder) readAcks(c *conn) {
 		if wr.Err != nil {
 			return
 		}
-		now := time.Now().UnixNano()
 		f.mu.Lock()
-		popped := 0
-		for popped < len(f.ring)-f.unsent && f.ring[popped].seq <= seq {
-			e := f.ring[popped]
-			f.acked += int64(e.nmsgs)
-			if f.rtt != nil && e.sentNS > 0 {
-				f.rtt.Observe(time.Duration(now - e.sentNS))
-			}
-			popped++
-		}
-		if popped > 0 {
-			// Keep the ring anchored, as framePendingLocked keeps pending: a
-			// reslice past the acked frames would leave them in the backing
-			// array, alive until an append happened to reallocate it.
-			rest := copy(f.ring, f.ring[popped:])
-			clear(f.ring[rest:])
-			f.ring = f.ring[:rest]
-		}
+		f.ackLocked(seq, time.Now().UnixNano())
 		fin := f.finSent && len(f.ring) == 0
 		if fin {
-			f.finished = true
+			f.finished, f.free = true, nil
 		}
 		f.cond.Broadcast()
 		f.mu.Unlock()
 		if fin {
 			return
 		}
+	}
+}
+
+// ackLocked pops the written frames a cumulative ack for seq covers, counts
+// their messages acked and keeps up to candFreeFrames of their buffers for
+// framePendingLocked.
+func (f *CandForwarder) ackLocked(seq uint64, now int64) {
+	popped := 0
+	for popped < len(f.ring)-f.unsent && f.ring[popped].seq <= seq {
+		e := f.ring[popped]
+		f.acked += int64(e.nmsgs)
+		if f.rtt != nil && e.sentNS > 0 {
+			f.rtt.Observe(time.Duration(now - e.sentNS))
+		}
+		if len(f.free) < candFreeFrames {
+			f.free = append(f.free, e.frame[:0])
+		}
+		popped++
+	}
+	if popped > 0 {
+		// Keep the ring anchored, as framePendingLocked keeps pending: a
+		// reslice past the acked frames would leave them in the backing
+		// array, alive until an append happened to reallocate it.
+		rest := copy(f.ring, f.ring[popped:])
+		clear(f.ring[rest:])
+		f.ring = f.ring[:rest]
 	}
 }

@@ -38,7 +38,7 @@ func candBatches(n, msgs int) ([][]CandMsg, [][]byte) {
 			batch[i] = CandMsg{Pid: i % 4, Offset: uint64(f*msgs + i), PubNS: int64(f), Cands: cands}
 		}
 		batches[f] = batch
-		payloads[f] = encodeCandBatch(uint64(f+1), batch)
+		payloads[f] = appendCandBatch(nil, uint64(f+1), batch)
 	}
 	return batches, payloads
 }
@@ -154,7 +154,7 @@ func FuzzCandBatchRoundTrip(f *testing.F) {
 		dec := newCandDecoder()
 		kept := make([][]CandMsg, len(batches))
 		for i, batch := range batches {
-			payload := encodeCandBatch(uint64(i+1), batch)
+			payload := appendCandBatch(nil, uint64(i+1), batch)
 			seq, msgs, err := decodeCandBatch(wireCursor(payload[1:]), dec)
 			if err != nil || seq != uint64(i+1) {
 				t.Fatalf("frame %d: seq %d, %v", i, seq, err)
@@ -228,5 +228,35 @@ func TestReadMsgZeroAlloc(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("reading a frame allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestCandFrameRecycledZeroAlloc gates the forwarder's framing: once an acked
+// frame has left its buffer behind, framing the next candFrameMax messages
+// into it allocates nothing, and the frame is the one appendCandBatch makes
+// afresh.
+func TestCandFrameRecycledZeroAlloc(t *testing.T) {
+	if racetest.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	batches, _ := candBatches(1, candFrameMax)
+	f := &CandForwarder{nextSeq: 1}
+	frame := func() []byte {
+		f.pending = append(f.pending, batches[0]...)
+		f.framePendingLocked()
+		framed := f.ring[len(f.ring)-1].frame
+		f.unsent = 0 // written
+		f.ackLocked(f.nextSeq-1, 0)
+		return framed
+	}
+	first, again := frame(), frame()
+	if &again[0] != &first[0] {
+		t.Fatal("the second frame is not in the first's acked buffer")
+	}
+	if !bytes.Equal(again, appendCandBatch(nil, 2, batches[0])) {
+		t.Fatal("a frame appended into a recycled buffer differs from a fresh one")
+	}
+	if got := testing.AllocsPerRun(100, func() { frame() }); got != 0 {
+		t.Fatalf("framing into a recycled buffer allocates %.0f times, want 0", got)
 	}
 }

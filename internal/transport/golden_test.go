@@ -38,7 +38,7 @@ func wireGoldens() []wireGolden {
 			meta, envs, err := decodeEnvBatch(wireCursor(p[1:]), nil)
 			return encodeEnvBatch(nil, meta, envs), err
 		}},
-		{"cand_batch.frame", encodeCandBatch(5, []CandMsg{
+		{"cand_batch.frame", appendCandBatch(nil, 5, []CandMsg{
 			{Pid: 1, Offset: 9, PubNS: 123, Cands: []motif.Candidate{
 				{User: 42, Item: 6, Via: []graph.VertexID{7, 8}, Trigger: graph.Edge{Src: 8, Dst: 6, Type: graph.Follow, TS: 99}, DetectedAtMS: 99, Program: "diamond", Score: 2},
 				{User: 43, Item: 6, Via: []graph.VertexID{8}, Trigger: graph.Edge{Src: 8, Dst: 6, Type: graph.Follow, TS: 99}, DetectedAtMS: 99, Program: "co-action", Score: 0.5},
@@ -46,7 +46,7 @@ func wireGoldens() []wireGolden {
 			{Pid: 3, Offset: 1 << 40, Cands: []motif.Candidate{{User: 1 << 35, Item: 2, Program: "diamond", Score: 1}}},
 		}), func(p []byte) ([]byte, error) {
 			seq, msgs, err := decodeCandBatch(wireCursor(p[1:]), newCandDecoder())
-			return encodeCandBatch(seq, msgs), err
+			return appendCandBatch(nil, seq, msgs), err
 		}},
 		{"cand_fin.frame", encodeCandFin([]helloFeed{{pid: 1, r: 2, gen: 3, floor: 300, resume: 4000}, {pid: 0, r: 1, gen: 0, floor: 0, resume: 1 << 40}}),
 			func(p []byte) ([]byte, error) {

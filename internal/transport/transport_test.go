@@ -776,7 +776,7 @@ func TestFrameOversized(t *testing.T) {
 // and no single-bit flip of it reads back as an intact frame, and no strict
 // prefix of the payload decodes as a message.
 func TestFramePrefixesAndBitFlipsRejected(t *testing.T) {
-	payload := encodeCandBatch(3, []CandMsg{{Pid: 1, Offset: 2, PubNS: 3, Cands: []motif.Candidate{
+	payload := appendCandBatch(nil, 3, []CandMsg{{Pid: 1, Offset: 2, PubNS: 3, Cands: []motif.Candidate{
 		{User: 5, Item: 6, Via: []graph.VertexID{7, 8}, Program: "diamond", Score: 1.5},
 		{User: 5, Item: 9, Via: []graph.VertexID{7}, Program: "diamond", Score: 1},
 	}}})
@@ -836,7 +836,7 @@ func FuzzTransportFrame(f *testing.F) {
 	f.Add(encodeEnvBatch(nil, logMeta{7, 100, 5}, []queue.Envelope[graph.Edge]{
 		{Offset: 9, PubUnixNS: 123, Msg: graph.Edge{Src: 1, Dst: 2, Type: graph.Follow, TS: 42}},
 	}))
-	f.Add(encodeCandBatch(3, []CandMsg{{Pid: 1, Offset: 2, PubNS: 3, Cands: []motif.Candidate{
+	f.Add(appendCandBatch(nil, 3, []CandMsg{{Pid: 1, Offset: 2, PubNS: 3, Cands: []motif.Candidate{
 		{User: 5, Item: 6, Via: []graph.VertexID{7, 8}, Program: "diamond", Score: 1.5},
 	}}}))
 	f.Add(encodeRecsResp(2, []motif.Candidate{{User: 1, Item: 2}}))

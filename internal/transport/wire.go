@@ -245,9 +245,9 @@ func decodeCandidates(r *codecutil.Cursor, context string, d *candDecoder) []mot
 	return out
 }
 
-func encodeCandBatch(seq uint64, msgs []CandMsg) []byte {
-	b := make([]byte, 1, 64+64*len(msgs))
-	b[0] = msgCandBatch
+// appendCandBatch appends a candidate batch frame to b.
+func appendCandBatch(b []byte, seq uint64, msgs []CandMsg) []byte {
+	b = append(b, msgCandBatch)
 	b = binary.AppendUvarint(b, seq)
 	b = binary.AppendUvarint(b, uint64(len(msgs)))
 	for _, m := range msgs {
